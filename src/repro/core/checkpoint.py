@@ -88,8 +88,13 @@ def atomic_write(
     return len(data)
 
 
-def state_to_json(state: NetworkState) -> str:
-    """Serialize the accounting of a NetworkState (not its topology)."""
+def state_to_payload(state: NetworkState) -> Dict[str, Any]:
+    """The accounting of a NetworkState (not its topology) as JSON-ready data.
+
+    Every key is a string and every value a JSON scalar, list or dict,
+    so embedding the payload in a larger document serialises to the
+    same bytes as embedding its parsed-back JSON text.
+    """
     usage = {
         f"{src},{dst}": {
             str(slot): volume
@@ -97,7 +102,7 @@ def state_to_json(state: NetworkState) -> str:
         }
         for src, dst in state.ledger.used_links()
     }
-    payload = {
+    return {
         "version": _VERSION,
         "kind": "postcard-state",
         "horizon": state.horizon,
@@ -124,7 +129,11 @@ def state_to_json(state: NetworkState) -> str:
         "period_start": state.period_start,
         "banked_period_bills": list(state.banked_period_bills),
     }
-    return json.dumps(payload, indent=1)
+
+
+def state_to_json(state: NetworkState) -> str:
+    """Serialize the accounting of a NetworkState (not its topology)."""
+    return json.dumps(state_to_payload(state), indent=1)
 
 
 def state_from_json(text: str, topology: Topology) -> NetworkState:
@@ -235,7 +244,7 @@ def snapshot_to_json(
     payload = {
         "version": _SNAPSHOT_VERSION,
         "kind": "postcard-snapshot",
-        "state": json.loads(state_to_json(state)),
+        "state": state_to_payload(state),
         "pending": list(pending or []),
         "next_slot": int(next_slot),
         "request_id_watermark": peek_next_request_id(),

@@ -133,30 +133,46 @@ class TransferSchedule:
 
     # -- per-file accounting ------------------------------------------------
 
-    def delivered_volume(self, request: TransferRequest) -> float:
-        """GB of ``request`` that reach its destination (net inflow)."""
-        inflow = sum(
-            e.volume
-            for e in self.transit_entries()
-            if e.request_id == request.request_id and e.dst == request.destination
-        )
-        outflow = sum(
-            e.volume
-            for e in self.transit_entries()
-            if e.request_id == request.request_id and e.src == request.destination
-        )
+    def group_by_request(self) -> Dict[int, List[ScheduleEntry]]:
+        """Entries per file, each list in schedule order (one pass)."""
+        groups: Dict[int, List[ScheduleEntry]] = defaultdict(list)
+        for e in self.entries:
+            groups[e.request_id].append(e)
+        return groups
+
+    def delivered_volume(
+        self, request: TransferRequest,
+        entries: Optional[List[ScheduleEntry]] = None,
+    ) -> float:
+        """GB of ``request`` that reach its destination (net inflow).
+
+        ``entries`` is the file's own group from :meth:`group_by_request`
+        when the caller already holds it; by default the schedule is
+        scanned for it.
+        """
+        if entries is None:
+            entries = self.entries_for_request(request.request_id)
+        transit = [e for e in entries if e.kind is ArcKind.TRANSIT]
+        inflow = sum(e.volume for e in transit if e.dst == request.destination)
+        outflow = sum(e.volume for e in transit if e.src == request.destination)
         return inflow - outflow
 
-    def completion_slot(self, request: TransferRequest) -> Optional[int]:
+    def completion_slot(
+        self, request: TransferRequest,
+        entries: Optional[List[ScheduleEntry]] = None,
+    ) -> Optional[int]:
         """Slot whose end sees the final byte delivered, or None.
 
         This is the actual transfer time ``T'_k`` measured in slots:
         ``completion_slot - release_slot + 1 <= deadline_slots`` must
-        hold for a deadline-feasible schedule.
+        hold for a deadline-feasible schedule.  ``entries`` as for
+        :meth:`delivered_volume`.
         """
+        if entries is None:
+            entries = self.entries_for_request(request.request_id)
         arrivals: Dict[int, float] = defaultdict(float)
-        for e in self.transit_entries():
-            if e.request_id == request.request_id:
+        for e in entries:
+            if e.kind is ArcKind.TRANSIT:
                 if e.dst == request.destination:
                     arrivals[e.slot] += e.volume
                 if e.src == request.destination:
@@ -192,20 +208,23 @@ class TransferSchedule:
         ``capacity_fn(src, dst, slot)`` when provided.
         """
         by_request = {r.request_id: r for r in requests}
+        groups: Dict[int, List[ScheduleEntry]] = {rid: [] for rid in by_request}
         for e in self.entries:
-            if e.request_id not in by_request:
+            req = by_request.get(e.request_id)
+            if req is None:
                 raise SchedulingError(
                     f"schedule references unknown file {e.request_id}"
                 )
-            req = by_request[e.request_id]
             if not req.release_slot <= e.slot <= req.last_slot + deadline_slack:
                 raise SchedulingError(
                     f"file {e.request_id} moves at slot {e.slot}, outside its "
                     f"window [{req.release_slot}, {req.last_slot + deadline_slack}]"
                 )
+            groups[e.request_id].append(e)
 
         for req in requests:
-            delivered = self.delivered_volume(req)
+            entries = groups[req.request_id]
+            delivered = self.delivered_volume(req, entries)
             tol = max(atol, atol * req.size_gb)
             if require_full_delivery and abs(delivered - req.size_gb) > tol:
                 raise SchedulingError(
@@ -218,9 +237,9 @@ class TransferSchedule:
                     f"of {req.size_gb:.6f} GB"
                 )
             if self.semantics == SEMANTICS_STORE_AND_FORWARD:
-                self._check_conservation(req, atol, delivered)
+                self._check_conservation(req, entries, atol, delivered)
             else:
-                self._check_conservation_fluid(req, atol)
+                self._check_conservation_fluid(req, entries, atol)
 
         if capacity_fn is not None:
             for (src, dst, slot), volume in self.link_slot_volumes().items():
@@ -231,10 +250,13 @@ class TransferSchedule:
                         f"{slot}, over capacity {cap:.6f}"
                     )
 
+    @staticmethod
     def _check_conservation(
-        self, request: TransferRequest, atol: float, delivered: Optional[float] = None
+        request: TransferRequest, entries: List[ScheduleEntry], atol: float,
+        delivered: Optional[float] = None,
     ) -> None:
-        """Flow conservation for one file at every time-expanded node.
+        """Flow conservation for one file (``entries``) at every
+        time-expanded node.
 
         ``delivered`` overrides the expected source emission for
         partial-delivery schedules (bulk throughput); by default the
@@ -242,7 +264,7 @@ class TransferSchedule:
         """
         emitted = request.size_gb if delivered is None else delivered
         balance: Dict[Tuple[int, int], float] = defaultdict(float)
-        for e in self.entries_for_request(request.request_id):
+        for e in entries:
             balance[(e.src, e.slot)] -= e.volume       # leaves tail node
             balance[(e.dst, e.slot + 1)] += e.volume   # enters head node
         source = (request.source, request.release_slot)
@@ -267,12 +289,15 @@ class TransferSchedule:
                     f"node {node}: net {net:.6f}, expected {expected:.6f}"
                 )
 
-    def _check_conservation_fluid(self, request: TransferRequest, atol: float) -> None:
+    @staticmethod
+    def _check_conservation_fluid(
+        request: TransferRequest, entries: List[ScheduleEntry], atol: float
+    ) -> None:
         """Fluid conservation: within every slot, each intermediate node
         relays exactly what it receives; the source only emits and the
         destination only absorbs."""
         net_out: Dict[Tuple[int, int], float] = defaultdict(float)
-        for e in self.entries_for_request(request.request_id):
+        for e in entries:
             if e.kind is ArcKind.HOLDOVER:
                 raise SchedulingError(
                     f"file {request.request_id}: fluid schedules cannot "

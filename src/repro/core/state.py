@@ -10,6 +10,7 @@ of a :class:`~repro.charging.ledger.TrafficLedger`.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
@@ -18,6 +19,7 @@ from repro.charging.schemes import ChargingScheme
 from repro.core.schedule import TransferSchedule
 from repro.net.topology import LinkKey, Topology
 from repro.obs import registry as obs
+from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
 
 
@@ -104,25 +106,62 @@ class NetworkState:
         schedule: TransferSchedule,
         requests: List[TransferRequest],
         validate: bool = True,
+        per_file: bool = False,
     ) -> None:
         """Apply a schedule: record traffic, update X_ij, log completions.
 
         With ``validate=True`` (default) the schedule is audited against
         per-slot residual capacities *before* anything is recorded, so a
         failed commit leaves the state untouched.
+
+        By default the ledger receives one summed write per link-slot,
+        which is how a jointly solved batch lands.  ``per_file=True``
+        sums and writes each file's entries on their own, in
+        ``requests`` order: a slot of per-file plans then lands float
+        for float where committing the files one after another would
+        put it — under one validation, so all of them or none.
         """
         if validate:
             schedule.validate(requests, capacity_fn=self.residual_capacity)
+        groups = schedule.group_by_request()
+        completions = {}
+        for request in requests:
+            completion = schedule.completion_slot(
+                request, groups.get(request.request_id, ())
+            )
+            if completion is None:
+                raise SchedulingError(
+                    f"commit: file {request.request_id} is not delivered "
+                    "by the schedule"
+                )
+            completions[request.request_id] = completion
 
+        if per_file:
+            batches = [groups.get(request.request_id, ()) for request in requests]
+        else:
+            batches = [schedule.entries]
         recorded_gb = 0.0
-        for (src, dst, slot), volume in schedule.link_slot_volumes().items():
-            self.ledger.record(src, dst, slot, volume)
-            recorded_gb += volume
-            new_level = self.ledger.volume(src, dst, slot)
-            if new_level > self._charged[(src, dst)]:
-                self._charged[(src, dst)] = new_level
-
-        self.storage_used += schedule.total_storage_volume()
+        touched = set()
+        for entries in batches:
+            volumes: Dict[Tuple[int, int, int], float] = defaultdict(float)
+            stored = 0.0
+            for e in entries:
+                if e.kind is ArcKind.TRANSIT:
+                    volumes[(e.src, e.dst, e.slot)] += e.volume
+                else:
+                    stored += e.volume
+            for (src, dst, slot), volume in volumes.items():
+                self.ledger.record(src, dst, slot, volume)
+                recorded_gb += volume
+            touched.update(volumes)
+            self.storage_used += stored
+        # Volumes only grow within a commit, so each touched cell's
+        # final level is its highest.
+        for src, dst, slot in touched:
+            level = self.ledger.volume(src, dst, slot)
+            if level > self._charged[(src, dst)]:
+                self._charged[(src, dst)] = level
+        self.completions.update(completions)
 
         if obs.get_registry().enabled:
             # The ledger-charge leg of a request trace: inside the slot
@@ -132,15 +171,6 @@ class NetworkState:
             obs.counter("ledger.charged_gb", round(recorded_gb, 6),
                         files=len(requests))
             obs.gauge("ledger.cost_per_slot", self.current_cost_per_slot())
-
-        for request in requests:
-            completion = schedule.completion_slot(request)
-            if completion is None:
-                raise SchedulingError(
-                    f"commit: file {request.request_id} is not delivered "
-                    "by the schedule"
-                )
-            self.completions[request.request_id] = completion
 
     def void_traffic(self, src: int, dst: int, slot: int, volume: float) -> None:
         """Refund committed traffic that a surprise outage prevented.

@@ -2,22 +2,19 @@
 
 Introduced in PR 4.  Postcard's per-slot LP is exact but its
 assembly + solve cost grows with the batch size and the window length;
-close-to-deadline heuristics (DCRoute, RCD) show that admission and
-placement can run in near-constant time per request while still
-guaranteeing deadlines.  This package supplies that fast lane and the
-hybrid mode that escalates pressured slots back to the LP:
+close-to-deadline heuristics (DCRoute, RCD) admit and place in
+near-constant time per request while still guaranteeing deadlines.
+This package supplies that fast lane and the hybrid mode that escalates
+pressured slots back to the LP:
 
-* :class:`~repro.heuristic.tracker.UtilizationTracker` — O(1)
-  residual / paid-headroom / utilization queries over committed plus
-  tentative load;
+* :class:`~repro.heuristic.tracker.UtilizationTracker` — the per-slot
+  window table: residual / paid-headroom / pending rows per link;
 * :class:`~repro.heuristic.paths.CandidatePathIndex` — cached
   K-cheapest simple paths per (source, destination) pair;
 * :class:`~repro.heuristic.fastlane.FastLaneScheduler` — per-request
-  admission test plus as-late-as-possible placement (registry name
-  ``"heuristic"``);
+  admission test plus ALAP placement (registry name ``"heuristic"``);
 * :class:`~repro.heuristic.hybrid.HybridScheduler` — fast lane per
-  slot, LP escalation when admission pressure crosses a threshold
-  (registry name ``"hybrid"``).
+  slot, LP escalation under admission pressure (``"hybrid"``).
 """
 
 from repro.heuristic.fastlane import FastLaneScheduler, SlotPlan

@@ -1,44 +1,40 @@
 """The fast-lane scheduler: constant-ish-time admission + ALAP placement.
 
-Introduced in PR 4 (heuristic fast-lane scheduler).  Inspired by
-close-to-deadline schedulers for inter-datacenter transfers (DCRoute,
-RCD): instead of solving the Postcard LP every slot, each arriving
-request passes a per-request **admission test** — is there residual
-capacity along some candidate path that delivers the file within its
-deadline ``T_k``? — and, if admitted, is placed by an
-**as-late-as-possible (ALAP)** rule that packs bytes into the slots
-nearest the deadline.  Keeping early slots free is what preserves
+Introduced in PR 4.  Inspired by close-to-deadline schedulers for
+inter-datacenter transfers (DCRoute, RCD): instead of solving the
+Postcard LP every slot, each arriving request passes an **admission
+test** — is there residual capacity along some candidate path that
+delivers the file within its deadline ``T_k``? — and, if admitted, is
+placed by an **as-late-as-possible (ALAP)** rule that packs bytes into
+the slots nearest the deadline.  Keeping early slots free preserves
 admission headroom for future, possibly tighter-deadline arrivals;
-filling the charging ledger's already-paid headroom first is what keeps
-the bill from growing when free capacity exists.
+filling already-paid headroom first keeps the bill from growing while
+free capacity exists.
 
-The complexity per request is O(candidate paths x window length): one
-backward ALAP sweep per hop over at most ``T_k`` slots, with O(1)
-capacity queries through the :class:`UtilizationTracker` — no graph
-build, no LP assembly, no solve.  Admitted requests are guaranteed to
-meet their deadline: placement only ever uses slots inside
-``[release, release + T_k - 1]`` with per-hop precedence windows, and
-the commit re-validates delivery, conservation, and capacity.
-
-The trade-off is cost: the LP sees all of ``K(t)`` jointly and
-optimizes the charged-volume objective exactly; the fast lane plans one
-file at a time against marginal bill increase.  The
-:class:`~repro.heuristic.hybrid.HybridScheduler` recovers most of the
-gap by escalating pressured slots back to the LP.
+Per request the work is O(candidate paths x window length): one
+top-down sweep per hop and pass over at most ``T_k`` cells of the
+:class:`UtilizationTracker`'s window rows — no graph build, no LP, no
+per-cell walk back to the ledger.  Candidates are costed from their
+per-hop sends; only the winner becomes schedule entries.  Admitted
+requests meet their deadline by construction (per-hop precedence
+windows inside ``[release, release + T_k - 1]``), and the slot's one
+commit re-validates everything before recording.  The price is cost:
+files are planned one at a time against marginal bill increase; the
+:class:`~repro.heuristic.hybrid.HybridScheduler` escalates pressured
+slots to the LP to recover most of the gap.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import InfeasibleError, SchedulingError
 from repro.core.interfaces import Scheduler
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
 from repro.heuristic.paths import CandidatePathIndex
-from repro.heuristic.tracker import UtilizationTracker
+from repro.heuristic.tracker import LinkRows, UtilizationTracker
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.timeexp.graph import ArcKind
@@ -48,8 +44,17 @@ from repro.units import VOLUME_ATOL
 ON_INFEASIBLE_RAISE = "raise"
 ON_INFEASIBLE_DROP = "drop"
 
-#: Per-hop send volumes: slot -> GB leaving the hop's tail that slot.
-HopSends = Dict[int, float]
+#: A hop's ALAP passes as ``(free, reserved)`` views of
+#: :meth:`LinkRows.room`, keyed by (forecast active, headroom first).
+#: Reserved passes precede their plain twins, so a wrong forecast costs
+#: placement preference, never admission; all-zero reservations place
+#: exactly what the plain passes would.
+_PASSES = {
+    (False, False): ((False, False),),
+    (False, True): ((True, False), (False, False)),
+    (True, False): ((False, True), (False, False)),
+    (True, True): ((True, True), (True, False), (False, True), (False, False)),
+}
 
 
 @dataclass
@@ -59,8 +64,7 @@ class SlotPlan:
     ``plans`` pairs each admitted request with its schedule entries;
     ``rejected`` holds the requests that failed admission;
     ``peak_utilization`` is the highest (committed + planned) / capacity
-    ratio over every link-slot the plan touches — the admission-pressure
-    signal the hybrid mode thresholds on.
+    over the link-slots the plan touches — the hybrid's pressure signal.
     """
 
     slot: int
@@ -80,10 +84,8 @@ class FastLaneScheduler(Scheduler):
 
     Parameters
     ----------
-    topology:
-        The inter-datacenter network.
-    horizon:
-        Number of slots in the charging period (for the ledger).
+    topology, horizon:
+        The inter-datacenter network; slots in the charging period.
     num_candidate_paths:
         Cheapest simple paths examined per request (the admission
         test's fan-out).
@@ -93,8 +95,8 @@ class FastLaneScheduler(Scheduler):
         ``state.reject`` and continues.
     state:
         Optional externally owned :class:`NetworkState` to plan and
-        commit against — the hybrid scheduler passes the LP
-        scheduler's state here so both lanes share one ledger.
+        commit against — the hybrid scheduler passes the LP lane's
+        state here so both lanes share one ledger.
     """
 
     name = "heuristic"
@@ -116,6 +118,8 @@ class FastLaneScheduler(Scheduler):
         #: Optional :class:`~repro.forecast.provider.ForecastProvider`;
         #: ``None`` (the default) keeps placement purely reactive.
         self._forecast = None
+        #: Whether the slot being planned runs the reserved passes.
+        self._reserving = False
 
     @property
     def state(self) -> NetworkState:
@@ -124,12 +128,10 @@ class FastLaneScheduler(Scheduler):
     def adopt_state(self, state: NetworkState) -> None:
         """Re-point at a restored state (checkpoint resume path).
 
-        The utilization tracker holds a state reference, so it is
-        rebuilt alongside — a stale tracker would answer capacity
-        queries against the abandoned state.  An attached forecast
-        provider is re-wired onto the fresh tracker (and keeps its
-        predictor state: the traffic process did not change, only the
-        ledger object did).
+        The tracker reads the state it was built on, so it is rebuilt
+        alongside; an attached forecast provider is re-wired onto it and
+        keeps its predictor state (the traffic process did not change,
+        only the ledger object did).
         """
         self._state = state
         self._tracker = UtilizationTracker(state)
@@ -139,11 +141,9 @@ class FastLaneScheduler(Scheduler):
     def attach_forecast(self, provider) -> None:
         """Wire a forecast provider into the ALAP placement passes.
 
-        The provider's damped reservations are subtracted from the
-        headroom/residual answers of two extra *preference* passes;
-        the plain passes still run after them, so admission is
-        untouched — a reservation can only change where admitted
-        volume parks.
+        Its damped reservations are subtracted from the views of extra
+        *preference* passes; the plain passes still run after them, so a
+        reservation can only change where admitted volume parks.
         """
         self._forecast = provider
         self._tracker.reservation = (
@@ -158,307 +158,253 @@ class FastLaneScheduler(Scheduler):
 
     @property
     def tracker(self) -> UtilizationTracker:
-        """The live utilization view (pending load of the current batch)."""
+        """The window table (rows and pending load of the current batch)."""
         return self._tracker
 
     # -- public entry ------------------------------------------------------
 
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        """Admit-and-place the files released at ``slot``; commit the result.
+        """Admit-and-place the files ``K(t)`` released at ``slot``; commit.
 
-        Args:
-            slot: The current slot index (must equal every request's
-                ``release_slot``).
-            requests: The newly released files ``K(t)``.
-
-        Returns:
-            The committed :class:`TransferSchedule` for the admitted
-            requests (empty when everything was rejected or no requests
-            arrived).
-
-        Raises:
-            InfeasibleError: some request failed admission and the
-                policy is ``on_infeasible="raise"``.
+        Every request's ``release_slot`` must equal ``slot``.  Returns
+        the committed :class:`TransferSchedule` of the admitted requests
+        (empty when none arrived or all were rejected); raises
+        :class:`InfeasibleError` when one fails admission and the
+        policy is ``on_infeasible="raise"``.
         """
         if not requests:
             return TransferSchedule()
         plan = self.plan_slot(slot, requests)
         if plan.rejected and self.on_infeasible == ON_INFEASIBLE_RAISE:
             ids = [r.request_id for r in plan.rejected]
-            raise InfeasibleError(
-                f"fast lane cannot admit files {ids} at slot {slot}"
-            )
+            raise InfeasibleError(f"fast lane cannot admit files {ids} at slot {slot}")
         return self.commit_plan(plan)
 
     def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
         """Plan every request tentatively — nothing is committed.
 
         Requests are processed tightest-deadline-first (ties: largest
-        desired rate), each seeing the tentative load of the ones
-        planned before it through the tracker.  The returned
-        :class:`SlotPlan` can be committed with :meth:`commit_plan` or
-        discarded (the hybrid mode discards it when escalating).
+        desired rate), each seeing the load of the ones planned before
+        it in the table's pending rows.  The :class:`SlotPlan` can be
+        committed with :meth:`commit_plan` or discarded (the hybrid
+        mode discards it when escalating).
         """
-        self._check_release(slot, requests)
-        self._tracker.reset()
-        plan = SlotPlan(slot=slot)
-        with obs.span(
-            "scheduler.fastlane", slot=slot, requests=len(requests)
-        ):
-            ordered = sorted(
-                requests, key=lambda r: (r.deadline_slots, -r.desired_rate)
-            )
-            for request in ordered:
-                entries = self._plan_file(request)
-                if entries is None:
-                    plan.rejected.append(request)
-                    continue
-                plan.plans.append((request, entries))
-                for e in entries:
-                    if e.kind is ArcKind.TRANSIT:
-                        self._tracker.add(e.src, e.dst, e.slot, e.volume)
-            plan.peak_utilization = self._tracker.peak_utilization()
-        return plan
-
-    def commit_plan(self, plan: SlotPlan) -> TransferSchedule:
-        """Apply a :class:`SlotPlan`: record rejections, commit schedules.
-
-        Each admitted request is committed individually (the commit
-        audit validates delivery, conservation, deadline windows, and
-        residual capacity), and the merged schedule is returned.
-        """
-        for request in plan.rejected:
-            self._state.reject(request)
-            obs.counter("heuristic.rejected")
-        all_entries: List[ScheduleEntry] = []
-        for request, entries in plan.plans:
-            schedule = TransferSchedule(entries)
-            self._state.commit(schedule, [request])
-            all_entries.extend(schedule.entries)
-            obs.counter("heuristic.admitted")
-        self._tracker.reset()
-        return TransferSchedule(all_entries)
-
-    # -- per-file planning -------------------------------------------------
-
-    def _check_release(self, slot: int, requests: List[TransferRequest]) -> None:
         for request in requests:
             if request.release_slot != slot:
                 raise SchedulingError(
                     f"file {request.request_id} released at "
                     f"{request.release_slot}, scheduled at {slot}"
                 )
+        self._tracker.reset(slot)
+        self._reserving = self._forecast is not None and self._forecast.active
+        plan = SlotPlan(slot=slot)
+        with obs.span("scheduler.fastlane", slot=slot, requests=len(requests)):
+            for request in sorted(
+                requests, key=lambda r: (r.deadline_slots, -r.desired_rate)
+            ):
+                entries = self._plan_file(request)
+                if entries is None:
+                    plan.rejected.append(request)
+                else:
+                    plan.plans.append((request, entries))
+            plan.peak_utilization = self._tracker.peak_utilization()
+        return plan
+
+    def commit_plan(self, plan: SlotPlan) -> TransferSchedule:
+        """Apply a :class:`SlotPlan`: record rejections, commit the slot.
+
+        One commit per slot: the audit (delivery, conservation, deadline
+        windows, residual capacity under the summed load) covers every
+        plan before anything is recorded, so a bad plan leaves the state
+        untouched; the ledger is then written file by file, in order.
+        """
+        schedule = TransferSchedule(e for _, entries in plan.plans for e in entries)
+        if plan.plans:
+            self._state.commit(
+                schedule, [request for request, _ in plan.plans], per_file=True
+            )
+            obs.counter("heuristic.admitted", len(plan.plans))
+        for request in plan.rejected:
+            self._state.reject(request)
+            obs.counter("heuristic.rejected")
+        self._tracker.reset()
+        return schedule
+
+    # -- per-file planning -------------------------------------------------
 
     def _plan_file(self, request: TransferRequest) -> Optional[List[ScheduleEntry]]:
         """Admission test + placement: the cheapest feasible candidate.
 
-        Tries every candidate path with the headroom-first ALAP rule
-        and, for paths where free capacity fragments the placement into
-        infeasibility, retries with the pure ALAP rule.  Returns the
-        feasible plan with the smallest marginal bill increase, or
-        ``None`` (inadmissible) when no candidate fits.
+        Tries each candidate path with the headroom-first ALAP rule
+        and, where free capacity fragments the placement into
+        infeasibility, again with the pure one.  The feasible plan with
+        the smallest marginal bill increase (ties: fewest hops, then
+        candidate order) joins the pending rows and comes back as
+        schedule entries; ``None`` when no candidate fits.
         """
-        best: Optional[Tuple[float, int, List[ScheduleEntry]]] = None
+        # Window-aware candidates: never spend ALAP sweeps on a path
+        # with a hop that stays dark for the whole request window.
         candidates = self._paths.candidates(
-            request.source,
-            request.destination,
-            request.deadline_slots,
-            # Window-aware candidates: never spend ALAP sweeps on a path
-            # with a hop that stays dark for the whole request window.
+            request.source, request.destination, request.deadline_slots,
             schedule=getattr(self._state, "link_schedule", None),
             window=(request.release_slot, request.last_slot + 1),
         )
-        for path in candidates:
-            entries = self._plan_on_path(path, request, headroom_first=True)
-            if entries is None:
-                entries = self._plan_on_path(path, request, headroom_first=False)
-            if entries is None:
+        rows_of, last = self._tracker.rows, request.last_slot
+        best = None
+        for index, path in enumerate(candidates):
+            hop_rows = [rows_of(a, b, last) for a, b in zip(path, path[1:])]
+            sends = (self._place(hop_rows, request, True)
+                     or self._place(hop_rows, request, False))
+            if sends is None:
                 continue
-            cost = self._marginal_cost(entries)
-            key = (cost, len(path))
-            if best is None or key < (best[0], best[1]):
-                best = (cost, len(path), entries)
-        return None if best is None else best[2]
+            cost = _bill_increase(hop_rows, sends)
+            if best is None or (cost, len(path)) < best[:2]:
+                best = (cost, len(path), path, hop_rows, sends)
+                # A free plan only loses to a free plan with fewer hops.
+                if cost == 0.0 and all(
+                    len(other) >= len(path) for other in candidates[index + 1:]
+                ):
+                    break
+        if best is None:
+            return None
+        _, _, path, hop_rows, sends = best
+        for rows, sent in zip(hop_rows, sends):
+            for i, volume in enumerate(sent):
+                if volume > 0.0:
+                    rows.pending[i] += volume
+        return _emit(request, path, sends)
 
-    def _plan_on_path(
-        self, path: List[int], request: TransferRequest, headroom_first: bool
-    ) -> Optional[List[ScheduleEntry]]:
+    def _place(
+        self, hop_rows: Sequence[LinkRows], request: TransferRequest,
+        headroom_first: bool,
+    ) -> Optional[List[List[float]]]:
         """ALAP placement along one path, planned backward from the deadline.
 
-        Hop ``h`` (0-based, of ``L``) may use slots
-        ``[release + h, release + T - (L - h)]``.  Hops are planned in
-        reverse: the last hop owes the whole file by the deadline; each
-        earlier hop owes, by slot ``n - 1``, whatever the next hop
-        sends at slot ``n`` (store-and-forward precedence).  Within a
-        hop the dues are packed into the latest admissible slots —
-        already-paid headroom first when ``headroom_first`` — so early
-        slots stay free for future arrivals.
+        Returns per hop the GB leaving its tail at each window offset
+        ``i`` (slot ``release + i``).  Hop ``h`` (0-based, of ``L``) may
+        use offsets ``[h, T - (L - h)]``.  Hops are planned in reverse:
+        the last owes the whole file by the deadline; each earlier one
+        owes, by offset ``i - 1``, what the next sends at ``i``
+        (store-and-forward precedence).  Within a hop the dues go to the
+        latest admissible slots — paid headroom first when
+        ``headroom_first`` — so early slots stay free for future arrivals.
         """
-        hops = len(path) - 1
-        release, last = request.release_slot, request.last_slot
-        sends: List[HopSends] = [{} for _ in range(hops)]
-        #: deadline slot -> volume the current hop must have sent by then.
-        dues: Dict[int, float] = {last: request.size_gb}
+        hops, span = len(hop_rows), request.deadline_slots
+        passes = _PASSES[self._reserving, headroom_first]
+        due = [0.0] * (span - 1) + [request.size_gb]
+        sends: List[List[float]] = []
         for h in range(hops - 1, -1, -1):
-            first_h = release + h
-            last_h = last - (hops - 1 - h)
-            sent = self._alap_hop(
-                path[h], path[h + 1], first_h, last_h, dues, headroom_first
-            )
+            sent = _alap_hop(hop_rows[h], h, span - hops + h, due, passes)
             if sent is None:
                 return None
-            sends[h] = sent
-            next_dues: Dict[int, float] = defaultdict(float)
-            for n, volume in sent.items():
-                next_dues[n - 1] += volume
-            dues = next_dues
+            sends.append(sent)
+            due = sent[1:] + [0.0]
+        return sends[::-1]
 
-        entries: List[ScheduleEntry] = []
-        arrivals: HopSends = {release: request.size_gb}
-        for h in range(hops):
-            self._emit_hop(entries, request, path[h], path[h + 1], sends[h], arrivals)
-            arrivals = {
-                n + 1: v for n, v in sends[h].items() if v > VOLUME_ATOL
-            }
-        return entries
 
-    def _alap_hop(
-        self,
-        src: int,
-        dst: int,
-        first: int,
-        last: int,
-        dues: Dict[int, float],
-        headroom_first: bool,
-    ) -> Optional[HopSends]:
-        """Pack one hop's dues into its window, latest slots first.
+def _alap_hop(
+    rows: LinkRows, lo: int, hi: int, due: List[float],
+    passes: Sequence[Tuple[bool, bool]],
+) -> Optional[List[float]]:
+    """Pack one hop's dues into offsets ``[lo, hi]``, latest slots first.
 
-        ``dues`` maps a deadline slot to the volume that must have left
-        by its end.  The sweep walks slots from ``last`` down to
-        ``first``; placing at slot ``n`` is capped so that, at every
-        cutoff ``m <= n``, the volume parked at slots ``>= m`` never
-        exceeds what is *allowed* to be that late (total minus the dues
-        already binding at ``m - 1``).  Within a single descending pass
-        the cutoff at ``n`` itself is the binding one, but a later
-        capacity pass placing at a slot *above* volume an earlier pass
-        already parked must recheck the lower cutoffs too — otherwise
-        the earlier placement silently consumes lateness budget the
-        later one then overdraws.  With ``headroom_first`` a free pass
-        (paid-peak headroom only) runs before the paid pass (full
-        residual capacity).
+    ``due[i]`` must have left by the end of offset ``i``.  Each pass
+    sweeps once from ``hi`` down to ``lo`` carrying the volume parked
+    above the cell; placing at ``i`` is capped so that, at every cutoff
+    ``m <= i``, the volume parked at offsets ``>= m`` never exceeds what
+    is *allowed* to be that late (total minus the dues binding at
+    ``m - 1``).  Within one descending pass the cutoff at ``i`` is the
+    binding one, but a later pass placing *above* volume an earlier pass
+    parked must recheck those lower cutoffs too, or it overdraws
+    lateness budget the earlier placement already spent.  Cutoffs at
+    offsets no pass filled cannot bind (their allowance only grows
+    downward), so only filled ones are rechecked.  Returns the
+    per-offset sends, or ``None`` if the window cannot carry the dues.
+    """
+    if lo > hi:
+        return None
+    marks = [(i, due[i]) for i in range(hi, lo - 1, -1) if due[i] > 0.0]
+    total = 0.0
+    for _, volume in marks:
+        total += volume
+    tol = max(VOLUME_ATOL, 1e-9 * total)
+    sent = [0.0] * len(due)
+    if total <= tol:
+        return sent
 
-        Returns the slot -> volume sends, or ``None`` if the window
-        cannot carry the dues.
-        """
-        total = sum(dues.values())
-        tol = max(VOLUME_ATOL, 1e-9 * total)
-        sent: HopSends = defaultdict(float)
-        if total <= tol:
-            return {}
-        if first > last:
-            return None
+    def late(i: int) -> float:
+        """Volume allowed to leave at offset ``i`` or later."""
+        through = 0.0
+        for j, volume in marks:
+            if j < i:
+                through += volume
+        return total - through
 
-        def due_through(n: int) -> float:
-            return sum(v for d, v in dues.items() if d <= n)
-
-        remaining = total
-        forecast = self._forecast
-        if forecast is not None and forecast.active:
-            # Forecast-aware preference passes run before their
-            # reactive twins: park volume in forecast-quiet slots
-            # first (free, then paid), and only then fall back to the
-            # unreserved views — so a wrong forecast degrades
-            # placement preference, never admission.  With every
-            # reservation zero (cold or fully damped provider) the
-            # prefixed passes place exactly what the plain ones would,
-            # bit for bit.
-            cap_fns = []
-            if headroom_first:
-                cap_fns.append(self._tracker.forecast_headroom)
-                cap_fns.append(self._tracker.headroom)
-            cap_fns.append(self._tracker.forecast_residual)
-            cap_fns.append(self._tracker.residual)
-        else:
-            cap_fns = [self._tracker.residual]
-            if headroom_first:
-                cap_fns.insert(0, self._tracker.headroom)
-        for cap_fn in cap_fns:
+    remaining = total
+    filled: List[int] = []  # offsets earlier passes parked volume at
+    for free, reserved in passes:
+        if remaining <= tol:
+            break
+        above = 0.0  # parked at offsets > i, summed top-down
+        for i in range(hi, lo - 1, -1):
             if remaining <= tol:
                 break
-            for n in range(last, first - 1, -1):
-                if remaining <= tol:
-                    break
-                cap = cap_fn(src, dst, n) - sent[n]
-                if cap <= VOLUME_ATOL:
-                    continue
-                placed_at_or_after = sum(
-                    v for m, v in sent.items() if m >= n
-                )
-                allowed = (total - due_through(n - 1)) - placed_at_or_after
-                for m in range(n - 1, first - 1, -1):
-                    placed_at_or_after += sent.get(m, 0.0)
-                    slack = (total - due_through(m - 1)) - placed_at_or_after
-                    if slack < allowed:
-                        allowed = slack
+            placed = above + sent[i]
+            cap = rows.room(i, free, reserved) - sent[i]
+            if cap > VOLUME_ATOL:
+                allowed = late(i) - placed
+                below = placed
+                for m in filled:
+                    if m < i:
+                        below += sent[m]
+                        allowed = min(allowed, late(m) - below)
                 take = min(cap, allowed, remaining)
                 if take > VOLUME_ATOL:
-                    sent[n] += take
+                    sent[i] += take
                     remaining -= take
-        if remaining > tol:
-            return None
-        return {n: v for n, v in sent.items() if v > VOLUME_ATOL}
+                    placed = above + sent[i]
+            above = placed
+        filled = [m for m in range(hi, lo - 1, -1) if sent[m] > 0.0]
+    return sent if remaining <= tol else None
 
-    def _marginal_cost(self, entries: List[ScheduleEntry]) -> float:
-        """Bill increase if ``entries`` joined the committed + pending load."""
-        load: Dict[Tuple[int, int, int], float] = defaultdict(float)
-        for e in entries:
-            if e.kind is ArcKind.TRANSIT:
-                load[(e.src, e.dst, e.slot)] += e.volume
-        peak_add: Dict[Tuple[int, int], float] = defaultdict(float)
-        for (src, dst, slot), volume in load.items():
-            level = (
-                volume
-                + self._state.committed_volume(src, dst, slot)
-                + self._tracker.pending(src, dst, slot)
-            )
-            over = level - self._state.charged_volume(src, dst)
-            if over > peak_add[(src, dst)]:
-                peak_add[(src, dst)] = over
-        return sum(
-            self._state.topology.link(src, dst).price * over
-            for (src, dst), over in peak_add.items()
-            if over > 0.0
-        )
 
-    def _emit_hop(
-        self,
-        entries: List[ScheduleEntry],
-        request: TransferRequest,
-        src: int,
-        dst: int,
-        sent: HopSends,
-        arrivals: HopSends,
-    ) -> None:
-        """Transit entries for one hop plus holdovers while data waits.
+def _bill_increase(hop_rows: Sequence[LinkRows], sends: List[List[float]]) -> float:
+    """Bill increase if ``sends`` joined the committed + pending load."""
+    cost = 0.0
+    for rows, sent in zip(hop_rows, sends):
+        over = 0.0
+        for i, volume in enumerate(sent):
+            if volume > 0.0:
+                level = volume + rows.committed[i] + rows.pending[i]
+                over = max(over, level - rows.charged)
+        if over > 0.0:
+            cost += rows.price * over
+    return cost
 
-        ``arrivals`` maps the slot at which volume becomes available at
-        the hop's tail node; volume that arrives before it departs is
-        parked there with explicit holdover entries, one per waiting
-        slot, so the schedule's flow-conservation audit balances.
-        """
-        rid = request.request_id
-        if not sent:
-            return
-        last_action = max(sent)
-        cursor = min(list(arrivals) + [min(sent)])
-        buffered = 0.0
-        for n in range(cursor, last_action + 1):
-            buffered += arrivals.get(n, 0.0)
-            volume = sent.get(n, 0.0)
-            if volume > VOLUME_ATOL:
-                entries.append(ScheduleEntry(rid, src, dst, n, volume))
-                buffered -= volume
-            if buffered > VOLUME_ATOL and n < last_action:
-                entries.append(
-                    ScheduleEntry(rid, src, src, n, buffered, ArcKind.HOLDOVER)
-                )
+
+def _emit(
+    request: TransferRequest, path: List[int], sends: List[List[float]]
+) -> List[ScheduleEntry]:
+    """Transit entries per hop plus holdovers while data waits: volume
+    that reaches a hop's tail node before it departs is parked there, one
+    holdover entry per waiting slot, so flow conservation balances."""
+    rid, release = request.request_id, request.release_slot
+    entries: List[ScheduleEntry] = []
+    arrivals = [request.size_gb] + [0.0] * request.deadline_slots
+    for h, sent in enumerate(sends):
+        moving = [i for i, volume in enumerate(sent) if volume > 0.0]
+        if moving:
+            src, dst, last_action = path[h], path[h + 1], moving[-1]
+            arrived = [i for i, volume in enumerate(arrivals) if volume > 0.0]
+            buffered = 0.0
+            for i in range(min(arrived + moving[:1]), last_action + 1):
+                buffered += arrivals[i]
+                if sent[i] > 0.0:
+                    entries.append(ScheduleEntry(rid, src, dst, release + i, sent[i]))
+                    buffered -= sent[i]
+                if buffered > VOLUME_ATOL and i < last_action:
+                    entries.append(ScheduleEntry(
+                        rid, src, src, release + i, buffered, ArcKind.HOLDOVER
+                    ))
+        arrivals = [0.0] + sent
+    return entries

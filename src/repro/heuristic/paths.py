@@ -1,24 +1,21 @@
 """Cached candidate paths for the fast-lane admission test.
 
-Introduced in PR 4 (heuristic fast-lane scheduler).  The LP considers
-every path implicitly through the time-expanded graph; the fast lane
-instead examines a handful of *candidate* simple paths per
-(source, destination) pair, cheapest-first by per-GB price.  Because
-the topology is fixed for a scheduler's lifetime, the candidate lists
-are computed once per pair and cached — after warm-up, admission does
-no graph search at all, which is what makes per-request admission
-O(paths x window) instead of an LP solve.
+Introduced in PR 4.  The LP considers every path implicitly through
+the time-expanded graph; the fast lane examines a handful of
+*candidate* simple paths per (source, destination) pair, cheapest-first
+by per-GB price.  The topology is fixed for a scheduler's lifetime, so
+the lists are computed once per pair and cached — after warm-up,
+admission does no graph search at all.
 
-With a :class:`repro.net.schedule.LinkSchedule` in play the picture is
-time-varying: a path that is cheapest on paper is useless if one of
-its hops never lights up inside the request's window.  ``candidates``
-therefore accepts the schedule plus the request's slot window, drops
-paths with a fully-dark hop, prefers paths whose hops are up
-throughout the window, and — when the static list runs short — runs a
-window-specific search over the subgraph of links with at least one
+With a :class:`repro.net.schedule.LinkSchedule` the picture is
+time-varying: the cheapest path is useless if one of its hops never
+lights up inside the request's window.  ``candidates`` therefore takes
+the schedule plus the request's slot window, drops paths with a
+fully-dark hop, prefers paths lit throughout the window, and — when the
+static list runs short — searches the subgraph of links with an
 up-slot.  Window-specific results are cached under the schedule's
-**epoch**, so a reopened link is re-discovered by the very next query
-after the mutation without rebuilding the static index.
+**epoch**, so a reopened link is re-discovered by the next query after
+the mutation without rebuilding the static index.
 """
 
 from __future__ import annotations
@@ -61,6 +58,10 @@ class CandidatePathIndex:
         #: paths.  Keyed by epoch so any schedule mutation — a link
         #: reopening included — invalidates by key miss, not by rebuild.
         self._window_cache: Dict[Tuple[int, int, int, int, int], List[List[int]]] = {}
+        #: (all slots?, a, b, schedule epoch, first, last) -> the
+        #: schedule's answer: a slot's batch asks about the same few
+        #: windows of the same links request after request.
+        self._lit: Dict[Tuple[bool, int, int, int, int, int], bool] = {}
 
     def candidates(
         self,
@@ -72,15 +73,12 @@ class CandidatePathIndex:
     ) -> List[List[int]]:
         """Up to ``max_paths`` cheapest paths with at most ``max_hops`` hops.
 
-        Returns node-id lists (``[src, ..., dst]``), cheapest first.
-        An unreachable pair returns an empty list (and caches that).
-
-        With ``schedule`` and ``window`` (half-open ``(first, last)``
-        slot range) the result is window-aware: paths containing a hop
-        with no up-slot inside the window are dropped, survivors are
-        re-ranked so fully-lit paths come before ones that must thread
-        dark gaps, and a window-specific search backfills if the static
-        cheapest list was decimated.
+        Returns node-id lists (``[src, ..., dst]``), cheapest first; an
+        unreachable pair returns an empty list (and caches that).  With
+        ``schedule`` and ``window`` (half-open ``(first, last)`` slots)
+        paths with a hop that has no up-slot in the window are dropped,
+        fully-lit survivors rank before ones that must thread dark
+        gaps, and a window-specific search backfills a decimated list.
         """
         base = self._base_paths(src, dst)
         if schedule is None or window is None or not len(schedule):
@@ -92,7 +90,10 @@ class CandidatePathIndex:
             path
             for path in base
             if len(path) - 1 <= max_hops
-            and self._window_feasible(path, schedule, first, last)
+            and all(
+                self._up(schedule, False, a, b, first, last)
+                for a, b in zip(path, path[1:])
+            )
         ]
         if len(usable) < self.max_paths:
             for path in self._window_paths(src, dst, schedule, first, last):
@@ -104,7 +105,7 @@ class CandidatePathIndex:
             key=lambda path: sum(
                 1
                 for a, b in zip(path, path[1:])
-                if not schedule.fully_up_in_range(a, b, first, last)
+                if not self._up(schedule, True, a, b, first, last)
             )
         )
         return usable[: self.max_paths]
@@ -114,25 +115,30 @@ class CandidatePathIndex:
     def _base_paths(self, src: int, dst: int) -> List[List[int]]:
         paths = self._cache.get((src, dst))
         if paths is None:
-            try:
-                generator = nx.shortest_simple_paths(
-                    self._graph, src, dst, weight="price"
-                )
-                paths = list(itertools.islice(generator, self.max_paths * 2))
-            except nx.NetworkXNoPath:
-                paths = []
-            self._cache[(src, dst)] = paths
+            paths = self._cache[(src, dst)] = self._cheapest(self._graph, src, dst)
         return paths
 
-    @staticmethod
-    def _window_feasible(
-        path: List[int], schedule: LinkSchedule, first: int, last: int
+    def _cheapest(self, graph, src: int, dst: int) -> List[List[int]]:
+        """The ``2 * max_paths`` cheapest simple paths in ``graph``."""
+        try:
+            generator = nx.shortest_simple_paths(graph, src, dst, weight="price")
+            return list(itertools.islice(generator, self.max_paths * 2))
+        except nx.NetworkXNoPath:
+            return []
+
+    def _up(
+        self, schedule: LinkSchedule, fully: bool, a: int, b: int,
+        first: int, last: int,
     ) -> bool:
-        """Every hop has at least one up-slot inside the window."""
-        return all(
-            schedule.up_in_range(a, b, first, last)
-            for a, b in zip(path, path[1:])
-        )
+        """Link (a, b) is up in every (``fully``) / some slot of the window."""
+        key = (fully, a, b, schedule.epoch, first, last)
+        lit = self._lit.get(key)
+        if lit is None:
+            if len(self._lit) >= _WINDOW_CACHE_LIMIT:
+                self._lit.clear()
+            ask = schedule.fully_up_in_range if fully else schedule.up_in_range
+            lit = self._lit[key] = ask(a, b, first, last)
+        return lit
 
     def _window_paths(
         self, src: int, dst: int, schedule: LinkSchedule, first: int, last: int
@@ -149,11 +155,8 @@ class CandidatePathIndex:
                 if schedule.up_in_range(a, b, first, last)
             )
             try:
-                generator = nx.shortest_simple_paths(
-                    live, src, dst, weight="price"
-                )
-                paths = list(itertools.islice(generator, self.max_paths * 2))
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
+                paths = self._cheapest(live, src, dst)
+            except nx.NodeNotFound:  # an endpoint has no lit link at all
                 paths = []
             self._window_cache[key] = paths
         return paths

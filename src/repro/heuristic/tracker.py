@@ -1,133 +1,184 @@
-"""Per-slot link utilization accounting for the fast lane.
+"""The fast lane's per-slot window table.
 
-Introduced in PR 4 (heuristic fast-lane scheduler).  The fast lane
-never solves an LP, so it needs a cheap, always-current answer to three
-questions about any ``(link, slot)`` cell: how much residual capacity
-is left, how much of it is *free* (under the already-paid charged
-volume ``X_ij(t-1)``), and how utilized the cell would be if the
-current batch's tentative placements were committed.
+Introduced in PR 4 as a dict of pending volumes over a
+:class:`~repro.core.state.NetworkState`; since PR 13 the table the fast
+lane plans against.  Planning asks three things of a ``(link, slot)``
+cell: the residual capacity left, how much of it is *free* (under the
+already-paid charged volume ``X_ij(t-1)``), and how utilized the cell
+would be if the batch's tentative placements landed.
 
-:class:`UtilizationTracker` layers a dict of *pending* volumes — this
-batch's not-yet-committed placements — over a
-:class:`~repro.core.state.NetworkState`, so every query is O(1) and the
-whole admission test stays O(paths x window) per request.  The pending
-layer also powers the hybrid scheduler's escalation trigger: its
-:meth:`peak_utilization` is the admission-pressure signal compared
-against the escalation threshold.
+The first time a batch touches a link, :class:`UtilizationTracker`
+composes that link's :class:`LinkRows` — plain lists over the slots from
+the batch's release slot on — by asking the state once per cell, so the
+fault gate, the link-schedule gate and ``capacity - committed`` are
+evaluated once per cell per slot however many requests sweep it.  The
+planner reads the rows; the scalar queries answer from the live state.
+Rows are scratch: valid from :meth:`reset` until the state next changes.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.errors import SchedulingError
 from repro.core.state import NetworkState
 
-LinkSlot = Tuple[int, int, int]  # (src, dst, slot)
+
+@dataclass
+class LinkRows:
+    """One link's cells over the current window, as parallel lists.
+
+    Index ``i`` is slot ``base + i``.  ``residual`` is the state's gated
+    residual capacity and ``committed`` its ledger volume (neither sees
+    this batch); ``pending`` is the batch's tentative load; ``reserved``
+    is the forecast reservation row (``None`` with no forecast attached).
+    """
+
+    capacity: float
+    price: float
+    charged: float
+    reserved: Optional[List[float]]
+    residual: List[float] = field(default_factory=list)
+    committed: List[float] = field(default_factory=list)
+    pending: List[float] = field(default_factory=list)
+
+    def room(self, i: int, free: bool, reserved: bool) -> float:
+        """Volume cell ``i`` can still take under one ALAP pass's view.
+
+        ``free`` caps the residual at the paid headroom (charged peak
+        minus committed and pending); ``reserved`` then subtracts the
+        forecast reservation: the tracker's four scalar answers.
+        """
+        pending = self.pending[i]
+        room = self.residual[i] - pending
+        if free:
+            paid = self.charged - (self.committed[i] + pending)
+            if paid < room:
+                room = paid
+        if room <= 0.0:
+            return 0.0
+        if reserved:
+            room -= self.reserved[i]
+            if room < 0.0:
+                return 0.0
+        return room
+
+    def utilization(self, i: int) -> float:
+        """(committed + pending) / raw link capacity for cell ``i``."""
+        if self.capacity <= 0.0:
+            return 1.0
+        return (self.committed[i] + self.pending[i]) / self.capacity
 
 
 class UtilizationTracker:
-    """Residual/headroom/utilization queries over state + pending load.
+    """Window rows + residual/headroom/utilization queries for one batch.
 
-    Parameters
-    ----------
-    state:
-        The scheduler's :class:`~repro.core.state.NetworkState`; the
-        tracker reads committed volumes, charged peaks, and (fault-
-        aware) residual capacities from it and never mutates it.
+    ``state`` is the scheduler's :class:`~repro.core.state.NetworkState`:
+    committed volumes, charged peaks and (fault- and window-aware)
+    residual capacities are read from it; it is never mutated.
     """
 
     def __init__(self, state: NetworkState):
         self._state = state
-        #: (src, dst, slot) -> tentative volume planned but not yet
-        #: committed to the ledger by the current batch.
-        self._pending: Dict[LinkSlot, float] = defaultdict(float)
+        self._base = 0
+        self._rows: Dict[Tuple[int, int], LinkRows] = {}
         #: Optional ``(src, dst, slot) -> GB`` callback reserving
-        #: forecast-predicted background load on future cells; set by
-        #: :meth:`FastLaneScheduler.attach_forecast`.  ``None`` keeps
-        #: every query purely reactive.
+        #: forecast-predicted background load on future cells
+        #: (:meth:`FastLaneScheduler.attach_forecast`); ``None``: reactive.
         self.reservation = None
 
-    # -- the pending layer -------------------------------------------------
+    def reset(self, slot: int = 0) -> None:
+        """Drop every row; the next batch's window starts at ``slot``."""
+        self._base = slot
+        self._rows.clear()
 
-    def reset(self) -> None:
-        """Forget all tentative placements (start of a new batch)."""
-        self._pending.clear()
+    def rows(self, src: int, dst: int, slot: int) -> LinkRows:
+        """The link's rows, composed through ``slot`` inclusive."""
+        rows = self._rows.get((src, dst))
+        if rows is None:
+            rows = self._rows[(src, dst)] = self._compose(src, dst, ())
+        have = self._base + len(rows.pending)
+        if slot >= have:
+            self._compose(src, dst, range(have, slot + 1), rows)
+        elif slot < self._base:
+            raise SchedulingError(f"slot {slot} precedes the window start {self._base}")
+        return rows
+
+    def _compose(
+        self, src: int, dst: int, slots: Iterable[int],
+        rows: Optional[LinkRows] = None,
+    ) -> LinkRows:
+        """Append the state's answers for ``slots``: one ask per cell."""
+        state, reservation = self._state, self.reservation
+        if rows is None:
+            link = state.topology.link(src, dst)
+            rows = LinkRows(
+                link.capacity, link.price, state.charged_volume(src, dst),
+                reserved=None if reservation is None else [],
+            )
+        for n in slots:
+            rows.residual.append(state.residual_capacity(src, dst, n))
+            rows.committed.append(state.committed_volume(src, dst, n))
+            rows.pending.append(0.0)
+            if reservation is not None:
+                rows.reserved.append(reservation(src, dst, n))
+        return rows
 
     def add(self, src: int, dst: int, slot: int, volume: float) -> None:
         """Record a tentative placement of ``volume`` GB on a cell."""
         if volume > 0.0:
-            self._pending[(src, dst, slot)] += volume
+            self.rows(src, dst, slot).pending[slot - self._base] += volume
 
     def pending(self, src: int, dst: int, slot: int) -> float:
         """Tentative (uncommitted) volume currently planned on a cell."""
-        return self._pending.get((src, dst, slot), 0.0)
+        rows = self._rows.get((src, dst))
+        i = slot - self._base
+        if rows is None or not 0 <= i < len(rows.pending):
+            return 0.0
+        return rows.pending[i]
 
-    # -- capacity queries --------------------------------------------------
+    # -- scalar queries: one cell, read from the live state -------------------
+
+    def _cell(self, src: int, dst: int, slot: int) -> LinkRows:
+        cell = self._compose(src, dst, (slot,))
+        cell.pending[0] = self.pending(src, dst, slot)
+        return cell
 
     def residual(self, src: int, dst: int, slot: int) -> float:
         """Capacity left on a cell after committed *and* pending load."""
-        return max(
-            0.0,
-            self._state.residual_capacity(src, dst, slot)
-            - self.pending(src, dst, slot),
-        )
+        return self._cell(src, dst, slot).room(0, False, False)
 
     def headroom(self, src: int, dst: int, slot: int) -> float:
-        """Free-of-charge volume the cell can still carry.
-
-        Traffic up to the link's charged peak ``X_ij(t-1)`` is already
-        paid for; what remains of that allowance — after committed and
-        pending volume — is capped by the residual capacity.
-        """
-        paid = self._state.charged_volume(src, dst) - (
-            self._state.committed_volume(src, dst, slot)
-            + self.pending(src, dst, slot)
-        )
-        return max(0.0, min(paid, self.residual(src, dst, slot)))
+        """Free volume the cell can still carry: what is left of the paid
+        peak ``X_ij(t-1)`` after committed and pending, within residual."""
+        return self._cell(src, dst, slot).room(0, True, False)
 
     def forecast_residual(self, src: int, dst: int, slot: int) -> float:
-        """Residual capacity minus the forecast reservation on a cell.
-
-        The forecast-aware ALAP pass uses this instead of
-        :meth:`residual` so paid lifts prefer slots the predictors mark
-        quiet; the plain :meth:`residual` pass still runs last, so the
-        reservation shapes placement but never admission.
-        """
-        residual = self.residual(src, dst, slot)
-        if self.reservation is None or residual <= 0.0:
-            return residual
-        return max(0.0, residual - self.reservation(src, dst, slot))
+        """Residual capacity minus the forecast reservation on a cell:
+        paid lifts prefer slots the predictors mark quiet.  The plain
+        pass runs last, so this shapes placement, never admission."""
+        cell = self._cell(src, dst, slot)
+        return cell.room(0, False, cell.reserved is not None)
 
     def forecast_headroom(self, src: int, dst: int, slot: int) -> float:
         """Paid headroom minus the forecast reservation on a cell."""
-        headroom = self.headroom(src, dst, slot)
-        if self.reservation is None or headroom <= 0.0:
-            return headroom
-        return max(0.0, headroom - self.reservation(src, dst, slot))
+        cell = self._cell(src, dst, slot)
+        return cell.room(0, True, cell.reserved is not None)
 
     def utilization(self, src: int, dst: int, slot: int) -> float:
         """(committed + pending) / raw link capacity for one cell."""
-        capacity = self._state.topology.link(src, dst).capacity
-        if capacity <= 0.0:
-            return 1.0
-        used = self._state.committed_volume(src, dst, slot) + self.pending(
-            src, dst, slot
-        )
-        return used / capacity
+        return self._cell(src, dst, slot).utilization(0)
 
     def peak_utilization(self) -> float:
         """Highest utilization over the cells this batch touches.
 
-        This is the hybrid mode's admission-pressure signal: it looks
-        only at link-slots with pending volume, so an empty batch
-        reports 0.0 and a batch squeezing some cell near its capacity
-        reports close to 1.0 no matter how idle the rest of the network
-        is.
+        The hybrid mode's admission-pressure signal: only link-slots
+        with pending volume count, so an empty batch reports 0.0 and
+        one squeezed cell reports ~1.0 however idle the rest is.
         """
-        if not self._pending:
-            return 0.0
-        return max(
-            self.utilization(src, dst, slot)
-            for (src, dst, slot) in self._pending
+        touched = (
+            rows.utilization(i) for rows in self._rows.values()
+            for i, pending in enumerate(rows.pending) if pending > 0.0
         )
+        return max(touched, default=0.0)

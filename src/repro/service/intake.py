@@ -73,6 +73,11 @@ class IntakeQueue:
     order.  Arrival order is part of the service's determinism story:
     identical submission sequences produce identical batches, hence
     identical schedules.
+
+    Beside the deque, ``_by_id`` maps each waiting client id to its
+    entries in queue order (one, unless a caller queued a duplicate), so
+    ``find``/``contains``/``remove`` never scan the backlog — at 1000
+    submissions per slot the scan was O(B^2) per slot.
     """
 
     def __init__(self, max_depth: int, tick_seconds: float, max_batch: int = 0):
@@ -80,6 +85,7 @@ class IntakeQueue:
         self.tick_seconds = tick_seconds
         self.max_batch = max_batch
         self._queue: deque = deque()
+        self._by_id: Dict[str, List[PendingTransfer]] = {}
 
     def __len__(self) -> int:
         return len(self._queue)
@@ -104,12 +110,14 @@ class IntakeQueue:
                 retry_after_s=self.retry_after(),
             )
         self._queue.append(pending)
+        self._by_id.setdefault(pending.client_id, []).append(pending)
         obs.gauge("service.queue_depth", len(self._queue))
 
     def requeue_front(self, items: List[PendingTransfer]) -> None:
         """Put restored checkpoint entries back ahead of live arrivals."""
         for pending in reversed(items):
             self._queue.appendleft(pending)
+            self._by_id.setdefault(pending.client_id, []).insert(0, pending)
 
     def drain(self) -> List[PendingTransfer]:
         """Pop the next slot's batch (whole queue when ``max_batch=0``)."""
@@ -117,11 +125,32 @@ class IntakeQueue:
         batch = []
         while self._queue and len(batch) < limit:
             batch.append(self._queue.popleft())
+        self._unindex(batch)
         return batch
+
+    def _unindex(self, gone: List[PendingTransfer]) -> None:
+        """Forget entries that left the deque; each was the earliest of its id."""
+        for pending in gone:
+            waiting = self._by_id[pending.client_id]
+            del waiting[0]
+            if not waiting:
+                del self._by_id[pending.client_id]
+
+    def _pull(self, taken: List[PendingTransfer]) -> None:
+        """Remove ``taken`` from wherever they wait: ends first, then one pass."""
+        gone = {id(pending) for pending in taken}
+        queue = self._queue
+        while gone and id(queue[0]) in gone:
+            gone.discard(id(queue.popleft()))
+        while gone and id(queue[-1]) in gone:
+            gone.discard(id(queue.pop()))
+        if gone:
+            self._queue = deque(p for p in queue if id(p) not in gone)
+        self._unindex(taken)
 
     def contains(self, client_id: str) -> bool:
         """True while a submission with this id is waiting for a slot."""
-        return any(pending.client_id == client_id for pending in self._queue)
+        return client_id in self._by_id
 
     def find(self, client_id: str) -> Optional[PendingTransfer]:
         """The waiting entry with this id, or None.
@@ -129,10 +158,8 @@ class IntakeQueue:
         The duplicate-submit attach path reads (and re-parks a waiter
         on) the live entry without disturbing its queue position.
         """
-        for pending in self._queue:
-            if pending.client_id == client_id:
-                return pending
-        return None
+        waiting = self._by_id.get(client_id)
+        return waiting[0] if waiting else None
 
     def pending_ids(self) -> List[str]:
         """Client ids of everything still waiting, in arrival order."""
@@ -140,11 +167,10 @@ class IntakeQueue:
 
     def remove(self, client_id: str) -> Optional[PendingTransfer]:
         """Pull one waiting submission back out (journal-failure rollback)."""
-        for pending in self._queue:
-            if pending.client_id == client_id:
-                self._queue.remove(pending)
-                return pending
-        return None
+        pending = self.find(client_id)
+        if pending is not None:
+            self._pull([pending])
+        return pending
 
     def take_ids(self, client_ids: List[str]) -> List[PendingTransfer]:
         """Remove and return the named submissions, in the given order.
@@ -155,17 +181,13 @@ class IntakeQueue:
         on an id that is not waiting (a WAL/queue inconsistency the
         caller escalates).
         """
-        by_id: Dict[str, PendingTransfer] = {}
-        for pending in self._queue:
-            by_id.setdefault(pending.client_id, pending)
-        missing = [cid for cid in client_ids if cid not in by_id]
+        missing = [cid for cid in client_ids if cid not in self._by_id]
         if missing:
             raise KeyError(
                 f"ids named by a WAL commit are not in the queue: {missing}"
             )
-        taken = [by_id[cid] for cid in client_ids]
-        for pending in taken:
-            self._queue.remove(pending)
+        taken = [self._by_id[cid][0] for cid in client_ids]
+        self._pull(taken)
         return taken
 
     def snapshot_payloads(self) -> List[Dict[str, Any]]:

@@ -307,3 +307,61 @@ def test_atomic_write_durability_hooks(tmp_path):
     assert n == len('{"x": 1}')
     assert target.read_text() == '{"x": 1}'
     assert not target.with_name(target.name + ".tmp").exists()
+
+
+def _snapshot_like_the_fixture(monkeypatch):
+    """Serialise the hand-built state ``tests/data/snapshot_v2.json`` holds.
+
+    Nothing here runs a scheduler, so the text depends on the
+    serialiser alone; the request-id watermark is pinned because it is
+    a property of the process, not of the state.
+    """
+    import random
+
+    from repro.core.checkpoint import snapshot_to_json
+
+    monkeypatch.setattr("repro.traffic.spec.peek_next_request_id", lambda: 4242)
+    topo = complete_topology(4, capacity=20.0, seed=7)
+    state = NetworkState(topo, horizon=24)
+    rng = random.Random(3)
+    for link in topo.links:
+        for slot in sorted(rng.sample(range(16), 5)):
+            state.ledger.record(link.src, link.dst, slot, rng.uniform(0.1, 19.0))
+        state._charged[link.key] = state.ledger.peak_in_range(
+            link.src, link.dst, 8, 32
+        )
+    state.completions = {index: 3 + index % 5 for index in range(40, 52)}
+    state.rejected = [TransferRequest(0, 3, 17.25, 2, release_slot=9)]
+    state.storage_used = 61.70000000000001
+    state.period_start = 8
+    state.banked_period_bills = [1234.5678901234567]
+    pending = [
+        {"id": "c-7", "source": 1, "destination": 2, "size_gb": 0.1 + 0.2,
+         "deadline_slots": 4, "trace": "t-00000007"},
+    ]
+    meta = {"decisions": {"c-1": {"decision": "admitted", "cost_delta": 1e-09}},
+            "counts": {"submitted": 7, "slots": 11}}
+    return snapshot_to_json(state, pending, next_slot=11, meta=meta)
+
+
+def test_snapshot_bytes_match_the_previous_serialiser(monkeypatch):
+    """Embedding the state dict directly changes no byte on disk.
+
+    The fixture was written by the serialiser that still round-tripped
+    the state through ``json.loads(state_to_json(state))``; version,
+    checksum and every float's text must come out the same.
+    """
+    from pathlib import Path
+
+    fixture = Path(__file__).parent / "data" / "snapshot_v2.json"
+    assert _snapshot_like_the_fixture(monkeypatch) == fixture.read_text()
+
+
+def test_state_to_json_wraps_the_payload():
+    import json
+
+    from repro.core.checkpoint import state_to_payload
+
+    topo, state = warmed_state()
+    assert state_to_json(state) == json.dumps(state_to_payload(state), indent=1)
+    assert state_to_payload(state)["kind"] == "postcard-state"

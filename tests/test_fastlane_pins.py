@@ -1,0 +1,223 @@
+"""Golden pins for the fast lane's placement kernel.
+
+``tests/data/fastlane_pins.json`` was recorded from the commit before
+the per-slot window table replaced ``_plan_on_path`` / ``_alap_hop`` /
+``_marginal_cost`` (run this file as a script with that commit's
+``src/`` on ``PYTHONPATH`` to re-record).  Each scenario drives a seeded
+multi-slot stream and pins the decision vector, the escalation signal
+and a hash of every ledger cell and charged peak — bit for bit, because
+a placement that moves by one ulp can flip a later tie.
+
+The bits depend on the interpreter's float ``sum`` (left-to-right up to
+CPython 3.11, compensated from 3.12) and, for the escalating scenario,
+on the LP solver build; the file records both and a run under a
+different flavour is skipped rather than compared.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+import scipy
+
+from repro.forecast import ForecastConfig, ForecastProvider
+from repro.heuristic import FastLaneScheduler, HybridScheduler
+from repro.net.generators import complete_topology
+from repro.net.presets import leo_pass_schedule
+from repro.sim.faults import FaultModel, Outage
+from repro.traffic.spec import TransferRequest
+
+PINS = Path(__file__).parent / "data" / "fastlane_pins.json"
+DATACENTERS = 8
+HORIZON = 200
+
+
+def _flavour():
+    return {
+        "plain_float_sum": sum([0.1] * 10) == 0.9999999999999999,
+        "scipy": scipy.__version__,
+    }
+
+
+def _stream(seed, slots, per_slot, size=(0.5, 12.0), deadline=(1, 6)):
+    """``slots`` batches of (src, dst, size, deadline) tuples."""
+    rng = random.Random(seed)
+    batches = []
+    for slot in range(slots):
+        count = per_slot(slot) if callable(per_slot) else per_slot
+        batch = []
+        for _ in range(count):
+            src = rng.randrange(DATACENTERS)
+            dst = (src + rng.randrange(1, DATACENTERS)) % DATACENTERS
+            batch.append(
+                (src, dst, round(rng.uniform(*size), 6), rng.randint(*deadline))
+            )
+        batches.append(batch)
+    return batches
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(sorted(rows)).encode()).hexdigest()
+
+
+def _books(state, requests):
+    cells = [
+        (src, dst, slot, repr(volume))
+        for src, dst in state.ledger.used_links()
+        for slot, volume in state.ledger.usage(src, dst).volumes.items()
+    ]
+    charged = [
+        (src, dst, repr(volume))
+        for (src, dst), volume in state.charged_snapshot().items()
+    ]
+    return {
+        "decisions": [state.completions.get(r.request_id, -1) for r in requests],
+        "cells": _digest(cells),
+        "charged": _digest(charged),
+        "banked": [repr(bill) for bill in state.banked_period_bills],
+        "storage_used": repr(state.storage_used),
+    }
+
+
+def _requests(batch, slot):
+    return [
+        TransferRequest(src, dst, size, deadline, release_slot=slot)
+        for src, dst, size, deadline in batch
+    ]
+
+
+def _run_fastlane(seed, capacity, slots=14, per_slot=25, prepare=None, rollover=()):
+    """Plan and commit slot by slot; pins the pressure signal too."""
+    topology = complete_topology(DATACENTERS, capacity=capacity, seed=seed)
+    scheduler = FastLaneScheduler(topology, HORIZON, on_infeasible="drop")
+    if prepare is not None:
+        prepare(scheduler.state, topology)
+    everyone, peaks = [], []
+    for slot, batch in enumerate(_stream(seed, slots, per_slot)):
+        if slot in rollover:
+            scheduler.state.start_new_period(slot)
+        requests = _requests(batch, slot)
+        everyone += requests
+        plan = scheduler.plan_slot(slot, requests)
+        peaks.append(repr(plan.peak_utilization))
+        scheduler.commit_plan(plan)
+    return dict(_books(scheduler.state, everyone), peaks=peaks)
+
+
+def _run_hybrid(seed, capacity, slots, per_slot, forecast=False, windows=False,
+                size=(0.5, 12.0), **hybrid_options):
+    topology = complete_topology(DATACENTERS, capacity=capacity, seed=seed)
+    scheduler = HybridScheduler(
+        topology, HORIZON, on_infeasible="drop", **hybrid_options
+    )
+    if windows:
+        _leo(scheduler.state, topology)
+    provider = None
+    if forecast:
+        provider = ForecastProvider(ForecastConfig(period=6, horizon=6))
+        scheduler.attach_forecast(provider)
+    everyone, lanes, reserved = [], [], 0.0
+    for slot, batch in enumerate(_stream(seed, slots, per_slot, size=size)):
+        requests = _requests(batch, slot)
+        everyone += requests
+        before = scheduler.escalations
+        scheduler.on_slot(slot, requests)
+        lanes.append(scheduler.escalations - before)
+        if provider is not None:
+            reserved += sum(
+                provider.reservation(link.src, link.dst, slot + 1)
+                for link in topology.links
+            )
+    out = dict(_books(scheduler.state, everyone), lanes=lanes)
+    if provider is not None:
+        out["shifted_gb"] = repr(provider.shifted_gb)
+        out["reserved_gb"] = round(reserved, 6)
+    return out
+
+
+def _leo(state, topology):
+    state.link_schedule = leo_pass_schedule(
+        topology, HORIZON, fraction=0.5, period=6, pass_length=3, seed=3
+    )
+
+
+def _outage(state, topology):
+    rng = random.Random(5)
+    keys = sorted(link.key for link in topology.links)
+    state.fault_model = FaultModel(
+        Outage(src, dst, 3, 10) for src, dst in rng.sample(keys, 14)
+    )
+
+
+def _tide(slot):
+    """A 6-slot demand cycle the seasonal predictor can learn."""
+    return (4, 10, 24, 30, 16, 6)[slot % 6]
+
+
+#: Fast-lane-only hybrid: the forecast lifecycle without escalations.
+_NEVER_ESCALATE = {"escalate_utilization": 1e9, "escalate_on_rejection": False}
+
+SCENARIOS = {
+    "always_on": lambda: _run_fastlane(11, capacity=30.0),
+    "link_windows": lambda: _run_fastlane(12, capacity=30.0, prepare=_leo),
+    "announced_outage": lambda: _run_fastlane(13, capacity=30.0, prepare=_outage),
+    "period_rollover": lambda: _run_fastlane(
+        14, capacity=30.0, slots=20, rollover=(8, 16)
+    ),
+    "forecast_warm": lambda: _run_hybrid(
+        15, 40.0, 30, _tide, forecast=True, **_NEVER_ESCALATE
+    ),
+    "forecast_over_windows": lambda: _run_hybrid(
+        16, 40.0, 30, _tide, forecast=True, windows=True, **_NEVER_ESCALATE
+    ),
+    "hybrid_escalations": lambda: _run_hybrid(17, 40.0, 10, 12, size=(5.0, 40.0)),
+}
+
+#: Scenarios whose bits also depend on the LP solver build.
+_SOLVER_BOUND = {"hybrid_escalations"}
+
+
+@pytest.fixture(scope="module")
+def pins():
+    return json.loads(PINS.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_kernel_reproduces_the_recorded_books(pins, name):
+    recorded, here = pins["flavour"], _flavour()
+    if recorded["plain_float_sum"] != here["plain_float_sum"]:
+        pytest.skip("pins were recorded under a different float sum()")
+    if name in _SOLVER_BOUND and recorded["scipy"] != here["scipy"]:
+        pytest.skip(f"pins were recorded against scipy {recorded['scipy']}")
+    assert SCENARIOS[name]() == pins["scenarios"][name]
+
+
+def test_pins_cover_what_they_claim(pins):
+    """The recorded streams really reject, reserve, shift and escalate."""
+    scenarios = pins["scenarios"]
+    for name in ("always_on", "link_windows", "announced_outage"):
+        decisions = scenarios[name]["decisions"]
+        assert -1 in decisions and max(decisions) > 0, name
+    assert len(scenarios["period_rollover"]["banked"]) == 2
+    for name in ("forecast_warm", "forecast_over_windows"):
+        assert scenarios[name]["reserved_gb"] > 0, name
+        assert float(scenarios[name]["shifted_gb"]) > 0, name
+        assert not any(scenarios[name]["lanes"]), name
+    lanes = scenarios["hybrid_escalations"]["lanes"]
+    assert 0 < sum(lanes) < len(lanes)
+
+
+if __name__ == "__main__":
+    PINS.parent.mkdir(exist_ok=True)
+    PINS.write_text(json.dumps(
+        {
+            "flavour": _flavour(),
+            "scenarios": {name: run() for name, run in sorted(SCENARIOS.items())},
+        },
+        indent=1,
+    ) + "\n")
+    print(f"recorded {len(SCENARIOS)} scenarios into {PINS}")

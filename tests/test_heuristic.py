@@ -9,8 +9,9 @@ integration with the simulation engine and registry.
 import pytest
 
 from repro.errors import InfeasibleError, SchedulingError
-from repro.core.schedule import TransferSchedule
+from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
+from repro.heuristic import fastlane
 from repro.heuristic import (
     CandidatePathIndex,
     FastLaneScheduler,
@@ -214,26 +215,6 @@ def test_empty_slot_returns_empty_schedule():
     assert not scheduler.on_slot(0, [])
 
 
-class _StubTracker:
-    """Capacity views with hand-set per-link-slot values.
-
-    ``residual``/``headroom`` answer from the given dicts (with a
-    default), so a test can recreate an exact capacity landscape
-    without staging filler commits.
-    """
-
-    def __init__(self, residual, headroom, default_residual=100.0):
-        self._residual = residual
-        self._headroom = headroom
-        self._default = default_residual
-
-    def residual(self, src, dst, slot):
-        return self._residual.get((src, dst, slot), self._default)
-
-    def headroom(self, src, dst, slot):
-        return self._headroom.get((src, dst, slot), 0.0)
-
-
 def test_two_pass_placement_respects_every_due_cutoff():
     # Regression: the ALAP sweep checks the lateness budget only at the
     # slot being filled.  Within one descending pass that cutoff is the
@@ -256,14 +237,18 @@ def test_two_pass_placement_respects_every_due_cutoff():
     # free headroom per slot: the free pass parks 2.6 at slot 1 (far
     # over the 0.33 due there), and the paid top-up at slot 2 must not
     # pretend that budget is still available.
-    scheduler._tracker = _StubTracker(
-        residual={(1, 2, 2): 0.33, (1, 2, 3): 5.27},
-        headroom={(0, 1, n): 2.6 for n in range(3)},
-    )
+    # The landscape is written straight into the window rows (no filler
+    # commits): residual per cell, and a paid peak of 2.6 over nothing
+    # committed for the headroom.
     request = TransferRequest(0, 2, 9.48, 4, release_slot=0)
-    entries = scheduler._plan_on_path([0, 1, 2], request, headroom_first=True)
-    assert entries is not None
-    schedule = TransferSchedule(entries)
+    first = scheduler.tracker.rows(0, 1, request.last_slot)
+    first.charged = 2.6
+    relay = scheduler.tracker.rows(1, 2, request.last_slot)
+    relay.residual[2], relay.residual[3] = 0.33, 5.27
+    sends = scheduler._place([first, relay], request, headroom_first=True)
+    assert sends is not None
+    assert sends[0] == pytest.approx([3.88, 2.6, 3.0, 0.0])
+    schedule = TransferSchedule(fastlane._emit(request, [0, 1, 2], sends))
     schedule.validate([request])  # raised SchedulingError before the fix
     assert schedule.delivered_volume(request) == pytest.approx(9.48)
 
@@ -298,6 +283,44 @@ def test_plan_slot_orders_tightest_deadline_first():
     assert plan.admitted == 1
     assert plan.rejected == [loose]
     assert plan.plans[0][0] is tight
+
+
+def test_commit_plan_is_all_or_nothing():
+    # One corrupt entry anywhere in the slot's plan must leave the books
+    # exactly as they were: the slot loop requeues the *whole* batch on a
+    # failed slot, so files committed before the bad one would be
+    # charged twice by the retry.
+    topo = complete_topology(4, capacity=20.0, seed=2)
+    scheduler = FastLaneScheduler(topo, horizon=30, num_candidate_paths=3)
+    state = scheduler.state
+    # Oversized against the direct link, so some of it relays (storage).
+    scheduler.on_slot(0, [TransferRequest(0, 1, 55.0, 3, release_slot=0)])
+
+    def books():
+        cells = {
+            (src, dst, slot): volume
+            for src, dst in state.ledger.used_links()
+            for slot, volume in state.ledger.usage(src, dst).volumes.items()
+        }
+        return (cells, state.charged_snapshot(), dict(state.completions),
+                state.storage_used, len(state.rejected))
+
+    before = books()
+    assert before[0] and before[3] > 0.0
+    plan = scheduler.plan_slot(1, [
+        TransferRequest(0, 1, 4.0, 2, release_slot=1),
+        TransferRequest(2, 3, 6.0, 3, release_slot=1),
+        TransferRequest(1, 0, 5.0, 4, release_slot=1),
+    ])
+    assert plan.admitted == 3
+    request, entries = plan.plans[-1]
+    short = entries[-1]
+    plan.plans[-1] = (request, entries[:-1] + [ScheduleEntry(
+        short.request_id, short.src, short.dst, short.slot, short.volume / 2
+    )])
+    with pytest.raises(SchedulingError, match="delivers"):
+        scheduler.commit_plan(plan)
+    assert books() == before
 
 
 # -- integration ----------------------------------------------------------

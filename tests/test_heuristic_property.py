@@ -130,3 +130,90 @@ def test_plan_then_commit_equals_on_slot(instance):
         direct.state.current_cost_per_slot()
         == staged.state.current_cost_per_slot()
     )
+
+
+# -- the window table ------------------------------------------------------
+
+
+@st.composite
+def tables(draw):
+    """A state with history, gates and a forecast, plus a batch of adds."""
+    from repro.core.state import NetworkState
+    from repro.net.schedule import AvailabilityWindow, LinkSchedule
+    from repro.sim.faults import FaultModel, Outage
+
+    topo = complete_topology(3, capacity=20.0, seed=draw(st.integers(0, 20)))
+    links = sorted(link.key for link in topo.links)
+    state = NetworkState(topo, horizon=60)
+    base = draw(st.integers(0, 5))
+    width = draw(st.integers(1, 6))
+    cell = st.tuples(st.sampled_from(links), st.integers(0, width - 1))
+    volume = st.floats(0.01, 9.0, allow_nan=False)
+    for (src, dst), offset in draw(st.lists(cell, max_size=8)):
+        state.ledger.record(src, dst, base + offset, draw(volume))
+    for src, dst in links:  # a paid peak somewhere above, at or below the load
+        state._charged[(src, dst)] = draw(st.floats(0.0, 20.0, allow_nan=False))
+    if draw(st.booleans()):
+        (src, dst), offset = draw(cell)
+        state.link_schedule = LinkSchedule(
+            [AvailabilityWindow(src, dst, base + offset, base + offset + 1)]
+        )
+    if draw(st.booleans()):
+        (src, dst), offset = draw(cell)
+        state.fault_model = FaultModel([Outage(src, dst, base + offset, base + width)])
+    reserved = {
+        (src, dst, base + offset): draw(volume)
+        for (src, dst), offset in draw(st.lists(cell, max_size=6))
+    }
+    adds = draw(st.lists(st.tuples(cell, volume), max_size=10))
+    return state, links, base, width, reserved, adds
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables(), st.booleans())
+def test_window_rows_answer_like_the_scalar_chain(table, with_forecast):
+    """After any adds, every cell of the table reads what the old
+    tracker -> state -> ledger chain computed for it, bit for bit."""
+    from repro.heuristic import UtilizationTracker
+
+    state, links, base, width, reserved, adds = table
+    tracker = UtilizationTracker(state)
+    if with_forecast:
+        tracker.reservation = lambda s, d, n: reserved.get((s, d, n), 0.0)
+    tracker.reset(base)
+    pending = {}
+    for ((src, dst), offset), volume in adds:
+        tracker.add(src, dst, base + offset, volume)
+        key = (src, dst, base + offset)
+        pending[key] = pending.get(key, 0.0) + volume
+
+    peak = 0.0
+    for src, dst in links:
+        rows = tracker.rows(src, dst, base + width - 1)
+        for i in range(width):
+            slot = base + i
+            load = pending.get((src, dst, slot), 0.0)
+            committed = state.committed_volume(src, dst, slot)
+            residual = max(0.0, state.residual_capacity(src, dst, slot) - load)
+            paid = state.charged_volume(src, dst) - (committed + load)
+            headroom = max(0.0, min(paid, residual))
+            hold = reserved.get((src, dst, slot), 0.0) if with_forecast else 0.0
+            expected = {
+                (False, False): residual,
+                (True, False): headroom,
+                (False, True): max(0.0, residual - hold) if residual > 0 else residual,
+                (True, True): max(0.0, headroom - hold) if headroom > 0 else headroom,
+            }
+            for (free, reserving), answer in expected.items():
+                if reserving and not with_forecast:
+                    continue  # no reservation row: the planner never asks
+                assert rows.room(i, free, reserving) == answer
+            assert tracker.residual(src, dst, slot) == residual
+            assert tracker.headroom(src, dst, slot) == headroom
+            assert tracker.forecast_residual(src, dst, slot) == expected[False, True]
+            assert tracker.forecast_headroom(src, dst, slot) == expected[True, True]
+            used = (committed + load) / 20.0
+            assert rows.utilization(i) == tracker.utilization(src, dst, slot) == used
+            if load > 0.0:
+                peak = max(peak, used)
+    assert tracker.peak_utilization() == peak

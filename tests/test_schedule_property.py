@@ -109,3 +109,64 @@ def test_postcard_cost_at_most_flow_cost_offline(instance):
         assume(False)
         return
     assert post_solution.objective <= 2.0 * flow_solution.objective + 1e-6
+
+
+# -- validate() groups by file in one pass ----------------------------------
+
+#: The defects tests/test_schedule.py enumerates, by the message each raises.
+_DEFECTS = ("delivers", "unknown", "outside", "conservation", "capacity")
+
+
+@st.composite
+def slot_plans(draw):
+    """Several files' entries interleaved in one schedule, one maybe broken."""
+    from repro.core.schedule import ScheduleEntry
+    from repro.timeexp.graph import ArcKind
+
+    files = []
+    for _ in range(draw(st.integers(1, 6))):
+        relay = draw(st.booleans())
+        size = float(draw(st.integers(1, 9)))
+        request = TransferRequest(0, 2, size, draw(st.integers(3, 5)), release_slot=2)
+        rid, first = request.request_id, request.release_slot
+        if relay:  # 0 -> 1, wait a slot at 1, 1 -> 2
+            entries = [
+                ScheduleEntry(rid, 0, 1, first, size),
+                ScheduleEntry(rid, 1, 1, first + 1, size, ArcKind.HOLDOVER),
+                ScheduleEntry(rid, 1, 2, first + 2, size),
+            ]
+        else:
+            entries = [ScheduleEntry(rid, 0, 2, first, size)]
+        files.append((request, entries))
+    defect = draw(st.sampled_from((None,) + _DEFECTS))
+    victim, entries = files[draw(st.integers(0, len(files) - 1))]
+    last = entries[-1]
+    if defect == "delivers":
+        entries[-1] = ScheduleEntry(last.request_id, last.src, 2, last.slot, last.volume / 2)
+    elif defect == "unknown":
+        entries.append(ScheduleEntry(10**9, 0, 2, last.slot, 1.0))
+    elif defect == "outside":
+        entries[-1] = ScheduleEntry(
+            last.request_id, last.src, 2, victim.last_slot + 1, last.volume
+        )
+    elif defect == "conservation":  # the file teleports: a second copy from node 1
+        entries.append(ScheduleEntry(last.request_id, 1, 0, victim.release_slot, 1.0))
+    merged = draw(st.permutations([e for _, es in files for e in es]))
+    return [request for request, _ in files], merged, defect
+
+
+@settings(max_examples=80, deadline=None)
+@given(slot_plans())
+def test_grouped_validate_raises_on_exactly_the_enumerated_defects(plan):
+    from repro.errors import SchedulingError
+    from repro.core.schedule import TransferSchedule
+
+    requests, entries, defect = plan
+    schedule = TransferSchedule(entries)
+    load = max(schedule.link_slot_volumes().values())
+    capacity = load / 2 if defect == "capacity" else load
+    if defect is None:
+        schedule.validate(requests, capacity_fn=lambda s, d, n: capacity)
+        return
+    with pytest.raises(SchedulingError, match=defect):
+        schedule.validate(requests, capacity_fn=lambda s, d, n: capacity)

@@ -116,6 +116,40 @@ def test_intake_requeue_front_preserves_order():
     assert [p.client_id for p in queue.drain()] == ["p0", "p1", "p9"]
 
 
+def test_intake_index_agrees_with_queue_after_requeue_and_remove():
+    queue = IntakeQueue(max_depth=10, tick_seconds=0.1)
+    for i in (5, 6, 7):
+        queue.offer(_pending(i))
+    queue.requeue_front([_pending(0), _pending(1)])
+    assert queue.remove("p6").client_id == "p6"  # from the middle
+    assert queue.remove("p0").client_id == "p0"  # from the front
+    assert queue.remove("p6") is None
+    assert queue.pending_ids() == ["p1", "p5", "p7"] and len(queue) == 3
+    for cid in ("p1", "p5", "p7"):
+        assert queue.contains(cid) and queue.find(cid).client_id == cid
+    for cid in ("p0", "p6"):
+        assert not queue.contains(cid) and queue.find(cid) is None
+    with pytest.raises(KeyError):
+        queue.take_ids(["p7", "p6"])
+    assert [p.client_id for p in queue.take_ids(["p7", "p1"])] == ["p7", "p1"]
+    assert queue.pending_ids() == ["p5"]
+    assert [p.client_id for p in queue.drain()] == ["p5"]
+    assert not queue.contains("p5") and len(queue) == 0
+
+
+def test_intake_index_keeps_queue_order_among_duplicate_ids():
+    queue = IntakeQueue(max_depth=10, tick_seconds=0.1, max_batch=1)
+    first, second = _pending(4, size_gb=1.0), _pending(4, size_gb=2.0)
+    queue.offer(first)
+    queue.offer(_pending(8))
+    queue.offer(second)
+    assert queue.find("p4") is first
+    assert queue.drain() == [first]
+    assert queue.find("p4") is second and queue.contains("p4")
+    assert queue.remove("p4") is second
+    assert not queue.contains("p4") and queue.pending_ids() == ["p8"]
+
+
 def test_pending_payload_round_trip():
     pending = _pending(3, size_gb=7.25, deadline_slots=5)
     restored = PendingTransfer.from_payload(pending.to_payload())
