@@ -1,8 +1,8 @@
-"""Fast-path ablation — what do incremental assembly and warm starts buy?
+"""Fast-path ablation — what does incremental assembly buy?
 
 Runs Postcard twice on identical workloads: once with the production
-fast path (cached time-expanded arcs, direct assembly, warm-start
-hints — the scheduler defaults) and once from scratch every slot
+fast path (cached time-expanded arcs, direct assembly — the
+scheduler defaults) and once from scratch every slot
 (``postcard-scratch`` in the registry).  The two must land on
 *identical* costs — the fast path is an implementation change, not a
 policy change — while the tracked ``lp.build``/``lp.solve`` spans in
@@ -36,7 +36,7 @@ def test_bench_fastpath_identical_costs(benchmark):
     setting = scaled_setting("fastpath", capacity=100.0, max_deadline=3)
     comparison = benchmark.pedantic(_run, args=(setting,), rounds=1, iterations=1)
     report(
-        "Fast path (incremental + warm vs. from-scratch)",
+        "Fast path (incremental vs. from-scratch)",
         comparison,
         "identical schedules, lower build+solve time",
     )

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Benchmark the incremental+warm scheduling path against from-scratch.
+"""Benchmark the incremental scheduling path against from-scratch.
 
 Runs the default online scenario (10 DCs, 12 simulated slots, the CLI
 ``figure`` seeds) twice per trial:
 
 * **fast** — ``PostcardScheduler`` defaults: cached time-expanded arcs,
-  direct LP assembly, vectorized lowering, warm-start hints;
-* **reference** — ``incremental=False, warm_start=False`` under
+  direct LP assembly, vectorized lowering;
+* **reference** — ``incremental=False`` under
   ``compile_mode("legacy")``: fresh graph, operator-algebra assembly,
-  per-coefficient lowering, cold solves.
+  per-coefficient lowering.
 
 Asserts the two are **bit-identical** (final cost, full cost
 trajectory) and reports the per-slot LP wall-clock — the obs
@@ -54,7 +54,7 @@ TOPOLOGY_SEED = 2012
 WORKLOAD_SEED = 3012
 
 
-def run_once(incremental: bool, warm_start: bool):
+def run_once(incremental: bool):
     """One full online simulation; returns (result, span_seconds)."""
     topology = complete_topology(NUM_DCS, capacity=CAPACITY, seed=TOPOLOGY_SEED)
     workload = PaperWorkload(
@@ -68,7 +68,6 @@ def run_once(incremental: bool, warm_start: bool):
         horizon=NUM_SLOTS + MAX_DEADLINE,
         on_infeasible="drop",
         incremental=incremental,
-        warm_start=warm_start,
     )
     with obs.collecting() as collector:
         if incremental:
@@ -107,8 +106,8 @@ def main(argv=None) -> int:
 
     fast_spans, ref_spans = [], []
     for trial in range(args.trials):
-        fast_result, fast = run_once(incremental=True, warm_start=True)
-        ref_result, ref = run_once(incremental=False, warm_start=False)
+        fast_result, fast = run_once(incremental=True)
+        ref_result, ref = run_once(incremental=False)
 
         if fast_result.final_cost_per_slot != ref_result.final_cost_per_slot:
             print(

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Check markdown cross-references: relative paths and internal anchors.
+"""Check markdown cross-references: relative paths, anchors, repo paths.
 
 Scans the given markdown files (default: ``README.md`` and
 ``docs/*.md``) for inline links ``[text](target)`` and validates every
@@ -10,6 +10,12 @@ Scans the given markdown files (default: ``README.md`` and
 * ``path#anchor`` — the path must exist *and* contain a heading whose
   GitHub-style slug equals ``anchor``;
 * ``#anchor`` — the current file must contain a matching heading.
+
+Backticked repo paths in prose — ``src/…``, ``tests/…``,
+``scripts/…``, ``benchmarks/…`` or ``docs/…`` ending in
+``.py``/``.md``/``.json``/``.yml`` — must exist too, resolved from the
+repository root: a deleted module must not live on in the docs.  Globs
+and ``<placeholders>`` are skipped.
 
 External targets (``http://``, ``https://``, ``mailto:``) are ignored
 — CI must not depend on the network.  Exit status is the number of
@@ -29,6 +35,11 @@ import sys
 #: Inline markdown links, skipping images.  Targets with spaces are
 #: invalid in GitHub markdown, so the terse character class is enough.
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
+#: Backticked repo-relative file paths (no globs, no placeholders).
+REPO_PATH_RE = re.compile(
+    r"`((?:src|tests|scripts|benchmarks|docs)/[^`\s*<>{}]*\.(?:py|md|json|yml))`"
+)
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:", "ftp://")
@@ -100,6 +111,11 @@ def check_file(path: pathlib.Path) -> list:
                     problems.append(
                         f"{path}:{lineno}: missing anchor {target!r}"
                     )
+        for match in REPO_PATH_RE.finditer(line):
+            if not (REPO_ROOT / match.group(1)).exists():
+                problems.append(
+                    f"{path}:{lineno}: no such repo path {match.group(1)!r}"
+                )
     return problems
 
 
@@ -108,8 +124,7 @@ def main(argv=None) -> int:
     if args:
         files = [pathlib.Path(a) for a in args]
     else:
-        root = pathlib.Path(__file__).resolve().parent.parent
-        files = [root / "README.md"] + sorted((root / "docs").glob("*.md"))
+        files = [REPO_ROOT / "README.md"] + sorted((REPO_ROOT / "docs").glob("*.md"))
 
     missing = [f for f in files if not f.exists()]
     for f in missing:

@@ -11,16 +11,13 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.errors import InfeasibleError, SchedulingError
-from repro.core.interfaces import Scheduler
+from repro.errors import InfeasibleError
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
 from repro.core.schedule import SEMANTICS_FLUID, ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
 from repro.net.topology import Topology
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
-
-ON_INFEASIBLE_RAISE = "raise"
-ON_INFEASIBLE_DROP = "drop"
 
 
 class DirectScheduler(Scheduler):
@@ -34,24 +31,18 @@ class DirectScheduler(Scheduler):
         horizon: int,
         on_infeasible: str = ON_INFEASIBLE_RAISE,
     ):
-        if on_infeasible not in (ON_INFEASIBLE_RAISE, ON_INFEASIBLE_DROP):
-            raise SchedulingError(f"unknown on_infeasible policy {on_infeasible!r}")
+        self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = NetworkState(topology, horizon)
-        self.on_infeasible = on_infeasible
 
     @property
     def state(self) -> NetworkState:
         return self._state
 
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
+        self._check_released_at(slot, requests)
         committed_entries: List[ScheduleEntry] = []
         committed_requests: List[TransferRequest] = []
         for request in sorted(requests, key=lambda r: -r.desired_rate):
-            if request.release_slot != slot:
-                raise SchedulingError(
-                    f"file {request.request_id} released at "
-                    f"{request.release_slot}, scheduled at {slot}"
-                )
             try:
                 entries = self._plan_one(request)
             except InfeasibleError:

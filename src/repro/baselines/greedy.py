@@ -1,37 +1,40 @@
 """A fast combinatorial store-and-forward heuristic (no LP).
 
 ``GreedyStoreAndForwardScheduler`` approximates Postcard's LP at a
-fraction of its cost: per file it examines the K cheapest simple paths
-(by per-GB price), schedules the file hop-by-hop along each candidate —
-preferring already-paid headroom, then spreading the remainder evenly —
-and commits the candidate with the smallest *marginal bill increase*.
+fraction of its cost.  It is the fast lane's engine
+(:class:`~repro.heuristic.fastlane.CandidatePathScheduler`: K cheapest
+window-aware paths per file, placed on the tracker's window rows, the
+smallest *marginal bill increase* wins) with two rules of its own:
+
+* files are planned **and committed** one at a time, largest desired
+  rate first, so a later file rides free under the peak an earlier one
+  just paid;
+* each hop is filled **forward** from the release slot — already-paid
+  headroom first, then the remainder spread evenly — never sending
+  ahead of arrivals, where the fast lane packs backward from the
+  deadline.
 
 This is the kind of scheduler an operator deploys when per-slot LP
 solves are too slow (the LP scales with links x horizon x files); the
 A8 ablation benchmark quantifies the quality it gives up in exchange.
+Placement ignores forecasts, so the forecast hooks are not offered.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
-import networkx as nx
-
-from repro.errors import InfeasibleError, SchedulingError
-from repro.core.interfaces import Scheduler
+from repro.errors import InfeasibleError
+from repro.core.interfaces import ON_INFEASIBLE_RAISE
 from repro.core.schedule import ScheduleEntry, TransferSchedule
-from repro.core.state import NetworkState
+from repro.heuristic.fastlane import CandidatePathScheduler
+from repro.heuristic.tracker import LinkRows
 from repro.net.topology import Topology
-from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
-LinkSlot = Tuple[int, int, int]
 
-
-class GreedyStoreAndForwardScheduler(Scheduler):
+class GreedyStoreAndForwardScheduler(CandidatePathScheduler):
     """Cheapest-path store-and-forward with headroom-first placement."""
 
     name = "greedy-s&f"
@@ -41,36 +44,21 @@ class GreedyStoreAndForwardScheduler(Scheduler):
         topology: Topology,
         horizon: int,
         num_candidate_paths: int = 4,
-        on_infeasible: str = "raise",
+        on_infeasible: str = ON_INFEASIBLE_RAISE,
     ):
-        if num_candidate_paths < 1:
-            raise SchedulingError("need at least one candidate path")
-        if on_infeasible not in ("raise", "drop"):
-            raise SchedulingError(f"unknown on_infeasible policy {on_infeasible!r}")
-        self._state = NetworkState(topology, horizon)
-        self.num_candidate_paths = num_candidate_paths
-        self.on_infeasible = on_infeasible
-        self._price_graph = topology.to_networkx()
-
-    @property
-    def state(self) -> NetworkState:
-        return self._state
-
-    # -- public entry -----------------------------------------------------
+        super().__init__(topology, horizon, num_candidate_paths, on_infeasible)
 
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        all_entries: List[ScheduleEntry] = []
+        self._check_released_at(slot, requests)
+        committed: List[ScheduleEntry] = []
         # Largest required rate first: big files get first pick of the
         # cheap paths, mirroring the shedding order used elsewhere.
         for request in sorted(requests, key=lambda r: -r.desired_rate):
-            if request.release_slot != slot:
-                raise SchedulingError(
-                    f"file {request.request_id} released at "
-                    f"{request.release_slot}, scheduled at {slot}"
-                )
+            # Each commit moves residuals and charged peaks: fresh rows.
+            self._tracker.reset(slot)
             entries = self._plan_file(request)
             if entries is None:
-                if self.on_infeasible == "raise":
+                if self.on_infeasible == ON_INFEASIBLE_RAISE:
                     raise InfeasibleError(
                         f"greedy heuristic cannot place file {request.request_id}"
                     )
@@ -78,188 +66,65 @@ class GreedyStoreAndForwardScheduler(Scheduler):
                 continue
             schedule = TransferSchedule(entries)
             self._state.commit(schedule, [request])
-            all_entries.extend(schedule.entries)
-        return TransferSchedule(all_entries)
+            committed.extend(schedule.entries)
+        self._tracker.reset()
+        return TransferSchedule(committed)
 
-    # -- per-file planning ----------------------------------------------------
-
-    def _candidate_paths(self, request: TransferRequest) -> List[List[int]]:
-        """Up to K cheapest simple paths short enough for the deadline."""
-        try:
-            generator = nx.shortest_simple_paths(
-                self._price_graph, request.source, request.destination, weight="price"
-            )
-            paths = list(itertools.islice(generator, self.num_candidate_paths * 2))
-        except nx.NetworkXNoPath:
-            return []
-        usable = [p for p in paths if len(p) - 1 <= request.deadline_slots]
-        return usable[: self.num_candidate_paths]
-
-    def _plan_file(self, request: TransferRequest) -> Optional[List[ScheduleEntry]]:
-        """Try each candidate path; return the cheapest feasible plan."""
-        best: Optional[Tuple[float, List[ScheduleEntry]]] = None
-        for path in self._candidate_paths(request):
-            plan = self._schedule_along_path(path, request)
-            if plan is None:
-                continue
-            cost = self._marginal_cost(plan)
-            if best is None or cost < best[0] - 1e-12:
-                best = (cost, plan)
-        return None if best is None else best[1]
-
-    def _marginal_cost(self, entries: List[ScheduleEntry]) -> float:
-        """Bill increase if ``entries`` were committed now."""
-        peak_add: Dict[Tuple[int, int], float] = defaultdict(float)
-        load: Dict[LinkSlot, float] = defaultdict(float)
-        for e in entries:
-            if e.kind is ArcKind.TRANSIT:
-                load[(e.src, e.dst, e.slot)] += e.volume
-        for (src, dst, slot), volume in load.items():
-            total = volume + self._state.committed_volume(src, dst, slot)
-            over = total - self._state.charged_volume(src, dst)
-            if over > peak_add[(src, dst)]:
-                peak_add[(src, dst)] = over
-        return sum(
-            self._state.topology.link(src, dst).price * max(0.0, over)
-            for (src, dst), over in peak_add.items()
-        )
-
-    def _schedule_along_path(
-        self, path: List[int], request: TransferRequest
-    ) -> Optional[List[ScheduleEntry]]:
-        """Hop-by-hop placement along one path.
-
-        Hop ``h`` (0-based) may use slots
-        ``[release + h, release + T - (L - h)]`` — early enough to let
-        the remaining hops finish, late enough for the data to have
-        arrived.  Each hop first fills already-paid headroom
-        (chronologically), then spreads the remainder evenly over its
-        window, capped by availability and residual capacity.
-        """
-        hops = len(path) - 1
-        window_end = request.last_slot  # inclusive
-        entries: List[ScheduleEntry] = []
-        #: volume available at the current hop's tail node, per slot
-        #: boundary: after hop h-1 sent v at slot n, it is available
-        #: from slot n+1 on.  For the source, everything is available
-        #: at release.
-        arrivals: Dict[int, float] = {request.release_slot: request.size_gb}
-
-        extra_load: Dict[LinkSlot, float] = defaultdict(float)
-
-        for h in range(hops):
-            src, dst = path[h], path[h + 1]
-            first = request.release_slot + h
-            last = window_end - (hops - 1 - h)
-            if first > last:
+    def _sends(self, hop_rows, request):
+        """Hop ``h`` (0-based, of ``L``) may use offsets ``[h, T - (L - h)]``
+        and is filled from what the previous hop delivers: volume sent
+        at offset ``i`` is available downstream from ``i + 1``."""
+        hops, span = len(hop_rows), request.deadline_slots
+        arrivals = [request.size_gb] + [0.0] * (span - 1)
+        sends: List[List[float]] = []
+        for h, rows in enumerate(hop_rows):
+            sent = _forward_hop(rows, h, span - hops + h, arrivals, request.size_gb)
+            if sent is None:
                 return None
-            slots = list(range(first, last + 1))
+            sends.append(sent)
+            arrivals = [0.0] + sent[:-1]
+        return sends
 
-            def residual(n: int) -> float:
-                return max(
-                    0.0,
-                    self._state.residual_capacity(src, dst, n)
-                    - extra_load[(src, dst, n)],
-                )
+    def _beats(self, cost, path, best):
+        """The first strictly cheaper candidate wins."""
+        return cost < best[0] - 1e-12
 
-            def headroom(n: int) -> float:
-                paid = self._state.charged_volume(src, dst) - (
-                    self._state.committed_volume(src, dst, n)
-                    + extra_load[(src, dst, n)]
-                )
-                return max(0.0, min(paid, residual(n)))
 
-            sent: Dict[int, float] = defaultdict(float)
-            remaining = request.size_gb
+def _forward_hop(
+    rows: LinkRows, lo: int, hi: int, arrivals: List[float], size: float
+) -> Optional[List[float]]:
+    """Send ``size`` GB of ``arrivals`` over offsets ``[lo, hi]``, earliest first.
 
-            def addable(at_slot: int) -> float:
-                """Max extra volume sendable at ``at_slot`` without
-                breaking cumulative availability at ANY later slot —
-                data already promised to later slots (e.g. by pass 1)
-                caps what may leave earlier."""
-                cum_arrived = 0.0
-                cum_sent = 0.0
-                tightest = float("inf")
-                for n in slots:
-                    cum_arrived += arrivals.get(n, 0.0)
-                    cum_sent += sent.get(n, 0.0)
-                    if n >= at_slot:
-                        tightest = min(tightest, cum_arrived - cum_sent)
-                return max(0.0, tightest)
+    Three chronological passes: fill already-paid headroom, spread the
+    remainder evenly over the window, then mop up wherever it fits.
+    Every placement is capped by the cell's room and by what has arrived
+    and is not already promised to a later offset.  Returns the
+    per-offset sends, or ``None`` if the window cannot carry the file.
+    """
+    window = range(lo, hi + 1)
+    sent = [0.0] * len(arrivals)
+    remaining = size
 
-            # Pass 1 (free): fill paid headroom chronologically.
-            for n in slots:
-                if remaining <= VOLUME_ATOL:
-                    break
-                volume = min(headroom(n), addable(n), remaining)
-                if volume > VOLUME_ATOL:
-                    sent[n] += volume
-                    remaining -= volume
+    def addable(at: int) -> float:
+        """Most that can leave at ``at`` without overdrawing cumulative
+        arrivals there or at any later offset."""
+        arrived = left = 0.0
+        tightest = float("inf")
+        for i in window:
+            arrived += arrivals[i]
+            left += sent[i]
+            if i >= at:
+                tightest = min(tightest, arrived - left)
+        return max(0.0, tightest)
 
-            # Pass 2 (paid): spread the remainder evenly, respecting
-            # arrival order and residual capacity.
-            if remaining > VOLUME_ATOL:
-                for index, n in enumerate(slots):
-                    if remaining <= VOLUME_ATOL:
-                        break
-                    slots_left = len(slots) - index
-                    target = remaining / slots_left
-                    volume = min(target, residual(n) - sent[n], addable(n), remaining)
-                    if volume > VOLUME_ATOL:
-                        sent[n] += volume
-                        remaining -= volume
-                # Mop-up pass: anything left goes wherever it fits.
-                if remaining > VOLUME_ATOL:
-                    for n in slots:
-                        volume = min(residual(n) - sent[n], addable(n), remaining)
-                        if volume > VOLUME_ATOL:
-                            sent[n] += volume
-                            remaining -= volume
-                        if remaining <= VOLUME_ATOL:
-                            break
-            if remaining > max(VOLUME_ATOL, 1e-9 * request.size_gb):
-                return None
-
-            # Emit transit entries + implied holdover at the tail node.
-            self._emit_hop(entries, request, src, dst, slots, sent, arrivals)
-            for n, volume in sent.items():
-                extra_load[(src, dst, n)] += volume
-            # Next hop's arrivals: data sent at slot n arrives for n+1.
-            arrivals = {n + 1: v for n, v in sent.items() if v > VOLUME_ATOL}
-
-        return entries
-
-    def _emit_hop(
-        self,
-        entries: List[ScheduleEntry],
-        request: TransferRequest,
-        src: int,
-        dst: int,
-        slots: List[int],
-        sent: Dict[int, float],
-        arrivals: Dict[int, float],
-    ) -> None:
-        """Transit entries for a hop plus holdover entries for data
-        waiting at the hop's tail node between arrival and departure."""
-        rid = request.request_id
-        buffered = 0.0
-        cursor = min(
-            [n for n in arrivals] + [slots[0]]
-        )
-        last_action = max(
-            [n for n, v in sent.items() if v > VOLUME_ATOL], default=None
-        )
-        if last_action is None:
-            return
-        for n in range(cursor, last_action + 1):
-            buffered += arrivals.get(n, 0.0)
-            volume = sent.get(n, 0.0)
+    for free, spread in ((True, False), (False, True), (False, False)):
+        for i in window:
+            if remaining <= VOLUME_ATOL:
+                break
+            volume = min(rows.room(i, free, False) - sent[i], addable(i), remaining)
+            if spread:
+                volume = min(remaining / (hi + 1 - i), volume)
             if volume > VOLUME_ATOL:
-                entries.append(ScheduleEntry(rid, src, dst, n, volume))
-                buffered -= volume
-            if buffered > VOLUME_ATOL and n < last_action:
-                entries.append(
-                    ScheduleEntry(rid, src, src, n, buffered, ArcKind.HOLDOVER)
-                )
-
-
+                sent[i] += volume
+                remaining -= volume
+    return sent if remaining <= max(VOLUME_ATOL, 1e-9 * size) else None

@@ -5,10 +5,16 @@ from __future__ import annotations
 import abc
 from typing import List, TYPE_CHECKING
 
+from repro.errors import SchedulingError
+
 if TYPE_CHECKING:
     from repro.core.schedule import TransferSchedule
     from repro.core.state import NetworkState
     from repro.traffic.spec import TransferRequest
+
+#: What to do when a slot's files cannot all meet their deadlines.
+ON_INFEASIBLE_RAISE = "raise"
+ON_INFEASIBLE_DROP = "drop"
 
 
 class Scheduler(abc.ABC):
@@ -26,6 +32,23 @@ class Scheduler(abc.ABC):
 
     #: Human-readable name used in benchmark tables.
     name: str = "scheduler"
+
+    @staticmethod
+    def _checked_policy(on_infeasible: str) -> str:
+        """A constructor's ``on_infeasible`` argument, validated."""
+        if on_infeasible not in (ON_INFEASIBLE_RAISE, ON_INFEASIBLE_DROP):
+            raise SchedulingError(f"unknown on_infeasible policy {on_infeasible!r}")
+        return on_infeasible
+
+    @staticmethod
+    def _check_released_at(slot: int, requests: List["TransferRequest"]) -> None:
+        """Every request handed to a slot must be released at it."""
+        for request in requests:
+            if request.release_slot != slot:
+                raise SchedulingError(
+                    f"file {request.request_id} released at "
+                    f"{request.release_slot}, scheduled at {slot}"
+                )
 
     @property
     @abc.abstractmethod

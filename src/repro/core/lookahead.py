@@ -19,13 +19,9 @@ from typing import Callable, List, Optional
 
 from repro.errors import InfeasibleError, SchedulingError
 from repro.core.formulation import STORAGE_FULL, build_postcard_model
-from repro.core.interfaces import Scheduler
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
 from repro.core.schedule import TransferSchedule
-from repro.core.scheduler import (
-    ON_INFEASIBLE_DROP,
-    ON_INFEASIBLE_RAISE,
-    shed_until_feasible,
-)
+from repro.core.scheduler import shed_until_feasible
 from repro.core.state import NetworkState
 from repro.net.topology import Topology
 from repro.traffic.spec import TransferRequest
@@ -56,14 +52,12 @@ class LookaheadPostcardScheduler(Scheduler):
     ):
         if lookahead < 0:
             raise SchedulingError(f"lookahead must be >= 0, got {lookahead}")
-        if on_infeasible not in (ON_INFEASIBLE_RAISE, ON_INFEASIBLE_DROP):
-            raise SchedulingError(f"unknown on_infeasible policy {on_infeasible!r}")
+        self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = NetworkState(topology, horizon)
         self.preview = preview
         self.lookahead = lookahead
         self.backend = backend
         self.storage = storage
-        self.on_infeasible = on_infeasible
         self.last_objective: Optional[float] = None
 
     @property
@@ -73,12 +67,7 @@ class LookaheadPostcardScheduler(Scheduler):
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
         if not requests:
             return TransferSchedule()
-        for request in requests:
-            if request.release_slot != slot:
-                raise SchedulingError(
-                    f"file {request.request_id} released at "
-                    f"{request.release_slot}, scheduled at {slot}"
-                )
+        self._check_released_at(slot, requests)
 
         future: List[TransferRequest] = []
         for ahead in range(1, self.lookahead + 1):

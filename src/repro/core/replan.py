@@ -27,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import InfeasibleError, SchedulingError
+from repro.errors import InfeasibleError
 from repro.core.interfaces import Scheduler
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
@@ -202,11 +202,9 @@ class ReplanningPostcardScheduler(Scheduler):
         backend: str = "highs",
         on_infeasible: str = "raise",
     ):
-        if on_infeasible not in ("raise", "drop"):
-            raise SchedulingError(f"unknown on_infeasible policy {on_infeasible!r}")
+        self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = NetworkState(topology, horizon)
         self.backend = backend
-        self.on_infeasible = on_infeasible
         self.active: List[ActiveFile] = []
         self.last_objective: Optional[float] = None
 
@@ -217,12 +215,7 @@ class ReplanningPostcardScheduler(Scheduler):
     # -- the online loop -------------------------------------------------
 
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        for request in requests:
-            if request.release_slot != slot:
-                raise SchedulingError(
-                    f"file {request.request_id} released at "
-                    f"{request.release_slot}, scheduled at {slot}"
-                )
+        self._check_released_at(slot, requests)
 
         newcomers = [
             ActiveFile(r, supplies={r.source: r.size_gb}) for r in requests

@@ -8,11 +8,10 @@ committed.
 
 History: the seed PR introduced the from-scratch per-slot pipeline
 (fresh graph, operator-algebra assembly, cold solves); PR 3 made that
-pipeline incremental — :class:`~repro.timeexp.cache.GraphCache` reuse,
-direct assembly, and warm starts threaded between consecutive solves —
-behind ``incremental=``/``warm_start=`` flags that default on; PR 4's
-:class:`~repro.heuristic.hybrid.HybridScheduler` reuses this scheduler
-unchanged as its escalation lane.
+pipeline incremental — :class:`~repro.timeexp.cache.GraphCache` reuse
+and direct assembly — behind an ``incremental=`` flag that defaults on;
+PR 4's :class:`~repro.heuristic.hybrid.HybridScheduler` reuses this
+scheduler unchanged as its escalation lane.
 """
 
 from __future__ import annotations
@@ -20,20 +19,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.errors import InfeasibleError, SchedulingError
+from repro.errors import InfeasibleError
 from repro.core.formulation import STORAGE_FULL, build_postcard_model
-from repro.core.interfaces import Scheduler
+from repro.core.interfaces import (  # the constants are re-exported here
+    ON_INFEASIBLE_DROP,
+    ON_INFEASIBLE_RAISE,
+    Scheduler,
+)
 from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp.warm import WarmStart
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.timeexp.cache import GraphCache
 from repro.traffic.spec import TransferRequest
-
-#: What to do when a slot's files cannot all meet their deadlines.
-ON_INFEASIBLE_RAISE = "raise"
-ON_INFEASIBLE_DROP = "drop"
 
 
 def shed_until_feasible(solve_fn, requests, state):
@@ -129,11 +127,6 @@ class PostcardScheduler(Scheduler):
         time-expanded arcs through a :class:`GraphCache` and assemble
         the LP with the direct fast path.  Produces bit-identical
         models to the from-scratch reference — only faster.
-    warm_start:
-        When True (the default), thread the previous slot's solution
-        into the backend as a :class:`~repro.lp.warm.WarmStart` hint.
-        Backends that cannot use it ignore it, so results never depend
-        on the flag.
     """
 
     name = "postcard"
@@ -149,21 +142,16 @@ class PostcardScheduler(Scheduler):
         storage_price: float = 0.0,
         cost_fn_factory=None,
         incremental: bool = True,
-        warm_start: bool = True,
     ):
-        if on_infeasible not in (ON_INFEASIBLE_RAISE, ON_INFEASIBLE_DROP):
-            raise SchedulingError(f"unknown on_infeasible policy {on_infeasible!r}")
+        self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = NetworkState(topology, horizon)
         self.backend = backend
         self.storage = storage
-        self.on_infeasible = on_infeasible
         self.storage_capacity = storage_capacity
         self.storage_price = storage_price
         self.cost_fn_factory = cost_fn_factory
         self.incremental = incremental
-        self.warm_start = warm_start
         self._graph_cache = GraphCache(topology) if incremental else None
-        self._warm: Optional[WarmStart] = None
         #: objective value of the last solved slot (cost per interval).
         self.last_objective: Optional[float] = None
         #: Optional :class:`~repro.forecast.provider.ForecastProvider`;
@@ -185,18 +173,13 @@ class PostcardScheduler(Scheduler):
 
         Pure with respect to :class:`NetworkState`: rejections decided
         by the shedding policy are *collected* on the plan, not
-        recorded.  (The warm-start hint and the incremental graph cache
-        do advance — they are performance state, rebuilt from scratch
-        at worst.)  Apply the result with :meth:`commit_plan`, or drop
-        it on the floor — e.g. when the solver watchdog times the slot
-        out — and the ledger never knows the solve happened.
+        recorded.  (The incremental graph cache does advance — it is
+        performance state, rebuilt from scratch at worst.)  Apply the
+        result with :meth:`commit_plan`, or drop it on the floor — e.g.
+        when the solver watchdog times the slot out — and the ledger
+        never knows the solve happened.
         """
-        for request in requests:
-            if request.release_slot != slot:
-                raise SchedulingError(
-                    f"file {request.request_id} released at "
-                    f"{request.release_slot}, scheduled at {slot}"
-                )
+        self._check_released_at(slot, requests)
         if self.on_infeasible == ON_INFEASIBLE_RAISE:
             return LpPlan(slot, self._solve(requests), list(requests), [])
         recorder = _RejectRecorder()
@@ -237,11 +220,6 @@ class PostcardScheduler(Scheduler):
                     graph_cache=self._graph_cache,
                     assembly="fast" if self.incremental else "legacy",
                 )
-            schedule, solution = built.solve(
-                backend=self.backend,
-                warm=self._warm if self.warm_start else None,
-            )
-            if self.warm_start:
-                self._warm = WarmStart.from_solution(built.model, solution)
+            schedule, solution = built.solve(backend=self.backend)
         self.last_objective = solution.objective
         return schedule

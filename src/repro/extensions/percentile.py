@@ -28,13 +28,9 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import SchedulingError
 from repro.charging.schemes import PercentileCharging
 from repro.core.formulation import build_postcard_model
-from repro.core.interfaces import Scheduler
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
 from repro.core.schedule import TransferSchedule
-from repro.core.scheduler import (
-    ON_INFEASIBLE_DROP,
-    ON_INFEASIBLE_RAISE,
-    shed_until_feasible,
-)
+from repro.core.scheduler import shed_until_feasible
 from repro.core.state import NetworkState
 from repro.net.topology import LinkKey, Topology
 from repro.traffic.spec import TransferRequest
@@ -56,12 +52,10 @@ class PercentileAwareScheduler(Scheduler):
     ):
         if not 0 < q <= 100:
             raise SchedulingError(f"percentile must be in (0, 100], got {q}")
-        if on_infeasible not in (ON_INFEASIBLE_RAISE, ON_INFEASIBLE_DROP):
-            raise SchedulingError(f"unknown on_infeasible policy {on_infeasible!r}")
+        self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = NetworkState(topology, horizon)
         self.q = float(q)
         self.backend = backend
-        self.on_infeasible = on_infeasible
         #: Free burst slots per link for the whole charging period:
         #: exactly the samples strictly above the charged index of the
         #: q-th percentile scheme (matches the ledger's billing).
@@ -99,12 +93,7 @@ class PercentileAwareScheduler(Scheduler):
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
         if not requests:
             return TransferSchedule()
-        for request in requests:
-            if request.release_slot != slot:
-                raise SchedulingError(
-                    f"file {request.request_id} released at "
-                    f"{request.release_slot}, scheduled at {slot}"
-                )
+        self._check_released_at(slot, requests)
 
         if self.on_infeasible == ON_INFEASIBLE_RAISE:
             schedule, accepted = self._solve_with_amnesty(requests), list(requests)

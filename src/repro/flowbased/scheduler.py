@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import InfeasibleError, SchedulingError
-from repro.core.interfaces import Scheduler
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
 from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
 from repro.flowbased.model import build_flow_model
@@ -16,9 +16,6 @@ from repro.traffic.spec import TransferRequest
 
 VARIANT_LP = "lp"
 VARIANT_TWO_PHASE = "two_phase"
-
-ON_INFEASIBLE_RAISE = "raise"
-ON_INFEASIBLE_DROP = "drop"
 
 
 class FlowBasedScheduler(Scheduler):
@@ -41,12 +38,10 @@ class FlowBasedScheduler(Scheduler):
     ):
         if variant not in (VARIANT_LP, VARIANT_TWO_PHASE):
             raise SchedulingError(f"unknown flow-based variant {variant!r}")
-        if on_infeasible not in (ON_INFEASIBLE_RAISE, ON_INFEASIBLE_DROP):
-            raise SchedulingError(f"unknown on_infeasible policy {on_infeasible!r}")
+        self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = NetworkState(topology, horizon)
         self.backend = backend
         self.variant = variant
-        self.on_infeasible = on_infeasible
         self.last_objective: Optional[float] = None
         #: lambda of the last two-phase solve (None for the LP variant).
         self.last_lambda: Optional[float] = None
@@ -58,12 +53,7 @@ class FlowBasedScheduler(Scheduler):
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
         if not requests:
             return TransferSchedule()
-        for request in requests:
-            if request.release_slot != slot:
-                raise SchedulingError(
-                    f"file {request.request_id} released at "
-                    f"{request.release_slot}, scheduled at {slot}"
-                )
+        self._check_released_at(slot, requests)
 
         if self.on_infeasible == ON_INFEASIBLE_RAISE:
             schedule, accepted = self._solve(requests), list(requests)

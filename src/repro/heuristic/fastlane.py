@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import InfeasibleError, SchedulingError
-from repro.core.interfaces import Scheduler
+from repro.errors import InfeasibleError
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
 from repro.heuristic.paths import CandidatePathIndex
@@ -40,9 +40,6 @@ from repro.obs import registry as obs
 from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
-
-ON_INFEASIBLE_RAISE = "raise"
-ON_INFEASIBLE_DROP = "drop"
 
 #: A hop's ALAP passes as ``(free, reserved)`` views of
 #: :meth:`LinkRows.room`, keyed by (forecast active, headroom first).
@@ -79,8 +76,13 @@ class SlotPlan:
         return len(self.plans)
 
 
-class FastLaneScheduler(Scheduler):
-    """Deadline-guaranteed admission + close-to-deadline placement.
+class CandidatePathScheduler(Scheduler):
+    """The LP-free engine under the fast lane and the greedy baseline.
+
+    Per file: the K cheapest window-aware candidate paths, each placed
+    on the tracker's window rows by the subclass's :meth:`_sends` rule
+    and costed by marginal bill increase; :meth:`_beats` picks the
+    winner, which joins the pending rows and becomes schedule entries.
 
     Parameters
     ----------
@@ -99,8 +101,6 @@ class FastLaneScheduler(Scheduler):
         state here so both lanes share one ledger.
     """
 
-    name = "heuristic"
-
     def __init__(
         self,
         topology: Topology,
@@ -109,32 +109,95 @@ class FastLaneScheduler(Scheduler):
         on_infeasible: str = ON_INFEASIBLE_RAISE,
         state: Optional[NetworkState] = None,
     ):
-        if on_infeasible not in (ON_INFEASIBLE_RAISE, ON_INFEASIBLE_DROP):
-            raise SchedulingError(f"unknown on_infeasible policy {on_infeasible!r}")
+        self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = state if state is not None else NetworkState(topology, horizon)
-        self.on_infeasible = on_infeasible
         self._paths = CandidatePathIndex(topology, max_paths=num_candidate_paths)
         self._tracker = UtilizationTracker(self._state)
-        #: Optional :class:`~repro.forecast.provider.ForecastProvider`;
-        #: ``None`` (the default) keeps placement purely reactive.
-        self._forecast = None
-        #: Whether the slot being planned runs the reserved passes.
-        self._reserving = False
 
     @property
     def state(self) -> NetworkState:
         return self._state
 
     def adopt_state(self, state: NetworkState) -> None:
-        """Re-point at a restored state (checkpoint resume path).
-
-        The tracker reads the state it was built on, so it is rebuilt
-        alongside; an attached forecast provider is re-wired onto it and
-        keeps its predictor state (the traffic process did not change,
-        only the ledger object did).
-        """
+        """Re-point at a restored state (checkpoint resume path); the
+        tracker reads the state it was built on, so it is rebuilt too."""
         self._state = state
         self._tracker = UtilizationTracker(state)
+
+    @property
+    def tracker(self) -> UtilizationTracker:
+        """The window table (rows and pending load of the current batch)."""
+        return self._tracker
+
+    def _sends(
+        self, hop_rows: Sequence[LinkRows], request: TransferRequest
+    ) -> Optional[List[List[float]]]:
+        """Per hop, the GB leaving its tail at each window offset ``i``
+        (slot ``release + i``) under this scheduler's placement rule;
+        ``None`` when the path cannot carry the file by its deadline."""
+        raise NotImplementedError
+
+    def _beats(self, cost: float, path: List[int], best: tuple) -> bool:
+        """Whether a candidate replaces ``best = (cost, len(path), ...)``."""
+        raise NotImplementedError
+
+    def _plan_file(self, request: TransferRequest) -> Optional[List[ScheduleEntry]]:
+        """Admission test + placement: the cheapest feasible candidate.
+
+        Places the file along each candidate path; the feasible plan
+        :meth:`_beats` prefers (candidate order breaks the rest) joins
+        the pending rows and comes back as schedule entries; ``None``
+        when no candidate fits.
+        """
+        # Window-aware candidates: never spend sweeps on a path with a
+        # hop that stays dark for the whole request window.
+        candidates = self._paths.candidates(
+            request.source, request.destination, request.deadline_slots,
+            schedule=getattr(self._state, "link_schedule", None),
+            window=(request.release_slot, request.last_slot + 1),
+        )
+        rows_of, last = self._tracker.rows, request.last_slot
+        best = None
+        for index, path in enumerate(candidates):
+            hop_rows = [rows_of(a, b, last) for a, b in zip(path, path[1:])]
+            sends = self._sends(hop_rows, request)
+            if sends is None:
+                continue
+            cost = _bill_increase(hop_rows, sends)
+            if best is None or self._beats(cost, path, best):
+                best = (cost, len(path), path, hop_rows, sends)
+                # A free plan loses at most to a free plan with fewer hops.
+                if cost == 0.0 and all(
+                    len(other) >= len(path) for other in candidates[index + 1:]
+                ):
+                    break
+        if best is None:
+            return None
+        _, _, path, hop_rows, sends = best
+        for rows, sent in zip(hop_rows, sends):
+            for i, volume in enumerate(sent):
+                if volume > 0.0:
+                    rows.pending[i] += volume
+        return _emit(request, path, sends)
+
+
+class FastLaneScheduler(CandidatePathScheduler):
+    """Deadline-guaranteed admission + close-to-deadline placement
+    (constructor parameters: see :class:`CandidatePathScheduler`)."""
+
+    name = "heuristic"
+
+    #: Optional :class:`~repro.forecast.provider.ForecastProvider`;
+    #: ``None`` (the default) keeps placement purely reactive.
+    _forecast = None
+    #: Whether the slot being planned runs the reserved passes.
+    _reserving = False
+
+    def adopt_state(self, state: NetworkState) -> None:
+        """An attached forecast provider is re-wired onto the rebuilt
+        tracker and keeps its predictor state (the traffic process did
+        not change, only the ledger object did)."""
+        super().adopt_state(state)
         if self._forecast is not None:
             self.attach_forecast(self._forecast)
 
@@ -155,11 +218,6 @@ class FastLaneScheduler(Scheduler):
     @property
     def forecast(self):
         return self._forecast
-
-    @property
-    def tracker(self) -> UtilizationTracker:
-        """The window table (rows and pending load of the current batch)."""
-        return self._tracker
 
     # -- public entry ------------------------------------------------------
 
@@ -189,12 +247,7 @@ class FastLaneScheduler(Scheduler):
         committed with :meth:`commit_plan` or discarded (the hybrid
         mode discards it when escalating).
         """
-        for request in requests:
-            if request.release_slot != slot:
-                raise SchedulingError(
-                    f"file {request.request_id} released at "
-                    f"{request.release_slot}, scheduled at {slot}"
-                )
+        self._check_released_at(slot, requests)
         self._tracker.reset(slot)
         self._reserving = self._forecast is not None and self._forecast.active
         plan = SlotPlan(slot=slot)
@@ -232,47 +285,15 @@ class FastLaneScheduler(Scheduler):
 
     # -- per-file planning -------------------------------------------------
 
-    def _plan_file(self, request: TransferRequest) -> Optional[List[ScheduleEntry]]:
-        """Admission test + placement: the cheapest feasible candidate.
+    def _sends(self, hop_rows, request):
+        """Headroom-first ALAP and, where free capacity fragments that
+        placement into infeasibility, the pure one."""
+        return (self._place(hop_rows, request, True)
+                or self._place(hop_rows, request, False))
 
-        Tries each candidate path with the headroom-first ALAP rule
-        and, where free capacity fragments the placement into
-        infeasibility, again with the pure one.  The feasible plan with
-        the smallest marginal bill increase (ties: fewest hops, then
-        candidate order) joins the pending rows and comes back as
-        schedule entries; ``None`` when no candidate fits.
-        """
-        # Window-aware candidates: never spend ALAP sweeps on a path
-        # with a hop that stays dark for the whole request window.
-        candidates = self._paths.candidates(
-            request.source, request.destination, request.deadline_slots,
-            schedule=getattr(self._state, "link_schedule", None),
-            window=(request.release_slot, request.last_slot + 1),
-        )
-        rows_of, last = self._tracker.rows, request.last_slot
-        best = None
-        for index, path in enumerate(candidates):
-            hop_rows = [rows_of(a, b, last) for a, b in zip(path, path[1:])]
-            sends = (self._place(hop_rows, request, True)
-                     or self._place(hop_rows, request, False))
-            if sends is None:
-                continue
-            cost = _bill_increase(hop_rows, sends)
-            if best is None or (cost, len(path)) < best[:2]:
-                best = (cost, len(path), path, hop_rows, sends)
-                # A free plan only loses to a free plan with fewer hops.
-                if cost == 0.0 and all(
-                    len(other) >= len(path) for other in candidates[index + 1:]
-                ):
-                    break
-        if best is None:
-            return None
-        _, _, path, hop_rows, sends = best
-        for rows, sent in zip(hop_rows, sends):
-            for i, volume in enumerate(sent):
-                if volume > 0.0:
-                    rows.pending[i] += volume
-        return _emit(request, path, sends)
+    def _beats(self, cost, path, best):
+        """Smallest marginal bill increase; ties: fewest hops."""
+        return (cost, len(path)) < best[:2]
 
     def _place(
         self, hop_rows: Sequence[LinkRows], request: TransferRequest,

@@ -18,8 +18,7 @@ Both lanes share one :class:`~repro.core.state.NetworkState` — one
 ledger, one bill — so escalated slots see everything the fast lane
 committed and vice versa.  The LP lane is a full
 :class:`~repro.core.scheduler.PostcardScheduler`, so escalations reuse
-the PR 3 fast path: incremental graph reuse across escalations and
-warm starts threaded from the previous LP solve.
+the PR 3 fast path: incremental graph reuse across escalations.
 
 Escalations are observable: the ``hybrid.escalations`` /
 ``hybrid.fast_slots`` counters and the ``hybrid.escalate`` span stream
@@ -34,9 +33,9 @@ from typing import Callable, List, Optional
 
 from repro.errors import SchedulingError
 from repro.core.formulation import STORAGE_FULL
-from repro.core.interfaces import Scheduler
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
 from repro.core.schedule import TransferSchedule
-from repro.core.scheduler import ON_INFEASIBLE_RAISE, PostcardScheduler
+from repro.core.scheduler import PostcardScheduler
 from repro.core.state import NetworkState
 from repro.heuristic.fastlane import FastLaneScheduler
 from repro.net.topology import Topology
@@ -69,7 +68,7 @@ class HybridScheduler(Scheduler):
         and recorded as drops.
     num_candidate_paths:
         Fast-lane admission fan-out.
-    incremental, warm_start:
+    incremental:
         Forwarded to the LP lane (PR 3's fast scheduling path).
     watchdog_timeout_s:
         When positive, escalated solves run under a watchdog: the LP's
@@ -83,8 +82,8 @@ class HybridScheduler(Scheduler):
         escalation-worthy slots skip the LP outright (doubling per
         consecutive degrade up to the max), and the LP is additionally
         skipped while an abandoned solve is still running — its thread
-        shares the warm-start/graph-cache scratch state, so a new solve
-        must not race it.  A successful escalation resets the backoff.
+        shares the graph-cache scratch state, so a new solve must not
+        race it.  A successful escalation resets the backoff.
     escalate_hook:
         Called at the start of every escalated solve; the service's
         chaos harness injects stalls here.  ``None`` in production.
@@ -103,7 +102,6 @@ class HybridScheduler(Scheduler):
         escalate_on_rejection: bool = True,
         num_candidate_paths: int = 4,
         incremental: bool = True,
-        warm_start: bool = True,
         watchdog_timeout_s: float = 0.0,
         watchdog_backoff_slots: int = 2,
         watchdog_backoff_max: int = 16,
@@ -129,7 +127,6 @@ class HybridScheduler(Scheduler):
             storage=storage,
             on_infeasible=on_infeasible,
             incremental=incremental,
-            warm_start=warm_start,
         )
         self._fast = FastLaneScheduler(
             topology,
@@ -155,8 +152,8 @@ class HybridScheduler(Scheduler):
         self._backoff_remaining = 0
         self._backoff_next = watchdog_backoff_slots
         #: An abandoned (timed-out) solve still running; while alive,
-        #: the LP lane is poisoned — its warm-start and graph-cache
-        #: scratch state may be mid-mutation on that thread.
+        #: the LP lane is poisoned — its graph-cache scratch state may
+        #: be mid-mutation on that thread.
         self._zombie: Optional[threading.Thread] = None
         #: Optional :class:`~repro.forecast.provider.ForecastProvider`
         #: driving proactive placement in both lanes; ``None`` (the

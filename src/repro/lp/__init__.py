@@ -31,7 +31,6 @@ from repro.lp.constraint import Constraint, Sense
 from repro.lp.model import Model
 from repro.lp.result import Solution, SolveStatus
 from repro.lp.compile import CompiledProblem, compile_mode, compile_model
-from repro.lp.warm import WarmStart
 
 __all__ = [
     "LinExpr",
@@ -44,5 +43,4 @@ __all__ = [
     "CompiledProblem",
     "compile_mode",
     "compile_model",
-    "WarmStart",
 ]

@@ -22,7 +22,8 @@ _BACKENDS: Dict[str, Type[Backend]] = {
 
 
 def get_backend(name: str) -> Backend:
-    """Look up a backend by name (``"highs"`` or ``"simplex"``)."""
+    """Look up a backend by name (``"highs"``, ``"simplex"``,
+    ``"interior_point"`` or ``"resilient"``)."""
     try:
         cls = _BACKENDS[name]
     except KeyError:

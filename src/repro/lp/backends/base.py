@@ -13,12 +13,6 @@ class Backend(abc.ABC):
 
     name: str = "abstract"
 
-    #: True when this backend actually *uses* a ``warm=`` hint (a
-    #: :class:`~repro.lp.warm.WarmStart`) to seed the solve.  Every
-    #: backend must silently accept the keyword either way, so callers
-    #: can thread warm data through a fallback chain without probing.
-    supports_warm_start: bool = False
-
     @abc.abstractmethod
     def solve(self, model: Model, **options) -> Solution:
         """Solve ``model`` and return a :class:`Solution`.
@@ -26,13 +20,6 @@ class Backend(abc.ABC):
         Implementations must not raise on infeasible/unbounded problems;
         they report it through :attr:`Solution.status` and let the model
         layer turn it into typed exceptions.
-
-        ``options`` may carry ``warm=``, a
-        :class:`~repro.lp.warm.WarmStart` from a previous related
-        solve.  Backends with :attr:`supports_warm_start` seed their
-        iterates from it; all others pop and ignore it.  A warm hint
-        must never change *which* optimum is reported beyond solver
-        tolerance — it is a speed hint, not a semantic input.
 
         A raised :class:`~repro.errors.SolverError` (or a returned
         :attr:`SolveStatus.ERROR`) is treated as *transient* by the

@@ -30,14 +30,7 @@ class HighsBackend(Backend):
 
     name = "highs"
 
-    #: scipy's HiGHS bindings expose no basis/solution injection, so a
-    #: ``warm=`` hint is accepted but unused — warm and cold solves are
-    #: bit-identical through this backend (the fast scheduling path
-    #: relies on exactly that).
-    supports_warm_start = False
-
     def solve(self, model: Model, **options) -> Solution:
-        options.pop("warm", None)
         # The span covers the backend's whole job — lowering the model
         # to matrices *and* optimizing — so lp.build + lp.solve account
         # for the full per-slot scheduling cost.

@@ -41,33 +41,14 @@ _TOL = 1e-8
 
 
 class InteriorPointBackend(Backend):
-    """Dense primal-dual path-following with predictor-corrector.
-
-    Accepts a ``warm=`` :class:`~repro.lp.warm.WarmStart`: the hint's
-    variable values (matched by name) become the initial primal iterate,
-    floored into the strictly positive orthant with slacks set to their
-    row residuals.  On consecutive online slots — where most variables
-    keep their previous optimal values — this typically cuts the
-    iteration count; a misleading hint never costs correctness — a
-    warm-started run that fails to reach optimality is transparently
-    retried cold (counter ``lp.ipm.warm_retries``) before its status is
-    reported.
-    """
+    """Dense primal-dual path-following with predictor-corrector."""
 
     name = "interior_point"
 
-    supports_warm_start = True
-
-    #: Floor applied to warm-start components: large enough to stay
-    #: safely interior (tiny positive starts make the first Newton
-    #: systems nearly singular), small enough to keep the hint's shape.
-    _WARM_FLOOR = 0.1
-
     def solve(self, model: Model, **options) -> Solution:
-        warm = options.pop("warm", None)
         max_iter = int(options.pop("max_iter", 200))
         # Span covers lowering + optimizing (see the HiGHS backend).
-        with obs.span("lp.solve", backend=self.name, warm=warm is not None):
+        with obs.span("lp.solve", backend=self.name):
             problem = compile_model(model)
 
             if problem.num_variables == 0:
@@ -76,30 +57,12 @@ class InteriorPointBackend(Backend):
                     solver=self.name,
                 )
 
-            x0 = warm.initial_point(model) if warm is not None else None
-            solution = self._solve_compiled(problem, model._id, max_iter, x0=x0)
-            if x0 is not None and solution.status is not SolveStatus.OPTIMAL:
-                # A poor hint can park the first iterates in a region
-                # where the Newton systems are near-singular and the
-                # run stalls or is misclassified.  The warm start's
-                # contract is "never worse than cold", so any warm
-                # non-optimal outcome is retried from scratch before
-                # being believed.
-                obs.counter("lp.ipm.warm_retries")
-                solution = self._solve_compiled(
-                    problem, model._id, max_iter, x0=None
-                )
+            solution = self._solve_compiled(problem, model._id, max_iter)
         obs.counter("lp.ipm.iterations", solution.iterations)
-        if warm is not None:
-            obs.counter("lp.ipm.warm_solves")
         return solution
 
     def _solve_compiled(
-        self,
-        problem: CompiledProblem,
-        model_id: int,
-        max_iter: int,
-        x0: "np.ndarray" = None,
+        self, problem: CompiledProblem, model_id: int, max_iter: int
     ) -> Solution:
         canon = _canonicalize(problem)
         a, b, c = canon.a, canon.b, canon.c
@@ -118,9 +81,8 @@ class InteriorPointBackend(Backend):
             obj = (-shift if problem.maximize else shift) + problem.c0
             return Solution(SolveStatus.OPTIMAL, x, obj, model_id, solver=self.name)
 
-        y0 = canon.embed(x0, self._WARM_FLOOR) if x0 is not None else None
         with np.errstate(all="ignore"):
-            status, y, iterations = self._path_follow(a, b, c, max_iter, y0=y0)
+            status, y, iterations = self._path_follow(a, b, c, max_iter)
         if status is not SolveStatus.OPTIMAL:
             return Solution(
                 status, np.zeros(problem.num_variables), float("nan"),
@@ -140,15 +102,14 @@ class InteriorPointBackend(Backend):
         )
 
     @staticmethod
-    def _path_follow(a, b, c, max_iter, y0=None):
+    def _path_follow(a, b, c, max_iter):
         """Core iteration on min c'y, Ay=b, y>=0.  Returns
-        (status, y, iterations).  ``y0`` optionally seeds the primal
-        iterate (strictly positive; see :meth:`_Canonical.embed`)."""
+        (status, y, iterations)."""
         m, n = a.shape
         scale = max(1.0, float(np.abs(b).max(initial=0.0)),
                     float(np.abs(c).max(initial=0.0)))
 
-        y = np.ones(n) if y0 is None else np.asarray(y0, dtype=float)
+        y = np.ones(n)
         s = np.ones(n)
         lam = np.zeros(m)
         at = a.T

@@ -65,11 +65,6 @@ class ResilientBackend(Backend):
 
     name = "resilient"
 
-    #: A ``warm=`` hint is forwarded verbatim to every chain member
-    #: (each decides for itself whether to use it), so warm data
-    #: survives retries and fallbacks.
-    supports_warm_start = True
-
     def __init__(
         self,
         chain: Sequence[str] = DEFAULT_CHAIN,

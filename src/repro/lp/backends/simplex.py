@@ -55,44 +55,13 @@ class _Canonical:
     """Equality-form LP with nonnegative variables."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray, c0: float,
-                 column_map: List[_ColumnMap], num_original: int,
-                 num_core: int = 0):
+                 column_map: List[_ColumnMap], num_original: int):
         self.a = a
         self.b = b
         self.c = c
         self.c0 = c0
         self.column_map = column_map
         self.num_original = num_original
-        #: Columns representing original variables; the remaining
-        #: ``a.shape[1] - num_core`` columns are row slacks, where slack
-        #: column ``num_core + r`` belongs to inequality row ``r``.
-        self.num_core = num_core
-
-    def embed(self, x0: np.ndarray, floor: float) -> np.ndarray:
-        """Map original-variable values to a strictly positive canonical
-        point (warm-start seed for the interior-point backend).
-
-        Core columns take the (floored) transformed hint; slack columns
-        take their row's residual at that point, floored likewise, so a
-        near-feasible hint starts with near-zero primal residual.
-        """
-        n_total = self.a.shape[1]
-        y = np.empty(n_total)
-        for i, cmap in enumerate(self.column_map):
-            if cmap.kind == "shift":
-                y[cmap.col] = x0[i] - cmap.offset
-            elif cmap.kind == "reflect":
-                y[cmap.col] = cmap.offset - x0[i]
-            else:  # free
-                y[cmap.col] = max(x0[i], 0.0)
-                y[cmap.col2] = max(-x0[i], 0.0)
-        core = np.maximum(y[: self.num_core], floor)
-        y[: self.num_core] = core
-        if n_total > self.num_core:
-            resid = self.b - self.a[:, : self.num_core] @ core
-            for col in range(self.num_core, n_total):
-                y[col] = max(resid[col - self.num_core], floor)
-        return y
 
     def recover(self, y: np.ndarray) -> np.ndarray:
         """Map a canonical solution back to original variable values."""
@@ -192,8 +161,7 @@ def _canonicalize(problem: CompiledProblem) -> _Canonical:
     c = np.zeros(total_cols)
     c[:num_cols] = np.asarray(cols_c)
 
-    return _Canonical(a, b, c, problem.c0 + c0_extra, column_map, n,
-                      num_core=num_cols)
+    return _Canonical(a, b, c, problem.c0 + c0_extra, column_map, n)
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -256,14 +224,7 @@ class SimplexBackend(Backend):
 
     name = "simplex"
 
-    #: A ``warm=`` hint is accepted but unused: injecting a starting
-    #: basis into the two-phase tableau is out of scope for a
-    #: verification backend, and ignoring the hint keeps warm and cold
-    #: solves bit-identical here.
-    supports_warm_start = False
-
     def solve(self, model: Model, **options) -> Solution:
-        options.pop("warm", None)
         max_iter = int(options.pop("max_iter", 20000))
         # Span covers lowering + optimizing (see the HiGHS backend).
         with obs.span("lp.solve", backend=self.name):

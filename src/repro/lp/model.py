@@ -144,13 +144,8 @@ class Model:
 
     # -- solving ------------------------------------------------------------
 
-    def solve(self, backend: str = "highs", warm=None, **options) -> Solution:
+    def solve(self, backend: str = "highs", **options) -> Solution:
         """Solve and return a :class:`Solution`.
-
-        ``warm`` optionally carries a :class:`~repro.lp.warm.WarmStart`
-        from a previous related solve; backends that support it seed
-        their iterates from the hint, the rest ignore it (see
-        :mod:`repro.lp.warm`).
 
         Raises :class:`InfeasibleError` / :class:`UnboundedError` /
         :class:`SolverError` on failure, so callers can rely on the
@@ -159,8 +154,6 @@ class Model:
         from repro.lp.backends import get_backend
 
         solver = get_backend(backend)
-        if warm is not None:
-            options["warm"] = warm
         solution = solver.solve(self, **options)
         if solution.status is SolveStatus.INFEASIBLE:
             raise InfeasibleError(f"model {self.name!r} is infeasible")

@@ -6,6 +6,7 @@ from repro.errors import InfeasibleError, SchedulingError
 from repro.baselines import GreedyStoreAndForwardScheduler
 from repro.core import PostcardScheduler
 from repro.net.generators import complete_topology, fig1_topology, line_topology
+from repro.net.schedule import AvailabilityWindow, LinkSchedule
 from repro.sim import Simulation
 from repro.traffic import PaperWorkload, TransferRequest
 
@@ -114,3 +115,63 @@ def test_much_faster_than_lp_at_scale():
     Simulation(lp, PaperWorkload(topo, max_deadline=6, max_files=10, seed=5), num_slots=4).run()
     lp_time = time.perf_counter() - t0
     assert greedy_time < lp_time
+
+
+# -- link windows and forecast hooks --------------------------------------
+
+
+def _relay_only(topology, lit):
+    """Every link scheduled dark, except ``lit`` (left always-on)."""
+    schedule = LinkSchedule()
+    for link in topology.links:
+        if link.key not in lit:
+            schedule.schedule_link(*link.key)
+    return schedule
+
+
+def test_admits_over_the_only_lit_path():
+    """``[0, 4, 1]`` is not among the static cheapest paths; only a
+    window-aware candidate search finds it."""
+    topo = complete_topology(7, capacity=50.0, seed=3)
+    scheduler = GreedyStoreAndForwardScheduler(topo, 20, on_infeasible="drop")
+    scheduler.state.link_schedule = _relay_only(topo, {(0, 4), (4, 1)})
+    request = TransferRequest(0, 1, 5.0, 4, release_slot=0)
+    schedule = scheduler.on_slot(0, [request])
+    assert scheduler.state.rejected == []
+    schedule.validate([request])
+    assert {(e.src, e.dst) for e in schedule.transit_entries()} == {(0, 4), (4, 1)}
+
+
+def test_waits_for_a_window_that_opens_mid_deadline():
+    topo = complete_topology(7, capacity=50.0, seed=3)
+    scheduler = GreedyStoreAndForwardScheduler(topo, 20, on_infeasible="drop")
+    schedule = _relay_only(topo, {(0, 4)})
+    schedule.add_window(AvailabilityWindow(4, 1, 2, 4))  # lit at slots 2-3
+    scheduler.state.link_schedule = schedule
+    request = TransferRequest(0, 1, 5.0, 4, release_slot=0)
+    committed = scheduler.on_slot(0, [request])
+    assert scheduler.state.rejected == []
+    committed.validate([request])
+    second_hop = [e.slot for e in committed.transit_entries() if e.src == 4]
+    assert second_hop and min(second_hop) >= 2
+    assert committed.total_storage_volume() > 0  # parked at DC 4 meanwhile
+
+
+def test_offers_no_forecast_hook(line3, capsys):
+    """Placement ignores reservations, so the probes must find nothing."""
+    from repro.cli import main
+
+    scheduler = GreedyStoreAndForwardScheduler(line3, 10)
+    assert getattr(scheduler, "attach_forecast", None) is None
+    assert getattr(scheduler, "forecast", None) is None
+    code = main([
+        "simulate", "--datacenters", "4", "--slots", "3",
+        "--schedulers", "greedy", "--forecast",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert (
+        "note: scheduler 'greedy' has no forecast hook; running it reactively"
+        in captured.err
+    )
+    assert "forecast [" not in captured.out

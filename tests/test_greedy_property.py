@@ -10,9 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import InfeasibleError
 from repro.baselines import GreedyStoreAndForwardScheduler
+from repro.baselines.greedy import _forward_hop
 from repro.core import PostcardScheduler
+from repro.heuristic.tracker import LinkRows
 from repro.net.generators import complete_topology
 from repro.traffic import TransferRequest
+from repro.units import VOLUME_ATOL
 
 
 @st.composite
@@ -74,3 +77,43 @@ def test_greedy_never_beats_lp(instance):
         lp.state.current_cost_per_slot()
         <= greedy.state.current_cost_per_slot() + 1e-6
     )
+
+
+_gb = st.floats(0.0, 40.0, allow_nan=False).map(lambda v: round(v, 3))
+
+
+@st.composite
+def hop_fills(draw):
+    """One link's window rows, a window, arrivals inside it and a size."""
+    span = draw(st.integers(1, 8))
+    lo = draw(st.integers(0, span - 1))
+    hi = draw(st.integers(lo, span - 1))
+    cells = st.lists(_gb, min_size=span, max_size=span)
+    committed = draw(cells)
+    rows = LinkRows(
+        capacity=50.0, price=1.0, charged=draw(_gb), reserved=None,
+        residual=[max(0.0, r - c) for r, c in zip(draw(cells), committed)],
+        committed=committed, pending=[0.0] * span,
+    )
+    arrivals = [v if lo <= i <= hi else 0.0 for i, v in enumerate(draw(cells))]
+    size = draw(st.sampled_from([sum(arrivals), draw(_gb)]))
+    assume(size > VOLUME_ATOL)
+    return rows, lo, hi, arrivals, size
+
+
+@settings(max_examples=200, deadline=None)
+@given(hop_fills())
+def test_forward_fill_never_outruns_arrivals_or_room(fill):
+    rows, lo, hi, arrivals, size = fill
+    sent = _forward_hop(rows, lo, hi, arrivals, size)
+    if sent is None:
+        return
+    tol = max(VOLUME_ATOL, 1e-9 * size)
+    assert sum(sent) == pytest.approx(size, abs=2 * tol)
+    arrived = left = 0.0
+    for i, volume in enumerate(sent):
+        assert volume == 0.0 or lo <= i <= hi
+        assert volume <= rows.room(i, False, False) + tol
+        arrived += arrivals[i]
+        left += volume
+        assert left <= arrived + tol

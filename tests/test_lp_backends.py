@@ -134,3 +134,48 @@ def test_solution_repr():
     m.minimize(x)
     text = repr(m.solve())
     assert "optimal" in text and "2" in text
+
+
+# -- the Postcard LP through every backend --------------------------------
+
+#: Loose enough for the interior-point solver's stopping tolerance,
+#: tight enough that a genuinely different optimum fails.
+REL = 1e-5
+
+
+def _paper_model(topology, files):
+    from repro.core import build_postcard_model
+    from repro.core.state import NetworkState
+
+    return build_postcard_model(NetworkState(topology, horizon=100), files).model
+
+
+@pytest.mark.parametrize("backend", ["highs", "simplex", "interior_point"])
+def test_paper_examples_reach_the_optimum(backend, fig1, fig3, fig3_files):
+    """Figs. 1 and 3: 12 and 98/3, whichever solver is asked."""
+    from repro.traffic import TransferRequest
+
+    first = _paper_model(fig1, [TransferRequest(2, 3, 6.0, 3)])
+    third = _paper_model(fig3, fig3_files)
+    assert first.solve(backend=backend).objective == pytest.approx(12.0, rel=REL)
+    assert third.solve(backend=backend).objective == pytest.approx(98.0 / 3.0, rel=REL)
+
+
+def test_interior_point_agrees_with_highs_online():
+    """A seeded online run, slot after slot on the ledger the previous
+    solves left behind (small: the dense IPM is O(n^3) per iteration)."""
+    from repro.core import PostcardScheduler
+    from repro.net.generators import complete_topology
+    from repro.sim import Simulation
+    from repro.traffic import PaperWorkload
+
+    topology = complete_topology(4, capacity=60.0, seed=11)
+    workload = PaperWorkload(topology, max_deadline=2, max_files=2, seed=13)
+
+    def run(backend):
+        scheduler = PostcardScheduler(
+            topology, horizon=6, backend=backend, on_infeasible="drop"
+        )
+        return Simulation(scheduler, workload, 4).run().final_cost_per_slot
+
+    assert run("interior_point") == pytest.approx(run("highs"), rel=REL)

@@ -141,8 +141,8 @@ def test_pin_orderings(instance):
 # -- fast-path pins -------------------------------------------------------
 #
 # The incremental scheduling path (cached time-expanded arcs, direct
-# fast assembly, warm-start hints) promises *bit-identical* results to
-# the from-scratch reference, so it must hit the very same pins.
+# fast assembly) promises *bit-identical* results to the from-scratch
+# reference, so it must hit the very same pins.
 
 
 def test_pin_postcard_fast_assembly(instance):
@@ -154,10 +154,10 @@ def test_pin_postcard_fast_assembly(instance):
 
 
 def test_pin_postcard_incremental_scheduler(instance):
-    """The production configuration: incremental + warm (defaults)."""
+    """The production configuration: incremental (the default)."""
     topo, requests = instance
     scheduler = PostcardScheduler(topo, horizon=30)
-    assert scheduler.incremental and scheduler.warm_start
+    assert scheduler.incremental
     scheduler.on_slot(0, _fresh(requests))
     assert scheduler.last_objective == pytest.approx(PINS["postcard"], rel=REL)
 
