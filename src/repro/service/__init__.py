@@ -16,7 +16,6 @@ docs/SERVICE.md.
 from repro.service.chaos import ChaosMonkey, InjectedCrash
 from repro.service.config import ServiceConfig
 from repro.service.fabric import (
-    BrokerFabric,
     FleetConfig,
     FleetRouter,
     Relay,
@@ -27,7 +26,6 @@ from repro.service.fabric import (
     relay_gateway,
     rollup_stats,
     select_gateway,
-    serve_fleet,
     split_deadline,
 )
 from repro.service.intake import IntakeQueue, PendingTransfer
@@ -39,7 +37,7 @@ from repro.service.loadgen import (
     run_loadgen,
 )
 from repro.service.router import ShardMap
-from repro.service.server import ServiceDaemon, serve
+from repro.service.server import ServiceDaemon
 from repro.service.slotloop import TransferBroker
 from repro.service.store import SnapshotStore
 from repro.service.verify import verify_recovery
@@ -51,7 +49,6 @@ from repro.service.watch import (
 )
 
 __all__ = [
-    "BrokerFabric",
     "ChaosMonkey",
     "FleetConfig",
     "FleetRouter",
@@ -82,8 +79,6 @@ __all__ = [
     "run_loadgen",
     "run_watch",
     "scan_wal",
-    "serve",
-    "serve_fleet",
     "split_deadline",
     "verify_recovery",
 ]

@@ -11,18 +11,17 @@ gateway datacenter — leg A (source -> gateway) on the source shard,
 leg B (gateway -> destination) chained onto the destination shard when
 leg A commits.
 
-Two drivers share the relay state machine:
-
-* :class:`BrokerFabric` — synchronous, in-process: a dict of brokers
-  ticked in sorted shard order.  The deterministic harness unit tests
-  and the conservation drills run against.
-* :class:`FleetRouter` — the asyncio front end: listens on the same
-  NDJSON protocol a single daemon speaks (clients cannot tell the
-  difference), forwards by shard map over per-shard client
-  connections, chains relay legs on decision, and *parks* legs whose
-  shard dies — a reconnect (lazy, or via the ``resume`` op) resubmits
-  them, and the shard's idempotent decision log guarantees each leg is
-  decided exactly once.
+One driver runs the relay state machine: :class:`FleetRouter`, a
+:class:`~repro.service.server.LineServer` speaking the same NDJSON
+protocol a single daemon speaks (clients cannot tell the difference).
+It forwards by shard map, chains relay legs on decision, and *parks*
+legs whose shard dies — a reconnect (lazy, or via the ``resume`` op)
+resubmits them, and the shard's idempotent decision log guarantees
+each leg is decided exactly once.  A shard is anything with
+``call/close/is_closed``: a client connection to a listening daemon,
+or — for an empty endpoint — a :class:`ServiceDaemon` the router
+builds and calls in-process, which is how tests run the production
+driver with no sockets.
 
 Relay semantics (documented in docs/SERVICE.md): leg ids are
 ``<id>#a`` / ``<id>#b``, the deadline budget is split
@@ -35,17 +34,17 @@ is never submitted; the relay's composite decision is ``rejected``.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import ServiceError
+from repro.errors import ProtocolError, ServiceError
+from repro.obs.metrics import rollup_snapshots
 from repro.service import protocol
 from repro.service.config import ServiceConfig
 from repro.service.loadgen import _Connection, parse_endpoint
 from repro.service.router import DEFAULT_VNODES, ShardMap
-from repro.service.slotloop import TransferBroker
+from repro.service.server import Answer, LineServer, ServiceDaemon
 
 #: Relay leg lifecycle.
 LEG_WAITING = "waiting"      # planned, not yet submitted to its shard
@@ -70,7 +69,7 @@ class FleetConfig:
     """Everything needed to (re)build one broker fleet.
 
     ``shards`` maps shard name -> endpoint string (``unix:/path`` or
-    ``host:port``; empty for the in-process :class:`BrokerFabric`).
+    ``host:port``; empty for a shard the router runs in-process).
     Every shard runs on the *same* topology (``datacenters`` /
     ``capacity`` / ``seed``) — any shard must be able to schedule any
     relay leg — but owns its own ledger, checkpoint dir, and charging
@@ -81,8 +80,7 @@ class FleetConfig:
     shards: Dict[str, str]
     gateway_dc: int = 0
     #: "fixed" routes every cross-shard relay through ``gateway_dc``;
-    #: "cheapest" picks the gateway per transfer from link prices (and,
-    #: in the in-process fabric, live watermark credit).
+    #: "cheapest" picks the gateway per transfer from link prices.
     gateway_mode: str = "fixed"
 
     datacenters: int = 10
@@ -190,17 +188,15 @@ class RelayLeg:
     state: str = LEG_WAITING
     record: Optional[Dict[str, Any]] = None
 
-    def submit_fields(self) -> Dict[str, Any]:
+    def submit_message(self) -> Dict[str, Any]:
         return {
+            "op": "submit",
             "id": self.leg_id,
             "source": self.source,
             "destination": self.destination,
             "size_gb": self.size_gb,
             "deadline_slots": self.deadline_slots,
         }
-
-    def submit_message(self) -> Dict[str, Any]:
-        return {"op": "submit", **self.submit_fields()}
 
 
 def select_gateway(
@@ -209,25 +205,20 @@ def select_gateway(
     size_gb: float,
     topology,
     *,
-    watermarks=None,
     fallback: int = 0,
 ) -> int:
     """The cheapest relay gateway for one source -> destination transfer.
 
     Scores every third datacenter ``g`` (endpoints excluded — a relay
-    always hands off at a genuine intermediate hop) by the marginal
-    watermark cost of pushing ``size_gb`` over both hops::
+    always hands off at a genuine intermediate hop) by the two-hop
+    price of pushing ``size_gb`` through it::
 
-        price(s,g) * max(0, size - credit(s,g))
-      + price(g,d) * max(0, size - credit(g,d))
+        price(s,g) * size + price(g,d) * size
 
-    where ``credit(a, b)`` is the free-GB allowance ``watermarks(a, b)``
-    returns for the link — typically the already-paid percentile
-    watermark ``X_ab``, under which extra traffic is free.  Without a
-    provider the credit is zero everywhere and the score collapses to
-    the plain two-hop price.  Deterministic: ties break to the lowest
-    datacenter id.  With no eligible candidate (a two-datacenter
-    topology) the configured ``fallback`` gateway is returned.
+    Shard ledgers live with their shards, so the router prices by link
+    price alone.  Deterministic: ties break to the lowest datacenter
+    id.  With no eligible candidate (a two-datacenter topology) the
+    configured ``fallback`` gateway is returned.
     """
     best = None
     best_score = None
@@ -235,10 +226,10 @@ def select_gateway(
         g = dc.id
         if g == source or g == destination:
             continue
-        score = 0.0
-        for a, b in ((source, g), (g, destination)):
-            credit = float(watermarks(a, b)) if watermarks is not None else 0.0
-            score += topology.link(a, b).price * max(0.0, size_gb - credit)
+        score = (
+            topology.link(source, g).price * size_gb
+            + topology.link(g, destination).price * size_gb
+        )
         if best_score is None or score < best_score or (
             score == best_score and g < best
         ):
@@ -266,7 +257,6 @@ def plan_relay(
     *,
     gateway_mode: str = "fixed",
     topology=None,
-    watermarks=None,
 ) -> Optional[List[RelayLeg]]:
     """The legs a submission decomposes into, or None for a direct one.
 
@@ -281,9 +271,7 @@ def plan_relay(
 
     With ``gateway_mode="cheapest"`` (and a ``topology``) the gateway
     is picked per transfer by :func:`select_gateway` instead of the
-    fixed ``gateway_dc``; ``watermarks`` is an optional
-    ``(shard, src, dst) -> free_gb`` provider consulted per hop — leg A
-    is billed by the source's shard, leg B by the destination's.
+    fixed ``gateway_dc``.
     """
     source = int(fields["source"])
     destination = int(fields["destination"])
@@ -295,13 +283,8 @@ def plan_relay(
     size = float(fields["size_gb"])
     deadline = int(fields["deadline_slots"])
     if gateway_mode == "cheapest" and topology is not None:
-        credit = None
-        if watermarks is not None:
-            def credit(a, b, _s=source, _ss=src_shard, _ds=dst_shard):
-                return watermarks(_ss if a == _s else _ds, a, b)
         gateway_dc = select_gateway(
-            source, destination, size, topology,
-            watermarks=credit, fallback=gateway_dc,
+            source, destination, size, topology, fallback=gateway_dc
         )
     if gateway_dc == source:
         # The transfer already starts at the gateway: one ingress leg,
@@ -334,9 +317,9 @@ class Relay:
         self.legs = legs
         self.gateway_dc = gateway_dc
         self.failure: Optional[Dict[str, Any]] = None
-        #: Router-side reply target ``(writer, lock)``; rebound when
-        #: the client reconnects.
-        self.reply: Optional[Tuple[Any, Any]] = None
+        #: Resolved once with the composed answer; every client that
+        #: submits this id while it relays parks on it (shielded).
+        self.reply: Optional[asyncio.Future] = None
         #: True while a driver task owns this relay (prevents a resume
         #: from double-driving).
         self.driving = False
@@ -451,11 +434,10 @@ class Relay:
 
 
 class RelayTracker:
-    """Every live (and settled) relay, indexed by transfer and leg id."""
+    """Every live (and settled) relay, indexed by transfer id."""
 
     def __init__(self) -> None:
         self.relays: Dict[str, Relay] = {}
-        self._leg_owner: Dict[str, str] = {}
 
     def register(self, relay: Relay) -> None:
         if relay.client_id in self.relays:
@@ -463,15 +445,9 @@ class RelayTracker:
                 f"relay {relay.client_id!r} is already registered"
             )
         self.relays[relay.client_id] = relay
-        for leg in relay.legs:
-            self._leg_owner[leg.leg_id] = relay.client_id
 
     def get(self, client_id: str) -> Optional[Relay]:
         return self.relays.get(client_id)
-
-    def relay_for_leg(self, leg_id: str) -> Optional[Relay]:
-        owner = self._leg_owner.get(leg_id)
-        return self.relays.get(owner) if owner else None
 
     def active(self) -> List[Relay]:
         return [r for r in self.relays.values() if not r.settled]
@@ -532,173 +508,31 @@ def rollup_stats(per_shard: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
     return fleet
 
 
-class BrokerFabric:
-    """A synchronous in-process fleet: the deterministic test harness.
 
-    Owns one :class:`TransferBroker` per shard and ticks them in
-    sorted shard order; relay legs decided in one shard's tick are
-    chained onto the next shard immediately, so a relay whose
-    destination shard sorts later can complete within a single fabric
-    round.
-    """
-
-    def __init__(
-        self,
-        fleet: FleetConfig,
-        configs: Optional[Dict[str, ServiceConfig]] = None,
-    ):
-        self.fleet = fleet
-        self.map = fleet.shard_map()
-        self.brokers: Dict[str, TransferBroker] = {
-            name: TransferBroker(
-                configs[name] if configs else fleet.shard_config(name)
-            )
-            for name in self.map.shards
-        }
-        self.tracker = RelayTracker()
-        #: Fabric-level final records (direct + composed relays).
-        self.decisions: Dict[str, Dict[str, Any]] = {}
-        self.counts = {"submitted": 0, "direct": 0, "relayed": 0}
-        self._topology = (
-            fleet.topology() if fleet.gateway_mode == "cheapest" else None
-        )
-
-    def shard_of(self, source: int) -> str:
-        return self.map.shard_for(source)
-
-    def _watermarks(self, shard: str, src: int, dst: int) -> float:
-        """Free-GB credit on (src, dst) as billed by ``shard``: the
-        paid watermark its broker already carries for the link."""
-        state = self.brokers[shard].scheduler.state
-        return state.charged_volume(src, dst)
-
-    def submit(self, fields: Dict[str, Any]) -> Tuple[str, Any]:
-        """Route one validated submission; mirrors broker.submit."""
-        cid = fields["id"]
-        known = self.decisions.get(cid)
-        if known is not None:
-            return "decided", known
-        relay = self.tracker.get(cid)
-        if relay is not None:
-            return "pending", relay
-        legs = plan_relay(
-            fields, self.map, self.fleet.gateway_dc,
-            gateway_mode=self.fleet.gateway_mode,
-            topology=self._topology,
-            watermarks=self._watermarks,
-        )
-        self.counts["submitted"] += 1
-        if legs is None:
-            shard = self.map.shard_for(int(fields["source"]))
-            outcome, value = self.brokers[shard].submit(dict(fields))
-            self.counts["direct"] += 1
-            if outcome == "decided":
-                record = {**value, "shard": shard}
-                self.decisions[cid] = record
-                return "decided", record
-            return "pending", value
-        relay = Relay(cid, legs, relay_gateway(legs, self.fleet.gateway_dc))
-        self.tracker.register(relay)
-        self.counts["relayed"] += 1
-        self._advance(relay)
-        return "pending", relay
-
-    def _advance(self, relay: Relay) -> None:
-        """Submit the relay's next waiting leg(s) to their shards."""
-        leg = relay.next_leg()
-        while leg is not None and leg.state == LEG_WAITING:
-            outcome, value = self.brokers[leg.shard].submit(
-                leg.submit_fields()
-            )
-            if outcome == "decided":
-                relay.on_leg_decision(leg.leg_id, value)
-                leg = relay.next_leg()
-                continue
-            leg.state = LEG_INFLIGHT
-            break
-
-    def process_slot(self) -> List[Dict[str, Any]]:
-        """Tick every shard once; returns fabric-level final records."""
-        finals: List[Dict[str, Any]] = []
-        for name in self.map.shards:
-            for pending, record in self.brokers[name].process_slot():
-                finals.extend(self._absorb(name, pending.client_id, record))
-        return finals
-
-    def _absorb(
-        self, shard: str, rid: str, record: Dict[str, Any]
-    ) -> List[Dict[str, Any]]:
-        relay = self.tracker.relay_for_leg(rid)
-        if relay is None:
-            final = {**record, "shard": shard}
-            self.decisions[rid] = final
-            return [final]
-        relay.on_leg_decision(rid, record)
-        if relay.settled:
-            final = relay.compose()
-            self.decisions[relay.client_id] = final
-            return [final]
-        self._advance(relay)
-        return []
-
-    def run_until_settled(self, max_slots: int = 256) -> List[Dict[str, Any]]:
-        """Tick until every queue is empty and every relay settled."""
-        finals: List[Dict[str, Any]] = []
-        for _ in range(max_slots):
-            finals.extend(self.process_slot())
-            busy = any(b.queue.depth for b in self.brokers.values())
-            if not busy and not self.tracker.active():
-                return finals
-        raise ServiceError(
-            f"fabric did not settle within {max_slots} slots"
-        )
-
-    def status(self, client_id: str) -> Dict[str, Any]:
-        known = self.decisions.get(client_id)
-        if known is not None:
-            return {"state": known["decision"], "decision": known}
-        relay = self.tracker.get(client_id)
-        if relay is not None:
-            return {"state": "relaying", "legs": relay.leg_states()}
-        shard = None
-        for name, broker in self.brokers.items():
-            if broker.queue.contains(client_id):
-                shard = name
-                break
-        if shard is not None:
-            return {"state": "pending", "shard": shard}
-        return {"state": "unknown"}
-
-    def stats(self) -> Dict[str, Any]:
-        per_shard = {
-            name: broker.stats() for name, broker in self.brokers.items()
-        }
-        return {
-            "router": {
-                **self.counts,
-                "relays_active": len(self.tracker.active()),
-                "map_version": self.map.version,
-            },
-            "shard_map": self.map.to_payload(),
-            "shards": per_shard,
-            "fleet": rollup_stats(per_shard),
-        }
+def _decision_record(response: Dict[str, Any]) -> Dict[str, Any]:
+    """A shard's submit answer minus its envelope keys."""
+    return {
+        k: v for k, v in response.items() if k not in ("ok", "op", "cached")
+    }
 
 
-class FleetRouter:
-    """The asyncio front end: one listener, N shard connections.
+class FleetRouter(LineServer):
+    """The fleet front end: one listener, N shards.
 
     Speaks the same NDJSON protocol as a single daemon, so existing
     clients (loadgen, watch, tests) work unchanged against a fleet.
     Routing is by shard map on the submission's source datacenter;
-    cross-shard submissions become relays driven by background tasks.
-    A shard whose connection drops is marked *down*: direct
-    submissions for it are answered with a ``shard-down`` error (and a
-    retry-after), relay legs on it park.  Reconnection is lazy (next
-    use) or explicit (the ``resume`` op); either path resubmits parked
-    legs, and the shard's idempotent decision log makes the resume
-    exactly-once.
+    cross-shard submissions become relays driven by background tasks
+    the router owns — a client that hangs up stops listening, it does
+    not stop its transfer.  A shard whose connection drops is marked
+    *down*: direct submissions for it are answered with a
+    ``shard-down`` error (and a retry-after), relay legs on it park.
+    Reconnection is lazy (next use) or explicit (the ``resume`` op);
+    either path resubmits parked legs, and the shard's idempotent
+    decision log makes the resume exactly-once.
     """
+
+    served_by = "the router"
 
     def __init__(
         self,
@@ -708,73 +542,50 @@ class FleetRouter:
         port: int = 0,
         socket_path: Optional[str] = None,
     ):
+        super().__init__(host=host, port=port, socket_path=socket_path)
         self.fleet = fleet
         self.map = fleet.shard_map()
-        self.host = host
-        self.listen_port = port
-        self.socket_path = socket_path
         self.tracker = RelayTracker()
         self.decisions: Dict[str, Dict[str, Any]] = {}
-        #: Direct client id -> owning shard (for status forwarding).
+        #: Undecided direct client id -> owning shard (for status
+        #: forwarding; the decision record carries it afterwards).
         self.routes: Dict[str, str] = {}
         self.down: Dict[str, str] = {}
         self.counts = {
             "submitted": 0, "direct": 0, "relayed": 0,
             "routed_errors": 0, "parked_legs": 0, "resumed_legs": 0,
         }
-        self._conns: Dict[str, _Connection] = {}
+        #: shard -> a ``_Connection`` to its daemon, or (empty
+        #: endpoint) the in-process ``ServiceDaemon`` itself.
+        self._conns: Dict[str, Any] = {}
         self._conn_locks: Dict[str, asyncio.Lock] = {}
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stopped = asyncio.Event()
+        #: Relay drivers and direct forwards in flight.
+        self._tasks: set = set()
         # Cheapest-gateway routing prices hops on a local rebuild of
-        # the shared topology; shard watermarks live in other
-        # processes, so the router scores by price alone.
+        # the shared topology.
         self._topology = (
             fleet.topology() if fleet.gateway_mode == "cheapest" else None
         )
 
-    # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> None:
-        if self.socket_path:
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=self.socket_path,
-                limit=protocol.MAX_LINE_BYTES,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_client, host=self.host, port=self.listen_port,
-                limit=protocol.MAX_LINE_BYTES,
-            )
-
-    async def run_until_stopped(self) -> None:
-        await self._stopped.wait()
-
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        for task in list(self._tasks):
+            task.cancel()
         for conn in list(self._conns.values()):
             await conn.close()
         self._conns.clear()
-        self._stopped.set()
+        await super().stop()
 
-    @property
-    def port(self) -> Optional[int]:
-        if self._server is None or self.socket_path:
-            return None
-        return self._server.sockets[0].getsockname()[1]
+    def _spawn(self, coro) -> asyncio.Task:
+        """Run ``coro`` as the router's own task: it outlives whichever
+        connection asked for it."""
+        task = asyncio.create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
 
-    @property
-    def endpoint(self) -> str:
-        if self.socket_path:
-            return f"unix:{self.socket_path}"
-        return f"tcp:{self.host}:{self.port or self.listen_port}"
+    # -- shards ------------------------------------------------------------
 
-    # -- shard connections -------------------------------------------------
-
-    async def _conn(self, shard: str) -> _Connection:
+    async def _conn(self, shard: str):
         conn = self._conns.get(shard)
         if conn is not None and not conn.is_closed():
             return conn
@@ -792,10 +603,14 @@ class FleetRouter:
                 # the reconnect raise ShardDownError below.
                 self._conns.pop(shard, None)
                 await conn.close()
-            host, port, socket_path = parse_endpoint(self.fleet.shards[shard])
+            endpoint = self.fleet.shards[shard]
             try:
-                conn = await _Connection.open(host, port, socket_path)
-            except (OSError, ConnectionError) as exc:
+                if endpoint:
+                    conn = await _Connection.open(*parse_endpoint(endpoint))
+                else:
+                    conn = ServiceDaemon(self.fleet.shard_config(shard))
+                    conn.open()
+            except (ServiceError, OSError, ConnectionError) as exc:
                 self.down[shard] = str(exc)
                 raise ShardDownError(
                     f"shard {shard!r} is unreachable: {exc}"
@@ -819,7 +634,7 @@ class FleetRouter:
         self.down[shard] = str(exc)
         conn = self._conns.pop(shard, None)
         if conn is not None:
-            asyncio.get_running_loop().create_task(conn.close())
+            self._spawn(conn.close())
 
     def _resume_shard_legs(self, shard: str) -> None:
         """Re-drive every relay with a parked/stranded leg on ``shard``.
@@ -835,172 +650,86 @@ class FleetRouter:
             leg.state = LEG_WAITING
             self.counts["resumed_legs"] += 1
             if not relay.driving:
-                asyncio.get_running_loop().create_task(
-                    self._drive_relay(relay)
-                )
+                self._spawn(self._drive_relay(relay))
 
-    # -- client handling ---------------------------------------------------
+    async def _gather_shards(
+        self, message: Dict[str, Any]
+    ) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, str]]:
+        """One op fanned out to every shard; returns (live, down)."""
+        live: Dict[str, Dict[str, Any]] = {}
+        failed: Dict[str, str] = {}
+        for name in self.map.shards:
+            try:
+                response = await self._shard_call(name, message)
+            except ShardDownError as exc:
+                failed[name] = str(exc)
+                continue
+            live[name] = {
+                k: v for k, v in response.items() if k not in ("ok", "op")
+            }
+        return live, failed
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        lock = asyncio.Lock()
-        tasks = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except ValueError:
-                    await self._send(
-                        writer, lock,
-                        protocol.error_response(
-                            "?", "invalid",
-                            f"request line exceeds {protocol.MAX_LINE_BYTES} "
-                            "bytes; closing connection",
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                await self._dispatch(line, writer, lock, tasks)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            for task in tasks:
-                task.cancel()
-            writer.close()
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
+    # -- submit ------------------------------------------------------------
 
-    async def _dispatch(self, line, writer, lock, tasks) -> None:
-        from repro.errors import ProtocolError
-
-        try:
-            message = protocol.decode_line(line)
-        except ProtocolError as exc:
-            await self._send(
-                writer, lock, protocol.error_response("?", "invalid", str(exc))
-            )
-            return
-        op = message["op"]
-        if op == "submit":
-            await self._handle_submit(message, writer, lock, tasks)
-        elif op == "status":
-            await self._handle_status(message, writer, lock)
-        elif op == "stats":
-            await self._handle_stats(writer, lock)
-        elif op == "metrics":
-            await self._handle_metrics(message, writer, lock)
-        elif op == "tick":
-            await self._handle_tick(writer, lock)
-        elif op == "drain":
-            await self._handle_drain(writer, lock)
-        elif op == "resume":
-            await self._handle_resume(message, writer, lock)
-        elif op == "ping":
-            await self._send(
-                writer, lock,
-                {"ok": True, "op": "ping",
-                 "version": protocol.PROTOCOL_VERSION, "role": "router",
-                 "shards": self.map.shards,
-                 "map_version": self.map.version},
-            )
-        else:
-            await self._send(
-                writer, lock,
-                protocol.error_response(
-                    op, "unsupported",
-                    f"op {op!r} is not served by the router",
-                ),
-            )
-
-    async def _handle_submit(self, message, writer, lock, tasks) -> None:
-        from repro.errors import ProtocolError
-
+    async def _op_submit(self, message) -> Answer:
         try:
             fields = protocol.validate_submit(
                 message, self.fleet.max_deadline
             )
         except ProtocolError as exc:
-            await self._send(
-                writer, lock,
-                protocol.error_response(
-                    "submit", "invalid", str(exc), id=message.get("id")
-                ),
+            return protocol.error_response(
+                "submit", "invalid", str(exc), id=message.get("id")
             )
-            return
         cid = fields["id"]
         if LEG_SEP in cid:
-            await self._send(
-                writer, lock,
-                protocol.error_response(
-                    "submit", "invalid",
-                    f"id may not contain {LEG_SEP!r} (reserved for relay "
-                    "leg ids)", id=cid,
-                ),
+            return protocol.error_response(
+                "submit", "invalid",
+                f"id may not contain {LEG_SEP!r} (reserved for relay "
+                "leg ids)", id=cid,
             )
-            return
         known = self.decisions.get(cid)
         if known is not None:
-            await self._send(
-                writer, lock,
-                {"ok": True, "op": "submit", "cached": True, **known},
-            )
-            return
+            return {"ok": True, "op": "submit", "cached": True, **known}
         relay = self.tracker.get(cid)
-        if relay is not None:
-            # A reconnecting client re-parks on its in-flight relay.
-            relay.reply = (writer, lock)
-            return
-        legs = plan_relay(
-            fields, self.map, self.fleet.gateway_dc,
-            gateway_mode=self.fleet.gateway_mode,
-            topology=self._topology,
-        )
-        self.counts["submitted"] += 1
-        if legs is None:
-            shard = self.map.shard_for(fields["source"])
-            self.routes[cid] = shard
-            self.counts["direct"] += 1
-            task = asyncio.create_task(
-                self._forward_direct(shard, fields, writer, lock)
+        if relay is None:
+            legs = plan_relay(
+                fields, self.map, self.fleet.gateway_dc,
+                gateway_mode=self.fleet.gateway_mode,
+                topology=self._topology,
             )
-        else:
+            self.counts["submitted"] += 1
+            if legs is None:
+                shard = self.map.shard_for(fields["source"])
+                self.routes[cid] = shard
+                self.counts["direct"] += 1
+                return asyncio.shield(
+                    self._spawn(self._forward_direct(shard, fields))
+                )
             relay = Relay(cid, legs, relay_gateway(legs, self.fleet.gateway_dc))
-            relay.reply = (writer, lock)
+            relay.reply = asyncio.get_running_loop().create_future()
             self.tracker.register(relay)
             self.counts["relayed"] += 1
-            task = asyncio.create_task(self._drive_relay(relay))
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
+            self._spawn(self._drive_relay(relay))
+        # Shielded: the asker may hang up (and a later one re-park on
+        # the same relay) without disturbing the driver.
+        return asyncio.shield(relay.reply)
 
-    async def _forward_direct(self, shard, fields, writer, lock) -> None:
+    async def _forward_direct(self, shard, fields) -> Dict[str, Any]:
+        cid = fields["id"]
         try:
             response = await self._shard_call(
                 shard, {"op": "submit", **fields}
             )
         except ShardDownError as exc:
             self.counts["routed_errors"] += 1
-            await self._send(
-                writer, lock,
-                protocol.error_response(
-                    "submit", "shard-down", str(exc),
-                    id=fields["id"], shard=shard, retry_after_s=1.0,
-                ),
+            return protocol.error_response(
+                "submit", "shard-down", str(exc),
+                id=cid, shard=shard, retry_after_s=1.0,
             )
-            return
         if response.get("ok") and "decision" in response:
-            record = {
-                k: v for k, v in response.items()
-                if k not in ("ok", "op", "cached")
-            }
-            record["shard"] = shard
-            self.decisions[fields["id"]] = record
-        await self._send(writer, lock, {**response, "shard": shard})
+            self.decisions[cid] = {**_decision_record(response), "shard": shard}
+            self.routes.pop(cid, None)
+        return {**response, "shard": shard}
 
     async def _drive_relay(self, relay: Relay) -> None:
         """Submit legs in order until the relay settles or parks."""
@@ -1033,85 +762,39 @@ class FleetRouter:
                         continue
                     relay.fail(leg, response)
                     break
-                record = {
-                    k: v for k, v in response.items()
-                    if k not in ("ok", "op", "cached")
-                }
-                relay.on_leg_decision(leg.leg_id, record)
+                relay.on_leg_decision(leg.leg_id, _decision_record(response))
             final = relay.compose()
             self.decisions[relay.client_id] = final
             ok = final["decision"] != "failed"
             if not ok:
                 self.counts["routed_errors"] += 1
-            await self._reply(
-                relay, {"ok": ok, "op": "submit", **final}
-            )
+            relay.reply.set_result({"ok": ok, "op": "submit", **final})
         finally:
             relay.driving = False
 
-    async def _reply(self, relay: Relay, message: Dict[str, Any]) -> None:
-        if relay.reply is None:
-            return
-        writer, lock = relay.reply
-        if writer.is_closing():
-            return
-        await self._send(writer, lock, message)
+    # -- the other ops -----------------------------------------------------
 
-    async def _handle_status(self, message, writer, lock) -> None:
+    async def _op_status(self, message) -> Answer:
         cid = str(message.get("id", ""))
+        answer = {"ok": True, "op": "status", "id": cid}
         known = self.decisions.get(cid)
         if known is not None:
-            await self._send(
-                writer, lock,
-                {"ok": True, "op": "status", "id": cid,
-                 "state": known["decision"], "decision": known},
-            )
-            return
+            return {**answer, "state": known["decision"], "decision": known}
         relay = self.tracker.get(cid)
         if relay is not None:
-            await self._send(
-                writer, lock,
-                {"ok": True, "op": "status", "id": cid, "state": "relaying",
-                 "legs": relay.leg_states()},
-            )
-            return
+            return {**answer, "state": "relaying", "legs": relay.leg_states()}
         shard = self.routes.get(cid)
-        if shard is not None:
-            try:
-                response = await self._shard_call(
-                    shard, {"op": "status", "id": cid}
-                )
-            except ShardDownError as exc:
-                await self._send(
-                    writer, lock,
-                    protocol.error_response(
-                        "status", "shard-down", str(exc), id=cid, shard=shard
-                    ),
-                )
-                return
-            await self._send(writer, lock, {**response, "shard": shard})
-            return
-        await self._send(
-            writer, lock,
-            {"ok": True, "op": "status", "id": cid, "state": "unknown"},
-        )
-
-    async def _gather_shards(
-        self, message: Dict[str, Any]
-    ) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, str]]:
-        """One op fanned out to every shard; returns (live, down)."""
-        live: Dict[str, Dict[str, Any]] = {}
-        failed: Dict[str, str] = {}
-        for name in self.map.shards:
-            try:
-                response = await self._shard_call(name, dict(message))
-            except ShardDownError as exc:
-                failed[name] = str(exc)
-                continue
-            live[name] = {
-                k: v for k, v in response.items() if k not in ("ok", "op")
-            }
-        return live, failed
+        if shard is None:
+            return {**answer, "state": "unknown"}
+        try:
+            response = await self._shard_call(
+                shard, {"op": "status", "id": cid}
+            )
+        except ShardDownError as exc:
+            return protocol.error_response(
+                "status", "shard-down", str(exc), id=cid, shard=shard
+            )
+        return {**response, "shard": shard}
 
     def _router_stats(self) -> Dict[str, Any]:
         return {
@@ -1122,35 +805,25 @@ class FleetRouter:
             "down": sorted(self.down),
         }
 
-    async def _handle_stats(self, writer, lock) -> None:
+    async def _op_stats(self, message) -> Answer:
         live, failed = await self._gather_shards({"op": "stats"})
         shards: Dict[str, Any] = dict(live)
         for name, reason in failed.items():
             shards[name] = {"down": reason}
-        await self._send(
-            writer, lock,
-            {"ok": True, "op": "stats", "role": "router",
-             "endpoint": self.endpoint,
-             "router": self._router_stats(),
-             "shard_map": self.map.to_payload(),
-             "shards": shards,
-             "fleet": rollup_stats(live)},
-        )
+        return {"ok": True, "op": "stats", "role": "router",
+                "endpoint": self.endpoint,
+                "router": self._router_stats(),
+                "shard_map": self.map.to_payload(),
+                "shards": shards,
+                "fleet": rollup_stats(live)}
 
-    async def _handle_metrics(self, message, writer, lock) -> None:
-        from repro.obs.metrics import rollup_snapshots
-
-        fmt = message.get("format", "json")
-        if fmt != "json":
-            await self._send(
-                writer, lock,
-                protocol.error_response(
-                    "metrics", "unsupported",
-                    "the router serves json only; scrape prometheus text "
-                    "from each shard's own metrics op",
-                ),
+    async def _op_metrics(self, message) -> Answer:
+        if message.get("format", "json") != "json":
+            return protocol.error_response(
+                "metrics", "unsupported",
+                "the router serves json only; scrape prometheus text "
+                "from each shard's own metrics op",
             )
-            return
         live, failed = await self._gather_shards({"op": "metrics"})
         rollup = rollup_snapshots(
             {name: body.get("snapshot", {}) for name, body in live.items()}
@@ -1158,19 +831,22 @@ class FleetRouter:
         stats_live = {
             name: body.get("stats", {}) for name, body in live.items()
         }
-        await self._send(
-            writer, lock,
-            {"ok": True, "op": "metrics",
-             "version": protocol.PROTOCOL_VERSION, "format": "json",
-             "role": "router",
-             "router": self._router_stats(),
-             "shards": live,
-             "down": failed,
-             "stats": rollup_stats(stats_live),
-             "snapshot": rollup},
-        )
+        return {"ok": True, "op": "metrics",
+                "version": protocol.PROTOCOL_VERSION, "format": "json",
+                "role": "router",
+                "router": self._router_stats(),
+                "shards": live,
+                "down": failed,
+                "stats": rollup_stats(stats_live),
+                "snapshot": rollup}
 
-    async def _handle_tick(self, writer, lock) -> None:
+    async def _op_ping(self, message) -> Answer:
+        return {"ok": True, "op": "ping",
+                "version": protocol.PROTOCOL_VERSION, "role": "router",
+                "shards": self.map.shards,
+                "map_version": self.map.version}
+
+    async def _op_tick(self, message) -> Answer:
         """Fan a manual tick out to every live shard (sorted order).
 
         Relay chaining rides on decision responses delivered *after*
@@ -1193,70 +869,33 @@ class FleetRouter:
         # ack; chaining may still need further ticks to decide leg B.
         for _ in range(3):
             await asyncio.sleep(0)
-        await self._send(
-            writer, lock, {"ok": True, "op": "tick", "shards": slots}
-        )
+        return {"ok": True, "op": "tick", "shards": slots}
 
-    async def _handle_resume(self, message, writer, lock) -> None:
+    async def _op_resume(self, message) -> Answer:
         wanted = message.get("shard")
         targets = [wanted] if wanted else sorted(self.down)
         resumed, still_down = [], []
         for name in targets:
             if name not in self.fleet.shards:
-                await self._send(
-                    writer, lock,
-                    protocol.error_response(
-                        "resume", "invalid", f"unknown shard {name!r}"
-                    ),
+                return protocol.error_response(
+                    "resume", "invalid", f"unknown shard {name!r}"
                 )
-                return
             try:
                 await self._conn(name)
                 resumed.append(name)
             except ShardDownError:
                 still_down.append(name)
-        await self._send(
-            writer, lock,
-            {"ok": True, "op": "resume", "resumed": resumed,
-             "still_down": still_down,
-             "parked": self.tracker.parked_count()},
-        )
+        return {"ok": True, "op": "resume", "resumed": resumed,
+                "still_down": still_down,
+                "parked": self.tracker.parked_count()}
 
-    async def _handle_drain(self, writer, lock) -> None:
+    async def _op_drain(self, message) -> Answer:
         live, failed = await self._gather_shards({"op": "drain"})
-        await self._send(
-            writer, lock,
-            {"ok": True, "op": "drain", "drained": not failed,
-             "shards": {
-                 **{name: body for name, body in live.items()},
-                 **{name: {"down": reason} for name, reason in failed.items()},
-             },
-             "fleet": rollup_stats(live)},
-        )
-        await self.stop()
-
-    @staticmethod
-    async def _send(writer, lock, message: Dict[str, Any]) -> None:
-        async with lock:
-            writer.write(protocol.encode(message))
-            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
-                await writer.drain()
-
-
-async def serve_fleet(
-    fleet: FleetConfig,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    socket_path: Optional[str] = None,
-) -> FleetRouter:
-    """Start a router and block until it drains; returns it (stopped)."""
-    router = FleetRouter(
-        fleet, host=host, port=port, socket_path=socket_path
-    )
-    await router.start()
-    try:
-        await router.run_until_stopped()
-    finally:
-        await router.stop()
-    return router
+        self._stop_soon()
+        return {"ok": True, "op": "drain", "drained": not failed,
+                "shards": {
+                    **live,
+                    **{name: {"down": reason}
+                       for name, reason in failed.items()},
+                },
+                "fleet": rollup_stats(live)}

@@ -1,10 +1,20 @@
-"""The asyncio daemon: sockets, the slot clock, and response delivery.
+"""The one NDJSON shell, and the single-broker daemon that rides it.
 
-:class:`ServiceDaemon` wraps a :class:`~repro.service.slotloop.TransferBroker`
-with a TCP or unix-socket listener speaking the NDJSON protocol of
-:mod:`repro.service.protocol`.  Clients pipeline requests; ``submit``
-responses are parked on futures and delivered after the slot that
-batches them is processed (and, when due, checkpointed).  A background
+:class:`LineServer` is the only server-side socket code in the package:
+it binds a TCP or unix listener, runs the guarded per-connection read
+loop, decodes each line with :mod:`repro.service.protocol`, and hands
+the message to :meth:`LineServer.handle` — a socket-free dispatch onto
+``_op_<name>`` methods that *return* the response dict, or a future of
+it for answers that wait on a slot.  The shell writes dicts inline and
+parks one delivery task per future, so clients may pipeline.  The same
+ops are reachable with no socket at all through :meth:`LineServer.call`,
+which is how the fleet router drives an in-process shard and how tests
+drive both servers.
+
+:class:`ServiceDaemon` is that shell over one
+:class:`~repro.service.slotloop.TransferBroker`.  ``submit`` answers
+with the broker's waiter, resolved after the slot that batches the
+submission is processed (and, when due, checkpointed).  A background
 task fires :meth:`TransferBroker.process_slot` every
 ``config.tick_seconds``; with ``tick_seconds=0`` the clock is manual
 and slots advance only on ``tick`` messages — the mode deterministic
@@ -18,7 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 from repro.errors import BackpressureError, ProtocolError, ReproError, ServiceError
 from repro.obs import registry as obs
@@ -29,11 +39,243 @@ from repro.service.config import ServiceConfig
 from repro.service.intake import PendingTransfer
 from repro.service.slotloop import TransferBroker
 
+#: What an op handler returns: the response, or a future of it.
+Answer = Union[Dict[str, Any], asyncio.Future]
 
-class ServiceDaemon:
-    """One listening transfer broker; ``await serve(config)`` to run."""
+
+class LineServer:
+    """The NDJSON shell: listener, read loop, dispatch, delivery.
+
+    Subclasses define ``async def _op_<name>(self, message) -> Answer``
+    for every op they serve and never see a socket.
+    """
+
+    #: How the ``unsupported`` answer names this server.
+    served_by = "this daemon"
+
+    def __init__(
+        self,
+        *,
+        host: str,
+        port: int,
+        socket_path: Optional[str],
+        read_timeout_s: float = 0.0,
+    ):
+        self.host = host
+        self.listen_port = port
+        self.socket_path = socket_path
+        self.read_timeout_s = read_timeout_s
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._stopped = asyncio.Event()
+        self._stopping: Optional[asyncio.Task] = None
+        self._active_connections = 0
+        self._ops = {
+            op: getattr(self, f"_op_{op}")
+            for op in protocol.OPS
+            if hasattr(self, f"_op_{op}")
+        }
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def open(self) -> None:
+        """Start whatever serves ops without a socket (subclass hook).
+
+        :meth:`start` opens and then binds; an in-process shard is
+        opened and never bound.
+        """
+
+    async def start(self) -> None:
+        """Open, then bind the listener."""
+        self.open()
+        # The stream limit bounds readline() buffering: a client that
+        # never sends a newline cannot grow memory past one max line.
+        if self.socket_path:
+            self._server = await asyncio.start_unix_server(
+                self._handle_client, path=self.socket_path,
+                limit=protocol.MAX_LINE_BYTES,
+            )
+        else:
+            self._server = await asyncio.start_server(
+                self._handle_client, host=self.host, port=self.listen_port,
+                limit=protocol.MAX_LINE_BYTES,
+            )
+
+    async def run_until_stopped(self) -> None:
+        """Serve until ``drain`` (or ``stop``) completes."""
+        await self._stopped.wait()
+
+    async def stop(self) -> None:
+        """Tear the listener down; idempotent."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+            await server.wait_closed()
+        self._stopped.set()
+
+    def _stop_soon(self) -> None:
+        """Stop once the answer being built is out (``drain``'s last act)."""
+        self._stopping = asyncio.create_task(self.stop())
+
+    @property
+    def port(self) -> Optional[int]:
+        """The bound TCP port (for ``port=0`` ephemeral binds)."""
+        if self._server is None or self.socket_path:
+            return None
+        return self._server.sockets[0].getsockname()[1]
+
+    @property
+    def endpoint(self) -> str:
+        if self.socket_path:
+            return f"unix:{self.socket_path}"
+        return f"tcp:{self.host}:{self.port or self.listen_port}"
+
+    # -- socket-free entry -------------------------------------------------
+
+    async def handle(self, message: Dict[str, Any]) -> Answer:
+        """Dispatch one decoded message to its op handler."""
+        op = message.get("op")
+        handler = self._ops.get(op)
+        if handler is None:
+            # Decodable (it's in protocol.OPS) but not served here —
+            # e.g. the fleet router's "resume" sent to a plain shard.
+            # Answer instead of dropping: a silent drop wedges callers
+            # that await a response line.
+            return protocol.error_response(
+                op, "unsupported",
+                f"op {op!r} is not served by {self.served_by}",
+            )
+        return await handler(message)
+
+    async def call(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """One request, one answer, no socket (a client connection's
+        ``call``, so a server can stand in for a connection to it)."""
+        answer = await self.handle(message)
+        return answer if isinstance(answer, dict) else await answer
+
+    def is_closed(self) -> bool:
+        return self._stopped.is_set()
+
+    async def close(self) -> None:
+        await self.stop()
+
+    # -- connection handling -----------------------------------------------
+
+    async def _handle_client(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        obs.counter("service.connections")
+        self._active_connections += 1
+        obs.gauge("service.connections.active", self._active_connections)
+        lock = asyncio.Lock()
+        deferred = set()
+        try:
+            while True:
+                line = await self._read_line(reader, writer, lock, deferred)
+                if line is None:
+                    break
+                if not line.strip():
+                    continue
+                await self._serve_line(line, writer, lock, deferred)
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        except asyncio.CancelledError:
+            # Shutdown cancels in-flight handlers; the noise of letting
+            # this propagate is asyncio logging a spurious traceback.
+            pass
+        finally:
+            self._active_connections -= 1
+            obs.gauge("service.connections.active", self._active_connections)
+            for task in deferred:
+                task.cancel()
+            writer.close()
+            # CancelledError included: stop() cancels handlers that are
+            # parked right here, and that must stay quiet too.
+            with contextlib.suppress(Exception, asyncio.CancelledError):
+                await writer.wait_closed()
+
+    async def _read_line(self, reader, writer, lock, deferred):
+        """One guarded readline; ``None`` means close the connection.
+
+        Two abuse guards (``read_timeout_s`` + the stream's
+        ``MAX_LINE_BYTES`` limit): an idle connection with nothing
+        in flight is disconnected after the timeout, and a line that
+        exceeds the limit is answered with a protocol error and the
+        connection dropped — readline's internal buffer cannot be
+        grown past the limit by a newline-less client.  A client
+        parked on in-flight submit decisions is waiting, not
+        stalling, so the timeout does not count against it.
+        """
+        timeout = self.read_timeout_s
+        while True:
+            try:
+                if timeout > 0:
+                    line = await asyncio.wait_for(reader.readline(), timeout)
+                else:
+                    line = await reader.readline()
+            except asyncio.TimeoutError:
+                if deferred:
+                    continue
+                obs.counter("service.read_timeout")
+                await self._send(
+                    writer, lock,
+                    protocol.error_response(
+                        "?", "timeout",
+                        f"no complete request line within {timeout}s; "
+                        "closing connection",
+                    ),
+                )
+                return None
+            except ValueError:
+                # StreamReader.readline: the line outgrew the limit.
+                obs.counter("service.line_overflow")
+                await self._send(
+                    writer, lock,
+                    protocol.error_response(
+                        "?", "invalid",
+                        f"request line exceeds {protocol.MAX_LINE_BYTES} "
+                        "bytes; closing connection",
+                    ),
+                )
+                return None
+            return line if line else None
+
+    async def _serve_line(self, line, writer, lock, deferred) -> None:
+        try:
+            message = protocol.decode_line(line)
+        except ProtocolError as exc:
+            await self._send(
+                writer, lock, protocol.error_response("?", "invalid", str(exc))
+            )
+            return
+        answer = await self.handle(message)
+        if isinstance(answer, dict):
+            await self._send(writer, lock, answer)
+            return
+
+        async def deliver() -> None:
+            await self._send(writer, lock, await answer)
+
+        task = asyncio.create_task(deliver())
+        deferred.add(task)
+        task.add_done_callback(deferred.discard)
+
+    @staticmethod
+    async def _send(writer, lock, message: Dict[str, Any]) -> None:
+        async with lock:
+            writer.write(protocol.encode(message))
+            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
+                await writer.drain()
+
+
+class ServiceDaemon(LineServer):
+    """One transfer broker behind the shell."""
 
     def __init__(self, config: ServiceConfig):
+        super().__init__(
+            host=config.host, port=config.port,
+            socket_path=config.socket_path,
+            read_timeout_s=config.read_timeout_s,
+        )
         self.config = config
         self.broker = TransferBroker(config)
         #: The live telemetry fold the ``metrics`` op serves from
@@ -42,58 +284,27 @@ class ServiceDaemon:
         self.metrics: Optional[MetricsSnapshot] = (
             MetricsSnapshot() if config.telemetry else None
         )
-        self._server: Optional[asyncio.base_events.Server] = None
         self._clock_task: Optional[asyncio.Task] = None
-        self._stopped = asyncio.Event()
-        self._draining = False
-        self._active_connections = 0
 
     # -- lifecycle ---------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the socket and start the slot clock (if automatic)."""
+    def open(self) -> None:
+        """Attach the metrics sink and start the slot clock (if automatic)."""
         if self.metrics is not None:
             obs.get_registry().add_sink(self.metrics)
-        # The stream limit bounds readline() buffering: a client that
-        # never sends a newline cannot grow memory past one max line.
-        if self.config.socket_path:
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=self.config.socket_path,
-                limit=protocol.MAX_LINE_BYTES,
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_client, host=self.config.host, port=self.config.port,
-                limit=protocol.MAX_LINE_BYTES,
-            )
         if self.config.tick_seconds > 0:
             self._clock_task = asyncio.create_task(self._slot_clock())
 
-    async def run_until_stopped(self) -> None:
-        """Serve until ``drain`` (or ``stop``) completes."""
-        await self._stopped.wait()
-
     async def stop(self) -> None:
-        """Tear the listener and clock down; idempotent."""
-        if self._clock_task is not None:
-            self._clock_task.cancel()
+        """Tear the clock and listener down; idempotent."""
+        clock, self._clock_task = self._clock_task, None
+        if clock is not None:
+            clock.cancel()
             with contextlib.suppress(asyncio.CancelledError):
-                await self._clock_task
-            self._clock_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+                await clock
+        await super().stop()
         if self.metrics is not None:
             obs.get_registry().remove_sink(self.metrics)
-        self._stopped.set()
-
-    @property
-    def port(self) -> Optional[int]:
-        """The bound TCP port (for ``port=0`` ephemeral binds)."""
-        if self._server is None or self.config.socket_path:
-            return None
-        return self._server.sockets[0].getsockname()[1]
 
     # -- the slot clock ----------------------------------------------------
 
@@ -139,186 +350,43 @@ class ServiceDaemon:
         if waiter is not None and not waiter.done():
             waiter.set_result(response)
 
-    # -- connection handling -----------------------------------------------
+    # -- ops ---------------------------------------------------------------
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        obs.counter("service.connections")
-        self._active_connections += 1
-        obs.gauge("service.connections.active", self._active_connections)
-        lock = asyncio.Lock()
-        deferred = set()
-        try:
-            while True:
-                line = await self._read_line(reader, writer, lock, deferred)
-                if line is None:
-                    break
-                if not line.strip():
-                    continue
-                await self._dispatch(line, writer, lock, deferred)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Shutdown cancels in-flight handlers; the noise of letting
-            # this propagate is asyncio logging a spurious traceback.
-            pass
-        finally:
-            self._active_connections -= 1
-            obs.gauge("service.connections.active", self._active_connections)
-            for task in deferred:
-                task.cancel()
-            writer.close()
-            # CancelledError included: stop() cancels handlers that are
-            # parked right here, and that must stay quiet too.
-            with contextlib.suppress(Exception, asyncio.CancelledError):
-                await writer.wait_closed()
-
-    async def _read_line(self, reader, writer, lock, deferred):
-        """One guarded readline; ``None`` means close the connection.
-
-        Two abuse guards (config ``read_timeout_s`` + the stream's
-        ``MAX_LINE_BYTES`` limit): an idle connection with nothing
-        in flight is disconnected after the timeout, and a line that
-        exceeds the limit is answered with a protocol error and the
-        connection dropped — readline's internal buffer cannot be
-        grown past the limit by a newline-less client.  A client
-        parked on in-flight submit decisions is waiting, not
-        stalling, so the timeout does not count against it.
-        """
-        timeout = self.config.read_timeout_s
-        while True:
-            try:
-                if timeout > 0:
-                    line = await asyncio.wait_for(reader.readline(), timeout)
-                else:
-                    line = await reader.readline()
-            except asyncio.TimeoutError:
-                if deferred:
-                    continue
-                obs.counter("service.read_timeout")
-                await self._send(
-                    writer, lock,
-                    protocol.error_response(
-                        "?", "timeout",
-                        f"no complete request line within {timeout}s; "
-                        "closing connection",
-                    ),
-                )
-                return None
-            except ValueError:
-                # StreamReader.readline: the line outgrew the limit.
-                obs.counter("service.line_overflow")
-                await self._send(
-                    writer, lock,
-                    protocol.error_response(
-                        "?", "invalid",
-                        f"request line exceeds {protocol.MAX_LINE_BYTES} "
-                        "bytes; closing connection",
-                    ),
-                )
-                return None
-            return line if line else None
-
-    async def _dispatch(self, line, writer, lock, deferred) -> None:
-        try:
-            message = protocol.decode_line(line)
-        except ProtocolError as exc:
-            await self._send(
-                writer, lock, protocol.error_response("?", "invalid", str(exc))
-            )
-            return
-        op = message["op"]
-        if op == "submit":
-            await self._handle_submit(message, writer, lock, deferred)
-        elif op == "status":
-            client_id = str(message.get("id", ""))
-            await self._send(
-                writer,
-                lock,
-                {"ok": True, "op": "status", "id": client_id,
-                 **self.broker.status(client_id)},
-            )
-        elif op == "stats":
-            await self._send(
-                writer, lock, {"ok": True, "op": "stats", **self.broker.stats()}
-            )
-        elif op == "metrics":
-            await self._handle_metrics(message, writer, lock)
-        elif op == "ping":
-            await self._send(
-                writer,
-                lock,
-                {"ok": True, "op": "ping",
-                 "version": protocol.PROTOCOL_VERSION},
-            )
-        elif op == "tick":
-            await self._handle_tick(writer, lock)
-        elif op == "drain":
-            await self._handle_drain(writer, lock)
-        else:
-            # Decodable (it's in protocol.OPS) but not served here —
-            # e.g. the fleet router's "resume" sent to a plain shard.
-            # Answer instead of dropping: a silent drop wedges callers
-            # that await a response line.
-            await self._send(
-                writer, lock,
-                protocol.error_response(
-                    op, "unsupported",
-                    f"op {op!r} is not served by this daemon",
-                ),
-            )
-
-    async def _handle_submit(self, message, writer, lock, deferred) -> None:
+    async def _op_submit(self, message) -> Answer:
         try:
             fields = protocol.validate_submit(message, self.config.max_deadline)
         except ProtocolError as exc:
-            await self._send(
-                writer,
-                lock,
-                protocol.error_response(
-                    "submit", "invalid", str(exc), id=message.get("id")
-                ),
+            return protocol.error_response(
+                "submit", "invalid", str(exc), id=message.get("id")
             )
-            return
         waiter = asyncio.get_running_loop().create_future()
         try:
             outcome, value = self.broker.submit(fields, waiter)
         except BackpressureError as exc:
-            await self._send(
-                writer,
-                lock,
-                protocol.error_response(
-                    "submit", "backpressure", str(exc),
-                    id=fields["id"], retry_after_s=exc.retry_after_s,
-                ),
+            return protocol.error_response(
+                "submit", "backpressure", str(exc),
+                id=fields["id"], retry_after_s=exc.retry_after_s,
             )
-            return
         except ServiceError as exc:
-            await self._send(
-                writer,
-                lock,
-                protocol.error_response(
-                    "submit", "refused", str(exc), id=fields["id"]
-                ),
+            return protocol.error_response(
+                "submit", "refused", str(exc), id=fields["id"]
             )
-            return
         if outcome == "decided":
-            await self._send(
-                writer, lock,
-                {"ok": True, "op": "submit", "cached": True, **value},
-            )
-            return
+            return {"ok": True, "op": "submit", "cached": True, **value}
+        return waiter
 
-        async def deliver() -> None:
-            response = await waiter
-            await self._send(writer, lock, response)
+    async def _op_status(self, message) -> Answer:
+        client_id = str(message.get("id", ""))
+        return {"ok": True, "op": "status", "id": client_id,
+                **self.broker.status(client_id)}
 
-        task = asyncio.create_task(deliver())
-        deferred.add(task)
-        task.add_done_callback(deferred.discard)
+    async def _op_stats(self, message) -> Answer:
+        return {"ok": True, "op": "stats", **self.broker.stats()}
 
-    async def _handle_metrics(self, message, writer, lock) -> None:
+    async def _op_ping(self, message) -> Answer:
+        return {"ok": True, "op": "ping", "version": protocol.PROTOCOL_VERSION}
+
+    async def _op_metrics(self, message) -> Answer:
         """Serve the live telemetry snapshot (versioned, two formats).
 
         ``format: "json"`` (default) answers the full structured body:
@@ -330,86 +398,39 @@ class ServiceDaemon:
         fmt = message.get("format", "json")
         if fmt not in protocol.METRICS_FORMATS:
             known = ", ".join(protocol.METRICS_FORMATS)
-            await self._send(
-                writer, lock,
-                protocol.error_response(
-                    "metrics", "invalid",
-                    f"unknown format {fmt!r}; expected one of: {known}",
-                ),
+            return protocol.error_response(
+                "metrics", "invalid",
+                f"unknown format {fmt!r}; expected one of: {known}",
             )
-            return
         body = self.broker.telemetry(self.metrics)
         if fmt == "prometheus":
             text = render_prometheus({**body["snapshot"], "slo": body["slo"]})
-            await self._send(
-                writer, lock,
-                {"ok": True, "op": "metrics",
-                 "version": protocol.PROTOCOL_VERSION,
-                 "format": "prometheus", "text": text},
-            )
-            return
-        await self._send(
-            writer, lock,
-            {"ok": True, "op": "metrics",
-             "version": protocol.PROTOCOL_VERSION, "format": "json", **body},
-        )
+            body = {"text": text}
+        return {"ok": True, "op": "metrics",
+                "version": protocol.PROTOCOL_VERSION, "format": fmt, **body}
 
-    async def _handle_tick(self, writer, lock) -> None:
+    async def _op_tick(self, message) -> Answer:
         if self.config.tick_seconds > 0:
-            await self._send(
-                writer,
-                lock,
-                protocol.error_response(
-                    "tick", "refused",
-                    "slot clock is automatic; tick is only valid with "
-                    "tick_seconds=0",
-                ),
+            return protocol.error_response(
+                "tick", "refused",
+                "slot clock is automatic; tick is only valid with "
+                "tick_seconds=0",
             )
-            return
         slot = self.broker.next_slot
         self._run_slot()
-        await self._send(
-            writer, lock,
-            {"ok": True, "op": "tick", "slot": slot,
-             "next_slot": self.broker.next_slot},
-        )
+        return {"ok": True, "op": "tick", "slot": slot,
+                "next_slot": self.broker.next_slot}
 
-    async def _handle_drain(self, writer, lock) -> None:
-        self._draining = True
+    async def _op_drain(self, message) -> Answer:
         try:
             resolutions = self.broker.drain_remaining()
         except ReproError as exc:
-            await self._send(
-                writer, lock,
-                protocol.error_response("drain", "internal", str(exc)),
-            )
-            return
+            return protocol.error_response("drain", "internal", str(exc))
         for pending, record in resolutions:
             self._resolve(pending, {"ok": True, "op": "submit", **record})
-        # Give deferred submit-deliveries a chance to flush before the
+        # Give parked submit-deliveries a chance to flush before the
         # drain ack — clients treat the ack as "all decisions are out".
         await asyncio.sleep(0)
-        await self._send(
-            writer, lock,
-            {"ok": True, "op": "drain", "drained": True,
-             **self.broker.stats()},
-        )
-        await self.stop()
-
-    @staticmethod
-    async def _send(writer, lock, message: Dict[str, Any]) -> None:
-        async with lock:
-            writer.write(protocol.encode(message))
-            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
-                await writer.drain()
-
-
-async def serve(config: ServiceConfig) -> ServiceDaemon:
-    """Start a daemon and block until it drains; returns it (stopped)."""
-    daemon = ServiceDaemon(config)
-    await daemon.start()
-    try:
-        await daemon.run_until_stopped()
-    finally:
-        await daemon.stop()
-    return daemon
+        self._stop_soon()
+        return {"ok": True, "op": "drain", "drained": True,
+                **self.broker.stats()}

@@ -1,9 +1,11 @@
-"""Unit tests for the sharded broker fabric (relay planner + harness).
+"""Unit tests for the sharded broker fabric (relay planner + router).
 
-Everything here runs against the synchronous in-process
-:class:`~repro.service.fabric.BrokerFabric` — deterministic, no
-sockets — which shares the relay state machine with the asyncio
-:class:`FleetRouter` (exercised end-to-end in test_fleet_e2e.py).
+The pure functions (config, deadline split, relay planning, gateway
+selection, stats rollup) are tested directly.  Everything stateful
+runs against the production :class:`~repro.service.fabric.FleetRouter`
+over in-process shards (empty endpoints): socket-free ``handle`` /
+``call`` and manual ticks, deterministic.  The same router over
+sockets is exercised in test_fleet_e2e.py.
 """
 
 import pytest
@@ -11,7 +13,6 @@ import pytest
 from repro.errors import ServiceError
 from repro.net.topology import Datacenter, Link, Topology
 from repro.service.fabric import (
-    BrokerFabric,
     FleetConfig,
     plan_relay,
     relay_gateway,
@@ -19,6 +20,7 @@ from repro.service.fabric import (
     select_gateway,
     split_deadline,
 )
+from tests.fleet_harness import drive, run_until_settled, settle
 
 DCS = 6
 
@@ -44,6 +46,14 @@ def fields(cid, source, destination, size=2.0, deadline=4):
         "size_gb": size,
         "deadline_slots": deadline,
     }
+
+
+def submit_message(*args, **kwargs):
+    return {"op": "submit", **fields(*args, **kwargs)}
+
+
+def router_counts(router):
+    return {k: router.counts[k] for k in ("submitted", "direct", "relayed")}
 
 
 def shard_pair(shard_map, same=True, exclude=()):
@@ -123,117 +133,193 @@ def test_plan_relay_degenerate_gateways():
     assert legs[0].shard == shard_map.shard_for(src)
 
 
-# -- the in-process fabric -------------------------------------------------
+# -- the router over in-process shards --------------------------------------
 
 
-def test_fabric_direct_submission_routes_to_owner():
+def test_router_direct_submission_routes_to_owner():
+    async def body(router, brokers):
+        src, dst = shard_pair(router.map, same=True)
+        owner = router.map.shard_for(src)
+        other = next(n for n in router.map.shards if n != owner)
+        answer = await router.handle(submit_message("d1", src, dst))
+        assert not isinstance(answer, dict)  # pending: a future of the answer
+        await settle(router, brokers)
+        assert router.routes == {"d1": owner}
+        assert brokers[owner].queue.depth == 1
+        assert brokers[other].queue.depth == 0
+        await run_until_settled(router, brokers)
+        assert list(router.decisions) == ["d1"]
+        final = await answer
+        assert final["decision"] == "admitted"
+        assert final["shard"] == owner
+        assert router_counts(router) == {
+            "submitted": 1, "direct": 1, "relayed": 0
+        }
+        # Once decided, the decision log answers status; the route
+        # entry that forwarded status while pending is gone.
+        assert router.routes == {}
+        status = await router.call({"op": "status", "id": "d1"})
+        assert status["state"] == "admitted"
+        assert status["decision"] == router.decisions["d1"]
+        assert status["decision"]["shard"] == owner
+
+    drive(make_fleet(), body)
+
+
+def test_router_relay_chains_on_commit():
     fleet = make_fleet()
-    fabric = BrokerFabric(fleet)
-    src, dst = shard_pair(fabric.map, same=True)
-    owner = fabric.map.shard_for(src)
-    other = next(n for n in fabric.map.shards if n != owner)
-    outcome, _ = fabric.submit(fields("d1", src, dst))
-    assert outcome == "pending"
-    assert fabric.brokers[owner].queue.depth == 1
-    assert fabric.brokers[other].queue.depth == 0
-    finals = fabric.run_until_settled()
-    assert [f["id"] for f in finals] == ["d1"]
-    assert finals[0]["decision"] == "admitted"
-    assert finals[0]["shard"] == owner
-    assert fabric.counts == {"submitted": 1, "direct": 1, "relayed": 0}
+
+    async def body(router, brokers):
+        src, dst = shard_pair(router.map, same=False,
+                              exclude=(fleet.gateway_dc,))
+        answer = await router.handle(submit_message("x1", src, dst, deadline=6))
+        assert router.counts["relayed"] == 1
+        # Leg B must not exist anywhere until leg A commits.
+        dst_shard = router.map.shard_for(dst)
+        relay = router.tracker.get("x1")
+        assert relay.leg_states()["x1#b"] == "waiting"
+        await settle(router, brokers)
+        assert relay.leg_states() == {"x1#a": "inflight", "x1#b": "waiting"}
+        assert brokers[dst_shard].counts["submitted"] == 0
+        await run_until_settled(router, brokers)
+        assert list(router.decisions) == ["x1"]
+        final = await answer
+        assert final["id"] == "x1"
+        assert final["decision"] == "admitted"
+        leg_records = final["relay"]["legs"]
+        assert [leg["id"] for leg in leg_records] == ["x1#a", "x1#b"]
+        assert all(leg["decision"] == "admitted" for leg in leg_records)
+        # Leg B was submitted only after leg A's decision slot.
+        assert leg_records[1]["slot"] >= leg_records[0]["slot"]
+        assert final["completion_slot"] == leg_records[1]["completion_slot"]
+        # The gateway hop's volume is billed once per carrying shard.
+        assert brokers[dst_shard].counts["admitted"] >= 1
+
+    drive(fleet, body)
 
 
-def test_fabric_relay_chains_on_commit():
-    fleet = make_fleet()
-    fabric = BrokerFabric(fleet)
-    src, dst = shard_pair(fabric.map, same=False, exclude=(fleet.gateway_dc,))
-    fabric.submit(fields("x1", src, dst, deadline=6))
-    assert fabric.counts["relayed"] == 1
-    # Leg B must not exist anywhere until leg A commits.
-    dst_shard = fabric.map.shard_for(dst)
-    relay = fabric.tracker.get("x1")
-    assert relay.leg_states()["x1#b"] == "waiting"
-    finals = fabric.run_until_settled()
-    assert len(finals) == 1
-    final = finals[0]
-    assert final["id"] == "x1"
-    assert final["decision"] == "admitted"
-    leg_records = final["relay"]["legs"]
-    assert [leg["id"] for leg in leg_records] == ["x1#a", "x1#b"]
-    assert all(leg["decision"] == "admitted" for leg in leg_records)
-    # Leg B was submitted only after leg A's decision slot.
-    assert leg_records[1]["slot"] >= leg_records[0]["slot"]
-    assert final["completion_slot"] == leg_records[1]["completion_slot"]
-    # The gateway hop's volume is billed once per carrying shard.
-    assert fabric.brokers[dst_shard].counts["admitted"] >= 1
-
-
-def test_fabric_rejected_leg_short_circuits():
+def test_router_rejected_leg_short_circuits():
     # A tiny capacity with an oversized transfer: leg A is rejected,
     # so leg B must never reach the destination shard's broker.
     fleet = make_fleet(capacity=1.0)
-    fabric = BrokerFabric(fleet)
-    src, dst = shard_pair(fabric.map, same=False, exclude=(fleet.gateway_dc,))
-    gateway = fleet.gateway_dc
-    if gateway in (src, dst):
-        pytest.skip("need a two-leg relay for this topology")
-    fabric.submit(fields("big", src, dst, size=500.0, deadline=4))
-    finals = fabric.run_until_settled()
-    assert len(finals) == 1
-    assert finals[0]["decision"] == "rejected"
-    states = {leg["id"]: leg["state"] for leg in finals[0]["relay"]["legs"]}
-    assert states["big#a"] == "decided"
-    assert states["big#b"] == "waiting"
-    dst_shard = fabric.map.shard_for(dst)
-    assert fabric.brokers[dst_shard].counts["submitted"] == 0
+
+    async def body(router, brokers):
+        src, dst = shard_pair(router.map, same=False,
+                              exclude=(fleet.gateway_dc,))
+        answer = await router.handle(
+            submit_message("big", src, dst, size=500.0, deadline=4)
+        )
+        await run_until_settled(router, brokers)
+        assert list(router.decisions) == ["big"]
+        final = await answer
+        assert final["decision"] == "rejected"
+        states = {leg["id"]: leg["state"] for leg in final["relay"]["legs"]}
+        assert states["big#a"] == "decided"
+        assert states["big#b"] == "waiting"
+        dst_shard = router.map.shard_for(dst)
+        assert brokers[dst_shard].counts["submitted"] == 0
+
+    drive(fleet, body)
 
 
-def test_fabric_submission_is_idempotent():
+def test_router_submission_is_idempotent():
     fleet = make_fleet()
-    fabric = BrokerFabric(fleet)
-    src, dst = shard_pair(fabric.map, same=False, exclude=(fleet.gateway_dc,))
-    fabric.submit(fields("x1", src, dst))
-    outcome, value = fabric.submit(fields("x1", src, dst))
-    assert outcome == "pending"
-    assert value is fabric.tracker.get("x1")
-    assert fabric.counts["submitted"] == 1
-    fabric.run_until_settled()
-    outcome, record = fabric.submit(fields("x1", src, dst))
-    assert outcome == "decided"
-    assert record["decision"] == "admitted"
+
+    async def body(router, brokers):
+        src, dst = shard_pair(router.map, same=False,
+                              exclude=(fleet.gateway_dc,))
+        first = await router.handle(submit_message("x1", src, dst))
+        again = await router.handle(submit_message("x1", src, dst))
+        # Still pending: the resubmission parks on the same relay.
+        assert not isinstance(again, dict)
+        assert router.counts["submitted"] == 1
+        assert len(router.tracker.relays) == 1
+        await run_until_settled(router, brokers)
+        assert await again == await first
+        cached = await router.call(submit_message("x1", src, dst))
+        assert cached["cached"] is True
+        assert cached["decision"] == "admitted"
+        assert router.counts["submitted"] == 1
+
+    drive(fleet, body)
 
 
-def test_fabric_shard_ledgers_are_isolated():
+def test_router_shard_ledgers_are_isolated():
+    async def body(router, brokers):
+        src, dst = shard_pair(router.map, same=True)
+        owner = router.map.shard_for(src)
+        other = next(n for n in router.map.shards if n != owner)
+        await router.handle(submit_message("d1", src, dst, size=8.0))
+        await run_until_settled(router, brokers)
+        assert brokers[owner].state.ledger.total_volume() > 0.0
+        assert brokers[other].state.ledger.total_volume() == 0.0
+
+    drive(make_fleet(), body)
+
+
+def test_router_status_and_stats_rollup():
     fleet = make_fleet()
-    fabric = BrokerFabric(fleet)
-    src, dst = shard_pair(fabric.map, same=True)
-    owner = fabric.map.shard_for(src)
-    other = next(n for n in fabric.map.shards if n != owner)
-    fabric.submit(fields("d1", src, dst, size=8.0))
-    fabric.run_until_settled()
-    assert fabric.brokers[owner].state.ledger.total_volume() > 0.0
-    assert fabric.brokers[other].state.ledger.total_volume() == 0.0
+
+    async def status(router, cid):
+        return (await router.call({"op": "status", "id": cid}))["state"]
+
+    async def body(router, brokers):
+        src, dst = shard_pair(router.map, same=False,
+                              exclude=(fleet.gateway_dc,))
+        await router.handle(submit_message("x1", src, dst))
+        assert await status(router, "x1") == "relaying"
+        assert await status(router, "ghost") == "unknown"
+        await run_until_settled(router, brokers)
+        assert await status(router, "x1") == "admitted"
+        stats = await router.call({"op": "stats"})
+        assert stats["router"]["relayed"] == 1
+        assert stats["shard_map"]["version"] == 1
+        fleet_totals = stats["fleet"]
+        assert fleet_totals["shards"] == 2
+        # Two legs, one per shard.
+        assert fleet_totals["submitted"] == 2
+        assert fleet_totals["admitted"] == 2
+        per_shard = [
+            stats["shards"][name]["submitted"] for name in stats["shards"]
+        ]
+        assert sum(per_shard) == 2
+
+    drive(fleet, body)
 
 
-def test_fabric_status_and_stats_rollup():
-    fleet = make_fleet()
-    fabric = BrokerFabric(fleet)
-    src, dst = shard_pair(fabric.map, same=False, exclude=(fleet.gateway_dc,))
-    fabric.submit(fields("x1", src, dst))
-    assert fabric.status("x1")["state"] == "relaying"
-    assert fabric.status("ghost")["state"] == "unknown"
-    fabric.run_until_settled()
-    assert fabric.status("x1")["state"] == "admitted"
-    stats = fabric.stats()
-    assert stats["router"]["relayed"] == 1
-    assert stats["shard_map"]["version"] == 1
-    fleet_totals = stats["fleet"]
-    assert fleet_totals["shards"] == 2
-    # Two legs, one per shard.
-    assert fleet_totals["submitted"] == 2
-    assert fleet_totals["admitted"] == 2
-    per_shard = [stats["shards"][name]["submitted"] for name in stats["shards"]]
-    assert sum(per_shard) == 2
+def test_router_refuses_leg_separator_in_ids():
+    async def body(router, brokers):
+        src, dst = shard_pair(router.map, same=True)
+        refused = await router.call(submit_message("a#b", src, dst))
+        assert refused["ok"] is False
+        assert refused["error"] == "invalid"
+        assert refused["id"] == "a#b"
+        assert "'#'" in refused["message"]
+        assert router.counts["submitted"] == 0
+        assert all(b.counts["submitted"] == 0 for b in brokers.values())
+
+    drive(make_fleet(), body)
+
+
+def test_router_serves_every_op_with_no_socket():
+    async def body(router, brokers):
+        src, dst = shard_pair(router.map, same=True)
+        answers = {}
+        pending = await router.handle(submit_message("d1", src, dst))
+        await settle(router, brokers)
+        for op in ("ping", "status", "stats", "metrics", "tick", "resume"):
+            answers[op] = await router.call({"op": op, "id": "d1"})
+        answers["submit"] = await pending
+        answers["drain"] = await router.call({"op": "drain"})
+        assert all(answer["ok"] for answer in answers.values()), answers
+        assert answers["ping"]["role"] == "router"
+        assert answers["drain"]["drained"] is True
+        assert router.port is None and router._server is None
+        unsupported = await router.call({"op": "watch"})
+        assert unsupported["error"] == "unsupported"
+        assert "is not served by the router" in unsupported["message"]
+
+    drive(make_fleet(), body)
 
 
 # -- cheapest-gateway selection --------------------------------------------
@@ -270,17 +356,6 @@ def test_select_gateway_ties_break_low_and_fallback():
     assert select_gateway(0, 1, 2.0, tiny, fallback=0) == 0
 
 
-def test_select_gateway_watermark_credit_flips_choice():
-    # Via 3 is pricier per GB, but its links carry enough paid
-    # watermark that the transfer rides free — it must win.
-    topo = relay_topology(price_via_2=1.0, price_via_3=5.0)
-    credit = {(0, 3): 2.0, (3, 1): 2.0}
-    chosen = select_gateway(
-        0, 1, 2.0, topo, watermarks=lambda a, b: credit.get((a, b), 0.0)
-    )
-    assert chosen == 3
-
-
 def test_plan_relay_cheapest_mode_routes_per_transfer():
     fleet = make_fleet(gateway_mode="cheapest")
     shard_map = fleet.shard_map()
@@ -299,29 +374,35 @@ def test_plan_relay_cheapest_mode_routes_per_transfer():
     assert legs[0].destination == chosen == legs[1].source
 
 
-def test_fabric_cheapest_gateway_end_to_end():
+def test_router_cheapest_gateway_end_to_end():
     fleet = make_fleet(gateway_mode="cheapest")
-    fabric = BrokerFabric(fleet)
-    src, dst = shard_pair(fabric.map, same=False)
-    # Cold brokers carry zero watermark everywhere, so the expected
-    # gateway is the pure price optimum.
-    expected = select_gateway(src, dst, 2.0, fabric._topology)
-    fabric.submit(fields("x1", src, dst))
-    finals = fabric.run_until_settled()
-    assert finals[0]["decision"] == "admitted"
-    assert finals[0]["relay"]["gateway"] == expected
-    leg_records = finals[0]["relay"]["legs"]
-    assert leg_records[0]["destination"] == expected
-    assert leg_records[1]["source"] == expected
+
+    async def body(router, brokers):
+        src, dst = shard_pair(router.map, same=False)
+        expected = select_gateway(src, dst, 2.0, fleet.topology())
+        answer = await router.handle(submit_message("x1", src, dst))
+        await run_until_settled(router, brokers)
+        final = await answer
+        assert final["decision"] == "admitted"
+        assert final["relay"]["gateway"] == expected
+        leg_records = final["relay"]["legs"]
+        assert leg_records[0]["destination"] == expected
+        assert leg_records[1]["source"] == expected
+
+    drive(fleet, body)
 
 
-def test_fabric_fixed_mode_still_uses_configured_gateway():
+def test_router_fixed_mode_still_uses_configured_gateway():
     fleet = make_fleet()
-    fabric = BrokerFabric(fleet)
-    src, dst = shard_pair(fabric.map, same=False, exclude=(fleet.gateway_dc,))
-    fabric.submit(fields("x1", src, dst))
-    finals = fabric.run_until_settled()
-    assert finals[0]["relay"]["gateway"] == fleet.gateway_dc
+
+    async def body(router, brokers):
+        src, dst = shard_pair(router.map, same=False,
+                              exclude=(fleet.gateway_dc,))
+        answer = await router.handle(submit_message("x1", src, dst))
+        await run_until_settled(router, brokers)
+        assert (await answer)["relay"]["gateway"] == fleet.gateway_dc
+
+    drive(fleet, body)
 
 
 def test_rollup_stats_sums_and_maxes():

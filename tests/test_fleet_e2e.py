@@ -8,6 +8,12 @@ killed shard must come back via WAL replay with a strict-clean recovery
 verifier, and the parked relay leg must resume and decide **exactly
 once** (the shard's idempotent decision log is what makes the
 resubmission safe).
+
+Only the two shard-death drills spawn processes (they need a real
+``kill``).  Everything else listens on unix sockets inside the test's
+own event loop, including the same-code proof: one scripted scenario
+through a router over in-process shards and through a router over
+socket shards must produce the same decision log.
 """
 
 import asyncio
@@ -19,8 +25,9 @@ import time
 
 import pytest
 
-from repro.service import FleetConfig, FleetRouter
+from repro.service import FleetConfig, FleetRouter, ServiceDaemon
 from repro.service.loadgen import _Connection
+from tests.fleet_harness import open_brokers, run_until_settled
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -55,25 +62,43 @@ def start_shard(sock, ckpt_dir):
     raise AssertionError("shard never bound its socket")
 
 
-def make_fleet(tmp_path):
+def make_fleet(tmp_path, in_process=False):
     # Over 6 DCs these two names split ownership 3/3 ("ap" owns
     # 0-2 incl. the gateway, "east" owns 3-5), so both shards have a
     # same-shard pair — the crash drill needs one on each side.
+    # ``in_process`` gives the same fleet with empty endpoints (shards
+    # the router runs itself) and its own checkpoint root.
     socks = {
         "east": str(tmp_path / "east.sock"),
         "ap": str(tmp_path / "ap.sock"),
     }
     fleet = FleetConfig(
-        shards={name: f"unix:{sock}" for name, sock in socks.items()},
+        shards={
+            name: "" if in_process else f"unix:{sock}"
+            for name, sock in socks.items()
+        },
         gateway_dc=0,
         datacenters=DCS,
         capacity=60.0,
         seed=3,
         max_deadline=8,
         wal=True,
-        checkpoint_root=str(tmp_path / "ckpt"),
+        checkpoint_root=str(
+            tmp_path / ("ckpt-inproc" if in_process else "ckpt")
+        ),
     )
     return fleet, socks
+
+
+async def listen_shards(fleet):
+    """One listening daemon per shard, in this event loop."""
+    daemons = {
+        name: ServiceDaemon(fleet.shard_config(name))
+        for name in sorted(fleet.shards)
+    }
+    for daemon in daemons.values():
+        await daemon.start()
+    return daemons
 
 
 def pick_pair(shard_map, same, exclude=()):
@@ -105,30 +130,30 @@ async def poll_relay_state(conn, cid, want, timeout=10.0):
         await asyncio.sleep(0.05)
 
 
-@pytest.mark.slow
 def test_fleet_router_round_trip(tmp_path):
     """Direct + cross-shard submissions through a live 2-shard fleet
     with manual ticks; per-shard metrics roll up at the router."""
-    fleet, socks = make_fleet(tmp_path)
+    fleet, _ = make_fleet(tmp_path)
     shard_map = fleet.shard_map()
     direct_pair = pick_pair(shard_map, same=True)
     relay_pair = pick_pair(shard_map, same=False, exclude=(fleet.gateway_dc,))
-    procs = [start_shard(sock, str(tmp_path / "ckpt" / name))
-             for name, sock in socks.items()]
 
     async def scenario():
+        daemons = await listen_shards(fleet)
         router = FleetRouter(fleet, socket_path=str(tmp_path / "router.sock"))
         await router.start()
         conn = await _Connection.open("", 0, str(tmp_path / "router.sock"))
         try:
             w_direct = conn.send(submit_message("d1", *direct_pair))
             w_relay = conn.send(submit_message("x1", *relay_pair))
-            for _ in range(4):
+            for _ in range(40):
                 tick = await asyncio.wait_for(
                     conn.call({"op": "tick"}), timeout=10
                 )
                 assert tick["ok"]
-                await asyncio.sleep(0.05)
+                if w_direct.done() and w_relay.done():
+                    break
+                await asyncio.sleep(0.02)
             direct = await asyncio.wait_for(w_direct, timeout=10)
             relayed = await asyncio.wait_for(w_relay, timeout=10)
             stats = await asyncio.wait_for(conn.call({"op": "stats"}), 10)
@@ -137,13 +162,10 @@ def test_fleet_router_round_trip(tmp_path):
         finally:
             await conn.close()
             await router.stop()
+            for daemon in daemons.values():
+                await daemon.stop()
 
-    try:
-        direct, relayed, stats, metrics = asyncio.run(scenario())
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.wait(timeout=10)
+    direct, relayed, stats, metrics = asyncio.run(scenario())
 
     assert direct["ok"] and direct["decision"] == "admitted"
     assert direct["shard"] == fleet.shard_map().shard_for(direct_pair[0])
@@ -155,9 +177,181 @@ def test_fleet_router_round_trip(tmp_path):
     assert stats["fleet"]["shards"] == 2
     # 1 direct + 2 legs across the fleet.
     assert stats["fleet"]["submitted"] == 3
+    assert metrics["stats"]["submitted"] == 3
     rollup = metrics["snapshot"]
     assert rollup["shards"] == ["ap", "east"]
-    assert rollup["counters"]["service.submitted"]["total"] == 3
+    # Shards listening in one process share its obs registry, so each
+    # shard's sink folds every shard's events; the rollup is still the
+    # sum of what the shards reported.
+    reported = [
+        body["snapshot"]["counters"]["service.submitted"]["total"]
+        for body in metrics["shards"].values()
+    ]
+    assert reported == [3, 3]
+    assert rollup["counters"]["service.submitted"]["total"] == sum(reported)
+
+
+def test_client_hangup_does_not_strand_relay(tmp_path):
+    """A relay belongs to the router, not to the connection that asked
+    for it: the client hangs up before any tick, and the transfer still
+    chains through both shards and is there for the retry."""
+    fleet, _ = make_fleet(tmp_path)
+    shard_map = fleet.shard_map()
+    src, dst = pick_pair(shard_map, same=False, exclude=(fleet.gateway_dc,))
+    message = submit_message("x1", src, dst)
+
+    async def scenario():
+        daemons = await listen_shards(fleet)
+        router = FleetRouter(fleet, socket_path=str(tmp_path / "router.sock"))
+        await router.start()
+        conn = await _Connection.open("", 0, str(tmp_path / "router.sock"))
+        other = await _Connection.open("", 0, str(tmp_path / "router.sock"))
+        try:
+            conn.send(message)
+            await poll_relay_state(
+                other, "x1", lambda legs: legs.get("x1#a") == "inflight"
+            )
+            await conn.close()
+            await asyncio.sleep(0.05)  # let the router see the hang-up
+            for _ in range(6):
+                tick = await asyncio.wait_for(other.call({"op": "tick"}), 10)
+                assert tick["ok"]
+                await asyncio.sleep(0.03)  # decision out, next leg chained
+            status = await other.call({"op": "status", "id": "x1"})
+            assert status["state"] == "admitted", status
+            again = await asyncio.wait_for(other.call(message), timeout=10)
+            destination = daemons[shard_map.shard_for(dst)].broker
+            return status, again, destination.counts
+        finally:
+            await other.close()
+            await router.stop()
+            for daemon in daemons.values():
+                await daemon.stop()
+
+    status, again, destination_counts = asyncio.run(scenario())
+
+    assert [leg["state"] for leg in status["decision"]["relay"]["legs"]] == [
+        "decided", "decided"
+    ]
+    assert destination_counts["admitted"] == 1
+    assert again["ok"] and again["cached"] is True
+    record = {k: v for k, v in again.items() if k not in ("ok", "op", "cached")}
+    assert record == status["decision"]
+
+
+def fleet_script(shard_map):
+    """The same-code scenario: 4 direct (both shards), 4 relayed (both
+    directions, one whose leg A cannot fit), one duplicate submit."""
+    # make_fleet's split; datacenter 0 (the gateway) is left out so
+    # every cross-shard transfer is a two-leg relay.
+    assert [shard_map.shard_for(dc) for dc in range(DCS)] == [
+        "ap", "ap", "ap", "east", "east", "east"
+    ]
+    script = [
+        submit_message("d1", 1, 2, size=4.0),
+        submit_message("x1", 1, 3, size=5.0, deadline=6),
+        submit_message("d2", 3, 4, size=3.0, deadline=3),
+        submit_message("x2", 4, 2, size=6.0, deadline=5),
+        submit_message("big", 2, 5, size=5000.0, deadline=4),
+        submit_message("d3", 2, 1, size=2.0, deadline=2),
+        submit_message("x1", 1, 3, size=5.0, deadline=6),
+        submit_message("x3", 5, 1, size=7.0, deadline=8),
+        submit_message("d4", 4, 5, size=9.0, deadline=8),
+    ]
+    return script, submit_message("bad#id", 1, 2)
+
+
+async def run_fleet_script(router, brokers, script, refused_message):
+    """Burst the script in, tick to quiescence, return what a client
+    and an operator would see."""
+    answers = [await router.handle(message) for message in script]
+    ticks = await run_until_settled(router, brokers)
+    finals = [
+        answer if isinstance(answer, dict) else await answer
+        for answer in answers
+    ]
+    log = {}
+    for final in finals:
+        relay = final.get("relay", {})
+        log[final["id"]] = {
+            "decision": final["decision"],
+            "slot": final["slot"],
+            "completion_slot": final["completion_slot"],
+            "gateway": relay.get("gateway"),
+            "legs": [
+                (leg["id"], leg["shard"], leg.get("decision"),
+                 leg.get("slot"), leg.get("completion_slot"))
+                for leg in relay.get("legs", ())
+            ],
+        }
+    stats = await router.call({"op": "stats"})
+    metrics = await router.call({"op": "metrics"})
+    return {
+        "log": log,
+        "ticks": ticks,
+        "cached": sum(bool(final.get("cached")) for final in finals),
+        "counts": dict(router.counts),
+        "refused": await router.call(refused_message),
+        # WAL records carry wall-clock floats whose printed width varies.
+        "fleet": {k: v for k, v in stats["fleet"].items() if k != "wal_bytes"},
+        "keys": {
+            "stats": sorted(stats),
+            "stats.router": sorted(stats["router"]),
+            "stats.fleet": sorted(stats["fleet"]),
+            "stats.shards": {n: sorted(b) for n, b in stats["shards"].items()},
+            "metrics": sorted(metrics),
+            "metrics.stats": sorted(metrics["stats"]),
+            "metrics.snapshot": sorted(metrics["snapshot"]),
+            "metrics.shards": {
+                n: sorted(b) for n, b in metrics["shards"].items()
+            },
+        },
+    }
+
+
+def test_in_process_and_socket_shards_decide_alike(tmp_path):
+    """Same code, two transports: a router over shards it runs itself
+    and a router over identically configured listening shards must
+    agree on every decision, leg by leg, and on their own books."""
+    local_fleet, _ = make_fleet(tmp_path, in_process=True)
+    wire_fleet, _ = make_fleet(tmp_path)
+    script, refused_message = fleet_script(wire_fleet.shard_map())
+
+    async def scenario():
+        local = FleetRouter(local_fleet)
+        daemons = await listen_shards(wire_fleet)
+        wire = FleetRouter(wire_fleet)
+        try:
+            # Opening every shard before the burst keeps forwards in
+            # submission order on both transports.
+            local_run = await run_fleet_script(
+                local, await open_brokers(local), script, refused_message
+            )
+            await wire.call({"op": "stats"})
+            wire_run = await run_fleet_script(
+                wire, {n: d.broker for n, d in daemons.items()},
+                script, refused_message,
+            )
+            return local_run, wire_run
+        finally:
+            await local.stop()
+            await wire.stop()
+            for daemon in daemons.values():
+                await daemon.stop()
+
+    local_run, wire_run = asyncio.run(scenario())
+
+    log = local_run["log"]
+    assert [log[cid]["decision"] for cid in ("d1", "d2", "d3", "d4")] == [
+        "admitted"] * 4
+    assert [log[cid]["decision"] for cid in ("x1", "x2", "x3")] == [
+        "admitted"] * 3
+    assert log["big"]["decision"] == "rejected"
+    assert [leg[2] for leg in log["big"]["legs"]] == ["rejected", None]
+    assert local_run["counts"]["submitted"] == 8  # the duplicate is not new
+    assert local_run["refused"]["error"] == "invalid"
+    for key in local_run:
+        assert local_run[key] == wire_run[key], key
 
 
 @pytest.mark.slow
