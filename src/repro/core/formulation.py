@@ -21,18 +21,27 @@ Two assembly paths build the same model:
   resulting model compiles to the same matrices bit for bit — a claim
   pinned by ``tests/test_compile_equivalence.py``.
 
-The whole assembly (including time-expanded-graph construction) runs
-under the ``lp.build`` observability span, the counterpart of the
-backends' ``lp.solve`` span.
+Both take one :class:`ArcSet` per file, or none: with none a file's
+variables span the paper's full ``DCs x window`` subgraph (the
+``postcard`` scheduler, the oracle every pruned model is pinned
+against); ``storage="destination_only"`` is an arc set, and the hybrid's
+LP lane passes each file the links of its candidate paths.
+
+The whole assembly (graph construction included) runs under the
+``lp.build`` span, the counterpart of the backends' ``lp.solve``; it
+carries ``arcs`` (``"paths"`` or ``"full"``), ``rows`` and ``columns``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import repeat
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import SchedulingError
+import networkx as nx
+import numpy as np
+
+from repro.errors import InfeasibleError, SchedulingError
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
 from repro.lp import LinExpr, Model, Solution, Variable
@@ -55,6 +64,52 @@ _NODE_KEY = 1 << 21
 ASSEMBLY_MODES = ("legacy", "fast")
 
 
+class ArcSet:
+    """The arcs of the time-expanded graph one file's variables may use.
+
+    The paper gives every file the whole ``DCs x window`` subgraph; an
+    arc set keeps only ``members``: ``((src, dst), lo, hi)`` per overlay
+    link (``src == dst``: holdover there), in the graph's construction
+    order — links in topology order, then nodes.  In a file's window
+    ``[first, last)`` a member exists at slot ``n`` when ``first + lo <=
+    n`` and ``n + 1 + hi <= last``; with ``lo`` the fewest hops from the
+    source to the arc's tail and ``hi`` the fewest from its head to the
+    destination, that drops exactly the time copies no route can cross.
+    """
+
+    __slots__ = ("members", "_at")
+
+    def __init__(self, members: Iterable[Tuple[Tuple[int, int], int, int]]):
+        self.members = tuple(members)
+        self._at: Dict[Tuple[int, int], tuple] = {}
+
+    def keys_at(self, after: int, before: int) -> Tuple[Tuple[int, int], ...]:
+        """Member keys existing ``after`` slots into a window with ``before``
+        slots left after this one (memoised: sets outlive the builds)."""
+        keys = self._at.get((after, before))
+        if keys is None:
+            keys = self._at[after, before] = tuple(
+                key for key, lo, hi in self.members
+                if lo <= after and hi <= before
+            )
+        return keys
+
+    @classmethod
+    def from_paths(cls, topology, source: int, destination: int, paths) -> "ArcSet":
+        """The links of ``paths`` (node lists, ``source`` to
+        ``destination``) plus holdover at their nodes, hop-bounded."""
+        links = {hop for path in paths for hop in zip(path, path[1:])}
+        hops = nx.single_source_shortest_path_length
+        out = hops(nx.DiGraph(links), source)
+        back = hops(nx.DiGraph((b, a) for a, b in links), destination)
+        return cls(
+            [(link.key, out[link.src], back[link.dst])
+             for link in topology.links if link.key in links]
+            + [((node, node), out[node], back[node])
+               for node in topology.node_ids() if node in out and node in back]
+        )
+
+
 class PostcardModel:
     """A built (not yet solved) Postcard LP plus its variable maps."""
 
@@ -63,7 +118,7 @@ class PostcardModel:
         model: Model,
         graph: TimeExpandedGraph,
         requests: List[TransferRequest],
-        flow_vars,
+        flow_items: List[Tuple[int, Arc, Variable]],
         charge_vars: Dict[Tuple[int, int], Variable],
         fixed_charge_cost: float,
         capacity_rows=None,
@@ -71,18 +126,9 @@ class PostcardModel:
         self.model = model
         self.graph = graph
         self.requests = requests
-        # ``flow_vars`` arrives either as the {(rid, arc): var} dict (the
-        # reference assembler) or as a flat [(rid, arc, var), ...] list
-        # (the fast assembler, which skips hashing Arc objects in its
-        # hot loop).  The dict view is materialized on first access.
-        if isinstance(flow_vars, dict):
-            self._flow_items = [
-                (rid, arc, var) for (rid, arc), var in flow_vars.items()
-            ]
-            self._flow_vars: Optional[Dict[Tuple[int, Arc], Variable]] = flow_vars
-        else:
-            self._flow_items = flow_vars
-            self._flow_vars = None
+        #: (request id, arc, variable) per flow variable — the model's
+        #: first ``len(flow_items)`` columns, in this order.
+        self.flow_items = flow_items
         self.charge_vars = charge_vars
         #: sum(a_ij * X_ij(t-1)) over links the new files cannot touch;
         #: a constant added to the objective so it reports the full
@@ -91,32 +137,17 @@ class PostcardModel:
         #: (src, dst, slot) -> the capacity Constraint, for shadow prices.
         self.capacity_rows: Dict[Tuple[int, int, int], object] = capacity_rows or {}
 
-    @property
-    def flow_vars(self) -> Dict[Tuple[int, Arc], Variable]:
-        """Per-(request, arc) flow variables, keyed for external lookups."""
-        if self._flow_vars is None:
-            self._flow_vars = {
-                (rid, arc): var for rid, arc, var in self._flow_items
-            }
-        return self._flow_vars
-
     def solve(self, backend: str = "highs", **options) -> Tuple[TransferSchedule, Solution]:
         """Optimize and extract the store-and-forward schedule."""
         solution = self.model.solve(backend=backend, **options)
+        items = self.flow_items
+        volumes = solution.x[:len(items)]
         entries = []
-        for request_id, arc, var in self._flow_items:
-            volume = solution.value(var)
-            if volume > VOLUME_ATOL:
-                entries.append(
-                    ScheduleEntry(
-                        request_id=request_id,
-                        src=arc.src,
-                        dst=arc.dst,
-                        slot=arc.slot,
-                        volume=volume,
-                        kind=arc.kind,
-                    )
-                )
+        for i in np.flatnonzero(volumes > VOLUME_ATOL).tolist():
+            request_id, arc, _ = items[i]
+            entries.append(ScheduleEntry(
+                request_id, arc.src, arc.dst, arc.slot, float(volumes[i]), arc.kind
+            ))
         return TransferSchedule(entries), solution
 
     def charged_volumes(self, solution: Solution) -> Dict[Tuple[int, int], float]:
@@ -146,16 +177,15 @@ def build_postcard_model(
     state: NetworkState,
     requests: List[TransferRequest],
     storage: str = STORAGE_FULL,
-    name: str = "postcard",
     storage_capacity: float = float("inf"),
     storage_price: float = 0.0,
     cost_fn_factory=None,
     charge_exempt=None,
     charged_volume_fn=None,
     predicted_volume_fn=None,
-    graph: Optional[TimeExpandedGraph] = None,
     graph_cache: Optional[GraphCache] = None,
     assembly: str = "legacy",
+    arc_sets: Optional[Sequence[Optional[ArcSet]]] = None,
 ) -> PostcardModel:
     """Assemble the Sec. V LP for the files released at the current slot.
 
@@ -202,17 +232,19 @@ def build_postcard_model(
         cells as already lifting the watermark, steering paid traffic
         toward predicted-quiet slots.  Capacity rows are untouched —
         forecasts shape cost, never feasibility or admission.
-    graph:
-        Optional pre-built :class:`TimeExpandedGraph` covering exactly
-        the requests' window (validated); saves rebuilding it.
     graph_cache:
         Optional :class:`~repro.timeexp.cache.GraphCache` used to build
-        the graph incrementally from the previous slot's arcs.  Ignored
-        when ``graph`` is given.
+        the graph incrementally from the previous slot's arcs.
     assembly:
         ``"legacy"`` (operator algebra, the reference) or ``"fast"``
         (direct coefficient construction); the two produce bit-identical
         compiled problems.
+    arc_sets:
+        Optional :class:`ArcSet` (or ``None``: every arc) per request,
+        same order: the file's variables exist only on its set's arcs.
+        A file whose set leaves its source no out-arc raises
+        :class:`InfeasibleError` — the pruning failed, not the problem —
+        so the caller can widen to the full model.  Full storage only.
     """
     if not requests:
         raise SchedulingError("build_postcard_model needs at least one request")
@@ -227,17 +259,30 @@ def build_postcard_model(
             f"unknown assembly mode {assembly!r}; available: "
             + ", ".join(ASSEMBLY_MODES)
         )
+    pruned = arc_sets is not None and any(arc_sets)
+    if not pruned:
+        arc_sets = [None] * len(requests)
+        if storage == STORAGE_DESTINATION_ONLY:
+            # The ablation is an arc set too: every link at every slot,
+            # holdover at the file's own destination only.
+            links = tuple((link.key, 0, 0) for link in state.topology.links)
+            by_destination = {
+                node: ArcSet(links + (((node, node), 0, 0),))
+                for node in {r.destination for r in requests}
+            }
+            arc_sets = [by_destination[r.destination] for r in requests]
+    elif storage != STORAGE_FULL or len(arc_sets) != len(requests):
+        raise SchedulingError(
+            "arc_sets needs one entry per request and storage='full'"
+        )
 
-    with obs.span("lp.build", assembly=assembly, requests=len(requests)):
+    with obs.span(
+        "lp.build", assembly=assembly, requests=len(requests),
+        arcs="paths" if pruned else "full",
+    ) as build_span:
         start = min(r.release_slot for r in requests)
         end = max(r.release_slot + r.deadline_slots for r in requests)
-        if graph is not None:
-            if graph.start_slot != start or graph.end_slot != end:
-                raise SchedulingError(
-                    f"provided graph spans slots [{graph.start_slot}, "
-                    f"{graph.end_slot}) but the requests need [{start}, {end})"
-                )
-        elif graph_cache is not None:
+        if graph_cache is not None:
             graph = graph_cache.build(
                 start, end - start, capacity_fn=state.residual_capacity
             )
@@ -250,37 +295,31 @@ def build_postcard_model(
             )
 
         assemble = _assemble_fast if assembly == "fast" else _assemble_legacy
-        return assemble(
-            state,
-            graph,
-            requests,
-            storage=storage,
-            name=name,
-            storage_capacity=storage_capacity,
-            storage_price=storage_price,
-            cost_fn_factory=cost_fn_factory,
-            charge_exempt=charge_exempt,
-            charged_volume_fn=charged_volume_fn,
-            predicted_volume_fn=predicted_volume_fn,
+        built = assemble(
+            state, graph, requests, arc_sets,
+            InfeasibleError if pruned else SchedulingError,
+            storage_capacity, storage_price, cost_fn_factory,
+            charge_exempt, charged_volume_fn, predicted_volume_fn,
         )
+        attrs = getattr(build_span, "attrs", None)
+        if attrs is not None:
+            attrs["rows"] = built.model.num_constraints
+            attrs["columns"] = built.model.num_variables
+        return built
 
 
 def _assemble_legacy(
     state: NetworkState,
     graph: TimeExpandedGraph,
     requests: List[TransferRequest],
-    storage: str,
-    name: str,
-    storage_capacity: float,
-    storage_price: float,
-    cost_fn_factory,
-    charge_exempt,
-    charged_volume_fn,
-    predicted_volume_fn,
+    arc_sets: Sequence[Optional[ArcSet]],
+    no_exit_error: type,
+    *pricing,
 ) -> PostcardModel:
-    """Operator-algebra assembly — the executable reference."""
-    model = Model(name)
-    flow_vars: Dict[Tuple[int, Arc], Variable] = {}
+    """Operator-algebra assembly — the executable reference.  ``pricing``
+    is :func:`_finish`'s tail of storage and charging parameters."""
+    model = Model("postcard")
+    flow_items: List[Tuple[int, Arc, Variable]] = []
     #: per transit (link, slot): list of vars crossing it (for capacity
     #: and charge rows)
     arc_users: Dict[Arc, List[Variable]] = defaultdict(list)
@@ -288,14 +327,14 @@ def _assemble_legacy(
     #: file buffered at its own destination is delivered, not stored)
     storage_users: Dict[Arc, List[Variable]] = defaultdict(list)
 
-    for request in requests:
+    for request, arc_set in zip(requests, arc_sets):
         rid = request.request_id
         arcs = graph.arcs_for_request(request)
-        if storage == STORAGE_DESTINATION_ONLY:
+        if arc_set is not None:
+            first, last = graph.request_window(request)
             arcs = [
-                a
-                for a in arcs
-                if a.kind is ArcKind.TRANSIT or a.src == request.destination
+                a for a in arcs
+                if a.link_key in arc_set.keys_at(a.slot - first, last - a.slot - 1)
             ]
         # Node balance built incrementally: +1 on out-arcs, -1 on in-arcs.
         balance: Dict[Tuple[int, int], List[Tuple[float, Variable]]] = defaultdict(list)
@@ -303,7 +342,7 @@ def _assemble_legacy(
             if arc.kind is ArcKind.TRANSIT and arc.capacity <= 0:
                 continue  # fully committed link-slot: no variable at all
             var = model.add_variable(f"M[{rid},{arc.src},{arc.dst},{arc.slot}]")
-            flow_vars[(rid, arc)] = var
+            flow_items.append((rid, arc, var))
             if arc.kind is ArcKind.TRANSIT:
                 arc_users[arc].append(var)
             elif arc.src != request.destination:
@@ -314,7 +353,7 @@ def _assemble_legacy(
         source = graph.source_node(request)
         sink = graph.sink_node(request)
         if source not in balance:
-            raise SchedulingError(
+            raise no_exit_error(
                 f"file {rid}: no admissible arc leaves its source; "
                 "the problem is trivially infeasible"
             )
@@ -329,76 +368,16 @@ def _assemble_legacy(
                     net == 0.0, name=f"cons[{rid},{node[0]},{node[1]}]"
                 )
 
-    # Capacity rows: aggregate new traffic within residual capacity.
-    capacity_rows: Dict[Tuple[int, int, int], object] = {}
-    for arc, users in arc_users.items():
-        if arc.capacity != float("inf"):
-            capacity_rows[(arc.src, arc.dst, arc.slot)] = model.add_constraint(
-                LinExpr.sum(users) <= arc.capacity,
-                name=f"cap[{arc.src},{arc.dst},{arc.slot}]",
-            )
-
-    # Storage rows: per-datacenter buffer capacity for in-transit data.
-    if storage_capacity != float("inf"):
-        for arc, users in storage_users.items():
-            model.add_constraint(
-                LinExpr.sum(users) <= storage_capacity,
-                name=f"store[{arc.src},{arc.slot}]",
-            )
-
-    # Charge rows: one X_ij per overlay link that new traffic can use.
-    by_link: Dict[Tuple[int, int], Dict[int, List[Variable]]] = defaultdict(
-        lambda: defaultdict(list)
-    )
-    for arc, users in arc_users.items():
-        by_link[arc.link_key][arc.slot].extend(users)
-
-    charge_vars: Dict[Tuple[int, int], Variable] = {}
-    objective_terms: List[Tuple[float, Variable]] = []
-    fixed_cost = 0.0
-    for link in state.topology.links:
-        key = link.key
-        prior = (
-            charged_volume_fn(*key)
-            if charged_volume_fn is not None
-            else state.charged_volume(*key)
-        )
-        cost_fn = cost_fn_factory(link) if cost_fn_factory else None
-        if key not in by_link:
-            fixed_cost += cost_fn(prior) if cost_fn else link.price * prior
-            continue
-        x = model.add_variable(f"X[{key[0]},{key[1]}]", lb=prior)
-        charge_vars[key] = x
-        for slot, users in by_link[key].items():
-            if charge_exempt is not None and charge_exempt(key[0], key[1], slot):
-                continue
-            committed = state.committed_volume(key[0], key[1], slot)
-            if predicted_volume_fn is not None:
-                committed += predicted_volume_fn(key[0], key[1], slot)
-            model.add_constraint(
-                x >= LinExpr.sum(users) + committed,
-                name=f"chg[{key[0]},{key[1]},{slot}]",
-            )
-        if cost_fn is None:
-            objective_terms.append((link.price, x))
-        else:
-            objective_terms.append(
-                (1.0, _link_cost_variable(model, key, x, cost_fn))
-            )
-
-    # Metered storage cost: price per GB-slot of in-transit buffering.
-    storage_terms: List[Tuple[float, Variable]] = []
-    if storage_price > 0.0:
-        for users in storage_users.values():
-            storage_terms.extend((storage_price, var) for var in users)
-
-    model.minimize(
-        LinExpr.from_terms(objective_terms + storage_terms, constant=fixed_cost)
-    )
-
-    return PostcardModel(
-        model, graph, list(requests), flow_vars, charge_vars, fixed_cost,
-        capacity_rows=capacity_rows,
+    return _finish(
+        state, model, graph, requests, flow_items,
+        arc_users.items(), storage_users.items(),
+        lambda users, bound, name: model.add_constraint(
+            LinExpr.sum(users) <= bound, name=name
+        ),
+        lambda x, users, committed, name: model.add_constraint(
+            x >= LinExpr.sum(users) + committed, name=name
+        ),
+        *pricing,
     )
 
 
@@ -418,14 +397,9 @@ def _assemble_fast(
     state: NetworkState,
     graph: TimeExpandedGraph,
     requests: List[TransferRequest],
-    storage: str,
-    name: str,
-    storage_capacity: float,
-    storage_price: float,
-    cost_fn_factory,
-    charge_exempt,
-    charged_volume_fn,
-    predicted_volume_fn,
+    arc_sets: Sequence[Optional[ArcSet]],
+    no_exit_error: type,
+    *pricing,
 ) -> PostcardModel:
     """Direct-construction assembly, float-identical to the reference.
 
@@ -438,7 +412,7 @@ def _assemble_fast(
     (arc objects are unique within a graph) to avoid hashing frozen
     dataclasses in the hot loop.
     """
-    model = Model(name)
+    model = Model("postcard")
     mid = model._id
     variables = model.variables
     constraints = model.constraints
@@ -456,12 +430,8 @@ def _assemble_fast(
     by_slot = graph._by_slot
     transit_kind = ArcKind.TRANSIT
     make_var = Variable
-    add_var = variables.append
-    add_flow = flow_items.append
     get_arc_entry = arc_users.get
     get_store_entry = storage_users.get
-    dest_only = storage == STORAGE_DESTINATION_ONLY
-    nvar = len(variables)
     #: Balance rows key on ``node_id * _NODE_KEY + slot`` instead of
     #: ``(node_id, slot)`` tuples — integer keys hash in one machine op
     #: and skip ~2 tuple allocations per arc in the hottest loop.
@@ -471,33 +441,106 @@ def _assemble_fast(
 
     #: Request windows overlap heavily, so everything that depends only
     #: on the (slot, arc) pair — attribute reads, the committed-capacity
-    #: filter, the formatted name suffix — is computed once per slot and
-    #: replayed per request as plain tuple unpacking.  Filtering at prep
-    #: time preserves the legacy per-arc iteration order exactly.  The
-    #: dict lives on the graph: for GraphCache-built graphs it is the
-    #: cache's persistent store, so slots whose arc lists were reused
-    #: unchanged keep their prepared tuples across consecutive builds.
+    #: filter, the formatted name suffix — is computed once per slot,
+    #: keyed by link, and replayed per request as plain tuple unpacking.
+    #: Filtering at prep time preserves the legacy per-arc iteration
+    #: order exactly.  The dict lives on the graph: for GraphCache-built
+    #: graphs it is the cache's persistent store, so slots whose arc
+    #: lists were reused unchanged keep their prepared tuples across
+    #: consecutive builds.
     prepared = graph.assembly_prep
 
-    def _prep(slot: int) -> list:
-        entries = []
+    def _prep(slot: int) -> dict:
+        entries = {}
         for arc in by_slot.get(slot, ()):
             transit = arc.kind is transit_kind
             if transit and arc.capacity <= 0:
                 continue  # fully committed link-slot: no variable
             src, dst = arc.src, arc.dst
-            entries.append(
-                (transit, src, dst, f"{src},{dst},{slot}]", arc, id(arc))
+            entries[src, dst] = (
+                transit, src, dst, f"{src},{dst},{slot}]", arc, id(arc)
             )
         prepared[slot] = entries
         return entries
 
-    def _emit_request_rows(request, rid, first, last_exclusive, balance):
-        """Source/sink/conservation rows from an assembled balance map."""
+    # A file's whole window structure — name suffixes, arc order,
+    # balance-row template — is a pure function of (arc set, first,
+    # last): build it once and replay it per request with C-speed
+    # comprehensions.  With no arc set every prepared arc is admitted;
+    # with one, its members are looked up among the slot's prepared arcs
+    # in the same construction order the reference's filter keeps.
+    templates: Dict[tuple, tuple] = {}
+
+    def _template(arc_set: Optional[ArcSet], first: int, last: int) -> tuple:
+        suffixes: List[str] = []
+        arcs: List[Arc] = []
+        transit_offs: List[Tuple[int, Arc, int]] = []
+        storage_offs: List[Tuple[int, Arc, int, int]] = []
+        rows: Dict[int, List[Tuple[int, float]]] = {}
+        off = 0
+        for slot in range(first, last):
+            entries = prepared.get(slot) or _prep(slot)
+            if arc_set is None:
+                chosen = entries.values()
+            else:
+                chosen = [
+                    entries[key]
+                    for key in arc_set.keys_at(slot - first, last - slot - 1)
+                    if key in entries
+                ]
+            for transit, src, dst, suffix, arc, aid in chosen:
+                suffixes.append(suffix)
+                arcs.append(arc)
+                if transit:
+                    transit_offs.append((off, arc, aid))
+                else:
+                    storage_offs.append((off, arc, aid, src))
+                rows.setdefault(src * stride + slot, []).append((off, 1.0))
+                rows.setdefault(dst * stride + slot + 1, []).append((off, -1.0))
+                off += 1
+        tmpl = (suffixes, arcs, transit_offs, storage_offs, list(rows.items()))
+        templates[(arc_set, first, last)] = tmpl
+        return tmpl
+
+    for request, arc_set in zip(requests, arc_sets):
+        rid = request.request_id
+        destination = request.destination
+        first, last = graph.request_window(request)
+        tmpl = templates.get((arc_set, first, last)) or _template(arc_set, first, last)
+        suffixes, arcs, transit_offs, storage_offs, row_items = tmpl
+
+        base = len(variables)
+        prefix = f"M[{rid},"
+        new_vars = [
+            make_var(prefix + suffix, base + off, 0.0, inf, mid)
+            for off, suffix in enumerate(suffixes)
+        ]
+        variables.extend(new_vars)
+        flow_items.extend(zip(repeat(rid), arcs, new_vars))
+
+        for off, arc, aid in transit_offs:
+            entry = get_arc_entry(aid)
+            if entry is None:
+                arc_users[aid] = (arc, [new_vars[off]])
+            else:
+                entry[1].append(new_vars[off])
+        for off, arc, aid, src in storage_offs:
+            if src == destination:
+                continue
+            entry = get_store_entry(aid)
+            if entry is None:
+                storage_users[aid] = (arc, [new_vars[off]])
+            else:
+                entry[1].append(new_vars[off])
+
+        balance = {
+            key: {base + off: coef for off, coef in pairs}
+            for key, pairs in row_items
+        }
         source = request.source * stride + first
-        sink = request.destination * stride + last_exclusive
+        sink = destination * stride + last
         if source not in balance:
-            raise SchedulingError(
+            raise no_exit_error(
                 f"file {rid}: no admissible arc leaves its source; "
                 "the problem is trivially infeasible"
             )
@@ -514,172 +557,57 @@ def _assemble_fast(
                 )
             constraints.append(con)
 
-    if not dest_only:
-        # STORAGE_FULL admits every prepared arc, so a whole window's
-        # structure — name suffixes, arc order, balance-row template —
-        # is a pure function of (first, last): build it once per window
-        # and replay it per request with C-speed comprehensions.  Every
-        # produced object matches the per-pair loop below element for
-        # element (same offsets, same insertion orders).
-        window_cache: Dict[Tuple[int, int], tuple] = {}
+    def le_row(users, bound, name):
+        con = Constraint(
+            _lin({var.index: 1.0 for var in users}, -float(bound), mid),
+            Sense.LE, name,
+        )
+        constraints.append(con)
+        return con
 
-        def _window_template(first: int, last: int) -> tuple:
-            suffixes: List[str] = []
-            arcs: List[Arc] = []
-            transit_offs: List[Tuple[int, Arc, int]] = []
-            storage_offs: List[Tuple[int, Arc, int, int]] = []
-            rows: Dict[int, List[Tuple[int, float]]] = {}
-            off = 0
-            for slot in range(first, last):
-                entries = prepared.get(slot)
-                if entries is None:
-                    entries = _prep(slot)
-                for transit, src, dst, suffix, arc, aid in entries:
-                    suffixes.append(suffix)
-                    arcs.append(arc)
-                    if transit:
-                        transit_offs.append((off, arc, aid))
-                    else:
-                        storage_offs.append((off, arc, aid, src))
-                    tail = src * stride + slot
-                    head = dst * stride + slot + 1
-                    lst = rows.get(tail)
-                    if lst is None:
-                        rows[tail] = [(off, 1.0)]
-                    else:
-                        lst.append((off, 1.0))
-                    lst = rows.get(head)
-                    if lst is None:
-                        rows[head] = [(off, -1.0)]
-                    else:
-                        lst.append((off, -1.0))
-                    off += 1
-            tmpl = (suffixes, arcs, transit_offs, storage_offs, list(rows.items()))
-            window_cache[(first, last)] = tmpl
-            return tmpl
+    def charge_row(x, users, committed, name):
+        coeffs = {x.index: 1.0}
+        for var in users:
+            coeffs[var.index] = -1.0
+        constraints.append(
+            Constraint(_lin(coeffs, -float(committed), mid), Sense.GE, name)
+        )
 
-        for request in requests:
-            rid = request.request_id
-            destination = request.destination
-            first, last_exclusive = graph.request_window(request)
-            tmpl = window_cache.get((first, last_exclusive))
-            if tmpl is None:
-                tmpl = _window_template(first, last_exclusive)
-            suffixes, arcs, transit_offs, storage_offs, row_items = tmpl
+    return _finish(
+        state, model, graph, requests, flow_items,
+        arc_users.values(), storage_users.values(), le_row, charge_row,
+        *pricing,
+    )
 
-            base = nvar
-            prefix = f"M[{rid},"
-            new_vars = [
-                make_var(prefix + suffix, base + off, 0.0, inf, mid)
-                for off, suffix in enumerate(suffixes)
-            ]
-            nvar = base + len(new_vars)
-            variables.extend(new_vars)
-            flow_items.extend(zip(repeat(rid), arcs, new_vars))
 
-            for off, arc, aid in transit_offs:
-                var = new_vars[off]
-                entry = get_arc_entry(aid)
-                if entry is None:
-                    arc_users[aid] = (arc, [var])
-                else:
-                    entry[1].append(var)
-            for off, arc, aid, src in storage_offs:
-                if src == destination:
-                    continue
-                var = new_vars[off]
-                entry = get_store_entry(aid)
-                if entry is None:
-                    storage_users[aid] = (arc, [var])
-                else:
-                    entry[1].append(var)
-
-            balance = {
-                key: {base + off: coef for off, coef in pairs}
-                for key, pairs in row_items
-            }
-            _emit_request_rows(request, rid, first, last_exclusive, balance)
-    else:
-        for request in requests:
-            rid = request.request_id
-            destination = request.destination
-            first, last_exclusive = graph.request_window(request)
-            prefix = f"M[{rid},"
-            balance: Dict[int, Dict[int, float]] = {}
-            for slot in range(first, last_exclusive):
-                entries = prepared.get(slot)
-                if entries is None:
-                    entries = _prep(slot)
-                for transit, src, dst, suffix, arc, aid in entries:
-                    if not transit and src != destination:
-                        continue  # destination_only: no relay buffering
-                    index = nvar
-                    nvar = index + 1
-                    var = make_var(prefix + suffix, index, 0.0, inf, mid)
-                    add_var(var)
-                    add_flow((rid, arc, var))
-                    if transit:
-                        entry = get_arc_entry(aid)
-                        if entry is None:
-                            arc_users[aid] = (arc, [var])
-                        else:
-                            entry[1].append(var)
-                    elif src != destination:
-                        entry = get_store_entry(aid)
-                        if entry is None:
-                            storage_users[aid] = (arc, [var])
-                        else:
-                            entry[1].append(var)
-                    tail = src * stride + slot
-                    head = dst * stride + slot + 1
-                    row = balance.get(tail)
-                    if row is None:
-                        balance[tail] = {index: 1.0}
-                    else:
-                        row[index] = 1.0
-                    row = balance.get(head)
-                    if row is None:
-                        balance[head] = {index: -1.0}
-                    else:
-                        row[index] = -1.0
-
-            _emit_request_rows(request, rid, first, last_exclusive, balance)
-
+def _finish(
+    state, model, graph, requests, flow_items, arc_users, storage_users,
+    le_row, charge_row, storage_capacity, storage_price, cost_fn_factory,
+    charge_exempt, charged_volume_fn, predicted_volume_fn,
+) -> PostcardModel:
+    """Everything after the flow rows, shared by both assemblers; each
+    brings its ``(arc, variables)`` pairs in first-use order and its way
+    of writing a row: ``le_row(users, bound, name)`` adds ``sum(users) <=
+    bound`` and returns the constraint, ``charge_row(x, users, committed,
+    name)`` adds ``x >= sum(users) + committed``."""
+    inf = float("inf")
     # Capacity rows: aggregate new traffic within residual capacity.
-    capacity_rows: Dict[Tuple[int, int, int], object] = {}
-    for arc, users in arc_users.values():
-        if arc.capacity != inf:
-            con = Constraint(
-                _lin({var.index: 1.0 for var in users}, -float(arc.capacity), mid),
-                Sense.LE,
-                f"cap[{arc.src},{arc.dst},{arc.slot}]",
-            )
-            constraints.append(con)
-            capacity_rows[(arc.src, arc.dst, arc.slot)] = con
-
+    capacity_rows = {
+        (arc.src, arc.dst, arc.slot): le_row(
+            users, arc.capacity, f"cap[{arc.src},{arc.dst},{arc.slot}]"
+        )
+        for arc, users in arc_users
+        if arc.capacity != inf
+    }
     # Storage rows: per-datacenter buffer capacity for in-transit data.
     if storage_capacity != inf:
-        for arc, users in storage_users.values():
-            constraints.append(
-                Constraint(
-                    _lin({var.index: 1.0 for var in users},
-                         -float(storage_capacity), mid),
-                    Sense.LE,
-                    f"store[{arc.src},{arc.slot}]",
-                )
-            )
+        for arc, users in storage_users:
+            le_row(users, storage_capacity, f"store[{arc.src},{arc.slot}]")
 
     # Charge rows: one X_ij per overlay link that new traffic can use.
     by_link: Dict[Tuple[int, int], Dict[int, List[Variable]]] = {}
-    for arc, users in arc_users.values():
-        slots = by_link.get(arc.link_key)
-        if slots is None:
-            slots = by_link[arc.link_key] = {}
-        slot_users = slots.get(arc.slot)
-        if slot_users is None:
-            slots[arc.slot] = list(users)
-        else:
-            slot_users.extend(users)
+    for arc, users in arc_users:
+        by_link.setdefault(arc.link_key, {}).setdefault(arc.slot, []).extend(users)
 
     charge_vars: Dict[Tuple[int, int], Variable] = {}
     objective_terms: List[Tuple[float, Variable]] = []
@@ -695,10 +623,7 @@ def _assemble_fast(
         if key not in by_link:
             fixed_cost += cost_fn(prior) if cost_fn else link.price * prior
             continue
-        index = len(variables)
-        x = Variable(f"X[{key[0]},{key[1]}]", index, float(prior), inf, mid)
-        variables.append(x)
-        charge_vars[key] = x
+        x = charge_vars[key] = model.add_variable(f"X[{key[0]},{key[1]}]", lb=prior)
         # One volumes-map fetch per link instead of one ledger call per
         # row; ``volumes.get(slot, 0.0)`` is exactly committed_volume().
         committed_map = state.ledger.usage(key[0], key[1]).volumes
@@ -708,16 +633,7 @@ def _assemble_fast(
             committed = committed_map.get(slot, 0.0)
             if predicted_volume_fn is not None:
                 committed += predicted_volume_fn(key[0], key[1], slot)
-            coeffs = {index: 1.0}
-            for var in users:
-                coeffs[var.index] = -1.0
-            constraints.append(
-                Constraint(
-                    _lin(coeffs, -float(committed), mid),
-                    Sense.GE,
-                    f"chg[{key[0]},{key[1]},{slot}]",
-                )
-            )
+            charge_row(x, users, committed, f"chg[{key[0]},{key[1]},{slot}]")
         if cost_fn is None:
             objective_terms.append((link.price, x))
         else:
@@ -728,21 +644,15 @@ def _assemble_fast(
     # Metered storage cost: price per GB-slot of in-transit buffering.
     storage_terms: List[Tuple[float, Variable]] = []
     if storage_price > 0.0:
-        for _arc, users in storage_users.values():
+        for _arc, users in storage_users:
             storage_terms.extend((storage_price, var) for var in users)
 
     model.minimize(
         LinExpr.from_terms(objective_terms + storage_terms, constant=fixed_cost)
     )
-
     return PostcardModel(
-        model,
-        graph,
-        list(requests),
-        flow_items,
-        charge_vars,
-        fixed_cost,
-        capacity_rows=capacity_rows,
+        model, graph, list(requests), flow_items, charge_vars, fixed_cost,
+        capacity_rows,
     )
 
 

@@ -6,21 +6,20 @@ jointly by one LP over the time-expanded graph, minimizing the
 increase of the charged volumes ``X_ij`` on top of everything already
 committed.
 
-History: the seed PR introduced the from-scratch per-slot pipeline
-(fresh graph, operator-algebra assembly, cold solves); PR 3 made that
-pipeline incremental — :class:`~repro.timeexp.cache.GraphCache` reuse
-and direct assembly — behind an ``incremental=`` flag that defaults on;
-PR 4's :class:`~repro.heuristic.hybrid.HybridScheduler` reuses this
-scheduler unchanged as its escalation lane.
+The pipeline is incremental by default
+(:class:`~repro.timeexp.cache.GraphCache` reuse and direct assembly,
+behind ``incremental=``); :class:`~repro.heuristic.hybrid.HybridScheduler`
+uses this scheduler as its escalation lane and hands it per-file arc
+sets (see :meth:`PostcardScheduler.plan_slot`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import InfeasibleError
-from repro.core.formulation import STORAGE_FULL, build_postcard_model
+from repro.core.formulation import STORAGE_FULL, ArcSet, build_postcard_model
 from repro.core.interfaces import (  # the constants are re-exported here
     ON_INFEASIBLE_DROP,
     ON_INFEASIBLE_RAISE,
@@ -158,6 +157,8 @@ class PostcardScheduler(Scheduler):
         #: when active, its predictions join the committed volume in
         #: the LP's charge rows (never the capacity rows).
         self.forecast = None
+        #: Slots whose pruned model was infeasible (see :meth:`plan_slot`).
+        self.widened = 0
 
     @property
     def state(self) -> NetworkState:
@@ -168,7 +169,10 @@ class PostcardScheduler(Scheduler):
             return TransferSchedule()
         return self.commit_plan(self.plan_slot(slot, requests))
 
-    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> LpPlan:
+    def plan_slot(
+        self, slot: int, requests: List[TransferRequest],
+        arc_sets: Optional[Sequence[Optional[ArcSet]]] = None,
+    ) -> LpPlan:
         """Solve the slot without committing anything.
 
         Pure with respect to :class:`NetworkState`: rejections decided
@@ -178,8 +182,20 @@ class PostcardScheduler(Scheduler):
         result with :meth:`commit_plan`, or drop it on the floor — e.g.
         when the solver watchdog times the slot out — and the ledger
         never knows the solve happened.
+
+        ``arc_sets`` (one per request, see :func:`build_postcard_model`)
+        prunes the model under one rule, **widen before shed**: an
+        infeasible pruned batch is solved once more on the full model
+        and shedding only ever runs there, so from a given state no file
+        is refused that the full model would admit.
         """
         self._check_released_at(slot, requests)
+        if arc_sets and any(arc_sets):
+            try:
+                return LpPlan(slot, self._solve(requests, arc_sets), list(requests), [])
+            except InfeasibleError:
+                self.widened += 1
+                obs.counter("hybrid.lp_widened", slot=slot)
         if self.on_infeasible == ON_INFEASIBLE_RAISE:
             return LpPlan(slot, self._solve(requests), list(requests), [])
         recorder = _RejectRecorder()
@@ -197,7 +213,7 @@ class PostcardScheduler(Scheduler):
         self._state.commit(plan.schedule, plan.accepted)
         return plan.schedule
 
-    def _solve(self, requests: List[TransferRequest]) -> TransferSchedule:
+    def _solve(self, requests, arc_sets=None) -> TransferSchedule:
         with obs.span("scheduler.solve", scheduler=self.name,
                       requests=len(requests)):
             forecast = self.forecast
@@ -219,6 +235,7 @@ class PostcardScheduler(Scheduler):
                     predicted_volume_fn=predicted_volume_fn,
                     graph_cache=self._graph_cache,
                     assembly="fast" if self.incremental else "legacy",
+                    arc_sets=arc_sets,
                 )
             schedule, solution = built.solve(backend=self.backend)
         self.last_objective = solution.objective

@@ -16,9 +16,14 @@ admissions) on the table:
 
 Both lanes share one :class:`~repro.core.state.NetworkState` — one
 ledger, one bill — so escalated slots see everything the fast lane
-committed and vice versa.  The LP lane is a full
-:class:`~repro.core.scheduler.PostcardScheduler`, so escalations reuse
-the PR 3 fast path: incremental graph reuse across escalations.
+committed and vice versa.  The LP lane is a
+:class:`~repro.core.scheduler.PostcardScheduler` fed from the fast
+lane's :class:`~repro.heuristic.paths.CandidatePathIndex`: a file's LP
+variables exist only on the arcs of the paths the index knows for it (so
+the fast lane's plan stays a feasible point), a file the fast lane could
+not place there keeps the paper's full subgraph, and a batch the pruned
+model cannot fit is solved once more on the full model before anything
+is shed (``hybrid.lp_widened``).
 
 Escalations are observable: the ``hybrid.escalations`` /
 ``hybrid.fast_slots`` counters and the ``hybrid.escalate`` span stream
@@ -41,6 +46,9 @@ from repro.heuristic.fastlane import FastLaneScheduler
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.traffic.spec import TransferRequest
+
+#: ``lp_arcs`` of a WAL commit record whose LP slot was path-pruned.
+LP_ARCS_PATHS = "paths"
 
 
 class HybridScheduler(Scheduler):
@@ -181,6 +189,11 @@ class HybridScheduler(Scheduler):
             self.forecast.bind(state)
 
     @property
+    def lp_widened(self) -> int:
+        """Escalated slots the LP lane re-solved on the full arc set."""
+        return self._lp.widened
+
+    @property
     def fast_lane(self) -> FastLaneScheduler:
         return self._fast
 
@@ -213,10 +226,37 @@ class HybridScheduler(Scheduler):
             The committed schedule, from whichever lane handled the
             slot.
         """
+        return self._run_slot(slot, requests, None, None)
+
+    def wal_fields(self, lane: str) -> dict:
+        """What the broker journals beside a slot's ``lane``: LP slots
+        are solved on path-pruned arc sets (widening included)."""
+        return {"lp_arcs": LP_ARCS_PATHS} if lane == "lp" else {}
+
+    def replay_slot(
+        self, slot: int, requests: List[TransferRequest],
+        lane: str, record: Optional[dict] = None,
+    ) -> TransferSchedule:
+        """Re-run one slot on the lane its WAL commit ``record`` names.
+
+        Crash recovery must reproduce *placements*, not re-decide them:
+        a degraded slot was placed by the fast lane even though it was
+        escalation-worthy, and replaying it through the pressure test
+        would route it to the LP and diverge the ledger.  Forcing the
+        recorded lane keeps replay deterministic under any watchdog
+        history.  An ``lp`` record without :meth:`wal_fields`' entry
+        predates arc pruning and replays on the full model; with it, the
+        fast lane re-plans first, so replay prunes what the live slot did.
+        """
+        return self._run_slot(slot, requests, lane, (record or {}).get("lp_arcs"))
+
+    def _run_slot(self, slot, requests, lane, lp_arcs) -> TransferSchedule:
+        """The forecast lifecycle around :meth:`_dispatch`, live or replayed:
+        a provider retrains to the state it held when the WAL was written."""
         forecast = self.forecast
         if forecast is not None:
             forecast.begin_slot(slot)
-        schedule = self._dispatch(slot, requests)
+        schedule = self._dispatch(slot, requests, lane, lp_arcs)
         if forecast is not None:
             # Observe *after* commit so the slot's own placements are
             # part of the actual the predictors train on.  Empty-request
@@ -226,17 +266,25 @@ class HybridScheduler(Scheduler):
             forecast.observe_slot(slot, requests, self.state)
         return schedule
 
-    def _dispatch(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
+    def _dispatch(self, slot, requests, lane, lp_arcs) -> TransferSchedule:
         """Route one slot through the fast lane or the LP."""
         if not requests:
             return TransferSchedule()
         plan = self._fast.plan_slot(slot, requests)
-        rejected = bool(plan.rejected) and self.escalate_on_rejection
-        pressured = plan.peak_utilization > self.escalate_utilization
-        if rejected or pressured:
-            return self._escalate(slot, requests, plan)
+        if lane is None:
+            rejected = bool(plan.rejected) and self.escalate_on_rejection
+            pressured = plan.peak_utilization > self.escalate_utilization
+            if rejected or pressured:
+                return self._escalate(slot, requests, plan)
+            obs.counter("hybrid.fast_slots")
+        elif lane == "lp":
+            self.escalations += 1
+            sets = self._arc_sets(requests, plan) if lp_arcs == LP_ARCS_PATHS else None
+            return self._lp.commit_plan(self._lp.plan_slot(slot, requests, sets))
+        elif lane == "degraded":
+            self.degraded += 1
+            return self._fast.commit_plan(plan)
         self.fast_slots += 1
-        obs.counter("hybrid.fast_slots")
         with obs.span(
             "hybrid.fastpath",
             slot=slot,
@@ -245,45 +293,21 @@ class HybridScheduler(Scheduler):
         ):
             return self._fast.commit_plan(plan)
 
-    def replay_slot(
-        self, slot: int, requests: List[TransferRequest], lane: str
-    ) -> TransferSchedule:
-        """Re-run one slot on the lane the WAL commit record names.
-
-        Crash recovery must reproduce *placements*, not re-decide them:
-        a degraded slot was placed by the fast lane even though it was
-        escalation-worthy, and replaying it through the pressure test
-        would route it to the LP and diverge the ledger.  Forcing the
-        recorded lane keeps replay deterministic under any watchdog
-        history.  The forecast lifecycle mirrors :meth:`on_slot` so a
-        provider attached before replay retrains to the same state it
-        held when the WAL was written.
-        """
-        forecast = self.forecast
-        if forecast is not None:
-            forecast.begin_slot(slot)
-        schedule = self._replay_dispatch(slot, requests, lane)
-        if forecast is not None:
-            forecast.note_placements(schedule.entries)
-            forecast.observe_slot(slot, requests, self.state)
-        return schedule
-
-    def _replay_dispatch(
-        self, slot: int, requests: List[TransferRequest], lane: str
-    ) -> TransferSchedule:
-        if not requests:
-            return TransferSchedule()
-        if lane == "lp":
-            self.escalations += 1
-            return self._lp.on_slot(slot, requests)
-        plan = self._fast.plan_slot(slot, requests)
-        if lane == "degraded":
-            self.degraded += 1
-        else:
-            self.fast_slots += 1
-        return self._fast.commit_plan(plan)
-
     # -- escalation --------------------------------------------------------
+
+    def _arc_sets(self, requests, plan):
+        """Per file, the arcs of every path the shared index knows for
+        it; the full subgraph (``None``) for files the fast lane could
+        not place on those very paths, and under the storage ablation."""
+        if self._lp.storage != STORAGE_FULL:
+            return None
+        rejected = {request.request_id for request in plan.rejected}
+        index, schedule = self._fast._paths, self.state.link_schedule
+        return [
+            None if request.request_id in rejected
+            else index.arc_set(request, schedule)
+            for request in requests
+        ]
 
     def _escalate(self, slot, requests, plan) -> TransferSchedule:
         """Hand an escalation-worthy slot to the LP — watchdog allowing."""
@@ -307,16 +331,19 @@ class HybridScheduler(Scheduler):
             rejections=len(plan.rejected),
             peak_utilization=round(plan.peak_utilization, 4),
         ):
+            # On this thread: an abandoned solve must not share the index.
+            arc_sets = self._arc_sets(requests, plan)
             if not watchdog:
                 self._escalate_hook()
-                return self._lp.on_slot(slot, requests)
+                plan = self._lp.plan_slot(slot, requests, arc_sets)
+                return self._lp.commit_plan(plan)
 
             outcome = {}
 
             def solve() -> None:
                 try:
                     self._escalate_hook()
-                    outcome["plan"] = self._lp.plan_slot(slot, requests)
+                    outcome["plan"] = self._lp.plan_slot(slot, requests, arc_sets)
                 except BaseException as exc:  # delivered to the caller
                     outcome["error"] = exc
 

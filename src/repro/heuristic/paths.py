@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 import networkx as nx
 
 from repro.errors import SchedulingError
+from repro.core.formulation import ArcSet
 from repro.net.schedule import LinkSchedule
 from repro.net.topology import Topology
 
@@ -62,6 +63,8 @@ class CandidatePathIndex:
         #: schedule's answer: a slot's batch asks about the same few
         #: windows of the same links request after request.
         self._lit: Dict[Tuple[bool, int, int, int, int, int], bool] = {}
+        #: (src, dst, window-only paths) -> the pair's :class:`ArcSet`.
+        self._arc_sets: Dict[tuple, ArcSet] = {}
 
     def candidates(
         self,
@@ -109,6 +112,31 @@ class CandidatePathIndex:
             )
         )
         return usable[: self.max_paths]
+
+    def arc_set(self, request, schedule: Optional[LinkSchedule] = None):
+        """The LP view of everything the index holds for ``request``:
+        the arcs of all its cached static paths plus whatever
+        :meth:`candidates` adds for its window — a superset of what
+        admission can pick, so a model pruned to it always contains the
+        fast lane's plan.  ``None`` (prune nothing) when the static
+        search ran dry: the cache then holds every simple path, and a
+        set could only move the LP between equal-cost optima."""
+        src, dst = request.source, request.destination
+        base, extra = self._base_paths(src, dst), ()
+        if len(base) < 2 * self.max_paths:
+            return None
+        if schedule is not None and len(schedule):
+            window = (request.release_slot, request.last_slot + 1)
+            usable = self.candidates(src, dst, request.deadline_slots, schedule, window)
+            extra = tuple(tuple(path) for path in usable if path not in base)
+        key = (src, dst, extra)
+        if key not in self._arc_sets:
+            if len(self._arc_sets) >= _WINDOW_CACHE_LIMIT:
+                self._arc_sets.clear()
+            self._arc_sets[key] = ArcSet.from_paths(
+                self.topology, src, dst, [*base, *extra]
+            )
+        return self._arc_sets[key]
 
     # -- internals -------------------------------------------------------
 

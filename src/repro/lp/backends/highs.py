@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -81,7 +83,10 @@ class HighsBackend(Backend):
 
         duals = None
         if status is SolveStatus.OPTIMAL:
-            duals = self._extract_duals(model, problem, result)
+            # Resolved on first read: the scheduling path never asks, and
+            # the row walk costs more than a compile.  (Binds the
+            # constraint list, not the model: no reference cycle.)
+            duals = partial(self._extract_duals, model.constraints, problem, result)
 
         return Solution(
             status, x, objective, model._id,
@@ -89,7 +94,7 @@ class HighsBackend(Backend):
         )
 
     @staticmethod
-    def _extract_duals(model, problem, result):
+    def _extract_duals(constraints, problem, result):
         """Map HiGHS marginals back to model-level shadow prices.
 
         GE constraints were negated into LE rows at compile time, so
@@ -105,7 +110,7 @@ class HighsBackend(Backend):
             return None  # solver variant without marginals
         duals = {}
         sign_global = -1.0 if problem.maximize else 1.0
-        for constraint, (kind, row, sign) in zip(model.constraints, problem.row_map):
+        for constraint, (kind, row, sign) in zip(constraints, problem.row_map):
             marginal = (
                 float(ineq.marginals[row]) if kind == "ub" else float(eq.marginals[row])
             )

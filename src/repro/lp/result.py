@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -36,7 +36,7 @@ class Solution:
         model_id: int,
         solver: str = "",
         iterations: int = 0,
-        duals: "dict | None" = None,
+        duals: "dict | Callable[[], dict | None] | None" = None,
     ):
         self.status = status
         self.x = x
@@ -45,8 +45,9 @@ class Solution:
         self.iterations = iterations
         self._model_id = model_id
         #: Maps id(constraint) -> dual value (d objective / d rhs), or
-        #: None when the backend does not report duals.
-        self._duals = duals
+        #: None when the backend does not report duals; a callable is a
+        #: deferred extraction, resolved by the first read.
+        self._dual_source = duals
 
     def value(self, item: Union[Variable, LinExpr, float, int]) -> float:
         """Evaluate a variable or linear expression at the optimum."""
@@ -63,6 +64,12 @@ class Solution:
                 total += coef * self.x[idx]
             return float(total)
         raise TypeError(f"cannot evaluate object of type {type(item).__name__}")
+
+    @property
+    def _duals(self) -> "dict | None":
+        if callable(self._dual_source):
+            self._dual_source = self._dual_source()
+        return self._dual_source
 
     @property
     def has_duals(self) -> bool:

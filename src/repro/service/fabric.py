@@ -479,7 +479,7 @@ class RelayTracker:
 _STAT_SUM_KEYS = (
     "submitted", "admitted", "rejected", "backpressured", "slots",
     "batches", "queue_depth", "escalations", "fast_slots", "degraded",
-    "lp_skipped", "checkpoints", "wal_records", "wal_bytes",
+    "lp_skipped", "lp_widened", "checkpoints", "wal_records", "wal_bytes",
     "snapshot_bytes", "cost_per_slot", "periods_banked",
 )
 #: Keys where the fleet figure is the furthest shard's.

@@ -234,7 +234,7 @@ class TransferBroker:
             ]
             lane = record.get("lane", "fast")
             if hasattr(self.scheduler, "replay_slot"):
-                self.scheduler.replay_slot(slot, requests, lane)
+                self.scheduler.replay_slot(slot, requests, lane, record)
             else:
                 self.scheduler.on_slot(slot, requests)
         self.decisions.update(record.get("decisions", {}))
@@ -538,6 +538,8 @@ class TransferBroker:
                 },
                 "counts": dict(self.counts),
                 "lane": lane,
+                # Scheduler-owned fields, read back by its replay_slot.
+                **getattr(self.scheduler, "wal_fields", lambda lane: {})(lane),
             })
         if self.store and (
             self.draining or self.next_slot % self.config.checkpoint_every == 0
@@ -669,6 +671,7 @@ class TransferBroker:
             "fast_slots": getattr(self.scheduler, "fast_slots", 0),
             "degraded": getattr(self.scheduler, "degraded", 0),
             "lp_skipped": getattr(self.scheduler, "lp_skipped", 0),
+            "lp_widened": getattr(self.scheduler, "lp_widened", 0),
             "wal": bool(self.store and self.store.wal_enabled),
             "windowed_links": (
                 len(self.link_schedule) if self.link_schedule else 0

@@ -23,7 +23,8 @@ Record types the broker writes (:mod:`repro.service.slotloop`)::
 
     {"type": "admit",  "entry": {..pending payload..}, "submitted": n}
     {"type": "commit", "slot": t, "batch": [client ids],
-     "decisions": {id: record}, "counts": {...}, "lane": "fast|lp|degraded"}
+     "decisions": {id: record}, "counts": {...}, "lane": "fast|lp|degraded",
+     "lp_arcs": "paths"}   # lp records only; absent = solved on the full model
 
 ``admit`` is fsync'd before the submission is acknowledged as pending;
 ``commit`` is fsync'd before any of the slot's decisions are released

@@ -77,7 +77,7 @@ class GraphCache:
         #: slot -> fast-assembler prepared tuples, valid exactly as long
         #: as the slot's arc list above is reused unchanged.  Handed to
         #: every built graph (see TimeExpandedGraph.assembly_prep).
-        self._slot_prep: Dict[int, list] = {}
+        self._slot_prep: Dict[int, dict] = {}
         #: Lifetime tallies (also mirrored to obs counters).
         self.reused_arcs = 0
         self.refreshed_arcs = 0

@@ -113,7 +113,7 @@ class TimeExpandedGraph:
         #: replaces this with its own persistent dict so prepared slots
         #: survive across consecutive builds; entries are dropped there
         #: whenever a slot's arc list is refreshed.
-        self.assembly_prep: Dict[int, list] = {}
+        self.assembly_prep: Dict[int, dict] = {}
 
         if _slot_arcs is not None:
             # Construction from a GraphCache's per-slot arc lists; the

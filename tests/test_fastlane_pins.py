@@ -7,6 +7,18 @@ the per-slot window table replaced ``_plan_on_path`` / ``_alap_hop`` /
 multi-slot stream and pins the decision vector, the escalation signal
 and a hash of every ledger cell and charged peak — bit for bit, because
 a placement that moves by one ulp can flip a later tie.
+``hybrid_escalations`` alone was re-recorded at PR 16, whose LP lane
+prunes each file to its candidate-path arcs — an intended placement
+change on escalated slots; the six fast-lane-only scenarios still hold
+the bits of the original recording.  The re-recording **lost an
+admission**: the full-model lane admitted all 120 requests of that
+stream, the pruned lane refuses request 110 (slot 9, 1 -> 6, 24.5 GB,
+one slot to live) because a slot-5 file it parked on link (1, 6) at
+slot 9 left 15.6 GB there.  Widen-before-shed holds slot by slot (the
+full model refuses it too from that ledger, ``tests/test_lp_arcs.py``);
+a stream-level guarantee does not exist, and
+``test_escalating_stream_loses_only_the_documented_admission`` keeps
+any further loss from hiding inside a re-recorded hash.
 
 The bits depend on the interpreter's float ``sum`` (left-to-right up to
 CPython 3.11, compensated from 3.12) and, for the escalating scenario,
@@ -221,3 +233,10 @@ if __name__ == "__main__":
         indent=1,
     ) + "\n")
     print(f"recorded {len(SCENARIOS)} scenarios into {PINS}")
+
+
+def test_escalating_stream_loses_only_the_documented_admission(pins):
+    """The lane before PR 16 refused nothing on this stream; see the
+    module docstring for the one request the pruned lane does."""
+    decisions = pins["scenarios"]["hybrid_escalations"]["decisions"]
+    assert [n for n, slot in enumerate(decisions) if slot == -1] == [110]

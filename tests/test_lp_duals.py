@@ -50,6 +50,28 @@ def test_slack_constraint_has_zero_dual():
     assert solution.dual(slack) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_duals_are_extracted_on_first_read_only(monkeypatch):
+    """The scheduling path never reads duals, so a solve must not pay
+    the per-row walk; the first read resolves them, once."""
+    from repro.lp.backends.highs import HighsBackend
+
+    calls = []
+    extract = HighsBackend._extract_duals
+    monkeypatch.setattr(
+        HighsBackend, "_extract_duals",
+        staticmethod(lambda *args: calls.append(1) or extract(*args)),
+    )
+    m = Model()
+    x = m.add_variable("x")
+    con = m.add_constraint(x >= 4)
+    m.minimize(3 * x)
+    solution = m.solve()
+    assert solution.value(x) == pytest.approx(4.0) and not calls
+    assert solution.dual(con) == pytest.approx(3.0)
+    assert solution.has_duals and solution.dual(con) == pytest.approx(3.0)
+    assert len(calls) == 1
+
+
 def test_simplex_backend_has_no_duals():
     m = Model()
     x = m.add_variable("x")
