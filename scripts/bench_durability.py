@@ -7,19 +7,25 @@ fixed synthetic workload at growing request counts and measures the
 
 * ``wal`` — the PR-7 write-ahead log (``wal=True``): every admission
   and slot commit appends one O(1)-sized fsync'd record; periodic
-  compaction rewrites the snapshot but amortizes it over
+  compaction appends the new decisions to the decision journal and
+  rewrites the (state-only) snapshot, amortized over
   ``checkpoint_every`` slots.
 * ``legacy`` — the pre-WAL discipline (``wal=False``,
-  ``checkpoint_every=1``): every processed slot rewrites the full
-  snapshot, whose size grows with the decision history, so total
-  durable bytes are quadratic in the request count.
+  ``checkpoint_every=1``): every processed slot journals its decisions
+  and rewrites the full snapshot, whose ledger cells and completions
+  still grow with history, so total durable bytes grow faster than the
+  request count.
+
+*Durable bytes* are everything the store fsyncs — WAL + journal +
+snapshots — in both modes (before PR 17 the WAL column left the
+compaction snapshots out, which at 1,000 requests outweighed the log).
 
 Writes a ``BENCH_durability.json`` record and gates the acceptance
 claims from docs/ROBUSTNESS.md:
 
-* WAL bytes/request stay under ``--max-wal-bytes`` (default 4096) at
-  the largest point (1000+ requests);
-* WAL bytes/request are flat in N (largest/smallest ratio under
+* WAL-mode bytes/request stay under ``--max-wal-bytes`` (default
+  4096) at the largest point (1000+ requests);
+* WAL-mode bytes/request are flat in N (largest/smallest ratio under
   ``--max-growth``, default 1.25) — the O(1) claim;
 * legacy snapshot bytes/request *grow* with N (ratio above 1.5), the
   contrast that motivates the WAL.
@@ -112,16 +118,16 @@ def run_mode(count: int, batch: int, workdir: str, *, wal: bool,
     elapsed = time.perf_counter() - started
 
     stats = broker.stats()
-    wal_bytes = stats.get("wal_bytes", 0)
-    snapshot_bytes = stats.get("snapshot_bytes", 0)
-    durable = wal_bytes if wal else snapshot_bytes
+    durable = stats["wal_bytes"] + stats["journal_bytes"] + stats["snapshot_bytes"]
     out = {
         "requests": count,
         "slots": broker.next_slot,
         "decided": len(broker.decisions),
         "durable_bytes": durable,
         "bytes_per_request": round(durable / count, 2),
-        "snapshot_bytes": snapshot_bytes,
+        "wal_bytes": stats["wal_bytes"],
+        "journal_bytes": stats["journal_bytes"],
+        "snapshot_bytes": stats["snapshot_bytes"],
         "checkpoints": stats.get("checkpoints", 0),
         "seconds": round(elapsed, 4),
     }

@@ -28,16 +28,20 @@ from repro.net.topology import Topology
 PathLike = Union[str, Path]
 
 _VERSION = 1
-#: Version 2 added the ``checksum`` header field (CRC-32 over the
-#: canonical body); version-1 snapshots (no checksum) still load.
-_SNAPSHOT_VERSION = 2
+#: Version 3 is encoded once: the trailing ``checksum`` is the CRC-32 of
+#: the compact text before it, and the service's decision log lives in a
+#: journal beside the snapshot (``meta["decisions_mark"]``).  Version 2
+#: (checksum over a second, canonical dump; inline ``meta["decisions"]``)
+#: and version 1 (no checksum) still load.
+_SNAPSHOT_VERSION = 3
+_CHECKSUM_KEY = ',"checksum":'
 
 #: Snapshot versions :func:`snapshot_from_json` accepts.
-_SNAPSHOT_READABLE_VERSIONS = (1, 2)
+_SNAPSHOT_READABLE_VERSIONS = (1, 2, 3)
 
 
 def _payload_checksum(payload: Dict[str, Any]) -> int:
-    """CRC-32 of a payload's canonical JSON form (checksum field aside)."""
+    """Version 2's CRC-32: over the canonical form, checksum field aside."""
     body = {k: v for k, v in payload.items() if k != "checksum"}
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return zlib.crc32(canonical.encode("utf-8"))
@@ -145,12 +149,17 @@ def state_from_json(text: str, topology: Topology) -> NetworkState:
     Rejected files are restored as fresh :class:`TransferRequest`
     objects (ids are process-local).
     """
-    from repro.traffic.spec import TransferRequest
-
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchedulingError(f"checkpoint is not valid JSON: {exc}") from exc
+    return state_from_payload(payload, topology)
+
+
+def state_from_payload(payload: Dict[str, Any], topology: Topology) -> NetworkState:
+    """:func:`state_from_json` on already-parsed data (snapshots embed it)."""
+    from repro.traffic.spec import TransferRequest
+
     if payload.get("kind") != "postcard-state":
         raise SchedulingError("not a postcard state checkpoint")
     if payload.get("version") != _VERSION:
@@ -250,8 +259,9 @@ def snapshot_to_json(
         "request_id_watermark": peek_next_request_id(),
         "meta": dict(meta or {}),
     }
-    payload["checksum"] = _payload_checksum(payload)
-    return json.dumps(payload, indent=1)
+    # One pass of the C encoder: ``indent`` would force the pure-Python one.
+    body = json.dumps(payload, separators=(",", ":"))
+    return f"{body[:-1]}{_CHECKSUM_KEY}{zlib.crc32(body.encode('utf-8'))}}}"
 
 
 def snapshot_from_json(text: str, topology: Topology) -> ServiceSnapshot:
@@ -278,14 +288,18 @@ def snapshot_from_json(text: str, topology: Topology) -> ServiceSnapshot:
         )
     if version >= 2:
         recorded = payload.get("checksum")
-        expected = _payload_checksum(payload)
+        if version == 2:
+            expected = _payload_checksum(payload)
+        else:
+            body = text.rpartition(_CHECKSUM_KEY)[0] + "}"
+            expected = zlib.crc32(body.encode("utf-8"))
         if recorded != expected:
             raise SchedulingError(
                 f"snapshot checksum mismatch (recorded {recorded!r}, "
                 f"computed {expected}): the file is corrupt or was "
                 "hand-edited; recovery should fall back a generation"
             )
-    state = state_from_json(json.dumps(payload["state"]), topology)
+    state = state_from_payload(payload["state"], topology)
     ensure_request_ids_above(int(payload.get("request_id_watermark", 0)))
     return ServiceSnapshot(
         state=state,

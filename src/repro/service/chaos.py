@@ -30,6 +30,7 @@ Crash-point names currently wired::
 
     wal.pre_write | wal.pre_fsync | wal.post_fsync      (wal.append)
     wal.append                                          (mangle tap)
+    journal.pre_write | .pre_fsync | .post_fsync        (decision journal)
     checkpoint.pre_write | checkpoint.pre_fsync
     checkpoint.pre_rename | checkpoint.post_rename      (atomic_write)
     commit.pre_ack                                      (slot loop)
@@ -209,6 +210,9 @@ DEFAULT_CRASH_POINTS = (
     "wal.pre_write",
     "wal.pre_fsync",
     "wal.post_fsync",
+    "journal.pre_write",
+    "journal.pre_fsync",
+    "journal.post_fsync",
     "checkpoint.pre_write",
     "checkpoint.pre_fsync",
     "checkpoint.pre_rename",
@@ -239,7 +243,7 @@ def _drill_batches() -> List[List[Dict[str, Any]]]:
     return batches
 
 
-def _drill_config(checkpoint_dir: str, wal: bool = True):
+def _drill_config(checkpoint_dir: str):
     from repro.service.config import ServiceConfig
 
     return ServiceConfig(
@@ -250,7 +254,7 @@ def _drill_config(checkpoint_dir: str, wal: bool = True):
         tick_seconds=0.0,
         checkpoint_dir=checkpoint_dir,
         checkpoint_every=1,
-        wal=wal,
+        wal=True,
     )
 
 
@@ -295,16 +299,12 @@ def _books(broker) -> Dict[str, Any]:
     }
 
 
-def run_crash_matrix(
-    base_dir: str,
-    points: Optional[List[str]] = None,
-    crash_at: int = 2,
-) -> Dict[str, Any]:
+def run_crash_matrix(base_dir: str) -> Dict[str, Any]:
     """The acceptance drill: crash at every point, recover, compare.
 
     For each crash point: run the scripted workload against a
-    WAL-enabled broker with an ``InjectedCrash`` armed on the
-    ``crash_at``-th hit of that point, discard the broker mid-flight
+    WAL-enabled broker with an ``InjectedCrash`` armed on the second
+    hit of that point, discard the broker mid-flight
     exactly where the crash lands, rebuild a fresh broker from the
     checkpoint directory alone, finish the workload with
     client-idempotent retries, and require the recovered books (every
@@ -318,17 +318,15 @@ def run_crash_matrix(
 
     batches = _drill_batches()
 
-    reference = TransferBroker(
-        _drill_config(os.path.join(base_dir, "reference"), wal=True)
-    )
+    reference = TransferBroker(_drill_config(os.path.join(base_dir, "reference")))
     _drive(reference, batches)
     expected = _books(reference)
 
     report: Dict[str, Any] = {"kind": "crash-matrix", "points": {}, "ok": True}
-    for point in points or list(DEFAULT_CRASH_POINTS):
+    for point in DEFAULT_CRASH_POINTS:
         ckpt = os.path.join(base_dir, point.replace(".", "_"))
         broker = TransferBroker(_drill_config(ckpt))
-        MONKEY.arm(point, action="raise", at=crash_at)
+        MONKEY.arm(point, action="raise", at=2)
         crashed = False
         try:
             _drive(broker, batches)
@@ -338,106 +336,97 @@ def run_crash_matrix(
             MONKEY.disarm(point)
         del broker  # the "dead process": nothing survives but the disk
 
-        resumed = TransferBroker(_drill_config(ckpt))
-        _drive(resumed, batches)
-        got = _books(resumed)
-        entry = {
-            "crashed": crashed,
-            "resumed": resumed.resumed,
-            "books_equal": got == expected,
-            "recovery": dict(resumed.recovery_info),
-            "verifier": resumed.verifier_report,
-        }
-        if not (crashed and entry["books_equal"]):
-            entry["got"] = got
-            entry["expected"] = expected
-            report["ok"] = False
+        entry = _resume_and_compare(ckpt, batches, expected)
+        entry["crashed"] = crashed
+        report["ok"] &= crashed and entry["books_equal"]
         report["points"][point] = entry
     return report
 
 
-def run_torn_and_corrupt_drill(base_dir: str) -> Dict[str, Any]:
-    """Corruption drill: torn WAL tail, torn tmp, corrupt newest snapshot.
+def _resume_and_compare(ckpt: str, batches, expected: Dict[str, Any]) -> Dict[str, Any]:
+    """Rebuild a broker from ``ckpt`` alone, finish the workload, compare books."""
+    from repro.service.slotloop import TransferBroker
 
-    Three scripted corruptions of the on-disk checkpoint directory —
-    each applied after a healthy partial run, each followed by a resume
-    that must land on books identical to the uninterrupted reference:
+    resumed = TransferBroker(_drill_config(ckpt))
+    _drive(resumed, batches)
+    got = _books(resumed)
+    entry = {
+        "resumed": resumed.resumed,
+        "books_equal": got == expected,
+        "recovery": dict(resumed.recovery_info),
+        "verifier": resumed.verifier_report,
+    }
+    if not entry["books_equal"]:
+        entry.update(got=got, expected=expected)
+    return entry
+
+
+def run_torn_and_corrupt_drill(base_dir: str) -> Dict[str, Any]:
+    """Corruption drill: torn WAL/journal tail, torn tmp, corrupt snapshot.
+
+    Four scripted corruptions of the on-disk checkpoint directory — each
+    applied after a healthy partial run, each followed by a resume that
+    must land on books identical to the uninterrupted reference:
 
     * ``torn_wal_tail`` — the last WAL record is half-written (the
       classic kill -9 mid-append artifact);
+    * ``torn_journal_tail`` — the same artifact at the end of the
+      decision journal, past the newest snapshot's mark: cut;
     * ``torn_tmp`` — a ``*.json.tmp`` from a mid-compaction death is
       left lying around;
     * ``corrupt_snapshot`` — the newest snapshot generation's bytes are
-      flipped, forcing checksum-fallback to generation K-1 plus WAL
-      replay across both generations.
+      flipped, forcing checksum-fallback to generation K-1, a journal
+      cut back to *its* mark, and WAL replay across both generations.
     """
     from repro.service.slotloop import TransferBroker
     from repro.service.store import SnapshotStore
 
     batches = _drill_batches()
-    reference = TransferBroker(
-        _drill_config(os.path.join(base_dir, "c-reference"))
-    )
+    reference = TransferBroker(_drill_config(os.path.join(base_dir, "c-reference")))
     _drive(reference, batches)
     expected = _books(reference)
+    report: Dict[str, Any] = {"kind": "corruption", "cases": {}, "ok": True}
 
-    def partial_run(ckpt: str) -> None:
+    def partial_run(name: str) -> SnapshotStore:
+        """Two healthy slots under ``c-<name>``, then the process is gone."""
+        ckpt = os.path.join(base_dir, f"c-{name}")
         broker = TransferBroker(_drill_config(ckpt))
         _drive(broker, batches[:2])
         del broker
+        return SnapshotStore(ckpt, wal=True)
 
-    report: Dict[str, Any] = {"kind": "corruption", "cases": {}, "ok": True}
-
-    def finish(name: str, ckpt: str) -> None:
-        resumed = TransferBroker(_drill_config(ckpt))
-        _drive(resumed, batches)
-        got = _books(resumed)
-        entry = {
-            "books_equal": got == expected,
-            "recovery": dict(resumed.recovery_info),
-            "verifier": resumed.verifier_report,
-        }
-        if not entry["books_equal"]:
-            entry["got"] = got
-            entry["expected"] = expected
-            report["ok"] = False
+    def finish(name: str, store: SnapshotStore, *expect: str) -> None:
+        entry = _resume_and_compare(str(store.directory), batches, expected)
+        missing = [key for key in expect if not entry["recovery"][key]]
+        if missing:
+            entry["note"] = f"recovery did not report {missing}"
+        report["ok"] &= entry["books_equal"] and not missing
         report["cases"][name] = entry
 
-    # Torn WAL tail: append garbage half-record bytes to the live WAL.
-    ckpt = os.path.join(base_dir, "c-torn-wal")
-    partial_run(ckpt)
-    store = SnapshotStore(ckpt, wal=True)
-    wal_path = store.wal_path(store.newest_generation())
-    with open(wal_path, "ab") as fh:
+    # Torn tails: garbage half-record bytes after the last intact frame.
+    store = partial_run("torn-wal")
+    with open(store.wal_path(max(store.wal_generations())), "ab") as fh:
         fh.write(b"\x99\x00\x00\x00\xde\xad\xbe\xefhalf a rec")
-    finish("torn_wal_tail", ckpt)
+    finish("torn_wal_tail", store, "torn_bytes")
+    store = partial_run("torn-journal")
+    with open(store.journal_path, "ab") as fh:
+        fh.write(b"\x99\x00\x00\x00\xde\xad\xbe\xefhalf a rec")
+    finish("torn_journal_tail", store, "journal_cut_bytes")
 
     # Torn tmp: a compaction died mid-write, leaving snapshot.json.tmp.
-    ckpt = os.path.join(base_dir, "c-torn-tmp")
-    partial_run(ckpt)
-    store = SnapshotStore(ckpt, wal=True)
-    tmp = store.snapshot_path(store.newest_generation() + 1)
-    tmp.with_name(tmp.name + ".tmp").write_text('{"version": 2, "kind": "pos')
-    finish("torn_tmp", ckpt)
+    store = partial_run("torn-tmp")
+    tmp = store.snapshot_path(max(store.snapshot_generations()) + 1)
+    tmp.with_name(tmp.name + ".tmp").write_text('{"version": 3, "kind": "pos')
+    finish("torn_tmp", store, "stray_tmp")
 
     # Corrupt newest snapshot: checksum must reject it, recovery must
-    # fall back a generation and replay both WAL generations.
-    ckpt = os.path.join(base_dir, "c-bad-snap")
-    partial_run(ckpt)
-    store = SnapshotStore(ckpt, wal=True)
-    newest = store.snapshot_path(store.newest_generation())
+    # fall back a generation, cut the journal, replay both generations.
+    store = partial_run("bad-snap")
+    newest = store.snapshot_path(max(store.snapshot_generations()))
     data = bytearray(newest.read_bytes())
     data[len(data) // 2] ^= 0xFF
     newest.write_bytes(bytes(data))
-    finish("corrupt_snapshot", ckpt)
-    fell_back = report["cases"]["corrupt_snapshot"]["recovery"].get(
-        "fallbacks", 0
-    )
-    if not fell_back:
-        report["ok"] = False
-        report["cases"]["corrupt_snapshot"]["note"] = (
-            "expected a snapshot-generation fallback, saw none"
-        )
+    finish("corrupt_snapshot", store, "fallbacks", "journal_cut_bytes")
     return report
 
 
@@ -457,7 +446,7 @@ def run_watchdog_drill(
     """
     from repro.service.slotloop import TransferBroker
 
-    config = _drill_config(os.path.join(base_dir, "watchdog"), wal=True)
+    config = _drill_config(os.path.join(base_dir, "watchdog"))
     config.watchdog_timeout_s = timeout_s
     config.watchdog_backoff_slots = 1
     broker = TransferBroker(config)

@@ -480,7 +480,7 @@ _STAT_SUM_KEYS = (
     "submitted", "admitted", "rejected", "backpressured", "slots",
     "batches", "queue_depth", "escalations", "fast_slots", "degraded",
     "lp_skipped", "lp_widened", "checkpoints", "wal_records", "wal_bytes",
-    "snapshot_bytes", "cost_per_slot", "periods_banked",
+    "journal_bytes", "snapshot_bytes", "cost_per_slot", "periods_banked",
 )
 #: Keys where the fleet figure is the furthest shard's.
 _STAT_MAX_KEYS = ("next_slot",)

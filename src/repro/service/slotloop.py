@@ -11,8 +11,9 @@ per-request outcomes back from the state's completion/rejection
 records, checkpoint if due, and return the decisions for the server to
 push to waiting clients.
 
-Durability contract: the snapshot (state + still-queued submissions +
-decision log) is written *before* decisions are handed back, so any
+Durability contract: the checkpoint (the new decisions appended to the
+store's decision journal, then a snapshot of state + still-queued
+submissions) is written *before* decisions are handed back, so any
 response a client has seen from a checkpointed slot survives a crash.
 Slots after the last checkpoint roll back atomically with their ledger
 commitments — clients that resubmit get a fresh, consistent decision
@@ -122,25 +123,25 @@ class TransferBroker:
             )
         #: client id -> decision record (the idempotency/status log).
         self.decisions: Dict[str, Dict[str, Any]] = {}
+        #: Decided or replayed since the last checkpoint: the next one's journal frames.
+        self._unjournaled: Dict[str, Dict[str, Any]] = {}
         #: Next virtual slot to process.
         self.next_slot = 0
         self.draining = False
         self.resumed = False
         self.counts = {"submitted": 0, "admitted": 0, "rejected": 0,
                        "backpressured": 0, "slots": 0, "batches": 0}
-        self._dirty = False
         #: Rolling-window SLO evaluation over processed slots.
         self.slo = SloMonitor(config.slo_thresholds(), window=config.slo_window)
         #: Unix timestamp virtual slot 0 maps to (see ServiceConfig
         #: wall-clock fields); checkpointed so resumes keep alignment.
         self.wall_epoch = config.wall_epoch or time.time()
-        #: What recovery found on disk (WAL mode): base generation,
-        #: fallbacks, torn bytes, replayed record count.
+        #: What :meth:`SnapshotStore.recover` found on disk (its ``info``).
         self.recovery_info: Dict[str, Any] = {}
         #: The invariant report of the last verified resume.
         self.verifier_report: Optional[Dict[str, Any]] = None
 
-        if self.store and self.store.wal_enabled:
+        if self.store:
             snapshot, records, self.recovery_info = self.store.recover(
                 self.topology
             )
@@ -149,16 +150,10 @@ class TransferBroker:
             if records:
                 self._replay_wal(records)
             self.resumed = snapshot is not None or bool(records)
-            self.store.open_wal()
             if self.resumed:
                 # Serving from inconsistent books is worse than not
                 # serving: strict mode raises before any client connects.
                 self.verifier_report = verify_recovery(self, strict=True)
-        elif self.store:
-            snapshot = self.store.load(self.topology)
-            if snapshot is not None:
-                self._adopt_snapshot(snapshot)
-                self.resumed = True
 
     def _adopt_snapshot(self, snapshot) -> None:
         """Restore state, queue, clock, and books from one snapshot."""
@@ -172,6 +167,9 @@ class TransferBroker:
         )
         self.next_slot = snapshot.next_slot
         self.decisions = dict(snapshot.meta.get("decisions", {}))
+        if "decisions_mark" not in snapshot.meta:
+            # Versions 1-2 carried the log inline: the next checkpoint journals it.
+            self._unjournaled.update(self.decisions)
         restored = snapshot.meta.get("counts", {})
         for key in self.counts:
             self.counts[key] = int(restored.get(key, 0))
@@ -238,6 +236,7 @@ class TransferBroker:
             else:
                 self.scheduler.on_slot(slot, requests)
         self.decisions.update(record.get("decisions", {}))
+        self._unjournaled.update(record.get("decisions", {}))
         for key, value in record.get("counts", {}).items():
             if key in self.counts:
                 self.counts[key] = int(value)
@@ -518,29 +517,28 @@ class TransferBroker:
 
         self.counts["slots"] += 1
         self.counts["batches"] += 1
-        self._dirty = True
         self.next_slot = slot + 1
         self.slo.record_slot(
             admitted_count, len(batch) - admitted_count, decision_s,
             self.queue.depth, degraded=int(lane == "degraded"),
         )
-        if self.store and self.store.wal_enabled:
-            # Commit-before-ack at O(1) cost: the slot's batch, its
-            # decisions, the tallies, and the lane that placed it — on
-            # disk before any waiter sees a decision.
-            self.store.append_wal({
-                "type": REC_COMMIT,
-                "slot": slot,
-                "batch": [pending.client_id for pending in batch],
-                "decisions": {
-                    pending.client_id: record
-                    for pending, record in resolutions
-                },
-                "counts": dict(self.counts),
-                "lane": lane,
-                # Scheduler-owned fields, read back by its replay_slot.
-                **getattr(self.scheduler, "wal_fields", lambda lane: {})(lane),
-            })
+        if self.store:
+            decided = {pending.client_id: record for pending, record in resolutions}
+            self._unjournaled.update(decided)
+            if self.store.wal_enabled:
+                # Commit-before-ack at O(1) cost: the slot's batch, its
+                # decisions, the tallies, and the lane that placed it —
+                # on disk before any waiter sees a decision.
+                self.store.append_wal({
+                    "type": REC_COMMIT,
+                    "slot": slot,
+                    "batch": [pending.client_id for pending in batch],
+                    "decisions": decided,
+                    "counts": dict(self.counts),
+                    "lane": lane,
+                    # Scheduler-owned fields, read back by its replay_slot.
+                    **getattr(self.scheduler, "wal_fields", lambda lane: {})(lane),
+                })
         if self.store and (
             self.draining or self.next_slot % self.config.checkpoint_every == 0
         ):
@@ -584,7 +582,7 @@ class TransferBroker:
     # -- persistence -------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Snapshot state + queue + clock + decision log (atomic)."""
+        """Journal the new decisions, snapshot state + queue + clock (atomic)."""
         if self.store is None:
             raise ServiceError("no checkpoint directory configured")
         started = time.perf_counter()
@@ -592,14 +590,11 @@ class TransferBroker:
             self.state,
             self.queue.snapshot_payloads(),
             self.next_slot,
-            meta={
-                "decisions": self.decisions,
-                "counts": self.counts,
-                "wall_epoch": self.wall_epoch,
-            },
+            meta={"counts": self.counts, "wall_epoch": self.wall_epoch},
+            decisions=self._unjournaled,
         )
+        self._unjournaled = {}
         self.slo.record_checkpoint(time.perf_counter() - started)
-        self._dirty = False
 
     # -- reporting ---------------------------------------------------------
 
@@ -694,7 +689,7 @@ class TransferBroker:
                 self.store.stats()
                 if self.store
                 else {"checkpoints": 0, "generation": 0, "wal_records": 0,
-                      "wal_bytes": 0, "snapshot_bytes": 0}
+                      "wal_bytes": 0, "journal_bytes": 0, "snapshot_bytes": 0}
             ),
             **self.counts,
         }

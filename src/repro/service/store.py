@@ -1,11 +1,15 @@
-"""Snapshot + WAL persistence for the daemon.
+"""Snapshot + decision journal + WAL persistence for the daemon.
 
-Two modes under one checkpoint directory:
+Every checkpoint directory holds ``decisions.log``, the append-only
+**decision journal**: the idempotency log in the WAL's frame format,
+each decision written once.  A snapshot carries state and
+``meta["decisions_mark"]``, the journal length it covers, so a
+checkpoint costs what changed since the last one, not what was ever
+served.  Two modes (a directory belongs to one for life) share it:
 
 **Legacy snapshot mode** (``wal=False``) — one ``snapshot.json``
-rewritten atomically every ``checkpoint_every`` slots, exactly as
-introduced with the broker.  Cost: O(served requests) bytes per write,
-and slots after the last snapshot roll back on a crash.
+rewritten atomically every ``checkpoint_every`` slots.  Slots after the
+last snapshot roll back on a crash, decisions and ledger cells alike.
 
 **WAL mode** (``wal=True``, PR 7) — the directory holds *generations*::
 
@@ -13,18 +17,13 @@ and slots after the last snapshot roll back on a crash.
     snapshot-00000002.json   wal-00000002.log      <- newest
     wal-00000000.log                               <- genesis log
 
-Every admission and every slot commit is appended to the current
-generation's log (O(1) bytes, fsync'd before the ack) by
-:class:`~repro.service.wal.WriteAheadLog`; every ``checkpoint_every``
-slots the store *compacts*: writes ``snapshot-<g+1>.json`` with the
-full durability dance, switches appends to a fresh ``wal-<g+1>.log``,
-and prunes generations older than the retention window.  Log ``g``
-therefore covers exactly the interval between snapshot ``g`` and
-snapshot ``g+1`` — which is what makes checksum fallback work:
-:meth:`recover` loads the newest snapshot whose checksum verifies (a
-corrupt one costs a generation, not the history) and replays every
-retained log from that generation forward.  Torn log tails are
-truncated; stray ``*.tmp`` files from a mid-compaction death are swept.
+Every admission and slot commit is appended to the current generation's
+log (O(1) bytes, fsync'd before the ack); every ``checkpoint_every``
+slots :meth:`SnapshotStore.save` *compacts*: journal, snapshot ``g+1``,
+fresh ``wal-<g+1>.log``, prune past the retention window.  Log ``g``
+covers exactly the interval between snapshots ``g`` and ``g+1``, which
+is what makes checksum fallback work (:meth:`SnapshotStore.recover`;
+docs/ROBUSTNESS.md has the write order and the recovery rules).
 """
 
 from __future__ import annotations
@@ -43,17 +42,22 @@ from repro.errors import SchedulingError, WalError
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.service import chaos
-from repro.service.wal import WriteAheadLog, scan_wal, truncate_torn_tail
+from repro.service.wal import WalScan, WriteAheadLog, scan_wal, truncate_torn_tail
 
 SNAPSHOT_NAME = "snapshot.json"
+JOURNAL_NAME = "decisions.log"
 
 #: Zero-padded generation width in file names (keeps lexicographic and
 #: numeric order identical for the curious shell user).
 _GEN_WIDTH = 8
 
+#: Decisions per journal frame (~250 B each): keeps a frame far below
+#: the WAL's record bound however long an inherited inline log is.
+_FRAME_DECISIONS = 1024
+
 
 class SnapshotStore:
-    """Atomic snapshot files — generational + WAL'd when ``wal=True``."""
+    """Atomic snapshot files + the decision journal (+ WAL when ``wal=True``)."""
 
     def __init__(
         self,
@@ -66,66 +70,50 @@ class SnapshotStore:
             raise WalError(f"snapshot retention must be >= 1, got {retain}")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.journal_path = self.directory / JOURNAL_NAME
         self.wal_enabled = wal
         self.retain = retain
         self.fsync = fsync
-        #: Snapshots written by this process (stats surface this).
-        self.saves = 0
-        #: Snapshot bytes written by this process (durability benchmark).
-        self.snapshot_bytes = 0
+        #: What this process made durable, by file kind, across log
+        #: rotations (the ``stats`` op surfaces these; ``wal_*`` count the
+        #: WAL alone and the durability benchmark sums all three ``*_bytes``).
+        self.written = {"checkpoints": 0, "wal_records": 0, "wal_bytes": 0,
+                        "journal_bytes": 0, "snapshot_bytes": 0}
         #: The open append log (WAL mode, after :meth:`open_wal`).
         self.wal: Optional[WriteAheadLog] = None
-        #: Lifetime WAL totals across log rotations (stats surface the
-        #: sum of these and the open log's own counters).
-        self._retired_wal_records = 0
-        self._retired_wal_bytes = 0
-        #: What the last :meth:`recover` found (fallbacks, torn bytes...).
-        self.last_recovery: Dict[str, Any] = {}
-        self._generation = 0
+        #: Journal length the newest adopted-or-written snapshot covers.
+        self._mark = 0
+        #: The generation currently receiving WAL appends (legacy: 0).
+        self.generation = 0
 
     # -- file layout -------------------------------------------------------
 
-    @property
-    def path(self) -> Path:
-        """Legacy single-file snapshot path."""
-        return self.directory / SNAPSHOT_NAME
-
-    @property
-    def generation(self) -> int:
-        """The generation currently receiving WAL appends."""
-        return self._generation
-
     def snapshot_path(self, generation: int) -> Path:
+        """Generation ``g``'s snapshot; legacy mode only ever has the one file."""
+        if not self.wal_enabled:
+            return self.directory / SNAPSHOT_NAME
         return self.directory / f"snapshot-{generation:0{_GEN_WIDTH}d}.json"
 
     def wal_path(self, generation: int) -> Path:
         return self.directory / f"wal-{generation:0{_GEN_WIDTH}d}.log"
 
-    def _numbered(self, pattern: str, prefix: str, suffix: str) -> List[int]:
+    def _numbered(self, prefix: str, suffix: str) -> List[int]:
         found = []
-        for entry in self.directory.glob(pattern):
+        for entry in self.directory.glob(f"{prefix}*{suffix}"):
             stem = entry.name[len(prefix) : -len(suffix)]
             if stem.isdigit():
                 found.append(int(stem))
         return sorted(found)
 
     def snapshot_generations(self) -> List[int]:
-        """Generations with a snapshot file on disk, ascending."""
-        return self._numbered("snapshot-*.json", "snapshot-", ".json")
+        """Generations with a snapshot file on disk, ascending (legacy: 0)."""
+        if not self.wal_enabled:
+            return [0] if self.snapshot_path(0).exists() else []
+        return self._numbered("snapshot-", ".json")
 
     def wal_generations(self) -> List[int]:
         """Generations with a WAL file on disk, ascending."""
-        return self._numbered("wal-*.log", "wal-", ".log")
-
-    def newest_generation(self) -> int:
-        """Highest generation any on-disk file belongs to (0 if none)."""
-        gens = self.snapshot_generations() + self.wal_generations()
-        return max(gens) if gens else 0
-
-    def exists(self) -> bool:
-        if self.wal_enabled:
-            return bool(self.snapshot_generations() or self.wal_generations())
-        return self.path.exists()
+        return self._numbered("wal-", ".log")
 
     # -- WAL appends -------------------------------------------------------
 
@@ -133,18 +121,19 @@ class SnapshotStore:
         """Open (creating if needed) the current generation's append log."""
         if not self.wal_enabled:
             raise WalError("open_wal on a store without wal=True")
-        if self.wal is None or self.wal.closed:
+        if self.wal is None:
             self.wal = WriteAheadLog(
-                self.wal_path(self._generation),
-                fsync=self.fsync,
-                crashpoint=chaos.crashpoint,
-                mangle=chaos.mangle,
+                self.wal_path(self.generation), fsync=self.fsync,
+                crashpoint=chaos.crashpoint, mangle=chaos.mangle,
             )
         return self.wal
 
     def append_wal(self, record: Dict[str, Any]) -> int:
         """Durably append one record to the current generation's log."""
-        return self.open_wal().append(record)
+        size = self.open_wal().append(record)
+        self.written["wal_records"] += 1
+        self.written["wal_bytes"] += size
+        return size
 
     # -- snapshots ---------------------------------------------------------
 
@@ -154,53 +143,78 @@ class SnapshotStore:
         pending: List[Dict[str, Any]],
         next_slot: int,
         meta: Dict[str, Any],
+        decisions: Dict[str, Dict[str, Any]],
     ) -> None:
-        """Write a snapshot: a compaction in WAL mode, a rewrite otherwise."""
-        if self.wal_enabled:
-            self.compact(state, pending, next_slot, meta)
-            return
-        with obs.span("service.checkpoint", slot=next_slot, pending=len(pending)):
-            self.snapshot_bytes += save_snapshot(
-                state, self.path, pending, next_slot, meta,
-                fsync=self.fsync, crashpoint=chaos.crashpoint,
-            )
-        self.saves += 1
-        obs.counter("service.checkpoints")
+        """Journal ``decisions`` (made since the last save), then snapshot.
 
-    def compact(
-        self,
-        state: NetworkState,
-        pending: List[Dict[str, Any]],
-        next_slot: int,
-        meta: Dict[str, Any],
-    ) -> int:
-        """Snapshot the full state as generation ``g+1``, rotate the log.
-
-        Ordering is the crash-safety argument: the new snapshot reaches
-        disk (tmp + fsync + rename + dir fsync) *before* appends switch
-        to the new log and *before* anything old is pruned.  A death at
-        any boundary leaves either (old snapshot + complete old log) or
-        (new snapshot [+ empty-or-partial new log]) — both recoverable.
-        Returns the new generation number.
+        The order is the crash-safety argument: decisions are in the
+        journal (one fsync) *before* the snapshot whose mark covers
+        them exists, and that snapshot is durable *before* appends move
+        to the new log or anything old is pruned.  A death in between
+        leaves (old snapshot + journal tail past its mark, which
+        recovery cuts + complete old log) or (new snapshot [+ partial
+        new log]); legacy mode has no log to rotate.
         """
-        generation = self._generation + 1
+        generation = self.generation + 1 if self.wal_enabled else 0
         with obs.span(
             "service.checkpoint", slot=next_slot,
             pending=len(pending), generation=generation,
-        ):
-            self.snapshot_bytes += save_snapshot(
+        ) as span:
+            journaled = self._journal(decisions)
+            written = save_snapshot(
                 state, self.snapshot_path(generation), pending, next_slot,
-                meta, fsync=self.fsync, crashpoint=chaos.crashpoint,
+                dict(meta, decisions_mark=self._mark + journaled),
+                fsync=self.fsync, crashpoint=chaos.crashpoint,
             )
-        self._retire_wal()
-        self._generation = generation
-        self.open_wal()
-        if self.fsync:
-            fsync_directory(self.directory)
-        self._prune(generation)
-        self.saves += 1
+            attrs = getattr(span, "attrs", None)
+            if attrs is not None:
+                attrs.update(
+                    bytes=written, journal_bytes=journaled, decisions=len(decisions)
+                )
+        self._mark += journaled
+        self.written["journal_bytes"] += journaled
+        self.written["snapshot_bytes"] += written
+        if self.wal_enabled:
+            self.close()
+            self.generation = generation
+            self.open_wal()
+            if self.fsync:
+                fsync_directory(self.directory)
+            self._prune(generation)
+        self.written["checkpoints"] += 1
         obs.counter("service.checkpoints", generation=generation)
-        return generation
+
+    def _journal(self, decisions: Dict[str, Dict[str, Any]]) -> int:
+        """Append ``decisions`` at the mark in bounded frames; bytes written.
+
+        Crash points: ``journal.pre_write | pre_fsync | post_fsync``.
+        """
+        if not decisions:
+            return 0
+        # Whatever a crashed or failed save left past the mark goes
+        # first: a later mark would count it as history.
+        self._cut_journal()
+        items = list(decisions.items())
+        journal = WriteAheadLog(
+            self.journal_path, fsync=self.fsync,
+            crashpoint=lambda at: chaos.crashpoint(at.replace("wal", "journal", 1)),
+        )
+        try:
+            return journal.append(*(
+                dict(items[i : i + _FRAME_DECISIONS])
+                for i in range(0, len(items), _FRAME_DECISIONS)
+            ))
+        finally:
+            journal.close()
+
+    def _cut_journal(self) -> int:
+        """Truncate the journal to the mark (fsync'd); returns bytes cut."""
+        path = self.journal_path
+        size = path.stat().st_size if path.exists() else 0
+        return truncate_torn_tail(WalScan(
+            path, valid_bytes=self._mark, torn_bytes=size - self._mark,
+            torn_reason="past the snapshot's mark",
+        ))
 
     def _prune(self, generation: int) -> None:
         """Drop generations older than the retention window.
@@ -219,28 +233,21 @@ class SnapshotStore:
 
     # -- recovery ----------------------------------------------------------
 
-    def load(self, topology: Topology) -> Optional[ServiceSnapshot]:
-        """Legacy mode: the last snapshot, or ``None`` on a fresh dir.
-
-        Refuses a corrupt snapshot loudly (version/checksum checks in
-        :func:`~repro.core.checkpoint.snapshot_from_json`) — serving
-        from silently-bad books is the one outcome worse than downtime.
-        """
-        if not self.path.exists():
-            return None
-        return load_snapshot(self.path, topology)
-
     def recover(
         self, topology: Topology
     ) -> Tuple[Optional[ServiceSnapshot], List[Dict[str, Any]], Dict[str, Any]]:
-        """WAL mode: newest valid snapshot + the records to replay over it.
+        """Newest valid snapshot, its decision log, the WAL records past it.
 
         Walks snapshot generations newest-first until one passes its
-        checksum (each rejection is a counted *fallback*), truncates
-        torn log tails, sweeps stray ``*.tmp`` files, and returns
-        ``(snapshot_or_None, records, info)``.  The caller replays
-        ``records`` — every intact record from the chosen generation's
-        log through the newest log — on top of the snapshot.
+        checksum (each rejection a counted *fallback*; legacy mode has
+        one file, so a corrupt ``snapshot.json`` refuses loudly),
+        truncates torn log tails, sweeps stray ``*.tmp`` files, and
+        returns ``(snapshot_or_None, records, info)``.  Journal bytes
+        ``[0, mark)`` must scan clean — a bad frame *below* the mark is
+        a hole in the idempotency log, not a torn tail — and come back
+        as ``snapshot.meta["decisions"]``; the rest is cut.  The caller
+        replays ``records`` (every intact record from the chosen
+        generation's log on) over the snapshot, re-deriving the cut.
         """
         info: Dict[str, Any] = {
             "base_generation": None,
@@ -248,6 +255,7 @@ class SnapshotStore:
             "fallback_errors": [],
             "replayed_records": 0,
             "torn_bytes": 0,
+            "journal_cut_bytes": 0,
             "stray_tmp": 0,
         }
         for stray in sorted(self.directory.glob("*.tmp")):
@@ -266,6 +274,8 @@ class SnapshotStore:
                 # ValueError covers UnicodeDecodeError: a byte-level
                 # corruption can break the UTF-8 decode before the
                 # checksum ever gets a look.
+                if not self.wal_enabled:
+                    raise  # the one legacy file has nothing to fall back to
                 info["fallbacks"] += 1
                 info["fallback_errors"].append(f"generation {gen}: {exc}")
                 obs.counter("service.snapshot.fallback", generation=gen)
@@ -277,7 +287,22 @@ class SnapshotStore:
                     f"chain starts at generation {wal_gens[0]}, not genesis; "
                     "the history cannot be rebuilt"
                 )
-            base = 0
+
+        meta = snapshot.meta if snapshot is not None else {}
+        self._mark = int(meta.get("decisions_mark", 0))
+        scan = scan_wal(self.journal_path, limit=self._mark)
+        if scan.valid_bytes != self._mark:
+            raise WalError(
+                f"decision journal {self.journal_path} is damaged below the "
+                f"snapshot's mark ({scan.torn_reason or 'file too short'} at "
+                f"byte {scan.valid_bytes} of {self._mark}); refusing to serve "
+                "with a hole in the idempotency log"
+            )
+        if "decisions_mark" in meta:  # else v1/v2: the log rides inline, unjournaled
+            meta["decisions"] = {
+                cid: record for frame in scan.records for cid, record in frame.items()
+            }
+        info["journal_cut_bytes"] = self._cut_journal()
 
         records: List[Dict[str, Any]] = []
         newest = max([base] + self.wal_generations())
@@ -287,38 +312,20 @@ class SnapshotStore:
                 info["torn_bytes"] += truncate_torn_tail(scan)
             records.extend(scan.records)
 
-        self._generation = newest
+        self.generation = newest
         info["base_generation"] = base if (snapshot or records) else None
         info["replayed_records"] = len(records)
-        self.last_recovery = info
+        if self.wal_enabled:
+            self.open_wal()
         return snapshot, records, info
 
     # -- reporting ---------------------------------------------------------
 
-    def _retire_wal(self) -> None:
-        """Fold the open log's counters into the lifetime totals, close it."""
-        if self.wal is not None:
-            self._retired_wal_records += self.wal.records_written
-            self._retired_wal_bytes += self.wal.bytes_written
-            self.wal.close()
-            self.wal = None
-
     def stats(self) -> Dict[str, Any]:
-        """Persistence counters for the broker's ``stats`` op.
-
-        ``wal_records``/``wal_bytes`` are lifetime totals across log
-        rotations, not just the open generation's log — the durability
-        benchmark divides them by request count.
-        """
-        open_records = self.wal.records_written if self.wal else 0
-        open_bytes = self.wal.bytes_written if self.wal else 0
-        return {
-            "checkpoints": self.saves,
-            "generation": self._generation if self.wal_enabled else 0,
-            "wal_records": self._retired_wal_records + open_records,
-            "wal_bytes": self._retired_wal_bytes + open_bytes,
-            "snapshot_bytes": self.snapshot_bytes,
-        }
+        """Persistence counters for the broker's ``stats`` op."""
+        return dict(self.written, generation=self.generation)
 
     def close(self) -> None:
-        self._retire_wal()
+        if self.wal is not None:
+            self.wal.close()
+            self.wal = None

@@ -29,7 +29,9 @@ Record types the broker writes (:mod:`repro.service.slotloop`)::
 ``admit`` is fsync'd before the submission is acknowledged as pending;
 ``commit`` is fsync'd before any of the slot's decisions are released
 to waiting clients — the checkpoint-before-ack contract at per-record
-cost instead of per-snapshot cost.
+cost instead of per-snapshot cost.  The store's decision journal
+(``decisions.log``) uses the same framing; its frames are plain
+``{client id: decision record}`` objects.
 """
 
 from __future__ import annotations
@@ -90,17 +92,19 @@ class WalScan:
         return self.torn_bytes > 0
 
 
-def scan_wal(path: PathLike) -> WalScan:
+def scan_wal(path: PathLike, limit: Optional[int] = None) -> WalScan:
     """Read every intact record of a WAL file; stop at the first tear.
 
     Never raises on file *content* — corruption is a crash artifact the
     caller truncates, not an exception.  A missing file scans as empty.
+    ``limit`` scans only that many leading bytes (the decision journal
+    below a snapshot's mark), whole exactly when ``valid_bytes == limit``.
     """
     target = Path(path)
     scan = WalScan(path=target)
     if not target.exists():
         return scan
-    data = target.read_bytes()
+    data = target.read_bytes()[:limit]
     offset = 0
     while offset < len(data):
         header = data[offset : offset + RECORD_HEADER.size]
@@ -178,12 +182,8 @@ class WriteAheadLog:
     def closed(self) -> bool:
         return self._fh is None
 
-    def size_bytes(self) -> int:
-        """Current on-disk size (records from before a resume included)."""
-        return self.path.stat().st_size if self.path.exists() else 0
-
-    def append(self, record: Dict[str, Any]) -> int:
-        """Frame, write, and (by default) fsync one record.
+    def append(self, *records: Dict[str, Any]) -> int:
+        """Frame, write, and (by default) fsync records — one fsync for all.
 
         Returns the frame size in bytes.  The chaos taps sit exactly at
         the boundaries a real crash distinguishes: before the write,
@@ -192,7 +192,7 @@ class WriteAheadLog:
         """
         if self._fh is None:
             raise WalError(f"append to closed WAL {self.path}")
-        frame = encode_record(record)
+        frame = b"".join(map(encode_record, records))
         self._crashpoint("wal.pre_write")
         data = self._mangle("wal.append", frame)
         self._fh.write(data)
@@ -201,7 +201,7 @@ class WriteAheadLog:
         if self.fsync:
             os.fsync(self._fh.fileno())
         self._crashpoint("wal.post_fsync")
-        self.records_written += 1
+        self.records_written += len(records)
         self.bytes_written += len(data)
         return len(frame)
 
@@ -209,9 +209,3 @@ class WriteAheadLog:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def __repr__(self) -> str:
-        return (
-            f"WriteAheadLog({str(self.path)!r}, records={self.records_written}, "
-            f"bytes={self.bytes_written})"
-        )

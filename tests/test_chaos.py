@@ -84,13 +84,44 @@ def test_crash_matrix_recovers_exactly(tmp_path):
         assert entry["crashed"], f"{point} never fired"
         assert entry["books_equal"], f"{point} diverged: {entry}"
         assert entry["verifier"]["ok"]
+    # The journal's boundaries are in the matrix.  A death before its
+    # write leaves nothing to cut; from the write up to the snapshot's
+    # rename the journal runs ahead of the surviving snapshot's mark.
+    cut = {p: e["recovery"]["journal_cut_bytes"] for p, e in report["points"].items()}
+    assert cut["journal.pre_write"] == 0
+    for point in ("journal.pre_fsync", "journal.post_fsync", "checkpoint.pre_write",
+                  "checkpoint.pre_fsync", "checkpoint.pre_rename"):
+        assert cut[point] > 0, point
+    assert cut["checkpoint.post_rename"] == cut["commit.pre_ack"] == 0
+
+
+def test_checkpoint_walks_the_crash_points_in_order(tmp_path, monkeypatch):
+    """The journal's taps sit between the commit record and the snapshot,
+    under their own names: the older points keep their hit order."""
+    broker = _wal_broker(tmp_path)
+    hits = []
+    monkeypatch.setattr(chaos.MONKEY, "crashpoint", hits.append)
+    broker.submit({"id": "o-1", "source": 0, "destination": 2,
+                   "size_gb": 4.0, "deadline_slots": 3})
+    broker.process_slot()
+    wal = ["wal.pre_write", "wal.pre_fsync", "wal.post_fsync"]
+    assert hits == wal + wal + [   # the admit record, then the commit record
+        "journal.pre_write", "journal.pre_fsync", "journal.post_fsync",
+        "checkpoint.pre_write", "checkpoint.pre_fsync",
+        "checkpoint.pre_rename", "checkpoint.post_rename",
+        "commit.pre_ack",
+    ]
+    assert set(hits) == set(DEFAULT_CRASH_POINTS)
 
 
 def test_torn_and_corrupt_drill(tmp_path):
     report = chaos.run_torn_and_corrupt_drill(str(tmp_path))
     assert report["ok"], report
-    assert report["cases"]["torn_wal_tail"]["recovery"]["torn_bytes"] > 0
-    assert report["cases"]["corrupt_snapshot"]["recovery"]["fallbacks"] >= 1
+    cases = report["cases"]
+    assert cases["torn_wal_tail"]["recovery"]["torn_bytes"] > 0
+    assert cases["torn_journal_tail"]["recovery"]["journal_cut_bytes"] > 0
+    assert cases["corrupt_snapshot"]["recovery"]["fallbacks"] >= 1
+    assert cases["corrupt_snapshot"]["recovery"]["journal_cut_bytes"] > 0
 
 
 def test_watchdog_drill_degrades_and_rearms(tmp_path):

@@ -258,15 +258,45 @@ def test_rejections_survive_with_fresh_ids():
 
 
 def test_snapshot_header_carries_version_and_checksum():
-    """Version-2 snapshots self-describe and self-verify (PR 7)."""
+    """Version-3 snapshots self-describe and self-verify: one compact
+    document whose last key is the CRC-32 of everything before it."""
     import json
+    import zlib
 
     from repro.core.checkpoint import snapshot_to_json
 
     topo = line_topology(3, capacity=10.0)
-    payload = json.loads(snapshot_to_json(NetworkState(topo, horizon=10)))
-    assert payload["version"] == 2
-    assert isinstance(payload["checksum"], int)
+    text = snapshot_to_json(NetworkState(topo, horizon=10))
+    payload = json.loads(text)
+    assert payload["version"] == 3
+    assert list(payload)[-1] == "checksum"
+    body, _, recorded = text.rpartition(',"checksum":')
+    assert int(recorded[:-1]) == payload["checksum"]
+    assert payload["checksum"] == zlib.crc32((body + "}").encode())
+    assert "\n" not in text and ": " not in text  # one pass, no indent
+
+
+def test_snapshot_is_encoded_in_one_pass(monkeypatch):
+    """No second (canonical) dump for the checksum, and a resume parses
+    the state once instead of serialising it in order to parse it."""
+    import json
+
+    from repro.core import checkpoint
+
+    topo, state = warmed_state()
+    real_dumps, calls = json.dumps, []
+
+    def counting_dumps(*args, **kwargs):
+        calls.append(kwargs)
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(checkpoint.json, "dumps", counting_dumps)
+    text = checkpoint.snapshot_to_json(state, [], 5, {"counts": {"slots": 5}})
+    assert calls == [{"separators": (",", ":")}]
+    del calls[:]
+    restored = checkpoint.snapshot_from_json(text, topo)
+    assert calls == []
+    assert checkpoint.state_to_payload(restored.state) == checkpoint.state_to_payload(state)
 
 
 def test_snapshot_checksum_mismatch_rejected(line3):
@@ -274,10 +304,16 @@ def test_snapshot_checksum_mismatch_rejected(line3):
 
     from repro.core.checkpoint import snapshot_from_json, snapshot_to_json
 
-    payload = json.loads(snapshot_to_json(NetworkState(line3, horizon=10)))
+    text = snapshot_to_json(NetworkState(line3, horizon=10))
+    payload = json.loads(text)
     payload["next_slot"] = 41  # tamper without re-checksumming
     with pytest.raises(SchedulingError, match="checksum mismatch"):
         snapshot_from_json(json.dumps(payload), line3)
+    # The same edit made in place, every other byte as the writer left it.
+    assert '"next_slot":0,' in text
+    with pytest.raises(SchedulingError, match="checksum mismatch"):
+        snapshot_from_json(text.replace('"next_slot":0,', '"next_slot":7,'), line3)
+    snapshot_from_json(text, line3)  # untouched, it loads
 
 
 def test_version_1_snapshot_still_loads(line3):
@@ -344,17 +380,33 @@ def _snapshot_like_the_fixture(monkeypatch):
     return snapshot_to_json(state, pending, next_slot=11, meta=meta)
 
 
-def test_snapshot_bytes_match_the_previous_serialiser(monkeypatch):
-    """Embedding the state dict directly changes no byte on disk.
-
-    The fixture was written by the serialiser that still round-tripped
-    the state through ``json.loads(state_to_json(state))``; version,
-    checksum and every float's text must come out the same.
-    """
+def test_v2_fixture_and_v3_round_trip_restore_equal_snapshots(monkeypatch):
+    """``tests/data/snapshot_v2.json`` (indented, canonical CRC, inline
+    decisions) and this build's encoding of the same hand-built state
+    restore the same :class:`ServiceSnapshot`, float for float."""
+    import json
     from pathlib import Path
 
-    fixture = Path(__file__).parent / "data" / "snapshot_v2.json"
-    assert _snapshot_like_the_fixture(monkeypatch) == fixture.read_text()
+    from repro.core.checkpoint import snapshot_from_json, state_to_payload
+
+    fixture = (Path(__file__).parent / "data" / "snapshot_v2.json").read_text()
+    written = _snapshot_like_the_fixture(monkeypatch)
+    assert json.loads(fixture)["version"] == 2 and json.loads(written)["version"] == 3
+    assert len(written) < len(fixture)
+
+    topo = complete_topology(4, capacity=20.0, seed=7)
+    old, new = snapshot_from_json(fixture, topo), snapshot_from_json(written, topo)
+    assert state_to_payload(old.state) == state_to_payload(new.state)
+    assert [(r.source, r.destination, r.size_gb, r.deadline_slots, r.release_slot)
+            for r in old.state.rejected] == [(0, 3, 17.25, 2, 9)]
+    assert (old.pending, old.next_slot, old.meta) == (new.pending, new.next_slot, new.meta)
+    assert old.meta["decisions"]["c-1"]["cost_delta"] == 1e-09
+
+    # Version 2 keeps its own checksum rule: a hand edit still fails it.
+    tampered = json.loads(fixture)
+    tampered["next_slot"] = 12
+    with pytest.raises(SchedulingError, match="checksum mismatch"):
+        snapshot_from_json(json.dumps(tampered), topo)
 
 
 def test_state_to_json_wraps_the_payload():

@@ -426,19 +426,41 @@ def _books(broker):
 
 def test_parent_build_wal_tail_recovers_to_the_cells_it_acked(tmp_path):
     """The fixture's tail holds an ``lp`` commit record with no
-    ``lp_arcs`` field: replay must solve it on the full model."""
+    ``lp_arcs`` field: replay must solve it on the full model.
+
+    The directory is also the upgrade drill for the snapshot format: a
+    version-2 snapshot with the decision log inline.  Its first
+    checkpoint under this build journals what it inherited, and the
+    version-3 directory recovers to the same books."""
+    from repro.service.wal import scan_wal
+
     books = json.loads((FIXTURE / "books.json").read_text())
     shutil.copytree(FIXTURE / "ckpt", tmp_path / "ckpt")
-    resumed = TransferBroker(
-        ServiceConfig(checkpoint_dir=str(tmp_path / "ckpt"), **_FIXTURE_CONFIG)
-    )
-    resumed.store.close()
+    config = ServiceConfig(checkpoint_dir=str(tmp_path / "ckpt"), **_FIXTURE_CONFIG)
+    inline = json.loads((FIXTURE / "ckpt" / "snapshot-00000001.json").read_text())
+    assert inline["version"] == 2 and len(inline["meta"]["decisions"]) == 18
+    resumed = TransferBroker(config)
     assert resumed.resumed and resumed.verifier_report["ok"]
     assert resumed.recovery_info["replayed_records"] > 0
+    assert not resumed.store.journal_path.exists()
     recovered = _books(resumed)
     assert recovered["next_slot"] == books["next_slot"]
     assert set(recovered["decisions"]) == set(books["decisions"])
     assert "lp" in {lane for _, _, lane in books["decisions"].values()}
+
+    store = resumed.store
+    resumed.checkpoint()
+    store.close()
+    written = json.loads(store.snapshot_path(store.generation).read_text())
+    assert written["version"] == 3 and "decisions" not in written["meta"]
+    assert written["meta"]["decisions_mark"] == store.journal_path.stat().st_size
+    journaled = [c for frame in scan_wal(store.journal_path).records for c in frame]
+    assert journaled == list(resumed.decisions)  # inherited + replayed, once each
+    again = TransferBroker(config)
+    again.store.close()
+    assert again.recovery_info["replayed_records"] == 0
+    assert again.decisions == resumed.decisions
+    assert _books(again) == recovered
     if books["scipy"] != scipy.__version__:
         pytest.skip(f"cells were recorded against scipy {books['scipy']}")
     assert recovered["decisions"] == books["decisions"]

@@ -289,7 +289,7 @@ def test_broker_drain_flushes_everything(tmp_path):
     assert len(resolved) == 5
     assert broker.queue.depth == 0
     assert broker.draining
-    assert broker.store.exists()
+    assert broker.store.snapshot_generations()
 
 
 def test_crash_resume_matches_uninterrupted_run(tmp_path):

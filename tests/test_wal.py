@@ -3,9 +3,11 @@
 import json
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.errors import SchedulingError, WalError
+from repro.service import chaos
 from repro.service.config import ServiceConfig
 from repro.service.slotloop import TransferBroker
 from repro.service.store import SnapshotStore
@@ -42,11 +44,40 @@ def test_append_counts_and_close(tmp_path):
     n = wal.append({"type": "admit"})
     assert wal.records_written == 1
     assert wal.bytes_written == n
-    assert wal.size_bytes() == n
+    assert (tmp_path / "wal.log").stat().st_size == n
     wal.close()
     assert wal.closed
     with pytest.raises(WalError, match="closed"):
         wal.append({"type": "admit"})
+
+
+def test_append_many_is_one_write_and_one_fsync(tmp_path):
+    """The journal's path: several frames, a single trip to the disk."""
+    stages = []
+    wal = WriteAheadLog(tmp_path / "wal.log", crashpoint=stages.append)
+    frames = [{"a": {"decision": "admitted"}}, {"b": {"decision": "rejected"}}]
+    n = wal.append(*frames)
+    wal.close()
+    assert stages == ["wal.pre_write", "wal.pre_fsync", "wal.post_fsync"]
+    assert wal.records_written == 2
+    assert n == sum(len(encode_record(frame)) for frame in frames)
+    assert scan_wal(tmp_path / "wal.log").records == frames
+
+
+def test_scan_limit_reads_a_prefix_and_says_if_it_is_whole(tmp_path):
+    path = tmp_path / "wal.log"
+    wal = WriteAheadLog(path)
+    first = wal.append({"n": 1})
+    second = wal.append({"n": 2})
+    wal.close()
+    whole = scan_wal(path, limit=first)
+    assert whole.records == [{"n": 1}] and whole.valid_bytes == first
+    # A limit inside a frame is not a frame boundary: the prefix is short.
+    inside = scan_wal(path, limit=first + second - 1)
+    assert inside.records == [{"n": 1}] and inside.valid_bytes == first
+    # A limit past the end of the file cannot be met either.
+    assert scan_wal(path, limit=first + second + 5).valid_bytes == first + second
+    assert scan_wal(path, limit=0).records == []
 
 
 def test_oversized_record_refused():
@@ -118,6 +149,13 @@ def wal_config(tmp_path, **overrides):
     return ServiceConfig(**defaults)
 
 
+def flip_middle_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+    return data
+
+
 def drive_slots(broker, slots, start=0):
     for i in range(slots):
         broker.submit({
@@ -164,10 +202,7 @@ def test_recover_falls_back_past_corrupt_snapshot(tmp_path):
     del broker
 
     store = SnapshotStore(str(tmp_path / "ckpt"), wal=True)
-    newest = store.snapshot_path(store.newest_generation())
-    data = bytearray(newest.read_bytes())
-    data[len(data) // 2] ^= 0xFF
-    newest.write_bytes(bytes(data))
+    flip_middle_byte(store.snapshot_path(max(store.snapshot_generations())))
 
     resumed = TransferBroker(wal_config(tmp_path))
     assert resumed.recovery_info["fallbacks"] == 1
@@ -217,7 +252,7 @@ def test_recover_refuses_broken_chain(tmp_path):
     del broker
     store = SnapshotStore(str(tmp_path / "ckpt"), wal=True)
     # Kill the only retained snapshot: the WAL chain starts mid-history.
-    store.snapshot_path(store.newest_generation()).unlink()
+    store.snapshot_path(max(store.snapshot_generations())).unlink()
     with pytest.raises(WalError, match="genesis"):
         TransferBroker(wal_config(tmp_path, snapshot_retain=1))
 
@@ -259,3 +294,210 @@ def test_empty_slots_survive_resume(tmp_path):
     del broker
     resumed = TransferBroker(wal_config(tmp_path, checkpoint_every=100))
     assert resumed.next_slot == 3
+
+
+# -- the decision journal ----------------------------------------------------
+
+
+def journal_ids(store):
+    """Every client id the journal holds, in frame order (duplicates kept)."""
+    scan = scan_wal(store.journal_path)
+    assert not scan.torn
+    return [cid for frame in scan.records for cid in frame]
+
+
+def cells(broker):
+    return {
+        (src, dst, slot): volume
+        for src, dst in broker.state.ledger.used_links()
+        for slot, volume in broker.state.ledger.usage(src, dst).volumes.items()
+    }
+
+
+def test_snapshot_carries_a_mark_not_the_decisions(tmp_path):
+    broker = TransferBroker(wal_config(tmp_path, checkpoint_every=2))
+    drive_slots(broker, 4)
+    store = broker.store
+    newest = json.loads(store.snapshot_path(store.generation).read_text())
+    assert newest["version"] == 3
+    assert "decisions" not in newest["meta"]
+    assert newest["meta"]["decisions_mark"] == store.journal_path.stat().st_size
+    # Two checkpoints, two frames, each decision serialised once.
+    assert len(scan_wal(store.journal_path).records) == 2
+    assert journal_ids(store) == list(broker.decisions)
+    stats = store.stats()
+    assert stats["journal_bytes"] == store.journal_path.stat().st_size
+    assert stats["wal_bytes"] == sum(
+        store.wal_path(gen).stat().st_size for gen in store.wal_generations()
+    )  # the WAL alone: nothing pruned yet, and the journal is not in it
+
+
+def test_long_inherited_log_is_journaled_in_bounded_frames(tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.service.store._FRAME_DECISIONS", 2)
+    broker = TransferBroker(wal_config(tmp_path, checkpoint_every=5))
+    drive_slots(broker, 5)
+    frames = scan_wal(broker.store.journal_path).records
+    assert [len(frame) for frame in frames] == [2, 2, 1]
+
+
+def test_torn_journal_tail_is_cut(tmp_path):
+    broker = TransferBroker(wal_config(tmp_path))
+    drive_slots(broker, 2)
+    decided = dict(broker.decisions)
+    intact = broker.store.journal_path.stat().st_size
+    del broker
+    with open(tmp_path / "ckpt" / "decisions.log", "ab") as fh:
+        fh.write(b"\x40\x00\x00\x00\xde\xad\xbe\xefgarbage tail")
+
+    resumed = TransferBroker(wal_config(tmp_path))
+    assert resumed.recovery_info["journal_cut_bytes"] == 20
+    assert resumed.store.journal_path.stat().st_size == intact
+    assert resumed.decisions == decided
+    resumed.store.close()
+    again = TransferBroker(wal_config(tmp_path))
+    assert again.recovery_info["journal_cut_bytes"] == 0
+
+
+def test_fallback_cuts_the_journal_and_rejournals_without_duplicates(tmp_path):
+    """The ``corrupt_snapshot`` drill, seen from the journal."""
+    broker = TransferBroker(wal_config(tmp_path))
+    drive_slots(broker, 3)
+    decided, ledger = dict(broker.decisions), cells(broker)
+    store = broker.store
+    del broker
+    flip_middle_byte(store.snapshot_path(store.generation))
+
+    resumed = TransferBroker(wal_config(tmp_path))
+    info = resumed.recovery_info
+    assert info["fallbacks"] == 1 and info["journal_cut_bytes"] > 0
+    # Cut back to generation 2's mark; slot 2 came back from the WAL.
+    assert journal_ids(resumed.store) == ["s0", "s1"]
+    assert resumed.decisions == decided and cells(resumed) == ledger
+    assert resumed.telemetry()["recovery"]["info"]["journal_cut_bytes"] > 0
+
+    drive_slots(resumed, 1, start=3)  # the next checkpoint re-journals s2
+    assert journal_ids(resumed.store) == ["s0", "s1", "s2", "s3"]
+    resumed.store.close()
+    again = TransferBroker(wal_config(tmp_path))
+    assert again.recovery_info["journal_cut_bytes"] == 0
+    assert again.decisions == resumed.decisions and cells(again) == cells(resumed)
+
+
+def test_death_between_journal_fsync_and_rename_is_rejournaled_once(tmp_path):
+    broker = TransferBroker(wal_config(tmp_path))
+    chaos.MONKEY.arm("journal.post_fsync", action="raise", at=2)
+    try:
+        with pytest.raises(chaos.InjectedCrash):
+            drive_slots(broker, 2)
+    finally:
+        chaos.reset()
+    # The journal already holds s1; the only snapshot's mark covers s0.
+    assert journal_ids(broker.store) == ["s0", "s1"]
+    assert broker.store.snapshot_generations() == [1]
+    del broker
+
+    resumed = TransferBroker(wal_config(tmp_path))
+    assert resumed.recovery_info["journal_cut_bytes"] > 0
+    assert journal_ids(resumed.store) == ["s0"]
+    assert set(resumed.decisions) == {"s0", "s1"}  # s1 re-derived from the WAL
+    drive_slots(resumed, 1, start=2)
+    assert journal_ids(resumed.store) == ["s0", "s1", "s2"]
+
+
+@pytest.mark.parametrize("wal", [True, False])
+def test_bad_frame_below_the_mark_refuses_to_start(tmp_path, wal):
+    config = wal_config(tmp_path, wal=wal)
+    broker = TransferBroker(config)
+    drive_slots(broker, 3)
+    path = broker.store.journal_path
+    del broker
+    data = flip_middle_byte(path)
+    with pytest.raises(WalError, match="below the snapshot's mark"):
+        TransferBroker(config)
+    # So does a journal that lost its end (shorter than the mark).
+    path.write_bytes(bytes(data[:10]))
+    with pytest.raises(WalError, match="hole in the idempotency log"):
+        TransferBroker(config)
+
+
+def test_legacy_rolls_decisions_back_with_their_ledger_cells(tmp_path):
+    """Slots after the last snapshot vanish whole: log and cells alike."""
+    config = wal_config(tmp_path, wal=False, checkpoint_every=2)
+    broker = TransferBroker(config)
+    drive_slots(broker, 2)
+    at_snapshot = dict(broker.decisions), cells(broker)
+    drive_slots(broker, 1, start=2)  # slot 2: decided, never checkpointed
+    assert "s2" in broker.decisions
+    del broker
+
+    resumed = TransferBroker(config)
+    assert resumed.resumed and resumed.next_slot == 2
+    assert (resumed.decisions, cells(resumed)) == at_snapshot
+    assert resumed.verifier_report["ok"]
+    assert resumed.submit({"id": "s2", "source": 0, "destination": 2,
+                           "size_gb": 4.0, "deadline_slots": 3})[0] == "pending"
+
+    # A death after the journal's fsync but before the rename: the
+    # journal runs ahead of snapshot.json and is cut back to its mark.
+    resumed.process_slot()
+    chaos.MONKEY.arm("checkpoint.pre_rename", action="raise")
+    try:
+        with pytest.raises(chaos.InjectedCrash):
+            drive_slots(resumed, 1, start=3)
+    finally:
+        chaos.reset()
+    assert journal_ids(resumed.store) == ["s0", "s1", "s2", "s3"]
+    del resumed
+    rolled_back = TransferBroker(config)
+    assert rolled_back.recovery_info["journal_cut_bytes"] > 0
+    assert journal_ids(rolled_back.store) == ["s0", "s1"]
+    assert (rolled_back.decisions, cells(rolled_back)) == at_snapshot
+
+
+def test_checkpoint_bytes_follow_the_change_not_the_history(tmp_path):
+    """A size pin, not a clock: 656 slots of the spine's ``durable_trickle``
+    shape (8 requests/slot, 1-6 GB, deadlines 2-8, 64-slot periods)."""
+    broker = TransferBroker(ServiceConfig(
+        datacenters=10, capacity=100.0, max_deadline=8, tick_seconds=0.0,
+        checkpoint_dir=str(tmp_path / "ckpt"), wal=True, wal_fsync=False,
+        period_slots=64, telemetry=False,
+    ))
+    store = broker.store
+    rng = np.random.default_rng(1)
+    per_decision = {}
+    for slot in range(656):
+        for n in range(8):
+            src = int(rng.integers(0, 10))
+            broker.submit({
+                "id": f"r{slot * 8 + n:06d}", "source": src,
+                "destination": (src + int(rng.integers(1, 10))) % 10,
+                "size_gb": round(float(rng.uniform(1.0, 6.0)), 6),
+                "deadline_slots": int(rng.integers(2, 9)),
+            })
+        broker.process_slot()
+        if slot + 1 in (82, 164, 328, 656):
+            journaled = (slot + 1) // 5 * 40  # checkpoint_every=5 x 8 requests
+            per_decision[slot + 1] = store.stats()["journal_bytes"] / journaled
+    store.close()
+    assert all(240 < size < 280 for size in per_decision.values()), per_decision
+    assert max(per_decision.values()) <= 1.05 * min(per_decision.values())
+    assert store.stats()["snapshot_bytes"] / len(broker.decisions) <= 4096
+    for generation in store.snapshot_generations():
+        assert b'"decisions"' not in store.snapshot_path(generation).read_bytes()
+
+
+def test_checkpoint_span_says_what_it_wrote(tmp_path):
+    import repro.obs as obs
+
+    broker = TransferBroker(wal_config(tmp_path, checkpoint_every=2))
+    sink = obs.get_registry().add_sink(obs.Collector(keep_events=True))
+    try:
+        drive_slots(broker, 4)
+    finally:
+        obs.get_registry().remove_sink(sink)
+    spans = [e["attrs"] for e in sink.events
+             if e["type"] == "span" and e["name"] == "service.checkpoint"]
+    assert [a["decisions"] for a in spans] == [2, 2]
+    assert [a["generation"] for a in spans] == [1, 2]
+    assert sum(a["journal_bytes"] for a in spans) == broker.store.written["journal_bytes"]
+    assert sum(a["bytes"] for a in spans) == broker.store.written["snapshot_bytes"]
