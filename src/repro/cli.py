@@ -572,7 +572,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    # Subprocess fault drills arm crash/mangle points through the
+    # Subprocess fault drills arm crash points through the
     # environment (REPRO_CHAOS=action:point[:at[:param]],...); a clean
     # environment arms nothing and the taps are no-ops.
     from repro.service import chaos as chaos_mod
@@ -645,24 +645,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     base = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
     os.makedirs(base, exist_ok=True)
-    wanted = (
-        ["crash-matrix", "corruption", "watchdog"]
-        if args.drill == "all"
-        else [args.drill]
-    )
-    drills = {}
-    if "crash-matrix" in wanted:
-        drills["crash_matrix"] = chaos_mod.run_crash_matrix(
-            os.path.join(base, "crash")
-        )
-    if "corruption" in wanted:
-        drills["corruption"] = chaos_mod.run_torn_and_corrupt_drill(
-            os.path.join(base, "corruption")
-        )
-    if "watchdog" in wanted:
-        drills["watchdog"] = chaos_mod.run_watchdog_drill(
-            os.path.join(base, "watchdog")
-        )
+    runners = {
+        "crash-matrix": chaos_mod.run_crash_matrix,
+        "corruption": chaos_mod.run_torn_and_corrupt_drill,
+        "watchdog": chaos_mod.run_watchdog_drill,
+    }
+    drills = {
+        name.replace("-", "_"): run(os.path.join(base, name))
+        for name, run in runners.items()
+        if args.drill in ("all", name)
+    }
     ok = all(report["ok"] for report in drills.values())
     report = {"ok": ok, "workdir": base, "drills": drills}
     if args.json:
@@ -673,11 +665,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     for name, drill in drills.items():
         line = f"{name}: {'PASS' if drill['ok'] else 'FAIL'}"
         if name == "crash_matrix":
-            passed = sum(
-                1 for e in drill["points"].values()
-                if e["crashed"] and e["books_equal"]
+            cases = [e for models in drill["points"].values() for e in models.values()]
+            line += (
+                f" ({sum(e['ok'] for e in cases)}/{len(cases)} cases recover exactly: "
+                f"{len(drill['points'])} points x {', '.join(chaos_mod.CRASH_MODELS)})"
             )
-            line += f" ({passed}/{len(drill['points'])} crash points recover exactly)"
         elif name == "corruption":
             passed = sum(1 for e in drill["cases"].values() if e["books_equal"])
             line += f" ({passed}/{len(drill['cases'])} corruptions recover exactly)"

@@ -18,18 +18,17 @@ before the ack).  :class:`ChaosMonkey` arms actions at those points:
 ``hang``
     Sleep ``param`` seconds at the point — the injected stall the
     solver watchdog must degrade around.
-``torn``
-    (mangle points only) Truncate the buffer mid-record before it hits
-    the file — a torn write.  Drills pair it with a ``raise`` at the
-    following crash point, since a real torn write only exists because
-    the process died mid-call.
 ``enospc``
-    (mangle points only) Raise ``OSError(ENOSPC)`` — disk full.
+    Raise ``OSError(ENOSPC)`` — disk full (at ``wal.pre_write``: the
+    append is refused before a byte lands).
+
+A *torn* write needs no action of its own: it only exists because the
+machine died mid-call — the crash matrix's ``power-torn`` model.
 
 Crash-point names currently wired::
 
-    wal.pre_write | wal.pre_fsync | wal.post_fsync      (wal.append)
-    wal.append                                          (mangle tap)
+    wal.pre_write                                       (wal.append)
+    wal.pre_fsync | wal.post_fsync                      (wal.sync)
     journal.pre_write | .pre_fsync | .post_fsync        (decision journal)
     checkpoint.pre_write | checkpoint.pre_fsync
     checkpoint.pre_rename | checkpoint.post_rename      (atomic_write)
@@ -48,8 +47,8 @@ from __future__ import annotations
 import errno
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ServiceError
 from repro.obs import registry as obs
@@ -69,9 +68,8 @@ class InjectedCrash(BaseException):
         self.point = point
 
 
-#: Actions crash points accept / mangle points accept.
-_CRASH_ACTIONS = ("raise", "kill", "hang")
-_MANGLE_ACTIONS = ("torn", "enospc")
+#: Actions a crash point accepts.
+_ACTIONS = ("raise", "kill", "hang", "enospc")
 
 
 @dataclass
@@ -83,30 +81,25 @@ class _Arm:
     at: int = 1
     param: float = 0.0
     hits: int = 0
-    fired: int = 0
 
 
 class ChaosMonkey:
     """Holds the armed script and serves the hook calls.
 
     A process-global instance (:data:`MONKEY`) backs the module-level
-    :func:`crashpoint` / :func:`mangle` functions the durability layer
-    calls; everything is a near-free no-op while nothing is armed.
+    :func:`crashpoint` function the durability layer calls; everything
+    is a near-free no-op while nothing is armed.
     """
 
     def __init__(self) -> None:
         self._arms: Dict[str, _Arm] = {}
 
-    @property
-    def armed(self) -> bool:
-        return bool(self._arms)
-
     def arm(
         self, point: str, action: str = "raise", at: int = 1, param: float = 0.0
     ) -> None:
         """Arm ``action`` at ``point``, firing on the ``at``-th hit."""
-        if action not in _CRASH_ACTIONS + _MANGLE_ACTIONS:
-            known = ", ".join(_CRASH_ACTIONS + _MANGLE_ACTIONS)
+        if action not in _ACTIONS:
+            known = ", ".join(_ACTIONS)
             raise ServiceError(f"unknown chaos action {action!r}; one of: {known}")
         if at < 1:
             raise ServiceError(f"chaos 'at' must be >= 1, got {at}")
@@ -119,44 +112,23 @@ class ChaosMonkey:
         else:
             self._arms.pop(point, None)
 
-    def fired(self, point: str) -> int:
-        """How many times ``point``'s action has fired."""
-        arm = self._arms.get(point)
-        return arm.fired if arm else 0
-
-    # -- the hooks the durability layer calls ------------------------------
-
     def crashpoint(self, point: str) -> None:
         """Called at a crash boundary; fires the armed action, if due."""
         arm = self._arms.get(point)
-        if arm is None or arm.action not in _CRASH_ACTIONS:
+        if arm is None:
             return
         arm.hits += 1
         if arm.hits != arm.at:
             return
-        arm.fired += 1
         obs.counter("service.chaos.fired", point=point, action=arm.action)
         if arm.action == "hang":
             time.sleep(arm.param)
             return
         if arm.action == "kill":
             os._exit(137)
-        raise InjectedCrash(point)
-
-    def mangle(self, point: str, data: bytes) -> bytes:
-        """Called around a buffer write; corrupts or refuses it, if due."""
-        arm = self._arms.get(point)
-        if arm is None or arm.action not in _MANGLE_ACTIONS:
-            return data
-        arm.hits += 1
-        if arm.hits != arm.at:
-            return data
-        arm.fired += 1
-        obs.counter("service.chaos.fired", point=point, action=arm.action)
         if arm.action == "enospc":
             raise OSError(errno.ENOSPC, "No space left on device (injected)")
-        keep = int(arm.param) if arm.param else max(1, len(data) // 2)
-        return data[:keep]
+        raise InjectedCrash(point)
 
     def configure_from_env(self, env_var: str = "REPRO_CHAOS") -> int:
         """Arm from ``REPRO_CHAOS=action:point[:at[:param]],...``.
@@ -191,11 +163,6 @@ def crashpoint(point: str) -> None:
     MONKEY.crashpoint(point)
 
 
-def mangle(point: str, data: bytes) -> bytes:
-    """Module-level tap: :meth:`ChaosMonkey.mangle` on :data:`MONKEY`."""
-    return MONKEY.mangle(point, data)
-
-
 def reset() -> None:
     """Disarm everything (test/drill teardown)."""
     MONKEY.disarm()
@@ -207,152 +174,159 @@ def reset() -> None:
 #: names where the "process" dies; recovery after every one of them
 #: must reproduce the uninterrupted run exactly.
 DEFAULT_CRASH_POINTS = (
-    "wal.pre_write",
-    "wal.pre_fsync",
-    "wal.post_fsync",
-    "journal.pre_write",
-    "journal.pre_fsync",
-    "journal.post_fsync",
-    "checkpoint.pre_write",
-    "checkpoint.pre_fsync",
-    "checkpoint.pre_rename",
-    "checkpoint.post_rename",
+    "wal.pre_write", "wal.pre_fsync", "wal.post_fsync",
+    "journal.pre_write", "journal.pre_fsync", "journal.post_fsync",
+    "checkpoint.pre_write", "checkpoint.pre_fsync",
+    "checkpoint.pre_rename", "checkpoint.post_rename",
     "commit.pre_ack",
 )
+
+#: Matrix rows, ``name -> (point, hit)``.  Every point dies on its second
+#: hit (for ``wal.pre_fsync`` / ``post_fsync`` that is a slot commit:
+#: admits do not reach them); the extra row dies before slot 0's commit
+#: record, with a whole batch of admits written and none of them synced.
+CRASH_CASES = {
+    **{point: (point, 2) for point in DEFAULT_CRASH_POINTS},
+    "admits.unsynced": ("wal.pre_write", 5),
+}
+
+#: How the machine dies.  ``process``: every written byte survives (the
+#: page cache outlives ``kill -9``).  ``power``: the open log is cut back
+#: to its durable watermark; ``power-torn``: into the first unsynced
+#: frame instead.  The journal needs no cut of its own — recovery drops
+#: whatever lies past the snapshot's mark under every model.
+CRASH_MODELS = ("process", "power", "power-torn")
+
+
+def power_loss(wal, torn: bool = False) -> int:
+    """Cut ``wal``'s file to ``bytes_durable``, as losing power would
+    (``torn``: 5 bytes into the first unsynced frame).  Returns bytes lost."""
+    keep = wal.bytes_durable
+    if torn and wal.bytes_written > keep:
+        keep += 5  # inside the 8-byte header: a "short header" tear
+    os.truncate(wal.path, keep)
+    return wal.bytes_written - keep
 
 
 def _drill_batches() -> List[List[Dict[str, Any]]]:
     """The deterministic workload every drill run replays (3 slots)."""
-    sizes = [
-        [6.0, 9.0, 4.0, 11.0],
-        [8.0, 3.0, 10.0, 5.0],
-        [7.0, 2.0, 12.0, 6.0],
-    ]
-    batches = []
-    for b, row in enumerate(sizes):
-        batches.append([
-            {
-                "id": f"d{b}-{i}",
-                "source": i % 3,
-                "destination": 3 - (i % 3),
-                "size_gb": size,
-                "deadline_slots": 3,
-            }
+    sizes = [[6.0, 9.0, 4.0, 11.0], [8.0, 3.0, 10.0, 5.0], [7.0, 2.0, 12.0, 6.0]]
+    return [
+        [
+            {"id": f"d{b}-{i}", "source": i % 3, "destination": 3 - (i % 3),
+             "size_gb": size, "deadline_slots": 3}
             for i, size in enumerate(row)
-        ])
-    return batches
+        ]
+        for b, row in enumerate(sizes)
+    ]
 
 
-def _drill_config(checkpoint_dir: str):
+def _drill_broker(checkpoint_dir: str, **overrides):
     from repro.service.config import ServiceConfig
+    from repro.service.slotloop import TransferBroker
 
-    return ServiceConfig(
-        datacenters=4,
-        capacity=50.0,
-        seed=3,
-        max_deadline=8,
-        tick_seconds=0.0,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=1,
-        wal=True,
-    )
+    return TransferBroker(ServiceConfig(
+        datacenters=4, capacity=50.0, seed=3, max_deadline=8, tick_seconds=0.0,
+        checkpoint_dir=checkpoint_dir, checkpoint_every=1, wal=True, **overrides,
+    ))
 
 
-def _drive(broker, batches: List[List[Dict[str, Any]]]) -> None:
+def _drive(broker, batches, answered: Optional[Dict[str, Any]] = None) -> Dict[str, int]:
     """Submit + process each batch as one slot, like a scripted client.
 
     Resubmitting an id the broker already decided (or still holds
-    pending) is the idempotent-retry path a real client takes after a
-    crash; both outcomes are treated as accepted here.
+    queued) is a client's idempotent retry after a crash.  Returns how
+    the submits were taken (``pending`` = fresh, ``attached``, ``decided``);
+    ``answered`` collects every decision a client would have read.
     """
+    taken = {"pending": 0, "attached": 0, "decided": 0}
+    answered = {} if answered is None else answered
     for batch in batches:
         for fields in batch:
-            try:
-                broker.submit(dict(fields))
-            except ServiceError:
-                # Already pending from before the crash — fine.
-                pass
+            outcome, value = broker.submit(dict(fields))
+            taken[outcome] += 1
+            if outcome == "decided":
+                answered[fields["id"]] = value
         if broker.queue.depth:
-            broker.process_slot()
+            answered.update((p.client_id, rec) for p, rec in broker.process_slot())
+    return taken
 
 
 def _books(broker) -> Dict[str, Any]:
     """The comparable face of a broker: decisions, ledger, bill, clock."""
-    ledger = {}
-    for src, dst in broker.state.ledger.used_links():
-        usage = broker.state.ledger.usage(src, dst)
-        ledger[f"{src},{dst}"] = {
-            str(s): round(v, 9) for s, v in usage.volumes.items() if v > 1e-12
-        }
+    from repro.core.checkpoint import state_to_payload
+
+    state = state_to_payload(broker.state)  # cells exactly as a snapshot holds them
     return {
-        "decisions": {
-            cid: rec["decision"] for cid, rec in broker.decisions.items()
-        },
-        "charged": {
-            f"{s},{d}": round(v, 9)
-            for (s, d), v in broker.state.charged_snapshot().items()
-            if v > 1e-12
-        },
-        "ledger": ledger,
+        "decisions": {cid: rec["decision"] for cid, rec in broker.decisions.items()},
+        "charged": state["charged"],
+        "ledger": state["usage"],
         "cost_per_slot": round(broker.state.current_cost_per_slot(), 9),
         "next_slot": broker.next_slot,
     }
 
 
+def _reference_books(base_dir: str, name: str, batches) -> Dict[str, Any]:
+    reference = _drill_broker(os.path.join(base_dir, name))
+    _drive(reference, batches)
+    return _books(reference)
+
+
 def run_crash_matrix(base_dir: str) -> Dict[str, Any]:
     """The acceptance drill: crash at every point, recover, compare.
 
-    For each crash point: run the scripted workload against a
-    WAL-enabled broker with an ``InjectedCrash`` armed on the second
-    hit of that point, discard the broker mid-flight
-    exactly where the crash lands, rebuild a fresh broker from the
-    checkpoint directory alone, finish the workload with
-    client-idempotent retries, and require the recovered books (every
-    decision, every ledger cell, the bill, the clock) to equal an
-    uninterrupted reference run's.  The recovery verifier runs inside
-    every resume (the broker refuses to serve otherwise).
+    For each row of :data:`CRASH_CASES` under each of
+    :data:`CRASH_MODELS`: drive the scripted workload into an armed
+    ``InjectedCrash``, discard the broker exactly where it lands (cutting
+    its log the way the model says), rebuild a broker from the checkpoint
+    directory alone, and finish with client-idempotent retries.  The
+    recovered books (every decision, ledger cell, the bill, the clock)
+    must equal an uninterrupted reference run's, *and* every decision a
+    client read before the crash must read the same after it.  The
+    recovery verifier runs inside every resume.
 
-    Returns the drill report (one entry per point, ``ok`` overall).
+    Returns the drill report (``points[name][model]``, ``ok`` overall).
     """
-    from repro.service.slotloop import TransferBroker
-
     batches = _drill_batches()
-
-    reference = TransferBroker(_drill_config(os.path.join(base_dir, "reference")))
-    _drive(reference, batches)
-    expected = _books(reference)
-
+    expected = _reference_books(base_dir, "reference", batches)
     report: Dict[str, Any] = {"kind": "crash-matrix", "points": {}, "ok": True}
-    for point in DEFAULT_CRASH_POINTS:
-        ckpt = os.path.join(base_dir, point.replace(".", "_"))
-        broker = TransferBroker(_drill_config(ckpt))
-        MONKEY.arm(point, action="raise", at=2)
-        crashed = False
-        try:
-            _drive(broker, batches)
-        except InjectedCrash:
-            crashed = True
-        finally:
-            MONKEY.disarm(point)
-        del broker  # the "dead process": nothing survives but the disk
+    for name, (point, hit) in CRASH_CASES.items():
+        for model in CRASH_MODELS:
+            ckpt = os.path.join(base_dir, f"{name}-{model}".replace(".", "_"))
+            broker = _drill_broker(ckpt)
+            MONKEY.arm(point, action="raise", at=hit)
+            crashed, answered = False, {}
+            try:
+                _drive(broker, batches, answered)
+            except InjectedCrash:
+                crashed = True
+            finally:
+                MONKEY.disarm(point)
+            lost = 0
+            if model != "process":
+                lost = power_loss(broker.store.wal, torn=model == "power-torn")
+            del broker  # the "dead process": nothing survives but the disk
 
-        entry = _resume_and_compare(ckpt, batches, expected)
-        entry["crashed"] = crashed
-        report["ok"] &= crashed and entry["books_equal"]
-        report["points"][point] = entry
+            entry = _resume_and_compare(ckpt, batches, expected, answered)
+            entry.update(crashed=crashed, lost_bytes=lost)
+            entry["ok"] = crashed and entry["books_equal"] and entry["answers_kept"]
+            report["ok"] &= entry["ok"]
+            report["points"].setdefault(name, {})[model] = entry
     return report
 
 
-def _resume_and_compare(ckpt: str, batches, expected: Dict[str, Any]) -> Dict[str, Any]:
-    """Rebuild a broker from ``ckpt`` alone, finish the workload, compare books."""
-    from repro.service.slotloop import TransferBroker
-
-    resumed = TransferBroker(_drill_config(ckpt))
-    _drive(resumed, batches)
+def _resume_and_compare(ckpt: str, batches, expected, answered=None) -> Dict[str, Any]:
+    """Rebuild a broker from ``ckpt`` alone, finish the workload, compare
+    books — and what clients read before (``answered``) with after."""
+    resumed = _drill_broker(ckpt)
+    after: Dict[str, Any] = {}
+    taken = _drive(resumed, batches, after)
     got = _books(resumed)
     entry = {
         "resumed": resumed.resumed,
         "books_equal": got == expected,
+        "answers_kept": all(after.get(c) == rec for c, rec in (answered or {}).items()),
+        "resubmits": taken,
         "recovery": dict(resumed.recovery_info),
         "verifier": resumed.verifier_report,
     }
@@ -361,72 +335,67 @@ def _resume_and_compare(ckpt: str, batches, expected: Dict[str, Any]) -> Dict[st
     return entry
 
 
+def _tear(path) -> None:
+    """Append half a record: the classic ``kill -9`` mid-append artifact."""
+    with open(path, "ab") as fh:
+        fh.write(b"\x99\x00\x00\x00\xde\xad\xbe\xefhalf a rec")
+
+
+def _flip_middle_byte(path) -> None:
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+#: Corruption drill: ``name -> (damage(store), the recovery-info keys
+#: that must then read non-zero)``.
+_CORRUPTIONS = {
+    "torn_wal_tail": (
+        lambda store: _tear(store.wal_path(store.wal_generations()[-1])),
+        ["torn_bytes"],
+    ),
+    # Past the newest snapshot's mark: cut.
+    "torn_journal_tail": (lambda store: _tear(store.journal_path), ["journal_cut_bytes"]),
+    # A compaction died mid-write and left snapshot-<g+1>.json.tmp behind.
+    "torn_tmp": (
+        lambda store: store.snapshot_path(store.snapshot_generations()[-1] + 1)
+        .with_suffix(".json.tmp").write_text('{"version": 3, "kind": "pos'),
+        ["stray_tmp"],
+    ),
+    # The checksum must reject the newest snapshot: fall back to generation
+    # K-1, cut the journal back to *its* mark, replay both generations' logs.
+    "corrupt_snapshot": (
+        lambda store: _flip_middle_byte(
+            store.snapshot_path(store.snapshot_generations()[-1])
+        ),
+        ["fallbacks", "journal_cut_bytes"],
+    ),
+}
+
+
 def run_torn_and_corrupt_drill(base_dir: str) -> Dict[str, Any]:
     """Corruption drill: torn WAL/journal tail, torn tmp, corrupt snapshot.
 
-    Four scripted corruptions of the on-disk checkpoint directory — each
-    applied after a healthy partial run, each followed by a resume that
-    must land on books identical to the uninterrupted reference:
-
-    * ``torn_wal_tail`` — the last WAL record is half-written (the
-      classic kill -9 mid-append artifact);
-    * ``torn_journal_tail`` — the same artifact at the end of the
-      decision journal, past the newest snapshot's mark: cut;
-    * ``torn_tmp`` — a ``*.json.tmp`` from a mid-compaction death is
-      left lying around;
-    * ``corrupt_snapshot`` — the newest snapshot generation's bytes are
-      flipped, forcing checksum-fallback to generation K-1, a journal
-      cut back to *its* mark, and WAL replay across both generations.
+    Each :data:`_CORRUPTIONS` case damages the checkpoint directory two
+    healthy slots into the workload; the resume that follows must report
+    the damage it repaired and land on books identical to the
+    uninterrupted reference.
     """
-    from repro.service.slotloop import TransferBroker
     from repro.service.store import SnapshotStore
 
     batches = _drill_batches()
-    reference = TransferBroker(_drill_config(os.path.join(base_dir, "c-reference")))
-    _drive(reference, batches)
-    expected = _books(reference)
+    expected = _reference_books(base_dir, "c-reference", batches)
     report: Dict[str, Any] = {"kind": "corruption", "cases": {}, "ok": True}
-
-    def partial_run(name: str) -> SnapshotStore:
-        """Two healthy slots under ``c-<name>``, then the process is gone."""
+    for name, (damage, expect) in _CORRUPTIONS.items():
         ckpt = os.path.join(base_dir, f"c-{name}")
-        broker = TransferBroker(_drill_config(ckpt))
-        _drive(broker, batches[:2])
-        del broker
-        return SnapshotStore(ckpt, wal=True)
-
-    def finish(name: str, store: SnapshotStore, *expect: str) -> None:
-        entry = _resume_and_compare(str(store.directory), batches, expected)
+        _drive(_drill_broker(ckpt), batches[:2])  # two slots, then the process is gone
+        damage(SnapshotStore(ckpt, wal=True))
+        entry = _resume_and_compare(ckpt, batches, expected)
         missing = [key for key in expect if not entry["recovery"][key]]
         if missing:
             entry["note"] = f"recovery did not report {missing}"
         report["ok"] &= entry["books_equal"] and not missing
         report["cases"][name] = entry
-
-    # Torn tails: garbage half-record bytes after the last intact frame.
-    store = partial_run("torn-wal")
-    with open(store.wal_path(max(store.wal_generations())), "ab") as fh:
-        fh.write(b"\x99\x00\x00\x00\xde\xad\xbe\xefhalf a rec")
-    finish("torn_wal_tail", store, "torn_bytes")
-    store = partial_run("torn-journal")
-    with open(store.journal_path, "ab") as fh:
-        fh.write(b"\x99\x00\x00\x00\xde\xad\xbe\xefhalf a rec")
-    finish("torn_journal_tail", store, "journal_cut_bytes")
-
-    # Torn tmp: a compaction died mid-write, leaving snapshot.json.tmp.
-    store = partial_run("torn-tmp")
-    tmp = store.snapshot_path(max(store.snapshot_generations()) + 1)
-    tmp.with_name(tmp.name + ".tmp").write_text('{"version": 3, "kind": "pos')
-    finish("torn_tmp", store, "stray_tmp")
-
-    # Corrupt newest snapshot: checksum must reject it, recovery must
-    # fall back a generation, cut the journal, replay both generations.
-    store = partial_run("bad-snap")
-    newest = store.snapshot_path(max(store.snapshot_generations()))
-    data = bytearray(newest.read_bytes())
-    data[len(data) // 2] ^= 0xFF
-    newest.write_bytes(bytes(data))
-    finish("corrupt_snapshot", store, "fallbacks", "journal_cut_bytes")
     return report
 
 
@@ -444,12 +413,10 @@ def run_watchdog_drill(
     backoff window passes and the stalled solve has been reaped, must
     escalate through the LP again.
     """
-    from repro.service.slotloop import TransferBroker
-
-    config = _drill_config(os.path.join(base_dir, "watchdog"))
-    config.watchdog_timeout_s = timeout_s
-    config.watchdog_backoff_slots = 1
-    broker = TransferBroker(config)
+    broker = _drill_broker(
+        os.path.join(base_dir, "watchdog"),
+        watchdog_timeout_s=timeout_s, watchdog_backoff_slots=1,
+    )
     # Force every slot onto the escalation path: the drill is about
     # what happens when the LP stalls, not whether pressure arises.
     broker.scheduler.escalate_utilization = 1e-9

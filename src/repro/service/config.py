@@ -86,11 +86,12 @@ class ServiceConfig:
     period_prune: bool = False
 
     #: Write-ahead logging (PR 7): journal every admission and slot
-    #: commit (O(1) bytes, fsync'd before the ack) and turn the
+    #: commit (O(1) bytes, one fsync per slot before its decisions go
+    #: out — docs/ROBUSTNESS.md, "What is durable when") and turn the
     #: ``checkpoint_every`` cadence into snapshot *compaction*.
     #: Requires ``checkpoint_dir``.
     wal: bool = False
-    #: fsync each WAL append / snapshot write.  Turning this off trades
+    #: fsync each WAL sync point / snapshot write.  Turning this off trades
     #: power-loss durability for speed (process-crash durability
     #: remains); drills and benchmarks flip it, production should not.
     wal_fsync: bool = True

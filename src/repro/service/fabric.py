@@ -477,9 +477,9 @@ class RelayTracker:
 
 #: broker.stats() keys that add across shards.
 _STAT_SUM_KEYS = (
-    "submitted", "admitted", "rejected", "backpressured", "slots",
-    "batches", "queue_depth", "escalations", "fast_slots", "degraded",
-    "lp_skipped", "lp_widened", "checkpoints", "wal_records", "wal_bytes",
+    "submitted", "admitted", "rejected", "backpressured", "slots", "batches",
+    "queue_depth", "escalations", "fast_slots", "degraded", "lp_skipped",
+    "lp_widened", "checkpoints", "wal_records", "wal_bytes", "wal_syncs",
     "journal_bytes", "snapshot_bytes", "cost_per_slot", "periods_banked",
 )
 #: Keys where the fleet figure is the furthest shard's.

@@ -19,12 +19,12 @@ Slots after the last checkpoint roll back atomically with their ledger
 commitments — clients that resubmit get a fresh, consistent decision
 (see docs/SERVICE.md).
 
-With ``config.wal=True`` the contract tightens to per-record (PR 7):
-every admission is journaled before its ``pending`` ack, every slot
-commit before its decisions are released, each as one O(1)-sized
-fsync'd WAL record.  Recovery replays the log over the newest valid
-snapshot generation and re-runs the recorded slots through the
-scheduler on their *recorded lanes*, then refuses to serve unless the
+With ``config.wal=True`` the contract tightens to per-slot: admissions
+are written to the WAL at ``submit`` and ride the one fsync of their
+slot's commit record, which lands before any decision is released
+(docs/ROBUSTNESS.md, "What is durable when", is the rule).  Recovery
+replays the log over the newest valid snapshot, re-runs the recorded
+slots on their *recorded lanes*, and refuses to serve unless the
 post-recovery invariant checks (:mod:`repro.service.verify`) pass.
 """
 
@@ -342,17 +342,17 @@ class TransferBroker:
         # unique across crash-resume cycles.
         pending.trace_id = f"t-{self.counts['submitted']:08d}"
         if self.store and self.store.wal_enabled:
-            # Journal-before-ack: the admission must be on disk before
-            # the client hears "pending".  A failed append (disk full)
-            # rolls the submission back — refusing it is honest, acking
-            # an unjournaled one is not.
+            # Written, not synced: nobody hears about this id before its
+            # slot's commit is fsync'd (docs/ROBUSTNESS.md, "What is
+            # durable when").  A failed write (disk full) rolls the
+            # submission back — refusing it is honest.
             try:
                 self.store.append_wal({
                     "type": REC_ADMIT,
                     "entry": pending.to_payload(),
                     "submitted": self.counts["submitted"],
-                })
-            except OSError as exc:
+                }, sync=False)
+            except (OSError, WalError) as exc:
                 self.queue.remove(client_id)
                 self.counts["submitted"] -= 1
                 obs.counter("service.wal.append_failed")
@@ -378,6 +378,8 @@ class TransferBroker:
         if known is not None:
             return {"state": known["decision"], "decision": known}
         if self.queue.contains(client_id):
+            if self.store:
+                self.store.sync_wal()  # sync-before-reveal: "pending" is a promise
             return {"state": "pending"}
         return {"state": "unknown"}
 
@@ -397,13 +399,9 @@ class TransferBroker:
         if not batch:
             self.next_slot = slot + 1
             self.counts["slots"] += 1
-            if self.store and self.store.wal_enabled:
-                # Even an empty slot advances the billable clock; a
-                # resume must not rewind it.  One tiny record.
-                self.store.append_wal({
-                    "type": REC_COMMIT, "slot": slot, "batch": [],
-                    "counts": dict(self.counts),
-                })
+            # Even an empty slot advances the billable clock; a resume
+            # must not rewind it.  One tiny record.
+            self._append_commit(slot, [])
             return []
 
         obs.gauge("service.batch_size", len(batch))
@@ -525,20 +523,11 @@ class TransferBroker:
         if self.store:
             decided = {pending.client_id: record for pending, record in resolutions}
             self._unjournaled.update(decided)
-            if self.store.wal_enabled:
-                # Commit-before-ack at O(1) cost: the slot's batch, its
-                # decisions, the tallies, and the lane that placed it —
-                # on disk before any waiter sees a decision.
-                self.store.append_wal({
-                    "type": REC_COMMIT,
-                    "slot": slot,
-                    "batch": [pending.client_id for pending in batch],
-                    "decisions": decided,
-                    "counts": dict(self.counts),
-                    "lane": lane,
-                    # Scheduler-owned fields, read back by its replay_slot.
-                    **getattr(self.scheduler, "wal_fields", lambda lane: {})(lane),
-                })
+            # Scheduler-owned fields are read back by its replay_slot.
+            self._append_commit(
+                slot, batch, decisions=decided, lane=lane,
+                **getattr(self.scheduler, "wal_fields", lambda lane: {})(lane),
+            )
         if self.store and (
             self.draining or self.next_slot % self.config.checkpoint_every == 0
         ):
@@ -546,6 +535,16 @@ class TransferBroker:
         chaos.crashpoint("commit.pre_ack")
         self.slo.evaluate(emit=True)
         return resolutions
+
+    def _append_commit(self, slot: int, batch: List[PendingTransfer], **fields) -> None:
+        """Commit-before-ack at O(1) cost: the slot's record — and every
+        admit written before it — is on disk before a waiter sees a decision."""
+        if self.store and self.store.wal_enabled:
+            self.store.append_wal({
+                "type": REC_COMMIT, "slot": slot,
+                "batch": [pending.client_id for pending in batch],
+                "counts": dict(self.counts), **fields,
+            })
 
     def _admission_headroom(self, source: int, destination: int, slot: int) -> float:
         """Paid watermark headroom toward ``destination`` at ``slot``.
@@ -688,8 +687,8 @@ class TransferBroker:
             **(
                 self.store.stats()
                 if self.store
-                else {"checkpoints": 0, "generation": 0, "wal_records": 0,
-                      "wal_bytes": 0, "journal_bytes": 0, "snapshot_bytes": 0}
+                else {"checkpoints": 0, "generation": 0, "wal_records": 0, "wal_bytes": 0,
+                      "wal_syncs": 0, "journal_bytes": 0, "snapshot_bytes": 0}
             ),
             **self.counts,
         }

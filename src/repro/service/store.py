@@ -18,9 +18,10 @@ last snapshot roll back on a crash, decisions and ledger cells alike.
     wal-00000000.log                               <- genesis log
 
 Every admission and slot commit is appended to the current generation's
-log (O(1) bytes, fsync'd before the ack); every ``checkpoint_every``
-slots :meth:`SnapshotStore.save` *compacts*: journal, snapshot ``g+1``,
-fresh ``wal-<g+1>.log``, prune past the retention window.  Log ``g``
+log (O(1) bytes; a slot's admits ride its commit's fsync, see "What is
+durable when" in docs/ROBUSTNESS.md); every ``checkpoint_every`` slots
+:meth:`SnapshotStore.save` *compacts*: journal, snapshot ``g+1``, fresh
+``wal-<g+1>.log``, prune past the retention window.  Log ``g``
 covers exactly the interval between snapshots ``g`` and ``g+1``, which
 is what makes checksum fallback work (:meth:`SnapshotStore.recover`;
 docs/ROBUSTNESS.md has the write order and the recovery rules).
@@ -78,7 +79,7 @@ class SnapshotStore:
         #: rotations (the ``stats`` op surfaces these; ``wal_*`` count the
         #: WAL alone and the durability benchmark sums all three ``*_bytes``).
         self.written = {"checkpoints": 0, "wal_records": 0, "wal_bytes": 0,
-                        "journal_bytes": 0, "snapshot_bytes": 0}
+                        "wal_syncs": 0, "journal_bytes": 0, "snapshot_bytes": 0}
         #: The open append log (WAL mode, after :meth:`open_wal`).
         self.wal: Optional[WriteAheadLog] = None
         #: Journal length the newest adopted-or-written snapshot covers.
@@ -124,16 +125,24 @@ class SnapshotStore:
         if self.wal is None:
             self.wal = WriteAheadLog(
                 self.wal_path(self.generation), fsync=self.fsync,
-                crashpoint=chaos.crashpoint, mangle=chaos.mangle,
+                crashpoint=chaos.crashpoint,
             )
         return self.wal
 
-    def append_wal(self, record: Dict[str, Any]) -> int:
-        """Durably append one record to the current generation's log."""
-        size = self.open_wal().append(record)
+    def append_wal(self, record: Dict[str, Any], sync: bool = True) -> int:
+        """Append one record to the current generation's log; ``sync=False``
+        (an admit) leaves it to the next :meth:`sync_wal` to make durable."""
+        size = self.open_wal().append(record, sync=False)
         self.written["wal_records"] += 1
         self.written["wal_bytes"] += size
+        if sync:
+            self.sync_wal()
         return size
+
+    def sync_wal(self) -> None:
+        """Make every appended record durable (at most one fsync)."""
+        if self.wal is not None:
+            self.written["wal_syncs"] += self.wal.sync()
 
     # -- snapshots ---------------------------------------------------------
 
@@ -326,6 +335,8 @@ class SnapshotStore:
         return dict(self.written, generation=self.generation)
 
     def close(self) -> None:
+        """Sync and close the open log (rotation and shutdown both)."""
+        self.sync_wal()
         if self.wal is not None:
             self.wal.close()
             self.wal = None

@@ -26,11 +26,12 @@ Record types the broker writes (:mod:`repro.service.slotloop`)::
      "decisions": {id: record}, "counts": {...}, "lane": "fast|lp|degraded",
      "lp_arcs": "paths"}   # lp records only; absent = solved on the full model
 
-``admit`` is fsync'd before the submission is acknowledged as pending;
-``commit`` is fsync'd before any of the slot's decisions are released
-to waiting clients — the checkpoint-before-ack contract at per-record
-cost instead of per-snapshot cost.  The store's decision journal
-(``decisions.log``) uses the same framing; its frames are plain
+Every frame is written through at once; ``commit`` is fsync'd before any
+of the slot's decisions are released, and an ``admit`` becomes durable
+with the first fsync that follows it on the log — that commit, or a
+:meth:`WriteAheadLog.sync` before a reply that reveals it (the rule:
+docs/ROBUSTNESS.md, "What is durable when").  The store's decision
+journal (``decisions.log``) uses the same framing; its frames are plain
 ``{client id: decision record}`` objects.
 """
 
@@ -154,12 +155,14 @@ def truncate_torn_tail(scan: WalScan) -> int:
 
 
 class WriteAheadLog:
-    """One open, append-only WAL file.
+    """One open, append-only WAL file with a durable watermark.
 
-    ``fsync=True`` (the default) makes every append durable before it
-    returns — the property the before-ack contract rests on.  The
-    ``crashpoint`` / ``mangle`` hooks are the chaos harness's taps (see
-    :mod:`repro.service.chaos`); production leaves them ``None``.
+    Frames are written straight through (no user-space buffer): bytes
+    ``[0, bytes_written)`` survive a process kill, ``[0, bytes_durable)``
+    survive power loss, and :meth:`sync` closes the gap with one fsync
+    (``fsync=False`` moves the watermark without the disk call).
+    ``crashpoint`` is the chaos harness's tap (see
+    :mod:`repro.service.chaos`); production leaves it ``None``.
     """
 
     def __init__(
@@ -167,45 +170,74 @@ class WriteAheadLog:
         path: PathLike,
         fsync: bool = True,
         crashpoint: Optional[Callable[[str], None]] = None,
-        mangle: Optional[Callable[[str, bytes], bytes]] = None,
     ):
         self.path = Path(path)
         self.fsync = fsync
         self._crashpoint = crashpoint or (lambda stage: None)
-        self._mangle = mangle or (lambda stage, data: data)
-        self._fh: Optional[Any] = open(self.path, "ab")
-        #: Appended by this process (not the on-disk total after resume).
-        self.records_written = 0
-        self.bytes_written = 0
+        self._fh: Optional[Any] = open(self.path, "ab", buffering=0)
+        #: The file's length, and the prefix this handle knows an fsync
+        #: covered: inherited bytes may be page cache only, so 0 until synced.
+        self.bytes_written = self._fh.tell()
+        self.bytes_durable = 0
+        #: Frames written past the watermark (the next fsync's group size).
+        self._unsynced = 0
 
     @property
     def closed(self) -> bool:
         return self._fh is None
 
-    def append(self, *records: Dict[str, Any]) -> int:
-        """Frame, write, and (by default) fsync records — one fsync for all.
+    def append(self, *records: Dict[str, Any], sync: bool = True) -> int:
+        """Frame and write records, then :meth:`sync` — one fsync for all.
 
-        Returns the frame size in bytes.  The chaos taps sit exactly at
-        the boundaries a real crash distinguishes: before the write,
-        between write and fsync (data may or may not reach disk), and
-        after the fsync (record durable, ack not yet sent).
+        ``sync=False`` is the admit form: written through, durable with
+        the next fsync on this log.  A write that fails part-way is cut
+        back off the file; if the cut fails too the log is poisoned
+        (closed), so no later frame lands after garbage.  Returns the
+        frame size in bytes.  Crash point: ``wal.pre_write``.
         """
         if self._fh is None:
-            raise WalError(f"append to closed WAL {self.path}")
+            raise WalError(f"append to closed or poisoned WAL {self.path}")
         frame = b"".join(map(encode_record, records))
         self._crashpoint("wal.pre_write")
-        data = self._mangle("wal.append", frame)
-        self._fh.write(data)
-        self._fh.flush()
+        try:
+            view = memoryview(frame)
+            while view:
+                view = view[self._fh.write(view):]
+        except OSError:
+            try:
+                self._fh.truncate(self.bytes_written)
+            except OSError:
+                self._fh.close()
+                self._fh = None
+            raise
+        self.bytes_written += len(frame)
+        self._unsynced += len(records)
+        if sync:
+            self.sync()
+        return len(frame)
+
+    def sync(self) -> bool:
+        """Raise the watermark to ``bytes_written``; true if that cost an fsync.
+
+        A no-op when nothing is unsynced.  Crash points, where a real
+        crash differs: ``wal.pre_fsync`` (written, may or may not reach
+        the disk) and ``wal.post_fsync`` (durable, nobody told yet).
+        """
+        if self._fh is None or self.bytes_durable == self.bytes_written:
+            return False
         self._crashpoint("wal.pre_fsync")
         if self.fsync:
             os.fsync(self._fh.fileno())
+            obs.counter("service.wal.sync", records=self._unsynced)
+        self.bytes_durable, self._unsynced = self.bytes_written, 0
         self._crashpoint("wal.post_fsync")
-        self.records_written += len(records)
-        self.bytes_written += len(data)
-        return len(frame)
+        return self.fsync
 
     def close(self) -> None:
+        """Sync, then close: a closed log holds no unsynced byte."""
         if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+            try:
+                self.sync()
+            finally:
+                self._fh.close()
+                self._fh = None

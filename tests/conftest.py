@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.net.generators import (
@@ -44,3 +46,15 @@ def small_complete():
 def line3():
     """A 3-node bidirectional path A-B-C with capacity 10."""
     return line_topology(3, capacity=10.0)
+
+
+@pytest.fixture
+def fsyncs(monkeypatch):
+    """Every fsync issued while the test runs, counted at the name the
+    spine proxies (``repro.service.wal``'s own ``os``)."""
+    calls = []
+    real = os.fsync
+    monkeypatch.setattr(
+        "repro.service.wal.os.fsync", lambda fd: (calls.append(fd), real(fd))[1]
+    )
+    return calls

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import RecoveryVerifyError, ReproError, ServiceError
 from repro.service import chaos
 from repro.service.chaos import (
+    CRASH_MODELS,
     DEFAULT_CRASH_POINTS,
     ChaosMonkey,
     InjectedCrash,
@@ -37,21 +38,22 @@ def test_arm_fires_on_nth_hit():
     monkey.crashpoint("p")
     with pytest.raises(InjectedCrash, match="p"):
         monkey.crashpoint("p")
-    assert monkey.fired("p") == 1
     monkey.crashpoint("p")  # past the trigger: quiet again
     monkey.disarm("p")
-    assert not monkey.armed
+    monkey.crashpoint("p")
 
 
-def test_mangle_torn_and_enospc():
+def test_enospc_is_a_crash_point_action():
+    """Disk-full is an ``OSError`` the caller handles, not a crash; a torn
+    write is the crash matrix's ``power-torn`` model, not an action."""
     monkey = ChaosMonkey()
-    monkey.arm("w", action="torn", param=4)
-    assert monkey.mangle("w", b"abcdefgh") == b"abcd"
-    monkey.arm("w", action="enospc")
+    monkey.arm("w", action="enospc", at=2)
+    monkey.crashpoint("w")
     with pytest.raises(OSError, match="No space left"):
-        monkey.mangle("w", b"abcdefgh")
-    # Unarmed points pass data through untouched.
-    assert monkey.mangle("other", b"xy") == b"xy"
+        monkey.crashpoint("w")
+    monkey.crashpoint("other")  # unarmed points stay quiet
+    with pytest.raises(ServiceError, match="unknown chaos action"):
+        monkey.arm("w", action="torn")
 
 
 def test_configure_from_env(monkeypatch):
@@ -76,18 +78,30 @@ def test_unknown_action_refused():
 # -- the drills ------------------------------------------------------------
 
 
-def test_crash_matrix_recovers_exactly(tmp_path):
-    report = chaos.run_crash_matrix(str(tmp_path))
+@pytest.fixture(scope="module")
+def crash_matrix(tmp_path_factory):
+    chaos.reset()
+    return chaos.run_crash_matrix(str(tmp_path_factory.mktemp("matrix")))
+
+
+def test_crash_matrix_recovers_exactly(crash_matrix):
+    report = crash_matrix
     assert report["ok"], report
-    assert set(report["points"]) == set(DEFAULT_CRASH_POINTS)
-    for point, entry in report["points"].items():
-        assert entry["crashed"], f"{point} never fired"
-        assert entry["books_equal"], f"{point} diverged: {entry}"
-        assert entry["verifier"]["ok"]
+    assert set(report["points"]) == set(DEFAULT_CRASH_POINTS) | {"admits.unsynced"}
+    for point, models in report["points"].items():
+        assert set(models) == set(CRASH_MODELS)
+        for model, entry in models.items():
+            assert entry["crashed"], f"{point}/{model} never fired"
+            assert entry["books_equal"], f"{point}/{model} diverged: {entry}"
+            assert entry["answers_kept"], f"{point}/{model} contradicted a client"
+            # Power loss before the first fsync leaves an empty directory:
+            # a fresh start, with nothing for the verifier to check.
+            assert entry["verifier"]["ok"] if entry["resumed"] else entry["lost_bytes"]
     # The journal's boundaries are in the matrix.  A death before its
     # write leaves nothing to cut; from the write up to the snapshot's
     # rename the journal runs ahead of the surviving snapshot's mark.
-    cut = {p: e["recovery"]["journal_cut_bytes"] for p, e in report["points"].items()}
+    cut = {p: e["process"]["recovery"]["journal_cut_bytes"]
+           for p, e in report["points"].items()}
     assert cut["journal.pre_write"] == 0
     for point in ("journal.pre_fsync", "journal.post_fsync", "checkpoint.pre_write",
                   "checkpoint.pre_fsync", "checkpoint.pre_rename"):
@@ -95,17 +109,64 @@ def test_crash_matrix_recovers_exactly(tmp_path):
     assert cut["checkpoint.post_rename"] == cut["commit.pre_ack"] == 0
 
 
+def test_unsynced_admits_replay_after_a_kill_and_vanish_with_the_power(crash_matrix):
+    """What each crash model does to a batch of written-but-unsynced admits."""
+    points = crash_matrix["points"]
+    models = points["admits.unsynced"]
+    # kill -9: the page cache keeps the bytes, the resubmits attach.
+    assert models["process"]["lost_bytes"] == 0
+    assert models["process"]["recovery"]["replayed_records"] == 4
+    assert models["process"]["resubmits"] == {"pending": 8, "attached": 4, "decided": 0}
+    # Power loss, at a frame boundary and inside a frame: nobody was told
+    # about them, so they are gone and the resubmits are fresh.
+    for model in ("power", "power-torn"):
+        entry = models[model]
+        assert entry["lost_bytes"] > 0 and entry["recovery"]["replayed_records"] == 0
+        assert entry["resubmits"] == {"pending": 12, "attached": 0, "decided": 0}
+    assert models["power"]["recovery"]["torn_bytes"] == 0
+    assert models["power-torn"]["recovery"]["torn_bytes"] == 5
+    # The fsync taps now belong to the commit record: a cut there loses
+    # the slot's admits *and* its commit under power loss before the
+    # fsync, and nothing after it.
+    assert points["wal.pre_fsync"]["power"]["lost_bytes"] > 0
+    assert points["wal.post_fsync"]["power"]["lost_bytes"] == 0
+
+
+def test_a_pending_answer_survives_power_loss(tmp_path):
+    """``status -> pending`` is a reveal: it syncs first, so the cut keeps it."""
+    broker = _wal_broker(tmp_path)
+    fields = {"source": 0, "destination": 2, "size_gb": 4.0, "deadline_slots": 3}
+    broker.submit(dict(fields, id="asked"))
+    broker.submit(dict(fields, id="also-covered"))
+    assert broker.status("asked") == {"state": "pending"}
+    broker.submit(dict(fields, id="unasked"))
+    assert chaos.power_loss(broker.store.wal) > 0
+    del broker
+
+    resumed = _wal_broker(tmp_path)
+    assert resumed.status("asked") == resumed.status("also-covered") == {"state": "pending"}
+    assert resumed.status("unasked") == {"state": "unknown"}
+    # Its resubmit is a fresh, exactly-once decision.
+    assert resumed.submit(dict(fields, id="unasked"))[0] == "pending"
+    assert resumed.submit(dict(fields, id="asked"))[0] == "attached"
+    resumed.process_slot()
+    assert set(resumed.decisions) == {"asked", "also-covered", "unasked"}
+    assert resumed.counts["submitted"] == 3
+
+
 def test_checkpoint_walks_the_crash_points_in_order(tmp_path, monkeypatch):
-    """The journal's taps sit between the commit record and the snapshot,
+    """An admit only writes; the commit record owns the fsync's two taps.
+    The journal's taps sit between the commit record and the snapshot,
     under their own names: the older points keep their hit order."""
     broker = _wal_broker(tmp_path)
     hits = []
     monkeypatch.setattr(chaos.MONKEY, "crashpoint", hits.append)
     broker.submit({"id": "o-1", "source": 0, "destination": 2,
                    "size_gb": 4.0, "deadline_slots": 3})
+    assert hits == ["wal.pre_write"]  # the admit record: written, not synced
     broker.process_slot()
-    wal = ["wal.pre_write", "wal.pre_fsync", "wal.post_fsync"]
-    assert hits == wal + wal + [   # the admit record, then the commit record
+    assert hits[1:] == [
+        "wal.pre_write", "wal.pre_fsync", "wal.post_fsync",  # the commit record
         "journal.pre_write", "journal.pre_fsync", "journal.post_fsync",
         "checkpoint.pre_write", "checkpoint.pre_fsync",
         "checkpoint.pre_rename", "checkpoint.post_rename",
@@ -149,7 +210,7 @@ def _wal_broker(tmp_path):
 
 def test_disk_full_refuses_submission_cleanly(tmp_path):
     broker = _wal_broker(tmp_path)
-    chaos.MONKEY.arm("wal.append", action="enospc")
+    chaos.MONKEY.arm("wal.pre_write", action="enospc")
     fields = {"id": "full-1", "source": 0, "destination": 2,
               "size_gb": 4.0, "deadline_slots": 3}
     with pytest.raises(ServiceError, match="cannot journal"):

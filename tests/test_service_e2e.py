@@ -122,6 +122,59 @@ def test_backpressure_over_the_wire(tmp_path):
     assert second["decision"] == "admitted"
 
 
+def test_a_slot_costs_one_wal_fsync_and_status_syncs_before_pending(tmp_path, fsyncs):
+    """Admits ride their slot's commit fsync; the one reply that reveals a
+    held submission earlier (``status`` -> ``pending``) syncs first."""
+    sock = str(tmp_path / "g.sock")
+    config = ServiceConfig(
+        socket_path=sock, datacenters=4, capacity=50.0, tick_seconds=0.0,
+        max_deadline=8, checkpoint_dir=str(tmp_path / "ckpt"), wal=True,
+    )
+
+    def submit(i):
+        return {"op": "submit", "id": f"g{i}", "source": 0, "destination": 1,
+                "size_gb": 2.0, "deadline_slots": 2}
+
+    async def scenario():
+        daemon = ServiceDaemon(config)
+        await daemon.start()
+        conn = await _Connection.open("", 0, socket_path=sock)
+        asker = await _Connection.open("", 0, socket_path=sock)
+        try:
+            waiters = [conn.send(submit(i)) for i in range(8)]
+            await asyncio.wait_for(conn.call({"op": "ping"}), timeout=2)
+            counts = [len(fsyncs)]  # eight admits written, none synced
+            await asyncio.wait_for(conn.call({"op": "tick"}), timeout=2)
+            decided = await asyncio.wait_for(asyncio.gather(*waiters), timeout=2)
+            counts.append(len(fsyncs))
+
+            held = conn.send(submit(8))
+            states = []
+            for _ in range(2):
+                answer = await asyncio.wait_for(
+                    asker.call({"op": "status", "id": "g8"}), timeout=2
+                )
+                states.append(answer["state"])
+                counts.append(len(fsyncs))
+            await asyncio.wait_for(conn.call({"op": "tick"}), timeout=2)
+            await asyncio.wait_for(held, timeout=2)
+            counts.append(len(fsyncs))
+            stats = await asyncio.wait_for(conn.call({"op": "stats"}), timeout=2)
+            return decided, states, counts, stats
+        finally:
+            await asker.close()
+            await conn.close()
+            await daemon.stop()
+
+    decided, states, counts, stats = asyncio.run(scenario())
+    assert all(r["ok"] and r["slot"] == 0 for r in decided)
+    assert states == ["pending", "pending"]
+    # 0 after the admits, 1 after the slot; the first status pays one,
+    # the second none; the next slot's commit is one more.
+    assert counts == [0, 1, 2, 2, 3]
+    assert stats["wal_syncs"] == 3 and stats["wal_records"] == 11
+
+
 def test_invalid_messages_get_error_responses(tmp_path):
     sock = str(tmp_path / "bad.sock")
     config = ServiceConfig(

@@ -1,12 +1,14 @@
 """Unit tests for the write-ahead log and the generational store."""
 
+import errno
 import json
 import zlib
 
 import numpy as np
 import pytest
 
-from repro.errors import SchedulingError, WalError
+import repro.obs as obs
+from repro.errors import SchedulingError, ServiceError, WalError
 from repro.service import chaos
 from repro.service.config import ServiceConfig
 from repro.service.slotloop import TransferBroker
@@ -42,8 +44,7 @@ def test_append_scan_round_trip(tmp_path):
 def test_append_counts_and_close(tmp_path):
     wal = WriteAheadLog(tmp_path / "wal.log")
     n = wal.append({"type": "admit"})
-    assert wal.records_written == 1
-    assert wal.bytes_written == n
+    assert wal.bytes_written == wal.bytes_durable == n
     assert (tmp_path / "wal.log").stat().st_size == n
     wal.close()
     assert wal.closed
@@ -59,9 +60,126 @@ def test_append_many_is_one_write_and_one_fsync(tmp_path):
     n = wal.append(*frames)
     wal.close()
     assert stages == ["wal.pre_write", "wal.pre_fsync", "wal.post_fsync"]
-    assert wal.records_written == 2
     assert n == sum(len(encode_record(frame)) for frame in frames)
     assert scan_wal(tmp_path / "wal.log").records == frames
+
+
+# -- the durable watermark ---------------------------------------------------
+
+
+def test_sync_is_one_fsync_for_the_group_and_none_when_clean(tmp_path, fsyncs):
+    sink = obs.get_registry().add_sink(obs.Collector(keep_events=True))
+    stages = []
+    wal = WriteAheadLog(tmp_path / "wal.log", crashpoint=stages.append)
+    try:
+        assert wal.sync() is False and fsyncs == []  # nothing written yet
+        for n in range(8):  # the admit form: written through, not synced
+            wal.append({"type": "admit", "n": n}, sync=False)
+        assert stages == ["wal.pre_write"] * 8 and fsyncs == []
+        assert wal.bytes_written == (tmp_path / "wal.log").stat().st_size
+        assert wal.bytes_durable == 0
+        wal.append({"type": "commit", "slot": 0})
+        assert len(fsyncs) == 1 and wal.bytes_durable == wal.bytes_written
+        assert wal.sync() is False and len(fsyncs) == 1  # clean: no disk call
+        wal.append({"type": "admit", "n": 8}, sync=False)
+        assert wal.sync() is True and len(fsyncs) == 2
+        wal.close()
+        assert len(fsyncs) == 2  # close syncs only what is unsynced
+    finally:
+        obs.get_registry().remove_sink(sink)
+    groups = [e["attrs"]["records"] for e in sink.events
+              if e["name"] == "service.wal.sync"]
+    assert groups == [9, 1]
+
+
+def test_close_and_reopen_never_leave_or_trust_an_unsynced_byte(tmp_path, fsyncs):
+    path = tmp_path / "wal.log"
+    wal = WriteAheadLog(path)
+    wal.append({"n": 1}, sync=False)
+    wal.close()
+    assert len(fsyncs) == 1 and wal.bytes_durable == wal.bytes_written
+    # Bytes a dead process left may be page cache only: the next handle
+    # knows their length but not their durability until it syncs.
+    heir = WriteAheadLog(path)
+    assert (heir.bytes_written, heir.bytes_durable) == (wal.bytes_written, 0)
+    assert heir.sync() is True and heir.bytes_durable == heir.bytes_written
+    heir.close()
+    assert len(fsyncs) == 2
+
+
+def test_fsync_off_moves_the_watermark_without_the_disk(tmp_path, fsyncs):
+    broker = TransferBroker(wal_config(tmp_path, wal_fsync=False))
+    drive_slots(broker, 2)
+    broker.submit({"id": "q", "source": 0, "destination": 2,
+                   "size_gb": 4.0, "deadline_slots": 3})
+    assert broker.status("q") == {"state": "pending"}
+    broker.store.close()
+    assert fsyncs == [] and broker.store.stats()["wal_syncs"] == 0
+
+
+def test_refused_submission_leaves_no_ghost_admission(tmp_path):
+    """A write the kernel cuts part-way (``RLIMIT_FSIZE``; ``ENOSPC`` looks
+    the same) is rolled back off the file: before, the next append
+    completed the refused frame and recovery queued — and charged — it."""
+    resource = pytest.importorskip("resource")
+    import signal
+
+    broker = TransferBroker(wal_config(tmp_path, checkpoint_every=100))
+    fields = {"source": 0, "destination": 2, "size_gb": 4.0, "deadline_slots": 3}
+    broker.submit(dict(fields, id="kept"))
+    wal = broker.store.wal
+    old_handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    old_limit = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (wal.bytes_written + 10, old_limit[1]))
+    try:
+        with pytest.raises(ServiceError, match="cannot journal"):
+            broker.submit(dict(fields, id="ghost"))
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, old_limit)
+        signal.signal(signal.SIGXFSZ, old_handler)
+    assert wal.bytes_written == wal.path.stat().st_size  # the half frame is gone
+    assert broker.queue.depth == 1 and broker.counts["submitted"] == 1
+    broker.submit(dict(fields, id="later"))
+    broker.store.close()
+
+    scan = scan_wal(wal.path)
+    assert not scan.torn
+    assert [r["entry"]["id"] for r in scan.records] == ["kept", "later"]
+    resumed = TransferBroker(wal_config(tmp_path, checkpoint_every=100))
+    assert resumed.status("ghost") == {"state": "unknown"}
+    resumed.process_slot()
+    assert set(resumed.decisions) == {"kept", "later"}
+
+
+def test_log_is_poisoned_when_the_cut_fails_too(tmp_path):
+    class HalfWriter:
+        """Lands half of a write, then ENOSPC; and cannot truncate."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            if len(data) > 1:
+                return self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def truncate(self, size):
+            raise OSError(errno.EIO, "Input/output error")
+
+        def close(self):
+            self.fh.close()
+
+    path = tmp_path / "wal.log"
+    wal = WriteAheadLog(path)
+    first = wal.append({"n": 1})
+    wal._fh = HalfWriter(wal._fh)
+    with pytest.raises(OSError, match="No space"):
+        wal.append({"n": 2})
+    assert wal.closed
+    with pytest.raises(WalError, match="poisoned"):
+        wal.append({"n": 3})  # never after the garbage
+    scan = scan_wal(path)
+    assert scan.records == [{"n": 1}] and scan.valid_bytes == first and scan.torn
 
 
 def test_scan_limit_reads_a_prefix_and_says_if_it_is_whole(tmp_path):
@@ -177,6 +295,34 @@ def test_compaction_rotates_generations_and_prunes(tmp_path):
     assert store.wal_generations() == [4, 5]
     # The current generation's log is empty (fresh after compaction).
     assert scan_wal(store.wal_path(5)).records == []
+
+
+def test_rotation_leaves_no_unsynced_byte_in_a_retained_log(tmp_path):
+    """A checkpoint taken with admits in flight syncs the old log before
+    it moves on, so a fallback to generation g-1 replays a whole chain."""
+    config = wal_config(tmp_path, checkpoint_every=100)
+    broker = TransferBroker(config)
+    drive_slots(broker, 1)
+    fields = {"source": 0, "destination": 2, "size_gb": 4.0, "deadline_slots": 3}
+    broker.submit(dict(fields, id="q1"))
+    broker.submit(dict(fields, id="q2"))
+    old = broker.store.wal
+    assert old.bytes_durable < old.bytes_written
+    broker.checkpoint()
+    assert old.closed and broker.store.generation == 1
+    assert old.bytes_durable == old.bytes_written == old.path.stat().st_size
+    broker.submit(dict(fields, id="q3"))
+    broker.process_slot()
+    decided, ledger = dict(broker.decisions), cells(broker)
+    assert broker.store.stats()["wal_syncs"] == 3  # two commits + the rotation
+    broker.store.close()
+    assert broker.store.stats()["wal_syncs"] == 3  # nothing left to sync
+
+    flip_middle_byte(broker.store.snapshot_path(1))
+    resumed = TransferBroker(config)
+    assert resumed.recovery_info["fallbacks"] == 1
+    assert resumed.recovery_info["base_generation"] == 0
+    assert resumed.decisions == decided and cells(resumed) == ledger
 
 
 def test_recover_prefers_newest_valid_snapshot(tmp_path):
