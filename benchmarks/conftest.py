@@ -41,7 +41,6 @@ _last_collector: Optional[obs.Collector] = None
 _TRACKED_COUNTERS = (
     "lp.highs.iterations",
     "lp.simplex.pivots",
-    "lp.ipm.iterations",
     "lp.rows",
     "lp.cols",
     "lp.nonzeros",

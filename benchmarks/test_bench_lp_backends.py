@@ -25,7 +25,7 @@ def _instance():
     return state, requests
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex", "interior_point"])
+@pytest.mark.parametrize("backend", ["highs", "simplex"])
 def test_bench_backend(benchmark, backend):
     def solve():
         state, requests = _instance()

@@ -5,7 +5,6 @@ Usage (after ``pip install -e .``)::
     python -m repro simulate --datacenters 8 --capacity 30 --slots 10
     python -m repro simulate --datacenters 6 --slots 5 --profile
     python -m repro simulate --slots 5 --obs-jsonl events.jsonl
-    python -m repro simulate --slots 8 --surprise --solver-chain
     python -m repro simulate --outages outages.json --surprise
     python -m repro simulate --schedulers postcard direct greedy --jobs 3
     python -m repro simulate --schedulers heuristic hybrid postcard
@@ -130,8 +129,8 @@ def _cmd_simulate_parallel(args: argparse.Namespace) -> int:
     """
     from repro.sim.parallel import (
         FaultSpec,
-        RunTask,
         TOPOLOGY_COMPLETE,
+        comparison_tasks,
         run_tasks,
     )
     from repro.sim.runner import ExperimentSetting
@@ -153,19 +152,10 @@ def _cmd_simulate_parallel(args: argparse.Namespace) -> int:
             mean_duration=args.mean_outage,
             announced=False,
         )
-    backend = "resilient" if args.solver_chain else None
-    tasks = [
-        RunTask(
-            setting=setting,
-            scheduler=name,
-            run=0,
-            base_seed=args.seed,
-            backend=backend,
-            faults=faults,
-            topology=TOPOLOGY_COMPLETE,
-        )
-        for name in args.schedulers
-    ]
+    tasks = comparison_tasks(
+        setting, args.schedulers, runs=1, base_seed=args.seed,
+        faults=faults, topology=TOPOLOGY_COMPLETE,
+    )
     rows = []
     chaos = []
     hybrid_lines = []
@@ -250,7 +240,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except TopologyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    backend = "resilient" if args.solver_chain else None
     rows = []
     chaos = []
     hybrid_lines = []
@@ -268,7 +257,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         registry.add_sink(sink)
     try:
         for name in args.schedulers:
-            scheduler = make_scheduler(name, topology, horizon, backend=backend)
+            scheduler = make_scheduler(name, topology, horizon)
             if faults is not None:
                 scheduler.state.fault_model = faults.copy()
             if link_schedule is not None:
@@ -549,7 +538,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             capacity=args.capacity,
             seed=args.seed,
             scheduler=args.scheduler,
-            backend="resilient" if args.solver_chain else None,
             link_schedule_path=args.link_schedule,
             max_deadline=args.max_deadline,
             tick_seconds=args.tick_seconds,
@@ -1163,12 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="mean outage duration in slots for generated outages",
     )
     p_sim.add_argument(
-        "--solver-chain",
-        action="store_true",
-        help="solve LPs through the resilient retry/fallback backend "
-        "chain (highs -> simplex -> interior_point)",
-    )
-    p_sim.add_argument(
         "--link-schedule",
         metavar="FILE",
         help="restrict links to the availability windows in FILE "
@@ -1346,10 +1328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument(
         "--scheduler", choices=scheduler_names(), default="hybrid"
-    )
-    p_serve.add_argument(
-        "--solver-chain", action="store_true",
-        help="solve escalated slots through the resilient backend chain",
     )
     p_serve.add_argument(
         "--tick-seconds", type=float, default=0.25,

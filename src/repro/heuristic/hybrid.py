@@ -23,7 +23,9 @@ variables exist only on the arcs of the paths the index knows for it (so
 the fast lane's plan stays a feasible point), a file the fast lane could
 not place there keeps the paper's full subgraph, and a batch the pruned
 model cannot fit is solved once more on the full model before anything
-is shed (``hybrid.lp_widened``).
+is shed (``hybrid.lp_widened``).  A slot the LP does not answer (solver
+error, watchdog timeout) commits the fast-lane plan that flagged the
+pressure instead — ``degraded``; there is no second solver.
 
 Escalations are observable: the ``hybrid.escalations`` /
 ``hybrid.fast_slots`` counters and the ``hybrid.escalate`` span stream
@@ -36,7 +38,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional
 
-from repro.errors import SchedulingError
+from repro.errors import InfeasibleError, SchedulingError, SolverError, UnboundedError
 from repro.core.formulation import STORAGE_FULL
 from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
 from repro.core.schedule import TransferSchedule
@@ -153,7 +155,7 @@ class HybridScheduler(Scheduler):
         self.escalations = 0
         #: Slots the fast lane handled end to end.
         self.fast_slots = 0
-        #: Escalation-worthy slots the watchdog degraded (LP timed out).
+        #: Escalation-worthy slots the LP did not answer (timeout or solver error).
         self.degraded = 0
         #: Escalation-worthy slots forced fast-lane by backoff/zombie.
         self.lp_skipped = 0
@@ -333,11 +335,6 @@ class HybridScheduler(Scheduler):
         ):
             # On this thread: an abandoned solve must not share the index.
             arc_sets = self._arc_sets(requests, plan)
-            if not watchdog:
-                self._escalate_hook()
-                plan = self._lp.plan_slot(slot, requests, arc_sets)
-                return self._lp.commit_plan(plan)
-
             outcome = {}
 
             def solve() -> None:
@@ -347,29 +344,40 @@ class HybridScheduler(Scheduler):
                 except BaseException as exc:  # delivered to the caller
                     outcome["error"] = exc
 
-            worker = threading.Thread(
-                target=solve, name=f"lp-escalate-{slot}", daemon=True
-            )
-            worker.start()
-            worker.join(self.watchdog_timeout_s)
-            if worker.is_alive():
-                # Abandon the solve: it has touched no ledger state and
-                # its eventual result is discarded.  Poison the LP lane
-                # until the thread is reaped, arm the backoff window.
-                self._zombie = worker
-                self.degraded += 1
-                self._backoff_remaining = self._backoff_next
-                self._backoff_next = min(
-                    self._backoff_next * 2, self.watchdog_backoff_max
+            if not watchdog:
+                solve()
+            else:
+                worker = threading.Thread(
+                    target=solve, name=f"lp-escalate-{slot}", daemon=True
                 )
-                obs.counter("service.degraded", slot=slot)
-                return self._commit_degraded(slot, plan, reason="timeout")
-            if "error" in outcome:
-                raise outcome["error"]
-            self._backoff_next = self.watchdog_backoff_slots
-            return self._lp.commit_plan(outcome["plan"])
+                worker.start()
+                worker.join(self.watchdog_timeout_s)
+                if worker.is_alive():
+                    # Abandon the solve: it has touched no ledger state and
+                    # its eventual result is discarded.  Poison the LP lane
+                    # until the thread is reaped, arm the backoff window.
+                    self._zombie = worker
+                    self.degraded += 1
+                    self._backoff_remaining = self._backoff_next
+                    self._backoff_next = min(
+                        self._backoff_next * 2, self.watchdog_backoff_max
+                    )
+                    return self._commit_degraded(slot, plan, reason="timeout")
+            error = outcome.get("error")
+            if error is None:
+                self._backoff_next = self.watchdog_backoff_slots
+                return self._lp.commit_plan(outcome["plan"])
+            # Infeasible and unbounded are answers (plan_slot widens and sheds
+            # itself) and stay the caller's, like any non-solver error; no
+            # answer degrades like no answer in time, minus the backoff.
+            if not isinstance(error, SolverError) or isinstance(
+                error, (InfeasibleError, UnboundedError)
+            ):
+                raise error
+            self.degraded += 1
+            return self._commit_degraded(slot, plan, reason="solver", error=str(error))
 
-    def _commit_degraded(self, slot, plan, reason: str) -> TransferSchedule:
+    def _commit_degraded(self, slot, plan, reason: str, **attrs) -> TransferSchedule:
         """Finish an escalation-worthy slot fast-lane-only.
 
         The fast plan already exists (it is what flagged the pressure);
@@ -377,13 +385,16 @@ class HybridScheduler(Scheduler):
         guarantee, and the requests the fast lane could not admit are
         recorded as rejections — the price of degrading, paid visibly
         (``service.degraded`` / the ``degraded_slots`` SLO) instead of
-        by missing every deadline in a stalled slot.
+        by missing every deadline in a stalled slot.  ``reason`` is
+        ``timeout``, ``solver`` (it raised) or ``backoff`` (skipped).
         """
+        obs.counter("service.degraded", slot=slot, reason=reason)
         with obs.span(
             "hybrid.degraded",
             slot=slot,
             reason=reason,
             rejections=len(plan.rejected),
             peak_utilization=round(plan.peak_utilization, 4),
+            **attrs,
         ):
             return self._fast.commit_plan(plan)

@@ -7,23 +7,16 @@ from typing import Dict, Type
 from repro.errors import SolverError
 from repro.lp.backends.base import Backend
 from repro.lp.backends.highs import HighsBackend
-from repro.lp.backends.interior_point import InteriorPointBackend
-from repro.lp.backends.resilient import ResilientBackend
 from repro.lp.backends.simplex import SimplexBackend
 
 _BACKENDS: Dict[str, Type[Backend]] = {
     "highs": HighsBackend,
     "simplex": SimplexBackend,
-    "interior_point": InteriorPointBackend,
-    # Retry + fallback chain over the three real solvers; see
-    # repro.lp.backends.resilient.
-    "resilient": ResilientBackend,
 }
 
 
 def get_backend(name: str) -> Backend:
-    """Look up a backend by name (``"highs"``, ``"simplex"``,
-    ``"interior_point"`` or ``"resilient"``)."""
+    """Look up a backend by name (``"highs"`` or ``"simplex"``)."""
     try:
         cls = _BACKENDS[name]
     except KeyError:
@@ -41,8 +34,6 @@ __all__ = [
     "Backend",
     "HighsBackend",
     "SimplexBackend",
-    "InteriorPointBackend",
-    "ResilientBackend",
     "get_backend",
     "register_backend",
 ]

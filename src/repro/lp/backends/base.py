@@ -21,9 +21,8 @@ class Backend(abc.ABC):
         they report it through :attr:`Solution.status` and let the model
         layer turn it into typed exceptions.
 
-        A raised :class:`~repro.errors.SolverError` (or a returned
-        :attr:`SolveStatus.ERROR`) is treated as *transient* by the
-        :class:`~repro.lp.backends.resilient.ResilientBackend` wrapper,
-        which retries it with backoff and eventually falls back to the
-        next solver in its chain.
+        A solver that could not answer returns :attr:`SolveStatus.ERROR`
+        with the reason in :attr:`Solution.message`, which ``Model.solve``
+        raises as a :class:`~repro.errors.SolverError`.  Nothing retries
+        (docs/ROBUSTNESS.md, "When the LP does not answer").
         """

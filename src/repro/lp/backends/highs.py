@@ -16,10 +16,10 @@ from repro.obs import registry as obs
 # scipy's linprog status codes.
 _STATUS_MAP = {
     0: SolveStatus.OPTIMAL,
-    1: SolveStatus.ERROR,  # iteration limit
+    1: SolveStatus.ERROR,  # iteration or time limit
     2: SolveStatus.INFEASIBLE,
     3: SolveStatus.UNBOUNDED,
-    4: SolveStatus.ERROR,
+    4: SolveStatus.ERROR,  # numerical difficulties
 }
 
 
@@ -91,6 +91,7 @@ class HighsBackend(Backend):
         return Solution(
             status, x, objective, model._id,
             solver=self.name, iterations=iterations, duals=duals,
+            message="" if status is SolveStatus.OPTIMAL else str(result.message),
         )
 
     @staticmethod

@@ -160,7 +160,10 @@ class Model:
         if solution.status is SolveStatus.UNBOUNDED:
             raise UnboundedError(f"model {self.name!r} is unbounded")
         if solution.status is not SolveStatus.OPTIMAL:
-            raise SolverError(f"backend {backend!r} failed on model {self.name!r}")
+            reason = f": {solution.message}" if solution.message else ""
+            raise SolverError(
+                f"backend {backend!r} failed on model {self.name!r}{reason}"
+            )
         self._solution = solution
         return solution
 

@@ -37,12 +37,15 @@ class Solution:
         solver: str = "",
         iterations: int = 0,
         duals: "dict | Callable[[], dict | None] | None" = None,
+        message: str = "",
     ):
         self.status = status
         self.x = x
         self.objective = objective
         self.solver = solver
         self.iterations = iterations
+        #: The solver's own words for a non-optimal status ("" if none).
+        self.message = message
         self._model_id = model_id
         #: Maps id(constraint) -> dual value (d objective / d rhs), or
         #: None when the backend does not report duals; a callable is a

@@ -9,7 +9,7 @@ report rejections instead of dying.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.errors import ReproError
 from repro.baselines import DirectScheduler, GreedyStoreAndForwardScheduler
@@ -74,24 +74,15 @@ def make_scheduler(
     name: str,
     topology: Topology,
     horizon: int,
-    backend: Optional[str] = None,
     **kwargs,
 ) -> Scheduler:
     """Instantiate a registered scheduler by name.
 
-    ``backend`` overrides the LP solver (e.g. ``"resilient"`` for the
-    retry/fallback chain); the non-optimizing baselines ignore it.
-    Extra keyword arguments are forwarded to the factory (e.g. the
-    service daemon tunes the hybrid's ``escalate_utilization`` here).
+    Keyword arguments are forwarded to the factory: the service daemon
+    passes the hybrid's watchdog settings here, and ``backend="simplex"``
+    swaps the reference solver in (the LP-free baselines ignore it).
     """
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(scheduler_names())
-        raise ReproError(f"unknown scheduler {name!r}; available: {known}") from None
-    if backend is not None:
-        kwargs["backend"] = backend
-    return factory(topology, horizon, **kwargs)
+    return scheduler_factory(name)(topology, horizon, **kwargs)
 
 
 def scheduler_factory(name: str) -> SchedulerFactory:

@@ -38,8 +38,8 @@ Crash-point names currently wired::
 The module also hosts the scripted drills the ``repro chaos`` CLI and
 CI run: :func:`run_crash_matrix` (every crash point, recovered state
 must equal an uninterrupted run's) and :func:`run_watchdog_drill`
-(injected LP hang must degrade to fast-lane within the slot and re-arm
-afterwards).
+(an injected LP hang, then a solver error, must each degrade to
+fast-lane within the slot and re-arm afterwards).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.errors import ServiceError
+from repro.errors import ServiceError, SolverError
 from repro.obs import registry as obs
 
 
@@ -404,14 +404,15 @@ def run_watchdog_drill(
     hang_seconds: float = 0.5,
     timeout_s: float = 0.05,
 ) -> Dict[str, Any]:
-    """The solver-watchdog drill: hang the LP, degrade, then re-arm.
+    """The LP-does-not-answer drill: hang it, then fail it; degrade, re-arm.
 
     Slot 1 escalates into an injected ``hang_seconds`` stall; the
     watchdog must give up after ``timeout_s``, finish the slot
     fast-lane-only (every client still gets a decision within the
     tick), and bump ``service.degraded``.  Later slots, once the
     backoff window passes and the stalled solve has been reaped, must
-    escalate through the LP again.
+    escalate through the LP again.  Then the solver *raises* on a slot:
+    same exit (lane ``degraded``), and the very next slot is the LP's.
     """
     broker = _drill_broker(
         os.path.join(base_dir, "watchdog"),
@@ -442,6 +443,18 @@ def run_watchdog_drill(
     _drive(broker, batches[2:3])
     rearmed = broker.scheduler.escalations > escalations_before
 
+    def solver_down() -> None:
+        raise SolverError("injected solver failure")
+
+    batches += [[dict(f, id="e" + f["id"]) for f in batch] for batch in batches[:2]]
+    hook, broker.scheduler._escalate_hook = broker.scheduler._escalate_hook, solver_down
+    _drive(broker, batches[3:4])
+    broker.scheduler._escalate_hook = hook
+    error_lanes = {broker.decisions[f["id"]]["lane"] for f in batches[3]}
+    escalations_before = broker.scheduler.escalations
+    _drive(broker, batches[4:5])
+    error_rearmed = broker.scheduler.escalations > escalations_before
+
     decided = {
         cid: rec["decision"] for cid, rec in broker.decisions.items()
     }
@@ -452,6 +465,7 @@ def run_watchdog_drill(
         "degraded_slots": broker.scheduler.degraded,
         "lp_skipped_slots": broker.scheduler.lp_skipped,
         "rearmed": rearmed,
+        "solver_error": {"lanes": sorted(error_lanes), "rearmed": error_rearmed},
         "all_decided": all(cid in decided for cid in all_ids),
         "slo": broker.slo.evaluate(emit=False).get("degraded_slots", {}),
         "ok": (
@@ -459,6 +473,8 @@ def run_watchdog_drill(
             and first_slot_s < hang_seconds
             and degraded_or_skipped >= 2
             and rearmed
+            and error_lanes == {"degraded"}
+            and error_rearmed
             and all(cid in decided for cid in all_ids)
         ),
     }

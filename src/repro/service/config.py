@@ -52,7 +52,6 @@ class ServiceConfig:
     seed: int = 0
 
     scheduler: str = "hybrid"
-    backend: Optional[str] = None
     horizon: int = 4096
     max_deadline: int = 16
 

@@ -87,7 +87,6 @@ class FleetConfig:
     capacity: float = 100.0
     seed: int = 0
     scheduler: str = "hybrid"
-    backend: Optional[str] = None
     horizon: int = 4096
     max_deadline: int = 16
     max_queue: int = 1024
@@ -152,7 +151,6 @@ class FleetConfig:
             capacity=self.capacity,
             seed=self.seed,
             scheduler=self.scheduler,
-            backend=self.backend,
             horizon=self.horizon,
             max_deadline=self.max_deadline,
             tick_seconds=self.tick_seconds,

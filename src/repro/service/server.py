@@ -37,7 +37,7 @@ from repro.obs.prom import render_prometheus
 from repro.service import protocol
 from repro.service.config import ServiceConfig
 from repro.service.intake import PendingTransfer
-from repro.service.slotloop import TransferBroker
+from repro.service.slotloop import SlotFailed, TransferBroker
 
 #: What an op handler returns: the response, or a future of it.
 Answer = Union[Dict[str, Any], asyncio.Future]
@@ -324,25 +324,22 @@ class ServiceDaemon(LineServer):
         """Process one slot and deliver its decisions to waiters."""
         try:
             resolutions = self.broker.process_slot()
-        except ReproError as exc:
-            # A scheduler/solver failure must not wedge clients forever:
-            # fail every waiter parked on this batch's (now-lost) slot.
+        except SlotFailed as exc:
             self._fail_waiters(exc)
             return
         for pending, record in resolutions:
             self._resolve(pending, {"ok": True, "op": "submit", **record})
 
-    def _fail_waiters(self, exc: Exception) -> None:
-        # process_slot requeues the failed batch before raising, so
-        # draining the queue reaches every stranded submission.
-        while self.broker.queue.depth:
-            for pending in self.broker.queue.drain():
-                self._resolve(
-                    pending,
-                    protocol.error_response(
-                        "submit", "internal", str(exc), id=pending.client_id
-                    ),
-                )
+    def _fail_waiters(self, exc: SlotFailed) -> None:
+        """A scheduler failure must not wedge clients: its batch (only —
+        the queue behind it is the next slot's) hears ``internal``."""
+        for pending in exc.batch:
+            self._resolve(
+                pending,
+                protocol.error_response(
+                    "submit", "internal", str(exc), id=pending.client_id
+                ),
+            )
 
     @staticmethod
     def _resolve(pending: PendingTransfer, response: Dict[str, Any]) -> None:
@@ -425,6 +422,8 @@ class ServiceDaemon(LineServer):
         try:
             resolutions = self.broker.drain_remaining()
         except ReproError as exc:
+            if isinstance(exc, SlotFailed):
+                self._fail_waiters(exc)
             return protocol.error_response("drain", "internal", str(exc))
         for pending, record in resolutions:
             self._resolve(pending, {"ok": True, "op": "submit", **record})

@@ -60,6 +60,16 @@ TRACE_IDS_ATTR_CAP = 32
 Resolution = Tuple[PendingTransfer, Dict[str, Any]]
 
 
+class SlotFailed(ServiceError):
+    """The scheduler raised (``__cause__``) and the slot is over: clock
+    advanced, ``batch`` off the queue and journaled as failed, no id in
+    it decided — the caller owes each waiter an ``internal`` answer."""
+
+    def __init__(self, slot: int, batch: List[PendingTransfer], cause: Exception):
+        super().__init__(f"slot {slot} failed: {cause}")
+        self.batch = batch
+
+
 class TransferBroker:
     """Request intake, slot batching, and decision bookkeeping.
 
@@ -99,8 +109,7 @@ class TransferBroker:
                 escalate_hook=lambda: chaos.crashpoint("lp.escalate"),
             )
         self.scheduler = make_scheduler(
-            config.scheduler, self.topology, config.horizon,
-            backend=config.backend, **scheduler_kwargs,
+            config.scheduler, self.topology, config.horizon, **scheduler_kwargs
         )
         #: Availability windows the broker schedules under (config-
         #: derived, like the topology; snapshots never carry it).
@@ -215,11 +224,13 @@ class TransferBroker:
         # watermarks a period behind the pre-crash books.
         self._maybe_rollover(slot)
         batch_ids = list(record.get("batch", []))
+        lane = record.get("lane", "fast")
         if batch_ids:
             try:
                 batch = self.queue.take_ids(batch_ids)
             except KeyError as exc:
                 raise WalError(str(exc)) from exc
+        if batch_ids and lane != "failed":  # decided nothing: no scheduler run
             requests = [
                 TransferRequest(
                     pending.source,
@@ -230,7 +241,6 @@ class TransferBroker:
                 )
                 for pending in batch
             ]
-            lane = record.get("lane", "fast")
             if hasattr(self.scheduler, "replay_slot"):
                 self.scheduler.replay_slot(slot, requests, lane, record)
             else:
@@ -391,7 +401,7 @@ class TransferBroker:
         An empty queue still advances the clock (a slot with no
         arrivals is a real, billable-by-silence interval), but skips
         the scheduler and the checkpoint cadence check when nothing
-        changed.
+        changed.  Raises :class:`SlotFailed` when the scheduler raises.
         """
         slot = self.next_slot
         self._maybe_rollover(slot)
@@ -438,11 +448,14 @@ class TransferBroker:
                     "service.slot", slot=slot, batch=len(batch)
                 ) as slot_span:
                     self.scheduler.on_slot(slot, requests)
-        except Exception:
-            # A failed slot must not strand its batch: put it back so
-            # the caller can fail (or retry) the parked waiters.
-            self.queue.requeue_front(batch)
-            raise
+        except Exception as exc:
+            # Journaled as what it was: admit records left replayable would
+            # be decided and billed after a restart, for clients told "failed".
+            self.next_slot = slot + 1
+            self.counts["slots"] += 1
+            obs.counter("service.slot_failed", slot=slot, error=type(exc).__name__)
+            self._append_commit(slot, batch, lane="failed")
+            raise SlotFailed(slot, batch, exc) from exc
         decision_s = slot_span.seconds
         degraded_now = getattr(self.scheduler, "degraded", 0) + getattr(
             self.scheduler, "lp_skipped", 0

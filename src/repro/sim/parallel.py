@@ -91,7 +91,6 @@ class RunTask:
     scheduler: str
     run: int
     base_seed: int = 0
-    backend: Optional[str] = None
     audit: bool = True
     faults: Optional[FaultSpec] = None
     topology: str = TOPOLOGY_PAPER
@@ -138,11 +137,7 @@ def execute_task(task: RunTask) -> Tuple[str, int, SimulationResult]:
         min_deadline=setting.min_deadline,
     )
     horizon = setting.num_slots + setting.max_deadline
-    factory = scheduler_factory(task.scheduler)
-    if task.backend is not None:
-        scheduler = factory(topology, horizon, backend=task.backend)
-    else:
-        scheduler = factory(topology, horizon)
+    scheduler = scheduler_factory(task.scheduler)(topology, horizon)
     if task.faults is not None:
         scheduler.state.fault_model = task.faults.build(
             topology, setting.num_slots, seed
@@ -190,7 +185,6 @@ def comparison_tasks(
     schedulers: Sequence[str],
     runs: int = 10,
     base_seed: int = 0,
-    backend: Optional[str] = None,
     audit: bool = True,
     faults: Optional[FaultSpec] = None,
     topology: str = TOPOLOGY_PAPER,
@@ -203,7 +197,6 @@ def comparison_tasks(
             scheduler=name,
             run=run,
             base_seed=base_seed,
-            backend=backend,
             audit=audit,
             faults=faults,
             topology=topology,
@@ -219,7 +212,6 @@ def run_comparison_parallel(
     runs: int = 10,
     base_seed: int = 0,
     jobs: int = 1,
-    backend: Optional[str] = None,
     audit: bool = True,
     faults: Optional[FaultSpec] = None,
     topology: str = TOPOLOGY_PAPER,
@@ -237,7 +229,6 @@ def run_comparison_parallel(
         schedulers,
         runs=runs,
         base_seed=base_seed,
-        backend=backend,
         audit=audit,
         faults=faults,
         topology=topology,

@@ -191,6 +191,7 @@ def test_watchdog_drill_degrades_and_rearms(tmp_path):
     assert report["degraded_slots"] >= 1
     assert report["first_slot_seconds"] < 0.5
     assert report["rearmed"]
+    assert report["solver_error"] == {"lanes": ["degraded"], "rearmed": True}
     assert report["all_decided"]
     # The degrade is SLO-visible: budget 0 means the window breaches.
     assert report["slo"]["value"] >= 1.0

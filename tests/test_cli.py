@@ -45,7 +45,6 @@ def test_simulate_surprise_chaos(capsys):
             "--slots", "8",
             "--seed", "3",
             "--surprise",
-            "--solver-chain",
             "--schedulers", "postcard",
         ]
     )

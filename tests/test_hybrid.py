@@ -9,7 +9,8 @@ scenario the hybrid must stay within a fixed factor of the Postcard LP
 
 import pytest
 
-from repro.errors import SchedulingError
+import repro.obs as obs
+from repro.errors import InfeasibleError, SchedulingError, SolverError
 from repro.core import PostcardScheduler
 from repro.heuristic import FastLaneScheduler, HybridScheduler
 from repro.net.generators import complete_topology
@@ -267,3 +268,78 @@ def test_escalate_hook_errors_propagate():
     )
     with pytest.raises(RuntimeError, match="injected hook failure"):
         scheduler.on_slot(0, pressured_requests(0))
+
+
+# -- the one failure path: a solver error degrades like a timeout ----------
+
+
+def _solver_down():
+    raise SolverError("backend 'highs' failed on model 'postcard': numerical difficulties")
+
+
+@pytest.mark.parametrize("watchdog_timeout_s", [0.0, 5.0])
+def test_solver_error_commits_the_fast_lane_plan(watchdog_timeout_s):
+    """Inline or across the watchdog's worker thread, a ``SolverError``
+    from the LP lane's plan phase takes the timeout's exit: the plan that
+    flagged the pressure commits, counted and explained."""
+    topo = two_node_topology()
+    scheduler = HybridScheduler(
+        topo, horizon=20, watchdog_timeout_s=watchdog_timeout_s,
+        escalate_hook=_solver_down,
+    )
+    fast = FastLaneScheduler(topo, horizon=20, on_infeasible="drop")
+    requests = pressured_requests(0) + [TransferRequest(1, 0, 3.0, 2, release_slot=0)]
+    sink = obs.get_registry().add_sink(obs.Collector(keep_events=True))
+    try:
+        schedule = scheduler.on_slot(0, requests)
+    finally:
+        obs.get_registry().remove_sink(sink)
+    expected = fast.on_slot(0, requests)  # its own ledger: the same plan
+    assert [(e.src, e.dst, e.slot, e.volume) for e in schedule.entries] == [
+        (e.src, e.dst, e.slot, e.volume) for e in expected.entries
+    ]
+    assert (scheduler.degraded, scheduler.escalations, scheduler.lp_skipped) == (1, 1, 0)
+    for request in requests:  # every request decided, none left hanging
+        assert request.request_id in scheduler.state.completions
+    by_name = {e["name"]: e["attrs"] for e in sink.events
+               if e["name"] in ("hybrid.degraded", "service.degraded")}
+    assert by_name["hybrid.degraded"]["reason"] == "solver"
+    assert "numerical difficulties" in by_name["hybrid.degraded"]["error"]
+    assert by_name["service.degraded"]["reason"] == "solver"
+    # An error is not a stall: no zombie to wait out, no backoff armed —
+    # the very next pressured slot is the LP's again.
+    assert scheduler._zombie is None and scheduler._backoff_remaining == 0
+    scheduler._escalate_hook = lambda: None
+    scheduler.on_slot(1, pressured_requests(1))
+    assert (scheduler.degraded, scheduler.escalations) == (1, 2)
+
+
+@pytest.mark.parametrize("watchdog_timeout_s", [0.0, 5.0])
+def test_infeasible_is_an_answer_not_a_solver_failure(watchdog_timeout_s):
+    """``InfeasibleError`` subclasses ``SolverError``; the degrade path
+    must not swallow it.  Nothing can carry 80 GB in 3 slots: the pruned
+    model says so, the LP lane widens, hears it again, and sheds — under
+    ``raise`` the caller hears it instead, as before."""
+    from tests.test_lp_arcs import _detour_topology
+
+    def batch():
+        return [TransferRequest(0, 1, 80.0, 3, release_slot=0),
+                TransferRequest(0, 2, 4.0, 2, release_slot=0)]
+
+    dropping = HybridScheduler(
+        _detour_topology(), 40, num_candidate_paths=1, on_infeasible="drop",
+        watchdog_timeout_s=watchdog_timeout_s,
+    )
+    hopeless, fits = batch()
+    dropping.on_slot(0, [hopeless, fits])
+    assert (dropping.escalations, dropping.lp_widened, dropping.degraded) == (1, 1, 0)
+    assert [r.request_id for r in dropping.state.rejected] == [hopeless.request_id]
+    assert fits.request_id in dropping.state.completions
+
+    raising = HybridScheduler(
+        _detour_topology(), 40, num_candidate_paths=1,
+        watchdog_timeout_s=watchdog_timeout_s,
+    )
+    with pytest.raises(InfeasibleError):
+        raising.on_slot(0, batch())
+    assert raising.degraded == 0 and not raising.state.completions

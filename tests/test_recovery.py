@@ -244,55 +244,3 @@ class TestRecoveryManagerInternals:
         assert hit[0].salvaged_gb == pytest.approx(6.0)
         assert "salvaged" in result.summary()
 
-
-class TestChaosWithFlakySolver:
-    def test_surprise_outages_plus_flaky_solver_complete_cleanly(self):
-        """The ISSUE acceptance scenario: surprise failures AND a
-        solver that intermittently blows up — the run still finishes,
-        audits, and balances its salvage accounting."""
-        from repro.errors import SolverError
-        from repro.lp.backends import (
-            ResilientBackend,
-            get_backend,
-            register_backend,
-        )
-        from repro.lp.backends.base import Backend
-
-        class FlakyEveryOther(Backend):
-            name = "flaky-every-other"
-            calls = 0
-
-            def solve(self, model, **options):
-                FlakyEveryOther.calls += 1
-                if FlakyEveryOther.calls % 2 == 1:
-                    raise SolverError("injected transient failure")
-                return get_backend("highs").solve(model, **options)
-
-        class FlakyChain(ResilientBackend):
-            name = "flaky-chain"
-
-            def __init__(self):
-                super().__init__(
-                    chain=("flaky-every-other", "highs"),
-                    max_attempts=2,
-                    sleep=lambda s: None,
-                )
-
-        register_backend("flaky-every-other", FlakyEveryOther)
-        register_backend("flaky-chain", FlakyChain)
-
-        topo = complete_topology(5, capacity=40.0, seed=3)
-        faults = FaultModel.random(
-            topo, num_slots=8, outage_probability=0.4, seed=3, announced=False
-        )
-        scheduler = PostcardScheduler(
-            topo, horizon=20, on_infeasible="drop", backend="flaky-chain"
-        )
-        scheduler.state.fault_model = faults
-        workload = PaperWorkload(topo, max_deadline=4, max_files=4, seed=103)
-        result = Simulation(scheduler, workload, num_slots=8).run(audit=True)
-
-        assert FlakyEveryOther.calls > 0  # the flaky path really ran
-        assert result.salvaged_gb + result.lost_gb == pytest.approx(
-            result.disrupted_gb
-        )
