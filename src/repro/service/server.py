@@ -2,14 +2,17 @@
 
 :class:`LineServer` is the only server-side socket code in the package:
 it binds a TCP or unix listener, runs the guarded per-connection read
-loop, decodes each line with :mod:`repro.service.protocol`, and hands
-the message to :meth:`LineServer.handle` — a socket-free dispatch onto
-``_op_<name>`` methods that *return* the response dict, or a future of
-it for answers that wait on a slot.  The shell writes dicts inline and
-parks one delivery task per future, so clients may pipeline.  The same
-ops are reachable with no socket at all through :meth:`LineServer.call`,
-which is how the fleet router drives an in-process shard and how tests
-drive both servers.
+loop — a chunk at a time, every complete line in it — decodes each line
+with :mod:`repro.service.protocol`, and hands the message to
+:meth:`LineServer.handle` — a socket-free dispatch onto ``_op_<name>``
+methods that *return* the response dict, or a future of it for answers
+that wait on a slot.  Every answer goes to the connection's outbox,
+which writes what it holds once per event-loop turn: dicts in request
+order after each chunk, a future's line when it settles, so clients may
+pipeline and a slot's decisions leave in one write.  The same ops are
+reachable with no socket at all through :meth:`LineServer.call`, which
+is how the fleet router drives an in-process shard and how tests drive
+both servers.
 
 :class:`ServiceDaemon` is that shell over one
 :class:`~repro.service.slotloop.TransferBroker`.  ``submit`` answers
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Any, Dict, Optional, Union
+import functools
+from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import BackpressureError, ProtocolError, ReproError, ServiceError
 from repro.obs import registry as obs
@@ -87,8 +91,8 @@ class LineServer:
     async def start(self) -> None:
         """Open, then bind the listener."""
         self.open()
-        # The stream limit bounds readline() buffering: a client that
-        # never sends a newline cannot grow memory past one max line.
+        # The stream limit bounds what the transport buffers ahead of
+        # the read loop, which itself carries at most one max line.
         if self.socket_path:
             self._server = await asyncio.start_unix_server(
                 self._handle_client, path=self.socket_path,
@@ -166,16 +170,10 @@ class LineServer:
         obs.counter("service.connections")
         self._active_connections += 1
         obs.gauge("service.connections.active", self._active_connections)
-        lock = asyncio.Lock()
-        deferred = set()
+        outbox = _Outbox(writer)
         try:
-            while True:
-                line = await self._read_line(reader, writer, lock, deferred)
-                if line is None:
-                    break
-                if not line.strip():
-                    continue
-                await self._serve_line(line, writer, lock, deferred)
+            await self._serve_connection(reader, outbox)
+            outbox.flush()  # the guards' parting notice; close() sends it
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -185,86 +183,143 @@ class LineServer:
         finally:
             self._active_connections -= 1
             obs.gauge("service.connections.active", self._active_connections)
-            for task in deferred:
-                task.cancel()
+            outbox.abandon()
             writer.close()
             # CancelledError included: stop() cancels handlers that are
             # parked right here, and that must stay quiet too.
             with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
 
-    async def _read_line(self, reader, writer, lock, deferred):
-        """One guarded readline; ``None`` means close the connection.
+    async def _serve_connection(self, reader, outbox: _Outbox) -> None:
+        """The read loop: every complete line of a chunk, then one drain.
 
-        Two abuse guards (``read_timeout_s`` + the stream's
-        ``MAX_LINE_BYTES`` limit): an idle connection with nothing
-        in flight is disconnected after the timeout, and a line that
-        exceeds the limit is answered with a protocol error and the
-        connection dropped — readline's internal buffer cannot be
-        grown past the limit by a newline-less client.  A client
-        parked on in-flight submit decisions is waiting, not
-        stalling, so the timeout does not count against it.
+        Returns when the connection is to be closed.  Two abuse guards:
+        a line — complete, or still growing in the carried tail — longer
+        than ``MAX_LINE_BYTES`` is answered with a protocol error and
+        the connection dropped, so a newline-less client cannot grow
+        memory past one max line; and with ``read_timeout_s`` a
+        connection that completes no line within the timeout is told
+        off and dropped.  That clock restarts on a complete line, not
+        on a byte (a slowloris dribble does not reset it), and a client
+        parked on in-flight decisions is waiting, not stalling, so it
+        does not count against it.
         """
+        limit = protocol.MAX_LINE_BYTES
         timeout = self.read_timeout_s
+        clock = asyncio.get_running_loop().time
+        deadline = clock() + timeout
+        tail = b""
         while True:
-            try:
-                if timeout > 0:
-                    line = await asyncio.wait_for(reader.readline(), timeout)
-                else:
-                    line = await reader.readline()
-            except asyncio.TimeoutError:
-                if deferred:
-                    continue
-                obs.counter("service.read_timeout")
-                await self._send(
-                    writer, lock,
-                    protocol.error_response(
+            if timeout > 0:
+                try:
+                    chunk = await asyncio.wait_for(
+                        reader.read(limit), deadline - clock()
+                    )
+                except asyncio.TimeoutError:
+                    if outbox.waiting:
+                        deadline = clock() + timeout
+                        continue
+                    obs.counter("service.read_timeout")
+                    outbox.put(protocol.error_response(
                         "?", "timeout",
                         f"no complete request line within {timeout}s; "
                         "closing connection",
-                    ),
-                )
-                return None
-            except ValueError:
-                # StreamReader.readline: the line outgrew the limit.
+                    ))
+                    return
+            else:
+                chunk = await reader.read(limit)
+            if not chunk:
+                return
+            *lines, tail = (tail + chunk).split(b"\n")
+            for line in lines:
+                if len(line) > limit:
+                    break
+                if line.strip():
+                    await self._serve_line(line, outbox)
+            else:
+                line = tail  # none of them too long: is what follows?
+            if len(line) > limit:
                 obs.counter("service.line_overflow")
-                await self._send(
-                    writer, lock,
-                    protocol.error_response(
-                        "?", "invalid",
-                        f"request line exceeds {protocol.MAX_LINE_BYTES} "
-                        "bytes; closing connection",
-                    ),
-                )
-                return None
-            return line if line else None
+                outbox.put(protocol.error_response(
+                    "?", "invalid",
+                    f"request line exceeds {limit} bytes; closing connection",
+                ))
+                return
+            # Inline answers leave in request order, once per chunk, and
+            # a client that does not read them stops this loop here.
+            outbox.flush()
+            await outbox.writer.drain()
+            if lines:
+                deadline = clock() + timeout
 
-    async def _serve_line(self, line, writer, lock, deferred) -> None:
+    async def _serve_line(self, line: bytes, outbox: _Outbox) -> None:
         try:
             message = protocol.decode_line(line)
         except ProtocolError as exc:
-            await self._send(
-                writer, lock, protocol.error_response("?", "invalid", str(exc))
-            )
+            outbox.put(protocol.error_response("?", "invalid", str(exc)))
             return
         answer = await self.handle(message)
         if isinstance(answer, dict):
-            await self._send(writer, lock, answer)
+            outbox.put(answer)
+        else:
+            outbox.defer(message, answer)
+
+
+class _Outbox:
+    """One connection's answers, written once per event-loop turn.
+
+    Inline answers are appended by the read loop, which flushes after
+    each chunk; a deferred answer is appended when its future settles,
+    and the first of a turn schedules the flush that carries them all.
+    """
+
+    def __init__(self, writer: asyncio.StreamWriter):
+        self.writer = writer
+        self.lines: List[bytes] = []
+        #: Futures this connection still owes a line for.
+        self.waiting: set = set()
+        self._flush_due = False
+
+    def put(self, message: Dict[str, Any]) -> None:
+        self.lines.append(protocol.encode(message))
+
+    def defer(self, message: Dict[str, Any], future: asyncio.Future) -> None:
+        self.waiting.add(future)
+        future.add_done_callback(functools.partial(self._settle, message))
+
+    def _settle(self, message: Dict[str, Any], future: asyncio.Future) -> None:
+        self.waiting.discard(future)
+        if future.cancelled():
             return
+        exc = future.exception()
+        if exc is None:
+            self.put(future.result())
+        else:
+            # A silent failure would park the client forever.
+            about = {"id": message["id"]} if "id" in message else {}
+            self.put(protocol.error_response(
+                message["op"], "internal", str(exc), **about
+            ))
+        if not self._flush_due:
+            self._flush_due = True
+            asyncio.get_running_loop().call_soon(self.flush)
 
-        async def deliver() -> None:
-            await self._send(writer, lock, await answer)
+    def flush(self) -> None:
+        self._flush_due = False
+        if self.lines and not self.writer.is_closing():
+            self.writer.write(b"".join(self.lines))
+            self.lines.clear()
 
-        task = asyncio.create_task(deliver())
-        deferred.add(task)
-        task.add_done_callback(deferred.discard)
+    def abandon(self) -> None:
+        """The connection is gone: cancel what it still waits on.
 
-    @staticmethod
-    async def _send(writer, lock, message: Dict[str, Any]) -> None:
-        async with lock:
-            writer.write(protocol.encode(message))
-            with contextlib.suppress(ConnectionResetError, BrokenPipeError):
-                await writer.drain()
+        Cancelled, not merely forgotten: ``TransferBroker.submit`` lets
+        a reconnecting client re-park on a queued id only once the old
+        waiter is ``done()``.  (The router shields its relay futures,
+        so its drivers outlive the asker.)
+        """
+        for future in self.waiting:
+            future.cancel()
 
 
 class ServiceDaemon(LineServer):
@@ -427,8 +482,9 @@ class ServiceDaemon(LineServer):
             return protocol.error_response("drain", "internal", str(exc))
         for pending, record in resolutions:
             self._resolve(pending, {"ok": True, "op": "submit", **record})
-        # Give parked submit-deliveries a chance to flush before the
-        # drain ack — clients treat the ack as "all decisions are out".
+        # One turn for the resolved waiters' lines to reach the outbox
+        # ahead of the drain ack — clients treat the ack as "all
+        # decisions are out".
         await asyncio.sleep(0)
         self._stop_soon()
         return {"ok": True, "op": "drain", "drained": True,

@@ -10,6 +10,5 @@ zero price — holding data at a datacenter is free.
 
 from repro.timeexp.cache import GraphCache
 from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph, TimeNode
-from repro.timeexp.export import to_dot
 
-__all__ = ["Arc", "ArcKind", "GraphCache", "TimeExpandedGraph", "TimeNode", "to_dot"]
+__all__ = ["Arc", "ArcKind", "GraphCache", "TimeExpandedGraph", "TimeNode"]

@@ -17,9 +17,15 @@ import time
 
 import pytest
 
-from repro.service import ServiceConfig, ServiceDaemon, TransferBroker, run_loadgen
+from repro.service import (
+    FleetConfig, FleetRouter, ServiceConfig, ServiceDaemon, TransferBroker,
+    run_loadgen,
+)
+from repro.service import protocol as proto
 from repro.service.loadgen import _Connection
+from repro.service.server import LineServer
 from repro.traffic.spec import TransferRequest
+from tests.fleet_harness import open_brokers, run_until_settled
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -417,3 +423,300 @@ def test_oversized_line_is_refused_and_disconnected(tmp_path):
     assert response["error"] == "invalid"
     assert "exceeds" in response["message"]
     assert eof == b""
+
+
+def test_slowloris_is_cut_on_the_complete_line_clock(tmp_path):
+    """Bytes that complete no line do not restart the read timeout."""
+    sock = str(tmp_path / "slow.sock")
+    config = ServiceConfig(
+        socket_path=sock, datacenters=4, capacity=50.0,
+        tick_seconds=0.0, max_deadline=8, read_timeout_s=0.15,
+    )
+
+    async def scenario():
+        daemon = ServiceDaemon(config)
+        await daemon.start()
+        try:
+            reader, writer = await asyncio.open_unix_connection(sock)
+            began = time.perf_counter()
+            answer = asyncio.ensure_future(reader.readline())
+            for _ in range(40):  # 2 s of dribble, one byte per timeout/3
+                if answer.done():
+                    break
+                writer.write(b"x")
+                await asyncio.sleep(config.read_timeout_s / 3)
+            line = await asyncio.wait_for(answer, timeout=1.0)
+            took = time.perf_counter() - began
+            eof = await asyncio.wait_for(reader.readline(), timeout=2.0)
+            writer.close()
+            return json.loads(line), took, eof
+        finally:
+            await daemon.stop()
+
+    response, took, eof = asyncio.run(scenario())
+    assert response["error"] == "timeout"
+    assert took < 1.0  # ~0.15 s; a per-byte clock never fires at all
+    assert eof == b""
+
+
+def test_oversized_line_mid_chunk_stops_the_connection_there(tmp_path):
+    """Lines ahead of an oversized one are served, lines behind it are not."""
+    sock = str(tmp_path / "mid.sock")
+    config = ServiceConfig(
+        socket_path=sock, datacenters=4, capacity=50.0,
+        tick_seconds=0.0, max_deadline=8,
+    )
+    ping = b'{"op":"ping"}\n'
+
+    async def scenario():
+        daemon = ServiceDaemon(config)
+        await daemon.start()
+        try:
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(
+                ping + ping + b"x" * (proto.MAX_LINE_BYTES + 1) + b"\n"
+                + b'{"op":"stats"}\n'
+            )
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=2.0)  # to EOF
+            writer.close()
+            return raw, daemon.metrics.counter_total("service.line_overflow")
+        finally:
+            await daemon.stop()
+
+    raw, overflows = asyncio.run(scenario())
+    answers = [json.loads(line) for line in raw.splitlines()]
+    assert [a["op"] for a in answers] == ["ping", "ping", "?"]
+    assert answers[2]["error"] == "invalid" and "exceeds" in answers[2]["message"]
+    assert overflows == 1
+
+
+def test_line_split_inside_a_multibyte_character_decodes_the_same(tmp_path):
+    """A chunk boundary may fall anywhere, mid-code-point included."""
+    sock = str(tmp_path / "utf.sock")
+    config = ServiceConfig(
+        socket_path=sock, datacenters=4, capacity=50.0,
+        tick_seconds=0.0, max_deadline=8,
+    )
+    name = "\u00fc\u4e2d\U0001f600"  # 2 + 3 + 4 bytes on the wire
+    line = json.dumps(
+        {"op": "submit", "id": name, "source": 0, "destination": 1,
+         "size_gb": 2.0, "deadline_slots": 2},
+        ensure_ascii=False,
+    ).encode() + b"\n"
+    first = line.index(name.encode())
+
+    async def scenario():
+        daemon = ServiceDaemon(config)
+        await daemon.start()
+        try:
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(line + b'{"op":"tick"}\n')
+            tick = json.loads(await asyncio.wait_for(reader.readline(), 2.0))
+            decided = json.loads(await asyncio.wait_for(reader.readline(), 2.0))
+            again = []
+            for cut in range(first, first + len(name.encode()) + 1):
+                writer.write(line[:cut])
+                await asyncio.sleep(0.005)  # the head is read on its own
+                writer.write(line[cut:])
+                again.append(
+                    json.loads(await asyncio.wait_for(reader.readline(), 2.0))
+                )
+            writer.close()
+            return tick, decided, again, daemon.broker.counts["submitted"]
+        finally:
+            await daemon.stop()
+
+    tick, decided, again, submitted = asyncio.run(scenario())
+    assert tick["op"] == "tick"
+    assert decided["id"] == name and decided["decision"] == "admitted"
+    assert len(again) == 10 and submitted == 1
+    for answer in again:
+        assert answer.pop("cached") is True
+        assert answer == decided
+
+
+def test_a_slot_of_answers_costs_a_few_writes_not_one_each(tmp_path):
+    """1,000 pipelined submits + a tick: every id answered exactly once,
+    in at most three writes (counted, not timed)."""
+    sock = str(tmp_path / "bulk.sock")
+    config = ServiceConfig(
+        socket_path=sock, datacenters=6, capacity=60.0,
+        tick_seconds=0.0, max_deadline=8, max_queue=2000,
+    )
+    writes = []
+
+    class CountingDaemon(ServiceDaemon):
+        async def _handle_client(self, reader, writer):
+            real = writer.write
+
+            def write(data):
+                writes.append(len(data))
+                real(data)
+
+            writer.write = write
+            await super()._handle_client(reader, writer)
+
+    burst = b"".join(
+        proto.encode({"op": "submit", "id": f"b{i}", "source": i % 6,
+                      "destination": (i + 1 + i % 5) % 6, "size_gb": 0.01,
+                      "deadline_slots": 2 + i % 6})
+        for i in range(1000)
+    ) + b'{"op":"tick"}\n'
+
+    async def scenario():
+        daemon = CountingDaemon(config)
+        await daemon.start()
+        try:
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(burst)
+            lines = [
+                json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+                for _ in range(1001)
+            ]
+            writer.close()
+            return lines
+        finally:
+            await daemon.stop()
+
+    lines = asyncio.run(scenario())
+    assert lines[0]["op"] == "tick"  # the ack leads its slot's decisions
+    assert sorted(a["id"] for a in lines[1:]) == sorted(
+        f"b{i}" for i in range(1000)
+    )
+    assert all(a["ok"] for a in lines)
+    assert len(writes) <= 3, writes
+
+
+def test_a_failed_deferred_answer_is_reported_not_swallowed(tmp_path):
+    """A future that fails answers ``internal``; a cancelled one, nothing."""
+    sock = str(tmp_path / "boom.sock")
+    futures = []
+
+    class Shell(LineServer):
+        async def _op_ping(self, message):
+            futures.append(asyncio.get_running_loop().create_future())
+            return futures[-1]
+
+        async def _op_stats(self, message):
+            return {"ok": True, "op": "stats"}
+
+    async def scenario():
+        shell = Shell(host="", port=0, socket_path=sock)
+        await shell.start()
+        try:
+            reader, writer = await asyncio.open_unix_connection(sock)
+            writer.write(b'{"op":"ping"}\n{"op":"ping","id":"p2"}\n')
+            while len(futures) < 2:
+                await asyncio.sleep(0.005)
+            futures[0].cancel()
+            futures[1].set_exception(RuntimeError("boom"))
+            failed = json.loads(await asyncio.wait_for(reader.readline(), 1.0))
+            writer.write(b'{"op":"stats"}\n')
+            after = json.loads(await asyncio.wait_for(reader.readline(), 1.0))
+            writer.close()
+            return failed, after
+        finally:
+            await shell.stop()
+
+    failed, after = asyncio.run(scenario())
+    assert failed == {"ok": False, "op": "ping", "error": "internal",
+                      "message": "boom", "id": "p2"}
+    assert after == {"ok": True, "op": "stats"}
+
+
+# -- re-attach after a hang-up (docs/ROBUSTNESS.md) --------------------------
+
+
+async def hung_up(server):
+    """Wait until ``server`` has let go of every connection."""
+    for _ in range(400):
+        if server._active_connections == 0:
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError("the server never saw the hang-up")
+
+
+def test_reconnect_reattaches_to_a_submission_its_old_connection_left(tmp_path):
+    """A hang-up cancels the connection's waiters, so the queued id is
+    free for the reconnect to park on: one decision, no ``refused``."""
+    sock = str(tmp_path / "re.sock")
+    config = ServiceConfig(
+        socket_path=sock, datacenters=4, capacity=50.0,
+        tick_seconds=0.0, max_deadline=8,
+    )
+    submit = proto.encode({"op": "submit", "id": "a", "source": 0,
+                           "destination": 1, "size_gb": 2.0,
+                           "deadline_slots": 2})
+
+    async def scenario():
+        daemon = ServiceDaemon(config)
+        await daemon.start()
+        try:
+            _, first = await asyncio.open_unix_connection(sock)
+            first.write(submit)
+            while daemon.broker.queue.depth < 1:
+                await asyncio.sleep(0.005)
+            first.close()
+            await hung_up(daemon)
+            reader, second = await asyncio.open_unix_connection(sock)
+            second.write(submit + b'{"op":"tick"}\n')
+            lines = [
+                json.loads(await asyncio.wait_for(reader.readline(), 2.0))
+                for _ in range(2)
+            ]
+            second.close()
+            return lines, daemon.broker.counts["submitted"]
+        finally:
+            await daemon.stop()
+
+    lines, submitted = asyncio.run(scenario())
+    assert [a["op"] for a in lines] == ["tick", "submit"]
+    assert lines[1]["id"] == "a" and lines[1]["decision"] == "admitted"
+    assert submitted == 1
+
+
+def test_router_relay_outlives_its_asker_and_a_reask_hears_it(tmp_path):
+    """Through the router the waiters are shielded: the asker's hang-up
+    cancels its view of the relay, not the relay."""
+    sock = str(tmp_path / "router.sock")
+    fleet = FleetConfig(
+        shards={"ap": "", "east": ""}, gateway_dc=0, datacenters=6,
+        capacity=60.0, seed=3, max_deadline=8,
+    )
+    shard_map = fleet.shard_map()
+    src, dst = next(
+        (s, d) for s in range(1, 6) for d in range(1, 6)
+        if shard_map.shard_for(s) != shard_map.shard_for(d)
+    )
+    submit = proto.encode({"op": "submit", "id": "x1", "source": src,
+                           "destination": dst, "size_gb": 5.0,
+                           "deadline_slots": 6})
+
+    async def scenario():
+        router = FleetRouter(fleet, socket_path=sock)
+        await router.start()
+        try:
+            brokers = await open_brokers(router)
+            _, asker = await asyncio.open_unix_connection(sock)
+            asker.write(submit)
+            while router.tracker.get("x1") is None:
+                await asyncio.sleep(0.005)
+            asker.close()
+            await hung_up(router)
+            reader, again = await asyncio.open_unix_connection(sock)
+            again.write(submit)  # mid-relay: parks on the same relay
+            await run_until_settled(router, brokers)
+            answer = json.loads(await asyncio.wait_for(reader.readline(), 2.0))
+            again.close()
+            return answer, dict(router.counts)
+        finally:
+            await router.stop()
+
+    answer, counts = asyncio.run(scenario())
+    assert answer["ok"] and answer["id"] == "x1"
+    assert answer["decision"] == "admitted" and "cached" not in answer
+    assert [leg["state"] for leg in answer["relay"]["legs"]] == [
+        "decided", "decided"
+    ]
+    assert counts["submitted"] == 1 and counts["relayed"] == 1
