@@ -40,12 +40,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis import format_table
 from repro.core import PostcardScheduler
 from repro.net.generators import complete_topology, fig1_topology, fig3_topology
-from repro.registry import make_scheduler, scheduler_factory, scheduler_names
+from repro.registry import make_scheduler, scheduler_names
 from repro.sim import Simulation
 from repro.sim.runner import ExperimentSetting, run_comparison
 from repro.traffic import PaperWorkload, TraceWorkload, TransferRequest
@@ -57,34 +57,6 @@ FIGURE_SETTINGS = {
     "fig6": (30.0, 3),
     "fig7": (30.0, 8),
 }
-
-
-def _build_fault_model(args: argparse.Namespace, topology):
-    """The outage set a simulate run injects, or None.
-
-    ``--outages FILE`` loads an explicit JSON outage list;
-    ``--surprise`` without a file generates random *unannounced*
-    outages (and with a file, demotes every loaded outage to a
-    surprise).  Each scheduler gets its own copy so one run's
-    execution-time discoveries don't leak into another's planning.
-    """
-    from repro.sim import FaultModel
-
-    if args.outages:
-        faults = FaultModel.from_file(args.outages)
-        if args.surprise:
-            faults = faults.as_surprise()
-        return faults
-    if args.surprise:
-        return FaultModel.random(
-            topology,
-            args.slots,
-            outage_probability=args.outage_prob,
-            mean_duration=args.mean_outage,
-            seed=args.seed,
-            announced=False,
-        )
-    return None
 
 
 def _hybrid_summary(name: str, result) -> str:
@@ -108,41 +80,36 @@ def _forecast_summary(name: str, stats: dict) -> str:
     )
 
 
-def _attach_forecast(scheduler, args) -> bool:
-    """Attach a ForecastProvider when the scheduler supports one."""
-    attach = getattr(scheduler, "attach_forecast", None)
-    if attach is None:
-        return False
-    from repro.forecast import ForecastConfig, ForecastProvider
-
-    period = args.forecast_period
-    horizon = args.forecast_horizon or period
-    attach(ForecastProvider(ForecastConfig(period=period, horizon=horizon)))
-    return True
-
-
-def _cmd_simulate_parallel(args: argparse.Namespace) -> int:
-    """Fan the per-scheduler runs of ``simulate`` out to workers.
-
-    Workers rebuild topology/workload/faults from the same seeds the
-    serial path uses, so the table is identical for any ``--jobs``.
-    """
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro import obs
     from repro.sim.parallel import (
-        FaultSpec,
         TOPOLOGY_COMPLETE,
+        FaultSpec,
+        build_cell,
         comparison_tasks,
         run_tasks,
     )
-    from repro.sim.runner import ExperimentSetting
 
-    setting = ExperimentSetting(
-        "simulate",
-        capacity=args.capacity,
-        max_deadline=args.max_deadline,
-        num_datacenters=args.datacenters,
-        num_slots=args.slots,
-        max_files=args.max_files,
-    )
+    jobs = args.jobs
+    if jobs > 1 and (args.profile or args.obs_jsonl or args.show_links):
+        print(
+            "note: --profile/--obs-jsonl/--show-links need in-process "
+            "state; ignoring --jobs and running serially",
+            file=sys.stderr,
+        )
+        jobs = 1
+    link_schedule = None
+    if args.link_schedule:
+        from repro.errors import TopologyError
+        from repro.net.schedule import LinkSchedule
+
+        try:
+            link_schedule = LinkSchedule.from_file(args.link_schedule)
+        except TopologyError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    # --outages FILE loads an explicit outage list (--surprise demotes
+    # it to unannounced); --surprise alone generates random surprises.
     faults = None
     if args.outages:
         faults = FaultSpec(path=args.outages, announced=not args.surprise)
@@ -152,16 +119,68 @@ def _cmd_simulate_parallel(args: argparse.Namespace) -> int:
             mean_duration=args.mean_outage,
             announced=False,
         )
-    tasks = comparison_tasks(
-        setting, args.schedulers, runs=1, base_seed=args.seed,
-        faults=faults, topology=TOPOLOGY_COMPLETE,
+    setting = ExperimentSetting(
+        "simulate",
+        capacity=args.capacity,
+        max_deadline=args.max_deadline,
+        num_datacenters=args.datacenters,
+        num_slots=args.slots,
+        max_files=args.max_files,
     )
+    tasks = comparison_tasks(
+        setting,
+        args.schedulers,
+        runs=1,
+        base_seed=args.seed,
+        faults=faults,
+        topology=TOPOLOGY_COMPLETE,
+        link_schedule=args.link_schedule,
+        forecast=(
+            (args.forecast_period, args.forecast_horizon)
+            if args.forecast
+            else None
+        ),
+    )
+
+    registry = obs.get_registry()
+    collector = obs.Collector() if args.profile else None
+    try:
+        jsonl = obs.JsonlSink(args.obs_jsonl) if args.obs_jsonl else None
+    except OSError as exc:
+        print(f"error: cannot open {args.obs_jsonl}: {exc}", file=sys.stderr)
+        return 1
+    sinks = [s for s in (collector, jsonl) if s is not None]
+    for sink in sinks:
+        registry.add_sink(sink)
+    last_scheduler = None
+    try:
+        if args.show_links:
+            # The last scheduler's ledger has to outlive its run.
+            outcomes = run_tasks(tasks[:-1])
+            last_scheduler, workload = build_cell(tasks[-1])
+            result = Simulation(last_scheduler, workload, args.slots).run()
+            outcomes.append((tasks[-1].scheduler, 0, result))
+        else:
+            outcomes = run_tasks(tasks, jobs=jobs)
+    finally:
+        for sink in sinks:
+            registry.remove_sink(sink)
+        if jsonl is not None:
+            jsonl.close()
+
     rows = []
-    chaos = []
-    hybrid_lines = []
-    for name, _run, result in run_tasks(tasks, jobs=args.jobs):
+    summaries = []
+    for name, _run, result in outcomes:
         if result.escalations + result.fast_slots > 0:
-            hybrid_lines.append(_hybrid_summary(name, result))
+            summaries.append(_hybrid_summary(name, result))
+        if result.forecast is not None:
+            summaries.append(_forecast_summary(name, result.forecast))
+        elif args.forecast:
+            print(
+                f"note: scheduler {name!r} has no forecast hook; "
+                "running it reactively",
+                file=sys.stderr,
+            )
         row = [
             name,
             result.final_cost_per_slot,
@@ -178,163 +197,42 @@ def _cmd_simulate_parallel(args: argparse.Namespace) -> int:
                     result.deadline_misses,
                 ]
             )
-            chaos.append((name, result))
         rows.append(row)
-    headers = ["scheduler", "cost/slot", "files", "rejected", "relay", "solve s"]
-    if faults is not None:
-        headers.extend(["salvaged", "lost", "misses"])
-    print(format_table(headers, rows))
-    for line in hybrid_lines:
-        print(line)
-    if chaos:
-        # Rebuild the (seeded, hence identical) outage set for the
-        # summary line the serial path prints.
-        topology = complete_topology(
-            args.datacenters, capacity=args.capacity, seed=args.seed
-        )
-        fault_model = faults.build(topology, args.slots, args.seed)
-        for name, result in chaos:
-            print(
-                f"chaos [{name}]: outages={len(fault_model.outages)} "
-                f"disrupted={result.disrupted_gb:.2f} GB "
-                f"salvaged={result.salvaged_gb:.2f} GB "
-                f"lost={result.lost_gb:.2f} GB "
-                f"misses={result.deadline_misses} "
-                f"replans={result.recovery_replans}"
-            )
-    return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro import obs
-
-    if args.jobs > 1:
-        if (
-            args.profile
-            or args.obs_jsonl
-            or args.show_links
-            or args.link_schedule
-            or args.forecast
-        ):
-            print(
-                "note: --profile/--obs-jsonl/--show-links/--link-schedule/"
-                "--forecast need in-process state; ignoring --jobs and "
-                "running serially",
-                file=sys.stderr,
-            )
-        else:
-            return _cmd_simulate_parallel(args)
-
-    topology = complete_topology(
-        args.datacenters, capacity=args.capacity, seed=args.seed
-    )
-    horizon = args.slots + args.max_deadline
-    faults = _build_fault_model(args, topology)
-    link_schedule = None
-    if args.link_schedule:
-        from repro.errors import TopologyError
-        from repro.net.schedule import LinkSchedule
-
-        try:
-            link_schedule = LinkSchedule.from_file(args.link_schedule)
-        except TopologyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    rows = []
-    chaos = []
-    hybrid_lines = []
-    last_scheduler = None
-
-    registry = obs.get_registry()
-    collector = obs.Collector() if args.profile else None
-    try:
-        jsonl = obs.JsonlSink(args.obs_jsonl) if args.obs_jsonl else None
-    except OSError as exc:
-        print(f"error: cannot open {args.obs_jsonl}: {exc}", file=sys.stderr)
-        return 1
-    sinks = [s for s in (collector, jsonl) if s is not None]
-    for sink in sinks:
-        registry.add_sink(sink)
-    try:
-        for name in args.schedulers:
-            scheduler = make_scheduler(name, topology, horizon)
-            if faults is not None:
-                scheduler.state.fault_model = faults.copy()
-            if link_schedule is not None:
-                scheduler.state.link_schedule = link_schedule
-            if args.forecast and not _attach_forecast(scheduler, args):
-                print(
-                    f"note: scheduler {name!r} has no forecast hook; "
-                    "running it reactively",
-                    file=sys.stderr,
-                )
-            workload = PaperWorkload(
-                topology,
-                max_deadline=args.max_deadline,
-                max_files=args.max_files,
-                seed=args.seed + 1000,
-            )
-            result = Simulation(scheduler, workload, args.slots).run()
-            last_scheduler = scheduler
-            if result.escalations + result.fast_slots > 0:
-                hybrid_lines.append(_hybrid_summary(name, result))
-            if result.forecast is not None:
-                hybrid_lines.append(_forecast_summary(name, result.forecast))
-            row = [
-                name,
-                result.final_cost_per_slot,
-                result.total_requests,
-                result.total_rejected,
-                f"{result.relay_overhead:.2f}",
-                f"{result.solve_seconds_total:.2f}",
-            ]
-            if faults is not None:
-                row.extend(
-                    [
-                        f"{result.salvaged_gb:.1f}",
-                        f"{result.lost_gb:.1f}",
-                        result.deadline_misses,
-                    ]
-                )
-                chaos.append((name, result))
-            rows.append(row)
-    finally:
-        for sink in sinks:
-            registry.remove_sink(sink)
-        if jsonl is not None:
-            jsonl.close()
     headers = ["scheduler", "cost/slot", "files", "rejected", "relay", "solve s"]
     if faults is not None:
         headers.extend(["salvaged", "lost", "misses"])
     print(format_table(headers, rows))
     if link_schedule is not None:
         print(link_schedule.describe(args.slots))
-    for line in hybrid_lines:
+    for line in summaries:
         print(line)
-    for name, result in chaos:
-        print(
-            f"chaos [{name}]: outages={len(faults.outages)} "
-            f"disrupted={result.disrupted_gb:.2f} GB "
-            f"salvaged={result.salvaged_gb:.2f} GB "
-            f"lost={result.lost_gb:.2f} GB "
-            f"misses={result.deadline_misses} "
-            f"replans={result.recovery_replans}"
-        )
+    if faults is not None:
+        # Every cell of the run saw this (seeded, hence identical) set.
+        outages = build_cell(tasks[0])[0].state.fault_model.outages
+        for name, _run, result in outcomes:
+            print(
+                f"chaos [{name}]: outages={len(outages)} "
+                f"disrupted={result.disrupted_gb:.2f} GB "
+                f"salvaged={result.salvaged_gb:.2f} GB "
+                f"lost={result.lost_gb:.2f} GB "
+                f"misses={result.deadline_misses} "
+                f"replans={result.recovery_replans}"
+            )
     if collector is not None:
         print()
         print(obs.render_report(collector, title="run report"))
     if jsonl is not None:
         print(f"\nwrote {jsonl.num_events} events to {args.obs_jsonl}")
 
-    if args.show_links and last_scheduler is not None:
+    if last_scheduler is not None:
         from repro.analysis.plots import utilization_rows
 
         state = last_scheduler.state
         samples = {
             link.key: state.ledger.samples(link.src, link.dst)[: args.slots]
-            for link in topology.links
+            for link in state.topology.links
         }
-        caps = {link.key: link.capacity for link in topology.links}
+        caps = {link.key: link.capacity for link in state.topology.links}
         print(f"\nlink utilization ({args.schedulers[-1]}, busiest first):")
         print(utilization_rows(samples, caps, top=8))
     return 0
@@ -350,9 +248,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         num_slots=args.slots,
         max_files=args.max_files,
     )
-    factories = {name: scheduler_factory(name) for name in args.schedulers}
     comparison = run_comparison(
-        setting, factories, runs=args.runs, base_seed=args.seed, jobs=args.jobs
+        setting, args.schedulers, runs=args.runs, base_seed=args.seed,
+        jobs=args.jobs,
     )
     print(setting.describe())
     print(comparison.to_table())
@@ -527,35 +425,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro import obs
     from repro.errors import ServiceError
-    from repro.service import ServiceConfig, ServiceDaemon
+    from repro.service import ServiceDaemon
+    from repro.service.config import from_args
 
     try:
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            socket_path=args.socket,
-            datacenters=args.datacenters,
-            capacity=args.capacity,
-            seed=args.seed,
-            scheduler=args.scheduler,
-            link_schedule_path=args.link_schedule,
-            max_deadline=args.max_deadline,
-            tick_seconds=args.tick_seconds,
-            max_queue=args.max_queue,
-            max_batch=args.max_batch,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            wal=args.wal,
-            snapshot_retain=args.snapshot_retain,
-            read_timeout_s=args.read_timeout,
-            watchdog_timeout_s=args.watchdog_timeout,
-            max_slots=args.max_slots,
-            period_slots=args.period_slots,
-            period_prune=args.period_prune,
-            forecast=args.forecast,
-            forecast_period=args.forecast_period,
-            forecast_horizon=args.forecast_horizon,
-        )
+        config = from_args(args)
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -834,13 +708,29 @@ def _parse_shard_specs(specs) -> dict:
     return shards
 
 
+#: The ``ServiceConfig`` fields ``fleet serve`` takes as flags for its
+#: shards (the endpoint flags there are the router's own).
+FLEET_SHARD_FLAGS = (
+    "datacenters", "capacity", "seed", "scheduler", "max_deadline",
+    "tick_seconds", "max_queue", "period_slots", "wal",
+)
+
+
+def serve_command(config) -> List[str]:
+    """The command line that runs ``config`` as a ``repro serve`` daemon
+    (what ``fleet serve --spawn`` launches per shard)."""
+    from repro.service.config import to_argv
+
+    return [sys.executable, "-m", "repro", "serve", *to_argv(config)]
+
+
 def _cmd_fleet_serve(args: argparse.Namespace) -> int:
     import asyncio
     import subprocess
 
     from repro.errors import ServiceError
-    from repro.service import FleetConfig, FleetRouter
-    from repro.service.loadgen import _Connection, parse_endpoint
+    from repro.service import Connection, FleetConfig, FleetRouter, parse_endpoint
+    from repro.service.config import from_args
 
     try:
         shards = _parse_shard_specs(args.shard)
@@ -848,47 +738,19 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
             shards=shards,
             gateway_dc=args.gateway,
             gateway_mode=args.gateway_mode,
-            datacenters=args.datacenters,
-            capacity=args.capacity,
-            seed=args.seed,
-            scheduler=args.scheduler,
-            max_deadline=args.max_deadline,
-            max_queue=args.max_queue,
-            tick_seconds=args.tick_seconds,
             checkpoint_root=args.checkpoint_root,
-            wal=args.wal,
-            period_slots=args.period_slots,
+            # The root stands in for the per-shard directory --wal needs.
+            shard=from_args(
+                args, FLEET_SHARD_FLAGS, checkpoint_dir=args.checkpoint_root
+            ),
         )
+        commands = [
+            serve_command(fleet.shard_config(name)) for name in sorted(shards)
+        ] if args.spawn else []
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    procs = []
-    if args.spawn:
-        for name in sorted(shards):
-            cfg = fleet.shard_config(name)
-            cmd = [
-                sys.executable, "-m", "repro", "serve",
-                "--datacenters", str(cfg.datacenters),
-                "--capacity", str(cfg.capacity),
-                "--seed", str(cfg.seed),
-                "--scheduler", cfg.scheduler,
-                "--max-deadline", str(cfg.max_deadline),
-                "--max-queue", str(cfg.max_queue),
-                "--tick-seconds", str(cfg.tick_seconds),
-            ]
-            if cfg.socket_path:
-                cmd += ["--socket", cfg.socket_path]
-            else:
-                cmd += ["--host", cfg.host, "--port", str(cfg.port)]
-            if cfg.checkpoint_dir:
-                os.makedirs(cfg.checkpoint_dir, exist_ok=True)
-                cmd += ["--checkpoint-dir", cfg.checkpoint_dir]
-                if cfg.wal:
-                    cmd += ["--wal"]
-            if cfg.period_slots:
-                cmd += ["--period-slots", str(cfg.period_slots)]
-            procs.append((name, subprocess.Popen(cmd)))
+    procs = [subprocess.Popen(command) for command in commands]
 
     async def _run() -> None:
         # Wait for every shard to answer a ping before opening the
@@ -898,7 +760,7 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
             deadline = asyncio.get_running_loop().time() + args.spawn_timeout
             while True:
                 try:
-                    conn = await _Connection.open(host, port, socket_path)
+                    conn = await Connection.open(host, port, socket_path)
                     await conn.call({"op": "ping"})
                     await conn.close()
                     break
@@ -942,10 +804,10 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        for _, proc in procs:
+        for proc in procs:
             if proc.poll() is None:
                 proc.terminate()
-        for _, proc in procs:
+        for proc in procs:
             try:
                 proc.wait(timeout=10)
             except subprocess.TimeoutExpired:
@@ -959,11 +821,11 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
 
     from repro.analysis import format_table
     from repro.errors import ServiceError
-    from repro.service.loadgen import _Connection, parse_endpoint
+    from repro.service import Connection, parse_endpoint
 
     async def _fetch():
         host, port, socket_path = parse_endpoint(args.endpoint)
-        conn = await _Connection.open(host, port, socket_path)
+        conn = await Connection.open(host, port, socket_path)
         try:
             return await conn.call({"op": "stats"})
         finally:
@@ -1093,6 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Postcard (ICDCS'12) reproduction: schedulers, figures, traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    from repro.service import config as service_config
 
     def common(p, slots=10):
         p.add_argument("--datacenters", type=int, default=8)
@@ -1309,94 +1172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="run the transfer-broker daemon (see docs/SERVICE.md)"
     )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument(
-        "--port", type=int, default=7411, help="TCP port (0 = ephemeral)"
-    )
-    p_serve.add_argument(
-        "--socket", metavar="PATH", default=None,
-        help="serve on a unix socket instead of TCP",
-    )
-    p_serve.add_argument(
-        "--link-schedule",
-        metavar="FILE",
-        help="broker under the availability windows in FILE",
-    )
-    p_serve.add_argument("--datacenters", type=int, default=10)
-    p_serve.add_argument("--capacity", type=float, default=100.0)
-    p_serve.add_argument("--max-deadline", type=int, default=16)
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument(
-        "--scheduler", choices=scheduler_names(), default="hybrid"
-    )
-    p_serve.add_argument(
-        "--tick-seconds", type=float, default=0.25,
-        help="virtual-slot tick; 0 = manual (slots advance on 'tick' "
-        "messages only)",
-    )
-    p_serve.add_argument(
-        "--max-queue", type=int, default=1024,
-        help="intake depth bound; beyond it submissions get "
-        "backpressure + retry-after",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=0,
-        help="cap on requests per slot batch (0 = drain the whole queue)",
-    )
-    p_serve.add_argument(
-        "--checkpoint-dir", metavar="DIR", default=None,
-        help="snapshot state here every --checkpoint-every slots; a "
-        "restart resumes from the snapshot",
-    )
-    p_serve.add_argument("--checkpoint-every", type=int, default=5)
-    p_serve.add_argument(
-        "--wal", action="store_true",
-        help="write-ahead log every admission/commit (fsync'd before "
-        "the ack) and compact snapshots generationally; needs "
-        "--checkpoint-dir",
-    )
-    p_serve.add_argument(
-        "--snapshot-retain", type=int, default=3,
-        help="snapshot generations kept for checksum fallback (WAL mode)",
-    )
-    p_serve.add_argument(
-        "--read-timeout", type=float, default=0.0, metavar="S",
-        help="disconnect a connection idle (no line, nothing in flight) "
-        "for S seconds (0 = never)",
-    )
-    p_serve.add_argument(
-        "--watchdog-timeout", type=float, default=0.0, metavar="S",
-        help="degrade a slot to fast-lane-only when an LP escalation "
-        "exceeds S seconds (0 = off; hybrid scheduler only)",
-    )
-    p_serve.add_argument(
-        "--max-slots", type=int, default=0,
-        help="stop after N slots (0 = run until drained); automatic "
-        "clock only",
-    )
-    p_serve.add_argument(
-        "--period-slots", type=int, default=0,
-        help="roll the charging period over every N slots (billing "
-        "rollover; 0 = single-period mode, refuse past the horizon)",
-    )
-    p_serve.add_argument(
-        "--period-prune", action="store_true",
-        help="drop ledger samples older than the last closed period "
-        "boundary (bounds memory on long runs; needs --period-slots)",
-    )
-    p_serve.add_argument(
-        "--forecast", action="store_true",
-        help="attach an online traffic forecaster (hybrid scheduler "
-        "only); accuracy rides the `metrics` op and `repro watch`",
-    )
-    p_serve.add_argument(
-        "--forecast-period", type=int, default=24, metavar="SLOTS",
-        help="seasonal period the forecaster learns (default 24)",
-    )
-    p_serve.add_argument(
-        "--forecast-horizon", type=int, default=0, metavar="SLOTS",
-        help="reservation horizon (default: one period)",
-    )
+    service_config.add_arguments(p_serve)
     p_serve.add_argument(
         "--obs-jsonl", metavar="PATH",
         help="stream service instrumentation events to PATH",
@@ -1550,32 +1326,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--socket", metavar="PATH", default=None,
         help="serve the router on a unix socket instead of TCP",
     )
-    p_fs.add_argument("--datacenters", type=int, default=10)
-    p_fs.add_argument("--capacity", type=float, default=100.0)
-    p_fs.add_argument("--seed", type=int, default=0)
-    p_fs.add_argument(
-        "--scheduler", choices=scheduler_names(), default="hybrid"
-    )
-    p_fs.add_argument("--max-deadline", type=int, default=16)
-    p_fs.add_argument("--max-queue", type=int, default=1024)
-    p_fs.add_argument(
-        "--tick-seconds", type=float, default=0.25,
-        help="per-shard virtual-slot tick (0 = manual ticks via the "
-        "router's tick op)",
-    )
     p_fs.add_argument(
         "--checkpoint-root", metavar="DIR", default=None,
         help="per-shard checkpoint dirs are created under DIR/<shard>",
     )
-    p_fs.add_argument(
-        "--wal", action="store_true",
-        help="run every shard with the write-ahead log (needs "
-        "--checkpoint-root)",
-    )
-    p_fs.add_argument(
-        "--period-slots", type=int, default=0,
-        help="per-shard billing rollover period (0 = single period)",
-    )
+    service_config.add_arguments(p_fs, FLEET_SHARD_FLAGS)
     p_fs.set_defaults(func=_cmd_fleet_serve)
     p_fstat = fleet_sub.add_parser(
         "status", help="one-shot fleet stats from a running router"

@@ -153,6 +153,13 @@ class ForecastProvider:
         #: "proactively shifted volume" activity indicator.
         self.shifted_gb = 0.0
 
+    @classmethod
+    def seasonal(cls, period: int, horizon: int = 0) -> "ForecastProvider":
+        """The provider ``forecast_period`` / ``forecast_horizon`` spell,
+        as service config or as ``simulate`` flags: ``horizon=0`` means
+        one period ahead."""
+        return cls(ForecastConfig(period=period, horizon=horizon or period))
+
     # -- wiring ----------------------------------------------------------
 
     def bind(self, state) -> None:

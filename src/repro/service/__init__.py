@@ -30,6 +30,7 @@ from repro.service.fabric import (
 )
 from repro.service.intake import IntakeQueue, PendingTransfer
 from repro.service.loadgen import (
+    Connection,
     LoadGenResult,
     parse_endpoint,
     percentile,
@@ -50,6 +51,7 @@ from repro.service.watch import (
 
 __all__ = [
     "ChaosMonkey",
+    "Connection",
     "FleetConfig",
     "FleetRouter",
     "InjectedCrash",

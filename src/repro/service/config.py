@@ -9,8 +9,8 @@ scheduler choice, the slot clock, and the intake / checkpoint policies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import Field, dataclass, field, fields
+from typing import Any, Iterable, List, Optional
 
 from repro.errors import ServiceError
 from repro.net.generators import complete_topology
@@ -18,6 +18,24 @@ from repro.net.topology import Topology
 
 #: Seconds per virtual slot when none is configured.
 DEFAULT_TICK_SECONDS = 0.25
+
+
+def _flag(default, help=None, flag=None, metavar=None, choices=None):
+    """A field ``repro serve`` takes as a flag.
+
+    The flag is ``--<field-name-with-dashes>`` unless ``flag`` renames
+    it, its type is the default's, and a ``bool`` is a switch.  This
+    metadata is the only declaration: :func:`add_arguments`,
+    :func:`from_args` and :func:`to_argv` are derived from it.
+    """
+    spec = {"flag": flag, "help": help, "metavar": metavar, "choices": choices}
+    return field(default=default, metadata=spec)
+
+
+def _scheduler_names():
+    from repro.registry import scheduler_names
+
+    return scheduler_names()
 
 
 @dataclass
@@ -43,89 +61,126 @@ class ServiceConfig:
     the directory is unset).
     """
 
-    host: str = "127.0.0.1"
-    port: int = 7411
-    socket_path: Optional[str] = None
+    host: str = _flag("127.0.0.1")
+    port: int = _flag(7411, "TCP port (0 = ephemeral)")
+    socket_path: Optional[str] = _flag(
+        None, "serve on a unix socket instead of TCP",
+        flag="--socket", metavar="PATH",
+    )
 
-    datacenters: int = 10
-    capacity: float = 100.0
-    seed: int = 0
+    datacenters: int = _flag(10)
+    capacity: float = _flag(100.0)
+    seed: int = _flag(0)
 
-    scheduler: str = "hybrid"
+    scheduler: str = _flag("hybrid", choices=_scheduler_names)
     horizon: int = 4096
-    max_deadline: int = 16
+    max_deadline: int = _flag(16)
 
-    #: Path to a :class:`repro.net.schedule.LinkSchedule` JSON file.
-    #: Loaded at broker construction and re-attached after every
-    #: checkpoint/WAL restore (the schedule, like the topology, is
-    #: config — not state — so snapshots stay schedule-free).
-    link_schedule_path: Optional[str] = None
+    #: A :class:`repro.net.schedule.LinkSchedule` JSON file, loaded at
+    #: broker construction and re-attached after every checkpoint/WAL
+    #: restore (the schedule, like the topology, is config — not state —
+    #: so snapshots stay schedule-free).
+    link_schedule_path: Optional[str] = _flag(
+        None, "broker under the availability windows in FILE",
+        flag="--link-schedule", metavar="FILE",
+    )
 
-    tick_seconds: float = DEFAULT_TICK_SECONDS
-    max_queue: int = 1024
-    max_batch: int = 0
+    tick_seconds: float = _flag(
+        DEFAULT_TICK_SECONDS,
+        "virtual-slot tick; 0 = manual (slots advance on 'tick' "
+        "messages only)",
+    )
+    max_queue: int = _flag(
+        1024,
+        "intake depth bound; beyond it submissions get backpressure + "
+        "retry-after",
+    )
+    max_batch: int = _flag(
+        0, "cap on requests per slot batch (0 = drain the whole queue)"
+    )
 
-    checkpoint_dir: Optional[str] = None
-    checkpoint_every: int = 5
+    checkpoint_dir: Optional[str] = _flag(
+        None,
+        "snapshot state here every --checkpoint-every slots; a restart "
+        "resumes from the snapshot",
+        metavar="DIR",
+    )
+    checkpoint_every: int = _flag(5)
 
-    #: Charging-period length in slots (0 = single-period mode: the
-    #: broker refuses deadlines that would cross ``horizon``).  With a
-    #: positive value the broker *rolls over* instead of dying: at
-    #: every multiple of ``period_slots`` the closing period's bill is
-    #: banked (max-charging over that period's own samples), the paid
+    #: With a positive value the broker *rolls over* instead of dying:
+    #: at every multiple of ``period_slots`` the closing period's bill
+    #: is banked (max-charging over that period's own samples), the paid
     #: watermarks ``X_ij`` re-seed to the volume in-flight transfers
     #: already committed past the boundary, and the clock keeps
     #: running — indefinitely.  Boundaries are a pure function of the
     #: slot index, so WAL replay reproduces them exactly.
-    period_slots: int = 0
-    #: With rollover on, drop ledger samples older than the just-closed
-    #: period boundary after banking its bill.  Bounds ledger (and
-    #: snapshot) memory for week-long runs at the cost of not being
-    #: able to re-audit closed periods from the live ledger.
-    period_prune: bool = False
+    period_slots: int = _flag(
+        0,
+        "roll the charging period over every N slots (billing rollover; "
+        "0 = single-period mode, refuse past the horizon)",
+    )
+    #: Bounds ledger (and snapshot) memory for week-long runs at the
+    #: cost of not being able to re-audit closed periods from the live
+    #: ledger.
+    period_prune: bool = _flag(
+        False,
+        "drop ledger samples older than the last closed period boundary "
+        "(bounds memory on long runs; needs --period-slots)",
+    )
 
-    #: Write-ahead logging (PR 7): journal every admission and slot
-    #: commit (O(1) bytes, one fsync per slot before its decisions go
-    #: out — docs/ROBUSTNESS.md, "What is durable when") and turn the
-    #: ``checkpoint_every`` cadence into snapshot *compaction*.
-    #: Requires ``checkpoint_dir``.
-    wal: bool = False
+    #: O(1) bytes per record, one fsync per slot before its decisions go
+    #: out (docs/ROBUSTNESS.md, "What is durable when"); the
+    #: ``checkpoint_every`` cadence becomes snapshot *compaction*.
+    wal: bool = _flag(
+        False,
+        "write-ahead log every admission/commit (fsync'd before the ack) "
+        "and compact snapshots generationally; needs a checkpoint "
+        "directory",
+    )
     #: fsync each WAL sync point / snapshot write.  Turning this off trades
     #: power-loss durability for speed (process-crash durability
     #: remains); drills and benchmarks flip it, production should not.
     wal_fsync: bool = True
-    #: Snapshot generations kept on disk (WAL mode).  Recovery can fall
-    #: back up to ``snapshot_retain - 1`` generations past a corrupt
-    #: newest snapshot.
-    snapshot_retain: int = 3
+    #: Recovery can fall back up to ``snapshot_retain - 1`` generations
+    #: past a corrupt newest snapshot.
+    snapshot_retain: int = _flag(
+        3, "snapshot generations kept for checksum fallback (WAL mode)"
+    )
 
-    #: Per-connection read timeout, seconds (0 = none).  A connection
-    #: with no complete line and no in-flight decisions for this long
-    #: is told off and disconnected — a slowloris guard.
-    read_timeout_s: float = 0.0
+    #: A slowloris guard: the connection is told off, then disconnected.
+    read_timeout_s: float = _flag(
+        0.0,
+        "disconnect a connection idle (no line, nothing in flight) for S "
+        "seconds (0 = never)",
+        flag="--read-timeout", metavar="S",
+    )
 
-    #: Solver watchdog budget, seconds (0 = off; hybrid scheduler
-    #: only).  An LP escalation that has not answered within this is
-    #: abandoned and the slot degrades to fast-lane-only placement.
-    watchdog_timeout_s: float = 0.0
+    watchdog_timeout_s: float = _flag(
+        0.0,
+        "degrade a slot to fast-lane-only when an LP escalation exceeds "
+        "S seconds (0 = off; hybrid scheduler only)",
+        flag="--watchdog-timeout", metavar="S",
+    )
     #: Escalation-worthy slots that skip the LP after a degrade
     #: (doubling per consecutive degrade, capped below).
     watchdog_backoff_slots: int = 2
     watchdog_backoff_max: int = 16
 
-    #: Stop after this many processed slots (0 = run until drained).
-    max_slots: int = 0
-
-    #: Attach an online :class:`~repro.forecast.ForecastProvider` to
-    #: the scheduler (forecast-capable schedulers only — hybrid).  Like
-    #: the link schedule, the provider is config-not-state: it is
+    #: Like the link schedule, the provider is config-not-state: it is
     #: rebuilt at broker construction and retrains deterministically
     #: from WAL replay, so snapshots stay forecast-free.
-    forecast: bool = False
-    #: Seasonal period the predictors learn, in slots.
-    forecast_period: int = 24
-    #: Reservation horizon in slots (0 = one period).
-    forecast_horizon: int = 0
+    forecast: bool = _flag(
+        False,
+        "attach an online traffic forecaster (hybrid scheduler only); "
+        "accuracy rides the `metrics` op and `repro watch`",
+    )
+    forecast_period: int = _flag(
+        24, "seasonal period the forecaster learns (default 24)",
+        metavar="SLOTS",
+    )
+    forecast_horizon: int = _flag(
+        0, "reservation horizon (default: one period)", metavar="SLOTS"
+    )
 
     #: Attach the live telemetry plane (MetricsSnapshot sink + SLO
     #: gauges + the ``metrics`` protocol op's data source).  Off, the
@@ -294,3 +349,67 @@ class ServiceConfig:
         if self.socket_path:
             return f"unix:{self.socket_path}"
         return f"tcp:{self.host}:{self.port}"
+
+
+def _flagged(names: Optional[Iterable[str]] = None) -> List[Field]:
+    """The flag-carrying fields, all of them or the ``names`` subset."""
+    return [
+        f
+        for f in fields(ServiceConfig)
+        if "flag" in f.metadata and (names is None or f.name in names)
+    ]
+
+
+def _flag_name(f: Field) -> str:
+    return f.metadata["flag"] or "--" + f.name.replace("_", "-")
+
+
+def add_arguments(parser, names: Optional[Iterable[str]] = None) -> None:
+    """Declare the config's flags (or the ``names`` subset) on ``parser``."""
+    for f in _flagged(names):
+        if f.default is False:
+            parser.add_argument(
+                _flag_name(f), dest=f.name, action="store_true",
+                help=f.metadata["help"],
+            )
+            continue
+        choices = f.metadata["choices"]
+        parser.add_argument(
+            _flag_name(f),
+            dest=f.name,
+            type=None if f.default is None else type(f.default),
+            default=f.default,
+            metavar=f.metadata["metavar"],
+            choices=choices() if choices else None,
+            help=f.metadata["help"],
+        )
+
+
+def from_args(
+    namespace, names: Optional[Iterable[str]] = None, **overrides: Any
+) -> ServiceConfig:
+    """The config a namespace parsed by :func:`add_arguments` spells."""
+    values = {f.name: getattr(namespace, f.name) for f in _flagged(names)}
+    return ServiceConfig(**{**values, **overrides})
+
+
+def to_argv(config: ServiceConfig) -> List[str]:
+    """The ``repro serve`` arguments that rebuild ``config`` exactly.
+
+    Raises :class:`ServiceError` for a non-default field no flag can
+    carry, rather than spawning a daemon that quietly lacks it.
+    """
+    argv: List[str] = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value == f.default:
+            continue
+        if "flag" not in f.metadata:
+            raise ServiceError(
+                f"{f.name}={value!r} has no `repro serve` flag, so a "
+                "spawned daemon cannot be given it"
+            )
+        argv.append(_flag_name(f))
+        if value is not True:
+            argv.append(str(value))
+    return argv

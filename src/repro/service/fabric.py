@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import asyncio
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ProtocolError, ServiceError
 from repro.obs.metrics import rollup_snapshots
 from repro.service import protocol
 from repro.service.config import ServiceConfig
-from repro.service.loadgen import _Connection, parse_endpoint
+from repro.service.loadgen import Connection, parse_endpoint
 from repro.service.router import DEFAULT_VNODES, ShardMap
 from repro.service.server import Answer, LineServer, ServiceDaemon
 
@@ -70,11 +70,13 @@ class FleetConfig:
 
     ``shards`` maps shard name -> endpoint string (``unix:/path`` or
     ``host:port``; empty for a shard the router runs in-process).
-    Every shard runs on the *same* topology (``datacenters`` /
-    ``capacity`` / ``seed``) — any shard must be able to schedule any
-    relay leg — but owns its own ledger, checkpoint dir, and charging
-    clock.  ``gateway_dc`` is the hop datacenter cross-shard relays
-    route through.
+    ``shard`` is the :class:`ServiceConfig` every shard runs with, its
+    endpoint and ``checkpoint_dir`` aside: the *same* topology
+    everywhere — any shard must be able to schedule any relay leg, and
+    the router prices relay hops on ``shard.topology()`` without asking
+    one — but each shard owns its ledger, its checkpoint dir under
+    ``checkpoint_root``, and its charging clock.  ``gateway_dc`` is the
+    hop datacenter cross-shard relays route through.
     """
 
     shards: Dict[str, str]
@@ -82,19 +84,8 @@ class FleetConfig:
     #: "fixed" routes every cross-shard relay through ``gateway_dc``;
     #: "cheapest" picks the gateway per transfer from link prices.
     gateway_mode: str = "fixed"
-
-    datacenters: int = 10
-    capacity: float = 100.0
-    seed: int = 0
-    scheduler: str = "hybrid"
-    horizon: int = 4096
-    max_deadline: int = 16
-    max_queue: int = 1024
-    max_batch: int = 0
-    tick_seconds: float = 0.0
     checkpoint_root: Optional[str] = None
-    wal: bool = False
-    period_slots: int = 0
+    shard: ServiceConfig = field(default_factory=ServiceConfig)
 
     vnodes: int = DEFAULT_VNODES
     map_version: int = 1
@@ -104,10 +95,10 @@ class FleetConfig:
             raise ServiceError("a fleet needs at least one shard")
         # ShardMap validates names (unique, non-empty).
         self.shard_map()
-        if not 0 <= self.gateway_dc < self.datacenters:
+        if not 0 <= self.gateway_dc < self.shard.datacenters:
             raise ServiceError(
                 f"gateway_dc {self.gateway_dc} is not one of the "
-                f"{self.datacenters} datacenters"
+                f"{self.shard.datacenters} datacenters"
             )
         if self.gateway_mode not in ("fixed", "cheapest"):
             raise ServiceError(
@@ -120,16 +111,6 @@ class FleetConfig:
             sorted(self.shards), vnodes=self.vnodes, version=self.map_version
         )
 
-    def topology(self):
-        """The topology every shard schedules on (same seed everywhere),
-        rebuilt locally so routers can price relay hops without asking
-        a shard."""
-        from repro.net.generators import complete_topology
-
-        return complete_topology(
-            self.datacenters, capacity=self.capacity, seed=self.seed
-        )
-
     def shard_config(self, name: str) -> ServiceConfig:
         """The :class:`ServiceConfig` shard ``name`` runs with."""
         if name not in self.shards:
@@ -138,27 +119,16 @@ class FleetConfig:
         host, port, socket_path = (
             parse_endpoint(endpoint) if endpoint else ("127.0.0.1", 0, None)
         )
-        checkpoint_dir = (
-            os.path.join(self.checkpoint_root, name)
-            if self.checkpoint_root
-            else None
-        )
-        return ServiceConfig(
+        return replace(
+            self.shard,
             host=host,
             port=port,
             socket_path=socket_path,
-            datacenters=self.datacenters,
-            capacity=self.capacity,
-            seed=self.seed,
-            scheduler=self.scheduler,
-            horizon=self.horizon,
-            max_deadline=self.max_deadline,
-            tick_seconds=self.tick_seconds,
-            max_queue=self.max_queue,
-            max_batch=self.max_batch,
-            checkpoint_dir=checkpoint_dir,
-            wal=self.wal,
-            period_slots=self.period_slots,
+            checkpoint_dir=(
+                os.path.join(self.checkpoint_root, name)
+                if self.checkpoint_root
+                else None
+            ),
         )
 
 
@@ -553,7 +523,7 @@ class FleetRouter(LineServer):
             "submitted": 0, "direct": 0, "relayed": 0,
             "routed_errors": 0, "parked_legs": 0, "resumed_legs": 0,
         }
-        #: shard -> a ``_Connection`` to its daemon, or (empty
+        #: shard -> a ``Connection`` to its daemon, or (empty
         #: endpoint) the in-process ``ServiceDaemon`` itself.
         self._conns: Dict[str, Any] = {}
         self._conn_locks: Dict[str, asyncio.Lock] = {}
@@ -562,7 +532,7 @@ class FleetRouter(LineServer):
         # Cheapest-gateway routing prices hops on a local rebuild of
         # the shared topology.
         self._topology = (
-            fleet.topology() if fleet.gateway_mode == "cheapest" else None
+            fleet.shard.topology() if fleet.gateway_mode == "cheapest" else None
         )
 
     async def stop(self) -> None:
@@ -604,7 +574,7 @@ class FleetRouter(LineServer):
             endpoint = self.fleet.shards[shard]
             try:
                 if endpoint:
-                    conn = await _Connection.open(*parse_endpoint(endpoint))
+                    conn = await Connection.open(*parse_endpoint(endpoint))
                 else:
                     conn = ServiceDaemon(self.fleet.shard_config(shard))
                     conn.open()
@@ -672,7 +642,7 @@ class FleetRouter(LineServer):
     async def _op_submit(self, message) -> Answer:
         try:
             fields = protocol.validate_submit(
-                message, self.fleet.max_deadline
+                message, self.fleet.shard.max_deadline
             )
         except ProtocolError as exc:
             return protocol.error_response(

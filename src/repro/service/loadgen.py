@@ -151,7 +151,7 @@ class LoadGenResult:
         }
 
 
-class _Connection:
+class Connection:
     """One NDJSON client connection with id-matched response futures."""
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
@@ -164,7 +164,7 @@ class _Connection:
     @classmethod
     async def open(
         cls, host: str, port: int, socket_path: Optional[str] = None
-    ) -> "_Connection":
+    ) -> "Connection":
         if socket_path:
             reader, writer = await asyncio.open_unix_connection(socket_path)
         else:
@@ -266,7 +266,7 @@ async def run_loadgen(
     retry up to ``max_retries`` times before the request counts as
     ``failed``.
     """
-    conn = await _Connection.open(host, port, socket_path)
+    conn = await Connection.open(host, port, socket_path)
     result = LoadGenResult()
     if outstanding > 0:
         result.mode = "closed"

@@ -367,13 +367,6 @@ class ServiceDaemon(LineServer):
         while True:
             await asyncio.sleep(self.config.tick_seconds)
             self._run_slot()
-            if self.config.max_slots and (
-                self.broker.next_slot >= self.config.max_slots
-            ):
-                # Detach before stop() so it doesn't cancel this task.
-                self._clock_task = None
-                await self.stop()
-                return
 
     def _run_slot(self) -> None:
         """Process one slot and deliver its decisions to waiters."""

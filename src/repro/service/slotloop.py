@@ -119,15 +119,11 @@ class TransferBroker:
             # Config-not-state, like the link schedule: the provider is
             # attached before any recovery below, so WAL replay retrains
             # its predictors from the replayed slots deterministically.
-            from repro.forecast import ForecastConfig, ForecastProvider
+            from repro.forecast import ForecastProvider
 
             self.scheduler.attach_forecast(
-                ForecastProvider(
-                    ForecastConfig(
-                        period=config.forecast_period,
-                        horizon=config.forecast_horizon
-                        or config.forecast_period,
-                    )
+                ForecastProvider.seasonal(
+                    config.forecast_period, config.forecast_horizon
                 )
             )
         #: client id -> decision record (the idempotency/status log).

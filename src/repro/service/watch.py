@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis import format_table
 from repro.errors import ServiceError
-from repro.service.loadgen import _Connection, parse_endpoint
+from repro.service.loadgen import Connection, parse_endpoint
 
 #: ANSI: clear screen + home.
 CLEAR = "\x1b[2J\x1b[H"
@@ -227,7 +227,7 @@ async def run_watch(
             endpoints, interval_s=interval_s, iterations=iterations,
             clear=clear, write=write,
         )
-    conn = await _Connection.open(host, port, socket_path)
+    conn = await Connection.open(host, port, socket_path)
     frames = 0
     try:
         while True:
@@ -258,14 +258,14 @@ async def _run_fleet_watch(
     clear: bool,
     write: Callable[[str], Any],
 ) -> int:
-    conns: Dict[str, _Connection] = {}
+    conns: Dict[str, Connection] = {}
 
     async def poll(name: str) -> Dict[str, Any]:
         conn = conns.get(name)
         try:
             if conn is None:
                 h, p, sp = parse_endpoint(endpoints[name])
-                conn = await _Connection.open(h, p, sp)
+                conn = await Connection.open(h, p, sp)
                 conns[name] = conn
             response = await conn.call({"op": "metrics"})
         except (ServiceError, OSError, ConnectionError) as exc:

@@ -3,12 +3,7 @@
 from repro.sim.engine import Simulation
 from repro.sim.faults import FaultModel, Outage
 from repro.sim.metrics import SimulationResult, SlotRecord
-from repro.sim.parallel import (
-    FaultSpec,
-    RunTask,
-    run_comparison_parallel,
-    run_tasks,
-)
+from repro.sim.parallel import FaultSpec, RunTask, build_cell, run_tasks
 from repro.sim.recovery import RecoveryManager, SlotDisruption
 from repro.sim.runner import ExperimentSetting, SchedulerComparison, run_comparison
 
@@ -19,7 +14,7 @@ __all__ = [
     "ExperimentSetting",
     "SchedulerComparison",
     "run_comparison",
-    "run_comparison_parallel",
+    "build_cell",
     "run_tasks",
     "RunTask",
     "FaultSpec",

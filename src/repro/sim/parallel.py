@@ -1,32 +1,25 @@
-"""Parallel seeded-run harness: fan comparison grids out to workers.
+"""Seeded grid cells: how a seed becomes a run, and the worker fan-out.
 
 A comparison grid — ``runs`` seeds x N schedulers — is embarrassingly
 parallel: every cell rebuilds its topology, workload, and fault model
-from seeds and shares nothing with its neighbours.  This module turns
-each cell into a picklable :class:`RunTask` executed by a worker
-process, with three properties the test suite pins down:
+from seeds and shares nothing with its neighbours.  Each cell is a
+:class:`RunTask`, :func:`build_cell` is the only place its seeds turn
+into a scheduler and a workload, and :func:`run_tasks` executes cells
+in-process or in worker processes — the one recipe behind
+:func:`~repro.sim.runner.run_comparison`, ``repro figure`` and ``repro
+simulate``, with three properties the test suite pins down:
 
-* **Determinism** — a task carries only seeds and scheduler *names*
-  (registry factories are lambdas and do not pickle); the worker
-  rebuilds everything from those seeds, so the result of a cell is a
-  pure function of the task.  Costs are identical for ``jobs=1``,
-  ``jobs=4``, or the sequential :func:`~repro.sim.runner.run_comparison`
-  loop, regardless of completion order.
-* **Seeding parity** — the per-cell seeds are exactly the sequential
-  driver's: topology ``base_seed + run``, workload
-  ``base_seed + 1000 + run``, faults ``base_seed + run``.
-* **Stable assembly** — worker results are reassembled in task order
-  (run-major, scheduler-minor), so downstream aggregation sees the
-  same list order the sequential loop would have produced.
-
-``jobs <= 1`` executes the same tasks in-process, which keeps
-debugging, profiling, and coverage simple.
-
-History: introduced in PR 3 (fast-path scheduling) alongside the
-incremental LP pipeline; PR 4 added the heuristic/hybrid schedulers to
-the registry, so they fan out here like any other named scheduler (the
-``escalations``/``fast_slots`` tallies ride back on the picklable
-:class:`~repro.sim.metrics.SimulationResult`).
+* **Determinism** — the result of a cell is a pure function of its
+  task, so costs are identical for ``jobs=1`` and ``jobs=4`` regardless
+  of completion order.  A task of scheduler *names*, a topology family,
+  a :class:`FaultSpec` and paths pickles and may cross to a worker
+  (registry factories are lambdas and do not); a task holding a
+  callable runs in-process only.
+* **Seeding** — topology and faults ``base_seed + run``, workload
+  ``base_seed + 1000 + run``: every scheduler of a run index faces the
+  same network and the same arrivals.
+* **Stable assembly** — results come back in task order (run-major,
+  scheduler-minor) however the cells actually interleave.
 """
 
 from __future__ import annotations
@@ -34,14 +27,15 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulation
 from repro.sim.faults import FaultModel
 from repro.sim.metrics import SimulationResult
-from repro.sim.runner import ExperimentSetting, SchedulerComparison
+from repro.sim.runner import ExperimentSetting, SchedulerFactory
 from repro.net.generators import complete_topology, paper_topology
+from repro.net.schedule import LinkSchedule
 from repro.net.topology import Topology
 from repro.traffic.workload import PaperWorkload
 
@@ -54,9 +48,11 @@ TOPOLOGY_COMPLETE = "complete"
 class FaultSpec:
     """Picklable recipe for a seeded fault model.
 
-    Workers rebuild the :class:`~repro.sim.faults.FaultModel` from this
-    spec — either :meth:`FaultModel.random` over the task's topology
-    (seeded, hence deterministic) or a JSON outage file via ``path``.
+    A fault factory that can cross to a worker: called with the cell's
+    ``(topology, setting, seed)`` it rebuilds the
+    :class:`~repro.sim.faults.FaultModel` — either
+    :meth:`FaultModel.random` over the topology (seeded, hence
+    deterministic) or a JSON outage file via ``path``.
     ``announced=False`` demotes every outage to a surprise.
     """
 
@@ -65,13 +61,15 @@ class FaultSpec:
     announced: bool = True
     path: Optional[str] = None
 
-    def build(self, topology: Topology, num_slots: int, seed: int) -> FaultModel:
+    def __call__(
+        self, topology: Topology, setting: ExperimentSetting, seed: int
+    ) -> FaultModel:
         if self.path is not None:
             faults = FaultModel.from_file(self.path)
             return faults.as_surprise() if not self.announced else faults
         return FaultModel.random(
             topology,
-            num_slots,
+            setting.num_slots,
             outage_probability=self.outage_probability,
             mean_duration=self.mean_duration,
             seed=seed,
@@ -83,8 +81,13 @@ class FaultSpec:
 class RunTask:
     """One (run index, scheduler) cell of a comparison grid.
 
-    Carries scheduler *names* resolved against the registry inside the
-    worker; factories themselves are typically lambdas and unpicklable.
+    ``scheduler`` labels the cell and, unless ``factory`` is given,
+    names its registry factory.  ``topology`` is a family name or a
+    ``(setting, seed)`` callable; ``workload_factory`` and ``faults``
+    are ``(topology, setting, seed)`` callables (a :class:`FaultSpec`
+    is one that pickles); ``link_schedule`` is a
+    :class:`~repro.net.schedule.LinkSchedule` file and ``forecast`` the
+    ``(period, horizon)`` of a provider for schedulers that take one.
     """
 
     setting: ExperimentSetting
@@ -92,22 +95,29 @@ class RunTask:
     run: int
     base_seed: int = 0
     audit: bool = True
-    faults: Optional[FaultSpec] = None
-    topology: str = TOPOLOGY_PAPER
+    faults: Optional[Callable] = None
+    topology: Union[str, Callable] = TOPOLOGY_PAPER
+    factory: Optional[SchedulerFactory] = None
+    workload_factory: Optional[Callable] = None
+    link_schedule: Optional[str] = None
+    forecast: Optional[Tuple[int, int]] = None
 
     def __post_init__(self):
-        if self.topology not in (TOPOLOGY_PAPER, TOPOLOGY_COMPLETE):
+        if not callable(self.topology) and self.topology not in (
+            TOPOLOGY_PAPER, TOPOLOGY_COMPLETE
+        ):
             raise SimulationError(
                 f"unknown topology family {self.topology!r} "
                 f"(use {TOPOLOGY_PAPER!r} or {TOPOLOGY_COMPLETE!r})"
             )
 
 
-def execute_task(task: RunTask) -> Tuple[str, int, SimulationResult]:
-    """Run one grid cell from scratch (module-level: workers pickle it).
+def build_cell(task: RunTask):
+    """The ``(scheduler, workload)`` of one grid cell, from its seeds.
 
-    Seeding mirrors :func:`~repro.sim.runner.run_comparison` exactly so
-    parallel and sequential drivers produce identical per-run results.
+    The one place a seed becomes a cell — every driver (figures,
+    ``simulate``, benches, any ``jobs``) runs what this returns, which
+    is what makes their numbers comparable run for run.
     """
     # Resolved here, not at import time, to avoid a registry import
     # cycle (registry -> core -> ... -> sim).
@@ -115,7 +125,9 @@ def execute_task(task: RunTask) -> Tuple[str, int, SimulationResult]:
 
     setting = task.setting
     seed = task.base_seed + task.run
-    if task.topology == TOPOLOGY_PAPER:
+    if callable(task.topology):
+        topology = task.topology(setting, seed)
+    elif task.topology == TOPOLOGY_PAPER:
         topology = paper_topology(
             capacity=setting.capacity,
             num_datacenters=setting.num_datacenters,
@@ -125,24 +137,43 @@ def execute_task(task: RunTask) -> Tuple[str, int, SimulationResult]:
         topology = complete_topology(
             setting.num_datacenters, capacity=setting.capacity, seed=seed
         )
-    workload = PaperWorkload(
-        topology,
-        max_deadline=setting.max_deadline,
-        min_files=setting.min_files,
-        max_files=setting.max_files,
-        min_size=setting.min_size,
-        max_size=setting.max_size,
-        seed=task.base_seed + 1000 + task.run,
-        deadline_distribution=setting.deadline_distribution,
-        min_deadline=setting.min_deadline,
-    )
-    horizon = setting.num_slots + setting.max_deadline
-    scheduler = scheduler_factory(task.scheduler)(topology, horizon)
-    if task.faults is not None:
-        scheduler.state.fault_model = task.faults.build(
-            topology, setting.num_slots, seed
+    if task.workload_factory is not None:
+        workload = task.workload_factory(topology, setting, seed + 1000)
+    else:
+        workload = PaperWorkload(
+            topology,
+            max_deadline=setting.max_deadline,
+            min_files=setting.min_files,
+            max_files=setting.max_files,
+            min_size=setting.min_size,
+            max_size=setting.max_size,
+            seed=seed + 1000,
+            deadline_distribution=setting.deadline_distribution,
+            min_deadline=setting.min_deadline,
         )
-    result = Simulation(scheduler, workload, setting.num_slots).run(
+    # The charging horizon covers the simulated slots plus the longest
+    # deadline, so period-straddling transfers are billed.
+    factory = task.factory or scheduler_factory(task.scheduler)
+    scheduler = factory(topology, setting.num_slots + setting.max_deadline)
+    if task.faults is not None:
+        # A fresh model per cell: execution-time reveals of surprise
+        # outages never leak between competitors.
+        scheduler.state.fault_model = task.faults(topology, setting, seed)
+    if task.link_schedule is not None:
+        scheduler.state.link_schedule = LinkSchedule.from_file(
+            task.link_schedule
+        )
+    if task.forecast is not None and hasattr(scheduler, "attach_forecast"):
+        from repro.forecast import ForecastProvider
+
+        scheduler.attach_forecast(ForecastProvider.seasonal(*task.forecast))
+    return scheduler, workload
+
+
+def execute_task(task: RunTask) -> Tuple[str, int, SimulationResult]:
+    """Run one grid cell from scratch (module-level: workers pickle it)."""
+    scheduler, workload = build_cell(task)
+    result = Simulation(scheduler, workload, task.setting.num_slots).run(
         audit=task.audit
     )
     return task.scheduler, task.run, result
@@ -182,59 +213,21 @@ def run_tasks(
 
 def comparison_tasks(
     setting: ExperimentSetting,
-    schedulers: Sequence[str],
+    schedulers: Union[Sequence[str], Dict[str, SchedulerFactory]],
     runs: int = 10,
     base_seed: int = 0,
-    audit: bool = True,
-    faults: Optional[FaultSpec] = None,
-    topology: str = TOPOLOGY_PAPER,
+    **cell,
 ) -> List[RunTask]:
-    """The full grid in the sequential driver's iteration order
-    (run-major, scheduler-minor)."""
-    return [
-        RunTask(
-            setting=setting,
-            scheduler=name,
-            run=run,
-            base_seed=base_seed,
-            audit=audit,
-            faults=faults,
-            topology=topology,
-        )
-        for run in range(runs)
-        for name in schedulers
-    ]
+    """The full grid, run-major and scheduler-minor.
 
-
-def run_comparison_parallel(
-    setting: ExperimentSetting,
-    schedulers: Sequence[str],
-    runs: int = 10,
-    base_seed: int = 0,
-    jobs: int = 1,
-    audit: bool = True,
-    faults: Optional[FaultSpec] = None,
-    topology: str = TOPOLOGY_PAPER,
-) -> SchedulerComparison:
-    """Parallel counterpart of :func:`~repro.sim.runner.run_comparison`.
-
-    Takes registry scheduler *names* instead of factories (tasks must
-    pickle) and an optional :class:`FaultSpec` instead of a fault
-    factory.  With default factories and the same seeds, the returned
-    comparison carries cost lists identical to the sequential driver's
-    for any job count.
+    ``schedulers`` is registry names or a ``name -> factory`` dict;
+    ``cell`` is what every cell shares (the other :class:`RunTask`
+    fields).
     """
-    tasks = comparison_tasks(
-        setting,
-        schedulers,
-        runs=runs,
-        base_seed=base_seed,
-        audit=audit,
-        faults=faults,
-        topology=topology,
-    )
-    comparison = SchedulerComparison(setting=setting, runs=runs)
-    for name, _run, result in run_tasks(tasks, jobs=jobs):
-        comparison.costs.setdefault(name, []).append(result.final_cost_per_slot)
-        comparison.results.setdefault(name, []).append(result)
-    return comparison
+    if not isinstance(schedulers, dict):
+        schedulers = dict.fromkeys(schedulers)
+    return [
+        RunTask(setting, name, run, base_seed, factory=factory, **cell)
+        for run in range(runs)
+        for name, factory in schedulers.items()
+    ]

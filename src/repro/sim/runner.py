@@ -7,25 +7,22 @@ seeing identical topologies and traffic.  Results are aggregated as
 mean cost per slot with 95% confidence intervals, exactly as the paper
 reports them.
 
-History: the seed PR introduced the sequential loop; PR 3 added the
-``jobs=`` fan-out through :mod:`repro.sim.parallel`; PR 4 grew the
-comparison table's on-demand columns for the heuristic/hybrid
-schedulers (LP escalations vs. fast-lane slots).
+How a seed becomes a run lives in :mod:`repro.sim.parallel`
+(``build_cell``); this module holds the settings, the aggregation and
+the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from functools import lru_cache
+from typing import Callable, Dict, List, Sequence, Union
 
 from repro.analysis.stats import ConfidenceInterval, mean_ci
 from repro.analysis.tables import format_table
 from repro.core.interfaces import Scheduler
-from repro.net.generators import paper_topology
 from repro.net.topology import Topology
-from repro.sim.engine import Simulation
 from repro.sim.metrics import SimulationResult
-from repro.traffic.workload import PaperWorkload
 
 SchedulerFactory = Callable[[Topology, int], Scheduler]
 
@@ -134,7 +131,7 @@ class SchedulerComparison:
 
 def run_comparison(
     setting: ExperimentSetting,
-    factories: Dict[str, SchedulerFactory],
+    factories: Union[Dict[str, SchedulerFactory], Sequence[str]],
     runs: int = 10,
     base_seed: int = 0,
     audit: bool = True,
@@ -145,10 +142,11 @@ def run_comparison(
 ) -> SchedulerComparison:
     """Run every scheduler on ``runs`` seeded instances of a setting.
 
-    Within one run index, all schedulers face the *same* topology and
-    the *same* file arrivals; the charging horizon covers the simulated
-    slots plus the longest deadline so period-straddling transfers are
-    billed.
+    ``factories`` is a ``name -> factory`` dict or a sequence of
+    registry names.  The grid is one
+    :class:`~repro.sim.parallel.RunTask` per (run, scheduler), built by
+    :func:`~repro.sim.parallel.build_cell`: within one run index all
+    schedulers face the *same* topology and the *same* file arrivals.
 
     ``topology_factory(setting, seed)`` and
     ``workload_factory(topology, setting, seed)`` override the default
@@ -157,79 +155,57 @@ def run_comparison(
 
     ``fault_factory(topology, setting, seed)`` attaches a
     :class:`~repro.sim.faults.FaultModel` to every scheduler's state —
-    one fresh instance per scheduler, so execution-time reveals of
-    surprise outages never leak between competitors.  With surprise
-    outages present, :meth:`SchedulerComparison.to_table` grows
-    salvage columns.
+    one fresh instance per scheduler.  With surprise outages present,
+    :meth:`SchedulerComparison.to_table` grows salvage columns.
 
-    ``jobs > 1`` fans the grid out to worker processes through
-    :mod:`repro.sim.parallel`.  Worker tasks must be rebuildable from
-    seeds, so the parallel path requires every ``factories`` key to be
-    a registered scheduler name and rejects the ``*_factory``
-    overrides (use :class:`~repro.sim.parallel.FaultSpec` via
-    :func:`~repro.sim.parallel.run_comparison_parallel` for seeded
-    faults).  Results are bit-identical to the sequential loop.
+    ``jobs > 1`` fans the grid out to worker processes.  Worker tasks
+    must pickle, so every scheduler must be a registered name (resolved
+    in the worker) and the only override accepted is a
+    :class:`~repro.sim.parallel.FaultSpec` as ``fault_factory``.
+    Results are bit-identical for any ``jobs``.
     """
+    from repro.sim.parallel import (
+        TOPOLOGY_PAPER,
+        FaultSpec,
+        comparison_tasks,
+        run_tasks,
+    )
+
     if jobs > 1:
         from repro.errors import SimulationError
-        from repro.sim.parallel import run_comparison_parallel
+        from repro.registry import scheduler_names
 
-        if topology_factory or workload_factory or fault_factory:
+        if topology_factory or workload_factory or not (
+            fault_factory is None or isinstance(fault_factory, FaultSpec)
+        ):
             raise SimulationError(
                 "jobs > 1 cannot ship factory callables to workers; "
                 "run sequentially or use repro.sim.parallel directly"
             )
-        from repro.registry import scheduler_names
-
         unknown = sorted(set(factories) - set(scheduler_names()))
         if unknown:
             raise SimulationError(
                 f"jobs > 1 resolves schedulers by registry name; "
                 f"unknown: {', '.join(unknown)}"
             )
-        return run_comparison_parallel(
-            setting,
-            list(factories),
-            runs=runs,
-            base_seed=base_seed,
-            jobs=jobs,
-            audit=audit,
-        )
-
+        factories = list(factories)
+    if topology_factory is not None:
+        # One call per run index (the grid is run-major): its
+        # schedulers share the topology whatever the factory does with
+        # the seed.
+        topology_factory = lru_cache(maxsize=1)(topology_factory)
+    tasks = comparison_tasks(
+        setting,
+        factories,
+        runs=runs,
+        base_seed=base_seed,
+        audit=audit,
+        topology=topology_factory or TOPOLOGY_PAPER,
+        workload_factory=workload_factory,
+        faults=fault_factory,
+    )
     comparison = SchedulerComparison(setting=setting, runs=runs)
-    horizon = setting.num_slots + setting.max_deadline
-
-    for run in range(runs):
-        if topology_factory is not None:
-            topology = topology_factory(setting, base_seed + run)
-        else:
-            topology = paper_topology(
-                capacity=setting.capacity,
-                num_datacenters=setting.num_datacenters,
-                seed=base_seed + run,
-            )
-        for name, factory in factories.items():
-            if workload_factory is not None:
-                workload = workload_factory(topology, setting, base_seed + 1000 + run)
-            else:
-                workload = PaperWorkload(
-                    topology,
-                    max_deadline=setting.max_deadline,
-                    min_files=setting.min_files,
-                    max_files=setting.max_files,
-                    min_size=setting.min_size,
-                    max_size=setting.max_size,
-                    seed=base_seed + 1000 + run,
-                    deadline_distribution=setting.deadline_distribution,
-                    min_deadline=setting.min_deadline,
-                )
-            scheduler = factory(topology, horizon)
-            if fault_factory is not None:
-                scheduler.state.fault_model = fault_factory(
-                    topology, setting, base_seed + run
-                )
-            result = Simulation(scheduler, workload, setting.num_slots).run(audit=audit)
-            comparison.costs.setdefault(name, []).append(result.final_cost_per_slot)
-            comparison.results.setdefault(name, []).append(result)
-
+    for name, _run, result in run_tasks(tasks, jobs=jobs):
+        comparison.costs.setdefault(name, []).append(result.final_cost_per_slot)
+        comparison.results.setdefault(name, []).append(result)
     return comparison

@@ -79,6 +79,56 @@ def test_simulate_outages_file(tmp_path, capsys):
     assert "chaos [postcard]: outages=1" in out
 
 
+def _table(capsys, argv):
+    """``simulate``'s stdout with the wall-clock ``solve s`` cells blanked."""
+    assert main(["simulate", "--datacenters", "4", "--slots", "5",
+                 "--max-files", "3", "--schedulers", "hybrid", "direct",
+                 *argv]) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    column = lines[0].index("solve s")
+    for i in range(2, 4):
+        lines[i] = lines[i][:column] + "#" * 7 + lines[i][column + 7:]
+    return lines, captured.err
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--surprise"], ["--forecast", "--forecast-period", "3"],
+              ["--link-schedule"]],
+    ids=["plain", "surprise", "forecast", "link-schedule"],
+)
+def test_simulate_jobs_never_change_the_table(tmp_path, capsys, extra):
+    if extra == ["--link-schedule"]:
+        windows = tmp_path / "leo.json"
+        assert main(["schedule", "generate", "--preset", "leo",
+                     "--datacenters", "4", "--slots", "5",
+                     "-o", str(windows)]) == 0
+        capsys.readouterr()
+        extra = extra + [str(windows)]
+    serial, serial_err = _table(capsys, extra)
+    fanned, fanned_err = _table(capsys, extra + ["--jobs", "2"])
+    assert fanned == serial
+    assert "ignoring --jobs" not in fanned_err
+    if "--forecast" in extra:
+        assert any(line.startswith("forecast [hybrid]") for line in fanned)
+        assert "'direct' has no forecast hook" in fanned_err
+    if "--surprise" in extra:
+        assert any(line.startswith("chaos [direct]") for line in fanned)
+    if "--link-schedule" in extra:
+        assert any(line.startswith("link-schedule:") for line in fanned)
+
+
+@pytest.mark.parametrize(
+    "flag", [["--profile"], ["--show-links"], ["--obs-jsonl"]],
+    ids=["profile", "show-links", "obs-jsonl"],
+)
+def test_simulate_jobs_yield_to_in_process_flags(tmp_path, capsys, flag):
+    if flag == ["--obs-jsonl"]:
+        flag = flag + [str(tmp_path / "events.jsonl")]
+    assert main(_SMALL_SIM + flag + ["--jobs", "2"]) == 0
+    assert "ignoring --jobs" in capsys.readouterr().err
+
+
 def test_figure_command(capsys):
     code = main(
         [
@@ -222,14 +272,54 @@ def test_report_empty_events_file(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
-def test_serve_help_lists_service_options(capsys):
+def _long_flags(*command):
+    """Every ``--flag`` the (sub)command's parser declares."""
+    parser = build_parser()
+    for name in command:
+        parser = next(
+            a for a in parser._actions if hasattr(a, "choices") and a.choices
+            and name in a.choices
+        ).choices[name]
+    return {
+        opt for a in parser._actions for opt in a.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+
+
+SERVE_FLAGS = {
+    "--host", "--port", "--socket", "--datacenters", "--capacity", "--seed",
+    "--scheduler", "--max-deadline", "--link-schedule", "--tick-seconds",
+    "--max-queue", "--max-batch", "--checkpoint-dir", "--checkpoint-every",
+    "--period-slots", "--period-prune", "--wal", "--snapshot-retain",
+    "--read-timeout", "--watchdog-timeout", "--forecast",
+    "--forecast-period", "--forecast-horizon", "--obs-jsonl",
+}
+FLEET_SERVE_FLAGS = {
+    "--shard", "--spawn", "--spawn-timeout", "--gateway", "--gateway-mode",
+    "--host", "--port", "--socket", "--checkpoint-root", "--datacenters",
+    "--capacity", "--seed", "--scheduler", "--max-deadline", "--tick-seconds",
+    "--max-queue", "--period-slots", "--wal",
+}
+
+
+def _assert_flags_are(capsys, command, flags):
+    """The flags are derived from ``ServiceConfig``; the literals above
+    pin that none was renamed, added or lost on the way."""
+    assert _long_flags(*command) == flags
     with pytest.raises(SystemExit) as exit_info:
-        main(["serve", "--help"])
+        main([*command, "--help"])
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
-    for flag in ("--tick-seconds", "--max-queue", "--checkpoint-dir",
-                 "--checkpoint-every", "--socket", "--obs-jsonl"):
+    for flag in flags:
         assert flag in out
+
+
+def test_serve_help_lists_service_options(capsys):
+    _assert_flags_are(capsys, ["serve"], SERVE_FLAGS)
+
+
+def test_fleet_serve_help_lists_shard_options(capsys):
+    _assert_flags_are(capsys, ["fleet", "serve"], FLEET_SERVE_FLAGS)
 
 
 def test_loadgen_help_lists_replay_options(capsys):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.net.topology import Datacenter, Link, Topology
+from repro.service.config import ServiceConfig
 from repro.service.fabric import (
     FleetConfig,
     plan_relay,
@@ -25,14 +26,14 @@ from tests.fleet_harness import drive, run_until_settled, settle
 DCS = 6
 
 
-def make_fleet(**overrides) -> FleetConfig:
+def make_fleet(capacity=100.0, **overrides) -> FleetConfig:
     base = dict(
         shards={"eu": "", "us": ""},
         gateway_dc=0,
-        datacenters=DCS,
-        capacity=100.0,
-        max_queue=64,
-        max_deadline=8,
+        shard=ServiceConfig(
+            tick_seconds=0.0, datacenters=DCS, capacity=capacity,
+            max_queue=64, max_deadline=8,
+        ),
     )
     base.update(overrides)
     return FleetConfig(**base)
@@ -82,6 +83,33 @@ def test_fleet_config_validates():
     assert cfg.datacenters == DCS
     with pytest.raises(ServiceError, match="unknown shard"):
         fleet.shard_config("mars")
+
+
+def test_spawned_shard_runs_the_in_process_shards_config():
+    """What ``fleet serve --spawn`` puts on a shard's command line,
+    parsed back by ``repro serve``, is the config an in-process shard
+    of the same fleet gets — and a field no flag carries is refused,
+    not dropped."""
+    from repro.cli import build_parser, serve_command
+    from repro.service.config import from_args
+
+    assert FleetConfig(shards={"a": ""}).shard.tick_seconds == 0.25
+    fleet = make_fleet(
+        shards={"eu": "unix:/tmp/eu.sock", "us": "127.0.0.1:7500"},
+        checkpoint_root="/tmp/fleet-x",
+        shard=ServiceConfig(
+            datacenters=DCS, max_batch=7, checkpoint_every=3,
+            period_slots=32, forecast=True,
+        ),
+    )
+    for name in fleet.shards:
+        command = serve_command(fleet.shard_config(name))
+        assert command[1:4] == ["-m", "repro", "serve"]
+        args = build_parser().parse_args(command[3:])
+        assert from_args(args) == fleet.shard_config(name)
+    fleet = make_fleet(shard=ServiceConfig(datacenters=DCS, horizon=512))
+    with pytest.raises(ServiceError, match="horizon=512"):
+        serve_command(fleet.shard_config("eu"))
 
 
 # -- relay planning --------------------------------------------------------
@@ -359,7 +387,7 @@ def test_select_gateway_ties_break_low_and_fallback():
 def test_plan_relay_cheapest_mode_routes_per_transfer():
     fleet = make_fleet(gateway_mode="cheapest")
     shard_map = fleet.shard_map()
-    topo = fleet.topology()
+    topo = fleet.shard.topology()
     src, dst = shard_pair(shard_map, same=False)
     legs = plan_relay(
         fields("t", src, dst, size=3.0), shard_map, fleet.gateway_dc,
@@ -379,7 +407,7 @@ def test_router_cheapest_gateway_end_to_end():
 
     async def body(router, brokers):
         src, dst = shard_pair(router.map, same=False)
-        expected = select_gateway(src, dst, 2.0, fleet.topology())
+        expected = select_gateway(src, dst, 2.0, fleet.shard.topology())
         answer = await router.handle(submit_message("x1", src, dst))
         await run_until_settled(router, brokers)
         final = await answer

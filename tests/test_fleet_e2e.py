@@ -25,8 +25,8 @@ import time
 
 import pytest
 
-from repro.service import FleetConfig, FleetRouter, ServiceDaemon
-from repro.service.loadgen import _Connection
+from repro.service import FleetConfig, FleetRouter, ServiceConfig, ServiceDaemon
+from repro.service.loadgen import Connection
 from tests.fleet_harness import open_brokers, run_until_settled
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -72,19 +72,18 @@ def make_fleet(tmp_path, in_process=False):
         "east": str(tmp_path / "east.sock"),
         "ap": str(tmp_path / "ap.sock"),
     }
+    root = str(tmp_path / ("ckpt-inproc" if in_process else "ckpt"))
     fleet = FleetConfig(
         shards={
             name: "" if in_process else f"unix:{sock}"
             for name, sock in socks.items()
         },
         gateway_dc=0,
-        datacenters=DCS,
-        capacity=60.0,
-        seed=3,
-        max_deadline=8,
-        wal=True,
-        checkpoint_root=str(
-            tmp_path / ("ckpt-inproc" if in_process else "ckpt")
+        checkpoint_root=root,
+        # wal=True needs a checkpoint_dir; each shard's replaces this one.
+        shard=ServiceConfig(
+            tick_seconds=0.0, datacenters=DCS, capacity=60.0, seed=3,
+            max_deadline=8, wal=True, checkpoint_dir=root,
         ),
     )
     return fleet, socks
@@ -142,7 +141,7 @@ def test_fleet_router_round_trip(tmp_path):
         daemons = await listen_shards(fleet)
         router = FleetRouter(fleet, socket_path=str(tmp_path / "router.sock"))
         await router.start()
-        conn = await _Connection.open("", 0, str(tmp_path / "router.sock"))
+        conn = await Connection.open("", 0, str(tmp_path / "router.sock"))
         try:
             w_direct = conn.send(submit_message("d1", *direct_pair))
             w_relay = conn.send(submit_message("x1", *relay_pair))
@@ -204,8 +203,8 @@ def test_client_hangup_does_not_strand_relay(tmp_path):
         daemons = await listen_shards(fleet)
         router = FleetRouter(fleet, socket_path=str(tmp_path / "router.sock"))
         await router.start()
-        conn = await _Connection.open("", 0, str(tmp_path / "router.sock"))
-        other = await _Connection.open("", 0, str(tmp_path / "router.sock"))
+        conn = await Connection.open("", 0, str(tmp_path / "router.sock"))
+        other = await Connection.open("", 0, str(tmp_path / "router.sock"))
         try:
             conn.send(message)
             await poll_relay_state(
@@ -371,7 +370,7 @@ def test_idle_shard_death_is_refused_not_hung(tmp_path):
     async def scenario():
         router = FleetRouter(fleet, socket_path=str(tmp_path / "router.sock"))
         await router.start()
-        conn = await _Connection.open("", 0, str(tmp_path / "router.sock"))
+        conn = await Connection.open("", 0, str(tmp_path / "router.sock"))
         try:
             # Establish the router's cached connection to the victim
             # and drain the decision so nothing is in flight.
@@ -434,11 +433,11 @@ def test_fleet_kill9_survivors_admit_and_parked_leg_resumes(tmp_path):
     async def scenario():
         router = FleetRouter(fleet, socket_path=str(tmp_path / "router.sock"))
         await router.start()
-        conn = await _Connection.open("", 0, str(tmp_path / "router.sock"))
-        # Status polls ride a second connection: on one _Connection a
+        conn = await Connection.open("", 0, str(tmp_path / "router.sock"))
+        # Status polls ride a second connection: on one Connection a
         # status waiter for "x1" would clobber the pending submit
         # waiter for the same id.
-        poll = await _Connection.open("", 0, str(tmp_path / "router.sock"))
+        poll = await Connection.open("", 0, str(tmp_path / "router.sock"))
         out = {}
         try:
             # 1. Launch the relay; once leg A is in flight on its
@@ -495,7 +494,7 @@ def test_fleet_kill9_survivors_admit_and_parked_leg_resumes(tmp_path):
                 await asyncio.sleep(0.1)
             out["final"] = await asyncio.wait_for(w_relay, timeout=15)
 
-            shard_conn = await _Connection.open("", 0, socks[victim])
+            shard_conn = await Connection.open("", 0, socks[victim])
             try:
                 out["victim_stats"] = await shard_conn.call({"op": "stats"})
                 out["victim_metrics"] = await shard_conn.call(

@@ -1,11 +1,11 @@
 """Determinism of the parallel run harness.
 
 Every :class:`~repro.sim.parallel.RunTask` rebuilds its topology,
-workload, and fault model from seeds inside the worker, so a comparison
-grid's results must be a pure function of (setting, schedulers, seeds)
-— identical for ``--jobs 1``, ``--jobs 2``, ``--jobs 4``, and the
-sequential :func:`~repro.sim.runner.run_comparison` loop, with or
-without seeded surprise outages.
+workload, and fault model from seeds inside the worker
+(:func:`~repro.sim.parallel.build_cell`), so a comparison grid's
+results must be a pure function of (setting, schedulers, seeds) —
+identical for ``jobs=1``, ``jobs=2`` and ``jobs=4``, by registry name
+or by factory, with or without seeded surprise outages.
 """
 
 import pytest
@@ -17,7 +17,6 @@ from repro.sim import (
     FaultSpec,
     RunTask,
     run_comparison,
-    run_comparison_parallel,
     run_tasks,
 )
 
@@ -33,13 +32,13 @@ SCHEDULERS = ["postcard", "direct"]
 
 
 def _costs(jobs, base_seed, faults=None, runs=3):
-    comparison = run_comparison_parallel(
+    comparison = run_comparison(
         SETTING,
         SCHEDULERS,
         runs=runs,
         base_seed=base_seed,
         jobs=jobs,
-        faults=faults,
+        fault_factory=faults,
     )
     return comparison.costs
 
@@ -54,9 +53,7 @@ def test_job_count_never_changes_results(base_seed):
 def test_parallel_matches_sequential_driver():
     factories = {name: scheduler_factory(name) for name in SCHEDULERS}
     sequential = run_comparison(SETTING, factories, runs=3, base_seed=9)
-    parallel = run_comparison_parallel(
-        SETTING, SCHEDULERS, runs=3, base_seed=9, jobs=4
-    )
+    parallel = run_comparison(SETTING, SCHEDULERS, runs=3, base_seed=9, jobs=4)
     assert parallel.costs == sequential.costs
     assert list(parallel.results) == list(sequential.results)
 
@@ -76,8 +73,8 @@ def test_determinism_under_surprise_faults():
     assert _costs(jobs=2, base_seed=5, faults=faults) == serial
     assert _costs(jobs=4, base_seed=5, faults=faults) == serial
     # The fault model actually bit: some run saw disrupted traffic.
-    comparison = run_comparison_parallel(
-        SETTING, SCHEDULERS, runs=3, base_seed=5, jobs=2, faults=faults
+    comparison = run_comparison(
+        SETTING, SCHEDULERS, runs=3, base_seed=5, jobs=2, fault_factory=faults
     )
     assert any(
         r.disrupted_gb > 0

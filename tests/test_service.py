@@ -1,12 +1,17 @@
 """Unit tests for the transfer-broker service (protocol, intake, broker)."""
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cli import build_parser
 from repro.errors import BackpressureError, ProtocolError, ServiceError
+from repro.registry import scheduler_names
 from repro.service import IntakeQueue, PendingTransfer, ServiceConfig, TransferBroker
 from repro.service import protocol
+from repro.service.config import from_args, to_argv
 
 
 # -- config ----------------------------------------------------------------
@@ -26,6 +31,69 @@ def test_config_validation():
 def test_config_endpoint():
     assert ServiceConfig(port=7411).endpoint == "tcp:127.0.0.1:7411"
     assert ServiceConfig(socket_path="/tmp/x.sock").endpoint == "unix:/tmp/x.sock"
+
+
+_paths = st.text(alphabet="abc/._-", min_size=1, max_size=8).map("/tmp/{}".format)
+
+
+@st.composite
+def flagged_configs(draw):
+    """A valid config varying every field that has a ``serve`` flag."""
+    scheduler = draw(st.sampled_from(_SCHEDULERS))
+    max_deadline = draw(st.integers(1, 64))
+    period_slots = draw(st.just(0) | st.integers(max_deadline + 1, 500))
+    checkpoint_dir = draw(st.none() | _paths)
+    return dict(
+        host=draw(st.sampled_from(["127.0.0.1", "0.0.0.0", "localhost"])),
+        port=draw(st.integers(0, 65535)),
+        socket_path=draw(st.none() | _paths),
+        datacenters=draw(st.integers(2, 40)),
+        capacity=draw(st.floats(1e-6, 1e6)),
+        seed=draw(st.integers(0, 2**31)),
+        scheduler=scheduler,
+        max_deadline=max_deadline,
+        link_schedule_path=draw(st.none() | _paths),
+        tick_seconds=draw(st.floats(0.0, 10.0)),
+        max_queue=draw(st.integers(1, 10**6)),
+        max_batch=draw(st.integers(0, 10**4)),
+        checkpoint_dir=checkpoint_dir,
+        checkpoint_every=draw(st.integers(1, 100)),
+        period_slots=period_slots,
+        period_prune=period_slots > 0 and draw(st.booleans()),
+        wal=checkpoint_dir is not None and draw(st.booleans()),
+        snapshot_retain=draw(st.integers(1, 9)),
+        read_timeout_s=draw(st.floats(0.0, 60.0)),
+        watchdog_timeout_s=(
+            draw(st.floats(0.0, 60.0)) if scheduler == "hybrid" else 0.0
+        ),
+        forecast=scheduler == "hybrid" and draw(st.booleans()),
+        forecast_period=draw(st.integers(2, 100)),
+        forecast_horizon=draw(st.integers(0, 100)),
+    )
+
+
+# Built together: other tests register schedulers of their own later.
+_PARSER, _SCHEDULERS = build_parser(), scheduler_names()
+
+
+@settings(max_examples=30, deadline=None)
+@given(flagged_configs())
+def test_config_survives_its_own_command_line(kwargs):
+    """``to_argv`` and the derived ``serve`` flags are inverses, for
+    every field that has a flag (a new flagged field must join the
+    strategy above)."""
+    assert set(kwargs) == {
+        f.name for f in dataclasses.fields(ServiceConfig) if "flag" in f.metadata
+    }
+    config = ServiceConfig(**kwargs)
+    args = _PARSER.parse_args(["serve", *to_argv(config)])
+    assert from_args(args) == config
+
+
+def test_to_argv_refuses_what_no_flag_can_carry():
+    assert to_argv(ServiceConfig()) == []
+    with pytest.raises(ServiceError, match="wal_fsync"):
+        to_argv(ServiceConfig(wal_fsync=False))
 
 
 # -- protocol --------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.service import (
     run_loadgen,
 )
 from repro.service import protocol as proto
-from repro.service.loadgen import _Connection
+from repro.service.loadgen import Connection
 from repro.service.server import LineServer
 from repro.traffic.spec import TransferRequest
 from tests.fleet_harness import open_brokers, run_until_settled
@@ -99,7 +99,7 @@ def test_backpressure_over_the_wire(tmp_path):
     async def scenario():
         daemon = ServiceDaemon(config)
         await daemon.start()
-        conn = await _Connection.open("", 0, socket_path=sock)
+        conn = await Connection.open("", 0, socket_path=sock)
         try:
             responses = []
             waiters = []
@@ -144,8 +144,8 @@ def test_a_slot_costs_one_wal_fsync_and_status_syncs_before_pending(tmp_path, fs
     async def scenario():
         daemon = ServiceDaemon(config)
         await daemon.start()
-        conn = await _Connection.open("", 0, socket_path=sock)
-        asker = await _Connection.open("", 0, socket_path=sock)
+        conn = await Connection.open("", 0, socket_path=sock)
+        asker = await Connection.open("", 0, socket_path=sock)
         try:
             waiters = [conn.send(submit(i)) for i in range(8)]
             await asyncio.wait_for(conn.call({"op": "ping"}), timeout=2)
@@ -255,7 +255,7 @@ def batch_fields(ids, sizes):
 
 
 async def submit_and_tick(sock, batch):
-    conn = await _Connection.open("", 0, socket_path=sock)
+    conn = await Connection.open("", 0, socket_path=sock)
     try:
         waiters = [conn.send({"op": "submit", **fields}) for fields in batch]
         tick = await asyncio.wait_for(conn.call({"op": "tick"}), timeout=30)
@@ -372,14 +372,14 @@ def test_read_timeout_spares_inflight_submissions(tmp_path):
         daemon = ServiceDaemon(config)
         await daemon.start()
         try:
-            conn = await _Connection.open("", 0, socket_path=sock)
+            conn = await Connection.open("", 0, socket_path=sock)
             pending = conn.send({
                 "op": "submit", "id": "w-1", "source": 0, "destination": 2,
                 "size_gb": 4.0, "deadline_slots": 3,
             })
             # Sit well past the read timeout before ticking the slot.
             await asyncio.sleep(0.3)
-            ticker = await _Connection.open("", 0, socket_path=sock)
+            ticker = await Connection.open("", 0, socket_path=sock)
             await ticker.call({"op": "tick"})
             response = await asyncio.wait_for(pending, timeout=2.0)
             await ticker.close()
@@ -681,8 +681,11 @@ def test_router_relay_outlives_its_asker_and_a_reask_hears_it(tmp_path):
     cancels its view of the relay, not the relay."""
     sock = str(tmp_path / "router.sock")
     fleet = FleetConfig(
-        shards={"ap": "", "east": ""}, gateway_dc=0, datacenters=6,
-        capacity=60.0, seed=3, max_deadline=8,
+        shards={"ap": "", "east": ""}, gateway_dc=0,
+        shard=ServiceConfig(
+            tick_seconds=0.0, datacenters=6, capacity=60.0, seed=3,
+            max_deadline=8,
+        ),
     )
     shard_map = fleet.shard_map()
     src, dst = next(

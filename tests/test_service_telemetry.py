@@ -19,7 +19,7 @@ from repro.service import (
     run_loadgen,
     run_watch,
 )
-from repro.service.loadgen import _Connection
+from repro.service.loadgen import Connection
 from repro.traffic.spec import TransferRequest
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -252,7 +252,7 @@ def test_metrics_op_both_formats(tmp_path):
     async def scenario():
         daemon = ServiceDaemon(config)
         await daemon.start()
-        conn = await _Connection.open("", 0, config.socket_path)
+        conn = await Connection.open("", 0, config.socket_path)
         try:
             futures = [
                 conn.send({"op": "submit", **submit_fields(i)})
@@ -302,7 +302,7 @@ def test_telemetry_disabled_still_answers_metrics(tmp_path):
         daemon = ServiceDaemon(config)
         assert daemon.metrics is None
         await daemon.start()
-        conn = await _Connection.open("", 0, config.socket_path)
+        conn = await Connection.open("", 0, config.socket_path)
         try:
             return await conn.call({"op": "metrics"})
         finally:
@@ -324,8 +324,8 @@ def test_active_connections_gauge_decrements_on_disconnect(tmp_path):
         daemon = ServiceDaemon(config)
         await daemon.start()
         try:
-            first = await _Connection.open("", 0, config.socket_path)
-            second = await _Connection.open("", 0, config.socket_path)
+            first = await Connection.open("", 0, config.socket_path)
+            second = await Connection.open("", 0, config.socket_path)
             await first.call({"op": "ping"})
             await second.call({"op": "ping"})
             await first.close()
@@ -451,7 +451,7 @@ def test_run_watch_polls_a_live_daemon(tmp_path):
     async def scenario():
         daemon = ServiceDaemon(config)
         await daemon.start()
-        conn = await _Connection.open("", 0, config.socket_path)
+        conn = await Connection.open("", 0, config.socket_path)
         try:
             futures = [
                 conn.send({"op": "submit", **submit_fields(i)})
@@ -507,7 +507,7 @@ def test_run_watch_fleet_mode_polls_two_daemons(tmp_path):
         daemons = [ServiceDaemon(east), ServiceDaemon(west)]
         for daemon in daemons:
             await daemon.start()
-        conn = await _Connection.open("", 0, east.socket_path)
+        conn = await Connection.open("", 0, east.socket_path)
         try:
             futures = [
                 conn.send({"op": "submit", **submit_fields(i)})
