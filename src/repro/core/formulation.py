@@ -10,16 +10,18 @@ is traffic already committed by earlier online rounds.  With
 ``X_ij(t) = max{X_ij(t-1), max_n sum_k M_ij^k(n)}``; with in-flight
 traffic it is the strictly more accurate form (see DESIGN.md).
 
-Two assembly paths build the same model:
+Two assembly paths build the same problem:
 
-* ``"legacy"`` constructs every row through the ``LinExpr`` operator
-  algebra — readable, obviously faithful to the math, and kept as the
-  executable reference.
-* ``"fast"`` builds the coefficient dictionaries of each row directly,
-  skipping operator dispatch, expression copies and ``Arc`` hashing.
-  It performs float-identical arithmetic in the same order, so the
-  resulting model compiles to the same matrices bit for bit — a claim
-  pinned by ``tests/test_compile_equivalence.py``.
+* ``"legacy"`` materialises the :class:`TimeExpandedGraph` and writes
+  every row through the ``LinExpr`` operator algebra into a
+  :class:`~repro.lp.Model` — readable, obviously faithful to the math,
+  and kept as the executable reference (only it has cost functions,
+  charge exemptions, named rows and their duals).
+* ``"fast"`` builds no graph and no model object: it writes the
+  :class:`~repro.lp.CompiledProblem` HiGHS reads with numpy index
+  arithmetic over each file's arc-set columns and one residual-capacity
+  ask per link-slot cell of the window — the reference's lowered model
+  exactly, a claim pinned by ``tests/test_compile_equivalence.py``.
 
 Both take one :class:`ArcSet` per file, or none: with none a file's
 variables span the paper's full ``DCs x window`` subgraph (the
@@ -27,27 +29,25 @@ variables span the paper's full ``DCs x window`` subgraph (the
 against); ``storage="destination_only"`` is an arc set, and the hybrid's
 LP lane passes each file the links of its candidate paths.
 
-The whole assembly (graph construction included) runs under the
-``lp.build`` span, the counterpart of the backends' ``lp.solve``; it
-carries ``arcs`` (``"paths"`` or ``"full"``), ``rows`` and ``columns``.
+The whole assembly runs under the ``lp.build`` span, the counterpart of
+the backends' ``lp.solve``; it carries ``arcs`` (``"paths"`` or
+``"full"``), ``rows`` and ``columns``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
+from scipy import sparse
 
 from repro.errors import InfeasibleError, SchedulingError
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import LinExpr, Model, Solution, Variable
-from repro.lp.constraint import Constraint, Sense
+from repro.lp import CompiledProblem, LinExpr, Model, Solution, Variable, solve_lp
 from repro.obs import registry as obs
-from repro.timeexp.cache import GraphCache
 from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
@@ -55,10 +55,6 @@ from repro.units import VOLUME_ATOL
 #: Storage policies for :func:`build_postcard_model`.
 STORAGE_FULL = "full"
 STORAGE_DESTINATION_ONLY = "destination_only"
-
-#: Stride for the fast assembler's packed ``node * stride + slot``
-#: balance keys; bounds the representable horizon (slots per problem).
-_NODE_KEY = 1 << 21
 
 #: Assembly paths for :func:`build_postcard_model`.
 ASSEMBLY_MODES = ("legacy", "fast")
@@ -77,22 +73,39 @@ class ArcSet:
     destination, that drops exactly the time copies no route can cross.
     """
 
-    __slots__ = ("members", "_at")
+    __slots__ = ("members", "_columns")
 
     def __init__(self, members: Iterable[Tuple[Tuple[int, int], int, int]]):
         self.members = tuple(members)
-        self._at: Dict[Tuple[int, int], tuple] = {}
+        self._columns: Dict[int, tuple] = {}
 
     def keys_at(self, after: int, before: int) -> Tuple[Tuple[int, int], ...]:
         """Member keys existing ``after`` slots into a window with ``before``
-        slots left after this one (memoised: sets outlive the builds)."""
-        keys = self._at.get((after, before))
-        if keys is None:
-            keys = self._at[after, before] = tuple(
-                key for key, lo, hi in self.members
-                if lo <= after and hi <= before
+        slots left after this one (the reference assembler's filter)."""
+        return tuple(
+            key for key, lo, hi in self.members if lo <= after and hi <= before
+        )
+
+    def columns(self, deadline: int, link_index: Dict[Tuple[int, int], int]) -> tuple:
+        """The set's time copies in a window of ``deadline`` slots: parallel
+        arrays ``(slot in the window, src, dst, link)``, slot by slot and
+        members in order; ``link`` is the ``link_index`` position in
+        ``topology.links``, -1 for holdover.  Memoised with the set."""
+        template = self._columns.get(deadline)
+        if template is None:
+            keys, lo, hi = zip(*self.members)
+            ends = np.array(keys, dtype=np.int64).reshape(-1, 2)
+            link = np.array(
+                [-1 if a == b else link_index[a, b] for a, b in keys], dtype=np.int64
             )
-        return keys
+            after = np.arange(deadline)[:, None]
+            rel, member = np.nonzero(
+                (np.array(lo) <= after) & (np.array(hi) <= deadline - 1 - after)
+            )
+            template = self._columns[deadline] = (
+                rel, ends[member, 0], ends[member, 1], link[member]
+            )
+        return template
 
     @classmethod
     def from_paths(cls, topology, source: int, destination: int, paths) -> "ArcSet":
@@ -111,48 +124,63 @@ class ArcSet:
 
 
 class PostcardModel:
-    """A built (not yet solved) Postcard LP plus its variable maps."""
+    """A built (not yet solved) Postcard LP plus its column maps."""
 
     def __init__(
         self,
-        model: Model,
-        graph: TimeExpandedGraph,
+        model: "Model | CompiledProblem",
         requests: List[TransferRequest],
-        flow_items: List[Tuple[int, Arc, Variable]],
-        charge_vars: Dict[Tuple[int, int], Variable],
+        flow_columns: Tuple[np.ndarray, ...],
+        charge_columns: Dict[Tuple[int, int], int],
         fixed_charge_cost: float,
         capacity_rows=None,
     ):
+        #: The reference assembler's :class:`Model`, or the array
+        #: assembler's :class:`CompiledProblem`.
         self.model = model
-        self.graph = graph
         self.requests = requests
-        #: (request id, arc, variable) per flow variable — the model's
-        #: first ``len(flow_items)`` columns, in this order.
-        self.flow_items = flow_items
-        self.charge_vars = charge_vars
+        #: Parallel ``(request id, src, dst, slot, is transit)`` arrays,
+        #: one entry per flow variable — the problem's first columns.
+        self.flow_columns = flow_columns
+        #: overlay link -> column of its ``X_ij``.
+        self.charge_columns = charge_columns
         #: sum(a_ij * X_ij(t-1)) over links the new files cannot touch;
         #: a constant added to the objective so it reports the full
         #: network-wide cost per slot.
         self.fixed_charge_cost = fixed_charge_cost
-        #: (src, dst, slot) -> the capacity Constraint, for shadow prices.
-        self.capacity_rows: Dict[Tuple[int, int, int], object] = capacity_rows or {}
+        #: (src, dst, slot) -> the capacity Constraint, for shadow
+        #: prices; ``None`` from the array assembler (no named rows).
+        self.capacity_rows: Optional[Dict[Tuple[int, int, int], object]] = capacity_rows
+
+    @property
+    def num_variables(self) -> int:
+        return self.model.num_variables
+
+    @property
+    def num_constraints(self) -> int:
+        return self.model.num_constraints
 
     def solve(self, backend: str = "highs", **options) -> Tuple[TransferSchedule, Solution]:
         """Optimize and extract the store-and-forward schedule."""
-        solution = self.model.solve(backend=backend, **options)
-        items = self.flow_items
-        volumes = solution.x[:len(items)]
-        entries = []
-        for i in np.flatnonzero(volumes > VOLUME_ATOL).tolist():
-            request_id, arc, _ = items[i]
-            entries.append(ScheduleEntry(
-                request_id, arc.src, arc.dst, arc.slot, float(volumes[i]), arc.kind
-            ))
+        solution = solve_lp(self.model, backend, **options)
+        volumes = solution.x[:len(self.flow_columns[0])]
+        used = np.flatnonzero(volumes > VOLUME_ATOL)
+        kinds = (ArcKind.HOLDOVER, ArcKind.TRANSIT)
+        entries = [
+            ScheduleEntry(request_id, src, dst, slot, volume, kinds[transit])
+            for request_id, src, dst, slot, transit, volume in zip(
+                *(column[used].tolist() for column in self.flow_columns),
+                volumes[used].tolist(),
+            )
+        ]
         return TransferSchedule(entries), solution
 
     def charged_volumes(self, solution: Solution) -> Dict[Tuple[int, int], float]:
         """Optimal X_ij for the links the model optimizes over."""
-        return {key: solution.value(var) for key, var in self.charge_vars.items()}
+        return {
+            key: float(solution.x[column])
+            for key, column in self.charge_columns.items()
+        }
 
     def congestion_prices(self, solution: Solution) -> Dict[Tuple[int, int, int], float]:
         """Shadow price of each binding capacity row, in $/GB.
@@ -161,8 +189,13 @@ class PostcardModel:
         marginal saving one extra GB/slot of capacity there would buy —
         the LP-theoretic answer to "which link should we upgrade?".
         Only links whose price is positive appear; zero-price entries
-        are filtered.  Requires the HiGHS backend (duals).
+        are filtered.  Requires the HiGHS backend (duals) and the
+        reference assembly (named rows).
         """
+        if self.capacity_rows is None:
+            raise SchedulingError(
+                "congestion prices need the named rows of assembly='legacy'"
+            )
         prices = {}
         for key, constraint in self.capacity_rows.items():
             dual = solution.dual(constraint)
@@ -183,7 +216,6 @@ def build_postcard_model(
     charge_exempt=None,
     charged_volume_fn=None,
     predicted_volume_fn=None,
-    graph_cache: Optional[GraphCache] = None,
     assembly: str = "legacy",
     arc_sets: Optional[Sequence[Optional[ArcSet]]] = None,
 ) -> PostcardModel:
@@ -232,13 +264,12 @@ def build_postcard_model(
         cells as already lifting the watermark, steering paid traffic
         toward predicted-quiet slots.  Capacity rows are untouched —
         forecasts shape cost, never feasibility or admission.
-    graph_cache:
-        Optional :class:`~repro.timeexp.cache.GraphCache` used to build
-        the graph incrementally from the previous slot's arcs.
     assembly:
-        ``"legacy"`` (operator algebra, the reference) or ``"fast"``
-        (direct coefficient construction); the two produce bit-identical
-        compiled problems.
+        ``"legacy"`` (time-expanded graph and operator algebra, the
+        reference) or ``"fast"`` (the compiled matrices written directly
+        as arrays); the two produce bit-identical compiled problems.
+        ``cost_fn_factory``, ``charge_exempt`` and ``charged_volume_fn``
+        exist in the reference only, so passing one selects it.
     arc_sets:
         Optional :class:`ArcSet` (or ``None``: every arc) per request,
         same order: the file's variables exist only on its set's arcs.
@@ -276,35 +307,36 @@ def build_postcard_model(
             "arc_sets needs one entry per request and storage='full'"
         )
 
+    no_exit_error = InfeasibleError if pruned else SchedulingError
+    if cost_fn_factory or charge_exempt or charged_volume_fn:
+        assembly = "legacy"
     with obs.span(
         "lp.build", assembly=assembly, requests=len(requests),
         arcs="paths" if pruned else "full",
     ) as build_span:
-        start = min(r.release_slot for r in requests)
-        end = max(r.release_slot + r.deadline_slots for r in requests)
-        if graph_cache is not None:
-            graph = graph_cache.build(
-                start, end - start, capacity_fn=state.residual_capacity
+        if assembly == "fast":
+            built = _assemble_fast(
+                state, requests, arc_sets, no_exit_error,
+                storage_capacity, storage_price, predicted_volume_fn,
             )
         else:
+            start = min(r.release_slot for r in requests)
+            end = max(r.release_slot + r.deadline_slots for r in requests)
             graph = TimeExpandedGraph(
                 state.topology,
                 start_slot=start,
                 horizon=end - start,
                 capacity_fn=state.residual_capacity,
             )
-
-        assemble = _assemble_fast if assembly == "fast" else _assemble_legacy
-        built = assemble(
-            state, graph, requests, arc_sets,
-            InfeasibleError if pruned else SchedulingError,
-            storage_capacity, storage_price, cost_fn_factory,
-            charge_exempt, charged_volume_fn, predicted_volume_fn,
-        )
+            built = _assemble_legacy(
+                state, graph, requests, arc_sets, no_exit_error,
+                storage_capacity, storage_price, cost_fn_factory,
+                charge_exempt, charged_volume_fn, predicted_volume_fn,
+            )
         attrs = getattr(build_span, "attrs", None)
         if attrs is not None:
-            attrs["rows"] = built.model.num_constraints
-            attrs["columns"] = built.model.num_variables
+            attrs["rows"] = built.num_constraints
+            attrs["columns"] = built.num_variables
         return built
 
 
@@ -314,12 +346,12 @@ def _assemble_legacy(
     requests: List[TransferRequest],
     arc_sets: Sequence[Optional[ArcSet]],
     no_exit_error: type,
-    *pricing,
+    storage_capacity, storage_price, cost_fn_factory,
+    charge_exempt, charged_volume_fn, predicted_volume_fn,
 ) -> PostcardModel:
-    """Operator-algebra assembly — the executable reference.  ``pricing``
-    is :func:`_finish`'s tail of storage and charging parameters."""
+    """Operator-algebra assembly — the executable reference."""
     model = Model("postcard")
-    flow_items: List[Tuple[int, Arc, Variable]] = []
+    flow_items: List[Tuple[int, Arc]] = []
     #: per transit (link, slot): list of vars crossing it (for capacity
     #: and charge rows)
     arc_users: Dict[Arc, List[Variable]] = defaultdict(list)
@@ -332,17 +364,17 @@ def _assemble_legacy(
         arcs = graph.arcs_for_request(request)
         if arc_set is not None:
             first, last = graph.request_window(request)
-            arcs = [
-                a for a in arcs
-                if a.link_key in arc_set.keys_at(a.slot - first, last - a.slot - 1)
-            ]
+            keys = {
+                n: arc_set.keys_at(n - first, last - n - 1) for n in range(first, last)
+            }
+            arcs = [a for a in arcs if a.link_key in keys[a.slot]]
         # Node balance built incrementally: +1 on out-arcs, -1 on in-arcs.
         balance: Dict[Tuple[int, int], List[Tuple[float, Variable]]] = defaultdict(list)
         for arc in arcs:
             if arc.kind is ArcKind.TRANSIT and arc.capacity <= 0:
                 continue  # fully committed link-slot: no variable at all
             var = model.add_variable(f"M[{rid},{arc.src},{arc.dst},{arc.slot}]")
-            flow_items.append((rid, arc, var))
+            flow_items.append((rid, arc))
             if arc.kind is ArcKind.TRANSIT:
                 arc_users[arc].append(var)
             elif arc.src != request.destination:
@@ -368,248 +400,30 @@ def _assemble_legacy(
                     net == 0.0, name=f"cons[{rid},{node[0]},{node[1]}]"
                 )
 
-    return _finish(
-        state, model, graph, requests, flow_items,
-        arc_users.items(), storage_users.items(),
-        lambda users, bound, name: model.add_constraint(
-            LinExpr.sum(users) <= bound, name=name
-        ),
-        lambda x, users, committed, name: model.add_constraint(
-            x >= LinExpr.sum(users) + committed, name=name
-        ),
-        *pricing,
-    )
-
-
-def _lin(coeffs: Dict[int, float], constant: float, model_id: int) -> LinExpr:
-    """A LinExpr adopting ``coeffs`` without the constructor's copy.
-
-    Only for freshly-built dictionaries that no other code aliases.
-    """
-    expr = LinExpr.__new__(LinExpr)
-    expr.coeffs = coeffs
-    expr.constant = constant
-    expr._model_id = model_id
-    return expr
-
-
-def _assemble_fast(
-    state: NetworkState,
-    graph: TimeExpandedGraph,
-    requests: List[TransferRequest],
-    arc_sets: Sequence[Optional[ArcSet]],
-    no_exit_error: type,
-    *pricing,
-) -> PostcardModel:
-    """Direct-construction assembly, float-identical to the reference.
-
-    Mirrors :func:`_assemble_legacy` row for row but writes each row's
-    coefficient dictionary directly instead of going through the
-    ``LinExpr`` operators: every coefficient is the exact float the
-    operator chain would have produced (``1.0``, ``-1.0``, or a negated
-    constant), in the same insertion order, so the compiled matrices are
-    interchangeable bit for bit.  Arc grouping keys on ``id(arc)``
-    (arc objects are unique within a graph) to avoid hashing frozen
-    dataclasses in the hot loop.
-    """
-    model = Model("postcard")
-    mid = model._id
-    variables = model.variables
-    constraints = model.constraints
-    inf = float("inf")
-
-    flow_items: List[Tuple[int, Arc, Variable]] = []
-    #: id(arc) -> (arc, vars crossing it); insertion order matches the
-    #: legacy Arc-keyed dicts because each arc object is first seen at
-    #: the same point of the same iteration.
-    arc_users: Dict[int, Tuple[Arc, List[Variable]]] = {}
-    storage_users: Dict[int, Tuple[Arc, List[Variable]]] = {}
-
-    # Hot-loop locals: every name below is touched once per (request,
-    # arc) pair, so attribute/global lookups would dominate.
-    by_slot = graph._by_slot
-    transit_kind = ArcKind.TRANSIT
-    make_var = Variable
-    get_arc_entry = arc_users.get
-    get_store_entry = storage_users.get
-    #: Balance rows key on ``node_id * _NODE_KEY + slot`` instead of
-    #: ``(node_id, slot)`` tuples — integer keys hash in one machine op
-    #: and skip ~2 tuple allocations per arc in the hottest loop.
-    #: Node ids are non-negative ints (Topology invariant) and slots
-    #: stay far below the stride, so the encoding is collision-free.
-    stride = _NODE_KEY
-
-    #: Request windows overlap heavily, so everything that depends only
-    #: on the (slot, arc) pair — attribute reads, the committed-capacity
-    #: filter, the formatted name suffix — is computed once per slot,
-    #: keyed by link, and replayed per request as plain tuple unpacking.
-    #: Filtering at prep time preserves the legacy per-arc iteration
-    #: order exactly.  The dict lives on the graph: for GraphCache-built
-    #: graphs it is the cache's persistent store, so slots whose arc
-    #: lists were reused unchanged keep their prepared tuples across
-    #: consecutive builds.
-    prepared = graph.assembly_prep
-
-    def _prep(slot: int) -> dict:
-        entries = {}
-        for arc in by_slot.get(slot, ()):
-            transit = arc.kind is transit_kind
-            if transit and arc.capacity <= 0:
-                continue  # fully committed link-slot: no variable
-            src, dst = arc.src, arc.dst
-            entries[src, dst] = (
-                transit, src, dst, f"{src},{dst},{slot}]", arc, id(arc)
-            )
-        prepared[slot] = entries
-        return entries
-
-    # A file's whole window structure — name suffixes, arc order,
-    # balance-row template — is a pure function of (arc set, first,
-    # last): build it once and replay it per request with C-speed
-    # comprehensions.  With no arc set every prepared arc is admitted;
-    # with one, its members are looked up among the slot's prepared arcs
-    # in the same construction order the reference's filter keeps.
-    templates: Dict[tuple, tuple] = {}
-
-    def _template(arc_set: Optional[ArcSet], first: int, last: int) -> tuple:
-        suffixes: List[str] = []
-        arcs: List[Arc] = []
-        transit_offs: List[Tuple[int, Arc, int]] = []
-        storage_offs: List[Tuple[int, Arc, int, int]] = []
-        rows: Dict[int, List[Tuple[int, float]]] = {}
-        off = 0
-        for slot in range(first, last):
-            entries = prepared.get(slot) or _prep(slot)
-            if arc_set is None:
-                chosen = entries.values()
-            else:
-                chosen = [
-                    entries[key]
-                    for key in arc_set.keys_at(slot - first, last - slot - 1)
-                    if key in entries
-                ]
-            for transit, src, dst, suffix, arc, aid in chosen:
-                suffixes.append(suffix)
-                arcs.append(arc)
-                if transit:
-                    transit_offs.append((off, arc, aid))
-                else:
-                    storage_offs.append((off, arc, aid, src))
-                rows.setdefault(src * stride + slot, []).append((off, 1.0))
-                rows.setdefault(dst * stride + slot + 1, []).append((off, -1.0))
-                off += 1
-        tmpl = (suffixes, arcs, transit_offs, storage_offs, list(rows.items()))
-        templates[(arc_set, first, last)] = tmpl
-        return tmpl
-
-    for request, arc_set in zip(requests, arc_sets):
-        rid = request.request_id
-        destination = request.destination
-        first, last = graph.request_window(request)
-        tmpl = templates.get((arc_set, first, last)) or _template(arc_set, first, last)
-        suffixes, arcs, transit_offs, storage_offs, row_items = tmpl
-
-        base = len(variables)
-        prefix = f"M[{rid},"
-        new_vars = [
-            make_var(prefix + suffix, base + off, 0.0, inf, mid)
-            for off, suffix in enumerate(suffixes)
-        ]
-        variables.extend(new_vars)
-        flow_items.extend(zip(repeat(rid), arcs, new_vars))
-
-        for off, arc, aid in transit_offs:
-            entry = get_arc_entry(aid)
-            if entry is None:
-                arc_users[aid] = (arc, [new_vars[off]])
-            else:
-                entry[1].append(new_vars[off])
-        for off, arc, aid, src in storage_offs:
-            if src == destination:
-                continue
-            entry = get_store_entry(aid)
-            if entry is None:
-                storage_users[aid] = (arc, [new_vars[off]])
-            else:
-                entry[1].append(new_vars[off])
-
-        balance = {
-            key: {base + off: coef for off, coef in pairs}
-            for key, pairs in row_items
-        }
-        source = request.source * stride + first
-        sink = destination * stride + last
-        if source not in balance:
-            raise no_exit_error(
-                f"file {rid}: no admissible arc leaves its source; "
-                "the problem is trivially infeasible"
-            )
-        size = float(request.size_gb)
-        for node, coeffs in balance.items():
-            if node == source:
-                con = Constraint(_lin(coeffs, -size, mid), Sense.EQ, f"src[{rid}]")
-            elif node == sink:
-                con = Constraint(_lin(coeffs, size, mid), Sense.EQ, f"snk[{rid}]")
-            else:
-                con = Constraint(
-                    _lin(coeffs, 0.0, mid), Sense.EQ,
-                    f"cons[{rid},{node // stride},{node % stride}]",
-                )
-            constraints.append(con)
-
-    def le_row(users, bound, name):
-        con = Constraint(
-            _lin({var.index: 1.0 for var in users}, -float(bound), mid),
-            Sense.LE, name,
-        )
-        constraints.append(con)
-        return con
-
-    def charge_row(x, users, committed, name):
-        coeffs = {x.index: 1.0}
-        for var in users:
-            coeffs[var.index] = -1.0
-        constraints.append(
-            Constraint(_lin(coeffs, -float(committed), mid), Sense.GE, name)
-        )
-
-    return _finish(
-        state, model, graph, requests, flow_items,
-        arc_users.values(), storage_users.values(), le_row, charge_row,
-        *pricing,
-    )
-
-
-def _finish(
-    state, model, graph, requests, flow_items, arc_users, storage_users,
-    le_row, charge_row, storage_capacity, storage_price, cost_fn_factory,
-    charge_exempt, charged_volume_fn, predicted_volume_fn,
-) -> PostcardModel:
-    """Everything after the flow rows, shared by both assemblers; each
-    brings its ``(arc, variables)`` pairs in first-use order and its way
-    of writing a row: ``le_row(users, bound, name)`` adds ``sum(users) <=
-    bound`` and returns the constraint, ``charge_row(x, users, committed,
-    name)`` adds ``x >= sum(users) + committed``."""
     inf = float("inf")
     # Capacity rows: aggregate new traffic within residual capacity.
     capacity_rows = {
-        (arc.src, arc.dst, arc.slot): le_row(
-            users, arc.capacity, f"cap[{arc.src},{arc.dst},{arc.slot}]"
+        (arc.src, arc.dst, arc.slot): model.add_constraint(
+            LinExpr.sum(users) <= arc.capacity,
+            name=f"cap[{arc.src},{arc.dst},{arc.slot}]",
         )
-        for arc, users in arc_users
+        for arc, users in arc_users.items()
         if arc.capacity != inf
     }
     # Storage rows: per-datacenter buffer capacity for in-transit data.
     if storage_capacity != inf:
-        for arc, users in storage_users:
-            le_row(users, storage_capacity, f"store[{arc.src},{arc.slot}]")
+        for arc, users in storage_users.items():
+            model.add_constraint(
+                LinExpr.sum(users) <= storage_capacity,
+                name=f"store[{arc.src},{arc.slot}]",
+            )
 
     # Charge rows: one X_ij per overlay link that new traffic can use.
     by_link: Dict[Tuple[int, int], Dict[int, List[Variable]]] = {}
-    for arc, users in arc_users:
+    for arc, users in arc_users.items():
         by_link.setdefault(arc.link_key, {}).setdefault(arc.slot, []).extend(users)
 
-    charge_vars: Dict[Tuple[int, int], Variable] = {}
+    charge_columns: Dict[Tuple[int, int], int] = {}
     objective_terms: List[Tuple[float, Variable]] = []
     fixed_cost = 0.0
     for link in state.topology.links:
@@ -623,7 +437,8 @@ def _finish(
         if key not in by_link:
             fixed_cost += cost_fn(prior) if cost_fn else link.price * prior
             continue
-        x = charge_vars[key] = model.add_variable(f"X[{key[0]},{key[1]}]", lb=prior)
+        x = model.add_variable(f"X[{key[0]},{key[1]}]", lb=prior)
+        charge_columns[key] = x.index
         # One volumes-map fetch per link instead of one ledger call per
         # row; ``volumes.get(slot, 0.0)`` is exactly committed_volume().
         committed_map = state.ledger.usage(key[0], key[1]).volumes
@@ -633,7 +448,10 @@ def _finish(
             committed = committed_map.get(slot, 0.0)
             if predicted_volume_fn is not None:
                 committed += predicted_volume_fn(key[0], key[1], slot)
-            charge_row(x, users, committed, f"chg[{key[0]},{key[1]},{slot}]")
+            model.add_constraint(
+                x >= LinExpr.sum(users) + committed,
+                name=f"chg[{key[0]},{key[1]},{slot}]",
+            )
         if cost_fn is None:
             objective_terms.append((link.price, x))
         else:
@@ -644,15 +462,195 @@ def _finish(
     # Metered storage cost: price per GB-slot of in-transit buffering.
     storage_terms: List[Tuple[float, Variable]] = []
     if storage_price > 0.0:
-        for _arc, users in storage_users:
+        for users in storage_users.values():
             storage_terms.extend((storage_price, var) for var in users)
 
     model.minimize(
         LinExpr.from_terms(objective_terms + storage_terms, constant=fixed_cost)
     )
+    rids, arcs = zip(*flow_items)
+    flow_columns = tuple(np.array(column) for column in (
+        rids, *zip(*((a.src, a.dst, a.slot, a.kind is ArcKind.TRANSIT) for a in arcs))
+    ))
     return PostcardModel(
-        model, graph, list(requests), flow_items, charge_vars, fixed_cost,
+        model, list(requests), flow_columns, charge_columns, fixed_cost,
         capacity_rows,
+    )
+
+
+def _first_use(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in the order they first appear, and each
+    key's position in that order — the reference's dict insertion order."""
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return distinct[order], rank[inverse]
+
+
+def _assemble_fast(
+    state: NetworkState,
+    requests: List[TransferRequest],
+    arc_sets: Sequence[Optional[ArcSet]],
+    no_exit_error: type,
+    storage_capacity: float,
+    storage_price: float,
+    predicted_volume_fn,
+) -> PostcardModel:
+    """Array assembly: the reference's compiled problem, written directly.
+
+    Columns are each file's arc-set time copies minus transit cells with
+    no residual capacity; rows are numbered where the reference would
+    first create them.  Slots count from the window's start, so nothing
+    depends on how long the service has been up.
+    """
+    inf = float("inf")
+    links = state.topology.links
+    link_index = {link.key: at for at, link in enumerate(links)}
+    num_links = len(links)
+    start = min(r.release_slot for r in requests)
+    span = max(r.release_slot + r.deadline_slots for r in requests) - start
+
+    residual = state.residual_capacity
+    ends = [link.key for link in links]
+    capacity = np.array([
+        residual(src, dst, slot)
+        for slot in range(start, start + span) for src, dst in ends
+    ])
+
+    # -- columns -----------------------------------------------------------
+    everything = ArcSet(
+        [(key, 0, 0) for key in ends]
+        + [((node, node), 0, 0) for node in state.topology.node_ids()]
+    )
+    templates = [
+        (arc_set or everything).columns(request.deadline_slots, link_index)
+        for request, arc_set in zip(requests, arc_sets)
+    ]
+    sizes = [len(template[0]) for template in templates]
+    rel, src, dst, via = (np.concatenate(part) for part in zip(*templates))
+    of = np.repeat(np.arange(len(requests)), sizes)  # column -> request
+    first = np.array([r.release_slot - start for r in requests])
+    slot = rel + first[of]
+    cell = slot * num_links + via  # meaningful where via >= 0
+    keep = (via < 0) | (capacity[np.where(via < 0, 0, cell)] > 0)
+    of, slot, src, dst, cell, transit = (
+        column[keep] for column in (of, slot, src, dst, cell, via >= 0)
+    )
+    num_flows = len(of)
+
+    # -- balance rows ------------------------------------------------------
+    stride = max(state.topology.node_ids()) + 1
+    tail = (of * (span + 1) + slot) * stride + src
+    nodes, node_row = _first_use(
+        np.stack((tail, tail - src + stride + dst), axis=1).ravel()
+    )
+    layer, node = divmod(nodes, stride)
+    owner, layer = divmod(layer, span + 1)  # the file a row belongs to
+    source = np.array([r.source for r in requests])
+    destination = np.array([r.destination for r in requests])
+    size = np.array([float(r.size_gb) for r in requests])
+    last = first + [r.deadline_slots for r in requests]
+    is_source = (layer == first[owner]) & (node == source[owner])
+    is_sink = (layer == last[owner]) & (node == destination[owner])
+    stranded = np.bincount(owner[is_source], minlength=len(requests)) == 0
+    if stranded.any():
+        raise no_exit_error(
+            f"file {requests[int(np.argmax(stranded))].request_id}: no "
+            "admissible arc leaves its source; the problem is trivially infeasible"
+        )
+    b_eq = np.where(is_source, size[owner], np.where(is_sink, -size[owner], 0.0))
+    flows = np.arange(num_flows)
+
+    # -- capacity, storage and charge rows -----------------------------------
+    movers = flows[transit]
+    cells, cell_of = _first_use(cell[transit])
+    finite = capacity[cells] != inf
+    capacity_row = np.cumsum(finite) - 1
+    capped = finite[cell_of]
+    rows = [capacity_row[cell_of[capped]]]
+    cols = [movers[capped]]
+    b_ub = [capacity[cells[finite]]]
+    num_rows = int(finite.sum())
+
+    stored = flows[~transit & (src != destination[of])]
+    if storage_capacity != inf:
+        buffers, buffer_of = _first_use(slot[stored] * stride + src[stored])
+        rows.append(num_rows + buffer_of)
+        cols.append(stored)
+        b_ub.append(np.full(len(buffers), float(storage_capacity)))
+        num_rows += len(buffers)
+
+    cell_slot, cell_link = divmod(cells, num_links)
+    by_link = np.argsort(cell_link, kind="stable")
+    charge_row = np.empty_like(by_link)
+    charge_row[by_link] = num_rows + np.arange(len(cells))
+    charged_links, x_of = np.unique(cell_link, return_inverse=True)
+    rows += [charge_row[cell_of], charge_row]
+    cols += [movers, num_flows + x_of]
+    committed = []
+    current = None
+    for at_link, at_slot in zip(
+        cell_link[by_link].tolist(), (cell_slot[by_link] + start).tolist()
+    ):
+        if at_link != current:
+            current = at_link
+            a, b = ends[current]
+            # One volumes-map fetch per link instead of one ledger call
+            # per row; ``volumes.get(slot, 0.0)`` is committed_volume().
+            volumes = state.ledger.usage(a, b).volumes
+        volume = volumes.get(at_slot, 0.0)
+        if predicted_volume_fn is not None:
+            volume += predicted_volume_fn(a, b, at_slot)
+        committed.append(volume)
+    b_ub.append(-np.array(committed, dtype=float))
+    num_rows += len(cells)
+
+    # -- X_ij columns, objective, bounds -------------------------------------
+    charged = set(charged_links.tolist())
+    charge_columns: Dict[Tuple[int, int], int] = {}
+    prices, priors = [], []
+    fixed_cost = 0.0
+    for at, link in enumerate(links):
+        prior = state.charged_volume(*link.key)
+        if at in charged:
+            charge_columns[link.key] = num_flows + len(priors)
+            prices.append(link.price)
+            priors.append(prior)
+        else:
+            fixed_cost += link.price * prior
+    num_columns = num_flows + len(priors)
+    c = np.zeros(num_columns)
+    c[num_flows:] = prices
+    if storage_price > 0.0:
+        c[stored] = storage_price
+    bounds = np.tile((0.0, inf), (num_columns, 1))
+    bounds[num_flows:, 0] = priors
+
+    values = np.ones(sum(map(len, rows)))
+    values[len(values) - len(cells):] = -1.0
+    problem = CompiledProblem(
+        c=c,
+        c0=fixed_cost,
+        a_ub=sparse.csr_matrix(
+            (values, (np.concatenate(rows), np.concatenate(cols))),
+            shape=(num_rows, num_columns),
+        ),
+        b_ub=np.concatenate(b_ub),
+        a_eq=sparse.csr_matrix(
+            (np.tile((1.0, -1.0), num_flows), (node_row, np.repeat(flows, 2))),
+            shape=(len(nodes), num_columns),
+        ),
+        b_eq=b_eq,
+        bounds=bounds,
+        maximize=False,
+        name="postcard",
+    )
+    request_ids = np.array([r.request_id for r in requests])
+    return PostcardModel(
+        problem, list(requests),
+        (request_ids[of], src, dst, slot + start, transit),
+        charge_columns, fixed_cost,
     )
 
 

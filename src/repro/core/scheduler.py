@@ -6,9 +6,9 @@ jointly by one LP over the time-expanded graph, minimizing the
 increase of the charged volumes ``X_ij`` on top of everything already
 committed.
 
-The pipeline is incremental by default
-(:class:`~repro.timeexp.cache.GraphCache` reuse and direct assembly,
-behind ``incremental=``); :class:`~repro.heuristic.hybrid.HybridScheduler`
+By default (``incremental=True``) the LP is assembled directly as the
+matrices HiGHS reads — no graph, no model objects; ``incremental=False``
+is the from-scratch reference.  :class:`~repro.heuristic.hybrid.HybridScheduler`
 uses this scheduler as its escalation lane and hands it per-file arc
 sets (see :meth:`PostcardScheduler.plan_slot`).
 """
@@ -29,7 +29,6 @@ from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
 from repro.net.topology import Topology
 from repro.obs import registry as obs
-from repro.timeexp.cache import GraphCache
 from repro.traffic.spec import TransferRequest
 
 
@@ -122,10 +121,10 @@ class PostcardScheduler(Scheduler):
         ``size/deadline``) until the rest fit, recording rejects in
         ``state.rejected``.
     incremental:
-        When True (the default), reuse the previous slot's
-        time-expanded arcs through a :class:`GraphCache` and assemble
-        the LP with the direct fast path.  Produces bit-identical
-        models to the from-scratch reference — only faster.
+        When True (the default), assemble the LP as arrays
+        (``assembly="fast"``) instead of materialising the time-expanded
+        graph and a model object every slot: bit-identical problems to
+        the from-scratch reference — only faster.
     """
 
     name = "postcard"
@@ -150,7 +149,6 @@ class PostcardScheduler(Scheduler):
         self.storage_price = storage_price
         self.cost_fn_factory = cost_fn_factory
         self.incremental = incremental
-        self._graph_cache = GraphCache(topology) if incremental else None
         #: objective value of the last solved slot (cost per interval).
         self.last_objective: Optional[float] = None
         #: Optional :class:`~repro.forecast.provider.ForecastProvider`;
@@ -177,11 +175,9 @@ class PostcardScheduler(Scheduler):
 
         Pure with respect to :class:`NetworkState`: rejections decided
         by the shedding policy are *collected* on the plan, not
-        recorded.  (The incremental graph cache does advance — it is
-        performance state, rebuilt from scratch at worst.)  Apply the
-        result with :meth:`commit_plan`, or drop it on the floor — e.g.
-        when the solver watchdog times the slot out — and the ledger
-        never knows the solve happened.
+        recorded.  Apply the result with :meth:`commit_plan`, or drop it
+        on the floor — e.g. when the solver watchdog times the slot out
+        — and the ledger never knows the solve happened.
 
         ``arc_sets`` (one per request, see :func:`build_postcard_model`)
         prunes the model under one rule, **widen before shed**: an
@@ -233,7 +229,6 @@ class PostcardScheduler(Scheduler):
                     storage_price=self.storage_price,
                     cost_fn_factory=self.cost_fn_factory,
                     predicted_volume_fn=predicted_volume_fn,
-                    graph_cache=self._graph_cache,
                     assembly="fast" if self.incremental else "legacy",
                     arc_sets=arc_sets,
                 )

@@ -23,7 +23,10 @@ variables exist only on the arcs of the paths the index knows for it (so
 the fast lane's plan stays a feasible point), a file the fast lane could
 not place there keeps the paper's full subgraph, and a batch the pruned
 model cannot fit is solved once more on the full model before anything
-is shed (``hybrid.lp_widened``).  A slot the LP does not answer (solver
+is shed (``hybrid.lp_widened``).  The lane writes HiGHS's matrices
+straight from those arc sets and the ledger's residual capacities — no
+time-expanded graph is built on an escalated slot
+(:mod:`repro.core.formulation`).  A slot the LP does not answer (solver
 error, watchdog timeout) commits the fast-lane plan that flagged the
 pressure instead — ``degraded``; there is no second solver.
 
@@ -78,8 +81,6 @@ class HybridScheduler(Scheduler):
         and recorded as drops.
     num_candidate_paths:
         Fast-lane admission fan-out.
-    incremental:
-        Forwarded to the LP lane (PR 3's fast scheduling path).
     watchdog_timeout_s:
         When positive, escalated solves run under a watchdog: the LP's
         *plan* phase (pure — no state mutation) executes on a worker
@@ -92,7 +93,7 @@ class HybridScheduler(Scheduler):
         escalation-worthy slots skip the LP outright (doubling per
         consecutive degrade up to the max), and the LP is additionally
         skipped while an abandoned solve is still running — its thread
-        shares the graph-cache scratch state, so a new solve must not
+        shares the arc-set template memos, so a new solve must not
         race it.  A successful escalation resets the backoff.
     escalate_hook:
         Called at the start of every escalated solve; the service's
@@ -111,7 +112,6 @@ class HybridScheduler(Scheduler):
         escalate_utilization: float = 0.9,
         escalate_on_rejection: bool = True,
         num_candidate_paths: int = 4,
-        incremental: bool = True,
         watchdog_timeout_s: float = 0.0,
         watchdog_backoff_slots: int = 2,
         watchdog_backoff_max: int = 16,
@@ -136,7 +136,6 @@ class HybridScheduler(Scheduler):
             backend=backend,
             storage=storage,
             on_infeasible=on_infeasible,
-            incremental=incremental,
         )
         self._fast = FastLaneScheduler(
             topology,
@@ -162,8 +161,8 @@ class HybridScheduler(Scheduler):
         self._backoff_remaining = 0
         self._backoff_next = watchdog_backoff_slots
         #: An abandoned (timed-out) solve still running; while alive,
-        #: the LP lane is poisoned — its graph-cache scratch state may
-        #: be mid-mutation on that thread.
+        #: the LP lane is poisoned — the arc-set template memos may be
+        #: mid-mutation on that thread.
         self._zombie: Optional[threading.Thread] = None
         #: Optional :class:`~repro.forecast.provider.ForecastProvider`
         #: driving proactive placement in both lanes; ``None`` (the

@@ -28,7 +28,7 @@ Example
 
 from repro.lp.expr import LinExpr, Variable
 from repro.lp.constraint import Constraint, Sense
-from repro.lp.model import Model
+from repro.lp.model import Model, solve_lp
 from repro.lp.result import Solution, SolveStatus
 from repro.lp.compile import CompiledProblem, compile_mode, compile_model
 
@@ -43,4 +43,5 @@ __all__ = [
     "CompiledProblem",
     "compile_mode",
     "compile_model",
+    "solve_lp",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 
+from repro.lp.compile import CompiledProblem
 from repro.lp.model import Model
 from repro.lp.result import Solution
 
@@ -14,8 +15,9 @@ class Backend(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def solve(self, model: Model, **options) -> Solution:
-        """Solve ``model`` and return a :class:`Solution`.
+    def solve(self, model: "Model | CompiledProblem", **options) -> Solution:
+        """Solve ``model`` (or an already compiled problem, which
+        ``compile_model`` passes through) and return a :class:`Solution`.
 
         Implementations must not raise on infeasible/unbounded problems;
         they report it through :attr:`Solution.status` and let the model

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from repro.lp.backends.base import Backend
-from repro.lp.compile import compile_model
+from repro.lp.compile import CompiledProblem, compile_model
 from repro.lp.model import Model
 from repro.lp.result import Solution, SolveStatus
 from repro.obs import registry as obs
@@ -32,7 +32,7 @@ class HighsBackend(Backend):
 
     name = "highs"
 
-    def solve(self, model: Model, **options) -> Solution:
+    def solve(self, model: "Model | CompiledProblem", **options) -> Solution:
         # The span covers the backend's whole job — lowering the model
         # to matrices *and* optimizing — so lp.build + lp.solve account
         # for the full per-slot scheduling cost.
@@ -46,7 +46,7 @@ class HighsBackend(Backend):
                     SolveStatus.OPTIMAL,
                     np.zeros(0),
                     problem.c0,
-                    model._id,
+                    problem.model_id,
                     solver=self.name,
                 )
 
@@ -82,14 +82,15 @@ class HighsBackend(Backend):
         obs.counter("lp.highs.iterations", iterations)
 
         duals = None
-        if status is SolveStatus.OPTIMAL:
+        if status is SolveStatus.OPTIMAL and isinstance(model, Model):
             # Resolved on first read: the scheduling path never asks, and
             # the row walk costs more than a compile.  (Binds the
-            # constraint list, not the model: no reference cycle.)
+            # constraint list, not the model: no reference cycle.)  A
+            # problem handed over compiled has no constraints to key by.
             duals = partial(self._extract_duals, model.constraints, problem, result)
 
         return Solution(
-            status, x, objective, model._id,
+            status, x, objective, problem.model_id,
             solver=self.name, iterations=iterations, duals=duals,
             message="" if status is SolveStatus.OPTIMAL else str(result.message),
         )

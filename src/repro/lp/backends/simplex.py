@@ -224,7 +224,7 @@ class SimplexBackend(Backend):
 
     name = "simplex"
 
-    def solve(self, model: Model, **options) -> Solution:
+    def solve(self, model: "Model | CompiledProblem", **options) -> Solution:
         max_iter = int(options.pop("max_iter", 20000))
         # Span covers lowering + optimizing (see the HiGHS backend).
         with obs.span("lp.solve", backend=self.name):
@@ -232,11 +232,11 @@ class SimplexBackend(Backend):
 
             if problem.num_variables == 0:
                 return Solution(
-                    SolveStatus.OPTIMAL, np.zeros(0), problem.c0, model._id,
+                    SolveStatus.OPTIMAL, np.zeros(0), problem.c0, problem.model_id,
                     solver=self.name,
                 )
 
-            solution = self._solve_compiled(problem, model._id, max_iter)
+            solution = self._solve_compiled(problem, problem.model_id, max_iter)
         obs.counter("lp.simplex.pivots", solution.iterations)
         return solution
 

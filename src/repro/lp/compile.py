@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -107,6 +107,10 @@ class CompiledProblem:
     #: Defaults to an empty list so an un-populated problem degrades to
     #: "no dual information" instead of crashing dual extraction.
     row_map: List[Tuple[str, int, float]] = field(default_factory=list)
+    #: Name and ``_id`` of the :class:`Model` this was lowered from; a
+    #: problem assembled directly as arrays keeps these.
+    name: str = "compiled"
+    model_id: int = -1
 
     @property
     def num_variables(self) -> int:
@@ -120,26 +124,37 @@ class CompiledProblem:
     def num_equalities(self) -> int:
         return self.a_eq.shape[0]
 
+    @property
+    def num_constraints(self) -> int:
+        return self.num_inequalities + self.num_equalities
 
-def compile_model(model: Model, mode: Optional[str] = None) -> CompiledProblem:
+
+def compile_model(
+    model: Union[Model, CompiledProblem], mode: Optional[str] = None
+) -> CompiledProblem:
     """Lower a :class:`Model` into :class:`CompiledProblem` matrices.
 
     ``GE`` constraints are negated into ``LE`` rows; constraint constants
     move to the right-hand side.  ``mode`` overrides the module-wide
-    lowering path (see :func:`compile_mode`).
+    lowering path (see :func:`compile_mode`).  An already compiled
+    problem is returned as it is, under the same span and counters.
     """
     mode = mode or _compile_mode
     if mode not in COMPILE_MODES:
         raise ModelError(
             f"unknown compile mode {mode!r}; available: {', '.join(COMPILE_MODES)}"
         )
+    if isinstance(model, CompiledProblem):
+        mode = "compiled"
     with obs.span("lp.compile", model=model.name, mode=mode):
-        if mode == "vectorized":
-            problem = _compile_vectorized(model)
+        if mode == "compiled":
+            problem = model
         else:
-            problem = _compile_legacy(model)
+            lower = _compile_vectorized if mode == "vectorized" else _compile_legacy
+            problem = lower(model)
+            problem.name, problem.model_id = model.name, model._id
     obs.counter("lp.cols", problem.num_variables)
-    obs.counter("lp.rows", problem.num_inequalities + problem.num_equalities)
+    obs.counter("lp.rows", problem.num_constraints)
     obs.counter("lp.nonzeros", int(problem.a_ub.nnz + problem.a_eq.nnz))
     return problem
 

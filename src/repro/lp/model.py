@@ -33,7 +33,6 @@ class Model:
         self.constraints: List[Constraint] = []
         self.objective: LinExpr = LinExpr({}, 0.0, self._id)
         self.sense_minimize: bool = True
-        self._solution: Optional[Solution] = None
 
     # -- construction ---------------------------------------------------
 
@@ -55,7 +54,6 @@ class Model:
             raise ModelError(f"variable {name or index} has empty domain [{lo}, {hi}]")
         var = Variable(name or f"x{index}", index, lo, hi, self._id)
         self.variables.append(var)
-        self._solution = None
         return var
 
     def add_variables(
@@ -92,7 +90,6 @@ class Model:
         if name:
             constraint.name = name
         self.constraints.append(constraint)
-        self._solution = None
         return constraint
 
     def add_constraints(self, constraints: Iterable[Constraint], prefix: str = "") -> None:
@@ -140,32 +137,12 @@ class Model:
             raise ModelError("objective references variables from a different model")
         self.objective = expr
         self.sense_minimize = minimize
-        self._solution = None
 
     # -- solving ------------------------------------------------------------
 
     def solve(self, backend: str = "highs", **options) -> Solution:
-        """Solve and return a :class:`Solution`.
-
-        Raises :class:`InfeasibleError` / :class:`UnboundedError` /
-        :class:`SolverError` on failure, so callers can rely on the
-        returned solution being optimal.
-        """
-        from repro.lp.backends import get_backend
-
-        solver = get_backend(backend)
-        solution = solver.solve(self, **options)
-        if solution.status is SolveStatus.INFEASIBLE:
-            raise InfeasibleError(f"model {self.name!r} is infeasible")
-        if solution.status is SolveStatus.UNBOUNDED:
-            raise UnboundedError(f"model {self.name!r} is unbounded")
-        if solution.status is not SolveStatus.OPTIMAL:
-            reason = f": {solution.message}" if solution.message else ""
-            raise SolverError(
-                f"backend {backend!r} failed on model {self.name!r}{reason}"
-            )
-        self._solution = solution
-        return solution
+        """Solve and return a :class:`Solution` (see :func:`solve_lp`)."""
+        return solve_lp(self, backend, **options)
 
     @property
     def num_variables(self) -> int:
@@ -180,3 +157,25 @@ class Model:
             f"Model({self.name!r}, vars={self.num_variables}, "
             f"cons={self.num_constraints})"
         )
+
+
+def solve_lp(problem, backend: str = "highs", **options) -> Solution:
+    """Solve a :class:`Model` or an already compiled problem.
+
+    Raises :class:`InfeasibleError` / :class:`UnboundedError` /
+    :class:`SolverError` on failure, so callers can rely on the
+    returned solution being optimal.
+    """
+    from repro.lp.backends import get_backend
+
+    solution = get_backend(backend).solve(problem, **options)
+    if solution.status is SolveStatus.INFEASIBLE:
+        raise InfeasibleError(f"model {problem.name!r} is infeasible")
+    if solution.status is SolveStatus.UNBOUNDED:
+        raise UnboundedError(f"model {problem.name!r} is unbounded")
+    if solution.status is not SolveStatus.OPTIMAL:
+        reason = f": {solution.message}" if solution.message else ""
+        raise SolverError(
+            f"backend {backend!r} failed on model {problem.name!r}{reason}"
+        )
+    return solution

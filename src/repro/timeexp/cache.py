@@ -1,7 +1,7 @@
 """Incremental construction of consecutive time-expanded graphs.
 
-The online controller rebuilds a :class:`TimeExpandedGraph` every slot,
-but consecutive windows overlap in all but one layer: slot ``t``'s graph
+A controller that rebuilds a :class:`TimeExpandedGraph` every slot finds
+consecutive windows overlapping in all but one layer: slot ``t``'s graph
 spans ``[t, t + maxT)`` and slot ``t+1``'s spans ``[t+1, t+1 + maxT)``.
 Worse, most per-slot arc sets are *identical* between builds — a
 transit arc changes only when earlier commitments consumed residual
@@ -25,11 +25,9 @@ static schedules ride the bit-identical fast path at zero extra cost,
 and a schedule mutation invalidates exactly the mutated links' arcs
 (``timeexp.cache.window_invalidations`` counts them per build).
 
-History: introduced in PR 3 (fast-path scheduling).  Because every
-build re-validates each cached arc's capacity, the cache is also
-correct under PR 4's hybrid scheduler, whose LP lane builds graphs
-*sporadically* — only on escalated slots, with fast-lane commits
-consuming capacity in between — rather than every slot.
+History: introduced in PR 3 for the online controller, which since PR 23
+assembles its LP as arrays without any graph (``repro.core.formulation``);
+the cache serves callers that want the graph (``scripts/bench_schedule.py``).
 """
 
 from __future__ import annotations
@@ -74,10 +72,6 @@ class GraphCache:
         #: slot -> arc list in construction order (transit arcs in link
         #: order, then holdover arcs), as of the most recent build.
         self._slot_arcs: Dict[int, List[Arc]] = {}
-        #: slot -> fast-assembler prepared tuples, valid exactly as long
-        #: as the slot's arc list above is reused unchanged.  Handed to
-        #: every built graph (see TimeExpandedGraph.assembly_prep).
-        self._slot_prep: Dict[int, dict] = {}
         #: Lifetime tallies (also mirrored to obs counters).
         self.reused_arcs = 0
         self.refreshed_arcs = 0
@@ -112,15 +106,12 @@ class GraphCache:
                 )
                 reused += hits
                 refreshed += len(arcs) - hits
-            if arcs is not cached:
-                self._slot_prep.pop(slot, None)
             slot_arcs[slot] = arcs
             self._slot_arcs[slot] = arcs
         # Drop slots that slid out of every plausible future window so a
         # long online run does not accumulate stale layers.
         for slot in [s for s in self._slot_arcs if s < start_slot]:
             del self._slot_arcs[slot]
-            self._slot_prep.pop(slot, None)
 
         if self.link_schedule is not None:
             for link in self.topology.links:
@@ -137,7 +128,7 @@ class GraphCache:
         self.refreshed_arcs += refreshed
         obs.counter("timeexp.cache.hit", reused)
         obs.counter("timeexp.cache.refresh", refreshed)
-        graph = TimeExpandedGraph(
+        return TimeExpandedGraph(
             self.topology,
             start_slot=start_slot,
             horizon=horizon,
@@ -147,8 +138,6 @@ class GraphCache:
             link_schedule=self.link_schedule,
             _slot_arcs=slot_arcs,
         )
-        graph.assembly_prep = self._slot_prep
-        return graph
 
     def _changed_window_links(
         self, capacity_fn: Optional[CapacityFn]
@@ -180,7 +169,6 @@ class GraphCache:
         such as a revealed outage making capacities jump discontinuously
         outside ``capacity_fn``'s own accounting)."""
         self._slot_arcs.clear()
-        self._slot_prep.clear()
         self._window_epochs.clear()
 
     # -- internals -------------------------------------------------------

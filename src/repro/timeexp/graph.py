@@ -108,13 +108,6 @@ class TimeExpandedGraph:
         #: request's window instead of filtering every arc.
         self._by_slot: Dict[int, List[Arc]] = {}
 
-        #: Per-slot scratch for the fast assembler's prepared-arc tuples
-        #: (see ``repro.core.formulation``).  A :class:`GraphCache`
-        #: replaces this with its own persistent dict so prepared slots
-        #: survive across consecutive builds; entries are dropped there
-        #: whenever a slot's arc list is refreshed.
-        self.assembly_prep: Dict[int, dict] = {}
-
         if _slot_arcs is not None:
             # Construction from a GraphCache's per-slot arc lists; the
             # cache has already validated capacities against capacity_fn.

@@ -206,7 +206,7 @@ def test_simulate_profile_prints_run_report(capsys):
     assert main(_SMALL_SIM + ["--profile"]) == 0
     out = capsys.readouterr().out
     assert "== run report ==" in out
-    for stage in ("timeexp.build", "lp.compile", "lp.solve", "sim.audit"):
+    for stage in ("lp.build", "lp.compile", "lp.solve", "sim.audit"):
         assert stage in out, f"profile report missing stage {stage}"
     assert "lp.cols" in out  # counters section
 

@@ -1,44 +1,67 @@
 """Equivalence suite: every fast path is pinned to its reference.
 
-Three fast paths shipped together and each one claims *bit-identical*
-results, not merely close ones:
+Three fast paths each claim *bit-identical* results, not merely close
+ones:
 
 * ``compile_model``'s vectorized COO lowering vs. the legacy
   per-coefficient loop (select with ``compile_mode``);
-* ``build_postcard_model``'s direct-construction ``assembly="fast"``
-  vs. the original operator-algebra ``assembly="legacy"``;
+* ``build_postcard_model``'s array assembler (``assembly="fast"``: the
+  compiled matrices written directly from arc sets and residual
+  capacities) vs. the reference (``assembly="legacy"``: time-expanded
+  graph, operator algebra, then the legacy lowering);
 * :class:`~repro.timeexp.cache.GraphCache` reuse vs. a from-scratch
   :class:`~repro.timeexp.graph.TimeExpandedGraph`.
 
-The checks here compare raw matrices, bounds, names, and row maps with
-exact equality — any future change that lands a fast path a ULP away
-from its reference fails loudly instead of drifting results.
+The checks here compare raw matrices, bounds and column maps with exact
+equality — any future change that lands a fast path a ULP, a row or a
+column away from its reference fails loudly instead of drifting results.
+
+Seen to fail under three deliberate breaks of the array path: dropping
+the zero-residual mask (keep every column) fails the link-window case,
+both late-slot cases and the property; swapping the first two charge
+rows fails every matrix comparison here and the pruned one in
+``tests/test_lp_arcs.py``; losing one sink's right-hand side (``b_eq``
+zero there) fails all of those and the same-schedule check.
 """
 
+import os
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import build_postcard_model
 from repro.core.state import NetworkState
+from repro.errors import InfeasibleError
+from repro.heuristic.paths import CandidatePathIndex
 from repro.lp.compile import CompiledProblem, compile_mode, compile_model
 from repro.lp.model import Model
 from repro.net.generators import complete_topology
+from repro.net.schedule import LinkSchedule
 from repro.timeexp.cache import GraphCache
 from repro.timeexp.graph import ArcKind, TimeExpandedGraph
 from repro.traffic import PaperWorkload
+from repro.traffic.spec import TransferRequest
+
+#: Tier-1 runs a handful of examples; CI's ``tests`` job goes deeper.
+PROPERTY_EXAMPLES = int(os.environ.get("LP_ARCS_EXAMPLES", "10"))
 
 
-def assert_compiled_identical(a: CompiledProblem, b: CompiledProblem):
-    """Exact (not approximate) equality of two compiled problems."""
+def assert_compiled_identical(
+    a: CompiledProblem, b: CompiledProblem, row_map: bool = True
+):
+    """Exact (not approximate) equality of two compiled problems
+    (``row_map=False``: ``a`` was assembled as arrays and names no
+    model constraints)."""
     assert a.maximize == b.maximize
     assert a.c0 == b.c0
     np.testing.assert_array_equal(a.c, b.c)
     np.testing.assert_array_equal(a.bounds, b.bounds)
     np.testing.assert_array_equal(a.b_ub, b.b_ub)
     np.testing.assert_array_equal(a.b_eq, b.b_eq)
-    assert a.row_map == b.row_map
+    assert a.row_map == (b.row_map if row_map else [])
     for m1, m2 in ((a.a_ub, b.a_ub), (a.a_eq, b.a_eq)):
         assert m1.shape == m2.shape
         c1, c2 = m1.copy(), m2.copy()
@@ -148,23 +171,47 @@ def test_row_map_default_is_per_instance():
     assert b.row_map == []
 
 
-# -- build_postcard_model: fast vs. legacy assembly ----------------------
+# -- build_postcard_model: array assembly vs. the reference ----------------
 
 
-def _assert_models_identical(fast, legacy):
-    fm, lm = fast.model, legacy.model
-    assert [(v.name, v.index, v.lb, v.ub) for v in fm.variables] == [
-        (v.name, v.index, v.lb, v.ub) for v in lm.variables
-    ]
-    assert len(fm.constraints) == len(lm.constraints)
-    for cf, cl in zip(fm.constraints, lm.constraints):
-        assert cf.name == cl.name
-        assert cf.sense == cl.sense
-        assert cf.expr.constant == cl.expr.constant
-        assert cf.expr.coeffs == cl.expr.coeffs
-    assert fm.objective.coeffs == lm.objective.coeffs
-    assert fm.objective.constant == lm.objective.constant
-    assert_compiled_identical(compile_model(fm), compile_model(lm))
+def assert_fast_matches_reference(state, requests, **kwargs):
+    """The array path's problem and column maps equal the reference
+    assembler's, lowered by the legacy loop — or both refuse the batch."""
+    try:
+        fast = build_postcard_model(state, requests, assembly="fast", **kwargs)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            build_postcard_model(state, requests, assembly="legacy", **kwargs)
+        return None
+    legacy = build_postcard_model(state, requests, assembly="legacy", **kwargs)
+    assert isinstance(fast.model, CompiledProblem)
+    assert_compiled_identical(
+        fast.model, compile_model(legacy.model, mode="legacy"), row_map=False
+    )
+    for mine, reference in zip(fast.flow_columns, legacy.flow_columns):
+        np.testing.assert_array_equal(mine, reference)
+    assert fast.charge_columns == legacy.charge_columns
+    assert fast.fixed_charge_cost == legacy.fixed_charge_cost
+    assert fast.num_variables == legacy.num_variables
+    assert fast.num_constraints == legacy.num_constraints
+    return fast
+
+
+def _commit_a_slot(state, requests):
+    schedule, _ = build_postcard_model(state, requests).solve()
+    state.commit(schedule, requests)
+
+
+def _dark_windows(topology, rng, share=0.4):
+    schedule = LinkSchedule()
+    for link in topology.links:
+        if rng.random() < share:
+            phase = int(rng.integers(0, 4))
+            schedule.set_windows(
+                link.src, link.dst,
+                [(start, start + 2) for start in range(phase, 40, 4)],
+            )
+    return schedule
 
 
 @pytest.mark.parametrize(
@@ -179,9 +226,7 @@ def _assert_models_identical(fast, legacy):
 )
 def test_fast_assembly_matches_legacy(kwargs):
     state, requests = _postcard_instance()
-    fast = build_postcard_model(state, requests, assembly="fast", **kwargs)
-    legacy = build_postcard_model(state, requests, assembly="legacy", **kwargs)
-    _assert_models_identical(fast, legacy)
+    assert_fast_matches_reference(state, requests, **kwargs)
 
 
 def test_fast_assembly_matches_legacy_with_commitments():
@@ -189,12 +234,103 @@ def test_fast_assembly_matches_legacy_with_commitments():
     volumes and transit arcs lose residual capacity — the fast path
     must reproduce those constants exactly too."""
     state, requests = _postcard_instance()
-    schedule, _ = build_postcard_model(state, requests).solve()
-    state.commit(schedule, requests)
+    _commit_a_slot(state, requests)
     later = [r.with_release(1) for r in requests[:3]]
-    fast = build_postcard_model(state, later, assembly="fast")
-    legacy = build_postcard_model(state, later, assembly="legacy")
-    _assert_models_identical(fast, legacy)
+    assert_fast_matches_reference(state, later)
+
+
+def test_fast_assembly_matches_legacy_under_link_windows():
+    """Dark cells drop columns, and with them balance rows (or their
+    first-use order) — slot by slot, as commitments pile up."""
+    state, requests = _postcard_instance()
+    lit = build_postcard_model(state, requests, assembly="fast").num_variables
+    state.link_schedule = _dark_windows(state.topology, np.random.default_rng(4))
+    for slot in range(3):
+        batch = [r.with_release(slot) for r in requests]
+        assert assert_fast_matches_reference(state, batch).num_variables < lit
+        _commit_a_slot(state, batch)
+
+
+def test_fast_assembly_matches_legacy_with_predicted_volumes():
+    state, requests = _postcard_instance()
+    _commit_a_slot(state, requests)
+    later = [r.with_release(1) for r in requests]
+    assert_fast_matches_reference(
+        state, later,
+        predicted_volume_fn=lambda src, dst, slot: 0.25 * ((3 * src + dst + slot) % 5),
+    )
+
+
+@pytest.mark.parametrize("release", [2**21 + 5, 2**31 + 5])
+def test_fast_assembly_does_not_depend_on_the_absolute_slot(release):
+    """Rows are packed on ``slot - start``: the old assembler's
+    ``node * 2**21 + slot`` keys named (and could have merged) rows
+    wrongly from slot 2**21 on, and an int32 index would wrap at 2**31."""
+    state, requests = _postcard_instance()
+    near = assert_fast_matches_reference(state, requests)
+    state.ledger.record(0, 1, release + 1, 30.0)  # one dark cell, late
+    state.ledger.record(2, 3, release, 12.5)
+    far = assert_fast_matches_reference(
+        state, [r.with_release(release) for r in requests]
+    )
+    assert far.num_variables < near.num_variables
+    assert far.flow_columns[3].min() == release
+
+
+def _mixed_batch(rng, topology, index, slot, files, schedule=None):
+    """Random files, every other one pruned to its candidate paths — a
+    fast-lane rejection is what leaves ``None`` beside real arc sets."""
+    nodes = topology.num_datacenters
+    requests = []
+    for _ in range(files):
+        src = int(rng.integers(0, nodes))
+        requests.append(TransferRequest(
+            src, (src + int(rng.integers(1, nodes))) % nodes,
+            round(float(rng.uniform(2.0, 18.0)), 3), int(rng.integers(1, 6)),
+            release_slot=slot + int(rng.integers(0, 2)),
+        ))
+    sets = [
+        index.arc_set(request, schedule) if n % 2 else None
+        for n, request in enumerate(requests)
+    ]
+    return requests, sets
+
+
+@settings(max_examples=PROPERTY_EXAMPLES, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    nodes=st.integers(4, 6),
+    files=st.integers(1, 8),
+    warm_slots=st.integers(0, 2),
+    windows=st.booleans(),
+    storage_capacity=st.sampled_from([float("inf"), 25.0]),
+)
+def test_array_assembly_equals_the_reference(
+    seed, nodes, files, warm_slots, windows, storage_capacity
+):
+    """Random batches (mixed release slots, ``None`` beside pruned arc
+    sets) on a ledger loaded by earlier slots, with and without dark
+    windows: same matrices, same column maps, same refusals."""
+    rng = np.random.default_rng(seed)
+    topology = complete_topology(nodes, capacity=20.0, seed=seed)
+    state = NetworkState(topology, horizon=60)
+    if windows:
+        state.link_schedule = _dark_windows(topology, rng)
+    index = CandidatePathIndex(topology, max_paths=1)
+    for slot in range(warm_slots + 1):
+        requests, sets = _mixed_batch(
+            rng, topology, index, slot, files, state.link_schedule
+        )
+        built = assert_fast_matches_reference(
+            state, requests, arc_sets=sets, storage_capacity=storage_capacity
+        )
+        if built is None:
+            break
+        try:
+            schedule, _ = built.solve()
+        except InfeasibleError:
+            break
+        state.commit(schedule, requests)
 
 
 def test_unknown_assembly_mode_rejected():
@@ -203,6 +339,21 @@ def test_unknown_assembly_mode_rejected():
     state, requests = _postcard_instance()
     with pytest.raises(SchedulingError):
         build_postcard_model(state, requests, assembly="typo")
+
+
+def test_unmodelled_inputs_route_to_the_reference():
+    """A cost function, a charge exemption or a charged-volume override
+    exists in the reference assembler only: asking for one gets it."""
+    from repro.charging.costfunc import LinearCost
+
+    state, requests = _postcard_instance()
+    for kwargs in (
+        {"cost_fn_factory": lambda link: LinearCost(link.price)},
+        {"charge_exempt": lambda src, dst, slot: slot == 0},
+        {"charged_volume_fn": lambda src, dst: 1.0},
+    ):
+        built = build_postcard_model(state, requests, assembly="fast", **kwargs)
+        assert isinstance(built.model, Model)
 
 
 def test_fast_and_legacy_solve_to_same_schedule():

@@ -5,7 +5,7 @@ arcs of the paths its :class:`CandidatePathIndex` knows for it, at the
 slots hop-reachability allows; the paper's full model stays the oracle:
 
 * the hop bounds are lossless (pruned == full when the paths cover the
-  graph), and the fast assembler's pruned model is the reference
+  graph), and the array assembler's pruned problem is the reference
   assembler's, matrix for matrix;
 * any batch the fast lane admits is feasible for the pruned LP, with
   ``full <= pruned <= fast lane`` in cost;
@@ -125,7 +125,7 @@ def test_hop_bounds_are_lossless_when_paths_cover_the_graph(seed):
         ]
         pruned = build_postcard_model(lane.state, requests, arc_sets=sets)
         full = build_postcard_model(lane.state, requests)
-        assert pruned.model.num_variables < full.model.num_variables
+        assert pruned.num_variables < full.num_variables
         schedule, pruned_solution = pruned.solve()
         _, full_solution = full.solve()
         assert pruned_solution.objective == pytest.approx(
@@ -138,8 +138,7 @@ def test_pruned_fast_assembly_matches_the_reference_assembler():
     """Same rows, same columns, same floats — with commitments in the
     ledger, zero-capacity arcs dropped, and one file left unpruned; and
     a set that strands a file at its source is refused by both."""
-    from repro.errors import InfeasibleError
-    from tests.test_compile_equivalence import _assert_models_identical
+    from tests.test_compile_equivalence import assert_fast_matches_reference
 
     topology = complete_topology(6, capacity=30.0, seed=5)
     lane = PostcardScheduler(topology, 60)
@@ -149,21 +148,8 @@ def test_pruned_fast_assembly_matches_the_reference_assembler():
     for slot in range(4):
         requests = _batch(rng, 6, slot, 8, (4.0, 25.0), (1, 5))
         sets = [None] + _arc_sets(index, requests[1:])
-        kwargs = dict(arc_sets=sets, graph_cache=lane._graph_cache)
-        try:
-            fast = build_postcard_model(
-                lane.state, requests, assembly="fast", **kwargs
-            )
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                build_postcard_model(
-                    lane.state, requests, assembly="legacy", **kwargs
-                )
-        else:
-            _assert_models_identical(fast, build_postcard_model(
-                lane.state, requests, assembly="legacy", **kwargs
-            ))
-            compared += 1
+        built = assert_fast_matches_reference(lane.state, requests, arc_sets=sets)
+        compared += built is not None
         lane.commit_plan(lane.plan_slot(slot, requests, sets))
     assert 2 <= compared < 4
 
@@ -382,7 +368,7 @@ def test_dark_window_escalation_builds_a_quarter_of_the_columns():
         scheduler.state, requests, assembly="fast", arc_sets=sets
     )
     full = build_postcard_model(scheduler.state, requests, assembly="fast")
-    assert pruned.model.num_variables * 4 <= full.model.num_variables
+    assert pruned.num_variables * 4 <= full.num_variables
 
 
 # -- durability across the upgrade --------------------------------------------

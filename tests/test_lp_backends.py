@@ -70,6 +70,24 @@ def test_transportation_problem(backend):
     assert solution.objective == pytest.approx(125.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("backend", ["highs", "simplex"])
+def test_a_compiled_problem_solves_as_its_model_does(backend):
+    """``compile_model`` and the backends take an already compiled
+    problem as it is; ``solve_lp`` raises the same typed errors."""
+    from repro.errors import InfeasibleError
+    from repro.lp import compile_model, solve_lp
+
+    model = _transport_model()
+    problem = compile_model(model)
+    assert compile_model(problem) is problem
+    compiled = solve_lp(problem, backend)
+    assert compiled.objective == model.solve(backend).objective
+    assert not compiled.has_duals  # no constraints to key them by
+    problem.b_eq = problem.b_eq + 100.0  # demand beyond every supply
+    with pytest.raises(InfeasibleError, match="transport"):
+        solve_lp(problem, backend)
+
+
 def test_backends_agree_on_transport():
     a = _transport_model().solve("highs")
     b = _transport_model().solve("simplex")

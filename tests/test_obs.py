@@ -309,13 +309,15 @@ def test_render_report_sections():
 # -- end-to-end through the simulation stack ------------------------------
 
 
-def _run_simulation():
+def _run_simulation(**scheduler_kw):
     from repro.core import PostcardScheduler
     from repro.sim import Simulation
     from repro.traffic import PaperWorkload
 
     topology = complete_topology(4, capacity=30.0, seed=0)
-    scheduler = PostcardScheduler(topology, horizon=8, on_infeasible="drop")
+    scheduler = PostcardScheduler(
+        topology, horizon=8, on_infeasible="drop", **scheduler_kw
+    )
     workload = PaperWorkload(topology, max_deadline=3, max_files=3, seed=5)
     return Simulation(scheduler, workload, 3).run()
 
@@ -325,13 +327,19 @@ def test_simulation_emits_stage_breakdown():
         result = _run_simulation()
     # Every hot-path stage shows up with nonzero time.
     for name in ("sim.run", "sim.scheduler", "sim.record", "sim.audit",
-                 "timeexp.build", "lp.compile", "lp.solve",
+                 "lp.build", "lp.compile", "lp.solve",
                  "scheduler.build_model"):
         assert name in collector.spans, f"missing span {name}"
         assert collector.spans[name].total > 0.0, f"zero time in {name}"
     assert collector.counter_total("lp.cols") > 0
-    assert collector.counter_total("timeexp.arcs") > 0
     assert collector.counter_total("sim.requests") == result.total_requests
+    # The array assembler builds no graph; the from-scratch reference
+    # (``postcard-scratch``) still does.
+    assert "timeexp.build" not in collector.spans
+    with obs.collecting() as reference:
+        _run_simulation(incremental=False)
+    assert reference.spans["timeexp.build"].total > 0.0
+    assert reference.counter_total("timeexp.arcs") > 0
 
 
 def test_simulation_timing_breakdown_matches_result():
