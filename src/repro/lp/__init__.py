@@ -7,8 +7,8 @@ compiled to a sparse standard form and handed to a solver backend.
 
 Two backends are provided:
 
-* ``"highs"`` — scipy's :func:`scipy.optimize.linprog` with the HiGHS
-  solver (the default; fast and robust),
+* ``"highs"`` — HiGHS through the binding scipy vendors, fed the
+  compiled arrays in one call (the default; fast and robust),
 * ``"simplex"`` — a pure-Python dense two-phase simplex implementation,
   used to cross-validate HiGHS on small instances and in property tests.
 

@@ -1,34 +1,45 @@
-"""HiGHS backend via :func:`scipy.optimize.linprog` (the default)."""
+"""HiGHS backend (the default): the compiled arrays go straight to the HiGHS
+binding scipy vendors (``scipy.optimize._highspy``, scipy >= 1.15), asking
+what scipy's ``linprog`` (method "highs") asked minus its input cleaning,
+option re-validation and per-column loop (``tests/test_highs_native.py``)."""
 
 from __future__ import annotations
 
 from functools import partial
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
 
+from repro.errors import ModelError
 from repro.lp.backends.base import Backend
 from repro.lp.compile import CompiledProblem, compile_model
 from repro.lp.model import Model
 from repro.lp.result import Solution, SolveStatus
 from repro.obs import registry as obs
 
-# scipy's linprog status codes.
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # pragma: no cover - depends on the install
+    raise ImportError("the HiGHS backend needs scipy >= 1.15 (scipy.optimize._highspy)") from exc
+
+_MODEL, _ERROR = _highs.HighsModelStatus, _highs.HighsStatus.kError
+#: linprog's status table; the rest (limits, numerical trouble) is an error.
 _STATUS_MAP = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.ERROR,  # iteration or time limit
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-    4: SolveStatus.ERROR,  # numerical difficulties
+    _MODEL.kOptimal: SolveStatus.OPTIMAL, _MODEL.kUnbounded: SolveStatus.UNBOUNDED,
+    _MODEL.kInfeasible: SolveStatus.INFEASIBLE, _MODEL.kModelError: SolveStatus.INFEASIBLE,
 }
+#: What linprog's "highs" method sets; a caller's, in HiGHS's names, follow.
+_OPTIONS = {
+    "output_flag": False, "log_to_console": False, "presolve": "on",
+    "simplex_strategy": int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    "highs_debug_level": int(_highs.HighsDebugLevel.kHighsDebugLevelNone),
+}
+#: linprog's post-solve tolerance: sqrt(tol) * 10 at its tol = 1e-9.
+_CHECK_TOL = np.sqrt(1e-9) * 10
 
 
 class HighsBackend(Backend):
-    """Solve through scipy's HiGHS interface.
-
-    Handles problems with hundreds of thousands of variables; this is
-    the backend used for all paper-scale experiments.
-    """
+    """Solve through HiGHS's own binding, one new solver per solve."""
 
     name = "highs"
 
@@ -36,85 +47,102 @@ class HighsBackend(Backend):
         # The span covers the backend's whole job — lowering the model
         # to matrices *and* optimizing — so lp.build + lp.solve account
         # for the full per-slot scheduling cost.
-        with obs.span("lp.solve", backend=self.name) as sp:
+        with obs.span("lp.solve", backend=self.name):
             problem = compile_model(model)
             n = problem.num_variables
 
             if n == 0:
                 # Degenerate but legal: an empty model is trivially optimal.
-                return Solution(
-                    SolveStatus.OPTIMAL,
-                    np.zeros(0),
-                    problem.c0,
-                    problem.model_id,
-                    solver=self.name,
-                )
+                return Solution(SolveStatus.OPTIMAL, np.zeros(0), problem.c0,
+                                problem.model_id, solver=self.name)
 
-            # Method auto-selection: HiGHS's default (dual simplex)
-            # crawls on large degenerate time-expanded instances where
-            # its interior-point code flies (~13x on a paper-scale
-            # maxT=8 slot), so big problems default to IPM unless
-            # overridden.
-            method = options.pop("method", None)
-            if method is None:
-                method = "highs-ipm" if n > 20000 else "highs"
-            attrs = getattr(sp, "attrs", None)
-            if attrs is not None:
-                attrs["method"] = method
+            # A new solver shares nothing with one a watchdog abandoned.
+            # Dual simplex crawls on large degenerate time-expanded LPs
+            # where IPM flies (~13x on a paper-scale maxT=8 slot).
+            highs = _highs._Highs()
+            if n > 20000:
+                options = {"solver": "ipm", **options}
+            for key, value in {**_OPTIONS, **options}.items():
+                if highs.setOptionValue(key, value) == _ERROR:
+                    raise ModelError(f"HiGHS refused option {key}={value!r}")
+            model_status, iterations = _pass_and_run(highs, problem)
 
-            result = linprog(
-                problem.c,
-                A_ub=problem.a_ub if problem.num_inequalities else None,
-                b_ub=problem.b_ub if problem.num_inequalities else None,
-                A_eq=problem.a_eq if problem.num_equalities else None,
-                b_eq=problem.b_eq if problem.num_equalities else None,
-                bounds=problem.bounds,
-                method=method,
-                options=options or None,
-            )
-
-        status = _STATUS_MAP.get(result.status, SolveStatus.ERROR)
-        x = np.asarray(result.x, dtype=float) if result.x is not None else np.zeros(n)
-        objective = float(result.fun) + problem.c0 if result.fun is not None else float("nan")
-        if problem.maximize and status is SolveStatus.OPTIMAL:
-            objective = -float(result.fun) + problem.c0
-        iterations = int(getattr(result, "nit", 0) or 0)
+            status = _STATUS_MAP.get(model_status, SolveStatus.ERROR)
+            x, objective, solution, message = np.zeros(n), float("nan"), None, ""
+            if status is not SolveStatus.OPTIMAL:
+                message = highs.modelStatusToString(model_status)
+            else:
+                solution = highs.getSolution()
+                x = np.array(solution.col_value)
+                objective = highs.getInfo().objective_function_value
+                message = _breaks(problem, x, objective, np.array(solution.row_value))
+                status = SolveStatus.ERROR if message else status
+                objective = (-objective if problem.maximize else objective) + problem.c0
         obs.counter("lp.highs.iterations", iterations)
 
         duals = None
         if status is SolveStatus.OPTIMAL and isinstance(model, Model):
-            # Resolved on first read: the scheduling path never asks, and
-            # the row walk costs more than a compile.  (Binds the
-            # constraint list, not the model: no reference cycle.)  A
-            # problem handed over compiled has no constraints to key by.
-            duals = partial(self._extract_duals, model.constraints, problem, result)
+            # Resolved on first read: the scheduling path never asks.
+            # (Binds the constraint list, not the model: no reference
+            # cycle.)  A compiled problem has no constraints to key by.
+            duals = partial(self._extract_duals, model.constraints, problem, solution)
 
-        return Solution(
-            status, x, objective, problem.model_id,
-            solver=self.name, iterations=iterations, duals=duals,
-            message="" if status is SolveStatus.OPTIMAL else str(result.message),
-        )
+        return Solution(status, x, objective, problem.model_id, solver=self.name,
+                        iterations=iterations, duals=duals, message=message)
 
     @staticmethod
-    def _extract_duals(constraints, problem, result):
-        """Map HiGHS marginals back to model-level shadow prices.
+    def _extract_duals(constraints, problem, solution):
+        """Map HiGHS's row duals (``a_ub`` rows, then ``a_eq``) back to
+        model-level shadow prices.  A GE row was negated at compile time
+        and a maximization's costs were, so those duals flip sign."""
+        row_dual = np.array(solution.row_dual)
+        first = {"ub": 0, "eq": problem.num_inequalities}
+        flip = -1.0 if problem.maximize else 1.0
+        return {
+            id(constraint): flip * sign * float(row_dual[first[kind] + row])
+            for constraint, (kind, row, sign) in zip(constraints, problem.row_map)
+        }
 
-        GE constraints were negated into LE rows at compile time, so
-        their model-level dual flips sign; for a maximization the
-        compiled costs were negated, flipping every dual.
-        """
-        ineq = getattr(result, "ineqlin", None)
-        eq = getattr(result, "eqlin", None)
-        if problem.row_map and (
-            (problem.num_inequalities and ineq is None)
-            or (problem.num_equalities and eq is None)
-        ):
-            return None  # solver variant without marginals
-        duals = {}
-        sign_global = -1.0 if problem.maximize else 1.0
-        for constraint, (kind, row, sign) in zip(constraints, problem.row_map):
-            marginal = (
-                float(ineq.marginals[row]) if kind == "ub" else float(eq.marginals[row])
-            )
-            duals[id(constraint)] = sign_global * sign * marginal
-        return duals
+
+def _column_bounds(problem: CompiledProblem):
+    """``(lower, upper)``, a legacy ``None`` (nan) read as -inf / +inf."""
+    bounds = np.asarray(problem.bounds, dtype=float).reshape(-1, 2)
+    return np.fmax(bounds[:, 0], -np.inf), np.fmin(bounds[:, 1], np.inf)
+
+
+def _pass_and_run(highs, problem: CompiledProblem):
+    """Load ``[a_ub; a_eq]`` column-wise in one call, run, and return
+    ``(model status, iterations)`` — a refused load is ``kModelError``."""
+    for name in ("c", "b_ub", "b_eq"):  # linprog's checks a compiled problem can fail
+        if not np.isfinite(getattr(problem, name)).all():
+            raise ValueError(f"{name} must not contain inf or nan")
+    a = sparse.vstack((problem.a_ub, problem.a_eq)).tocsc()  # 1/3 the cost of format="csc"
+    n, m_ub = problem.num_variables, problem.num_inequalities
+    if highs.passModel(
+        n, a.shape[0], a.nnz, int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, problem.c, *_column_bounds(problem),
+        np.concatenate((np.full(m_ub, -np.inf), problem.b_eq)),
+        np.concatenate((problem.b_ub, problem.b_eq)),
+        a.indptr.astype(np.int32, copy=False), a.indices.astype(np.int32, copy=False),
+        a.data, np.zeros(n, dtype=np.int32),  # HiGHS reads n: all continuous
+    ) == _ERROR:
+        return _MODEL.kModelError, 0
+    if highs.run() == _ERROR:
+        return highs.getModelStatus(), 0
+    info = highs.getInfo()
+    return highs.getModelStatus(), info.simplex_iteration_count or info.ipm_iteration_count
+
+
+def _breaks(problem: CompiledProblem, x, objective, row_value) -> str:
+    """linprog's post-solve check: why an optimal answer is an error (x out
+    of bounds, a row off by more than the tolerance, a nan), or ``""``."""
+    tol, m_ub = _CHECK_TOL, problem.num_inequalities
+    lower, upper = _column_bounds(problem)
+    if (
+        np.isnan(objective) or np.isnan(x).any() or np.isnan(row_value).any()
+        or not np.all((x >= lower - tol) & (x <= upper + tol))
+        or (problem.b_ub - row_value[:m_ub] < -tol).any()
+        or (np.abs(problem.b_eq - row_value[m_ub:]) > tol).any()
+    ):
+        return f"HiGHS's answer breaks a bound or a row by more than {tol:.2E}"
+    return ""

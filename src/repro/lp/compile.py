@@ -1,6 +1,7 @@
 """Compile a Model to sparse standard form.
 
-The compiled form matches what :func:`scipy.optimize.linprog` expects:
+The compiled form is what the HiGHS backend hands HiGHS, ``a_ub`` rows
+stacked over ``a_eq`` rows (``repro.lp.backends.highs``):
 
     minimize    c @ x + c0
     subject to  A_ub @ x <= b_ub
@@ -46,12 +47,8 @@ COMPILE_MODES = ("vectorized", "legacy")
 _compile_mode = "vectorized"
 
 def _bounds_array(variables) -> np.ndarray:
-    """Variable bounds as an ``(n, 2)`` float array.
-
-    ``linprog`` accepts this shape directly and its input cleaning then
-    reduces to a memcpy, where a list of per-variable tuples would cost
-    a Python-level conversion pass on every solve.
-    """
+    """Variable bounds as an ``(n, 2)`` float array: two column slices
+    for the backend, where per-variable tuples cost a conversion pass."""
     n = len(variables)
     bounds = np.empty((n, 2), dtype=float)
     bounds[:, 0] = np.fromiter((v.lb for v in variables), dtype=float, count=n)
@@ -96,9 +93,8 @@ class CompiledProblem:
     a_eq: sparse.csr_matrix
     b_eq: np.ndarray
     #: Per-variable (lb, ub): an ``(n, 2)`` array from the vectorized
-    #: lowering, a list of tuples from the legacy one.  ``linprog``
-    #: accepts both; the array form skips a Python-level conversion
-    #: pass inside scipy on every solve.
+    #: lowering, a list of tuples from the legacy one (the backend
+    #: reads both; the array form skips a conversion pass).
     bounds: "np.ndarray | List[Tuple[float, float]]"
     maximize: bool
     #: One entry per model constraint, in order: ("ub"|"eq", row, sign).

@@ -151,9 +151,22 @@ def test_simplex_iteration_limit():
     m.minimize(sum(xs[1:], xs[0].as_expr()))
     with pytest.raises(SolverError):
         m.solve("simplex", max_iter=1)
-    # HiGHS says which limit: linprog's message rides the SolverError.
+    # HiGHS says which limit: its model-status text rides the SolverError.
     with pytest.raises(SolverError, match="Iteration limit reached"):
-        m.solve("highs", presolve=False, maxiter=0)
+        m.solve("highs", presolve="off", simplex_iteration_limit=0)
+
+
+def test_a_misspelled_highs_option_is_an_error():
+    """HiGHS's own option names; one it refuses is a ModelError, never a
+    warning followed by a solve with the defaults."""
+    from repro.errors import ModelError
+
+    m = _transport_model()
+    with pytest.raises(ModelError, match="presolv"):
+        m.solve("highs", presolv="off")
+    with pytest.raises(ModelError, match="presolve"):
+        m.solve("highs", presolve=False)  # HiGHS's presolve is "on"/"off"
+    assert m.solve("highs", presolve="off", time_limit=10.0).objective == pytest.approx(125.0)
 
 
 def test_solution_repr():
