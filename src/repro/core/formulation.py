@@ -151,6 +151,7 @@ class PostcardModel:
         #: (src, dst, slot) -> the capacity Constraint, for shadow
         #: prices; ``None`` from the array assembler (no named rows).
         self.capacity_rows: Optional[Dict[Tuple[int, int, int], object]] = capacity_rows
+        self.transit_price = 0.0  #: GB-hop tie-break, not part of the bill
 
     @property
     def num_variables(self) -> int:
@@ -164,6 +165,8 @@ class PostcardModel:
         """Optimize and extract the store-and-forward schedule."""
         solution = solve_lp(self.model, backend, **options)
         volumes = solution.x[:len(self.flow_columns[0])]
+        if self.transit_price:  # report the bill, not the tie-break
+            solution.objective -= self.transit_price * volumes[self.flow_columns[4]].sum()
         used = np.flatnonzero(volumes > VOLUME_ATOL)
         kinds = (ArcKind.HOLDOVER, ArcKind.TRANSIT)
         entries = [
@@ -212,6 +215,7 @@ def build_postcard_model(
     storage: str = STORAGE_FULL,
     storage_capacity: float = float("inf"),
     storage_price: float = 0.0,
+    transit_price: float = 0.0,
     cost_fn_factory=None,
     charge_exempt=None,
     charged_volume_fn=None,
@@ -244,6 +248,10 @@ def build_postcard_model(
         assumes zero; a positive price makes the optimizer trade
         storage against transit peaks.  Billed per use, not per peak
         (disk is metered, unlike percentile-billed WAN links).
+    transit_price:
+        Dollars per GB-hop on every transit column (the paper has none):
+        far below any link's price, it breaks the bill's ties toward
+        fewer hop-GB.  The reported objective leaves it out.
     cost_fn_factory:
         Optional ``factory(link) -> CostFunction`` replacing the
         default linear ``a_ij * X_ij`` term of each link.  Piece-wise
@@ -283,8 +291,8 @@ def build_postcard_model(
         raise SchedulingError(f"unknown storage policy {storage!r}")
     if storage_capacity < 0:
         raise SchedulingError("storage_capacity must be non-negative")
-    if storage_price < 0:
-        raise SchedulingError("storage_price must be non-negative")
+    if storage_price < 0 or transit_price < 0:
+        raise SchedulingError("storage_price and transit_price must be non-negative")
     if assembly not in ASSEMBLY_MODES:
         raise SchedulingError(
             f"unknown assembly mode {assembly!r}; available: "
@@ -317,7 +325,7 @@ def build_postcard_model(
         if assembly == "fast":
             built = _assemble_fast(
                 state, requests, arc_sets, no_exit_error,
-                storage_capacity, storage_price, predicted_volume_fn,
+                storage_capacity, storage_price, transit_price, predicted_volume_fn,
             )
         else:
             start = min(r.release_slot for r in requests)
@@ -330,9 +338,10 @@ def build_postcard_model(
             )
             built = _assemble_legacy(
                 state, graph, requests, arc_sets, no_exit_error,
-                storage_capacity, storage_price, cost_fn_factory,
+                storage_capacity, storage_price, transit_price, cost_fn_factory,
                 charge_exempt, charged_volume_fn, predicted_volume_fn,
             )
+        built.transit_price = transit_price
         attrs = getattr(build_span, "attrs", None)
         if attrs is not None:
             attrs["rows"] = built.num_constraints
@@ -346,7 +355,7 @@ def _assemble_legacy(
     requests: List[TransferRequest],
     arc_sets: Sequence[Optional[ArcSet]],
     no_exit_error: type,
-    storage_capacity, storage_price, cost_fn_factory,
+    storage_capacity, storage_price, transit_price, cost_fn_factory,
     charge_exempt, charged_volume_fn, predicted_volume_fn,
 ) -> PostcardModel:
     """Operator-algebra assembly — the executable reference."""
@@ -459,15 +468,13 @@ def _assemble_legacy(
                 (1.0, _link_cost_variable(model, key, x, cost_fn))
             )
 
-    # Metered storage cost: price per GB-slot of in-transit buffering.
-    storage_terms: List[Tuple[float, Variable]] = []
-    if storage_price > 0.0:
-        for users in storage_users.values():
-            storage_terms.extend((storage_price, var) for var in users)
+    # Metered costs: per GB-slot of in-transit buffering, per GB-hop.
+    for price, users_by_arc in ((storage_price, storage_users), (transit_price, arc_users)):
+        if price > 0.0:
+            for users in users_by_arc.values():
+                objective_terms.extend((price, var) for var in users)
 
-    model.minimize(
-        LinExpr.from_terms(objective_terms + storage_terms, constant=fixed_cost)
-    )
+    model.minimize(LinExpr.from_terms(objective_terms, constant=fixed_cost))
     rids, arcs = zip(*flow_items)
     flow_columns = tuple(np.array(column) for column in (
         rids, *zip(*((a.src, a.dst, a.slot, a.kind is ArcKind.TRANSIT) for a in arcs))
@@ -495,6 +502,7 @@ def _assemble_fast(
     no_exit_error: type,
     storage_capacity: float,
     storage_price: float,
+    transit_price: float,
     predicted_volume_fn,
 ) -> PostcardModel:
     """Array assembly: the reference's compiled problem, written directly.
@@ -624,6 +632,7 @@ def _assemble_fast(
     c[num_flows:] = prices
     if storage_price > 0.0:
         c[stored] = storage_price
+    c[movers] = transit_price
     bounds = np.tile((0.0, inf), (num_columns, 1))
     bounds[num_flows:, 0] = priors
 

@@ -16,6 +16,7 @@ sets (see :meth:`PostcardScheduler.plan_slot`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence
 
 from repro.errors import InfeasibleError
@@ -27,6 +28,7 @@ from repro.core.interfaces import (  # the constants are re-exported here
 )
 from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
+from repro.lp.backends.highs import IPM_COLUMNS
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.traffic.spec import TransferRequest
@@ -170,6 +172,7 @@ class PostcardScheduler(Scheduler):
     def plan_slot(
         self, slot: int, requests: List[TransferRequest],
         arc_sets: Optional[Sequence[Optional[ArcSet]]] = None,
+        transit_price: float = 0.0,
     ) -> LpPlan:
         """Solve the slot without committing anything.
 
@@ -183,21 +186,24 @@ class PostcardScheduler(Scheduler):
         prunes the model under one rule, **widen before shed**: an
         infeasible pruned batch is solved once more on the full model
         and shedding only ever runs there, so from a given state no file
-        is refused that the full model would admit.
+        is refused that the full model would admit.  ``transit_price``
+        (:func:`build_postcard_model`) enters every solve of a pruned slot
+        (an unpruned one is the paper's model); with the optimum so chosen,
+        the pruned attempt skips presolve below the interior-point switch.
         """
         self._check_released_at(slot, requests)
-        if arc_sets and any(arc_sets):
+        pruned = bool(arc_sets) and any(arc_sets)
+        solve = partial(self._solve, transit_price=transit_price if pruned else 0.0)
+        if pruned:
             try:
-                return LpPlan(slot, self._solve(requests, arc_sets), list(requests), [])
+                return LpPlan(slot, solve(requests, arc_sets), list(requests), [])
             except InfeasibleError:
                 self.widened += 1
                 obs.counter("hybrid.lp_widened", slot=slot)
         if self.on_infeasible == ON_INFEASIBLE_RAISE:
-            return LpPlan(slot, self._solve(requests), list(requests), [])
+            return LpPlan(slot, solve(requests), list(requests), [])
         recorder = _RejectRecorder()
-        schedule, accepted = shed_until_feasible(
-            self._solve, requests, recorder
-        )
+        schedule, accepted = shed_until_feasible(solve, requests, recorder)
         return LpPlan(slot, schedule, accepted, recorder.rejected)
 
     def commit_plan(self, plan: LpPlan) -> TransferSchedule:
@@ -209,7 +215,7 @@ class PostcardScheduler(Scheduler):
         self._state.commit(plan.schedule, plan.accepted)
         return plan.schedule
 
-    def _solve(self, requests, arc_sets=None) -> TransferSchedule:
+    def _solve(self, requests, arc_sets=None, transit_price=0.0) -> TransferSchedule:
         with obs.span("scheduler.solve", scheduler=self.name,
                       requests=len(requests)):
             forecast = self.forecast
@@ -227,11 +233,14 @@ class PostcardScheduler(Scheduler):
                     storage=self.storage,
                     storage_capacity=self.storage_capacity,
                     storage_price=self.storage_price,
+                    transit_price=transit_price,
                     cost_fn_factory=self.cost_fn_factory,
                     predicted_volume_fn=predicted_volume_fn,
                     assembly="fast" if self.incremental else "legacy",
                     arc_sets=arc_sets,
                 )
-            schedule, solution = built.solve(backend=self.backend)
+            # Widened and shedding solves keep presolve: it finds infeasibility fast.
+            off = arc_sets and transit_price and built.num_variables <= IPM_COLUMNS
+            schedule, solution = built.solve(self.backend, presolve="off" if off else "on")
         self.last_objective = solution.objective
         return schedule

@@ -23,12 +23,13 @@ variables exist only on the arcs of the paths the index knows for it (so
 the fast lane's plan stays a feasible point), a file the fast lane could
 not place there keeps the paper's full subgraph, and a batch the pruned
 model cannot fit is solved once more on the full model before anything
-is shed (``hybrid.lp_widened``).  The lane writes HiGHS's matrices
-straight from those arc sets and the ledger's residual capacities — no
-time-expanded graph is built on an escalated slot
-(:mod:`repro.core.formulation`).  A slot the LP does not answer (solver
-error, watchdog timeout) commits the fast-lane plan that flagged the
-pressure instead — ``degraded``; there is no second solver.
+is shed (``hybrid.lp_widened``).  On a pruned slot it takes, of the
+bill's optima, one with the fewest hop-GB, and so can skip presolve.  It
+writes HiGHS's matrices straight from those arc sets and the ledger's
+residual capacities — no time-expanded graph is built on an escalated
+slot (:mod:`repro.core.formulation`).  A slot the LP does not answer
+(solver error, watchdog timeout) commits the fast-lane plan that flagged
+the pressure instead — ``degraded``; there is no second solver.
 
 Escalations are observable: the ``hybrid.escalations`` /
 ``hybrid.fast_slots`` counters and the ``hybrid.escalate`` span stream
@@ -54,6 +55,8 @@ from repro.traffic.spec import TransferRequest
 
 #: ``lp_arcs`` of a WAL commit record whose LP slot was path-pruned.
 LP_ARCS_PATHS = "paths"
+#: ``lp_objective`` of a WAL commit record whose LP slot broke ties by hop-GB.
+LP_OBJECTIVE_HOPS = "hops"
 
 
 class HybridScheduler(Scheduler):
@@ -150,6 +153,9 @@ class HybridScheduler(Scheduler):
         self.watchdog_backoff_slots = watchdog_backoff_slots
         self.watchdog_backoff_max = watchdog_backoff_max
         self._escalate_hook = escalate_hook or (lambda: None)
+        #: The LP lane's price per GB-hop: a tie-break, 1e-4 of the cheapest link.
+        prices = [link.price for link in topology.links if link.price > 0]
+        self.transit_price = 1e-4 * min(prices, default=0.0)
         #: Slots handed to the LP because of admission pressure.
         self.escalations = 0
         #: Slots the fast lane handled end to end.
@@ -227,12 +233,13 @@ class HybridScheduler(Scheduler):
             The committed schedule, from whichever lane handled the
             slot.
         """
-        return self._run_slot(slot, requests, None, None)
+        return self._run_slot(slot, requests, None, {})
 
     def wal_fields(self, lane: str) -> dict:
         """What the broker journals beside a slot's ``lane``: LP slots
-        are solved on path-pruned arc sets (widening included)."""
-        return {"lp_arcs": LP_ARCS_PATHS} if lane == "lp" else {}
+        are solved on path-pruned arc sets, ties broken by hop-GB."""
+        fields = {"lp_arcs": LP_ARCS_PATHS, "lp_objective": LP_OBJECTIVE_HOPS}
+        return fields if lane == "lp" else {}
 
     def replay_slot(
         self, slot: int, requests: List[TransferRequest],
@@ -245,19 +252,20 @@ class HybridScheduler(Scheduler):
         escalation-worthy, and replaying it through the pressure test
         would route it to the LP and diverge the ledger.  Forcing the
         recorded lane keeps replay deterministic under any watchdog
-        history.  An ``lp`` record without :meth:`wal_fields`' entry
+        history.  An ``lp`` record without :meth:`wal_fields`' ``lp_arcs``
         predates arc pruning and replays on the full model; with it, the
         fast lane re-plans first, so replay prunes what the live slot did.
+        One without ``lp_objective`` replays without the tie-break.
         """
-        return self._run_slot(slot, requests, lane, (record or {}).get("lp_arcs"))
+        return self._run_slot(slot, requests, lane, record or {})
 
-    def _run_slot(self, slot, requests, lane, lp_arcs) -> TransferSchedule:
+    def _run_slot(self, slot, requests, lane, record) -> TransferSchedule:
         """The forecast lifecycle around :meth:`_dispatch`, live or replayed:
         a provider retrains to the state it held when the WAL was written."""
         forecast = self.forecast
         if forecast is not None:
             forecast.begin_slot(slot)
-        schedule = self._dispatch(slot, requests, lane, lp_arcs)
+        schedule = self._dispatch(slot, requests, lane, record)
         if forecast is not None:
             # Observe *after* commit so the slot's own placements are
             # part of the actual the predictors train on.  Empty-request
@@ -267,7 +275,7 @@ class HybridScheduler(Scheduler):
             forecast.observe_slot(slot, requests, self.state)
         return schedule
 
-    def _dispatch(self, slot, requests, lane, lp_arcs) -> TransferSchedule:
+    def _dispatch(self, slot, requests, lane, record) -> TransferSchedule:
         """Route one slot through the fast lane or the LP."""
         if not requests:
             return TransferSchedule()
@@ -280,8 +288,10 @@ class HybridScheduler(Scheduler):
             obs.counter("hybrid.fast_slots")
         elif lane == "lp":
             self.escalations += 1
-            sets = self._arc_sets(requests, plan) if lp_arcs == LP_ARCS_PATHS else None
-            return self._lp.commit_plan(self._lp.plan_slot(slot, requests, sets))
+            arcs, objective = record.get("lp_arcs"), record.get("lp_objective")
+            sets = self._arc_sets(requests, plan) if arcs == LP_ARCS_PATHS else None
+            price = self.transit_price if objective == LP_OBJECTIVE_HOPS else 0.0
+            return self._lp.commit_plan(self._lp.plan_slot(slot, requests, sets, price))
         elif lane == "degraded":
             self.degraded += 1
             return self._fast.commit_plan(plan)
@@ -339,7 +349,8 @@ class HybridScheduler(Scheduler):
             def solve() -> None:
                 try:
                     self._escalate_hook()
-                    outcome["plan"] = self._lp.plan_slot(slot, requests, arc_sets)
+                    price = self.transit_price
+                    outcome["plan"] = self._lp.plan_slot(slot, requests, arc_sets, price)
                 except BaseException as exc:  # delivered to the caller
                     outcome["error"] = exc
 

@@ -34,6 +34,7 @@ _OPTIONS = {
     "simplex_strategy": int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
     "highs_debug_level": int(_highs.HighsDebugLevel.kHighsDebugLevelNone),
 }
+IPM_COLUMNS = 20000  #: above this many columns the backend asks for interior point
 #: linprog's post-solve tolerance: sqrt(tol) * 10 at its tol = 1e-9.
 _CHECK_TOL = np.sqrt(1e-9) * 10
 
@@ -60,7 +61,7 @@ class HighsBackend(Backend):
             # Dual simplex crawls on large degenerate time-expanded LPs
             # where IPM flies (~13x on a paper-scale maxT=8 slot).
             highs = _highs._Highs()
-            if n > 20000:
+            if n > IPM_COLUMNS:
                 options = {"solver": "ipm", **options}
             for key, value in {**_OPTIONS, **options}.items():
                 if highs.setOptionValue(key, value) == _ERROR:

@@ -24,7 +24,7 @@ Record types the broker writes (:mod:`repro.service.slotloop`)::
     {"type": "admit",  "entry": {..pending payload..}, "submitted": n}
     {"type": "commit", "slot": t, "batch": [client ids],
      "decisions": {id: record}, "counts": {...}, "lane": "fast|lp|degraded",
-     "lp_arcs": "paths"}   # lp records only; absent = solved on the full model
+     "lp_arcs": "paths", "lp_objective": "hops"}  # lp only; older builds omit them
 
 Every frame is written through at once; ``commit`` is fsync'd before any
 of the slot's decisions are released, and an ``admit`` becomes durable

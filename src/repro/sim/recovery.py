@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.errors import InfeasibleError, RecoveryError, SolverError
 from repro.core.replan import ActiveFile, solve_multisource_plan
-from repro.core.schedule import ScheduleEntry, TransferSchedule
+from repro.core.schedule import SEMANTICS_FLUID, ScheduleEntry, TransferSchedule
 from repro.obs import registry as obs
 from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
@@ -93,6 +93,8 @@ class RecoveryManager:
         self._by_slot: Dict[int, List[ScheduleEntry]] = defaultdict(list)
         #: (request_id, src, dst, slot) of voided entries.
         self._voided: Set[tuple] = set()
+        #: Whether the run's schedules relay within a slot (fluid semantics).
+        self._fluid = False
         # Run totals (mirrored onto SimulationResult by the engine).
         self.disrupted_gb = 0.0
         self.salvaged_gb = 0.0
@@ -109,6 +111,7 @@ class RecoveryManager:
         """Log a slot's released files and committed transit entries."""
         for request in requests:
             self._requests[request.request_id] = request
+        self._fluid = self._fluid or schedule.semantics == SEMANTICS_FLUID
         self._log_entries(schedule.transit_entries())
 
     def _log_entries(self, entries: List[ScheduleEntry]) -> None:
@@ -158,16 +161,23 @@ class RecoveryManager:
 
         # Void: this slot's dead arcs, plus the whole not-yet-executed
         # tail of the file's plan (it was derived pre-failure).
+        # Ground-truth is_down, not is_surprise_down: the covering
+        # outage was already revealed by execute_slot, which would
+        # make the dead arc look healthy again here.
+        now = {self._key(e): e for e in self._entries[rid] if e.slot == slot}
+        dead = {key for key, e in now.items() if self.faults.is_down(e.src, e.dst, slot)}
+        # A fluid relay forwards in the slot it receives: the hops after
+        # a dead one carried its data, so they die with it.
+        fed = self._fluid
+        while fed:
+            starved = {now[key].dst for key in dead - self._voided}
+            fed = {key for key, e in now.items() if e.src in starved} - dead
+            dead |= fed
         kept: List[ScheduleEntry] = []
         for e in self._entries[rid]:
             if self._key(e) in self._voided:
                 continue
-            # Ground-truth is_down, not is_surprise_down: the covering
-            # outage was already revealed by execute_slot, which would
-            # make the dead arc look healthy again here.
-            if e.slot > slot or (
-                e.slot == slot and self.faults.is_down(e.src, e.dst, e.slot)
-            ):
+            if e.slot > slot or self._key(e) in dead:
                 self.state.void_traffic(e.src, e.dst, e.slot, e.volume)
                 self._voided.add(self._key(e))
             else:

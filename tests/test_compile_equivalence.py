@@ -221,8 +221,9 @@ def _dark_windows(topology, rng, share=0.4):
         {"storage": "destination_only"},
         {"storage_capacity": 40.0},
         {"storage_capacity": 40.0, "storage_price": 0.5},
+        {"storage_price": 0.5, "transit_price": 1e-4},
     ],
-    ids=["full", "dest-only", "finite-storage", "metered-storage"],
+    ids=["full", "dest-only", "finite-storage", "metered-storage", "transit-price"],
 )
 def test_fast_assembly_matches_legacy(kwargs):
     state, requests = _postcard_instance()

@@ -20,6 +20,18 @@ a stream-level guarantee does not exist, and
 ``test_escalating_stream_loses_only_the_documented_admission`` keeps
 any further loss from hiding inside a re-recorded hash.
 
+``hybrid_escalations`` was re-recorded once more when the LP lane began
+choosing among the bill's optima on purpose: a transit price of 1e-4 of
+the cheapest link per GB-hop, and the pruned solve run without HiGHS's
+presolve.  The paper's objective leaves ties, and the old bits recorded
+whichever optimum presolve happened to land on, so every escalated slot
+may now land on another vertex of equal bill.  The recording is from
+the lane that makes that choice; the six fast-lane-only scenarios were
+re-recorded in the same run and came out bit-identical.  The refused
+set did not move (still exactly request 110); the stream's bill went
+2,839.80 -> 2,855.66 per slot (+0.56%), a later-slot consequence of
+different, equally cheap placements.
+
 The bits depend on the interpreter's float ``sum`` (left-to-right up to
 CPython 3.11, compensated from 3.12) and, for the escalating scenario,
 on the LP solver build; the file records both and a run under a

@@ -217,6 +217,31 @@ class TestRandomChaos:
         )
 
 
+    def test_fluid_relays_die_with_the_hop_that_fed_them(self):
+        """``repro simulate --surprise --schedulers flow-based`` at its
+        default size.  A flow-based schedule relays within the slot, so
+        the same slot's hops after a dead one never got the data: voiding
+        the dead hop alone left relay 6 of file 23 with -18.95 GB."""
+        from repro.sim.parallel import (
+            TOPOLOGY_COMPLETE, FaultSpec, comparison_tasks, execute_task,
+        )
+        from repro.sim.runner import ExperimentSetting
+
+        setting = ExperimentSetting(
+            "simulate", capacity=30.0, max_deadline=4, num_datacenters=8,
+            num_slots=10, max_files=6,
+        )
+        (task,) = comparison_tasks(
+            setting, ["flow-based"], runs=1, faults=FaultSpec(announced=False),
+            topology=TOPOLOGY_COMPLETE,
+        )
+        _, _, result = execute_task(task)  # audited
+        assert result.disrupted_gb > 0 and result.salvaged_gb > 0
+        assert result.salvaged_gb + result.lost_gb == pytest.approx(
+            result.disrupted_gb
+        )
+
+
 class TestRecoveryManagerInternals:
     def test_reconstruct_rejects_negative_supply(self, line3):
         scheduler = PostcardScheduler(line3, horizon=10)
