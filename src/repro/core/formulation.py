@@ -10,24 +10,21 @@ is traffic already committed by earlier online rounds.  With
 ``X_ij(t) = max{X_ij(t-1), max_n sum_k M_ij^k(n)}``; with in-flight
 traffic it is the strictly more accurate form (see DESIGN.md).
 
-Two assembly paths build the same problem:
+The problem is written directly as the :class:`~repro.lp.CompiledProblem`
+HiGHS reads: no graph and no model object, just numpy index arithmetic
+over each file's arc-set columns and one residual-capacity ask per
+link-slot cell of the window.  A convex cost function per link adds an
+epigraph column ``C_ij``; charge exemptions drop charge rows; the
+capacity rows are recorded by cell so their duals price congestion.
+``tests/lp_reference.py`` keeps the operator-algebra assembler on a
+materialised graph that this one replaced; ``tests/test_compile_equivalence.py``
+pins the two to the same matrices, bit for bit.
 
-* ``"legacy"`` materialises the :class:`TimeExpandedGraph` and writes
-  every row through the ``LinExpr`` operator algebra into a
-  :class:`~repro.lp.Model` — readable, obviously faithful to the math,
-  and kept as the executable reference (only it has cost functions,
-  charge exemptions, named rows and their duals).
-* ``"fast"`` builds no graph and no model object: it writes the
-  :class:`~repro.lp.CompiledProblem` HiGHS reads with numpy index
-  arithmetic over each file's arc-set columns and one residual-capacity
-  ask per link-slot cell of the window — the reference's lowered model
-  exactly, a claim pinned by ``tests/test_compile_equivalence.py``.
-
-Both take one :class:`ArcSet` per file, or none: with none a file's
-variables span the paper's full ``DCs x window`` subgraph (the
-``postcard`` scheduler, the oracle every pruned model is pinned
-against); ``storage="destination_only"`` is an arc set, and the hybrid's
-LP lane passes each file the links of its candidate paths.
+Each file takes one :class:`ArcSet`, or none: with none its variables
+span the paper's full ``DCs x window`` subgraph (the ``postcard``
+scheduler, the oracle every pruned model is pinned against);
+``storage="destination_only"`` is an arc set, and the hybrid's LP lane
+passes each file the links of its candidate paths.
 
 The whole assembly runs under the ``lp.build`` span, the counterpart of
 the backends' ``lp.solve``; it carries ``arcs`` (``"paths"`` or
@@ -36,7 +33,6 @@ the backends' ``lp.solve``; it carries ``arcs`` (``"paths"`` or
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -46,18 +42,16 @@ from scipy import sparse
 from repro.errors import InfeasibleError, SchedulingError
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import CompiledProblem, LinExpr, Model, Solution, Variable, solve_lp
+from repro.charging.costfunc import LinearCost, PiecewiseLinearCost
+from repro.lp import CompiledProblem, Model, Solution, solve_lp
 from repro.obs import registry as obs
-from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
+from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
 #: Storage policies for :func:`build_postcard_model`.
 STORAGE_FULL = "full"
 STORAGE_DESTINATION_ONLY = "destination_only"
-
-#: Assembly paths for :func:`build_postcard_model`.
-ASSEMBLY_MODES = ("legacy", "fast")
 
 
 class ArcSet:
@@ -78,13 +72,6 @@ class ArcSet:
     def __init__(self, members: Iterable[Tuple[Tuple[int, int], int, int]]):
         self.members = tuple(members)
         self._columns: Dict[int, tuple] = {}
-
-    def keys_at(self, after: int, before: int) -> Tuple[Tuple[int, int], ...]:
-        """Member keys existing ``after`` slots into a window with ``before``
-        slots left after this one (the reference assembler's filter)."""
-        return tuple(
-            key for key, lo, hi in self.members if lo <= after and hi <= before
-        )
 
     def columns(self, deadline: int, link_index: Dict[Tuple[int, int], int]) -> tuple:
         """The set's time copies in a window of ``deadline`` slots: parallel
@@ -124,7 +111,7 @@ class ArcSet:
 
 
 class PostcardModel:
-    """A built (not yet solved) Postcard LP plus its column maps."""
+    """A built (not yet solved) Postcard LP plus its column and row maps."""
 
     def __init__(
         self,
@@ -133,10 +120,10 @@ class PostcardModel:
         flow_columns: Tuple[np.ndarray, ...],
         charge_columns: Dict[Tuple[int, int], int],
         fixed_charge_cost: float,
-        capacity_rows=None,
+        capacity_cells: Optional[tuple] = None,
     ):
-        #: The reference assembler's :class:`Model`, or the array
-        #: assembler's :class:`CompiledProblem`.
+        #: The problem HiGHS is handed (a :class:`Model` only from an
+        #: assembler other than :func:`build_postcard_model`).
         self.model = model
         self.requests = requests
         #: Parallel ``(request id, src, dst, slot, is transit)`` arrays,
@@ -148,9 +135,9 @@ class PostcardModel:
         #: a constant added to the objective so it reports the full
         #: network-wide cost per slot.
         self.fixed_charge_cost = fixed_charge_cost
-        #: (src, dst, slot) -> the capacity Constraint, for shadow
-        #: prices; ``None`` from the array assembler (no named rows).
-        self.capacity_rows: Optional[Dict[Tuple[int, int, int], object]] = capacity_rows
+        #: ``(topology links, link positions, slots)``, one entry per
+        #: capacity row — the first rows of ``a_ub``, in this order.
+        self.capacity_cells = capacity_cells
         self.transit_price = 0.0  #: GB-hop tie-break, not part of the bill
 
     @property
@@ -160,6 +147,15 @@ class PostcardModel:
     @property
     def num_constraints(self) -> int:
         return self.model.num_constraints
+
+    @property
+    def capacity_rows(self) -> Dict[Tuple[int, int, int], int]:
+        """(src, dst, slot) -> its capacity row's position in ``a_ub``."""
+        links, link, slot = self.capacity_cells
+        return {
+            (*links[at].key, n): row
+            for row, (at, n) in enumerate(zip(link.tolist(), slot.tolist()))
+        }
 
     def solve(self, backend: str = "highs", **options) -> Tuple[TransferSchedule, Solution]:
         """Optimize and extract the store-and-forward schedule."""
@@ -192,16 +188,13 @@ class PostcardModel:
         marginal saving one extra GB/slot of capacity there would buy —
         the LP-theoretic answer to "which link should we upgrade?".
         Only links whose price is positive appear; zero-price entries
-        are filtered.  Requires the HiGHS backend (duals) and the
-        reference assembly (named rows).
+        are filtered.  Needs a backend that reports row duals (HiGHS);
+        the simplex backend's solution raises :class:`ModelError`.
         """
-        if self.capacity_rows is None:
-            raise SchedulingError(
-                "congestion prices need the named rows of assembly='legacy'"
-            )
+        row_duals = solution.row_duals
         prices = {}
-        for key, constraint in self.capacity_rows.items():
-            dual = solution.dual(constraint)
+        for key, row in self.capacity_rows.items():
+            dual = float(row_duals[row])
             # A <=-row dual in a minimization is <= 0: relaxing the
             # capacity lowers cost.  Report the positive saving.
             if dual < -1e-9:
@@ -220,7 +213,6 @@ def build_postcard_model(
     charge_exempt=None,
     charged_volume_fn=None,
     predicted_volume_fn=None,
-    assembly: str = "legacy",
     arc_sets: Optional[Sequence[Optional[ArcSet]]] = None,
 ) -> PostcardModel:
     """Assemble the Sec. V LP for the files released at the current slot.
@@ -232,7 +224,7 @@ def build_postcard_model(
         volumes ``B_ij(n)`` and charged volumes ``X_ij(t-1)``.
     requests:
         The slot's released files ``K(t)`` (mixed release slots are
-        allowed; the graph spans all their windows).
+        allowed; the problem spans all their windows).
     storage:
         ``"full"`` (the paper) allows holdover at any datacenter;
         ``"destination_only"`` disables intermediate/source storage so
@@ -272,12 +264,6 @@ def build_postcard_model(
         cells as already lifting the watermark, steering paid traffic
         toward predicted-quiet slots.  Capacity rows are untouched —
         forecasts shape cost, never feasibility or admission.
-    assembly:
-        ``"legacy"`` (time-expanded graph and operator algebra, the
-        reference) or ``"fast"`` (the compiled matrices written directly
-        as arrays); the two produce bit-identical compiled problems.
-        ``cost_fn_factory``, ``charge_exempt`` and ``charged_volume_fn``
-        exist in the reference only, so passing one selects it.
     arc_sets:
         Optional :class:`ArcSet` (or ``None``: every arc) per request,
         same order: the file's variables exist only on its set's arcs.
@@ -285,62 +271,18 @@ def build_postcard_model(
         :class:`InfeasibleError` — the pruning failed, not the problem —
         so the caller can widen to the full model.  Full storage only.
     """
-    if not requests:
-        raise SchedulingError("build_postcard_model needs at least one request")
-    if storage not in (STORAGE_FULL, STORAGE_DESTINATION_ONLY):
-        raise SchedulingError(f"unknown storage policy {storage!r}")
-    if storage_capacity < 0:
-        raise SchedulingError("storage_capacity must be non-negative")
-    if storage_price < 0 or transit_price < 0:
-        raise SchedulingError("storage_price and transit_price must be non-negative")
-    if assembly not in ASSEMBLY_MODES:
-        raise SchedulingError(
-            f"unknown assembly mode {assembly!r}; available: "
-            + ", ".join(ASSEMBLY_MODES)
-        )
-    pruned = arc_sets is not None and any(arc_sets)
-    if not pruned:
-        arc_sets = [None] * len(requests)
-        if storage == STORAGE_DESTINATION_ONLY:
-            # The ablation is an arc set too: every link at every slot,
-            # holdover at the file's own destination only.
-            links = tuple((link.key, 0, 0) for link in state.topology.links)
-            by_destination = {
-                node: ArcSet(links + (((node, node), 0, 0),))
-                for node in {r.destination for r in requests}
-            }
-            arc_sets = [by_destination[r.destination] for r in requests]
-    elif storage != STORAGE_FULL or len(arc_sets) != len(requests):
-        raise SchedulingError(
-            "arc_sets needs one entry per request and storage='full'"
-        )
-
-    no_exit_error = InfeasibleError if pruned else SchedulingError
-    if cost_fn_factory or charge_exempt or charged_volume_fn:
-        assembly = "legacy"
+    arc_sets, pruned = _checked_arc_sets(
+        state, requests, storage, storage_capacity, storage_price,
+        transit_price, arc_sets,
+    )
     with obs.span(
-        "lp.build", assembly=assembly, requests=len(requests),
-        arcs="paths" if pruned else "full",
+        "lp.build", requests=len(requests), arcs="paths" if pruned else "full",
     ) as build_span:
-        if assembly == "fast":
-            built = _assemble_fast(
-                state, requests, arc_sets, no_exit_error,
-                storage_capacity, storage_price, transit_price, predicted_volume_fn,
-            )
-        else:
-            start = min(r.release_slot for r in requests)
-            end = max(r.release_slot + r.deadline_slots for r in requests)
-            graph = TimeExpandedGraph(
-                state.topology,
-                start_slot=start,
-                horizon=end - start,
-                capacity_fn=state.residual_capacity,
-            )
-            built = _assemble_legacy(
-                state, graph, requests, arc_sets, no_exit_error,
-                storage_capacity, storage_price, transit_price, cost_fn_factory,
-                charge_exempt, charged_volume_fn, predicted_volume_fn,
-            )
+        built = _assemble(
+            state, requests, arc_sets, InfeasibleError if pruned else SchedulingError,
+            storage_capacity, storage_price, transit_price, predicted_volume_fn,
+            cost_fn_factory, charge_exempt, charged_volume_fn,
+        )
         built.transit_price = transit_price
         attrs = getattr(build_span, "attrs", None)
         if attrs is not None:
@@ -349,140 +291,36 @@ def build_postcard_model(
         return built
 
 
-def _assemble_legacy(
-    state: NetworkState,
-    graph: TimeExpandedGraph,
-    requests: List[TransferRequest],
-    arc_sets: Sequence[Optional[ArcSet]],
-    no_exit_error: type,
-    storage_capacity, storage_price, transit_price, cost_fn_factory,
-    charge_exempt, charged_volume_fn, predicted_volume_fn,
-) -> PostcardModel:
-    """Operator-algebra assembly — the executable reference."""
-    model = Model("postcard")
-    flow_items: List[Tuple[int, Arc]] = []
-    #: per transit (link, slot): list of vars crossing it (for capacity
-    #: and charge rows)
-    arc_users: Dict[Arc, List[Variable]] = defaultdict(list)
-    #: per holdover arc: vars of files *in transit* stored there (a
-    #: file buffered at its own destination is delivered, not stored)
-    storage_users: Dict[Arc, List[Variable]] = defaultdict(list)
-
-    for request, arc_set in zip(requests, arc_sets):
-        rid = request.request_id
-        arcs = graph.arcs_for_request(request)
-        if arc_set is not None:
-            first, last = graph.request_window(request)
-            keys = {
-                n: arc_set.keys_at(n - first, last - n - 1) for n in range(first, last)
-            }
-            arcs = [a for a in arcs if a.link_key in keys[a.slot]]
-        # Node balance built incrementally: +1 on out-arcs, -1 on in-arcs.
-        balance: Dict[Tuple[int, int], List[Tuple[float, Variable]]] = defaultdict(list)
-        for arc in arcs:
-            if arc.kind is ArcKind.TRANSIT and arc.capacity <= 0:
-                continue  # fully committed link-slot: no variable at all
-            var = model.add_variable(f"M[{rid},{arc.src},{arc.dst},{arc.slot}]")
-            flow_items.append((rid, arc))
-            if arc.kind is ArcKind.TRANSIT:
-                arc_users[arc].append(var)
-            elif arc.src != request.destination:
-                storage_users[arc].append(var)
-            balance[arc.tail].append((1.0, var))
-            balance[arc.head].append((-1.0, var))
-
-        source = graph.source_node(request)
-        sink = graph.sink_node(request)
-        if source not in balance:
-            raise no_exit_error(
-                f"file {rid}: no admissible arc leaves its source; "
-                "the problem is trivially infeasible"
+def _checked_arc_sets(
+    state, requests, storage, storage_capacity, storage_price, transit_price, arc_sets,
+):
+    """Validate the inputs; return one arc set (or ``None``) per request
+    and whether any file is pruned."""
+    if not requests:
+        raise SchedulingError("build_postcard_model needs at least one request")
+    if storage not in (STORAGE_FULL, STORAGE_DESTINATION_ONLY):
+        raise SchedulingError(f"unknown storage policy {storage!r}")
+    if storage_capacity < 0:
+        raise SchedulingError("storage_capacity must be non-negative")
+    if storage_price < 0 or transit_price < 0:
+        raise SchedulingError("storage_price and transit_price must be non-negative")
+    pruned = arc_sets is not None and any(arc_sets)
+    if pruned:
+        if storage != STORAGE_FULL or len(arc_sets) != len(requests):
+            raise SchedulingError(
+                "arc_sets needs one entry per request and storage='full'"
             )
-        for node, terms in balance.items():
-            net = LinExpr.from_terms(terms)
-            if node == source:
-                model.add_constraint(net == request.size_gb, name=f"src[{rid}]")
-            elif node == sink:
-                model.add_constraint(net == -request.size_gb, name=f"snk[{rid}]")
-            else:
-                model.add_constraint(
-                    net == 0.0, name=f"cons[{rid},{node[0]},{node[1]}]"
-                )
-
-    inf = float("inf")
-    # Capacity rows: aggregate new traffic within residual capacity.
-    capacity_rows = {
-        (arc.src, arc.dst, arc.slot): model.add_constraint(
-            LinExpr.sum(users) <= arc.capacity,
-            name=f"cap[{arc.src},{arc.dst},{arc.slot}]",
-        )
-        for arc, users in arc_users.items()
-        if arc.capacity != inf
-    }
-    # Storage rows: per-datacenter buffer capacity for in-transit data.
-    if storage_capacity != inf:
-        for arc, users in storage_users.items():
-            model.add_constraint(
-                LinExpr.sum(users) <= storage_capacity,
-                name=f"store[{arc.src},{arc.slot}]",
-            )
-
-    # Charge rows: one X_ij per overlay link that new traffic can use.
-    by_link: Dict[Tuple[int, int], Dict[int, List[Variable]]] = {}
-    for arc, users in arc_users.items():
-        by_link.setdefault(arc.link_key, {}).setdefault(arc.slot, []).extend(users)
-
-    charge_columns: Dict[Tuple[int, int], int] = {}
-    objective_terms: List[Tuple[float, Variable]] = []
-    fixed_cost = 0.0
-    for link in state.topology.links:
-        key = link.key
-        prior = (
-            charged_volume_fn(*key)
-            if charged_volume_fn is not None
-            else state.charged_volume(*key)
-        )
-        cost_fn = cost_fn_factory(link) if cost_fn_factory else None
-        if key not in by_link:
-            fixed_cost += cost_fn(prior) if cost_fn else link.price * prior
-            continue
-        x = model.add_variable(f"X[{key[0]},{key[1]}]", lb=prior)
-        charge_columns[key] = x.index
-        # One volumes-map fetch per link instead of one ledger call per
-        # row; ``volumes.get(slot, 0.0)`` is exactly committed_volume().
-        committed_map = state.ledger.usage(key[0], key[1]).volumes
-        for slot, users in by_link[key].items():
-            if charge_exempt is not None and charge_exempt(key[0], key[1], slot):
-                continue
-            committed = committed_map.get(slot, 0.0)
-            if predicted_volume_fn is not None:
-                committed += predicted_volume_fn(key[0], key[1], slot)
-            model.add_constraint(
-                x >= LinExpr.sum(users) + committed,
-                name=f"chg[{key[0]},{key[1]},{slot}]",
-            )
-        if cost_fn is None:
-            objective_terms.append((link.price, x))
-        else:
-            objective_terms.append(
-                (1.0, _link_cost_variable(model, key, x, cost_fn))
-            )
-
-    # Metered costs: per GB-slot of in-transit buffering, per GB-hop.
-    for price, users_by_arc in ((storage_price, storage_users), (transit_price, arc_users)):
-        if price > 0.0:
-            for users in users_by_arc.values():
-                objective_terms.extend((price, var) for var in users)
-
-    model.minimize(LinExpr.from_terms(objective_terms, constant=fixed_cost))
-    rids, arcs = zip(*flow_items)
-    flow_columns = tuple(np.array(column) for column in (
-        rids, *zip(*((a.src, a.dst, a.slot, a.kind is ArcKind.TRANSIT) for a in arcs))
-    ))
-    return PostcardModel(
-        model, list(requests), flow_columns, charge_columns, fixed_cost,
-        capacity_rows,
-    )
+        return arc_sets, True
+    if storage == STORAGE_DESTINATION_ONLY:
+        # The ablation is an arc set too: every link at every slot,
+        # holdover at the file's own destination only.
+        links = tuple((link.key, 0, 0) for link in state.topology.links)
+        by_destination = {
+            node: ArcSet(links + (((node, node), 0, 0),))
+            for node in {r.destination for r in requests}
+        }
+        return [by_destination[r.destination] for r in requests], False
+    return [None] * len(requests), False
 
 
 def _first_use(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -495,7 +333,7 @@ def _first_use(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return distinct[order], rank[inverse]
 
 
-def _assemble_fast(
+def _assemble(
     state: NetworkState,
     requests: List[TransferRequest],
     arc_sets: Sequence[Optional[ArcSet]],
@@ -504,13 +342,18 @@ def _assemble_fast(
     storage_price: float,
     transit_price: float,
     predicted_volume_fn,
+    cost_fn_factory,
+    charge_exempt,
+    charged_volume_fn,
 ) -> PostcardModel:
-    """Array assembly: the reference's compiled problem, written directly.
+    """The compiled problem, written as arrays.
 
     Columns are each file's arc-set time copies minus transit cells with
-    no residual capacity; rows are numbered where the reference would
-    first create them.  Slots count from the window's start, so nothing
-    depends on how long the service has been up.
+    no residual capacity, then per charged link its ``X_ij`` and (with a
+    cost function) its ``C_ij``; rows are balance rows (``a_eq``), then
+    capacity, storage and, link by link, charge and cost rows (``a_ub``),
+    each numbered where it is first used.  Slots count from the window's
+    start, so nothing depends on how long the service has been up.
     """
     inf = float("inf")
     links = state.topology.links
@@ -570,14 +413,16 @@ def _assemble_fast(
     b_eq = np.where(is_source, size[owner], np.where(is_sink, -size[owner], 0.0))
     flows = np.arange(num_flows)
 
-    # -- capacity, storage and charge rows -----------------------------------
+    # -- capacity and storage rows -------------------------------------------
     movers = flows[transit]
     cells, cell_of = _first_use(cell[transit])
+    cell_slot, cell_link = divmod(cells, num_links)
     finite = capacity[cells] != inf
     capacity_row = np.cumsum(finite) - 1
     capped = finite[cell_of]
     rows = [capacity_row[cell_of[capped]]]
     cols = [movers[capped]]
+    values = [np.ones(len(rows[0]))]
     b_ub = [capacity[cells[finite]]]
     num_rows = int(finite.sum())
 
@@ -586,17 +431,13 @@ def _assemble_fast(
         buffers, buffer_of = _first_use(slot[stored] * stride + src[stored])
         rows.append(num_rows + buffer_of)
         cols.append(stored)
+        values.append(np.ones(len(stored)))
         b_ub.append(np.full(len(buffers), float(storage_capacity)))
         num_rows += len(buffers)
 
-    cell_slot, cell_link = divmod(cells, num_links)
+    # -- charge rows, link by link: the cells' committed volumes ---------------
     by_link = np.argsort(cell_link, kind="stable")
-    charge_row = np.empty_like(by_link)
-    charge_row[by_link] = num_rows + np.arange(len(cells))
-    charged_links, x_of = np.unique(cell_link, return_inverse=True)
-    rows += [charge_row[cell_of], charge_row]
-    cols += [movers, num_flows + x_of]
-    committed = []
+    committed, kept = [], []
     current = None
     for at_link, at_slot in zip(
         cell_link[by_link].tolist(), (cell_slot[by_link] + start).tolist()
@@ -611,38 +452,79 @@ def _assemble_fast(
         if predicted_volume_fn is not None:
             volume += predicted_volume_fn(a, b, at_slot)
         committed.append(volume)
-    b_ub.append(-np.array(committed, dtype=float))
-    num_rows += len(cells)
+        if charge_exempt is not None:
+            kept.append(not charge_exempt(a, b, at_slot))
+    kept = np.array(kept, dtype=bool) if charge_exempt else slice(None)
+    kept_cells = by_link[kept]  # the cells with a charge row, in row order
+    kept_through = np.cumsum(np.bincount(cell_link[kept_cells], minlength=num_links))
 
-    # -- X_ij columns, objective, bounds -------------------------------------
-    charged = set(charged_links.tolist())
+    # -- X_ij (and C_ij) columns and cost rows --------------------------------
+    charged = set(cell_link.tolist())
     charge_columns: Dict[Tuple[int, int], int] = {}
-    prices, priors = [], []
+    x_column = np.zeros(num_links, dtype=np.int64)
+    cost_before = np.zeros(num_links, dtype=np.int64)  # cost rows ahead of a link's charge rows
+    lower, objective = [], []  # per X_ij / C_ij column
+    cost_rows, cost_cols, cost_values = [], [], []  # the cost rows' entries
+    cost_at, cost_b = [], []  # per cost row: its row and right-hand side
     fixed_cost = 0.0
     for at, link in enumerate(links):
-        prior = state.charged_volume(*link.key)
-        if at in charged:
-            charge_columns[link.key] = num_flows + len(priors)
-            prices.append(link.price)
-            priors.append(prior)
-        else:
-            fixed_cost += link.price * prior
-    num_columns = num_flows + len(priors)
+        key = link.key
+        prior = (
+            charged_volume_fn(*key) if charged_volume_fn is not None
+            else state.charged_volume(*key)
+        )
+        cost_fn = cost_fn_factory(link) if cost_fn_factory else None
+        if at not in charged:
+            fixed_cost += cost_fn(prior) if cost_fn else link.price * prior
+            continue
+        x = x_column[at] = charge_columns[key] = num_flows + len(lower)
+        cost_before[at] = len(cost_b)
+        lower.append(prior)
+        objective.append(0.0 if cost_fn else link.price)
+        if cost_fn is None:
+            continue
+        lower.append(-inf)
+        objective.append(1.0)
+        first_row = num_rows + int(kept_through[at]) + len(cost_b)
+        for row, (slope, bound) in enumerate(_epigraph(key, cost_fn), first_row):
+            # -C_ij + slope * X_ij <= bound; a zero slope writes no entry.
+            cost_rows += [row, row] if slope else [row]
+            cost_cols += [x + 1, x] if slope else [x + 1]
+            cost_values += [-1.0, slope] if slope else [-1.0]
+            cost_at.append(row)
+            cost_b.append(bound)
+
+    charge_row = np.full(len(cells), -1)  # -1: exempt, no charge row
+    charge_row[kept_cells] = (
+        num_rows + np.arange(len(kept_cells)) + cost_before[cell_link[kept_cells]]
+    )
+    has_row = charge_row >= 0
+    mover_row = charge_row[cell_of]
+    pays = mover_row >= 0
+    rows += [mover_row[pays], charge_row[has_row], np.array(cost_rows, dtype=np.int64)]
+    cols += [movers[pays], x_column[cell_link[has_row]], np.array(cost_cols, dtype=np.int64)]
+    values += [np.ones(int(pays.sum())), np.full(len(kept_cells), -1.0), np.array(cost_values)]
+    charge_b = np.empty(len(kept_cells) + len(cost_b))
+    charge_b[charge_row[kept_cells] - num_rows] = -np.array(committed, dtype=float)[kept]
+    charge_b[np.array(cost_at, dtype=np.int64) - num_rows] = cost_b
+    b_ub.append(charge_b)
+    num_rows += len(charge_b)
+
+    # -- objective, bounds ---------------------------------------------------
+    num_columns = num_flows + len(lower)
     c = np.zeros(num_columns)
-    c[num_flows:] = prices
+    c[num_flows:] = objective
     if storage_price > 0.0:
         c[stored] = storage_price
     c[movers] = transit_price
     bounds = np.tile((0.0, inf), (num_columns, 1))
-    bounds[num_flows:, 0] = priors
+    bounds[num_flows:, 0] = lower
 
-    values = np.ones(sum(map(len, rows)))
-    values[len(values) - len(cells):] = -1.0
     problem = CompiledProblem(
         c=c,
         c0=fixed_cost,
         a_ub=sparse.csr_matrix(
-            (values, (np.concatenate(rows), np.concatenate(cols))),
+            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
             shape=(num_rows, num_columns),
         ),
         b_ub=np.concatenate(b_ub),
@@ -660,35 +542,30 @@ def _assemble_fast(
         problem, list(requests),
         (request_ids[of], src, dst, slot + start, transit),
         charge_columns, fixed_cost,
+        (links, cell_link[finite], cell_slot[finite] + start),
     )
 
 
-def _link_cost_variable(model: Model, key, x: Variable, cost_fn) -> Variable:
-    """Epigraph variable for a (convex) cost of one link's charge.
-
-    ``LinearCost`` lowers to ``c == price * X``; a convex
-    :class:`~repro.charging.costfunc.PiecewiseLinearCost` lowers to one
-    ``c >= slope * X + intercept`` row per segment.  Concave functions
-    (volume discounts) cannot be minimized this way and are rejected.
+def _epigraph(key, cost_fn) -> List[Tuple[float, float]]:
+    """``(slope, bound)`` per row ``C_ij >= slope * X_ij - bound`` of a
+    (convex) link cost: ``LinearCost`` is one row ``C >= price * X``, a
+    convex :class:`PiecewiseLinearCost` is ``C >= 0`` plus one row per
+    segment.  Concave functions (volume discounts) cannot be minimized
+    this way and are rejected.
     """
-    from repro.charging.costfunc import LinearCost, PiecewiseLinearCost
-
-    c = model.add_variable(f"C[{key[0]},{key[1]}]", lb=None)
     if isinstance(cost_fn, LinearCost):
-        model.add_constraint(c >= cost_fn.price * x, name=f"cost[{key}]")
-        return c
+        return [(cost_fn.price, 0.0)]
     if isinstance(cost_fn, PiecewiseLinearCost):
         if not cost_fn.is_convex:
             raise SchedulingError(
                 f"cost function for link {key} is not convex; the epigraph "
                 "objective cannot represent volume discounts"
             )
-        model.add_constraint(c >= 0.0, name=f"cost0[{key}]")
-        for i, (slope, intercept) in enumerate(cost_fn.segments()):
-            model.add_constraint(
-                c >= slope * x + intercept, name=f"cost[{key},{i}]"
-            )
-        return c
+        # 0.0 - intercept: the right-hand side ``C >= slope * X + intercept``
+        # lowers to, signed zeros included.
+        return [(0.0, 0.0)] + [
+            (slope, 0.0 - intercept) for slope, intercept in cost_fn.segments()
+        ]
     raise SchedulingError(
         f"unsupported cost function type {type(cost_fn).__name__} for the "
         "LP objective (use LinearCost or a convex PiecewiseLinearCost)"

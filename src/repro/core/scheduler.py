@@ -6,9 +6,8 @@ jointly by one LP over the time-expanded graph, minimizing the
 increase of the charged volumes ``X_ij`` on top of everything already
 committed.
 
-By default (``incremental=True``) the LP is assembled directly as the
-matrices HiGHS reads — no graph, no model objects; ``incremental=False``
-is the from-scratch reference.  :class:`~repro.heuristic.hybrid.HybridScheduler`
+The LP is assembled directly as the matrices HiGHS reads — no graph,
+no model objects.  :class:`~repro.heuristic.hybrid.HybridScheduler`
 uses this scheduler as its escalation lane and hands it per-file arc
 sets (see :meth:`PostcardScheduler.plan_slot`).
 """
@@ -122,11 +121,6 @@ class PostcardScheduler(Scheduler):
         greedily rejects the most capacity-hungry files (largest
         ``size/deadline``) until the rest fit, recording rejects in
         ``state.rejected``.
-    incremental:
-        When True (the default), assemble the LP as arrays
-        (``assembly="fast"``) instead of materialising the time-expanded
-        graph and a model object every slot: bit-identical problems to
-        the from-scratch reference — only faster.
     """
 
     name = "postcard"
@@ -141,7 +135,6 @@ class PostcardScheduler(Scheduler):
         storage_capacity: float = float("inf"),
         storage_price: float = 0.0,
         cost_fn_factory=None,
-        incremental: bool = True,
     ):
         self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = NetworkState(topology, horizon)
@@ -150,7 +143,6 @@ class PostcardScheduler(Scheduler):
         self.storage_capacity = storage_capacity
         self.storage_price = storage_price
         self.cost_fn_factory = cost_fn_factory
-        self.incremental = incremental
         #: objective value of the last solved slot (cost per interval).
         self.last_objective: Optional[float] = None
         #: Optional :class:`~repro.forecast.provider.ForecastProvider`;
@@ -236,7 +228,6 @@ class PostcardScheduler(Scheduler):
                     transit_price=transit_price,
                     cost_fn_factory=self.cost_fn_factory,
                     predicted_volume_fn=predicted_volume_fn,
-                    assembly="fast" if self.incremental else "legacy",
                     arc_sets=arc_sets,
                 )
             # Widened and shedding solves keep presolve: it finds infeasibility fast.

@@ -30,7 +30,7 @@ from repro.lp.expr import LinExpr, Variable
 from repro.lp.constraint import Constraint, Sense
 from repro.lp.model import Model, solve_lp
 from repro.lp.result import Solution, SolveStatus
-from repro.lp.compile import CompiledProblem, compile_mode, compile_model
+from repro.lp.compile import CompiledProblem, compile_model
 
 __all__ = [
     "LinExpr",
@@ -41,7 +41,6 @@ __all__ = [
     "Solution",
     "SolveStatus",
     "CompiledProblem",
-    "compile_mode",
     "compile_model",
     "solve_lp",
 ]

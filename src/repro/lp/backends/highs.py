@@ -81,22 +81,24 @@ class HighsBackend(Backend):
                 objective = (-objective if problem.maximize else objective) + problem.c0
         obs.counter("lp.highs.iterations", iterations)
 
-        duals = None
-        if status is SolveStatus.OPTIMAL and isinstance(model, Model):
+        row_duals = duals = None
+        if status is SolveStatus.OPTIMAL:
             # Resolved on first read: the scheduling path never asks.
-            # (Binds the constraint list, not the model: no reference
-            # cycle.)  A compiled problem has no constraints to key by.
-            duals = partial(self._extract_duals, model.constraints, problem, solution)
+            row_duals = partial(_row_duals, solution)
+            if isinstance(model, Model):
+                # Binds the constraint list, not the model: no reference
+                # cycle.  A compiled problem has no constraints to key by.
+                duals = partial(self._extract_duals, model.constraints, problem)
 
         return Solution(status, x, objective, problem.model_id, solver=self.name,
-                        iterations=iterations, duals=duals, message=message)
+                        iterations=iterations, duals=duals, message=message,
+                        row_duals=row_duals)
 
     @staticmethod
-    def _extract_duals(constraints, problem, solution):
+    def _extract_duals(constraints, problem, row_dual):
         """Map HiGHS's row duals (``a_ub`` rows, then ``a_eq``) back to
         model-level shadow prices.  A GE row was negated at compile time
         and a maximization's costs were, so those duals flip sign."""
-        row_dual = np.array(solution.row_dual)
         first = {"ub": 0, "eq": problem.num_inequalities}
         flip = -1.0 if problem.maximize else 1.0
         return {
@@ -105,8 +107,12 @@ class HighsBackend(Backend):
         }
 
 
+def _row_duals(solution) -> np.ndarray:
+    return np.array(solution.row_dual)
+
+
 def _column_bounds(problem: CompiledProblem):
-    """``(lower, upper)``, a legacy ``None`` (nan) read as -inf / +inf."""
+    """``(lower, upper)``, a ``None`` bound (nan) read as -inf / +inf."""
     bounds = np.asarray(problem.bounds, dtype=float).reshape(-1, 2)
     return np.fmax(bounds[:, 0], -np.inf), np.fmin(bounds[:, 1], np.inf)
 

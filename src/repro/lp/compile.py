@@ -11,40 +11,26 @@ stacked over ``a_eq`` rows (``repro.lp.backends.highs``):
 Maximization is handled by negating ``c`` and flipping the sign of the
 reported objective, so backends only ever minimize.
 
-Two lowering paths produce the same matrices:
-
-* ``"vectorized"`` (the default) accumulates every constraint's
-  coefficient arrays into flat COO buffers with C-speed ``list.extend``
-  calls, expands row indices with :func:`numpy.repeat`, and applies GE
-  sign flips as one vectorized multiply.  This is the fast path used in
-  production.
-* ``"legacy"`` is the original per-constraint / per-coefficient Python
-  loop, kept as the executable reference that the equivalence suite
-  (``tests/test_compile_equivalence.py``) checks the fast path against.
-
-Both paths perform float-identical operations (``flip * coef`` and
-``flip * -constant`` in the same order), so the compiled problems are
-bit-for-bit interchangeable, not merely close.  Select the reference
-path with the :func:`compile_mode` context manager.
+The lowering accumulates every constraint's coefficient arrays into
+flat COO buffers with C-speed ``list.extend`` calls and applies GE sign
+flips as one vectorized multiply.  ``tests/lp_reference.py`` keeps the
+per-coefficient loop it replaced; the two give bit-identical matrices
+(``tests/test_compile_equivalence.py``).  A problem assembled directly
+as arrays (the Postcard LP) skips lowering altogether.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
-from repro.errors import ModelError
 from repro.lp.constraint import Sense
 from repro.lp.model import Model
 from repro.obs import registry as obs
 
-#: Valid lowering modes; module default is the vectorized fast path.
-COMPILE_MODES = ("vectorized", "legacy")
-_compile_mode = "vectorized"
 
 def _bounds_array(variables) -> np.ndarray:
     """Variable bounds as an ``(n, 2)`` float array: two column slices
@@ -54,32 +40,6 @@ def _bounds_array(variables) -> np.ndarray:
     bounds[:, 0] = np.fromiter((v.lb for v in variables), dtype=float, count=n)
     bounds[:, 1] = np.fromiter((v.ub for v in variables), dtype=float, count=n)
     return bounds
-
-
-@contextmanager
-def compile_mode(mode: str) -> Iterator[None]:
-    """Temporarily select the lowering path (``"vectorized"``/``"legacy"``).
-
-    Used by the equivalence tests and the fast-path benchmark to force
-    the reference implementation; everything else should leave the
-    default alone.
-    """
-    global _compile_mode
-    if mode not in COMPILE_MODES:
-        raise ModelError(
-            f"unknown compile mode {mode!r}; available: {', '.join(COMPILE_MODES)}"
-        )
-    previous = _compile_mode
-    _compile_mode = mode
-    try:
-        yield
-    finally:
-        _compile_mode = previous
-
-
-def current_compile_mode() -> str:
-    """The lowering path :func:`compile_model` currently uses."""
-    return _compile_mode
 
 
 @dataclass
@@ -92,9 +52,8 @@ class CompiledProblem:
     b_ub: np.ndarray
     a_eq: sparse.csr_matrix
     b_eq: np.ndarray
-    #: Per-variable (lb, ub): an ``(n, 2)`` array from the vectorized
-    #: lowering, a list of tuples from the legacy one (the backend
-    #: reads both; the array form skips a conversion pass).
+    #: Per-variable (lb, ub) as an ``(n, 2)`` array (the backend also
+    #: reads a list of tuples, ``None`` meaning unbounded).
     bounds: "np.ndarray | List[Tuple[float, float]]"
     maximize: bool
     #: One entry per model constraint, in order: ("ub"|"eq", row, sign).
@@ -125,29 +84,20 @@ class CompiledProblem:
         return self.num_inequalities + self.num_equalities
 
 
-def compile_model(
-    model: Union[Model, CompiledProblem], mode: Optional[str] = None
-) -> CompiledProblem:
+def compile_model(model: Union[Model, CompiledProblem]) -> CompiledProblem:
     """Lower a :class:`Model` into :class:`CompiledProblem` matrices.
 
     ``GE`` constraints are negated into ``LE`` rows; constraint constants
-    move to the right-hand side.  ``mode`` overrides the module-wide
-    lowering path (see :func:`compile_mode`).  An already compiled
-    problem is returned as it is, under the same span and counters.
+    move to the right-hand side.  An already compiled problem is
+    returned as it is, under the same span and counters.
     """
-    mode = mode or _compile_mode
-    if mode not in COMPILE_MODES:
-        raise ModelError(
-            f"unknown compile mode {mode!r}; available: {', '.join(COMPILE_MODES)}"
-        )
-    if isinstance(model, CompiledProblem):
-        mode = "compiled"
-    with obs.span("lp.compile", model=model.name, mode=mode):
-        if mode == "compiled":
+    compiled = isinstance(model, CompiledProblem)
+    with obs.span("lp.compile", model=model.name,
+                  mode="compiled" if compiled else "vectorized"):
+        if compiled:
             problem = model
         else:
-            lower = _compile_vectorized if mode == "vectorized" else _compile_legacy
-            problem = lower(model)
+            problem = _compile_vectorized(model)
             problem.name, problem.model_id = model.name, model._id
     obs.counter("lp.cols", problem.num_variables)
     obs.counter("lp.rows", problem.num_constraints)
@@ -234,8 +184,7 @@ def _coo_from_buffers(
 
     ``counts[i]`` entries of ``cols``/``vals`` belong to row ``i``;
     ``flips`` optionally scales each row's entries (the GE negation).
-    Explicit zeros are dropped, matching the legacy per-coefficient
-    ``coef != 0.0`` filter (a flipped zero is still zero).
+    Explicit zeros are dropped (a flipped zero is still zero).
     """
     counts_arr = np.asarray(counts, dtype=np.intp)
     cols_arr = np.asarray(cols, dtype=np.intp)
@@ -265,63 +214,4 @@ def _coo_from_buffers(
     data = data[keep]
     return sparse.csr_matrix(
         (data, (rows, cols_arr)), shape=(num_rows, num_cols), dtype=float
-    )
-
-
-def _compile_legacy(model: Model) -> CompiledProblem:
-    """The original per-constraint loop, kept as executable reference."""
-    n = model.num_variables
-    c, c0 = _objective_vector(model)
-
-    ub_rows: List[int] = []
-    ub_cols: List[int] = []
-    ub_data: List[float] = []
-    b_ub: List[float] = []
-    eq_rows: List[int] = []
-    eq_cols: List[int] = []
-    eq_data: List[float] = []
-    b_eq: List[float] = []
-
-    row_map: List[Tuple[str, int, float]] = []
-    for con in model.constraints:
-        expr = con.expr
-        if con.sense is Sense.EQ:
-            row = len(b_eq)
-            for idx, coef in expr.coeffs.items():
-                if coef != 0.0:
-                    eq_rows.append(row)
-                    eq_cols.append(idx)
-                    eq_data.append(coef)
-            b_eq.append(-expr.constant)
-            row_map.append(("eq", row, 1.0))
-        else:
-            flip = -1.0 if con.sense is Sense.GE else 1.0
-            row = len(b_ub)
-            for idx, coef in expr.coeffs.items():
-                if coef != 0.0:
-                    ub_rows.append(row)
-                    ub_cols.append(idx)
-                    ub_data.append(flip * coef)
-            b_ub.append(flip * -expr.constant)
-            row_map.append(("ub", row, flip))
-
-    a_ub = sparse.csr_matrix(
-        (ub_data, (ub_rows, ub_cols)), shape=(len(b_ub), n), dtype=float
-    )
-    a_eq = sparse.csr_matrix(
-        (eq_data, (eq_rows, eq_cols)), shape=(len(b_eq), n), dtype=float
-    )
-
-    bounds = [(var.lb, var.ub) for var in model.variables]
-
-    return CompiledProblem(
-        c=c,
-        c0=c0,
-        a_ub=a_ub,
-        b_ub=np.asarray(b_ub, dtype=float),
-        a_eq=a_eq,
-        b_eq=np.asarray(b_eq, dtype=float),
-        bounds=bounds,
-        maximize=not model.sense_minimize,
-        row_map=row_map,
     )

@@ -36,8 +36,9 @@ class Solution:
         model_id: int,
         solver: str = "",
         iterations: int = 0,
-        duals: "dict | Callable[[], dict | None] | None" = None,
+        duals: "dict | Callable[[np.ndarray], dict] | None" = None,
         message: str = "",
+        row_duals: "np.ndarray | Callable[[], np.ndarray] | None" = None,
     ):
         self.status = status
         self.x = x
@@ -47,9 +48,13 @@ class Solution:
         #: The solver's own words for a non-optimal status ("" if none).
         self.message = message
         self._model_id = model_id
-        #: Maps id(constraint) -> dual value (d objective / d rhs), or
-        #: None when the backend does not report duals; a callable is a
-        #: deferred extraction, resolved by the first read.
+        #: The solver's dual of every compiled row (``a_ub`` rows, then
+        #: ``a_eq``), or None when the backend reports none; a callable
+        #: is resolved by the first read.
+        self._row_dual_source = row_duals
+        #: Maps id(constraint) -> dual value (d objective / d rhs) for a
+        #: solved :class:`~repro.lp.Model`, or None; a callable derives
+        #: the map from :attr:`row_duals` on the first read.
         self._dual_source = duals
 
     def value(self, item: Union[Variable, LinExpr, float, int]) -> float:
@@ -69,9 +74,23 @@ class Solution:
         raise TypeError(f"cannot evaluate object of type {type(item).__name__}")
 
     @property
+    def row_duals(self) -> np.ndarray:
+        """The solver's dual of each compiled row, ``a_ub`` rows then
+        ``a_eq`` rows, in the compiled (minimizing, LE) sign.
+
+        Only the HiGHS backend reports duals; the pure simplex backend
+        raises :class:`ModelError` here.
+        """
+        if callable(self._row_dual_source):
+            self._row_dual_source = self._row_dual_source()
+        if self._row_dual_source is None:
+            raise ModelError(f"backend {self.solver!r} does not report dual values")
+        return self._row_dual_source
+
+    @property
     def _duals(self) -> "dict | None":
         if callable(self._dual_source):
-            self._dual_source = self._dual_source()
+            self._dual_source = self._dual_source(self.row_duals)
         return self._dual_source
 
     @property

@@ -26,12 +26,6 @@ _REGISTRY: Dict[str, SchedulerFactory] = {
     "postcard": lambda t, h, **kw: PostcardScheduler(
         t, h, on_infeasible="drop", **kw
     ),
-    # The from-scratch reference: fresh graph, operator assembly.
-    # Bit-identical results to "postcard" (the equivalence suite pins
-    # this); exists for benchmarking and cross-checks.
-    "postcard-scratch": lambda t, h, **kw: PostcardScheduler(
-        t, h, on_infeasible="drop", incremental=False, **kw
-    ),
     "postcard-replan": lambda t, h, **kw: ReplanningPostcardScheduler(
         t, h, on_infeasible="drop", **kw
     ),

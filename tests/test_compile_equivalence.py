@@ -3,12 +3,13 @@
 Three fast paths each claim *bit-identical* results, not merely close
 ones:
 
-* ``compile_model``'s vectorized COO lowering vs. the legacy
-  per-coefficient loop (select with ``compile_mode``);
-* ``build_postcard_model``'s array assembler (``assembly="fast"``: the
-  compiled matrices written directly from arc sets and residual
-  capacities) vs. the reference (``assembly="legacy"``: time-expanded
-  graph, operator algebra, then the legacy lowering);
+* ``compile_model``'s vectorized COO lowering vs. the per-coefficient
+  loop it replaced (``tests/lp_reference.py``: ``compile_legacy``);
+* ``build_postcard_model``'s array assembler (the compiled matrices
+  written directly from arc sets and residual capacities) vs. the
+  operator-algebra assembler on a materialised time-expanded graph
+  (``build_reference``), lowered by that loop — with and without cost
+  functions, charge exemptions and charged-volume overrides;
 * :class:`~repro.timeexp.cache.GraphCache` reuse vs. a from-scratch
   :class:`~repro.timeexp.graph.TimeExpandedGraph`.
 
@@ -21,7 +22,13 @@ the zero-residual mask (keep every column) fails the link-window case,
 both late-slot cases and the property; swapping the first two charge
 rows fails every matrix comparison here and the pruned one in
 ``tests/test_lp_arcs.py``; losing one sink's right-hand side (``b_eq``
-zero there) fails all of those and the same-schedule check.
+zero there) fails all of those and the same-schedule check.  Three more
+breaks hit the hooks (``test_hooks_match_the_reference``): keeping the
+charge rows of exempt cells fails every ``exempt`` and ``all`` case;
+dropping each link's last ``C_ij`` row fails every cost-function and
+``all`` case; taking the prior ``X_ij(t-1)`` from the state instead of
+``charged_volume_fn`` fails every ``prior`` and ``all`` case.  Each
+also fails the property at 100 examples.
 """
 
 import os
@@ -32,11 +39,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.charging.costfunc import LinearCost, PiecewiseLinearCost
 from repro.core import build_postcard_model
 from repro.core.state import NetworkState
 from repro.errors import InfeasibleError
 from repro.heuristic.paths import CandidatePathIndex
-from repro.lp.compile import CompiledProblem, compile_mode, compile_model
+from repro.lp.compile import CompiledProblem, compile_model
 from repro.lp.model import Model
 from repro.net.generators import complete_topology
 from repro.net.schedule import LinkSchedule
@@ -44,6 +52,7 @@ from repro.timeexp.cache import GraphCache
 from repro.timeexp.graph import ArcKind, TimeExpandedGraph
 from repro.traffic import PaperWorkload
 from repro.traffic.spec import TransferRequest
+from tests.lp_reference import build_reference, compile_legacy
 
 #: Tier-1 runs a handful of examples; CI's ``tests`` job goes deeper.
 PROPERTY_EXAMPLES = int(os.environ.get("LP_ARCS_EXAMPLES", "10"))
@@ -83,7 +92,7 @@ def _postcard_instance(storage="full", **build_kw):
     return state, requests
 
 
-# -- compile_model: vectorized vs. legacy lowering -----------------------
+# -- compile_model: vectorized vs. per-coefficient lowering ---------------
 
 
 def _random_model(seed: int) -> Model:
@@ -131,31 +140,17 @@ def _random_model(seed: int) -> Model:
 @pytest.mark.parametrize("seed", range(10))
 def test_vectorized_compile_matches_legacy_random(seed):
     model = _random_model(seed)
-    with compile_mode("vectorized"):
-        fast = compile_model(model)
-    with compile_mode("legacy"):
-        reference = compile_model(model)
-    assert_compiled_identical(fast, reference)
+    assert_compiled_identical(compile_model(model), compile_legacy(model))
 
 
 def test_vectorized_compile_matches_legacy_postcard():
     """The real thing: a full Postcard slot model, both lowerings."""
     state, requests = _postcard_instance()
-    built = build_postcard_model(state, requests)
-    fast = compile_model(built.model, mode="vectorized")
-    reference = compile_model(built.model, mode="legacy")
+    built = build_reference(state, requests)
+    fast = compile_model(built.model)
+    reference = compile_legacy(built.model)
     assert_compiled_identical(fast, reference)
     assert len(fast.row_map) == len(built.model.constraints)
-
-
-def test_compile_mode_rejects_unknown():
-    from repro.errors import ModelError
-
-    with pytest.raises(ModelError):
-        with compile_mode("typo"):
-            pass
-    with pytest.raises(ModelError):
-        compile_model(Model("m"), mode="typo")
 
 
 def test_row_map_default_is_per_instance():
@@ -176,18 +171,17 @@ def test_row_map_default_is_per_instance():
 
 def assert_fast_matches_reference(state, requests, **kwargs):
     """The array path's problem and column maps equal the reference
-    assembler's, lowered by the legacy loop — or both refuse the batch."""
+    assembler's, lowered by the per-coefficient loop — or both refuse
+    the batch."""
     try:
-        fast = build_postcard_model(state, requests, assembly="fast", **kwargs)
+        fast = build_postcard_model(state, requests, **kwargs)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
-            build_postcard_model(state, requests, assembly="legacy", **kwargs)
+            build_reference(state, requests, **kwargs)
         return None
-    legacy = build_postcard_model(state, requests, assembly="legacy", **kwargs)
+    legacy = build_reference(state, requests, **kwargs)
     assert isinstance(fast.model, CompiledProblem)
-    assert_compiled_identical(
-        fast.model, compile_model(legacy.model, mode="legacy"), row_map=False
-    )
+    assert_compiled_identical(fast.model, compile_legacy(legacy.model), row_map=False)
     for mine, reference in zip(fast.flow_columns, legacy.flow_columns):
         np.testing.assert_array_equal(mine, reference)
     assert fast.charge_columns == legacy.charge_columns
@@ -244,7 +238,7 @@ def test_fast_assembly_matches_legacy_under_link_windows():
     """Dark cells drop columns, and with them balance rows (or their
     first-use order) — slot by slot, as commitments pile up."""
     state, requests = _postcard_instance()
-    lit = build_postcard_model(state, requests, assembly="fast").num_variables
+    lit = build_postcard_model(state, requests).num_variables
     state.link_schedule = _dark_windows(state.topology, np.random.default_rng(4))
     for slot in range(3):
         batch = [r.with_release(slot) for r in requests]
@@ -260,6 +254,56 @@ def test_fast_assembly_matches_legacy_with_predicted_volumes():
         state, later,
         predicted_volume_fn=lambda src, dst, slot: 0.25 * ((3 * src + dst + slot) % 5),
     )
+
+
+#: The extension hooks, each on its own: a cost function per link (the
+#: convex one has a flat first piece, so a zero slope and a zero
+#: intercept), a charge exemption, a charged-volume override.
+HOOKS = {
+    "linear-cost": {"cost_fn_factory": lambda link: LinearCost(link.price)},
+    "convex-cost": {"cost_fn_factory": lambda link: PiecewiseLinearCost(
+        [(0.0, 0.0), (5.0, 0.0), (15.0, 10.0 * link.price), (40.0, 60.0 * link.price)]
+    )},
+    "exempt": {"charge_exempt": lambda src, dst, slot: (src + 2 * dst + slot) % 3 == 0},
+    "prior": {"charged_volume_fn": lambda src, dst: 0.5 * ((src + dst) % 4)},
+}
+
+
+def _hooked(names):
+    kwargs = {}
+    for name in sorted(names):
+        kwargs.update(HOOKS[name])
+    return kwargs
+
+
+@pytest.mark.parametrize("extras", [False, True], ids=["alone", "with-arcs-storage-forecast"])
+@pytest.mark.parametrize("hooks", [[name] for name in HOOKS] + [list(HOOKS)],
+                         ids=[*HOOKS, "all"])
+def test_hooks_match_the_reference(hooks, extras):
+    """Cost functions add a ``C_ij`` column and its rows after each
+    ``X_ij``, exemptions drop charge rows, the override moves the
+    ``X_ij`` bounds and the fixed cost — on a ledger with commitments,
+    alone and beside pruned arc sets, a storage cap and forecasts."""
+    state, requests = _postcard_instance()
+    _commit_a_slot(state, requests)
+    later = [r.with_release(1) for r in requests]
+    base = {}
+    if extras:
+        index = CandidatePathIndex(state.topology, max_paths=1)
+        base = dict(
+            arc_sets=[index.arc_set(r) if n % 2 else None for n, r in enumerate(later)],
+            storage_capacity=25.0,
+            predicted_volume_fn=lambda src, dst, slot: 0.25 * ((3 * src + dst + slot) % 5),
+        )
+        assert any(base["arc_sets"])
+    built = assert_fast_matches_reference(state, later, **base, **_hooked(hooks))
+    plain = build_postcard_model(state, later, **base)
+    if "linear-cost" in hooks or "convex-cost" in hooks:
+        assert built.num_variables > plain.num_variables
+    if "exempt" in hooks:
+        assert built.model.num_inequalities < plain.model.num_inequalities
+    if "prior" in hooks:
+        assert not np.array_equal(built.model.bounds, plain.model.bounds)
 
 
 @pytest.mark.parametrize("release", [2**21 + 5, 2**31 + 5])
@@ -305,13 +349,15 @@ def _mixed_batch(rng, topology, index, slot, files, schedule=None):
     warm_slots=st.integers(0, 2),
     windows=st.booleans(),
     storage_capacity=st.sampled_from([float("inf"), 25.0]),
+    hooks=st.sets(st.sampled_from(sorted(HOOKS))),
 )
 def test_array_assembly_equals_the_reference(
-    seed, nodes, files, warm_slots, windows, storage_capacity
+    seed, nodes, files, warm_slots, windows, storage_capacity, hooks
 ):
     """Random batches (mixed release slots, ``None`` beside pruned arc
-    sets) on a ledger loaded by earlier slots, with and without dark
-    windows: same matrices, same column maps, same refusals."""
+    sets, any mix of the extension hooks) on a ledger loaded by earlier
+    slots, with and without dark windows: same matrices, same column
+    maps, same refusals."""
     rng = np.random.default_rng(seed)
     topology = complete_topology(nodes, capacity=20.0, seed=seed)
     state = NetworkState(topology, horizon=60)
@@ -323,7 +369,8 @@ def test_array_assembly_equals_the_reference(
             rng, topology, index, slot, files, state.link_schedule
         )
         built = assert_fast_matches_reference(
-            state, requests, arc_sets=sets, storage_capacity=storage_capacity
+            state, requests, arc_sets=sets, storage_capacity=storage_capacity,
+            **_hooked(hooks),
         )
         if built is None:
             break
@@ -334,37 +381,10 @@ def test_array_assembly_equals_the_reference(
         state.commit(schedule, requests)
 
 
-def test_unknown_assembly_mode_rejected():
-    from repro.errors import SchedulingError
-
-    state, requests = _postcard_instance()
-    with pytest.raises(SchedulingError):
-        build_postcard_model(state, requests, assembly="typo")
-
-
-def test_unmodelled_inputs_route_to_the_reference():
-    """A cost function, a charge exemption or a charged-volume override
-    exists in the reference assembler only: asking for one gets it."""
-    from repro.charging.costfunc import LinearCost
-
-    state, requests = _postcard_instance()
-    for kwargs in (
-        {"cost_fn_factory": lambda link: LinearCost(link.price)},
-        {"charge_exempt": lambda src, dst, slot: slot == 0},
-        {"charged_volume_fn": lambda src, dst: 1.0},
-    ):
-        built = build_postcard_model(state, requests, assembly="fast", **kwargs)
-        assert isinstance(built.model, Model)
-
-
 def test_fast_and_legacy_solve_to_same_schedule():
     state, requests = _postcard_instance()
-    fast_sched, fast_sol = build_postcard_model(
-        state, requests, assembly="fast"
-    ).solve()
-    ref_sched, ref_sol = build_postcard_model(
-        state, requests, assembly="legacy"
-    ).solve()
+    fast_sched, fast_sol = build_postcard_model(state, requests).solve()
+    ref_sched, ref_sol = build_reference(state, requests).solve()
     assert fast_sol.objective == ref_sol.objective
     assert fast_sched.link_slot_volumes() == ref_sched.link_slot_volumes()
     assert fast_sched.storage_slot_volumes() == ref_sched.storage_slot_volumes()

@@ -4,8 +4,11 @@ import pytest
 
 from repro.core import build_postcard_model
 from repro.core.state import NetworkState
+from repro.errors import ModelError
+from repro.net.generators import complete_topology
 from repro.net.topology import Datacenter, Link, Topology
 from repro.traffic import TransferRequest
+from tests.lp_reference import build_reference
 
 
 def two_path_network(cheap_capacity: float):
@@ -84,3 +87,53 @@ def test_prices_predict_upgrade_value():
     saving = solution.objective - solution2.objective
     assert saving > 0
     assert saving <= sum(prices.values()) + 1e-6
+
+
+def _named_row_prices(state, files):
+    """The reference assembler's prices: the duals of its named
+    capacity constraints, filtered as ``congestion_prices`` filters."""
+    reference = build_reference(state, files)
+    _, solution = reference.solve()
+    prices = {}
+    for key, constraint in reference.capacity_constraints.items():
+        dual = solution.dual(constraint)
+        if dual < -1e-9:
+            prices[key] = -dual
+    return prices
+
+
+@pytest.mark.parametrize("cheap_capacity", [4.0, 5.0, 100.0])
+def test_prices_are_the_reference_named_row_duals(cheap_capacity):
+    """Each network above (5.0 is the upgraded one): the array model's
+    row map reads the very duals the named rows get, exactly."""
+    state = NetworkState(two_path_network(cheap_capacity), horizon=20)
+    files = [TransferRequest(0, 1, 12.0, 2, release_slot=0)]
+    built = build_postcard_model(state, files)
+    _, solution = built.solve()
+    expected = _named_row_prices(state, files)
+    assert built.congestion_prices(solution) == expected
+    assert bool(expected) == (cheap_capacity < 100.0)
+
+
+def test_prices_equal_the_reference_on_a_loaded_mesh():
+    """Many capacity rows, some dropped (cells full after a committed
+    slot), mixed windows: still the same map and the same floats."""
+    topology = complete_topology(5, capacity=12.0, seed=11)
+    state = NetworkState(topology, horizon=30)
+    first = [TransferRequest(s, (s + 2) % 5, 14.0, 2, release_slot=0) for s in range(5)]
+    schedule, _ = build_postcard_model(state, first).solve()
+    state.commit(schedule, first)
+    files = [TransferRequest(s, (s + 1) % 5, 40.0, 2 + s % 2, release_slot=1)
+             for s in range(5)]
+    built = build_postcard_model(state, files)
+    _, solution = built.solve()
+    prices = built.congestion_prices(solution)
+    assert prices and prices == _named_row_prices(state, files)
+
+
+def test_the_simplex_backend_reports_no_prices():
+    state = NetworkState(two_path_network(cheap_capacity=4.0), horizon=20)
+    built = build_postcard_model(state, [TransferRequest(0, 1, 12.0, 2, release_slot=0)])
+    _, solution = built.solve("simplex")
+    with pytest.raises(ModelError):
+        built.congestion_prices(solution)

@@ -173,8 +173,10 @@ def test_non_finite_input_raises_as_linprog_does(field, bad):
 
 
 def test_legacy_none_bounds_read_as_infinite():
-    problem = compile_model(_small_model(free=True), mode="legacy")
-    problem.bounds = [(lb, None if ub == np.inf else ub) for lb, ub in problem.bounds]
+    problem = compile_model(_small_model(free=True))
+    problem.bounds = [
+        (lb, None if ub == np.inf else ub) for lb, ub in problem.bounds.tolist()
+    ]
     problem.bounds[1] = (None, None)
     assert assert_native_equals_linprog(problem) is SolveStatus.OPTIMAL
 

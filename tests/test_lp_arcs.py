@@ -365,9 +365,9 @@ def test_dark_window_escalation_builds_a_quarter_of_the_columns():
     sets = scheduler._arc_sets(requests, plan)
     assert sets.count(None) == len(plan.rejected)
     pruned = build_postcard_model(
-        scheduler.state, requests, assembly="fast", arc_sets=sets
+        scheduler.state, requests, arc_sets=sets
     )
-    full = build_postcard_model(scheduler.state, requests, assembly="fast")
+    full = build_postcard_model(scheduler.state, requests)
     assert pruned.num_variables * 4 <= full.num_variables
 
 

@@ -187,7 +187,7 @@ def _paper_model(topology, files):
     from repro.core import build_postcard_model
     from repro.core.state import NetworkState
 
-    return build_postcard_model(NetworkState(topology, horizon=100), files).model
+    return build_postcard_model(NetworkState(topology, horizon=100), files)
 
 
 @pytest.mark.parametrize("backend", ["highs", "simplex"])
@@ -197,6 +197,6 @@ def test_paper_examples_reach_the_optimum(backend, fig1, fig3, fig3_files):
 
     first = _paper_model(fig1, [TransferRequest(2, 3, 6.0, 3)])
     third = _paper_model(fig3, fig3_files)
-    assert first.solve(backend=backend).objective == pytest.approx(12.0, rel=REL)
-    assert third.solve(backend=backend).objective == pytest.approx(98.0 / 3.0, rel=REL)
+    assert first.solve(backend)[1].objective == pytest.approx(12.0, rel=REL)
+    assert third.solve(backend)[1].objective == pytest.approx(98.0 / 3.0, rel=REL)
 

