@@ -19,9 +19,13 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 from typing import Optional
 
 import pytest
+
+# Ablation A2 runs the test tree's simplex oracle (tests/lp_simplex.py).
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent))
 
 from repro import obs
 from repro.baselines import DirectScheduler
@@ -33,14 +37,13 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Collector of the most recent run_figure call; report() folds its
 #: key counters and span totals into the JSONL record so BENCH_*.json
-#: tracks a perf trajectory (pivots/iterations, LP size, build vs.
+#: tracks a perf trajectory (iterations, LP size, build vs.
 #: solve split), not just wall time.
 _last_collector: Optional[obs.Collector] = None
 
 #: The counters worth tracking across PRs (sums over the whole figure).
 _TRACKED_COUNTERS = (
     "lp.highs.iterations",
-    "lp.simplex.pivots",
     "lp.rows",
     "lp.cols",
     "lp.nonzeros",
@@ -56,7 +59,7 @@ _TRACKED_COUNTERS = (
 
 #: The spans that answer "where did the time go".  lp.build covers the
 #: whole model-construction side (graph + assembly); lp.solve covers
-#: the backend side (lowering + optimize, with lp.compile nested).
+#: the solver side (lowering + optimize, with lp.compile nested).
 _TRACKED_SPANS = (
     "timeexp.build",
     "lp.build",

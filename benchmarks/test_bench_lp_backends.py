@@ -1,17 +1,19 @@
-"""Ablation A2 — LP backend cross-check and relative speed.
+"""Ablation A2 — the LP solver against its oracle: cross-check and relative speed.
 
-The pure-Python simplex must agree with HiGHS on a real (small)
-Postcard instance; HiGHS should be the faster backend on anything
-non-trivial, which is why it is the default.
+The pure-Python simplex (``tests/lp_simplex.py``, the test tree's oracle)
+must agree with HiGHS on a real (small) Postcard instance; HiGHS should
+be the faster solver on anything non-trivial, which is why it is the one
+``src/`` ships.
 """
 
 import pytest
 
-from repro.core import PostcardScheduler
 from repro.core.formulation import build_postcard_model
 from repro.core.state import NetworkState
+from repro.lp import solve_lp
 from repro.net.generators import complete_topology
 from repro.traffic import TransferRequest
+from tests.lp_simplex import SOLVERS, solve_simplex
 
 
 def _instance():
@@ -25,17 +27,15 @@ def _instance():
     return state, requests
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_bench_backend(benchmark, backend):
-    def solve():
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_bench_backend(benchmark, solve):
+    def run():
         state, requests = _instance()
-        built = build_postcard_model(state, requests)
-        _, solution = built.solve(backend=backend)
-        return solution.objective
+        return solve(build_postcard_model(state, requests).model).objective
 
-    objective = benchmark(solve)
-    # Cross-check against the other backend once.
+    objective = benchmark(run)
+    # Cross-check against the other solver once.
     state, requests = _instance()
-    other = "simplex" if backend == "highs" else "highs"
-    _, reference = build_postcard_model(state, requests).solve(backend=other)
+    other = solve_simplex if solve is solve_lp else solve_lp
+    reference = other(build_postcard_model(state, requests).model)
     assert objective == pytest.approx(reference.objective, rel=1e-6, abs=1e-6)

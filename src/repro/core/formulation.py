@@ -27,7 +27,7 @@ scheduler, the oracle every pruned model is pinned against);
 passes each file the links of its candidate paths.
 
 The whole assembly runs under the ``lp.build`` span, the counterpart of
-the backends' ``lp.solve``; it carries ``arcs`` (``"paths"`` or
+the solver's ``lp.solve``; it carries ``arcs`` (``"paths"`` or
 ``"full"``), ``rows`` and ``columns``.
 """
 
@@ -157,9 +157,9 @@ class PostcardModel:
             for row, (at, n) in enumerate(zip(link.tolist(), slot.tolist()))
         }
 
-    def solve(self, backend: str = "highs", **options) -> Tuple[TransferSchedule, Solution]:
+    def solve(self, **options) -> Tuple[TransferSchedule, Solution]:
         """Optimize and extract the store-and-forward schedule."""
-        solution = solve_lp(self.model, backend, **options)
+        solution = solve_lp(self.model, **options)
         volumes = solution.x[:len(self.flow_columns[0])]
         if self.transit_price:  # report the bill, not the tie-break
             solution.objective -= self.transit_price * volumes[self.flow_columns[4]].sum()
@@ -188,8 +188,8 @@ class PostcardModel:
         marginal saving one extra GB/slot of capacity there would buy —
         the LP-theoretic answer to "which link should we upgrade?".
         Only links whose price is positive appear; zero-price entries
-        are filtered.  Needs a backend that reports row duals (HiGHS);
-        the simplex backend's solution raises :class:`ModelError`.
+        are filtered.  Needs a solver that reports row duals (HiGHS);
+        a solution without them raises :class:`ModelError`.
         """
         row_duals = solution.row_duals
         prices = {}

@@ -46,7 +46,6 @@ class LookaheadPostcardScheduler(Scheduler):
         horizon: int,
         preview: PreviewFn,
         lookahead: int = 2,
-        backend: str = "highs",
         storage: str = STORAGE_FULL,
         on_infeasible: str = ON_INFEASIBLE_RAISE,
     ):
@@ -56,7 +55,6 @@ class LookaheadPostcardScheduler(Scheduler):
         self._state = NetworkState(topology, horizon)
         self.preview = preview
         self.lookahead = lookahead
-        self.backend = backend
         self.storage = storage
         self.last_objective: Optional[float] = None
 
@@ -96,7 +94,7 @@ class LookaheadPostcardScheduler(Scheduler):
             built = build_postcard_model(
                 self._state, current + future, storage=self.storage
             )
-            schedule, solution = built.solve(backend=self.backend)
+            schedule, solution = built.solve()
         except InfeasibleError:
             if not future:
                 raise
@@ -104,7 +102,7 @@ class LookaheadPostcardScheduler(Scheduler):
             # present (it will be shed at its own slot); fall back to
             # the myopic solve rather than dropping *current* files.
             built = build_postcard_model(self._state, current, storage=self.storage)
-            schedule, solution = built.solve(backend=self.backend)
+            schedule, solution = built.solve()
             self.last_objective = solution.objective
             return schedule
 

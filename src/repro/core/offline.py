@@ -37,7 +37,6 @@ def solve_offline(
     topology: Topology,
     requests: List[TransferRequest],
     horizon: int,
-    backend: str = "highs",
     storage: str = STORAGE_FULL,
 ) -> OfflineResult:
     """Optimize all ``requests`` jointly with full future knowledge.
@@ -50,7 +49,7 @@ def solve_offline(
         raise SchedulingError("solve_offline needs at least one request")
     state = NetworkState(topology, horizon)
     built = build_postcard_model(state, list(requests), storage=storage)
-    schedule, solution = built.solve(backend=backend)
+    schedule, solution = built.solve()
     state.commit(schedule, list(requests))
     return OfflineResult(
         schedule=schedule,

@@ -62,7 +62,6 @@ def solve_multisource_plan(
     state: NetworkState,
     slot: int,
     files: List[ActiveFile],
-    backend: str = "highs",
     capacity_fn=None,
     history_peak_fn=None,
     committed_fn=None,
@@ -181,7 +180,7 @@ def solve_multisource_plan(
         objective_terms.append((link.price, x))
 
     model.minimize(LinExpr.from_terms(objective_terms, constant=fixed_cost))
-    solution = model.solve(backend=backend)
+    solution = model.solve()
     plan = {
         key: solution.value(var)
         for key, var in flow_vars.items()
@@ -199,12 +198,10 @@ class ReplanningPostcardScheduler(Scheduler):
         self,
         topology: Topology,
         horizon: int,
-        backend: str = "highs",
         on_infeasible: str = "raise",
     ):
         self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = NetworkState(topology, horizon)
-        self.backend = backend
         self.active: List[ActiveFile] = []
         self.last_objective: Optional[float] = None
 
@@ -280,9 +277,7 @@ class ReplanningPostcardScheduler(Scheduler):
         # committed ahead of time in the replanning model) minus
         # visible outages; history peaks are what earlier slots
         # actually executed.
-        plan, objective = solve_multisource_plan(
-            self._state, slot, files, backend=self.backend
-        )
+        plan, objective = solve_multisource_plan(self._state, slot, files)
         self.last_objective = objective
         return plan
 

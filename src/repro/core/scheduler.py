@@ -111,8 +111,6 @@ class PostcardScheduler(Scheduler):
         The inter-datacenter network.
     horizon:
         Number of slots in the charging period (for billing).
-    backend:
-        LP backend name (``"highs"`` by default).
     storage:
         ``"full"`` or ``"destination_only"`` (ablation; see
         :func:`~repro.core.formulation.build_postcard_model`).
@@ -129,7 +127,6 @@ class PostcardScheduler(Scheduler):
         self,
         topology: Topology,
         horizon: int,
-        backend: str = "highs",
         storage: str = STORAGE_FULL,
         on_infeasible: str = ON_INFEASIBLE_RAISE,
         storage_capacity: float = float("inf"),
@@ -138,7 +135,6 @@ class PostcardScheduler(Scheduler):
     ):
         self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = NetworkState(topology, horizon)
-        self.backend = backend
         self.storage = storage
         self.storage_capacity = storage_capacity
         self.storage_price = storage_price
@@ -232,6 +228,6 @@ class PostcardScheduler(Scheduler):
                 )
             # Widened and shedding solves keep presolve: it finds infeasibility fast.
             off = arc_sets and transit_price and built.num_variables <= IPM_COLUMNS
-            schedule, solution = built.solve(self.backend, presolve="off" if off else "on")
+            schedule, solution = built.solve(presolve="off" if off else "on")
         self.last_objective = solution.objective
         return schedule

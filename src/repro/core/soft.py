@@ -154,7 +154,6 @@ def solve_soft_deadline(
     requests: List[TransferRequest],
     extension: int = 2,
     lateness_penalty: float = 10.0,
-    backend: str = "highs",
 ) -> SoftDeadlineResult:
     """Optimize with priced lateness; returns schedule + lateness report.
 
@@ -164,7 +163,7 @@ def solve_soft_deadline(
     model, flow_vars, _graph, lateness_terms = build_soft_deadline_model(
         state, requests, extension, lateness_penalty
     )
-    solution = model.solve(backend=backend)
+    solution = model.solve()
 
     destination_of = {r.request_id: r.destination for r in requests}
     entries = []

@@ -52,7 +52,6 @@ def _fractional_relaxation(
     state: NetworkState,
     requests: List[TransferRequest],
     budget_per_slot: float,
-    backend: str,
 ) -> Tuple[float, Dict[int, float]]:
     """Solve the y_k in [0,1] relaxation; returns (objective, fractions)."""
     start = min(r.release_slot for r in requests)
@@ -133,7 +132,7 @@ def _fractional_relaxation(
         name="budget",
     )
     model.maximize(LinExpr.sum(fraction_vars.values()))
-    solution = model.solve(backend=backend)
+    solution = model.solve()
     fractions = {rid: solution.value(var) for rid, var in fraction_vars.items()}
     return solution.objective, fractions
 
@@ -142,7 +141,6 @@ def maximize_transfers_under_budget(
     state: NetworkState,
     requests: List[TransferRequest],
     budget_per_slot: float,
-    backend: str = "highs",
 ) -> BudgetResult:
     """Admit as many whole files as the per-slot budget allows.
 
@@ -160,7 +158,7 @@ def maximize_transfers_under_budget(
         )
 
     frac_opt, fractions = _fractional_relaxation(
-        state, requests, budget_per_slot, backend
+        state, requests, budget_per_slot
     )
 
     # Greedy rounding: try files in decreasing fractional value; a file
@@ -176,7 +174,7 @@ def maximize_transfers_under_budget(
         trial = admitted + [candidate]
         try:
             built = build_postcard_model(state, trial)
-            schedule, solution = built.solve(backend=backend)
+            schedule, solution = built.solve()
         except InfeasibleError:
             continue
         if solution.objective <= budget_per_slot + 1e-6:

@@ -47,7 +47,6 @@ class BulkTransferResult:
 def maximize_bulk_throughput(
     state: NetworkState,
     requests: List[TransferRequest],
-    backend: str = "highs",
     weights: Optional[Dict[int, float]] = None,
 ) -> BulkTransferResult:
     """Maximize (weighted) delivered bulk volume over paid headroom.
@@ -112,7 +111,7 @@ def maximize_bulk_throughput(
             )
 
     model.maximize(LinExpr.from_terms(objective_terms))
-    solution = model.solve(backend=backend)
+    solution = model.solve()
 
     entries = []
     for (rid, arc), var in flow_vars.items():

@@ -56,7 +56,6 @@ def solve_multicast(
     size_gb: float,
     deadline_slots: int,
     release_slot: int = 0,
-    backend: str = "highs",
 ) -> MulticastResult:
     """Optimize one replication job with shared upstream traffic."""
     requests = expand_multicast(
@@ -137,7 +136,7 @@ def solve_multicast(
         objective_terms.append((link.price, x))
 
     model.minimize(LinExpr.from_terms(objective_terms, constant=fixed_cost))
-    solution = model.solve(backend=backend)
+    solution = model.solve()
 
     # The billable schedule is the occupancy, attributed to the first
     # destination's request id (a synthetic "multicast job" id).

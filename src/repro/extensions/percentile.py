@@ -47,7 +47,6 @@ class PercentileAwareScheduler(Scheduler):
         topology: Topology,
         horizon: int,
         q: float = 95.0,
-        backend: str = "highs",
         on_infeasible: str = ON_INFEASIBLE_RAISE,
     ):
         if not 0 < q <= 100:
@@ -55,7 +54,6 @@ class PercentileAwareScheduler(Scheduler):
         self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = NetworkState(topology, horizon)
         self.q = float(q)
-        self.backend = backend
         #: Free burst slots per link for the whole charging period:
         #: exactly the samples strictly above the charged index of the
         #: q-th percentile scheme (matches the ledger's billing).
@@ -114,7 +112,7 @@ class PercentileAwareScheduler(Scheduler):
             charge_exempt=lambda s, d, n: n in self.amnesty[(s, d)],
             charged_volume_fn=self.effective_charged_volume,
         )
-        return built.solve(backend=self.backend)
+        return built.solve()
 
     def _solve_with_amnesty(
         self, requests: List[TransferRequest]

@@ -78,7 +78,6 @@ def _initial_paths(
 def solve_flow_column_generation(
     state: NetworkState,
     requests: List[TransferRequest],
-    backend: str = "highs",
     max_iterations: int = 200,
     tolerance: float = 1e-7,
 ) -> ColGenResult:
@@ -104,7 +103,7 @@ def solve_flow_column_generation(
         master, path_vars, demand_rows, cap_rows, chg_rows, slack_vars = _build_master(
             state, requests, columns, active_slots
         )
-        solution = master.solve(backend=backend)
+        solution = master.solve()
 
         # Pricing: per-link weight = -(sum of duals of the LE rows a
         # unit of path flow on that link would hit).  All those duals

@@ -43,9 +43,9 @@ class FlowModel:
         self.charge_vars = charge_vars
         self.fixed_charge_cost = fixed_charge_cost
 
-    def solve(self, backend: str = "highs", **options) -> Tuple[TransferSchedule, Solution]:
+    def solve(self, **options) -> Tuple[TransferSchedule, Solution]:
         """Optimize and expand rates into per-slot fluid entries."""
-        solution = self.model.solve(backend=backend, **options)
+        solution = self.model.solve(**options)
         by_request = {r.request_id: r for r in self.requests}
         entries = []
         for (request_id, (src, dst)), var in self.rate_vars.items():

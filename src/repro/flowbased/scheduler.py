@@ -32,7 +32,6 @@ class FlowBasedScheduler(Scheduler):
         self,
         topology: Topology,
         horizon: int,
-        backend: str = "highs",
         variant: str = VARIANT_LP,
         on_infeasible: str = ON_INFEASIBLE_RAISE,
     ):
@@ -40,7 +39,6 @@ class FlowBasedScheduler(Scheduler):
             raise SchedulingError(f"unknown flow-based variant {variant!r}")
         self.on_infeasible = self._checked_policy(on_infeasible)
         self._state = NetworkState(topology, horizon)
-        self.backend = backend
         self.variant = variant
         self.last_objective: Optional[float] = None
         #: lambda of the last two-phase solve (None for the LP variant).
@@ -75,13 +73,11 @@ class FlowBasedScheduler(Scheduler):
             if self.variant == VARIANT_LP:
                 with obs.span("scheduler.build_model"):
                     built = build_flow_model(self._state, requests)
-                schedule, solution = built.solve(backend=self.backend)
+                schedule, solution = built.solve()
                 self.last_objective = solution.objective
                 self.last_lambda = None
             else:
-                schedule, lam, phase2_cost = solve_two_phase(
-                    self._state, requests, backend=self.backend
-                )
+                schedule, lam, phase2_cost = solve_two_phase(self._state, requests)
                 self.last_objective = phase2_cost
                 self.last_lambda = lam
         return schedule

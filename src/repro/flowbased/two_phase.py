@@ -45,7 +45,6 @@ def _min_over_window(values) -> float:
 def solve_two_phase(
     state: NetworkState,
     requests: List[TransferRequest],
-    backend: str = "highs",
 ) -> Tuple[TransferSchedule, float, float]:
     """Run both phases; returns (schedule, lambda, phase2_cost).
 
@@ -78,7 +77,7 @@ def solve_two_phase(
     ]
     with obs.span("flowbased.phase1", files=len(requests)):
         lam, phase1_flows = max_concurrent_flow(
-            len(node_ids), edges, commodities, cap_lambda=1.0, backend=backend
+            len(node_ids), edges, commodities, cap_lambda=1.0
         )
     obs.gauge("flowbased.lambda", lam)
 
@@ -137,7 +136,7 @@ def solve_two_phase(
                         name=f"cap[{link.src},{link.dst}]",
                     )
             model.minimize(LinExpr.from_terms(cost_terms))
-            solution = model.solve(backend=backend)
+            solution = model.solve()
             phase2_cost = solution.objective
             for (rid, key), var in f2.items():
                 rate = solution.value(var)

@@ -66,8 +66,6 @@ class HybridScheduler(Scheduler):
     ----------
     topology, horizon:
         As for every scheduler.
-    backend:
-        LP backend used by escalated slots (``"highs"`` default).
     storage:
         Storage mode for the LP lane (``"full"`` default).
     on_infeasible:
@@ -109,7 +107,6 @@ class HybridScheduler(Scheduler):
         self,
         topology: Topology,
         horizon: int,
-        backend: str = "highs",
         storage: str = STORAGE_FULL,
         on_infeasible: str = ON_INFEASIBLE_RAISE,
         escalate_utilization: float = 0.9,
@@ -136,7 +133,6 @@ class HybridScheduler(Scheduler):
         self._lp = PostcardScheduler(
             topology,
             horizon,
-            backend=backend,
             storage=storage,
             on_infeasible=on_infeasible,
         )

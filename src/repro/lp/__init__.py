@@ -3,14 +3,12 @@
 The environment of this reproduction ships no algebraic modeling layer
 (no PuLP, no cvxpy), so this package provides one: variables, linear
 expressions, constraints, and an epigraph helper for ``max`` terms, all
-compiled to a sparse standard form and handed to a solver backend.
+compiled to a sparse standard form and handed to the solver.
 
-Two backends are provided:
-
-* ``"highs"`` — HiGHS through the binding scipy vendors, fed the
-  compiled arrays in one call (the default; fast and robust),
-* ``"simplex"`` — a pure-Python dense two-phase simplex implementation,
-  used to cross-validate HiGHS on small instances and in property tests.
+The solver is HiGHS, through the binding scipy vendors, fed the compiled
+arrays in one call (:class:`repro.lp.backends.HighsBackend`).  The test
+tree keeps a pure-Python dense two-phase simplex (``tests/lp_simplex.py``)
+as the oracle that cross-validates it on small instances.
 
 Example
 -------

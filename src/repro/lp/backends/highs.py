@@ -1,7 +1,14 @@
-"""HiGHS backend (the default): the compiled arrays go straight to the HiGHS
-binding scipy vendors (``scipy.optimize._highspy``, scipy >= 1.15), asking
-what scipy's ``linprog`` (method "highs") asked minus its input cleaning,
-option re-validation and per-column loop (``tests/test_highs_native.py``)."""
+"""The HiGHS backend, the toolkit's only solver: the compiled arrays go
+straight to the HiGHS binding scipy vendors (``scipy.optimize._highspy``,
+scipy >= 1.15), asking what scipy's ``linprog`` (method "highs") asked
+minus its input cleaning, option re-validation and per-column loop
+(``tests/test_highs_native.py``).
+
+It never raises on an infeasible or unbounded problem: it reports
+the status on the :class:`Solution`, and a solver that could not answer
+returns :attr:`SolveStatus.ERROR` with the reason in ``message``.
+:func:`~repro.lp.model.solve_lp` turns those into typed errors; nothing
+retries (docs/ROBUSTNESS.md, "When the LP does not answer")."""
 
 from __future__ import annotations
 
@@ -11,7 +18,6 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import ModelError
-from repro.lp.backends.base import Backend
 from repro.lp.compile import CompiledProblem, compile_model
 from repro.lp.model import Model
 from repro.lp.result import Solution, SolveStatus
@@ -39,7 +45,7 @@ IPM_COLUMNS = 20000  #: above this many columns the backend asks for interior po
 _CHECK_TOL = np.sqrt(1e-9) * 10
 
 
-class HighsBackend(Backend):
+class HighsBackend:
     """Solve through HiGHS's own binding, one new solver per solve."""
 
     name = "highs"

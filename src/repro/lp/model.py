@@ -140,9 +140,9 @@ class Model:
 
     # -- solving ------------------------------------------------------------
 
-    def solve(self, backend: str = "highs", **options) -> Solution:
+    def solve(self, **options) -> Solution:
         """Solve and return a :class:`Solution` (see :func:`solve_lp`)."""
-        return solve_lp(self, backend, **options)
+        return solve_lp(self, **options)
 
     @property
     def num_variables(self) -> int:
@@ -159,16 +159,17 @@ class Model:
         )
 
 
-def solve_lp(problem, backend: str = "highs", **options) -> Solution:
-    """Solve a :class:`Model` or an already compiled problem.
+def solve_lp(problem, **options) -> Solution:
+    """Solve a :class:`Model` or an already compiled problem with HiGHS
+    (``options`` are HiGHS's own, see :mod:`repro.lp.backends.highs`).
 
     Raises :class:`InfeasibleError` / :class:`UnboundedError` /
     :class:`SolverError` on failure, so callers can rely on the
     returned solution being optimal.
     """
-    from repro.lp.backends import get_backend
+    from repro.lp.backends.highs import HighsBackend  # it imports this module
 
-    solution = get_backend(backend).solve(problem, **options)
+    solution = HighsBackend().solve(problem, **options)
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(f"model {problem.name!r} is infeasible")
     if solution.status is SolveStatus.UNBOUNDED:
@@ -176,6 +177,6 @@ def solve_lp(problem, backend: str = "highs", **options) -> Solution:
     if solution.status is not SolveStatus.OPTIMAL:
         reason = f": {solution.message}" if solution.message else ""
         raise SolverError(
-            f"backend {backend!r} failed on model {problem.name!r}{reason}"
+            f"solver {solution.solver!r} failed on model {problem.name!r}{reason}"
         )
     return solution

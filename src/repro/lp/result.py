@@ -49,7 +49,7 @@ class Solution:
         self.message = message
         self._model_id = model_id
         #: The solver's dual of every compiled row (``a_ub`` rows, then
-        #: ``a_eq``), or None when the backend reports none; a callable
+        #: ``a_eq``), or None when the solver reports none; a callable
         #: is resolved by the first read.
         self._row_dual_source = row_duals
         #: Maps id(constraint) -> dual value (d objective / d rhs) for a
@@ -78,13 +78,13 @@ class Solution:
         """The solver's dual of each compiled row, ``a_ub`` rows then
         ``a_eq`` rows, in the compiled (minimizing, LE) sign.
 
-        Only the HiGHS backend reports duals; the pure simplex backend
-        raises :class:`ModelError` here.
+        A solver that reports none (the tests' simplex oracle) raises
+        :class:`ModelError` here.
         """
         if callable(self._row_dual_source):
             self._row_dual_source = self._row_dual_source()
         if self._row_dual_source is None:
-            raise ModelError(f"backend {self.solver!r} does not report dual values")
+            raise ModelError(f"solver {self.solver!r} does not report dual values")
         return self._row_dual_source
 
     @property
@@ -100,15 +100,18 @@ class Solution:
     def dual(self, constraint) -> float:
         """Shadow price of a constraint: d(objective) / d(rhs).
 
-        Only the HiGHS backend reports duals; the pure simplex backend
-        raises :class:`ModelError` here.  Sign convention follows the
-        constraint as written: relaxing ``expr <= b`` by one unit
-        changes a minimization objective by ``dual`` (<= 0), and
-        tightening ``expr >= b`` likewise.
+        Needs a solved :class:`~repro.lp.Model`: a compiled problem has
+        no constraints to key duals by (read :attr:`row_duals`), and a
+        solver that reports none raises :class:`ModelError` here.  Sign
+        convention follows the constraint as written: relaxing ``expr <=
+        b`` by one unit changes a minimization objective by ``dual``
+        (<= 0), and tightening ``expr >= b`` likewise.
         """
         if self._duals is None:
+            if self._row_dual_source is None:
+                raise ModelError(f"solver {self.solver!r} does not report dual values")
             raise ModelError(
-                f"backend {self.solver!r} does not report dual values"
+                "a compiled problem has no constraints to key duals by; read row_duals"
             )
         try:
             return self._duals[id(constraint)]

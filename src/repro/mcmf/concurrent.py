@@ -30,7 +30,6 @@ def max_concurrent_flow(
     edges: Sequence[Edge],
     commodities: Sequence[Commodity],
     cap_lambda: float = float("inf"),
-    backend: str = "highs",
 ) -> Tuple[float, List[Dict[Tuple[int, int], float]]]:
     """Maximize the common served fraction ``lambda``.
 
@@ -88,7 +87,7 @@ def max_concurrent_flow(
                 model.add_constraint(net == 0.0, name=f"cons[{k},{node}]")
 
     model.maximize(lam)
-    solution = model.solve(backend=backend)
+    solution = model.solve()
 
     lam_value = solution.value(lam)
     flows: List[Dict[Tuple[int, int], float]] = []

@@ -38,18 +38,15 @@ _REGISTRY: Dict[str, SchedulerFactory] = {
     "flow-2phase": lambda t, h, **kw: FlowBasedScheduler(
         t, h, variant="two_phase", on_infeasible="drop", **kw
     ),
-    # The combinatorial baselines solve no LPs; a requested backend is
-    # meaningless for them and deliberately ignored.
-    "direct": lambda t, h, **kw: DirectScheduler(t, h, on_infeasible="drop"),
-    "greedy": lambda t, h, **kw: GreedyStoreAndForwardScheduler(
+    "direct": lambda t, h: DirectScheduler(t, h, on_infeasible="drop"),
+    "greedy": lambda t, h: GreedyStoreAndForwardScheduler(
         t, h, on_infeasible="drop"
     ),
     "q-aware": lambda t, h, **kw: PercentileAwareScheduler(
         t, h, q=95.0, on_infeasible="drop", **kw
     ),
-    # The PR 4 fast lane: LP-free admission + ALAP placement.  Like the
-    # other combinatorial schedulers it ignores a requested backend.
-    "heuristic": lambda t, h, **kw: FastLaneScheduler(
+    # The fast lane: LP-free admission + ALAP placement.
+    "heuristic": lambda t, h: FastLaneScheduler(
         t, h, on_infeasible="drop"
     ),
     # Fast lane per slot, Postcard LP on escalated (pressured) slots.
@@ -72,9 +69,9 @@ def make_scheduler(
 ) -> Scheduler:
     """Instantiate a registered scheduler by name.
 
-    Keyword arguments are forwarded to the factory: the service daemon
-    passes the hybrid's watchdog settings here, and ``backend="simplex"``
-    swaps the reference solver in (the LP-free baselines ignore it).
+    Keyword arguments are forwarded to the factory (the service daemon
+    passes the hybrid's watchdog settings here); one the factory's
+    scheduler does not take raises :class:`TypeError`.
     """
     return scheduler_factory(name)(topology, horizon, **kwargs)
 

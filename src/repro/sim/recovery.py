@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.errors import InfeasibleError, RecoveryError, SolverError
 from repro.core.replan import ActiveFile, solve_multisource_plan
@@ -81,11 +81,10 @@ class RecoveryManager:
     scheduler will re-derive a plan on its next slot anyway.
     """
 
-    def __init__(self, scheduler, fault_model, backend: Optional[str] = None):
+    def __init__(self, scheduler, fault_model):
         self.scheduler = scheduler
         self.state = scheduler.state
         self.faults = fault_model
-        self.backend = backend or getattr(scheduler, "backend", "highs")
         self._requests: Dict[int, TransferRequest] = {}
         #: Committed transit entries per file, including recovered ones.
         self._entries: Dict[int, List[ScheduleEntry]] = defaultdict(list)
@@ -246,7 +245,6 @@ class RecoveryManager:
                 self.state,
                 start,
                 [file],
-                backend=self.backend,
                 capacity_fn=self.state.residual_capacity,
                 history_peak_fn=self.state.charged_volume,
                 committed_fn=self.state.committed_volume,

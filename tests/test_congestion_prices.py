@@ -9,6 +9,7 @@ from repro.net.generators import complete_topology
 from repro.net.topology import Datacenter, Link, Topology
 from repro.traffic import TransferRequest
 from tests.lp_reference import build_reference
+from tests.lp_simplex import simplex_in_place_of_highs
 
 
 def two_path_network(cheap_capacity: float):
@@ -134,6 +135,7 @@ def test_prices_equal_the_reference_on_a_loaded_mesh():
 def test_the_simplex_backend_reports_no_prices():
     state = NetworkState(two_path_network(cheap_capacity=4.0), horizon=20)
     built = build_postcard_model(state, [TransferRequest(0, 1, 12.0, 2, release_slot=0)])
-    _, solution = built.solve("simplex")
+    with simplex_in_place_of_highs():
+        _, solution = built.solve()
     with pytest.raises(ModelError):
         built.congestion_prices(solution)

@@ -131,7 +131,7 @@ def test_a_model_without_rows_agrees_and_one_without_columns_is_short_cut():
     assert assert_native_equals_linprog(m) is SolveStatus.OPTIMAL
     empty = Model("empty")
     empty.minimize(3.0)
-    solution = empty.solve("highs")
+    solution = empty.solve()
     assert solution.objective == 3.0 and solution.x.size == 0
     with pytest.raises(ValueError):  # linprog has no answer for no columns
         linprog(np.zeros(0))
@@ -157,7 +157,7 @@ def test_infeasible_unbounded_and_iteration_limited_models_agree():
     )
     assert status is SolveStatus.ERROR
     with pytest.raises(SolverError, match="Iteration limit reached"):
-        limited.solve("highs", presolve="off", simplex_iteration_limit=0)
+        limited.solve(presolve="off", simplex_iteration_limit=0)
 
 
 @pytest.mark.parametrize("field", ["c", "b_ub", "b_eq"])
@@ -202,7 +202,7 @@ def test_the_post_solve_check_refuses_an_answer_that_breaks_a_row():
 def test_an_answer_that_fails_the_check_is_a_solver_error(monkeypatch):
     monkeypatch.setattr(native, "_breaks", lambda *args: "breaks a row")
     with pytest.raises(SolverError, match="breaks a row"):
-        _small_model().solve("highs")
+        _small_model().solve()
 
 
 # -- random small LPs -----------------------------------------------------------

@@ -1,40 +1,12 @@
-"""Backend-specific behavior and cross-backend agreement on fixed LPs."""
+"""HiGHS and the simplex oracle on fixed LPs: each case, and their agreement."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SolverError
 from repro.lp import Model, SolveStatus
-from repro.lp import backends
-from repro.lp.backends import get_backend, register_backend
-from repro.lp.backends.base import Backend
-
-
-def test_get_backend_names():
-    assert sorted(backends._BACKENDS) == ["highs", "simplex"]
-    assert get_backend("highs").name == "highs"
-    assert get_backend("simplex").name == "simplex"
-
-
-def test_get_backend_unknown():
-    with pytest.raises(SolverError, match="available"):
-        get_backend("cplex")
-    # The fallback chain is gone, not renamed: the error names what is left.
-    with pytest.raises(SolverError, match="available: highs, simplex"):
-        get_backend("resilient")
-
-
-def test_register_backend(monkeypatch):
-    monkeypatch.setattr(backends, "_BACKENDS", dict(backends._BACKENDS))
-
-    class Fake(Backend):
-        name = "fake"
-
-        def solve(self, model, **options):
-            raise NotImplementedError
-
-    register_backend("fake", Fake)
-    assert isinstance(get_backend("fake"), Fake)
+from repro.lp import solve_lp
+from tests.lp_simplex import SOLVERS, solve_simplex
 
 
 def _transport_model():
@@ -60,87 +32,87 @@ def _transport_model():
     return m
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_transportation_problem(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_transportation_problem(solve):
     m = _transport_model()
-    solution = m.solve(backend)
+    solution = solve(m)
     # Optimum 125: x[1,1]=25 (cost 25), x[0,2]=15 (75), x[0,0]=5 (10),
     # x[1,0]=5 (15).
     assert solution.status is SolveStatus.OPTIMAL
     assert solution.objective == pytest.approx(125.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_a_compiled_problem_solves_as_its_model_does(backend):
-    """``compile_model`` and the backends take an already compiled
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_a_compiled_problem_solves_as_its_model_does(solve):
+    """``compile_model`` and both solvers take an already compiled
     problem as it is; ``solve_lp`` raises the same typed errors."""
     from repro.errors import InfeasibleError
-    from repro.lp import compile_model, solve_lp
+    from repro.lp import compile_model
 
     model = _transport_model()
     problem = compile_model(model)
     assert compile_model(problem) is problem
-    compiled = solve_lp(problem, backend)
-    assert compiled.objective == model.solve(backend).objective
+    compiled = solve(problem)
+    assert compiled.objective == solve(model).objective
     assert not compiled.has_duals  # no constraints to key them by
     problem.b_eq = problem.b_eq + 100.0  # demand beyond every supply
     with pytest.raises(InfeasibleError, match="transport"):
-        solve_lp(problem, backend)
+        solve(problem)
 
 
 def test_backends_agree_on_transport():
-    a = _transport_model().solve("highs")
-    b = _transport_model().solve("simplex")
+    a = solve_lp(_transport_model())
+    b = solve_simplex(_transport_model())
     assert a.objective == pytest.approx(b.objective, abs=1e-6)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_degenerate_problem(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_degenerate_problem(solve):
     # Multiple optima: any split of x+y=1 has the same cost.
     m = Model()
     x, y = m.add_variable("x"), m.add_variable("y")
     m.add_constraint(x + y == 1)
     m.minimize(x + y)
-    solution = m.solve(backend)
+    solution = solve(m)
     assert solution.objective == pytest.approx(1.0)
     assert solution.value(x) + solution.value(y) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_redundant_constraints(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_redundant_constraints(solve):
     m = Model()
     x = m.add_variable("x", lb=1.0)
     m.add_constraint(x >= 1)
     m.add_constraint(x >= 1)
     m.add_constraint(2 * x >= 2)
     m.minimize(x)
-    assert m.solve(backend).objective == pytest.approx(1.0)
+    assert solve(m).objective == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_variable_with_equal_bounds(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_variable_with_equal_bounds(solve):
     m = Model()
     x = m.add_variable("x", lb=3.0, ub=3.0)
     y = m.add_variable("y")
     m.add_constraint(y >= x)
     m.minimize(y)
-    assert m.solve(backend).objective == pytest.approx(3.0)
+    assert solve(m).objective == pytest.approx(3.0)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_negative_lower_bounds(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_negative_lower_bounds(solve):
     m = Model()
     x = m.add_variable("x", lb=-5.0, ub=-1.0)
     m.minimize(x)
-    assert m.solve(backend).objective == pytest.approx(-5.0)
+    assert solve(m).objective == pytest.approx(-5.0)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_upper_bound_only_variable(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_upper_bound_only_variable(solve):
     m = Model()
     x = m.add_variable("x", lb=None, ub=10.0)
     m.maximize(x)
-    assert m.solve(backend).objective == pytest.approx(10.0)
+    assert solve(m).objective == pytest.approx(10.0)
 
 
 def test_simplex_iteration_limit():
@@ -150,10 +122,10 @@ def test_simplex_iteration_limit():
         m.add_constraint(xs[i] + xs[i + 1] >= 1)
     m.minimize(sum(xs[1:], xs[0].as_expr()))
     with pytest.raises(SolverError):
-        m.solve("simplex", max_iter=1)
+        solve_simplex(m, max_iter=1)
     # HiGHS says which limit: its model-status text rides the SolverError.
     with pytest.raises(SolverError, match="Iteration limit reached"):
-        m.solve("highs", presolve="off", simplex_iteration_limit=0)
+        m.solve(presolve="off", simplex_iteration_limit=0)
 
 
 def test_a_misspelled_highs_option_is_an_error():
@@ -163,10 +135,10 @@ def test_a_misspelled_highs_option_is_an_error():
 
     m = _transport_model()
     with pytest.raises(ModelError, match="presolv"):
-        m.solve("highs", presolv="off")
+        m.solve(presolv="off")
     with pytest.raises(ModelError, match="presolve"):
-        m.solve("highs", presolve=False)  # HiGHS's presolve is "on"/"off"
-    assert m.solve("highs", presolve="off", time_limit=10.0).objective == pytest.approx(125.0)
+        m.solve(presolve=False)  # HiGHS's presolve is "on"/"off"
+    assert m.solve(presolve="off", time_limit=10.0).objective == pytest.approx(125.0)
 
 
 def test_solution_repr():
@@ -177,7 +149,7 @@ def test_solution_repr():
     assert "optimal" in text and "2" in text
 
 
-# -- the Postcard LP through every backend --------------------------------
+# -- the Postcard LP through both solvers ---------------------------------
 
 #: Tight enough that a genuinely different optimum fails.
 REL = 1e-5
@@ -190,13 +162,13 @@ def _paper_model(topology, files):
     return build_postcard_model(NetworkState(topology, horizon=100), files)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_paper_examples_reach_the_optimum(backend, fig1, fig3, fig3_files):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_paper_examples_reach_the_optimum(solve, fig1, fig3, fig3_files):
     """Figs. 1 and 3: 12 and 98/3, whichever solver is asked."""
     from repro.traffic import TransferRequest
 
     first = _paper_model(fig1, [TransferRequest(2, 3, 6.0, 3)])
     third = _paper_model(fig3, fig3_files)
-    assert first.solve(backend)[1].objective == pytest.approx(12.0, rel=REL)
-    assert third.solve(backend)[1].objective == pytest.approx(98.0 / 3.0, rel=REL)
+    assert solve(first.model).objective == pytest.approx(12.0, rel=REL)
+    assert solve(third.model).objective == pytest.approx(98.0 / 3.0, rel=REL)
 

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelError
-from repro.lp import Model
+from repro.lp import Model, compile_model, solve_lp
 from repro.lp.constraint import Sense
+from tests.lp_simplex import solve_simplex
 
 
 def test_simple_ge_dual():
@@ -77,9 +78,23 @@ def test_simplex_backend_has_no_duals():
     x = m.add_variable("x")
     con = m.add_constraint(x >= 1)
     m.minimize(x)
-    solution = m.solve("simplex")
+    solution = solve_simplex(m)
     assert not solution.has_duals
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="solver 'simplex' does not report dual values"):
+        solution.dual(con)
+
+
+def test_a_compiled_problem_has_row_duals_but_no_constraint_map():
+    """HiGHS reports the duals of a compiled problem; there is just no
+    constraint to key them by, and the error says where they are."""
+    m = Model()
+    x = m.add_variable("x")
+    con = m.add_constraint(x >= 4)
+    m.minimize(3 * x)
+    solution = solve_lp(compile_model(m))
+    assert solution.row_duals.tolist() == pytest.approx([-3.0])  # x >= 4 lowered to -x <= -4
+    assert not solution.has_duals
+    with pytest.raises(ModelError, match="no constraints to key duals by; read row_duals"):
         solution.dual(con)
 
 

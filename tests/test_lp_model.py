@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import InfeasibleError, ModelError, SolverError, UnboundedError
+from repro.errors import InfeasibleError, ModelError, UnboundedError
 from repro.lp import Model
+from tests.lp_simplex import SOLVERS
 
 
 def test_add_variable_defaults():
@@ -67,63 +68,55 @@ def test_scalar_objective_allowed():
     assert solution.objective == pytest.approx(7.0)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_basic_minimize(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_basic_minimize(solve):
     m = Model()
     x = m.add_variable("x")
     y = m.add_variable("y")
     m.add_constraint(x + y >= 10)
     m.minimize(3 * x + 5 * y)
-    solution = m.solve(backend)
+    solution = solve(m)
     assert solution.objective == pytest.approx(30.0)
     assert solution.value(x) == pytest.approx(10.0)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_basic_maximize(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_basic_maximize(solve):
     m = Model()
     x = m.add_variable("x", ub=4.0)
     y = m.add_variable("y", ub=6.0)
     m.add_constraint(x + y <= 8)
     m.maximize(x + 2 * y)
-    solution = m.solve(backend)
+    solution = solve(m)
     assert solution.objective == pytest.approx(14.0)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_objective_constant_term(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_objective_constant_term(solve):
     m = Model()
     x = m.add_variable("x", lb=1.0)
     m.minimize(2 * x + 100)
-    solution = m.solve(backend)
+    solution = solve(m)
     assert solution.objective == pytest.approx(102.0)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_infeasible_raises(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_infeasible_raises(solve):
     m = Model()
     x = m.add_variable("x", ub=1.0)
     m.add_constraint(x >= 5)
     m.minimize(x)
     with pytest.raises(InfeasibleError):
-        m.solve(backend)
+        solve(m)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_unbounded_raises(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_unbounded_raises(solve):
     m = Model()
     x = m.add_variable("x")
     m.maximize(x)
     with pytest.raises(UnboundedError):
-        m.solve(backend)
-
-
-def test_unknown_backend():
-    m = Model()
-    m.add_variable("x")
-    m.minimize(0)
-    with pytest.raises(SolverError):
-        m.solve("gurobi")
+        solve(m)
 
 
 def test_max_epigraph_tracks_maximum():
@@ -171,24 +164,24 @@ def test_solution_guards_model_identity():
         solution2.value(x1)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_equality_constraints(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_equality_constraints(solve):
     m = Model()
     x = m.add_variable("x")
     y = m.add_variable("y")
     m.add_constraint(x + y == 10)
     m.add_constraint(x - y == 2)
     m.minimize(x)
-    solution = m.solve(backend)
+    solution = solve(m)
     assert solution.value(x) == pytest.approx(6.0)
     assert solution.value(y) == pytest.approx(4.0)
 
 
-@pytest.mark.parametrize("backend", ["highs", "simplex"])
-def test_free_variable(backend):
+@pytest.mark.parametrize("solve", SOLVERS)
+def test_free_variable(solve):
     m = Model()
     x = m.add_variable("x", lb=None)
     m.add_constraint(x >= -10)
     m.minimize(x)
-    solution = m.solve(backend)
+    solution = solve(m)
     assert solution.value(x) == pytest.approx(-10.0)

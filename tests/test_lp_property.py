@@ -1,7 +1,7 @@
-"""Property-based cross-validation of the two LP backends.
+"""Property-based cross-validation of HiGHS against the simplex oracle.
 
 Random small LPs are generated and solved with both HiGHS and the pure
-simplex implementation; they must agree on feasibility and, when
+simplex implementation (``tests/lp_simplex.py``); they must agree on feasibility and, when
 optimal, on the objective value.  Constraints are built around a known
 feasible point so a healthy share of instances is feasible.
 """
@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InfeasibleError, UnboundedError
-from repro.lp import Model
+from repro.lp import Model, solve_lp
 from repro.lp.constraint import Sense
+from tests.lp_simplex import solve_simplex
 
 _coef = st.integers(-4, 4)
 
@@ -57,9 +58,9 @@ def _build(spec):
     return model
 
 
-def _solve(model, backend):
+def _solve(model, solve):
     try:
-        return ("optimal", model.solve(backend).objective)
+        return ("optimal", solve(model).objective)
     except InfeasibleError:
         return ("infeasible", None)
     except UnboundedError:  # pragma: no cover - box bounds prevent this
@@ -69,8 +70,8 @@ def _solve(model, backend):
 @settings(max_examples=60, deadline=None)
 @given(lp_specs())
 def test_backends_agree_on_random_lps(spec):
-    status_a, obj_a = _solve(_build(spec), "highs")
-    status_b, obj_b = _solve(_build(spec), "simplex")
+    status_a, obj_a = _solve(_build(spec), solve_lp)
+    status_b, obj_b = _solve(_build(spec), solve_simplex)
     assert status_a == status_b
     if status_a == "optimal":
         assert obj_a == pytest.approx(obj_b, abs=1e-6, rel=1e-6)
@@ -81,7 +82,7 @@ def test_backends_agree_on_random_lps(spec):
 def test_highs_solution_is_feasible(spec):
     model = _build(spec)
     try:
-        solution = model.solve("highs")
+        solution = model.solve()
     except InfeasibleError:
         return
     for con in model.constraints:
@@ -107,5 +108,5 @@ def test_anchored_instances_with_only_slack_constraints_feasible(spec):
     if any(kind == "eq" for _c, kind, _r in constraints):
         return
     model = _build((n, constraints, objective))
-    solution = model.solve("highs")
+    solution = model.solve()
     assert solution is not None

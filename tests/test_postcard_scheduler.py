@@ -6,6 +6,7 @@ from repro.errors import InfeasibleError, SchedulingError
 from repro.core import PostcardScheduler
 from repro.net.generators import complete_topology, line_topology
 from repro.traffic import TransferRequest
+from tests.lp_simplex import simplex_in_place_of_highs
 
 
 def test_empty_slot_is_noop(line3):
@@ -96,11 +97,11 @@ def test_storage_ablation_never_beats_full():
 
 
 def test_simplex_backend_agrees_on_tiny_instance(line3):
-    a = PostcardScheduler(line3, horizon=10, backend="highs")
-    b = PostcardScheduler(line3, horizon=10, backend="simplex")
-    for s, scheduler in ((0, a), (0, b)):
-        request = TransferRequest(0, 2, 4.0, 3, release_slot=0)
-        scheduler.on_slot(0, [request])
+    a = PostcardScheduler(line3, horizon=10)
+    b = PostcardScheduler(line3, horizon=10)
+    a.on_slot(0, [TransferRequest(0, 2, 4.0, 3, release_slot=0)])
+    with simplex_in_place_of_highs():
+        b.on_slot(0, [TransferRequest(0, 2, 4.0, 3, release_slot=0)])
     assert a.state.current_cost_per_slot() == pytest.approx(
         b.state.current_cost_per_slot(), abs=1e-6
     )

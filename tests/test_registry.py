@@ -50,3 +50,11 @@ def test_register_custom(line3):
     scheduler = make_scheduler("custom-direct", line3, 10)
     assert isinstance(scheduler, DirectScheduler)
     assert "custom-direct" in scheduler_names()
+
+
+@pytest.mark.parametrize("name", ["direct", "greedy", "heuristic"])
+def test_lp_free_factories_refuse_a_keyword_they_cannot_use(name, line3):
+    """A watchdog asked of a scheduler that has none is an error, not a
+    scheduler built without it."""
+    with pytest.raises(TypeError, match="watchdog_timeout_s"):
+        make_scheduler(name, line3, 10, watchdog_timeout_s=1.0)
