@@ -9,8 +9,8 @@ pressured slots back to the LP:
 
 * :class:`~repro.heuristic.tracker.UtilizationTracker` — the per-slot
   window table: residual / paid-headroom / pending rows per link;
-* :class:`~repro.heuristic.paths.CandidatePathIndex` — cached
-  K-cheapest simple paths per (source, destination) pair;
+* :class:`~repro.heuristic.paths.CandidatePathIndex` — K-cheapest
+  simple paths per (source, destination) pair, tabled at start-up;
 * :class:`~repro.heuristic.fastlane.FastLaneScheduler` — per-request
   admission test plus ALAP placement (registry name ``"heuristic"``);
 * :class:`~repro.heuristic.hybrid.HybridScheduler` — fast lane per

@@ -1,21 +1,24 @@
-"""Cached candidate paths for the fast-lane admission test.
+"""Candidate paths for the fast-lane admission test.
 
-Introduced in PR 4.  The LP considers every path implicitly through
-the time-expanded graph; the fast lane examines a handful of
-*candidate* simple paths per (source, destination) pair, cheapest-first
-by per-GB price.  The topology is fixed for a scheduler's lifetime, so
-the lists are computed once per pair and cached — after warm-up,
-admission does no graph search at all.
+The LP considers every path implicitly through the time-expanded graph;
+the fast lane examines a handful of *candidate* simple paths per
+(source, destination) pair, cheapest-first by per-GB price.  The
+topology is fixed for a scheduler's lifetime, so every ordered pair's
+list is computed when the index is built, together with the pair's
+static :class:`~repro.core.formulation.ArcSet`: planning a slot on a
+static topology never searches for a path or builds an arc set.
 
 With a :class:`repro.net.schedule.LinkSchedule` the picture is
 time-varying: the cheapest path is useless if one of its hops never
 lights up inside the request's window.  ``candidates`` therefore takes
 the schedule plus the request's slot window, drops paths with a
 fully-dark hop, prefers paths lit throughout the window, and — when the
-static list runs short — searches the subgraph of links with an
-up-slot.  Window-specific results are cached under the schedule's
-**epoch**, so a reopened link is re-discovered by the next query after
-the mutation without rebuilding the static index.
+table's list runs short — searches the subgraph of links with an
+up-slot.  A per-slot :class:`_SlotView` reads each scheduled link's
+availability bit mask for a window, relative to the release slot, and
+keeps the answers already given in that slot.  The view is keyed by the
+schedule object, its **epoch** and the release slot, so a reopened link
+is seen by the next query after the mutation.
 """
 
 from __future__ import annotations
@@ -30,13 +33,68 @@ from repro.core.formulation import ArcSet
 from repro.net.schedule import LinkSchedule
 from repro.net.topology import Topology
 
-#: Window-cache entries kept before wholesale pruning; epoch churn
-#: retires entries naturally, this only bounds pathological workloads.
-_WINDOW_CACHE_LIMIT = 4096
+#: (nodes, links with prices, max_paths) -> an index's static tables.
+#: Schedulers built on the same network (a fleet's in-process shards,
+#: the runs of a sweep) share one; it is never mutated, so a race
+#: between two threads building one only repeats work.
+_TABLES: Dict[tuple, tuple] = {}
+_TABLES_KEPT = 32
+
+
+def _bits(link_bit: Dict[Tuple[int, int], int], path: List[int]) -> int:
+    bits = 0
+    for hop in zip(path, path[1:]):
+        bits |= link_bit[hop]
+    return bits
+
+
+class _SlotView:
+    """What the queries of one slot share, for one schedule state: per
+    window length, the link bits the windows darken, and the answers
+    already given."""
+
+    __slots__ = ("schedule", "epoch", "origin", "link_bit", "shades",
+                 "answers", "arc_sets")
+
+    def __init__(self, schedule: LinkSchedule, origin: int, link_bit: Dict):
+        self.schedule, self.epoch, self.origin = schedule, schedule.epoch, origin
+        self.link_bit = link_bit
+        #: window length -> link bits (dark throughout, dark somewhere).
+        self.shades: Dict[int, Tuple[int, int]] = {}
+        #: (src, dst, max_hops, last) -> what ``candidates`` returned.
+        self.answers: Dict[Tuple[int, int, int, int], List[List[int]]] = {}
+        #: (src, dst, window-only paths) -> the pair's widened ArcSet.
+        self.arc_sets: Dict[tuple, ArcSet] = {}
+
+    def holds(self, schedule: LinkSchedule, origin: int) -> bool:
+        return (self.schedule is schedule and self.epoch == schedule.epoch
+                and self.origin == origin)
+
+    def shade(self, last: int) -> Tuple[int, int]:
+        """The bits of the scheduled links with no up-slot / with some
+        dark slot in the window ``[origin, last)``, read from each one's
+        availability mask (:meth:`LinkSchedule.up_mask`)."""
+        length = max(last - self.origin, 0)
+        shade = self.shades.get(length)
+        if shade is None:
+            full, dark, dim = (1 << length) - 1, 0, 0
+            for link in self.schedule.scheduled_links():
+                bit = self.link_bit.get(link, 0)
+                mask = self.schedule.up_mask(*link, self.origin, last)
+                if not mask:
+                    dark |= bit
+                if mask != full:
+                    dim |= bit
+            shade = self.shades[length] = (dark, dim)
+        return shade
 
 
 class CandidatePathIndex:
-    """K-cheapest-simple-path lists per (src, dst), computed lazily.
+    """K-cheapest-simple-path lists per (src, dst), tabled at construction.
+
+    The table costs ``DCs x (DCs - 1)`` networkx searches plus as many
+    arc sets, once per network and process; queries then only filter
+    and rank.
 
     Parameters
     ----------
@@ -44,7 +102,7 @@ class CandidatePathIndex:
         The inter-datacenter network; prices weight the path search.
     max_paths:
         Candidates returned per query.  Internally ``2 * max_paths``
-        paths are cached so deadline filtering (long paths cannot meet
+        paths are tabled so deadline filtering (long paths cannot meet
         short deadlines) still leaves choices.
     """
 
@@ -54,17 +112,43 @@ class CandidatePathIndex:
         self.topology = topology
         self.max_paths = max_paths
         self._graph = topology.to_networkx()
-        self._cache: Dict[Tuple[int, int], List[List[int]]] = {}
-        #: (src, dst, schedule epoch, first, last) -> window-feasible
-        #: paths.  Keyed by epoch so any schedule mutation — a link
-        #: reopening included — invalidates by key miss, not by rebuild.
-        self._window_cache: Dict[Tuple[int, int, int, int, int], List[List[int]]] = {}
-        #: (all slots?, a, b, schedule epoch, first, last) -> the
-        #: schedule's answer: a slot's batch asks about the same few
-        #: windows of the same links request after request.
-        self._lit: Dict[Tuple[bool, int, int, int, int, int], bool] = {}
-        #: (src, dst, window-only paths) -> the pair's :class:`ArcSet`.
-        self._arc_sets: Dict[tuple, ArcSet] = {}
+        key = (
+            tuple(topology.node_ids()),
+            tuple((link.src, link.dst, link.price) for link in topology.links),
+            max_paths,
+        )
+        tables = _TABLES.get(key)
+        if tables is None:
+            if len(_TABLES) >= _TABLES_KEPT:
+                _TABLES.clear()
+            tables = _TABLES[key] = self._tabulate()
+        #: ``_table``: (src, dst) -> the pair's ``2 * max_paths`` cheapest
+        #: simple paths; ``_arcs``: (src, dst) -> their ArcSet, ``None``
+        #: when the search ran dry (see :meth:`arc_set`); ``_link_bit``:
+        #: overlay link -> its bit in the path and window bit sets;
+        #: ``_path_bits``: (src, dst) -> per tabled path, its links' bits.
+        self._table, self._arcs, self._link_bit, self._path_bits = tables
+        self._view: Optional[_SlotView] = None
+
+    def _tabulate(self) -> tuple:
+        nodes = self.topology.node_ids()
+        table = {
+            (src, dst): self._cheapest(self._graph, src, dst)
+            for src in nodes
+            for dst in nodes
+            if src != dst
+        }
+        arcs = {
+            pair: ArcSet.from_paths(self.topology, *pair, paths)
+            if len(paths) == 2 * self.max_paths else None
+            for pair, paths in table.items()
+        }
+        link_bit = {link.key: 1 << n for n, link in enumerate(self.topology.links)}
+        path_bits = {
+            pair: [_bits(link_bit, path) for path in paths]
+            for pair, paths in table.items()
+        }
+        return table, arcs, link_bit, path_bits
 
     def candidates(
         self,
@@ -77,74 +161,68 @@ class CandidatePathIndex:
         """Up to ``max_paths`` cheapest paths with at most ``max_hops`` hops.
 
         Returns node-id lists (``[src, ..., dst]``), cheapest first; an
-        unreachable pair returns an empty list (and caches that).  With
-        ``schedule`` and ``window`` (half-open ``(first, last)`` slots)
-        paths with a hop that has no up-slot in the window are dropped,
-        fully-lit survivors rank before ones that must thread dark
-        gaps, and a window-specific search backfills a decimated list.
+        unreachable pair returns an empty list.  With ``schedule`` and
+        ``window`` (half-open ``(first, last)`` slots) paths with a hop
+        that has no up-slot in the window are dropped, fully-lit
+        survivors rank before ones that must thread dark gaps, and a
+        window-specific search backfills a decimated list.  The lists
+        are shared with the index: read them, never mutate them.
         """
-        base = self._base_paths(src, dst)
+        base = self._table[src, dst]
         if schedule is None or window is None or not len(schedule):
-            usable = [p for p in base if len(p) - 1 <= max_hops]
-            return usable[: self.max_paths]
+            return [p for p in base if len(p) - 1 <= max_hops][: self.max_paths]
 
         first, last = window
-        usable = [
-            path
-            for path in base
-            if len(path) - 1 <= max_hops
-            and all(
-                self._up(schedule, False, a, b, first, last)
-                for a, b in zip(path, path[1:])
-            )
-        ]
-        if len(usable) < self.max_paths:
-            for path in self._window_paths(src, dst, schedule, first, last):
-                if len(path) - 1 <= max_hops and path not in usable:
-                    usable.append(path)
-        # Fully-lit paths first; among equals the cheapest-first order
-        # of the underlying searches is preserved (sort is stable).
-        usable.sort(
-            key=lambda path: sum(
-                1
-                for a, b in zip(path, path[1:])
-                if not self._up(schedule, True, a, b, first, last)
-            )
-        )
-        return usable[: self.max_paths]
+        view = self._view
+        if view is None or not view.holds(schedule, first):
+            view = self._view = _SlotView(schedule, first, self._link_bit)
+        key = (src, dst, max_hops, last)
+        answer = view.answers.get(key)
+        if answer is None:
+            dark, dim = view.shade(last)
+            usable = [
+                (path, bits) for path, bits in zip(base, self._path_bits[src, dst])
+                if len(path) - 1 <= max_hops and not bits & dark
+            ]
+            if len(usable) < self.max_paths:
+                known = [path for path, _ in usable]
+                usable += [
+                    (path, _bits(self._link_bit, path))
+                    for path in self._window_paths(src, dst, dark)
+                    if len(path) - 1 <= max_hops and path not in known
+                ]
+            # Fully-lit paths first; among equals the cheapest-first order
+            # of the underlying searches is preserved (sort is stable).
+            dims = [bin(bits & dim).count("1") for _, bits in usable]
+            order = sorted(range(len(usable)), key=dims.__getitem__)
+            answer = view.answers[key] = [usable[i][0] for i in order[: self.max_paths]]
+        return answer
 
     def arc_set(self, request, schedule: Optional[LinkSchedule] = None):
         """The LP view of everything the index holds for ``request``:
-        the arcs of all its cached static paths plus whatever
-        :meth:`candidates` adds for its window — a superset of what
-        admission can pick, so a model pruned to it always contains the
-        fast lane's plan.  ``None`` (prune nothing) when the static
-        search ran dry: the cache then holds every simple path, and a
-        set could only move the LP between equal-cost optima."""
+        the arcs of all its tabled paths plus whatever :meth:`candidates`
+        adds for its window — a superset of what admission can pick, so
+        a model pruned to it always contains the fast lane's plan.
+        ``None`` (prune nothing) when the static search ran dry: the
+        table then holds every simple path, and a set could only move
+        the LP between equal-cost optima."""
         src, dst = request.source, request.destination
-        base, extra = self._base_paths(src, dst), ()
-        if len(base) < 2 * self.max_paths:
-            return None
-        if schedule is not None and len(schedule):
-            window = (request.release_slot, request.last_slot + 1)
-            usable = self.candidates(src, dst, request.deadline_slots, schedule, window)
-            extra = tuple(tuple(path) for path in usable if path not in base)
+        arcs = self._arcs[src, dst]
+        if arcs is None or schedule is None or not len(schedule):
+            return arcs
+        base = self._table[src, dst]
+        window = (request.release_slot, request.last_slot + 1)
+        usable = self.candidates(src, dst, request.deadline_slots, schedule, window)
+        extra = tuple(tuple(path) for path in usable if path not in base)
+        if not extra:
+            return arcs
+        widened = self._view.arc_sets
         key = (src, dst, extra)
-        if key not in self._arc_sets:
-            if len(self._arc_sets) >= _WINDOW_CACHE_LIMIT:
-                self._arc_sets.clear()
-            self._arc_sets[key] = ArcSet.from_paths(
-                self.topology, src, dst, [*base, *extra]
-            )
-        return self._arc_sets[key]
+        if key not in widened:
+            widened[key] = ArcSet.from_paths(self.topology, src, dst, [*base, *extra])
+        return widened[key]
 
     # -- internals -------------------------------------------------------
-
-    def _base_paths(self, src: int, dst: int) -> List[List[int]]:
-        paths = self._cache.get((src, dst))
-        if paths is None:
-            paths = self._cache[(src, dst)] = self._cheapest(self._graph, src, dst)
-        return paths
 
     def _cheapest(self, graph, src: int, dst: int) -> List[List[int]]:
         """The ``2 * max_paths`` cheapest simple paths in ``graph``."""
@@ -154,41 +232,17 @@ class CandidatePathIndex:
         except nx.NetworkXNoPath:
             return []
 
-    def _up(
-        self, schedule: LinkSchedule, fully: bool, a: int, b: int,
-        first: int, last: int,
-    ) -> bool:
-        """Link (a, b) is up in every (``fully``) / some slot of the window."""
-        key = (fully, a, b, schedule.epoch, first, last)
-        lit = self._lit.get(key)
-        if lit is None:
-            if len(self._lit) >= _WINDOW_CACHE_LIMIT:
-                self._lit.clear()
-            ask = schedule.fully_up_in_range if fully else schedule.up_in_range
-            lit = self._lit[key] = ask(a, b, first, last)
-        return lit
-
-    def _window_paths(
-        self, src: int, dst: int, schedule: LinkSchedule, first: int, last: int
-    ) -> List[List[int]]:
-        """Cheapest paths over the links with an up-slot in the window."""
-        key = (src, dst, schedule.epoch, first, last)
-        paths = self._window_cache.get(key)
-        if paths is None:
-            if len(self._window_cache) >= _WINDOW_CACHE_LIMIT:
-                self._window_cache.clear()
-            live = self._graph.edge_subgraph(
-                (a, b)
-                for a, b in self._graph.edges
-                if schedule.up_in_range(a, b, first, last)
-            )
-            try:
-                paths = self._cheapest(live, src, dst)
-            except nx.NodeNotFound:  # an endpoint has no lit link at all
-                paths = []
-            self._window_cache[key] = paths
-        return paths
+    def _window_paths(self, src: int, dst: int, dark: int) -> List[List[int]]:
+        """Cheapest paths over the links with an up-slot in the window
+        (``dark``: the bits of the links without one)."""
+        live = self._graph.edge_subgraph(
+            edge for edge in self._graph.edges if not self._link_bit[edge] & dark
+        )
+        try:
+            return self._cheapest(live, src, dst)
+        except nx.NodeNotFound:  # an endpoint has no lit link at all
+            return []
 
     def __len__(self) -> int:
-        """Number of (src, dst) pairs already indexed."""
-        return len(self._cache)
+        """Number of (src, dst) pairs in the table."""
+        return len(self._table)

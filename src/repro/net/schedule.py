@@ -180,6 +180,26 @@ class LinkSchedule:
         i = bisect_right(spans, (start, float("inf")))
         return i > 0 and spans[i - 1][1] >= end
 
+    def up_mask(self, src: int, dst: int, start: int, end: int) -> int:
+        """The link's up-slots in ``[start, end)`` as bits: bit ``i`` is
+        set when slot ``start + i`` is up.  Relative to ``start``, so a
+        span far in the future never builds a huge integer."""
+        if end <= start:
+            return 0
+        spans = self._spans.get((src, dst))
+        if spans is None:
+            return (1 << (end - start)) - 1
+        mask = 0
+        i = bisect_right(spans, (start, float("inf")))
+        if i > 0 and spans[i - 1][1] > start:
+            i -= 1
+        for lo, hi in spans[i:]:
+            if lo >= end:
+                break
+            lo, hi = max(lo, start) - start, min(hi, end) - start
+            mask |= ((1 << (hi - lo)) - 1) << lo
+        return mask
+
     def next_up_slot(self, src: int, dst: int, slot: int) -> Optional[int]:
         """The first up-slot at or after ``slot``, or None (never again)."""
         spans = self._spans.get((src, dst))

@@ -81,6 +81,8 @@ def test_tracker_headroom_tracks_paid_peak():
 def test_candidate_paths_cheapest_first_and_cached():
     topo = complete_topology(5, capacity=30.0, seed=1)
     index = CandidatePathIndex(topo, max_paths=3)
+    # Every ordered pair is tabled at construction, before any query.
+    assert len(index) == 5 * 4
     paths = index.candidates(0, 3, max_hops=4)
     assert paths and all(p[0] == 0 and p[-1] == 3 for p in paths)
 
@@ -90,11 +92,10 @@ def test_candidate_paths_cheapest_first_and_cached():
         )
 
     assert price(paths[0]) == min(price(p) for p in paths)
-    assert len(index) == 1
     # Deadline filtering: 1 hop max leaves only the direct path.
     short = index.candidates(0, 3, max_hops=1)
     assert short == [[0, 3]]
-    assert len(index) == 1  # served from cache
+    assert len(index) == 5 * 4
 
 
 def test_candidate_paths_unreachable_pair():

@@ -229,6 +229,38 @@ class TestWindowAwarePaths:
         lit = index.candidates(0, 1, 3, schedule=schedule, window=(0, 4))
         assert [0, 1] in lit
 
+    def test_schedules_with_the_same_epoch_do_not_share_answers(self):
+        """Two schedules of one mutation each both read epoch 1: the
+        index must answer B's window from B's spans, not from A's."""
+        topo = complete_topology(4, capacity=10.0, seed=1)
+        index = CandidatePathIndex(topo, max_paths=4)
+        a = LinkSchedule([AvailabilityWindow(0, 1, 0, 8)])
+        b = LinkSchedule([AvailabilityWindow(0, 1, 20, 28)])
+        assert a.epoch == b.epoch == 1
+        assert [0, 1] in index.candidates(0, 1, 3, a, (0, 4))
+        expected = [[0, 3, 1], [0, 3, 2, 1], [0, 2, 1], [0, 2, 3, 1]]
+        assert index.candidates(0, 1, 3, b, (0, 4)) == expected
+        fresh = CandidatePathIndex(topo, max_paths=4)
+        assert fresh.candidates(0, 1, 3, b, (0, 4)) == expected
+
+    def test_up_mask_is_relative_to_its_start(self):
+        schedule = LinkSchedule([
+            AvailabilityWindow(0, 1, 2, 5), AvailabilityWindow(0, 1, 7, 9),
+            AvailabilityWindow(2, 3, 10**9, 10**9 + 2),
+        ])
+        assert schedule.up_mask(0, 1, 0, 10) == 0b0110011100
+        assert schedule.up_mask(0, 1, 3, 8) == 0b10011
+        assert schedule.up_mask(0, 1, 5, 7) == 0
+        assert schedule.up_mask(0, 1, 4, 4) == 0
+        assert schedule.up_mask(1, 0, 6, 9) == 0b111  # unscheduled: always up
+        assert schedule.up_mask(2, 3, 10**9 - 1, 10**9 + 3) == 0b0110
+        for start in range(10):
+            for end in range(start, 12):
+                mask = schedule.up_mask(0, 1, start, end)
+                assert [bool(mask >> i & 1) for i in range(end - start)] == [
+                    schedule.is_up(0, 1, slot) for slot in range(start, end)
+                ]
+
 
 class TestGraphCacheChurn:
     def test_incremental_equals_cold_under_schedule_churn(self):
