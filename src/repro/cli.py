@@ -488,6 +488,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(_run())
+    except ServiceError as exc:  # e.g. --wal with no directory; never bound
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print("interrupted; state is only as fresh as the last checkpoint")
         return 130
@@ -739,10 +742,7 @@ def _cmd_fleet_serve(args: argparse.Namespace) -> int:
             gateway_dc=args.gateway,
             gateway_mode=args.gateway_mode,
             checkpoint_root=args.checkpoint_root,
-            # The root stands in for the per-shard directory --wal needs.
-            shard=from_args(
-                args, FLEET_SHARD_FLAGS, checkpoint_dir=args.checkpoint_root
-            ),
+            shard=from_args(args, FLEET_SHARD_FLAGS),
         )
         commands = [
             serve_command(fleet.shard_config(name)) for name in sorted(shards)

@@ -12,9 +12,12 @@ new batch.
 Formally, at slot ``t`` every active file ``k`` is described by its
 remaining volume distribution: ``supplies[i]`` GB currently sitting at
 datacenter ``i`` (its source, and/or intermediate nodes where earlier
-slots parked it).  The LP is the Sec. V formulation with multi-source
-supply nodes; only the ``n = t`` arcs of the solution are executed,
-and the rest is thrown away and re-derived next slot.
+slots parked it).  The LP is the Sec. V formulation
+(:mod:`repro.core.flowlp`); what this module owns is its multi-source
+supplies at layer ``t``, each file's demand at its deadline layer, and
+the peaks it prices against (this charging period's history, or the
+recovery layer's hooks).  Only the ``n = t`` arcs of the solution are
+executed, and the rest is thrown away and re-derived next slot.
 
 Feasibility is monotone: the tail of last slot's plan is always still
 feasible (capacities ahead are untouched), so replanning can only help
@@ -27,11 +30,14 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import InfeasibleError
-from repro.core.interfaces import Scheduler
+from repro.core.flowlp import (
+    Users, add_balance_rows, add_capacity_rows, add_charge_rows, add_flows,
+)
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
 from repro.core.schedule import ScheduleEntry, TransferSchedule
+from repro.core.scheduler import shed_until_feasible
 from repro.core.state import NetworkState
-from repro.lp import LinExpr, Model, Variable
+from repro.lp import Model, Variable
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
@@ -79,7 +85,9 @@ def solve_multisource_plan(
 
     * The replanning scheduler re-derives *everything* each slot, so
       future capacities are raw link capacities (``capacity_fn=None``)
-      and nothing else is committed (``committed_fn=None``).
+      and nothing else is committed (``committed_fn=None``); the paid
+      peaks are what this charging period executed before ``slot``
+      (``history_peak_fn=None``).
     * :class:`repro.sim.recovery.RecoveryManager` replans a disrupted
       file *around* other files' still-valid commitments, so it passes
       residual capacities and the committed per-slot loads, and prices
@@ -101,91 +109,42 @@ def solve_multisource_plan(
     if history_peak_fn is None:
 
         def history_peak_fn(src: int, dst: int) -> float:
-            return state.ledger.peak_in_range(src, dst, 0, max(slot, 1))
+            return state.ledger.peak_in_range(
+                src, dst, state.period_start, max(slot, 1)
+            )
 
     end = max(f.deadline_slot for f in files) + 1
     graph = TimeExpandedGraph(
-        state.topology,
-        start_slot=slot,
-        horizon=end - slot,
-        capacity_fn=capacity_fn,
+        state.topology, start_slot=slot, horizon=end - slot, capacity_fn=capacity_fn
     )
 
     model = Model(model_name)
     flow_vars: Dict[Tuple[int, Arc], Variable] = {}
-    arc_users: Dict[Arc, List[Variable]] = defaultdict(list)
+    users: Users = defaultdict(list)
 
     for f in files:
         rid = f.request.request_id
         window_last = f.deadline_slot
-        balance: Dict[Tuple[int, int], List[Tuple[float, Variable]]] = defaultdict(list)
-        arcs = [a for a in graph.arcs if slot <= a.slot <= window_last]
-        for arc in arcs:
-            if arc.kind is ArcKind.TRANSIT and arc.capacity <= 0:
-                continue
-            var = model.add_variable(f"M[{rid},{arc.src},{arc.dst},{arc.slot}]")
-            flow_vars[(rid, arc)] = var
-            if arc.kind is ArcKind.TRANSIT:
-                arc_users[arc].append(var)
-            balance[arc.tail].append((1.0, var))
-            balance[arc.head].append((-1.0, var))
-
+        columns, balance = add_flows(
+            model, rid,
+            (a for a in graph.arcs if slot <= a.slot <= window_last), users,
+        )
+        flow_vars.update(((rid, arc), var) for arc, var in columns.items())
         sink = (f.request.destination, window_last + 1)
-        for node, terms in balance.items():
-            net = LinExpr.from_terms(terms)
-            supply = f.supplies.get(node[0], 0.0) if node[1] == slot else 0.0
-            if node == sink:
-                model.add_constraint(
-                    net == supply - f.remaining, name=f"snk[{rid}]"
-                )
-            elif supply > 0.0:
-                model.add_constraint(net == supply, name=f"sup[{rid},{node[0]}]")
-            else:
-                model.add_constraint(
-                    net == 0.0, name=f"cons[{rid},{node[0]},{node[1]}]"
-                )
+        add_balance_rows(model, rid, balance, lambda node: (
+            f.supplies.get(node[0], 0.0) if node[1] == slot
+            else -f.remaining if node == sink else 0.0
+        ))
 
-    for arc, users in arc_users.items():
-        if arc.capacity != float("inf"):
-            model.add_constraint(
-                LinExpr.sum(users) <= arc.capacity,
-                name=f"cap[{arc.src},{arc.dst},{arc.slot}]",
-            )
-
-    # Charge structure: history peaks are paid; the plan's per-slot
-    # loads — stacked on whatever is already committed there — set the
-    # new peaks.
-    by_link: Dict[Tuple[int, int], Dict[int, List[Variable]]] = defaultdict(
-        lambda: defaultdict(list)
-    )
-    for arc, users in arc_users.items():
-        by_link[arc.link_key][arc.slot].extend(users)
-
-    objective_terms: List[Tuple[float, Variable]] = []
-    fixed_cost = 0.0
-    for link in state.topology.links:
-        prior = history_peak_fn(link.src, link.dst)
-        if link.key not in by_link:
-            fixed_cost += link.price * prior
-            continue
-        x = model.add_variable(f"X[{link.src},{link.dst}]", lb=prior)
-        for plan_slot, users in by_link[link.key].items():
-            load = LinExpr.sum(users)
-            if committed_fn is not None:
-                load = load + committed_fn(link.src, link.dst, plan_slot)
-            model.add_constraint(
-                x >= load,
-                name=f"chg[{link.src},{link.dst},{plan_slot}]",
-            )
-        objective_terms.append((link.price, x))
-
-    model.minimize(LinExpr.from_terms(objective_terms, constant=fixed_cost))
+    add_capacity_rows(model, users)
+    # History peaks are paid; the plan's per-slot loads — stacked on
+    # whatever is already committed there — set the new peaks.
+    model.minimize(add_charge_rows(
+        model, state.topology, users, history_peak_fn, committed_fn
+    ))
     solution = model.solve()
-    plan = {
-        key: solution.value(var)
-        for key, var in flow_vars.items()
-        if solution.value(var) > VOLUME_ATOL
-    }
+    plan = {key: volume for key, var in flow_vars.items()
+            if (volume := solution.value(var)) > VOLUME_ATOL}
     return plan, solution.objective
 
 
@@ -214,46 +173,27 @@ class ReplanningPostcardScheduler(Scheduler):
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
         self._check_released_at(slot, requests)
 
-        newcomers = [
-            ActiveFile(r, supplies={r.source: r.size_gb}) for r in requests
-        ]
-
         # Admission: the current active set stays feasible by
         # construction (last slot's plan tail is untouched), so only
-        # newcomers can break feasibility.  Shedding mirrors
-        # shed_until_feasible: individually-impossible files first,
-        # then the hungriest, one at a time.
+        # newcomers can break feasibility, and only they are shed; if
+        # all are, the active set is planned alone.
+        fresh = {
+            r.request_id: ActiveFile(r, supplies={r.source: r.size_gb})
+            for r in requests
+        }
+
         def attempt(subset):
-            return self._solve(slot, self.active + subset)
+            return self._solve(
+                slot, self.active + [fresh[r.request_id] for r in subset]
+            )
 
-        try:
-            plan = attempt(newcomers)
-        except InfeasibleError:
-            if self.on_infeasible == "raise":
-                raise
-            survivors = []
-            for f in newcomers:
-                try:
-                    attempt([f])
-                    survivors.append(f)
-                except InfeasibleError:
-                    self._state.reject(f.request)
-            newcomers = survivors
-            while True:
-                try:
-                    plan = attempt(newcomers)
-                    break
-                except InfeasibleError:
-                    if not newcomers:
-                        raise
-                    victim = max(
-                        newcomers,
-                        key=lambda f: (f.request.desired_rate, f.remaining),
-                    )
-                    newcomers.remove(victim)
-                    self._state.reject(victim.request)
-
-        self.active.extend(newcomers)
+        if self.on_infeasible == ON_INFEASIBLE_RAISE:
+            plan, accepted = attempt(requests), requests
+        else:
+            plan, accepted = shed_until_feasible(attempt, requests, self._state)
+            if plan is None:
+                plan = attempt([])
+        self.active.extend(fresh[r.request_id] for r in accepted)
         executed = self._execute_slot(slot, plan)
         self.active = [f for f in self.active if f.remaining > VOLUME_ATOL]
         return executed
@@ -268,17 +208,9 @@ class ReplanningPostcardScheduler(Scheduler):
             return {}
         obs.counter("scheduler.replans")
         with obs.span("scheduler.replan", slot=slot, files=len(files)):
-            return self._solve_instrumented(slot, files)
-
-    def _solve_instrumented(
-        self, slot: int, files: List[ActiveFile]
-    ) -> Dict[Tuple[int, Arc], float]:
-        # Future capacities are raw link capacities (nothing is
-        # committed ahead of time in the replanning model) minus
-        # visible outages; history peaks are what earlier slots
-        # actually executed.
-        plan, objective = solve_multisource_plan(self._state, slot, files)
-        self.last_objective = objective
+            plan, self.last_objective = solve_multisource_plan(
+                self._state, slot, files
+            )
         return plan
 
     # -- surprise-failure recovery ------------------------------------------

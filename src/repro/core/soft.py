@@ -7,6 +7,11 @@ formulates that variant: each file may run up to ``extension`` slots
 past its deadline, paying ``lateness_penalty`` dollars per GB per late
 slot; the optimizer then trades WAN cost against SLA cost.
 
+What this module owns on top of :mod:`repro.core.flowlp`: each file's
+window reaches ``extension`` slots past its deadline, its supply sits
+at the source layer and its demand at the extended sink layer, and the
+objective is the bill plus the lateness terms.
+
 With ``extension=0`` this is exactly the hard-deadline LP of
 :func:`repro.core.formulation.build_postcard_model`; with a generous
 extension and a steep penalty it behaves identically on feasible
@@ -21,6 +26,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import SchedulingError
+from repro.core.flowlp import (
+    Users, add_balance_rows, add_capacity_rows, add_charge_rows, add_flows,
+    window_graph,
+)
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
 from repro.lp import LinExpr, Model, Solution, Variable
@@ -58,18 +67,13 @@ def build_soft_deadline_model(
     if lateness_penalty < 0:
         raise SchedulingError("lateness_penalty must be non-negative")
 
-    start = min(r.release_slot for r in requests)
-    end = max(r.release_slot + r.deadline_slots for r in requests) + extension
-    graph = TimeExpandedGraph(
-        state.topology,
-        start_slot=start,
-        horizon=end - start,
-        capacity_fn=state.residual_capacity,
+    graph = window_graph(
+        state.topology, requests, state.residual_capacity, extension
     )
 
     model = Model(name)
     flow_vars: Dict[Tuple[int, Arc], Variable] = {}
-    arc_users: Dict[Arc, List[Variable]] = defaultdict(list)
+    users: Users = defaultdict(list)
     penalty_terms: List[Tuple[float, Variable]] = []
     #: (request_id) -> [(late_slots, var)] for lateness accounting.
     lateness_terms: Dict[int, List[Tuple[float, Variable]]] = defaultdict(list)
@@ -79,73 +83,35 @@ def build_soft_deadline_model(
         first = request.release_slot
         hard_deadline_layer = request.release_slot + request.deadline_slots
         last_exclusive = hard_deadline_layer + extension
-        balance: Dict[Tuple[int, int], List[Tuple[float, Variable]]] = defaultdict(list)
-        for arc in graph.arcs:
-            if not first <= arc.slot < last_exclusive:
-                continue
-            if arc.kind is ArcKind.TRANSIT and arc.capacity <= 0:
-                continue
-            var = model.add_variable(f"M[{rid},{arc.src},{arc.dst},{arc.slot}]")
+        columns, balance = add_flows(
+            model, rid,
+            (a for a in graph.arcs if first <= a.slot < last_exclusive), users,
+        )
+        for arc, var in columns.items():
             flow_vars[(rid, arc)] = var
-            if arc.kind is ArcKind.TRANSIT:
-                arc_users[arc].append(var)
-                # Arrival at the destination after the hard deadline
-                # pays per GB per late slot.
-                if arc.dst == request.destination:
-                    late = max(0, arc.slot + 1 - hard_deadline_layer)
-                    if late > 0 and lateness_penalty > 0:
-                        penalty_terms.append((lateness_penalty * late, var))
-                    if late > 0:
-                        lateness_terms[rid].append((float(late), var))
-            balance[arc.tail].append((1.0, var))
-            balance[arc.head].append((-1.0, var))
+            # Arrival at the destination after the hard deadline pays
+            # per GB per late slot.
+            late = arc.slot + 1 - hard_deadline_layer
+            arrives = arc.kind is ArcKind.TRANSIT and arc.dst == request.destination
+            if arrives and late > 0:
+                if lateness_penalty > 0:
+                    penalty_terms.append((lateness_penalty * late, var))
+                lateness_terms[rid].append((float(late), var))
 
-        source = (request.source, first)
-        sink = (request.destination, last_exclusive)
+        source, sink = (request.source, first), (request.destination, last_exclusive)
         if source not in balance:
             raise SchedulingError(
                 f"file {rid}: no admissible arc leaves its source"
             )
-        for node, terms in balance.items():
-            net = LinExpr.from_terms(terms)
-            if node == source:
-                model.add_constraint(net == request.size_gb, name=f"src[{rid}]")
-            elif node == sink:
-                model.add_constraint(net == -request.size_gb, name=f"snk[{rid}]")
-            else:
-                model.add_constraint(net == 0.0, name=f"cons[{rid},{node}]")
+        add_balance_rows(model, rid, balance, lambda node: (
+            request.size_gb if node == source
+            else -request.size_gb if node == sink else 0.0
+        ))
 
-    capacity_rows = {}
-    for arc, users in arc_users.items():
-        if arc.capacity != float("inf"):
-            capacity_rows[(arc.src, arc.dst, arc.slot)] = model.add_constraint(
-                LinExpr.sum(users) <= arc.capacity,
-                name=f"cap[{arc.src},{arc.dst},{arc.slot}]",
-            )
-
-    by_link: Dict[Tuple[int, int], Dict[int, List[Variable]]] = defaultdict(
-        lambda: defaultdict(list)
-    )
-    for arc, users in arc_users.items():
-        by_link[arc.link_key][arc.slot].extend(users)
-
-    objective_terms: List[Tuple[float, Variable]] = list(penalty_terms)
-    fixed_cost = 0.0
-    for link in state.topology.links:
-        key = link.key
-        prior = state.charged_volume(*key)
-        if key not in by_link:
-            fixed_cost += link.price * prior
-            continue
-        x = model.add_variable(f"X[{key[0]},{key[1]}]", lb=prior)
-        for slot, users in by_link[key].items():
-            committed = state.committed_volume(key[0], key[1], slot)
-            model.add_constraint(
-                x >= LinExpr.sum(users) + committed, name=f"chg[{key},{slot}]"
-            )
-        objective_terms.append((link.price, x))
-
-    model.minimize(LinExpr.from_terms(objective_terms, constant=fixed_cost))
+    add_capacity_rows(model, users)
+    model.minimize(LinExpr.from_terms(penalty_terms) + add_charge_rows(
+        model, state.topology, users, state.charged_volume, state.committed_volume
+    ))
     return model, flow_vars, graph, lateness_terms
 
 

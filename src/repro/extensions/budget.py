@@ -3,9 +3,11 @@
 "Given a certain budget on costs incurred by inter-datacenter traffic,
 what is the maximum number of files that a cloud provider can transfer?"
 
-The LP relaxation transfers fractions ``y_k in [0, 1]`` of each file,
-maximizes ``sum(y_k)`` subject to the Postcard charge structure and the
-budget ``sum(a_ij * X_ij) * I <= B``.  Because files are atomic in
+The LP relaxation transfers fractions ``y_k in [0, 1]`` of each file:
+its supply is ``F_k * y_k`` at the source layer and the same demand at
+the deadline layer; it maximizes ``sum(y_k)`` under the budget row
+``sum(a_ij * X_ij) * I <= B`` on the bill :mod:`repro.core.flowlp`
+assembles.  Because files are atomic in
 practice, a greedy rounding pass then admits whole files in decreasing
 fractional order, re-checking the budget with an exact Postcard solve
 at every step; the fractional optimum upper-bounds the integral one, so
@@ -19,13 +21,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InfeasibleError, SchedulingError
+from repro.core.flowlp import (
+    Users, add_balance_rows, add_capacity_rows, add_charge_rows, add_flows,
+    window_graph,
+)
 from repro.core.formulation import build_postcard_model
-from repro.core.schedule import ScheduleEntry, TransferSchedule
+from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
 from repro.lp import LinExpr, Model, Variable
-from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
 from repro.traffic.spec import TransferRequest
-from repro.units import VOLUME_ATOL
 
 
 @dataclass
@@ -54,83 +58,27 @@ def _fractional_relaxation(
     budget_per_slot: float,
 ) -> Tuple[float, Dict[int, float]]:
     """Solve the y_k in [0,1] relaxation; returns (objective, fractions)."""
-    start = min(r.release_slot for r in requests)
-    end = max(r.release_slot + r.deadline_slots for r in requests)
-    graph = TimeExpandedGraph(
-        state.topology,
-        start_slot=start,
-        horizon=end - start,
-        capacity_fn=state.residual_capacity,
-    )
+    graph = window_graph(state.topology, requests, state.residual_capacity)
 
     model = Model("budget_relaxation")
-    arc_users: Dict[Arc, List[Variable]] = defaultdict(list)
+    users: Users = defaultdict(list)
     fraction_vars: Dict[int, Variable] = {}
 
     for request in requests:
         rid = request.request_id
-        balance: Dict[Tuple[int, int], List[Tuple[float, Variable]]] = defaultdict(list)
-        for arc in graph.arcs_for_request(request):
-            if arc.kind is ArcKind.TRANSIT and arc.capacity <= 0:
-                continue
-            var = model.add_variable(f"M[{rid},{arc.src},{arc.dst},{arc.slot}]")
-            if arc.kind is ArcKind.TRANSIT:
-                arc_users[arc].append(var)
-            balance[arc.tail].append((1.0, var))
-            balance[arc.head].append((-1.0, var))
+        _, balance = add_flows(model, rid, graph.arcs_for_request(request), users)
+        y = fraction_vars[rid] = model.add_variable(f"y[{rid}]", lb=0.0, ub=1.0)
+        source, sink = graph.source_node(request), graph.sink_node(request)
+        add_balance_rows(model, rid, balance, lambda node: (
+            request.size_gb * y if node == source
+            else -request.size_gb * y if node == sink else 0.0
+        ))
 
-        y = model.add_variable(f"y[{rid}]", lb=0.0, ub=1.0)
-        fraction_vars[rid] = y
-        source = graph.source_node(request)
-        sink = graph.sink_node(request)
-        for node, terms in balance.items():
-            net = LinExpr.from_terms(terms)
-            if node == source:
-                model.add_constraint(
-                    net - request.size_gb * y == 0.0, name=f"src[{rid}]"
-                )
-            elif node == sink:
-                model.add_constraint(
-                    net + request.size_gb * y == 0.0, name=f"snk[{rid}]"
-                )
-            else:
-                model.add_constraint(net == 0.0, name=f"cons[{rid},{node[0]},{node[1]}]")
-
-    for arc, users in arc_users.items():
-        if arc.capacity != float("inf"):
-            model.add_constraint(
-                LinExpr.sum(users) <= arc.capacity,
-                name=f"cap[{arc.src},{arc.dst},{arc.slot}]",
-            )
-
-    # Charge structure + budget.
-    by_link: Dict[Tuple[int, int], Dict[int, List[Variable]]] = defaultdict(
-        lambda: defaultdict(list)
+    add_capacity_rows(model, users)
+    bill = add_charge_rows(
+        model, state.topology, users, state.charged_volume, state.committed_volume
     )
-    for arc, users in arc_users.items():
-        by_link[arc.link_key][arc.slot].extend(users)
-
-    budget_terms: List[Tuple[float, Variable]] = []
-    fixed_cost = 0.0
-    for link in state.topology.links:
-        key = link.key
-        prior = state.charged_volume(*key)
-        if key not in by_link:
-            fixed_cost += link.price * prior
-            continue
-        x = model.add_variable(f"X[{key[0]},{key[1]}]", lb=prior)
-        for slot, users in by_link[key].items():
-            committed = state.committed_volume(key[0], key[1], slot)
-            model.add_constraint(
-                x >= LinExpr.sum(users) + committed,
-                name=f"chg[{key[0]},{key[1]},{slot}]",
-            )
-        budget_terms.append((link.price, x))
-
-    model.add_constraint(
-        LinExpr.from_terms(budget_terms, constant=fixed_cost) <= budget_per_slot,
-        name="budget",
-    )
+    model.add_constraint(bill <= budget_per_slot, name="budget")
     model.maximize(LinExpr.sum(fraction_vars.values()))
     solution = model.solve()
     fractions = {rid: solution.value(var) for rid, var in fraction_vars.items()}

@@ -13,6 +13,11 @@ constraints (8) would make the objective a constant.  The sensible (and
 NetStitcher-consistent) reading implemented here relaxes delivery to
 *at most* ``F_k`` per file and maximizes the total delivered volume;
 files may be partially transferred when free bandwidth is scarce.
+
+What this module owns on top of :mod:`repro.core.flowlp`: arc
+capacities are each link-slot's paid headroom, each file's supply is a
+delivered volume ``y_k in [0, F_k]``, and the objective is the weighted
+``sum(y_k)``.  Nothing is charged, so there are no charge rows.
 """
 
 from __future__ import annotations
@@ -22,10 +27,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
+from repro.core.flowlp import (
+    Users, add_balance_rows, add_capacity_rows, add_flows, window_graph,
+)
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
 from repro.lp import LinExpr, Model, Variable
-from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
+from repro.timeexp.graph import Arc
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
@@ -58,68 +66,38 @@ def maximize_bulk_throughput(
     if not requests:
         raise SchedulingError("maximize_bulk_throughput needs at least one request")
 
-    start = min(r.release_slot for r in requests)
-    end = max(r.release_slot + r.deadline_slots for r in requests)
     # Free capacity only: the paid headroom of each link-slot.
-    graph = TimeExpandedGraph(
-        state.topology,
-        start_slot=start,
-        horizon=end - start,
-        capacity_fn=state.paid_headroom,
-    )
+    graph = window_graph(state.topology, requests, state.paid_headroom)
 
     model = Model("bulk_throughput")
     flow_vars: Dict[Tuple[int, Arc], Variable] = {}
-    arc_users: Dict[Arc, List[Variable]] = defaultdict(list)
+    users: Users = defaultdict(list)
     delivered_vars: Dict[int, Variable] = {}
-    objective_terms: List[Tuple[float, Variable]] = []
-
     for request in requests:
         rid = request.request_id
-        balance: Dict[Tuple[int, int], List[Tuple[float, Variable]]] = defaultdict(list)
-        for arc in graph.arcs_for_request(request):
-            if arc.kind is ArcKind.TRANSIT and arc.capacity <= 0:
-                continue
-            var = model.add_variable(f"M[{rid},{arc.src},{arc.dst},{arc.slot}]")
-            flow_vars[(rid, arc)] = var
-            if arc.kind is ArcKind.TRANSIT:
-                arc_users[arc].append(var)
-            balance[arc.tail].append((1.0, var))
-            balance[arc.head].append((-1.0, var))
+        columns, balance = add_flows(
+            model, rid, graph.arcs_for_request(request), users
+        )
+        flow_vars.update(((rid, arc), var) for arc, var in columns.items())
+        y = delivered_vars[rid] = model.add_variable(
+            f"y[{rid}]", lb=0.0, ub=request.size_gb
+        )
+        source, sink = graph.source_node(request), graph.sink_node(request)
+        add_balance_rows(model, rid, balance, lambda node: (
+            y if node == source else -y if node == sink else 0.0
+        ))
 
-        y = model.add_variable(f"y[{rid}]", lb=0.0, ub=request.size_gb)
-        delivered_vars[rid] = y
-        weight = (weights or {}).get(rid, 1.0)
-        objective_terms.append((weight, y))
-
-        source = graph.source_node(request)
-        sink = graph.sink_node(request)
-        for node, terms in balance.items():
-            net = LinExpr.from_terms(terms)
-            if node == source:
-                model.add_constraint(net - y == 0.0, name=f"src[{rid}]")
-            elif node == sink:
-                model.add_constraint(net + y == 0.0, name=f"snk[{rid}]")
-            else:
-                model.add_constraint(net == 0.0, name=f"cons[{rid},{node[0]},{node[1]}]")
-
-    for arc, users in arc_users.items():
-        if arc.capacity != float("inf"):
-            model.add_constraint(
-                LinExpr.sum(users) <= arc.capacity,
-                name=f"cap[{arc.src},{arc.dst},{arc.slot}]",
-            )
-
-    model.maximize(LinExpr.from_terms(objective_terms))
+    add_capacity_rows(model, users)
+    model.maximize(LinExpr.from_terms(
+        ((weights or {}).get(rid, 1.0), y) for rid, y in delivered_vars.items()
+    ))
     solution = model.solve()
 
-    entries = []
-    for (rid, arc), var in flow_vars.items():
-        volume = solution.value(var)
-        if volume > VOLUME_ATOL:
-            entries.append(
-                ScheduleEntry(rid, arc.src, arc.dst, arc.slot, volume, arc.kind)
-            )
+    entries = [
+        ScheduleEntry(rid, arc.src, arc.dst, arc.slot, volume, arc.kind)
+        for (rid, arc), var in flow_vars.items()
+        if (volume := solution.value(var)) > VOLUME_ATOL
+    ]
     delivered = {rid: solution.value(var) for rid, var in delivered_vars.items()}
     return BulkTransferResult(
         schedule=TransferSchedule(entries),

@@ -130,7 +130,9 @@ class ServiceConfig:
 
     #: O(1) bytes per record, one fsync per slot before its decisions go
     #: out (docs/ROBUSTNESS.md, "What is durable when"); the
-    #: ``checkpoint_every`` cadence becomes snapshot *compaction*.
+    #: ``checkpoint_every`` cadence becomes snapshot *compaction*.  The
+    #: directory it needs is checked where a broker opens its store, so
+    #: a fleet's shard template can leave it to ``checkpoint_root``.
     wal: bool = _flag(
         False,
         "write-ahead log every admission/commit (fsync'd before the ack) "
@@ -246,8 +248,6 @@ class ServiceConfig:
             )
         if self.period_prune and not self.period_slots:
             raise ServiceError("period_prune requires period_slots > 0")
-        if self.wal and not self.checkpoint_dir:
-            raise ServiceError("wal=True requires a checkpoint_dir")
         if self.snapshot_retain < 1:
             raise ServiceError("snapshot_retain must be >= 1")
         if self.read_timeout_s < 0:

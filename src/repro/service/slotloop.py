@@ -88,6 +88,8 @@ class TransferBroker:
         self.queue = IntakeQueue(
             config.max_queue, config.tick_seconds, config.max_batch
         )
+        if config.wal and not config.checkpoint_dir:
+            raise ServiceError("wal=True requires a checkpoint_dir")
         self.store = (
             SnapshotStore(
                 config.checkpoint_dir,

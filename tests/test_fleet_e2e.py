@@ -80,13 +80,33 @@ def make_fleet(tmp_path, in_process=False):
         },
         gateway_dc=0,
         checkpoint_root=root,
-        # wal=True needs a checkpoint_dir; each shard's replaces this one.
         shard=ServiceConfig(
             tick_seconds=0.0, datacenters=DCS, capacity=60.0, seed=3,
-            max_deadline=8, wal=True, checkpoint_dir=root,
+            max_deadline=8, wal=True,
         ),
     )
     return fleet, socks
+
+
+def test_wal_shards_get_their_directory_from_the_root(tmp_path, capsys):
+    """A ``wal=True`` shard template names no directory of its own:
+    each shard's is ``<root>/<name>``.  Without a root the fleet is
+    refused, and so is ``repro serve --wal`` without a directory,
+    before it binds its socket."""
+    from repro.cli import main
+    from repro.errors import ServiceError
+
+    fleet, _ = make_fleet(tmp_path)
+    root = str(tmp_path / "ckpt")
+    for name in fleet.shards:
+        assert fleet.shard_config(name).checkpoint_dir == f"{root}/{name}"
+    with pytest.raises(ServiceError, match="checkpoint_root"):
+        FleetConfig(shards={"a": ""}, shard=fleet.shard)
+
+    sock = tmp_path / "lonely.sock"
+    assert main(["serve", "--socket", str(sock), *SHARD_ARGS]) == 1
+    assert "wal=True requires a checkpoint_dir" in capsys.readouterr().err
+    assert not sock.exists()
 
 
 async def listen_shards(fleet):

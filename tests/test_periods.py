@@ -159,3 +159,26 @@ class TestSimulationPeriods:
         ).run()
         # Period 2's own peak is 4 (8 GB over 2 slots), charged afresh.
         assert scheduler.state.current_cost_per_slot() == pytest.approx(4.0)
+
+    def test_replanning_prices_a_new_period_from_its_own_start(self):
+        """``postcard-replan`` reads the paid peaks from the current
+        period's start: the previous period's 30 GB peak on (0, 1) is
+        not free headroom after the boundary, so the 20 GB file spreads
+        over its four slots (peak 5) instead of landing in one (peak
+        20, priced as if 30 were already paid)."""
+        from repro.core import ReplanningPostcardScheduler
+
+        scheduler = ReplanningPostcardScheduler(
+            line_topology(3, capacity=50.0), horizon=40
+        )
+        _send(scheduler.state, 0, 1, 30.0, slot=0)
+        scheduler.state.start_new_period(10)
+        scheduler.on_slot(10, [TransferRequest(0, 1, 20.0, 4, release_slot=10)])
+        assert scheduler.last_objective == pytest.approx(5.0)
+        for slot in range(11, 14):
+            scheduler.on_slot(slot, [])
+        ledger = scheduler.state.ledger
+        assert [ledger.volume(0, 1, s) for s in range(10, 14)] == pytest.approx(
+            [5.0] * 4
+        )
+        assert ledger.peak_in_range(0, 1, 10, 40) == pytest.approx(5.0)
