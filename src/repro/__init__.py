@@ -20,155 +20,115 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record of every figure.
 """
 
-from repro.errors import (
-    ChargingError,
-    InfeasibleError,
-    ModelError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    SolverError,
-    TopologyError,
-    UnboundedError,
-    WorkloadError,
-)
-from repro.net import (
-    Datacenter,
-    Link,
-    Topology,
-    complete_topology,
-    fig1_topology,
-    fig3_topology,
-    paper_topology,
-    two_region_topology,
-)
-from repro.charging import (
-    LinearCost,
-    MaxCharging,
-    PercentileCharging,
-    PiecewiseLinearCost,
-    TrafficLedger,
-)
-from repro.traffic import (
-    DiurnalWorkload,
-    PaperWorkload,
-    PoissonWorkload,
-    TraceWorkload,
-    TransferRequest,
-    expand_multicast,
-)
-from repro.timeexp import TimeExpandedGraph
-from repro.core import (
-    LookaheadPostcardScheduler,
-    NetworkState,
-    PostcardScheduler,
-    ScheduleEntry,
-    Scheduler,
-    TimedPath,
-    TransferSchedule,
-    build_postcard_model,
-    decompose_paths,
-    empirical_competitive_ratio,
-    solve_offline,
-)
-from repro.flowbased import FlowBasedScheduler, build_flow_model, solve_two_phase
-from repro.baselines import DirectScheduler
-from repro.heuristic import FastLaneScheduler, HybridScheduler
-from repro.extensions import (
-    PercentileAwareScheduler,
-    maximize_bulk_throughput,
-    maximize_transfers_under_budget,
-)
-from repro.net.presets import global_cloud_topology
-from repro.traffic.io import (
-    load_requests,
-    load_schedule,
-    save_requests,
-    save_schedule,
-)
-from repro.sim import (
-    ExperimentSetting,
-    SchedulerComparison,
-    Simulation,
-    SimulationResult,
-    run_comparison,
-)
-from repro.analysis import ConfidenceInterval, format_table, mean_ci
+from __future__ import annotations
+
+import importlib
+from typing import Any, Callable, Dict, List, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
+
+def _lazy_exports(
+    namespace: Dict[str, Any], exports: Dict[str, str]
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__`` / ``__dir__`` for a package root.
+
+    ``exports`` maps each exported name to the module that provides it;
+    that module is imported when the name is first read, and the value
+    is then kept in ``namespace`` so later reads are plain lookups.  A
+    process therefore imports only the subsystems it touches.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str) -> Any:
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(exports[name]), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> List[str]:
+        return list(exports)
+
+    return __getattr__, __dir__
+
+
+#: Exported name -> the module that provides it (imported on first use).
+_EXPORTS = {
     # errors
-    "ReproError",
-    "ModelError",
-    "SolverError",
-    "InfeasibleError",
-    "UnboundedError",
-    "TopologyError",
-    "ChargingError",
-    "WorkloadError",
-    "SchedulingError",
-    "SimulationError",
+    "ReproError": "repro.errors",
+    "ModelError": "repro.errors",
+    "SolverError": "repro.errors",
+    "InfeasibleError": "repro.errors",
+    "UnboundedError": "repro.errors",
+    "TopologyError": "repro.errors",
+    "ChargingError": "repro.errors",
+    "WorkloadError": "repro.errors",
+    "SchedulingError": "repro.errors",
+    "SimulationError": "repro.errors",
     # network
-    "Datacenter",
-    "Link",
-    "Topology",
-    "complete_topology",
-    "paper_topology",
-    "fig1_topology",
-    "fig3_topology",
-    "two_region_topology",
+    "Datacenter": "repro.net",
+    "Link": "repro.net",
+    "Topology": "repro.net",
+    "complete_topology": "repro.net",
+    "paper_topology": "repro.net",
+    "fig1_topology": "repro.net",
+    "fig3_topology": "repro.net",
+    "two_region_topology": "repro.net",
     # charging
-    "LinearCost",
-    "PiecewiseLinearCost",
-    "PercentileCharging",
-    "MaxCharging",
-    "TrafficLedger",
+    "LinearCost": "repro.charging",
+    "PiecewiseLinearCost": "repro.charging",
+    "PercentileCharging": "repro.charging",
+    "MaxCharging": "repro.charging",
+    "TrafficLedger": "repro.charging",
     # traffic
-    "TransferRequest",
-    "expand_multicast",
-    "PaperWorkload",
-    "DiurnalWorkload",
-    "PoissonWorkload",
-    "TraceWorkload",
+    "TransferRequest": "repro.traffic",
+    "expand_multicast": "repro.traffic",
+    "PaperWorkload": "repro.traffic",
+    "DiurnalWorkload": "repro.traffic",
+    "PoissonWorkload": "repro.traffic",
+    "TraceWorkload": "repro.traffic",
     # time expansion + core
-    "TimeExpandedGraph",
-    "NetworkState",
-    "Scheduler",
-    "PostcardScheduler",
-    "TransferSchedule",
-    "ScheduleEntry",
-    "build_postcard_model",
+    "TimeExpandedGraph": "repro.timeexp",
+    "NetworkState": "repro.core",
+    "Scheduler": "repro.core",
+    "PostcardScheduler": "repro.core",
+    "TransferSchedule": "repro.core",
+    "ScheduleEntry": "repro.core",
+    "build_postcard_model": "repro.core",
     # baselines
-    "FlowBasedScheduler",
-    "build_flow_model",
-    "solve_two_phase",
-    "DirectScheduler",
-    "FastLaneScheduler",
-    "HybridScheduler",
+    "FlowBasedScheduler": "repro.flowbased",
+    "build_flow_model": "repro.flowbased",
+    "solve_two_phase": "repro.flowbased",
+    "DirectScheduler": "repro.baselines",
+    "FastLaneScheduler": "repro.heuristic",
+    "HybridScheduler": "repro.heuristic",
     # advanced core
-    "LookaheadPostcardScheduler",
-    "solve_offline",
-    "empirical_competitive_ratio",
-    "TimedPath",
-    "decompose_paths",
+    "LookaheadPostcardScheduler": "repro.core",
+    "solve_offline": "repro.core",
+    "empirical_competitive_ratio": "repro.core",
+    "TimedPath": "repro.core",
+    "decompose_paths": "repro.core",
     # extensions
-    "maximize_bulk_throughput",
-    "maximize_transfers_under_budget",
-    "PercentileAwareScheduler",
+    "maximize_bulk_throughput": "repro.extensions",
+    "maximize_transfers_under_budget": "repro.extensions",
+    "PercentileAwareScheduler": "repro.extensions",
     # presets + io
-    "global_cloud_topology",
-    "save_requests",
-    "load_requests",
-    "save_schedule",
-    "load_schedule",
+    "global_cloud_topology": "repro.net.presets",
+    "save_requests": "repro.traffic.io",
+    "load_requests": "repro.traffic.io",
+    "save_schedule": "repro.traffic.io",
+    "load_schedule": "repro.traffic.io",
     # simulation + analysis
-    "Simulation",
-    "SimulationResult",
-    "ExperimentSetting",
-    "SchedulerComparison",
-    "run_comparison",
-    "ConfidenceInterval",
-    "mean_ci",
-    "format_table",
-]
+    "Simulation": "repro.sim",
+    "SimulationResult": "repro.sim",
+    "ExperimentSetting": "repro.sim",
+    "SchedulerComparison": "repro.sim",
+    "run_comparison": "repro.sim",
+    "ConfidenceInterval": "repro.analysis",
+    "mean_ci": "repro.analysis",
+    "format_table": "repro.analysis",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

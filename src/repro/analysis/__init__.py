@@ -1,18 +1,18 @@
 """Statistics and table rendering for the experiment harness."""
 
-from repro.analysis.stats import ConfidenceInterval, mean_ci, percentile
-from repro.analysis.tables import format_table
-from repro.analysis.sensitivity import SweepResult, sweep
-from repro.analysis.plots import bar_chart, sparkline, utilization_rows
+from repro import _lazy_exports
 
-__all__ = [
-    "ConfidenceInterval",
-    "mean_ci",
-    "percentile",
-    "format_table",
-    "SweepResult",
-    "sweep",
-    "sparkline",
-    "bar_chart",
-    "utilization_rows",
-]
+_EXPORTS = {
+    "ConfidenceInterval": "repro.analysis.stats",
+    "mean_ci": "repro.analysis.stats",
+    "percentile": "repro.analysis.stats",
+    "format_table": "repro.analysis.tables",
+    "SweepResult": "repro.analysis.sensitivity",
+    "sweep": "repro.analysis.sensitivity",
+    "sparkline": "repro.analysis.plots",
+    "bar_chart": "repro.analysis.plots",
+    "utilization_rows": "repro.analysis.plots",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

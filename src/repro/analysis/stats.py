@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtrit
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,9 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> ConfidenceInte
     if arr.size == 1:
         return ConfidenceInterval(mean, 0.0, confidence, 1)
     sem = float(arr.std(ddof=1) / np.sqrt(arr.size))
-    t = float(sps.t.ppf(0.5 + confidence / 2.0, df=arr.size - 1))
+    # The Student-t quantile ``scipy.stats.t.ppf`` evaluates, bit for bit,
+    # without importing scipy.stats.
+    t = float(stdtrit(arr.size - 1, 0.5 + confidence / 2.0))
     return ConfidenceInterval(mean, t * sem, confidence, int(arr.size))
 
 

@@ -19,81 +19,35 @@ machine-readable artifact), and the plain-text renderer
 ``python -m repro report events.jsonl``.  See docs/OBSERVABILITY.md.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+_EXPORTS = {
+    "Registry": "repro.obs.registry",
+    "Span": "repro.obs.registry",
+    "get_registry": "repro.obs.registry",
+    "set_registry": "repro.obs.registry",
+    "span": "repro.obs.registry",
+    "timed_span": "repro.obs.registry",
+    "counter": "repro.obs.registry",
+    "gauge": "repro.obs.registry",
+    "trace": "repro.obs.registry",
+    "Collector": "repro.obs.sinks",
+    "SpanStat": "repro.obs.sinks",
+    "CounterStat": "repro.obs.sinks",
+    "GaugeStat": "repro.obs.sinks",
+    "JsonlSink": "repro.obs.sinks",
+    "Histogram": "repro.obs.metrics",
+    "MetricsSnapshot": "repro.obs.metrics",
+    "SloMonitor": "repro.obs.slo",
+    "SloThresholds": "repro.obs.slo",
+    "load_events": "repro.obs.sinks",
+    "render_prometheus": "repro.obs.prom",
+    "validate_prometheus": "repro.obs.prom",
+    "render_report": "repro.obs.report",
+    "render_events_report": "repro.obs.report",
+    "rollup_snapshots": "repro.obs.metrics",
+    "collecting": "repro.obs.sinks",
+}
 
-from repro.obs.metrics import Histogram, MetricsSnapshot, rollup_snapshots
-from repro.obs.prom import render_prometheus, validate_prometheus
-from repro.obs.registry import (
-    Registry,
-    Span,
-    counter,
-    gauge,
-    get_registry,
-    set_registry,
-    span,
-    timed_span,
-    trace,
-)
-from repro.obs.report import render_events_report, render_report
-from repro.obs.sinks import (
-    Collector,
-    CounterStat,
-    GaugeStat,
-    JsonlSink,
-    SpanStat,
-    load_events,
-)
-from repro.obs.slo import SloMonitor, SloThresholds
-
-__all__ = [
-    "Registry",
-    "Span",
-    "get_registry",
-    "set_registry",
-    "span",
-    "timed_span",
-    "counter",
-    "gauge",
-    "trace",
-    "Collector",
-    "SpanStat",
-    "CounterStat",
-    "GaugeStat",
-    "JsonlSink",
-    "Histogram",
-    "MetricsSnapshot",
-    "SloMonitor",
-    "SloThresholds",
-    "load_events",
-    "render_prometheus",
-    "validate_prometheus",
-    "render_report",
-    "render_events_report",
-    "rollup_snapshots",
-    "collecting",
-]
-
-
-@contextmanager
-def collecting(
-    registry: Optional[Registry] = None, keep_events: bool = False
-) -> Iterator[Collector]:
-    """Attach a fresh :class:`Collector` for the duration of a block.
-
-    >>> from repro import obs
-    >>> with obs.collecting() as c:
-    ...     with obs.span("stage"):
-    ...         pass
-    >>> c.spans["stage"].count
-    1
-    """
-    registry = registry or get_registry()
-    collector = Collector(keep_events=keep_events)
-    registry.add_sink(collector)
-    try:
-        yield collector
-    finally:
-        registry.remove_sink(collector)
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

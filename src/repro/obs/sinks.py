@@ -10,6 +10,7 @@ A sink is any object with ``emit(event: dict)``.  Two are provided:
   machine-readable artifact behind ``--obs-jsonl`` and
   ``python -m repro report``.
 
+:func:`collecting` attaches a fresh :class:`Collector` for one block;
 :func:`load_events` reads a JSONL event file back, validating shape so
 a truncated or hand-mangled file fails loudly instead of rendering an
 empty report.
@@ -18,11 +19,13 @@ empty report.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.errors import ObservabilityError
+from repro.obs.registry import Registry, get_registry
 
 PathLike = Union[str, Path]
 
@@ -160,6 +163,28 @@ class Collector:
             f"Collector(events={self.num_events}, spans={len(self.spans)}, "
             f"counters={len(self.counters)}, gauges={len(self.gauges)})"
         )
+
+
+@contextmanager
+def collecting(
+    registry: Optional[Registry] = None, keep_events: bool = False
+) -> Iterator[Collector]:
+    """Attach a fresh :class:`Collector` for the duration of a block.
+
+    >>> from repro import obs
+    >>> with obs.collecting() as c:
+    ...     with obs.span("stage"):
+    ...         pass
+    >>> c.spans["stage"].count
+    1
+    """
+    registry = registry or get_registry()
+    collector = Collector(keep_events=keep_events)
+    registry.add_sink(collector)
+    try:
+        yield collector
+    finally:
+        registry.remove_sink(collector)
 
 
 class JsonlSink:

@@ -9,49 +9,59 @@ report rejections instead of dying.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import importlib
+from typing import TYPE_CHECKING, Callable, Dict, List
 
 from repro.errors import ReproError
-from repro.baselines import DirectScheduler, GreedyStoreAndForwardScheduler
-from repro.core import PostcardScheduler, ReplanningPostcardScheduler
-from repro.core.interfaces import Scheduler
-from repro.extensions import PercentileAwareScheduler
-from repro.flowbased import FlowBasedScheduler
-from repro.heuristic import FastLaneScheduler, HybridScheduler
-from repro.net.topology import Topology
 
-SchedulerFactory = Callable[[Topology, int], Scheduler]
+if TYPE_CHECKING:
+    from repro.core.interfaces import Scheduler
+    from repro.net.topology import Topology
+
+SchedulerFactory = Callable[["Topology", int], "Scheduler"]
+
+
+def _build(path: str, topology: "Topology", horizon: int, **kwargs) -> "Scheduler":
+    """Build ``"module:Class"`` with the drop policy, importing its module
+    only now: a daemon running one scheduler loads no other family."""
+    module, _, name = path.partition(":")
+    scheduler = getattr(importlib.import_module(module), name)
+    return scheduler(topology, horizon, on_infeasible="drop", **kwargs)
+
 
 _REGISTRY: Dict[str, SchedulerFactory] = {
-    "postcard": lambda t, h, **kw: PostcardScheduler(
-        t, h, on_infeasible="drop", **kw
+    "postcard": lambda t, h, **kw: _build(
+        "repro.core.scheduler:PostcardScheduler", t, h, **kw
     ),
-    "postcard-replan": lambda t, h, **kw: ReplanningPostcardScheduler(
-        t, h, on_infeasible="drop", **kw
+    "postcard-replan": lambda t, h, **kw: _build(
+        "repro.core.replan:ReplanningPostcardScheduler", t, h, **kw
     ),
-    "postcard-no-storage": lambda t, h, **kw: PostcardScheduler(
-        t, h, storage="destination_only", on_infeasible="drop", **kw
+    "postcard-no-storage": lambda t, h, **kw: _build(
+        "repro.core.scheduler:PostcardScheduler", t, h,
+        storage="destination_only", **kw
     ),
-    "flow-based": lambda t, h, **kw: FlowBasedScheduler(
-        t, h, on_infeasible="drop", **kw
+    "flow-based": lambda t, h, **kw: _build(
+        "repro.flowbased.scheduler:FlowBasedScheduler", t, h, **kw
     ),
-    "flow-2phase": lambda t, h, **kw: FlowBasedScheduler(
-        t, h, variant="two_phase", on_infeasible="drop", **kw
+    "flow-2phase": lambda t, h, **kw: _build(
+        "repro.flowbased.scheduler:FlowBasedScheduler", t, h,
+        variant="two_phase", **kw
     ),
-    "direct": lambda t, h: DirectScheduler(t, h, on_infeasible="drop"),
-    "greedy": lambda t, h: GreedyStoreAndForwardScheduler(
-        t, h, on_infeasible="drop"
+    "direct": lambda t, h: _build("repro.baselines.direct:DirectScheduler", t, h),
+    "greedy": lambda t, h: _build(
+        "repro.baselines.greedy:GreedyStoreAndForwardScheduler", t, h
     ),
-    "q-aware": lambda t, h, **kw: PercentileAwareScheduler(
-        t, h, q=95.0, on_infeasible="drop", **kw
+    "q-aware": lambda t, h, **kw: _build(
+        "repro.extensions.percentile:PercentileAwareScheduler", t, h,
+        q=95.0, **kw
     ),
     # The fast lane: LP-free admission + ALAP placement.
-    "heuristic": lambda t, h: FastLaneScheduler(
-        t, h, on_infeasible="drop"
+    "heuristic": lambda t, h: _build(
+        "repro.heuristic.fastlane:FastLaneScheduler", t, h
     ),
     # Fast lane per slot, Postcard LP on escalated (pressured) slots.
-    "hybrid": lambda t, h, **kw: HybridScheduler(
-        t, h, on_infeasible="drop", **kw
+    "hybrid": lambda t, h, **kw: _build(
+        "repro.heuristic.hybrid:HybridScheduler", t, h, **kw
     ),
 }
 

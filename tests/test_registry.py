@@ -26,11 +26,9 @@ def test_names_cover_all_families():
     assert names == sorted(names)
 
 
-@pytest.mark.parametrize("name", [
-    "postcard", "flow-based", "flow-2phase", "direct", "greedy",
-    "q-aware", "postcard-replan", "postcard-no-storage",
-])
+@pytest.mark.parametrize("name", scheduler_names())
 def test_every_factory_builds_a_scheduler(name, line3):
+    """Each factory imports its scheduler's module when called."""
     scheduler = make_scheduler(name, line3, horizon=10)
     assert isinstance(scheduler, Scheduler)
     assert scheduler.state.topology is line3
