@@ -7,8 +7,6 @@ _EXPORTS = {
     "mean_ci": "repro.analysis.stats",
     "percentile": "repro.analysis.stats",
     "format_table": "repro.analysis.tables",
-    "SweepResult": "repro.analysis.sensitivity",
-    "sweep": "repro.analysis.sensitivity",
     "sparkline": "repro.analysis.plots",
     "bar_chart": "repro.analysis.plots",
     "utilization_rows": "repro.analysis.plots",

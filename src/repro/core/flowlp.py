@@ -1,4 +1,4 @@
-"""The time-expanded flow LP under the object-model formulations.
+"""The time-expanded flow LP under the ablation formulations.
 
 Sec. V's program in the pieces every variant shares: per-file flow
 columns ``M`` on time-expanded arcs, one balance row per node, one
@@ -13,18 +13,20 @@ flow-based models keep their own row layouts.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.lp import LinExpr, Model, Variable
-from repro.lp.expr import ExprLike
+from repro.lp import EQ, GE, LE, LPBuilder
 from repro.net.topology import Topology
 from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph, TimeNode
 from repro.traffic.spec import TransferRequest
 
 #: Transit arc -> the columns that load it (capacity and charge rows).
-Users = Dict[Arc, List[Variable]]
-#: Node -> ``(+1 | -1, column)`` terms of its net outflow.
-Balance = Dict[TimeNode, List[Tuple[float, Variable]]]
+Users = Dict[Arc, List[int]]
+#: Node -> ``(column, +1 | -1)`` terms of its net outflow.
+Balance = Dict[TimeNode, List[Tuple[int, float]]]
+#: A node's supply: a constant, or ``(coefficient, column)`` for
+#: ``coefficient * x[column]``.
+Supply = Union[float, Tuple[float, int]]
 
 
 def window_graph(
@@ -40,78 +42,78 @@ def window_graph(
 
 
 def add_flows(
-    model: Model, rid: int, arcs: Iterable[Arc], users: Users
-) -> Tuple[Dict[Arc, Variable], Balance]:
+    lp: LPBuilder, rid: int, arcs: Iterable[Arc], users: Users
+) -> Tuple[Dict[Arc, int], Balance]:
     """One flow column of file ``rid`` per arc, skipping zero-capacity
     transit arcs; each transit column is appended to ``users[arc]``.
 
     Returns ``(columns, balance)``: the columns by arc, in ``arcs``
     order, and every touched node's net-outflow terms.
     """
-    columns: Dict[Arc, Variable] = {}
+    columns: Dict[Arc, int] = {}
     balance: Balance = defaultdict(list)
     for arc in arcs:
         if arc.kind is ArcKind.TRANSIT and arc.capacity <= 0:
             continue
-        var = model.add_variable(f"M[{rid},{arc.src},{arc.dst},{arc.slot}]")
-        columns[arc] = var
+        col = columns[arc] = lp.column(("M", rid, arc))
         if arc.kind is ArcKind.TRANSIT:
-            users[arc].append(var)
-        balance[arc.tail].append((1.0, var))
-        balance[arc.head].append((-1.0, var))
+            users[arc].append(col)
+        balance[arc.tail].append((col, 1.0))
+        balance[arc.head].append((col, -1.0))
     return columns, balance
 
 
 def add_balance_rows(
-    model: Model, rid: int, balance: Balance,
-    supply: Callable[[TimeNode], ExprLike],
+    lp: LPBuilder, balance: Balance, supply: Callable[[TimeNode], Supply],
 ) -> None:
     """``net outflow == supply(node)`` at every node of ``balance``."""
     for node, terms in balance.items():
-        model.add_constraint(
-            LinExpr.from_terms(terms) == supply(node),
-            name=f"bal[{rid},{node[0]},{node[1]}]",
-        )
+        cols = [col for col, _ in terms]
+        vals = [val for _, val in terms]
+        rhs = supply(node)
+        if isinstance(rhs, tuple):  # a column's multiple moves left
+            coef, col = rhs
+            cols.append(col)
+            vals.append(-coef)
+            rhs = 0.0
+        lp.row(cols, vals, EQ, rhs)
 
 
-def add_capacity_rows(model: Model, users: Users) -> None:
+def add_capacity_rows(lp: LPBuilder, users: Users) -> None:
     """``sum of users <= capacity`` on every finite-capacity arc."""
     for arc, columns in users.items():
         if arc.capacity != float("inf"):
-            model.add_constraint(
-                LinExpr.sum(columns) <= arc.capacity,
-                name=f"cap[{arc.src},{arc.dst},{arc.slot}]",
-            )
+            lp.row(columns, 1.0, LE, arc.capacity)
 
 
 def add_charge_rows(
-    model: Model, topology: Topology, users: Users,
+    lp: LPBuilder, topology: Topology, users: Users,
     prior: Callable[[int, int], float],
     committed: Optional[Callable[[int, int, int], float]] = None,
-) -> LinExpr:
+) -> Tuple[List[int], List[float], float]:
     """The max-charging epigraph; returns the bill per interval.
 
     Every link some column loads gets ``X_ij >= prior(i, j)`` and, per
     loaded slot, ``X_ij >= committed(i, j, n) + sum of users``.  The
-    result is ``sum a_ij X_ij`` plus ``a_ij * prior(i, j)`` for each
-    link no column touches.
+    bill is ``(columns, prices, constant)``: ``sum a_ij X_ij`` plus
+    ``a_ij * prior(i, j)`` for each link no column touches.
     """
     by_link = defaultdict(lambda: defaultdict(list))  # link -> slot -> columns
     for arc, columns in users.items():
         by_link[arc.link_key][arc.slot].extend(columns)
 
-    terms: List[Tuple[float, Variable]] = []
+    charged: List[int] = []
+    prices: List[float] = []
     fixed_cost = 0.0
     for link in topology.links:
         paid = prior(link.src, link.dst)
         if link.key not in by_link:
             fixed_cost += link.price * paid
             continue
-        x = model.add_variable(f"X[{link.src},{link.dst}]", lb=paid)
+        x = lp.column(("X", link.key), lb=paid)
         for slot, columns in by_link[link.key].items():
-            load = LinExpr.sum(columns)
-            if committed is not None:
-                load = load + committed(link.src, link.dst, slot)
-            model.add_constraint(x >= load, name=f"chg[{link.src},{link.dst},{slot}]")
-        terms.append((link.price, x))
-    return LinExpr.from_terms(terms, constant=fixed_cost)
+            load = committed(link.src, link.dst, slot) if committed is not None else 0.0
+            lp.row([x, *columns], [1.0] + [-1.0] * len(columns), GE, load)
+        charged.append(x)
+        prices.append(link.price)
+    return charged, prices, fixed_cost

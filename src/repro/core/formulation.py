@@ -43,7 +43,7 @@ from repro.errors import InfeasibleError, SchedulingError
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
 from repro.charging.costfunc import LinearCost, PiecewiseLinearCost
-from repro.lp import CompiledProblem, Model, Solution, solve_lp
+from repro.lp import CompiledProblem, Solution, solve_lp
 from repro.obs import registry as obs
 from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
@@ -115,15 +115,14 @@ class PostcardModel:
 
     def __init__(
         self,
-        model: "Model | CompiledProblem",
+        model: CompiledProblem,
         requests: List[TransferRequest],
         flow_columns: Tuple[np.ndarray, ...],
         charge_columns: Dict[Tuple[int, int], int],
         fixed_charge_cost: float,
         capacity_cells: Optional[tuple] = None,
     ):
-        #: The problem HiGHS is handed (a :class:`Model` only from an
-        #: assembler other than :func:`build_postcard_model`).
+        #: The problem HiGHS is handed.
         self.model = model
         self.requests = requests
         #: Parallel ``(request id, src, dst, slot, is transit)`` arrays,

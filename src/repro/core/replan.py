@@ -37,7 +37,7 @@ from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.scheduler import shed_until_feasible
 from repro.core.state import NetworkState
-from repro.lp import Model, Variable
+from repro.lp import LPBuilder, solve_lp
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
@@ -118,33 +118,34 @@ def solve_multisource_plan(
         state.topology, start_slot=slot, horizon=end - slot, capacity_fn=capacity_fn
     )
 
-    model = Model(model_name)
-    flow_vars: Dict[Tuple[int, Arc], Variable] = {}
+    lp = LPBuilder(model_name)
+    flow_vars: Dict[Tuple[int, Arc], int] = {}
     users: Users = defaultdict(list)
 
     for f in files:
         rid = f.request.request_id
         window_last = f.deadline_slot
         columns, balance = add_flows(
-            model, rid,
+            lp, rid,
             (a for a in graph.arcs if slot <= a.slot <= window_last), users,
         )
         flow_vars.update(((rid, arc), var) for arc, var in columns.items())
         sink = (f.request.destination, window_last + 1)
-        add_balance_rows(model, rid, balance, lambda node: (
+        add_balance_rows(lp, balance, lambda node: (
             f.supplies.get(node[0], 0.0) if node[1] == slot
             else -f.remaining if node == sink else 0.0
         ))
 
-    add_capacity_rows(model, users)
+    add_capacity_rows(lp, users)
     # History peaks are paid; the plan's per-slot loads — stacked on
     # whatever is already committed there — set the new peaks.
-    model.minimize(add_charge_rows(
-        model, state.topology, users, history_peak_fn, committed_fn
-    ))
-    solution = model.solve()
+    charged, prices, fixed_cost = add_charge_rows(
+        lp, state.topology, users, history_peak_fn, committed_fn
+    )
+    lp.objective(charged, prices, fixed_cost)
+    solution = solve_lp(lp.compile())
     plan = {key: volume for key, var in flow_vars.items()
-            if (volume := solution.value(var)) > VOLUME_ATOL}
+            if (volume := float(solution.x[var])) > VOLUME_ATOL}
     return plan, solution.objective
 
 

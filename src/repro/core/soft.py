@@ -32,7 +32,7 @@ from repro.core.flowlp import (
 )
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import LinExpr, Model, Solution, Variable
+from repro.lp import CompiledProblem, LPBuilder, Solution, solve_lp
 from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
@@ -58,7 +58,7 @@ def build_soft_deadline_model(
     extension: int,
     lateness_penalty: float,
     name: str = "postcard-soft",
-) -> Tuple[Model, Dict[Tuple[int, Arc], Variable], TimeExpandedGraph, Dict]:
+) -> Tuple[CompiledProblem, Dict[Tuple[int, Arc], int], TimeExpandedGraph, Dict]:
     """Assemble the lateness-priced LP; see :func:`solve_soft_deadline`."""
     if not requests:
         raise SchedulingError("need at least one request")
@@ -71,12 +71,13 @@ def build_soft_deadline_model(
         state.topology, requests, state.residual_capacity, extension
     )
 
-    model = Model(name)
-    flow_vars: Dict[Tuple[int, Arc], Variable] = {}
+    lp = LPBuilder(name)
+    flow_vars: Dict[Tuple[int, Arc], int] = {}
     users: Users = defaultdict(list)
-    penalty_terms: List[Tuple[float, Variable]] = []
-    #: (request_id) -> [(late_slots, var)] for lateness accounting.
-    lateness_terms: Dict[int, List[Tuple[float, Variable]]] = defaultdict(list)
+    penalty_cols: List[int] = []
+    penalty_vals: List[float] = []
+    #: (request_id) -> [(late_slots, column)] for lateness accounting.
+    lateness_terms: Dict[int, List[Tuple[float, int]]] = defaultdict(list)
 
     for request in requests:
         rid = request.request_id
@@ -84,7 +85,7 @@ def build_soft_deadline_model(
         hard_deadline_layer = request.release_slot + request.deadline_slots
         last_exclusive = hard_deadline_layer + extension
         columns, balance = add_flows(
-            model, rid,
+            lp, rid,
             (a for a in graph.arcs if first <= a.slot < last_exclusive), users,
         )
         for arc, var in columns.items():
@@ -95,7 +96,8 @@ def build_soft_deadline_model(
             arrives = arc.kind is ArcKind.TRANSIT and arc.dst == request.destination
             if arrives and late > 0:
                 if lateness_penalty > 0:
-                    penalty_terms.append((lateness_penalty * late, var))
+                    penalty_cols.append(var)
+                    penalty_vals.append(lateness_penalty * late)
                 lateness_terms[rid].append((float(late), var))
 
         source, sink = (request.source, first), (request.destination, last_exclusive)
@@ -103,16 +105,17 @@ def build_soft_deadline_model(
             raise SchedulingError(
                 f"file {rid}: no admissible arc leaves its source"
             )
-        add_balance_rows(model, rid, balance, lambda node: (
+        add_balance_rows(lp, balance, lambda node: (
             request.size_gb if node == source
             else -request.size_gb if node == sink else 0.0
         ))
 
-    add_capacity_rows(model, users)
-    model.minimize(LinExpr.from_terms(penalty_terms) + add_charge_rows(
-        model, state.topology, users, state.charged_volume, state.committed_volume
-    ))
-    return model, flow_vars, graph, lateness_terms
+    add_capacity_rows(lp, users)
+    charged, prices, fixed_cost = add_charge_rows(
+        lp, state.topology, users, state.charged_volume, state.committed_volume
+    )
+    lp.objective(penalty_cols + charged, penalty_vals + prices, fixed_cost)
+    return lp.compile(), flow_vars, graph, lateness_terms
 
 
 def solve_soft_deadline(
@@ -126,15 +129,15 @@ def solve_soft_deadline(
     The returned schedule may move data after file deadlines — audit it
     with ``schedule.validate(requests, deadline_slack=extension)``.
     """
-    model, flow_vars, _graph, lateness_terms = build_soft_deadline_model(
+    problem, flow_vars, _graph, lateness_terms = build_soft_deadline_model(
         state, requests, extension, lateness_penalty
     )
-    solution = model.solve()
+    solution = solve_lp(problem)
 
     destination_of = {r.request_id: r.destination for r in requests}
     entries = []
     for (rid, arc), var in flow_vars.items():
-        volume = solution.value(var)
+        volume = float(solution.x[var])
         if volume <= VOLUME_ATOL:
             continue
         # Holdover at a file's own destination is delivered data riding
@@ -145,7 +148,7 @@ def solve_soft_deadline(
             ScheduleEntry(rid, arc.src, arc.dst, arc.slot, volume, arc.kind)
         )
     lateness = {
-        rid: sum(late * solution.value(var) for late, var in terms)
+        rid: sum(late * float(solution.x[var]) for late, var in terms)
         for rid, terms in lateness_terms.items()
     }
     for request in requests:

@@ -28,7 +28,7 @@ from repro.core.flowlp import (
 from repro.core.formulation import build_postcard_model
 from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import LinExpr, Model, Variable
+from repro.lp import LE, LPBuilder, solve_lp
 from repro.traffic.spec import TransferRequest
 
 
@@ -60,28 +60,28 @@ def _fractional_relaxation(
     """Solve the y_k in [0,1] relaxation; returns (objective, fractions)."""
     graph = window_graph(state.topology, requests, state.residual_capacity)
 
-    model = Model("budget_relaxation")
+    lp = LPBuilder("budget_relaxation")
     users: Users = defaultdict(list)
-    fraction_vars: Dict[int, Variable] = {}
+    fraction_vars: Dict[int, int] = {}
 
     for request in requests:
         rid = request.request_id
-        _, balance = add_flows(model, rid, graph.arcs_for_request(request), users)
-        y = fraction_vars[rid] = model.add_variable(f"y[{rid}]", lb=0.0, ub=1.0)
+        _, balance = add_flows(lp, rid, graph.arcs_for_request(request), users)
+        y = fraction_vars[rid] = lp.column(("y", rid), lb=0.0, ub=1.0)
         source, sink = graph.source_node(request), graph.sink_node(request)
-        add_balance_rows(model, rid, balance, lambda node: (
-            request.size_gb * y if node == source
-            else -request.size_gb * y if node == sink else 0.0
+        add_balance_rows(lp, balance, lambda node: (
+            (request.size_gb, y) if node == source
+            else (-request.size_gb, y) if node == sink else 0.0
         ))
 
-    add_capacity_rows(model, users)
-    bill = add_charge_rows(
-        model, state.topology, users, state.charged_volume, state.committed_volume
+    add_capacity_rows(lp, users)
+    charged, prices, fixed_cost = add_charge_rows(
+        lp, state.topology, users, state.charged_volume, state.committed_volume
     )
-    model.add_constraint(bill <= budget_per_slot, name="budget")
-    model.maximize(LinExpr.sum(fraction_vars.values()))
-    solution = model.solve()
-    fractions = {rid: solution.value(var) for rid, var in fraction_vars.items()}
+    lp.row(charged, prices, LE, budget_per_slot - fixed_cost)
+    lp.objective(fraction_vars.values(), [1.0] * len(fraction_vars), maximize=True)
+    solution = solve_lp(lp.compile())
+    fractions = {rid: float(solution.x[var]) for rid, var in fraction_vars.items()}
     return solution.objective, fractions
 
 

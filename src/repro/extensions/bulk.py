@@ -32,7 +32,7 @@ from repro.core.flowlp import (
 )
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import LinExpr, Model, Variable
+from repro.lp import LPBuilder, solve_lp
 from repro.timeexp.graph import Arc
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
@@ -69,36 +69,36 @@ def maximize_bulk_throughput(
     # Free capacity only: the paid headroom of each link-slot.
     graph = window_graph(state.topology, requests, state.paid_headroom)
 
-    model = Model("bulk_throughput")
-    flow_vars: Dict[Tuple[int, Arc], Variable] = {}
+    lp = LPBuilder("bulk_throughput")
+    flow_vars: Dict[Tuple[int, Arc], int] = {}
     users: Users = defaultdict(list)
-    delivered_vars: Dict[int, Variable] = {}
+    delivered_vars: Dict[int, int] = {}
     for request in requests:
         rid = request.request_id
         columns, balance = add_flows(
-            model, rid, graph.arcs_for_request(request), users
+            lp, rid, graph.arcs_for_request(request), users
         )
         flow_vars.update(((rid, arc), var) for arc, var in columns.items())
-        y = delivered_vars[rid] = model.add_variable(
-            f"y[{rid}]", lb=0.0, ub=request.size_gb
-        )
+        y = delivered_vars[rid] = lp.column(("y", rid), lb=0.0, ub=request.size_gb)
         source, sink = graph.source_node(request), graph.sink_node(request)
-        add_balance_rows(model, rid, balance, lambda node: (
-            y if node == source else -y if node == sink else 0.0
+        add_balance_rows(lp, balance, lambda node: (
+            (1.0, y) if node == source else (-1.0, y) if node == sink else 0.0
         ))
 
-    add_capacity_rows(model, users)
-    model.maximize(LinExpr.from_terms(
-        ((weights or {}).get(rid, 1.0), y) for rid, y in delivered_vars.items()
-    ))
-    solution = model.solve()
+    add_capacity_rows(lp, users)
+    lp.objective(
+        delivered_vars.values(),
+        [(weights or {}).get(rid, 1.0) for rid in delivered_vars],
+        maximize=True,
+    )
+    solution = solve_lp(lp.compile())
 
     entries = [
         ScheduleEntry(rid, arc.src, arc.dst, arc.slot, volume, arc.kind)
         for (rid, arc), var in flow_vars.items()
-        if (volume := solution.value(var)) > VOLUME_ATOL
+        if (volume := float(solution.x[var])) > VOLUME_ATOL
     ]
-    delivered = {rid: solution.value(var) for rid, var in delivered_vars.items()}
+    delivered = {rid: float(solution.x[var]) for rid, var in delivered_vars.items()}
     return BulkTransferResult(
         schedule=TransferSchedule(entries),
         delivered=delivered,

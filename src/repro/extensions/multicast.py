@@ -34,7 +34,7 @@ from repro.core.flowlp import (
 )
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import Model, Solution, Variable
+from repro.lp import GE, LPBuilder, Solution, solve_lp
 from repro.timeexp.graph import Arc, ArcKind
 from repro.traffic.spec import expand_multicast
 from repro.units import VOLUME_ATOL
@@ -68,45 +68,43 @@ def solve_multicast(
     )
     graph = window_graph(state.topology, requests, state.residual_capacity)
 
-    model = Model("multicast")
+    lp = LPBuilder("multicast")
     #: shared occupancy per transit arc, as its one capacity/charge user.
     occupancy: Users = {
-        arc: [model.add_variable(f"u[{arc.src},{arc.dst},{arc.slot}]")]
+        arc: [lp.column(("u", arc))]
         for arc in graph.arcs
         if arc.kind is ArcKind.TRANSIT and arc.capacity > 0
     }
     #: per-destination flows on each arc.
-    flows: Dict[int, Dict[Arc, Variable]] = {}
+    flows: Dict[int, Dict[Arc, int]] = {}
     for request in requests:
         rid = request.request_id
         own: Users = defaultdict(list)
         flows[rid], balance = add_flows(
-            model, rid, graph.arcs_for_request(request), own
+            lp, rid, graph.arcs_for_request(request), own
         )
         for arc, (var,) in own.items():
-            model.add_constraint(
-                occupancy[arc][0] >= var,
-                name=f"share[{rid},{arc.src},{arc.dst},{arc.slot}]",
-            )
+            lp.row([occupancy[arc][0], var], [1.0, -1.0], GE)
         source, sink = graph.source_node(request), graph.sink_node(request)
-        add_balance_rows(model, rid, balance, lambda node: (
+        add_balance_rows(lp, balance, lambda node: (
             size_gb if node == source else -size_gb if node == sink else 0.0
         ))
 
-    add_capacity_rows(model, occupancy)
-    model.minimize(add_charge_rows(
-        model, state.topology, occupancy,
-        state.charged_volume, state.committed_volume,
-    ))
-    solution = model.solve()
+    add_capacity_rows(lp, occupancy)
+    charged, prices, fixed_cost = add_charge_rows(
+        lp, state.topology, occupancy, state.charged_volume, state.committed_volume,
+    )
+    lp.objective(charged, prices, fixed_cost)
+    solution = solve_lp(lp.compile())
+    x = solution.x
 
     # The billable schedule is the occupancy, attributed to the first
     # destination's request id (a synthetic "multicast job" id).
     job_id = requests[0].request_id
     schedule = TransferSchedule(
-        ScheduleEntry(job_id, arc.src, arc.dst, arc.slot, solution.value(u))
+        ScheduleEntry(job_id, arc.src, arc.dst, arc.slot, float(x[u]))
         for arc, (u,) in occupancy.items()
-        if solution.value(u) > VOLUME_ATOL
+        if x[u] > VOLUME_ATOL
     )
 
     completions = {}
@@ -115,7 +113,7 @@ def solve_multicast(
             ScheduleEntry(request.request_id, arc.src, arc.dst, arc.slot, volume)
             for arc, var in flows[request.request_id].items()
             if arc.kind is ArcKind.TRANSIT
-            and (volume := solution.value(var)) > VOLUME_ATOL
+            and (volume := float(x[var])) > VOLUME_ATOL
         ).completion_slot(request)
         if delivered is not None:
             completions[request.destination] = delivered

@@ -29,7 +29,7 @@ import networkx as nx
 from repro.errors import InfeasibleError, SchedulingError, SolverError
 from repro.core.schedule import SEMANTICS_FLUID, ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import LinExpr, Model, Variable
+from repro.lp import EQ, LE, LPBuilder, solve_lp
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
@@ -103,7 +103,8 @@ def solve_flow_column_generation(
         master, path_vars, demand_rows, cap_rows, chg_rows, slack_vars = _build_master(
             state, requests, columns, active_slots
         )
-        solution = master.solve()
+        solution = solve_lp(master)
+        duals = master.duals(solution).tolist()
 
         # Pricing: per-link weight = -(sum of duals of the LE rows a
         # unit of path flow on that link would hit).  All those duals
@@ -118,10 +119,10 @@ def solve_flow_column_generation(
                 for slot in active_slots[rid]:
                     row = cap_rows.get((link.key, slot))
                     if row is not None:
-                        weight -= solution.dual(row)
+                        weight -= duals[row]
                     row = chg_rows.get((link.key, slot))
                     if row is not None:
-                        weight -= solution.dual(row)
+                        weight -= duals[row]
                 weights[link.key] = max(0.0, weight)
 
             graph = nx.DiGraph()
@@ -135,7 +136,7 @@ def solve_flow_column_generation(
             except nx.NetworkXNoPath:  # pragma: no cover - seeded above
                 continue
             best_weight = sum(weights[key] for key in _path_links(tuple(best)))
-            sigma = solution.dual(demand_rows[rid])
+            sigma = duals[demand_rows[rid]]
             if best_weight < sigma - tolerance:
                 candidate = tuple(best)
                 if candidate not in columns[rid]:
@@ -145,7 +146,7 @@ def solve_flow_column_generation(
 
         if not improved:
             residual_slack = sum(
-                solution.value(slack) for slack in slack_vars.values()
+                float(solution.x[slack]) for slack in slack_vars.values()
             )
             if residual_slack > 1e-6:
                 raise InfeasibleError(
@@ -158,7 +159,7 @@ def solve_flow_column_generation(
     paths_out: Dict[int, List[Tuple[Path, float]]] = defaultdict(list)
     entries: List[ScheduleEntry] = []
     for (rid, path), var in path_vars.items():
-        rate = solution.value(var)
+        rate = float(solution.x[var])
         if rate <= VOLUME_ATOL:
             continue
         paths_out[rid].append((path, rate))
@@ -187,15 +188,13 @@ def _build_master(
     All rows are EQ or LE so every dual follows one sign convention.
     """
     topology = state.topology
-    model = Model("colgen_master")
+    lp = LPBuilder("colgen_master")
 
-    path_vars: Dict[Tuple[int, Path], Variable] = {}
+    path_vars: Dict[Tuple[int, Path], int] = {}
     for request in requests:
         rid = request.request_id
         for path in columns[rid]:
-            path_vars[(rid, path)] = model.add_variable(
-                f"f[{rid},{'-'.join(map(str, path))}]"
-            )
+            path_vars[(rid, path)] = lp.column((rid, path))
 
     # Big-M feasibility slack: the seed columns alone may not be able
     # to carry a file's rate (shared bottlenecks), yet the full path
@@ -203,21 +202,18 @@ def _build_master(
     # that discover those paths.  Positive slack at convergence means
     # genuine infeasibility.
     big_m = 1e5 * max(link.price for link in topology.links)
-    slack_vars: Dict[int, Variable] = {}
+    slack_vars: Dict[int, int] = {}
     demand_rows = {}
     for request in requests:
         rid = request.request_id
-        slack = model.add_variable(f"slack[{rid}]")
-        slack_vars[rid] = slack
-        total = LinExpr.sum(
-            path_vars[(rid, path)] for path in columns[rid]
-        )
-        demand_rows[rid] = model.add_constraint(
-            total + slack == request.desired_rate, name=f"dem[{rid}]"
+        slack = slack_vars[rid] = lp.column(("slack", rid), cost=big_m)
+        demand_rows[rid] = lp.row(
+            [path_vars[(rid, path)] for path in columns[rid]] + [slack], 1.0,
+            EQ, request.desired_rate,
         )
 
     # Per (link, slot): which path variables load it.
-    users: Dict[Tuple[LinkKey, int], List[Variable]] = defaultdict(list)
+    users: Dict[Tuple[LinkKey, int], List[int]] = defaultdict(list)
     for request in requests:
         rid = request.request_id
         for path in columns[rid]:
@@ -228,7 +224,6 @@ def _build_master(
 
     cap_rows = {}
     chg_rows = {}
-    objective_terms: List[Tuple[float, Variable]] = []
     fixed_cost = 0.0
     touched_links = {key for key, _slot in users}
     for link in topology.links:
@@ -236,24 +231,17 @@ def _build_master(
         if link.key not in touched_links:
             fixed_cost += link.price * prior
             continue
-        x = model.add_variable(f"X[{link.src},{link.dst}]", lb=prior)
-        objective_terms.append((link.price, x))
+        x = lp.column(("X", link.key), lb=prior, cost=link.price)
         for (key, slot), vars_here in users.items():
             if key != link.key:
                 continue
             committed = state.committed_volume(key[0], key[1], slot)
-            load = LinExpr.sum(vars_here)
             residual = state.residual_capacity(key[0], key[1], slot)
             if residual != float("inf"):
-                cap_rows[(key, slot)] = model.add_constraint(
-                    load <= residual, name=f"cap[{key},{slot}]"
-                )
-            chg_rows[(key, slot)] = model.add_constraint(
-                load - x <= -committed, name=f"chg[{key},{slot}]"
+                cap_rows[(key, slot)] = lp.row(vars_here, 1.0, LE, residual)
+            chg_rows[(key, slot)] = lp.row(
+                vars_here + [x], [1.0] * len(vars_here) + [-1.0], LE, -committed
             )
 
-    slack_terms = [(big_m, slack) for slack in slack_vars.values()]
-    model.minimize(
-        LinExpr.from_terms(objective_terms + slack_terms, constant=fixed_cost)
-    )
-    return model, path_vars, demand_rows, cap_rows, chg_rows, slack_vars
+    lp.constant = fixed_cost
+    return lp.compile(), path_vars, demand_rows, cap_rows, chg_rows, slack_vars

@@ -14,27 +14,47 @@ The objective matches Postcard's: minimize ``sum(a_ij * X_ij)`` with
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import SchedulingError
+from repro.core.flowlp import Supply, add_balance_rows
 from repro.core.schedule import SEMANTICS_FLUID, ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import LinExpr, Model, Solution, Variable
+from repro.lp import GE, LE, CompiledProblem, LPBuilder, Solution, solve_lp
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
 LinkKey = Tuple[int, int]
 
 
+def add_link_balance_rows(
+    lp: LPBuilder, nodes: Iterable[int], ends: Sequence[LinkKey],
+    columns: Sequence[int], source: int, sink: int, supply: Supply,
+) -> None:
+    """One commodity's conservation, one row per node in ``nodes`` order
+    over its rate columns (``columns[i]`` on link ``ends[i]``): net
+    outflow is ``supply`` at ``source``, ``-supply`` at ``sink``, 0
+    elsewhere.  A node no link touches keeps its row: it holds, or the
+    problem is infeasible (a source without links)."""
+    balance = {node: [] for node in nodes}
+    for (src, dst), col in zip(ends, columns):
+        balance[src].append((col, 1.0))
+        balance[dst].append((col, -1.0))
+    demand = (-supply[0], supply[1]) if isinstance(supply, tuple) else -supply
+    add_balance_rows(lp, balance, lambda node: (
+        supply if node == source else demand if node == sink else 0.0
+    ))
+
+
 class FlowModel:
-    """A built (not yet solved) flow-based LP plus its variable maps."""
+    """A built (not yet solved) flow-based LP plus its column maps."""
 
     def __init__(
         self,
-        model: Model,
+        model: CompiledProblem,
         requests: List[TransferRequest],
-        rate_vars: Dict[Tuple[int, LinkKey], Variable],
-        charge_vars: Dict[LinkKey, Variable],
+        rate_vars: Dict[Tuple[int, LinkKey], int],
+        charge_vars: Dict[LinkKey, int],
         fixed_charge_cost: float,
     ):
         self.model = model
@@ -45,11 +65,11 @@ class FlowModel:
 
     def solve(self, **options) -> Tuple[TransferSchedule, Solution]:
         """Optimize and expand rates into per-slot fluid entries."""
-        solution = self.model.solve(**options)
+        solution = solve_lp(self.model, **options)
         by_request = {r.request_id: r for r in self.requests}
         entries = []
         for (request_id, (src, dst)), var in self.rate_vars.items():
-            rate = solution.value(var)
+            rate = float(solution.x[var])
             if rate <= VOLUME_ATOL:
                 continue
             request = by_request[request_id]
@@ -76,38 +96,29 @@ def build_flow_model(
         raise SchedulingError("build_flow_model needs at least one request")
 
     topology = state.topology
-    model = Model(name)
+    lp = LPBuilder(name)
+    ends = [link.key for link in topology.links]
 
-    rate_vars: Dict[Tuple[int, LinkKey], Variable] = {}
+    rate_vars: Dict[Tuple[int, LinkKey], int] = {}
     for request in requests:
         rid = request.request_id
-        balance: Dict[int, List[Tuple[float, Variable]]] = defaultdict(list)
-        for link in topology.links:
-            var = model.add_variable(f"f[{rid},{link.src},{link.dst}]")
-            rate_vars[(rid, link.key)] = var
-            balance[link.src].append((1.0, var))
-            balance[link.dst].append((-1.0, var))
-        rate = request.desired_rate
-        for node in topology.node_ids():
-            net = LinExpr.from_terms(balance.get(node, []))
-            if node == request.source:
-                model.add_constraint(net == rate, name=f"src[{rid}]")
-            elif node == request.destination:
-                model.add_constraint(net == -rate, name=f"snk[{rid}]")
-            else:
-                model.add_constraint(net == 0.0, name=f"cons[{rid},{node}]")
+        columns = [lp.column((rid, key)) for key in ends]
+        rate_vars.update(zip(((rid, key) for key in ends), columns))
+        add_link_balance_rows(
+            lp, topology.node_ids(), ends, columns,
+            request.source, request.destination, request.desired_rate,
+        )
 
     # Which files are active at which slot, per link-slot rows.
     start = min(r.release_slot for r in requests)
     end = max(r.last_slot for r in requests) + 1
 
-    charge_vars: Dict[LinkKey, Variable] = {}
-    objective_terms: List[Tuple[float, Variable]] = []
+    charge_vars: Dict[LinkKey, int] = {}
     fixed_cost = 0.0
     for link in topology.links:
         key = link.key
         prior = state.charged_volume(*key)
-        users_by_slot: Dict[int, List[Variable]] = defaultdict(list)
+        users_by_slot: Dict[int, List[int]] = defaultdict(list)
         for request in requests:
             var = rate_vars[(request.request_id, key)]
             for slot in range(request.release_slot, request.last_slot + 1):
@@ -117,23 +128,16 @@ def build_flow_model(
             fixed_cost += link.price * prior
             continue
 
-        x = model.add_variable(f"X[{key[0]},{key[1]}]", lb=prior)
-        charge_vars[key] = x
+        x = charge_vars[key] = lp.column(("X", key), lb=prior, cost=link.price)
         for slot in range(start, end):
             users = users_by_slot.get(slot)
             if not users:
                 continue
             committed = state.committed_volume(key[0], key[1], slot)
-            load = LinExpr.sum(users)
-            model.add_constraint(
-                x >= load + committed, name=f"chg[{key[0]},{key[1]},{slot}]"
-            )
+            lp.row([x, *users], [1.0] + [-1.0] * len(users), GE, committed)
             residual = state.residual_capacity(key[0], key[1], slot)
             if residual != float("inf"):
-                model.add_constraint(
-                    load <= residual, name=f"cap[{key[0]},{key[1]},{slot}]"
-                )
-        objective_terms.append((link.price, x))
+                lp.row(users, 1.0, LE, residual)
 
-    model.minimize(LinExpr.from_terms(objective_terms, constant=fixed_cost))
-    return FlowModel(model, list(requests), rate_vars, charge_vars, fixed_cost)
+    lp.constant = fixed_cost
+    return FlowModel(lp.compile(), list(requests), rate_vars, charge_vars, fixed_cost)

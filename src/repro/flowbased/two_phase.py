@@ -19,23 +19,86 @@ benchmark suite compares the two variants.
 
 Windows are handled conservatively: the shared free/residual capacity
 of a link is its minimum over the union of all files' windows.
+
+Phase 1 is :func:`max_concurrent_flow`: given commodities ``(source_k,
+sink_k, demand_k)`` on a shared capacitated graph, the largest
+``lambda`` such that ``lambda * demand_k`` of every commodity can be
+routed at once, solved as an LP on that graph (instant at the scale of
+inter-datacenter overlays).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, TopologyError
 from repro.core.schedule import SEMANTICS_FLUID, ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import LinExpr, Model
-from repro.mcmf.concurrent import max_concurrent_flow
+from repro.flowbased.model import add_link_balance_rows
+from repro.lp import LE, LPBuilder, solve_lp
 from repro.obs import registry as obs
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
 LinkKey = Tuple[int, int]
+Edge = Tuple[int, int, float]  # (src, dst, capacity)
+Commodity = Tuple[int, int, float]  # (source, sink, demand)
+
+
+def max_concurrent_flow(
+    num_nodes: int,
+    edges: Sequence[Edge],
+    commodities: Sequence[Commodity],
+    cap_lambda: float = float("inf"),
+) -> Tuple[float, List[Dict[Tuple[int, int], float]]]:
+    """Maximize the common served fraction ``lambda``.
+
+    Returns ``(lambda, flows)`` where ``flows[k]`` maps edge keys to the
+    flow carried for commodity ``k``.  ``cap_lambda`` bounds the
+    fraction (the flow-based baseline caps it at 1: there is no point
+    routing more than each file's desired rate).
+    """
+    if not commodities:
+        raise TopologyError("need at least one commodity")
+    for src, dst, demand in commodities:
+        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+            raise TopologyError(f"commodity ({src},{dst}) out of range")
+        if src == dst:
+            raise TopologyError("commodity source equals sink")
+        if demand <= 0:
+            raise TopologyError(f"commodity demand must be positive, got {demand}")
+    for src, dst, cap in edges:
+        if cap < 0:
+            raise TopologyError(f"edge ({src},{dst}) has negative capacity")
+
+    lp = LPBuilder("max_concurrent_flow")
+    lam = lp.column("lambda", ub=None if cap_lambda == float("inf") else cap_lambda)
+    lp.objective([lam], [1.0], maximize=True)
+    # Per-commodity flow columns on every edge.
+    columns = [[lp.column((k, e)) for e in range(len(edges))]
+               for k in range(len(commodities))]
+    # Shared capacity.
+    for e, (_src, _dst, cap) in enumerate(edges):
+        if cap != float("inf"):
+            lp.row([per_edge[e] for per_edge in columns], 1.0, LE, cap)
+    # Conservation with demand scaled by lambda.
+    ends = [(src, dst) for src, dst, _cap in edges]
+    for per_edge, (source, sink, demand) in zip(columns, commodities):
+        add_link_balance_rows(
+            lp, range(num_nodes), ends, per_edge, source, sink, (demand, lam)
+        )
+
+    x = solve_lp(lp.compile()).x
+    flows: List[Dict[Tuple[int, int], float]] = []
+    for per_edge in columns:
+        per_key: Dict[Tuple[int, int], float] = defaultdict(float)
+        for (src, dst), col in zip(ends, per_edge):
+            value = float(x[col])
+            if value > 1e-9:
+                per_key[(src, dst)] += value
+        flows.append(dict(per_key))
+    return float(x[lam]), flows
 
 
 def _min_over_window(values) -> float:
@@ -104,42 +167,25 @@ def solve_two_phase(
                 )
                 for l in links
             }
-            model = Model("two_phase_mcmf")
-            f2: Dict[Tuple[int, LinkKey], object] = {}
-            cost_terms = []
+            lp = LPBuilder("two_phase_mcmf")
+            ends = [link.key for link in links]
+            f2: Dict[Tuple[int, LinkKey], int] = {}
             for request in requests:
                 rid = request.request_id
-                balance = defaultdict(list)
-                for link in links:
-                    var = model.add_variable(f"f2[{rid},{link.src},{link.dst}]")
-                    f2[(rid, link.key)] = var
-                    balance[link.src].append((1.0, var))
-                    balance[link.dst].append((-1.0, var))
-                    cost_terms.append((link.price, var))
-                remainder = (1.0 - lam) * request.desired_rate
-                for node in node_ids:
-                    net = LinExpr.from_terms(balance.get(node, []))
-                    if node == request.source:
-                        model.add_constraint(net == remainder, name=f"src[{rid}]")
-                    elif node == request.destination:
-                        model.add_constraint(net == -remainder, name=f"snk[{rid}]")
-                    else:
-                        model.add_constraint(net == 0.0, name=f"cons[{rid},{node}]")
+                columns = [lp.column((rid, link.key), cost=link.price) for link in links]
+                f2.update(zip(((rid, key) for key in ends), columns))
+                add_link_balance_rows(
+                    lp, node_ids, ends, columns, request.source,
+                    request.destination, (1.0 - lam) * request.desired_rate,
+                )
             for link in links:
                 cap = residual_caps[link.key]
                 if cap != float("inf"):
-                    model.add_constraint(
-                        LinExpr.sum(
-                            f2[(r.request_id, link.key)] for r in requests
-                        )
-                        <= cap,
-                        name=f"cap[{link.src},{link.dst}]",
-                    )
-            model.minimize(LinExpr.from_terms(cost_terms))
-            solution = model.solve()
+                    lp.row([f2[(r.request_id, link.key)] for r in requests], 1.0, LE, cap)
+            solution = solve_lp(lp.compile())
             phase2_cost = solution.objective
             for (rid, key), var in f2.items():
-                rate = solution.value(var)
+                rate = float(solution.x[var])
                 if rate > VOLUME_ATOL:
                     rates[(rid, key)] += rate
 

@@ -1,41 +1,41 @@
-"""A small linear-programming modeling toolkit.
+"""The LP layer: one representation, one solver.
 
-The environment of this reproduction ships no algebraic modeling layer
-(no PuLP, no cvxpy), so this package provides one: variables, linear
-expressions, constraints, and an epigraph helper for ``max`` terms, all
-compiled to a sparse standard form and handed to the solver.
+A problem is a :class:`CompiledProblem`, the sparse standard-form arrays
+HiGHS reads.  The Postcard LP (:mod:`repro.core.formulation`) writes
+them itself; every other formulation states its columns and rows on an
+:class:`LPBuilder`, which appends them to those arrays.
 
 The solver is HiGHS, through the binding scipy vendors, fed the compiled
 arrays in one call (:class:`repro.lp.backends.HighsBackend`).  The test
-tree keeps a pure-Python dense two-phase simplex (``tests/lp_simplex.py``)
-as the oracle that cross-validates it on small instances.
+tree keeps the operator-algebra object model the builders replaced
+(``tests/lp_model.py``) and a pure-Python dense two-phase simplex
+(``tests/lp_simplex.py``) as the oracles that cross-validate the builder
+and the solver.
 
 Example
 -------
->>> from repro.lp import Model
->>> m = Model("diet")
->>> x = m.add_variable("x", lb=0.0)
->>> y = m.add_variable("y", lb=0.0)
->>> m.add_constraint(x + 2 * y >= 4, name="protein")
->>> m.add_constraint(3 * x + y >= 6, name="iron")
->>> m.minimize(2 * x + 3 * y)
->>> sol = m.solve()
->>> round(sol.objective, 6)
-6.8
+>>> from repro.lp import GE, LPBuilder, solve_lp
+>>> lp = LPBuilder("diet")
+>>> x = lp.column("x", cost=2.0)
+>>> y = lp.column("y", cost=3.0)
+>>> protein = lp.row([x, y], [1.0, 2.0], GE, 4.0)
+>>> iron = lp.row([x, y], [3.0, 1.0], GE, 6.0)
+>>> problem = lp.compile()
+>>> solution = solve_lp(problem)
+>>> round(solution.objective, 6), round(float(problem.duals(solution)[iron]), 6)
+(6.8, 0.2)
 """
 
-from repro.lp.expr import LinExpr, Variable
-from repro.lp.constraint import Constraint, Sense
-from repro.lp.model import Model, solve_lp
 from repro.lp.result import Solution, SolveStatus
-from repro.lp.compile import CompiledProblem, compile_model
+from repro.lp.compile import (
+    EQ, GE, LE, CompiledProblem, LPBuilder, compile_model, solve_lp,
+)
 
 __all__ = [
-    "LinExpr",
-    "Variable",
-    "Constraint",
-    "Sense",
-    "Model",
+    "LPBuilder",
+    "LE",
+    "GE",
+    "EQ",
     "Solution",
     "SolveStatus",
     "CompiledProblem",

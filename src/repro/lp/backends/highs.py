@@ -7,7 +7,7 @@ minus its input cleaning, option re-validation and per-column loop
 It never raises on an infeasible or unbounded problem: it reports
 the status on the :class:`Solution`, and a solver that could not answer
 returns :attr:`SolveStatus.ERROR` with the reason in ``message``.
-:func:`~repro.lp.model.solve_lp` turns those into typed errors; nothing
+:func:`~repro.lp.compile.solve_lp` turns those into typed errors; nothing
 retries (docs/ROBUSTNESS.md, "When the LP does not answer")."""
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from scipy import sparse
 
 from repro.errors import ModelError
 from repro.lp.compile import CompiledProblem, compile_model
-from repro.lp.model import Model
 from repro.lp.result import Solution, SolveStatus
 from repro.obs import registry as obs
 
@@ -50,18 +49,18 @@ class HighsBackend:
 
     name = "highs"
 
-    def solve(self, model: "Model | CompiledProblem", **options) -> Solution:
-        # The span covers the backend's whole job — lowering the model
-        # to matrices *and* optimizing — so lp.build + lp.solve account
-        # for the full per-slot scheduling cost.
+    def solve(self, problem: CompiledProblem, **options) -> Solution:
+        # The span covers the backend's whole job — the hand-off *and*
+        # optimizing — so lp.build + lp.solve account for the full
+        # per-slot scheduling cost.
         with obs.span("lp.solve", backend=self.name):
-            problem = compile_model(model)
+            problem = compile_model(problem)
             n = problem.num_variables
 
             if n == 0:
-                # Degenerate but legal: an empty model is trivially optimal.
+                # Degenerate but legal: an empty problem is trivially optimal.
                 return Solution(SolveStatus.OPTIMAL, np.zeros(0), problem.c0,
-                                problem.model_id, solver=self.name)
+                                solver=self.name)
 
             # A new solver shares nothing with one a watchdog abandoned.
             # Dual simplex crawls on large degenerate time-expanded LPs
@@ -87,30 +86,10 @@ class HighsBackend:
                 objective = (-objective if problem.maximize else objective) + problem.c0
         obs.counter("lp.highs.iterations", iterations)
 
-        row_duals = duals = None
-        if status is SolveStatus.OPTIMAL:
-            # Resolved on first read: the scheduling path never asks.
-            row_duals = partial(_row_duals, solution)
-            if isinstance(model, Model):
-                # Binds the constraint list, not the model: no reference
-                # cycle.  A compiled problem has no constraints to key by.
-                duals = partial(self._extract_duals, model.constraints, problem)
-
-        return Solution(status, x, objective, problem.model_id, solver=self.name,
-                        iterations=iterations, duals=duals, message=message,
-                        row_duals=row_duals)
-
-    @staticmethod
-    def _extract_duals(constraints, problem, row_dual):
-        """Map HiGHS's row duals (``a_ub`` rows, then ``a_eq``) back to
-        model-level shadow prices.  A GE row was negated at compile time
-        and a maximization's costs were, so those duals flip sign."""
-        first = {"ub": 0, "eq": problem.num_inequalities}
-        flip = -1.0 if problem.maximize else 1.0
-        return {
-            id(constraint): flip * sign * float(row_dual[first[kind] + row])
-            for constraint, (kind, row, sign) in zip(constraints, problem.row_map)
-        }
+        # Resolved on first read: the scheduling path never asks.
+        row_duals = partial(_row_duals, solution) if status is SolveStatus.OPTIMAL else None
+        return Solution(status, x, objective, solver=self.name, iterations=iterations,
+                        message=message, row_duals=row_duals)
 
 
 def _row_duals(solution) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Compile a Model to sparse standard form.
+"""The LP in sparse standard form, and the builder that writes it.
 
 The compiled form is what the HiGHS backend hands HiGHS, ``a_ub`` rows
 stacked over ``a_eq`` rows (``repro.lp.backends.highs``):
@@ -11,40 +11,34 @@ stacked over ``a_eq`` rows (``repro.lp.backends.highs``):
 Maximization is handled by negating ``c`` and flipping the sign of the
 reported objective, so backends only ever minimize.
 
-The lowering accumulates every constraint's coefficient arrays into
-flat COO buffers with C-speed ``list.extend`` calls and applies GE sign
-flips as one vectorized multiply.  ``tests/lp_reference.py`` keeps the
-per-coefficient loop it replaced; the two give bit-identical matrices
-(``tests/test_compile_equivalence.py``).  A problem assembled directly
-as arrays (the Postcard LP) skips lowering altogether.
+:class:`LPBuilder` states a problem column by column and row by row:
+each row's coefficients go to flat COO buffers with C-speed
+``list.extend`` calls, and GE rows are negated into ``a_ub`` as one
+vectorized multiply.  The Postcard LP (:mod:`repro.core.formulation`)
+writes the arrays itself.  ``tests/lp_model.py`` keeps the
+operator-algebra object model and its lowering as the oracle the builder
+is pinned to, byte for byte (``tests/test_lp_builder.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
-from repro.lp.constraint import Sense
-from repro.lp.model import Model
+from repro.errors import InfeasibleError, ModelError, SolverError, UnboundedError
+from repro.lp.result import Solution, SolveStatus
 from repro.obs import registry as obs
 
-
-def _bounds_array(variables) -> np.ndarray:
-    """Variable bounds as an ``(n, 2)`` float array: two column slices
-    for the backend, where per-variable tuples cost a conversion pass."""
-    n = len(variables)
-    bounds = np.empty((n, 2), dtype=float)
-    bounds[:, 0] = np.fromiter((v.lb for v in variables), dtype=float, count=n)
-    bounds[:, 1] = np.fromiter((v.ub for v in variables), dtype=float, count=n)
-    return bounds
+#: Row senses: ``row(cols, vals, LE, rhs)`` states ``vals . x[cols] <= rhs``.
+LE, GE, EQ = "<=", ">=", "=="
 
 
 @dataclass
 class CompiledProblem:
-    """Sparse standard-form LP data extracted from a :class:`Model`."""
+    """Sparse standard-form LP data, as HiGHS is handed it."""
 
     c: np.ndarray
     c0: float
@@ -56,16 +50,11 @@ class CompiledProblem:
     #: reads a list of tuples, ``None`` meaning unbounded).
     bounds: "np.ndarray | List[Tuple[float, float]]"
     maximize: bool
-    #: One entry per model constraint, in order: ("ub"|"eq", row, sign).
-    #: ``sign`` is -1 for GE constraints (negated into LE rows), so a
-    #: model-level dual is ``sign * marginal`` of the compiled row.
-    #: Defaults to an empty list so an un-populated problem degrades to
-    #: "no dual information" instead of crashing dual extraction.
+    #: One entry per stated row, in order: ("ub"|"eq", row, sign).
+    #: ``sign`` is -1 for GE rows (negated into LE rows), so a row's
+    #: dual as written is ``sign * marginal`` of the compiled row.
     row_map: List[Tuple[str, int, float]] = field(default_factory=list)
-    #: Name and ``_id`` of the :class:`Model` this was lowered from; a
-    #: problem assembled directly as arrays keeps these.
     name: str = "compiled"
-    model_id: int = -1
 
     @property
     def num_variables(self) -> int:
@@ -83,93 +72,172 @@ class CompiledProblem:
     def num_constraints(self) -> int:
         return self.num_inequalities + self.num_equalities
 
+    def duals(self, solution: Solution) -> np.ndarray:
+        """Each stated row's shadow price d(objective) / d(rhs), indexed
+        by the handle :meth:`LPBuilder.row` returned.
 
-def compile_model(model: Union[Model, CompiledProblem]) -> CompiledProblem:
-    """Lower a :class:`Model` into :class:`CompiledProblem` matrices.
+        The sign follows the row as written: relaxing ``vals . x <= b``
+        by one unit changes a minimization objective by its dual (<= 0),
+        and tightening ``vals . x >= b`` likewise.  A GE row was negated
+        at compile time and a maximization's costs were, so those flip.
+        """
+        offset = {"ub": 0, "eq": self.num_inequalities}
+        index = [offset[kind] + row for kind, row, _ in self.row_map]
+        sign = np.array([sign for *_, sign in self.row_map])
+        if self.maximize:
+            sign = -sign
+        return sign * solution.row_duals[index]
 
-    ``GE`` constraints are negated into ``LE`` rows; constraint constants
-    move to the right-hand side.  An already compiled problem is
-    returned as it is, under the same span and counters.
-    """
-    compiled = isinstance(model, CompiledProblem)
-    with obs.span("lp.compile", model=model.name,
-                  mode="compiled" if compiled else "vectorized"):
-        if compiled:
-            problem = model
-        else:
-            problem = _compile_vectorized(model)
-            problem.name, problem.model_id = model.name, model._id
+
+def compile_model(problem: CompiledProblem) -> CompiledProblem:
+    """The solve's hand-off: the problem passes through as it is, under
+    the ``lp.compile`` span and the ``lp.cols`` / ``lp.rows`` /
+    ``lp.nonzeros`` counters."""
+    with obs.span("lp.compile", model=problem.name, mode="compiled"):
+        pass
     obs.counter("lp.cols", problem.num_variables)
     obs.counter("lp.rows", problem.num_constraints)
     obs.counter("lp.nonzeros", int(problem.a_ub.nnz + problem.a_eq.nnz))
     return problem
 
 
-def _objective_vector(model: Model) -> Tuple[np.ndarray, float]:
-    c = np.zeros(model.num_variables)
-    for idx, coef in model.objective.coeffs.items():
-        c[idx] = coef
-    if not model.sense_minimize:
-        c = -c
-    return c, model.objective.constant
+def solve_lp(problem: CompiledProblem, **options) -> Solution:
+    """Solve a compiled problem with HiGHS (``options`` are HiGHS's own,
+    see :mod:`repro.lp.backends.highs`).
 
-
-def _compile_vectorized(model: Model) -> CompiledProblem:
-    """COO assembly from pre-accumulated flat buffers.
-
-    One Python-level iteration per constraint; per-coefficient work is
-    ``dict.keys()``/``dict.values()`` handed to ``list.extend`` (all C),
-    then row expansion, sign flips and zero filtering run as numpy
-    array operations.
+    Raises :class:`InfeasibleError` / :class:`UnboundedError` /
+    :class:`SolverError` on failure, so callers can rely on the
+    returned solution being optimal.
     """
-    n = model.num_variables
-    c, c0 = _objective_vector(model)
+    from repro.lp.backends.highs import HighsBackend  # it imports this module
 
-    ub_cols: List[int] = []
-    ub_vals: List[float] = []
-    ub_counts: List[int] = []
-    ub_flips: List[float] = []
-    b_ub: List[float] = []
-    eq_cols: List[int] = []
-    eq_vals: List[float] = []
-    eq_counts: List[int] = []
-    b_eq: List[float] = []
+    solution = HighsBackend().solve(problem, **options)
+    if solution.status is SolveStatus.INFEASIBLE:
+        raise InfeasibleError(f"model {problem.name!r} is infeasible")
+    if solution.status is SolveStatus.UNBOUNDED:
+        raise UnboundedError(f"model {problem.name!r} is unbounded")
+    if solution.status is not SolveStatus.OPTIMAL:
+        reason = f": {solution.message}" if solution.message else ""
+        raise SolverError(
+            f"solver {solution.solver!r} failed on model {problem.name!r}{reason}"
+        )
+    return solution
 
-    row_map: List[Tuple[str, int, float]] = []
-    for con in model.constraints:
-        expr = con.expr
-        coeffs = expr.coeffs
-        if con.sense is Sense.EQ:
-            row_map.append(("eq", len(b_eq), 1.0))
-            eq_cols.extend(coeffs.keys())
-            eq_vals.extend(coeffs.values())
-            eq_counts.append(len(coeffs))
-            b_eq.append(-expr.constant)
+
+class LPBuilder:
+    """An LP stated incrementally, emitted as a :class:`CompiledProblem`.
+
+    A column is a key mapped to an index, with bounds and a cost; read
+    its value as ``solution.x[index]``.  A row is appended with a sense
+    and a right-hand side and returns a handle into
+    :meth:`CompiledProblem.duals`.  The objective is :attr:`cost`, a
+    :attr:`constant` and the :attr:`maximize` flag.
+    """
+
+    def __init__(self, name: str = "lp"):
+        self.name = name
+        self.columns: Dict[Hashable, int] = {}
+        self.lb: List[float] = []
+        self.ub: List[float] = []
+        #: Objective coefficient per column.
+        self.cost: List[float] = []
+        self.constant = 0.0
+        self.maximize = False
+        self.row_map: List[Tuple[str, int, float]] = []
+        self._ub_cols: List[int] = []
+        self._ub_vals: List[float] = []
+        self._ub_counts: List[int] = []
+        self._ub_flips: List[float] = []
+        self._b_ub: List[float] = []
+        self._eq_cols: List[int] = []
+        self._eq_vals: List[float] = []
+        self._eq_counts: List[int] = []
+        self._b_eq: List[float] = []
+
+    def column(
+        self, key: Hashable, lb: Optional[float] = 0.0, ub: Optional[float] = None,
+        cost: float = 0.0,
+    ) -> int:
+        """A new column ``lb <= x <= ub`` (``None``: unbounded); its index."""
+        if key in self.columns:
+            raise ModelError(f"{self.name}: column {key!r} exists")
+        lo = -np.inf if lb is None else float(lb)
+        hi = np.inf if ub is None else float(ub)
+        if lo > hi:
+            raise ModelError(f"{self.name}: column {key!r} has empty domain [{lo}, {hi}]")
+        index = self.columns[key] = len(self.lb)
+        self.lb.append(lo)
+        self.ub.append(hi)
+        self.cost.append(cost)
+        return index
+
+    def objective(
+        self, cols: Sequence[int], vals: Sequence[float], constant: float = 0.0,
+        maximize: bool = False,
+    ) -> None:
+        """Add ``vals`` to the columns' costs; set the constant and sense."""
+        cost = self.cost
+        for col, val in zip(cols, vals):
+            cost[col] += val
+        self.constant = constant
+        self.maximize = maximize
+
+    def row(
+        self, cols: Sequence[int], vals: Union[float, Sequence[float]], sense: str,
+        rhs: float = 0.0,
+    ) -> Optional[int]:
+        """Append ``vals . x[cols] (sense) rhs`` (one ``vals`` for all).
+
+        Returns the row's handle.  A row with no nonzero coefficient is
+        dropped when it holds (handle ``None``) and raises
+        :class:`InfeasibleError` when it does not.
+        """
+        if isinstance(vals, (int, float)):
+            vals = [vals] * len(cols)
+        # The lowering's constant, moved left: ``-0.0`` right-hand sides
+        # and the tolerance on constant rows come from it.
+        constant = 0.0 - rhs
+        if not any(vals):
+            holds = {LE: constant <= 1e-12, GE: constant >= -1e-12,
+                     EQ: abs(constant) <= 1e-12}
+            if holds[sense]:
+                return None
+            raise InfeasibleError(
+                f"{self.name}: a row without columns is false: 0 {sense} {rhs:g}"
+            )
+        if sense == EQ:
+            self.row_map.append(("eq", len(self._b_eq), 1.0))
+            self._eq_cols.extend(cols)
+            self._eq_vals.extend(vals)
+            self._eq_counts.append(len(cols))
+            self._b_eq.append(-constant)
         else:
-            flip = -1.0 if con.sense is Sense.GE else 1.0
-            row_map.append(("ub", len(b_ub), flip))
-            ub_cols.extend(coeffs.keys())
-            ub_vals.extend(coeffs.values())
-            ub_counts.append(len(coeffs))
-            ub_flips.append(flip)
-            b_ub.append(flip * -expr.constant)
+            flip = -1.0 if sense == GE else 1.0
+            self.row_map.append(("ub", len(self._b_ub), flip))
+            self._ub_cols.extend(cols)
+            self._ub_vals.extend(vals)
+            self._ub_counts.append(len(cols))
+            self._ub_flips.append(flip)
+            self._b_ub.append(flip * -constant)
+        return len(self.row_map) - 1
 
-    a_ub = _coo_from_buffers(ub_cols, ub_vals, ub_counts, ub_flips, len(b_ub), n)
-    a_eq = _coo_from_buffers(eq_cols, eq_vals, eq_counts, None, len(b_eq), n)
-
-    bounds = _bounds_array(model.variables)
-
-    return CompiledProblem(
-        c=c,
-        c0=c0,
-        a_ub=a_ub,
-        b_ub=np.asarray(b_ub, dtype=float),
-        a_eq=a_eq,
-        b_eq=np.asarray(b_eq, dtype=float),
-        bounds=bounds,
-        maximize=not model.sense_minimize,
-        row_map=row_map,
-    )
+    def compile(self) -> CompiledProblem:
+        n = len(self.lb)
+        c = np.array(self.cost, dtype=float)
+        return CompiledProblem(
+            c=-c if self.maximize else c,
+            c0=self.constant,
+            a_ub=_coo_from_buffers(self._ub_cols, self._ub_vals, self._ub_counts,
+                                   self._ub_flips, len(self._b_ub), n),
+            b_ub=np.asarray(self._b_ub, dtype=float),
+            a_eq=_coo_from_buffers(self._eq_cols, self._eq_vals, self._eq_counts,
+                                   None, len(self._b_eq), n),
+            b_eq=np.asarray(self._b_eq, dtype=float),
+            bounds=np.column_stack((self.lb, self.ub)).reshape(n, 2),
+            maximize=self.maximize,
+            row_map=list(self.row_map),
+            name=self.name,
+        )
 
 
 def _coo_from_buffers(

@@ -3,11 +3,13 @@
 * :func:`build_reference` is the operator-algebra Postcard assembler: it
   materialises the :class:`~repro.timeexp.graph.TimeExpandedGraph` and
   writes every row through ``LinExpr`` into a named-row
-  :class:`~repro.lp.Model` — slow, but obviously faithful to problem
-  (6)-(10).  ``built.capacity_constraints`` maps ``(src, dst, slot)`` to
-  its capacity :class:`~repro.lp.Constraint`.
+  :class:`~tests.lp_model.Model` — slow, but obviously faithful to problem
+  (6)-(10).  It returns a :class:`ReferenceModel`: ``built.source`` is
+  that model, ``built.model`` its lowering, and its solution reads duals
+  by constraint; ``built.capacity_constraints`` maps ``(src, dst, slot)``
+  to its capacity :class:`~tests.lp_model.Constraint`.
 * :func:`compile_legacy` is the per-constraint, per-coefficient lowering
-  of a :class:`~repro.lp.Model` to a :class:`~repro.lp.CompiledProblem`.
+  of a :class:`~tests.lp_model.Model` to a :class:`~repro.lp.CompiledProblem`.
 
 ``tests/test_compile_equivalence.py`` pins ``build_postcard_model`` and
 ``compile_model`` to these, bit for bit.
@@ -29,11 +31,25 @@ from repro.core.formulation import (
 )
 from repro.core.state import NetworkState
 from repro.errors import InfeasibleError, SchedulingError
-from repro.lp import CompiledProblem, LinExpr, Model, Variable
-from repro.lp.compile import _objective_vector
-from repro.lp.constraint import Sense
+from repro.lp import CompiledProblem
 from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
 from repro.traffic.spec import TransferRequest
+from tests.lp_model import (
+    LinExpr, Model, ModelSolution, Sense, Variable, _objective_vector, compile_model,
+)
+
+
+class ReferenceModel(PostcardModel):
+    """A :class:`PostcardModel` over a :class:`~tests.lp_model.Model`
+    (``source``), lowered by its vectorized lowering."""
+
+    def __init__(self, source: Model, *args):
+        super().__init__(compile_model(source), *args)
+        self.source = source
+
+    def solve(self, **options):
+        schedule, solution = super().solve(**options)
+        return schedule, ModelSolution(solution, self.source, self.model)
 
 
 def build_reference(
@@ -48,7 +64,7 @@ def build_reference(
     charged_volume_fn=None,
     predicted_volume_fn=None,
     arc_sets: Optional[Sequence[Optional[ArcSet]]] = None,
-) -> PostcardModel:
+) -> ReferenceModel:
     """``build_postcard_model``'s problem, built the reference way."""
     arc_sets, pruned = _checked_arc_sets(
         state, requests, storage, storage_capacity, storage_price,
@@ -88,7 +104,7 @@ def _assemble_legacy(
     no_exit_error: type,
     storage_capacity, storage_price, transit_price, cost_fn_factory,
     charge_exempt, charged_volume_fn, predicted_volume_fn,
-) -> PostcardModel:
+) -> ReferenceModel:
     """Operator-algebra assembly — the executable reference."""
     model = Model("postcard")
     flow_items: List[Tuple[int, Arc]] = []
@@ -210,7 +226,7 @@ def _assemble_legacy(
     flow_columns = tuple(np.array(column) for column in (
         rids, *zip(*((a.src, a.dst, a.slot, a.kind is ArcKind.TRANSIT) for a in arcs))
     ))
-    built = PostcardModel(model, list(requests), flow_columns, charge_columns, fixed_cost)
+    built = ReferenceModel(model, list(requests), flow_columns, charge_columns, fixed_cost)
     built.capacity_constraints = capacity_rows
     return built
 

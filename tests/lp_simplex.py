@@ -35,9 +35,9 @@ import pytest
 
 from repro.lp.backends.highs import HighsBackend
 from repro.lp.compile import CompiledProblem, compile_model
-from repro.lp.model import Model, solve_lp
 from repro.lp.result import Solution, SolveStatus
 from repro.obs import registry as obs
+from tests.lp_model import Model, solve_lp
 
 _TOL = 1e-9
 
@@ -232,25 +232,22 @@ class SimplexBackend:
 
     name = "simplex"
 
-    def solve(self, model: "Model | CompiledProblem", **options) -> Solution:
+    def solve(self, problem: CompiledProblem, **options) -> Solution:
         max_iter = int(options.pop("max_iter", 20000))
-        # Span covers lowering + optimizing (see the HiGHS backend).
+        # Span covers the hand-off + optimizing (see the HiGHS backend).
         with obs.span("lp.solve", backend=self.name):
-            problem = compile_model(model)
+            problem = compile_model(problem)
 
             if problem.num_variables == 0:
                 return Solution(
-                    SolveStatus.OPTIMAL, np.zeros(0), problem.c0, problem.model_id,
-                    solver=self.name,
+                    SolveStatus.OPTIMAL, np.zeros(0), problem.c0, solver=self.name,
                 )
 
-            solution = self._solve_compiled(problem, problem.model_id, max_iter)
+            solution = self._solve_compiled(problem, max_iter)
         obs.counter("lp.simplex.pivots", solution.iterations)
         return solution
 
-    def _solve_compiled(
-        self, problem: CompiledProblem, model_id: int, max_iter: int
-    ) -> Solution:
+    def _solve_compiled(self, problem: CompiledProblem, max_iter: int) -> Solution:
         canon = _canonicalize(problem)
         a, b, c = canon.a.copy(), canon.b.copy(), canon.c.copy()
         m, n = a.shape
@@ -261,12 +258,12 @@ class SimplexBackend:
             if np.any(c < -_TOL):
                 return Solution(
                     SolveStatus.UNBOUNDED, np.zeros(problem.num_variables),
-                    float("-inf"), model_id, solver=self.name,
+                    float("-inf"), solver=self.name,
                 )
             x = canon.recover(np.zeros(n))
             shift_terms = canon.c0 - problem.c0
             obj = (-shift_terms if problem.maximize else shift_terms) + problem.c0
-            return Solution(SolveStatus.OPTIMAL, x, obj, model_id, solver=self.name)
+            return Solution(SolveStatus.OPTIMAL, x, obj, solver=self.name)
 
         # Make b nonnegative.
         for r in range(m):
@@ -289,13 +286,13 @@ class SimplexBackend:
         if status == "iteration_limit":
             return Solution(
                 SolveStatus.ERROR, np.zeros(problem.num_variables), float("nan"),
-                model_id, solver=self.name, iterations=it1,
+                solver=self.name, iterations=it1,
             )
         phase1_obj = -tableau[-1, -1]
         if phase1_obj > 1e-7:
             return Solution(
                 SolveStatus.INFEASIBLE, np.zeros(problem.num_variables), float("nan"),
-                model_id, solver=self.name, iterations=it1,
+                solver=self.name, iterations=it1,
             )
 
         # Drive any lingering artificial variables out of the basis.
@@ -325,12 +322,12 @@ class SimplexBackend:
         if status == "iteration_limit":
             return Solution(
                 SolveStatus.ERROR, np.zeros(problem.num_variables), float("nan"),
-                model_id, solver=self.name, iterations=it1 + it2,
+                solver=self.name, iterations=it1 + it2,
             )
         if status == "unbounded":
             return Solution(
                 SolveStatus.UNBOUNDED, np.zeros(problem.num_variables), float("nan"),
-                model_id, solver=self.name, iterations=it1 + it2,
+                solver=self.name, iterations=it1 + it2,
             )
 
         y = np.zeros(n + m)
@@ -350,8 +347,7 @@ class SimplexBackend:
             objective = canonical_value + shift_terms + problem.c0
 
         return Solution(
-            SolveStatus.OPTIMAL, x, objective, model_id,
-            solver=self.name, iterations=it1 + it2,
+            SolveStatus.OPTIMAL, x, objective, solver=self.name, iterations=it1 + it2,
         )
 
 

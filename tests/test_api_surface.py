@@ -31,7 +31,6 @@ SUBPACKAGES = [
     "repro.core",
     "repro.flowbased",
     "repro.baselines",
-    "repro.mcmf",
     "repro.extensions",
     "repro.sim",
     "repro.analysis",

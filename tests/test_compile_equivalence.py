@@ -44,14 +44,14 @@ from repro.core import build_postcard_model
 from repro.core.state import NetworkState
 from repro.errors import InfeasibleError
 from repro.heuristic.paths import CandidatePathIndex
-from repro.lp.compile import CompiledProblem, compile_model
-from repro.lp.model import Model
+from repro.lp.compile import CompiledProblem
 from repro.net.generators import complete_topology
 from repro.net.schedule import LinkSchedule
 from repro.timeexp.cache import GraphCache
 from repro.timeexp.graph import ArcKind, TimeExpandedGraph
 from repro.traffic import PaperWorkload
 from repro.traffic.spec import TransferRequest
+from tests.lp_model import Model, compile_model
 from tests.lp_reference import build_reference, compile_legacy
 
 #: Tier-1 runs a handful of examples; CI's ``tests`` job goes deeper.
@@ -147,10 +147,10 @@ def test_vectorized_compile_matches_legacy_postcard():
     """The real thing: a full Postcard slot model, both lowerings."""
     state, requests = _postcard_instance()
     built = build_reference(state, requests)
-    fast = compile_model(built.model)
-    reference = compile_legacy(built.model)
+    fast = compile_model(built.source)
+    reference = compile_legacy(built.source)
     assert_compiled_identical(fast, reference)
-    assert len(fast.row_map) == len(built.model.constraints)
+    assert len(fast.row_map) == len(built.source.constraints)
 
 
 def test_row_map_default_is_per_instance():
@@ -181,7 +181,7 @@ def assert_fast_matches_reference(state, requests, **kwargs):
         return None
     legacy = build_reference(state, requests, **kwargs)
     assert isinstance(fast.model, CompiledProblem)
-    assert_compiled_identical(fast.model, compile_legacy(legacy.model), row_map=False)
+    assert_compiled_identical(fast.model, compile_legacy(legacy.source), row_map=False)
     for mine, reference in zip(fast.flow_columns, legacy.flow_columns):
         np.testing.assert_array_equal(mine, reference)
     assert fast.charge_columns == legacy.charge_columns

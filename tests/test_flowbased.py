@@ -5,8 +5,12 @@ import pytest
 from repro.errors import InfeasibleError, SchedulingError
 from repro.core.schedule import SEMANTICS_FLUID
 from repro.core.state import NetworkState
-from repro.flowbased import FlowBasedScheduler, build_flow_model
+from repro.core.scheduler import PostcardScheduler
+from repro.flowbased import (
+    VARIANT_LP, VARIANT_TWO_PHASE, FlowBasedScheduler, build_flow_model,
+)
 from repro.net.generators import complete_topology, line_topology
+from repro.net.topology import Datacenter, Link, Topology
 from repro.traffic import TransferRequest
 
 
@@ -127,3 +131,36 @@ class TestFlowBasedScheduler:
         assert scheduler.last_lambda is not None
         for request in requests:
             assert request.request_id in scheduler.state.completions
+
+
+def _stranded_source():
+    """DCs 0, 1, 2 with links 0 <-> 1 only: DC 2 cannot send at all."""
+    topology = Topology(
+        [Datacenter(0), Datacenter(1), Datacenter(2)],
+        [Link(0, 1, 1.0, 10.0), Link(1, 0, 1.0, 10.0)],
+    )
+    requests = [
+        TransferRequest(0, 1, 5.0, 2, release_slot=0),
+        TransferRequest(2, 1, 5.0, 2, release_slot=0),
+    ]
+    return topology, requests
+
+
+@pytest.mark.parametrize("variant", [VARIANT_LP, VARIANT_TWO_PHASE])
+def test_a_source_without_links_is_shed_like_postcard_sheds_it(variant):
+    """Its conservation row has no column and a nonzero right-hand side:
+    that is an infeasible file, shed under ``drop`` as Postcard sheds it,
+    and an :class:`InfeasibleError` under ``raise``."""
+    topology, requests = _stranded_source()
+    postcard = PostcardScheduler(topology, 10, on_infeasible="drop")
+    postcard.on_slot(0, requests)
+    flow = FlowBasedScheduler(topology, 10, variant=variant, on_infeasible="drop")
+    flow.on_slot(0, requests)
+    admitted = [requests[0].request_id]
+    assert sorted(postcard.state.completions) == admitted
+    assert sorted(flow.state.completions) == admitted
+    assert [r.request_id for r in flow.state.rejected] == [requests[1].request_id]
+
+    strict = FlowBasedScheduler(topology, 10, variant=variant, on_infeasible="raise")
+    with pytest.raises(InfeasibleError):
+        strict.on_slot(0, requests)

@@ -3,8 +3,8 @@
 ``linprog(method="highs")`` was the backend; it stays here as the
 oracle.  Both ask HiGHS the same question — same options, same stacked
 matrix, same status table, same post-solve check — so status, ``x``,
-objective, iteration count and (for a :class:`Model`) every dual must be
-equal, not close: on the LP lane's own problems, recorded from an
+objective, iteration count and (for a lowered :class:`Model`) every row
+dual must be equal, not close: on the LP lane's own problems, recorded from an
 ``lp_pressure``-shaped hybrid stream, on the edge cases, and on random
 small LPs.
 """
@@ -18,11 +18,12 @@ from scipy.optimize import linprog
 
 from repro.errors import ModelError, SolverError
 from repro.heuristic import HybridScheduler
-from repro.lp import Model, SolveStatus, compile_model
+from repro.lp import SolveStatus
 from repro.lp.backends import highs as native
 from repro.lp.backends.highs import HighsBackend
 from repro.service import ServiceConfig
 from repro.traffic import TransferRequest
+from tests.lp_model import Model, compile_model
 
 #: Tier-1 runs a handful of examples; CI's ``tests`` job goes deeper.
 PROPERTY_EXAMPLES = int(os.environ.get("LP_ARCS_EXAMPLES", "10"))
@@ -35,7 +36,7 @@ def assert_native_equals_linprog(model, options=None, linprog_options=None, meth
     """Solve ``model`` both ways; everything the backend reports must be
     what ``linprog`` reports, bit for bit.  Returns the status."""
     problem = compile_model(model)
-    solution = HighsBackend().solve(model, **(options or {}))
+    solution = HighsBackend().solve(problem, **(options or {}))
     result = linprog(
         problem.c,
         A_ub=problem.a_ub if problem.num_inequalities else None,
@@ -53,11 +54,11 @@ def assert_native_equals_linprog(model, options=None, linprog_options=None, meth
         return status
     assert np.array_equal(solution.x, result.x)
     assert solution.objective == (-result.fun if problem.maximize else result.fun) + problem.c0
-    if isinstance(model, Model):
-        flip = -1.0 if problem.maximize else 1.0
-        for constraint, (kind, row, sign) in zip(model.constraints, problem.row_map):
-            marginals = (result.ineqlin if kind == "ub" else result.eqlin).marginals
-            assert solution.dual(constraint) == flip * sign * float(marginals[row])
+    flip = -1.0 if problem.maximize else 1.0
+    duals = problem.duals(solution)
+    for dual, (kind, row, sign) in zip(duals, problem.row_map):
+        marginals = (result.ineqlin if kind == "ub" else result.eqlin).marginals
+        assert dual == flip * sign * float(marginals[row])
     return status
 
 

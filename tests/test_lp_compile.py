@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lp import Model, compile_model
-from repro.lp.constraint import Sense
+from tests.lp_model import Model, compile_model
 
 
 def test_empty_model():

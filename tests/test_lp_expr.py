@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.lp import LinExpr, Model
-from repro.lp.constraint import Sense
+from tests.lp_model import LinExpr, Model, Sense
 
 
 @pytest.fixture

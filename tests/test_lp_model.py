@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InfeasibleError, ModelError, UnboundedError
-from repro.lp import Model
+from tests.lp_model import Model
 from tests.lp_simplex import SOLVERS
 
 

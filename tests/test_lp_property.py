@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InfeasibleError, UnboundedError
-from repro.lp import Model, solve_lp
-from repro.lp.constraint import Sense
+from tests.lp_model import Model, Sense, solve_lp
 from tests.lp_simplex import solve_simplex
 
 _coef = st.integers(-4, 4)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.errors import InfeasibleError, SchedulingError
+from repro.errors import InfeasibleError, SchedulingError, TopologyError
 from repro.core.state import NetworkState
 from repro.flowbased import solve_two_phase
 from repro.flowbased.model import build_flow_model
+from repro.flowbased.two_phase import max_concurrent_flow
 from repro.net.generators import complete_topology, line_topology
 from repro.traffic import TransferRequest
 
@@ -89,3 +90,39 @@ def test_two_phase_never_beats_exact_lp():
         state_a.current_cost_per_slot()
         <= state_b.current_cost_per_slot() + 1e-6
     )
+
+
+class TestMaxConcurrentFlow:
+    def test_single_commodity_equals_maxflow_fraction(self):
+        # Demand 30 through a 15-capacity network: lambda = 0.5.
+        edges = [(0, 1, 10.0), (0, 2, 5.0), (1, 3, 7.0), (2, 3, 8.0), (1, 2, 3.0)]
+        lam, flows = max_concurrent_flow(4, edges, [(0, 3, 30.0)])
+        assert lam == pytest.approx(0.5)
+
+    def test_lambda_capped(self):
+        edges = [(0, 1, 100.0)]
+        lam, _ = max_concurrent_flow(2, edges, [(0, 1, 1.0)], cap_lambda=1.0)
+        assert lam == pytest.approx(1.0)
+
+    def test_two_commodities_share_bottleneck(self):
+        # Both commodities cross the same 10-capacity edge with demand
+        # 10 each: lambda = 0.5.
+        edges = [(0, 1, 10.0), (2, 0, 100.0), (1, 3, 100.0)]
+        commodities = [(0, 1, 10.0), (2, 3, 10.0)]
+        lam, flows = max_concurrent_flow(4, edges, commodities, cap_lambda=10.0)
+        assert lam == pytest.approx(0.5)
+        # Flows reported per commodity respect the shared edge.
+        total_on_bottleneck = sum(f.get((0, 1), 0.0) for f in flows)
+        assert total_on_bottleneck <= 10.0 + 1e-6
+
+    def test_validation(self):
+        with pytest.raises(TopologyError):
+            max_concurrent_flow(2, [], [])
+        with pytest.raises(TopologyError):
+            max_concurrent_flow(2, [], [(0, 0, 1.0)])
+        with pytest.raises(TopologyError):
+            max_concurrent_flow(2, [], [(0, 1, 0.0)])
+        with pytest.raises(TopologyError):
+            max_concurrent_flow(2, [], [(0, 5, 1.0)])
+        with pytest.raises(TopologyError):
+            max_concurrent_flow(2, [(0, 1, -1.0)], [(0, 1, 1.0)])
