@@ -38,7 +38,6 @@ paths the user names.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -499,54 +498,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             registry.remove_sink(jsonl)
             jsonl.close()
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run the scripted fault drills and report pass/fail."""
-    import json as _json
-    import tempfile
-
-    from repro.service import chaos as chaos_mod
-
-    base = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
-    os.makedirs(base, exist_ok=True)
-    runners = {
-        "crash-matrix": chaos_mod.run_crash_matrix,
-        "corruption": chaos_mod.run_torn_and_corrupt_drill,
-        "watchdog": chaos_mod.run_watchdog_drill,
-    }
-    drills = {
-        name.replace("-", "_"): run(os.path.join(base, name))
-        for name, run in runners.items()
-        if args.drill in ("all", name)
-    }
-    ok = all(report["ok"] for report in drills.values())
-    report = {"ok": ok, "workdir": base, "drills": drills}
-    if args.json:
-        with open(args.json, "w") as fh:
-            _json.dump(report, fh, indent=1)
-            fh.write("\n")
-
-    for name, drill in drills.items():
-        line = f"{name}: {'PASS' if drill['ok'] else 'FAIL'}"
-        if name == "crash_matrix":
-            cases = [e for models in drill["points"].values() for e in models.values()]
-            line += (
-                f" ({sum(e['ok'] for e in cases)}/{len(cases)} cases recover exactly: "
-                f"{len(drill['points'])} points x {', '.join(chaos_mod.CRASH_MODELS)})"
-            )
-        elif name == "corruption":
-            passed = sum(1 for e in drill["cases"].values() if e["books_equal"])
-            line += f" ({passed}/{len(drill['cases'])} corruptions recover exactly)"
-        elif name == "watchdog":
-            line += (
-                f" (first slot {drill['first_slot_seconds']}s, "
-                f"degraded={drill['degraded_slots']}, "
-                f"rearmed={drill['rearmed']})"
-            )
-        print(line)
-    print(f"chaos drills: {'PASS' if ok else 'FAIL'} (workdir {base})")
-    return 0 if ok else 1
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -1178,26 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream service instrumentation events to PATH",
     )
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="run the crash/corruption/watchdog fault drills "
-        "(docs/ROBUSTNESS.md); exit 1 on any recovery mismatch",
-    )
-    p_chaos.add_argument(
-        "--drill", choices=["crash-matrix", "corruption", "watchdog", "all"],
-        default="all", help="which drill to run (default: all)",
-    )
-    p_chaos.add_argument(
-        "--workdir", metavar="DIR", default=None,
-        help="keep drill checkpoint dirs here (default: a temp dir)",
-    )
-    p_chaos.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the full drill report (recovery info, verifier "
-        "checks per case) as JSON",
-    )
-    p_chaos.set_defaults(func=_cmd_chaos)
 
     p_lg = sub.add_parser(
         "loadgen", help="replay a traffic trace against a running daemon"

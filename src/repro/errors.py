@@ -93,10 +93,11 @@ class WalError(ServiceError):
 class RecoveryVerifyError(ServiceError):
     """A post-recovery invariant check failed.
 
-    Raised by :func:`repro.service.verify.verify_recovery` when a
-    resumed broker's books are inconsistent (ledger conservation,
-    double-charged ids, watermark regression, clock regression).  A
-    broker must refuse to serve from such a state — continuing would
+    Raised by :func:`repro.invariants.verify_recovery` when a resumed
+    broker's books break the invariant kernel (a cell above its link's
+    capacity or in a dark window, a late completion, a bill off its
+    ledger peaks, a double-charged id, a watermark or clock regression).
+    A broker must refuse to serve from such a state — continuing would
     silently corrupt every bill downstream.
     """
 

@@ -41,7 +41,6 @@ from repro.service.router import ShardMap
 from repro.service.server import ServiceDaemon
 from repro.service.slotloop import TransferBroker
 from repro.service.store import SnapshotStore
-from repro.service.verify import verify_recovery
 from repro.service.wal import WalScan, WriteAheadLog, scan_wal
 from repro.service.watch import (
     render_dashboard,
@@ -82,5 +81,4 @@ __all__ = [
     "run_watch",
     "scan_wal",
     "split_deadline",
-    "verify_recovery",
 ]

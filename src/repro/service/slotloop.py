@@ -25,7 +25,7 @@ slot's commit record, which lands before any decision is released
 (docs/ROBUSTNESS.md, "What is durable when", is the rule).  Recovery
 replays the log over the newest valid snapshot, re-runs the recorded
 slots on their *recorded lanes*, and refuses to serve unless the
-post-recovery invariant checks (:mod:`repro.service.verify`) pass.
+invariant kernel (:func:`repro.invariants.verify_recovery`) passes.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError, WalError
+from repro.invariants import verify_recovery
 from repro.obs import registry as obs
 from repro.obs.slo import SloMonitor
 from repro.registry import make_scheduler
@@ -41,7 +42,6 @@ from repro.service import chaos
 from repro.service.config import ServiceConfig
 from repro.service.intake import IntakeQueue, PendingTransfer
 from repro.service.store import SnapshotStore
-from repro.service.verify import verify_recovery
 from repro.service.wal import REC_ADMIT, REC_COMMIT
 from repro.traffic.spec import TransferRequest
 
@@ -158,6 +158,10 @@ class TransferBroker:
                 self._replay_wal(records)
             self.resumed = snapshot is not None or bool(records)
             if self.resumed:
+                # A killed process's last records may still sit unsynced in
+                # the page cache; replay just answered from them, so they
+                # are made durable before any client can read them.
+                self.store.sync_wal()
                 # Serving from inconsistent books is worse than not
                 # serving: strict mode raises before any client connects.
                 self.verifier_report = verify_recovery(self, strict=True)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro import invariants
 from repro.errors import SimulationError
 from repro.core.interfaces import Scheduler
 from repro.obs import registry as obs
 from repro.sim.metrics import SimulationResult, SlotRecord
 from repro.traffic.workload import Workload
-from repro.units import VOLUME_ATOL
 
 
 class Simulation:
@@ -197,36 +197,15 @@ class Simulation:
         return result
 
     def _audit(self, result: SimulationResult) -> None:
-        """Cross-check the scheduler's ledger against hard constraints.
-
-        Traffic voided by surprise outages has already been refunded
-        from the ledger, so the capacity check naturally sees only what
-        physically flowed.
-        """
+        """Cross-check the scheduler's ledger against the invariant kernel
+        (:mod:`repro.invariants`).  Traffic voided by surprise outages has
+        already been refunded, so the check sees what physically flowed."""
         state = self.scheduler.state
-        ledger = state.ledger
-        link_schedule = getattr(state, "link_schedule", None)
-        for src, dst in ledger.used_links():
-            capacity = state.topology.link(src, dst).capacity
-            usage = ledger.usage(src, dst)
-            for slot, volume in usage.volumes.items():
-                if volume > capacity + max(VOLUME_ATOL, 1e-6 * capacity):
-                    raise SimulationError(
-                        f"audit: link ({src},{dst}) carries {volume:.6f} GB at "
-                        f"slot {slot}, over capacity {capacity:.6f}"
-                    )
-                if (
-                    link_schedule is not None
-                    and volume > VOLUME_ATOL
-                    and not link_schedule.is_up(src, dst, slot)
-                ):
-                    raise SimulationError(
-                        f"audit: link ({src},{dst}) carries {volume:.6f} GB at "
-                        f"slot {slot}, outside its availability windows"
-                    )
-        late = {rid: l for rid, l in result.lateness.items() if l > 0}
-        if late:
-            raise SimulationError(f"audit: files completed late: {late}")
+        # Released files that never completed are the accounting below's.
+        due = {rid: self._deadlines[rid] for rid in state.completions if rid in self._deadlines}
+        problems = invariants.cells(state) + invariants.deadlines(state.completions, due)
+        if problems:
+            raise SimulationError(f"audit: {invariants.summary(problems)}")
         # Every released file must be completed or rejected — except
         # files whose deadline extends past the simulated window, which
         # a replanning scheduler may legitimately still be draining,

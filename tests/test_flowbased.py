@@ -6,6 +6,7 @@ from repro.errors import InfeasibleError, SchedulingError
 from repro.core.schedule import SEMANTICS_FLUID
 from repro.core.state import NetworkState
 from repro.core.scheduler import PostcardScheduler
+from repro.invariants import deadlines
 from repro.flowbased import (
     VARIANT_LP, VARIANT_TWO_PHASE, FlowBasedScheduler, build_flow_model,
 )
@@ -96,7 +97,8 @@ class TestFlowBasedScheduler:
         scheduler = FlowBasedScheduler(line3, horizon=10)
         request = TransferRequest(0, 2, 6.0, 2, release_slot=0)
         scheduler.on_slot(0, [request])
-        assert scheduler.state.completions[request.request_id] <= request.last_slot
+        due = {request.request_id: request.last_slot}
+        assert deadlines(scheduler.state.completions, due) == []
 
     def test_empty_slot(self, line3):
         scheduler = FlowBasedScheduler(line3, horizon=10)

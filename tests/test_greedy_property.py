@@ -13,6 +13,7 @@ from repro.baselines import GreedyStoreAndForwardScheduler
 from repro.baselines.greedy import _forward_hop
 from repro.core import PostcardScheduler
 from repro.heuristic.tracker import LinkRows
+from repro.invariants import deadlines
 from repro.net.generators import complete_topology
 from repro.traffic import TransferRequest
 from repro.units import VOLUME_ATOL
@@ -53,9 +54,8 @@ def test_greedy_schedules_are_feasible(instance):
         requests,
         capacity_fn=lambda s, d, n: topo.link(s, d).capacity,
     )
-    for request in requests:
-        assert request.request_id in scheduler.state.completions
-        assert scheduler.state.completions[request.request_id] <= request.last_slot
+    due = {request.request_id: request.last_slot for request in requests}
+    assert deadlines(scheduler.state.completions, due) == []
 
 
 @settings(max_examples=20, deadline=None)

@@ -10,6 +10,7 @@ the headroom-first interaction with previously committed load.
 from hypothesis import given, settings, strategies as st
 
 from repro.heuristic import FastLaneScheduler
+from repro.invariants import deadlines
 from repro.net.generators import complete_topology
 from repro.traffic import TransferRequest
 
@@ -75,9 +76,8 @@ def test_admitted_requests_always_meet_deadlines(instance):
         admitted,
         capacity_fn=lambda s, d, n: topo.link(s, d).capacity,
     )
-    for request in admitted:
-        completed = scheduler.state.completions[request.request_id]
-        assert completed <= request.last_slot
+    due = {request.request_id: request.last_slot for request in admitted}
+    assert deadlines(scheduler.state.completions, due) == []
     # No entry may reference a rejected file.
     assert not [e for e in schedule.entries if e.request_id in rejected_ids]
 
@@ -99,9 +99,8 @@ def test_streamed_admissions_never_violate_deadlines_or_capacity(stream):
     admitted = [r for r in all_requests if r.request_id not in rejected_ids]
 
     # Every admitted file completes on time...
-    for request in admitted:
-        completed = scheduler.state.completions[request.request_id]
-        assert completed <= request.last_slot
+    due = {request.request_id: request.last_slot for request in admitted}
+    assert deadlines(scheduler.state.completions, due) == []
     # ...and the merged traffic of all slots respects raw capacity and
     # per-file feasibility (this is where headroom-first placement over
     # already committed load could overbook a link if it were wrong).

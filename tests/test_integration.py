@@ -7,6 +7,7 @@ from repro.charging import MaxCharging, PercentileCharging
 from repro.core import PostcardScheduler
 from repro.extensions import maximize_bulk_throughput
 from repro.flowbased import FlowBasedScheduler
+from repro.invariants import bill
 from repro.net.generators import complete_topology, two_region_topology
 from repro.sim import Simulation
 from repro.traffic import PaperWorkload, TraceWorkload, TransferRequest
@@ -81,11 +82,8 @@ def test_bulk_extension_after_online_run():
     result = maximize_bulk_throughput(state, backups)
     assert result.total_delivered > 0
     # Committing the bulk schedule must not change the bill.
-    for (src, dst, slot), volume in result.schedule.link_slot_volumes().items():
-        assert (
-            state.committed_volume(src, dst, slot) + volume
-            <= state.charged_volume(src, dst) + 1e-6
-        )
+    state.commit(result.schedule, [], validate=False)
+    assert bill(state) == []
     assert state.current_cost_per_slot() == pytest.approx(cost_before)
 
 

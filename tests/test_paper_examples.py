@@ -9,6 +9,7 @@ import pytest
 from repro.baselines import DirectScheduler
 from repro.core import PostcardScheduler
 from repro.flowbased import FlowBasedScheduler, VARIANT_TWO_PHASE
+from repro.invariants import deadlines
 from repro.net.generators import fig1_topology, fig3_topology
 from repro.traffic import TransferRequest
 
@@ -41,7 +42,7 @@ class TestFig1:
         scheduler = PostcardScheduler(fig1_topology(), horizon=100)
         request = self.request()
         scheduler.on_slot(0, [request])
-        assert scheduler.state.completions[request.request_id] <= 2
+        assert deadlines(scheduler.state.completions, {request.request_id: 2}) == []
 
 
 class TestFig3:
@@ -91,10 +92,8 @@ class TestFig3:
         scheduler = PostcardScheduler(fig3_topology(), horizon=100)
         files = self.files()
         scheduler.on_slot(3, files)
-        for request in files:
-            assert (
-                scheduler.state.completions[request.request_id] <= request.last_slot
-            )
+        due = {request.request_id: request.last_slot for request in files}
+        assert deadlines(scheduler.state.completions, due) == []
 
     def test_ordering_postcard_beats_flow_beats_direct(self):
         post = PostcardScheduler(fig3_topology(), horizon=100)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import InfeasibleError, SchedulingError
 from repro.core import PostcardScheduler
+from repro.invariants import deadlines
 from repro.net.generators import complete_topology, line_topology
 from repro.traffic import TransferRequest
 from tests.lp_simplex import simplex_in_place_of_highs
@@ -33,7 +34,7 @@ def test_schedules_are_committed(line3):
     request = TransferRequest(0, 2, 6.0, 2, release_slot=0)
     schedule = scheduler.on_slot(0, [request])
     assert schedule.delivered_volume(request) == pytest.approx(6.0)
-    assert scheduler.state.completions[request.request_id] <= request.last_slot
+    assert deadlines(scheduler.state.completions, {request.request_id: request.last_slot}) == []
     assert scheduler.last_objective == pytest.approx(
         scheduler.state.current_cost_per_slot()
     )

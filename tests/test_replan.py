@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import InfeasibleError, SchedulingError
 from repro.core import PostcardScheduler, ReplanningPostcardScheduler
+from repro.invariants import deadlines
 from repro.net.generators import complete_topology, fig3_topology, line_topology
 from repro.sim import Simulation
 from repro.traffic import PaperWorkload, TraceWorkload, TransferRequest
@@ -34,7 +35,7 @@ def test_single_file_matches_commit_once(line3):
     assert replan.state.current_cost_per_slot() == pytest.approx(
         once.state.current_cost_per_slot(), abs=1e-6
     )
-    assert replan.state.completions[request.request_id] <= request.last_slot
+    assert deadlines(replan.state.completions, {request.request_id: request.last_slot}) == []
 
 
 def test_fig3_matches_offline_when_released_together(fig3):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
+from repro import invariants
 from repro.errors import SchedulingError, ServiceError, SolverError, WalError
 from repro.service import chaos
 from repro.service.config import ServiceConfig
@@ -454,7 +455,7 @@ def books(broker):
     crash drills' books (cells, peaks, bill, clock) plus the queue, the
     decision records in full, and the tallies."""
     return {
-        **chaos._books(broker), "queue": broker.queue.pending_ids(),
+        **invariants.books(broker), "queue": broker.queue.pending_ids(),
         "decisions": broker.decisions, "counts": broker.counts,
     }
 
