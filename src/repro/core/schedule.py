@@ -7,8 +7,7 @@ helpers to audit feasibility and aggregate per-link traffic.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
@@ -18,32 +17,33 @@ from repro.units import VOLUME_ATOL
 
 LinkSlot = Tuple[int, int, int]  # (src, dst, slot)
 
+# Bound once: the fast lane builds a few entries per request.
+_HOLDOVER, _tuple_new = ArcKind.HOLDOVER, tuple.__new__
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    """One scheduling decision.
+
+class ScheduleEntry(
+    namedtuple("ScheduleEntry", "request_id src dst slot volume kind")
+):
+    """One scheduling decision (an immutable, hashable tuple).
 
     ``kind`` distinguishes real transmissions (:attr:`ArcKind.TRANSIT`)
     from temporary storage (:attr:`ArcKind.HOLDOVER`, where
     ``src == dst``).  Only transit entries generate billable traffic.
     """
 
-    request_id: int
-    src: int
-    dst: int
-    slot: int
-    volume: float
-    kind: ArcKind = ArcKind.TRANSIT
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.volume < 0:
+    def __new__(cls, request_id: int, src: int, dst: int, slot: int,
+                volume: float, kind: ArcKind = ArcKind.TRANSIT):
+        if volume < 0:
             raise SchedulingError(
-                f"entry for file {self.request_id} has negative volume {self.volume}"
+                f"entry for file {request_id} has negative volume {volume}"
             )
-        if (self.src == self.dst) != (self.kind is ArcKind.HOLDOVER):
+        if (src == dst) != (kind is _HOLDOVER):
             raise SchedulingError(
-                f"entry ({self.src}->{self.dst}) kind {self.kind.value} is inconsistent"
+                f"entry ({src}->{dst}) kind {kind.value} is inconsistent"
             )
+        return _tuple_new(cls, (request_id, src, dst, slot, volume, kind))
 
 
 #: Store-and-forward semantics: data arriving at a node during slot n
@@ -146,15 +146,19 @@ class TransferSchedule:
     ) -> float:
         """GB of ``request`` that reach its destination (net inflow).
 
-        ``entries`` is the file's own group from :meth:`group_by_request`
+        ``entries`` is the file's own group (:meth:`group_by_request`)
         when the caller already holds it; by default the schedule is
-        scanned for it.
+        scanned for it.  Inflow and outflow are summed in one pass.
         """
         if entries is None:
             entries = self.entries_for_request(request.request_id)
-        transit = [e for e in entries if e.kind is ArcKind.TRANSIT]
-        inflow = sum(e.volume for e in transit if e.dst == request.destination)
-        outflow = sum(e.volume for e in transit if e.src == request.destination)
+        destination, inflow, outflow = request.destination, 0.0, 0.0
+        for _, src, dst, _, volume, kind in entries:
+            if kind is ArcKind.TRANSIT:
+                if dst == destination:
+                    inflow += volume
+                if src == destination:
+                    outflow += volume
         return inflow - outflow
 
     def completion_slot(
@@ -195,7 +199,7 @@ class TransferSchedule:
         atol: float = 1e-5,
         require_full_delivery: bool = True,
         deadline_slack: int = 0,
-    ) -> None:
+    ) -> Dict[int, List[ScheduleEntry]]:
         """Raise :class:`SchedulingError` unless this schedule is feasible.
 
         Checks, per file: delivery (full by default; partial schedules
@@ -205,7 +209,8 @@ class TransferSchedule:
         implies on-time delivery given conservation), and flow
         conservation at every intermediate time-expanded node.  Checks,
         per link and slot: aggregate volume within
-        ``capacity_fn(src, dst, slot)`` when provided.
+        ``capacity_fn(src, dst, slot)`` when provided.  Returns every
+        request's entries, in schedule order (:meth:`group_by_request`).
         """
         by_request = {r.request_id: r for r in requests}
         groups: Dict[int, List[ScheduleEntry]] = {rid: [] for rid in by_request}
@@ -249,6 +254,7 @@ class TransferSchedule:
                         f"link ({src},{dst}) carries {volume:.6f} GB at slot "
                         f"{slot}, over capacity {cap:.6f}"
                     )
+        return groups
 
     @staticmethod
     def _check_conservation(
@@ -264,9 +270,9 @@ class TransferSchedule:
         """
         emitted = request.size_gb if delivered is None else delivered
         balance: Dict[Tuple[int, int], float] = defaultdict(float)
-        for e in entries:
-            balance[(e.src, e.slot)] -= e.volume       # leaves tail node
-            balance[(e.dst, e.slot + 1)] += e.volume   # enters head node
+        for _, src, dst, slot, volume, _ in entries:
+            balance[(src, slot)] -= volume       # leaves tail node
+            balance[(dst, slot + 1)] += volume   # enters head node
         source = (request.source, request.release_slot)
         tol = max(atol, atol * request.size_gb)
         for node, net in balance.items():

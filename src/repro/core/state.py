@@ -122,8 +122,9 @@ class NetworkState:
         put it — under one validation, so all of them or none.
         """
         if validate:
-            schedule.validate(requests, capacity_fn=self.residual_capacity)
-        groups = schedule.group_by_request()
+            groups = schedule.validate(requests, capacity_fn=self.residual_capacity)
+        else:
+            groups = schedule.group_by_request()
         completions = {}
         for request in requests:
             completion = schedule.completion_slot(
@@ -145,11 +146,11 @@ class NetworkState:
         for entries in batches:
             volumes: Dict[Tuple[int, int, int], float] = defaultdict(float)
             stored = 0.0
-            for e in entries:
-                if e.kind is ArcKind.TRANSIT:
-                    volumes[(e.src, e.dst, e.slot)] += e.volume
+            for _, src, dst, slot, volume, kind in entries:
+                if kind is ArcKind.TRANSIT:
+                    volumes[(src, dst, slot)] += volume
                 else:
-                    stored += e.volume
+                    stored += volume
             for (src, dst, slot), volume in volumes.items():
                 self.ledger.record(src, dst, slot, volume)
                 recorded_gb += volume

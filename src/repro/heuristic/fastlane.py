@@ -13,9 +13,9 @@ free capacity exists.
 
 Per request the work is O(candidate paths x window length): one
 top-down sweep per hop and pass over at most ``T_k`` cells of the
-:class:`UtilizationTracker`'s window rows — no graph build, no LP, no
-per-cell walk back to the ledger.  Candidates are costed from their
-per-hop sends; only the winner becomes schedule entries.  Admitted
+:class:`UtilizationTracker`'s window rows, read as plain lists.  Once a
+candidate costs nothing, those with as many hops or more are skipped
+(they can only tie); only the winner becomes schedule entries.  Admitted
 requests meet their deadline by construction (per-hop precedence
 windows inside ``[release, release + T_k - 1]``), and the slot's one
 commit re-validates everything before recording.  The price is cost:
@@ -157,20 +157,22 @@ class CandidatePathScheduler(Scheduler):
             window=(request.release_slot, request.last_slot + 1),
         )
         rows_of, last = self._tracker.rows, request.last_slot
-        best = None
-        for index, path in enumerate(candidates):
+        best, free_hops = None, None
+        for path in candidates:
+            # Exact cut: once a plan is free, a candidate with as many hops
+            # or more can only tie it, and no _beats lets a tie win.
+            if free_hops is not None and len(path) >= free_hops:
+                continue
             hop_rows = [rows_of(a, b, last) for a, b in zip(path, path[1:])]
             sends = self._sends(hop_rows, request)
-            if sends is None:
+            # A plan that sends nothing delivers nothing: inadmissible.
+            if sends is None or not any(sends[-1]):
                 continue
             cost = _bill_increase(hop_rows, sends)
             if best is None or self._beats(cost, path, best):
                 best = (cost, len(path), path, hop_rows, sends)
-                # A free plan loses at most to a free plan with fewer hops.
-                if cost == 0.0 and all(
-                    len(other) >= len(path) for other in candidates[index + 1:]
-                ):
-                    break
+                if cost == 0.0:
+                    free_hops = len(path)
         if best is None:
             return None
         _, _, path, hop_rows, sends = best
@@ -312,24 +314,27 @@ class FastLaneScheduler(CandidatePathScheduler):
         """
         hops, span = len(hop_rows), request.deadline_slots
         passes = _PASSES[self._reserving, headroom_first]
-        due = [0.0] * (span - 1) + [request.size_gb]
-        sends: List[List[float]] = []
+        dues = [(span - 1, request.size_gb)]
+        sends = [None] * hops
         for h in range(hops - 1, -1, -1):
-            sent = _alap_hop(hop_rows[h], h, span - hops + h, due, passes)
+            hi = span - hops + h
+            sent = _alap_hop(hop_rows[h], h, hi, dues, span, passes)
             if sent is None:
                 return None
-            sends.append(sent)
-            due = sent[1:] + [0.0]
-        return sends[::-1]
+            sends[h] = sent
+            # What leaves hop h at offset i is owed by hop h - 1 at i - 1.
+            dues = [(i - 1, sent[i]) for i in range(hi, h - 1, -1) if sent[i] > 0.0]
+        return sends
 
 
 def _alap_hop(
-    rows: LinkRows, lo: int, hi: int, due: List[float],
-    passes: Sequence[Tuple[bool, bool]],
+    rows: LinkRows, lo: int, hi: int, dues: List[Tuple[int, float]],
+    width: int, passes: Sequence[Tuple[bool, bool]],
 ) -> Optional[List[float]]:
     """Pack one hop's dues into offsets ``[lo, hi]``, latest slots first.
 
-    ``due[i]`` must have left by the end of offset ``i``.  Each pass
+    ``dues`` lists ``(i, GB)`` by falling ``i``: GB that must have left
+    by the end of offset ``i``, all inside ``[lo, hi]``.  Each pass
     sweeps once from ``hi`` down to ``lo`` carrying the volume parked
     above the cell; placing at ``i`` is capped so that, at every cutoff
     ``m <= i``, the volume parked at offsets ``>= m`` never exceeds what
@@ -339,65 +344,79 @@ def _alap_hop(
     parked must recheck those lower cutoffs too, or it overdraws
     lateness budget the earlier placement already spent.  Cutoffs at
     offsets no pass filled cannot bind (their allowance only grows
-    downward), so only filled ones are rechecked.  Returns the
-    per-offset sends, or ``None`` if the window cannot carry the dues.
+    downward), so only filled ones are rechecked.  A cell's room is
+    :meth:`LinkRows.room`, inlined.  Returns the ``width`` per-offset
+    sends, or ``None`` if the window cannot carry the dues.
     """
     if lo > hi:
         return None
-    marks = [(i, due[i]) for i in range(hi, lo - 1, -1) if due[i] > 0.0]
     total = 0.0
-    for _, volume in marks:
+    for _, volume in dues:
         total += volume
     tol = max(VOLUME_ATOL, 1e-9 * total)
-    sent = [0.0] * len(due)
+    sent = [0.0] * width
     if total <= tol:
         return sent
-
-    def late(i: int) -> float:
-        """Volume allowed to leave at offset ``i`` or later."""
+    # late[i]: what may leave at offset i or later: total - dues below i, top-down.
+    late = [total] * width
+    top = hi
+    for k, (j, _) in enumerate(dues):
         through = 0.0
-        for j, volume in marks:
-            if j < i:
-                through += volume
-        return total - through
+        for _, volume in dues[k:]:
+            through += volume
+        for i in range(j + 1, top + 1):
+            late[i] = total - through
+        top = j
 
+    residual, committed, pending = rows.residual, rows.committed, rows.pending
+    charged, reservation = rows.charged, rows.reserved
     remaining = total
     filled: List[int] = []  # offsets earlier passes parked volume at
     for free, reserved in passes:
-        if remaining <= tol:
-            break
         above = 0.0  # parked at offsets > i, summed top-down
         for i in range(hi, lo - 1, -1):
-            if remaining <= tol:
-                break
-            placed = above + sent[i]
-            cap = rows.room(i, free, reserved) - sent[i]
-            if cap > VOLUME_ATOL:
-                allowed = late(i) - placed
-                below = placed
-                for m in filled:
-                    if m < i:
-                        below += sent[m]
-                        allowed = min(allowed, late(m) - below)
-                take = min(cap, allowed, remaining)
-                if take > VOLUME_ATOL:
-                    sent[i] += take
-                    remaining -= take
-                    placed = above + sent[i]
+            here = sent[i]
+            placed = above + here
+            waiting = pending[i]
+            room = residual[i] - waiting
+            if free:
+                paid = charged - (committed[i] + waiting)
+                if paid < room:
+                    room = paid
+            if room > 0.0:
+                if reserved:
+                    room -= reservation[i]
+                cap = room - here
+                if cap > VOLUME_ATOL:
+                    allowed = late[i] - placed
+                    below = placed
+                    for m in filled:
+                        if m < i:
+                            below += sent[m]
+                            allowed = min(allowed, late[m] - below)
+                    take = min(cap, allowed, remaining)
+                    if take > VOLUME_ATOL:
+                        sent[i] = here + take
+                        remaining -= take
+                        if remaining <= tol:
+                            return sent
+                        placed = above + sent[i]
             above = placed
         filled = [m for m in range(hi, lo - 1, -1) if sent[m] > 0.0]
-    return sent if remaining <= tol else None
+    return None
 
 
 def _bill_increase(hop_rows: Sequence[LinkRows], sends: List[List[float]]) -> float:
     """Bill increase if ``sends`` joined the committed + pending load."""
     cost = 0.0
     for rows, sent in zip(hop_rows, sends):
+        committed, pending, charged = rows.committed, rows.pending, rows.charged
         over = 0.0
         for i, volume in enumerate(sent):
             if volume > 0.0:
-                level = volume + rows.committed[i] + rows.pending[i]
-                over = max(over, level - rows.charged)
+                lift = volume + committed[i] + pending[i] - charged
+                if lift > over:
+                    over = lift
         if over > 0.0:
             cost += rows.price * over
     return cost
@@ -416,9 +435,9 @@ def _emit(
         moving = [i for i, volume in enumerate(sent) if volume > 0.0]
         if moving:
             src, dst, last_action = path[h], path[h + 1], moving[-1]
-            arrived = [i for i, volume in enumerate(arrivals) if volume > 0.0]
+            start = next((i for i in range(moving[0]) if arrivals[i] > 0.0), moving[0])
             buffered = 0.0
-            for i in range(min(arrived + moving[:1]), last_action + 1):
+            for i in range(start, last_action + 1):
                 buffered += arrivals[i]
                 if sent[i] > 0.0:
                     entries.append(ScheduleEntry(rid, src, dst, release + i, sent[i]))

@@ -31,6 +31,7 @@ import json
 from typing import Any, Dict
 
 from repro.errors import ProtocolError
+from repro.units import VOLUME_ATOL
 
 #: Version 2 added the ``metrics`` op (live telemetry snapshot with an
 #: optional Prometheus-text rendering) and trace-summary fields on
@@ -108,8 +109,10 @@ def validate_submit(message: Dict[str, Any], max_deadline: int) -> Dict[str, Any
         raise ProtocolError(f"submit field is malformed: {exc}") from exc
     if source == destination:
         raise ProtocolError(f"source equals destination ({source})")
-    if size_gb <= 0:
-        raise ProtocolError(f"size_gb must be positive, got {size_gb}")
+    if size_gb <= VOLUME_ATOL:  # schedules drop volumes this small
+        raise ProtocolError(
+            f"size_gb must exceed the volume tolerance {VOLUME_ATOL} GB, got {size_gb}"
+        )
     if deadline < 1:
         raise ProtocolError(f"deadline_slots must be >= 1, got {deadline}")
     if deadline > max_deadline:

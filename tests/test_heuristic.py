@@ -8,6 +8,7 @@ integration with the simulation engine and registry.
 
 import pytest
 
+from repro.baselines import GreedyStoreAndForwardScheduler
 from repro.errors import InfeasibleError, SchedulingError
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
@@ -182,6 +183,23 @@ def test_multi_hop_emits_holdover_and_meets_deadline():
     assert max(last_hop_slots) == request.last_slot
     # The source parks data before the first hop departs.
     assert any(e.kind is ArcKind.HOLDOVER for e in schedule.entries)
+
+
+@pytest.mark.parametrize("size", [1e-10, 1e-7, 1e-6])
+@pytest.mark.parametrize("kind", ["fast", "greedy"])
+def test_a_file_within_the_volume_tolerance_is_rejected_not_the_slot(kind, size):
+    # ALAP returns an all-zero plan for a file of at most VOLUME_ATOL GB;
+    # committed, it was "not delivered" and failed the whole slot.
+    topo = complete_topology(4, capacity=50.0, seed=1)
+    if kind == "fast":
+        scheduler = FastLaneScheduler(topo, horizon=20, on_infeasible="drop")
+    else:
+        scheduler = GreedyStoreAndForwardScheduler(topo, 20, on_infeasible="drop")
+    tiny = TransferRequest(0, 1, size, 3, release_slot=0)
+    big = TransferRequest(1, 2, 5.0, 3, release_slot=0)
+    scheduler.on_slot(0, [tiny, big])
+    assert scheduler.state.rejected == [tiny]
+    assert list(scheduler.state.completions) == [big.request_id]
 
 
 def test_infeasible_request_rejected_or_raised():

@@ -1,5 +1,7 @@
 """Unit tests for TransferSchedule and its feasibility audits."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SchedulingError
@@ -11,6 +13,7 @@ from repro.core.schedule import (
 )
 from repro.timeexp.graph import ArcKind
 from repro.traffic import TransferRequest
+from repro.traffic.io import schedule_from_json, schedule_to_json
 
 
 def hold(rid, node, slot, vol):
@@ -28,6 +31,38 @@ def test_entry_validation():
         ScheduleEntry(1, 0, 0, 0, 1.0)  # self loop must be holdover
     with pytest.raises(SchedulingError):
         ScheduleEntry(1, 0, 1, 0, 1.0, ArcKind.HOLDOVER)  # holdover must self-loop
+
+
+def test_entry_contract():
+    """An entry is an immutable value: hashable, picklable, serialisable,
+    built positionally or by keyword, transit unless told otherwise."""
+    entry = ScheduleEntry(request_id=7, src=0, dst=1, slot=2, volume=3.5)
+    assert entry.kind is ArcKind.TRANSIT
+    assert entry == move(7, 0, 1, 2, 3.5)
+    assert hash(entry) == hash(move(7, 0, 1, 2, 3.5))
+    with pytest.raises(AttributeError):
+        entry.volume = 1.0
+    with pytest.raises(SchedulingError, match="negative volume"):
+        ScheduleEntry(request_id=7, src=0, dst=1, slot=2, volume=-0.5)
+    with pytest.raises(SchedulingError, match="inconsistent"):
+        ScheduleEntry(request_id=7, src=1, dst=1, slot=2, volume=3.5)
+    held = hold(7, 1, 3, 3.5)
+    restored = pickle.loads(pickle.dumps(held))
+    assert restored == held and type(restored) is ScheduleEntry
+    schedule = TransferSchedule([entry, held, move(7, 1, 2, 4, 3.5)])
+    assert schedule_from_json(schedule_to_json(schedule)).entries == schedule.entries
+
+
+def test_validate_returns_the_per_file_groups():
+    r1 = TransferRequest(0, 2, 3.0, 3, release_slot=0)
+    r2 = TransferRequest(0, 1, 1.0, 2, release_slot=0)
+    schedule = TransferSchedule([
+        move(r1.request_id, 0, 1, 0, 3.0), hold(r2.request_id, 0, 0, 1.0),
+        move(r2.request_id, 0, 1, 1, 1.0),
+        move(r1.request_id, 1, 2, 1, 3.0),
+    ])
+    groups = schedule.validate([r1, r2])
+    assert groups == schedule.group_by_request()
 
 
 def test_semantics_validation():

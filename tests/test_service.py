@@ -137,6 +137,7 @@ def test_validate_submit_normalizes():
         ({"size_gb": "lots"}, "malformed"),
         ({"deadline_slots": 0}, "deadline_slots"),
         ({"deadline_slots": 99}, "deadline_slots"),
+        ({"size_gb": 1e-6}, "volume tolerance 1e-06 GB"),
     ],
 )
 def test_validate_submit_rejects(patch, match):
@@ -145,6 +146,20 @@ def test_validate_submit_rejects(patch, match):
     message.update(patch)
     with pytest.raises(ProtocolError, match=match):
         protocol.validate_submit(message, max_deadline=8)
+
+
+def test_a_file_within_the_volume_tolerance_is_refused_before_the_broker():
+    # Admitted, a 1e-10 GB file was planned as nothing and its slot failed
+    # ("commit: file 0 is not delivered"), taking the 5 GB client with it.
+    broker = TransferBroker(ServiceConfig(datacenters=4, capacity=50, tick_seconds=0))
+    tiny = {"op": "submit", "id": "tiny", "source": 0, "destination": 1,
+            "size_gb": 1e-10, "deadline_slots": 3}
+    with pytest.raises(ProtocolError, match="volume tolerance"):
+        broker.submit(protocol.validate_submit(tiny, max_deadline=8))
+    big = dict(tiny, id="big", source=1, destination=2, size_gb=5.0)
+    broker.submit(protocol.validate_submit(big, max_deadline=8))
+    [(_, record)] = broker.process_slot()
+    assert record["decision"] == "admitted"
 
 
 # -- intake queue ----------------------------------------------------------
