@@ -7,49 +7,37 @@ earlier files and the charged volumes ``X_ij(t-1)`` already paid for —
 solves it, and commits the resulting store-and-forward schedule.
 """
 
-from repro.core.interfaces import Scheduler
-from repro.core.state import NetworkState
-from repro.core.schedule import (
-    SEMANTICS_FLUID,
-    SEMANTICS_STORE_AND_FORWARD,
-    ScheduleEntry,
-    TransferSchedule,
-)
-from repro.core.formulation import PostcardModel, build_postcard_model
-from repro.core.scheduler import PostcardScheduler
-from repro.core.offline import OfflineResult, empirical_competitive_ratio, solve_offline
-from repro.core.lookahead import LookaheadPostcardScheduler
-from repro.core.replan import ActiveFile, ReplanningPostcardScheduler
-from repro.core.paths import TimedPath, decompose_paths
-from repro.core.bounds import DualBoundResult, dual_lower_bound, shortest_path_over_time
-from repro.core.soft import SoftDeadlineResult, solve_soft_deadline
-from repro.core.checkpoint import load_state, save_state, state_from_json, state_to_json
+from repro import _lazy_exports
 
-__all__ = [
-    "Scheduler",
-    "NetworkState",
-    "ScheduleEntry",
-    "TransferSchedule",
-    "SEMANTICS_FLUID",
-    "SEMANTICS_STORE_AND_FORWARD",
-    "PostcardModel",
-    "build_postcard_model",
-    "PostcardScheduler",
-    "OfflineResult",
-    "solve_offline",
-    "empirical_competitive_ratio",
-    "LookaheadPostcardScheduler",
-    "ReplanningPostcardScheduler",
-    "ActiveFile",
-    "TimedPath",
-    "decompose_paths",
-    "DualBoundResult",
-    "dual_lower_bound",
-    "shortest_path_over_time",
-    "SoftDeadlineResult",
-    "solve_soft_deadline",
-    "save_state",
-    "load_state",
-    "state_to_json",
-    "state_from_json",
-]
+#: Exported name -> the module that provides it (imported on first use).
+_EXPORTS = {
+    "Scheduler": "repro.core.interfaces",
+    "NetworkState": "repro.core.state",
+    "ScheduleEntry": "repro.core.schedule",
+    "TransferSchedule": "repro.core.schedule",
+    "SEMANTICS_FLUID": "repro.core.schedule",
+    "SEMANTICS_STORE_AND_FORWARD": "repro.core.schedule",
+    "PostcardModel": "repro.core.formulation",
+    "build_postcard_model": "repro.core.formulation",
+    "PostcardScheduler": "repro.core.scheduler",
+    "OfflineResult": "repro.core.offline",
+    "solve_offline": "repro.core.offline",
+    "empirical_competitive_ratio": "repro.core.offline",
+    "LookaheadPostcardScheduler": "repro.core.lookahead",
+    "ReplanningPostcardScheduler": "repro.core.replan",
+    "ActiveFile": "repro.core.replan",
+    "TimedPath": "repro.core.paths",
+    "decompose_paths": "repro.core.paths",
+    "DualBoundResult": "repro.core.bounds",
+    "dual_lower_bound": "repro.core.bounds",
+    "shortest_path_over_time": "repro.core.bounds",
+    "SoftDeadlineResult": "repro.core.soft",
+    "solve_soft_deadline": "repro.core.soft",
+    "save_state": "repro.core.checkpoint",
+    "load_state": "repro.core.checkpoint",
+    "state_to_json": "repro.core.checkpoint",
+    "state_from_json": "repro.core.checkpoint",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

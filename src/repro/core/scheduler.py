@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress
 from typing import List, Optional, Sequence
 
 from repro.errors import InfeasibleError
@@ -31,6 +32,7 @@ from repro.lp.backends.highs import IPM_COLUMNS
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.traffic.spec import TransferRequest
+from repro.units import VOLUME_ATOL
 
 
 def shed_until_feasible(solve_fn, requests, state):
@@ -178,19 +180,32 @@ class PostcardScheduler(Scheduler):
         (:func:`build_postcard_model`) enters every solve of a pruned slot
         (an unpruned one is the paper's model); with the optimum so chosen,
         the pruned attempt skips presolve below the interior-point switch.
+
+        A file of at most ``VOLUME_ATOL`` GB is refused before any solve:
+        its flow would read back as nothing delivered.
         """
         self._check_released_at(slot, requests)
+        recorder = _RejectRecorder()
+        recorder.rejected = [r for r in requests if r.size_gb <= VOLUME_ATOL]
+        if recorder.rejected:
+            if self.on_infeasible == ON_INFEASIBLE_RAISE:
+                ids = [request.request_id for request in recorder.rejected]
+                raise InfeasibleError(f"files {ids} are within the volume tolerance")
+            keep = [request.size_gb > VOLUME_ATOL for request in requests]
+            requests = list(compress(requests, keep))
+            arc_sets = arc_sets and list(compress(arc_sets, keep))
+            if not requests:
+                return LpPlan(slot, None, [], recorder.rejected)
         pruned = bool(arc_sets) and any(arc_sets)
         solve = partial(self._solve, transit_price=transit_price if pruned else 0.0)
         if pruned:
             try:
-                return LpPlan(slot, solve(requests, arc_sets), list(requests), [])
+                return LpPlan(slot, solve(requests, arc_sets), list(requests), recorder.rejected)
             except InfeasibleError:
                 self.widened += 1
                 obs.counter("hybrid.lp_widened", slot=slot)
         if self.on_infeasible == ON_INFEASIBLE_RAISE:
-            return LpPlan(slot, solve(requests), list(requests), [])
-        recorder = _RejectRecorder()
+            return LpPlan(slot, solve(requests), list(requests), recorder.rejected)
         schedule, accepted = shed_until_feasible(solve, requests, recorder)
         return LpPlan(slot, schedule, accepted, recorder.rejected)
 

@@ -34,7 +34,9 @@ the pressure instead — ``degraded``; there is no second solver.
 Escalations are observable: the ``hybrid.escalations`` /
 ``hybrid.fast_slots`` counters and the ``hybrid.escalate`` span stream
 through :mod:`repro.obs`, and the simulation engine copies the tallies
-onto :class:`~repro.sim.metrics.SimulationResult`.
+onto :class:`~repro.sim.metrics.SimulationResult`.  ``last_lane`` names
+the lane of the slot just run (``fast``, ``lp`` or ``degraded``); the
+daemon journals it, and replay forces it.
 """
 
 from __future__ import annotations
@@ -219,16 +221,7 @@ class HybridScheduler(Scheduler):
         provider.bind(self.state)
 
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        """Plan with the fast lane; escalate to the LP under pressure.
-
-        Args:
-            slot: The current slot index.
-            requests: The files released at ``slot``.
-
-        Returns:
-            The committed schedule, from whichever lane handled the
-            slot.
-        """
+        """Plan with the fast lane; escalate to the LP under pressure."""
         return self._run_slot(slot, requests, None, {})
 
     def wal_fields(self, lane: str) -> dict:
@@ -273,6 +266,7 @@ class HybridScheduler(Scheduler):
 
     def _dispatch(self, slot, requests, lane, record) -> TransferSchedule:
         """Route one slot through the fast lane or the LP."""
+        self.last_lane = lane or "fast"
         if not requests:
             return TransferSchedule()
         plan = self._fast.plan_slot(slot, requests)
@@ -372,6 +366,7 @@ class HybridScheduler(Scheduler):
             error = outcome.get("error")
             if error is None:
                 self._backoff_next = self.watchdog_backoff_slots
+                self.last_lane = "lp"
                 return self._lp.commit_plan(outcome["plan"])
             # Infeasible and unbounded are answers (plan_slot widens and sheds
             # itself) and stay the caller's, like any non-solver error; no
@@ -394,6 +389,7 @@ class HybridScheduler(Scheduler):
         by missing every deadline in a stalled slot.  ``reason`` is
         ``timeout``, ``solver`` (it raised) or ``backoff`` (skipped).
         """
+        self.last_lane = "degraded"
         obs.counter("service.degraded", slot=slot, reason=reason)
         with obs.span(
             "hybrid.degraded",

@@ -1,15 +1,17 @@
-"""The broker core: intake -> slot batch -> scheduler -> decisions.
+"""The broker core: intake -> slot batch -> slot step -> decisions.
 
 :class:`TransferBroker` is the synchronous heart of the daemon, kept
 free of sockets and event loops so tests (and the crash-resume harness)
 can drive it slot by slot deterministically.  Each
 :meth:`~TransferBroker.process_slot` call is one virtual slot ``t``:
-drain the intake queue into the batch ``K(t)``, hand it to the
-configured scheduler (hybrid by default — fast lane with LP
-escalation) over the broker's single :class:`NetworkState`, read the
-per-request outcomes back from the state's completion/rejection
-records, checkpoint if due, and return the decisions for the server to
-push to waiting clients.
+drain the intake queue into the batch ``K(t)`` (empty on an idle slot),
+probe the headroom, and decide it with
+:func:`~repro.core.interfaces.slot_step` — the function the simulator
+runs too, which rolls the charging period over and runs the configured
+scheduler (hybrid by default) on the broker's single
+:class:`NetworkState`.  Then read the per-request outcomes back from
+the state, journal and checkpoint, and return the decisions for the
+server to push to waiting clients.
 
 Durability contract: the checkpoint (the new decisions appended to the
 store's decision journal, then a snapshot of state + still-queued
@@ -33,6 +35,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.interfaces import SlotStep, slot_step
 from repro.errors import ServiceError, WalError
 from repro.invariants import verify_recovery
 from repro.obs import registry as obs
@@ -192,12 +195,13 @@ class TransferBroker:
         """Re-apply journaled admissions and slot commits in order.
 
         Admissions re-enter the intake queue; commits re-run their
-        recorded batch through the scheduler on the recorded *lane*
+        recorded batch through the slot step on the recorded *lane*
         (see :meth:`~repro.heuristic.hybrid.HybridScheduler.replay_slot`
-        — a degraded slot must not replay through the LP) and then
-        restore the recorded decisions and tallies verbatim.  The
-        scheduler is deterministic, so the rebuilt ledger matches the
-        pre-crash one cell for cell — the recovery verifier checks.
+        — a degraded slot must not replay through the LP), empty
+        commits included, and then restore the recorded decisions and
+        tallies verbatim.  The scheduler is deterministic, so the
+        rebuilt ledger matches the pre-crash one cell for cell — the
+        recovery verifier checks.
         """
         with obs.span("service.wal.replay", records=len(records)):
             for record in records:
@@ -220,33 +224,11 @@ class TransferBroker:
 
     def _replay_commit(self, record: Dict[str, Any]) -> None:
         slot = int(record["slot"])
-        # Period boundaries are a pure function of the slot index, so
-        # replay re-crosses them exactly where the live run did — empty
-        # commits included; skipping one would leave the rebuilt
-        # watermarks a period behind the pre-crash books.
-        self._maybe_rollover(slot)
-        batch_ids = list(record.get("batch", []))
-        lane = record.get("lane", "fast")
-        if batch_ids:
-            try:
-                batch = self.queue.take_ids(batch_ids)
-            except KeyError as exc:
-                raise WalError(str(exc)) from exc
-        if batch_ids and lane != "failed":  # decided nothing: no scheduler run
-            requests = [
-                TransferRequest(
-                    pending.source,
-                    pending.destination,
-                    pending.size_gb,
-                    pending.deadline_slots,
-                    release_slot=slot,
-                )
-                for pending in batch
-            ]
-            if hasattr(self.scheduler, "replay_slot"):
-                self.scheduler.replay_slot(slot, requests, lane, record)
-            else:
-                self.scheduler.on_slot(slot, requests)
+        try:
+            batch = self.queue.take_ids(list(record.get("batch", [])))
+        except KeyError as exc:
+            raise WalError(str(exc)) from exc
+        self._step(slot, [self._request(pending, slot) for pending in batch], replay=record)
         self.decisions.update(record.get("decisions", {}))
         self._unjournaled.update(record.get("decisions", {}))
         for key, value in record.get("counts", {}).items():
@@ -259,37 +241,24 @@ class TransferBroker:
         """The single NetworkState all slots commit into."""
         return self.scheduler.state
 
-    # -- billing rollover --------------------------------------------------
-
-    def _maybe_rollover(self, slot: int) -> None:
-        """Cycle the charging period before processing ``slot``.
-
-        With ``config.period_slots = P`` the boundaries sit at every
-        multiple of P: once ``slot`` reaches the end of the current
-        period, the closing period's bill is banked
-        (:meth:`NetworkState.start_new_period`), the paid watermarks
-        re-seed to the in-flight volume already committed past the
-        boundary, and both scheduler lanes re-adopt the state so the
-        fast lane's tracker drops the expired headroom.  Deterministic
-        in the slot index — live runs and WAL replay cross boundaries
-        identically.
-        """
-        period = self.config.period_slots
-        if not period:
-            return
-        while slot >= self.state.period_start + period:
-            boundary = self.state.period_start + period
-            bill = self.state.start_new_period(boundary)
-            # Paid headroom the fast lane cached is no longer paid for;
-            # re-adopting rebuilds its tracker from the rolled state.
-            self.scheduler.adopt_state(self.state)
-            if self.config.period_prune:
-                self.state.ledger.prune_before(boundary)
-            obs.counter("service.period_rollover")
-            obs.gauge(
-                "service.period_bill", round(bill, 6),
-                boundary=boundary, periods=len(self.state.banked_period_bills),
+    def _step(self, slot: int, requests: List[TransferRequest], **kwargs) -> SlotStep:
+        """The slot step (:func:`~repro.core.interfaces.slot_step`) on the
+        broker's books, live or replayed.  With ``config.period_prune`` the
+        samples of every period it closed are then dropped — a failed
+        slot's too, so replay prunes where the live run did."""
+        period_start = self.state.period_start
+        try:
+            return slot_step(
+                self.scheduler, slot, requests, self.config.period_slots, **kwargs
             )
+        finally:
+            if self.config.period_prune and self.state.period_start != period_start:
+                self.state.ledger.prune_before(self.state.period_start)
+
+    @staticmethod
+    def _request(pending: PendingTransfer, slot: int) -> TransferRequest:
+        return TransferRequest(pending.source, pending.destination, pending.size_gb,
+                               pending.deadline_slots, release_slot=slot)
 
     # -- intake ------------------------------------------------------------
 
@@ -401,55 +370,24 @@ class TransferBroker:
         """Run one virtual slot; returns the decisions it produced.
 
         An empty queue still advances the clock (a slot with no
-        arrivals is a real, billable-by-silence interval), but skips
-        the scheduler and the checkpoint cadence check when nothing
-        changed.  Raises :class:`SlotFailed` when the scheduler raises.
+        arrivals is a real, billable-by-silence interval) and still runs
+        the slot step, so the forecaster observes it; it skips the
+        checkpoint cadence check, as nothing was decided.  Raises
+        :class:`SlotFailed` when the scheduler raises.
         """
         slot = self.next_slot
-        self._maybe_rollover(slot)
         batch = self.queue.drain()
-        if not batch:
-            self.next_slot = slot + 1
-            self.counts["slots"] += 1
-            # Even an empty slot advances the billable clock; a resume
-            # must not rewind it.  One tiny record.
-            self._append_commit(slot, [])
-            return []
-
-        obs.gauge("service.batch_size", len(batch))
-        obs.gauge("service.queue_depth", self.queue.depth)
-        by_request_id: Dict[int, PendingTransfer] = {}
-        requests: List[TransferRequest] = []
-        headroom: Dict[int, float] = {}
-        for pending in batch:
-            request = TransferRequest(
-                pending.source,
-                pending.destination,
-                pending.size_gb,
-                pending.deadline_slots,
-                release_slot=slot,
-            )
-            by_request_id[request.request_id] = pending
-            requests.append(request)
-            # Watermark headroom on the request's direct link *before*
-            # this batch commits: how much it could have sent at the
-            # release slot without raising the bill.
-            headroom[request.request_id] = self._admission_headroom(
-                request.source, request.destination, slot
-            )
-
+        requests = [self._request(pending, slot) for pending in batch]
+        if batch:
+            obs.gauge("service.batch_size", len(batch))
+            obs.gauge("service.queue_depth", self.queue.depth)
         trace_ids = [p.trace_id for p in batch[:TRACE_IDS_ATTR_CAP]]
-        cost_before = self.state.current_cost_per_slot()
-        escalations_before = getattr(self.scheduler, "escalations", 0)
-        degraded_before = getattr(self.scheduler, "degraded", 0) + getattr(
-            self.scheduler, "lp_skipped", 0
-        )
         try:
             with obs.trace(slot=slot, trace_ids=trace_ids):
-                with obs.timed_span(
-                    "service.slot", slot=slot, batch=len(batch)
-                ) as slot_span:
-                    self.scheduler.on_slot(slot, requests)
+                step = self._step(
+                    slot, requests, probe=lambda: self._probe(requests, slot),
+                    span="service.slot" if batch else None, batch=len(batch),
+                )
         except Exception as exc:
             # Journaled as what it was: admit records left replayable would
             # be decided and billed after a restart, for clients told "failed".
@@ -458,18 +396,16 @@ class TransferBroker:
             obs.counter("service.slot_failed", slot=slot, error=type(exc).__name__)
             self._append_commit(slot, batch, lane="failed")
             raise SlotFailed(slot, batch, exc) from exc
-        decision_s = slot_span.seconds
-        degraded_now = getattr(self.scheduler, "degraded", 0) + getattr(
-            self.scheduler, "lp_skipped", 0
-        )
-        if degraded_now > degraded_before:
-            # The watchdog finished (or skipped) this slot fast-lane-only;
-            # replay must take the same lane, so record it as its own.
-            lane = "degraded"
-        elif getattr(self.scheduler, "escalations", 0) > escalations_before:
-            lane = "lp"
-        else:
-            lane = "fast"
+        self.next_slot = slot + 1
+        self.counts["slots"] += 1
+        if not batch:
+            # Even an empty slot advances the billable clock; a resume
+            # must not rewind it.  One tiny record.
+            self._append_commit(slot, [])
+            return []
+
+        cost_before, headroom = step.probed
+        decision_s, lane = step.seconds, step.lane
         # The slot's charged-cost delta: what this batch added to the
         # per-interval bill.  A joint solve prices the batch as a
         # whole, so the delta is attributed batch-level, not split.
@@ -481,8 +417,7 @@ class TransferBroker:
         wall_ts = round(self.wall_time(slot), 3)
         admitted_count = 0
         resolutions: List[Resolution] = []
-        for request in requests:
-            pending = by_request_id[request.request_id]
+        for pending, request in zip(batch, requests):
             completion = self.state.completions.get(request.request_id)
             admitted = completion is not None
             admitted_count += int(admitted)
@@ -528,9 +463,7 @@ class TransferBroker:
         obs.gauge("service.admission_latency_s", decision_s)
         obs.gauge("service.decision_s", decision_s)
 
-        self.counts["slots"] += 1
         self.counts["batches"] += 1
-        self.next_slot = slot + 1
         self.slo.record_slot(
             admitted_count, len(batch) - admitted_count, decision_s,
             self.queue.depth, degraded=int(lane == "degraded"),
@@ -560,6 +493,18 @@ class TransferBroker:
                 "batch": [pending.client_id for pending in batch],
                 "counts": dict(self.counts), **fields,
             })
+
+    def _probe(self, requests: List[TransferRequest], slot: int):
+        """The books a batch is decided against: the charged cost per slot,
+        and per request the paid watermark headroom on its direct link —
+        how much it could have sent at the release slot without raising
+        the bill."""
+        return self.state.current_cost_per_slot(), {
+            request.request_id: self._admission_headroom(
+                request.source, request.destination, slot
+            )
+            for request in requests
+        }
 
     def _admission_headroom(self, source: int, destination: int, slot: int) -> float:
         """Paid watermark headroom toward ``destination`` at ``slot``.

@@ -1,12 +1,19 @@
 """The simulation engine: slot loop, auditing, metric collection.
 
+Each slot is decided by :func:`repro.core.interfaces.slot_step`, the
+function the daemon's broker calls too: it rolls the charging period
+over and runs the scheduler, on idle slots as well.  Around it the
+engine keeps what only a simulation has: the workload it pulls from,
+the :class:`~repro.sim.recovery.RecoveryManager` for surprise outages,
+the per-slot metrics and the closing audit.
+
 Timing is attributed per stage through :mod:`repro.obs` spans:
 ``sim.scheduler`` (the scheduler's own decision time, what
 ``SlotRecord.solve_seconds`` reports), ``sim.record`` (the engine's
-metric bookkeeping, previously invisible), and ``sim.audit`` (the
-post-run ledger cross-check).  The spans always measure — the numbers
-land in the result even without a sink — and additionally stream to
-any attached sink for ``--profile`` / ``--obs-jsonl`` runs.
+metric bookkeeping), and ``sim.audit`` (the post-run ledger
+cross-check).  The spans always measure — the numbers land in the
+result even without a sink — and additionally stream to any attached
+sink for ``--profile`` / ``--obs-jsonl`` runs.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Optional
 
 from repro import invariants
 from repro.errors import SimulationError
-from repro.core.interfaces import Scheduler
+from repro.core.interfaces import Scheduler, slot_step
 from repro.obs import registry as obs
 from repro.sim.metrics import SimulationResult, SlotRecord
 from repro.traffic.workload import Workload
@@ -43,8 +50,8 @@ class Simulation:
     ):
         """``slots_per_period > 0`` splits the run into independent
         charging periods: at every boundary the scheduler's paid peaks
-        expire (see :meth:`NetworkState.start_new_period`), and the
-        result carries per-period bills.  The paper's setting is a
+        expire (see :func:`~repro.core.interfaces.slot_step`), and
+        the result carries per-period bills.  The paper's setting is a
         single period (the default).
 
         ``start_slot > 0`` resumes a run mid-window (the checkpoint
@@ -91,24 +98,18 @@ class Simulation:
             recovery = RecoveryManager(self.scheduler, fault_model)
 
         for slot in range(self.start_slot, self.num_slots):
-            if (
-                self.slots_per_period
-                and slot > 0
-                and slot % self.slots_per_period == 0
-            ):
-                bill = self.scheduler.state.start_new_period(slot)
-                result.period_bills.append(bill)
             requests = self.workload.requests_at(slot)
             for request in requests:
                 deadlines[request.request_id] = request.last_slot
 
             obs.counter("sim.requests", len(requests))
             rejected_before = len(self.scheduler.state.rejected)
-            with obs.timed_span(
-                "sim.scheduler", slot=slot, scheduler=self.scheduler.name
-            ) as sched_span:
-                schedule = self.scheduler.on_slot(slot, requests)
-            elapsed = sched_span.seconds
+            step = slot_step(
+                self.scheduler, slot, requests, self.slots_per_period,
+                span="sim.scheduler", scheduler=self.scheduler.name,
+            )
+            result.period_bills.extend(step.bills)
+            schedule, elapsed = step.schedule, step.seconds
             rejected_now = len(self.scheduler.state.rejected) - rejected_before
 
             disruption = None

@@ -7,8 +7,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.charging.schemes import ChargingScheme
-
 
 @dataclass
 class SlotRecord:
@@ -124,10 +122,6 @@ class SimulationResult:
     def total_bill(self) -> float:
         """Sum of all period bills (multi-period runs only)."""
         return sum(self.period_bills)
-
-    def rebilled_cost_per_slot(self, scheme: ChargingScheme, ledger) -> float:
-        """Re-bill the run's recorded traffic under another scheme."""
-        return ledger.cost_per_slot(scheme)
 
     @property
     def salvage_rate(self) -> float:

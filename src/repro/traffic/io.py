@@ -254,8 +254,3 @@ def workload_from_json(text: str, topology):
 def save_workload(workload, path: PathLike) -> None:
     """Write a generator workload description to ``path`` as JSON."""
     Path(path).write_text(workload_to_json(workload))
-
-
-def load_workload(path: PathLike, topology):
-    """Read a workload written by :func:`save_workload`."""
-    return workload_from_json(Path(path).read_text(), topology)

@@ -8,9 +8,9 @@ integration with the simulation engine and registry.
 
 import pytest
 
-from repro.baselines import GreedyStoreAndForwardScheduler
 from repro.errors import InfeasibleError, SchedulingError
 from repro.core.schedule import ScheduleEntry, TransferSchedule
+from repro.core.scheduler import PostcardScheduler
 from repro.core.state import NetworkState
 from repro.heuristic import fastlane
 from repro.heuristic import (
@@ -186,20 +186,25 @@ def test_multi_hop_emits_holdover_and_meets_deadline():
 
 
 @pytest.mark.parametrize("size", [1e-10, 1e-7, 1e-6])
-@pytest.mark.parametrize("kind", ["fast", "greedy"])
+@pytest.mark.parametrize("kind", ["fast", "greedy", "hybrid", "postcard"])
 def test_a_file_within_the_volume_tolerance_is_rejected_not_the_slot(kind, size):
-    # ALAP returns an all-zero plan for a file of at most VOLUME_ATOL GB;
-    # committed, it was "not delivered" and failed the whole slot.
+    # ALAP returns an all-zero plan for a file of at most VOLUME_ATOL GB,
+    # and the LP's flow reads back as nothing; committed, the file was
+    # "not delivered" and failed the whole slot.
     topo = complete_topology(4, capacity=50.0, seed=1)
-    if kind == "fast":
-        scheduler = FastLaneScheduler(topo, horizon=20, on_infeasible="drop")
-    else:
-        scheduler = GreedyStoreAndForwardScheduler(topo, 20, on_infeasible="drop")
+    scheduler = make_scheduler({"fast": "heuristic"}.get(kind, kind), topo, 20)
     tiny = TransferRequest(0, 1, size, 3, release_slot=0)
     big = TransferRequest(1, 2, 5.0, 3, release_slot=0)
     scheduler.on_slot(0, [tiny, big])
     assert scheduler.state.rejected == [tiny]
     assert list(scheduler.state.completions) == [big.request_id]
+
+
+def test_the_lp_raises_on_a_file_within_the_volume_tolerance_under_raise():
+    scheduler = PostcardScheduler(complete_topology(4, capacity=50.0, seed=1), 20)
+    with pytest.raises(InfeasibleError, match="volume tolerance"):
+        scheduler.on_slot(0, [TransferRequest(0, 1, 1e-7, 3, release_slot=0)])
+    assert not scheduler.state.rejected and not scheduler.state.completions
 
 
 def test_infeasible_request_rejected_or_raised():
