@@ -1,34 +1,22 @@
 #!/usr/bin/env python
-"""Durability-cost benchmark: WAL journaling vs. snapshot rewriting.
+"""Durability-cost benchmark: bytes the write-ahead log pays per request.
 
 Drives the transfer broker in-process (no socket, no clock) through a
 fixed synthetic workload at growing request counts and measures the
-*durable bytes* each mode pays per admitted request:
-
-* ``wal`` — the PR-7 write-ahead log (``wal=True``): every admission
-  and slot commit appends one O(1)-sized fsync'd record; periodic
-  compaction appends the new decisions to the decision journal and
-  rewrites the (state-only) snapshot, amortized over
-  ``checkpoint_every`` slots.
-* ``legacy`` — the pre-WAL discipline (``wal=False``,
-  ``checkpoint_every=1``): every processed slot journals its decisions
-  and rewrites the full snapshot, whose ledger cells and completions
-  still grow with history, so total durable bytes grow faster than the
-  request count.
-
+*durable bytes* it pays per admitted request: every admission and slot
+commit appends one O(1)-sized fsync'd record, and periodic compaction
+appends the new decisions to the decision journal and rewrites the
+(state-only) snapshot, amortized over ``checkpoint_every`` slots.
 *Durable bytes* are everything the store fsyncs — WAL + journal +
-snapshots — in both modes (before PR 17 the WAL column left the
-compaction snapshots out, which at 1,000 requests outweighed the log).
+snapshots.
 
 Writes a ``BENCH_durability.json`` record and gates the acceptance
 claims from docs/ROBUSTNESS.md:
 
-* WAL-mode bytes/request stay under ``--max-wal-bytes`` (default
-  4096) at the largest point (1000+ requests);
-* WAL-mode bytes/request are flat in N (largest/smallest ratio under
-  ``--max-growth``, default 1.25) — the O(1) claim;
-* legacy snapshot bytes/request *grow* with N (ratio above 1.5), the
-  contrast that motivates the WAL.
+* bytes/request stay under ``--max-wal-bytes`` (default 4096) at the
+  largest point (1000+ requests);
+* bytes/request are flat in N (largest/smallest ratio under
+  ``--max-growth``, default 1.25) — the O(1) claim.
 
 Usage::
 
@@ -80,7 +68,7 @@ def make_workload(count: int, seed: int = WORKLOAD_SEED):
     return fields
 
 
-def broker_config(workdir: str, *, wal: bool, checkpoint_every: int) -> ServiceConfig:
+def broker_config(workdir: str, *, checkpoint_every: int) -> ServiceConfig:
     return ServiceConfig(
         datacenters=NUM_DCS,
         capacity=CAPACITY,
@@ -89,28 +77,19 @@ def broker_config(workdir: str, *, wal: bool, checkpoint_every: int) -> ServiceC
         tick_seconds=0.0,
         checkpoint_dir=workdir,
         checkpoint_every=checkpoint_every,
-        wal=wal,
     )
 
 
-def run_mode(count: int, batch: int, workdir: str, *, wal: bool,
-             checkpoint_every: int) -> dict:
+def run_mode(count: int, batch: int, workdir: str, *, checkpoint_every: int) -> dict:
     """Feed ``count`` requests through one broker; return durable-byte stats."""
-    broker = TransferBroker(
-        broker_config(workdir, wal=wal, checkpoint_every=checkpoint_every)
-    )
+    broker = TransferBroker(broker_config(workdir, checkpoint_every=checkpoint_every))
     workload = make_workload(count)
     admit_bytes_max = 0
     started = time.perf_counter()
     for i, fields in enumerate(workload):
-        if wal:
-            before = broker.store.wal.bytes_written
-            broker.submit(fields)
-            admit_bytes_max = max(
-                admit_bytes_max, broker.store.wal.bytes_written - before
-            )
-        else:
-            broker.submit(fields)
+        before = broker.store.wal.bytes_written
+        broker.submit(fields)
+        admit_bytes_max = max(admit_bytes_max, broker.store.wal.bytes_written - before)
         if (i + 1) % batch == 0:
             broker.process_slot()
     if count % batch:
@@ -128,12 +107,11 @@ def run_mode(count: int, batch: int, workdir: str, *, wal: bool,
         "wal_bytes": stats["wal_bytes"],
         "journal_bytes": stats["journal_bytes"],
         "snapshot_bytes": stats["snapshot_bytes"],
-        "checkpoints": stats.get("checkpoints", 0),
+        "checkpoints": stats["checkpoints"],
         "seconds": round(elapsed, 4),
+        "wal_records": stats["wal_records"],
+        "admit_bytes_max": admit_bytes_max,
     }
-    if wal:
-        out["wal_records"] = stats.get("wal_records", 0)
-        out["admit_bytes_max"] = admit_bytes_max
     broker.store.close()
     return out
 
@@ -141,19 +119,12 @@ def run_mode(count: int, batch: int, workdir: str, *, wal: bool,
 def run_points(sizes, batch: int, checkpoint_every: int, workdir: str):
     points = []
     for count in sizes:
-        wal_dir = Path(workdir) / f"wal-{count}"
-        legacy_dir = Path(workdir) / f"legacy-{count}"
         points.append({
             "requests": count,
-            "wal": run_mode(count, batch, str(wal_dir), wal=True,
+            "wal": run_mode(count, batch, str(Path(workdir) / f"wal-{count}"),
                             checkpoint_every=checkpoint_every),
-            "legacy": run_mode(count, batch, str(legacy_dir), wal=False,
-                               checkpoint_every=1),
         })
-        print(
-            f"  n={count:5d}  wal={points[-1]['wal']['bytes_per_request']:8.1f} B/req"
-            f"  legacy={points[-1]['legacy']['bytes_per_request']:10.1f} B/req"
-        )
+        print(f"  n={count:5d}  wal={points[-1]['wal']['bytes_per_request']:8.1f} B/req")
     return points
 
 
@@ -161,9 +132,6 @@ def evaluate_gates(points, max_wal_bytes: float, max_growth: float) -> dict:
     first, last = points[0], points[-1]
     wal_ratio = (
         last["wal"]["bytes_per_request"] / first["wal"]["bytes_per_request"]
-    )
-    legacy_ratio = (
-        last["legacy"]["bytes_per_request"] / first["legacy"]["bytes_per_request"]
     )
     gates = {
         "wal_bytes_per_request": {
@@ -175,11 +143,6 @@ def evaluate_gates(points, max_wal_bytes: float, max_growth: float) -> dict:
             "value": round(wal_ratio, 3),
             "limit": max_growth,
             "ok": wal_ratio <= max_growth,
-        },
-        "legacy_grows_in_n": {
-            "value": round(legacy_ratio, 3),
-            "floor": 1.5,
-            "ok": legacy_ratio >= 1.5,
         },
     }
     gates["ok"] = all(g["ok"] for g in gates.values() if isinstance(g, dict))

@@ -40,6 +40,7 @@ class DirectScheduler(Scheduler):
 
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
         self._check_released_at(slot, requests)
+        requests = self._refuse_negligible(requests)
         committed_entries: List[ScheduleEntry] = []
         committed_requests: List[TransferRequest] = []
         for request in sorted(requests, key=lambda r: -r.desired_rate):

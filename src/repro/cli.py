@@ -487,11 +487,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(_run())
-    except ServiceError as exc:  # e.g. --wal with no directory; never bound
+    except ServiceError as exc:  # e.g. an unreadable link schedule; never bound
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
-        print("interrupted; state is only as fresh as the last checkpoint")
+        print("interrupted; a checkpoint directory resumes from the last committed slot")
         return 130
     finally:
         if jsonl is not None:
@@ -666,7 +666,7 @@ def _parse_shard_specs(specs) -> dict:
 #: shards (the endpoint flags there are the router's own).
 FLEET_SHARD_FLAGS = (
     "datacenters", "capacity", "seed", "scheduler", "max_deadline",
-    "tick_seconds", "max_queue", "period_slots", "wal",
+    "tick_seconds", "max_queue", "period_slots",
 )
 
 

@@ -5,11 +5,12 @@ daemon (live and on WAL replay) both call it."""
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, TYPE_CHECKING
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.core.schedule import TransferSchedule
-from repro.errors import SchedulingError
+from repro.errors import InfeasibleError, SchedulingError
 from repro.obs import registry as obs
+from repro.units import VOLUME_ATOL
 
 if TYPE_CHECKING:
     from repro.core.state import NetworkState
@@ -56,6 +57,23 @@ class Scheduler(abc.ABC):
                     f"file {request.request_id} released at "
                     f"{request.release_slot}, scheduled at {slot}"
                 )
+
+    def _split_negligible(self, requests: List["TransferRequest"]) -> Tuple[list, list]:
+        """``(kept, refused)``: a file of at most ``VOLUME_ATOL`` GB is refused
+        before planning (a schedule drops volumes that small, so it would
+        read back as not delivered); under ``"raise"`` it raises."""
+        refused = [r for r in requests if r.size_gb <= VOLUME_ATOL]
+        if refused and self.on_infeasible == ON_INFEASIBLE_RAISE:
+            ids = [request.request_id for request in refused]
+            raise InfeasibleError(f"files {ids} are within the volume tolerance")
+        return [r for r in requests if r.size_gb > VOLUME_ATOL], refused
+
+    def _refuse_negligible(self, requests: List["TransferRequest"]) -> list:
+        """The files :meth:`_split_negligible` keeps; the refused are rejected."""
+        kept, refused = self._split_negligible(requests)
+        for request in refused:
+            self.state.reject(request)
+        return kept
 
     @property
     @abc.abstractmethod

@@ -173,6 +173,7 @@ class ReplanningPostcardScheduler(Scheduler):
 
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
         self._check_released_at(slot, requests)
+        requests = self._refuse_negligible(requests)
 
         # Admission: the current active set stays feasible by
         # construction (last slot's plan tail is untouched), so only

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress
 from typing import List, Optional, Sequence
 
 from repro.errors import InfeasibleError
@@ -186,14 +185,13 @@ class PostcardScheduler(Scheduler):
         """
         self._check_released_at(slot, requests)
         recorder = _RejectRecorder()
-        recorder.rejected = [r for r in requests if r.size_gb <= VOLUME_ATOL]
+        kept, recorder.rejected = self._split_negligible(requests)
         if recorder.rejected:
-            if self.on_infeasible == ON_INFEASIBLE_RAISE:
-                ids = [request.request_id for request in recorder.rejected]
-                raise InfeasibleError(f"files {ids} are within the volume tolerance")
-            keep = [request.size_gb > VOLUME_ATOL for request in requests]
-            requests = list(compress(requests, keep))
-            arc_sets = arc_sets and list(compress(arc_sets, keep))
+            arc_sets = arc_sets and [
+                arcs for request, arcs in zip(requests, arc_sets)
+                if request.size_gb > VOLUME_ATOL
+            ]
+            requests = kept
             if not requests:
                 return LpPlan(slot, None, [], recorder.rejected)
         pruned = bool(arc_sets) and any(arc_sets)

@@ -49,9 +49,10 @@ class FlowBasedScheduler(Scheduler):
         return self._state
 
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
+        self._check_released_at(slot, requests)
+        requests = self._refuse_negligible(requests)
         if not requests:
             return TransferSchedule()
-        self._check_released_at(slot, requests)
 
         if self.on_infeasible == ON_INFEASIBLE_RAISE:
             schedule, accepted = self._solve(requests), list(requests)

@@ -56,9 +56,10 @@ class ServiceConfig:
     each period's bill at the boundary).  ``max_queue`` bounds the
     intake queue — the
     backpressure threshold.  ``max_batch=0`` drains the whole queue into
-    each slot.  ``checkpoint_every=N`` snapshots state + pending queue
-    every N processed slots into ``checkpoint_dir`` (no persistence when
-    the directory is unset).
+    each slot.  ``checkpoint_dir`` is a write-ahead log of every
+    admission and slot commit (no persistence when it is unset), and
+    ``checkpoint_every=N`` compacts it into a snapshot of state + pending
+    queue every N processed slots.
     """
 
     host: str = _flag("127.0.0.1")
@@ -101,44 +102,28 @@ class ServiceConfig:
 
     checkpoint_dir: Optional[str] = _flag(
         None,
-        "snapshot state here every --checkpoint-every slots; a restart "
-        "resumes from the snapshot",
+        "write-ahead log every admission and slot commit here (fsync'd "
+        "before the ack) and compact it into a snapshot every "
+        "--checkpoint-every slots; a restart resumes from it",
         metavar="DIR",
     )
     checkpoint_every: int = _flag(5)
 
     #: With a positive value the broker *rolls over* instead of dying:
     #: at every multiple of ``period_slots`` the closing period's bill
-    #: is banked (max-charging over that period's own samples), the paid
-    #: watermarks ``X_ij`` re-seed to the volume in-flight transfers
-    #: already committed past the boundary, and the clock keeps
-    #: running — indefinitely.  Boundaries are a pure function of the
-    #: slot index, so WAL replay reproduces them exactly.
+    #: is banked (max-charging over its own samples, which then leave the
+    #: ledger), the paid watermarks ``X_ij`` re-seed to the volume
+    #: in-flight transfers already committed past the boundary, and the
+    #: clock keeps running — indefinitely.  Boundaries are a pure function
+    #: of the slot index, so WAL replay reproduces them exactly.
     period_slots: int = _flag(
         0,
         "roll the charging period over every N slots (billing rollover; "
         "0 = single-period mode, refuse past the horizon)",
     )
-    #: Bounds ledger (and snapshot) memory for week-long runs at the
-    #: cost of not being able to re-audit closed periods from the live
-    #: ledger.
-    period_prune: bool = _flag(
-        False,
-        "drop ledger samples older than the last closed period boundary "
-        "(bounds memory on long runs; needs --period-slots)",
-    )
-
-    #: O(1) bytes per record, one fsync per slot before its decisions go
-    #: out (docs/ROBUSTNESS.md, "What is durable when"); the
-    #: ``checkpoint_every`` cadence becomes snapshot *compaction*.  The
-    #: directory it needs is checked where a broker opens its store, so
-    #: a fleet's shard template can leave it to ``checkpoint_root``.
-    wal: bool = _flag(
-        False,
-        "write-ahead log every admission/commit (fsync'd before the ack) "
-        "and compact snapshots generationally; needs a checkpoint "
-        "directory",
-    )
+    #: Only so configs that spell ``wal=True`` still load: a checkpoint
+    #: directory is always a write-ahead log, and ``False`` with one is refused.
+    wal: bool = True
     #: fsync each WAL sync point / snapshot write.  Turning this off trades
     #: power-loss durability for speed (process-crash durability
     #: remains); drills and benchmarks flip it, production should not.
@@ -146,7 +131,7 @@ class ServiceConfig:
     #: Recovery can fall back up to ``snapshot_retain - 1`` generations
     #: past a corrupt newest snapshot.
     snapshot_retain: int = _flag(
-        3, "snapshot generations kept for checksum fallback (WAL mode)"
+        3, "snapshot generations kept for checksum fallback"
     )
 
     #: A slowloris guard: the connection is told off, then disconnected.
@@ -246,8 +231,9 @@ class ServiceConfig:
                 f"period_slots ({self.period_slots}) must exceed "
                 f"max_deadline ({self.max_deadline})"
             )
-        if self.period_prune and not self.period_slots:
-            raise ServiceError("period_prune requires period_slots > 0")
+        if not self.wal and self.checkpoint_dir:
+            raise ServiceError("wal=False was removed with snapshot-only "
+                               "persistence: a checkpoint directory is always a WAL")
         if self.snapshot_retain < 1:
             raise ServiceError("snapshot_retain must be >= 1")
         if self.read_timeout_s < 0:

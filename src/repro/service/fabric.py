@@ -100,8 +100,6 @@ class FleetConfig:
                 f"gateway_dc {self.gateway_dc} is not one of the "
                 f"{self.shard.datacenters} datacenters"
             )
-        if self.shard.wal and not self.checkpoint_root:
-            raise ServiceError("wal=True requires a checkpoint_root")
         if self.gateway_mode not in ("fixed", "cheapest"):
             raise ServiceError(
                 f"gateway_mode must be 'fixed' or 'cheapest', "

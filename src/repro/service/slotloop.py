@@ -13,21 +13,14 @@ scheduler (hybrid by default) on the broker's single
 the state, journal and checkpoint, and return the decisions for the
 server to push to waiting clients.
 
-Durability contract: the checkpoint (the new decisions appended to the
-store's decision journal, then a snapshot of state + still-queued
-submissions) is written *before* decisions are handed back, so any
-response a client has seen from a checkpointed slot survives a crash.
-Slots after the last checkpoint roll back atomically with their ledger
-commitments — clients that resubmit get a fresh, consistent decision
-(see docs/SERVICE.md).
-
-With ``config.wal=True`` the contract tightens to per-slot: admissions
-are written to the WAL at ``submit`` and ride the one fsync of their
-slot's commit record, which lands before any decision is released
-(docs/ROBUSTNESS.md, "What is durable when", is the rule).  Recovery
-replays the log over the newest valid snapshot, re-runs the recorded
-slots on their *recorded lanes*, and refuses to serve unless the
-invariant kernel (:func:`repro.invariants.verify_recovery`) passes.
+Durability contract, with a ``checkpoint_dir``: admissions are written
+to the WAL at ``submit`` and ride the one fsync of their slot's commit
+record, which lands before any decision is released (docs/ROBUSTNESS.md,
+"What is durable when", is the rule); every ``checkpoint_every`` slots
+the store compacts the log into a snapshot.  Recovery replays the log
+over the newest valid snapshot, re-runs the recorded slots on their
+*recorded lanes*, and refuses to serve unless the invariant kernel
+(:func:`repro.invariants.verify_recovery`) passes.
 """
 
 from __future__ import annotations
@@ -91,17 +84,9 @@ class TransferBroker:
         self.queue = IntakeQueue(
             config.max_queue, config.tick_seconds, config.max_batch
         )
-        if config.wal and not config.checkpoint_dir:
-            raise ServiceError("wal=True requires a checkpoint_dir")
         self.store = (
-            SnapshotStore(
-                config.checkpoint_dir,
-                wal=config.wal,
-                retain=config.snapshot_retain,
-                fsync=config.wal_fsync,
-            )
-            if config.checkpoint_dir
-            else None
+            SnapshotStore(config.checkpoint_dir, config.snapshot_retain, config.wal_fsync)
+            if config.checkpoint_dir else None
         )
         scheduler_kwargs: Dict[str, Any] = {}
         if config.scheduler == "hybrid":
@@ -243,16 +228,16 @@ class TransferBroker:
 
     def _step(self, slot: int, requests: List[TransferRequest], **kwargs) -> SlotStep:
         """The slot step (:func:`~repro.core.interfaces.slot_step`) on the
-        broker's books, live or replayed.  With ``config.period_prune`` the
-        samples of every period it closed are then dropped — a failed
-        slot's too, so replay prunes where the live run did."""
+        broker's books, live or replayed.  The samples of every period it
+        closed are then dropped — a failed slot's too, so replay prunes
+        where the live run did."""
         period_start = self.state.period_start
         try:
             return slot_step(
                 self.scheduler, slot, requests, self.config.period_slots, **kwargs
             )
         finally:
-            if self.config.period_prune and self.state.period_start != period_start:
+            if self.state.period_start != period_start:
                 self.state.ledger.prune_before(self.state.period_start)
 
     @staticmethod
@@ -322,7 +307,7 @@ class TransferBroker:
         # The submitted tally is monotone and checkpointed, so ids stay
         # unique across crash-resume cycles.
         pending.trace_id = f"t-{self.counts['submitted']:08d}"
-        if self.store and self.store.wal_enabled:
+        if self.store:
             # Written, not synced: nobody hears about this id before its
             # slot's commit is fsync'd (docs/ROBUSTNESS.md, "What is
             # durable when").  A failed write (disk full) rolls the
@@ -373,7 +358,8 @@ class TransferBroker:
         arrivals is a real, billable-by-silence interval) and still runs
         the slot step, so the forecaster observes it; it skips the
         checkpoint cadence check, as nothing was decided.  Raises
-        :class:`SlotFailed` when the scheduler raises.
+        :class:`SlotFailed` when the scheduler raises, and the log's error
+        when the slot's commit cannot be made durable (nothing is released).
         """
         slot = self.next_slot
         batch = self.queue.drain()
@@ -436,7 +422,6 @@ class TransferBroker:
                 "headroom_gb": headroom[request.request_id],
                 "wall_ts": wall_ts,
             }
-            self.decisions[pending.client_id] = record
             self.counts["admitted" if admitted else "rejected"] += 1
             obs.counter(
                 "service.admitted" if admitted else "service.rejected",
@@ -468,18 +453,18 @@ class TransferBroker:
             admitted_count, len(batch) - admitted_count, decision_s,
             self.queue.depth, degraded=int(lane == "degraded"),
         )
+        decided = {pending.client_id: record for pending, record in resolutions}
+        # Scheduler-owned fields are read back by its replay_slot.
+        self._append_commit(
+            slot, batch, decisions=decided, lane=lane,
+            **getattr(self.scheduler, "wal_fields", lambda lane: {})(lane),
+        )
+        # Only now may a status op reveal them: their commit is durable.
+        self.decisions.update(decided)
         if self.store:
-            decided = {pending.client_id: record for pending, record in resolutions}
             self._unjournaled.update(decided)
-            # Scheduler-owned fields are read back by its replay_slot.
-            self._append_commit(
-                slot, batch, decisions=decided, lane=lane,
-                **getattr(self.scheduler, "wal_fields", lambda lane: {})(lane),
-            )
-        if self.store and (
-            self.draining or self.next_slot % self.config.checkpoint_every == 0
-        ):
-            self.checkpoint()
+            if self.draining or self.next_slot % self.config.checkpoint_every == 0:
+                self.checkpoint()
         chaos.crashpoint("commit.pre_ack")
         self.slo.evaluate(emit=True)
         return resolutions
@@ -487,7 +472,7 @@ class TransferBroker:
     def _append_commit(self, slot: int, batch: List[PendingTransfer], **fields) -> None:
         """Commit-before-ack at O(1) cost: the slot's record — and every
         admit written before it — is on disk before a waiter sees a decision."""
-        if self.store and self.store.wal_enabled:
+        if self.store:
             self.store.append_wal({
                 "type": REC_COMMIT, "slot": slot,
                 "batch": [pending.client_id for pending in batch],
@@ -562,7 +547,7 @@ class TransferBroker:
         return self.config.wall_time(slot, self.wall_epoch)
 
     def stamped_usage(self, top: int = 0) -> List[Dict[str, Any]]:
-        """Per-link ledger samples stamped with wall-clock timestamps.
+        """Per-link ledger samples of the open period, wall-clock stamped.
 
         One entry per used link, busiest first, each with its charged
         watermark and the wall-stamped per-slot samples — the export a
@@ -626,7 +611,6 @@ class TransferBroker:
             "degraded": getattr(self.scheduler, "degraded", 0),
             "lp_skipped": getattr(self.scheduler, "lp_skipped", 0),
             "lp_widened": getattr(self.scheduler, "lp_widened", 0),
-            "wal": bool(self.store and self.store.wal_enabled),
             "windowed_links": (
                 len(self.link_schedule) if self.link_schedule else 0
             ),

@@ -1,12 +1,9 @@
 """Append-only, fsync'd, CRC-checksummed write-ahead log.
 
-The broker's durability upgrade (PR 7): instead of rewriting the whole
-snapshot JSON every few slots — O(served requests) bytes per write —
-each admission and each slot commit is logged as one O(1)-sized record
+Each admission and each slot commit is logged as one O(1)-sized record
 *before* the client sees its ack.  Recovery replays the log over the
-newest valid snapshot generation (see :class:`repro.service.store`),
-so the resumed broker is exact even though snapshots are only compacted
-periodically.
+newest valid snapshot generation (see :mod:`repro.service.store`), so
+the resumed broker is exact between periodic compactions.
 
 Record framing, designed so a crash can land anywhere::
 
@@ -207,8 +204,7 @@ class WriteAheadLog:
             try:
                 self._fh.truncate(self.bytes_written)
             except OSError:
-                self._fh.close()
-                self._fh = None
+                self._poison()
             raise
         self.bytes_written += len(frame)
         self._unsynced += len(records)
@@ -219,19 +215,30 @@ class WriteAheadLog:
     def sync(self) -> bool:
         """Raise the watermark to ``bytes_written``; true if that cost an fsync.
 
-        A no-op when nothing is unsynced.  Crash points, where a real
-        crash differs: ``wal.pre_fsync`` (written, may or may not reach
-        the disk) and ``wal.post_fsync`` (durable, nobody told yet).
+        A no-op when nothing is unsynced.  A failed fsync poisons the log,
+        as a failed cut does: the kernel may have dropped the dirty pages
+        and will not say so twice.  Crash points, where a real crash
+        differs: ``wal.pre_fsync`` (written, may or may not reach the
+        disk) and ``wal.post_fsync`` (durable, nobody told yet).
         """
         if self._fh is None or self.bytes_durable == self.bytes_written:
             return False
         self._crashpoint("wal.pre_fsync")
         if self.fsync:
-            os.fsync(self._fh.fileno())
+            try:
+                os.fsync(self._fh.fileno())
+            except OSError:
+                self._poison()
+                raise
             obs.counter("service.wal.sync", records=self._unsynced)
         self.bytes_durable, self._unsynced = self.bytes_written, 0
         self._crashpoint("wal.post_fsync")
         return self.fsync
+
+    def _poison(self) -> None:
+        """Close the file without a sync: every later append fails."""
+        fh, self._fh = self._fh, None
+        fh.close()
 
     def close(self) -> None:
         """Sync, then close: a closed log holds no unsynced byte."""

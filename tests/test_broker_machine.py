@@ -148,7 +148,7 @@ class BrokerMachine(RuleBasedStateMachine):
         if windows:
             fields["link_schedule_path"] = os.path.join(self.root, "windows.json")
             LinkSchedule(windows).to_file(fields["link_schedule_path"])
-        config = ServiceConfig(tick_seconds=0.0, wal=True, **fields)
+        config = ServiceConfig(tick_seconds=0.0, **fields)
         self.live_config = dataclasses.replace(config, checkpoint_dir=f"{self.root}/live")
         self.live = TransferBroker(self.live_config)
         self.twin = TransferBroker(dataclasses.replace(config, checkpoint_dir=f"{self.root}/twin"))
@@ -240,7 +240,7 @@ class BrokerMachine(RuleBasedStateMachine):
     def damage_with(self, name):
         damage, _, expect = CORRUPTIONS[name]
         self.die("process")
-        store = SnapshotStore(self.live_config.checkpoint_dir, wal=True)
+        store = SnapshotStore(self.live_config.checkpoint_dir)
         if name == "corrupt_snapshot":
             self.corrupted.add(store.snapshot_generations()[-1])
         damage(store)

@@ -35,7 +35,7 @@ def drill_batches():
 
 def _wal_broker(tmp_path, **overrides):
     return TransferBroker(ServiceConfig(**{
-        **DRILL, "tick_seconds": 0.0, "wal": True,
+        **DRILL, "tick_seconds": 0.0,
         "checkpoint_dir": str(tmp_path / "ckpt"), **overrides,
     }))
 

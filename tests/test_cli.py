@@ -290,7 +290,7 @@ SERVE_FLAGS = {
     "--host", "--port", "--socket", "--datacenters", "--capacity", "--seed",
     "--scheduler", "--max-deadline", "--link-schedule", "--tick-seconds",
     "--max-queue", "--max-batch", "--checkpoint-dir", "--checkpoint-every",
-    "--period-slots", "--period-prune", "--wal", "--snapshot-retain",
+    "--period-slots", "--snapshot-retain",
     "--read-timeout", "--watchdog-timeout", "--forecast",
     "--forecast-period", "--forecast-horizon", "--obs-jsonl",
 }
@@ -298,7 +298,7 @@ FLEET_SERVE_FLAGS = {
     "--shard", "--spawn", "--spawn-timeout", "--gateway", "--gateway-mode",
     "--host", "--port", "--socket", "--checkpoint-root", "--datacenters",
     "--capacity", "--seed", "--scheduler", "--max-deadline", "--tick-seconds",
-    "--max-queue", "--period-slots", "--wal",
+    "--max-queue", "--period-slots",
 }
 
 

@@ -34,7 +34,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 DCS = 6
 SHARD_ARGS = [
     "--datacenters", str(DCS), "--capacity", "60", "--seed", "3",
-    "--max-deadline", "8", "--tick-seconds", "0", "--wal",
+    "--max-deadline", "8", "--tick-seconds", "0",
 ]
 
 
@@ -82,30 +82,29 @@ def make_fleet(tmp_path, in_process=False):
         checkpoint_root=root,
         shard=ServiceConfig(
             tick_seconds=0.0, datacenters=DCS, capacity=60.0, seed=3,
-            max_deadline=8, wal=True,
+            max_deadline=8,
         ),
     )
     return fleet, socks
 
 
 def test_wal_shards_get_their_directory_from_the_root(tmp_path, capsys):
-    """A ``wal=True`` shard template names no directory of its own:
-    each shard's is ``<root>/<name>``.  Without a root the fleet is
-    refused, and so is ``repro serve --wal`` without a directory,
-    before it binds its socket."""
+    """The shard template names no directory of its own: each shard's
+    write-ahead log lives in ``<root>/<name>``, and without a root the
+    shards keep no books on disk.  ``--wal`` is no flag any more."""
     from repro.cli import main
-    from repro.errors import ServiceError
 
     fleet, _ = make_fleet(tmp_path)
     root = str(tmp_path / "ckpt")
     for name in fleet.shards:
         assert fleet.shard_config(name).checkpoint_dir == f"{root}/{name}"
-    with pytest.raises(ServiceError, match="checkpoint_root"):
-        FleetConfig(shards={"a": ""}, shard=fleet.shard)
+    rootless = FleetConfig(shards={"a": ""}, shard=fleet.shard)
+    assert rootless.shard_config("a").checkpoint_dir is None
 
     sock = tmp_path / "lonely.sock"
-    assert main(["serve", "--socket", str(sock), *SHARD_ARGS]) == 1
-    assert "wal=True requires a checkpoint_dir" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(["serve", "--socket", str(sock), "--wal", *SHARD_ARGS])
+    assert "unrecognized arguments: --wal" in capsys.readouterr().err
     assert not sock.exists()
 
 

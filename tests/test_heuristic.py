@@ -186,16 +186,22 @@ def test_multi_hop_emits_holdover_and_meets_deadline():
 
 
 @pytest.mark.parametrize("size", [1e-10, 1e-7, 1e-6])
-@pytest.mark.parametrize("kind", ["fast", "greedy", "hybrid", "postcard"])
+@pytest.mark.parametrize("kind", [
+    "fast", "greedy", "hybrid", "postcard", "direct", "flow-based",
+    "flow-2phase", "q-aware", "postcard-replan",
+])
 def test_a_file_within_the_volume_tolerance_is_rejected_not_the_slot(kind, size):
     # ALAP returns an all-zero plan for a file of at most VOLUME_ATOL GB,
-    # and the LP's flow reads back as nothing; committed, the file was
-    # "not delivered" and failed the whole slot.
+    # and an LP's flow reads back as nothing; committed, the file was
+    # "not delivered" and failed the whole slot (the replanner left it
+    # neither admitted nor rejected).
     topo = complete_topology(4, capacity=50.0, seed=1)
     scheduler = make_scheduler({"fast": "heuristic"}.get(kind, kind), topo, 20)
     tiny = TransferRequest(0, 1, size, 3, release_slot=0)
     big = TransferRequest(1, 2, 5.0, 3, release_slot=0)
     scheduler.on_slot(0, [tiny, big])
+    for slot in range(1, big.last_slot + 1):  # the replanner delivers slot by slot
+        scheduler.on_slot(slot, [])
     assert scheduler.state.rejected == [tiny]
     assert list(scheduler.state.completions) == [big.request_id]
 

@@ -8,9 +8,10 @@ transfers have already committed past the boundary.  The money
 invariants under test:
 
 * **Conservation** — over >=3 cycles, every banked bill equals the bill
-  recomputed independently from the full ledger for exactly that
-  period's half-open slot range; periods partition the committed
-  volume, so nothing is billed twice or dropped at a boundary.
+  recomputed independently from the full ledger (the cells each
+  rollover pruned, plus the live ones) for exactly that period's
+  half-open slot range; periods partition the committed volume, so
+  nothing is billed twice or dropped at a boundary.
 * **Watermark re-seed** — after a rollover the charged volume per link
   is exactly the peak committed at-or-after the boundary (in-flight
   carry-over), not the old period's paid peak.
@@ -40,7 +41,7 @@ def make_broker(tmp_path=None, **overrides) -> TransferBroker:
         period_slots=PERIOD,
     )
     if tmp_path is not None:
-        base.update(checkpoint_dir=str(tmp_path), checkpoint_every=1, wal=True)
+        base.update(checkpoint_dir=str(tmp_path), checkpoint_every=1)
     base.update(overrides)
     return TransferBroker(ServiceConfig(**base))
 
@@ -70,6 +71,32 @@ def drive_cycles(broker, cycles=3, per_slot=1):
     return i
 
 
+def keep_history(broker) -> TrafficLedger:
+    """A ledger that ends up holding every cell ``broker`` ever committed:
+    the cells each rollover prunes are copied into it first, and
+    :func:`with_live_cells` adds the ones still live."""
+    ledger = broker.state.ledger
+    history = TrafficLedger(ledger.topology, ledger.horizon)
+    prune = ledger.prune_before
+
+    def copy_then_prune(slot):
+        for src, dst in ledger.used_links():
+            for n, volume in ledger.usage(src, dst).volumes.items():
+                if n < slot:
+                    history.record(src, dst, n, volume)
+        return prune(slot)
+
+    ledger.prune_before = copy_then_prune
+    return history
+
+
+def with_live_cells(history, ledger) -> TrafficLedger:
+    for src, dst in ledger.used_links():
+        for n, volume in ledger.usage(src, dst).volumes.items():
+            history.record(src, dst, n, volume)
+    return history
+
+
 def test_config_period_validation():
     with pytest.raises(ServiceError, match="period_slots"):
         ServiceConfig(period_slots=-1)
@@ -77,8 +104,6 @@ def test_config_period_validation():
     # strictly exceed the deadline bound.
     with pytest.raises(ServiceError, match="period_slots"):
         ServiceConfig(period_slots=8, max_deadline=8)
-    with pytest.raises(ServiceError, match="period_prune"):
-        ServiceConfig(period_prune=True)
 
 
 def test_single_period_mode_still_refuses_past_horizon():
@@ -90,16 +115,18 @@ def test_single_period_mode_still_refuses_past_horizon():
 
 def test_rollover_banks_conserved_bills():
     broker = make_broker()
+    history = keep_history(broker)
     submitted = drive_cycles(broker, cycles=3)
     state = broker.state
     assert state.period_start == 3 * PERIOD
     assert len(state.banked_period_bills) == 3
     assert broker.counts["admitted"] == submitted
-    # Every banked bill re-derives from the untouched ledger for its
-    # own half-open range — and only that range (no double-charging a
+    full = with_live_cells(history, state.ledger)
+    # Every banked bill re-derives from the full ledger for its own
+    # half-open range — and only that range (no double-charging a
     # boundary slot into two periods).
     for k, banked in enumerate(state.banked_period_bills):
-        recomputed = state.ledger.period_cost(k * PERIOD, (k + 1) * PERIOD)
+        recomputed = full.period_cost(k * PERIOD, (k + 1) * PERIOD)
         assert banked == pytest.approx(recomputed)
         assert banked > 0.0
     # The period ranges partition the committed volume: summing each
@@ -109,21 +136,26 @@ def test_rollover_banks_conserved_bills():
     tail_end = max(
         state.period_start + 1,
         max(
-            state.ledger.usage(src, dst).last_slot()
-            for src, dst in state.ledger.used_links()
+            full.usage(src, dst).last_slot()
+            for src, dst in full.used_links()
         ) + 1,
     )
     per_period_volume = sum(
-        float(state.ledger.samples_range(src, dst, k * PERIOD,
-                                         (k + 1) * PERIOD).sum())
-        for src, dst in state.ledger.used_links()
+        float(full.samples_range(src, dst, k * PERIOD, (k + 1) * PERIOD).sum())
+        for src, dst in full.used_links()
         for k in range(3)
     ) + sum(
-        float(state.ledger.samples_range(src, dst, state.period_start,
-                                         tail_end).sum())
-        for src, dst in state.ledger.used_links()
+        float(full.samples_range(src, dst, state.period_start, tail_end).sum())
+        for src, dst in full.used_links()
     )
-    assert per_period_volume == pytest.approx(state.ledger.total_volume())
+    assert per_period_volume == pytest.approx(full.total_volume())
+    # The live books hold the open period only.
+    assert state.ledger.total_volume() == pytest.approx(
+        full.total_volume() - sum(
+            float(full.samples_range(src, dst, 0, state.period_start).sum())
+            for src, dst in full.used_links()
+        )
+    )
 
 
 def test_boundary_slot_bills_into_exactly_one_period():
@@ -220,7 +252,7 @@ def test_ledger_prune_before_drops_closed_samples():
 
 
 def test_broker_period_prune_keeps_open_period_books():
-    broker = make_broker(period_prune=True)
+    broker = make_broker()
     drive_cycles(broker, cycles=2)
     state = broker.state
     # Closed-period samples are gone (that is the point of pruning)...

@@ -134,7 +134,7 @@ def test_a_slot_costs_one_wal_fsync_and_status_syncs_before_pending(tmp_path, fs
     sock = str(tmp_path / "g.sock")
     config = ServiceConfig(
         socket_path=sock, datacenters=4, capacity=50.0, tick_seconds=0.0,
-        max_deadline=8, checkpoint_dir=str(tmp_path / "ckpt"), wal=True,
+        max_deadline=8, checkpoint_dir=str(tmp_path / "ckpt"),
     )
 
     def submit(i):
@@ -318,11 +318,13 @@ def test_kill9_resume_matches_uninterrupted_run(tmp_path):
         proc2.kill()
         proc2.wait(timeout=10)
 
-    # The snapshot on disk carries the same charged volume too.
+    # The newest snapshot on disk carries the same charged volume too.
     from repro.core.checkpoint import load_snapshot
+    from repro.service.store import SnapshotStore
 
+    store = SnapshotStore(ckpt)
     snapshot = load_snapshot(
-        os.path.join(ckpt, "snapshot.json"),
+        store.snapshot_path(max(store.snapshot_generations())),
         ServiceConfig(datacenters=4, capacity=50.0, seed=3).topology(),
     )
     assert snapshot.state.charged_snapshot() == pytest.approx(
