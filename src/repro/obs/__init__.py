@@ -41,6 +41,7 @@ _EXPORTS = {
     "SloMonitor": "repro.obs.slo",
     "SloThresholds": "repro.obs.slo",
     "load_events": "repro.obs.sinks",
+    "request_legs": "repro.obs.sinks",
     "render_prometheus": "repro.obs.prom",
     "validate_prometheus": "repro.obs.prom",
     "render_report": "repro.obs.report",

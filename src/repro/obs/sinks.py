@@ -13,7 +13,8 @@ A sink is any object with ``emit(event: dict)``.  Two are provided:
 :func:`collecting` attaches a fresh :class:`Collector` for one block;
 :func:`load_events` reads a JSONL event file back, validating shape so
 a truncated or hand-mangled file fails loudly instead of rendering an
-empty report.
+empty report; :func:`request_legs` picks one request's legs out of the
+per-slot events that list a batch's requests.
 """
 
 from __future__ import annotations
@@ -245,3 +246,27 @@ def load_events(path: PathLike) -> List[dict]:
             )
         events.append(event)
     return events
+
+
+def request_legs(events: Iterable[dict], trace_id: str) -> List[dict]:
+    """The events that carry request ``trace_id``, cut down to it.
+
+    A slot emits each request leg (``service.intake``, ``service.lane``,
+    ``service.charge_delta``) once for its whole batch, with a ``trace``
+    list and the per-request values in lists parallel to it.  Each event
+    whose ``trace`` names ``trace_id`` comes back, in stream order, with
+    those lists replaced by the request's own entries (the event's
+    ``value`` and scalar attrs are the batch's).
+    """
+    legs: List[dict] = []
+    for event in events:
+        attrs = event.get("attrs") or {}
+        traces = attrs.get("trace")
+        if not isinstance(traces, list) or trace_id not in traces:
+            continue
+        at, width = traces.index(trace_id), len(traces)
+        legs.append({**event, "attrs": {
+            key: value[at] if isinstance(value, list) and len(value) == width else value
+            for key, value in attrs.items()
+        }})
+    return legs

@@ -7,6 +7,10 @@ buffering without limit, which is what keeps a surge from turning into
 unbounded memory growth and seconds-long admission latency.  The
 retry-after estimate is proportional to how many ticks the backlog
 needs to clear at the configured batch size.
+
+The queue emits no per-offer telemetry: the slot loop samples
+``service.queue_depth`` once per slot, just before it drains the batch,
+so the gauge's max is still each interval's peak depth.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from repro.obs import registry as obs
 class PendingTransfer:
     """One accepted submission waiting for its slot.
 
-    ``waiter`` is an ``asyncio.Future`` the server parks the client's
-    response on; the synchronous broker core leaves it ``None`` and
-    callers read the decision log instead.
+    ``waiter`` is what the server parks the client's response on:
+    anything with ``done()``, ``set_result(response)`` and ``cancel()``
+    — a connection's reply slot (:class:`repro.service.server.Reply`),
+    or a future for socket-free callers.  The synchronous broker core
+    leaves it ``None`` and callers read the decision log instead.
     """
 
     client_id: str
@@ -111,7 +117,6 @@ class IntakeQueue:
             )
         self._queue.append(pending)
         self._by_id.setdefault(pending.client_id, []).append(pending)
-        obs.gauge("service.queue_depth", len(self._queue))
 
     def requeue_front(self, items: List[PendingTransfer]) -> None:
         """Put restored checkpoint entries back ahead of live arrivals."""

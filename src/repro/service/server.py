@@ -5,19 +5,22 @@ it binds a TCP or unix listener, runs the guarded per-connection read
 loop — a chunk at a time, every complete line in it — decodes each line
 with :mod:`repro.service.protocol`, and hands the message to
 :meth:`LineServer.handle` — a socket-free dispatch onto ``_op_<name>``
-methods that *return* the response dict, or a future of it for answers
-that wait on a slot.  Every answer goes to the connection's outbox,
-which writes what it holds once per event-loop turn: dicts in request
-order after each chunk, a future's line when it settles, so clients may
-pipeline and a slot's decisions leave in one write.  The same ops are
-reachable with no socket at all through :meth:`LineServer.call`, which
-is how the fleet router drives an in-process shard and how tests drive
-both servers.
+methods that *return* the response dict, a future of it, or a
+:class:`Reply` slot for answers that wait on a slot.  Every answer goes
+to the connection's outbox, which writes what it holds once per
+event-loop turn: dicts in request order after each chunk, a future's
+or a reply slot's line when it settles, so clients may pipeline and a
+slot's decisions leave in one write.  The same ops are reachable with
+no socket at all through :meth:`LineServer.call`, which is how the
+fleet router drives an in-process shard and how tests drive both
+servers.
 
 :class:`ServiceDaemon` is that shell over one
-:class:`~repro.service.slotloop.TransferBroker`.  ``submit`` answers
-with the broker's waiter, resolved after the slot that batches the
-submission is processed (and, when due, checkpointed).  A background
+:class:`~repro.service.slotloop.TransferBroker`.  ``submit`` parks the
+broker's waiter — a reply slot on the asking connection's outbox, or a
+future for socket-free callers — and the slot that batches the
+submission settles it once processed (and, when due, checkpointed).
+A background
 task fires :meth:`TransferBroker.process_slot` every
 ``config.tick_seconds``; with ``tick_seconds=0`` the clock is manual
 and slots advance only on ``tick`` messages — the mode deterministic
@@ -43,19 +46,55 @@ from repro.service.config import ServiceConfig
 from repro.service.intake import PendingTransfer
 from repro.service.slotloop import SlotFailed, TransferBroker
 
-#: What an op handler returns: the response, or a future of it.
-Answer = Union[Dict[str, Any], asyncio.Future]
+
+class Reply:
+    """A submit's reply slot on its connection's outbox.
+
+    What the daemon parks as ``PendingTransfer.waiter`` for a socket
+    client, where a future would cost a done-callback and a
+    ``call_soon`` handle per request: :meth:`set_result` encodes the
+    answer into the outbox's reply buffer, which the outbox's one
+    scheduled flush of the turn writes; :meth:`cancel` (a hang-up) marks
+    it done, so a reconnecting client may re-attach to the queued id.
+    """
+
+    __slots__ = ("outbox", "_done")
+
+    def __init__(self, outbox: "_Outbox"):
+        self.outbox = outbox
+        self._done = False
+
+    def done(self) -> bool:
+        return self._done
+
+    def set_result(self, response: Dict[str, Any]) -> None:
+        self._done = True
+        outbox = self.outbox
+        outbox.waiting.discard(self)
+        outbox.replies.append(protocol.encode(response))
+        outbox.schedule_flush()
+
+    def cancel(self) -> None:
+        self._done = True
+
+
+#: What an op handler returns: the response, or a future or reply slot of it.
+Answer = Union[Dict[str, Any], asyncio.Future, Reply]
 
 
 class LineServer:
     """The NDJSON shell: listener, read loop, dispatch, delivery.
 
     Subclasses define ``async def _op_<name>(self, message) -> Answer``
-    for every op they serve and never see a socket.
+    for every op they serve and never see a socket.  An op named in
+    ``outbox_ops`` is also handed the asking connection's outbox (None
+    through :meth:`call`), to park a :class:`Reply` on it.
     """
 
     #: How the ``unsupported`` answer names this server.
     served_by = "this daemon"
+    #: Ops whose handler takes ``(message, outbox)``.
+    outbox_ops: frozenset = frozenset()
 
     def __init__(
         self,
@@ -135,7 +174,9 @@ class LineServer:
 
     # -- socket-free entry -------------------------------------------------
 
-    async def handle(self, message: Dict[str, Any]) -> Answer:
+    async def handle(
+        self, message: Dict[str, Any], outbox: Optional["_Outbox"] = None
+    ) -> Answer:
         """Dispatch one decoded message to its op handler."""
         op = message.get("op")
         handler = self._ops.get(op)
@@ -148,6 +189,8 @@ class LineServer:
                 op, "unsupported",
                 f"op {op!r} is not served by {self.served_by}",
             )
+        if op in self.outbox_ops:
+            return await handler(message, outbox)
         return await handler(message)
 
     async def call(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -173,7 +216,7 @@ class LineServer:
         outbox = _Outbox(writer)
         try:
             await self._serve_connection(reader, outbox)
-            outbox.flush()  # the guards' parting notice; close() sends it
+            outbox.flush_all()  # the guards' parting notice; close() sends it
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:
@@ -216,7 +259,8 @@ class LineServer:
                         reader.read(limit), deadline - clock()
                     )
                 except asyncio.TimeoutError:
-                    if outbox.waiting:
+                    # Parked, or its answer not yet written: waiting.
+                    if outbox.waiting or outbox.replies:
                         deadline = clock() + timeout
                         continue
                     obs.counter("service.read_timeout")
@@ -258,7 +302,7 @@ class LineServer:
         except ProtocolError as exc:
             outbox.put(protocol.error_response("?", "invalid", str(exc)))
             return
-        answer = await self.handle(message)
+        answer = await self.handle(message, outbox)
         if isinstance(answer, dict):
             outbox.put(answer)
         else:
@@ -269,23 +313,31 @@ class _Outbox:
     """One connection's answers, written once per event-loop turn.
 
     Inline answers are appended by the read loop, which flushes after
-    each chunk; a deferred answer is appended when its future settles,
-    and the first of a turn schedules the flush that carries them all.
+    each chunk; a future's answer is appended when it settles, and a
+    reply slot's goes to a buffer of its own that only the scheduled
+    flush writes — so a slot's decisions leave after the chunk that
+    ticked it, never among its inline answers.  The first deferred
+    answer of a turn schedules the flush that carries them all.
     """
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
         self.lines: List[bytes] = []
-        #: Futures this connection still owes a line for.
+        #: Settled reply slots' lines, written by the scheduled flush.
+        self.replies: List[bytes] = []
+        #: Futures and reply slots this connection still owes a line for.
         self.waiting: set = set()
         self._flush_due = False
 
     def put(self, message: Dict[str, Any]) -> None:
         self.lines.append(protocol.encode(message))
 
-    def defer(self, message: Dict[str, Any], future: asyncio.Future) -> None:
-        self.waiting.add(future)
-        future.add_done_callback(functools.partial(self._settle, message))
+    def defer(self, message: Dict[str, Any], answer: Answer) -> None:
+        """Owe ``message`` an answer: a reply slot writes itself when
+        set, a future's line is put when it settles."""
+        self.waiting.add(answer)
+        if type(answer) is not Reply:
+            answer.add_done_callback(functools.partial(self._settle, message))
 
     def _settle(self, message: Dict[str, Any], future: asyncio.Future) -> None:
         self.waiting.discard(future)
@@ -300,30 +352,46 @@ class _Outbox:
             self.put(protocol.error_response(
                 message["op"], "internal", str(exc), **about
             ))
+        self.schedule_flush()
+
+    def schedule_flush(self) -> None:
         if not self._flush_due:
             self._flush_due = True
-            asyncio.get_running_loop().call_soon(self.flush)
+            asyncio.get_running_loop().call_soon(self.flush_all)
 
     def flush(self) -> None:
+        """Write the inline answers (and settled futures' lines): the
+        read loop's write after each chunk."""
+        self._write(self.lines)
+
+    def flush_all(self) -> None:
+        """Write everything owed so far: a turn's scheduled flush, and a
+        connection's last."""
         self._flush_due = False
-        if self.lines and not self.writer.is_closing():
-            self.writer.write(b"".join(self.lines))
-            self.lines.clear()
+        self._write(self.lines)
+        self._write(self.replies)
+
+    def _write(self, lines: List[bytes]) -> None:
+        if lines and not self.writer.is_closing():
+            self.writer.write(b"".join(lines))
+            lines.clear()
 
     def abandon(self) -> None:
         """The connection is gone: cancel what it still waits on.
 
         Cancelled, not merely forgotten: ``TransferBroker.submit`` lets
         a reconnecting client re-park on a queued id only once the old
-        waiter is ``done()``.  (The router shields its relay futures,
-        so its drivers outlive the asker.)
+        waiter — reply slot or future — is ``done()``.  (The router
+        shields its relay futures, so its drivers outlive the asker.)
         """
-        for future in self.waiting:
-            future.cancel()
+        for waiter in self.waiting:
+            waiter.cancel()
 
 
 class ServiceDaemon(LineServer):
     """One transfer broker behind the shell."""
+
+    outbox_ops = frozenset({"submit"})
 
     def __init__(self, config: ServiceConfig):
         super().__init__(
@@ -397,14 +465,17 @@ class ServiceDaemon(LineServer):
 
     # -- ops ---------------------------------------------------------------
 
-    async def _op_submit(self, message) -> Answer:
+    async def _op_submit(self, message, outbox: Optional[_Outbox]) -> Answer:
         try:
             fields = protocol.validate_submit(message, self.config.max_deadline)
         except ProtocolError as exc:
             return protocol.error_response(
                 "submit", "invalid", str(exc), id=message.get("id")
             )
-        waiter = asyncio.get_running_loop().create_future()
+        waiter = (
+            Reply(outbox) if outbox is not None
+            else asyncio.get_running_loop().create_future()
+        )
         try:
             outcome, value = self.broker.submit(fields, waiter)
         except BackpressureError as exc:
@@ -475,9 +546,9 @@ class ServiceDaemon(LineServer):
             return protocol.error_response("drain", "internal", str(exc))
         for pending, record in resolutions:
             self._resolve(pending, {"ok": True, "op": "submit", **record})
-        # One turn for the resolved waiters' lines to reach the outbox
-        # ahead of the drain ack — clients treat the ack as "all
-        # decisions are out".
+        # One turn for the resolved waiters' lines to be written ahead
+        # of the drain ack — clients treat the ack as "all decisions
+        # are out".
         await asyncio.sleep(0)
         self._stop_soon()
         return {"ok": True, "op": "drain", "drained": True,

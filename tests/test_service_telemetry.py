@@ -83,9 +83,11 @@ def test_config_wall_time_mapping():
 
 def test_trace_id_links_intake_lane_solve_and_charge(tmp_path):
     """The acceptance-criteria chain: one submission's trace id appears
-    on the intake event, the lane-choice event, a scheduling span
-    (fast-path or LP solve), and the ledger-charge event — all in one
-    JSONL-shaped event stream — with a charged-cost delta attribute."""
+    on the intake leg, the lane-choice leg, a scheduling span (fast-path
+    or LP solve), and the ledger-charge event — all in one JSONL-shaped
+    event stream — with a charged-cost delta attribute.  The three
+    request legs are per-slot events listing the batch; the reader cuts
+    each down to this request."""
     path = tmp_path / "events.jsonl"
     broker = make_broker()
     registry = obs.get_registry()
@@ -105,13 +107,12 @@ def test_trace_id_links_intake_lane_solve_and_charge(tmp_path):
     assert record["cost_delta"] > 0.0
 
     events = obs.load_events(path)
-    intake = [e for e in events if e["name"] == "service.intake"
-              and e.get("attrs", {}).get("trace") == trace_id]
+    legs = obs.request_legs(events, trace_id)
+    intake = [e for e in legs if e["name"] == "service.intake"]
     assert len(intake) == 1
     assert intake[0]["attrs"]["id"] == record["id"]
 
-    lane = [e for e in events if e["name"] == "service.lane"
-            and e.get("attrs", {}).get("trace") == trace_id]
+    lane = [e for e in legs if e["name"] == "service.lane"]
     assert len(lane) == 1
     assert lane[0]["attrs"]["lane"] in ("fast", "lp")
 
@@ -130,11 +131,43 @@ def test_trace_id_links_intake_lane_solve_and_charge(tmp_path):
                and trace_id in e.get("attrs", {}).get("trace_ids", [])]
     assert charges, "no ledger-charge event carries the trace id"
 
-    deltas = [e for e in events if e["name"] == "service.charge_delta"
-              and e.get("attrs", {}).get("trace") == trace_id]
+    deltas = [e for e in legs if e["name"] == "service.charge_delta"]
     assert len(deltas) == 1
     assert deltas[0]["value"] == pytest.approx(record["cost_delta"])
     assert deltas[0]["attrs"]["headroom_gb"] == record["headroom_gb"]
+
+
+def test_request_telemetry_is_paid_per_slot_not_per_request():
+    """B submits and one slot emit as many events for B = 10 as for
+    B = 400 on the same lane, and the counter totals still count
+    requests: after every slot they equal the broker's tallies."""
+
+    def events_per_slot(batch):
+        broker = make_broker(capacity=1000.0, max_queue=1000)
+        sink = obs.get_registry().add_sink(obs.MetricsSnapshot())
+        seen = []
+        try:
+            for slot in range(2):
+                before = sink.num_events
+                for i in range(batch):
+                    broker.submit({"id": f"s{slot}-{i}", "source": 0, "destination": 1,
+                                   "size_gb": 0.01, "deadline_slots": 3})
+                lanes = {record["lane"] for _, record in broker.process_slot()}
+                seen.append((sink.num_events - before, lanes))
+                counts = broker.counts
+                assert {
+                    name: sink.counter_total(f"service.{name}")
+                    for name in ("submitted", "intake", "admitted", "rejected", "lane")
+                } == {
+                    "submitted": counts["submitted"], "intake": counts["submitted"],
+                    "admitted": counts["admitted"], "rejected": counts["rejected"],
+                    "lane": counts["admitted"] + counts["rejected"],
+                }
+        finally:
+            obs.get_registry().remove_sink(sink)
+        return seen
+
+    assert events_per_slot(10) == events_per_slot(400)
 
 
 def test_trace_ids_stay_unique_across_resume(tmp_path):
@@ -281,7 +314,9 @@ def test_metrics_op_both_formats(tmp_path):
     assert slot_hist["count"] == 1
     assert 0.0 < slot_hist["p50"] <= slot_hist["p99"]
     assert "service.decision_s" in snapshot["histograms"]
-    assert snapshot["counters"]["service.lane"]["count"] == 3
+    # One lane leg per slot, counting the slot's three requests.
+    assert snapshot["counters"]["service.lane"]["total"] == 3
+    assert snapshot["counters"]["service.lane"]["count"] == 1
     assert body["slo"]["admission_ratio"]["ok"] is True
     assert snapshot["gauges"]["slo.ok"]["last"] == 1.0
     assert body["wall"]["next_slot_wall_ts"] == 1000.0 + 300.0

@@ -789,6 +789,33 @@ def test_checkpoint_bytes_follow_the_change_not_the_history(tmp_path):
         assert b'"decisions"' not in store.snapshot_path(generation).read_bytes()
 
 
+def test_closed_periods_leave_completions_and_rejections(tmp_path):
+    """A rollover drops the closed period's completions and rejections
+    with its ledger cells, live and on replay; the request-id watermark
+    and the decision log do not need them."""
+    broker = TransferBroker(wal_config(
+        tmp_path, period_slots=4, max_deadline=3, checkpoint_every=3, wal_fsync=False,
+    ))
+    dropped = 0
+    for slot in range(10):  # rollovers at slots 4 and 8
+        for n, size in enumerate((4.0, 6.0, 5000.0)):  # the last is refused
+            broker.submit({"id": f"p{slot}-{n}", "source": n, "destination": 3,
+                           "size_gb": size, "deadline_slots": 2})
+        held = len(broker.state.completions) + len(broker.state.rejected)
+        broker.process_slot()
+        state = broker.state
+        dropped += held + 3 - len(state.completions) - len(state.rejected)
+        assert all(done >= state.period_start for done in state.completions.values())
+        assert all(r.last_slot >= state.period_start for r in state.rejected)
+    assert broker.state.period_start == 8 and dropped > 0
+    assert broker.counts["rejected"] == 10 and len(broker.decisions) == 30
+    twin = recovered_twin(broker, tmp_path)  # replays slots 9-10 over slot 9's snapshot
+    assert books(twin) == books(broker)
+    # Replay mints new request ids; the completion slots are the same.
+    assert sorted(twin.state.completions.values()) == sorted(broker.state.completions.values())
+    assert invariants.decisions(twin) == []
+
+
 def test_checkpoint_span_says_what_it_wrote(tmp_path):
     import repro.obs as obs
 
