@@ -22,7 +22,7 @@ Placement ignores forecasts, so the forecast hooks are not offered.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import InfeasibleError
 from repro.core.interfaces import ON_INFEASIBLE_RAISE
@@ -51,24 +51,27 @@ class GreedyStoreAndForwardScheduler(CandidatePathScheduler):
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
         self._check_released_at(slot, requests)
         committed: List[ScheduleEntry] = []
+        waits: List[Tuple[int, float]] = []
         # Largest required rate first: big files get first pick of the
         # cheap paths, mirroring the shedding order used elsewhere.
         for request in sorted(requests, key=lambda r: -r.desired_rate):
             # Each commit moves residuals and charged peaks: fresh rows.
             self._tracker.reset(slot)
-            entries = self._plan_file(request)
-            if entries is None:
+            planned = self._plan_file(request)
+            if planned is None:
                 if self.on_infeasible == ON_INFEASIBLE_RAISE:
                     raise InfeasibleError(
                         f"greedy heuristic cannot place file {request.request_id}"
                     )
                 self._state.reject(request)
                 continue
-            schedule = TransferSchedule(entries)
+            entries, stored = planned
+            schedule = TransferSchedule(entries, stored=[(request.request_id, stored)])
             self._state.commit(schedule, [request])
             committed.extend(schedule.entries)
+            waits.extend(schedule.stored)
         self._tracker.reset()
-        return TransferSchedule(committed)
+        return TransferSchedule(committed, stored=waits)
 
     def _sends(self, hop_rows, request):
         """Hop ``h`` (0-based, of ``L``) may use offsets ``[h, T - (L - h)]``

@@ -15,10 +15,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.lp import EQ, GE, LE, LPBuilder
 from repro.net.topology import Topology
 from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph, TimeNode
 from repro.traffic.spec import TransferRequest
+from repro.units import VOLUME_ATOL
 
 #: Transit arc -> the columns that load it (capacity and charge rows).
 Users = Dict[Arc, List[int]]
@@ -61,6 +63,20 @@ def add_flows(
         balance[arc.tail].append((col, 1.0))
         balance[arc.head].append((col, -1.0))
     return columns, balance
+
+
+def flow_schedule(flows: Iterable[Tuple[int, Arc, float]]) -> TransferSchedule:
+    """Solved ``(file, arc, GB)`` flows as a schedule, in order: a transit
+    arc above the volume tolerance is an entry, a holdover arc GB-slots
+    of waiting."""
+    entries, stored = [], []
+    for rid, arc, volume in flows:
+        if volume > VOLUME_ATOL:
+            if arc.kind is ArcKind.TRANSIT:
+                entries.append(ScheduleEntry(rid, arc.src, arc.dst, arc.slot, volume))
+            else:
+                stored.append((rid, volume))
+    return TransferSchedule(entries, stored=stored)
 
 
 def add_balance_rows(

@@ -45,7 +45,6 @@ from repro.core.state import NetworkState
 from repro.charging.costfunc import LinearCost, PiecewiseLinearCost
 from repro.lp import CompiledProblem, Solution, solve_lp
 from repro.obs import registry as obs
-from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
@@ -157,21 +156,23 @@ class PostcardModel:
         }
 
     def solve(self, **options) -> Tuple[TransferSchedule, Solution]:
-        """Optimize and extract the store-and-forward schedule."""
+        """Optimize and extract the store-and-forward schedule: the
+        transit columns as entries, the holdover columns as GB-slots of
+        waiting, each in column order."""
         solution = solve_lp(self.model, **options)
-        volumes = solution.x[:len(self.flow_columns[0])]
+        request_id, src, dst, slot, transit = self.flow_columns
+        volumes = solution.x[:len(request_id)]
         if self.transit_price:  # report the bill, not the tie-break
-            solution.objective -= self.transit_price * volumes[self.flow_columns[4]].sum()
-        used = np.flatnonzero(volumes > VOLUME_ATOL)
-        kinds = (ArcKind.HOLDOVER, ArcKind.TRANSIT)
+            solution.objective -= self.transit_price * volumes[transit].sum()
+        used = volumes > VOLUME_ATOL
+        moves, holds = used & transit, used & ~transit
         entries = [
-            ScheduleEntry(request_id, src, dst, slot, volume, kinds[transit])
-            for request_id, src, dst, slot, transit, volume in zip(
-                *(column[used].tolist() for column in self.flow_columns),
-                volumes[used].tolist(),
+            ScheduleEntry(*row) for row in zip(
+                *(column[moves].tolist() for column in (request_id, src, dst, slot, volumes))
             )
         ]
-        return TransferSchedule(entries), solution
+        stored = zip(request_id[holds].tolist(), volumes[holds].tolist())
+        return TransferSchedule(entries, stored=stored), solution
 
     def charged_volumes(self, solution: Solution) -> Dict[Tuple[int, int], float]:
         """Optimal X_ij for the links the model optimizes over."""

@@ -57,14 +57,9 @@ class TimedPath:
         return self.nodes[-1][1]
 
     def describe(self) -> str:
-        steps = []
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            if a[0] == b[0]:
-                steps.append(f"hold@{a[0]}")
-            else:
-                steps.append(f"{a[0]}->{b[0]}")
         return f"{self.volume:g} GB: " + ", ".join(
-            f"slot {a[1]}: {step}" for (a, _b), step in zip(zip(self.nodes, self.nodes[1:]), steps)
+            f"slot {a[1]}: " + (f"hold@{a[0]}" if a[0] == b[0] else f"{a[0]}->{b[0]}")
+            for a, b in zip(self.nodes, self.nodes[1:])
         )
 
 
@@ -75,7 +70,10 @@ def decompose_paths(
 
     Requires a store-and-forward schedule that fully delivers the file
     (raises :class:`SchedulingError` otherwise).  The returned volumes
-    sum to the file size; at most ``#arcs`` paths are produced.
+    sum to the file size; at most ``#arcs`` paths are produced.  Waiting
+    is implied: every path starts at ``(source, release)``, and a node
+    with no transmission out at slot ``n`` steps to ``n + 1`` as a
+    storage step.
     """
     residual: Dict[Tuple[TimeNode, TimeNode], float] = {}
     for entry in schedule.entries_for_request(request.request_id):
@@ -88,14 +86,7 @@ def decompose_paths(
             f"cannot decompose: file {request.request_id} is not fully "
             f"delivered ({total:g} of {request.size_gb:g} GB)"
         )
-
-    # Out-adjacency over positive-residual arcs, rebuilt lazily.
-    def out_arcs(node: TimeNode):
-        return [
-            (tail, head)
-            for (tail, head), volume in residual.items()
-            if tail == node and volume > VOLUME_ATOL
-        ]
+    last = max((tail[1] for tail, _ in residual), default=request.release_slot)
 
     paths: List[TimedPath] = []
     remaining = total
@@ -103,41 +94,28 @@ def decompose_paths(
     guard = 2 * len(residual) + 2
     while remaining > tol and guard > 0:
         guard -= 1
-        # Start at the earliest source node that still has outflow.
-        starts = sorted(
-            (
-                tail
-                for (tail, _head), volume in residual.items()
-                if tail[0] == request.source and volume > VOLUME_ATOL
-            ),
-            key=lambda n: n[1],
-        )
-        if not starts:
-            raise SchedulingError(
-                f"decomposition stuck: {remaining:g} GB of file "
-                f"{request.request_id} unaccounted"
-            )
-        node = starts[0]
+        node = (request.source, request.release_slot)
         path = [node]
         arcs_taken: List[Tuple[TimeNode, TimeNode]] = []
-        # Walk until the volume first touches the destination; trailing
-        # holds at the destination (riding to the sink layer) are
-        # delivery bookkeeping, not part of the operational path.
+        # Walk until the volume first touches the destination; what
+        # waits there afterwards is delivered, not part of the path.
         while node[0] != request.destination:
-            candidates = out_arcs(node)
-            if not candidates:
+            candidates = [
+                arc for arc, volume in residual.items()
+                if arc[0] == node and volume > VOLUME_ATOL
+            ]
+            if candidates:
+                # The fattest transmission (fewer total paths).
+                arc = max(candidates, key=lambda arc: residual[arc])
+                arcs_taken.append(arc)
+                node = arc[1]
+            elif node[1] < last:
+                node = (node[0], node[1] + 1)  # wait a slot
+            else:
                 raise SchedulingError(
                     f"decomposition dead-ends at {node} for file "
                     f"{request.request_id}"
                 )
-            # Prefer transmissions over holds (terminates briskly) and,
-            # among those, the fattest arc (fewer total paths).
-            candidates.sort(
-                key=lambda arc: (arc[0][0] == arc[1][0], -residual[arc])
-            )
-            arc = candidates[0]
-            arcs_taken.append(arc)
-            node = arc[1]
             path.append(node)
         bottleneck = min(residual[arc] for arc in arcs_taken)
         volume = min(bottleneck, remaining)

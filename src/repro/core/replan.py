@@ -32,15 +32,16 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.flowlp import (
     Users, add_balance_rows, add_capacity_rows, add_charge_rows, add_flows,
+    flow_schedule,
 )
 from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
-from repro.core.schedule import ScheduleEntry, TransferSchedule
+from repro.core.schedule import TransferSchedule
 from repro.core.scheduler import shed_until_feasible
 from repro.core.state import NetworkState
 from repro.lp import LPBuilder, solve_lp
 from repro.net.topology import Topology
 from repro.obs import registry as obs
-from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
+from repro.timeexp.graph import Arc, TimeExpandedGraph
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
@@ -249,22 +250,17 @@ class ReplanningPostcardScheduler(Scheduler):
         self, slot: int, plan: Dict[Tuple[int, Arc], float]
     ) -> TransferSchedule:
         """Apply only the plan's slot-``t`` arcs; update supplies."""
-        entries: List[ScheduleEntry] = []
+        schedule = flow_schedule(
+            (rid, arc, volume) for (rid, arc), volume in plan.items() if arc.slot == slot
+        )
         moved: Dict[int, Dict[int, float]] = defaultdict(lambda: defaultdict(float))
-
-        for (rid, arc), volume in plan.items():
-            if arc.slot != slot:
-                continue
-            entries.append(
-                ScheduleEntry(rid, arc.src, arc.dst, slot, volume, arc.kind)
-            )
-            if arc.kind is ArcKind.TRANSIT:
-                self._state.ledger.record(arc.src, arc.dst, slot, volume)
-                level = self._state.ledger.volume(arc.src, arc.dst, slot)
-                if level > self._state.charged_volume(arc.src, arc.dst):
-                    self._state._charged[(arc.src, arc.dst)] = level
-                moved[rid][arc.src] -= volume
-                moved[rid][arc.dst] += volume
+        for rid, src, dst, _, volume in schedule.entries:
+            self._state.ledger.record(src, dst, slot, volume)
+            level = self._state.ledger.volume(src, dst, slot)
+            if level > self._state.charged_volume(src, dst):
+                self._state._charged[(src, dst)] = level
+            moved[rid][src] -= volume
+            moved[rid][dst] += volume
 
         by_id = {f.request.request_id: f for f in self.active}
         for rid, deltas in moved.items():
@@ -283,4 +279,4 @@ class ReplanningPostcardScheduler(Scheduler):
                 self._state.completions[rid] = slot
             self._state.storage_used += sum(f.supplies.values())
 
-        return TransferSchedule(entries)
+        return schedule

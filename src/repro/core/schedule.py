@@ -1,8 +1,10 @@
 """Transfer schedules: the output of every scheduler.
 
-A schedule is a bag of :class:`ScheduleEntry` rows — "move (or hold)
-this volume of file ``k`` on link (i, j) during slot ``n``" — plus
-helpers to audit feasibility and aggregate per-link traffic.
+A schedule is a bag of :class:`ScheduleEntry` rows — "move this volume
+of file ``k`` over link (i, j) during slot ``n``" — plus helpers to
+audit feasibility and aggregate per-link traffic.  Waiting is implied:
+the paper's free, unbounded holdover arcs carry exactly what a file's
+transmissions leave at a node, and their GB-slots ride as numbers.
 """
 
 from __future__ import annotations
@@ -11,39 +13,32 @@ from collections import defaultdict, namedtuple
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
-from repro.timeexp.graph import ArcKind
+from repro.invariants import cell_tolerance
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
 LinkSlot = Tuple[int, int, int]  # (src, dst, slot)
 
 # Bound once: the fast lane builds a few entries per request.
-_HOLDOVER, _tuple_new = ArcKind.HOLDOVER, tuple.__new__
+_tuple_new = tuple.__new__
 
 
-class ScheduleEntry(
-    namedtuple("ScheduleEntry", "request_id src dst slot volume kind")
-):
-    """One scheduling decision (an immutable, hashable tuple).
-
-    ``kind`` distinguishes real transmissions (:attr:`ArcKind.TRANSIT`)
-    from temporary storage (:attr:`ArcKind.HOLDOVER`, where
-    ``src == dst``).  Only transit entries generate billable traffic.
-    """
+class ScheduleEntry(namedtuple("ScheduleEntry", "request_id src dst slot volume")):
+    """One transmission (an immutable, hashable tuple): ``volume`` GB of
+    file ``request_id`` leave ``src`` for ``dst`` during ``slot``."""
 
     __slots__ = ()
 
-    def __new__(cls, request_id: int, src: int, dst: int, slot: int,
-                volume: float, kind: ArcKind = ArcKind.TRANSIT):
+    def __new__(cls, request_id: int, src: int, dst: int, slot: int, volume: float):
         if volume < 0:
             raise SchedulingError(
                 f"entry for file {request_id} has negative volume {volume}"
             )
-        if (src == dst) != (kind is _HOLDOVER):
+        if src == dst:
             raise SchedulingError(
-                f"entry ({src}->{dst}) kind {kind.value} is inconsistent"
+                f"entry for file {request_id} loops at {src}: waiting is implied"
             )
-        return _tuple_new(cls, (request_id, src, dst, slot, volume, kind))
+        return _tuple_new(cls, (request_id, src, dst, slot, volume))
 
 
 #: Store-and-forward semantics: data arriving at a node during slot n
@@ -62,13 +57,15 @@ class TransferSchedule:
     store-and-forward (Postcard) or fluid (the flow-based baseline) —
     and selects the matching feasibility audit in :meth:`validate`.
     Billing, capacity accounting and delivery accounting are identical
-    under both.
+    under both.  ``stored`` lists ``(request id, GB-slots)`` of waiting
+    in the order commit adds them up; a fluid schedule has none.
     """
 
     def __init__(
         self,
         entries: Iterable[ScheduleEntry] = (),
         semantics: str = SEMANTICS_STORE_AND_FORWARD,
+        stored: Iterable[Tuple[int, float]] = (),
     ):
         if semantics not in (SEMANTICS_STORE_AND_FORWARD, SEMANTICS_FLUID):
             raise SchedulingError(f"unknown schedule semantics {semantics!r}")
@@ -76,27 +73,49 @@ class TransferSchedule:
         self.entries: List[ScheduleEntry] = [
             e for e in entries if e.volume > VOLUME_ATOL
         ]
+        self.stored: List[Tuple[int, float]] = list(stored)
+        if self.stored and semantics == SEMANTICS_FLUID:
+            raise SchedulingError("fluid schedules never wait: no holdover storage")
 
     # -- aggregation -----------------------------------------------------
-
-    def transit_entries(self) -> List[ScheduleEntry]:
-        return [e for e in self.entries if e.kind is ArcKind.TRANSIT]
-
-    def holdover_entries(self) -> List[ScheduleEntry]:
-        return [e for e in self.entries if e.kind is ArcKind.HOLDOVER]
 
     def link_slot_volumes(self) -> Dict[LinkSlot, float]:
         """Aggregate billable volume per (src, dst, slot)."""
         out: Dict[LinkSlot, float] = defaultdict(float)
-        for e in self.transit_entries():
+        for e in self.entries:
             out[(e.src, e.dst, e.slot)] += e.volume
         return dict(out)
 
-    def storage_slot_volumes(self) -> Dict[Tuple[int, int], float]:
-        """Aggregate stored volume per (datacenter, slot)."""
+    def storage_slot_volumes(
+        self, requests: Iterable[TransferRequest] = ()
+    ) -> Dict[Tuple[int, int], float]:
+        """GB waiting per (datacenter, slot), derived from the transmissions.
+
+        A datacenter holds over slot ``n`` the running balance
+        :meth:`validate` walks, up to its last transmission.  One that
+        sends more than it receives is the file's source and holds the
+        difference from the release of the file in ``requests`` (from its
+        first departure if the file is not listed); one that receives
+        more is the destination, whose data is delivered, not stored.
+        """
+        release = {r.request_id: r.release_slot for r in requests}
+        flows = defaultdict(lambda: defaultdict(float))  # (file, node) -> slot -> GB
+        for rid, src, dst, slot, volume in self.entries:
+            flows[(rid, src)][slot] -= volume
+            flows[(rid, dst)][slot + 1] += volume
         out: Dict[Tuple[int, int], float] = defaultdict(float)
-        for e in self.holdover_entries():
-            out[(e.src, e.slot)] += e.volume
+        for (rid, node), changes in flows.items():
+            supply = -sum(changes.values())
+            if supply < -VOLUME_ATOL:
+                continue
+            if supply > VOLUME_ATOL:
+                changes[release.get(rid, min(changes))] += supply
+            level, slots = 0.0, sorted(changes)
+            for slot, after in zip(slots, slots[1:]):
+                level += changes[slot]
+                if level > VOLUME_ATOL:
+                    for n in range(slot, after):
+                        out[(node, n)] += level
         return dict(out)
 
     def entries_for_request(self, request_id: int) -> List[ScheduleEntry]:
@@ -104,17 +123,18 @@ class TransferSchedule:
 
     def total_transit_volume(self) -> float:
         """Billable GB across all links and slots (hops count separately)."""
-        return sum(e.volume for e in self.transit_entries())
+        return sum(e.volume for e in self.entries)
 
     def total_storage_volume(self) -> float:
-        """GB-slots of storage used at intermediate datacenters."""
-        return sum(e.volume for e in self.holdover_entries())
-
-    def slots_used(self) -> List[int]:
-        return sorted({e.slot for e in self.entries})
+        """GB-slots of storage the schedule's waits use: :attr:`stored`,
+        added in order (``sum`` may compensate, and round differently)."""
+        total = 0.0
+        for _, gb in self.stored:
+            total += gb
+        return total
 
     def merge(self, other: "TransferSchedule") -> "TransferSchedule":
-        """A new schedule containing both sets of entries.
+        """A new schedule containing both sets of entries and storage.
 
         Merging mixed-semantics schedules is disallowed — the combined
         object could not be audited consistently.
@@ -123,7 +143,8 @@ class TransferSchedule:
             raise SchedulingError(
                 f"cannot merge {self.semantics} and {other.semantics} schedules"
             )
-        return TransferSchedule(self.entries + other.entries, semantics=self.semantics)
+        return TransferSchedule(self.entries + other.entries, self.semantics,
+                                self.stored + other.stored)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -153,12 +174,11 @@ class TransferSchedule:
         if entries is None:
             entries = self.entries_for_request(request.request_id)
         destination, inflow, outflow = request.destination, 0.0, 0.0
-        for _, src, dst, _, volume, kind in entries:
-            if kind is ArcKind.TRANSIT:
-                if dst == destination:
-                    inflow += volume
-                if src == destination:
-                    outflow += volume
+        for _, src, dst, _, volume in entries:
+            if dst == destination:
+                inflow += volume
+            if src == destination:
+                outflow += volume
         return inflow - outflow
 
     def completion_slot(
@@ -176,13 +196,10 @@ class TransferSchedule:
             entries = self.entries_for_request(request.request_id)
         arrivals: Dict[int, float] = defaultdict(float)
         for e in entries:
-            if e.kind is ArcKind.TRANSIT:
-                if e.dst == request.destination:
-                    arrivals[e.slot] += e.volume
-                if e.src == request.destination:
-                    arrivals[e.slot] -= e.volume
-        if not arrivals:
-            return None
+            if e.dst == request.destination:
+                arrivals[e.slot] += e.volume
+            if e.src == request.destination:
+                arrivals[e.slot] -= e.volume
         cumulative = 0.0
         for slot in sorted(arrivals):
             cumulative += arrivals[slot]
@@ -207,9 +224,10 @@ class TransferSchedule:
         ``require_full_delivery=False`` and are only checked for
         over-delivery), deadline (no movement outside the window, which
         implies on-time delivery given conservation), and flow
-        conservation at every intermediate time-expanded node.  Checks,
-        per link and slot: aggregate volume within
-        ``capacity_fn(src, dst, slot)`` when provided.  Returns every
+        conservation at every datacenter the file passes.  Checks, per
+        link and slot: aggregate volume within ``capacity_fn(src, dst,
+        slot)`` when provided, up to the ledger's own tolerance
+        (:func:`repro.invariants.cell_tolerance`).  Returns every
         request's entries, in schedule order (:meth:`group_by_request`).
         """
         by_request = {r.request_id: r for r in requests}
@@ -242,14 +260,16 @@ class TransferSchedule:
                     f"of {req.size_gb:.6f} GB"
                 )
             if self.semantics == SEMANTICS_STORE_AND_FORWARD:
-                self._check_conservation(req, entries, atol, delivered)
+                self._check_conservation(req, entries, tol, delivered)
             else:
                 self._check_conservation_fluid(req, entries, atol)
 
         if capacity_fn is not None:
             for (src, dst, slot), volume in self.link_slot_volumes().items():
                 cap = capacity_fn(src, dst, slot)
-                if volume > cap + max(atol, atol * max(1.0, cap)):
+                if volume > cap and volume > cap + min(
+                    max(atol, atol * cap), cell_tolerance(cap)
+                ):
                     raise SchedulingError(
                         f"link ({src},{dst}) carries {volume:.6f} GB at slot "
                         f"{slot}, over capacity {cap:.6f}"
@@ -258,42 +278,44 @@ class TransferSchedule:
 
     @staticmethod
     def _check_conservation(
-        request: TransferRequest, entries: List[ScheduleEntry], atol: float,
-        delivered: Optional[float] = None,
+        request: TransferRequest, entries: List[ScheduleEntry], tol: float,
+        emitted: float,
     ) -> None:
-        """Flow conservation for one file (``entries``) at every
-        time-expanded node.
+        """Store-and-forward conservation for one file (``entries``).
 
-        ``delivered`` overrides the expected source emission for
-        partial-delivery schedules (bulk throughput); by default the
-        whole file must leave the source.
+        Waiting is implied, so each datacenter is a running balance over
+        the file's transmissions in slot order: ``emitted`` GB (what the
+        file delivers) appear at ``(source, release)``, a transmission
+        during slot ``n`` leaves its tail at ``n`` and lands at its head
+        at ``n + 1``, before that slot's departures.  The balance is what
+        waits there: never below ``-tol``, and zero at the end everywhere
+        but the destination, which absorbs — exactly when non-negative
+        holdovers exist that balance every time-expanded node.
         """
-        emitted = request.size_gb if delivered is None else delivered
-        balance: Dict[Tuple[int, int], float] = defaultdict(float)
-        for _, src, dst, slot, volume, _ in entries:
-            balance[(src, slot)] -= volume       # leaves tail node
-            balance[(dst, slot + 1)] += volume   # enters head node
-        source = (request.source, request.release_slot)
-        tol = max(atol, atol * request.size_gb)
-        for node, net in balance.items():
-            if node == source:
-                expected = -emitted
-            elif node[0] == request.destination:
-                # Arrival nodes at the destination absorb flow; partial
-                # arrivals across several slots are each non-negative.
-                if net < -tol:
-                    raise SchedulingError(
-                        f"file {request.request_id}: destination node {node} "
-                        f"re-emits {-net:.6f} GB"
-                    )
-                continue
-            else:
-                expected = 0.0
-            if abs(net - expected) > tol:
-                raise SchedulingError(
-                    f"file {request.request_id}: conservation violated at "
-                    f"node {node}: net {net:.6f}, expected {expected:.6f}"
-                )
+        destination = request.destination
+        events = [(request.source, request.release_slot, 0, emitted)]
+        for _, src, dst, slot, volume in entries:
+            events += ((src, slot, 1, -volume), (dst, slot + 1, 0, volume))
+        events.sort()
+        events.append((None, None, 0, 0.0))  # settles the last datacenter
+        node, level = events[0][:2], 0.0
+        for at, slot, _, delta in events:
+            if at != node[0]:
+                if node[0] != destination and abs(level) > tol:
+                    break
+                level = 0.0
+            node = at, slot
+            level += delta
+            if level < -tol:
+                break
+        else:
+            return
+        raise SchedulingError(
+            f"file {request.request_id}: destination node {node} re-emits "
+            f"{-level:.6f} GB" if node[0] == destination else
+            f"file {request.request_id}: conservation violated at node "
+            f"{node}: net {level:.6f}, expected 0.000000"
+        )
 
     @staticmethod
     def _check_conservation_fluid(
@@ -304,11 +326,6 @@ class TransferSchedule:
         destination only absorbs."""
         net_out: Dict[Tuple[int, int], float] = defaultdict(float)
         for e in entries:
-            if e.kind is ArcKind.HOLDOVER:
-                raise SchedulingError(
-                    f"file {request.request_id}: fluid schedules cannot "
-                    "contain holdover entries"
-                )
             net_out[(e.src, e.slot)] += e.volume
             net_out[(e.dst, e.slot)] -= e.volume
         tol = max(atol, atol * request.size_gb)

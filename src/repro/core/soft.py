@@ -28,14 +28,13 @@ from typing import Dict, List, Tuple
 from repro.errors import SchedulingError
 from repro.core.flowlp import (
     Users, add_balance_rows, add_capacity_rows, add_charge_rows, add_flows,
-    window_graph,
+    flow_schedule, window_graph,
 )
-from repro.core.schedule import ScheduleEntry, TransferSchedule
+from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
 from repro.lp import CompiledProblem, LPBuilder, Solution, solve_lp
 from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
 from repro.traffic.spec import TransferRequest
-from repro.units import VOLUME_ATOL
 
 
 @dataclass
@@ -135,18 +134,12 @@ def solve_soft_deadline(
     solution = solve_lp(problem)
 
     destination_of = {r.request_id: r.destination for r in requests}
-    entries = []
-    for (rid, arc), var in flow_vars.items():
-        volume = float(solution.x[var])
-        if volume <= VOLUME_ATOL:
-            continue
-        # Holdover at a file's own destination is delivered data riding
-        # to the (extended) sink layer — bookkeeping, not scheduling.
-        if arc.kind is ArcKind.HOLDOVER and arc.src == destination_of[rid]:
-            continue
-        entries.append(
-            ScheduleEntry(rid, arc.src, arc.dst, arc.slot, volume, arc.kind)
-        )
+    # Holdover at a file's own destination is delivered data riding to
+    # the (extended) sink layer — bookkeeping, not storage.
+    schedule = flow_schedule(
+        (rid, arc, float(solution.x[var])) for (rid, arc), var in flow_vars.items()
+        if arc.kind is ArcKind.TRANSIT or arc.src != destination_of[rid]
+    )
     lateness = {
         rid: sum(late * float(solution.x[var]) for late, var in terms)
         for rid, terms in lateness_terms.items()
@@ -154,7 +147,7 @@ def solve_soft_deadline(
     for request in requests:
         lateness.setdefault(request.request_id, 0.0)
     return SoftDeadlineResult(
-        schedule=TransferSchedule(entries),
+        schedule=schedule,
         solution=solution,
         lateness={rid: max(0.0, v) for rid, v in lateness.items()},
     )

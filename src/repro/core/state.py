@@ -19,7 +19,6 @@ from repro.charging.schemes import ChargingScheme
 from repro.core.schedule import TransferSchedule
 from repro.net.topology import LinkKey, Topology
 from repro.obs import registry as obs
-from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
 
 
@@ -119,7 +118,9 @@ class NetworkState:
         sums and writes each file's entries on their own, in
         ``requests`` order: a slot of per-file plans then lands float
         for float where committing the files one after another would
-        put it — under one validation, so all of them or none.
+        put it — under one validation, so all of them or none.  The
+        schedule's ``stored`` GB-slots join :attr:`storage_used` the same
+        way: summed per file, or in one pass.
         """
         if validate:
             groups = schedule.validate(requests, capacity_fn=self.residual_capacity)
@@ -145,17 +146,20 @@ class NetworkState:
         touched = set()
         for entries in batches:
             volumes: Dict[Tuple[int, int, int], float] = defaultdict(float)
-            stored = 0.0
-            for _, src, dst, slot, volume, kind in entries:
-                if kind is ArcKind.TRANSIT:
-                    volumes[(src, dst, slot)] += volume
-                else:
-                    stored += volume
+            for _, src, dst, slot, volume in entries:
+                volumes[(src, dst, slot)] += volume
             for (src, dst, slot), volume in volumes.items():
                 self.ledger.record(src, dst, slot, volume)
                 recorded_gb += volume
             touched.update(volumes)
-            self.storage_used += stored
+        if per_file:
+            waits: Dict[int, float] = defaultdict(float)
+            for rid, gb in schedule.stored:
+                waits[rid] += gb
+            for request in requests:
+                self.storage_used += waits.get(request.request_id, 0.0)
+        else:
+            self.storage_used += schedule.total_storage_volume()
         # Volumes only grow within a commit, so each touched cell's
         # final level is its highest.
         for src, dst, slot in touched:

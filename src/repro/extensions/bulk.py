@@ -28,14 +28,14 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.core.flowlp import (
-    Users, add_balance_rows, add_capacity_rows, add_flows, window_graph,
+    Users, add_balance_rows, add_capacity_rows, add_flows, flow_schedule,
+    window_graph,
 )
-from repro.core.schedule import ScheduleEntry, TransferSchedule
+from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
 from repro.lp import LPBuilder, solve_lp
 from repro.timeexp.graph import Arc
 from repro.traffic.spec import TransferRequest
-from repro.units import VOLUME_ATOL
 
 
 @dataclass
@@ -93,14 +93,11 @@ def maximize_bulk_throughput(
     )
     solution = solve_lp(lp.compile())
 
-    entries = [
-        ScheduleEntry(rid, arc.src, arc.dst, arc.slot, volume, arc.kind)
-        for (rid, arc), var in flow_vars.items()
-        if (volume := float(solution.x[var])) > VOLUME_ATOL
-    ]
     delivered = {rid: float(solution.x[var]) for rid, var in delivered_vars.items()}
     return BulkTransferResult(
-        schedule=TransferSchedule(entries),
+        schedule=flow_schedule(
+            (rid, arc, float(solution.x[var])) for (rid, arc), var in flow_vars.items()
+        ),
         delivered=delivered,
         total_delivered=sum(delivered.values()),
     )

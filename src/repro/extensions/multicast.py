@@ -30,7 +30,7 @@ from typing import Dict, Sequence
 
 from repro.core.flowlp import (
     Users, add_balance_rows, add_capacity_rows, add_charge_rows, add_flows,
-    window_graph,
+    flow_schedule, window_graph,
 )
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
@@ -109,11 +109,9 @@ def solve_multicast(
 
     completions = {}
     for request in requests:
-        delivered = TransferSchedule(
-            ScheduleEntry(request.request_id, arc.src, arc.dst, arc.slot, volume)
+        delivered = flow_schedule(
+            (request.request_id, arc, float(x[var]))
             for arc, var in flows[request.request_id].items()
-            if arc.kind is ArcKind.TRANSIT
-            and (volume := float(x[var])) > VOLUME_ATOL
         ).completion_slot(request)
         if delivered is not None:
             completions[request.destination] = delivered

@@ -46,7 +46,6 @@ from repro.forecast.guard import StabilityGuard
 from repro.forecast.predictors import PREDICTOR_KINDS, make_predictor
 from repro.forecast.score import ForecastScoreboard
 from repro.obs import registry as obs
-from repro.timeexp.graph import ArcKind
 from repro.units import VOLUME_ATOL
 
 LinkKey = Tuple[int, int]
@@ -302,7 +301,7 @@ class ForecastProvider:
         if self._trust <= 0.0 or not self.active:
             return
         for entry in entries:
-            if entry.kind is not ArcKind.TRANSIT or entry.slot <= self._now:
+            if entry.slot <= self._now:
                 continue
             key = (entry.src, entry.dst)
             if not self._has_res.get(key):

@@ -15,7 +15,8 @@ Per request the work is O(candidate paths x window length): one
 top-down sweep per hop and pass over at most ``T_k`` cells of the
 :class:`UtilizationTracker`'s window rows, read as plain lists.  Once a
 candidate costs nothing, those with as many hops or more are skipped
-(they can only tie); only the winner becomes schedule entries.  Admitted
+(they can only tie); only the winner becomes schedule entries, one per
+hop and slot that sends, and the GB-slots it waits.  Admitted
 requests meet their deadline by construction (per-hop precedence
 windows inside ``[release, release + T_k - 1]``), and the slot's one
 commit re-validates everything before recording.  The price is cost:
@@ -37,7 +38,6 @@ from repro.heuristic.paths import CandidatePathIndex
 from repro.heuristic.tracker import LinkRows, UtilizationTracker
 from repro.net.topology import Topology
 from repro.obs import registry as obs
-from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
@@ -59,6 +59,7 @@ class SlotPlan:
     """The fast lane's tentative decisions for one slot, before commit.
 
     ``plans`` pairs each admitted request with its schedule entries;
+    ``stored`` lists ``(request id, GB-slots)`` of the files that wait;
     ``rejected`` holds the requests that failed admission;
     ``peak_utilization`` is the highest (committed + planned) / capacity
     over the link-slots the plan touches — the hybrid's pressure signal.
@@ -68,6 +69,7 @@ class SlotPlan:
     plans: List[Tuple[TransferRequest, List[ScheduleEntry]]] = field(
         default_factory=list
     )
+    stored: List[Tuple[int, float]] = field(default_factory=list)
     rejected: List[TransferRequest] = field(default_factory=list)
     peak_utilization: float = 0.0
 
@@ -141,13 +143,15 @@ class CandidatePathScheduler(Scheduler):
         """Whether a candidate replaces ``best = (cost, len(path), ...)``."""
         raise NotImplementedError
 
-    def _plan_file(self, request: TransferRequest) -> Optional[List[ScheduleEntry]]:
+    def _plan_file(
+        self, request: TransferRequest
+    ) -> Optional[Tuple[List[ScheduleEntry], float]]:
         """Admission test + placement: the cheapest feasible candidate.
 
         Places the file along each candidate path; the feasible plan
         :meth:`_beats` prefers (candidate order breaks the rest) joins
-        the pending rows and comes back as schedule entries; ``None``
-        when no candidate fits.
+        the pending rows and comes back as :func:`_emit`'s schedule
+        entries and GB-slots of waiting; ``None`` when no candidate fits.
         """
         # Window-aware candidates: never spend sweeps on a path with a
         # hop that stays dark for the whole request window.
@@ -257,11 +261,14 @@ class FastLaneScheduler(CandidatePathScheduler):
             for request in sorted(
                 requests, key=lambda r: (r.deadline_slots, -r.desired_rate)
             ):
-                entries = self._plan_file(request)
-                if entries is None:
+                planned = self._plan_file(request)
+                if planned is None:
                     plan.rejected.append(request)
-                else:
-                    plan.plans.append((request, entries))
+                    continue
+                entries, stored = planned
+                plan.plans.append((request, entries))
+                if stored:
+                    plan.stored.append((request.request_id, stored))
             plan.peak_utilization = self._tracker.peak_utilization()
         return plan
 
@@ -273,7 +280,9 @@ class FastLaneScheduler(CandidatePathScheduler):
         plan before anything is recorded, so a bad plan leaves the state
         untouched; the ledger is then written file by file, in order.
         """
-        schedule = TransferSchedule(e for _, entries in plan.plans for e in entries)
+        schedule = TransferSchedule(
+            (e for _, entries in plan.plans for e in entries), stored=plan.stored
+        )
         if plan.plans:
             self._state.commit(
                 schedule, [request for request, _ in plan.plans], per_file=True
@@ -424,12 +433,13 @@ def _bill_increase(hop_rows: Sequence[LinkRows], sends: List[List[float]]) -> fl
 
 def _emit(
     request: TransferRequest, path: List[int], sends: List[List[float]]
-) -> List[ScheduleEntry]:
-    """Transit entries per hop plus holdovers while data waits: volume
-    that reaches a hop's tail node before it departs is parked there, one
-    holdover entry per waiting slot, so flow conservation balances."""
+) -> Tuple[List[ScheduleEntry], float]:
+    """One transit entry per hop and slot that sends, and the GB-slots the
+    file waits: what sits at a hop's tail before it departs, summed over
+    the waiting slots in hop, then slot order."""
     rid, release = request.request_id, request.release_slot
     entries: List[ScheduleEntry] = []
+    stored = 0.0
     arrivals = [request.size_gb] + [0.0] * request.deadline_slots
     for h, sent in enumerate(sends):
         moving = [i for i, volume in enumerate(sent) if volume > 0.0]
@@ -443,8 +453,6 @@ def _emit(
                     entries.append(ScheduleEntry(rid, src, dst, release + i, sent[i]))
                     buffered -= sent[i]
                 if buffered > VOLUME_ATOL and i < last_action:
-                    entries.append(ScheduleEntry(
-                        rid, src, src, release + i, buffered, ArcKind.HOLDOVER
-                    ))
+                    stored += buffered
         arrivals = [0.0] + sent
-    return entries
+    return entries, stored

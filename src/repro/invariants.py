@@ -5,12 +5,12 @@ by its deadline ``T_k``, that no link-slot carries more than its capacity,
 that flow is conserved through holdover arcs, and that the bill equals
 ``sum(a_ij * max_n)`` of what the ledger recorded.  The broker adds one
 decision per id, no volume in a dark window, and a recovered broker equal
-to the live one.
+to the live one.  Each check returns the violated invariants as sentences.
 
-Each check returns the violated invariants as sentences; an empty list
-means they hold.  Flow conservation is not re-checked here: it is a
-property of a schedule, and :meth:`~repro.core.schedule.TransferSchedule.
-validate` checks it, with per-slot capacity and full delivery, on every
+Flow conservation is a property of a schedule, which lists transmissions
+only: :meth:`~repro.core.schedule.TransferSchedule.validate` checks it as
+a running balance per datacenter (waiting implied), with per-slot capacity
+up to :func:`cell_tolerance` and full delivery, on every
 :meth:`~repro.core.state.NetworkState.commit`.  The simulation's audit
 runs :func:`cells` and :func:`deadlines`; a broker's resume runs the whole
 kernel through :func:`verify_recovery`.

@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
 from repro.errors import InfeasibleError, RecoveryError, SolverError
+from repro.core.flowlp import flow_schedule
 from repro.core.replan import ActiveFile, solve_multisource_plan
 from repro.core.schedule import SEMANTICS_FLUID, ScheduleEntry, TransferSchedule
 from repro.obs import registry as obs
-from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
@@ -111,7 +111,7 @@ class RecoveryManager:
         for request in requests:
             self._requests[request.request_id] = request
         self._fluid = self._fluid or schedule.semantics == SEMANTICS_FLUID
-        self._log_entries(schedule.transit_entries())
+        self._log_entries(schedule.entries)
 
     def _log_entries(self, entries: List[ScheduleEntry]) -> None:
         for e in entries:
@@ -252,18 +252,10 @@ class RecoveryManager:
             )
         except (InfeasibleError, SolverError):
             return False
-        entries = []
-        storage = 0.0
-        for (rid, arc), volume in plan.items():
-            if arc.kind is ArcKind.TRANSIT:
-                entries.append(
-                    ScheduleEntry(rid, arc.src, arc.dst, arc.slot, volume)
-                )
-            else:
-                storage += volume
-        self._commit(entries)
-        self.state.storage_used += storage
-        self._complete(request, delivered, entries)
+        schedule = flow_schedule((rid, arc, volume) for (rid, arc), volume in plan.items())
+        self._commit(schedule.entries)
+        self.state.storage_used += schedule.total_storage_volume()
+        self._complete(request, delivered, schedule.entries)
         report.salvaged_gb += file.remaining
         return True
 

@@ -18,7 +18,6 @@ from repro.core.schedule import (
     ScheduleEntry,
     TransferSchedule,
 )
-from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
 
 PathLike = Union[str, Path]
@@ -87,21 +86,14 @@ def load_requests(path: PathLike) -> List[TransferRequest]:
 
 
 def schedule_to_json(schedule: TransferSchedule) -> str:
-    """Encode a schedule (entries + semantics) as JSON."""
+    """Encode a schedule (transmissions, storage + semantics) as JSON."""
     payload = {
         "version": _TRACE_VERSION,
         "kind": "postcard-schedule",
         "semantics": schedule.semantics,
-        "entries": [
-            {
-                "request_id": e.request_id,
-                "src": e.src,
-                "dst": e.dst,
-                "slot": e.slot,
-                "volume": e.volume,
-                "kind": e.kind.value,
-            }
-            for e in schedule.entries
+        "entries": [e._asdict() for e in schedule.entries],
+        "storage": [
+            {"request_id": rid, "gb_slots": gb} for rid, gb in schedule.stored
         ],
     }
     return json.dumps(payload, indent=2)
@@ -117,24 +109,26 @@ def schedule_from_json(text: str) -> TransferSchedule:
     semantics = payload.get("semantics", SEMANTICS_STORE_AND_FORWARD)
     if semantics not in (SEMANTICS_STORE_AND_FORWARD, SEMANTICS_FLUID):
         raise WorkloadError(f"unknown schedule semantics {semantics!r}")
-    entries = []
-    for row in payload.get("entries", []):
-        try:
-            entries.append(
-                ScheduleEntry(
-                    request_id=int(row["request_id"]),
-                    src=int(row["src"]),
-                    dst=int(row["dst"]),
-                    slot=int(row["slot"]),
-                    volume=float(row["volume"]),
-                    kind=ArcKind(row.get("kind", "transit")),
-                )
-            )
-        except KeyError as exc:
-            raise WorkloadError(f"schedule entry missing field {exc}") from exc
-        except ValueError as exc:
-            raise WorkloadError(str(exc)) from exc
-    return TransferSchedule(entries, semantics=semantics)
+    # Documents written before waiting was implied list each waiting
+    # slot as a "holdover" row: its volume is one GB-slot contribution.
+    entries, stored = [], []
+    try:
+        for row in payload.get("entries", []):
+            kind, rid = row.get("kind", "transit"), int(row["request_id"])
+            if kind == "holdover":
+                stored.append((rid, float(row["volume"])))
+            elif kind != "transit":
+                raise ValueError(f"unknown schedule entry kind {kind!r}")
+            else:
+                entries.append(ScheduleEntry(
+                    rid, *(int(row[f]) for f in ("src", "dst", "slot")), float(row["volume"])
+                ))
+        stored += [(int(r["request_id"]), float(r["gb_slots"])) for r in payload.get("storage", [])]
+    except KeyError as exc:
+        raise WorkloadError(f"schedule entry missing field {exc}") from exc
+    except ValueError as exc:
+        raise WorkloadError(str(exc)) from exc
+    return TransferSchedule(entries, semantics=semantics, stored=stored)
 
 
 def save_schedule(schedule: TransferSchedule, path: PathLike) -> None:

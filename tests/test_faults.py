@@ -183,7 +183,7 @@ class TestSchedulingAroundFaults:
         scheduler.state.fault_model = FaultModel([Outage(2, 1, 0, 10)])
         request = TransferRequest(2, 3, 6.0, 3, release_slot=0)
         schedule = scheduler.on_slot(0, [request])
-        links = {(e.src, e.dst) for e in schedule.transit_entries()}
+        links = {(e.src, e.dst) for e in schedule.entries}
         assert (2, 1) not in links
         assert scheduler.state.current_cost_per_slot() == pytest.approx(20.0)
 
@@ -207,7 +207,7 @@ class TestSchedulingAroundFaults:
         scheduler.state.fault_model = FaultModel([Outage(2, 1, 0, 10)])
         request = TransferRequest(2, 3, 6.0, 3, release_slot=0)
         schedule = scheduler.on_slot(0, [request])
-        links = {(e.src, e.dst) for e in schedule.transit_entries()}
+        links = {(e.src, e.dst) for e in schedule.entries}
         assert (2, 1) not in links
 
     def test_full_simulation_with_random_faults(self):

@@ -34,7 +34,7 @@ def test_relay_path_chosen_when_cheaper():
     request = TransferRequest(2, 3, 6.0, 3, release_slot=0)
     schedule = scheduler.on_slot(0, [request])
     schedule.validate([request])
-    links = {(e.src, e.dst) for e in schedule.transit_entries()}
+    links = {(e.src, e.dst) for e in schedule.entries}
     assert links == {(2, 1), (1, 3)}
     # Matches the paper's hand-optimized 12 (the LP finds 12 too).
     assert scheduler.state.current_cost_per_slot() == pytest.approx(12.0)
@@ -143,7 +143,7 @@ def test_admits_over_the_only_lit_path():
     schedule = scheduler.on_slot(0, [request])
     assert scheduler.state.rejected == []
     schedule.validate([request])
-    assert {(e.src, e.dst) for e in schedule.transit_entries()} == {(0, 4), (4, 1)}
+    assert {(e.src, e.dst) for e in schedule.entries} == {(0, 4), (4, 1)}
 
 
 def test_waits_for_a_window_that_opens_mid_deadline():
@@ -156,7 +156,7 @@ def test_waits_for_a_window_that_opens_mid_deadline():
     committed = scheduler.on_slot(0, [request])
     assert scheduler.state.rejected == []
     committed.validate([request])
-    second_hop = [e.slot for e in committed.transit_entries() if e.src == 4]
+    second_hop = [e.slot for e in committed.entries if e.src == 4]
     assert second_hop and min(second_hop) >= 2
     assert committed.total_storage_volume() > 0  # parked at DC 4 meanwhile
 

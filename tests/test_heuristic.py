@@ -6,6 +6,8 @@ headroom-first behavior, admission rejections, and the scheduler's
 integration with the simulation engine and registry.
 """
 
+import random
+
 import pytest
 
 from repro.errors import InfeasibleError, SchedulingError
@@ -22,7 +24,6 @@ from repro.net.generators import complete_topology
 from repro.net.topology import Datacenter, Link, Topology
 from repro.registry import make_scheduler, scheduler_names
 from repro.sim.engine import Simulation
-from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
 from repro.traffic.workload import PaperWorkload
 
@@ -178,11 +179,14 @@ def test_multi_hop_emits_holdover_and_meets_deadline():
     assert completion <= request.last_slot
     # ALAP: the final hop lands on the last window slot.
     last_hop_slots = [
-        e.slot for e in schedule.transit_entries() if e.dst == 2
+        e.slot for e in schedule.entries if e.dst == 2
     ]
     assert max(last_hop_slots) == request.last_slot
-    # The source parks data before the first hop departs.
-    assert any(e.kind is ArcKind.HOLDOVER for e in schedule.entries)
+    # The source parks data before the first hop departs: the wait is
+    # implied by the late departure and counted as storage.
+    first_hop_slots = [e.slot for e in schedule.entries if e.src == 0]
+    assert min(first_hop_slots) > request.release_slot
+    assert scheduler.state.storage_used > 0
 
 
 @pytest.mark.parametrize("size", [1e-10, 1e-7, 1e-6])
@@ -278,9 +282,37 @@ def test_two_pass_placement_respects_every_due_cutoff():
     sends = scheduler._place([first, relay], request, headroom_first=True)
     assert sends is not None
     assert sends[0] == pytest.approx([3.88, 2.6, 3.0, 0.0])
-    schedule = TransferSchedule(fastlane._emit(request, [0, 1, 2], sends))
+    entries, _ = fastlane._emit(request, [0, 1, 2], sends)
+    schedule = TransferSchedule(entries)
     schedule.validate([request])  # raised SchedulingError before the fix
     assert schedule.delivered_volume(request) == pytest.approx(9.48)
+
+
+def test_a_slot_lists_transmissions_and_counts_the_waits_they_imply():
+    # Waiting is implied: a fast-lane slot builds exactly one entry per
+    # (file, link, slot) it sends on, none for waiting, and the storage it
+    # commits is the GB-slots of waiting those entries imply.
+    topo = complete_topology(5, capacity=20.0, seed=3)
+    scheduler = FastLaneScheduler(topo, horizon=30, on_infeasible="drop")
+    rng = random.Random(7)
+    requests = []
+    for _ in range(40):
+        source, destination = rng.sample(range(5), 2)
+        requests.append(TransferRequest(
+            source, destination, float(rng.randint(2, 30)), rng.randint(2, 6),
+            release_slot=0,
+        ))
+    plan = scheduler.plan_slot(0, requests)
+    built = [(e.request_id, e.src, e.dst, e.slot) for _, es in plan.plans for e in es]
+    assert len(built) == len(set(built))
+    schedule = scheduler.commit_plan(plan)
+    assert [(e.request_id, e.src, e.dst, e.slot) for e in schedule.entries] == built
+    admitted = [request for request, _ in plan.plans]
+    assert any(e.src != r.source for r, es in plan.plans for e in es)  # relays
+    implied = sum(schedule.storage_slot_volumes(admitted).values())
+    assert scheduler.state.storage_used > 0.0
+    assert scheduler.state.storage_used == pytest.approx(implied, rel=1e-12)
+    assert schedule.total_storage_volume() == scheduler.state.storage_used
 
 
 # -- tentative planning (plan_slot) ---------------------------------------

@@ -46,7 +46,6 @@ from repro.net.schedule import LinkSchedule
 from repro.service.config import ServiceConfig
 from repro.service.slotloop import TransferBroker
 from repro.service.wal import scan_wal
-from repro.timeexp.graph import ArcKind
 from repro.traffic.spec import TransferRequest
 from tests.test_lp_arcs import (
     _FIXTURE_CONFIG,
@@ -162,7 +161,7 @@ def test_through_the_lane_full_le_pruned_le_fast_lane(seed, nodes, files, warm_s
     assume(not plan.rejected)
     entries = [entry for _, placed in plan.plans for entry in placed]
     fast_cost = state.preview_cost(TransferSchedule(entries))
-    fast_hops = sum(e.volume for e in entries if e.kind is ArcKind.TRANSIT)
+    fast_hops = sum(e.volume for e in entries)
 
     widened = lane.widened
     placed = lane.plan_slot(slot, requests, scheduler._arc_sets(requests, plan),

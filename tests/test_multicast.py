@@ -39,7 +39,7 @@ def test_shared_first_hop_on_star():
     # The uplink (1 -> 0) carries at most the file size in total.
     uplink_total = sum(
         e.volume
-        for e in result.schedule.transit_entries()
+        for e in result.schedule.entries
         if (e.src, e.dst) == (1, 0)
     )
     assert uplink_total <= 12.0 + 1e-6

@@ -35,7 +35,7 @@ class TestFig1:
     def test_postcard_uses_the_relay_path(self):
         scheduler = PostcardScheduler(fig1_topology(), horizon=100)
         schedule = scheduler.on_slot(0, [self.request()])
-        links_used = {(e.src, e.dst) for e in schedule.transit_entries()}
+        links_used = {(e.src, e.dst) for e in schedule.entries}
         assert links_used == {(2, 1), (1, 3)}
 
     def test_deadline_met(self):

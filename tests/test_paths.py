@@ -7,7 +7,6 @@ from repro.core import PostcardScheduler, decompose_paths
 from repro.core.paths import TimedPath
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.net.generators import complete_topology, fig1_topology, fig3_topology
-from repro.timeexp.graph import ArcKind
 from repro.traffic import TransferRequest
 
 
@@ -82,8 +81,7 @@ def test_two_parallel_paths():
             # 4 GB via node 1, 4 GB direct later.
             ScheduleEntry(rid, 0, 1, 0, 4.0),
             ScheduleEntry(rid, 1, 2, 1, 4.0),
-            ScheduleEntry(rid, 0, 0, 0, 4.0, ArcKind.HOLDOVER),
-            ScheduleEntry(rid, 0, 2, 1, 4.0),
+            ScheduleEntry(rid, 0, 2, 1, 4.0),  # waited at 0 over slot 0
         ]
     )
     paths = decompose_paths(schedule, request)

@@ -11,13 +11,8 @@ from repro.core.schedule import (
     ScheduleEntry,
     TransferSchedule,
 )
-from repro.timeexp.graph import ArcKind
 from repro.traffic import TransferRequest
 from repro.traffic.io import schedule_from_json, schedule_to_json
-
-
-def hold(rid, node, slot, vol):
-    return ScheduleEntry(rid, node, node, slot, vol, ArcKind.HOLDOVER)
 
 
 def move(rid, src, dst, slot, vol):
@@ -28,37 +23,38 @@ def test_entry_validation():
     with pytest.raises(SchedulingError):
         ScheduleEntry(1, 0, 1, 0, -1.0)
     with pytest.raises(SchedulingError):
-        ScheduleEntry(1, 0, 0, 0, 1.0)  # self loop must be holdover
-    with pytest.raises(SchedulingError):
-        ScheduleEntry(1, 0, 1, 0, 1.0, ArcKind.HOLDOVER)  # holdover must self-loop
+        ScheduleEntry(1, 0, 0, 0, 1.0)  # waiting is implied, never an entry
+    with pytest.raises(TypeError):
+        ScheduleEntry(1, 0, 1, 0, 1.0, "transit")  # an entry has no kind
 
 
 def test_entry_contract():
-    """An entry is an immutable value: hashable, picklable, serialisable,
-    built positionally or by keyword, transit unless told otherwise."""
+    """An entry is an immutable value: one transmission, hashable,
+    picklable, serialisable, built positionally or by keyword."""
     entry = ScheduleEntry(request_id=7, src=0, dst=1, slot=2, volume=3.5)
-    assert entry.kind is ArcKind.TRANSIT
+    assert entry._fields == ("request_id", "src", "dst", "slot", "volume")
     assert entry == move(7, 0, 1, 2, 3.5)
     assert hash(entry) == hash(move(7, 0, 1, 2, 3.5))
     with pytest.raises(AttributeError):
         entry.volume = 1.0
     with pytest.raises(SchedulingError, match="negative volume"):
         ScheduleEntry(request_id=7, src=0, dst=1, slot=2, volume=-0.5)
-    with pytest.raises(SchedulingError, match="inconsistent"):
+    with pytest.raises(SchedulingError, match="implied"):
         ScheduleEntry(request_id=7, src=1, dst=1, slot=2, volume=3.5)
-    held = hold(7, 1, 3, 3.5)
-    restored = pickle.loads(pickle.dumps(held))
-    assert restored == held and type(restored) is ScheduleEntry
-    schedule = TransferSchedule([entry, held, move(7, 1, 2, 4, 3.5)])
-    assert schedule_from_json(schedule_to_json(schedule)).entries == schedule.entries
+    restored = pickle.loads(pickle.dumps(entry))
+    assert restored == entry and type(restored) is ScheduleEntry
+    # The wait at 1 over slot 3 is implied; its GB-slots ride as a number.
+    schedule = TransferSchedule([entry, move(7, 1, 2, 4, 3.5)], stored=[(7, 3.5)])
+    loaded = schedule_from_json(schedule_to_json(schedule))
+    assert loaded.entries == schedule.entries and loaded.stored == [(7, 3.5)]
 
 
 def test_validate_returns_the_per_file_groups():
     r1 = TransferRequest(0, 2, 3.0, 3, release_slot=0)
     r2 = TransferRequest(0, 1, 1.0, 2, release_slot=0)
     schedule = TransferSchedule([
-        move(r1.request_id, 0, 1, 0, 3.0), hold(r2.request_id, 0, 0, 1.0),
-        move(r2.request_id, 0, 1, 1, 1.0),
+        move(r1.request_id, 0, 1, 0, 3.0),
+        move(r2.request_id, 0, 1, 1, 1.0),  # waits at its source over slot 0
         move(r1.request_id, 1, 2, 1, 3.0),
     ])
     groups = schedule.validate([r1, r2])
@@ -77,20 +73,33 @@ def test_zero_volume_entries_dropped():
 
 
 def test_aggregations():
+    relay = TransferRequest(0, 2, 3.0, 4, release_slot=0)
+    rid = relay.request_id
     schedule = TransferSchedule(
         [
-            move(1, 0, 1, 0, 3.0),
-            move(2, 0, 1, 0, 2.0),
-            move(1, 1, 2, 1, 3.0),
-            hold(1, 1, 0, 3.0),
-        ]
+            move(rid, 0, 1, 1, 3.0),
+            move(rid + 1, 0, 1, 1, 2.0),
+            move(rid, 1, 2, 3, 3.0),
+        ],
+        stored=[(rid, 3.0), (rid, 6.0)],
     )
-    assert schedule.link_slot_volumes() == {(0, 1, 0): 5.0, (1, 2, 1): 3.0}
-    assert schedule.storage_slot_volumes() == {(1, 0): 3.0}
+    assert schedule.link_slot_volumes() == {(0, 1, 1): 5.0, (1, 2, 3): 3.0}
+    # The relay waits a slot at its source, then a slot at 1 (it lands
+    # there at 2 and leaves at 3); the other file is not listed, so its source
+    # holds nothing before its first departure.
+    assert schedule.storage_slot_volumes([relay]) == {(0, 0): 3.0, (1, 2): 3.0}
+    assert schedule.storage_slot_volumes() == {(1, 2): 3.0}
     assert schedule.total_transit_volume() == 8.0
-    assert schedule.total_storage_volume() == 3.0
-    assert schedule.slots_used() == [0, 1]
-    assert len(schedule.entries_for_request(1)) == 3
+    assert schedule.total_storage_volume() == 9.0
+    assert len(schedule.entries_for_request(rid)) == 2
+
+
+def test_merge_concatenates_entries_and_storage():
+    a = TransferSchedule([move(1, 0, 1, 1, 1.0)], stored=[(1, 1.0)])
+    b = TransferSchedule([move(2, 0, 1, 0, 1.0)], stored=[(2, 0.5)])
+    merged = a.merge(b)
+    assert merged.entries == a.entries + b.entries
+    assert merged.stored == [(1, 1.0), (2, 0.5)]
 
 
 def test_merge_same_semantics():
@@ -114,8 +123,7 @@ def test_delivered_volume_and_completion():
         [
             move(rid, 0, 1, 0, 6.0),
             move(rid, 1, 2, 1, 3.0),
-            hold(rid, 1, 1, 3.0),
-            move(rid, 1, 2, 2, 3.0),
+            move(rid, 1, 2, 2, 3.0),  # the other half waits at 1 over slot 1
         ]
     )
     assert schedule.delivered_volume(request) == pytest.approx(6.0)
@@ -199,12 +207,10 @@ def test_validate_fluid_rejects_imbalance():
 def test_validate_fluid_rejects_holdover():
     request = TransferRequest(0, 1, 4.0, 2, release_slot=0)
     rid = request.request_id
-    bad = TransferSchedule(
-        [move(rid, 0, 1, 0, 4.0), hold(rid, 0, 0, 1.0)],
-        semantics=SEMANTICS_FLUID,
-    )
     with pytest.raises(SchedulingError, match="holdover"):
-        bad.validate([request])
+        TransferSchedule(
+            [move(rid, 0, 1, 0, 4.0)], semantics=SEMANTICS_FLUID, stored=[(rid, 1.0)],
+        )
 
 
 def test_validate_capacity():

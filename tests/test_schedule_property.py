@@ -121,7 +121,6 @@ _DEFECTS = ("delivers", "unknown", "outside", "conservation", "capacity")
 def slot_plans(draw):
     """Several files' entries interleaved in one schedule, one maybe broken."""
     from repro.core.schedule import ScheduleEntry
-    from repro.timeexp.graph import ArcKind
 
     files = []
     for _ in range(draw(st.integers(1, 6))):
@@ -129,10 +128,9 @@ def slot_plans(draw):
         size = float(draw(st.integers(1, 9)))
         request = TransferRequest(0, 2, size, draw(st.integers(3, 5)), release_slot=2)
         rid, first = request.request_id, request.release_slot
-        if relay:  # 0 -> 1, wait a slot at 1, 1 -> 2
+        if relay:  # 0 -> 1, wait a slot at 1 (implied), 1 -> 2
             entries = [
                 ScheduleEntry(rid, 0, 1, first, size),
-                ScheduleEntry(rid, 1, 1, first + 1, size, ArcKind.HOLDOVER),
                 ScheduleEntry(rid, 1, 2, first + 2, size),
             ]
         else:

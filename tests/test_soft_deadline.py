@@ -118,7 +118,7 @@ def test_lateness_accounting_matches_schedule(line3):
     result = solve_soft_deadline(state, [request], extension=2, lateness_penalty=0.5)
     # Recompute lateness from the schedule itself.
     expected = 0.0
-    for e in result.schedule.transit_entries():
+    for e in result.schedule.entries:
         if e.dst == request.destination:
             late = max(0, e.slot + 1 - (request.release_slot + request.deadline_slots))
             expected += late * e.volume

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro import invariants
 from repro.errors import SchedulingError
 from repro.charging import PercentileCharging
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
+from repro.net.generators import line_topology
 from repro.traffic import TransferRequest
 
 
@@ -66,6 +68,24 @@ def test_commit_validates_capacity(state):
     assert state.committed_volume(0, 1, 0) == 0.0
 
 
+def test_commit_capacity_slack_stays_inside_the_ledger_tolerance():
+    # On a 100 GB link the audit allowed 1e-5 x 100 GB over the residual,
+    # while the invariant kernel flags a cell 1e-6 x 100 GB over capacity:
+    # a commit could record 5e-4 GB over, and the next audit (or resume)
+    # called the books broken.  The audit's slack is now the kernel's.
+    state = NetworkState(line_topology(2, capacity=100.0), horizon=10)
+    request = TransferRequest(0, 1, 100.0 + 5e-4, 1, release_slot=0)
+    with pytest.raises(SchedulingError, match="over capacity"):
+        state.commit(_delivering_schedule(request), [request])
+    assert state.ledger.total_volume() == 0.0
+    assert not state.completions and state.charged_volume(0, 1) == 0.0
+    assert invariants.cells(state) == []
+    # Within the kernel's tolerance the same commit lands and audits clean.
+    request = TransferRequest(0, 1, 100.0 + 5e-5, 1, release_slot=0)
+    state.commit(_delivering_schedule(request), [request])
+    assert invariants.cells(state) == []
+
+
 def test_commit_requires_delivery(state):
     request = TransferRequest(0, 2, 4.0, 2, release_slot=0)
     partial = TransferSchedule(
@@ -81,17 +101,15 @@ def test_commit_requires_delivery(state):
 
 
 def test_storage_accounting(state):
-    from repro.timeexp.graph import ArcKind
-
     request = TransferRequest(0, 2, 4.0, 3, release_slot=0)
     rid = request.request_id
+    # The data waits at 1 over slot 1: implied by the transmissions, and
+    # its GB-slots ride beside them.
     schedule = TransferSchedule(
-        [
-            ScheduleEntry(rid, 0, 1, 0, 4.0),
-            ScheduleEntry(rid, 1, 1, 1, 4.0, ArcKind.HOLDOVER),
-            ScheduleEntry(rid, 1, 2, 2, 4.0),
-        ]
+        [ScheduleEntry(rid, 0, 1, 0, 4.0), ScheduleEntry(rid, 1, 2, 2, 4.0)],
+        stored=[(rid, 4.0)],
     )
+    assert schedule.storage_slot_volumes([request]) == {(1, 1): 4.0}
     state.commit(schedule, [request])
     assert state.storage_used == pytest.approx(4.0)
 

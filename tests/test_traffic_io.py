@@ -1,5 +1,7 @@
 """Unit tests for trace and schedule serialization."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -8,7 +10,6 @@ from repro.core.schedule import (
     ScheduleEntry,
     TransferSchedule,
 )
-from repro.timeexp.graph import ArcKind
 from repro.traffic import TransferRequest
 from repro.traffic.io import (
     load_requests,
@@ -20,6 +21,8 @@ from repro.traffic.io import (
     schedule_from_json,
     schedule_to_json,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def sample_requests():
@@ -63,15 +66,34 @@ def test_request_errors():
 
 def test_schedule_round_trip():
     schedule = TransferSchedule(
-        [
-            ScheduleEntry(7, 0, 1, 2, 3.5),
-            ScheduleEntry(7, 1, 1, 3, 3.5, ArcKind.HOLDOVER),
-        ]
+        [ScheduleEntry(7, 0, 1, 2, 3.5), ScheduleEntry(7, 1, 2, 4, 3.5)],
+        stored=[(7, 3.5)],
     )
     restored = schedule_from_json(schedule_to_json(schedule))
     assert restored.semantics == schedule.semantics
-    assert len(restored) == 2
+    assert restored.entries == schedule.entries
+    assert restored.stored == schedule.stored
     assert restored.total_storage_volume() == pytest.approx(3.5)
+
+
+def test_a_schedule_with_holdover_rows_still_loads():
+    # Written when every waiting slot was a "holdover" row: file 41 relays
+    # through 1 and waits there two slots, file 42 waits a slot at its
+    # source, and its transit row predates the "kind" field.
+    relay = TransferRequest(0, 2, 4.0, 4, release_slot=0, request_id=41)
+    direct = TransferRequest(0, 2, 1.5, 2, release_slot=0, request_id=42)
+    schedule = load_schedule(DATA / "holdover_schedule_v1.json")
+    assert [tuple(e) for e in schedule.entries] == [
+        (41, 0, 1, 0, 4.0), (41, 1, 2, 3, 4.0), (42, 0, 2, 1, 1.5),
+    ]
+    assert schedule.stored == [(41, 4.0), (41, 4.0), (42, 1.5)]
+    schedule.validate([relay, direct])
+    assert schedule.storage_slot_volumes([relay, direct]) == {
+        (1, 1): 4.0, (1, 2): 4.0, (0, 0): 1.5,
+    }
+    restored = schedule_from_json(schedule_to_json(schedule))
+    assert restored.entries == schedule.entries
+    assert restored.stored == schedule.stored
 
 
 def test_fluid_schedule_round_trip(tmp_path):
