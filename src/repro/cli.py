@@ -107,6 +107,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         except TopologyError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    forecast = None
+    if args.forecast:
+        from repro.errors import SchedulingError
+        from repro.forecast import ForecastProvider
+
+        # Refuse bad values here, before any task (or worker) builds one.
+        try:
+            ForecastProvider.seasonal(args.forecast_period, args.forecast_horizon)
+        except SchedulingError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        forecast = (args.forecast_period, args.forecast_horizon)
     # --outages FILE loads an explicit outage list (--surprise demotes
     # it to unannounced); --surprise alone generates random surprises.
     faults = None
@@ -134,11 +146,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         faults=faults,
         topology=TOPOLOGY_COMPLETE,
         link_schedule=args.link_schedule,
-        forecast=(
-            (args.forecast_period, args.forecast_horizon)
-            if args.forecast
-            else None
-        ),
+        forecast=forecast,
     )
 
     registry = obs.get_registry()

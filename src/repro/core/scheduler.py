@@ -221,11 +221,7 @@ class PostcardScheduler(Scheduler):
                       requests=len(requests)):
             forecast = self.forecast
             predicted_volume_fn = None
-            if (
-                forecast is not None
-                and forecast.active
-                and forecast.config.lp_charge_rows
-            ):
+            if forecast is not None and forecast.active:
                 predicted_volume_fn = forecast.predicted_volume
             with obs.span("scheduler.build_model"):
                 built = build_postcard_model(

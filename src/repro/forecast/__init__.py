@@ -1,8 +1,8 @@
 """Forecast-driven proactive scheduling (PR 10).
 
-Lightweight online predictors learn each link's carried background
-traffic ``B_ij(n)`` and each (src, dst) pair's arrival intensity from
-the observed slots, and a :class:`~repro.forecast.provider.ForecastProvider`
+One online seasonal predictor per link learns the carried background
+traffic ``B_ij(n)``, and one per (src, dst) pair the arrival intensity,
+from the observed slots, and a :class:`~repro.forecast.provider.ForecastProvider`
 feeds the damped predictions into both scheduling lanes so pressured
 volume is deferred into slots forecast to sit under the current
 watermark.  A TARDIS-style stability guard (bounded shift fraction plus
@@ -13,24 +13,14 @@ Everything here is stdlib + numpy; there are no ML dependencies.
 """
 
 from repro.forecast.guard import StabilityGuard
-from repro.forecast.predictors import (
-    DoubleSeasonal,
-    Ewma,
-    PREDICTOR_KINDS,
-    SeasonalNaive,
-    make_predictor,
-)
+from repro.forecast.predictors import DoubleSeasonal
 from repro.forecast.provider import ForecastConfig, ForecastProvider
 from repro.forecast.score import ForecastScoreboard
 
 __all__ = [
     "DoubleSeasonal",
-    "Ewma",
     "ForecastConfig",
     "ForecastProvider",
     "ForecastScoreboard",
-    "PREDICTOR_KINDS",
-    "SeasonalNaive",
     "StabilityGuard",
-    "make_predictor",
 ]

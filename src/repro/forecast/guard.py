@@ -3,64 +3,45 @@
 A forecast-driven controller has a feedback loop: shifted volume
 changes the traffic the predictors then observe, which changes the
 forecasts, which changes the shifting.  TARDIS (PAPERS.md) shows the
-loop stays stable when two knobs bound it, and :class:`StabilityGuard`
-implements both:
+loop stays stable when two fixed bounds hold it, and
+:class:`StabilityGuard` implements both:
 
 * **Bounded shift fraction** — the reservation a forecast may place on
-  any (link, slot) cell is capped at ``max_shift_fraction`` of the
+  any (link, slot) cell is capped at ``MAX_SHIFT_FRACTION`` of the
   link's capacity, so even a confidently wrong forecast can never
   starve a cell or flip the whole schedule.
 * **Error-adaptive damping** — reservations are scaled by a *trust*
-  factor ``1 / (1 + beta * mape)`` computed from the scoreboard's
-  rolling volume-weighted MAPE: the worse the recent forecasts, the
-  less the controller acts on them, decaying smoothly to (near) zero
-  influence — i.e. to the reactive scheduler — as predictions degrade.
+  factor ``1 / (1 + DAMPING_BETA * mape)`` computed from the
+  scoreboard's rolling volume-weighted MAPE: the worse the recent
+  forecasts, the less the controller acts on them, decaying smoothly
+  towards zero influence — i.e. to the reactive scheduler — as
+  predictions degrade.
 
 On top of the smooth damping sits a **trip wire**: if the rolling MAPE
-exceeds ``trip_mape`` the guard trips, forcing trust to zero for
-``trip_cooldown`` slots (and counting the trip, which the CI smoke run
+exceeds ``TRIP_MAPE`` the guard trips, forcing trust to zero for
+``TRIP_COOLDOWN`` slots (and counting the trip, which the CI smoke run
 asserts stays at zero on clean workloads).
 """
 
 from __future__ import annotations
 
-from repro.errors import SchedulingError
 from repro.obs import registry as obs
 
 
 class StabilityGuard:
     """Damping + bounding policy for forecast-driven reservations."""
 
-    def __init__(
-        self,
-        max_shift_fraction: float = 0.6,
-        damping_beta: float = 0.35,
-        min_trust: float = 0.0,
-        trip_mape: float = 2.5,
-        trip_cooldown: int = 24,
-    ):
-        if not 0.0 < max_shift_fraction <= 1.0:
-            raise SchedulingError(
-                f"max_shift_fraction must be in (0, 1], got {max_shift_fraction}"
-            )
-        if damping_beta < 0.0:
-            raise SchedulingError(
-                f"damping_beta must be non-negative, got {damping_beta}"
-            )
-        if not 0.0 <= min_trust <= 1.0:
-            raise SchedulingError(f"min_trust must be in [0, 1], got {min_trust}")
-        if trip_mape <= 0.0:
-            raise SchedulingError(f"trip_mape must be positive, got {trip_mape}")
-        if trip_cooldown < 0:
-            raise SchedulingError(
-                f"trip_cooldown must be non-negative, got {trip_cooldown}"
-            )
-        self.max_shift_fraction = max_shift_fraction
-        self.damping_beta = damping_beta
-        self.min_trust = min_trust
-        self.trip_mape = trip_mape
-        self.trip_cooldown = trip_cooldown
-        #: Times the trip wire fired (MAPE above ``trip_mape``).
+    #: Cap on one cell's reservation, as a fraction of the link's capacity.
+    MAX_SHIFT_FRACTION = 0.6
+    #: Slope of the trust decay in the rolling MAPE.
+    DAMPING_BETA = 0.35
+    #: Rolling MAPE above which the guard trips.
+    TRIP_MAPE = 2.5
+    #: Slots a trip holds trust at zero.
+    TRIP_COOLDOWN = 24
+
+    def __init__(self):
+        #: Times the trip wire fired (MAPE above ``TRIP_MAPE``).
         self.trips = 0
         self._cooldown_until = -1
 
@@ -73,9 +54,9 @@ class StabilityGuard:
         """
         if slot < self._cooldown_until:
             return
-        if mape > self.trip_mape:
+        if mape > self.TRIP_MAPE:
             self.trips += 1
-            self._cooldown_until = slot + 1 + self.trip_cooldown
+            self._cooldown_until = slot + 1 + self.TRIP_COOLDOWN
             obs.counter("forecast.guard_trips", slot=slot, mape=round(mape, 4))
 
     def tripped(self, slot: int) -> bool:
@@ -86,10 +67,10 @@ class StabilityGuard:
         """The damping factor applied to every reservation this slot."""
         if self.tripped(slot):
             return 0.0
-        return max(self.min_trust, 1.0 / (1.0 + self.damping_beta * max(0.0, mape)))
+        return 1.0 / (1.0 + self.DAMPING_BETA * max(0.0, mape))
 
     def bound(self, reservation: float, capacity: float) -> float:
         """Clamp a raw reservation to the bounded shift fraction."""
         if reservation <= 0.0:
             return 0.0
-        return min(reservation, self.max_shift_fraction * capacity)
+        return min(reservation, self.MAX_SHIFT_FRACTION * capacity)

@@ -1,25 +1,13 @@
-"""Online scalar-series predictors for per-link traffic.
+"""The online predictor for per-link traffic and per-pair arrivals.
 
-Each predictor consumes one value per slot through :meth:`observe` and
-answers :meth:`forecast` queries for any number of steps ahead, in
-O(1) per call, from state that is a pure function of the observation
-sequence — so a crash-recovery replay that re-feeds the same slots
-reproduces the same forecasts bit for bit.
+:class:`DoubleSeasonal` consumes one value per slot through
+:meth:`~DoubleSeasonal.observe` and answers
+:meth:`~DoubleSeasonal.forecast` queries for any number of steps
+ahead, in O(1) per call, from state that is a pure function of the
+observation sequence — so a crash-recovery replay that re-feeds the
+same slots reproduces the same forecasts bit for bit.
 
-The catalog mirrors the per-link GEANT-trace prediction idiom
-referenced in ROADMAP.md:
-
-* :class:`SeasonalNaive` — last season's value at the same phase; the
-  strongest trivial baseline on strongly periodic traffic, but it
-  copies last season's noise verbatim.
-* :class:`Ewma` — an exponentially weighted level; tracks slow drift
-  and ignores seasonality.
-* :class:`DoubleSeasonal` — Holt–Winters-style additive smoothing with
-  a level plus one (optionally two, e.g. daily + weekly) seasonal
-  index arrays; averages across seasons, so per-slot noise is smoothed
-  out of the shape.
-
-All forecasts are clamped to be non-negative (traffic volumes).
+Forecasts are clamped to be non-negative (traffic volumes).
 """
 
 from __future__ import annotations
@@ -28,16 +16,29 @@ from typing import List, Optional
 
 from repro.errors import SchedulingError
 
-PREDICTOR_KINDS = ("seasonal", "ewma", "hw")
+#: Smoothing weights of the level and of the seasonal indices.
+ALPHA = 0.3
+GAMMA = 0.3
 
 
-class SeasonalNaive:
-    """Predict this phase's value as last season's value at the phase."""
+class DoubleSeasonal:
+    """Holt–Winters-style additive level + seasonal index smoothing.
+
+    One seasonal array of length ``period`` is maintained.  Updates are
+    the standard additive recurrences::
+
+        level  <- ALPHA * (y - s[i]) + (1 - ALPHA) * level
+        s[i]   <- GAMMA * (y - level) + (1 - GAMMA) * s[i]
+
+    The seasonal shape is averaged across seasons, so one noisy day
+    does not get copied verbatim into the next day's forecasts.
+    """
 
     def __init__(self, period: int):
         if period < 2:
             raise SchedulingError(f"seasonal period must be >= 2, got {period}")
         self.period = period
+        self._level: Optional[float] = None
         self._season: List[float] = [0.0] * period
         self._count = 0
 
@@ -47,111 +48,14 @@ class SeasonalNaive:
         return self._count >= self.period
 
     def observe(self, value: float) -> None:
-        self._season[self._count % self.period] = float(value)
-        self._count += 1
-
-    def forecast(self, steps_ahead: int) -> float:
-        if steps_ahead < 1:
-            raise SchedulingError("forecast horizon must be >= 1 step")
-        if not self.ready:
-            return 0.0
-        return max(0.0, self._season[(self._count - 1 + steps_ahead) % self.period])
-
-
-class Ewma:
-    """An exponentially weighted moving level (no seasonality)."""
-
-    def __init__(self, alpha: float = 0.3):
-        if not 0.0 < alpha <= 1.0:
-            raise SchedulingError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._level: Optional[float] = None
-        self._count = 0
-
-    @property
-    def ready(self) -> bool:
-        return self._level is not None
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if self._level is None:
-            self._level = value
-        else:
-            self._level = self.alpha * value + (1.0 - self.alpha) * self._level
-        self._count += 1
-
-    def forecast(self, steps_ahead: int) -> float:
-        if steps_ahead < 1:
-            raise SchedulingError("forecast horizon must be >= 1 step")
-        return max(0.0, self._level or 0.0)
-
-
-class DoubleSeasonal:
-    """Holt–Winters-style additive level + seasonal index smoothing.
-
-    One seasonal array of length ``period`` is always maintained; a
-    second of length ``period2`` (e.g. a weekly cycle on top of a daily
-    one) is added when ``period2 > 0``.  Updates are the standard
-    additive recurrences::
-
-        level   <- alpha * (y - s1 - s2) + (1 - alpha) * level
-        s1[i1]  <- gamma * (y - level - s2) + (1 - gamma) * s1[i1]
-        s2[i2]  <- gamma * (y - level - s1) + (1 - gamma) * s2[i2]
-
-    Unlike :class:`SeasonalNaive` the seasonal shape is averaged across
-    seasons, so one noisy day does not get copied verbatim into the
-    next day's forecasts.
-    """
-
-    def __init__(
-        self,
-        period: int,
-        alpha: float = 0.3,
-        gamma: float = 0.3,
-        period2: int = 0,
-    ):
-        if period < 2:
-            raise SchedulingError(f"seasonal period must be >= 2, got {period}")
-        if period2 and period2 < 2:
-            raise SchedulingError(f"second period must be >= 2, got {period2}")
-        if not 0.0 < alpha <= 1.0:
-            raise SchedulingError(f"alpha must be in (0, 1], got {alpha}")
-        if not 0.0 < gamma <= 1.0:
-            raise SchedulingError(f"gamma must be in (0, 1], got {gamma}")
-        self.period = period
-        self.period2 = period2
-        self.alpha = alpha
-        self.gamma = gamma
-        self._level: Optional[float] = None
-        self._s1: List[float] = [0.0] * period
-        self._s2: List[float] = [0.0] * period2 if period2 else []
-        self._count = 0
-
-    @property
-    def ready(self) -> bool:
-        """True once one full (primary) season has been observed."""
-        return self._count >= self.period
-
-    def observe(self, value: float) -> None:
         y = float(value)
-        i1 = self._count % self.period
-        i2 = self._count % self.period2 if self.period2 else 0
-        s2 = self._s2[i2] if self.period2 else 0.0
         if self._level is None:
             self._level = y
         else:
-            s1 = self._s1[i1]
-            self._level = (
-                self.alpha * (y - s1 - s2) + (1.0 - self.alpha) * self._level
-            )
-            self._s1[i1] = (
-                self.gamma * (y - self._level - s2) + (1.0 - self.gamma) * s1
-            )
-            if self.period2:
-                self._s2[i2] = (
-                    self.gamma * (y - self._level - self._s1[i1])
-                    + (1.0 - self.gamma) * s2
-                )
+            i = self._count % self.period
+            s = self._season[i]
+            self._level = ALPHA * (y - s) + (1.0 - ALPHA) * self._level
+            self._season[i] = GAMMA * (y - self._level) + (1.0 - GAMMA) * s
         self._count += 1
 
     def forecast(self, steps_ahead: int) -> float:
@@ -160,26 +64,4 @@ class DoubleSeasonal:
         if not self.ready:
             return 0.0
         n = self._count - 1 + steps_ahead
-        value = (self._level or 0.0) + self._s1[n % self.period]
-        if self.period2:
-            value += self._s2[n % self.period2]
-        return max(0.0, value)
-
-
-def make_predictor(kind: str, period: int, alpha: float = 0.3,
-                   gamma: float = 0.3, period2: int = 0):
-    """Predictor factory keyed by catalog name.
-
-    ``"seasonal"`` and ``"hw"`` need a positive ``period``; ``"ewma"``
-    ignores it.
-    """
-    if kind == "ewma":
-        return Ewma(alpha=alpha)
-    if kind == "seasonal":
-        return SeasonalNaive(period)
-    if kind == "hw":
-        return DoubleSeasonal(period, alpha=alpha, gamma=gamma, period2=period2)
-    raise SchedulingError(
-        f"unknown predictor kind {kind!r}; available: "
-        + ", ".join(PREDICTOR_KINDS)
-    )
+        return max(0.0, (self._level or 0.0) + self._season[n % self.period])

@@ -25,7 +25,7 @@ capacities, so a forecast (right or wrong) can change where volume is
 placed but never whether a request is admitted.  Reservations apply
 only to slots strictly after the current one — the present is
 observed, not predicted — and are zero until the predictors have seen
-a full warmup window, so a cold provider is bit-for-bit the reactive
+one full period, so a cold provider is bit-for-bit the reactive
 scheduler.
 
 The provider deliberately lives on the scheduler, not inside
@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.forecast.guard import StabilityGuard
-from repro.forecast.predictors import PREDICTOR_KINDS, make_predictor
+from repro.forecast.predictors import DoubleSeasonal
 from repro.forecast.score import ForecastScoreboard
 from repro.obs import registry as obs
 from repro.units import VOLUME_ATOL
@@ -55,49 +55,19 @@ LinkKey = Tuple[int, int]
 class ForecastConfig:
     """Tuning for one :class:`ForecastProvider`.
 
-    ``period`` is the seasonal cycle in slots (a day, typically);
-    ``horizon`` is how many slots ahead reservations extend.  The
-    guard knobs are documented on :class:`StabilityGuard`;
-    ``warmup_slots=0`` defaults the warmup to one full period (one
-    full EWMA ramp, 8 slots, for the aseasonal predictor).
+    ``period`` is the seasonal cycle in slots (a day, typically), and
+    the provider reserves nothing until it has observed one full
+    period; ``horizon`` is how many slots ahead reservations extend.
     """
 
     horizon: int = 24
     period: int = 24
-    predictor: str = "hw"
-    alpha: float = 0.3
-    gamma: float = 0.3
-    period2: int = 0
-    score_window: int = 96
-    max_shift_fraction: float = 0.6
-    damping_beta: float = 0.35
-    min_trust: float = 0.0
-    trip_mape: float = 2.5
-    trip_cooldown: int = 24
-    warmup_slots: int = 0
-    #: Feed predicted background into LP charge rows on escalated slots.
-    lp_charge_rows: bool = True
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
-            raise SchedulingError(f"horizon must be >= 1, got {self.horizon}")
-        if self.predictor not in PREDICTOR_KINDS:
-            raise SchedulingError(
-                f"unknown predictor kind {self.predictor!r}; available: "
-                + ", ".join(PREDICTOR_KINDS)
-            )
-        if self.predictor != "ewma" and self.period < 2:
-            raise SchedulingError(
-                f"predictor {self.predictor!r} needs a seasonal period >= 2"
-            )
-        if self.warmup_slots < 0:
-            raise SchedulingError("warmup_slots must be non-negative")
-
-    @property
-    def effective_warmup(self) -> int:
-        if self.warmup_slots:
-            return self.warmup_slots
-        return self.period if self.predictor != "ewma" else 8
+            raise SchedulingError(f"forecast horizon must be >= 1, got {self.horizon}")
+        if self.period < 2:
+            raise SchedulingError(f"forecast period must be >= 2, got {self.period}")
 
 
 class ForecastProvider:
@@ -106,11 +76,12 @@ class ForecastProvider:
     Parameters
     ----------
     config:
-        The knobs (see :class:`ForecastConfig`).
+        Period and horizon (see :class:`ForecastConfig`).
     predictor_factory:
         Optional zero-argument callable returning a fresh predictor,
-        overriding the catalog choice in ``config`` — the oscillation
-        regression test injects adversarially wrong predictors here.
+        overriding :class:`~repro.forecast.predictors.DoubleSeasonal`
+        — the oscillation regression test injects adversarially wrong
+        predictors here.
     """
 
     def __init__(
@@ -120,21 +91,10 @@ class ForecastProvider:
     ):
         self.config = config or ForecastConfig()
         cfg = self.config
-        self._factory = predictor_factory or (
-            lambda: make_predictor(
-                cfg.predictor, cfg.period, alpha=cfg.alpha,
-                gamma=cfg.gamma, period2=cfg.period2,
-            )
-        )
-        self.guard = StabilityGuard(
-            max_shift_fraction=cfg.max_shift_fraction,
-            damping_beta=cfg.damping_beta,
-            min_trust=cfg.min_trust,
-            trip_mape=cfg.trip_mape,
-            trip_cooldown=cfg.trip_cooldown,
-        )
-        self.link_score = ForecastScoreboard(cfg.score_window, name="forecast.link")
-        self.pair_score = ForecastScoreboard(cfg.score_window, name="forecast.pair")
+        self._factory = predictor_factory or (lambda: DoubleSeasonal(cfg.period))
+        self.guard = StabilityGuard()
+        self.link_score = ForecastScoreboard(name="forecast.link")
+        self.pair_score = ForecastScoreboard(name="forecast.pair")
         self._state = None
         self._capacity: Dict[LinkKey, float] = {}
         self._link_predictors: Dict[LinkKey, object] = {}
@@ -180,11 +140,8 @@ class ForecastProvider:
 
     @property
     def active(self) -> bool:
-        """True once warm enough for reservations to be non-trivial."""
-        return (
-            self._state is not None
-            and self.slots_observed >= self.config.effective_warmup
-        )
+        """True once one full period has been observed."""
+        return self._state is not None and self.slots_observed >= self.config.period
 
     @property
     def trust(self) -> float:
@@ -315,7 +272,7 @@ class ForecastProvider:
         """JSON-safe summary for result objects / the ``metrics`` op."""
         return {
             "active": self.active,
-            "predictor": self.config.predictor,
+            "predictor": "hw",
             "period": self.config.period,
             "horizon": self.config.horizon,
             "slots_observed": self.slots_observed,

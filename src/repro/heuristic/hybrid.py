@@ -59,6 +59,10 @@ from repro.traffic.spec import TransferRequest
 LP_ARCS_PATHS = "paths"
 #: ``lp_objective`` of a WAL commit record whose LP slot broke ties by hop-GB.
 LP_OBJECTIVE_HOPS = "hops"
+#: Escalation-worthy slots that skip the LP after a watchdog timeout,
+#: doubling per consecutive timeout up to the cap.
+WATCHDOG_BACKOFF_SLOTS = 2
+WATCHDOG_BACKOFF_MAX = 16
 
 
 class HybridScheduler(Scheduler):
@@ -90,14 +94,13 @@ class HybridScheduler(Scheduler):
         thread, and if it has not answered within this budget the slot
         **degrades** to fast-lane-only placement so clients still get
         decisions within the tick.  0 (default) disables the watchdog
-        and escalation runs inline, exactly as before.
-    watchdog_backoff_slots, watchdog_backoff_max:
-        Bounded-backoff re-arm: after a degrade, this many subsequent
-        escalation-worthy slots skip the LP outright (doubling per
-        consecutive degrade up to the max), and the LP is additionally
-        skipped while an abandoned solve is still running — its thread
-        shares the arc-set template memos, so a new solve must not
-        race it.  A successful escalation resets the backoff.
+        and escalation runs inline, exactly as before.  After a
+        timeout, ``WATCHDOG_BACKOFF_SLOTS`` subsequent escalation-worthy
+        slots skip the LP outright (doubling per consecutive timeout up
+        to ``WATCHDOG_BACKOFF_MAX``), and the LP is additionally skipped
+        while an abandoned solve is still running — its thread shares
+        the arc-set template memos, so a new solve must not race it.  A
+        successful escalation resets the backoff.
     escalate_hook:
         Called at the start of every escalated solve; the service's
         chaos harness injects stalls here.  ``None`` in production.
@@ -115,8 +118,6 @@ class HybridScheduler(Scheduler):
         escalate_on_rejection: bool = True,
         num_candidate_paths: int = 4,
         watchdog_timeout_s: float = 0.0,
-        watchdog_backoff_slots: int = 2,
-        watchdog_backoff_max: int = 16,
         escalate_hook: Optional[Callable[[], None]] = None,
     ):
         if escalate_utilization <= 0.0:
@@ -126,11 +127,6 @@ class HybridScheduler(Scheduler):
         if watchdog_timeout_s < 0.0:
             raise SchedulingError(
                 f"watchdog_timeout_s must be non-negative, got {watchdog_timeout_s}"
-            )
-        if watchdog_backoff_slots < 1 or watchdog_backoff_max < watchdog_backoff_slots:
-            raise SchedulingError(
-                "need 1 <= watchdog_backoff_slots <= watchdog_backoff_max, "
-                f"got {watchdog_backoff_slots}/{watchdog_backoff_max}"
             )
         self._lp = PostcardScheduler(
             topology,
@@ -148,8 +144,6 @@ class HybridScheduler(Scheduler):
         self.escalate_utilization = escalate_utilization
         self.escalate_on_rejection = escalate_on_rejection
         self.watchdog_timeout_s = watchdog_timeout_s
-        self.watchdog_backoff_slots = watchdog_backoff_slots
-        self.watchdog_backoff_max = watchdog_backoff_max
         self._escalate_hook = escalate_hook or (lambda: None)
         #: The LP lane's price per GB-hop: a tie-break, 1e-4 of the cheapest link.
         prices = [link.price for link in topology.links if link.price > 0]
@@ -163,7 +157,7 @@ class HybridScheduler(Scheduler):
         #: Escalation-worthy slots forced fast-lane by backoff/zombie.
         self.lp_skipped = 0
         self._backoff_remaining = 0
-        self._backoff_next = watchdog_backoff_slots
+        self._backoff_next = WATCHDOG_BACKOFF_SLOTS
         #: An abandoned (timed-out) solve still running; while alive,
         #: the LP lane is poisoned — the arc-set template memos may be
         #: mid-mutation on that thread.
@@ -360,12 +354,12 @@ class HybridScheduler(Scheduler):
                     self.degraded += 1
                     self._backoff_remaining = self._backoff_next
                     self._backoff_next = min(
-                        self._backoff_next * 2, self.watchdog_backoff_max
+                        self._backoff_next * 2, WATCHDOG_BACKOFF_MAX
                     )
                     return self._commit_degraded(slot, plan, reason="timeout")
             error = outcome.get("error")
             if error is None:
-                self._backoff_next = self.watchdog_backoff_slots
+                self._backoff_next = WATCHDOG_BACKOFF_SLOTS
                 self.last_lane = "lp"
                 return self._lp.commit_plan(outcome["plan"])
             # Infeasible and unbounded are answers (plan_slot widens and sheds

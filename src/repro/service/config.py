@@ -148,10 +148,6 @@ class ServiceConfig:
         "S seconds (0 = off; hybrid scheduler only)",
         flag="--watchdog-timeout", metavar="S",
     )
-    #: Escalation-worthy slots that skip the LP after a degrade
-    #: (doubling per consecutive degrade, capped below).
-    watchdog_backoff_slots: int = 2
-    watchdog_backoff_max: int = 16
 
     #: Like the link schedule, the provider is config-not-state: it is
     #: rebuilt at broker construction and retrains deterministically
@@ -244,13 +240,6 @@ class ServiceConfig:
             raise ServiceError(
                 "the solver watchdog guards the hybrid scheduler's LP "
                 f"escalation; scheduler {self.scheduler!r} has none"
-            )
-        if (
-            self.watchdog_backoff_slots < 1
-            or self.watchdog_backoff_max < self.watchdog_backoff_slots
-        ):
-            raise ServiceError(
-                "need 1 <= watchdog_backoff_slots <= watchdog_backoff_max"
             )
         if self.slo_max_degraded < 0:
             raise ServiceError("slo_max_degraded must be non-negative")

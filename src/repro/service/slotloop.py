@@ -94,8 +94,6 @@ class TransferBroker:
             # boundary; other schedulers have no escalation to guard.
             scheduler_kwargs.update(
                 watchdog_timeout_s=config.watchdog_timeout_s,
-                watchdog_backoff_slots=config.watchdog_backoff_slots,
-                watchdog_backoff_max=config.watchdog_backoff_max,
                 escalate_hook=lambda: chaos.crashpoint("lp.escalate"),
             )
         self.scheduler = make_scheduler(

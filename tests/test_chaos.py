@@ -251,11 +251,11 @@ def test_watchdog_drill_degrades_and_rearms(tmp_path):
     Once the backoff window passes and the stalled solve has been reaped,
     the LP lane re-arms.  A solver that raises takes the same exit (lane
     ``degraded``) and the very next slot is the LP's again."""
-    broker = _wal_broker(tmp_path, watchdog_timeout_s=0.05, watchdog_backoff_slots=1)
+    broker = _wal_broker(tmp_path, watchdog_timeout_s=0.05)
     scheduler = broker.scheduler
     scheduler.escalate_utilization = 1e-9  # every slot escalates
     batches = drill_batches()
-    batches += [[dict(f, id="e" + f["id"]) for f in batch] for batch in batches[:2]]
+    batches += [[dict(f, id="e" + f["id"]) for f in batch] for batch in batches]
     chaos.MONKEY.arm("lp.escalate", action="hang", at=1, param=0.5)
     started = time.perf_counter()
     drive(broker, batches[0])
@@ -266,12 +266,14 @@ def test_watchdog_drill_degrades_and_rearms(tmp_path):
         scheduler._zombie.join(timeout=10)
         assert not scheduler._zombie.is_alive()
     escalations = scheduler.escalations
-    drive(broker, batches[2])
+    drive(broker, batches[2])  # the backoff's second slot: still fast lane
+    assert scheduler.escalations == escalations and scheduler.lp_skipped == 2
+    drive(broker, batches[3])
     assert scheduler.escalations > escalations
     with mock.patch.object(scheduler, "_escalate_hook", solver_down):
-        assert {r["lane"] for r in drive(broker, batches[3]).values()} == {"degraded"}
+        assert {r["lane"] for r in drive(broker, batches[4]).values()} == {"degraded"}
     escalations = scheduler.escalations
-    drive(broker, batches[4])
+    drive(broker, batches[5])
     assert scheduler.escalations > escalations
     assert set(broker.decisions) == {f["id"] for batch in batches for f in batch}
     # The degrade is SLO-visible: budget 0 means the window breaches.

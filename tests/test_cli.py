@@ -129,6 +129,19 @@ def test_simulate_jobs_yield_to_in_process_flags(tmp_path, capsys, flag):
     assert "ignoring --jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag", [["--forecast-period", "1"], ["--forecast-horizon", "-2"]],
+    ids=["period", "horizon"],
+)
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_simulate_refuses_bad_forecast_flags(capsys, flag, jobs):
+    argv = ["simulate", "--datacenters", "3", "--slots", "2",
+            "--schedulers", "hybrid", "--forecast", *flag, "--jobs", jobs]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: forecast ") and captured.out == ""
+
+
 def test_figure_command(capsys):
     code = main(
         [

@@ -38,17 +38,20 @@ SHARD_ARGS = [
 ]
 
 
-def start_shard(sock, ckpt_dir):
+def launch_shard(sock, ckpt_dir):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.Popen(
+    return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--socket", sock,
          "--checkpoint-dir", ckpt_dir, *SHARD_ARGS],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     )
+
+
+def wait_bound(proc, sock):
     deadline = time.time() + 30
     while time.time() < deadline:
         if os.path.exists(sock):
@@ -60,6 +63,26 @@ def start_shard(sock, ckpt_dir):
         time.sleep(0.05)
     proc.kill()
     raise AssertionError("shard never bound its socket")
+
+
+def start_shard(sock, ckpt_dir):
+    return wait_bound(launch_shard(sock, ckpt_dir), sock)
+
+
+def start_shards(tmp_path, socks):
+    """Launch every shard before waiting on any socket, so the
+    start-ups overlap instead of queueing."""
+    procs = {name: launch_shard(sock, str(tmp_path / "ckpt" / name))
+             for name, sock in socks.items()}
+    try:
+        for name, sock in socks.items():
+            wait_bound(procs[name], sock)
+    except BaseException:
+        for proc in procs.values():
+            proc.kill()
+            proc.wait(timeout=10)
+        raise
+    return procs
 
 
 def make_fleet(tmp_path, in_process=False):
@@ -383,8 +406,7 @@ def test_idle_shard_death_is_refused_not_hung(tmp_path):
     shard_map = fleet.shard_map()
     src, dst = pick_pair(shard_map, same=True)
     victim = shard_map.shard_for(src)
-    procs = {name: start_shard(sock, str(tmp_path / "ckpt" / name))
-             for name, sock in socks.items()}
+    procs = start_shards(tmp_path, socks)
 
     async def scenario():
         router = FleetRouter(fleet, socket_path=str(tmp_path / "router.sock"))
@@ -446,8 +468,7 @@ def test_fleet_kill9_survivors_admit_and_parked_leg_resumes(tmp_path):
         dc for dc in range(DCS)
         if dc != victim_dc and shard_map.shard_for(dc) == victim
     )
-    procs = {name: start_shard(sock, str(tmp_path / "ckpt" / name))
-             for name, sock in socks.items()}
+    procs = start_shards(tmp_path, socks)
 
     async def scenario():
         router = FleetRouter(fleet, socket_path=str(tmp_path / "router.sock"))

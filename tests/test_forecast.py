@@ -1,4 +1,4 @@
-"""Tests for repro.forecast: predictors, guard, provider, integration.
+"""Tests for repro.forecast: predictor, guard, provider, integration.
 
 The load-bearing guarantees here are the ISSUE's acceptance criteria:
 a cold (or distrusted) provider leaves the hybrid scheduler
@@ -12,12 +12,9 @@ import pytest
 from repro.errors import SchedulingError
 from repro.forecast import (
     DoubleSeasonal,
-    Ewma,
     ForecastConfig,
     ForecastProvider,
-    SeasonalNaive,
     StabilityGuard,
-    make_predictor,
 )
 from repro.heuristic import HybridScheduler
 from repro.net.generators import complete_topology
@@ -26,34 +23,13 @@ from repro.sim.engine import Simulation
 from repro.traffic.workload import DiurnalWorkload
 
 
-# -- predictors ------------------------------------------------------------
+# -- the predictor ---------------------------------------------------------
 
 
 class TestPredictors:
-    def test_seasonal_naive_copies_last_season(self):
-        p = SeasonalNaive(period=4)
-        for value in (1.0, 2.0, 3.0, 4.0):
-            assert not p.ready
-            p.observe(value)
-        assert p.ready
-        # Next slot is phase 0 again: last season's 1.0, then 2.0, ...
-        assert p.forecast(1) == 1.0
-        assert p.forecast(2) == 2.0
-        assert p.forecast(5) == 1.0
-
-    def test_ewma_tracks_level(self):
-        p = Ewma(alpha=0.5)
-        assert p.forecast(1) == 0.0 and not p.ready
-        p.observe(10.0)
-        assert p.ready
-        for _ in range(20):
-            p.observe(4.0)
-        assert p.forecast(1) == pytest.approx(4.0, abs=0.01)
-        assert p.forecast(7) == p.forecast(1)  # flat beyond one step
-
     def test_double_seasonal_learns_shape(self):
         season = [0.0, 10.0, 40.0, 10.0]
-        p = DoubleSeasonal(period=4, alpha=0.4, gamma=0.4)
+        p = DoubleSeasonal(period=4)
         for cycle in range(12):
             for value in season:
                 p.observe(value)
@@ -63,64 +39,44 @@ class TestPredictors:
         assert forecasts[0] == pytest.approx(0.0, abs=2.0)
         assert all(f >= 0.0 for f in forecasts)
 
-    def test_validation_and_factory(self):
+    def test_validation(self):
         with pytest.raises(SchedulingError):
-            SeasonalNaive(period=1)
+            DoubleSeasonal(period=1)
         with pytest.raises(SchedulingError):
-            Ewma(alpha=0.0)
-        with pytest.raises(SchedulingError):
-            DoubleSeasonal(period=4, period2=1)
-        with pytest.raises(SchedulingError):
-            SeasonalNaive(4).forecast(0)
-        with pytest.raises(SchedulingError, match="unknown predictor"):
-            make_predictor("arima", 24)
-        assert isinstance(make_predictor("ewma", 0), Ewma)
-        assert isinstance(make_predictor("seasonal", 4), SeasonalNaive)
-        assert isinstance(make_predictor("hw", 4, period2=8), DoubleSeasonal)
+            DoubleSeasonal(4).forecast(0)
 
 
 # -- the stability guard ---------------------------------------------------
 
 
 class TestStabilityGuard:
-    def test_validation(self):
-        with pytest.raises(SchedulingError):
-            StabilityGuard(max_shift_fraction=0.0)
-        with pytest.raises(SchedulingError):
-            StabilityGuard(damping_beta=-0.1)
-        with pytest.raises(SchedulingError):
-            StabilityGuard(min_trust=1.5)
-        with pytest.raises(SchedulingError):
-            StabilityGuard(trip_mape=0.0)
-
     def test_trust_decays_with_error(self):
-        guard = StabilityGuard(damping_beta=0.5)
+        guard = StabilityGuard()
         assert guard.trust(0, 0.0) == 1.0
-        assert guard.trust(0, 1.0) == pytest.approx(1.0 / 1.5)
+        assert guard.trust(0, 1.0) == pytest.approx(1.0 / 1.35)
         assert guard.trust(0, 2.0) < guard.trust(0, 1.0)
 
-    def test_min_trust_floor(self):
-        guard = StabilityGuard(damping_beta=10.0, min_trust=0.2)
-        assert guard.trust(0, 100.0) == 0.2
-
     def test_bound_caps_reservation(self):
-        guard = StabilityGuard(max_shift_fraction=0.5)
+        guard = StabilityGuard()
         assert guard.bound(10.0, 100.0) == 10.0
-        assert guard.bound(80.0, 100.0) == 50.0
+        assert guard.bound(80.0, 100.0) == 60.0
         assert guard.bound(-3.0, 100.0) == 0.0
 
     def test_trip_wire_once_per_excursion(self):
-        guard = StabilityGuard(trip_mape=1.0, trip_cooldown=4)
+        guard = StabilityGuard()
+        # MAPE 2.5 is the wire itself: only above it trips.
+        guard.update(9, mape=2.5)
+        assert guard.trips == 0
         guard.update(10, mape=5.0)
         assert guard.trips == 1
         assert guard.tripped(12)
         assert guard.trust(12, 0.0) == 0.0
-        # Still bad during the cooldown: no re-trip.
-        guard.update(12, mape=5.0)
+        # Still bad during the 24-slot cooldown: no re-trip.
+        guard.update(34, mape=5.0)
         assert guard.trips == 1
         # After the cooldown a fresh excursion trips again.
-        assert not guard.tripped(15)
-        guard.update(15, mape=5.0)
+        assert not guard.tripped(35)
+        guard.update(35, mape=5.0)
         assert guard.trips == 2
 
 
@@ -129,19 +85,22 @@ class TestStabilityGuard:
 
 class TestForecastConfig:
     def test_validation(self):
-        with pytest.raises(SchedulingError):
+        with pytest.raises(SchedulingError, match="horizon"):
             ForecastConfig(horizon=0)
-        with pytest.raises(SchedulingError):
-            ForecastConfig(predictor="arima")
-        with pytest.raises(SchedulingError):
-            ForecastConfig(predictor="hw", period=1)
-        with pytest.raises(SchedulingError):
-            ForecastConfig(warmup_slots=-1)
+        with pytest.raises(SchedulingError, match="period"):
+            ForecastConfig(period=1)
 
-    def test_effective_warmup(self):
-        assert ForecastConfig(period=24).effective_warmup == 24
-        assert ForecastConfig(predictor="ewma").effective_warmup == 8
-        assert ForecastConfig(warmup_slots=3).effective_warmup == 3
+    def test_only_period_and_horizon(self):
+        assert sorted(vars(ForecastConfig())) == ["horizon", "period"]
+
+    def test_warm_after_one_period(self):
+        provider = ForecastProvider(ForecastConfig(period=3, horizon=1))
+        provider.bind(HybridScheduler(two_node_topology(), horizon=20).state)
+        for slot in range(3):
+            assert not provider.active
+            provider.begin_slot(slot)
+            provider.observe_slot(slot, [])
+        assert provider.active
 
 
 # -- provider mechanics ----------------------------------------------------
@@ -171,18 +130,26 @@ def two_node_topology(capacity=100.0):
     )
 
 
+PERIOD = 2
+
+
 class TestForecastProvider:
-    def make_provider(self, value=60.0, **config):
-        config.setdefault("period", 4)
-        config.setdefault("horizon", 4)
-        config.setdefault("warmup_slots", 1)
+    def make_provider(self, value=60.0):
         provider = ForecastProvider(
-            ForecastConfig(**config),
+            ForecastConfig(period=PERIOD, horizon=4),
             predictor_factory=lambda: FlatPredictor(value),
         )
         scheduler = HybridScheduler(two_node_topology(), horizon=20)
         provider.bind(scheduler.state)
         return provider, scheduler
+
+    @staticmethod
+    def warm_up(provider):
+        """Observe one full (empty) period, then open the next slot."""
+        for slot in range(PERIOD):
+            provider.begin_slot(slot)
+            provider.observe_slot(slot, [])
+        provider.begin_slot(PERIOD)
 
     def test_cold_provider_reserves_nothing(self):
         provider, _ = self.make_provider()
@@ -192,31 +159,28 @@ class TestForecastProvider:
 
     def test_warm_reservation_future_only(self):
         provider, _ = self.make_provider(value=60.0)
-        provider.begin_slot(0)
-        provider.observe_slot(0, [])
+        self.warm_up(provider)
         assert provider.active
-        provider.begin_slot(1)
+        now = PERIOD
         # Nothing committed, nothing observed as actual volume: trust 1.
         assert provider.trust == 1.0
-        assert provider.reservation(0, 1, 2) == pytest.approx(60.0)
+        assert provider.reservation(0, 1, now + 1) == pytest.approx(60.0)
         # The present and the past are observed, never predicted.
-        assert provider.reservation(0, 1, 1) == 0.0
-        assert provider.reservation(0, 1, 0) == 0.0
+        assert provider.reservation(0, 1, now) == 0.0
+        assert provider.reservation(0, 1, now - 1) == 0.0
 
     def test_reservation_bounded_by_shift_fraction(self):
-        provider, _ = self.make_provider(value=500.0, max_shift_fraction=0.6)
-        provider.begin_slot(0)
-        provider.observe_slot(0, [])
-        provider.begin_slot(1)
+        provider, _ = self.make_provider(value=500.0)
+        self.warm_up(provider)
         # Capacity 100, fraction 0.6: a 500 GB forecast reserves 60.
-        assert provider.reservation(0, 1, 2) == pytest.approx(60.0)
+        assert provider.reservation(0, 1, PERIOD + 1) == pytest.approx(60.0)
 
     def test_predicted_volume_is_the_reservation(self):
         provider, _ = self.make_provider(value=30.0)
-        provider.begin_slot(0)
-        provider.observe_slot(0, [])
-        provider.begin_slot(1)
-        assert provider.predicted_volume(0, 1, 3) == provider.reservation(0, 1, 3)
+        self.warm_up(provider)
+        slot = PERIOD + 2
+        assert provider.predicted_volume(0, 1, slot) == provider.reservation(0, 1, slot)
+        assert provider.reservation(0, 1, slot) == pytest.approx(30.0)
 
     def test_stats_shape(self):
         provider, _ = self.make_provider()
@@ -225,6 +189,7 @@ class TestForecastProvider:
                     "bias", "trust", "shifted_gb", "guard_trips",
                     "slots_observed", "links", "pairs", "arrival_mape"):
             assert key in stats
+        assert stats["predictor"] == "hw"
 
 
 # -- end-to-end integration ------------------------------------------------
@@ -330,10 +295,7 @@ class TestHybridIntegration:
 
     def test_hopeless_forecasts_trip_the_guard(self):
         provider = ForecastProvider(
-            ForecastConfig(
-                period=SLOTS_PER_DAY, horizon=SLOTS_PER_DAY,
-                warmup_slots=2, trip_mape=1.0, trip_cooldown=6,
-            ),
+            ForecastConfig(period=SLOTS_PER_DAY, horizon=SLOTS_PER_DAY),
             predictor_factory=lambda: FlatPredictor(1e6),
         )
         _, reactive = run_hybrid(None)

@@ -199,8 +199,6 @@ def test_watchdog_off_by_default_and_validated():
     assert HybridScheduler(topo, horizon=20).watchdog_timeout_s == 0.0
     with pytest.raises(SchedulingError, match="watchdog_timeout_s"):
         HybridScheduler(topo, horizon=20, watchdog_timeout_s=-1.0)
-    with pytest.raises(SchedulingError, match="backoff"):
-        HybridScheduler(topo, horizon=20, watchdog_backoff_slots=0)
 
 
 def test_watchdog_timeout_degrades_then_rearms():
@@ -209,7 +207,7 @@ def test_watchdog_timeout_degrades_then_rearms():
     topo = two_node_topology()
     scheduler = HybridScheduler(
         topo, horizon=20, watchdog_timeout_s=0.05,
-        watchdog_backoff_slots=1, escalate_hook=lambda: _time.sleep(0.4),
+        escalate_hook=lambda: _time.sleep(0.4),
     )
     schedule = scheduler.on_slot(0, pressured_requests(0))
     # The hang was abandoned; the fast plan still served the slot.
@@ -218,12 +216,16 @@ def test_watchdog_timeout_degrades_then_rearms():
     # Backoff + zombie: the next pressured slot skips the LP outright.
     scheduler.on_slot(1, pressured_requests(1))
     assert scheduler.lp_skipped == 1 and scheduler.last_lane == "degraded"
-    # Once the abandoned solve finishes, escalation genuinely returns.
+    # The abandoned solve finishes, but the two-slot backoff still holds.
     scheduler._zombie.join(timeout=10)
     assert not scheduler._zombie.is_alive()
     scheduler._escalate_hook = lambda: None
     before = scheduler.escalations
     scheduler.on_slot(2, pressured_requests(2))
+    assert scheduler.lp_skipped == 2 and scheduler.last_lane == "degraded"
+    assert scheduler.escalations == before
+    # Once the backoff window passes, escalation genuinely returns.
+    scheduler.on_slot(3, pressured_requests(3))
     assert scheduler.escalations == before + 1 and scheduler.last_lane == "lp"
     assert scheduler.degraded == 1  # no new degrade
 
