@@ -74,12 +74,11 @@ class LookaheadPostcardScheduler(Scheduler):
         def solve(current: List[TransferRequest]) -> TransferSchedule:
             return self._solve(current, future)
 
-        if self.on_infeasible == ON_INFEASIBLE_RAISE:
-            schedule, accepted = solve(list(requests)), list(requests)
-        else:
-            schedule, accepted = shed_until_feasible(solve, requests, self._state)
-            if schedule is None:
-                return TransferSchedule()
+        schedule, accepted = shed_until_feasible(
+            solve, requests, self._state, self.on_infeasible
+        )
+        if schedule is None:
+            return TransferSchedule()
 
         self._state.commit(schedule, accepted)
         return schedule

@@ -34,10 +34,11 @@ from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
 
-def shed_until_feasible(solve_fn, requests, state):
+def shed_until_feasible(solve_fn, requests, state, on_infeasible=ON_INFEASIBLE_DROP):
     """Drop files until ``solve_fn(accepted)`` succeeds.
 
-    Two-stage policy shared by all optimizing schedulers:
+    Two-stage policy shared by all optimizing schedulers (under the
+    ``"raise"`` policy the first :class:`InfeasibleError` propagates):
 
     1. Files that are infeasible *alone* (e.g. a deadline shorter than
        any admissible path) are dropped first — no amount of shedding
@@ -54,7 +55,8 @@ def shed_until_feasible(solve_fn, requests, state):
     try:
         return solve_fn(accepted), accepted
     except InfeasibleError:
-        pass
+        if on_infeasible == ON_INFEASIBLE_RAISE:
+            raise
 
     lonely_feasible = []
     for request in accepted:
@@ -202,9 +204,9 @@ class PostcardScheduler(Scheduler):
             except InfeasibleError:
                 self.widened += 1
                 obs.counter("hybrid.lp_widened", slot=slot)
-        if self.on_infeasible == ON_INFEASIBLE_RAISE:
-            return LpPlan(slot, solve(requests), list(requests), recorder.rejected)
-        schedule, accepted = shed_until_feasible(solve, requests, recorder)
+        schedule, accepted = shed_until_feasible(
+            solve, requests, recorder, self.on_infeasible
+        )
         return LpPlan(slot, schedule, accepted, recorder.rejected)
 
     def commit_plan(self, plan: LpPlan) -> TransferSchedule:

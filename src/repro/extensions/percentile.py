@@ -94,14 +94,11 @@ class PercentileAwareScheduler(Scheduler):
         if not requests:
             return TransferSchedule()
 
-        if self.on_infeasible == ON_INFEASIBLE_RAISE:
-            schedule, accepted = self._solve_with_amnesty(requests), list(requests)
-        else:
-            schedule, accepted = shed_until_feasible(
-                self._solve_with_amnesty, requests, self._state
-            )
-            if schedule is None:
-                return TransferSchedule()
+        schedule, accepted = shed_until_feasible(
+            self._solve_with_amnesty, requests, self._state, self.on_infeasible
+        )
+        if schedule is None:
+            return TransferSchedule()
 
         self._state.commit(schedule, accepted)
         return schedule

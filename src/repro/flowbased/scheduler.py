@@ -54,16 +54,13 @@ class FlowBasedScheduler(Scheduler):
         if not requests:
             return TransferSchedule()
 
-        if self.on_infeasible == ON_INFEASIBLE_RAISE:
-            schedule, accepted = self._solve(requests), list(requests)
-        else:
-            from repro.core.scheduler import shed_until_feasible
+        from repro.core.scheduler import shed_until_feasible
 
-            schedule, accepted = shed_until_feasible(
-                self._solve, requests, self._state
-            )
-            if schedule is None:
-                return TransferSchedule()
+        schedule, accepted = shed_until_feasible(
+            self._solve, requests, self._state, self.on_infeasible
+        )
+        if schedule is None:
+            return TransferSchedule()
 
         self._state.commit(schedule, accepted)
         return schedule

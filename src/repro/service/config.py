@@ -18,6 +18,8 @@ from repro.net.topology import Topology
 
 #: Seconds per virtual slot when none is configured.
 DEFAULT_TICK_SECONDS = 0.25
+#: The intake-depth SLO objective, as a fraction of ``max_queue``.
+SLO_DEPTH_FRACTION = 0.8
 
 
 def _flag(default, help=None, flag=None, metavar=None, choices=None):
@@ -183,21 +185,6 @@ class ServiceConfig:
     #: a resumed daemon keeps the original alignment.
     wall_epoch: float = 0.0
 
-    #: SLO rolling window, in processed slots.
-    slo_window: int = 64
-    #: Windowed admitted/decided ratio must stay >= this.
-    slo_admission_ratio: float = 0.95
-    #: p99 decision latency budget; 0.0 = the tick (or 0.25 s when the
-    #: clock is manual).
-    slo_decision_budget_s: float = 0.0
-    #: p99 checkpoint-write budget, seconds.
-    slo_checkpoint_budget_s: float = 1.0
-    #: Intake-depth objective as a fraction of ``max_queue``.
-    slo_depth_fraction: float = 0.8
-    #: Watchdog-degraded slots allowed per SLO window (0 = any degrade
-    #: breaches).
-    slo_max_degraded: int = 0
-
     def __post_init__(self) -> None:
         if self.datacenters < 2:
             raise ServiceError("service needs at least 2 datacenters")
@@ -241,8 +228,6 @@ class ServiceConfig:
                 "the solver watchdog guards the hybrid scheduler's LP "
                 f"escalation; scheduler {self.scheduler!r} has none"
             )
-        if self.slo_max_degraded < 0:
-            raise ServiceError("slo_max_degraded must be non-negative")
         if self.forecast and self.scheduler != "hybrid":
             raise ServiceError(
                 "forecast=True needs a forecast-capable scheduler; "
@@ -256,43 +241,22 @@ class ServiceConfig:
             raise ServiceError("slot_wall_seconds must be positive")
         if self.wall_epoch < 0:
             raise ServiceError("wall_epoch must be non-negative")
-        if self.slo_window < 1:
-            raise ServiceError("slo_window must be >= 1")
-        if not 0.0 < self.slo_admission_ratio <= 1.0:
-            raise ServiceError("slo_admission_ratio must be in (0, 1]")
-        if self.slo_decision_budget_s < 0:
-            raise ServiceError("slo_decision_budget_s must be non-negative")
-        if self.slo_checkpoint_budget_s <= 0:
-            raise ServiceError("slo_checkpoint_budget_s must be positive")
-        if not 0.0 < self.slo_depth_fraction <= 1.0:
-            raise ServiceError("slo_depth_fraction must be in (0, 1]")
 
     def decision_budget_s(self) -> float:
-        """The p99 decision-latency SLO budget, resolved.
-
-        Explicit ``slo_decision_budget_s`` wins; otherwise the tick is
-        the budget (a decision slower than the tick means the slot
-        clock is falling behind), with :data:`DEFAULT_TICK_SECONDS`
-        standing in when the clock is manual.
-        """
-        if self.slo_decision_budget_s > 0:
-            return self.slo_decision_budget_s
-        if self.tick_seconds > 0:
-            return self.tick_seconds
-        return DEFAULT_TICK_SECONDS
+        """The p99 decision-latency SLO budget: the tick (a decision
+        slower than the tick means the slot clock is falling behind), or
+        :data:`DEFAULT_TICK_SECONDS` when the clock is manual."""
+        return self.tick_seconds or DEFAULT_TICK_SECONDS
 
     def slo_thresholds(self):
-        """The :class:`~repro.obs.slo.SloThresholds` this config implies."""
+        """The :class:`~repro.obs.slo.SloThresholds` this config implies:
+        the tick's decision budget, a depth bound of :data:`SLO_DEPTH_FRACTION`
+        of ``max_queue``, and the constant defaults for the rest."""
         from repro.obs.slo import SloThresholds
 
         return SloThresholds(
-            min_admission_ratio=self.slo_admission_ratio,
             decision_budget_s=self.decision_budget_s(),
-            checkpoint_budget_s=self.slo_checkpoint_budget_s,
-            max_intake_depth=max(
-                1, int(self.max_queue * self.slo_depth_fraction)
-            ),
-            max_degraded_slots=self.slo_max_degraded,
+            max_intake_depth=max(1, int(SLO_DEPTH_FRACTION * self.max_queue)),
         )
 
     def wall_time(self, slot: float, epoch: float) -> float:
@@ -342,21 +306,15 @@ def _flag_name(f: Field) -> str:
 def add_arguments(parser, names: Optional[Iterable[str]] = None) -> None:
     """Declare the config's flags (or the ``names`` subset) on ``parser``."""
     for f in _flagged(names):
-        if f.default is False:
-            parser.add_argument(
-                _flag_name(f), dest=f.name, action="store_true",
-                help=f.metadata["help"],
-            )
-            continue
         choices = f.metadata["choices"]
-        parser.add_argument(
-            _flag_name(f),
-            dest=f.name,
+        kind = dict(action="store_true") if f.default is False else dict(
             type=None if f.default is None else type(f.default),
             default=f.default,
             metavar=f.metadata["metavar"],
             choices=choices() if choices else None,
-            help=f.metadata["help"],
+        )
+        parser.add_argument(
+            _flag_name(f), dest=f.name, help=f.metadata["help"], **kind
         )
 
 

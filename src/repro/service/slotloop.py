@@ -128,7 +128,7 @@ class TransferBroker:
         self.counts = {"submitted": 0, "admitted": 0, "rejected": 0,
                        "backpressured": 0, "slots": 0, "batches": 0}
         #: Rolling-window SLO evaluation over processed slots.
-        self.slo = SloMonitor(config.slo_thresholds(), window=config.slo_window)
+        self.slo = SloMonitor(config.slo_thresholds())
         #: Unix timestamp virtual slot 0 maps to (see ServiceConfig
         #: wall-clock fields); checkpointed so resumes keep alignment.
         self.wall_epoch = config.wall_epoch or time.time()

@@ -224,6 +224,8 @@ def comparison_tasks(
     ``cell`` is what every cell shares (the other :class:`RunTask`
     fields).
     """
+    if runs < 1:
+        raise SimulationError(f"runs must be >= 1, got {runs}")
     if not isinstance(schedulers, dict):
         schedulers = dict.fromkeys(schedulers)
     return [

@@ -414,3 +414,27 @@ def test_report_writes_output_file(tmp_path, capsys):
     assert main(["report", str(events), "-o", str(rendered)]) == 0
     assert "wrote report" in capsys.readouterr().out
     assert "lp.solve" in rendered.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--jobs", "-1"],
+        ["figure", "fig4", "--jobs", "-2"],
+        ["simulate", "--datacenters", "1"],
+        ["simulate", "--max-deadline", "0"],
+        ["trace", "generate", "--datacenters", "1", "-o", "{out}"],
+        ["trace", "run", "{missing}"],
+        ["figure", "fig4", "--runs", "0"],
+    ],
+    ids=["simulate-jobs", "figure-jobs", "simulate-datacenters",
+         "simulate-max-deadline", "trace-generate-datacenters",
+         "trace-run-missing", "figure-runs"],
+)
+def test_bad_input_prints_an_error_not_a_traceback(tmp_path, capsys, argv):
+    """Every failure leaves through main: one ``error:`` line, exit 1."""
+    paths = {"out": tmp_path / "t.json", "missing": tmp_path / "missing.json"}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err and captured.out == ""

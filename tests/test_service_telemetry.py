@@ -48,28 +48,32 @@ def submit_fields(i, **kw):
 def test_config_telemetry_validation():
     with pytest.raises(Exception, match="slot_wall_seconds"):
         ServiceConfig(slot_wall_seconds=0.0)
-    with pytest.raises(Exception, match="slo_window"):
-        ServiceConfig(slo_window=0)
-    with pytest.raises(Exception, match="slo_admission_ratio"):
-        ServiceConfig(slo_admission_ratio=1.5)
-    with pytest.raises(Exception, match="slo_depth_fraction"):
-        ServiceConfig(slo_depth_fraction=0.0)
 
 
 def test_config_decision_budget_resolution():
+    """The decision budget is the tick, or 0.25 s on a manual clock."""
     assert ServiceConfig(tick_seconds=0.5).decision_budget_s() == 0.5
     assert ServiceConfig(tick_seconds=0.0).decision_budget_s() == 0.25
-    assert ServiceConfig(
-        tick_seconds=0.5, slo_decision_budget_s=2.0
-    ).decision_budget_s() == 2.0
 
 
 def test_config_slo_thresholds_follow_queue_bound():
-    thresholds = ServiceConfig(
-        max_queue=100, slo_depth_fraction=0.5
-    ).slo_thresholds()
-    assert thresholds.max_intake_depth == 50
-    assert thresholds.decision_budget_s == 0.25
+    """Every objective but the decision budget and the depth bound is a
+    constant; the depth bound is 80% of the queue, at least 1."""
+    from dataclasses import fields
+
+    from repro.obs.slo import SloThresholds
+
+    assert ServiceConfig(max_queue=100).slo_thresholds() == SloThresholds(
+        min_admission_ratio=0.95, decision_budget_s=0.25,
+        checkpoint_budget_s=1.0, max_intake_depth=80, max_degraded_slots=0,
+    )
+    assert ServiceConfig(max_queue=1).slo_thresholds().max_intake_depth == 1
+    assert ServiceConfig(
+        tick_seconds=0, max_queue=7
+    ).slo_thresholds().max_intake_depth == 5
+    assert not {f.name for f in fields(ServiceConfig)
+                if f.name.startswith("slo_")}
+    assert make_broker().slo.window == 64
 
 
 def test_config_wall_time_mapping():
