@@ -106,3 +106,40 @@ def test_simplex_backend_agrees_on_tiny_instance(line3):
     assert a.state.current_cost_per_slot() == pytest.approx(
         b.state.current_cost_per_slot(), abs=1e-6
     )
+
+
+def _lookahead(topology, policy):
+    from repro.core.lookahead import LookaheadPostcardScheduler
+
+    return LookaheadPostcardScheduler(
+        topology, 10, preview=lambda slot: [], on_infeasible=policy
+    )
+
+
+def _replan(topology, policy):
+    from repro.core.replan import ReplanningPostcardScheduler
+
+    return ReplanningPostcardScheduler(topology, 10, on_infeasible=policy)
+
+
+def _q_aware(topology, policy):
+    from repro.extensions.percentile import PercentileAwareScheduler
+
+    return PercentileAwareScheduler(topology, 10, on_infeasible=policy)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda t, policy: PostcardScheduler(t, 10, on_infeasible=policy),
+     _lookahead, _replan, _q_aware],
+    ids=["postcard", "lookahead", "replan", "q-aware"],
+)
+def test_the_policy_decides_raise_or_shed(line3, make):
+    """Every store-and-forward LP scheduler hands its ``on_infeasible``
+    to ``shed_until_feasible``: ``raise`` propagates, ``drop`` sheds."""
+    impossible = TransferRequest(0, 2, 1.0, 1, release_slot=0)  # 2 hops, 1 slot
+    with pytest.raises(InfeasibleError):
+        make(line3, "raise").on_slot(0, [impossible])
+    shedding = make(line3, "drop")
+    shedding.on_slot(0, [impossible])
+    assert shedding.state.rejected == [impossible]
