@@ -38,9 +38,9 @@ def _one_instance(load, seed):
         return schedule
 
     solve.cost = 0.0
-    schedule, accepted = shed_until_feasible(solve, requests, hard_state)
-    hard_rejected = len(requests) - len(accepted)
-    hard_cost = solve.cost if schedule is not None else 0.0
+    plan = shed_until_feasible(solve, requests)
+    hard_rejected = len(requests) - len(plan.accepted)
+    hard_cost = solve.cost if plan.accepted else 0.0
 
     # Soft deadlines: everyone is delivered, lateness is priced.
     soft_state = NetworkState(topo, horizon=30)

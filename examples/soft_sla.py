@@ -39,9 +39,9 @@ def main():
         return schedule
 
     solve.cost = 0.0
-    _schedule, accepted = shed_until_feasible(solve, spike(), state)
+    plan = shed_until_feasible(solve, spike())
     print("=== Hard deadlines (the paper's model)")
-    print(f"accepted {len(accepted)}/6 jobs (rejected {len(state.rejected)}); "
+    print(f"accepted {len(plan.accepted)}/6 jobs (rejected {len(plan.rejected)}); "
           f"every deadline met at a WAN cost of {solve.cost:.0f}/interval\n")
 
     # --- Soft deadlines at three SLA price points. ---

@@ -9,13 +9,11 @@ the link allows (and rejected if even that cannot finish on time).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.errors import InfeasibleError
-from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
+from repro.core.interfaces import Scheduler, SlotPlan
 from repro.core.schedule import SEMANTICS_FLUID, ScheduleEntry, TransferSchedule
-from repro.core.state import NetworkState
-from repro.net.topology import Topology
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
@@ -25,39 +23,36 @@ class DirectScheduler(Scheduler):
 
     name = "direct"
 
-    def __init__(
-        self,
-        topology: Topology,
-        horizon: int,
-        on_infeasible: str = ON_INFEASIBLE_RAISE,
-    ):
-        self.on_infeasible = self._checked_policy(on_infeasible)
-        self._state = NetworkState(topology, horizon)
-
-    @property
-    def state(self) -> NetworkState:
-        return self._state
-
-    def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        self._check_released_at(slot, requests)
-        requests = self._refuse_negligible(requests)
-        committed_entries: List[ScheduleEntry] = []
-        committed_requests: List[TransferRequest] = []
+    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
+        """Plan the files largest desired rate first, each against the
+        volume the ones before it take; the slot lands file by file."""
+        requests, refused = self._split_negligible(requests)
+        plan = SlotPlan(rejected=refused, per_file=True)
+        taken: Dict[Tuple[int, int, int], float] = {}
+        entries: List[ScheduleEntry] = []
         for request in sorted(requests, key=lambda r: -r.desired_rate):
             try:
-                entries = self._plan_one(request)
+                placed = self._plan_one(request, taken)
             except InfeasibleError:
-                if self.on_infeasible == ON_INFEASIBLE_RAISE:
-                    raise
-                self._state.reject(request)
+                plan.rejected.append(request)
                 continue
-            schedule = TransferSchedule(entries, semantics=SEMANTICS_FLUID)
-            self._state.commit(schedule, [request])
-            committed_entries.extend(schedule.entries)
-            committed_requests.append(request)
-        return TransferSchedule(committed_entries, semantics=SEMANTICS_FLUID)
+            for _, src, dst, n, volume in placed:
+                if volume > VOLUME_ATOL:  # what the schedule keeps
+                    cell = (src, dst, n)
+                    level = taken.get(cell)
+                    if level is None:
+                        level = self._state.committed_volume(src, dst, n)
+                    taken[cell] = level + volume
+            plan.accepted.append(request)
+            entries += placed
+        plan.schedule = TransferSchedule(entries, semantics=SEMANTICS_FLUID)
+        return plan
 
-    def _plan_one(self, request: TransferRequest) -> List[ScheduleEntry]:
+    def _plan_one(
+        self, request: TransferRequest, taken: Dict[Tuple[int, int, int], float]
+    ) -> List[ScheduleEntry]:
+        """``taken`` holds the committed volume of the cells this slot's
+        earlier files already use, as their commit will record it."""
         src, dst = request.source, request.destination
         if not self._state.topology.has_link(src, dst):
             raise InfeasibleError(
@@ -65,7 +60,12 @@ class DirectScheduler(Scheduler):
             )
         window = range(request.release_slot, request.last_slot + 1)
         rate = request.desired_rate
-        residuals = {n: self._state.residual_capacity(src, dst, n) for n in window}
+        capacity = self._state.topology.link(src, dst).capacity
+        residuals = {
+            n: max(0.0, capacity - taken[(src, dst, n)]) if (src, dst, n) in taken
+            else self._state.residual_capacity(src, dst, n)
+            for n in window
+        }
 
         if all(residuals[n] >= rate - VOLUME_ATOL for n in window):
             return [

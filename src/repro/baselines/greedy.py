@@ -6,9 +6,10 @@ fraction of its cost.  It is the fast lane's engine
 window-aware paths per file, placed on the tracker's window rows, the
 smallest *marginal bill increase* wins) with two rules of its own:
 
-* files are planned **and committed** one at a time, largest desired
-  rate first, so a later file rides free under the peak an earlier one
-  just paid;
+* files are planned one at a time, largest desired rate first, each
+  folded into the rows as its commit will land it, so a later file
+  rides free under the peak an earlier one just paid; the slot then
+  commits once, file by file;
 * each hop is filled **forward** from the release slot — already-paid
   headroom first, then the remainder spread evenly — never sending
   ahead of arrivals, where the fast lane packs backward from the
@@ -22,14 +23,10 @@ Placement ignores forecasts, so the forecast hooks are not offered.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.errors import InfeasibleError
-from repro.core.interfaces import ON_INFEASIBLE_RAISE
-from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.heuristic.fastlane import CandidatePathScheduler
 from repro.heuristic.tracker import LinkRows
-from repro.net.topology import Topology
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
@@ -39,39 +36,21 @@ class GreedyStoreAndForwardScheduler(CandidatePathScheduler):
 
     name = "greedy-s&f"
 
-    def __init__(
-        self,
-        topology: Topology,
-        horizon: int,
-        num_candidate_paths: int = 4,
-        on_infeasible: str = ON_INFEASIBLE_RAISE,
-    ):
-        super().__init__(topology, horizon, num_candidate_paths, on_infeasible)
+    def _order(self, request: TransferRequest) -> float:
+        """Largest required rate first: big files get first pick of the
+        cheap paths, mirroring the shedding order used elsewhere."""
+        return -request.desired_rate
 
-    def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        self._check_released_at(slot, requests)
-        committed: List[ScheduleEntry] = []
-        waits: List[Tuple[int, float]] = []
-        # Largest required rate first: big files get first pick of the
-        # cheap paths, mirroring the shedding order used elsewhere.
-        for request in sorted(requests, key=lambda r: -r.desired_rate):
-            # Each commit moves residuals and charged peaks: fresh rows.
-            self._tracker.reset(slot)
-            planned = self._plan_file(request)
-            if planned is None:
-                if self.on_infeasible == ON_INFEASIBLE_RAISE:
-                    raise InfeasibleError(
-                        f"greedy heuristic cannot place file {request.request_id}"
-                    )
-                self._state.reject(request)
-                continue
-            entries, stored = planned
-            schedule = TransferSchedule(entries, stored=[(request.request_id, stored)])
-            self._state.commit(schedule, [request])
-            committed.extend(schedule.entries)
-            waits.extend(schedule.stored)
-        self._tracker.reset()
-        return TransferSchedule(committed, stored=waits)
+    def _hold(self, hop_rows, sends):
+        """Fold the winner into the rows the way its commit lands it, so
+        the next file rides free under the peak this one just paid:
+        committed volume up, residual down, the charged peak raised."""
+        for rows, sent in zip(hop_rows, sends):
+            for i, volume in enumerate(sent):
+                if volume > 0.0:
+                    rows.committed[i] += volume
+                    rows.residual[i] = max(0.0, rows.capacity - rows.committed[i])
+                    rows.charged = max(rows.charged, rows.committed[i])
 
     def _sends(self, hop_rows, request):
         """Hop ``h`` (0-based, of ``L``) may use offsets ``[h, T - (L - h)]``

@@ -1,19 +1,25 @@
-"""The scheduler interface shared by Postcard and every baseline, and
-:func:`slot_step`, the one place a slot is decided: the simulator and the
-daemon (live and on WAL replay) both call it."""
+"""The scheduler interface shared by Postcard and every baseline — one
+slot contract (a pure :meth:`Scheduler.plan_slot`, one
+:meth:`Scheduler.commit_plan`) and the shedding policy of the LP
+schedulers — and :func:`slot_step`, the one place a slot is decided: the
+simulator and the daemon (live and on WAL replay) both call it."""
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, TYPE_CHECKING,
+)
 
 from repro.core.schedule import TransferSchedule
+from repro.core.state import NetworkState
 from repro.errors import InfeasibleError, SchedulingError
 from repro.obs import registry as obs
 from repro.units import VOLUME_ATOL
 
 if TYPE_CHECKING:
-    from repro.core.state import NetworkState
+    from repro.net.topology import Topology
     from repro.traffic.spec import TransferRequest
 
 #: What to do when a slot's files cannot all meet their deadlines.
@@ -21,17 +27,95 @@ ON_INFEASIBLE_RAISE = "raise"
 ON_INFEASIBLE_DROP = "drop"
 
 
+@dataclass
+class SlotPlan:
+    """One slot's decision before commit; planning leaves the state untouched.
+
+    ``schedule`` places the ``accepted`` files; ``rejected`` are the
+    files refused.  ``per_file`` plans (the LP-free schedulers') were
+    planned one file after another and land that way (see
+    :meth:`~repro.core.state.NetworkState.commit`).  ``peak_utilization``
+    is the fast lane's highest (committed + planned) / capacity over the
+    link-slots it touches — the hybrid's pressure signal.
+    """
+
+    schedule: TransferSchedule = field(default_factory=TransferSchedule)
+    accepted: List["TransferRequest"] = field(default_factory=list)
+    rejected: List["TransferRequest"] = field(default_factory=list)
+    per_file: bool = False
+    peak_utilization: float = 0.0
+
+
+def shed_until_feasible(
+    solve_fn: Callable[[list], TransferSchedule],
+    requests: List["TransferRequest"],
+    on_infeasible: str = ON_INFEASIBLE_DROP,
+    refused: Sequence["TransferRequest"] = (),
+) -> SlotPlan:
+    """Drop files until ``solve_fn(accepted)`` succeeds.
+
+    Two-stage policy shared by all optimizing schedulers (under the
+    ``"raise"`` policy the first :class:`InfeasibleError` propagates):
+
+    1. Files that are infeasible *alone* (e.g. a deadline shorter than
+       any admissible path) are dropped first — no amount of shedding
+       other traffic can save them.
+    2. If the set is still jointly infeasible (congestion), shed the
+       most capacity-hungry file (largest desired rate, ties by size)
+       one at a time.
+
+    Returns the :class:`SlotPlan`: the schedule of the accepted files
+    (empty when everything was shed, or nothing was asked) and, after
+    the files already ``refused``, the dropped files in the order they
+    were shed.  Nothing is committed.
+    """
+    plan = SlotPlan(accepted=list(requests), rejected=list(refused))
+    if not requests:
+        return plan
+    try:
+        plan.schedule = solve_fn(plan.accepted)
+        return plan
+    except InfeasibleError:
+        if on_infeasible == ON_INFEASIBLE_RAISE:
+            raise
+
+    lonely_feasible = []
+    for request in plan.accepted:
+        try:
+            solve_fn([request])
+            lonely_feasible.append(request)
+        except InfeasibleError:
+            plan.rejected.append(request)
+    plan.accepted = lonely_feasible
+
+    while plan.accepted:
+        try:
+            plan.schedule = solve_fn(plan.accepted)
+            return plan
+        except InfeasibleError:
+            victim = max(plan.accepted, key=lambda r: (r.desired_rate, r.size_gb))
+            plan.accepted.remove(victim)
+            plan.rejected.append(victim)
+    return plan
+
+
 class Scheduler(abc.ABC):
     """Decides routing and timing for each slot's newly released files.
 
-    A scheduler owns a :class:`~repro.core.state.NetworkState` and is
-    driven slot by slot: :func:`slot_step` calls :meth:`on_slot` with
-    the files released at that slot; the scheduler returns the committed
-    :class:`~repro.core.schedule.TransferSchedule` (already applied to
-    its state).  Decisions are *online*: once committed, a transfer is
-    never rescheduled, matching the paper's model where "all routing
-    paths and flow assignments for previous traffic pairs are already
-    known".
+    A scheduler owns a :class:`~repro.core.state.NetworkState` (or
+    shares one passed as ``state``) and is driven slot by slot:
+    :func:`slot_step` calls :meth:`on_slot` with the files released at
+    that slot.  A subclass implements :meth:`plan_slot`, which decides
+    the slot without touching the state; :meth:`commit_plan` then lands
+    the whole plan under one audited commit, so a slot is committed
+    once or not at all.  Decisions are *online*: once committed, a
+    transfer is never rescheduled, matching the paper's model where "all
+    routing paths and flow assignments for previous traffic pairs are
+    already known".
+
+    ``on_infeasible`` is ``"raise"`` (a slot whose files cannot all meet
+    their deadlines raises :class:`InfeasibleError` and commits nothing)
+    or ``"drop"`` (the refused files are recorded in ``state.rejected``).
     """
 
     #: Human-readable name used in benchmark tables.
@@ -41,12 +125,34 @@ class Scheduler(abc.ABC):
     #: scheduler's ``lp`` / ``degraded`` (the daemon journals it).
     last_lane: str = "fast"
 
-    @staticmethod
-    def _checked_policy(on_infeasible: str) -> str:
-        """A constructor's ``on_infeasible`` argument, validated."""
+    #: The ``(admitted, rejected)`` counters :meth:`commit_plan` emits:
+    #: files committed per slot, and one per rejection (``None``: neither).
+    admission_counters: Optional[Tuple[str, str]] = None
+
+    def __init__(
+        self,
+        topology: "Topology",
+        horizon: int,
+        on_infeasible: str = ON_INFEASIBLE_RAISE,
+        state: Optional[NetworkState] = None,
+    ):
         if on_infeasible not in (ON_INFEASIBLE_RAISE, ON_INFEASIBLE_DROP):
             raise SchedulingError(f"unknown on_infeasible policy {on_infeasible!r}")
-        return on_infeasible
+        self.on_infeasible = on_infeasible
+        self._state = state if state is not None else NetworkState(topology, horizon)
+
+    @property
+    def state(self) -> NetworkState:
+        """The :class:`~repro.core.state.NetworkState` every cost,
+        completion and rejection is recorded against: exactly one, even
+        where a composite scheduler's lanes share it."""
+        return self._state
+
+    def adopt_state(self, state: NetworkState) -> None:
+        """Replace this scheduler's state with one restored from a
+        checkpoint (built on the same topology).  Composite schedulers
+        re-point their internal lanes and caches too."""
+        self._state = state
 
     @staticmethod
     def _check_released_at(slot: int, requests: List["TransferRequest"]) -> None:
@@ -68,35 +174,21 @@ class Scheduler(abc.ABC):
             raise InfeasibleError(f"files {ids} are within the volume tolerance")
         return [r for r in requests if r.size_gb > VOLUME_ATOL], refused
 
-    def _refuse_negligible(self, requests: List["TransferRequest"]) -> list:
-        """The files :meth:`_split_negligible` keeps; the refused are rejected."""
+    def _shed(self, solve_fn: Callable[[list], TransferSchedule],
+              requests: List["TransferRequest"]) -> SlotPlan:
+        """:func:`shed_until_feasible` under this scheduler's policy, over
+        the files :meth:`_split_negligible` keeps."""
         kept, refused = self._split_negligible(requests)
-        for request in refused:
-            self.state.reject(request)
-        return kept
+        return shed_until_feasible(solve_fn, kept, self.on_infeasible, refused)
 
-    @property
-    @abc.abstractmethod
-    def state(self) -> "NetworkState":
-        """The :class:`~repro.core.state.NetworkState` every cost,
-        completion and rejection is recorded against: exactly one, even
-        where a composite scheduler's lanes share it."""
-
-    def adopt_state(self, state: "NetworkState") -> None:
-        """Replace this scheduler's state with one restored from a
-        checkpoint (built on the same topology).  Composite schedulers
-        re-point their internal lanes and caches too."""
-        self._state = state
-
-    @abc.abstractmethod
     def on_slot(
         self, slot: int, requests: List["TransferRequest"]
     ) -> TransferSchedule:
         """Schedule the files released at ``slot`` and commit the result.
 
         Args:
-            slot: The current slot index.  Implementations may require
-                every request's ``release_slot`` to equal it.
+            slot: The current slot index; every request's
+                ``release_slot`` must equal it.
             requests: The newly released files ``K(t)``; may be empty.
 
         Returns:
@@ -106,10 +198,39 @@ class Scheduler(abc.ABC):
 
         Raises:
             InfeasibleError: some file cannot meet its deadline and the
-                scheduler's infeasibility policy is ``"raise"``; with
-                ``"drop"``, the file is recorded in ``state.rejected``
-                instead.
+                infeasibility policy is ``"raise"``; nothing of the slot
+                is committed.  With ``"drop"``, the file is recorded in
+                ``state.rejected`` instead.
         """
+        if not requests:
+            return TransferSchedule()
+        self._check_released_at(slot, requests)
+        plan = self.plan_slot(slot, requests)
+        if plan.rejected and self.on_infeasible == ON_INFEASIBLE_RAISE:
+            ids = [request.request_id for request in plan.rejected]
+            raise InfeasibleError(f"{self.name} cannot admit files {ids} at slot {slot}")
+        return self.commit_plan(plan)
+
+    @abc.abstractmethod
+    def plan_slot(self, slot: int, requests: List["TransferRequest"]) -> SlotPlan:
+        """Decide the slot's files without committing anything: the
+        state is left as it was, so the plan can be committed with
+        :meth:`commit_plan` or dropped.  Under ``"raise"`` a plan that
+        refuses a file is raised by :meth:`on_slot`, or raised here."""
+
+    def commit_plan(self, plan: SlotPlan) -> TransferSchedule:
+        """Land ``plan``: its schedule under one audited commit (a bad
+        plan raises before anything is recorded), then its rejections."""
+        counters = self.admission_counters
+        if plan.accepted:
+            self._state.commit(plan.schedule, plan.accepted, per_file=plan.per_file)
+            if counters:
+                obs.counter(counters[0], len(plan.accepted))
+        for request in plan.rejected:
+            self._state.reject(request)
+            if counters:
+                obs.counter(counters[1])
+        return plan.schedule
 
     def replay_slot(
         self, slot: int, requests: List["TransferRequest"],

@@ -19,10 +19,8 @@ from typing import Callable, List, Optional
 
 from repro.errors import InfeasibleError, SchedulingError
 from repro.core.formulation import STORAGE_FULL, build_postcard_model
-from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler, SlotPlan
 from repro.core.schedule import TransferSchedule
-from repro.core.scheduler import shed_until_feasible
-from repro.core.state import NetworkState
 from repro.net.topology import Topology
 from repro.traffic.spec import TransferRequest
 
@@ -51,37 +49,17 @@ class LookaheadPostcardScheduler(Scheduler):
     ):
         if lookahead < 0:
             raise SchedulingError(f"lookahead must be >= 0, got {lookahead}")
-        self.on_infeasible = self._checked_policy(on_infeasible)
-        self._state = NetworkState(topology, horizon)
+        super().__init__(topology, horizon, on_infeasible)
         self.preview = preview
         self.lookahead = lookahead
         self.storage = storage
         self.last_objective: Optional[float] = None
 
-    @property
-    def state(self) -> NetworkState:
-        return self._state
-
-    def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        if not requests:
-            return TransferSchedule()
-        self._check_released_at(slot, requests)
-
+    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
         future: List[TransferRequest] = []
         for ahead in range(1, self.lookahead + 1):
             future.extend(self.preview(slot + ahead))
-
-        def solve(current: List[TransferRequest]) -> TransferSchedule:
-            return self._solve(current, future)
-
-        schedule, accepted = shed_until_feasible(
-            solve, requests, self._state, self.on_infeasible
-        )
-        if schedule is None:
-            return TransferSchedule()
-
-        self._state.commit(schedule, accepted)
-        return schedule
+        return self._shed(lambda current: self._solve(current, future), requests)
 
     def _solve(
         self, current: List[TransferRequest], future: List[TransferRequest]

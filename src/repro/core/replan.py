@@ -34,9 +34,8 @@ from repro.core.flowlp import (
     Users, add_balance_rows, add_capacity_rows, add_charge_rows, add_flows,
     flow_schedule,
 )
-from repro.core.interfaces import Scheduler
+from repro.core.interfaces import Scheduler, SlotPlan
 from repro.core.schedule import TransferSchedule
-from repro.core.scheduler import shed_until_feasible
 from repro.core.state import NetworkState
 from repro.lp import LPBuilder, solve_lp
 from repro.net.topology import Topology
@@ -161,59 +160,45 @@ class ReplanningPostcardScheduler(Scheduler):
         horizon: int,
         on_infeasible: str = "raise",
     ):
-        self.on_infeasible = self._checked_policy(on_infeasible)
-        self._state = NetworkState(topology, horizon)
+        super().__init__(topology, horizon, on_infeasible)
         self.active: List[ActiveFile] = []
         self.last_objective: Optional[float] = None
-
-    @property
-    def state(self) -> NetworkState:
-        return self._state
 
     # -- the online loop -------------------------------------------------
 
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
+        """Every slot executes, an idle one included: the active files move on."""
         self._check_released_at(slot, requests)
-        requests = self._refuse_negligible(requests)
+        return self.commit_plan(self.plan_slot(slot, requests))
 
-        # Admission: the current active set stays feasible by
-        # construction (last slot's plan tail is untouched), so only
-        # newcomers can break feasibility, and only they are shed; if
-        # all are, the active set is planned alone.
-        fresh = {
-            r.request_id: ActiveFile(r, supplies={r.source: r.size_gb})
-            for r in requests
-        }
+    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
+        """Admission, then the slot's arcs of the joint plan.
 
+        The current active set stays feasible by construction (last
+        slot's plan tail is untouched), so only newcomers can break
+        feasibility, and only they are shed; if all are, the active set
+        is planned alone.
+        """
         def attempt(subset):
-            return self._solve(
-                slot, self.active + [fresh[r.request_id] for r in subset]
-            )
+            return self._solve(slot, self.active + [_fresh(r) for r in subset])
 
-        plan, accepted = shed_until_feasible(
-            attempt, requests, self._state, self.on_infeasible
-        )
-        if plan is None:
-            plan = attempt([])
-        self.active.extend(fresh[r.request_id] for r in accepted)
-        executed = self._execute_slot(slot, plan)
-        self.active = [f for f in self.active if f.remaining > VOLUME_ATOL]
-        return executed
+        plan = self._shed(attempt, requests)
+        if not plan.accepted:
+            plan.schedule = attempt([])
+        return plan
 
-    # -- planning ----------------------------------------------------------
-
-    def _solve(
-        self, slot: int, files: List[ActiveFile]
-    ) -> Dict[Tuple[int, Arc], float]:
-        """Plan all remaining volume; returns arc volumes per file."""
+    def _solve(self, slot: int, files: List[ActiveFile]) -> TransferSchedule:
+        """Plan all remaining volume; the slot-``slot`` arcs of the plan."""
         if not files:
-            return {}
+            return TransferSchedule()
         obs.counter("scheduler.replans")
         with obs.span("scheduler.replan", slot=slot, files=len(files)):
             plan, self.last_objective = solve_multisource_plan(
                 self._state, slot, files
             )
-        return plan
+        return flow_schedule(
+            (rid, arc, volume) for (rid, arc), volume in plan.items() if arc.slot == slot
+        )
 
     # -- surprise-failure recovery ------------------------------------------
 
@@ -245,21 +230,23 @@ class ReplanningPostcardScheduler(Scheduler):
 
     # -- execution ----------------------------------------------------------
 
-    def _execute_slot(
-        self, slot: int, plan: Dict[Tuple[int, Arc], float]
-    ) -> TransferSchedule:
-        """Apply only the plan's slot-``t`` arcs; update supplies."""
-        schedule = flow_schedule(
-            (rid, arc, volume) for (rid, arc), volume in plan.items() if arc.slot == slot
+    def commit_plan(self, plan: SlotPlan) -> TransferSchedule:
+        """Execute the plan's arcs (one slot's): the ledger records them,
+        the accepted files join the active set, and every file's
+        supplies move along."""
+        for request in plan.rejected:
+            self._state.reject(request)
+        self.active.extend(_fresh(r) for r in plan.accepted)
+        schedule = plan.schedule
+        self._state.record_traffic(
+            ((src, dst, slot), gb) for _, src, dst, slot, gb in schedule.entries
         )
         moved: Dict[int, Dict[int, float]] = defaultdict(lambda: defaultdict(float))
-        for rid, src, dst, _, volume in schedule.entries:
-            self._state.ledger.record(src, dst, slot, volume)
-            level = self._state.ledger.volume(src, dst, slot)
-            if level > self._state.charged_volume(src, dst):
-                self._state._charged[(src, dst)] = level
+        at: Dict[int, int] = {}
+        for rid, src, dst, slot, volume in schedule.entries:
             moved[rid][src] -= volume
             moved[rid][dst] += volume
+            at[rid] = slot
 
         by_id = {f.request.request_id: f for f in self.active}
         for rid, deltas in moved.items():
@@ -275,7 +262,12 @@ class ReplanningPostcardScheduler(Scheduler):
                 if volume > VOLUME_ATOL
             }
             if f.remaining <= max(VOLUME_ATOL, 1e-9 * f.request.size_gb):
-                self._state.completions[rid] = slot
+                self._state.completions[rid] = at[rid]
             self._state.storage_used += sum(f.supplies.values())
-
+        self.active = [f for f in self.active if f.remaining > VOLUME_ATOL]
         return schedule
+
+
+def _fresh(request: TransferRequest) -> ActiveFile:
+    """A newly released file: all of it still at its source."""
+    return ActiveFile(request, supplies={request.source: request.size_gb})

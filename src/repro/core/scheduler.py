@@ -14,95 +14,24 @@ sets (see :meth:`PostcardScheduler.plan_slot`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import List, Optional, Sequence
 
 from repro.errors import InfeasibleError
 from repro.core.formulation import STORAGE_FULL, ArcSet, build_postcard_model
-from repro.core.interfaces import (  # the constants are re-exported here
+from repro.core.interfaces import (  # the constants and the shedding are re-exported here
     ON_INFEASIBLE_DROP,
     ON_INFEASIBLE_RAISE,
     Scheduler,
+    SlotPlan,
+    shed_until_feasible,
 )
 from repro.core.schedule import TransferSchedule
-from repro.core.state import NetworkState
 from repro.lp.backends.highs import IPM_COLUMNS
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
-
-
-def shed_until_feasible(solve_fn, requests, state, on_infeasible=ON_INFEASIBLE_DROP):
-    """Drop files until ``solve_fn(accepted)`` succeeds.
-
-    Two-stage policy shared by all optimizing schedulers (under the
-    ``"raise"`` policy the first :class:`InfeasibleError` propagates):
-
-    1. Files that are infeasible *alone* (e.g. a deadline shorter than
-       any admissible path) are dropped first — no amount of shedding
-       other traffic can save them.
-    2. If the set is still jointly infeasible (congestion), shed the
-       most capacity-hungry file (largest desired rate, ties by size)
-       one at a time.
-
-    Dropped files are recorded via ``state.reject``.  Returns
-    ``(schedule_or_None, accepted)``; ``None`` means everything was
-    shed.
-    """
-    accepted = list(requests)
-    try:
-        return solve_fn(accepted), accepted
-    except InfeasibleError:
-        if on_infeasible == ON_INFEASIBLE_RAISE:
-            raise
-
-    lonely_feasible = []
-    for request in accepted:
-        try:
-            solve_fn([request])
-            lonely_feasible.append(request)
-        except InfeasibleError:
-            state.reject(request)
-    accepted = lonely_feasible
-
-    while accepted:
-        try:
-            return solve_fn(accepted), accepted
-        except InfeasibleError:
-            victim = max(accepted, key=lambda r: (r.desired_rate, r.size_gb))
-            accepted.remove(victim)
-            state.reject(victim)
-    return None, []
-
-
-@dataclass
-class LpPlan:
-    """A solved-but-uncommitted slot: the LP's output, state untouched.
-
-    Produced by :meth:`PostcardScheduler.plan_slot`, applied by
-    :meth:`PostcardScheduler.commit_plan`.  The split exists for the
-    solver watchdog (PR 7): the solve — the part that can hang — runs
-    with zero state mutation, so a timed-out solve can be abandoned
-    without leaving half a slot in the ledger; the commit is cheap and
-    runs only on the winning path.
-    """
-
-    slot: int
-    schedule: Optional[TransferSchedule]
-    accepted: List[TransferRequest] = field(default_factory=list)
-    rejected: List[TransferRequest] = field(default_factory=list)
-
-
-class _RejectRecorder:
-    """A ``state.reject``-shaped shim that only collects (plan phase)."""
-
-    def __init__(self) -> None:
-        self.rejected: List[TransferRequest] = []
-
-    def reject(self, request: TransferRequest) -> None:
-        self.rejected.append(request)
 
 
 class PostcardScheduler(Scheduler):
@@ -136,8 +65,7 @@ class PostcardScheduler(Scheduler):
         storage_price: float = 0.0,
         cost_fn_factory=None,
     ):
-        self.on_infeasible = self._checked_policy(on_infeasible)
-        self._state = NetworkState(topology, horizon)
+        super().__init__(topology, horizon, on_infeasible)
         self.storage = storage
         self.storage_capacity = storage_capacity
         self.storage_price = storage_price
@@ -151,27 +79,17 @@ class PostcardScheduler(Scheduler):
         #: Slots whose pruned model was infeasible (see :meth:`plan_slot`).
         self.widened = 0
 
-    @property
-    def state(self) -> NetworkState:
-        return self._state
-
-    def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        if not requests:
-            return TransferSchedule()
-        return self.commit_plan(self.plan_slot(slot, requests))
-
     def plan_slot(
         self, slot: int, requests: List[TransferRequest],
         arc_sets: Optional[Sequence[Optional[ArcSet]]] = None,
         transit_price: float = 0.0,
-    ) -> LpPlan:
+    ) -> SlotPlan:
         """Solve the slot without committing anything.
 
-        Pure with respect to :class:`NetworkState`: rejections decided
-        by the shedding policy are *collected* on the plan, not
-        recorded.  Apply the result with :meth:`commit_plan`, or drop it
-        on the floor — e.g. when the solver watchdog times the slot out
-        — and the ledger never knows the solve happened.
+        Rejections decided by the shedding policy are *collected* on the
+        plan, not recorded.  Apply the result with :meth:`commit_plan`,
+        or drop it on the floor — e.g. when the solver watchdog times the
+        slot out — and the ledger never knows the solve happened.
 
         ``arc_sets`` (one per request, see :func:`build_postcard_model`)
         prunes the model under one rule, **widen before shed**: an
@@ -185,38 +103,22 @@ class PostcardScheduler(Scheduler):
         A file of at most ``VOLUME_ATOL`` GB is refused before any solve:
         its flow would read back as nothing delivered.
         """
-        self._check_released_at(slot, requests)
-        recorder = _RejectRecorder()
-        kept, recorder.rejected = self._split_negligible(requests)
-        if recorder.rejected:
+        kept, refused = self._split_negligible(requests)
+        if refused:
             arc_sets = arc_sets and [
                 arcs for request, arcs in zip(requests, arc_sets)
                 if request.size_gb > VOLUME_ATOL
             ]
             requests = kept
-            if not requests:
-                return LpPlan(slot, None, [], recorder.rejected)
         pruned = bool(arc_sets) and any(arc_sets)
         solve = partial(self._solve, transit_price=transit_price if pruned else 0.0)
         if pruned:
             try:
-                return LpPlan(slot, solve(requests, arc_sets), list(requests), recorder.rejected)
+                return SlotPlan(solve(requests, arc_sets), list(requests), refused)
             except InfeasibleError:
                 self.widened += 1
                 obs.counter("hybrid.lp_widened", slot=slot)
-        schedule, accepted = shed_until_feasible(
-            solve, requests, recorder, self.on_infeasible
-        )
-        return LpPlan(slot, schedule, accepted, recorder.rejected)
-
-    def commit_plan(self, plan: LpPlan) -> TransferSchedule:
-        """Apply an :class:`LpPlan`: record rejections, commit the rest."""
-        for request in plan.rejected:
-            self._state.reject(request)
-        if plan.schedule is None:
-            return TransferSchedule()
-        self._state.commit(plan.schedule, plan.accepted)
-        return plan.schedule
+        return shed_until_feasible(solve, requests, self.on_infeasible, refused)
 
     def _solve(self, requests, arc_sets=None, transit_price=0.0) -> TransferSchedule:
         with obs.span("scheduler.solve", scheduler=self.name,

@@ -11,7 +11,7 @@ of a :class:`~repro.charging.ledger.TrafficLedger`.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.charging.ledger import TrafficLedger
@@ -142,16 +142,10 @@ class NetworkState:
             batches = [groups.get(request.request_id, ()) for request in requests]
         else:
             batches = [schedule.entries]
-        recorded_gb = 0.0
-        touched = set()
-        for entries in batches:
-            volumes: Dict[Tuple[int, int, int], float] = defaultdict(float)
-            for _, src, dst, slot, volume in entries:
-                volumes[(src, dst, slot)] += volume
-            for (src, dst, slot), volume in volumes.items():
-                self.ledger.record(src, dst, slot, volume)
-                recorded_gb += volume
-            touched.update(volumes)
+        # One batch's sums at a time: a slot of 500 files holds one dict.
+        recorded_gb = self.record_traffic(
+            cell for entries in batches for cell in _summed(entries).items()
+        )
         if per_file:
             waits: Dict[int, float] = defaultdict(float)
             for rid, gb in schedule.stored:
@@ -160,12 +154,6 @@ class NetworkState:
                 self.storage_used += waits.get(request.request_id, 0.0)
         else:
             self.storage_used += schedule.total_storage_volume()
-        # Volumes only grow within a commit, so each touched cell's
-        # final level is its highest.
-        for src, dst, slot in touched:
-            level = self.ledger.volume(src, dst, slot)
-            if level > self._charged[(src, dst)]:
-                self._charged[(src, dst)] = level
         self.completions.update(completions)
 
         if obs.get_registry().enabled:
@@ -176,6 +164,29 @@ class NetworkState:
             obs.counter("ledger.charged_gb", round(recorded_gb, 6),
                         files=len(requests))
             obs.gauge("ledger.cost_per_slot", self.current_cost_per_slot())
+
+    def record_traffic(
+        self, cells: Iterable[Tuple[Tuple[int, int, int], float]]
+    ) -> float:
+        """Record ``((src, dst, slot), GB)`` cells in the ledger, in order,
+        and raise each touched link's charged volume ``X_ij`` to the cell's
+        new level: the one write path into the books (:meth:`commit` calls
+        it after its audit; replanning and recovery execute through it).
+        Returns the GB recorded."""
+        recorded_gb = 0.0
+        touched = set()
+        for cell, volume in cells:
+            src, dst, slot = cell
+            self.ledger.record(src, dst, slot, volume)
+            recorded_gb += volume
+            touched.add(cell)
+        # Volumes only grow here, so each touched cell's final level is
+        # its highest.
+        for src, dst, slot in touched:
+            level = self.ledger.volume(src, dst, slot)
+            if level > self._charged[(src, dst)]:
+                self._charged[(src, dst)] = level
+        return recorded_gb
 
     def void_traffic(self, src: int, dst: int, slot: int, volume: float) -> None:
         """Refund committed traffic that a surprise outage prevented.
@@ -259,3 +270,11 @@ class NetworkState:
             f"rejected={len(self.rejected)}, "
             f"cost_per_slot={self.current_cost_per_slot():.3f})"
         )
+
+
+def _summed(entries) -> Dict[Tuple[int, int, int], float]:
+    """GB per ``(src, dst, slot)`` cell, added up in entry order."""
+    volumes: Dict[Tuple[int, int, int], float] = defaultdict(float)
+    for _, src, dst, slot, volume in entries:
+        volumes[(src, dst, slot)] += volume
+    return volumes

@@ -28,10 +28,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.errors import SchedulingError
 from repro.charging.schemes import PercentileCharging
 from repro.core.formulation import build_postcard_model
-from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler, SlotPlan
 from repro.core.schedule import TransferSchedule
-from repro.core.scheduler import shed_until_feasible
-from repro.core.state import NetworkState
 from repro.net.topology import LinkKey, Topology
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
@@ -51,8 +49,7 @@ class PercentileAwareScheduler(Scheduler):
     ):
         if not 0 < q <= 100:
             raise SchedulingError(f"percentile must be in (0, 100], got {q}")
-        self.on_infeasible = self._checked_policy(on_infeasible)
-        self._state = NetworkState(topology, horizon)
+        super().__init__(topology, horizon, on_infeasible)
         self.q = float(q)
         #: Free burst slots per link for the whole charging period:
         #: exactly the samples strictly above the charged index of the
@@ -63,10 +60,6 @@ class PercentileAwareScheduler(Scheduler):
         #: Amnestied (free) slots per link.
         self.amnesty: Dict[LinkKey, Set[int]] = defaultdict(set)
         self.last_objective: Optional[float] = None
-
-    @property
-    def state(self) -> NetworkState:
-        return self._state
 
     # -- accounting that ignores amnestied slots ------------------------
 
@@ -88,20 +81,9 @@ class PercentileAwareScheduler(Scheduler):
 
     # -- the online loop ----------------------------------------------------
 
-    def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        self._check_released_at(slot, requests)
-        requests = self._refuse_negligible(requests)
-        if not requests:
-            return TransferSchedule()
-
-        schedule, accepted = shed_until_feasible(
-            self._solve_with_amnesty, requests, self._state, self.on_infeasible
-        )
-        if schedule is None:
-            return TransferSchedule()
-
-        self._state.commit(schedule, accepted)
-        return schedule
+    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
+        # Amnesty is this scheduler's own record: the books stay untouched.
+        return self._shed(self._solve_with_amnesty, requests)
 
     def _solve_once(self, requests: List[TransferRequest]):
         built = build_postcard_model(

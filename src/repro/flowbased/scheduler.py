@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.errors import InfeasibleError, SchedulingError
-from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
+from repro.errors import SchedulingError
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler, SlotPlan
 from repro.core.schedule import TransferSchedule
-from repro.core.state import NetworkState
 from repro.flowbased.model import build_flow_model
 from repro.flowbased.two_phase import solve_two_phase
 from repro.net.topology import Topology
@@ -37,33 +36,14 @@ class FlowBasedScheduler(Scheduler):
     ):
         if variant not in (VARIANT_LP, VARIANT_TWO_PHASE):
             raise SchedulingError(f"unknown flow-based variant {variant!r}")
-        self.on_infeasible = self._checked_policy(on_infeasible)
-        self._state = NetworkState(topology, horizon)
+        super().__init__(topology, horizon, on_infeasible)
         self.variant = variant
         self.last_objective: Optional[float] = None
         #: lambda of the last two-phase solve (None for the LP variant).
         self.last_lambda: Optional[float] = None
 
-    @property
-    def state(self) -> NetworkState:
-        return self._state
-
-    def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        self._check_released_at(slot, requests)
-        requests = self._refuse_negligible(requests)
-        if not requests:
-            return TransferSchedule()
-
-        from repro.core.scheduler import shed_until_feasible
-
-        schedule, accepted = shed_until_feasible(
-            self._solve, requests, self._state, self.on_infeasible
-        )
-        if schedule is None:
-            return TransferSchedule()
-
-        self._state.commit(schedule, accepted)
-        return schedule
+    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
+        return self._shed(self._solve, requests)
 
     def _solve(self, requests: List[TransferRequest]) -> TransferSchedule:
         with obs.span("scheduler.solve", scheduler=self.name,

@@ -17,7 +17,8 @@ pressured slots back to the LP:
   slot, LP escalation under admission pressure (``"hybrid"``).
 """
 
-from repro.heuristic.fastlane import FastLaneScheduler, SlotPlan
+from repro.core.interfaces import SlotPlan
+from repro.heuristic.fastlane import FastLaneScheduler
 from repro.heuristic.hybrid import HybridScheduler
 from repro.heuristic.paths import CandidatePathIndex
 from repro.heuristic.tracker import UtilizationTracker

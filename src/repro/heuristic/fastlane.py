@@ -27,11 +27,9 @@ slots to the LP to recover most of the gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import InfeasibleError
-from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler, SlotPlan
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
 from repro.heuristic.paths import CandidatePathIndex
@@ -54,37 +52,14 @@ _PASSES = {
 }
 
 
-@dataclass
-class SlotPlan:
-    """The fast lane's tentative decisions for one slot, before commit.
-
-    ``plans`` pairs each admitted request with its schedule entries;
-    ``stored`` lists ``(request id, GB-slots)`` of the files that wait;
-    ``rejected`` holds the requests that failed admission;
-    ``peak_utilization`` is the highest (committed + planned) / capacity
-    over the link-slots the plan touches — the hybrid's pressure signal.
-    """
-
-    slot: int
-    plans: List[Tuple[TransferRequest, List[ScheduleEntry]]] = field(
-        default_factory=list
-    )
-    stored: List[Tuple[int, float]] = field(default_factory=list)
-    rejected: List[TransferRequest] = field(default_factory=list)
-    peak_utilization: float = 0.0
-
-    @property
-    def admitted(self) -> int:
-        return len(self.plans)
-
-
 class CandidatePathScheduler(Scheduler):
     """The LP-free engine under the fast lane and the greedy baseline.
 
     Per file: the K cheapest window-aware candidate paths, each placed
     on the tracker's window rows by the subclass's :meth:`_sends` rule
     and costed by marginal bill increase; :meth:`_beats` picks the
-    winner, which joins the pending rows and becomes schedule entries.
+    winner, which :meth:`_hold` counts against the rest of the slot and
+    which becomes schedule entries.
 
     Parameters
     ----------
@@ -94,9 +69,9 @@ class CandidatePathScheduler(Scheduler):
         Cheapest simple paths examined per request (the admission
         test's fan-out).
     on_infeasible:
-        ``"raise"`` propagates :class:`InfeasibleError` on the first
-        inadmissible request; ``"drop"`` records it via
-        ``state.reject`` and continues.
+        ``"raise"``: a slot with an inadmissible request raises
+        :class:`InfeasibleError` and commits nothing; ``"drop"``
+        records the request via ``state.reject``.
     state:
         Optional externally owned :class:`NetworkState` to plan and
         commit against — the hybrid scheduler passes the LP lane's
@@ -111,25 +86,48 @@ class CandidatePathScheduler(Scheduler):
         on_infeasible: str = ON_INFEASIBLE_RAISE,
         state: Optional[NetworkState] = None,
     ):
-        self.on_infeasible = self._checked_policy(on_infeasible)
-        self._state = state if state is not None else NetworkState(topology, horizon)
+        super().__init__(topology, horizon, on_infeasible, state)
         self._paths = CandidatePathIndex(topology, max_paths=num_candidate_paths)
         self._tracker = UtilizationTracker(self._state)
-
-    @property
-    def state(self) -> NetworkState:
-        return self._state
 
     def adopt_state(self, state: NetworkState) -> None:
         """Re-point at a restored state (checkpoint resume path); the
         tracker reads the state it was built on, so it is rebuilt too."""
-        self._state = state
+        super().adopt_state(state)
         self._tracker = UtilizationTracker(state)
 
     @property
     def tracker(self) -> UtilizationTracker:
         """The window table (rows and pending load of the current batch)."""
         return self._tracker
+
+    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
+        """Plan the files one at a time in :meth:`_order`, each against the
+        rows the ones before it left (:meth:`_hold`); nothing is committed.
+        The plan lands file by file, in that order.  The rows are dropped
+        once planned: nothing after the plan reads them."""
+        self._tracker.reset(slot)
+        plan = SlotPlan(per_file=True)
+        entries: List[ScheduleEntry] = []
+        stored: List[Tuple[int, float]] = []
+        for request in sorted(requests, key=self._order):
+            planned = self._plan_file(request)
+            if planned is None:
+                plan.rejected.append(request)
+                continue
+            placed, waited = planned
+            plan.accepted.append(request)
+            entries += placed
+            if waited:
+                stored.append((request.request_id, waited))
+        plan.peak_utilization = self._tracker.peak_utilization()
+        self._tracker.reset()
+        plan.schedule = TransferSchedule(entries, stored=stored)
+        return plan
+
+    def _order(self, request: TransferRequest):
+        """The sort key of a slot's planning order."""
+        raise NotImplementedError
 
     def _sends(
         self, hop_rows: Sequence[LinkRows], request: TransferRequest
@@ -180,11 +178,16 @@ class CandidatePathScheduler(Scheduler):
         if best is None:
             return None
         _, _, path, hop_rows, sends = best
+        self._hold(hop_rows, sends)
+        return _emit(request, path, sends)
+
+    def _hold(self, hop_rows: Sequence[LinkRows], sends: List[List[float]]) -> None:
+        """Count a winning plan against the rest of the batch: as the
+        rows' pending load, which every later file of the slot sees."""
         for rows, sent in zip(hop_rows, sends):
             for i, volume in enumerate(sent):
                 if volume > 0.0:
                     rows.pending[i] += volume
-        return _emit(request, path, sends)
 
 
 class FastLaneScheduler(CandidatePathScheduler):
@@ -192,6 +195,7 @@ class FastLaneScheduler(CandidatePathScheduler):
     (constructor parameters: see :class:`CandidatePathScheduler`)."""
 
     name = "heuristic"
+    admission_counters = ("heuristic.admitted", "heuristic.rejected")
 
     #: Optional :class:`~repro.forecast.provider.ForecastProvider`;
     #: ``None`` (the default) keeps placement purely reactive.
@@ -225,74 +229,21 @@ class FastLaneScheduler(CandidatePathScheduler):
     def forecast(self):
         return self._forecast
 
-    # -- public entry ------------------------------------------------------
-
-    def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        """Admit-and-place the files ``K(t)`` released at ``slot``; commit.
-
-        Every request's ``release_slot`` must equal ``slot``.  Returns
-        the committed :class:`TransferSchedule` of the admitted requests
-        (empty when none arrived or all were rejected); raises
-        :class:`InfeasibleError` when one fails admission and the
-        policy is ``on_infeasible="raise"``.
-        """
-        if not requests:
-            return TransferSchedule()
-        plan = self.plan_slot(slot, requests)
-        if plan.rejected and self.on_infeasible == ON_INFEASIBLE_RAISE:
-            ids = [r.request_id for r in plan.rejected]
-            raise InfeasibleError(f"fast lane cannot admit files {ids} at slot {slot}")
-        return self.commit_plan(plan)
-
     def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
         """Plan every request tentatively — nothing is committed.
 
         Requests are processed tightest-deadline-first (ties: largest
         desired rate), each seeing the load of the ones planned before
-        it in the table's pending rows.  The :class:`SlotPlan` can be
-        committed with :meth:`commit_plan` or discarded (the hybrid
-        mode discards it when escalating).
+        it in the table's pending rows.  The hybrid mode discards the
+        plan when escalating.
         """
-        self._check_released_at(slot, requests)
-        self._tracker.reset(slot)
         self._reserving = self._forecast is not None and self._forecast.active
-        plan = SlotPlan(slot=slot)
         with obs.span("scheduler.fastlane", slot=slot, requests=len(requests)):
-            for request in sorted(
-                requests, key=lambda r: (r.deadline_slots, -r.desired_rate)
-            ):
-                planned = self._plan_file(request)
-                if planned is None:
-                    plan.rejected.append(request)
-                    continue
-                entries, stored = planned
-                plan.plans.append((request, entries))
-                if stored:
-                    plan.stored.append((request.request_id, stored))
-            plan.peak_utilization = self._tracker.peak_utilization()
-        return plan
+            return super().plan_slot(slot, requests)
 
-    def commit_plan(self, plan: SlotPlan) -> TransferSchedule:
-        """Apply a :class:`SlotPlan`: record rejections, commit the slot.
-
-        One commit per slot: the audit (delivery, conservation, deadline
-        windows, residual capacity under the summed load) covers every
-        plan before anything is recorded, so a bad plan leaves the state
-        untouched; the ledger is then written file by file, in order.
-        """
-        schedule = TransferSchedule(
-            (e for _, entries in plan.plans for e in entries), stored=plan.stored
-        )
-        if plan.plans:
-            self._state.commit(
-                schedule, [request for request, _ in plan.plans], per_file=True
-            )
-            obs.counter("heuristic.admitted", len(plan.plans))
-        for request in plan.rejected:
-            self._state.reject(request)
-            obs.counter("heuristic.rejected")
-        self._tracker.reset()
-        return schedule
+    def _order(self, request: TransferRequest) -> tuple:
+        """Tightest deadline first; ties: largest desired rate."""
+        return (request.deadline_slots, -request.desired_rate)
 
     # -- per-file planning -------------------------------------------------
 

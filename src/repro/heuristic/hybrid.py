@@ -46,7 +46,7 @@ from typing import Callable, List, Optional
 
 from repro.errors import InfeasibleError, SchedulingError, SolverError, UnboundedError
 from repro.core.formulation import STORAGE_FULL
-from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler
+from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler, SlotPlan
 from repro.core.schedule import TransferSchedule
 from repro.core.scheduler import PostcardScheduler
 from repro.core.state import NetworkState
@@ -263,11 +263,10 @@ class HybridScheduler(Scheduler):
         self.last_lane = lane or "fast"
         if not requests:
             return TransferSchedule()
+        self._check_released_at(slot, requests)
         plan = self._fast.plan_slot(slot, requests)
         if lane is None:
-            rejected = bool(plan.rejected) and self.escalate_on_rejection
-            pressured = plan.peak_utilization > self.escalate_utilization
-            if rejected or pressured:
+            if self._pressured(plan):
                 return self._escalate(slot, requests, plan)
             obs.counter("hybrid.fast_slots")
         elif lane == "lp":
@@ -288,7 +287,27 @@ class HybridScheduler(Scheduler):
         ):
             return self._fast.commit_plan(plan)
 
+    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
+        """What a live slot commits when no watchdog runs, nothing
+        committed: the fast lane's plan, or the LP lane's under pressure."""
+        plan = self._fast.plan_slot(slot, requests)
+        if self._pressured(plan):
+            sets = self._arc_sets(requests, plan)
+            return self._lp.plan_slot(slot, requests, sets, self.transit_price)
+        return plan
+
+    def commit_plan(self, plan: SlotPlan) -> TransferSchedule:
+        """Commit through the lane that planned ``plan`` (the fast lane's
+        plans are the ones that land file by file)."""
+        return (self._fast if plan.per_file else self._lp).commit_plan(plan)
+
     # -- escalation --------------------------------------------------------
+
+    def _pressured(self, plan: SlotPlan) -> bool:
+        """Whether the fast lane's plan escalates: a rejection (unless
+        those are final) or a link-slot planned above the threshold."""
+        rejected = bool(plan.rejected) and self.escalate_on_rejection
+        return rejected or plan.peak_utilization > self.escalate_utilization
 
     def _arc_sets(self, requests, plan):
         """Per file, the arcs of every path the shared index knows for

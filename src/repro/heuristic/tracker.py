@@ -30,8 +30,9 @@ class LinkRows:
     """One link's cells over the current window, as parallel lists.
 
     Index ``i`` is slot ``base + i``.  ``residual`` is the state's gated
-    residual capacity and ``committed`` its ledger volume (neither sees
-    this batch); ``pending`` is the batch's tentative load; ``reserved``
+    residual capacity and ``committed`` its ledger volume (the fast lane's
+    batch never enters them; greedy folds each placed file in, as its
+    commit lands it); ``pending`` is the batch's tentative load; ``reserved``
     is the forecast reservation row (``None`` with no forecast attached).
     """
 

@@ -302,11 +302,9 @@ class RecoveryManager:
         """Record recovered transit in the ledger and raise the charged
         peaks, exactly as a scheduler commit would; the entries also
         join the shadow log so a *second* outage can disrupt them."""
-        for e in entries:
-            self.state.ledger.record(e.src, e.dst, e.slot, e.volume)
-            level = self.state.ledger.volume(e.src, e.dst, e.slot)
-            if level > self.state.charged_volume(e.src, e.dst):
-                self.state._charged[(e.src, e.dst)] = level
+        self.state.record_traffic(
+            ((src, dst, slot), gb) for _, src, dst, slot, gb in entries
+        )
         self._log_entries(entries)
 
     def _complete(self, request, delivered, entries) -> None:

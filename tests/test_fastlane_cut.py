@@ -31,7 +31,8 @@ HORIZON = 12
 
 def exhaustive_plan_file(scheduler, request):
     """Every candidate placed and costed, no cut: ``(path, sends)`` of
-    the winner, which joins the pending rows, or ``None``."""
+    the winner, which the scheduler's ``_hold`` counts against the rest
+    of the batch, or ``None``."""
     candidates = scheduler._paths.candidates(
         request.source, request.destination, request.deadline_slots,
         schedule=scheduler.state.link_schedule,
@@ -50,10 +51,7 @@ def exhaustive_plan_file(scheduler, request):
     if best is None:
         return None
     _, _, path, hop_rows, sends = best
-    for rows, sent in zip(hop_rows, sends):
-        for i, volume in enumerate(sent):
-            if volume > 0.0:
-                rows.pending[i] += volume
+    scheduler._hold(hop_rows, sends)
     return path, sends
 
 
@@ -118,11 +116,19 @@ def _scheduler(kind, nodes, links, committed, paid, reservations, release):
 
 
 def _pending(scheduler):
-    """Every pending cell, as exact bits."""
-    return {
-        key: [(i, volume.hex()) for i, volume in enumerate(rows.pending) if volume]
-        for key, rows in scheduler.tracker._rows.items()
-    }
+    """Every cell the batch's winners hold — as pending load, or folded
+    into the committed row (greedy) — with its residual and the link's
+    charged peak, as exact bits."""
+    state, base, held = scheduler.state, scheduler.tracker._base, {}
+    for (src, dst), rows in scheduler.tracker._rows.items():
+        cells = [
+            (i, pending.hex(), rows.committed[i].hex(), rows.residual[i].hex())
+            for i, pending in enumerate(rows.pending)
+            if pending or rows.committed[i] != state.committed_volume(src, dst, base + i)
+        ]
+        if cells:
+            held[(src, dst)] = [rows.charged.hex()] + cells
+    return held
 
 
 def _bits(sends):

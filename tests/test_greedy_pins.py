@@ -9,7 +9,8 @@ commit's ``src/`` on ``PYTHONPATH`` to re-record).  Each scenario drives
 a seeded multi-slot stream and pins the bill, the decision vector and a
 hash of every ledger cell and charged peak — bit for bit, because the
 first-strictly-cheaper tie rule turns a one-ulp cost drift into a
-different path.
+different path.  ``raise_mid_batch`` alone was re-recorded when a slot
+began to commit once: its raising batch now leaves no cell behind.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ def _run(seed, datacenters=8, slots=12, capacity=60.0, max_files=12,
          on_infeasible="drop", prepare=None):
     """Drive greedy over a seeded paper workload; books after the run.
 
-    In raise mode the run stops at the first infeasible file and the
-    books show what the per-file commits before it left behind.
+    In raise mode the run stops at the first slot with an infeasible
+    file, and the books show that the slot committed nothing.
     """
     topology = complete_topology(datacenters, capacity=capacity, seed=seed)
     scheduler = GreedyStoreAndForwardScheduler(
@@ -98,10 +99,9 @@ def test_pins_cover_what_they_claim(pins):
             assert max(books["decisions"]) > 0, name
     stopped = scenarios["raise_mid_batch"]
     assert stopped["raised"]["slot"] > 0 and not stopped["rejected"]
-    # Some of the raising batch committed before the infeasible file,
-    # and at least one file after it was never tried.
+    # None of the raising batch committed: a slot lands whole or not at all.
     batch = stopped["decisions"][-stopped["raised"]["batch"]:]
-    assert max(batch) >= 0 and batch.count(-1) >= 2
+    assert len(batch) >= 2 and max(batch) == -1
 
 
 if __name__ == "__main__":

@@ -303,12 +303,13 @@ def test_a_slot_lists_transmissions_and_counts_the_waits_they_imply():
             release_slot=0,
         ))
     plan = scheduler.plan_slot(0, requests)
-    built = [(e.request_id, e.src, e.dst, e.slot) for _, es in plan.plans for e in es]
+    built = [(e.request_id, e.src, e.dst, e.slot) for e in plan.schedule.entries]
     assert len(built) == len(set(built))
     schedule = scheduler.commit_plan(plan)
     assert [(e.request_id, e.src, e.dst, e.slot) for e in schedule.entries] == built
-    admitted = [request for request, _ in plan.plans]
-    assert any(e.src != r.source for r, es in plan.plans for e in es)  # relays
+    admitted = plan.accepted
+    source = {r.request_id: r.source for r in admitted}
+    assert any(e.src != source[e.request_id] for e in plan.schedule.entries)  # relays
     implied = sum(schedule.storage_slot_volumes(admitted).values())
     assert scheduler.state.storage_used > 0.0
     assert scheduler.state.storage_used == pytest.approx(implied, rel=1e-12)
@@ -322,7 +323,7 @@ def test_plan_slot_commits_nothing():
     topo = two_node_topology(capacity=10.0)
     scheduler = FastLaneScheduler(topo, horizon=20)
     plan = scheduler.plan_slot(0, [TransferRequest(0, 1, 5.0, 2, release_slot=0)])
-    assert plan.admitted == 1 and not plan.rejected
+    assert len(plan.accepted) == 1 and not plan.rejected
     assert plan.peak_utilization == pytest.approx(0.5)
     assert scheduler.state.ledger.total_volume() == 0.0
     assert not scheduler.state.completions
@@ -342,9 +343,9 @@ def test_plan_slot_orders_tightest_deadline_first():
     loose = TransferRequest(0, 1, 40.0, 4, release_slot=0)
     tight = TransferRequest(0, 1, 10.0, 1, release_slot=0)
     plan = scheduler.plan_slot(0, [loose, tight])
-    assert plan.admitted == 1
+    assert len(plan.accepted) == 1
     assert plan.rejected == [loose]
-    assert plan.plans[0][0] is tight
+    assert plan.accepted[0] is tight
 
 
 def test_commit_plan_is_all_or_nothing():
@@ -374,12 +375,13 @@ def test_commit_plan_is_all_or_nothing():
         TransferRequest(2, 3, 6.0, 3, release_slot=1),
         TransferRequest(1, 0, 5.0, 4, release_slot=1),
     ])
-    assert plan.admitted == 3
-    request, entries = plan.plans[-1]
+    assert len(plan.accepted) == 3
+    entries = plan.schedule.entries
     short = entries[-1]
-    plan.plans[-1] = (request, entries[:-1] + [ScheduleEntry(
+    assert short.request_id == plan.accepted[-1].request_id
+    entries[-1] = ScheduleEntry(
         short.request_id, short.src, short.dst, short.slot, short.volume / 2
-    )])
+    )
     with pytest.raises(SchedulingError, match="delivers"):
         scheduler.commit_plan(plan)
     assert books() == before

@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 
 from repro.core import PostcardScheduler, build_postcard_model
 from repro.core.formulation import ArcSet
-from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
 from repro.heuristic import HybridScheduler
 from repro.heuristic.paths import CandidatePathIndex
@@ -206,9 +205,7 @@ def test_fast_lane_admission_implies_pruned_feasibility(
     requests = _batch(rng, nodes, slot, files, (1.0, 15.0), (1, 6))
     plan = scheduler.fast_lane.plan_slot(slot, requests)
     assume(not plan.rejected)
-    fast_cost = state.preview_cost(
-        TransferSchedule(e for _, entries in plan.plans for e in entries)
-    )
+    fast_cost = state.preview_cost(plan.schedule)
 
     pruned = build_postcard_model(
         state, requests, arc_sets=scheduler._arc_sets(requests, plan)

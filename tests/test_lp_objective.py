@@ -38,7 +38,6 @@ from hypothesis import strategies as st
 
 import repro.core.scheduler as lane_module
 from repro.core import build_postcard_model
-from repro.core.schedule import TransferSchedule
 from repro.heuristic import HybridScheduler
 from repro.lp.backends.highs import HighsBackend
 from repro.net.generators import complete_topology
@@ -159,8 +158,8 @@ def test_through_the_lane_full_le_pruned_le_fast_lane(seed, nodes, files, warm_s
     requests = _batch(rng, nodes, slot, files, (1.0, 15.0), (1, 6))
     plan = scheduler.fast_lane.plan_slot(slot, requests)
     assume(not plan.rejected)
-    entries = [entry for _, placed in plan.plans for entry in placed]
-    fast_cost = state.preview_cost(TransferSchedule(entries))
+    entries = plan.schedule.entries
+    fast_cost = state.preview_cost(plan.schedule)
     fast_hops = sum(e.volume for e in entries)
 
     widened = lane.widened

@@ -1,0 +1,81 @@
+"""The slot contract of every registered scheduler.
+
+A slot is one online step: :meth:`Scheduler.plan_slot` decides it
+without touching the books, :meth:`Scheduler.commit_plan` lands the plan
+once, and :meth:`Scheduler.on_slot` is exactly that pair — so a slot that
+raises under ``on_infeasible="raise"`` leaves the books as they were.
+The books are :func:`~repro.core.checkpoint.state_to_payload`: ledger
+cells, charged peaks, completions, rejections and storage.
+"""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+from repro import registry
+from repro.core.checkpoint import state_to_payload
+from repro.errors import InfeasibleError
+from repro.net.generators import complete_topology
+from repro.traffic.spec import TransferRequest
+
+TOPOLOGY = complete_topology(3, capacity=10.0, seed=1)
+HORIZON = 20
+NAMES = registry.scheduler_names()
+
+#: Slot 0 fits everywhere; slot 1 adds a file no cut can carry in time
+#: (1,000 GB in 2 slots from a source with 20 GB of links per slot).
+WARM = [
+    TransferRequest(0, 1, 6.0, 2, release_slot=0),
+    TransferRequest(2, 0, 9.0, 3, release_slot=0),
+]
+SLOT_1 = [
+    TransferRequest(0, 2, 8.0, 3, release_slot=1),
+    TransferRequest(1, 0, 1000.0, 2, release_slot=1),
+    TransferRequest(2, 1, 7.0, 4, release_slot=1),
+]
+
+
+def _warm(name, policy="drop"):
+    """``name`` from the registry under ``policy``, slot 0 committed."""
+    def build(path, topology, horizon, **kwargs):
+        module, _, cls = path.partition(":")
+        scheduler = getattr(importlib.import_module(module), cls)
+        return scheduler(topology, horizon, on_infeasible=policy, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(registry, "_build", build)
+        scheduler = registry.make_scheduler(name, TOPOLOGY, HORIZON)
+    scheduler.on_slot(0, WARM)
+    assert scheduler.state.ledger.used_links()
+    return scheduler
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_plan_slot_leaves_the_books_as_they_were(name):
+    scheduler = _warm(name)
+    before = state_to_payload(scheduler.state)
+    plan = scheduler.plan_slot(1, SLOT_1)
+    assert plan.accepted and plan.rejected
+    assert state_to_payload(scheduler.state) == before
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_slot_that_raises_commits_nothing(name):
+    scheduler = _warm(name, policy="raise")
+    before = state_to_payload(scheduler.state)
+    with pytest.raises(InfeasibleError):
+        scheduler.on_slot(1, SLOT_1)
+    assert state_to_payload(scheduler.state) == before
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_on_slot_is_commit_plan_of_plan_slot(name):
+    live, staged = _warm(name), _warm(name)
+    schedule = live.on_slot(1, SLOT_1)
+    committed = staged.commit_plan(staged.plan_slot(1, SLOT_1))
+    assert schedule.entries == committed.entries
+    assert schedule.stored == committed.stored
+    assert state_to_payload(live.state) == state_to_payload(staged.state)
+    assert live.state.rejected
