@@ -129,6 +129,10 @@ class Scheduler(abc.ABC):
     #: files committed per slot, and one per rejection (``None``: neither).
     admission_counters: Optional[Tuple[str, str]] = None
 
+    #: Optional :class:`~repro.forecast.provider.ForecastProvider` the
+    #: slot path trains (``None``: purely reactive, and nothing is called).
+    forecast: Any = None
+
     def __init__(
         self,
         topology: "Topology",
@@ -202,14 +206,34 @@ class Scheduler(abc.ABC):
                 is committed.  With ``"drop"``, the file is recorded in
                 ``state.rejected`` instead.
         """
-        if not requests:
-            return TransferSchedule()
-        self._check_released_at(slot, requests)
-        plan = self.plan_slot(slot, requests)
-        if plan.rejected and self.on_infeasible == ON_INFEASIBLE_RAISE:
-            ids = [request.request_id for request in plan.rejected]
-            raise InfeasibleError(f"{self.name} cannot admit files {ids} at slot {slot}")
-        return self.commit_plan(plan)
+        return self._run(slot, requests, self.plan_slot)
+
+    def _run(
+        self, slot: int, requests: List["TransferRequest"],
+        plan_slot: Callable[[int, List["TransferRequest"]], SlotPlan],
+    ) -> TransferSchedule:
+        """The slot path of :meth:`on_slot` and :meth:`replay_slot`: check
+        the release slots, ``plan_slot``, raise under ``"raise"`` a plan
+        that refuses a file, commit.  An attached :attr:`forecast` begins
+        the slot first and, after the commit, observes it — an idle slot
+        too, since links carry volume deferred from earlier slots."""
+        forecast = self.forecast
+        if forecast is not None:
+            forecast.begin_slot(slot)
+        schedule = TransferSchedule()
+        if requests:
+            self._check_released_at(slot, requests)
+            plan = plan_slot(slot, requests)
+            if plan.rejected and self.on_infeasible == ON_INFEASIBLE_RAISE:
+                ids = [request.request_id for request in plan.rejected]
+                raise InfeasibleError(
+                    f"{self.name} cannot admit files {ids} at slot {slot}"
+                )
+            schedule = self.commit_plan(plan)
+        if forecast is not None:
+            forecast.note_placements(schedule.entries)
+            forecast.observe_slot(slot, requests, self._state)
+        return schedule
 
     @abc.abstractmethod
     def plan_slot(self, slot: int, requests: List["TransferRequest"]) -> SlotPlan:

@@ -72,10 +72,6 @@ class PostcardScheduler(Scheduler):
         self.cost_fn_factory = cost_fn_factory
         #: objective value of the last solved slot (cost per interval).
         self.last_objective: Optional[float] = None
-        #: Optional :class:`~repro.forecast.provider.ForecastProvider`;
-        #: when active, its predictions join the committed volume in
-        #: the LP's charge rows (never the capacity rows).
-        self.forecast = None
         #: Slots whose pruned model was infeasible (see :meth:`plan_slot`).
         self.widened = 0
 
@@ -123,6 +119,8 @@ class PostcardScheduler(Scheduler):
     def _solve(self, requests, arc_sets=None, transit_price=0.0) -> TransferSchedule:
         with obs.span("scheduler.solve", scheduler=self.name,
                       requests=len(requests)):
+            # An active forecast's predictions join the committed volume
+            # in the charge rows (never the capacity rows).
             forecast = self.forecast
             predicted_volume_fn = None
             if forecast is not None and forecast.active:

@@ -23,6 +23,7 @@ With q = 100 the budget is zero and the scheduler is exactly
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SchedulingError
@@ -33,6 +34,16 @@ from repro.core.schedule import TransferSchedule
 from repro.net.topology import LinkKey, Topology
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
+
+#: Burst slots amnestied by one solve, per link.
+Grants = Dict[LinkKey, Set[int]]
+
+
+@dataclass
+class AmnestyPlan(SlotPlan):
+    """A q-aware slot's plan and the burst slots its solve amnestied."""
+
+    grants: Grants = field(default_factory=dict)
 
 
 class PercentileAwareScheduler(Scheduler):
@@ -60,13 +71,18 @@ class PercentileAwareScheduler(Scheduler):
         #: Amnestied (free) slots per link.
         self.amnesty: Dict[LinkKey, Set[int]] = defaultdict(set)
         self.last_objective: Optional[float] = None
+        #: The last solve's schedule and grants (see :meth:`plan_slot`).
+        self._solved: Tuple[Optional[TransferSchedule], Grants] = (None, {})
 
     # -- accounting that ignores amnestied slots ------------------------
 
-    def effective_charged_volume(self, src: int, dst: int) -> float:
-        """Peak recorded volume over non-amnestied slots of (src, dst)."""
+    def effective_charged_volume(
+        self, src: int, dst: int, amnesty: Optional[Grants] = None
+    ) -> float:
+        """Peak recorded volume over non-amnestied slots of (src, dst)
+        (``amnesty``: a plan's, the committed one by default)."""
         usage = self._state.ledger._usage[(src, dst)]
-        free = self.amnesty[(src, dst)]
+        free = (self.amnesty if amnesty is None else amnesty).get((src, dst), ())
         return max(
             (v for slot, v in usage.volumes.items() if slot not in free),
             default=0.0,
@@ -77,32 +93,47 @@ class PercentileAwareScheduler(Scheduler):
         return self._state.ledger.cost_per_slot(PercentileCharging(self.q))
 
     def remaining_budget(self, src: int, dst: int) -> int:
-        return self.burst_budget - len(self.amnesty[(src, dst)])
+        return self.burst_budget - len(self.amnesty.get((src, dst), ()))
 
     # -- the online loop ----------------------------------------------------
 
-    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
-        # Amnesty is this scheduler's own record: the books stay untouched.
-        return self._shed(self._solve_with_amnesty, requests)
+    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> AmnestyPlan:
+        """Plan against the amnesty plus each solve's own grants: only the
+        grants of the solve whose schedule the plan returns ride it, to land
+        with :meth:`commit_plan` (a shedding probe's go with its schedule)."""
+        self._solved = (None, {})
+        plan = self._shed(self._solve_with_amnesty, requests)
+        solved, grants = self._solved
+        return AmnestyPlan(**vars(plan), grants=grants if solved is plan.schedule else {})
 
-    def _solve_once(self, requests: List[TransferRequest]):
+    def commit_plan(self, plan: AmnestyPlan) -> TransferSchedule:
+        """Land the plan, then the burst slots its solve amnestied."""
+        schedule = super().commit_plan(plan)
+        for key, slots in plan.grants.items():
+            self.amnesty[key] |= slots
+        return schedule
+
+    def _solve_once(self, requests: List[TransferRequest], grants: Grants):
+        free = dict(self.amnesty)
+        for key, slots in grants.items():
+            free[key] = free.get(key, set()) | slots
         built = build_postcard_model(
             self._state,
             requests,
-            charge_exempt=lambda s, d, n: n in self.amnesty[(s, d)],
-            charged_volume_fn=self.effective_charged_volume,
+            charge_exempt=lambda s, d, n: n in free.get((s, d), ()),
+            charged_volume_fn=lambda s, d: self.effective_charged_volume(s, d, free),
         )
         return built.solve()
 
     def _solve_with_amnesty(
         self, requests: List[TransferRequest]
     ) -> TransferSchedule:
-        schedule, solution = self._solve_once(requests)
+        schedule, solution = self._solve_once(requests, {})
         self.last_objective = solution.objective
 
         # Did any link's (effective) bill rise?  If so, amnesty its
         # peak slot of this round and re-solve once.
-        granted = False
+        grants: Grants = {}
         loads: Dict[Tuple[LinkKey, int], float] = defaultdict(float)
         for (src, dst, n), volume in schedule.link_slot_volumes().items():
             loads[((src, dst), n)] += volume
@@ -112,16 +143,15 @@ class PercentileAwareScheduler(Scheduler):
             if key not in peak_by_link or total > peak_by_link[key][0]:
                 peak_by_link[key] = (total, n)
         for key, (total, n) in peak_by_link.items():
-            before = self.effective_charged_volume(*key)
             if (
-                total > before + VOLUME_ATOL
+                total > self.effective_charged_volume(*key) + VOLUME_ATOL
                 and self.remaining_budget(*key) > 0
-                and n not in self.amnesty[key]
+                and n not in self.amnesty.get(key, ())
             ):
-                self.amnesty[key].add(n)
-                granted = True
+                grants[key] = {n}
 
-        if granted:
-            schedule, solution = self._solve_once(requests)
+        if grants:
+            schedule, solution = self._solve_once(requests, grants)
             self.last_objective = solution.objective
+        self._solved = (schedule, grants)
         return schedule

@@ -197,9 +197,6 @@ class FastLaneScheduler(CandidatePathScheduler):
     name = "heuristic"
     admission_counters = ("heuristic.admitted", "heuristic.rejected")
 
-    #: Optional :class:`~repro.forecast.provider.ForecastProvider`;
-    #: ``None`` (the default) keeps placement purely reactive.
-    _forecast = None
     #: Whether the slot being planned runs the reserved passes.
     _reserving = False
 
@@ -208,8 +205,8 @@ class FastLaneScheduler(CandidatePathScheduler):
         tracker and keeps its predictor state (the traffic process did
         not change, only the ledger object did)."""
         super().adopt_state(state)
-        if self._forecast is not None:
-            self.attach_forecast(self._forecast)
+        if self.forecast is not None:
+            self.attach_forecast(self.forecast)
 
     def attach_forecast(self, provider) -> None:
         """Wire a forecast provider into the ALAP placement passes.
@@ -218,16 +215,12 @@ class FastLaneScheduler(CandidatePathScheduler):
         *preference* passes; the plain passes still run after them, so a
         reservation can only change where admitted volume parks.
         """
-        self._forecast = provider
+        self.forecast = provider
         self._tracker.reservation = (
             provider.reservation if provider is not None else None
         )
         if provider is not None and not provider.bound:
             provider.bind(self._state)
-
-    @property
-    def forecast(self):
-        return self._forecast
 
     def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
         """Plan every request tentatively — nothing is committed.
@@ -237,7 +230,7 @@ class FastLaneScheduler(CandidatePathScheduler):
         it in the table's pending rows.  The hybrid mode discards the
         plan when escalating.
         """
-        self._reserving = self._forecast is not None and self._forecast.active
+        self._reserving = self.forecast is not None and self.forecast.active
         with obs.span("scheduler.fastlane", slot=slot, requests=len(requests)):
             return super().plan_slot(slot, requests)
 

@@ -10,8 +10,8 @@ admissions) on the table:
 
 * a request fails the fast lane's admission test (a rejection the LP
   might still fit by repacking everyone jointly), or
-* the planned batch pushes some link-slot's utilization above a
-  configurable threshold (the fast lane's marginal-cost placement
+* the planned batch pushes some link-slot's utilization above
+  ``escalate_utilization`` (0.9: the fast lane's marginal-cost placement
   degrades exactly when links run hot).
 
 Both lanes share one :class:`~repro.core.state.NetworkState` — one
@@ -34,9 +34,11 @@ the pressure instead — ``degraded``; there is no second solver.
 Escalations are observable: the ``hybrid.escalations`` /
 ``hybrid.fast_slots`` counters and the ``hybrid.escalate`` span stream
 through :mod:`repro.obs`, and the simulation engine copies the tallies
-onto :class:`~repro.sim.metrics.SimulationResult`.  ``last_lane`` names
-the lane of the slot just run (``fast``, ``lp`` or ``degraded``); the
-daemon journals it, and replay forces it.
+onto :class:`~repro.sim.metrics.SimulationResult`.  One function decides a
+slot, live or replayed (:meth:`HybridScheduler.plan_slot`), and names its
+lane in ``last_lane`` (``fast``, ``lp`` or ``degraded``); the daemon
+journals it, and replay forces it.  :class:`~repro.core.interfaces.Scheduler`
+commits the plan and runs an attached forecaster around it.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ import threading
 from typing import Callable, List, Optional
 
 from repro.errors import InfeasibleError, SchedulingError, SolverError, UnboundedError
-from repro.core.formulation import STORAGE_FULL
-from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler, SlotPlan
+from repro.core.interfaces import (
+    ON_INFEASIBLE_DROP, ON_INFEASIBLE_RAISE, Scheduler, SlotPlan,
+)
 from repro.core.schedule import TransferSchedule
 from repro.core.scheduler import PostcardScheduler
 from repro.core.state import NetworkState
@@ -72,20 +75,11 @@ class HybridScheduler(Scheduler):
     ----------
     topology, horizon:
         As for every scheduler.
-    storage:
-        Storage mode for the LP lane (``"full"`` default).
     on_infeasible:
         Applied by the *LP* lane on escalated slots (``"raise"`` or
         ``"drop"``); the fast lane itself never drops — an
-        inadmissible request triggers escalation instead.
-    escalate_utilization:
-        Escalate when the planned batch's peak link-slot utilization
-        exceeds this fraction (default 0.9).  Set > 1 to escalate on
-        rejections only.
-    escalate_on_rejection:
-        Escalate when the fast lane cannot admit some request
-        (default True).  With False, fast-lane rejections are final
-        and recorded as drops.
+        inadmissible request triggers escalation instead, and a
+        degraded slot records what the fast lane refused.
     num_candidate_paths:
         Fast-lane admission fan-out.
     watchdog_timeout_s:
@@ -93,8 +87,7 @@ class HybridScheduler(Scheduler):
         *plan* phase (pure — no state mutation) executes on a worker
         thread, and if it has not answered within this budget the slot
         **degrades** to fast-lane-only placement so clients still get
-        decisions within the tick.  0 (default) disables the watchdog
-        and escalation runs inline, exactly as before.  After a
+        decisions within the tick.  0 (default) solves inline.  After a
         timeout, ``WATCHDOG_BACKOFF_SLOTS`` subsequent escalation-worthy
         slots skip the LP outright (doubling per consecutive timeout up
         to ``WATCHDOG_BACKOFF_MAX``), and the LP is additionally skipped
@@ -108,41 +101,30 @@ class HybridScheduler(Scheduler):
 
     name = "hybrid"
 
+    #: Escalate when the planned batch's peak link-slot utilization
+    #: exceeds this fraction (a test may set it per instance).
+    escalate_utilization = 0.9
+
     def __init__(
         self,
         topology: Topology,
         horizon: int,
-        storage: str = STORAGE_FULL,
         on_infeasible: str = ON_INFEASIBLE_RAISE,
-        escalate_utilization: float = 0.9,
-        escalate_on_rejection: bool = True,
         num_candidate_paths: int = 4,
         watchdog_timeout_s: float = 0.0,
         escalate_hook: Optional[Callable[[], None]] = None,
     ):
-        if escalate_utilization <= 0.0:
-            raise SchedulingError(
-                f"escalate_utilization must be positive, got {escalate_utilization}"
-            )
         if watchdog_timeout_s < 0.0:
             raise SchedulingError(
                 f"watchdog_timeout_s must be non-negative, got {watchdog_timeout_s}"
             )
-        self._lp = PostcardScheduler(
-            topology,
-            horizon,
-            storage=storage,
-            on_infeasible=on_infeasible,
-        )
+        self._lp = PostcardScheduler(topology, horizon, on_infeasible=on_infeasible)
+        # The LP lane raises under "raise" before it returns a plan; the
+        # plans this scheduler returns with refusals (degraded) record them.
+        super().__init__(topology, horizon, ON_INFEASIBLE_DROP, state=self._lp.state)
         self._fast = FastLaneScheduler(
-            topology,
-            horizon,
-            num_candidate_paths=num_candidate_paths,
-            on_infeasible="drop",
-            state=self._lp.state,
+            topology, horizon, num_candidate_paths, ON_INFEASIBLE_DROP, self._state
         )
-        self.escalate_utilization = escalate_utilization
-        self.escalate_on_rejection = escalate_on_rejection
         self.watchdog_timeout_s = watchdog_timeout_s
         self._escalate_hook = escalate_hook or (lambda: None)
         #: The LP lane's price per GB-hop: a tie-break, 1e-4 of the cheapest link.
@@ -162,15 +144,6 @@ class HybridScheduler(Scheduler):
         #: the LP lane is poisoned — the arc-set template memos may be
         #: mid-mutation on that thread.
         self._zombie: Optional[threading.Thread] = None
-        #: Optional :class:`~repro.forecast.provider.ForecastProvider`
-        #: driving proactive placement in both lanes; ``None`` (the
-        #: default) is the purely reactive scheduler, bit for bit.
-        self.forecast = None
-
-    @property
-    def state(self) -> NetworkState:
-        """The single ledger both lanes plan and commit against."""
-        return self._lp.state
 
     def adopt_state(self, state: NetworkState) -> None:
         """Re-point both lanes at a restored state (checkpoint resume).
@@ -179,6 +152,7 @@ class HybridScheduler(Scheduler):
         and the fast lane (including its tracker) end up on the same
         restored :class:`NetworkState`.
         """
+        super().adopt_state(state)
         self._lp.adopt_state(state)
         self._fast.adopt_state(state)
         if self.forecast is not None:
@@ -212,11 +186,7 @@ class HybridScheduler(Scheduler):
         self.forecast = provider
         self._fast.attach_forecast(provider)
         self._lp.forecast = provider
-        provider.bind(self.state)
-
-    def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        """Plan with the fast lane; escalate to the LP under pressure."""
-        return self._run_slot(slot, requests, None, {})
+        provider.bind(self._state)
 
     def wal_fields(self, lane: str) -> dict:
         """What the broker journals beside a slot's ``lane``: LP slots
@@ -235,96 +205,61 @@ class HybridScheduler(Scheduler):
         escalation-worthy, and replaying it through the pressure test
         would route it to the LP and diverge the ledger.  Forcing the
         recorded lane keeps replay deterministic under any watchdog
-        history.  An ``lp`` record without :meth:`wal_fields`' ``lp_arcs``
-        predates arc pruning and replays on the full model; with it, the
-        fast lane re-plans first, so replay prunes what the live slot did.
-        One without ``lp_objective`` replays without the tie-break.
+        history, and the slot path around it retrains an attached
+        forecaster to the state it held when the WAL was written.
         """
-        return self._run_slot(slot, requests, lane, record or {})
-
-    def _run_slot(self, slot, requests, lane, record) -> TransferSchedule:
-        """The forecast lifecycle around :meth:`_dispatch`, live or replayed:
-        a provider retrains to the state it held when the WAL was written."""
-        forecast = self.forecast
-        if forecast is not None:
-            forecast.begin_slot(slot)
-        schedule = self._dispatch(slot, requests, lane, record)
-        if forecast is not None:
-            # Observe *after* commit so the slot's own placements are
-            # part of the actual the predictors train on.  Empty-request
-            # slots still observe: links may carry volume deferred from
-            # earlier slots, and skipping them would desync seasonals.
-            forecast.note_placements(schedule.entries)
-            forecast.observe_slot(slot, requests, self.state)
-        return schedule
-
-    def _dispatch(self, slot, requests, lane, record) -> TransferSchedule:
-        """Route one slot through the fast lane or the LP."""
-        self.last_lane = lane or "fast"
-        if not requests:
-            return TransferSchedule()
-        self._check_released_at(slot, requests)
-        plan = self._fast.plan_slot(slot, requests)
-        if lane is None:
-            if self._pressured(plan):
-                return self._escalate(slot, requests, plan)
-            obs.counter("hybrid.fast_slots")
-        elif lane == "lp":
-            self.escalations += 1
-            arcs, objective = record.get("lp_arcs"), record.get("lp_objective")
-            sets = self._arc_sets(requests, plan) if arcs == LP_ARCS_PATHS else None
-            price = self.transit_price if objective == LP_OBJECTIVE_HOPS else 0.0
-            return self._lp.commit_plan(self._lp.plan_slot(slot, requests, sets, price))
-        elif lane == "degraded":
-            self.degraded += 1
-            return self._fast.commit_plan(plan)
-        self.fast_slots += 1
-        with obs.span(
-            "hybrid.fastpath",
-            slot=slot,
-            files=len(requests),
-            peak_utilization=round(plan.peak_utilization, 4),
-        ):
-            return self._fast.commit_plan(plan)
-
-    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
-        """What a live slot commits when no watchdog runs, nothing
-        committed: the fast lane's plan, or the LP lane's under pressure."""
-        plan = self._fast.plan_slot(slot, requests)
-        if self._pressured(plan):
-            sets = self._arc_sets(requests, plan)
-            return self._lp.plan_slot(slot, requests, sets, self.transit_price)
-        return plan
+        return self._run(
+            slot, requests, lambda s, r: self.plan_slot(s, r, lane, record or {})
+        )
 
     def commit_plan(self, plan: SlotPlan) -> TransferSchedule:
         """Commit through the lane that planned ``plan`` (the fast lane's
         plans are the ones that land file by file)."""
         return (self._fast if plan.per_file else self._lp).commit_plan(plan)
 
-    # -- escalation --------------------------------------------------------
+    # -- the decision ------------------------------------------------------
 
-    def _pressured(self, plan: SlotPlan) -> bool:
-        """Whether the fast lane's plan escalates: a rejection (unless
-        those are final) or a link-slot planned above the threshold."""
-        rejected = bool(plan.rejected) and self.escalate_on_rejection
-        return rejected or plan.peak_utilization > self.escalate_utilization
+    def plan_slot(
+        self, slot: int, requests: List[TransferRequest],
+        lane: Optional[str] = None, record: Optional[dict] = None,
+    ) -> SlotPlan:
+        """The one decision of a slot, live or replayed (``lane`` and its
+        WAL ``record``); sets ``last_lane`` and commits nothing.
 
-    def _arc_sets(self, requests, plan):
-        """Per file, the arcs of every path the shared index knows for
-        it; the full subgraph (``None``) for files the fast lane could
-        not place on those very paths, and under the storage ablation."""
-        if self._lp.storage != STORAGE_FULL:
-            return None
-        rejected = {request.request_id for request in plan.rejected}
-        index, schedule = self._fast._paths, self.state.link_schedule
-        return [
-            None if request.request_id in rejected
-            else index.arc_set(request, schedule)
-            for request in requests
-        ]
+        1. The fast lane plans the slot.
+        2. The pressure test picks the lane (on replay: the WAL ``lane``).
+        3. Escalated, the LP lane plans it — the escalate hook first, under
+           the watchdog when ``watchdog_timeout_s > 0`` — or, when the LP
+           does not answer (backoff, timeout, solver error), the fast plan
+           stands, *degraded*.  Replay solves without either, on the arcs
+           and objective the ``record`` names: no :meth:`wal_fields`'
+           ``lp_arcs`` is the full model, no ``lp_objective`` no tie-break.
+        """
+        plan = self._fast.plan_slot(slot, requests)
+        live = lane is None
+        if live:
+            lane = "lp" if self._pressured(plan) else "fast"
+        self.last_lane = lane
+        if lane == "lp" and not live:
+            self.escalations += 1
+            sets = (self._arc_sets(requests, plan)
+                    if record.get("lp_arcs") == LP_ARCS_PATHS else None)
+            price = (self.transit_price
+                     if record.get("lp_objective") == LP_OBJECTIVE_HOPS else 0.0)
+            return self._lp.plan_slot(slot, requests, sets, price)
+        if lane == "degraded":
+            self.degraded += 1
+            return plan
+        if lane != "lp":
+            if live:
+                obs.counter("hybrid.fast_slots")
+            self.fast_slots += 1
+            with obs.span("hybrid.fastpath", slot=slot, files=len(requests),
+                          peak_utilization=round(plan.peak_utilization, 4)):
+                return plan
 
-    def _escalate(self, slot, requests, plan) -> TransferSchedule:
-        """Hand an escalation-worthy slot to the LP — watchdog allowing."""
+        # A live escalation: the LP's plan, watchdog allowing.
+        self.last_lane = "degraded"  # until the LP answers
         watchdog = self.watchdog_timeout_s > 0
         if watchdog:
             zombie = self._zombie is not None and self._zombie.is_alive()
@@ -335,7 +270,7 @@ class HybridScheduler(Scheduler):
                     self._backoff_remaining -= 1
                 self.lp_skipped += 1
                 obs.counter("hybrid.lp_skipped", zombie=zombie)
-                return self._commit_degraded(slot, plan, reason="backoff")
+                return self._degrade(slot, plan, reason="backoff")
 
         self.escalations += 1
         obs.counter("hybrid.escalations")
@@ -375,12 +310,12 @@ class HybridScheduler(Scheduler):
                     self._backoff_next = min(
                         self._backoff_next * 2, WATCHDOG_BACKOFF_MAX
                     )
-                    return self._commit_degraded(slot, plan, reason="timeout")
+                    return self._degrade(slot, plan, reason="timeout")
             error = outcome.get("error")
             if error is None:
                 self._backoff_next = WATCHDOG_BACKOFF_SLOTS
                 self.last_lane = "lp"
-                return self._lp.commit_plan(outcome["plan"])
+                return outcome["plan"]
             # Infeasible and unbounded are answers (plan_slot widens and sheds
             # itself) and stay the caller's, like any non-solver error; no
             # answer degrades like no answer in time, minus the backoff.
@@ -389,27 +324,34 @@ class HybridScheduler(Scheduler):
             ):
                 raise error
             self.degraded += 1
-            return self._commit_degraded(slot, plan, reason="solver", error=str(error))
+            return self._degrade(slot, plan, reason="solver", error=str(error))
 
-    def _commit_degraded(self, slot, plan, reason: str, **attrs) -> TransferSchedule:
-        """Finish an escalation-worthy slot fast-lane-only.
+    def _pressured(self, plan: SlotPlan) -> bool:
+        """Whether the fast lane's plan escalates: a rejection, or a
+        link-slot planned above :attr:`escalate_utilization`."""
+        return bool(plan.rejected) or plan.peak_utilization > self.escalate_utilization
 
-        The fast plan already exists (it is what flagged the pressure);
-        committing it keeps every admissible request's deadline
-        guarantee, and the requests the fast lane could not admit are
-        recorded as rejections — the price of degrading, paid visibly
-        (``service.degraded`` / the ``degraded_slots`` SLO) instead of
-        by missing every deadline in a stalled slot.  ``reason`` is
-        ``timeout``, ``solver`` (it raised) or ``backoff`` (skipped).
-        """
-        self.last_lane = "degraded"
+    def _arc_sets(self, requests, plan):
+        """Per file, the arcs of every path the shared index knows for
+        it; the full subgraph (``None``) for files the fast lane could
+        not place on those very paths."""
+        rejected = {request.request_id for request in plan.rejected}
+        index, schedule = self._fast._paths, self._state.link_schedule
+        return [
+            None if request.request_id in rejected
+            else index.arc_set(request, schedule)
+            for request in requests
+        ]
+
+    @staticmethod
+    def _degrade(slot: int, plan: SlotPlan, reason: str, **attrs) -> SlotPlan:
+        """The fast plan, for an escalation-worthy slot the LP did not
+        answer: it keeps every admissible request's deadline, and what
+        it refused is rejected — paid visibly (``service.degraded``, the
+        ``degraded_slots`` SLO), not by a stalled slot.  ``reason`` is
+        ``timeout``, ``solver`` (it raised) or ``backoff`` (skipped)."""
         obs.counter("service.degraded", slot=slot, reason=reason)
-        with obs.span(
-            "hybrid.degraded",
-            slot=slot,
-            reason=reason,
-            rejections=len(plan.rejected),
-            peak_utilization=round(plan.peak_utilization, 4),
-            **attrs,
-        ):
-            return self._fast.commit_plan(plan)
+        with obs.span("hybrid.degraded", slot=slot, reason=reason,
+                      rejections=len(plan.rejected),
+                      peak_utilization=round(plan.peak_utilization, 4), **attrs):
+            return plan

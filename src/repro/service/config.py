@@ -230,8 +230,8 @@ class ServiceConfig:
             )
         if self.forecast and self.scheduler != "hybrid":
             raise ServiceError(
-                "forecast=True needs a forecast-capable scheduler; "
-                f"scheduler {self.scheduler!r} has no attach_forecast hook"
+                "forecast=True: the broker wires forecasting for the hybrid "
+                f"scheduler only, not {self.scheduler!r}"
             )
         if self.forecast_period < 2:
             raise ServiceError("forecast_period must be >= 2")

@@ -19,6 +19,7 @@ from repro.forecast import (
 from repro.heuristic import HybridScheduler
 from repro.net.generators import complete_topology
 from repro.net.topology import Datacenter, Link, Topology
+from repro.registry import make_scheduler
 from repro.sim.engine import Simulation
 from repro.traffic.workload import DiurnalWorkload
 
@@ -222,6 +223,24 @@ def forecast_provider(**overrides):
     config = dict(period=SLOTS_PER_DAY, horizon=SLOTS_PER_DAY)
     config.update(overrides)
     return ForecastProvider(ForecastConfig(**config))
+
+
+@pytest.mark.parametrize("name", ["heuristic", "hybrid"])
+def test_any_scheduler_carrying_a_provider_trains_it(name):
+    """The slot path runs the forecast lifecycle, not the hybrid: the
+    standalone fast lane's provider observes every slot, idle ones too."""
+    topo = complete_topology(4, capacity=250.0, seed=3)
+    workload = DiurnalWorkload(
+        topo, max_deadline=6, peak_files=4, trough_files=0,
+        slots_per_day=SLOTS_PER_DAY, seed=5,
+    )
+    scheduler = make_scheduler(name, topo, 40)
+    provider = forecast_provider()
+    scheduler.attach_forecast(provider)
+    result = Simulation(scheduler, workload, 24).run()
+    assert any(slot.num_requests == 0 for slot in result.slots)
+    assert provider.slots_observed == 24
+    assert result.forecast["active"]
 
 
 class TestHybridIntegration:

@@ -31,6 +31,14 @@ def two_node_topology(capacity=10.0):
     )
 
 
+def hybrid(topo, escalate_utilization=None, **kwargs):
+    """A hybrid on ``topo`` whose threshold, when given, is set per instance."""
+    scheduler = HybridScheduler(topo, horizon=20, **kwargs)
+    if escalate_utilization is not None:
+        scheduler.escalate_utilization = escalate_utilization
+    return scheduler
+
+
 # -- escalation triggers --------------------------------------------------
 
 
@@ -45,7 +53,8 @@ def test_relaxed_slot_stays_in_fast_lane():
 
 def test_utilization_pressure_escalates():
     topo = two_node_topology(capacity=10.0)
-    scheduler = HybridScheduler(topo, horizon=20, escalate_utilization=0.9)
+    scheduler = hybrid(topo)
+    assert scheduler.escalate_utilization == 0.9
     # 9.5 GB in a 1-slot window: 95% utilization on the planned cell.
     scheduler.on_slot(0, [TransferRequest(0, 1, 9.5, 1, release_slot=0)])
     assert scheduler.escalations == 1
@@ -57,7 +66,7 @@ def test_utilization_pressure_escalates():
 
 def test_high_threshold_disables_pressure_trigger():
     topo = two_node_topology(capacity=10.0)
-    scheduler = HybridScheduler(topo, horizon=20, escalate_utilization=2.0)
+    scheduler = hybrid(topo, escalate_utilization=2.0)
     scheduler.on_slot(0, [TransferRequest(0, 1, 9.5, 1, release_slot=0)])
     assert scheduler.escalations == 0
     assert scheduler.fast_slots == 1
@@ -69,33 +78,11 @@ def test_fastlane_rejection_escalates():
     # lane cannot admit it, so the slot escalates to the LP regardless
     # of the (disabled) utilization trigger.  The LP cannot fit it
     # either, and the drop policy records the rejection.
-    scheduler = HybridScheduler(
-        topo, horizon=20, escalate_utilization=2.0, on_infeasible="drop"
-    )
+    scheduler = hybrid(topo, escalate_utilization=2.0, on_infeasible="drop")
     scheduler.on_slot(0, [TransferRequest(0, 1, 25.0, 2, release_slot=0)])
     assert scheduler.escalations == 1
     assert scheduler.fast_slots == 0
     assert len(scheduler.state.rejected) == 1
-
-
-def test_rejection_trigger_can_be_disabled():
-    topo = two_node_topology(capacity=10.0)
-    scheduler = HybridScheduler(
-        topo,
-        horizon=20,
-        escalate_utilization=2.0,
-        escalate_on_rejection=False,
-        on_infeasible="drop",
-    )
-    scheduler.on_slot(0, [TransferRequest(0, 1, 25.0, 2, release_slot=0)])
-    assert scheduler.escalations == 0
-    assert scheduler.fast_slots == 1
-    assert len(scheduler.state.rejected) == 1
-
-
-def test_invalid_threshold_rejected():
-    with pytest.raises(SchedulingError):
-        HybridScheduler(two_node_topology(), horizon=10, escalate_utilization=0.0)
 
 
 # -- shared state ---------------------------------------------------------
@@ -103,7 +90,7 @@ def test_invalid_threshold_rejected():
 
 def test_lanes_share_one_ledger():
     topo = two_node_topology(capacity=10.0)
-    scheduler = HybridScheduler(topo, horizon=20, escalate_utilization=0.5)
+    scheduler = hybrid(topo, escalate_utilization=0.5)
     assert scheduler.state is scheduler.fast_lane.state
     assert scheduler.state is scheduler.lp_lane.state
 

@@ -90,3 +90,24 @@ def test_simulation_run_and_audit():
     assert scheduler.billed_cost_per_slot() <= (
         scheduler.state.ledger.cost_per_slot() + 1e-9
     )
+
+
+def test_planning_spends_no_burst_budget_until_commit():
+    """Shedding probes solve with amnesty of their own; only the grants of
+    the solve the plan returns land, and only when the plan is committed."""
+    from tests.test_slot_contract import HORIZON, SLOT_1, TOPOLOGY, WARM
+
+    scheduler = PercentileAwareScheduler(TOPOLOGY, HORIZON, q=90, on_infeasible="drop")
+    scheduler.on_slot(0, WARM)
+
+    def granted():
+        return {key: set(slots) for key, slots in scheduler.amnesty.items() if slots}
+
+    before = granted()
+    plan = scheduler.plan_slot(1, SLOT_1)
+    assert plan.rejected  # the slot shed: its probes solved and were dropped
+    assert granted() == before
+    scheduler.commit_plan(plan)
+    expected = {key: before.get(key, set()) | plan.grants.get(key, set())
+                for key in set(before) | set(plan.grants)}
+    assert granted() == expected

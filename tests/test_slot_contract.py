@@ -16,7 +16,7 @@ import pytest
 
 from repro import registry
 from repro.core.checkpoint import state_to_payload
-from repro.errors import InfeasibleError
+from repro.errors import InfeasibleError, SolverError
 from repro.net.generators import complete_topology
 from repro.traffic.spec import TransferRequest
 
@@ -37,8 +37,9 @@ SLOT_1 = [
 ]
 
 
-def _warm(name, policy="drop"):
-    """``name`` from the registry under ``policy``, slot 0 committed."""
+def _warm(name, policy="drop", **kwargs):
+    """``name`` from the registry under ``policy`` (and the factory's
+    ``kwargs``), slot 0 committed."""
     def build(path, topology, horizon, **kwargs):
         module, _, cls = path.partition(":")
         scheduler = getattr(importlib.import_module(module), cls)
@@ -46,7 +47,7 @@ def _warm(name, policy="drop"):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(registry, "_build", build)
-        scheduler = registry.make_scheduler(name, TOPOLOGY, HORIZON)
+        scheduler = registry.make_scheduler(name, TOPOLOGY, HORIZON, **kwargs)
     scheduler.on_slot(0, WARM)
     assert scheduler.state.ledger.used_links()
     return scheduler
@@ -70,12 +71,31 @@ def test_a_slot_that_raises_commits_nothing(name):
     assert state_to_payload(scheduler.state) == before
 
 
-@pytest.mark.parametrize("name", NAMES)
-def test_on_slot_is_commit_plan_of_plan_slot(name):
-    live, staged = _warm(name), _warm(name)
+def _solver_down():
+    raise SolverError("backend 'highs' failed: numerical difficulties")
+
+
+#: The hybrid decides a slot in one function, so a watched LP and a
+#: failing one give ``plan_slot`` the lane ``on_slot`` takes.
+HYBRID_LANES = {
+    "hybrid-watchdog": ({"watchdog_timeout_s": 5.0}, "lp"),
+    "hybrid-solver-error": ({"escalate_hook": _solver_down}, "degraded"),
+}
+
+
+@pytest.mark.parametrize("case", NAMES + sorted(HYBRID_LANES))
+def test_on_slot_is_commit_plan_of_plan_slot(case):
+    options, lane = HYBRID_LANES.get(case, ({}, None))
+    name = "hybrid" if lane else case
+    live, staged = _warm(name, **options), _warm(name, **options)
     schedule = live.on_slot(1, SLOT_1)
     committed = staged.commit_plan(staged.plan_slot(1, SLOT_1))
     assert schedule.entries == committed.entries
     assert schedule.stored == committed.stored
     assert state_to_payload(live.state) == state_to_payload(staged.state)
     assert live.state.rejected
+    tallies = [(s.last_lane, getattr(s, "escalations", 0), getattr(s, "degraded", 0))
+               for s in (live, staged)]
+    assert tallies[0] == tallies[1]
+    if lane:
+        assert tallies[0] == (lane, 1, int(lane == "degraded"))
