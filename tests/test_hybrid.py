@@ -226,27 +226,6 @@ def test_watchdog_fast_solve_commits_normally():
     assert scheduler.state.completions  # the LP's commit landed
 
 
-def test_replay_slot_forces_recorded_lane():
-    topo = two_node_topology()
-    live = HybridScheduler(topo, horizon=20)
-    live.on_slot(0, pressured_requests(0))  # escalates -> LP placement
-
-    # Replaying as "degraded" must take the fast lane even though the
-    # pressure test would route this batch to the LP.
-    replay = HybridScheduler(topo, horizon=20)
-    replay.replay_slot(0, pressured_requests(0), "degraded")
-    assert replay.degraded == 1
-    assert replay.escalations == 0
-
-    # Replaying as "lp" reproduces the live LP books exactly.
-    replay_lp = HybridScheduler(topo, horizon=20)
-    replay_lp.replay_slot(0, pressured_requests(0), "lp")
-    assert replay_lp.escalations == 1
-    assert replay_lp.state.charged_snapshot() == pytest.approx(
-        live.state.charged_snapshot()
-    )
-
-
 def test_escalate_hook_errors_propagate():
     topo = two_node_topology()
 

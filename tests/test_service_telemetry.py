@@ -227,6 +227,27 @@ def test_wall_epoch_survives_checkpoint_resume(tmp_path):
     assert resumed.wall_time(2) == 5000.0 + 2 * 300.0
 
 
+def test_wall_epoch_survives_a_resume_before_the_first_checkpoint(tmp_path, monkeypatch):
+    """A fresh directory starts with generation 0's snapshot, so the epoch
+    the dead process stamped its answers with is on disk before any slot."""
+    import time
+
+    broker = make_broker(tmp_path, checkpoint_every=100)  # epoch: time.time()
+    for i in range(3):
+        broker.submit(submit_fields(i))
+    acked = {p.client_id: r["wall_ts"] for p, r in broker.process_slot()}
+    broker.process_slot()
+    broker.store.close()  # dies before its first checkpoint
+
+    later = time.time() + 1.5
+    monkeypatch.setattr(time, "time", lambda: later)
+    resumed = make_broker(tmp_path, checkpoint_every=100)
+    assert resumed.store.stats()["checkpoints"] == 0
+    assert resumed.wall_epoch == broker.wall_epoch
+    assert resumed.stamped_usage() == broker.stamped_usage()
+    assert {cid: resumed.decisions[cid]["wall_ts"] for cid in acked} == acked
+
+
 def test_stamped_usage_aligns_samples_to_wall_clock(tmp_path):
     broker = make_broker(wall_epoch=1000.0)
     for i in range(3):
