@@ -31,7 +31,7 @@ DATACENTERS, HORIZON, SLOTS, PER_SLOT = 8, 200, 10, 12
 class _FullLane(HybridScheduler):
     """The lane before pruning: every file on the paper's full subgraph."""
 
-    def _arc_sets(self, requests, plan):
+    def arc_sets(self, requests, plan):
         return None
 
 

@@ -86,38 +86,6 @@ class TransferSchedule:
             out[(e.src, e.dst, e.slot)] += e.volume
         return dict(out)
 
-    def storage_slot_volumes(
-        self, requests: Iterable[TransferRequest] = ()
-    ) -> Dict[Tuple[int, int], float]:
-        """GB waiting per (datacenter, slot), derived from the transmissions.
-
-        A datacenter holds over slot ``n`` the running balance
-        :meth:`validate` walks, up to its last transmission.  One that
-        sends more than it receives is the file's source and holds the
-        difference from the release of the file in ``requests`` (from its
-        first departure if the file is not listed); one that receives
-        more is the destination, whose data is delivered, not stored.
-        """
-        release = {r.request_id: r.release_slot for r in requests}
-        flows = defaultdict(lambda: defaultdict(float))  # (file, node) -> slot -> GB
-        for rid, src, dst, slot, volume in self.entries:
-            flows[(rid, src)][slot] -= volume
-            flows[(rid, dst)][slot + 1] += volume
-        out: Dict[Tuple[int, int], float] = defaultdict(float)
-        for (rid, node), changes in flows.items():
-            supply = -sum(changes.values())
-            if supply < -VOLUME_ATOL:
-                continue
-            if supply > VOLUME_ATOL:
-                changes[release.get(rid, min(changes))] += supply
-            level, slots = 0.0, sorted(changes)
-            for slot, after in zip(slots, slots[1:]):
-                level += changes[slot]
-                if level > VOLUME_ATOL:
-                    for n in range(slot, after):
-                        out[(node, n)] += level
-        return dict(out)
-
     def entries_for_request(self, request_id: int) -> List[ScheduleEntry]:
         return [e for e in self.entries if e.request_id == request_id]
 

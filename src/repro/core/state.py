@@ -210,23 +210,6 @@ class NetworkState:
         self.rejected.append(request)
         obs.counter("scheduler.rejected")
 
-    def preview_cost(self, schedule: TransferSchedule) -> float:
-        """Cost per slot if ``schedule`` were committed — without
-        committing it.
-
-        Answers the operator's "what would this plan do to the bill?"
-        question: for every link the new peak is
-        ``max(X_ij(t-1), max_n (B_ij(n) + schedule load))``.
-        """
-        peaks = dict(self._charged)
-        for (src, dst, slot), volume in schedule.link_slot_volumes().items():
-            level = self.committed_volume(src, dst, slot) + volume
-            if level > peaks[(src, dst)]:
-                peaks[(src, dst)] = level
-        return sum(
-            link.price * peaks[link.key] for link in self.topology.links
-        )
-
     # -- billing -----------------------------------------------------------
 
     def start_new_period(self, boundary_slot: int) -> float:

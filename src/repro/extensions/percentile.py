@@ -23,7 +23,6 @@ With q = 100 the budget is zero and the scheduler is exactly
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SchedulingError
@@ -37,13 +36,6 @@ from repro.units import VOLUME_ATOL
 
 #: Burst slots amnestied by one solve, per link.
 Grants = Dict[LinkKey, Set[int]]
-
-
-@dataclass
-class AmnestyPlan(SlotPlan):
-    """A q-aware slot's plan and the burst slots its solve amnestied."""
-
-    grants: Grants = field(default_factory=dict)
 
 
 class PercentileAwareScheduler(Scheduler):
@@ -97,16 +89,17 @@ class PercentileAwareScheduler(Scheduler):
 
     # -- the online loop ----------------------------------------------------
 
-    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> AmnestyPlan:
+    def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
         """Plan against the amnesty plus each solve's own grants: only the
         grants of the solve whose schedule the plan returns ride it, to land
         with :meth:`commit_plan` (a shedding probe's go with its schedule)."""
         self._solved = (None, {})
         plan = self._shed(self._solve_with_amnesty, requests)
         solved, grants = self._solved
-        return AmnestyPlan(**vars(plan), grants=grants if solved is plan.schedule else {})
+        plan.grants = grants if solved is plan.schedule else {}
+        return plan
 
-    def commit_plan(self, plan: AmnestyPlan) -> TransferSchedule:
+    def commit_plan(self, plan: SlotPlan) -> TransferSchedule:
         """Land the plan, then the burst slots its solve amnestied."""
         schedule = super().commit_plan(plan)
         for key, slots in plan.grants.items():

@@ -111,25 +111,6 @@ class ShardMap:
         """Owner of every key in ``keys``."""
         return {key: self.shard_for(key) for key in keys}
 
-    def loads(self, keys: Iterable[ShardKey]) -> Dict[str, int]:
-        """Keys owned per shard (every shard present, possibly 0)."""
-        counts = {name: 0 for name in self.shards}
-        for key in keys:
-            counts[self.shard_for(key)] += 1
-        return counts
-
-    def load_ratio(self, keys: Sequence[ShardKey]) -> float:
-        """max/min shard load over ``keys`` (``inf`` on a starved shard).
-
-        The balance figure the property tests bound: a ratio near 1.0
-        means the ring spreads the key population evenly.
-        """
-        counts = self.loads(keys)
-        lightest = min(counts.values())
-        if lightest == 0:
-            return float("inf")
-        return max(counts.values()) / lightest
-
     # -- membership changes ------------------------------------------------
 
     def with_shard(self, name: str) -> "ShardMap":
@@ -155,17 +136,6 @@ class ShardMap:
             vnodes=self.vnodes,
             version=self.version + 1,
         )
-
-    def remapped_fraction(
-        self, other: "ShardMap", keys: Sequence[ShardKey]
-    ) -> float:
-        """Fraction of ``keys`` whose owner differs between the maps."""
-        if not keys:
-            return 0.0
-        moved = sum(
-            1 for key in keys if self.shard_for(key) != other.shard_for(key)
-        )
-        return moved / len(keys)
 
     # -- serialization -----------------------------------------------------
 

@@ -53,6 +53,7 @@ from repro.traffic import PaperWorkload
 from repro.traffic.spec import TransferRequest
 from tests.lp_model import Model, compile_model
 from tests.lp_reference import build_reference, compile_legacy
+from tests.schedule_reference import storage_slot_volumes
 
 #: Tier-1 runs a handful of examples; CI's ``tests`` job goes deeper.
 PROPERTY_EXAMPLES = int(os.environ.get("LP_ARCS_EXAMPLES", "10"))
@@ -387,7 +388,7 @@ def test_fast_and_legacy_solve_to_same_schedule():
     ref_sched, ref_sol = build_reference(state, requests).solve()
     assert fast_sol.objective == ref_sol.objective
     assert fast_sched.link_slot_volumes() == ref_sched.link_slot_volumes()
-    assert fast_sched.storage_slot_volumes() == ref_sched.storage_slot_volumes()
+    assert storage_slot_volumes(fast_sched) == storage_slot_volumes(ref_sched)
 
 
 # -- GraphCache: cached builds vs. from-scratch graphs -------------------

@@ -9,7 +9,7 @@ the oracle gets the holdovers its transmissions imply.  The schedule is
 then maybe broken in one of four ways — a hop departs before its data
 arrives, a node keeps leftover volume, the destination re-emits, or the
 file is under- or over-delivered — and both audits must accept and
-refuse alike.  The GB-slots :meth:`TransferSchedule.storage_slot_volumes`
+refuse alike.  The GB-slots ``schedule_reference.storage_slot_volumes``
 derives must equal the oracle's holdovers away from the destination.
 """
 
@@ -23,6 +23,7 @@ from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.errors import SchedulingError
 from repro.traffic import TransferRequest
 from tests.conservation_oracle import check_conservation, derive_holdovers
+from tests.schedule_reference import storage_slot_volumes
 
 #: Tier-1 runs a handful of examples; CI's ``tests`` job goes deeper.
 EXAMPLES = int(os.environ.get("CONSERVATION_EXAMPLES", "30"))
@@ -137,7 +138,7 @@ def test_the_running_balance_refuses_what_the_explicit_audit_refuses(case):
             for _, node, _, slot, volume in derive_holdovers(request, transits):
                 if node != request.destination:
                     waits[(node, slot)] += volume
-        derived = schedule.storage_slot_volumes(requests)
+        derived = storage_slot_volumes(schedule, requests)
         assert derived.keys() == waits.keys()
         for key, volume in waits.items():
             assert derived[key] == pytest.approx(volume)

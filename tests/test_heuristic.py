@@ -26,6 +26,7 @@ from repro.registry import make_scheduler, scheduler_names
 from repro.sim.engine import Simulation
 from repro.traffic.spec import TransferRequest
 from repro.traffic.workload import PaperWorkload
+from tests.schedule_reference import storage_slot_volumes
 
 
 def two_node_topology(capacity=10.0, price=1.0):
@@ -310,7 +311,7 @@ def test_a_slot_lists_transmissions_and_counts_the_waits_they_imply():
     admitted = plan.accepted
     source = {r.request_id: r.source for r in admitted}
     assert any(e.src != source[e.request_id] for e in plan.schedule.entries)  # relays
-    implied = sum(schedule.storage_slot_volumes(admitted).values())
+    implied = sum(storage_slot_volumes(schedule, admitted).values())
     assert scheduler.state.storage_used > 0.0
     assert scheduler.state.storage_used == pytest.approx(implied, rel=1e-12)
     assert schedule.total_storage_volume() == scheduler.state.storage_used

