@@ -37,7 +37,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
-from scipy import sparse
 
 from repro.errors import InfeasibleError, SchedulingError
 from repro.core.schedule import ScheduleEntry, TransferSchedule
@@ -511,6 +510,8 @@ def _assemble(
     num_rows += len(charge_b)
 
     # -- objective, bounds ---------------------------------------------------
+    from scipy import sparse  # on the first solve, not at import (docs/PERFORMANCE.md)
+
     num_columns = num_flows + len(lower)
     c = np.zeros(num_columns)
     c[num_flows:] = objective

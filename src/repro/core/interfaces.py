@@ -130,6 +130,10 @@ class Scheduler(abc.ABC):
     #: The plan the last slot committed (``None``: idle), which the daemon journals.
     last_plan: Optional[SlotPlan] = None
 
+    #: ``False`` where a slot also moves files of earlier batches: the daemon
+    #: journals no plan of it, and a replay plans the slot again.
+    plan_replays: bool = True
+
     #: The ``(admitted, rejected)`` counters :meth:`commit_plan` emits:
     #: files committed per slot, and one per rejection (``None``: neither).
     admission_counters: Optional[Tuple[str, str]] = None

@@ -153,6 +153,7 @@ class ReplanningPostcardScheduler(Scheduler):
     """Executes one slot at a time, re-deriving the rest every slot."""
 
     name = "postcard-replan"
+    plan_replays = False  # a slot moves the files of earlier batches too
 
     def __init__(
         self,
@@ -169,7 +170,8 @@ class ReplanningPostcardScheduler(Scheduler):
     def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
         """Every slot executes, an idle one included: the active files move on."""
         self._check_released_at(slot, requests)
-        return self.commit_plan(self.plan_slot(slot, requests))
+        self.last_plan = self.plan_slot(slot, requests)
+        return self.commit_plan(self.last_plan)
 
     def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
         """Admission, then the slot's arcs of the joint plan.

@@ -27,7 +27,7 @@ from repro.core.interfaces import (  # the constants and the shedding are re-exp
     shed_until_feasible,
 )
 from repro.core.schedule import TransferSchedule
-from repro.lp.backends.highs import IPM_COLUMNS
+from repro.lp.compile import IPM_COLUMNS
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.traffic.spec import TransferRequest

@@ -54,6 +54,7 @@ from repro.core.schedule import TransferSchedule
 from repro.core.scheduler import PostcardScheduler
 from repro.core.state import NetworkState
 from repro.heuristic.fastlane import FastLaneScheduler
+from repro.lp import compile as lp_compile
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.traffic.spec import TransferRequest
@@ -246,6 +247,8 @@ class HybridScheduler(Scheduler):
             if not watchdog:
                 solve()
             else:
+                # The first escalation imports the solver here, off the clock.
+                lp_compile.load_solver()
                 worker = threading.Thread(
                     target=solve, name=f"lp-escalate-{slot}", daemon=True
                 )

@@ -146,10 +146,11 @@ def verify_recovery(broker, strict: bool = True) -> Dict[str, Any]:
     raises :class:`RecoveryVerifyError` naming every violated invariant:
     serving from bad books must not happen.
     """
-    # Records restored from a version-2 snapshot carry no slots to judge.
+    # Records restored from a version-2 snapshot carry no slots to judge,
+    # and a file still in flight (a replanner's) no completion yet.
     admitted = {
         cid: rec for cid, rec in broker.decisions.items()
-        if rec["decision"] == "admitted" and "deadline_slot" in rec
+        if rec["decision"] == "admitted" and rec.get("completion_slot") is not None
     }
     found = {
         "cells": cells(broker.state),

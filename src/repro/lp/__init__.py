@@ -6,7 +6,7 @@ them itself; every other formulation states its columns and rows on an
 :class:`LPBuilder`, which appends them to those arrays.
 
 The solver is HiGHS, through the binding scipy vendors, fed the compiled
-arrays in one call (:class:`repro.lp.backends.HighsBackend`).  The test
+arrays in one call (:class:`repro.lp.backends.highs.HighsBackend`).  The test
 tree keeps the operator-algebra object model the builders replaced
 (``tests/lp_model.py``) and a pure-Python dense two-phase simplex
 (``tests/lp_simplex.py``) as the oracles that cross-validate the builder

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.errors import ModelError
-from repro.lp.compile import CompiledProblem, compile_model
+from repro.lp.compile import IPM_COLUMNS, CompiledProblem, compile_model
 from repro.lp.result import Solution, SolveStatus
 from repro.obs import registry as obs
 
@@ -39,7 +39,6 @@ _OPTIONS = {
     "simplex_strategy": int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
     "highs_debug_level": int(_highs.HighsDebugLevel.kHighsDebugLevelNone),
 }
-IPM_COLUMNS = 20000  #: above this many columns the backend asks for interior point
 #: linprog's post-solve tolerance: sqrt(tol) * 10 at its tol = 1e-9.
 _CHECK_TOL = np.sqrt(1e-9) * 10
 

@@ -23,17 +23,20 @@ is pinned to, byte for byte (``tests/test_lp_builder.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro.errors import InfeasibleError, ModelError, SolverError, UnboundedError
 from repro.lp.result import Solution, SolveStatus
 from repro.obs import registry as obs
 
+if TYPE_CHECKING:  # scipy.sparse loads with the first matrix (docs/PERFORMANCE.md)
+    from scipy import sparse
+
 #: Row senses: ``row(cols, vals, LE, rhs)`` states ``vals . x[cols] <= rhs``.
 LE, GE, EQ = "<=", ">=", "=="
+IPM_COLUMNS = 20000  #: above this many columns the backend asks for interior point
 
 
 @dataclass
@@ -101,6 +104,15 @@ def compile_model(problem: CompiledProblem) -> CompiledProblem:
     return problem
 
 
+def load_solver():
+    """:class:`~repro.lp.backends.highs.HighsBackend`, imported by the first
+    solve (HiGHS's binding loads ``scipy.optimize``); a caller that times
+    its solves, the hybrid's watchdog, calls this first, off the clock."""
+    from repro.lp.backends.highs import HighsBackend  # it imports this module
+
+    return HighsBackend
+
+
 def solve_lp(problem: CompiledProblem, **options) -> Solution:
     """Solve a compiled problem with HiGHS (``options`` are HiGHS's own,
     see :mod:`repro.lp.backends.highs`).
@@ -109,9 +121,7 @@ def solve_lp(problem: CompiledProblem, **options) -> Solution:
     :class:`SolverError` on failure, so callers can rely on the
     returned solution being optimal.
     """
-    from repro.lp.backends.highs import HighsBackend  # it imports this module
-
-    solution = HighsBackend().solve(problem, **options)
+    solution = load_solver()().solve(problem, **options)
     if solution.status is SolveStatus.INFEASIBLE:
         raise InfeasibleError(f"model {problem.name!r} is infeasible")
     if solution.status is SolveStatus.UNBOUNDED:
@@ -254,6 +264,8 @@ def _coo_from_buffers(
     ``flips`` optionally scales each row's entries (the GE negation).
     Explicit zeros are dropped (a flipped zero is still zero).
     """
+    from scipy import sparse
+
     counts_arr = np.asarray(counts, dtype=np.intp)
     cols_arr = np.asarray(cols, dtype=np.intp)
     data = np.asarray(vals, dtype=float)

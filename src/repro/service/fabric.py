@@ -340,61 +340,35 @@ class Relay:
         decided = [leg for leg in self.legs if leg.record is not None]
         if self.failure is not None:
             decision = "failed"
-        elif all(
+        elif len(decided) == len(self.legs) and all(
             leg.record.get("decision") == "admitted" for leg in decided
-        ) and len(decided) == len(self.legs):
+        ):
             decision = "admitted"
         else:
             decision = "rejected"
         last = decided[-1].record if decided else {}
+        legs = []
+        for leg in self.legs:
+            legs.append({"id": leg.leg_id, "shard": leg.shard, "source": leg.source,
+                         "destination": leg.destination,
+                         "deadline_slots": leg.deadline_slots, "state": leg.state})
+            if leg.record:
+                legs[-1].update((key, leg.record.get(key))
+                                for key in ("decision", "slot", "completion_slot"))
         record: Dict[str, Any] = {
             "id": self.client_id,
             "decision": decision,
-            "relay": {
-                "gateway": self.gateway_dc,
-                "legs": [
-                    {
-                        "id": leg.leg_id,
-                        "shard": leg.shard,
-                        "source": leg.source,
-                        "destination": leg.destination,
-                        "deadline_slots": leg.deadline_slots,
-                        "state": leg.state,
-                        **(
-                            {
-                                "decision": leg.record.get("decision"),
-                                "slot": leg.record.get("slot"),
-                                "completion_slot": leg.record.get(
-                                    "completion_slot"
-                                ),
-                            }
-                            if leg.record
-                            else {}
-                        ),
-                    }
-                    for leg in self.legs
-                ],
-            },
+            "relay": {"gateway": self.gateway_dc, "legs": legs},
             "shards": sorted({leg.shard for leg in self.legs}),
             "slot": last.get("slot"),
-            "release_slot": (decided[0].record or {}).get("release_slot")
-            if decided else None,
+            "release_slot": decided[0].record.get("release_slot") if decided else None,
             "completion_slot": last.get("completion_slot"),
             "deadline_slot": last.get("deadline_slot"),
-            "wait_s": round(
-                sum(float(leg.record.get("wait_s", 0.0)) for leg in decided), 6
-            ),
-            "decision_s": round(
-                max(
-                    (float(leg.record.get("decision_s", 0.0)) for leg in decided),
-                    default=0.0,
-                ),
-                6,
-            ),
+            "wait_s": round(sum(float(leg.record.get("wait_s", 0.0)) for leg in decided), 6),
+            "decision_s": round(max((float(leg.record.get("decision_s", 0.0))
+                                     for leg in decided), default=0.0), 6),
             "cost_delta": round(
-                sum(float(leg.record.get("cost_delta", 0.0)) for leg in decided),
-                9,
-            ),
+                sum(float(leg.record.get("cost_delta", 0.0)) for leg in decided), 9),
         }
         if self.failure is not None:
             record["failure"] = dict(self.failure)
@@ -456,31 +430,27 @@ _STAT_MAX_KEYS = ("next_slot",)
 
 def rollup_stats(per_shard: Dict[str, Dict[str, Any]]) -> Dict[str, Any]:
     """Fleet-level totals over per-shard ``stats`` bodies."""
-    fleet: Dict[str, Any] = {"shards": len(per_shard)}
-    for key in _STAT_SUM_KEYS:
-        fleet[key] = 0
-    for key in _STAT_MAX_KEYS:
-        fleet[key] = 0
-    fleet["draining"] = False
+    fleet: Dict[str, Any] = {"shards": len(per_shard),
+                             **dict.fromkeys(_STAT_SUM_KEYS + _STAT_MAX_KEYS, 0),
+                             "draining": False}
     for stats in per_shard.values():
-        for key in _STAT_SUM_KEYS:
+        for key in _STAT_SUM_KEYS + _STAT_MAX_KEYS:
             value = stats.get(key, 0)
             if isinstance(value, (int, float)):
-                fleet[key] += value
-        for key in _STAT_MAX_KEYS:
-            value = stats.get(key, 0)
-            if isinstance(value, (int, float)):
-                fleet[key] = max(fleet[key], value)
+                fleet[key] = (max(fleet[key], value) if key in _STAT_MAX_KEYS
+                              else fleet[key] + value)
         fleet["draining"] = fleet["draining"] or bool(stats.get("draining"))
     fleet["cost_per_slot"] = round(fleet["cost_per_slot"], 6)
     return fleet
 
 
-
-def _decision_record(response: Dict[str, Any]) -> Dict[str, Any]:
-    """A shard's submit answer minus its envelope keys."""
+def _decision_record(answer: Dict[str, Any]) -> Dict[str, Any]:
+    """A submit answer as the decision log keeps it: minus the envelope
+    keys and the measured ``wait_s`` / ``decision_s``, which only the
+    answer carries (a shard's own log holds none)."""
     return {
-        k: v for k, v in response.items() if k not in ("ok", "op", "cached")
+        k: v for k, v in answer.items()
+        if k not in ("ok", "op", "cached", "wait_s", "decision_s")
     }
 
 
@@ -730,9 +700,9 @@ class FleetRouter(LineServer):
                         continue
                     relay.fail(leg, response)
                     break
-                relay.on_leg_decision(leg.leg_id, _decision_record(response))
+                relay.on_leg_decision(leg.leg_id, response)
             final = relay.compose()
-            self.decisions[relay.client_id] = final
+            self.decisions[relay.client_id] = _decision_record(final)
             ok = final["decision"] != "failed"
             if not ok:
                 self.counts["routed_errors"] += 1

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
+import gc
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import BackpressureError, ProtocolError, ReproError, ServiceError
@@ -418,8 +419,15 @@ class ServiceDaemon(LineServer):
         if self.config.tick_seconds > 0:
             self._clock_task = asyncio.create_task(self._slot_clock())
 
+    async def start(self) -> None:
+        """Bind, then freeze what start-up left live (path table, modules)
+        so no full collection walks it inside a slot; :meth:`stop` thaws it."""
+        await super().start()
+        gc.collect()
+        gc.freeze()
+
     async def stop(self) -> None:
-        """Tear the clock and listener down; idempotent."""
+        """Tear the clock and listener down and thaw the heap; idempotent."""
         clock, self._clock_task = self._clock_task, None
         if clock is not None:
             clock.cancel()
@@ -428,6 +436,7 @@ class ServiceDaemon(LineServer):
         await super().stop()
         if self.metrics is not None:
             obs.get_registry().remove_sink(self.metrics)
+        gc.unfreeze()
 
     # -- the slot clock ----------------------------------------------------
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.interfaces import SlotStep, slot_step
+from repro.core.interfaces import SlotPlan, SlotStep, slot_step
 from repro.errors import ServiceError, WalError
 from repro.invariants import verify_recovery
 from repro.obs import registry as obs
@@ -232,8 +232,9 @@ class TransferBroker:
         except SlotFailed:
             decided = {}
         else:
+            plan, self.scheduler.last_plan = self.scheduler.last_plan, None
             decided = {pending.client_id: decision for pending, decision
-                       in self._decide(slot, batch, requests, lane, step.probed)}
+                       in self._decide(slot, batch, requests, lane, step.probed, plan)}
             # An older build's record keeps what it acked, bar the timings.
             decided.update((cid, {k: v for k, v in acked.items()
                                   if k not in ("wait_s", "decision_s")})
@@ -421,7 +422,7 @@ class TransferBroker:
 
         lane, decision_s = self.scheduler.last_lane, step.seconds
         now = time.perf_counter()
-        resolutions = self._decide(slot, batch, requests, lane, step.probed)
+        resolutions = self._decide(slot, batch, requests, lane, step.probed, plan)
         admitted_count = sum(r["decision"] == DECISION_ADMITTED for _, r in resolutions)
         self.counts["admitted"] += admitted_count
         self.counts["rejected"] += len(batch) - admitted_count
@@ -437,7 +438,8 @@ class TransferBroker:
         )
         if self.store:  # no plan: the replanner's slot, which replays by planning
             self._append_commit(slot, batch, lane=lane, **(
-                {"plan": plan_record(plan, requests)} if plan is not None else {}))
+                {"plan": plan_record(plan, requests)} if self.scheduler.plan_replays
+                else {}))
         decided = {pending.client_id: record for pending, record in resolutions}
         # Only now may a status op reveal them: their commit is durable.
         self.decisions.update(decided)
@@ -454,26 +456,29 @@ class TransferBroker:
 
     def _decide(
         self, slot: int, batch: List[PendingTransfer],
-        requests: List[TransferRequest], lane: str, probed: Any,
+        requests: List[TransferRequest], lane: str, probed: Any, plan: Optional[SlotPlan],
     ) -> List[Resolution]:
-        """A committed batch's decision records, read from the books by
-        the live slot and its replay alike, so both write the same record.
+        """A committed batch's decision records, read from its plan and the
+        books by the live slot and its replay alike, so both write the same
+        record.  A file is admitted when the plan accepts it; its
+        ``completion_slot`` is ``None`` until the books show it delivered.
         ``probed`` is what :meth:`_probe` saw; ``cost_delta`` is what the
         batch added to the per-interval bill (priced jointly, not split)."""
         cost_before, headroom = probed
         cost_delta = round(self.state.current_cost_per_slot() - cost_before, 9)
         wall_ts = round(self.wall_time(slot), 3)
         completions = self.state.completions
+        accepted = {request.request_id for request in plan.accepted} if batch else ()
         resolutions: List[Resolution] = []
         for pending, request in zip(batch, requests):
-            completion = completions.get(request.request_id)
             resolutions.append((pending, {
                 "id": pending.client_id,
-                "decision": DECISION_REJECTED if completion is None else DECISION_ADMITTED,
+                "decision": DECISION_ADMITTED if request.request_id in accepted
+                else DECISION_REJECTED,
                 "slot": slot,
                 "release_slot": slot,
                 "deadline_slot": request.last_slot,
-                "completion_slot": completion,
+                "completion_slot": completions.get(request.request_id),
                 "lane": lane,
                 "trace": pending.trace_id,
                 "cost_delta": cost_delta,

@@ -243,8 +243,3 @@ def workload_from_json(text: str, topology):
             f"unsupported workload version {payload.get('version')!r}"
         )
     return _workload_from_payload(payload, topology)
-
-
-def save_workload(workload, path: PathLike) -> None:
-    """Write a generator workload description to ``path`` as JSON."""
-    Path(path).write_text(workload_to_json(workload))

@@ -194,6 +194,24 @@ def test_router_direct_submission_routes_to_owner():
     drive(make_fleet(), body)
 
 
+def test_router_status_equals_the_owning_shards():
+    """A decided id's status reads the same through the router as on its
+    shard, bar the ``shard`` the router adds: neither keeps the measured
+    ``wait_s`` / ``decision_s`` its submit answer carried."""
+    async def body(router, brokers):
+        src, dst = shard_pair(router.map, same=True)
+        owner = router.map.shard_for(src)
+        answer = await router.handle(submit_message("d1", src, dst))
+        await run_until_settled(router, brokers)
+        assert "wait_s" in await answer
+        ours = await router.call({"op": "status", "id": "d1"})
+        theirs = await router._conns[owner].call({"op": "status", "id": "d1"})
+        assert ours["decision"].pop("shard") == owner
+        assert ours == theirs
+
+    drive(make_fleet(), body)
+
+
 def test_router_relay_chains_on_commit():
     fleet = make_fleet()
 

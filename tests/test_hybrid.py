@@ -7,6 +7,8 @@ scenario the hybrid must stay within a fixed factor of the Postcard LP
 (and the pure fast lane within a looser one).
 """
 
+import threading
+
 import pytest
 
 import repro.obs as obs
@@ -224,6 +226,31 @@ def test_watchdog_fast_solve_commits_normally():
     assert scheduler.escalations == 1
     assert scheduler.degraded == 0
     assert scheduler.state.completions  # the LP's commit landed
+
+
+def test_watchdog_does_not_count_the_solver_load():
+    """The first escalation loads the solver on the hybrid's own thread,
+    before the worker starts: a load slower than the whole timeout (the
+    fake sleeps once, as a cold import would) still leaves the slot to the
+    LP.  Loaded inside the worker, it would time out and degrade."""
+    import time as _time
+    from unittest import mock
+
+    from repro.lp import compile as lp_compile
+
+    real, loads = lp_compile.load_solver, []
+
+    def cold_load():
+        if not loads:
+            _time.sleep(0.3)
+        loads.append(threading.current_thread())
+        return real()
+
+    scheduler = HybridScheduler(two_node_topology(), horizon=20, watchdog_timeout_s=0.1)
+    with mock.patch.object(lp_compile, "load_solver", cold_load):
+        scheduler.on_slot(0, pressured_requests(0))
+    assert scheduler.last_lane == "lp" and scheduler.degraded == 0
+    assert loads[0] is threading.current_thread()
 
 
 def test_escalate_hook_errors_propagate():

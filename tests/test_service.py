@@ -275,6 +275,21 @@ def test_broker_batches_and_decides():
     assert broker.status("nope")["state"] == "unknown"
 
 
+def test_a_replanner_broker_admits_what_its_plan_accepts():
+    """Admission is the plan's: a file the replanner accepts at slot 0 and
+    delivers over later slots is answered and counted admitted, with no
+    completion slot until it is delivered."""
+    broker = make_broker(scheduler="postcard-replan")
+    broker.submit({"id": "big", "source": 0, "destination": 2,
+                   "size_gb": 120.0, "deadline_slots": 6})
+    [(_, record)] = broker.process_slot()
+    assert record["decision"] == "admitted" and record["completion_slot"] is None
+    assert broker.counts["admitted"] == 1 and broker.counts["rejected"] == 0
+    while broker.scheduler.active:
+        broker.process_slot()
+    assert max(broker.state.completions.values()) <= record["deadline_slot"]
+
+
 def test_broker_empty_slot_advances_clock():
     broker = make_broker()
     assert broker.process_slot() == []
