@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import InfeasibleError, SchedulingError
@@ -97,15 +96,24 @@ class ArcSet:
         """The links of ``paths`` (node lists, ``source`` to
         ``destination``) plus holdover at their nodes, hop-bounded."""
         links = {hop for path in paths for hop in zip(path, path[1:])}
-        hops = nx.single_source_shortest_path_length
-        out = hops(nx.DiGraph(links), source)
-        back = hops(nx.DiGraph((b, a) for a, b in links), destination)
+        out = _hops(links, source)
+        back = _hops({(b, a) for a, b in links}, destination)
         return cls(
             [(link.key, out[link.src], back[link.dst])
              for link in topology.links if link.key in links]
             + [((node, node), out[node], back[node])
                for node in topology.node_ids() if node in out and node in back]
         )
+
+
+def _hops(links, start: int) -> Dict[int, int]:
+    """Fewest hops from ``start`` to each node it reaches over ``links``."""
+    hops, frontier, depth = {start: 0}, {start}, 0
+    while frontier:
+        depth += 1
+        frontier = {b for a, b in links if a in frontier and b not in hops}
+        hops.update(dict.fromkeys(frontier, depth))
+    return hops
 
 
 class PostcardModel:

@@ -167,6 +167,14 @@ class Scheduler(abc.ABC):
         re-point their internal lanes and caches too."""
         self._state = state
 
+    def checkpoint_meta(self) -> Dict[str, Any]:
+        """What a checkpoint must keep besides the state, as snapshot meta
+        entries; most schedulers carry nothing else from slot to slot."""
+        return {}
+
+    def adopt_meta(self, meta: Dict[str, Any]) -> None:
+        """Restore what :meth:`checkpoint_meta` kept (checkpoint resume)."""
+
     @staticmethod
     def _check_released_at(slot: int, requests: List["TransferRequest"]) -> None:
         """Every request handed to a slot must be released at it."""

@@ -27,8 +27,8 @@ feasible (capacities ahead are untouched), so replanning can only help
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import astuple, dataclass, field
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.flowlp import (
     Users, add_balance_rows, add_capacity_rows, add_charge_rows, add_flows,
@@ -201,6 +201,21 @@ class ReplanningPostcardScheduler(Scheduler):
         return flow_schedule(
             (rid, arc, volume) for (rid, arc), volume in plan.items() if arc.slot == slot
         )
+
+    # -- checkpoints ----------------------------------------------------------
+
+    def checkpoint_meta(self) -> Dict[str, Any]:
+        """The files in flight: their undelivered GB is kept nowhere else."""
+        return {"in_flight": [
+            [astuple(f.request), list(f.supplies.items()), f.delivered]
+            for f in self.active
+        ]}
+
+    def adopt_meta(self, meta: Dict[str, Any]) -> None:
+        self.active = [
+            ActiveFile(TransferRequest(*request), dict(supplies), delivered)
+            for request, supplies, delivered in meta.get("in_flight", [])
+        ]
 
     # -- surprise-failure recovery ------------------------------------------
 

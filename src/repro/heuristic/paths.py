@@ -23,10 +23,9 @@ is seen by the next query after the mutation.
 
 from __future__ import annotations
 
-import itertools
+from heapq import heappop, heappush
+from itertools import count
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.errors import SchedulingError
 from repro.core.formulation import ArcSet
@@ -39,6 +38,103 @@ from repro.net.topology import Topology
 #: between two threads building one only repeats work.
 _TABLES: Dict[tuple, tuple] = {}
 _TABLES_KEPT = 32
+
+
+#: node -> {neighbour: price}, neighbours in ``topology.links`` order.
+Adjacency = Dict[int, Dict[int, float]]
+
+
+def adjacency(nodes, links) -> Tuple[Adjacency, Adjacency]:
+    """Successor and predecessor maps of ``(src, dst, price)`` links."""
+    succ: Adjacency = {node: {} for node in nodes}
+    pred: Adjacency = {node: {} for node in nodes}
+    for src, dst, price in links:
+        succ[src][dst] = price
+        pred[dst][src] = price
+    return succ, pred
+
+
+def cheapest_paths(succ: Adjacency, pred: Adjacency, source: int, target: int,
+                   k: int) -> List[List[int]]:
+    """The ``k`` cheapest simple ``source -> target`` paths, cheapest
+    first; ``[]`` when there is none.
+
+    A port of networkx 3.6's ``shortest_simple_paths(G, source, target,
+    weight="price")`` on a DiGraph (Yen's algorithm over
+    ``_bidirectional_dijkstra``; networkx is BSD-3-Clause, copyright the
+    NetworkX developers) to plain dicts, so the daemon never imports the
+    library.  Ties are broken as networkx breaks them, which the
+    candidate lists' order depends on: the path buffer's push counter
+    (a popped path may be pushed again), the root price summed left to
+    right, the spur price ``seen[0][w] + seen[1][w]``, the alternation
+    between the two search directions and neighbours in insertion order.
+    ``tests/test_path_table.py`` holds it to networkx's lists.
+    """
+    found: List[List[int]] = []
+    heap, queued, pushes = [], set(), count()
+
+    def push(cost, path):
+        if tuple(path) not in queued:
+            heappush(heap, (cost, next(pushes), path))
+            queued.add(tuple(path))
+
+    best = _bidirectional_dijkstra(succ, pred, source, target, set(), set())
+    if best is not None:
+        push(*best)
+    while heap:
+        prev = heappop(heap)[2]
+        queued.remove(tuple(prev))
+        found.append(prev)
+        if len(found) == k:
+            break
+        ignore_nodes, ignore_edges = set(), set()
+        for i in range(1, len(prev)):
+            root = prev[:i]
+            root_length = sum(succ[u][v] for u, v in zip(root, root[1:]))
+            for path in found:
+                if path[:i] == root:
+                    ignore_edges.add((path[i - 1], path[i]))
+            spur = _bidirectional_dijkstra(
+                succ, pred, root[-1], target, ignore_nodes, ignore_edges
+            )
+            if spur is not None:
+                push(root_length + spur[0], root[:-1] + spur[1])
+            ignore_nodes.add(root[-1])
+    return found
+
+
+def _bidirectional_dijkstra(succ, pred, source, target, ignore_nodes, ignore_edges):
+    """``(price, path)`` of a cheapest path avoiding ``ignore_nodes`` and
+    ``ignore_edges``, or ``None`` — networkx's search, step for step."""
+    if source in ignore_nodes or target in ignore_nodes:
+        return None
+    if source == target:
+        return 0, [source]
+    dists, seen = ({}, {}), ({source: 0}, {target: 0})
+    paths = ({source: [source]}, {target: [target]})
+    fringe, pushes = ([(0, 0, source)], [(0, 1, target)]), count(2)
+    final, way = None, 1
+    while fringe[0] and fringe[1]:
+        way = 1 - way
+        dist, _, v = heappop(fringe[way])
+        if v in dists[way]:
+            continue
+        dists[way][v] = dist
+        if v in dists[1 - way]:
+            return final
+        for w, price in (pred if way else succ)[v].items():
+            if w in ignore_nodes or ((w, v) if way else (v, w)) in ignore_edges:
+                continue
+            length = dist + price
+            if w not in dists[way] and (w not in seen[way] or length < seen[way][w]):
+                seen[way][w] = length
+                heappush(fringe[way], (length, next(pushes), w))
+                paths[way][w] = paths[way][v] + [w]
+                if w in seen[0] and w in seen[1]:
+                    total = seen[0][w] + seen[1][w]
+                    if final is None or final[0] > total:
+                        final = (total, paths[0][w] + paths[1][w][::-1][1:])
+    return None
 
 
 def _bits(link_bit: Dict[Tuple[int, int], int], path: List[int]) -> int:
@@ -92,7 +188,7 @@ class _SlotView:
 class CandidatePathIndex:
     """K-cheapest-simple-path lists per (src, dst), tabled at construction.
 
-    The table costs ``DCs x (DCs - 1)`` networkx searches plus as many
+    The table costs ``DCs x (DCs - 1)`` :func:`cheapest_paths` searches plus as many
     arc sets, once per network and process; queries then only filter
     and rank.
 
@@ -111,17 +207,13 @@ class CandidatePathIndex:
             raise SchedulingError("need at least one candidate path")
         self.topology = topology
         self.max_paths = max_paths
-        self._graph = topology.to_networkx()
-        key = (
-            tuple(topology.node_ids()),
-            tuple((link.src, link.dst, link.price) for link in topology.links),
-            max_paths,
-        )
+        links = tuple((link.src, link.dst, link.price) for link in topology.links)
+        key = (tuple(topology.node_ids()), links, max_paths)
         tables = _TABLES.get(key)
         if tables is None:
             if len(_TABLES) >= _TABLES_KEPT:
                 _TABLES.clear()
-            tables = _TABLES[key] = self._tabulate()
+            tables = _TABLES[key] = self._tabulate(links)
         #: ``_table``: (src, dst) -> the pair's ``2 * max_paths`` cheapest
         #: simple paths; ``_arcs``: (src, dst) -> their ArcSet, ``None``
         #: when the search ran dry (see :meth:`arc_set`); ``_link_bit``:
@@ -130,10 +222,11 @@ class CandidatePathIndex:
         self._table, self._arcs, self._link_bit, self._path_bits = tables
         self._view: Optional[_SlotView] = None
 
-    def _tabulate(self) -> tuple:
+    def _tabulate(self, links) -> tuple:
         nodes = self.topology.node_ids()
+        succ, pred = adjacency(nodes, links)
         table = {
-            (src, dst): self._cheapest(self._graph, src, dst)
+            (src, dst): cheapest_paths(succ, pred, src, dst, 2 * self.max_paths)
             for src in nodes
             for dst in nodes
             if src != dst
@@ -224,24 +317,13 @@ class CandidatePathIndex:
 
     # -- internals -------------------------------------------------------
 
-    def _cheapest(self, graph, src: int, dst: int) -> List[List[int]]:
-        """The ``2 * max_paths`` cheapest simple paths in ``graph``."""
-        try:
-            generator = nx.shortest_simple_paths(graph, src, dst, weight="price")
-            return list(itertools.islice(generator, self.max_paths * 2))
-        except nx.NetworkXNoPath:
-            return []
-
     def _window_paths(self, src: int, dst: int, dark: int) -> List[List[int]]:
         """Cheapest paths over the links with an up-slot in the window
         (``dark``: the bits of the links without one)."""
-        live = self._graph.edge_subgraph(
-            edge for edge in self._graph.edges if not self._link_bit[edge] & dark
-        )
-        try:
-            return self._cheapest(live, src, dst)
-        except nx.NodeNotFound:  # an endpoint has no lit link at all
-            return []
+        lit = [(link.src, link.dst, link.price) for link in self.topology.links
+               if not self._link_bit[link.key] & dark]
+        succ, pred = adjacency(self.topology.node_ids(), lit)
+        return cheapest_paths(succ, pred, src, dst, 2 * self.max_paths)
 
     def __len__(self) -> int:
         """Number of (src, dst) pairs in the table."""

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import TopologyError
 
@@ -156,34 +154,17 @@ class Topology:
         n = self.num_datacenters
         return self.num_links == n * (n - 1)
 
-    def is_strongly_connected(self) -> bool:
-        """True when every datacenter can reach every other one."""
-        if self.num_datacenters == 1:
-            return True
-        return nx.is_strongly_connected(self.to_networkx())
+    def to_networkx(self):
+        """Export as a networkx DiGraph with price/capacity attributes
+        (networkx loads here: no daemon module needs it)."""
+        import networkx as nx
 
-    def to_networkx(self) -> "nx.DiGraph":
-        """Export as a networkx DiGraph with price/capacity attributes."""
         graph = nx.DiGraph()
         for dc in self.datacenters:
             graph.add_node(dc.id, name=dc.name, region=dc.region)
         for link in self.links:
             graph.add_edge(link.src, link.dst, price=link.price, capacity=link.capacity)
         return graph
-
-    def cheapest_path_price(self, src: NodeId, dst: NodeId) -> Optional[float]:
-        """Total per-GB price of the cheapest src→dst path, or None.
-
-        Useful as a lower bound: no strategy can move a gigabyte from
-        ``src`` to ``dst`` for less than this (storage is free).
-        """
-        self.datacenter(src)
-        self.datacenter(dst)
-        graph = self.to_networkx()
-        try:
-            return float(nx.shortest_path_length(graph, src, dst, weight="price"))
-        except nx.NetworkXNoPath:
-            return None
 
     def __repr__(self) -> str:
         return f"Topology(datacenters={self.num_datacenters}, links={self.num_links})"

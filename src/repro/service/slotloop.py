@@ -162,6 +162,7 @@ class TransferBroker:
     def _adopt_snapshot(self, snapshot) -> None:
         """Restore state, queue, clock, and books from one snapshot."""
         self.scheduler.adopt_state(snapshot.state)
+        self.scheduler.adopt_meta(snapshot.meta)
         # Snapshots don't serialize the link schedule (it is config, not
         # state) — re-attach it to the restored state object, which is a
         # different object from the one wired up at construction.
@@ -591,7 +592,8 @@ class TransferBroker:
             self.state,
             self.queue.snapshot_payloads(),
             self.next_slot,
-            meta={"counts": self.counts, "wall_epoch": self.wall_epoch},
+            meta={"counts": self.counts, "wall_epoch": self.wall_epoch,
+                  **self.scheduler.checkpoint_meta()},
             decisions=self._unjournaled,
         )
         self._unjournaled = {}

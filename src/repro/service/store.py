@@ -77,6 +77,9 @@ class SnapshotStore:
         self._mark = 0
         #: The generation currently receiving WAL appends.
         self.generation = 0
+        #: Whether a checkpoint has listed the directory since it was
+        #: opened; after that each one unlinks a single generation.
+        self._swept = False
 
     # -- file layout -------------------------------------------------------
 
@@ -219,14 +222,23 @@ class SnapshotStore:
 
         Keeps the last ``retain`` snapshot generations *and their logs*
         — a fallback to the oldest retained snapshot still replays a
-        complete log chain to the head.
+        complete log chain to the head.  The first checkpoint of a
+        process lists the directory and drops everything below the
+        window (a crash's or a larger ``retain``'s leftovers); each one
+        after it unlinks the generation that just left the window by
+        name, so a checkpoint never globs.
         """
         cutoff = generation - self.retain + 1
-        for gen in self.snapshot_generations():
-            if gen < cutoff:
+        if self._swept:
+            snapshots = wals = [cutoff - 1]
+        else:
+            snapshots, wals = self.snapshot_generations(), self.wal_generations()
+            self._swept = True
+        for gen in snapshots:
+            if 0 <= gen < cutoff:
                 self.snapshot_path(gen).unlink(missing_ok=True)
-        for gen in self.wal_generations():
-            if gen < cutoff:
+        for gen in wals:
+            if 0 <= gen < cutoff:
                 self.wal_path(gen).unlink(missing_ok=True)
 
     # -- recovery ----------------------------------------------------------

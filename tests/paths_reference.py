@@ -10,6 +10,10 @@ from a lit-subgraph search.  Slow, but obviously faithful to the rule
 ``tests/test_path_table.py`` pins :class:`repro.heuristic.paths.
 CandidatePathIndex` to it: ``candidates()`` and ``arc_set()`` must be
 equal, order included.
+
+:func:`is_strongly_connected` and :func:`cheapest_path_price` are the two
+networkx views of a :class:`~repro.net.topology.Topology` that only the
+tests ask for.
 """
 
 from __future__ import annotations
@@ -23,6 +27,30 @@ from repro.errors import SchedulingError
 from repro.core.formulation import ArcSet
 from repro.net.schedule import LinkSchedule
 from repro.net.topology import Topology
+
+
+def is_strongly_connected(topology: Topology) -> bool:
+    """True when every datacenter can reach every other one."""
+    if topology.num_datacenters == 1:
+        return True
+    return nx.is_strongly_connected(topology.to_networkx())
+
+
+def cheapest_path_price(topology: Topology, src: int, dst: int) -> Optional[float]:
+    """Total per-GB price of the cheapest src→dst path, or None.
+
+    A lower bound: no strategy can move a gigabyte from ``src`` to
+    ``dst`` for less than this (storage is free).
+    """
+    topology.datacenter(src)
+    topology.datacenter(dst)
+    try:
+        return float(nx.shortest_path_length(
+            topology.to_networkx(), src, dst, weight="price"
+        ))
+    except nx.NetworkXNoPath:
+        return None
+
 
 #: Window-cache entries kept before wholesale pruning; epoch churn
 #: retires entries naturally, this only bounds pathological workloads.

@@ -14,6 +14,7 @@ from repro.net.generators import (
     star_topology,
     two_region_topology,
 )
+from tests.paths_reference import is_strongly_connected
 
 
 def test_complete_topology_shape():
@@ -78,13 +79,13 @@ def test_fig3_topology():
 def test_line_topology_unidirectional():
     topo = line_topology(4, capacity=10.0, bidirectional=False)
     assert topo.num_links == 3
-    assert not topo.is_strongly_connected()
+    assert not is_strongly_connected(topo)
 
 
 def test_ring_topology():
     topo = ring_topology(5, capacity=10.0)
     assert topo.num_links == 10
-    assert topo.is_strongly_connected()
+    assert is_strongly_connected(topo)
     with pytest.raises(TopologyError):
         ring_topology(2, capacity=10.0)
 

