@@ -4,18 +4,28 @@ Soft deadlines, the budget relaxation, bulk throughput, multicast, the
 replanning scheduler and the recovery layer's salvage replan each build
 a Sec. V program (per-file arc flows, balance rows, capacity rows, the
 charge epigraph) with their own supplies and objective.
-``tests/data/flow_lp_pins.json`` holds the sha256 of every
-``CompiledProblem`` each scenario hands HiGHS, recorded from the commit
-before those builders shared one skeleton (run ``python -m
-tests.test_flow_lp_pins`` from the repo root with that commit's ``src/``
-on ``PYTHONPATH`` to re-record).  A moved row, a reordered column or a
-``-0.0`` right-hand side that became ``0.0`` changes a hash.
+``tests/data/flow_lp_pins.json`` holds, per ``CompiledProblem`` each
+scenario hands HiGHS, three facts (run ``python -m
+tests.test_flow_lp_pins`` from the repo root to re-record):
+
+* ``scenarios``: the sha256 of the problem as stored — its sparse
+  structure and ``row_map`` included;
+* ``arrays``: the sha256 of the program itself — ``c``, ``c0``,
+  ``bounds``, ``b_ub``, ``b_eq`` and the dense ``a_ub`` / ``a_eq``,
+  signed zeros folded to ``0.0`` — which two assemblers writing the
+  same LP share, whatever their sparse layout, row bookkeeping or the
+  sign their arithmetic leaves on a zero;
+* ``objectives``: the optimum HiGHS reports, held to 1e-9 relative.
+
+A moved row or a reordered column changes both hashes; a ``-0.0``
+right-hand side that became ``0.0`` changes only the first.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from contextlib import contextmanager
 from pathlib import Path
@@ -34,6 +44,7 @@ from repro.lp.backends import highs
 from repro.lp.compile import compile_model
 from repro.net.generators import complete_topology
 from repro.sim import FaultModel, Simulation
+from repro.sim.recovery import RecoveryManager
 from repro.traffic import PaperWorkload, TraceWorkload, TransferRequest
 
 from tests.test_fastlane_pins import _flavour
@@ -66,24 +77,59 @@ def _digest(problem) -> str:
     return h.hexdigest()
 
 
+def _arrays_digest(problem) -> str:
+    """sha256 over the program alone: objective, bounds, right-hand
+    sides and the dense constraint matrices, no sparse layout, no
+    ``row_map`` and no sign on a zero."""
+    h = hashlib.sha256()
+    for array in (
+        problem.c, [problem.c0], problem.bounds, problem.b_ub, problem.b_eq,
+        problem.a_ub.toarray(), problem.a_eq.toarray(),
+    ):
+        array = np.ascontiguousarray(np.asarray(array, dtype=np.float64) + 0.0)
+        h.update(repr(array.shape).encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
 @contextmanager
-def _recording(prefix=""):
-    """Collect the digest of every problem solved inside the block
-    (only those whose model name starts with ``prefix``)."""
+def _recording(within=None):
+    """Collect ``(digest, arrays digest, objective)`` of every problem
+    solved inside the block; with ``within`` (a ``(class, method name)``
+    pair) only of those solved inside that method."""
     seen = []
     original = highs.HighsBackend.solve
+    active = [within is None]
 
     def solve(self, model, **options):
         problem = compile_model(model)
-        if problem.name.startswith(prefix):
-            seen.append(_digest(problem))
-        return original(self, problem, **options)
+        solution = original(self, problem, **options)
+        if active[0]:
+            seen.append((_digest(problem), _arrays_digest(problem),
+                         float(solution.objective)))
+        return solution
 
-    highs.HighsBackend.solve = solve
+    patches = [(highs.HighsBackend, "solve", solve)]
+    if within is not None:
+        owner, name = within
+        method = getattr(owner, name)
+
+        def scoped(*args, **kwargs):
+            active[0] = True
+            try:
+                return method(*args, **kwargs)
+            finally:
+                active[0] = False
+
+        patches.append((owner, name, scoped))
+    saved = [(owner, name, getattr(owner, name)) for owner, name, _ in patches]
+    for owner, name, patch in patches:
+        setattr(owner, name, patch)
     try:
         yield seen
     finally:
-        highs.HighsBackend.solve = original
+        for owner, name, method in saved:
+            setattr(owner, name, method)
 
 
 def _requests(seed, count, release_slot, deadline=(2, 4), size=(4.0, 30.0)):
@@ -166,7 +212,7 @@ def _replan(seed):
 
 def _recovery(seed):
     """Surprise outages under a Postcard run: the recovery layer's
-    salvage replans (``solve_multisource_plan`` with all three hooks)."""
+    salvage replans (``RecoveryManager._replan``)."""
     topology = complete_topology(5, capacity=40.0, seed=seed)
     scheduler = PostcardScheduler(topology, horizon=20, on_infeasible="drop")
     scheduler.state.fault_model = FaultModel.random(
@@ -175,7 +221,7 @@ def _recovery(seed):
     )
     workload = PaperWorkload(topology, max_deadline=4, max_files=4,
                              seed=seed + 100)
-    with _recording(prefix="recover[") as seen:
+    with _recording(within=(RecoveryManager, "_replan")) as seen:
         Simulation(scheduler, workload, num_slots=8).run()
     return seen
 
@@ -195,18 +241,40 @@ def pins():
     return json.loads(PINS.read_text())
 
 
+def _record(run):
+    """A scenario's facets: the digests, the arrays digests and the
+    objectives of its solves, in solve order."""
+    digests, arrays, objectives = map(list, zip(*run()))
+    return digests, arrays, objectives
+
+
+def _same_objective(got, pinned):
+    if math.isnan(pinned):
+        return math.isnan(got)
+    return math.isclose(got, pinned, rel_tol=1e-9, abs_tol=1e-9)
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_builder_hands_highs_the_recorded_problems(pins, name):
     if pins["flavour"]["plain_float_sum"] != _flavour()["plain_float_sum"]:
         pytest.skip("pins were recorded under a different float sum()")
-    assert SCENARIOS[name]() == pins["scenarios"][name]
+    digests, arrays, objectives = _record(SCENARIOS[name])
+    assert arrays == pins["arrays"][name]
+    assert digests == pins["scenarios"][name]
+    pinned = pins["objectives"][name]
+    assert len(objectives) == len(pinned)
+    assert all(map(_same_objective, objectives, pinned)), (objectives, pinned)
 
 
 def test_pins_cover_what_they_claim(pins):
     """Every scenario solved something; the stream scenarios solved
     many problems (replan sheds, recovery salvages more than once)."""
     scenarios = pins["scenarios"]
-    assert sorted(scenarios) == sorted(SCENARIOS)
+    for facet in ("scenarios", "arrays", "objectives"):
+        assert sorted(pins[facet]) == sorted(SCENARIOS)
+        assert all(
+            len(pins[facet][name]) == len(scenarios[name]) for name in SCENARIOS
+        )
     assert all(scenarios.values())
     for seed in SEEDS:
         assert len(scenarios[f"replan_seed{seed}"]) > 5
@@ -216,11 +284,14 @@ def test_pins_cover_what_they_claim(pins):
 
 
 if __name__ == "__main__":
+    records = {name: _record(run) for name, run in sorted(SCENARIOS.items())}
     PINS.parent.mkdir(exist_ok=True)
     PINS.write_text(json.dumps(
         {
             "flavour": _flavour(),
-            "scenarios": {name: run() for name, run in sorted(SCENARIOS.items())},
+            "scenarios": {name: r[0] for name, r in records.items()},
+            "arrays": {name: r[1] for name, r in records.items()},
+            "objectives": {name: r[2] for name, r in records.items()},
         },
         indent=1,
     ) + "\n")
