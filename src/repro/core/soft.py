@@ -7,10 +7,11 @@ formulates that variant: each file may run up to ``extension`` slots
 past its deadline, paying ``lateness_penalty`` dollars per GB per late
 slot; the optimizer then trades WAN cost against SLA cost.
 
-What this module owns on top of :mod:`repro.core.flowlp`: each file's
-window reaches ``extension`` slots past its deadline, its supply sits
-at the source layer and its demand at the extended sink layer, and the
-objective is the bill plus the lateness terms.
+What this module owns on top of
+:func:`repro.core.formulation.build_postcard_model`: each file's window
+reaches ``extension`` slots past its deadline (so its demand sits at the
+extended sink layer), and the objective is the bill plus the lateness
+terms on the columns that arrive late.
 
 With ``extension=0`` this is exactly the hard-deadline LP of
 :func:`repro.core.formulation.build_postcard_model`; with a generous
@@ -21,19 +22,16 @@ that makes the drop policy unnecessary.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.errors import SchedulingError
-from repro.core.flowlp import (
-    Users, add_balance_rows, add_capacity_rows, add_charge_rows, add_flows,
-    flow_schedule, window_graph,
-)
+from repro.core.formulation import PostcardModel, build_postcard_model
 from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import CompiledProblem, LPBuilder, Solution, solve_lp
-from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
+from repro.lp import Solution, solve_lp
 from repro.traffic.spec import TransferRequest
 
 
@@ -56,9 +54,12 @@ def build_soft_deadline_model(
     requests: List[TransferRequest],
     extension: int,
     lateness_penalty: float,
-    name: str = "postcard-soft",
-) -> Tuple[CompiledProblem, Dict[Tuple[int, Arc], int], TimeExpandedGraph, Dict]:
-    """Assemble the lateness-priced LP; see :func:`solve_soft_deadline`."""
+) -> Tuple[PostcardModel, np.ndarray]:
+    """Assemble the lateness-priced LP; see :func:`solve_soft_deadline`.
+
+    Returns the model and, per flow column, the slots by which it
+    delivers late (0: on time, or not an arrival at the destination).
+    """
     if not requests:
         raise SchedulingError("need at least one request")
     if extension < 0:
@@ -66,55 +67,26 @@ def build_soft_deadline_model(
     if lateness_penalty < 0:
         raise SchedulingError("lateness_penalty must be non-negative")
 
-    graph = window_graph(
-        state.topology, requests, state.residual_capacity, extension
-    )
+    built = build_postcard_model(state, [
+        replace(r, deadline_slots=r.deadline_slots + extension) for r in requests
+    ])
+    _, _, dst, slot, transit = built.flow_columns
+    destination, deadline = _per_column(built, lambda r: (
+        r.destination, r.release_slot + r.deadline_slots - extension
+    ))
+    # Arrival at the destination after the hard deadline pays per GB
+    # per late slot.
+    late = np.where(transit & (dst == destination), slot + 1 - deadline, 0).clip(0)
+    if lateness_penalty > 0:
+        arrives_late = np.flatnonzero(late)
+        built.model.c[arrives_late] = lateness_penalty * late[arrives_late]
+    return built, late
 
-    lp = LPBuilder(name)
-    flow_vars: Dict[Tuple[int, Arc], int] = {}
-    users: Users = defaultdict(list)
-    penalty_cols: List[int] = []
-    penalty_vals: List[float] = []
-    #: (request_id) -> [(late_slots, column)] for lateness accounting.
-    lateness_terms: Dict[int, List[Tuple[float, int]]] = defaultdict(list)
 
-    for request in requests:
-        rid = request.request_id
-        first = request.release_slot
-        hard_deadline_layer = request.release_slot + request.deadline_slots
-        last_exclusive = hard_deadline_layer + extension
-        columns, balance = add_flows(
-            lp, rid,
-            (a for a in graph.arcs if first <= a.slot < last_exclusive), users,
-        )
-        for arc, var in columns.items():
-            flow_vars[(rid, arc)] = var
-            # Arrival at the destination after the hard deadline pays
-            # per GB per late slot.
-            late = arc.slot + 1 - hard_deadline_layer
-            arrives = arc.kind is ArcKind.TRANSIT and arc.dst == request.destination
-            if arrives and late > 0:
-                if lateness_penalty > 0:
-                    penalty_cols.append(var)
-                    penalty_vals.append(lateness_penalty * late)
-                lateness_terms[rid].append((float(late), var))
-
-        source, sink = (request.source, first), (request.destination, last_exclusive)
-        if source not in balance:
-            raise SchedulingError(
-                f"file {rid}: no admissible arc leaves its source"
-            )
-        add_balance_rows(lp, balance, lambda node: (
-            request.size_gb if node == source
-            else -request.size_gb if node == sink else 0.0
-        ))
-
-    add_capacity_rows(lp, users)
-    charged, prices, fixed_cost = add_charge_rows(
-        lp, state.topology, users, state.charged_volume, state.committed_volume
-    )
-    lp.objective(penalty_cols + charged, penalty_vals + prices, fixed_cost)
-    return lp.compile(), flow_vars, graph, lateness_terms
+def _per_column(built: PostcardModel, facts) -> np.ndarray:
+    """``facts(request)`` (a tuple) of each flow column's file, as arrays."""
+    by_id = {r.request_id: facts(r) for r in built.requests}
+    return np.array([by_id[rid] for rid in built.flow_columns[0].tolist()]).T
 
 
 def solve_soft_deadline(
@@ -128,26 +100,20 @@ def solve_soft_deadline(
     The returned schedule may move data after file deadlines — audit it
     with ``schedule.validate(requests, deadline_slack=extension)``.
     """
-    problem, flow_vars, _graph, lateness_terms = build_soft_deadline_model(
+    built, late = build_soft_deadline_model(
         state, requests, extension, lateness_penalty
     )
-    solution = solve_lp(problem)
+    solution = solve_lp(built.model)
 
-    destination_of = {r.request_id: r.destination for r in requests}
-    # Holdover at a file's own destination is delivered data riding to
-    # the (extended) sink layer — bookkeeping, not storage.
-    schedule = flow_schedule(
-        (rid, arc, float(solution.x[var])) for (rid, arc), var in flow_vars.items()
-        if arc.kind is ArcKind.TRANSIT or arc.src != destination_of[rid]
-    )
-    lateness = {
-        rid: sum(late * float(solution.x[var]) for late, var in terms)
-        for rid, terms in lateness_terms.items()
-    }
-    for request in requests:
-        lateness.setdefault(request.request_id, 0.0)
+    request_id, src, _, _, transit = built.flow_columns
+    (destination,) = _per_column(built, lambda r: (r.destination,))
+    lateness = dict.fromkeys((r.request_id for r in requests), 0.0)
+    for column in np.flatnonzero(late).tolist():
+        lateness[int(request_id[column])] += int(late[column]) * float(solution.x[column])
     return SoftDeadlineResult(
-        schedule=schedule,
+        # Holdover at a file's own destination is delivered data riding
+        # to the (extended) sink layer — bookkeeping, not storage.
+        schedule=built.schedule(solution, transit | (src != destination)),
         solution=solution,
         lateness={rid: max(0.0, v) for rid, v in lateness.items()},
     )
