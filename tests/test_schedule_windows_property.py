@@ -9,13 +9,14 @@ edges (data waits on holdover arcs while a link is dark).  Rejections
 are always allowed; dark-slot traffic never is.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.heuristic import FastLaneScheduler
 from repro.invariants import cells, deadlines
 from repro.net import AvailabilityWindow, LinkSchedule
 from repro.net.generators import complete_topology
-from repro.registry import make_scheduler
+from repro.registry import make_scheduler, scheduler_names
 from repro.sim import Simulation
 from repro.traffic import PaperWorkload, TransferRequest
 
@@ -84,14 +85,21 @@ def test_fast_lane_never_uses_dark_slots(instance):
     )
 
 
+@pytest.mark.parametrize("name", scheduler_names())
 @settings(max_examples=15, deadline=None)
-@given(windowed_instances())
-def test_lp_scheduler_never_uses_dark_slots(instance):
+@given(instance=windowed_instances())
+def test_lp_scheduler_never_uses_dark_slots(name, instance):
+    """Every registered scheduler, the LP lanes included; the replanner
+    executes one slot at a time, so its slots run until it drains."""
     num_dcs, capacity, seed, schedule, requests = instance
     topo = complete_topology(num_dcs, capacity=capacity, seed=seed)
-    scheduler = make_scheduler("postcard", topo, horizon=30)
+    scheduler = make_scheduler(name, topo, horizon=30)
     scheduler.state.link_schedule = schedule
     scheduler.on_slot(0, requests)
+    slot = 0
+    while getattr(scheduler, "active", None):
+        slot += 1
+        scheduler.on_slot(slot, [])
     assert cells(scheduler.state) == []
 
 
