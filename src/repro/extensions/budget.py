@@ -4,10 +4,11 @@
 what is the maximum number of files that a cloud provider can transfer?"
 
 The LP relaxation transfers fractions ``y_k in [0, 1]`` of each file:
-its supply is ``F_k * y_k`` at the source layer and the same demand at
-the deadline layer; it maximizes ``sum(y_k)`` under the budget row
-``sum(a_ij * X_ij) * I <= B`` on the bill :mod:`repro.core.flowlp`
-assembles.  Because files are atomic in
+on the Postcard model of all candidates
+(:func:`repro.core.formulation.build_postcard_model`) each file's supply
+becomes ``F_k * y_k``, the model's own objective — the bill
+``sum(a_ij * X_ij)`` — becomes the budget row ``<= B / I``, and the
+relaxation maximizes ``sum(y_k)``.  Because files are atomic in
 practice, a greedy rounding pass then admits whole files in decreasing
 fractional order, re-checking the budget with an exact Postcard solve
 at every step; the fractional optimum upper-bounds the integral one, so
@@ -16,19 +17,16 @@ the gap is reported alongside the result.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import InfeasibleError, SchedulingError
-from repro.core.flowlp import (
-    Users, add_balance_rows, add_capacity_rows, add_charge_rows, add_flows,
-    window_graph,
-)
 from repro.core.formulation import build_postcard_model
 from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import LE, LPBuilder, solve_lp
+from repro.lp import solve_lp
 from repro.traffic.spec import TransferRequest
 
 
@@ -58,31 +56,25 @@ def _fractional_relaxation(
     budget_per_slot: float,
 ) -> Tuple[float, Dict[int, float]]:
     """Solve the y_k in [0,1] relaxation; returns (objective, fractions)."""
-    graph = window_graph(state.topology, requests, state.residual_capacity)
+    from scipy import sparse
 
-    lp = LPBuilder("budget_relaxation")
-    users: Users = defaultdict(list)
-    fraction_vars: Dict[int, int] = {}
-
-    for request in requests:
-        rid = request.request_id
-        _, balance = add_flows(lp, rid, graph.arcs_for_request(request), users)
-        y = fraction_vars[rid] = lp.column(("y", rid), lb=0.0, ub=1.0)
-        source, sink = graph.source_node(request), graph.sink_node(request)
-        add_balance_rows(lp, balance, lambda node: (
-            (request.size_gb, y) if node == source
-            else (-request.size_gb, y) if node == sink else 0.0
-        ))
-
-    add_capacity_rows(lp, users)
-    charged, prices, fixed_cost = add_charge_rows(
-        lp, state.topology, users, state.charged_volume, state.committed_volume
+    built = build_postcard_model(state, requests)
+    bill = built.model
+    count = len(requests)
+    relaxed = built.supply_columns(
+        [r.size_gb for r in requests], np.ones(count), np.ones(count)
     )
-    lp.row(charged, prices, LE, budget_per_slot - fixed_cost)
-    lp.objective(fraction_vars.values(), [1.0] * len(fraction_vars), maximize=True)
-    solution = solve_lp(lp.compile())
-    fractions = {rid: float(solution.x[var]) for rid, var in fraction_vars.items()}
-    return solution.objective, fractions
+    relaxed = replace(
+        relaxed,
+        a_ub=sparse.vstack([relaxed.a_ub, np.append(bill.c, np.zeros(count))],
+                           format="csr"),
+        b_ub=np.append(relaxed.b_ub, budget_per_slot - bill.c0),
+    )
+    solution = solve_lp(relaxed)
+    fractions = solution.x[bill.num_variables:].tolist()
+    return solution.objective, {
+        r.request_id: y for r, y in zip(requests, fractions)
+    }
 
 
 def maximize_transfers_under_budget(
