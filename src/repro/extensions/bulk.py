@@ -14,27 +14,26 @@ NetStitcher-consistent) reading implemented here relaxes delivery to
 *at most* ``F_k`` per file and maximizes the total delivered volume;
 files may be partially transferred when free bandwidth is scarce.
 
-What this module owns on top of :mod:`repro.core.flowlp`: arc
-capacities are each link-slot's paid headroom, each file's supply is a
-delivered volume ``y_k in [0, F_k]``, and the objective is the weighted
-``sum(y_k)``.  Nothing is charged, so there are no charge rows.
+What this module owns on top of
+:func:`repro.core.formulation.build_postcard_model`: each file's supply
+is a delivered volume ``y_k in [0, F_k]``, every charged volume ``X_ij``
+is fixed at what is already paid, so the charge rows cap each link-slot
+at its paid headroom ``X_ij - B_ij(n)``, and the objective is the
+weighted ``sum(y_k)``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.errors import SchedulingError
-from repro.core.flowlp import (
-    Users, add_balance_rows, add_capacity_rows, add_flows, flow_schedule,
-    window_graph,
-)
+from repro.core.formulation import build_postcard_model
 from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import LPBuilder, solve_lp
-from repro.timeexp.graph import Arc
+from repro.lp import solve_lp
 from repro.traffic.spec import TransferRequest
 
 
@@ -66,38 +65,20 @@ def maximize_bulk_throughput(
     if not requests:
         raise SchedulingError("maximize_bulk_throughput needs at least one request")
 
-    # Free capacity only: the paid headroom of each link-slot.
-    graph = window_graph(state.topology, requests, state.paid_headroom)
-
-    lp = LPBuilder("bulk_throughput")
-    flow_vars: Dict[Tuple[int, Arc], int] = {}
-    users: Users = defaultdict(list)
-    delivered_vars: Dict[int, int] = {}
-    for request in requests:
-        rid = request.request_id
-        columns, balance = add_flows(
-            lp, rid, graph.arcs_for_request(request), users
-        )
-        flow_vars.update(((rid, arc), var) for arc, var in columns.items())
-        y = delivered_vars[rid] = lp.column(("y", rid), lb=0.0, ub=request.size_gb)
-        source, sink = graph.source_node(request), graph.sink_node(request)
-        add_balance_rows(lp, balance, lambda node: (
-            (1.0, y) if node == source else (-1.0, y) if node == sink else 0.0
-        ))
-
-    add_capacity_rows(lp, users)
-    lp.objective(
-        delivered_vars.values(),
-        [(weights or {}).get(rid, 1.0) for rid in delivered_vars],
-        maximize=True,
+    built = build_postcard_model(state, requests)
+    problem = built.supply_columns(
+        np.ones(len(requests)), [r.size_gb for r in requests],
+        [(weights or {}).get(r.request_id, 1.0) for r in requests],
     )
-    solution = solve_lp(lp.compile())
+    # Free capacity only: no X_ij may rise above what is already paid.
+    paid = list(built.charge_columns.values())
+    problem.bounds[paid, 1] = problem.bounds[paid, 0]
+    solution = solve_lp(problem)
 
-    delivered = {rid: float(solution.x[var]) for rid, var in delivered_vars.items()}
+    volumes = solution.x[built.num_variables:].tolist()
+    delivered = {r.request_id: y for r, y in zip(requests, volumes)}
     return BulkTransferResult(
-        schedule=flow_schedule(
-            (rid, arc, float(solution.x[var])) for (rid, arc), var in flow_vars.items()
-        ),
+        schedule=built.schedule(solution),
         delivered=delivered,
         total_delivered=sum(delivered.values()),
     )
