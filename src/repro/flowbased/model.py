@@ -14,17 +14,19 @@ The objective matches Postcard's: minimize ``sum(a_ij * X_ij)`` with
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.errors import SchedulingError
-from repro.core.flowlp import Supply, add_balance_rows
 from repro.core.schedule import SEMANTICS_FLUID, ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import GE, LE, CompiledProblem, LPBuilder, Solution, solve_lp
+from repro.lp import EQ, GE, LE, CompiledProblem, LPBuilder, Solution, solve_lp
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
 
 LinkKey = Tuple[int, int]
+#: A commodity's supply: a constant, or ``(coefficient, column)`` for
+#: ``coefficient * x[column]``.
+Supply = Union[float, Tuple[float, int]]
 
 
 def add_link_balance_rows(
@@ -36,14 +38,23 @@ def add_link_balance_rows(
     outflow is ``supply`` at ``source``, ``-supply`` at ``sink``, 0
     elsewhere.  A node no link touches keeps its row: it holds, or the
     problem is infeasible (a source without links)."""
-    balance = {node: [] for node in nodes}
+    balance = {node: ([], []) for node in nodes}
     for (src, dst), col in zip(ends, columns):
-        balance[src].append((col, 1.0))
-        balance[dst].append((col, -1.0))
-    demand = (-supply[0], supply[1]) if isinstance(supply, tuple) else -supply
-    add_balance_rows(lp, balance, lambda node: (
-        supply if node == source else demand if node == sink else 0.0
-    ))
+        balance[src][0].append(col)
+        balance[src][1].append(1.0)
+        balance[dst][0].append(col)
+        balance[dst][1].append(-1.0)
+    for node, (cols, vals) in balance.items():
+        rhs = 0.0
+        if node in (source, sink):
+            sign = 1.0 if node == source else -1.0
+            if isinstance(supply, tuple):  # the column's multiple moves left
+                coef, col = supply
+                cols.append(col)
+                vals.append(-sign * coef)
+            else:
+                rhs = sign * supply
+        lp.row(cols, vals, EQ, rhs)
 
 
 class FlowModel:
