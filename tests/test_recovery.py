@@ -108,6 +108,26 @@ class TestSloViolation:
         # The failed file is no longer recorded as completed.
         assert request.request_id not in scheduler.state.completions
 
+    def test_replanner_file_hit_in_its_last_slot_is_a_miss(self, line3):
+        """A surprise failure in a file's last slot leaves the replanner
+        nothing to re-derive: the file is lost, and later slots still run."""
+        scheduler = ReplanningPostcardScheduler(line3, horizon=10)
+        scheduler.state.fault_model = FaultModel(
+            [Outage(0, 1, 0, 1, announced=False)]
+        )
+        stranded = TransferRequest(0, 1, 6.0, 1, release_slot=0)
+        later = TransferRequest(1, 2, 3.0, 4, release_slot=1)
+        result = Simulation(
+            scheduler, TraceWorkload([stranded, later]), num_slots=6
+        ).run()
+
+        assert result.lost_gb == pytest.approx(6.0)
+        assert result.salvaged_gb == 0.0
+        assert result.slo_violations == [stranded.request_id]
+        assert stranded.request_id not in scheduler.state.completions
+        assert later.request_id in scheduler.state.completions
+        assert not scheduler.active
+
     def test_partial_salvage_splits_accounting(self, line3):
         """Capacity after the failure covers only part of the file:
         salvaged + lost must still sum to the disrupted volume."""
