@@ -102,11 +102,6 @@ class TimeExpandedGraph:
         self.arcs: List[Arc] = []
         self._out: Dict[TimeNode, List[Arc]] = {}
         self._in: Dict[TimeNode, List[Arc]] = {}
-        #: Arcs carrying data during each slot, in construction order
-        #: (transit arcs in link order, then holdover arcs).  Lets
-        #: per-request admissibility queries touch only the slots of the
-        #: request's window instead of filtering every arc.
-        self._by_slot: Dict[int, List[Arc]] = {}
 
         if _slot_arcs is not None:
             # Construction from a GraphCache's per-slot arc lists; the
@@ -152,7 +147,6 @@ class TimeExpandedGraph:
         self.arcs.append(arc)
         self._out.setdefault(arc.tail, []).append(arc)
         self._in.setdefault(arc.head, []).append(arc)
-        self._by_slot.setdefault(arc.slot, []).append(arc)
 
     # -- structure queries -------------------------------------------------
 
@@ -216,29 +210,6 @@ class TimeExpandedGraph:
                 f"intersect graph slots [{self.start_slot}, {self.end_slot - 1}]"
             )
         return first, last_exclusive
-
-    def arcs_for_request(self, request: TransferRequest) -> List[Arc]:
-        """Arcs admissible for a file: anything inside its time window
-        (constraint (10) of the paper — no arcs after ``t + T_k``).
-
-        Early arrivals reach the sink layer by riding the destination's
-        free holdover arcs inside the window, so a file delivered ahead
-        of its deadline incurs no extra cost.
-        """
-        first, last_exclusive = self.request_window(request)
-        arcs: List[Arc] = []
-        for slot in range(first, last_exclusive):
-            arcs.extend(self._by_slot.get(slot, ()))
-        return arcs
-
-    def source_node(self, request: TransferRequest) -> TimeNode:
-        first, _ = self.request_window(request)
-        return (request.source, first)
-
-    def sink_node(self, request: TransferRequest) -> TimeNode:
-        """The delivery node ``d_k^{t + T_k}`` (clipped to the graph)."""
-        _, last_exclusive = self.request_window(request)
-        return (request.destination, last_exclusive)
 
     def __repr__(self) -> str:
         return (

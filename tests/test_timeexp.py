@@ -7,6 +7,7 @@ from repro.errors import TopologyError
 from repro.net.generators import complete_topology, line_topology
 from repro.timeexp import ArcKind, TimeExpandedGraph
 from repro.traffic import TransferRequest
+from tests.lp_reference import arcs_for_request, sink_node, source_node
 
 
 @pytest.fixture
@@ -99,15 +100,15 @@ def test_request_window_disjoint_raises(graph):
 def test_arcs_for_request_deadline_cut(line3):
     graph = TimeExpandedGraph(line3, start_slot=0, horizon=5)
     request = TransferRequest(0, 2, 1.0, 2, release_slot=1)
-    arcs = graph.arcs_for_request(request)
+    arcs = arcs_for_request(graph, request)
     assert all(1 <= a.slot <= 2 for a in arcs)
 
 
 def test_source_and_sink_nodes(line3):
     graph = TimeExpandedGraph(line3, start_slot=0, horizon=5)
     request = TransferRequest(0, 2, 1.0, 2, release_slot=1)
-    assert graph.source_node(request) == (0, 1)
-    assert graph.sink_node(request) == (2, 3)
+    assert source_node(graph, request) == (0, 1)
+    assert sink_node(graph, request) == (2, 3)
 
 
 @settings(max_examples=25, deadline=None)
