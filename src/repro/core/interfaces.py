@@ -127,12 +127,11 @@ class Scheduler(abc.ABC):
     #: scheduler's ``lp`` / ``degraded`` (the daemon journals it).
     last_lane: str = "fast"
 
-    #: The plan the last slot committed (``None``: idle), which the daemon journals.
+    #: The plan the last slot committed, which the daemon journals.
     last_plan: Optional[SlotPlan] = None
 
-    #: ``False`` where a slot also moves files of earlier batches: the daemon
-    #: journals no plan of it, and a replay plans the slot again.
-    plan_replays: bool = True
+    #: Files of earlier batches a slot's plan moves too, keyed in this order.
+    carried: Sequence["TransferRequest"] = ()
 
     #: The ``(admitted, rejected)`` counters :meth:`commit_plan` emits:
     #: files committed per slot, and one per rejection (``None``: neither).
@@ -174,16 +173,6 @@ class Scheduler(abc.ABC):
 
     def adopt_meta(self, meta: Dict[str, Any]) -> None:
         """Restore what :meth:`checkpoint_meta` kept (checkpoint resume)."""
-
-    @staticmethod
-    def _check_released_at(slot: int, requests: List["TransferRequest"]) -> None:
-        """Every request handed to a slot must be released at it."""
-        for request in requests:
-            if request.release_slot != slot:
-                raise SchedulingError(
-                    f"file {request.request_id} released at "
-                    f"{request.release_slot}, scheduled at {slot}"
-                )
 
     def _split_negligible(self, requests: List["TransferRequest"]) -> Tuple[list, list]:
         """``(kept, refused)``: a file of at most ``VOLUME_ATOL`` GB is refused
@@ -229,25 +218,24 @@ class Scheduler(abc.ABC):
         self, slot: int, requests: List["TransferRequest"],
         plan_slot: Callable[[int, List["TransferRequest"]], SlotPlan],
     ) -> TransferSchedule:
-        """The slot path of :meth:`on_slot` and of a replayed slot: check
-        the release slots, ``plan_slot``, raise under ``"raise"`` a plan
-        that refuses a file, commit it and keep it as :attr:`last_plan`.
-        An attached :attr:`forecast` begins the slot first and, after the
-        commit, observes it — an idle slot too, since links carry volume
+        """The slot path of :meth:`on_slot` and of a replayed slot, an idle
+        one included: check the release slots, ``plan_slot``, raise under
+        ``"raise"`` a plan that refuses a file, commit it and keep it as
+        :attr:`last_plan`.  An attached :attr:`forecast` begins the slot
+        first and, after the commit, observes it, since links carry volume
         deferred from earlier slots."""
         forecast = self.forecast
         if forecast is not None:
             forecast.begin_slot(slot)
-        schedule, plan = TransferSchedule(), None
-        if requests:
-            self._check_released_at(slot, requests)
-            plan = plan_slot(slot, requests)
-            if plan.rejected and self.on_infeasible == ON_INFEASIBLE_RAISE:
-                ids = [request.request_id for request in plan.rejected]
-                raise InfeasibleError(
-                    f"{self.name} cannot admit files {ids} at slot {slot}"
-                )
-            schedule = self.commit_plan(plan)
+        for request in requests:
+            if request.release_slot != slot:
+                raise SchedulingError(f"file {request.request_id} released at "
+                                      f"{request.release_slot}, scheduled at {slot}")
+        plan = plan_slot(slot, requests)
+        if plan.rejected and self.on_infeasible == ON_INFEASIBLE_RAISE:
+            ids = [request.request_id for request in plan.rejected]
+            raise InfeasibleError(f"{self.name} cannot admit files {ids} at slot {slot}")
+        schedule = self.commit_plan(plan)
         self.last_plan = plan
         if forecast is not None:
             forecast.note_placements(schedule.entries)

@@ -56,9 +56,8 @@ class LookaheadPostcardScheduler(Scheduler):
         self.last_objective: Optional[float] = None
 
     def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
-        future: List[TransferRequest] = []
-        for ahead in range(1, self.lookahead + 1):
-            future.extend(self.preview(slot + ahead))
+        ahead = range(1, self.lookahead + 1) if requests else ()  # idle: nothing to preview
+        future = [request for n in ahead for request in self.preview(slot + n)]
         return self._shed(lambda current: self._solve(current, future), requests)
 
     def _solve(

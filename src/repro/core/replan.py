@@ -19,9 +19,10 @@ supplies, written into the first layer's balance rows.  Only the
 ``n = t`` arcs of the solution are executed, and the rest is thrown away
 and re-derived next slot.
 
-Feasibility is monotone: the tail of last slot's plan is always still
-feasible (capacities ahead are untouched), so replanning can only help
-— at the price of solving a bigger LP every slot.
+Feasibility is monotone while links keep their promises: the tail of
+last slot's plan is still feasible, so replanning can only help — at the
+price of a bigger LP every slot.  A surprise outage can break that tail,
+and the active files are then shed like newcomers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.formulation import PostcardModel, build_postcard_model
-from repro.core.interfaces import Scheduler, SlotPlan
+from repro.core.interfaces import Scheduler, SlotPlan, shed_until_feasible
 from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
 from repro.lp import Solution, solve_lp
@@ -57,10 +58,6 @@ class ActiveFile:
     def remaining(self) -> float:
         return sum(self.supplies.values())
 
-    @property
-    def deadline_slot(self) -> int:
-        return self.request.last_slot
-
 
 def solve_multisource_plan(
     state: NetworkState, slot: int, files: List[ActiveFile],
@@ -80,7 +77,7 @@ def solve_multisource_plan(
     """
     built = build_postcard_model(state, [
         replace(f.request, size_gb=f.remaining, release_slot=slot,
-                deadline_slots=f.deadline_slot + 1 - slot)
+                deadline_slots=f.request.last_slot + 1 - slot)
         for f in files
     ])
     owner, layer, node = built.balance_nodes
@@ -96,52 +93,48 @@ class ReplanningPostcardScheduler(Scheduler):
     """Executes one slot at a time, re-deriving the rest every slot."""
 
     name = "postcard-replan"
-    plan_replays = False  # a slot moves the files of earlier batches too
 
-    def __init__(
-        self,
-        topology: Topology,
-        horizon: int,
-        on_infeasible: str = "raise",
-    ):
+    def __init__(self, topology: Topology, horizon: int, on_infeasible: str = "raise"):
         super().__init__(topology, horizon, on_infeasible)
         self.active: List[ActiveFile] = []
         self.last_objective: Optional[float] = None
 
+    @property
+    def carried(self) -> List[TransferRequest]:
+        return [f.request for f in self.active]
+
     # -- the online loop -------------------------------------------------
 
-    def on_slot(self, slot: int, requests: List[TransferRequest]) -> TransferSchedule:
-        """Every slot executes, an idle one included: the active files move on.
-        A file whose last slot has passed leaves the active set first,
-        refused unless its delivery is already on record."""
-        self._check_released_at(slot, requests)
-        for f in self.active:
-            if f.deadline_slot < slot and f.request.request_id not in self._state.completions:
-                self._state.reject(f.request)
-        self.active = [f for f in self.active if f.deadline_slot >= slot]
-        self.last_plan = self.plan_slot(slot, requests)
-        return self.commit_plan(self.last_plan)
-
     def plan_slot(self, slot: int, requests: List[TransferRequest]) -> SlotPlan:
-        """Admission, then the slot's arcs of the joint plan.
+        """Admission, then the slot's arcs of the joint plan; every slot
+        plans, an idle one included, since the active files move on.
+        An active file past its last slot is left out, and a file the plan
+        leaves out is refused at :meth:`commit_plan`."""
+        return self._plan(slot, requests, [f for f in self.active if f.request.last_slot >= slot])
 
-        The current active set stays feasible by construction (last
-        slot's plan tail is untouched), so only newcomers can break
-        feasibility, and only they are shed; if all are, the active set
-        is planned alone.
-        """
-        def attempt(subset):
-            return self._solve(slot, self.active + [_fresh(r) for r in subset])
-
-        plan = self._shed(attempt, requests)
-        if not plan.accepted:
-            plan.schedule = attempt([])
+    def _plan(self, slot: int, requests: List[TransferRequest],
+              active: List[ActiveFile]) -> SlotPlan:
+        """Newcomers are shed against the ``active`` files; if all are, the
+        active files are planned alone.  A surprise outage can leave even
+        those jointly infeasible: they are then shed under the same policy,
+        and the newcomers get a second look against the ones kept."""
+        plan = self._shed(
+            lambda subset: self._solve(slot, active + [_fresh(r) for r in subset]), requests,
+        )
+        if plan.accepted:
+            return plan
+        by_id = {f.request.request_id: f for f in active}
+        alone = shed_until_feasible(
+            lambda kept: self._solve(slot, [by_id[r.request_id] for r in kept]),
+            [f.request for f in active], self.on_infeasible,
+        )
+        if alone.rejected and requests:
+            return self._plan(slot, requests, [by_id[r.request_id] for r in alone.accepted])
+        plan.schedule = alone.schedule
         return plan
 
     def _solve(self, slot: int, files: List[ActiveFile]) -> TransferSchedule:
         """Plan all remaining volume; the slot-``slot`` arcs of the plan."""
-        if not files:
-            return TransferSchedule()
         obs.counter("scheduler.replans")
         with obs.span("scheduler.replan", slot=slot, files=len(files)):
             built, solution = solve_multisource_plan(self._state, slot, files)
@@ -166,28 +159,20 @@ class ReplanningPostcardScheduler(Scheduler):
     # -- surprise-failure recovery ------------------------------------------
 
     def resupply(
-        self,
-        request: "TransferRequest",
-        supplies: Dict[int, float],
-        delivered: float,
+        self, request: TransferRequest, supplies: Dict[int, float], delivered: float,
     ) -> None:
-        """Execution-time disruption hook used by the recovery layer.
-
-        A surprise outage voided some of this slot's executed arcs; the
-        engine reconstructed where the file's undelivered data really
-        sits.  Overwrite the scheduler's in-memory picture with that
-        ground truth — the file re-enters the active set and the next
-        slot's replan routes it around the (now revealed) outage.
+        """Execution-time disruption hook used by the recovery layer: a
+        surprise outage voided some of this slot's executed arcs, and the
+        engine reconstructed where the file's undelivered data really sits.
+        That ground truth replaces the file's entry in the active set (or
+        re-enters it), and the next slot's replan routes around the outage.
         """
         for f in self.active:
             if f.request.request_id == request.request_id:
-                f.supplies = dict(supplies)
-                f.delivered = delivered
+                f.supplies, f.delivered = dict(supplies), delivered
                 break
         else:
-            self.active.append(
-                ActiveFile(request, supplies=dict(supplies), delivered=delivered)
-            )
+            self.active.append(ActiveFile(request, dict(supplies), delivered))
         # A completion recorded from the voided arcs is no longer true.
         self._state.completions.pop(request.request_id, None)
 
@@ -195,21 +180,27 @@ class ReplanningPostcardScheduler(Scheduler):
 
     def commit_plan(self, plan: SlotPlan) -> TransferSchedule:
         """Execute the plan's arcs (one slot's): the ledger records them,
-        the accepted files join the active set, and every file's
-        supplies move along."""
+        the accepted files join the active set, and every file's supplies
+        move along.  An active file the plan neither sends nor stores
+        (past its last slot, or shed) leaves the set, refused unless its
+        delivery is already on record."""
+        schedule = plan.schedule
+        planned = {entry[0] for entry in schedule.entries} | {rid for rid, _ in schedule.stored}
+        completions = self._state.completions
+        for f in self.active:
+            if f.request.request_id not in planned and f.request.request_id not in completions:
+                self._state.reject(f.request)
         for request in plan.rejected:
             self._state.reject(request)
+        self.active = [f for f in self.active if f.request.request_id in planned]
         self.active.extend(_fresh(r) for r in plan.accepted)
-        schedule = plan.schedule
         self._state.record_traffic(
             ((src, dst, slot), gb) for _, src, dst, slot, gb in schedule.entries
         )
         moved: Dict[int, Dict[int, float]] = defaultdict(lambda: defaultdict(float))
-        at: Dict[int, int] = {}
         for rid, src, dst, slot, volume in schedule.entries:
             moved[rid][src] -= volume
             moved[rid][dst] += volume
-            at[rid] = slot
 
         by_id = {f.request.request_id: f for f in self.active}
         for rid, deltas in moved.items():
@@ -219,13 +210,9 @@ class ReplanningPostcardScheduler(Scheduler):
                     f.delivered += delta
                 else:
                     f.supplies[node] = f.supplies.get(node, 0.0) + delta
-            f.supplies = {
-                node: volume
-                for node, volume in f.supplies.items()
-                if volume > VOLUME_ATOL
-            }
+            f.supplies = {node: gb for node, gb in f.supplies.items() if gb > VOLUME_ATOL}
             if f.remaining <= max(VOLUME_ATOL, 1e-9 * f.request.size_gb):
-                self._state.completions[rid] = at[rid]
+                self._state.completions[rid] = slot  # the plan's one slot
             self._state.storage_used += sum(f.supplies.values())
         self.active = [f for f in self.active if f.remaining > VOLUME_ATOL]
         return schedule

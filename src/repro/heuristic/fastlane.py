@@ -228,8 +228,10 @@ class FastLaneScheduler(CandidatePathScheduler):
         Requests are processed tightest-deadline-first (ties: largest
         desired rate), each seeing the load of the ones planned before
         it in the table's pending rows.  The hybrid mode discards the
-        plan when escalating.
+        plan when escalating.  An idle slot plans nothing and emits nothing.
         """
+        if not requests:
+            return SlotPlan(per_file=True)
         self._reserving = self.forecast is not None and self.forecast.active
         with obs.span("scheduler.fastlane", slot=slot, requests=len(requests)):
             return super().plan_slot(slot, requests)

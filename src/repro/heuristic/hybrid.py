@@ -203,6 +203,8 @@ class HybridScheduler(Scheduler):
            stands, *degraded*.
         """
         plan = self._fast.plan_slot(slot, requests)
+        if not requests:  # idle: no lane decides it, and no tally moves
+            return plan
         if not self._pressured(plan):
             self.last_lane = "fast"
             obs.counter("hybrid.fast_slots")

@@ -1,10 +1,10 @@
-"""The one reader of WAL commits without a plan — an older build's
-(``tests/data/parent_wal/`` and ``pr25_wal/`` hold such tails), or a
-replanner slot's, which moves files of earlier batches: the slot is
-planned again.  The hybrid's ``fast`` and ``degraded`` slots take the fast
-lane's plan, ``lp`` ones the LP lane's on path-pruned arcs only if the
-record says ``"lp_arcs": "paths"``, tie-broken by hop-GB only if it says
-``"lp_objective": "hops"``; any other scheduler runs its own slot path."""
+"""The one reader of WAL commits without a plan: an idle slot's that moved
+nothing, or an older build's (``tests/data/parent_wal/`` and ``pr25_wal/``
+hold such tails).  The slot is planned again: the hybrid's ``fast`` and
+``degraded`` slots take the fast lane's plan, ``lp`` ones the LP lane's
+on path-pruned arcs only if the record says ``"lp_arcs": "paths"``,
+tie-broken by hop-GB only if it says ``"lp_objective": "hops"``; any
+other scheduler runs its own slot path."""
 
 from __future__ import annotations
 

@@ -220,7 +220,7 @@ class TransferBroker:
                 raise SlotFailed(slot, batch, WalError("journaled as failed"))
         elif "plan" in record:
             def plan_slot(slot, requests):
-                return recorded_plan(record["plan"], requests)
+                return recorded_plan(record["plan"], requests, self.scheduler.carried)
         else:
             from repro.service.legacy import legacy_plan
 
@@ -397,6 +397,7 @@ class TransferBroker:
         if batch:
             obs.gauge("service.batch_size", len(batch))
         trace_ids = [p.trace_id for p in batch[:TRACE_IDS_ATTR_CAP]]
+        carried = self.scheduler.carried  # the plan keys them as they are now
         try:
             with obs.trace(slot=slot, trace_ids=trace_ids):
                 step = self._step(
@@ -417,8 +418,10 @@ class TransferBroker:
         plan, self.scheduler.last_plan = self.scheduler.last_plan, None
         if not batch:
             # Even an empty slot advances the billable clock; a resume
-            # must not rewind it.  One tiny record.
-            self._append_commit(slot, [])
+            # must not rewind it.  One tiny record, with the plan of the
+            # files in flight if there are any.
+            self._append_commit(slot, [], **(
+                {"plan": plan_record(plan, [], carried)} if carried else {}))
             return []
 
         lane, decision_s = self.scheduler.last_lane, step.seconds
@@ -437,10 +440,8 @@ class TransferBroker:
             admitted_count, len(batch) - admitted_count, decision_s,
             self.queue.depth, degraded=int(lane == "degraded"),
         )
-        if self.store:  # no plan: the replanner's slot, which replays by planning
-            self._append_commit(slot, batch, lane=lane, **(
-                {"plan": plan_record(plan, requests)} if self.scheduler.plan_replays
-                else {}))
+        if self.store:
+            self._append_commit(slot, batch, lane=lane, plan=plan_record(plan, requests, carried))
         decided = {pending.client_id: record for pending, record in resolutions}
         # Only now may a status op reveal them: their commit is durable.
         self.decisions.update(decided)
@@ -457,7 +458,7 @@ class TransferBroker:
 
     def _decide(
         self, slot: int, batch: List[PendingTransfer],
-        requests: List[TransferRequest], lane: str, probed: Any, plan: Optional[SlotPlan],
+        requests: List[TransferRequest], lane: str, probed: Any, plan: SlotPlan,
     ) -> List[Resolution]:
         """A committed batch's decision records, read from its plan and the
         books by the live slot and its replay alike, so both write the same
@@ -469,7 +470,7 @@ class TransferBroker:
         cost_delta = round(self.state.current_cost_per_slot() - cost_before, 9)
         wall_ts = round(self.wall_time(slot), 3)
         completions = self.state.completions
-        accepted = {request.request_id for request in plan.accepted} if batch else ()
+        accepted = {request.request_id for request in plan.accepted}
         resolutions: List[Resolution] = []
         for pending, request in zip(batch, requests):
             resolutions.append((pending, {

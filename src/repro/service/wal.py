@@ -24,9 +24,10 @@ Record types the broker writes (:mod:`repro.service.slotloop`)::
      "lane": "fast|lp|degraded|failed", "plan": {..}}
 
 A commit's ``plan`` (:func:`plan_record`) is the slot's committed
-:class:`~repro.core.interfaces.SlotPlan` by position in ``batch``;
-replay commits it, and :mod:`repro.service.legacy` reads a commit
-without one (an idle, failed or replanner slot's, or an older build's).
+:class:`~repro.core.interfaces.SlotPlan` by position in ``batch`` (and
+the replanner's files in flight by position in its active set); replay
+commits it.  A commit without one is a failed slot's, an idle slot's
+that moved nothing, or an older build's (:mod:`repro.service.legacy`).
 
 Every frame is written through at once; ``commit`` is fsync'd before any
 of the slot's decisions are released, and an ``admit`` becomes durable
@@ -45,7 +46,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.interfaces import SlotPlan
 from repro.core.schedule import SEMANTICS_STORE_AND_FORWARD, ScheduleEntry, TransferSchedule
@@ -67,16 +68,19 @@ REC_ADMIT = "admit"
 REC_COMMIT = "commit"
 
 
-def plan_record(plan: SlotPlan, requests: List[TransferRequest]) -> Dict[str, Any]:
+def plan_record(plan: SlotPlan, requests: List[TransferRequest],
+                carried: Sequence[TransferRequest] = ()) -> Dict[str, Any]:
     """``plan`` of the batch ``requests``: ``sends`` ``[position, src, dst,
     slot, GB]`` in entry order, ``stored`` ``[position, GB-slots]``, the
     ``accepted`` and ``rejected`` positions in order, ``per_file``, and a
-    fluid schedule's ``semantics`` and a q-aware solve's ``grants``."""
+    fluid schedule's ``semantics`` and a q-aware solve's ``grants``.  The
+    sends and storage of the files of earlier batches (``carried``: the
+    scheduler's as the slot began, keyed by position there) are the
+    ``carried`` field's ``sends`` and ``stored``; they lead the schedule."""
     at = {request.request_id: i for i, request in enumerate(requests)}
     schedule = plan.schedule
     record: Dict[str, Any] = {
-        "sends": [[at[entry[0]], *entry[1:]] for entry in schedule.entries],
-        "stored": [[at[rid], gb] for rid, gb in schedule.stored],
+        **_moves(schedule, at),
         "accepted": [at[request.request_id] for request in plan.accepted],
         "rejected": [at[request.request_id] for request in plan.rejected],
         "per_file": plan.per_file,
@@ -85,18 +89,33 @@ def plan_record(plan: SlotPlan, requests: List[TransferRequest]) -> Dict[str, An
         record["semantics"] = schedule.semantics
     if plan.grants:
         record["grants"] = [[*key, sorted(slots)] for key, slots in plan.grants.items()]
+    if carried:
+        record["carried"] = _moves(schedule, {r.request_id: i for i, r in enumerate(carried)})
     return record
 
 
-def recorded_plan(record: Dict[str, Any], requests: List[TransferRequest]) -> SlotPlan:
-    """The plan :func:`plan_record` wrote, on the replayed batch ``requests``."""
-    ids = [request.request_id for request in requests]
+def _moves(schedule: TransferSchedule, at: Dict[int, int]) -> Dict[str, list]:
+    """The ``sends`` and ``stored`` rows of the files ``at`` positions."""
+    return {
+        "sends": [[at[entry[0]], *entry[1:]] for entry in schedule.entries if entry[0] in at],
+        "stored": [[at[rid], gb] for rid, gb in schedule.stored if rid in at],
+    }
+
+
+def recorded_plan(record: Dict[str, Any], requests: List[TransferRequest],
+                  carried: Sequence[TransferRequest] = ()) -> SlotPlan:
+    """The plan :func:`plan_record` wrote, on the replayed batch ``requests``
+    and the scheduler's ``carried`` files."""
+    entries, stored = [], []
+    for rows, files in ((record.get("carried"), carried), (record, requests)):
+        if rows:
+            ids = [request.request_id for request in files]
+            entries += [ScheduleEntry(ids[i], *sent) for i, *sent in rows["sends"]]
+            stored += [(ids[i], gb) for i, gb in rows["stored"]]
     schedule = TransferSchedule(
-        semantics=record.get("semantics", SEMANTICS_STORE_AND_FORWARD),
-        stored=[(ids[i], gb) for i, gb in record["stored"]],
-    )
+        semantics=record.get("semantics", SEMANTICS_STORE_AND_FORWARD), stored=stored)
     # Assigned, not filtered again: the entries land as they did.
-    schedule.entries = [ScheduleEntry(ids[i], *sent) for i, *sent in record["sends"]]
+    schedule.entries = entries
     return SlotPlan(
         schedule, [requests[i] for i in record["accepted"]],
         [requests[i] for i in record["rejected"]], record["per_file"],

@@ -21,6 +21,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+from repro.core.replan import ReplanningPostcardScheduler
 from repro.core.scheduler import PostcardScheduler
 from repro.errors import SolverError
 from repro.heuristic.fastlane import FastLaneScheduler
@@ -101,9 +102,11 @@ CORRUPTIONS = {
 
 @st.composite
 def configs(draw):
-    """A drawn broker: billing period, snapshot cadence, capacity, windows."""
+    """A drawn broker: scheduler, billing period, snapshot cadence,
+    capacity, windows."""
     config = dict(
         datacenters=4, seed=3, max_deadline=4, wal_fsync=False,
+        scheduler=draw(st.sampled_from(["hybrid", "postcard-replan"])),
         capacity=float(draw(st.integers(12, 60))),
         period_slots=draw(st.sampled_from([0, 5, 6, 7, 8])),
         checkpoint_every=draw(st.integers(1, 3)),
@@ -196,7 +199,8 @@ class BrokerMachine(RuleBasedStateMachine):
         recovered clock has not passed it."""
         planning = mock.Mock(side_effect=AssertionError("recovery planned a slot"))
         with mock.patch.object(FastLaneScheduler, "plan_slot", planning), \
-                mock.patch.object(PostcardScheduler, "plan_slot", planning):
+                mock.patch.object(PostcardScheduler, "plan_slot", planning), \
+                mock.patch.object(ReplanningPostcardScheduler, "plan_slot", planning):
             self.live = TransferBroker(self.live_config)
         read_before = dict(self.answered)
         taken = Counter(pending=0, attached=0, decided=0)
@@ -276,6 +280,7 @@ class BrokerMachine(RuleBasedStateMachine):
             assert {broker.status(f["id"])["state"] for f in batch} == {"unknown"}
         self.owed = batch
 
+    @precondition(lambda self: self.live_config.scheduler == "hybrid")
     @rule(data=st.data())
     def solver_error(self, data):
         batch = self.draw_batch(data)

@@ -195,3 +195,49 @@ def test_replanning_never_worse_than_commit_once_on_average():
         total_replan += replan.state.current_cost_per_slot()
 
     assert total_replan <= total_once * 1.01
+
+
+def test_a_surprise_outage_sheds_active_files_instead_of_raising():
+    """Seed 2 of the surprise-outage probe: outages void planned arcs and
+    leave the active files jointly infeasible.  The replanner used to raise
+    ``InfeasibleError`` there; now it sheds them like newcomers, each a
+    recorded refusal.  The audit holds every other file delivered in time
+    or, hit in its last slot, a recorded miss."""
+    from repro.sim import FaultModel
+
+    topology = complete_topology(5, capacity=50.0, seed=2)
+    scheduler = ReplanningPostcardScheduler(topology, horizon=16, on_infeasible="drop")
+    scheduler.state.fault_model = FaultModel.random(
+        topology, num_slots=10, outage_probability=0.5, mean_duration=2.0,
+        seed=2, announced=False,
+    )
+    workload = PaperWorkload(topology, max_deadline=3, max_files=4, seed=102)
+    result = Simulation(scheduler, workload, num_slots=10).run(audit=True)
+    refused = {r.request_id for r in scheduler.state.rejected}
+    assert refused and result.max_lateness() == 0
+    assert refused.isdisjoint(scheduler.state.completions)
+
+
+@pytest.mark.parametrize("policy", ["drop", "raise"])
+def test_an_active_file_that_no_longer_fits_is_shed(line3, policy):
+    """A file whose slot-0 sends were voided holds 30 GB at its source with
+    three slots left, 20 GB of path capacity: under ``drop`` it is refused
+    and the other file moves on; under ``raise`` the slot commits nothing."""
+    from repro.core.checkpoint import state_to_payload
+
+    scheduler = ReplanningPostcardScheduler(line3, horizon=20, on_infeasible=policy)
+    stuck = TransferRequest(0, 2, 30.0, 4, release_slot=0)
+    other = TransferRequest(2, 0, 6.0, 4, release_slot=0)
+    scheduler.on_slot(0, [stuck, other])
+    scheduler.resupply(stuck, {0: 30.0}, 0.0)
+    if policy == "raise":
+        before, active = state_to_payload(scheduler.state), list(scheduler.active)
+        with pytest.raises(InfeasibleError):
+            scheduler.on_slot(1, [])
+        assert state_to_payload(scheduler.state) == before and scheduler.active == active
+        return
+    for slot in range(1, 5):
+        scheduler.on_slot(slot, [])
+    assert scheduler.state.rejected == [stuck]
+    assert other.request_id in scheduler.state.completions
+    assert not scheduler.active

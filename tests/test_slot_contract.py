@@ -99,3 +99,31 @@ def test_on_slot_is_commit_plan_of_plan_slot(case):
     assert tallies[0] == tallies[1]
     if lane:
         assert tallies[0] == (lane, 1, int(lane == "degraded"))
+    # An idle slot is the same pair.
+    schedule = live.on_slot(2, [])
+    committed = staged.commit_plan(staged.plan_slot(2, []))
+    assert (schedule.entries, schedule.stored) == (committed.entries, committed.stored)
+    assert state_to_payload(live.state) == state_to_payload(staged.state)
+
+
+def _tallies(scheduler):
+    """The scheduler's own scalar counters and its lane."""
+    return {key: value for key, value in vars(scheduler).items()
+            if isinstance(value, (int, float, str))} | {"last_lane": scheduler.last_lane}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_an_idle_slot_changes_nothing_but_the_replanners_files_in_flight(name):
+    """Every slot runs ``plan_slot``, an idle one too; only the replanner,
+    whose active files move on, has anything to do there."""
+    import repro.obs as obs
+
+    scheduler = _warm(name)
+    before, tallies = state_to_payload(scheduler.state), _tallies(scheduler)
+    with obs.collecting() as collector:
+        scheduler.on_slot(1, [])
+    moved = state_to_payload(scheduler.state) != before
+    assert moved == (name == "postcard-replan")
+    if name != "postcard-replan":
+        assert collector.num_events == 0
+        assert _tallies(scheduler) == tallies

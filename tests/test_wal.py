@@ -545,10 +545,23 @@ def test_every_plan_shape_replays_without_planning(tmp_path, scheduler):
         assert twin.scheduler.amnesty == broker.scheduler.amnesty
 
 
-def test_the_replanner_journals_no_plan_and_replays_by_planning(tmp_path):
-    """Its slots move files of earlier batches, idle ones too, which no plan
-    of the slot's own batch holds: its commits carry none, and a resume
-    runs its slot path again and rebuilds the files still in flight."""
+def replanner_twin(broker, tmp_path):
+    """:func:`recovered_twin` of a replanner broker, resumed with its
+    planning and its LP solver patched to raise: replay commits plans."""
+    from unittest import mock
+
+    from repro.core.replan import ReplanningPostcardScheduler
+
+    planning = mock.Mock(side_effect=AssertionError("recovery planned a slot"))
+    with mock.patch.object(ReplanningPostcardScheduler, "plan_slot", planning), \
+            mock.patch("repro.core.replan.solve_lp", planning):
+        return recovered_twin(broker, tmp_path)
+
+
+def test_the_replanner_journals_plans_and_replays_without_planning(tmp_path):
+    """Its slots move files of earlier batches, idle ones too: every commit
+    carries the slot's plan, those files' sends and storage keyed by their
+    place in the active set, and a resume commits them without an LP."""
     broker = TransferBroker(wal_config(tmp_path, scheduler="postcard-replan",
                                        checkpoint_every=100))
     broker.submit({"id": "big", "source": 0, "destination": 2,
@@ -559,10 +572,45 @@ def test_the_replanner_journals_no_plan_and_replays_by_planning(tmp_path):
     in_flight = [round(f.remaining, 6) for f in broker.scheduler.active]
     assert in_flight
     commits = [r for r in scan_wal(broker.store.wal.path).records if r["type"] == "commit"]
-    assert len(commits) == 4 and not any("plan" in c for c in commits)
-    twin = recovered_twin(broker, tmp_path)
+    assert len(commits) == 4 and all("plan" in c for c in commits)
+    assert commits[1]["batch"] == [] and commits[1]["plan"]["carried"]["sends"]
+    twin = replanner_twin(broker, tmp_path)
     assert books(twin) == books(broker)
     assert [round(f.remaining, 6) for f in twin.scheduler.active] == in_flight
+    # An older build journaled none of these plans: the legacy reader runs
+    # the replanner's own slot path again and reaches the same books.
+    older = tmp_path / "older"
+    shutil.copytree(broker.config.checkpoint_dir, older)
+    for log in older.glob("wal-*.log"):
+        log.write_bytes(b"".join(encode_record({k: v for k, v in r.items() if k != "plan"})
+                                 for r in scan_wal(log).records))
+    resumed = TransferBroker(dataclasses.replace(broker.config, checkpoint_dir=str(older)))
+    assert resumed.recovery_info["replanned"] == 3 and books(resumed) == books(broker)
+    assert [round(f.remaining, 6) for f in resumed.scheduler.active] == in_flight
+    resumed.store.close()
+
+
+def test_a_replanner_file_admitted_after_the_snapshot_is_carried_on_replay(tmp_path):
+    """A file admitted past the last snapshot gets a fresh request id on
+    replay, so the idle slot that carries it names it by its place in the
+    active set, not by id; the snapshot's files keep theirs."""
+    broker = TransferBroker(wal_config(tmp_path, scheduler="postcard-replan",
+                                       checkpoint_every=2))
+    broker.submit({"id": "big", "source": 0, "destination": 2,
+                   "size_gb": 120.0, "deadline_slots": 6})
+    broker.process_slot()
+    drive_slots(broker, 1)  # slot 1 checkpoints with "big" in flight
+    broker.submit({"id": "after", "source": 1, "destination": 3,
+                   "size_gb": 90.0, "deadline_slots": 4})
+    broker.process_slot()
+    broker.process_slot()  # idle: "after" is carried
+    idle = scan_wal(broker.store.wal.path).records[-1]
+    assert idle["batch"] == [] and len(broker.scheduler.active) == 2
+    assert any(send[0] == 1 for send in idle["plan"]["carried"]["sends"])
+    twin = replanner_twin(broker, tmp_path)
+    assert books(twin) == books(broker)
+    assert [(f.request.source, f.supplies, f.delivered) for f in twin.scheduler.active] == \
+        [(f.request.source, f.supplies, f.delivered) for f in broker.scheduler.active]
 
 
 def test_a_replanner_resumed_from_a_snapshot_keeps_its_files_in_flight(tmp_path):
