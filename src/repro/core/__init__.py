@@ -30,7 +30,6 @@ _EXPORTS = {
     "decompose_paths": "repro.core.paths",
     "DualBoundResult": "repro.core.bounds",
     "dual_lower_bound": "repro.core.bounds",
-    "shortest_path_over_time": "repro.core.bounds",
     "SoftDeadlineResult": "repro.core.soft",
     "solve_soft_deadline": "repro.core.soft",
     "save_state": "repro.core.checkpoint",

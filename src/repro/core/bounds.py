@@ -5,38 +5,31 @@ projection methods"; this module implements that idea in its most
 useful form for a reproduction: a *certifiable lower bound* on the
 optimal cost that needs no LP solver at all.
 
-Relax the two coupling constraint families of the Sec. V program —
-
-* charge rows   ``X_e >= load_e(n) + committed_e(n)``  (multiplier w_en >= 0)
-* capacity rows ``sum_k load^k_e(n) <= cap_e(n)``      (multiplier lam_en >= 0)
-
-— and the Lagrangian decomposes: the ``X_e`` minimization is bounded
-iff ``sum_n w_en <= a_e`` (the projection constraint), contributing
-``(a_e - sum_n w_en) * X_prev_e``; each file's minimization becomes a
-**shortest path over the time-expanded graph** under arc weights
-``w + lam`` (holdover arcs cost nothing), solved by a layer-by-layer
-dynamic program.  Weak duality makes every iterate's dual value a true
-lower bound; projected subgradient ascent tightens it.
-
-The gap to the exact LP optimum on small instances is the advertised
-test; the bound's value at scale is certifying heuristic schedules
-(greedy, two-phase) without ever building the big LP.
+Relax every ``a_ub`` row of :func:`~repro.core.formulation.build_postcard_model`
+(capacity ``load_e(n) <= cap_e(n)`` and charge ``load_e(n) - X_e <=
+-committed_e(n)``) with a multiplier ``mu_r >= 0``.  The Lagrangian
+``c0 - mu.b_ub + min (c + a_ub^T mu).x`` decomposes: an ``X_e`` column
+is bounded iff its reduced cost ``a_e - sum_n mu_en`` is non-negative
+(the projection) and then sits at its lower bound ``X_e(t-1)``; each
+file's part is a **shortest path over its flow columns** under the
+reduced costs, a layer-by-layer dynamic program.  Weak duality makes
+every iterate's dual value a true lower bound; projected subgradient
+ascent tightens it.  Its value at scale is certifying heuristic
+schedules (greedy, two-phase) without solving the LP.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.errors import InfeasibleError, SchedulingError
+from repro.core.formulation import PostcardModel, build_postcard_model
 from repro.core.state import NetworkState
-from repro.timeexp.graph import Arc, ArcKind, TimeExpandedGraph
+from repro.net.topology import Topology
 from repro.traffic.spec import TransferRequest
-
-LinkSlot = Tuple[int, int, int]  # (src, dst, slot)
 
 
 @dataclass
@@ -50,53 +43,59 @@ class DualBoundResult:
     iterations: int
 
 
-def shortest_path_over_time(
-    graph: TimeExpandedGraph,
-    request: TransferRequest,
-    arc_weight,
-) -> Tuple[float, List[Arc]]:
-    """Cheapest source->sink route for one file by layered DP.
+class FileRoutes:
+    """Each file's cheapest route over its flow columns, by layered DP.
 
-    ``arc_weight(arc) -> float`` prices each arc (holdover arcs are
-    usually free).  Returns (cost per GB, arcs of the optimal path).
-    Raises :class:`InfeasibleError` when the sink is unreachable inside
-    the file's window.
+    A flow column runs from its tail balance row (its ``+1`` in
+    ``a_eq``) to its head row (its ``-1``).  Columns are relaxed by
+    slot, then tail node in topology order, transit columns (in link
+    order) before holdover; a route changes only on a strict
+    improvement, so ties keep the first route found.
     """
-    first, last_exclusive = graph.request_window(request)
-    source = (request.source, first)
-    sink = (request.destination, last_exclusive)
 
-    INF = float("inf")
-    dist: Dict[Tuple[int, int], float] = {source: 0.0}
-    parent: Dict[Tuple[int, int], Arc] = {}
+    def __init__(self, topology: Topology, model: PostcardModel):
+        problem = model.model
+        _, src, _, slot, transit = model.flow_columns
+        entries = problem.a_eq.tocoo()
+        out = entries.data > 0
+        tail = np.empty(len(src), dtype=np.int64)
+        head = np.empty(len(src), dtype=np.int64)
+        tail[entries.col[out]] = entries.row[out]
+        head[entries.col[~out]] = entries.row[~out]
+        rank = {node: at for at, node in enumerate(topology.node_ids())}
+        tail_rank = [rank[node] for node in src.tolist()]
+        order = np.lexsort((np.arange(len(src)), ~transit, tail_rank, slot))
+        self._steps = list(zip(order.tolist(), tail[order].tolist(), head[order].tolist()))
+        self._tail = tail.tolist()
+        ends = np.empty((len(model.requests), 2), dtype=np.int64)
+        for side, rows in enumerate((problem.b_eq > 0, problem.b_eq < 0)):
+            ends[model.balance_nodes[0][rows], side] = np.flatnonzero(rows)
+        self._files = list(zip(model.requests, ends.tolist()))
+        self.num_rows = problem.num_equalities
 
-    for layer in range(first, last_exclusive):
-        for node_id in graph.topology.node_ids():
-            node = (node_id, layer)
-            here = dist.get(node, INF)
-            if here == INF:
-                continue
-            for arc in graph.out_arcs(node):
-                if arc.kind is ArcKind.TRANSIT and arc.capacity <= 0:
-                    continue
-                cost = here + float(arc_weight(arc))
-                if cost < dist.get(arc.head, INF) - 1e-15:
-                    dist[arc.head] = cost
-                    parent[arc.head] = arc
-
-    if sink not in dist:
-        raise InfeasibleError(
-            f"file {request.request_id} cannot reach its destination "
-            f"within its window"
-        )
-    arcs: List[Arc] = []
-    node = sink
-    while node != source:
-        arc = parent[node]
-        arcs.append(arc)
-        node = arc.tail
-    arcs.reverse()
-    return dist[sink], arcs
+    def cheapest(self, costs: np.ndarray) -> Tuple[List[float], np.ndarray]:
+        """Per-GB cost of each file's cheapest route under the flow
+        columns' ``costs``, and each column's volume with every file's
+        size on its route.  :class:`InfeasibleError` if a sink is out of
+        reach."""
+        costs, inf = costs.tolist(), float("inf")
+        dist, parent = [inf] * self.num_rows, [-1] * self.num_rows
+        for _, (source, _) in self._files:
+            dist[source] = 0.0
+        for column, tail, head in self._steps:
+            cost = dist[tail] + costs[column]  # inf while the tail is unreached
+            if cost < dist[head] - 1e-15:
+                dist[head], parent[head] = cost, column
+        per_gb, volumes = [], np.zeros(len(costs))
+        for request, (source, row) in self._files:
+            if dist[row] == inf:
+                raise InfeasibleError(f"file {request.request_id} cannot reach "
+                                      "its destination within its window")
+            per_gb.append(dist[row])
+            while row != source:
+                volumes[parent[row]] += request.size_gb
+                row = self._tail[parent[row]]
+        return per_gb, volumes
 
 
 def dual_lower_bound(
@@ -111,94 +110,40 @@ def dual_lower_bound(
     if iterations < 1:
         raise SchedulingError("iterations must be >= 1")
 
-    start = min(r.release_slot for r in requests)
-    end = max(r.release_slot + r.deadline_slots for r in requests)
-    graph = TimeExpandedGraph(
-        state.topology,
-        start_slot=start,
-        horizon=end - start,
-        capacity_fn=state.residual_capacity,
-    )
+    model = build_postcard_model(state, requests)
+    problem, routes = model.model, FileRoutes(state.topology, model)
+    a_ub, b_ub, c = problem.a_ub, problem.b_ub, problem.c
+    a_ub_t = a_ub.T.tocsr()
+    num_flows = len(model.flow_columns[0])
+    floor = problem.bounds[:, 0]  # flows at 0, each X_ij at X_ij(t-1)
+    charge = a_ub[:, num_flows:].tocoo()  # the X_ij columns' charge rows
+    prices = c[num_flows:]
+    price_scale = float(np.mean([link.price for link in state.topology.links]))
 
-    links = state.topology.links
-    slots = list(graph.slots())
-    n_slots = len(slots)
-    slot_index = {slot: i for i, slot in enumerate(slots)}
-    link_index = {link.key: i for i, link in enumerate(links)}
-    prices = np.array([link.price for link in links])
-    x_prev = np.array([state.charged_volume(*link.key) for link in links])
-    caps = np.array(
-        [
-            [state.residual_capacity(link.src, link.dst, slot) for slot in slots]
-            for link in links
-        ]
-    )
-    committed = np.array(
-        [
-            [state.committed_volume(link.src, link.dst, slot) for slot in slots]
-            for link in links
-        ]
-    )
-
-    w = np.zeros((len(links), n_slots))
-    lam = np.zeros((len(links), n_slots))
-
-    def weight_fn(arc: Arc) -> float:
-        if arc.kind is ArcKind.HOLDOVER:
-            return 0.0
-        li = link_index[arc.link_key]
-        si = slot_index[arc.slot]
-        return w[li, si] + lam[li, si]
-
+    mu = np.zeros(problem.num_inequalities)
     best = -float("inf")
     trajectory: List[float] = []
-
     for k in range(1, iterations + 1):
-        # Inner minimization: per-file shortest path over time.
-        load = np.zeros_like(w)
-        inner_total = 0.0
-        for request in requests:
-            cost, arcs = shortest_path_over_time(graph, request, weight_fn)
-            inner_total += cost * request.size_gb
-            for arc in arcs:
-                if arc.kind is ArcKind.TRANSIT:
-                    load[link_index[arc.link_key], slot_index[arc.slot]] += (
-                        request.size_gb
-                    )
-
-        residual_price = prices - w.sum(axis=1)  # >= 0 by projection
-        dual_value = (
-            inner_total
-            + float(residual_price @ x_prev)
-            + float((w * committed).sum())
-            - float((lam * np.where(np.isfinite(caps), caps, 0.0)).sum())
-        )
+        reduced = c + a_ub_t @ mu
+        x = floor.copy()
+        _, x[:num_flows] = routes.cheapest(reduced[:num_flows])
+        dual_value = problem.c0 + float(reduced @ x) - float(mu @ b_ub)
         trajectory.append(dual_value)
         best = max(best, dual_value)
 
-        # Subgradients, with norm-normalized diminishing steps (the
-        # classic convergent schedule gamma_k = c / (||g|| sqrt(k))):
-        # raw loads can be orders of magnitude above the price scale,
-        # and unnormalized steps just slam into the projection.
-        g_w = load + committed - x_prev[:, None]
-        g_lam = np.where(np.isfinite(caps), load - caps, 0.0)
-        norm = float(np.sqrt((g_w ** 2).sum() + (g_lam ** 2).sum()))
-        price_scale = float(prices.mean())
-        step = step_scale * price_scale / (max(norm, 1e-12) * np.sqrt(k))
-
-        w = w + step * g_w
-        lam = np.maximum(0.0, lam + step * g_lam)
-
-        # Project w onto {w >= 0, sum_n w_en <= a_e} (per link:
-        # clip, then scale rows that exceed their price budget).
-        w = np.maximum(0.0, w)
-        row_sums = w.sum(axis=1)
-        over = row_sums > prices
+        # Each row's violation is the subgradient; norm-normalized
+        # diminishing steps (gamma_k = c / (||g|| sqrt(k))), since raw
+        # loads can be orders of magnitude above the price scale.
+        g = a_ub @ x - b_ub
+        norm = max(float(np.sqrt((g ** 2).sum())), 1e-12)
+        step = step_scale * price_scale / (norm * np.sqrt(k))
+        mu = np.maximum(0.0, mu + step * g)
+        # Project: scale an X_ij column's charge rows down to its price.
+        spent = np.bincount(charge.col, weights=mu[charge.row], minlength=len(prices))
+        over = spent > prices
         if np.any(over):
-            scale = np.ones_like(row_sums)
-            scale[over] = prices[over] / row_sums[over]
-            w = w * scale[:, None]
+            scale = np.ones_like(spent)
+            scale[over] = prices[over] / spent[over]
+            mu[charge.row] *= scale[charge.col]
 
-    return DualBoundResult(
-        lower_bound=best, trajectory=trajectory, iterations=iterations
-    )
+    return DualBoundResult(lower_bound=best, trajectory=trajectory, iterations=iterations)

@@ -16,9 +16,12 @@ from typing import Dict, List, Tuple
 
 from repro.errors import SchedulingError
 from repro.core.schedule import TransferSchedule
-from repro.timeexp.graph import TimeNode
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
+
+#: A time-expanded node: (datacenter id, layer index); layer ``n`` is
+#: the start of slot ``n``.
+TimeNode = Tuple[int, int]
 
 
 @dataclass(frozen=True)

@@ -180,10 +180,11 @@ class ReplanningPostcardScheduler(Scheduler):
 
     def commit_plan(self, plan: SlotPlan) -> TransferSchedule:
         """Execute the plan's arcs (one slot's): the ledger records them,
-        the accepted files join the active set, and every file's supplies
-        move along.  An active file the plan neither sends nor stores
-        (past its last slot, or shed) leaves the set, refused unless its
-        delivery is already on record."""
+        the state counts the GB-slots they store, the accepted files join
+        the active set, and every file's supplies move along.  An active
+        file the plan neither sends nor stores (past its last slot, or
+        shed) leaves the set, refused unless its delivery is already on
+        record."""
         schedule = plan.schedule
         planned = {entry[0] for entry in schedule.entries} | {rid for rid, _ in schedule.stored}
         completions = self._state.completions
@@ -213,7 +214,7 @@ class ReplanningPostcardScheduler(Scheduler):
             f.supplies = {node: gb for node, gb in f.supplies.items() if gb > VOLUME_ATOL}
             if f.remaining <= max(VOLUME_ATOL, 1e-9 * f.request.size_gb):
                 self._state.completions[rid] = slot  # the plan's one slot
-            self._state.storage_used += sum(f.supplies.values())
+        self._state.storage_used += schedule.total_storage_volume()
         self.active = [f for f in self.active if f.remaining > VOLUME_ATOL]
         return schedule
 

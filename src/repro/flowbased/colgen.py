@@ -24,11 +24,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.errors import InfeasibleError, SchedulingError, SolverError
 from repro.core.schedule import SEMANTICS_FLUID, ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
+from repro.heuristic.paths import adjacency, cheapest_paths
 from repro.lp import EQ, LE, LPBuilder, solve_lp
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
@@ -54,20 +53,16 @@ def _path_links(path: Path) -> List[LinkKey]:
 
 
 def _initial_paths(
-    state: NetworkState, request: TransferRequest
+    state: NetworkState, priced, request: TransferRequest
 ) -> List[Path]:
-    """Seed columns: the cheapest price path plus the direct link."""
-    graph = state.topology.to_networkx()
-    paths: List[Path] = []
-    try:
-        cheapest = nx.shortest_path(
-            graph, request.source, request.destination, weight="price"
-        )
-        paths.append(tuple(cheapest))
-    except nx.NetworkXNoPath:
+    """Seed columns: the cheapest price path (over the ``priced``
+    adjacency) plus the direct link."""
+    cheapest = cheapest_paths(*priced, request.source, request.destination, k=1)
+    if not cheapest:
         raise InfeasibleError(
             f"no path from {request.source} to {request.destination}"
-        ) from None
+        )
+    paths: List[Path] = [tuple(cheapest[0])]
     if state.topology.has_link(request.source, request.destination):
         direct = (request.source, request.destination)
         if direct not in paths:
@@ -85,9 +80,11 @@ def solve_flow_column_generation(
     if not requests:
         raise SchedulingError("column generation needs at least one request")
     topology = state.topology
+    nodes = topology.node_ids()
+    priced = adjacency(nodes, ((link.src, link.dst, link.price) for link in topology.links))
 
     columns: Dict[int, List[Path]] = {
-        r.request_id: _initial_paths(state, r) for r in requests
+        r.request_id: _initial_paths(state, priced, r) for r in requests
     }
     active_slots = {
         r.request_id: list(range(r.release_slot, r.last_slot + 1)) for r in requests
@@ -125,16 +122,10 @@ def solve_flow_column_generation(
                         weight -= duals[row]
                 weights[link.key] = max(0.0, weight)
 
-            graph = nx.DiGraph()
-            graph.add_nodes_from(topology.node_ids())
-            for link in topology.links:
-                graph.add_edge(link.src, link.dst, w=weights[link.key])
-            try:
-                best = nx.shortest_path(
-                    graph, request.source, request.destination, weight="w"
-                )
-            except nx.NetworkXNoPath:  # pragma: no cover - seeded above
-                continue
+            best = cheapest_paths(
+                *adjacency(nodes, ((*key, weight) for key, weight in weights.items())),
+                request.source, request.destination, k=1,
+            )[0]  # a path exists: the seed found one
             best_weight = sum(weights[key] for key in _path_links(tuple(best)))
             sigma = duals[demand_rows[rid]]
             if best_weight < sigma - tolerance:

@@ -59,16 +59,16 @@ def cheapest_paths(succ: Adjacency, pred: Adjacency, source: int, target: int,
     """The ``k`` cheapest simple ``source -> target`` paths, cheapest
     first; ``[]`` when there is none.
 
-    A port of networkx 3.6's ``shortest_simple_paths(G, source, target,
+    A port of NetworkX 3.6's ``shortest_simple_paths(G, source, target,
     weight="price")`` on a DiGraph (Yen's algorithm over
-    ``_bidirectional_dijkstra``; networkx is BSD-3-Clause, copyright the
+    ``_bidirectional_dijkstra``; NetworkX is BSD-3-Clause, copyright the
     NetworkX developers) to plain dicts, so the daemon never imports the
-    library.  Ties are broken as networkx breaks them, which the
+    library.  Ties are broken as NetworkX breaks them, which the
     candidate lists' order depends on: the path buffer's push counter
     (a popped path may be pushed again), the root price summed left to
     right, the spur price ``seen[0][w] + seen[1][w]``, the alternation
     between the two search directions and neighbours in insertion order.
-    ``tests/test_path_table.py`` holds it to networkx's lists.
+    ``tests/test_path_table.py`` holds it to NetworkX's lists.
     """
     found: List[List[int]] = []
     heap, queued, pushes = [], set(), count()
@@ -105,7 +105,7 @@ def cheapest_paths(succ: Adjacency, pred: Adjacency, source: int, target: int,
 
 def _bidirectional_dijkstra(succ, pred, source, target, ignore_nodes, ignore_edges):
     """``(price, path)`` of a cheapest path avoiding ``ignore_nodes`` and
-    ``ignore_edges``, or ``None`` — networkx's search, step for step."""
+    ``ignore_edges``, or ``None`` — NetworkX's search, step for step."""
     if source in ignore_nodes or target in ignore_nodes:
         return None
     if source == target:

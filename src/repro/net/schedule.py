@@ -22,10 +22,10 @@ post-run audit re-checks the ledger against the windows.
 Windows are **mutable** (a pass gets extended, an emergency
 maintenance lands): every mutation bumps a global :attr:`epoch` and
 the affected link's :meth:`link_epoch`, which is what lets the
-incremental machinery — :class:`~repro.timeexp.cache.GraphCache` arc
-reuse and the fast lane's :class:`~repro.heuristic.paths.
-CandidatePathIndex` — invalidate only what actually changed instead of
-rebuilding from scratch (see ``scripts/bench_schedule.py``).
+incremental machinery — the time-expanded graph cache's arc reuse
+(see ``scripts/bench_schedule.py``) and the fast lane's
+:class:`~repro.heuristic.paths.CandidatePathIndex` — invalidate only
+what actually changed instead of rebuilding from scratch.
 
 Semantics of the half-open window ``[start_slot, end_slot)``: the link
 can carry data during slots ``start_slot .. end_slot - 1``; data must

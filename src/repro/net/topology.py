@@ -154,17 +154,5 @@ class Topology:
         n = self.num_datacenters
         return self.num_links == n * (n - 1)
 
-    def to_networkx(self):
-        """Export as a networkx DiGraph with price/capacity attributes
-        (networkx loads here: no daemon module needs it)."""
-        import networkx as nx
-
-        graph = nx.DiGraph()
-        for dc in self.datacenters:
-            graph.add_node(dc.id, name=dc.name, region=dc.region)
-        for link in self.links:
-            graph.add_edge(link.src, link.dst, price=link.price, capacity=link.capacity)
-        return graph
-
     def __repr__(self) -> str:
         return f"Topology(datacenters={self.num_datacenters}, links={self.num_links})"

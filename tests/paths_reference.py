@@ -11,9 +11,9 @@ from a lit-subgraph search.  Slow, but obviously faithful to the rule
 CandidatePathIndex` to it: ``candidates()`` and ``arc_set()`` must be
 equal, order included.
 
-:func:`is_strongly_connected` and :func:`cheapest_path_price` are the two
-networkx views of a :class:`~repro.net.topology.Topology` that only the
-tests ask for.
+:func:`to_networkx`, :func:`is_strongly_connected` and
+:func:`cheapest_path_price` are the networkx views of a
+:class:`~repro.net.topology.Topology` that only the tests ask for.
 """
 
 from __future__ import annotations
@@ -29,11 +29,21 @@ from repro.net.schedule import LinkSchedule
 from repro.net.topology import Topology
 
 
+def to_networkx(topology: Topology) -> nx.DiGraph:
+    """The topology as a networkx DiGraph with price/capacity attributes."""
+    graph = nx.DiGraph()
+    for dc in topology.datacenters:
+        graph.add_node(dc.id, name=dc.name, region=dc.region)
+    for link in topology.links:
+        graph.add_edge(link.src, link.dst, price=link.price, capacity=link.capacity)
+    return graph
+
+
 def is_strongly_connected(topology: Topology) -> bool:
     """True when every datacenter can reach every other one."""
     if topology.num_datacenters == 1:
         return True
-    return nx.is_strongly_connected(topology.to_networkx())
+    return nx.is_strongly_connected(to_networkx(topology))
 
 
 def cheapest_path_price(topology: Topology, src: int, dst: int) -> Optional[float]:
@@ -46,7 +56,7 @@ def cheapest_path_price(topology: Topology, src: int, dst: int) -> Optional[floa
     topology.datacenter(dst)
     try:
         return float(nx.shortest_path_length(
-            topology.to_networkx(), src, dst, weight="price"
+            to_networkx(topology), src, dst, weight="price"
         ))
     except nx.NetworkXNoPath:
         return None
@@ -75,7 +85,7 @@ class CandidatePathIndex:
             raise SchedulingError("need at least one candidate path")
         self.topology = topology
         self.max_paths = max_paths
-        self._graph = topology.to_networkx()
+        self._graph = to_networkx(topology)
         self._cache: Dict[Tuple[int, int], List[List[int]]] = {}
         #: (src, dst, schedule epoch, first, last) -> window-feasible
         #: paths.  Keyed by epoch so any schedule mutation — a link

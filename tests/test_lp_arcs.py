@@ -46,6 +46,7 @@ from repro.obs import registry as obs
 from repro.service.config import ServiceConfig
 from repro.service.slotloop import TransferBroker
 from repro.traffic.spec import TransferRequest
+from tests.paths_reference import to_networkx
 from tests.schedule_reference import preview_cost
 
 FIXTURE = Path(__file__).parent / "data" / "parent_wal"
@@ -110,7 +111,7 @@ def test_hop_bounds_are_lossless_when_paths_cover_the_graph(seed):
     there — its search ran dry, so it has nothing real to prune."""
     topology = complete_topology(4, capacity=25.0, seed=seed)
     lane = PostcardScheduler(topology, 60)
-    graph = topology.to_networkx()
+    graph = to_networkx(topology)
     index = CandidatePathIndex(topology, max_paths=3)
     rng = np.random.default_rng(seed)
     for slot in range(5):

@@ -177,6 +177,26 @@ def test_replanning_respects_link_windows():
     assert not scheduler.active
 
 
+def test_storage_counts_what_the_plans_store():
+    """A slot in which the file only waits stores GB-slots too: the
+    state counts every committed plan's storage, as it does for a
+    scheduler committing through ``NetworkState.commit``."""
+    from repro.net import LinkSchedule
+
+    scheduler = ReplanningPostcardScheduler(line_topology(3, capacity=10.0), horizon=30)
+    scheduler.state.link_schedule = LinkSchedule()
+    scheduler.state.link_schedule.set_windows(0, 1, [(2, 40)])
+    request = TransferRequest(0, 2, 6.0, 5, release_slot=0)
+    stored = [scheduler.on_slot(0, [request]).total_storage_volume()]
+    slot = 1
+    while scheduler.active:
+        stored.append(scheduler.on_slot(slot, []).total_storage_volume())
+        slot += 1
+    assert request.request_id in scheduler.state.completions
+    assert stored[:2] == [6.0, 6.0]  # dark slots 0-1: the file waits at its source
+    assert scheduler.state.storage_used == pytest.approx(sum(stored))
+
+
 def test_replanning_never_worse_than_commit_once_on_average():
     """Across seeds, replanning's final bill is at most commit-once's
     (ties allowed; per-instance wins occur when arrivals collide)."""

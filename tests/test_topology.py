@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import TopologyError
 from repro.net import Datacenter, Link, Topology
-from tests.paths_reference import cheapest_path_price, is_strongly_connected
+from tests.paths_reference import cheapest_path_price, is_strongly_connected, to_networkx
 
 
 def test_datacenter_default_name():
@@ -89,7 +89,7 @@ def test_strong_connectivity(line3):
 
 
 def test_to_networkx(fig3):
-    graph = fig3.to_networkx()
+    graph = to_networkx(fig3)
     assert graph.number_of_nodes() == 4
     assert graph.number_of_edges() == 12
     assert graph[1][4]["price"] == 6.0
