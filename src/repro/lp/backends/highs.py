@@ -1,7 +1,8 @@
 """The HiGHS backend, the toolkit's only solver: the compiled arrays go
-straight to the HiGHS binding scipy vendors (``scipy.optimize._highspy``,
-scipy >= 1.15), asking what scipy's ``linprog`` (method "highs") asked
-minus its input cleaning, option re-validation and per-column loop
+straight to the HiGHS binding scipy vendors (``scipy.optimize._highspy._core``,
+scipy >= 1.15, loaded by its file so ``scipy.optimize``'s package init never
+runs), asking what scipy's ``linprog`` (method "highs") asked minus its
+input cleaning, option re-validation and per-column loop
 (``tests/test_highs_native.py``).
 
 It never raises on an infeasible or unbounded problem: it reports
@@ -12,7 +13,11 @@ retries (docs/ROBUSTNESS.md, "When the LP does not answer")."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from functools import partial
+from importlib.machinery import PathFinder
+from pathlib import Path
 
 import numpy as np
 from scipy import sparse
@@ -22,11 +27,24 @@ from repro.lp.compile import IPM_COLUMNS, CompiledProblem, compile_model
 from repro.lp.result import Solution, SolveStatus
 from repro.obs import registry as obs
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as exc:  # pragma: no cover - depends on the install
-    raise ImportError("the HiGHS backend needs scipy >= 1.15 (scipy.optimize._highspy)") from exc
+_BINDING = "scipy.optimize._highspy._core"
 
+
+def _load_binding(folder: Path):
+    """The HiGHS extension in ``folder``, run without its parent packages
+    unless ``sys.modules`` holds it already (scipy's import, or ours)."""
+    spec = PathFinder.find_spec(_BINDING, [str(folder)])
+    if spec is None:
+        raise ImportError("the HiGHS backend needs scipy >= 1.15 (scipy.optimize._highspy)")
+    if _BINDING not in sys.modules:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_BINDING] = module
+    return sys.modules[_BINDING]
+
+
+_highs = _load_binding(
+    Path(importlib.util.find_spec("scipy").origin).parent / "optimize" / "_highspy")
 _MODEL, _ERROR = _highs.HighsModelStatus, _highs.HighsStatus.kError
 #: linprog's status table; the rest (limits, numerical trouble) is an error.
 _STATUS_MAP = {

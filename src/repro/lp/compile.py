@@ -106,8 +106,8 @@ def compile_model(problem: CompiledProblem) -> CompiledProblem:
 
 def load_solver():
     """:class:`~repro.lp.backends.highs.HighsBackend`, imported by the first
-    solve (HiGHS's binding loads ``scipy.optimize``); a caller that times
-    its solves, the hybrid's watchdog, calls this first, off the clock."""
+    solve (it loads HiGHS's extension, not ``scipy.optimize``); a caller that
+    times its solves, the hybrid's watchdog, calls this first, off the clock."""
     from repro.lp.backends.highs import HighsBackend  # it imports this module
 
     return HighsBackend

@@ -258,8 +258,8 @@ def test_watchdog_drill_degrades_and_rearms(tmp_path):
     batches = drill_batches()
     batches += [[dict(f, id="e" + f["id"]) for f in batch] for batch in batches]
     chaos.MONKEY.arm("lp.escalate", action="hang", at=1, param=0.5)
-    # The first escalation imports the solver (scipy.optimize, ~0.5 s on a
-    # slow machine) before its watchdog starts: one-time start-up, not the
+    # The first escalation imports the solver (scipy.sparse and HiGHS's
+    # extension) before its watchdog starts: one-time start-up, not the
     # slot's wait, so it is paid here, off the clock.
     load_solver()
     started = time.perf_counter()

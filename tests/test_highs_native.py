@@ -10,6 +10,8 @@ small LPs.
 """
 
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +105,29 @@ def test_the_interior_point_solver_agrees(lane_problems):
     """What the backend picks above 20,000 columns, asked for by name."""
     status = assert_native_equals_linprog(lane_problems[0], {"solver": "ipm"}, method="highs-ipm")
     assert status is SolveStatus.OPTIMAL
+
+
+# -- the binding ------------------------------------------------------------
+
+
+def test_the_binding_is_the_module_scipy_exposes(monkeypatch):
+    """One extension, one module: scipy's import path and the backend's
+    file load meet in ``sys.modules``, whichever ran first, and a loaded
+    extension is never executed again."""
+    from scipy.optimize._highspy import _core
+
+    assert native._highs is _core is sys.modules["scipy.optimize._highspy._core"]
+    loads = []
+    monkeypatch.setattr(native.importlib.util, "module_from_spec", loads.append)
+    assert native._load_binding(Path(_core.__file__).parent) is _core and not loads
+
+
+def test_a_folder_without_the_extension_is_refused(tmp_path, monkeypatch):
+    loaded, loads = sys.modules["scipy.optimize._highspy._core"], []
+    monkeypatch.setattr(native.importlib.util, "module_from_spec", loads.append)
+    with pytest.raises(ImportError, match=r"needs scipy >= 1\.15"):
+        native._load_binding(tmp_path)
+    assert sys.modules["scipy.optimize._highspy._core"] is loaded and not loads
 
 
 # -- edge cases --------------------------------------------------------------
