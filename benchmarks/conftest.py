@@ -35,11 +35,11 @@ from repro.sim.runner import ExperimentSetting, SchedulerComparison, run_compari
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Collector of the most recent run_figure call; report() folds its
+#: The fold of the most recent run_figure call; report() copies its
 #: key counters and span totals into the JSONL record so BENCH_*.json
 #: tracks a perf trajectory (iterations, LP size, build vs.
 #: solve split), not just wall time.
-_last_collector: Optional[obs.Collector] = None
+_last_fold: Optional[obs.MetricsSnapshot] = None
 
 #: The counters worth tracking across PRs (sums over the whole figure).
 _TRACKED_COUNTERS = (
@@ -130,31 +130,31 @@ def standard_factories():
 
 
 def run_figure(setting: ExperimentSetting, factories=None) -> SchedulerComparison:
-    global _last_collector
-    with obs.collecting() as collector:
+    global _last_fold
+    with obs.collecting() as fold:
         comparison = run_comparison(
             setting,
             factories or standard_factories(),
             runs=bench_runs(),
             base_seed=2012,
         )
-    _last_collector = collector
+    _last_fold = fold
     return comparison
 
 
-def obs_record(collector: Optional[obs.Collector]) -> dict:
+def obs_record(fold: Optional[obs.MetricsSnapshot]) -> dict:
     """The observability block appended to each figure's JSONL record."""
-    if collector is None:
+    if fold is None:
         return {}
     counters = {
-        name: collector.counters[name].total
+        name: fold.counter_total(name)
         for name in _TRACKED_COUNTERS
-        if name in collector.counters
+        if name in fold.counters
     }
     span_seconds = {
-        name: round(collector.spans[name].total, 6)
+        name: round(fold.span_histograms[name].sum, 6)
         for name in _TRACKED_SPANS
-        if name in collector.spans
+        if name in fold.span_histograms
     }
     return {"counters": counters, "span_seconds": span_seconds}
 
@@ -183,7 +183,7 @@ def report(figure: str, comparison: SchedulerComparison, paper_claim: str) -> No
             for name, results in comparison.results.items()
         },
     }
-    obs_block = obs_record(_last_collector)
+    obs_block = obs_record(_last_fold)
     if obs_block:
         record["obs"] = obs_block
     with open(RESULTS_DIR / f"{bench_scale()}.jsonl", "a") as fh:

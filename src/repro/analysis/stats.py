@@ -59,7 +59,7 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> ConfidenceInte
 
 def percentile(values: Sequence[float], q: float) -> float:
     """The ISP-convention q-th percentile (ascending sort, index
-    ``ceil(q% * n) - 1``) — NOT numpy's interpolating percentile."""
+    ``floor(q% * n) - 1``, at least 0) — NOT numpy's interpolating percentile."""
     from repro.units import percentile_slot_index
 
     arr = np.sort(np.asarray(values, dtype=float))

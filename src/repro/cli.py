@@ -188,9 +188,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         forecast=forecast,
     )
 
-    collector = obs.Collector() if args.profile else None
+    fold = obs.MetricsSnapshot() if args.profile else None
     last_scheduler = None
-    with _obs_sinks(args.obs_jsonl, collector) as jsonl:
+    with _obs_sinks(args.obs_jsonl, fold) as jsonl:
         if args.show_links:
             # The last scheduler's ledger has to outlive its run.
             outcomes = run_tasks(tasks[:-1])
@@ -250,9 +250,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 f"misses={result.deadline_misses} "
                 f"replans={result.recovery_replans}"
             )
-    if collector is not None:
+    if fold is not None:
         print()
-        print(obs.render_report(collector, title="run report"))
+        print(obs.render_report(fold, title="run report"))
     if jsonl is not None:
         print(f"\nwrote {jsonl.num_events} events to {args.obs_jsonl}")
 

@@ -32,7 +32,9 @@ _BINDING = "scipy.optimize._highspy._core"
 
 def _load_binding(folder: Path):
     """The HiGHS extension in ``folder``, run without its parent packages
-    unless ``sys.modules`` holds it already (scipy's import, or ours)."""
+    unless ``sys.modules`` holds it already (scipy's import, or ours).
+    Loaded first, it is no attribute of its package: import statements
+    find it (so ``linprog`` works), an attribute chain does not."""
     spec = PathFinder.find_spec(_BINDING, [str(folder)])
     if spec is None:
         raise ImportError("the HiGHS backend needs scipy >= 1.15 (scipy.optimize._highspy)")

@@ -7,14 +7,15 @@ are permanently instrumented with hierarchical timing *spans* and
 it costs nothing in production paths and lights up on demand:
 
 >>> from repro import obs
->>> with obs.collecting() as collector:
-...     _ = run_some_workload()          # doctest: +SKIP
->>> print(obs.render_report(collector))  # doctest: +SKIP
+>>> with obs.collecting() as fold:
+...     _ = run_some_workload()     # doctest: +SKIP
+>>> print(obs.render_report(fold))  # doctest: +SKIP
 
-Three sinks ship with the library: :class:`Collector` (in-memory
-aggregation), :class:`JsonlSink` (one JSON event per line, the
-machine-readable artifact), and the plain-text renderer
-:func:`render_report`.  The CLI exposes the same machinery as
+Two sinks ship with the library: :class:`MetricsSnapshot`, the one
+fold of the event stream (what :func:`collecting` attaches, what the
+daemon's ``metrics`` op serves and :func:`render_report` renders), and
+:class:`JsonlSink` (one JSON event per line, the machine-readable
+artifact).  The CLI exposes the same machinery as
 ``python -m repro simulate --profile`` / ``--obs-jsonl PATH`` and
 ``python -m repro report events.jsonl``.  See docs/OBSERVABILITY.md.
 """
@@ -31,10 +32,6 @@ _EXPORTS = {
     "counter": "repro.obs.registry",
     "gauge": "repro.obs.registry",
     "trace": "repro.obs.registry",
-    "Collector": "repro.obs.sinks",
-    "SpanStat": "repro.obs.sinks",
-    "CounterStat": "repro.obs.sinks",
-    "GaugeStat": "repro.obs.sinks",
     "JsonlSink": "repro.obs.sinks",
     "Histogram": "repro.obs.metrics",
     "MetricsSnapshot": "repro.obs.metrics",

@@ -1,25 +1,20 @@
-"""Streaming metrics: fixed-bucket histograms and a live snapshot sink.
-
-Everything in :mod:`repro.obs.sinks` is batch-oriented — a
-:class:`~repro.obs.sinks.Collector` is read *after* a run, a
-:class:`~repro.obs.sinks.JsonlSink` is rendered after the file closes.
-A live daemon needs the opposite: current-value state that can be
-queried at any instant without stopping the run.  Two pieces provide
-it:
+"""Streaming metrics: fixed-bucket histograms and the one aggregating sink.
 
 * :class:`Histogram` — fixed log-spaced buckets sized for latencies
   (microseconds to minutes), mergeable across instances with identical
   bounds, with p50/p90/p99 estimation by rank interpolation inside the
   bucket.  O(#buckets) memory however many values are observed.
 * :class:`MetricsSnapshot` — a sink that *folds* events into state:
-  counter sums, gauge last/min/max, and a histogram per span name
-  (span durations) and per seconds-valued gauge.  :meth:`snapshot`
-  returns a JSON-safe view of everything at that instant and never
-  mutates the fold, so repeated queries are idempotent.
+  counter sums, gauge last/min/max, a histogram per span name (span
+  durations, with child time for self-time) and per seconds-valued
+  gauge or ``hist`` sample.  :meth:`snapshot` returns a JSON-safe view
+  of everything at that instant and never mutates the fold, so
+  repeated queries are idempotent.
 
-The daemon attaches a :class:`MetricsSnapshot` to the default registry
-and serves :meth:`snapshot` through the ``metrics`` protocol op;
-:mod:`repro.obs.prom` renders the same dict as Prometheus text.
+It is the only fold of the event stream: the daemon serves its
+:meth:`snapshot` through the ``metrics`` op (and :mod:`repro.obs.prom`
+as Prometheus text); ``--profile``, ``repro report`` and the benchmark
+harness fold a run with :func:`repro.obs.collecting`.
 """
 
 from __future__ import annotations
@@ -193,8 +188,9 @@ class MetricsSnapshot:
     * gauges -> last/min/max/count, and a :class:`Histogram` as well
       when the gauge name ends in ``_s`` (a seconds-valued sample —
       e.g. per-request ``service.decision_s``);
-    * spans -> a :class:`Histogram` of durations per span name, plus
-      an error tally.
+    * spans -> a :class:`Histogram` of durations per span name, an
+      error tally, and the seconds spent in each span's direct children
+      (``span_child_s``; a span's self time is its sum minus that).
 
     :meth:`snapshot` is a pure read — calling it twice without new
     events returns equal dicts (snapshot idempotence), and it never
@@ -209,6 +205,7 @@ class MetricsSnapshot:
         self.gauges: Dict[str, Dict[str, float]] = {}
         self.span_histograms: Dict[str, Histogram] = {}
         self.span_errors: Dict[str, int] = {}
+        self.span_child_s: Dict[str, float] = {}
         self.gauge_histograms: Dict[str, Histogram] = {}
         self.num_events = 0
 
@@ -222,9 +219,13 @@ class MetricsSnapshot:
             hist = self.span_histograms.get(name)
             if hist is None:
                 hist = self.span_histograms[name] = Histogram(self._bounds)
-            hist.observe(float(event.get("dur", 0.0)))
+            dur = float(event.get("dur", 0.0))
+            hist.observe(dur)
             if event.get("error"):
                 self.span_errors[name] = self.span_errors.get(name, 0) + 1
+            parent = event.get("parent")
+            if parent is not None:
+                self.span_child_s[parent] = self.span_child_s.get(parent, 0.0) + dur
         elif kind == "counter":
             value = float(event.get("value", 0.0))
             stat = self.counters.get(name)

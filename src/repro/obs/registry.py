@@ -9,7 +9,7 @@ so instrumentation can stay permanently compiled into the hot path.
 
 Spans nest: the registry keeps an explicit stack, and every completed
 span records its depth and its parent's name, which is what lets a
-collector attribute child time to parents ("self time").  The stack is
+report attribute child time to parents ("self time").  The stack is
 maintained in ``__exit__``, so spans unwind correctly through
 exceptions.
 

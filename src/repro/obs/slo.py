@@ -28,18 +28,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque, Dict, Iterable, Optional
 
 from repro.obs import registry as obs
 
 
-def _p99(values) -> float:
-    """Nearest-rank p99 of an iterable of floats (0.0 when empty)."""
+def percentile(values: Iterable[float], q: float) -> float:
+    """Nearest-rank q-th percentile, the ``ceil(q% * n)``-th smallest (0.0
+    when empty); not the charging convention, which takes a floor index."""
     ordered = sorted(values)
     if not ordered:
         return 0.0
-    rank = max(1, -(-len(ordered) * 99 // 100))
-    return ordered[rank - 1]
+    return ordered[int(max(1, -(-len(ordered) * q // 100))) - 1]
 
 
 @dataclass
@@ -124,6 +124,8 @@ class SloMonitor:
         admitted = sum(self._admitted)
         decided = admitted + sum(self._rejected)
         ratio = admitted / decided if decided else 1.0
+        decision_p99 = percentile(self._decision_s, 99)
+        checkpoint_p99 = percentile(self._checkpoint_s, 99)
         states = {
             "admission_ratio": {
                 "value": ratio,
@@ -132,15 +134,15 @@ class SloMonitor:
                 "window": len(self._admitted),
             },
             "decision_p99_s": {
-                "value": _p99(self._decision_s),
+                "value": decision_p99,
                 "budget": t.decision_budget_s,
-                "ok": _p99(self._decision_s) <= t.decision_budget_s,
+                "ok": decision_p99 <= t.decision_budget_s,
                 "window": len(self._decision_s),
             },
             "checkpoint_p99_s": {
-                "value": _p99(self._checkpoint_s),
+                "value": checkpoint_p99,
                 "budget": t.checkpoint_budget_s,
-                "ok": _p99(self._checkpoint_s) <= t.checkpoint_budget_s,
+                "ok": checkpoint_p99 <= t.checkpoint_budget_s,
                 "window": len(self._checkpoint_s),
             },
             "intake_depth": {

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ServiceError
+from repro.obs.slo import percentile
 from repro.service import protocol
 from repro.traffic.spec import TransferRequest
 
@@ -53,15 +54,6 @@ def parse_endpoint(spec: str) -> tuple:
     except ValueError as exc:
         raise ServiceError(f"endpoint {spec!r} has a bad port") from exc
     return host or "127.0.0.1", port_num, None
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile; 0.0 for an empty sample."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * q // 100))
-    return ordered[int(rank) - 1]
 
 
 @dataclass

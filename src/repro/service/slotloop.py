@@ -432,7 +432,6 @@ class TransferBroker:
         self.counts["rejected"] += len(batch) - admitted_count
         if telemetry:
             self._emit_decisions(slot, lane, resolutions, admitted_count)
-        obs.gauge("service.admission_latency_s", decision_s)
         obs.gauge("service.decision_s", decision_s)
 
         self.counts["batches"] += 1

@@ -29,7 +29,6 @@ CLEAR = "\x1b[2J\x1b[H"
 _PREFERRED_HISTOGRAMS = (
     "service.slot",
     "service.decision_s",
-    "service.admission_latency_s",
     "scheduler.solve",
     "hybrid.fastpath",
     "hybrid.escalate",

@@ -77,5 +77,6 @@ def percentile_slot_index(q: float, num_slots: int) -> int:
         raise ValueError(f"percentile must be in (0, 100], got {q}")
     if num_slots <= 0:
         raise ValueError("num_slots must be positive")
-    index = int(q / 100.0 * num_slots) - 1
+    # q * num_slots first: exact for integral q, where q / 100.0 is not.
+    index = int(q * num_slots // 100) - 1
     return max(0, min(index, num_slots - 1))

@@ -21,6 +21,7 @@ from repro.sim.engine import Simulation
 from repro.net.topology import Datacenter, Link, Topology
 from repro.traffic.spec import TransferRequest
 from repro.traffic.workload import PaperWorkload
+from tests.obs_events import Events
 
 
 def two_node_topology(capacity=10.0):
@@ -285,7 +286,7 @@ def test_solver_error_commits_the_fast_lane_plan(watchdog_timeout_s):
     )
     fast = FastLaneScheduler(topo, horizon=20, on_infeasible="drop")
     requests = pressured_requests(0) + [TransferRequest(1, 0, 3.0, 2, release_slot=0)]
-    sink = obs.get_registry().add_sink(obs.Collector(keep_events=True))
+    sink = obs.get_registry().add_sink(Events())
     try:
         schedule = scheduler.on_slot(0, requests)
     finally:

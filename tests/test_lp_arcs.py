@@ -46,6 +46,7 @@ from repro.obs import registry as obs
 from repro.service.config import ServiceConfig
 from repro.service.slotloop import TransferBroker
 from repro.traffic.spec import TransferRequest
+from tests.obs_events import Events
 from tests.paths_reference import to_networkx
 from tests.schedule_reference import preview_cost
 
@@ -81,20 +82,9 @@ def _cells(state):
     }
 
 
-class _Events:
-    def __init__(self):
-        self.events = []
-
-    def emit(self, event):
-        self.events.append(event)
-
-    def named(self, name):
-        return [e for e in self.events if e["name"] == name]
-
-
 @pytest.fixture
 def events():
-    sink = obs.get_registry().add_sink(_Events())
+    sink = obs.get_registry().add_sink(Events())
     yield sink
     obs.get_registry().remove_sink(sink)
 

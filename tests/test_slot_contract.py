@@ -120,10 +120,10 @@ def test_an_idle_slot_changes_nothing_but_the_replanners_files_in_flight(name):
 
     scheduler = _warm(name)
     before, tallies = state_to_payload(scheduler.state), _tallies(scheduler)
-    with obs.collecting() as collector:
+    with obs.collecting() as fold:
         scheduler.on_slot(1, [])
     moved = state_to_payload(scheduler.state) != before
     assert moved == (name == "postcard-replan")
     if name != "postcard-replan":
-        assert collector.num_events == 0
+        assert fold.num_events == 0
         assert _tallies(scheduler) == tallies

@@ -59,6 +59,7 @@ def test_percentile_isp_convention():
     assert percentile(values, 95) == 95.0
     assert percentile(values, 100) == 100.0
     assert percentile([7.0], 95) == 7.0
+    assert percentile(range(10), 95) == 8.0  # index floor(9.5) - 1, not ceil
 
 
 def test_percentile_empty():

@@ -36,6 +36,11 @@ def test_percentile_boundaries():
     assert units.percentile_slot_index(100, 10) == 9
     assert units.percentile_slot_index(1, 10) == 0
     assert units.percentile_slot_index(50, 1) == 0
+    # q / 100.0 * n lands just under an integer here (0.29 * 100 is
+    # 28.999...); the floor convention still charges the (q% * n)-th.
+    assert units.percentile_slot_index(29, 100) == 28
+    assert units.percentile_slot_index(57, 100) == 56
+    assert units.percentile_slot_index(58, 50) == 28
 
 
 def test_percentile_validation():

@@ -27,6 +27,7 @@ from repro.service.wal import (
     scan_wal,
     truncate_torn_tail,
 )
+from tests.obs_events import Events
 
 
 # -- framing ---------------------------------------------------------------
@@ -75,7 +76,7 @@ def test_append_many_is_one_write_and_one_fsync(tmp_path):
 
 
 def test_sync_is_one_fsync_for_the_group_and_none_when_clean(tmp_path, fsyncs):
-    sink = obs.get_registry().add_sink(obs.Collector(keep_events=True))
+    sink = obs.get_registry().add_sink(Events())
     stages = []
     wal = WriteAheadLog(tmp_path / "wal.log", crashpoint=stages.append)
     try:
@@ -979,7 +980,7 @@ def test_checkpoint_span_says_what_it_wrote(tmp_path):
     import repro.obs as obs
 
     broker = TransferBroker(wal_config(tmp_path, checkpoint_every=2))
-    sink = obs.get_registry().add_sink(obs.Collector(keep_events=True))
+    sink = obs.get_registry().add_sink(Events())
     try:
         drive_slots(broker, 4)
     finally:
