@@ -117,8 +117,6 @@ _EXPORTS = {
     "global_cloud_topology": "repro.net.presets",
     "save_requests": "repro.traffic.io",
     "load_requests": "repro.traffic.io",
-    "save_schedule": "repro.traffic.io",
-    "load_schedule": "repro.traffic.io",
     # simulation + analysis
     "Simulation": "repro.sim",
     "SimulationResult": "repro.sim",

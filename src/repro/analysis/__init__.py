@@ -8,7 +8,6 @@ _EXPORTS = {
     "percentile": "repro.analysis.stats",
     "format_table": "repro.analysis.tables",
     "sparkline": "repro.analysis.plots",
-    "bar_chart": "repro.analysis.plots",
     "utilization_rows": "repro.analysis.plots",
 }
 

@@ -1,4 +1,4 @@
-"""Terminal-friendly data sketches: sparklines, bar charts, heat rows.
+"""Terminal-friendly data sketches: sparklines and utilization rows.
 
 The benchmark harness and CLI are plain-text by design (no plotting
 dependencies); these helpers make per-slot series legible anyway.
@@ -6,7 +6,7 @@ dependencies); these helpers make per-slot series legible anyway.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -31,30 +31,6 @@ def sparkline(values: Sequence[float]) -> str:
         idx = int((v - lo) / span * (len(_SPARK_LEVELS) - 1) + 1e-9)
         out.append(_SPARK_LEVELS[idx])
     return "".join(out)
-
-
-def bar_chart(
-    items: Sequence[Tuple[str, float]],
-    width: int = 40,
-    unit: str = "",
-) -> str:
-    """Horizontal bars, labels left-aligned, values printed.
-
-    >>> print(bar_chart([("a", 2.0), ("bb", 4.0)], width=4))
-    a   ██    2
-    bb  ████  4
-    """
-    if not items:
-        return ""
-    label_width = max(len(label) for label, _ in items)
-    peak = max(value for _, value in items)
-    scale = (width / peak) if peak > 0 else 0.0
-    lines = []
-    for label, value in items:
-        bar = "█" * max(0, int(round(value * scale)))
-        text = f"{value:g}{unit}"
-        lines.append(f"{label.ljust(label_width)}  {bar.ljust(width)}  {text}")
-    return "\n".join(lines)
 
 
 def utilization_rows(

@@ -31,9 +31,6 @@ class ConfidenceInterval:
     def high(self) -> float:
         return self.mean + self.half_width
 
-    def overlaps(self, other: "ConfidenceInterval") -> bool:
-        return self.low <= other.high and other.low <= self.high
-
     def __str__(self) -> str:
         return f"{self.mean:.2f} +/- {self.half_width:.2f} ({self.confidence:.0%}, n={self.n})"
 

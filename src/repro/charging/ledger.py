@@ -9,7 +9,7 @@ from the recorded samples under any :class:`~repro.charging.schemes.ChargingSche
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -103,11 +103,6 @@ class TrafficLedger:
             raise ChargingError(f"no link ({src},{dst}) in topology")
         self._usage[(src, dst)].add(slot, volume)
 
-    def record_schedule(self, entries: Iterable[Tuple[int, int, int, float]]) -> None:
-        """Commit many ``(src, dst, slot, volume)`` entries."""
-        for src, dst, slot, volume in entries:
-            self.record(src, dst, slot, volume)
-
     def void(self, src: int, dst: int, slot: int, volume: float) -> None:
         """Refund ``volume`` GB previously recorded on (src, dst, slot).
 
@@ -153,26 +148,6 @@ class TrafficLedger:
 
     def samples(self, src: int, dst: int) -> np.ndarray:
         return self._usage[(src, dst)].samples(self.horizon)
-
-    def stamped_samples(self, src: int, dst: int, mapper) -> List[Dict[str, Any]]:
-        """Recorded samples of one link stamped with wall-clock time.
-
-        ``mapper(slot) -> unix timestamp`` is the configured virtual-
-        slot -> real-time mapping (the service wires in
-        ``TransferBroker.wall_time``); each recorded slot yields
-        ``{"slot", "wall_ts", "gb"}`` in slot order, which is what lets
-        exported metrics reconcile against an ISP invoice's 5-minute
-        charging intervals.
-        """
-        usage = self._usage[(src, dst)]
-        return [
-            {
-                "slot": slot,
-                "wall_ts": round(mapper(slot), 3),
-                "gb": round(volume, 6),
-            }
-            for slot, volume in sorted(usage.volumes.items())
-        ]
 
     def samples_range(self, src: int, dst: int, start: int, end: int) -> np.ndarray:
         """Dense per-slot volumes over ``[start, end)`` (for one

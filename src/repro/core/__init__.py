@@ -32,10 +32,6 @@ _EXPORTS = {
     "dual_lower_bound": "repro.core.bounds",
     "SoftDeadlineResult": "repro.core.soft",
     "solve_soft_deadline": "repro.core.soft",
-    "save_state": "repro.core.checkpoint",
-    "load_state": "repro.core.checkpoint",
-    "state_to_json": "repro.core.checkpoint",
-    "state_from_json": "repro.core.checkpoint",
 }
 
 __all__ = list(_EXPORTS)

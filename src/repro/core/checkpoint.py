@@ -1,11 +1,10 @@
-"""Checkpoint and restore a NetworkState.
+"""Checkpoint and restore a NetworkState inside a daemon snapshot.
 
-Long experiments (paper-scale runs, multi-day operational simulations)
-want to stop and resume; operators want end-of-day snapshots of the
-billing state.  A checkpoint captures everything the online model
-needs to continue: per-link-slot ledger volumes, charged volumes
-``X_ij``, completions, rejections, storage accounting, and
-charging-period bookkeeping.
+A broker resumes after a crash from its last snapshot.  The snapshot
+embeds the state's accounting (:func:`state_to_payload`): everything
+the online model needs to continue — per-link-slot ledger volumes,
+charged volumes ``X_ij``, completions, rejections, storage accounting,
+and charging-period bookkeeping.
 
 Topology is *not* serialized — a checkpoint is only meaningful against
 the network it was taken from, so restore requires the same topology
@@ -135,29 +134,15 @@ def state_to_payload(state: NetworkState) -> Dict[str, Any]:
     }
 
 
-def state_to_json(state: NetworkState) -> str:
-    """Serialize the accounting of a NetworkState (not its topology)."""
-    return json.dumps(state_to_payload(state), indent=1)
+def state_from_payload(payload: Dict[str, Any], topology: Topology) -> NetworkState:
+    """Rebuild a NetworkState from :func:`state_to_payload` data against ``topology``.
 
-
-def state_from_json(text: str, topology: Topology) -> NetworkState:
-    """Rebuild a NetworkState against ``topology``.
-
-    Raises :class:`SchedulingError` when the checkpoint's network shape
+    Raises :class:`SchedulingError` when the payload's network shape
     (node ids, link keys) does not match — restoring billing data onto
     a different overlay would silently corrupt every number downstream.
     Rejected files are restored as fresh :class:`TransferRequest`
     objects (ids are process-local).
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchedulingError(f"checkpoint is not valid JSON: {exc}") from exc
-    return state_from_payload(payload, topology)
-
-
-def state_from_payload(payload: Dict[str, Any], topology: Topology) -> NetworkState:
-    """:func:`state_from_json` on already-parsed data (snapshots embed it)."""
     from repro.traffic.spec import TransferRequest
 
     if payload.get("kind") != "postcard-state":
@@ -200,16 +185,6 @@ def state_from_payload(payload: Dict[str, Any], topology: Topology) -> NetworkSt
         float(v) for v in payload.get("banked_period_bills", [])
     ]
     return state
-
-
-def save_state(state: NetworkState, path: PathLike) -> None:
-    """Write a checkpoint file."""
-    Path(path).write_text(state_to_json(state))
-
-
-def load_state(path: PathLike, topology: Topology) -> NetworkState:
-    """Read a checkpoint file back against the same topology."""
-    return state_from_json(Path(path).read_text(), topology)
 
 
 # -- service snapshots -----------------------------------------------------
@@ -268,7 +243,7 @@ def snapshot_from_json(text: str, topology: Topology) -> ServiceSnapshot:
     """Rebuild a :class:`ServiceSnapshot` against ``topology``.
 
     Restores the embedded NetworkState (with the same shape checks as
-    :func:`state_from_json`) and advances the process-local request-id
+    :func:`state_from_payload`) and advances the process-local request-id
     counter past the snapshot's watermark, so requests created after the
     restore never collide with completions restored from before it.
     """

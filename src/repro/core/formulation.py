@@ -231,13 +231,6 @@ class PostcardModel:
             maximize=True,
         )
 
-    def charged_volumes(self, solution: Solution) -> Dict[Tuple[int, int], float]:
-        """Optimal X_ij for the links the model optimizes over."""
-        return {
-            key: float(solution.x[column])
-            for key, column in self.charge_columns.items()
-        }
-
     def congestion_prices(self, solution: Solution) -> Dict[Tuple[int, int, int], float]:
         """Shadow price of each binding capacity row, in $/GB.
 

@@ -47,9 +47,6 @@ class BulkTransferResult:
     #: Total delivered GB (the optimal objective (11) value).
     total_delivered: float
 
-    def fraction_delivered(self, request: TransferRequest) -> float:
-        return self.delivered.get(request.request_id, 0.0) / request.size_gb
-
 
 def maximize_bulk_throughput(
     state: NetworkState,

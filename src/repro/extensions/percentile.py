@@ -26,7 +26,6 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SchedulingError
-from repro.charging.schemes import PercentileCharging
 from repro.core.formulation import build_postcard_model
 from repro.core.interfaces import ON_INFEASIBLE_RAISE, Scheduler, SlotPlan
 from repro.core.schedule import TransferSchedule
@@ -79,10 +78,6 @@ class PercentileAwareScheduler(Scheduler):
             (v for slot, v in usage.volumes.items() if slot not in free),
             default=0.0,
         )
-
-    def billed_cost_per_slot(self) -> float:
-        """The real q-percentile bill of everything recorded so far."""
-        return self._state.ledger.cost_per_slot(PercentileCharging(self.q))
 
     def remaining_budget(self, src: int, dst: int) -> int:
         return self.burst_budget - len(self.amnesty.get((src, dst), ()))

@@ -9,14 +9,12 @@ shapes used in tests and ablations.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import TopologyError
 from repro.net.topology import Datacenter, Link, Topology
-
-PriceFn = Callable[[int, int], float]
 
 
 def _rng(seed: Optional[int]) -> np.random.Generator:
@@ -196,26 +194,4 @@ def two_region_topology(
             base = intra_price if same else inter_price
             jitter = float(rng.uniform(0.9, 1.1))
             links.append(Link(i, j, price=base * jitter, capacity=capacity))
-    return Topology(datacenters, links)
-
-
-def custom_topology(
-    num_datacenters: int,
-    price_fn: PriceFn,
-    capacity: float,
-    pairs: Optional[Sequence] = None,
-) -> Topology:
-    """Build a topology from an explicit price function.
-
-    ``pairs`` restricts which ordered pairs get a link (default: all).
-    """
-    datacenters = [Datacenter(i) for i in range(num_datacenters)]
-    if pairs is None:
-        pairs = [
-            (i, j)
-            for i in range(num_datacenters)
-            for j in range(num_datacenters)
-            if i != j
-        ]
-    links = [Link(s, d, price=float(price_fn(s, d)), capacity=capacity) for s, d in pairs]
     return Topology(datacenters, links)

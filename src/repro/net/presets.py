@@ -104,17 +104,6 @@ def global_cloud_topology(
     return Topology(datacenters, links)
 
 
-def price_matrix(regions: List[Region] = None) -> Dict[Tuple[str, str], float]:
-    """All pairwise prices by region name (for docs and tests)."""
-    regions = list(regions) if regions is not None else list(GLOBAL_REGIONS)
-    return {
-        (src.name, dst.name): link_price(src, dst)
-        for src in regions
-        for dst in regions
-        if src.name != dst.name
-    }
-
-
 # ---------------------------------------------------------------------------
 # Link-schedule presets: time-varying availability over a static overlay.
 # ---------------------------------------------------------------------------

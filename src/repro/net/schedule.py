@@ -141,16 +141,7 @@ class LinkSchedule:
         self._spans[(src, dst)] = merged
         self._touch((src, dst))
 
-    def clear_link(self, src: int, dst: int) -> None:
-        """Forget a link entirely — it reverts to always-on."""
-        if self._spans.pop((src, dst), None) is not None:
-            self._touch((src, dst))
-
     # -- queries ----------------------------------------------------------
-
-    def is_scheduled(self, src: int, dst: int) -> bool:
-        """Is this link under schedule control at all?"""
-        return (src, dst) in self._spans
 
     def is_up(self, src: int, dst: int, slot: int) -> bool:
         """Can the link carry traffic during ``slot``?"""
@@ -199,16 +190,6 @@ class LinkSchedule:
             lo, hi = max(lo, start) - start, min(hi, end) - start
             mask |= ((1 << (hi - lo)) - 1) << lo
         return mask
-
-    def next_up_slot(self, src: int, dst: int, slot: int) -> Optional[int]:
-        """The first up-slot at or after ``slot``, or None (never again)."""
-        spans = self._spans.get((src, dst))
-        if spans is None:
-            return slot
-        i = bisect_right(spans, (slot, float("inf")))
-        if i > 0 and spans[i - 1][1] > slot:
-            return slot
-        return spans[i][0] if i < len(spans) else None
 
     def link_epoch(self, src: int, dst: int) -> int:
         """Epoch of the last mutation touching this link (0 = never)."""

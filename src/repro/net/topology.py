@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import TopologyError
@@ -84,7 +84,6 @@ class Topology:
         self.links: List[Link] = []
         self._link_map: Dict[LinkKey, Link] = {}
         self._out: Dict[NodeId, List[Link]] = {dc.id: [] for dc in self.datacenters}
-        self._in: Dict[NodeId, List[Link]] = {dc.id: [] for dc in self.datacenters}
         for link in links:
             self.add_link(link)
 
@@ -101,7 +100,6 @@ class Topology:
         self.links.append(link)
         self._link_map[link.key] = link
         self._out[link.src].append(link)
-        self._in[link.dst].append(link)
 
     # -- queries -----------------------------------------------------------
 
@@ -132,11 +130,6 @@ class Topology:
         """Links leaving ``node_id`` (validates the id)."""
         self.datacenter(node_id)
         return list(self._out[node_id])
-
-    def in_links(self, node_id: NodeId) -> List[Link]:
-        """Links entering ``node_id`` (validates the id)."""
-        self.datacenter(node_id)
-        return list(self._in[node_id])
 
     def node_ids(self) -> List[NodeId]:
         return [dc.id for dc in self.datacenters]

@@ -32,9 +32,10 @@ def _log_bounds(lo: float, hi: float, per_decade: int) -> List[float]:
     return [lo * ratio**i for i in range(count)]
 
 
-#: Default latency bounds: 10 µs .. ~178 s, 4 buckets per decade
-#: (ratio ~1.78x, so a quantile estimate is within one bucket ratio of
-#: the true value).
+#: Default bounds: 31 edges from 10 µs to 10**2.5 ≈ 316 s, 4 buckets per
+#: decade (ratio ~1.78x, so a quantile estimate is within one bucket ratio
+#: of the true value).  ``hist`` samples (forecast errors, in GB) share
+#: them.
 DEFAULT_LATENCY_BOUNDS = _log_bounds(1e-5, 200.0, 4)
 
 
@@ -149,33 +150,6 @@ class Histogram:
             "p90": self.quantile(0.90),
             "p99": self.quantile(0.99),
         }
-
-    # -- (de)serialization ----------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe encoding (sparse: only non-empty buckets)."""
-        return {
-            "bounds": self.bounds,
-            "buckets": {
-                str(i): c for i, c in enumerate(self.counts) if c
-            },
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Histogram":
-        hist = cls(payload["bounds"])
-        for index, count in payload.get("buckets", {}).items():
-            hist.counts[int(index)] = int(count)
-        hist.count = int(payload.get("count", 0))
-        hist.sum = float(payload.get("sum", 0.0))
-        if hist.count:
-            hist.min = float(payload["min"])
-            hist.max = float(payload["max"])
-        return hist
 
     def __repr__(self) -> str:
         return f"Histogram(count={self.count}, mean={self.mean:.6f})"

@@ -92,8 +92,3 @@ def scheduler_factory(name: str) -> SchedulerFactory:
         known = ", ".join(scheduler_names())
         raise ReproError(f"unknown scheduler {name!r}; available: {known}")
     return _REGISTRY[name]
-
-
-def register_scheduler(name: str, factory: SchedulerFactory) -> None:
-    """Add (or replace) a named factory — extension point for users."""
-    _REGISTRY[name] = factory

@@ -605,28 +605,6 @@ class TransferBroker:
         """Unix timestamp virtual ``slot`` maps to (billing alignment)."""
         return self.config.wall_time(slot, self.wall_epoch)
 
-    def stamped_usage(self, top: int = 0) -> List[Dict[str, Any]]:
-        """Per-link ledger samples of the open period, wall-clock stamped.
-
-        One entry per used link, busiest first, each with its charged
-        watermark and the wall-stamped per-slot samples — the export a
-        billing reconciliation matches against 5-minute ISP invoice
-        intervals.  ``top`` limits to the N busiest links (0 = all).
-        """
-        entries = []
-        for src, dst in self.state.ledger.used_links():
-            samples = self.state.ledger.stamped_samples(
-                src, dst, self.wall_time
-            )
-            entries.append({
-                "link": [src, dst],
-                "charged_gb": round(self.state.charged_volume(src, dst), 6),
-                "total_gb": round(sum(s["gb"] for s in samples), 6),
-                "samples": samples,
-            })
-        entries.sort(key=lambda e: e["total_gb"], reverse=True)
-        return entries[:top] if top else entries
-
     def telemetry(self, metrics: Optional[Any] = None) -> Dict[str, Any]:
         """The ``metrics`` protocol op's body (JSON-safe).
 

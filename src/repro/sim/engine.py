@@ -18,8 +18,6 @@ sink for ``--profile`` / ``--obs-jsonl`` runs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro import invariants
 from repro.errors import SimulationError
 from repro.core.interfaces import Scheduler, slot_step
@@ -46,32 +44,20 @@ class Simulation:
         workload: Workload,
         num_slots: int,
         slots_per_period: int = 0,
-        start_slot: int = 0,
     ):
         """``slots_per_period > 0`` splits the run into independent
         charging periods: at every boundary the scheduler's paid peaks
         expire (see :func:`~repro.core.interfaces.slot_step`), and
         the result carries per-period bills.  The paper's setting is a
-        single period (the default).
-
-        ``start_slot > 0`` resumes a run mid-window (the checkpoint
-        workflow: restore the scheduler's state from a snapshot, then
-        drive the remaining slots).  Completions restored from before
-        ``start_slot`` are not re-audited for lateness — their requests
-        were released outside this engine's window."""
+        single period (the default)."""
         if num_slots < 1:
             raise SimulationError(f"num_slots must be >= 1, got {num_slots}")
         if slots_per_period < 0:
             raise SimulationError("slots_per_period must be non-negative")
-        if not 0 <= start_slot < num_slots:
-            raise SimulationError(
-                f"start_slot must be in [0, {num_slots}), got {start_slot}"
-            )
         self.scheduler = scheduler
         self.workload = workload
         self.num_slots = num_slots
         self.slots_per_period = slots_per_period
-        self.start_slot = start_slot
 
     def run(self, audit: bool = True) -> SimulationResult:
         with obs.span(
@@ -97,7 +83,7 @@ class Simulation:
 
             recovery = RecoveryManager(self.scheduler, fault_model)
 
-        for slot in range(self.start_slot, self.num_slots):
+        for slot in range(self.num_slots):
             requests = self.workload.requests_at(slot)
             for request in requests:
                 deadlines[request.request_id] = request.last_slot
@@ -180,10 +166,6 @@ class Simulation:
         for request_id, completed_at in state.completions.items():
             deadline = deadlines.get(request_id)
             if deadline is None:
-                if self.start_slot > 0:
-                    # Restored from a checkpoint: the file was released
-                    # (and audited) before this engine's window began.
-                    continue
                 raise SimulationError(
                     f"scheduler completed unknown file {request_id}"
                 )
@@ -203,7 +185,7 @@ class Simulation:
         already been refunded, so the check sees what physically flowed."""
         state = self.scheduler.state
         # Released files that never completed are the accounting below's.
-        due = {rid: self._deadlines[rid] for rid in state.completions if rid in self._deadlines}
+        due = {rid: self._deadlines[rid] for rid in state.completions}
         problems = invariants.cells(state) + invariants.deadlines(state.completions, due)
         if problems:
             raise SimulationError(f"audit: {invariants.summary(problems)}")

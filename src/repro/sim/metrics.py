@@ -123,14 +123,6 @@ class SimulationResult:
         """Sum of all period bills (multi-period runs only)."""
         return sum(self.period_bills)
 
-    @property
-    def salvage_rate(self) -> float:
-        """Fraction of disrupted volume recovered (1.0 when nothing
-        was disrupted)."""
-        if self.disrupted_gb <= 0:
-            return 1.0
-        return self.salvaged_gb / self.disrupted_gb
-
     def summary(self) -> str:
         text = (
             f"{self.scheduler_name}: cost/slot={self.final_cost_per_slot:.2f}, "

@@ -91,10 +91,3 @@ def render_markdown(records: List[dict], title: str = "Benchmark results") -> st
             lines.append(row)
         lines.append("")
     return "\n".join(lines)
-
-
-def write_report(results_path: PathLike, output_path: PathLike) -> int:
-    """Render a results file to Markdown; returns the record count."""
-    records = load_records(results_path)
-    Path(output_path).write_text(render_markdown(records))
-    return len(records)

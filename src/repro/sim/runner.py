@@ -76,10 +76,6 @@ class SchedulerComparison:
     def interval(self, name: str, confidence: float = 0.95) -> ConfidenceInterval:
         return mean_ci(self.costs[name], confidence)
 
-    def winner(self) -> str:
-        """Scheduler with the lowest mean cost per slot."""
-        return min(self.costs, key=lambda name: mean_ci(self.costs[name]).mean)
-
     def ratio(self, name_a: str, name_b: str) -> float:
         """mean(cost_a) / mean(cost_b)."""
         return mean_ci(self.costs[name_a]).mean / mean_ci(self.costs[name_b]).mean

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 from repro.errors import WorkloadError
 
@@ -125,34 +125,3 @@ def expand_multicast(
         TransferRequest(source, dst, size_gb, deadline_slots, release_slot)
         for dst in destinations
     ]
-
-
-def split_oversized(
-    request: TransferRequest, max_piece_gb: float
-) -> List[TransferRequest]:
-    """Split a file too large for one slot into same-deadline pieces.
-
-    Implements the paper's note that files exceeding what a link can
-    carry in one slot "can be divided into smaller pieces, each of which
-    can be considered as a new file with the same four-tuple
-    specification".
-    """
-    if max_piece_gb <= 0:
-        raise WorkloadError("max piece size must be positive")
-    if request.size_gb <= max_piece_gb:
-        return [request]
-    pieces: List[TransferRequest] = []
-    remaining = request.size_gb
-    while remaining > 1e-12:
-        piece = min(max_piece_gb, remaining)
-        pieces.append(
-            TransferRequest(
-                request.source,
-                request.destination,
-                piece,
-                request.deadline_slots,
-                request.release_slot,
-            )
-        )
-        remaining -= piece
-    return pieces

@@ -2,8 +2,8 @@
 
 Benchmarks compare schedulers on the *same* traffic; these helpers
 summarize what that traffic actually demands so tables can state load
-alongside cost (GB per slot offered vs GB per slot of network
-capacity, deadline mix, hottest pairs).
+alongside cost (GB per slot offered and required, deadline mix,
+hottest pairs).
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.errors import WorkloadError
-from repro.net.topology import Topology
-from repro.traffic.spec import TransferRequest
 from repro.traffic.workload import Workload
 
 
@@ -33,16 +31,6 @@ class WorkloadStats:
     deadline_histogram: Dict[int, int]
     #: Most frequent (source, destination) pairs with their volumes.
     hottest_pairs: List[Tuple[Tuple[int, int], float]]
-
-    def utilization_of(self, topology: Topology) -> float:
-        """Required rate as a fraction of total network capacity."""
-        capacity = sum(
-            link.capacity for link in topology.links
-            if link.capacity != float("inf")
-        )
-        if capacity <= 0:
-            return 0.0
-        return self.required_rate_per_slot / capacity
 
     def describe(self) -> str:
         deadline_text = ", ".join(

@@ -310,7 +310,3 @@ class TraceWorkload(Workload):
 
     def requests_at(self, slot: int) -> List[TransferRequest]:
         return list(self._by_slot.get(slot, []))
-
-    @property
-    def num_requests(self) -> int:
-        return sum(len(v) for v in self._by_slot.values())

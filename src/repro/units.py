@@ -9,8 +9,8 @@ library code works in those units:
 * prices are in abstract **dollars per GB**, and
 * time is an integer **slot index** (one slot = 5 minutes = 300 s).
 
-This module centralizes the few conversion helpers so nothing else has
-magic constants.
+This module holds those constants, the audit tolerance and the
+percentile-billing index so nothing else has magic constants.
 """
 
 from __future__ import annotations
@@ -30,34 +30,6 @@ SLOTS_PER_YEAR: int = 365 * SLOTS_PER_DAY
 #: as zero when auditing schedules.  LP solvers return values that are
 #: only accurate to roughly this order.
 VOLUME_ATOL: float = 1e-6
-
-
-def gb_per_slot_from_gbps(gbps: float) -> float:
-    """Convert a line rate in gigabits/second to GB per 5-minute slot.
-
-    >>> round(gb_per_slot_from_gbps(9.6), 0)  # OC-192
-    360.0
-    """
-    return gbps / 8.0 * SLOT_SECONDS
-
-
-def gbps_from_gb_per_slot(gb_per_slot: float) -> float:
-    """Convert a per-slot volume budget back to gigabits/second."""
-    return gb_per_slot * 8.0 / SLOT_SECONDS
-
-
-def slots_from_seconds(seconds: float) -> int:
-    """Number of whole slots covering ``seconds`` (rounds up).
-
-    >>> slots_from_seconds(900)   # the Fig. 1 example: 15 minutes
-    3
-    >>> slots_from_seconds(301)
-    2
-    """
-    if seconds < 0:
-        raise ValueError("seconds must be non-negative")
-    whole, rem = divmod(seconds, SLOT_SECONDS)
-    return int(whole) + (1 if rem > 0 else 0)
 
 
 def percentile_slot_index(q: float, num_slots: int) -> int:

@@ -1,15 +1,13 @@
 """Unit tests for NetworkState checkpointing."""
 
+import json
+
 import pytest
 
 from repro.errors import SchedulingError
 from repro.core import PostcardScheduler
-from repro.core.checkpoint import (
-    load_state,
-    save_state,
-    state_from_json,
-    state_to_json,
-)
+from repro.core.checkpoint import state_from_payload, state_to_payload
+from repro.core.interfaces import slot_step
 from repro.core.state import NetworkState
 from repro.net.generators import complete_topology, line_topology
 from repro.sim import Simulation
@@ -24,9 +22,14 @@ def warmed_state():
     return topo, scheduler.state
 
 
+def round_trip(state, topology):
+    """The state's payload through JSON text and back, as a snapshot carries it."""
+    return state_from_payload(json.loads(json.dumps(state_to_payload(state))), topology)
+
+
 def test_round_trip_preserves_accounting():
     topo, original = warmed_state()
-    restored = state_from_json(state_to_json(original), topo)
+    restored = round_trip(original, topo)
 
     assert restored.horizon == original.horizon
     assert restored.charged_snapshot() == original.charged_snapshot()
@@ -46,7 +49,7 @@ def test_resume_scheduling_after_restore():
     """A restored state accepts new rounds exactly like the original:
     same residuals, same paid headroom, same resulting cost."""
     topo, original = warmed_state()
-    restored = state_from_json(state_to_json(original), topo)
+    restored = round_trip(original, topo)
 
     request = TransferRequest(0, 1, 12.0, 3, release_slot=10)
     from repro.core import build_postcard_model
@@ -56,38 +59,24 @@ def test_resume_scheduling_after_restore():
     assert sol_orig.objective == pytest.approx(sol_rest.objective)
 
 
-def test_file_round_trip(tmp_path):
-    topo, original = warmed_state()
-    path = tmp_path / "state.json"
-    save_state(original, path)
-    restored = load_state(path, topo)
-    assert restored.current_cost_per_slot() == pytest.approx(
-        original.current_cost_per_slot()
-    )
-
-
 def test_topology_mismatch_rejected(line3):
     topo, original = warmed_state()
-    text = state_to_json(original)
+    payload = state_to_payload(original)
     with pytest.raises(SchedulingError, match="topology"):
-        state_from_json(text, line3)
+        state_from_payload(payload, line3)
 
 
 def test_garbage_rejected(line3):
-    with pytest.raises(SchedulingError, match="JSON"):
-        state_from_json("{oops", line3)
     with pytest.raises(SchedulingError, match="not a postcard state"):
-        state_from_json('{"kind": "postcard-trace"}', line3)
+        state_from_payload({"kind": "postcard-trace"}, line3)
     with pytest.raises(SchedulingError, match="version"):
-        state_from_json(
-            '{"kind": "postcard-state", "version": 9}', line3
-        )
+        state_from_payload({"kind": "postcard-state", "version": 9}, line3)
 
 
 def test_period_bookkeeping_survives():
     topo, state = warmed_state()
     state.start_new_period(8)
-    restored = state_from_json(state_to_json(state), topo)
+    restored = round_trip(state, topo)
     assert restored.period_start == 8
     assert restored.banked_period_bills == pytest.approx(state.banked_period_bills)
 
@@ -104,6 +93,7 @@ def test_mid_run_resume_under_active_faults():
     """
     from repro.core.scheduler import PostcardScheduler as PS
     from repro.sim import FaultModel, Outage
+    from repro.sim.recovery import RecoveryManager
     from repro.traffic.workload import TraceWorkload
 
     topo = line_topology(3, capacity=10.0)
@@ -117,7 +107,7 @@ def test_mid_run_resume_under_active_faults():
     def fresh(state=None):
         scheduler = PS(topo, horizon=14, on_infeasible="drop")
         if state is not None:
-            scheduler._state = state
+            scheduler.adopt_state(state)
         scheduler.state.fault_model = faults.copy()
         return scheduler
 
@@ -126,14 +116,17 @@ def test_mid_run_resume_under_active_faults():
     full = Simulation(full_sched, workload, num_slots=10).run()
     assert full.disrupted_gb > 0  # the outage really bites
 
-    # Interrupted run: first half, checkpoint, restore, second half.
+    # Interrupted run: first half, checkpoint, restore, second half
+    # driven slot by slot on the adopted state, shadowed by a recovery
+    # manager as the engine shadows a run.
     first_sched = fresh()
     Simulation(first_sched, workload, num_slots=split).run()
-    restored = state_from_json(state_to_json(first_sched.state), topo)
-    second_sched = fresh(state=restored)
-    second = Simulation(
-        second_sched, workload, num_slots=10, start_slot=split
-    ).run()
+    second_sched = fresh(state=round_trip(first_sched.state, topo))
+    second = RecoveryManager(second_sched, second_sched.state.fault_model)
+    for slot in range(split, 10):
+        requests = workload.requests_at(slot)
+        second.observe(slot, requests, slot_step(second_sched, slot, requests).schedule)
+        second.execute_slot(slot)
 
     assert second_sched.state.completions == full_sched.state.completions
     assert second_sched.state.charged_snapshot() == pytest.approx(
@@ -180,7 +173,7 @@ def test_mid_period_resume_with_in_flight_holdover():
     assert later_volume == pytest.approx(6.0)
     assert original.completions[request.request_id] >= 1
 
-    restored = state_from_json(state_to_json(original), topo)
+    restored = round_trip(original, topo)
     assert restored.charged_snapshot() == pytest.approx(
         original.charged_snapshot()
     )
@@ -194,10 +187,10 @@ def test_mid_period_resume_with_in_flight_holdover():
     follow_up = TransferRequest(0, 2, 4.0, 3, release_slot=2)
     resumed = PostcardScheduler(topo, horizon=10, on_infeasible="drop")
     resumed.adopt_state(restored)
-    resumed.on_slot(2, [follow_up.with_release(2)])
+    slot_step(resumed, 2, [follow_up.with_release(2)])
     reference = PostcardScheduler(topo, horizon=10, on_infeasible="drop")
     reference.adopt_state(original)
-    reference.on_slot(2, [follow_up.with_release(2)])
+    slot_step(reference, 2, [follow_up.with_release(2)])
     assert resumed.state.charged_snapshot() == pytest.approx(
         reference.state.charged_snapshot()
     )
@@ -251,7 +244,7 @@ def test_rejections_survive_with_fresh_ids():
     topo = line_topology(3, capacity=10.0)
     state = NetworkState(topo, horizon=10)
     state.reject(TransferRequest(0, 2, 1.0, 1, release_slot=0))
-    restored = state_from_json(state_to_json(state), topo)
+    restored = round_trip(state, topo)
     assert len(restored.rejected) == 1
     assert restored.rejected[0].source == 0
     assert restored.rejected[0].request_id != state.rejected[0].request_id
@@ -407,13 +400,3 @@ def test_v2_fixture_and_v3_round_trip_restore_equal_snapshots(monkeypatch):
     tampered["next_slot"] = 12
     with pytest.raises(SchedulingError, match="checksum mismatch"):
         snapshot_from_json(json.dumps(tampered), topo)
-
-
-def test_state_to_json_wraps_the_payload():
-    import json
-
-    from repro.core.checkpoint import state_to_payload
-
-    topo, state = warmed_state()
-    assert state_to_json(state) == json.dumps(state_to_payload(state), indent=1)
-    assert state_to_payload(state)["kind"] == "postcard-state"

@@ -32,7 +32,6 @@ def test_cold_network_delivers_nothing(line3):
     bulk = TransferRequest(0, 1, 10.0, 4, release_slot=0)
     result = maximize_bulk_throughput(state, [bulk])
     assert result.total_delivered == pytest.approx(0.0)
-    assert result.fraction_delivered(bulk) == pytest.approx(0.0)
 
 
 def test_rides_paid_headroom(line3):
@@ -79,4 +78,3 @@ def test_never_exceeds_file_size(line3):
     small = TransferRequest(0, 1, 3.0, 8, release_slot=1)
     result = maximize_bulk_throughput(state, [small])
     assert result.delivered[small.request_id] == pytest.approx(3.0)
-    assert result.fraction_delivered(small) == pytest.approx(1.0)

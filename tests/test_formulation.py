@@ -129,15 +129,6 @@ def test_storage_enables_cheaper_path(fig1):
     assert sol_full.objective <= sol_hot.objective + 1e-9
 
 
-def test_charged_volumes_accessor(line3):
-    state = NetworkState(line3, horizon=10)
-    request = TransferRequest(0, 1, 5.0, 1, release_slot=0)
-    built = build_postcard_model(state, [request])
-    _, solution = built.solve()
-    charged = built.charged_volumes(solution)
-    assert charged[(0, 1)] == pytest.approx(5.0)
-
-
 def test_mixed_release_slots(line3):
     state = NetworkState(line3, horizon=20)
     r1 = TransferRequest(0, 1, 5.0, 2, release_slot=0)

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import TopologyError
 from repro.net.generators import (
     complete_topology,
-    custom_topology,
     fig1_topology,
     fig3_topology,
     line_topology,
@@ -110,13 +109,3 @@ def test_two_region_topology_price_structure():
     assert intra < inter
     assert topo.datacenter(0).region == "east"
     assert topo.datacenter(5).region == "west"
-
-
-def test_custom_topology():
-    topo = custom_topology(3, price_fn=lambda s, d: s + d, capacity=5.0)
-    assert topo.num_links == 6
-    assert topo.link(1, 2).price == 3.0
-    sparse = custom_topology(
-        3, price_fn=lambda s, d: 1.0, capacity=5.0, pairs=[(0, 1), (1, 2)]
-    )
-    assert sparse.num_links == 2

@@ -43,13 +43,6 @@ def test_record_negative_rejected(ledger):
         ledger.record(0, 1, -1, 1.0)
 
 
-def test_record_schedule_bulk(ledger):
-    ledger.record_schedule([(0, 1, 0, 1.0), (1, 2, 0, 2.0), (0, 1, 1, 3.0)])
-    assert ledger.volume(0, 1, 0) == 1.0
-    assert ledger.volume(1, 2, 0) == 2.0
-    assert set(ledger.used_links()) == {(0, 1), (1, 2)}
-
-
 def test_samples_padded_to_horizon(ledger):
     ledger.record(0, 1, 2, 5.0)
     samples = ledger.samples(0, 1)

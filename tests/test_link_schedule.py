@@ -36,7 +36,6 @@ class TestWindowSemantics:
         assert schedule.is_up(3, 4, 0)
         assert schedule.up_in_range(3, 4, 0, 100)
         assert schedule.fully_up_in_range(3, 4, 0, 100)
-        assert schedule.next_up_slot(3, 4, 7) == 7
 
     def test_half_open_window(self):
         schedule = LinkSchedule([AvailabilityWindow(0, 1, 2, 4)])
@@ -50,13 +49,6 @@ class TestWindowSemantics:
         schedule.schedule_link(0, 1)
         assert not schedule.is_up(0, 1, 0)
         assert not schedule.up_in_range(0, 1, 0, 100)
-        assert schedule.next_up_slot(0, 1, 0) is None
-
-    def test_clear_link_reverts_to_always_on(self):
-        schedule = LinkSchedule([AvailabilityWindow(0, 1, 2, 4)])
-        schedule.clear_link(0, 1)
-        assert schedule.is_up(0, 1, 0)
-        assert not schedule.is_scheduled(0, 1)
 
     def test_windows_merge_overlap_and_adjacency(self):
         schedule = LinkSchedule()
@@ -95,11 +87,6 @@ class TestWindowSemantics:
         assert schedule.epoch == 2
         assert schedule.link_epoch(2, 3) == 2
         assert schedule.link_epoch(0, 1) == 1
-        schedule.clear_link(0, 1)
-        assert schedule.epoch == 3
-        # Clearing an unknown link is a no-op, not a mutation.
-        schedule.clear_link(5, 6)
-        assert schedule.epoch == 3
 
     def test_coverage(self):
         schedule = LinkSchedule([AvailabilityWindow(0, 1, 0, 5)])
@@ -117,7 +104,6 @@ class TestWindowSemantics:
         schedule.to_file(path)
         loaded = LinkSchedule.from_file(path)
         assert loaded.to_payload() == schedule.to_payload()
-        assert loaded.is_scheduled(4, 5)
         assert not loaded.is_up(4, 5, 0)
 
     def test_from_file_rejects_garbage(self, tmp_path):
@@ -273,7 +259,7 @@ class TestGraphCacheChurn:
             lambda: schedule.set_windows(0, 1, [(2, 6)]),
             lambda: schedule.schedule_link(2, 3),
             lambda: schedule.add_window(AvailabilityWindow(2, 3, 1, 2)),
-            lambda: schedule.clear_link(1, 2),
+            lambda: schedule.set_windows(1, 2, [(0, 8)]),
             lambda: None,  # static build: the bit-identical fast path
         ]
         for mutate in mutations:

@@ -53,7 +53,7 @@ def test_burst_slot_is_amnestied(line3):
     standard = PostcardScheduler(line3, horizon=horizon)
     standard.on_slot(0, [TransferRequest(0, 1, 40.0, 8, release_slot=0)])
 
-    bill_aware = aware.billed_cost_per_slot()
+    bill_aware = aware.state.ledger.cost_per_slot(PercentileCharging(q))
     bill_standard = standard.state.ledger.cost_per_slot(PercentileCharging(q))
     assert bill_aware <= bill_standard + 1e-6
     # It used at least one amnesty.
@@ -87,7 +87,7 @@ def test_simulation_run_and_audit():
     result = Simulation(scheduler, workload, num_slots=6).run()
     assert result.max_lateness() == 0
     # The q-bill is never above the max bill.
-    assert scheduler.billed_cost_per_slot() <= (
+    assert scheduler.state.ledger.cost_per_slot(PercentileCharging(90)) <= (
         scheduler.state.ledger.cost_per_slot() + 1e-9
     )
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.plots import (
-    bar_chart,
     cost_trajectory_sketch,
     sparkline,
     utilization_rows,
@@ -25,23 +24,6 @@ class TestSparkline:
     def test_extremes_mapped_to_ends(self):
         line = sparkline([10, 0, 10])
         assert line == "█▁█"
-
-
-class TestBarChart:
-    def test_empty(self):
-        assert bar_chart([]) == ""
-
-    def test_proportions(self):
-        chart = bar_chart([("a", 2.0), ("bb", 4.0)], width=4)
-        lines = chart.splitlines()
-        assert lines[0].startswith("a ")
-        assert lines[0].count("█") == 2
-        assert lines[1].count("█") == 4
-        assert "4" in lines[1]
-
-    def test_zero_values(self):
-        chart = bar_chart([("a", 0.0)], width=4)
-        assert "█" not in chart
 
 
 class TestUtilizationRows:

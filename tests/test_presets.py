@@ -8,7 +8,6 @@ from repro.net.presets import (
     global_cloud_topology,
     haversine_km,
     link_price,
-    price_matrix,
 )
 
 
@@ -61,12 +60,6 @@ def test_custom_regions():
     topo = global_cloud_topology(capacity=10.0, regions=regions)
     assert topo.num_datacenters == 2
     assert topo.num_links == 2
-
-
-def test_price_matrix_covers_all_pairs():
-    matrix = price_matrix()
-    assert len(matrix) == 8 * 7
-    assert all(price > 0 for price in matrix.values())
 
 
 def test_preset_works_with_scheduler():

@@ -38,7 +38,6 @@ class TestSalvageViaReplan:
         assert result.salvaged_gb == pytest.approx(6.0)
         assert result.lost_gb == 0.0
         assert result.deadline_misses == 0
-        assert result.salvage_rate == pytest.approx(1.0)
         assert request.request_id in scheduler.state.completions
         # The dead slot carries nothing; the volume moved afterwards.
         assert scheduler.state.ledger.volume(0, 1, 0) == 0.0
@@ -104,7 +103,6 @@ class TestSloViolation:
         assert result.lost_gb == pytest.approx(6.0)
         assert result.deadline_misses == 1
         assert result.slo_violations == [request.request_id]
-        assert result.salvage_rate == 0.0
         # The failed file is no longer recorded as completed.
         assert request.request_id not in scheduler.state.completions
 

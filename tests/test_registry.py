@@ -7,7 +7,6 @@ from repro.core.interfaces import Scheduler
 from repro.net.generators import line_topology
 from repro.registry import (
     make_scheduler,
-    register_scheduler,
     scheduler_factory,
     scheduler_names,
 )
@@ -39,15 +38,6 @@ def test_unknown_name_rejected(line3):
         make_scheduler("quantum", line3, 10)
     with pytest.raises(ReproError):
         scheduler_factory("quantum")
-
-
-def test_register_custom(line3):
-    from repro.baselines import DirectScheduler
-
-    register_scheduler("custom-direct", lambda t, h: DirectScheduler(t, h))
-    scheduler = make_scheduler("custom-direct", line3, 10)
-    assert isinstance(scheduler, DirectScheduler)
-    assert "custom-direct" in scheduler_names()
 
 
 @pytest.mark.parametrize("name", ["direct", "greedy", "heuristic"])

@@ -9,7 +9,6 @@ from repro.sim.report import (
     latest_per_figure,
     load_records,
     render_markdown,
-    write_report,
 )
 
 
@@ -70,15 +69,6 @@ def test_render_markdown():
 
 def test_render_empty():
     assert "(no records)" in render_markdown([])
-
-
-def test_write_report(tmp_path):
-    src = tmp_path / "r.jsonl"
-    write_jsonl(src, [record()])
-    out = tmp_path / "report.md"
-    count = write_report(src, out)
-    assert count == 1
-    assert "Fig. 6" in out.read_text()
 
 
 def test_cli_report(tmp_path, capsys):

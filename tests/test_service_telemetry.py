@@ -10,6 +10,7 @@ import pytest
 
 from repro import obs
 from repro.errors import ObservabilityError
+from repro.core.checkpoint import state_to_payload
 from repro.service import (
     ServiceConfig,
     ServiceDaemon,
@@ -244,28 +245,9 @@ def test_wall_epoch_survives_a_resume_before_the_first_checkpoint(tmp_path, monk
     resumed = make_broker(tmp_path, checkpoint_every=100)
     assert resumed.store.stats()["checkpoints"] == 0
     assert resumed.wall_epoch == broker.wall_epoch
-    assert resumed.stamped_usage() == broker.stamped_usage()
+    assert [resumed.wall_time(s) for s in range(2)] == [broker.wall_time(s) for s in range(2)]
+    assert state_to_payload(resumed.state)["usage"] == state_to_payload(broker.state)["usage"]
     assert {cid: resumed.decisions[cid]["wall_ts"] for cid in acked} == acked
-
-
-def test_stamped_usage_aligns_samples_to_wall_clock(tmp_path):
-    broker = make_broker(wall_epoch=1000.0)
-    for i in range(3):
-        broker.submit(submit_fields(i))
-    broker.process_slot()
-    usage = broker.stamped_usage()
-    assert usage, "admitted traffic must appear in the ledger"
-    for entry in usage:
-        assert entry["charged_gb"] >= 0.0
-        assert entry["total_gb"] > 0.0
-        for sample in entry["samples"]:
-            # Every per-slot sample is stamped onto the 5-minute grid.
-            assert sample["wall_ts"] == 1000.0 + sample["slot"] * 300.0
-            assert sample["gb"] > 0.0
-    # Busiest link first, and `top` truncates.
-    totals = [entry["total_gb"] for entry in usage]
-    assert totals == sorted(totals, reverse=True)
-    assert len(broker.stamped_usage(top=1)) == 1
 
 
 def test_broker_telemetry_body_shape():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.traffic import TransferRequest, expand_multicast
-from repro.traffic.spec import split_oversized
 
 
 def test_basic_fields():
@@ -57,23 +56,3 @@ def test_expand_multicast_validation():
         expand_multicast(0, [], 10.0, 2)
     with pytest.raises(WorkloadError):
         expand_multicast(0, [1, 1], 10.0, 2)
-
-
-def test_split_oversized_no_split_needed():
-    req = TransferRequest(0, 1, 100.0, 3)
-    assert split_oversized(req, 360.0) == [req]
-
-
-def test_split_oversized_splits_evenly():
-    req = TransferRequest(0, 1, 100.0, 3, release_slot=2)
-    pieces = split_oversized(req, 30.0)
-    assert len(pieces) == 4
-    assert sum(p.size_gb for p in pieces) == pytest.approx(100.0)
-    assert all(p.deadline_slots == 3 and p.release_slot == 2 for p in pieces)
-    assert max(p.size_gb for p in pieces) <= 30.0
-
-
-def test_split_oversized_validation():
-    req = TransferRequest(0, 1, 100.0, 3)
-    with pytest.raises(WorkloadError):
-        split_oversized(req, 0.0)

@@ -41,14 +41,6 @@ def test_mean_ci_empty():
         mean_ci([])
 
 
-def test_overlaps():
-    a = ConfidenceInterval(10.0, 1.0, 0.95, 5)
-    b = ConfidenceInterval(11.5, 1.0, 0.95, 5)
-    c = ConfidenceInterval(20.0, 1.0, 0.95, 5)
-    assert a.overlaps(b) and b.overlaps(a)
-    assert not a.overlaps(c)
-
-
 def test_str_format():
     text = str(ConfidenceInterval(10.0, 1.5, 0.95, 10))
     assert "10.00" in text and "1.50" in text and "95%" in text

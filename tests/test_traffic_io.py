@@ -1,29 +1,15 @@
-"""Unit tests for trace and schedule serialization."""
-
-from pathlib import Path
+"""Unit tests for request trace serialization."""
 
 import pytest
 
 from repro.errors import WorkloadError
-from repro.core.schedule import (
-    SEMANTICS_FLUID,
-    ScheduleEntry,
-    TransferSchedule,
-)
 from repro.traffic import TransferRequest
 from repro.traffic.io import (
     load_requests,
-    load_schedule,
     requests_from_json,
     requests_to_json,
     save_requests,
-    save_schedule,
-    schedule_from_json,
-    schedule_to_json,
 )
-from tests.schedule_reference import storage_slot_volumes
-
-DATA = Path(__file__).parent / "data"
 
 
 def sample_requests():
@@ -62,63 +48,6 @@ def test_request_errors():
     with pytest.raises(WorkloadError, match="missing field"):
         requests_from_json(
             '{"kind": "postcard-trace", "version": 1, "requests": [{"source": 0}]}'
-        )
-
-
-def test_schedule_round_trip():
-    schedule = TransferSchedule(
-        [ScheduleEntry(7, 0, 1, 2, 3.5), ScheduleEntry(7, 1, 2, 4, 3.5)],
-        stored=[(7, 3.5)],
-    )
-    restored = schedule_from_json(schedule_to_json(schedule))
-    assert restored.semantics == schedule.semantics
-    assert restored.entries == schedule.entries
-    assert restored.stored == schedule.stored
-    assert restored.total_storage_volume() == pytest.approx(3.5)
-
-
-def test_a_schedule_with_holdover_rows_still_loads():
-    # Written when every waiting slot was a "holdover" row: file 41 relays
-    # through 1 and waits there two slots, file 42 waits a slot at its
-    # source, and its transit row predates the "kind" field.
-    relay = TransferRequest(0, 2, 4.0, 4, release_slot=0, request_id=41)
-    direct = TransferRequest(0, 2, 1.5, 2, release_slot=0, request_id=42)
-    schedule = load_schedule(DATA / "holdover_schedule_v1.json")
-    assert [tuple(e) for e in schedule.entries] == [
-        (41, 0, 1, 0, 4.0), (41, 1, 2, 3, 4.0), (42, 0, 2, 1, 1.5),
-    ]
-    assert schedule.stored == [(41, 4.0), (41, 4.0), (42, 1.5)]
-    schedule.validate([relay, direct])
-    assert storage_slot_volumes(schedule, [relay, direct]) == {
-        (1, 1): 4.0, (1, 2): 4.0, (0, 0): 1.5,
-    }
-    restored = schedule_from_json(schedule_to_json(schedule))
-    assert restored.entries == schedule.entries
-    assert restored.stored == schedule.stored
-
-
-def test_fluid_schedule_round_trip(tmp_path):
-    schedule = TransferSchedule(
-        [ScheduleEntry(1, 0, 1, 0, 2.0)], semantics=SEMANTICS_FLUID
-    )
-    path = tmp_path / "schedule.json"
-    save_schedule(schedule, path)
-    restored = load_schedule(path)
-    assert restored.semantics == SEMANTICS_FLUID
-
-
-def test_schedule_errors():
-    with pytest.raises(WorkloadError, match="JSON"):
-        schedule_from_json("[")
-    with pytest.raises(WorkloadError, match="not a postcard schedule"):
-        schedule_from_json('{"kind": "postcard-trace"}')
-    with pytest.raises(WorkloadError, match="semantics"):
-        schedule_from_json(
-            '{"kind": "postcard-schedule", "version": 1, "semantics": "quantum"}'
-        )
-    with pytest.raises(WorkloadError, match="missing field"):
-        schedule_from_json(
-            '{"kind": "postcard-schedule", "version": 1, "entries": [{"src": 0}]}'
         )
 
 

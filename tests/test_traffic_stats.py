@@ -36,13 +36,6 @@ def test_known_trace():
     assert stats.hottest_pairs[0] == ((0, 1), 40.0)
 
 
-def test_utilization_of():
-    topo = complete_topology(3, capacity=10.0, seed=0)  # 6 links x 10
-    requests = [TransferRequest(0, 1, 12.0, 2, release_slot=0)]
-    stats = collect_stats(TraceWorkload(requests), 1)
-    assert stats.utilization_of(topo) == pytest.approx(6.0 / 60.0)
-
-
 def test_describe_readable():
     requests = [TransferRequest(0, 1, 10.0, 2, release_slot=0)]
     text = collect_stats(TraceWorkload(requests), 1).describe()

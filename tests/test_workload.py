@@ -1,23 +1,15 @@
 """Unit tests for workload generators."""
 
-from concurrent.futures import ProcessPoolExecutor
-
-import multiprocessing
-
 import pytest
 
 from repro.errors import WorkloadError
-from repro.net.generators import complete_topology
 from repro.traffic import (
     DiurnalWorkload,
-    FlashCrowdWorkload,
-    MergedWorkload,
     PaperWorkload,
     PoissonWorkload,
     TraceWorkload,
     TransferRequest,
 )
-from repro.traffic.io import workload_from_json, workload_to_json
 
 
 def fingerprint(workload, slots):
@@ -29,17 +21,6 @@ def fingerprint(workload, slots):
         ]
         for slot in range(slots)
     ]
-
-
-def _rebuild_fingerprint(args):
-    """Worker: rebuild a serialized workload and fingerprint it.
-
-    Module-level so process pools can pickle it — the same constraint
-    the ``repro.sim.parallel`` task specs live under.
-    """
-    payload, slots = args
-    topology = complete_topology(4, capacity=50.0, seed=9)
-    return fingerprint(workload_from_json(payload, topology), slots)
 
 
 class TestPaperWorkload:
@@ -150,76 +131,6 @@ class TestSeededDeterminism:
         assert backwards == list(reversed(forwards))
 
 
-class TestWorkloadSerialization:
-    def test_seasonality_period_round_trip(self, small_complete):
-        wl = DiurnalWorkload(
-            small_complete, max_deadline=5, peak_files=18, trough_files=3,
-            slots_per_day=36, phase_slots=9, min_size=20.0, max_size=80.0,
-            seed=7,
-        )
-        rebuilt = workload_from_json(workload_to_json(wl), small_complete)
-        assert isinstance(rebuilt, DiurnalWorkload)
-        assert rebuilt.slots_per_day == 36
-        assert rebuilt.phase_slots == 9
-        assert rebuilt.seed == 7
-        for slot in range(72):
-            assert rebuilt.intensity(slot) == pytest.approx(wl.intensity(slot))
-        assert fingerprint(rebuilt, 72) == fingerprint(wl, 72)
-
-    @pytest.mark.parametrize("build", [
-        lambda t: PaperWorkload(t, max_deadline=4, seed=3,
-                                deadline_distribution="uniform"),
-        lambda t: PoissonWorkload(t, max_deadline=4, rate=2.5, seed=3),
-        lambda t: FlashCrowdWorkload(t, max_deadline=4, base_rate=1.5,
-                                     burst_probability=0.2, seed=3),
-        lambda t: MergedWorkload([
-            PoissonWorkload(t, max_deadline=4, rate=1.0, seed=1),
-            DiurnalWorkload(t, 4, slots_per_day=12, phase_slots=3, seed=2),
-        ]),
-    ])
-    def test_families_round_trip(self, small_complete, build):
-        wl = build(small_complete)
-        rebuilt = workload_from_json(workload_to_json(wl), small_complete)
-        assert type(rebuilt) is type(wl)
-        assert fingerprint(rebuilt, 30) == fingerprint(wl, 30)
-
-    def test_rejects_junk(self, small_complete):
-        with pytest.raises(WorkloadError, match="not a postcard workload"):
-            workload_from_json('{"kind": "nope"}', small_complete)
-        with pytest.raises(WorkloadError, match="unknown workload family"):
-            workload_from_json(
-                '{"kind": "postcard-workload", "version": 1, '
-                '"family": "fractal"}',
-                small_complete,
-            )
-        with pytest.raises(WorkloadError, match="cannot serialize"):
-            workload_to_json(TraceWorkload([]))
-
-
-class TestPhaseAlignmentAcrossProcesses:
-    def test_parallel_rebuilds_agree(self):
-        """Two pool workers rebuilding the same serialized diurnal
-        workload must release identical, phase-aligned request streams
-        (what keeps `parallel` comparison cells comparable)."""
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            pytest.skip("needs a fork start method")
-        topology = complete_topology(4, capacity=50.0, seed=9)
-        wl = DiurnalWorkload(
-            topology, max_deadline=4, slots_per_day=24, phase_slots=6,
-            seed=13,
-        )
-        payload = workload_to_json(wl)
-        local = fingerprint(wl, 48)
-        with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
-            remote = list(
-                pool.map(_rebuild_fingerprint, [(payload, 48)] * 2)
-            )
-        assert remote[0] == local
-        assert remote[1] == local
-
-
 class TestTraceWorkload:
     def test_replay(self):
         reqs = [
@@ -231,7 +142,6 @@ class TestTraceWorkload:
         assert len(wl.requests_at(0)) == 2
         assert wl.requests_at(1) == []
         assert wl.requests_at(4)[0].size_gb == 3.0
-        assert wl.num_requests == 3
 
     def test_all_requests(self):
         reqs = [TransferRequest(0, 1, 1.0, 2, release_slot=s) for s in range(5)]
