@@ -42,7 +42,7 @@ import contextlib
 import sys
 from typing import List, Optional
 
-from repro.errors import ReproError, ServiceError, TopologyError
+from repro.errors import ReproError, TopologyError
 
 #: The paper figures ``figure`` regenerates; their settings are
 #: :mod:`repro.sim.runner`'s ``FIG4`` .. ``FIG7``.
@@ -501,34 +501,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if not requests:
         raise ReproError("nothing to replay")
 
-    pacing = dict(rate_per_min=args.rate, max_retries=args.max_retries,
-                  drain=args.drain, outstanding=args.outstanding)
-    per_shard = {}
-    if args.endpoint:
-        from repro.service import ShardMap, run_fleet_loadgen
-
-        endpoints = _parse_shard_specs(args.endpoint)
-        result, per_shard = asyncio.run(run_fleet_loadgen(
-            requests, endpoints, shard_map=ShardMap(sorted(endpoints)), **pacing
-        ))
-    else:
-        result = asyncio.run(run_loadgen(
-            requests, host=args.host, port=args.port, socket_path=args.socket,
-            **pacing,
-        ))
+    result = asyncio.run(run_loadgen(
+        requests, host=args.host, port=args.port, socket_path=args.socket,
+        rate_per_min=args.rate, max_retries=args.max_retries,
+        drain=args.drain, outstanding=args.outstanding,
+    ))
 
     summary = result.summary()
-    if per_shard:
-        summary["shards"] = {
-            name: shard_result.summary()
-            for name, shard_result in per_shard.items()
-        }
-        for name, s in sorted(summary["shards"].items()):
-            print(
-                f"  shard {name}: submitted={s['submitted']} "
-                f"admitted={s['admitted']} rejected={s['rejected']} "
-                f"failed={s['failed']} capacity={s['capacity_per_s']} req/s"
-            )
     if args.json:
         from pathlib import Path
 
@@ -574,14 +553,12 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
     from repro.service import run_watch
 
-    endpoints = _parse_shard_specs(args.endpoint) if args.endpoint else None
     try:
         frames = asyncio.run(
             run_watch(
                 host=args.host,
                 port=args.port,
                 socket_path=args.socket,
-                endpoints=endpoints,
                 interval_s=args.interval,
                 iterations=1 if args.once else args.iterations,
                 clear=not (args.no_clear or args.once),
@@ -590,182 +567,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         return 0
     return 0 if frames else 1
-
-
-def _parse_shard_specs(specs) -> dict:
-    """``NAME=ENDPOINT`` pairs -> ordered shard dict (raises on junk)."""
-    shards = {}
-    for spec in specs or ():
-        name, sep, endpoint = spec.partition("=")
-        if not sep or not name.strip() or not endpoint.strip():
-            raise ServiceError(
-                f"bad shard spec {spec!r}; expected NAME=ENDPOINT "
-                "(e.g. us=127.0.0.1:7411 or eu=unix:/tmp/eu.sock)"
-            )
-        if name.strip() in shards:
-            raise ServiceError(f"duplicate shard name {name.strip()!r}")
-        shards[name.strip()] = endpoint.strip()
-    return shards
-
-
-#: The ``ServiceConfig`` fields ``fleet serve`` takes as flags for its
-#: shards (the endpoint flags there are the router's own).
-FLEET_SHARD_FLAGS = (
-    "datacenters", "capacity", "seed", "scheduler", "max_deadline",
-    "tick_seconds", "max_queue", "period_slots",
-)
-
-
-def serve_command(config) -> List[str]:
-    """The command line that runs ``config`` as a ``repro serve`` daemon
-    (what ``fleet serve --spawn`` launches per shard)."""
-    from repro.service.config import to_argv
-
-    return [sys.executable, "-m", "repro", "serve", *to_argv(config)]
-
-
-async def _call_once(op: str, host: str, port: int, socket_path: Optional[str]):
-    """Open a connection, send one ``op``, close it; returns the answer."""
-    from repro.service import Connection
-
-    conn = await Connection.open(host, port, socket_path)
-    try:
-        return await conn.call({"op": op})
-    finally:
-        await conn.close()
-
-
-def _cmd_fleet_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import subprocess
-
-    from repro.service import FleetConfig, FleetRouter, parse_endpoint
-    from repro.service.config import from_args
-
-    shards = _parse_shard_specs(args.shard)
-    fleet = FleetConfig(
-        shards=shards,
-        gateway_dc=args.gateway,
-        gateway_mode=args.gateway_mode,
-        checkpoint_root=args.checkpoint_root,
-        shard=from_args(args, FLEET_SHARD_FLAGS),
-    )
-    commands = [
-        serve_command(fleet.shard_config(name)) for name in sorted(shards)
-    ] if args.spawn else []
-    procs = [subprocess.Popen(command) for command in commands]
-
-    async def _run() -> None:
-        # Wait for every shard to answer a ping before opening the
-        # front door (spawned shards need a moment to bind).
-        for name in sorted(shards):
-            host, port, socket_path = parse_endpoint(shards[name])
-            deadline = asyncio.get_running_loop().time() + args.spawn_timeout
-            while True:
-                try:
-                    await _call_once("ping", host, port, socket_path)
-                    break
-                except (OSError, ConnectionError, ServiceError):
-                    if (
-                        not args.spawn
-                        or asyncio.get_running_loop().time() > deadline
-                    ):
-                        raise ServiceError(
-                            f"shard {name!r} at {shards[name]} is not "
-                            "answering"
-                        )
-                    await asyncio.sleep(0.1)
-        router = FleetRouter(
-            fleet, host=args.host, port=args.port, socket_path=args.socket
-        )
-        await router.start()
-        print(
-            f"fleet router on {router.endpoint} shards="
-            f"{','.join(sorted(shards))} gateway_dc={fleet.gateway_dc} "
-            f"gateway_mode={fleet.gateway_mode}",
-            flush=True,
-        )
-        try:
-            await router.run_until_stopped()
-        finally:
-            await router.stop()
-        print(
-            f"fleet drained: submitted={router.counts['submitted']} "
-            f"direct={router.counts['direct']} "
-            f"relayed={router.counts['relayed']}",
-            flush=True,
-        )
-
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("interrupted")
-        return 130
-    finally:
-        for proc in procs:
-            proc.terminate()  # a no-op on one that already exited
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-    return 0
-
-
-def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    import asyncio
-    import json as _json
-
-    from repro.analysis import format_table
-    from repro.service import parse_endpoint
-
-    response = asyncio.run(_call_once("stats", *parse_endpoint(args.endpoint)))
-    if not response.get("ok"):
-        raise ServiceError(str(response.get("message", response)))
-    if args.json:
-        print(_json.dumps(response, indent=2, sort_keys=True))
-        return 0
-    router = response.get("router", {})
-    fleet = response.get("fleet", {})
-    print(
-        f"fleet router {response.get('endpoint', '?')} — "
-        f"map v{router.get('map_version', '?')} "
-        f"submitted={router.get('submitted', 0)} "
-        f"direct={router.get('direct', 0)} relayed={router.get('relayed', 0)} "
-        f"relays_active={router.get('relays_active', 0)} "
-        f"parked={router.get('parked', 0)}"
-    )
-    rows = []
-    for name in sorted(response.get("shards", {})):
-        body = response["shards"][name]
-        if "down" in body and "next_slot" not in body:
-            rows.append([name, "DOWN", "-", "-", "-", "-", "-"])
-            continue
-        rows.append([
-            name,
-            body.get("next_slot", "?"),
-            f"{body.get('queue_depth', '?')}/{body.get('max_queue', '?')}",
-            body.get("submitted", 0),
-            body.get("admitted", 0),
-            body.get("rejected", 0),
-            body.get("cost_per_slot", 0.0),
-        ])
-    print(format_table(
-        ["shard", "slot", "queue", "submitted", "admitted", "rejected",
-         "cost/slot"],
-        rows,
-    ))
-    print(
-        f"fleet totals: submitted={fleet.get('submitted', 0)} "
-        f"admitted={fleet.get('admitted', 0)} "
-        f"rejected={fleet.get('rejected', 0)} "
-        f"cost/slot={fleet.get('cost_per_slot', 0.0)}"
-    )
-    down = router.get("down") or []
-    if down:
-        print(f"down shards: {', '.join(down)}")
-        return 1
-    return 0
 
 
 def _looks_like_obs_events(path: str) -> bool:
@@ -828,24 +629,13 @@ def _flags(parser: argparse.ArgumentParser, **defaults) -> None:
         )
 
 
-def _endpoint_flags(
-    parser: argparse.ArgumentParser,
-    port: int = 7411,
-    port_help: Optional[str] = None,
-    socket_help: str = "connect over a unix socket instead of TCP",
-) -> None:
-    """``--host`` / ``--port`` / ``--socket``: a client's daemon or a
-    router's own endpoint."""
+def _endpoint_flags(parser: argparse.ArgumentParser) -> None:
+    """``--host`` / ``--port`` / ``--socket``: a client's daemon."""
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=port, help=port_help)
-    parser.add_argument("--socket", metavar="PATH", default=None, help=socket_help)
-
-
-def _fleet_endpoint_flag(parser: argparse.ArgumentParser, what: str) -> None:
-    """The repeatable ``--endpoint NAME=ENDPOINT`` of a fleet client."""
+    parser.add_argument("--port", type=int, default=7411)
     parser.add_argument(
-        "--endpoint", action="append", metavar="NAME=ENDPOINT",
-        help=f"fleet mode (repeatable): {what}; overrides --host/--port/--socket",
+        "--socket", metavar="PATH", default=None,
+        help="connect over a unix socket instead of TCP",
     )
 
 
@@ -1098,10 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lg.add_argument(
         "--json", metavar="PATH", help="also write the summary as JSON"
     )
-    _fleet_endpoint_flag(
-        p_lg, "drive several shard daemons at once, partitioning requests "
-        "by consistent-hash on source",
-    )
     p_lg.set_defaults(func=_cmd_loadgen)
 
     p_watch = sub.add_parser(
@@ -1124,64 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-clear", action="store_true",
         help="do not clear the screen between frames (pipe-friendly)",
     )
-    _fleet_endpoint_flag(
-        p_watch, "watch several shard daemons as per-shard dashboard rows"
-    )
     p_watch.set_defaults(func=_cmd_watch)
-
-    p_fleet = sub.add_parser(
-        "fleet",
-        help="run or inspect a sharded broker fleet (see docs/SERVICE.md)",
-    )
-    fleet_sub = p_fleet.add_subparsers(dest="fleet_command", required=True)
-    p_fs = fleet_sub.add_parser(
-        "serve",
-        help="run the front-end router over per-region shard daemons",
-    )
-    p_fs.add_argument(
-        "--shard", action="append", required=True, metavar="NAME=ENDPOINT",
-        help="one shard daemon (repeatable); endpoint is host:port or "
-        "unix:/path",
-    )
-    p_fs.add_argument(
-        "--spawn", action="store_true",
-        help="launch each shard as a `repro serve` subprocess on its "
-        "endpoint (otherwise shards must already be running)",
-    )
-    p_fs.add_argument(
-        "--spawn-timeout", type=float, default=15.0,
-        help="seconds to wait for spawned shards to answer ping",
-    )
-    p_fs.add_argument(
-        "--gateway", type=int, default=0, metavar="DC",
-        help="gateway datacenter cross-shard relays hop through",
-    )
-    p_fs.add_argument(
-        "--gateway-mode", choices=("fixed", "cheapest"), default="fixed",
-        help="route relays through the fixed --gateway DC, or pick the "
-        "cheapest gateway per transfer from link prices",
-    )
-    _endpoint_flags(
-        p_fs, 7410, "router TCP port (0 = ephemeral)",
-        "serve the router on a unix socket instead of TCP",
-    )
-    p_fs.add_argument(
-        "--checkpoint-root", metavar="DIR", default=None,
-        help="per-shard checkpoint dirs are created under DIR/<shard>",
-    )
-    add_service_flags(p_fs, FLEET_SHARD_FLAGS)
-    p_fs.set_defaults(func=_cmd_fleet_serve)
-    p_fstat = fleet_sub.add_parser(
-        "status", help="one-shot fleet stats from a running router"
-    )
-    p_fstat.add_argument(
-        "--endpoint", default="127.0.0.1:7410",
-        help="router endpoint (host:port or unix:/path)",
-    )
-    p_fstat.add_argument(
-        "--json", action="store_true", help="print the raw stats response"
-    )
-    p_fstat.set_defaults(func=_cmd_fleet_status)
 
     p_report = sub.add_parser(
         "report",

@@ -33,9 +33,9 @@ from repro.net.schedule import LinkSchedule
 from repro.net.topology import Topology
 
 #: (nodes, links with prices, max_paths) -> an index's static tables.
-#: Schedulers built on the same network (a fleet's in-process shards,
-#: the runs of a sweep) share one; it is never mutated, so a race
-#: between two threads building one only repeats work.
+#: Schedulers built on the same network (the runs of a sweep) share one;
+#: it is never mutated, so a race between two threads building one only
+#: repeats work.
 _TABLES: Dict[tuple, tuple] = {}
 _TABLES_KEPT = 32
 

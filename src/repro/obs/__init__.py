@@ -43,7 +43,6 @@ _EXPORTS = {
     "validate_prometheus": "repro.obs.prom",
     "render_report": "repro.obs.report",
     "render_events_report": "repro.obs.report",
-    "rollup_snapshots": "repro.obs.metrics",
     "collecting": "repro.obs.sinks",
 }
 

@@ -287,75 +287,3 @@ class MetricsSnapshot:
             f"counters={len(self.counters)}, gauges={len(self.gauges)}, "
             f"histograms={len(self.span_histograms) + len(self.gauge_histograms)})"
         )
-
-
-def rollup_snapshots(
-    snapshots: Dict[str, Dict[str, Any]]
-) -> Dict[str, Any]:
-    """Fold per-shard :meth:`MetricsSnapshot.snapshot` dicts into one.
-
-    The fleet view over whatever each shard's ``metrics`` op returned:
-
-    * counters add (totals and increment counts);
-    * gauges: ``last`` adds (the meaningful fleet read for additive
-      gauges like queue depth and active connections; read
-      ratio-valued gauges per shard), ``min``/``max`` take the
-      fleet-wide extremes, counts add;
-    * histograms: counts add and the mean is volume-weighted, but the
-      per-shard snapshots carry *rendered* percentiles, not buckets —
-      so each rolled-up pXX is the **worst shard's** pXX.  That is the
-      conservative read a fleet SLO wants: "every shard's p99 under
-      budget" gates on exactly this number.
-
-    ``shards`` lists the inputs so a rollup is self-describing.
-    """
-    rolled: Dict[str, Any] = {
-        "shards": sorted(snapshots),
-        "events": 0,
-        "counters": {},
-        "gauges": {},
-        "histograms": {},
-    }
-    for name in sorted(snapshots):
-        snap = snapshots[name] or {}
-        rolled["events"] += int(snap.get("events", 0))
-        for cname, stat in snap.get("counters", {}).items():
-            agg = rolled["counters"].setdefault(
-                cname, {"total": 0.0, "count": 0}
-            )
-            agg["total"] += float(stat.get("total", 0.0))
-            agg["count"] += int(stat.get("count", 0))
-        for gname, stat in snap.get("gauges", {}).items():
-            agg = rolled["gauges"].get(gname)
-            if agg is None:
-                rolled["gauges"][gname] = {
-                    "last": float(stat.get("last", 0.0)),
-                    "min": float(stat.get("min", 0.0)),
-                    "max": float(stat.get("max", 0.0)),
-                    "count": int(stat.get("count", 0)),
-                }
-            else:
-                agg["last"] += float(stat.get("last", 0.0))
-                agg["min"] = min(agg["min"], float(stat.get("min", 0.0)))
-                agg["max"] = max(agg["max"], float(stat.get("max", 0.0)))
-                agg["count"] += int(stat.get("count", 0))
-        for hname, stat in snap.get("histograms", {}).items():
-            count = int(stat.get("count", 0))
-            agg = rolled["histograms"].get(hname)
-            if agg is None:
-                rolled["histograms"][hname] = dict(stat)
-                continue
-            prior = int(agg.get("count", 0))
-            total = prior + count
-            if total > 0:
-                agg["mean"] = (
-                    agg.get("mean", 0.0) * prior + stat.get("mean", 0.0) * count
-                ) / total
-            agg["count"] = total
-            agg["min"] = min(agg.get("min", 0.0), stat.get("min", 0.0))
-            agg["max"] = max(agg.get("max", 0.0), stat.get("max", 0.0))
-            for pct in ("p50", "p90", "p99"):
-                agg[pct] = max(agg.get(pct, 0.0), stat.get(pct, 0.0))
-            if stat.get("errors"):
-                agg["errors"] = agg.get("errors", 0) + int(stat["errors"])
-    return rolled

@@ -10,11 +10,12 @@ scheduler choice, the slot clock, and the intake / checkpoint policies.
 from __future__ import annotations
 
 from dataclasses import Field, dataclass, field, fields
-from typing import Any, Iterable, List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import ServiceError
 from repro.net.generators import complete_topology
 from repro.net.topology import Topology
+from repro.units import SLOT_SECONDS
 
 #: Seconds per virtual slot when none is configured.
 DEFAULT_TICK_SECONDS = 0.25
@@ -27,8 +28,8 @@ def _flag(default, help=None, flag=None, metavar=None, choices=None):
 
     The flag is ``--<field-name-with-dashes>`` unless ``flag`` renames
     it, its type is the default's, and a ``bool`` is a switch.  This
-    metadata is the only declaration: :func:`add_arguments`,
-    :func:`from_args` and :func:`to_argv` are derived from it.
+    metadata is the only declaration: :func:`add_arguments` and
+    :func:`from_args` are derived from it.
     """
     spec = {"flag": flag, "help": help, "metavar": metavar, "choices": choices}
     return field(default=default, metadata=spec)
@@ -172,14 +173,6 @@ class ServiceConfig:
     #: daemon emits nothing unless an external sink is attached.
     telemetry: bool = True
 
-    #: Wall seconds one virtual slot *represents* for billing
-    #: reconciliation — the ISP charging interval, 5 minutes by
-    #: default.  This is deliberately decoupled from ``tick_seconds``
-    #: (how fast the daemon runs): a 0.25 s tick replaying a day of
-    #: 5-minute intervals still exports samples an invoice can be
-    #: matched against.
-    slot_wall_seconds: float = 300.0
-
     #: Unix timestamp slot 0 maps to.  0.0 = stamp ``time.time()`` at
     #: first start; the broker persists the stamp in its checkpoints so
     #: a resumed daemon keeps the original alignment.
@@ -237,8 +230,6 @@ class ServiceConfig:
             raise ServiceError("forecast_period must be >= 2")
         if self.forecast_horizon < 0:
             raise ServiceError("forecast_horizon must be non-negative")
-        if self.slot_wall_seconds <= 0:
-            raise ServiceError("slot_wall_seconds must be positive")
         if self.wall_epoch < 0:
             raise ServiceError("wall_epoch must be non-negative")
 
@@ -260,8 +251,12 @@ class ServiceConfig:
         )
 
     def wall_time(self, slot: float, epoch: float) -> float:
-        """Unix timestamp the start of virtual ``slot`` maps to."""
-        return epoch + slot * self.slot_wall_seconds
+        """Unix timestamp the start of virtual ``slot`` maps to: one
+        slot stands for :data:`~repro.units.SLOT_SECONDS` of wall time,
+        the ISP charging interval, however fast ``tick_seconds`` runs
+        the clock (a 0.25 s tick replaying a day of 5-minute intervals
+        still exports samples an invoice can be matched against)."""
+        return epoch + slot * SLOT_SECONDS
 
     def topology(self) -> Topology:
         """The (deterministic) network this daemon brokers transfers on."""
@@ -290,22 +285,18 @@ class ServiceConfig:
         return f"tcp:{self.host}:{self.port}"
 
 
-def _flagged(names: Optional[Iterable[str]] = None) -> List[Field]:
-    """The flag-carrying fields, all of them or the ``names`` subset."""
-    return [
-        f
-        for f in fields(ServiceConfig)
-        if "flag" in f.metadata and (names is None or f.name in names)
-    ]
+def _flagged() -> List[Field]:
+    """The flag-carrying fields."""
+    return [f for f in fields(ServiceConfig) if "flag" in f.metadata]
 
 
 def _flag_name(f: Field) -> str:
     return f.metadata["flag"] or "--" + f.name.replace("_", "-")
 
 
-def add_arguments(parser, names: Optional[Iterable[str]] = None) -> None:
-    """Declare the config's flags (or the ``names`` subset) on ``parser``."""
-    for f in _flagged(names):
+def add_arguments(parser) -> None:
+    """Declare the config's flags on ``parser``."""
+    for f in _flagged():
         choices = f.metadata["choices"]
         kind = dict(action="store_true") if f.default is False else dict(
             type=None if f.default is None else type(f.default),
@@ -318,31 +309,7 @@ def add_arguments(parser, names: Optional[Iterable[str]] = None) -> None:
         )
 
 
-def from_args(
-    namespace, names: Optional[Iterable[str]] = None, **overrides: Any
-) -> ServiceConfig:
+def from_args(namespace, **overrides: Any) -> ServiceConfig:
     """The config a namespace parsed by :func:`add_arguments` spells."""
-    values = {f.name: getattr(namespace, f.name) for f in _flagged(names)}
+    values = {f.name: getattr(namespace, f.name) for f in _flagged()}
     return ServiceConfig(**{**values, **overrides})
-
-
-def to_argv(config: ServiceConfig) -> List[str]:
-    """The ``repro serve`` arguments that rebuild ``config`` exactly.
-
-    Raises :class:`ServiceError` for a non-default field no flag can
-    carry, rather than spawning a daemon that quietly lacks it.
-    """
-    argv: List[str] = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if value == f.default:
-            continue
-        if "flag" not in f.metadata:
-            raise ServiceError(
-                f"{f.name}={value!r} has no `repro serve` flag, so a "
-                "spawned daemon cannot be given it"
-            )
-        argv.append(_flag_name(f))
-        if value is not True:
-            argv.append(str(value))
-    return argv

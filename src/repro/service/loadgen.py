@@ -21,39 +21,12 @@ import asyncio
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ServiceError
 from repro.obs.slo import percentile
 from repro.service import protocol
 from repro.traffic.spec import TransferRequest
-
-
-def parse_endpoint(spec: str) -> tuple:
-    """``(host, port, socket_path)`` for one endpoint string.
-
-    Accepted forms: ``unix:/path`` (or a bare filesystem path starting
-    with ``/`` or ``.``), ``host:port``, and ``:port`` (localhost).
-    This is the one shared parser for every multi-endpoint surface —
-    fleet loadgen, the watch dashboard, and ``repro fleet``.
-    """
-    spec = spec.strip()
-    if not spec:
-        raise ServiceError("empty endpoint")
-    if spec.startswith("unix:"):
-        return "", 0, spec[len("unix:"):]
-    if spec.startswith(("/", "./", "~")):
-        return "", 0, spec
-    host, sep, port = spec.rpartition(":")
-    if not sep:
-        raise ServiceError(
-            f"endpoint {spec!r} is neither unix:/path nor host:port"
-        )
-    try:
-        port_num = int(port)
-    except ValueError as exc:
-        raise ServiceError(f"endpoint {spec!r} has a bad port") from exc
-    return host or "127.0.0.1", port_num, None
 
 
 @dataclass
@@ -91,33 +64,6 @@ class LoadGenResult:
         if self.elapsed_s <= 0:
             return 0.0
         return self.submitted / self.elapsed_s
-
-    @classmethod
-    def merge(cls, results: Sequence["LoadGenResult"]) -> "LoadGenResult":
-        """Fold per-shard runs into one fleet-level result.
-
-        Counts add; latency samples concatenate (so fleet percentiles
-        are over every request); ``elapsed_s`` is the *slowest* shard's
-        wall time — the runs were concurrent, so fleet capacity is
-        total submissions over that shared wall clock.
-        """
-        merged = cls()
-        for result in results:
-            merged.submitted += result.submitted
-            merged.admitted += result.admitted
-            merged.rejected += result.rejected
-            merged.failed += result.failed
-            merged.backpressure_retries += result.backpressure_retries
-            merged.deadline_misses += result.deadline_misses
-            merged.elapsed_s = max(merged.elapsed_s, result.elapsed_s)
-            merged.rtts_s.extend(result.rtts_s)
-            merged.waits_s.extend(result.waits_s)
-            merged.decisions_s.extend(result.decisions_s)
-            merged.outstanding += result.outstanding
-        if results:
-            merged.mode = results[0].mode
-            merged.drained = all(r.drained for r in results)
-        return merged
 
     def summary(self) -> Dict[str, Any]:
         """The flat record the CLI prints and the bench commits."""
@@ -186,11 +132,6 @@ class Connection:
             self.waiters.clear()
             self.control.clear()
 
-    def is_closed(self) -> bool:
-        """True once the read loop has exited — no response can ever
-        resolve a future queued after that point."""
-        return self._reader_task.done()
-
     def send(self, message: Dict[str, Any]) -> asyncio.Future:
         """Write one request; the returned future resolves on response.
 
@@ -199,7 +140,7 @@ class Connection:
         at most a pipeline of one such control call in flight.
         """
         future = asyncio.get_running_loop().create_future()
-        if self.is_closed():
+        if self._reader_task.done():
             # The read loop's cleanup already failed every registered
             # waiter; a future registered now would hang forever.
             future.set_exception(ServiceError("connection closed by daemon"))
@@ -238,7 +179,6 @@ async def run_loadgen(
     max_retries: int = 8,
     drain: bool = False,
     outstanding: int = 0,
-    id_prefix: str = "lg",
 ) -> LoadGenResult:
     """Replay ``requests`` against a daemon.
 
@@ -251,8 +191,7 @@ async def run_loadgen(
     * **Closed loop** (``outstanding=N > 0``): exactly N submissions
       are kept in flight — each response immediately triggers the next
       submission, ignoring ``rate_per_min``.  Measures *capacity*
-      (sustained req/s at fixed concurrency), the number the broker-
-      fabric exit criterion gates on.
+      (sustained req/s at fixed concurrency).
 
     Backpressure rejections sleep the advertised ``retry_after_s`` and
     retry up to ``max_retries`` times before the request counts as
@@ -266,7 +205,7 @@ async def run_loadgen(
     gap = 60.0 / rate_per_min if rate_per_min > 0 else 0.0
 
     async def submit_one(index: int, request: TransferRequest) -> None:
-        client_id = f"{id_prefix}-{index:06d}"
+        client_id = f"lg-{index:06d}"
         message = {
             "op": "submit",
             "id": client_id,
@@ -353,65 +292,3 @@ async def run_loadgen(
                 task.cancel()
         await conn.close()
     return result
-
-
-async def run_fleet_loadgen(
-    requests: Sequence[TransferRequest],
-    endpoints: Dict[str, str],
-    *,
-    rate_per_min: float = 1000.0,
-    max_retries: int = 8,
-    drain: bool = False,
-    outstanding: int = 0,
-    shard_map=None,
-) -> Tuple[LoadGenResult, Dict[str, LoadGenResult]]:
-    """Drive several broker endpoints concurrently; measure the fleet.
-
-    ``endpoints`` maps shard name -> endpoint string (see
-    :func:`parse_endpoint`).  Requests are partitioned by the shard
-    map's owner of each request's *source* datacenter when a
-    :class:`~repro.service.router.ShardMap` is given (the client plays
-    front-end router), else round-robin.  ``outstanding`` is split
-    evenly across shards in closed-loop mode (minimum 1 each), so the
-    fleet-level concurrency stays comparable across shard counts.
-
-    Returns ``(merged, per_shard)`` — the merged result's
-    ``capacity_per_s`` is the fleet capacity the broker-fabric exit
-    criterion gates on.
-    """
-    if not endpoints:
-        raise ServiceError("fleet loadgen needs at least one endpoint")
-    names = sorted(endpoints)
-    partition: Dict[str, List[TransferRequest]] = {name: [] for name in names}
-    if shard_map is not None:
-        for request in requests:
-            partition[shard_map.shard_for(request.source)].append(request)
-    else:
-        for index, request in enumerate(requests):
-            partition[names[index % len(names)]].append(request)
-    per_shard_outstanding = (
-        max(1, outstanding // len(names)) if outstanding > 0 else 0
-    )
-
-    async def run_one(name: str) -> Tuple[str, LoadGenResult]:
-        shard_requests = partition[name]
-        if not shard_requests:
-            return name, LoadGenResult()
-        host, port, socket_path = parse_endpoint(endpoints[name])
-        result = await run_loadgen(
-            shard_requests,
-            host=host,
-            port=port,
-            socket_path=socket_path,
-            rate_per_min=rate_per_min,
-            max_retries=max_retries,
-            drain=drain,
-            outstanding=per_shard_outstanding,
-            id_prefix=f"lg-{name}",
-        )
-        return name, result
-
-    pairs = await asyncio.gather(*(run_one(name) for name in names))
-    per_shard = dict(pairs)
-    merged = LoadGenResult.merge([per_shard[name] for name in names])
-    return merged, per_shard

@@ -36,19 +36,14 @@ from repro.units import VOLUME_ATOL
 #: Version 2 added the ``metrics`` op (live telemetry snapshot with an
 #: optional Prometheus-text rendering) and trace-summary fields on
 #: ``submit`` responses (``trace``, ``cost_delta``, ``headroom_gb``,
-#: ``wall_ts``).  Version 3 added the fleet front end: the ``resume``
-#: op (router: reconnect to down shards and replay parked relay legs)
-#: and relay/shard fields on router responses.  All additive;
-#: version-1 clients are unaffected.  An op a given server does not
-#: serve (e.g. ``resume`` sent to a plain shard daemon) is answered
-#: with an ``unsupported`` error rather than dropped.
+#: ``wall_ts``).  Version 3 added the ``resume`` op of a sharded front
+#: end, which is gone: ``resume`` is no longer accepted and is refused
+#: as an unknown op, like any name outside :data:`OPS`.  Version-1
+#: clients are unaffected.
 PROTOCOL_VERSION = 3
 
-#: Operations a client may send.
-OPS = (
-    "submit", "status", "stats", "metrics", "drain", "tick", "ping",
-    "resume",
-)
+#: Operations a client may send; the daemon serves every one of them.
+OPS = ("submit", "status", "stats", "metrics", "drain", "tick", "ping")
 
 #: Renderings the ``metrics`` op supports.
 METRICS_FORMATS = ("json", "prometheus")

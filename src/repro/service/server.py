@@ -11,9 +11,8 @@ to the connection's outbox, which writes what it holds once per
 event-loop turn: dicts in request order after each chunk, a future's
 or a reply slot's line when it settles, so clients may pipeline and a
 slot's decisions leave in one write.  The same ops are reachable with
-no socket at all through :meth:`LineServer.call`, which is how the
-fleet router drives an in-process shard and how tests drive both
-servers.
+no socket at all through :meth:`LineServer.call`, which is how tests
+drive the daemon.
 
 :class:`ServiceDaemon` is that shell over one
 :class:`~repro.service.slotloop.TransferBroker`.  ``submit`` parks the
@@ -87,13 +86,13 @@ class LineServer:
     """The NDJSON shell: listener, read loop, dispatch, delivery.
 
     Subclasses define ``async def _op_<name>(self, message) -> Answer``
-    for every op they serve and never see a socket.  An op named in
+    for the ops of :data:`~repro.service.protocol.OPS` they serve and
+    never see a socket; :func:`~repro.service.protocol.decode_line`
+    refuses any other op before dispatch.  An op named in
     ``outbox_ops`` is also handed the asking connection's outbox (None
     through :meth:`call`), to park a :class:`Reply` on it.
     """
 
-    #: How the ``unsupported`` answer names this server.
-    served_by = "this daemon"
     #: Ops whose handler takes ``(message, outbox)``.
     outbox_ops: frozenset = frozenset()
 
@@ -122,11 +121,8 @@ class LineServer:
     # -- lifecycle ---------------------------------------------------------
 
     def open(self) -> None:
-        """Start whatever serves ops without a socket (subclass hook).
-
-        :meth:`start` opens and then binds; an in-process shard is
-        opened and never bound.
-        """
+        """Start whatever serves ops without a socket (subclass hook);
+        :meth:`start` opens and then binds."""
 
     async def start(self) -> None:
         """Open, then bind the listener."""
@@ -179,32 +175,16 @@ class LineServer:
         self, message: Dict[str, Any], outbox: Optional["_Outbox"] = None
     ) -> Answer:
         """Dispatch one decoded message to its op handler."""
-        op = message.get("op")
-        handler = self._ops.get(op)
-        if handler is None:
-            # Decodable (it's in protocol.OPS) but not served here —
-            # e.g. the fleet router's "resume" sent to a plain shard.
-            # Answer instead of dropping: a silent drop wedges callers
-            # that await a response line.
-            return protocol.error_response(
-                op, "unsupported",
-                f"op {op!r} is not served by {self.served_by}",
-            )
+        op = message["op"]
+        handler = self._ops[op]
         if op in self.outbox_ops:
             return await handler(message, outbox)
         return await handler(message)
 
     async def call(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """One request, one answer, no socket (a client connection's
-        ``call``, so a server can stand in for a connection to it)."""
+        """One request, one answer, no socket."""
         answer = await self.handle(message)
         return answer if isinstance(answer, dict) else await answer
-
-    def is_closed(self) -> bool:
-        return self._stopped.is_set()
-
-    async def close(self) -> None:
-        await self.stop()
 
     # -- connection handling -----------------------------------------------
 
@@ -382,8 +362,7 @@ class _Outbox:
 
         Cancelled, not merely forgotten: ``TransferBroker.submit`` lets
         a reconnecting client re-park on a queued id only once the old
-        waiter — reply slot or future — is ``done()``.  (The router
-        shields its relay futures, so its drivers outlive the asker.)
+        waiter — reply slot or future — is ``done()``.
         """
         for waiter in self.waiting:
             waiter.cancel()

@@ -40,6 +40,7 @@ from repro.service.intake import IntakeQueue, PendingTransfer
 from repro.service.store import SnapshotStore
 from repro.service.wal import REC_ADMIT, REC_COMMIT, plan_record, recorded_plan
 from repro.traffic.spec import TransferRequest
+from repro.units import SLOT_SECONDS
 
 DECISION_ADMITTED = "admitted"
 DECISION_REJECTED = "rejected"
@@ -287,8 +288,8 @@ class TransferBroker:
         Returns ``("decided", record)`` for an id already decided (the
         idempotent-retry path), ``("attached", PendingTransfer)`` for an
         id still queued whose waiter slot is free — the caller's waiter
-        is parked on the existing entry, which is what lets a fabric
-        router reconnect after a crash and hear the original decision
+        is parked on the existing entry, which is what lets a client
+        that reconnects after a hang-up hear the original decision
         exactly once — or ``("pending", PendingTransfer)`` once queued.
         Raises :class:`BackpressureError` when the intake queue is
         saturated and :class:`ServiceError` when the daemon is draining,
@@ -619,7 +620,7 @@ class TransferBroker:
             "snapshot": metrics.snapshot() if metrics is not None else {},
             "wall": {
                 "epoch": round(self.wall_epoch, 3),
-                "slot_wall_seconds": self.config.slot_wall_seconds,
+                "slot_wall_seconds": SLOT_SECONDS,
                 "next_slot": self.next_slot,
                 "next_slot_wall_ts": round(self.wall_time(self.next_slot), 3),
             },

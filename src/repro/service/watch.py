@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis import format_table
 from repro.errors import ServiceError
-from repro.service.loadgen import Connection, parse_endpoint
+from repro.service.loadgen import Connection
 
 #: ANSI: clear screen + home.
 CLEAR = "\x1b[2J\x1b[H"
@@ -152,80 +152,24 @@ def render_dashboard(response: Dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_fleet_dashboard(responses: Dict[str, Dict[str, Any]]) -> str:
-    """One fleet frame: a per-shard vitals table plus each shard's SLOs.
-
-    ``responses`` maps shard name to its ``metrics`` response dict (or
-    to ``{"down": reason}`` for an unreachable shard — it still gets a
-    row, marked down, so a dead shard is loud on the dashboard).
-    """
-    lines: List[str] = [f"postcard fleet — {len(responses)} shard(s)"]
-    rows = []
-    breaches = []
-    for name in sorted(responses):
-        body = responses[name]
-        if "down" in body and "stats" not in body:
-            rows.append([name, "DOWN", "-", "-", "-", "-", "-", "-"])
-            continue
-        stats = body.get("stats", {})
-        snapshot = body.get("snapshot", {})
-        decision = snapshot.get("histograms", {}).get("service.decision_s", {})
-        rows.append([
-            name,
-            stats.get("next_slot", "?"),
-            f"{stats.get('queue_depth', '?')}/{stats.get('max_queue', '?')}",
-            stats.get("submitted", 0),
-            stats.get("admitted", 0),
-            stats.get("rejected", 0),
-            _ms(decision["p99"]) if decision.get("count") else "-",
-            stats.get("cost_per_slot", 0.0),
-        ])
-        for obj, state in body.get("slo", {}).items():
-            if not state.get("ok", True):
-                breaches.append(f"{name}: {obj} at {state['value']:.4f} "
-                                f"(budget {state['budget']:.4f})")
-    lines.append(format_table(
-        ["shard", "slot", "queue", "submitted", "admitted", "rejected",
-         "p99 decide", "cost/slot"],
-        rows,
-    ))
-    if breaches:
-        lines.append("")
-        lines.append("SLO breaches:")
-        lines.extend(f"  {b}" for b in breaches)
-    return "\n".join(lines) + "\n"
-
-
 async def run_watch(
     *,
     host: str = "127.0.0.1",
     port: int = 7411,
     socket_path: Optional[str] = None,
-    endpoints: Optional[Dict[str, str]] = None,
     interval_s: float = 1.0,
     iterations: int = 0,
     clear: bool = True,
     write: Callable[[str], Any] = print,
 ) -> int:
-    """Poll ``metrics`` and render dashboard frames.
-
-    With ``endpoints`` (shard name -> endpoint spec) the watch runs in
-    fleet mode: every endpoint is polled each interval and rendered as
-    one per-shard row via :func:`render_fleet_dashboard`; a shard that
-    stops answering is shown DOWN rather than killing the watch.
-    Otherwise a single daemon at ``host``/``port``/``socket_path`` gets
-    the full single-broker dashboard.
+    """Poll the daemon at ``host``/``port``/``socket_path`` for
+    ``metrics`` and render dashboard frames.
 
     ``iterations=0`` runs until the connection drops (daemon drained)
     or the caller interrupts; otherwise exactly that many frames are
     rendered — what tests and one-shot ``--once`` invocations use.
     Returns the number of frames rendered.
     """
-    if endpoints:
-        return await _run_fleet_watch(
-            endpoints, interval_s=interval_s, iterations=iterations,
-            clear=clear, write=write,
-        )
     conn = await Connection.open(host, port, socket_path)
     frames = 0
     try:
@@ -247,54 +191,3 @@ async def run_watch(
         return frames
     finally:
         await conn.close()
-
-
-async def _run_fleet_watch(
-    endpoints: Dict[str, str],
-    *,
-    interval_s: float,
-    iterations: int,
-    clear: bool,
-    write: Callable[[str], Any],
-) -> int:
-    conns: Dict[str, Connection] = {}
-
-    async def poll(name: str) -> Dict[str, Any]:
-        conn = conns.get(name)
-        try:
-            if conn is None:
-                h, p, sp = parse_endpoint(endpoints[name])
-                conn = await Connection.open(h, p, sp)
-                conns[name] = conn
-            response = await conn.call({"op": "metrics"})
-        except (ServiceError, OSError, ConnectionError) as exc:
-            stale = conns.pop(name, None)
-            if stale is not None:
-                await stale.close()
-            return {"down": str(exc)}
-        if not response.get("ok"):
-            return {"down": response.get("message", "metrics refused")}
-        return response
-
-    frames = 0
-    try:
-        while True:
-            bodies = await asyncio.gather(*(poll(n) for n in endpoints))
-            responses = dict(zip(endpoints, bodies))
-            if all("down" in b and "stats" not in b for b in responses.values()):
-                if frames == 0:
-                    raise ServiceError(
-                        "no shard answered: "
-                        + "; ".join(
-                            f"{n}: {b['down']}" for n, b in responses.items()
-                        )
-                    )
-                return frames
-            write((CLEAR if clear else "") + render_fleet_dashboard(responses))
-            frames += 1
-            if iterations and frames >= iterations:
-                return frames
-            await asyncio.sleep(interval_s)
-    finally:
-        for conn in conns.values():
-            await conn.close()

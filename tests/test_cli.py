@@ -307,12 +307,6 @@ SERVE_FLAGS = {
     "--read-timeout", "--watchdog-timeout", "--forecast",
     "--forecast-period", "--forecast-horizon", "--obs-jsonl",
 }
-FLEET_SERVE_FLAGS = {
-    "--shard", "--spawn", "--spawn-timeout", "--gateway", "--gateway-mode",
-    "--host", "--port", "--socket", "--checkpoint-root", "--datacenters",
-    "--capacity", "--seed", "--scheduler", "--max-deadline", "--tick-seconds",
-    "--max-queue", "--period-slots",
-}
 
 
 def _assert_flags_are(capsys, command, flags):
@@ -329,10 +323,6 @@ def _assert_flags_are(capsys, command, flags):
 
 def test_serve_help_lists_service_options(capsys):
     _assert_flags_are(capsys, ["serve"], SERVE_FLAGS)
-
-
-def test_fleet_serve_help_lists_shard_options(capsys):
-    _assert_flags_are(capsys, ["fleet", "serve"], FLEET_SERVE_FLAGS)
 
 
 def test_loadgen_help_lists_replay_options(capsys):

@@ -17,15 +17,11 @@ import time
 
 import pytest
 
-from repro.service import (
-    FleetConfig, FleetRouter, ServiceConfig, ServiceDaemon, TransferBroker,
-    run_loadgen,
-)
+from repro.service import ServiceConfig, ServiceDaemon, TransferBroker, run_loadgen
 from repro.service import protocol as proto
 from repro.service.loadgen import Connection
 from repro.service.server import LineServer
 from repro.traffic.spec import TransferRequest
-from tests.fleet_harness import open_brokers, run_until_settled
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -197,6 +193,7 @@ def test_invalid_messages_get_error_responses(tmp_path):
             for raw in (
                 b"{broken\n",
                 b'{"op": "warp"}\n',
+                b'{"op": "resume"}\n',
                 b'{"op": "submit", "id": "x", "source": 0, '
                 b'"destination": 0, "size_gb": 1, "deadline_slots": 2}\n',
             ):
@@ -208,9 +205,10 @@ def test_invalid_messages_get_error_responses(tmp_path):
             writer.close()
             await daemon.stop()
 
-    bad_json, bad_op, bad_submit = asyncio.run(scenario())
+    bad_json, bad_op, resume, bad_submit = asyncio.run(scenario())
     assert bad_json["error"] == "invalid"
     assert bad_op["error"] == "invalid"
+    assert resume["error"] == "invalid" and "unknown op" in resume["message"]
     assert bad_submit["error"] == "invalid" and bad_submit["id"] == "x"
 
 
@@ -679,52 +677,3 @@ def test_reconnect_reattaches_to_a_submission_its_old_connection_left(tmp_path):
     assert [a["op"] for a in lines] == ["tick", "submit"]
     assert lines[1]["id"] == "a" and lines[1]["decision"] == "admitted"
     assert submitted == 1
-
-
-def test_router_relay_outlives_its_asker_and_a_reask_hears_it(tmp_path):
-    """Through the router the waiters are shielded: the asker's hang-up
-    cancels its view of the relay, not the relay."""
-    sock = str(tmp_path / "router.sock")
-    fleet = FleetConfig(
-        shards={"ap": "", "east": ""}, gateway_dc=0,
-        shard=ServiceConfig(
-            tick_seconds=0.0, datacenters=6, capacity=60.0, seed=3,
-            max_deadline=8,
-        ),
-    )
-    shard_map = fleet.shard_map()
-    src, dst = next(
-        (s, d) for s in range(1, 6) for d in range(1, 6)
-        if shard_map.shard_for(s) != shard_map.shard_for(d)
-    )
-    submit = proto.encode({"op": "submit", "id": "x1", "source": src,
-                           "destination": dst, "size_gb": 5.0,
-                           "deadline_slots": 6})
-
-    async def scenario():
-        router = FleetRouter(fleet, socket_path=sock)
-        await router.start()
-        try:
-            brokers = await open_brokers(router)
-            _, asker = await asyncio.open_unix_connection(sock)
-            asker.write(submit)
-            while router.tracker.get("x1") is None:
-                await asyncio.sleep(0.005)
-            asker.close()
-            await hung_up(router)
-            reader, again = await asyncio.open_unix_connection(sock)
-            again.write(submit)  # mid-relay: parks on the same relay
-            await run_until_settled(router, brokers)
-            answer = json.loads(await asyncio.wait_for(reader.readline(), 2.0))
-            again.close()
-            return answer, dict(router.counts)
-        finally:
-            await router.stop()
-
-    answer, counts = asyncio.run(scenario())
-    assert answer["ok"] and answer["id"] == "x1"
-    assert answer["decision"] == "admitted" and "cached" not in answer
-    assert [leg["state"] for leg in answer["relay"]["legs"]] == [
-        "decided", "decided"
-    ]
-    assert counts["submitted"] == 1 and counts["relayed"] == 1
