@@ -27,23 +27,12 @@ from repro.net.topology import Topology
 PathLike = Union[str, Path]
 
 _VERSION = 1
-#: Version 3 is encoded once: the trailing ``checksum`` is the CRC-32 of
-#: the compact text before it, and the service's decision log lives in a
-#: journal beside the snapshot (``meta["decisions_mark"]``).  Version 2
-#: (checksum over a second, canonical dump; inline ``meta["decisions"]``)
-#: and version 1 (no checksum) still load.
+#: The one snapshot version, encoded once: the trailing ``checksum`` is
+#: the CRC-32 of the compact text before it, and the service's decision
+#: log lives in a journal beside the snapshot (``meta["decisions_mark"]``).
+#: Older versions are refused, not read (docs/SERVICE.md, "Recovery").
 _SNAPSHOT_VERSION = 3
 _CHECKSUM_KEY = ',"checksum":'
-
-#: Snapshot versions :func:`snapshot_from_json` accepts.
-_SNAPSHOT_READABLE_VERSIONS = (1, 2, 3)
-
-
-def _payload_checksum(payload: Dict[str, Any]) -> int:
-    """Version 2's CRC-32: over the canonical form, checksum field aside."""
-    body = {k: v for k, v in payload.items() if k != "checksum"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return zlib.crc32(canonical.encode("utf-8"))
 
 
 def fsync_directory(directory: PathLike) -> None:
@@ -256,24 +245,19 @@ def snapshot_from_json(text: str, topology: Topology) -> ServiceSnapshot:
     if not isinstance(payload, dict) or payload.get("kind") != "postcard-snapshot":
         raise SchedulingError("not a postcard service snapshot")
     version = payload.get("version")
-    if version not in _SNAPSHOT_READABLE_VERSIONS:
+    if version != _SNAPSHOT_VERSION:
         raise SchedulingError(
             f"unsupported snapshot version {version!r} "
-            f"(this build reads versions {_SNAPSHOT_READABLE_VERSIONS})"
+            f"(this build reads version {_SNAPSHOT_VERSION} only)"
         )
-    if version >= 2:
-        recorded = payload.get("checksum")
-        if version == 2:
-            expected = _payload_checksum(payload)
-        else:
-            body = text.rpartition(_CHECKSUM_KEY)[0] + "}"
-            expected = zlib.crc32(body.encode("utf-8"))
-        if recorded != expected:
-            raise SchedulingError(
-                f"snapshot checksum mismatch (recorded {recorded!r}, "
-                f"computed {expected}): the file is corrupt or was "
-                "hand-edited; recovery should fall back a generation"
-            )
+    recorded = payload.get("checksum")
+    expected = zlib.crc32((text.rpartition(_CHECKSUM_KEY)[0] + "}").encode("utf-8"))
+    if recorded != expected:
+        raise SchedulingError(
+            f"snapshot checksum mismatch (recorded {recorded!r}, "
+            f"computed {expected}): the file is corrupt or was "
+            "hand-edited; recovery should fall back a generation"
+        )
     state = state_from_payload(payload["state"], topology)
     ensure_request_ids_above(int(payload.get("request_id_watermark", 0)))
     return ServiceSnapshot(

@@ -101,19 +101,6 @@ class TransferSchedule:
             total += gb
         return total
 
-    def merge(self, other: "TransferSchedule") -> "TransferSchedule":
-        """A new schedule containing both sets of entries and storage.
-
-        Merging mixed-semantics schedules is disallowed — the combined
-        object could not be audited consistently.
-        """
-        if other.semantics != self.semantics:
-            raise SchedulingError(
-                f"cannot merge {self.semantics} and {other.semantics} schedules"
-            )
-        return TransferSchedule(self.entries + other.entries, self.semantics,
-                                self.stored + other.stored)
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -1,9 +1,9 @@
 """Streaming metrics: fixed-bucket histograms and the one aggregating sink.
 
 * :class:`Histogram` — fixed log-spaced buckets sized for latencies
-  (microseconds to minutes), mergeable across instances with identical
-  bounds, with p50/p90/p99 estimation by rank interpolation inside the
-  bucket.  O(#buckets) memory however many values are observed.
+  (microseconds to minutes), with p50/p90/p99 estimation by rank
+  interpolation inside the bucket.  O(#buckets) memory however many
+  values are observed.
 * :class:`MetricsSnapshot` — a sink that *folds* events into state:
   counter sums, gauge last/min/max, a histogram per span name (span
   durations, with child time for self-time) and per seconds-valued
@@ -89,21 +89,6 @@ class Histogram:
             else:
                 lo = mid + 1
         return lo
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold another histogram's buckets in; bounds must match."""
-        if other.bounds != self.bounds:
-            raise ObservabilityError(
-                "cannot merge histograms with different bucket bounds "
-                f"({len(self.bounds)} vs {len(other.bounds)} buckets)"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        return self
 
     # -- queries ---------------------------------------------------------
 

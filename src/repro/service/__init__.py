@@ -12,32 +12,27 @@ whole network, so every link-slot's capacity and the bill are booked
 once.  See docs/SERVICE.md.
 """
 
-from repro.service.chaos import ChaosMonkey, InjectedCrash
-from repro.service.config import ServiceConfig
-from repro.service.intake import IntakeQueue, PendingTransfer
-from repro.service.loadgen import Connection, LoadGenResult, percentile, run_loadgen
-from repro.service.server import ServiceDaemon
-from repro.service.slotloop import TransferBroker
-from repro.service.store import SnapshotStore
-from repro.service.wal import WalScan, WriteAheadLog, scan_wal
-from repro.service.watch import render_dashboard, run_watch
+from repro import _lazy_exports
 
-__all__ = [
-    "ChaosMonkey",
-    "Connection",
-    "InjectedCrash",
-    "IntakeQueue",
-    "LoadGenResult",
-    "PendingTransfer",
-    "ServiceConfig",
-    "ServiceDaemon",
-    "SnapshotStore",
-    "TransferBroker",
-    "WalScan",
-    "WriteAheadLog",
-    "percentile",
-    "render_dashboard",
-    "run_loadgen",
-    "run_watch",
-    "scan_wal",
-]
+_EXPORTS = {
+    "ChaosMonkey": "repro.service.chaos",
+    "InjectedCrash": "repro.service.chaos",
+    "ServiceConfig": "repro.service.config",
+    "IntakeQueue": "repro.service.intake",
+    "PendingTransfer": "repro.service.intake",
+    "Connection": "repro.service.loadgen",
+    "LoadGenResult": "repro.service.loadgen",
+    "percentile": "repro.obs.slo",
+    "run_loadgen": "repro.service.loadgen",
+    "ServiceDaemon": "repro.service.server",
+    "TransferBroker": "repro.service.slotloop",
+    "SnapshotStore": "repro.service.store",
+    "WalScan": "repro.service.wal",
+    "WriteAheadLog": "repro.service.wal",
+    "scan_wal": "repro.service.wal",
+    "render_dashboard": "repro.service.watch",
+    "run_watch": "repro.service.watch",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

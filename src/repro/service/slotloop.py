@@ -38,7 +38,9 @@ from repro.service import chaos
 from repro.service.config import ServiceConfig
 from repro.service.intake import IntakeQueue, PendingTransfer
 from repro.service.store import SnapshotStore
-from repro.service.wal import REC_ADMIT, REC_COMMIT, plan_record, recorded_plan
+from repro.service.wal import (
+    FORMAT_FLOOR, REC_ADMIT, REC_COMMIT, plan_record, recorded_plan,
+)
 from repro.traffic.spec import TransferRequest
 from repro.units import SLOT_SECONDS
 
@@ -155,8 +157,6 @@ class TransferBroker:
                 # Serving from inconsistent books is worse than not
                 # serving: strict mode raises before any client connects.
                 self.verifier_report = verify_recovery(self, strict=True)
-                if self.recovery_info.get("replanned"):
-                    self.checkpoint()  # so plan-less records are read once
             else:
                 self.store.genesis(self.state, {"wall_epoch": self.wall_epoch})
 
@@ -173,9 +173,6 @@ class TransferBroker:
         )
         self.next_slot = snapshot.next_slot
         self.decisions = dict(snapshot.meta.get("decisions", {}))
-        if "decisions_mark" not in snapshot.meta:
-            # Versions 1-2 carried the log inline: the next checkpoint journals it.
-            self._unjournaled.update(self.decisions)
         restored = snapshot.meta.get("counts", {})
         for key in self.counts:
             self.counts[key] = int(restored.get(key, 0))
@@ -208,7 +205,9 @@ class TransferBroker:
 
     def _replay_commit(self, record: Dict[str, Any]) -> None:
         """Commit the slot's recorded plan through the slot step and derive
-        its decisions as the live slot did; an older build's keep what it acked."""
+        its decisions as the live slot did.  A commit with no plan is an
+        idle slot's with nothing in flight, committed as the empty plan;
+        any other is below the format floor and refused."""
         slot = int(record["slot"])
         try:
             batch = self.queue.take_ids(list(record.get("batch", [])))
@@ -222,12 +221,11 @@ class TransferBroker:
         elif "plan" in record:
             def plan_slot(slot, requests):
                 return recorded_plan(record["plan"], requests, self.scheduler.carried)
+        elif batch or self.scheduler.carried:
+            raise WalError(f"slot {slot}'s commit carries no plan; {FORMAT_FLOOR}")
         else:
-            from repro.service.legacy import legacy_plan
-
-            plan_slot = legacy_plan(self.scheduler, record)
-            info = self.recovery_info
-            info["replanned"] = info.get("replanned", 0) + len(batch)
+            def plan_slot(slot, requests):
+                return SlotPlan()
         try:
             step = self._step(slot, requests, plan_slot=plan_slot,
                               probe=lambda: self._probe(requests, slot))
@@ -237,10 +235,6 @@ class TransferBroker:
             plan, self.scheduler.last_plan = self.scheduler.last_plan, None
             decided = {pending.client_id: decision for pending, decision
                        in self._decide(slot, batch, requests, lane, step.probed, plan)}
-            # An older build's record keeps what it acked, bar the timings.
-            decided.update((cid, {k: v for k, v in acked.items()
-                                  if k not in ("wait_s", "decision_s")})
-                           for cid, acked in record.get("decisions", {}).items())
         self.decisions.update(decided)
         self._unjournaled.update(decided)
         for key, value in record.get("counts", {}).items():

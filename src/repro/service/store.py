@@ -19,13 +19,13 @@ durable when" in docs/ROBUSTNESS.md); every ``checkpoint_every`` slots
 covers exactly the interval between snapshots ``g`` and ``g+1``, which
 is what makes checksum fallback work (:meth:`SnapshotStore.recover`;
 docs/ROBUSTNESS.md has the write order and the recovery rules).  A
-fresh directory starts with generation 0's snapshot (:meth:`genesis`); a
-snapshot-only directory's is adopted as generation 0.
+fresh directory starts with generation 0's snapshot (:meth:`genesis`).
+A directory below the format floor (:data:`~repro.service.wal.FORMAT_FLOOR`)
+is refused.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -40,10 +40,10 @@ from repro.errors import SchedulingError, WalError
 from repro.net.topology import Topology
 from repro.obs import registry as obs
 from repro.service import chaos
-from repro.service.wal import WalScan, WriteAheadLog, scan_wal, truncate_torn_tail
+from repro.service.wal import (
+    FORMAT_FLOOR, WalScan, WriteAheadLog, scan_wal, truncate_torn_tail,
+)
 
-#: The one snapshot of a directory written in snapshot-only mode.
-SNAPSHOT_ONLY_NAME = "snapshot.json"
 JOURNAL_NAME = "decisions.log"
 
 #: Zero-padded generation width in file names (keeps lexicographic and
@@ -51,7 +51,7 @@ JOURNAL_NAME = "decisions.log"
 _GEN_WIDTH = 8
 
 #: Decisions per journal frame (~250 B each): keeps a frame far below
-#: the WAL's record bound however long an inherited inline log is.
+#: the WAL's record bound however many decisions one checkpoint journals.
 _FRAME_DECISIONS = 1024
 
 
@@ -84,7 +84,7 @@ class SnapshotStore:
     # -- file layout -------------------------------------------------------
 
     def snapshot_path(self, generation: int) -> Path:
-        """Generation ``g``'s snapshot (0: one adopted from snapshot-only mode)."""
+        """Generation ``g``'s snapshot (0: the genesis snapshot)."""
         return self.directory / f"snapshot-{generation:0{_GEN_WIDTH}d}.json"
 
     def wal_path(self, generation: int) -> Path:
@@ -248,12 +248,12 @@ class SnapshotStore:
     ) -> Tuple[Optional[ServiceSnapshot], List[Dict[str, Any]], Dict[str, Any]]:
         """Newest valid snapshot, its decision log, the WAL records past it.
 
-        Adopts a snapshot-only directory (:meth:`_adopt_snapshot_only`),
-        walks snapshot generations newest-first until one passes its
-        checksum (each rejection a counted *fallback*; a corrupt
-        generation 0 refuses loudly: the genesis log follows it, not
-        empty books), truncates torn log tails, sweeps stray ``*.tmp``
-        files, and returns ``(snapshot_or_None, records, info)``.  Journal
+        Refuses, before touching anything, a directory that holds the
+        snapshot-only layout's ``snapshot.json``; walks snapshot
+        generations newest-first until one passes its checksum (each
+        rejection a counted *fallback*; a corrupt generation 0 refuses
+        loudly: the genesis log follows it, not empty books), truncates
+        torn log tails, sweeps stray ``*.tmp`` files, and returns ``(snapshot_or_None, records, info)``.  Journal
         bytes ``[0, mark)`` must scan clean — a bad frame *below* the mark
         is a hole in the idempotency log, not a torn tail — and come back
         as ``snapshot.meta["decisions"]``; the rest is cut.  The caller
@@ -269,11 +269,15 @@ class SnapshotStore:
             "journal_cut_bytes": 0,
             "stray_tmp": 0,
         }
+        if (self.directory / "snapshot.json").exists():
+            raise WalError(
+                f"{self.directory} holds snapshot.json, the snapshot-only "
+                f"layout; {FORMAT_FLOOR}"
+            )
         for stray in sorted(self.directory.glob("*.tmp")):
             stray.unlink(missing_ok=True)
             info["stray_tmp"] += 1
             obs.counter("service.recovery.stray_tmp")
-        self._adopt_snapshot_only()
 
         snapshot: Optional[ServiceSnapshot] = None
         base = 0
@@ -310,10 +314,9 @@ class SnapshotStore:
                 f"byte {scan.valid_bytes} of {self._mark}); refusing to serve "
                 "with a hole in the idempotency log"
             )
-        if "decisions_mark" in meta:  # else v1/v2: the log rides inline, unjournaled
-            meta["decisions"] = {
-                cid: record for frame in scan.records for cid, record in frame.items()
-            }
+        meta["decisions"] = {
+            cid: record for frame in scan.records for cid, record in frame.items()
+        }
         info["journal_cut_bytes"] = self._cut_journal()
 
         records: List[Dict[str, Any]] = []
@@ -329,22 +332,6 @@ class SnapshotStore:
         info["replayed_records"] = len(records)
         self.open_wal()
         return snapshot, records, info
-
-    def _adopt_snapshot_only(self) -> None:
-        """Rename a snapshot-only directory's ``snapshot.json`` to generation
-        0's snapshot, which the genesis log follows; fsync'd before any
-        append.  A directory holding both layouts is refused, not guessed at."""
-        legacy = self.directory / SNAPSHOT_ONLY_NAME
-        if not legacy.exists():
-            return
-        if self.snapshot_generations() or self.wal_generations():
-            raise WalError(
-                f"{self.directory} holds both {SNAPSHOT_ONLY_NAME} and "
-                "snapshot generations or logs; refusing to choose between them"
-            )
-        os.replace(legacy, self.snapshot_path(0))
-        if self.fsync:
-            fsync_directory(self.directory)
 
     # -- reporting ---------------------------------------------------------
 

@@ -26,8 +26,9 @@ Record types the broker writes (:mod:`repro.service.slotloop`)::
 A commit's ``plan`` (:func:`plan_record`) is the slot's committed
 :class:`~repro.core.interfaces.SlotPlan` by position in ``batch`` (and
 the replanner's files in flight by position in its active set); replay
-commits it.  A commit without one is a failed slot's, an idle slot's
-that moved nothing, or an older build's (:mod:`repro.service.legacy`).
+commits it.  A commit without one is a failed slot's, or an idle slot's
+with nothing in flight, which replay commits as the empty plan.  Older
+records are refused (:data:`FORMAT_FLOOR`).
 
 Every frame is written through at once; ``commit`` is fsync'd before any
 of the slot's decisions are released, and an ``admit`` becomes durable
@@ -62,6 +63,13 @@ RECORD_HEADER = struct.Struct("<II")
 #: Parse bound on one record's payload.  Real records are a few hundred
 #: bytes; a length field beyond this is framing garbage, not a record.
 MAX_RECORD_BYTES = 16 * 1024 * 1024
+
+#: What recovery reads, named by every refusal of what lies below it.
+FORMAT_FLOOR = (
+    "this build recovers only directories written since commit 76faf1c: "
+    "version-3 snapshots with a decisions_mark and commits that carry "
+    "their plan (docs/SERVICE.md, \"Recovery\")"
+)
 
 #: Record type tags.
 REC_ADMIT = "admit"

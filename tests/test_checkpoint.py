@@ -309,17 +309,20 @@ def test_snapshot_checksum_mismatch_rejected(line3):
     snapshot_from_json(text, line3)  # untouched, it loads
 
 
-def test_version_1_snapshot_still_loads(line3):
-    """Pre-checksum snapshots (no ``checksum`` field) remain readable."""
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_snapshot_below_version_3_is_refused(line3, version):
+    """Version 3 is the floor: an older snapshot is not read, so none
+    loads unchecked (version 1 carried no checksum at all)."""
     import json
 
     from repro.core.checkpoint import snapshot_from_json, snapshot_to_json
 
     payload = json.loads(snapshot_to_json(NetworkState(line3, horizon=10)))
-    payload["version"] = 1
-    del payload["checksum"]
-    snapshot = snapshot_from_json(json.dumps(payload), line3)
-    assert snapshot.next_slot == 0
+    payload["version"] = version
+    if version == 1:
+        del payload["checksum"]
+    with pytest.raises(SchedulingError, match="reads version 3 only"):
+        snapshot_from_json(json.dumps(payload), line3)
 
 
 def test_atomic_write_durability_hooks(tmp_path):
@@ -336,67 +339,3 @@ def test_atomic_write_durability_hooks(tmp_path):
     assert n == len('{"x": 1}')
     assert target.read_text() == '{"x": 1}'
     assert not target.with_name(target.name + ".tmp").exists()
-
-
-def _snapshot_like_the_fixture(monkeypatch):
-    """Serialise the hand-built state ``tests/data/snapshot_v2.json`` holds.
-
-    Nothing here runs a scheduler, so the text depends on the
-    serialiser alone; the request-id watermark is pinned because it is
-    a property of the process, not of the state.
-    """
-    import random
-
-    from repro.core.checkpoint import snapshot_to_json
-
-    monkeypatch.setattr("repro.traffic.spec.peek_next_request_id", lambda: 4242)
-    topo = complete_topology(4, capacity=20.0, seed=7)
-    state = NetworkState(topo, horizon=24)
-    rng = random.Random(3)
-    for link in topo.links:
-        for slot in sorted(rng.sample(range(16), 5)):
-            state.ledger.record(link.src, link.dst, slot, rng.uniform(0.1, 19.0))
-        state._charged[link.key] = state.ledger.peak_in_range(
-            link.src, link.dst, 8, 32
-        )
-    state.completions = {index: 3 + index % 5 for index in range(40, 52)}
-    state.rejected = [TransferRequest(0, 3, 17.25, 2, release_slot=9)]
-    state.storage_used = 61.70000000000001
-    state.period_start = 8
-    state.banked_period_bills = [1234.5678901234567]
-    pending = [
-        {"id": "c-7", "source": 1, "destination": 2, "size_gb": 0.1 + 0.2,
-         "deadline_slots": 4, "trace": "t-00000007"},
-    ]
-    meta = {"decisions": {"c-1": {"decision": "admitted", "cost_delta": 1e-09}},
-            "counts": {"submitted": 7, "slots": 11}}
-    return snapshot_to_json(state, pending, next_slot=11, meta=meta)
-
-
-def test_v2_fixture_and_v3_round_trip_restore_equal_snapshots(monkeypatch):
-    """``tests/data/snapshot_v2.json`` (indented, canonical CRC, inline
-    decisions) and this build's encoding of the same hand-built state
-    restore the same :class:`ServiceSnapshot`, float for float."""
-    import json
-    from pathlib import Path
-
-    from repro.core.checkpoint import snapshot_from_json, state_to_payload
-
-    fixture = (Path(__file__).parent / "data" / "snapshot_v2.json").read_text()
-    written = _snapshot_like_the_fixture(monkeypatch)
-    assert json.loads(fixture)["version"] == 2 and json.loads(written)["version"] == 3
-    assert len(written) < len(fixture)
-
-    topo = complete_topology(4, capacity=20.0, seed=7)
-    old, new = snapshot_from_json(fixture, topo), snapshot_from_json(written, topo)
-    assert state_to_payload(old.state) == state_to_payload(new.state)
-    assert [(r.source, r.destination, r.size_gb, r.deadline_slots, r.release_slot)
-            for r in old.state.rejected] == [(0, 3, 17.25, 2, 9)]
-    assert (old.pending, old.next_slot, old.meta) == (new.pending, new.next_slot, new.meta)
-    assert old.meta["decisions"]["c-1"]["cost_delta"] == 1e-09
-
-    # Version 2 keeps its own checksum rule: a hand edit still fails it.
-    tampered = json.loads(fixture)
-    tampered["next_slot"] = 12
-    with pytest.raises(SchedulingError, match="checksum mismatch"):
-        snapshot_from_json(json.dumps(tampered), topo)

@@ -9,6 +9,7 @@ the headroom-first interaction with previously committed load.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.schedule import TransferSchedule
 from repro.heuristic import FastLaneScheduler
 from repro.invariants import deadlines
 from repro.net.generators import complete_topology
@@ -89,10 +90,9 @@ def test_streamed_admissions_never_violate_deadlines_or_capacity(stream):
     topo = complete_topology(num_dcs, capacity=capacity, seed=seed)
     scheduler = FastLaneScheduler(topo, horizon=30, on_infeasible="drop")
 
-    merged = None
+    merged = TransferSchedule()
     for slot in sorted(by_slot):
-        schedule = scheduler.on_slot(slot, by_slot[slot])
-        merged = schedule if merged is None else merged.merge(schedule)
+        merged.entries += scheduler.on_slot(slot, by_slot[slot]).entries
 
     all_requests = [r for released in by_slot.values() for r in released]
     rejected_ids = {r.request_id for r in scheduler.state.rejected}

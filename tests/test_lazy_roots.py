@@ -1,8 +1,9 @@
 """The package roots export lazily.
 
-``repro``, ``repro.analysis``, ``repro.core`` and ``repro.obs`` import an
-exported name's module when the name is first read; each must still hand
-out the very object its defining module holds.
+``repro``, ``repro.analysis``, ``repro.core``, ``repro.obs`` and
+``repro.service`` import an exported name's module when the name is
+first read; each must still hand out the very object its defining module
+holds.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import pytest
 
 import repro
 
-ROOTS = ("repro", "repro.analysis", "repro.core", "repro.obs")
+ROOTS = ("repro", "repro.analysis", "repro.core", "repro.obs", "repro.service")
 
 
 def test_dir_lists_every_export():

@@ -11,26 +11,17 @@ slots hop-reachability allows; the paper's full model stays the oracle:
   ``full <= pruned <= fast lane`` in cost;
 * widen before shed: an infeasible pruned batch is re-solved on the full
   model, so nothing the parent build admitted is refused;
-* WAL commit records say which arcs an LP slot was solved on, and a tail
-  written by the build before pruning still recovers to its own cells.
-
-``tests/data/parent_wal/`` was written by that parent build: run this
-file as a script with the parent commit's ``src/`` on ``PYTHONPATH`` to
-re-record it (it replays :func:`_drive`'s stream and stops, un-drained,
-two slots past a snapshot).
+* WAL commit records carry the plan an LP slot committed, and a killed
+  broker's resume commits it without planning.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import shutil
-from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
-import scipy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -50,7 +41,6 @@ from tests.obs_events import Events
 from tests.paths_reference import to_networkx
 from tests.schedule_reference import preview_cost
 
-FIXTURE = Path(__file__).parent / "data" / "parent_wal"
 
 #: Tier-1 runs a handful of examples; CI's ``tests`` job goes deeper.
 PROPERTY_EXAMPLES = int(os.environ.get("LP_ARCS_EXAMPLES", "10"))
@@ -360,9 +350,9 @@ def test_dark_window_escalation_builds_a_quarter_of_the_columns():
     assert pruned.num_variables * 4 <= full.num_variables
 
 
-# -- durability across the upgrade --------------------------------------------
+# -- durability across a crash ------------------------------------------------
 
-_FIXTURE_CONFIG = dict(
+_DRIVE_CONFIG = dict(
     datacenters=5, capacity=30.0, seed=3, max_deadline=6, tick_seconds=0.0,
     checkpoint_every=3, wal=True, wal_fsync=False, telemetry=False,
 )
@@ -399,111 +389,6 @@ def _books(broker):
     }
 
 
-def _acked(ckpt):
-    """Every decision record the fixture's build acked, as recovery keeps
-    it: the snapshot's inline log and the journal below its mark verbatim,
-    the replayed tail's commit records without the measured ``wait_s`` and
-    ``decision_s`` (only a submit reply carries them now)."""
-    from repro.service.wal import scan_wal
-
-    meta = json.loads((ckpt / "snapshot-00000001.json").read_text())["meta"]
-    acked = dict(meta.get("decisions", {}))
-    for frame in scan_wal(ckpt / "decisions.log", limit=meta.get("decisions_mark")).records:
-        acked.update(frame)
-    for record in scan_wal(ckpt / "wal-00000001.log").records:
-        for cid, decision in record.get("decisions", {}).items():
-            acked[cid] = {k: v for k, v in decision.items()
-                          if k not in ("wait_s", "decision_s")}
-    return acked
-
-
-def test_parent_build_wal_tail_recovers_to_the_cells_it_acked(tmp_path):
-    """The fixture's tail holds an ``lp`` commit record with no
-    ``lp_arcs`` field and no plan: the legacy reader plans it again on
-    the full model.
-
-    The directory is also the upgrade drill for the snapshot format: a
-    version-2 snapshot with the decision log inline.  The checkpoint the
-    resume takes (its records carry no plan) journals what it inherited,
-    and the version-3 directory recovers to the same books."""
-    from repro.service.wal import scan_wal
-
-    books = json.loads((FIXTURE / "books.json").read_text())
-    shutil.copytree(FIXTURE / "ckpt", tmp_path / "ckpt")
-    config = ServiceConfig(checkpoint_dir=str(tmp_path / "ckpt"), **_FIXTURE_CONFIG)
-    inline = json.loads((FIXTURE / "ckpt" / "snapshot-00000001.json").read_text())
-    assert inline["version"] == 2 and len(inline["meta"]["decisions"]) == 18
-    resumed = TransferBroker(config)
-    assert resumed.resumed and resumed.verifier_report["ok"]
-    assert resumed.recovery_info["replayed_records"] > 0
-    recovered = _books(resumed)
-    assert recovered["next_slot"] == books["next_slot"]
-    assert set(recovered["decisions"]) == set(books["decisions"])
-    assert "lp" in {lane for _, _, lane in books["decisions"].values()}
-    assert resumed.decisions == _acked(FIXTURE / "ckpt")  # wall_ts, cost_delta, ...
-
-    store = resumed.store
-    assert store.stats()["checkpoints"] == 1  # taken before it served
-    store.close()
-    written = json.loads(store.snapshot_path(store.generation).read_text())
-    assert written["version"] == 3 and "decisions" not in written["meta"]
-    assert written["meta"]["decisions_mark"] == store.journal_path.stat().st_size
-    journaled = [c for frame in scan_wal(store.journal_path).records for c in frame]
-    assert journaled == list(resumed.decisions)  # inherited + replayed, once each
-    again = TransferBroker(config)
-    again.store.close()
-    assert again.recovery_info["replayed_records"] == 0
-    assert again.decisions == resumed.decisions
-    assert _books(again) == recovered
-    if books["scipy"] != scipy.__version__:
-        pytest.skip(f"cells were recorded against scipy {books['scipy']}")
-    assert recovered["decisions"] == books["decisions"]
-    assert recovered["cells"] == books["cells"]
-    assert recovered["charged"] == books["charged"]
-
-
-def test_a_parent_directory_without_a_snapshot_keeps_what_it_acked(tmp_path):
-    """A directory the older build left before its first checkpoint holds
-    the genesis log alone, so its wall epoch is lost: the decisions it
-    acked (``wall_ts`` included) are kept, not derived again."""
-    from repro.service.wal import scan_wal
-
-    (tmp_path / "ckpt").mkdir()
-    shutil.copy(FIXTURE / "ckpt" / "wal-00000000.log", tmp_path / "ckpt")
-    resumed = TransferBroker(
-        ServiceConfig(checkpoint_dir=str(tmp_path / "ckpt"), **_FIXTURE_CONFIG)
-    )
-    resumed.store.close()
-    acked = {
-        cid: {k: v for k, v in decision.items() if k not in ("wait_s", "decision_s")}
-        for record in scan_wal(FIXTURE / "ckpt" / "wal-00000000.log").records
-        for cid, decision in record.get("decisions", {}).items()
-    }
-    assert len(acked) == 18 and resumed.decisions == acked
-
-
-def test_parent_tail_replayed_pruned_would_diverge(tmp_path, monkeypatch):
-    """The field is load-bearing: the same tail replayed as if it said
-    ``lp_arcs: "paths"`` lands on different cells."""
-    books = json.loads((FIXTURE / "books.json").read_text())
-    if books["scipy"] != scipy.__version__:
-        pytest.skip(f"cells were recorded against scipy {books['scipy']}")
-    shutil.copytree(FIXTURE / "ckpt", tmp_path / "ckpt")
-    from repro.service import legacy
-
-    reader = legacy.legacy_plan
-    monkeypatch.setattr(
-        legacy, "legacy_plan",
-        lambda scheduler, record:
-            reader(scheduler, dict(record, lp_arcs="paths", lp_objective="hops")),
-    )
-    resumed = TransferBroker(
-        ServiceConfig(checkpoint_dir=str(tmp_path / "ckpt"), **_FIXTURE_CONFIG)
-    )
-    resumed.store.close()
-    assert _books(resumed)["cells"] != books["cells"]
-
-
 def test_new_lp_records_carry_their_arcs_and_replay_exactly(tmp_path):
     """A fresh crash/recover drill on this build's records: killed
     un-drained two slots past a snapshot, the resumed broker holds the
@@ -515,7 +400,7 @@ def test_new_lp_records_carry_their_arcs_and_replay_exactly(tmp_path):
     from repro.heuristic.fastlane import FastLaneScheduler
     from repro.service.wal import scan_wal
 
-    config = ServiceConfig(checkpoint_dir=str(tmp_path / "ckpt"), **_FIXTURE_CONFIG)
+    config = ServiceConfig(checkpoint_dir=str(tmp_path / "ckpt"), **_DRIVE_CONFIG)
     broker = TransferBroker(config)
     _drive(broker)
     broker.store.close()  # the "crash": no drain, no final snapshot
@@ -541,17 +426,3 @@ def test_new_lp_records_carry_their_arcs_and_replay_exactly(tmp_path):
     assert resumed.resumed and resumed.verifier_report["ok"]
     assert _books(resumed) == expected
     assert {resumed.decisions[cid]["lane"] for r in lp for cid in r["batch"]} == {"lp"}
-
-
-if __name__ == "__main__":
-    shutil.rmtree(FIXTURE, ignore_errors=True)
-    FIXTURE.mkdir(parents=True)
-    recorder = TransferBroker(
-        ServiceConfig(checkpoint_dir=str(FIXTURE / "ckpt"), **_FIXTURE_CONFIG)
-    )
-    _drive(recorder)
-    recorder.store.close()
-    (FIXTURE / "books.json").write_text(json.dumps(
-        dict(_books(recorder), scipy=scipy.__version__), indent=1, sort_keys=True
-    ) + "\n")
-    print(f"recorded {sorted(p.name for p in (FIXTURE / 'ckpt').iterdir())}")

@@ -14,25 +14,17 @@ path-pruned solve runs without HiGHS's presolve.  The contract:
   widened model, every shedding solve and a model past the backend's
   interior-point switch keep it, and a slot the lane does not prune at
   all is the paper's model, tie-break and presolve alike;
-* WAL commit records name the objective, and a tail written by the build
-  before the tie-break still recovers to the cells it acked.
-
-``tests/data/pr25_wal/`` was written by that build: run this file as a
-script with its ``src/`` on ``PYTHONPATH`` to re-record it (the stream
-and the stop of ``tests/data/parent_wal/``, see ``tests/test_lp_arcs.py``).
+* WAL commit records carry the plan the objective picked, and a killed
+  broker's resume lands on the same books.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -47,8 +39,7 @@ from repro.service.slotloop import TransferBroker
 from repro.service.wal import scan_wal
 from repro.traffic.spec import TransferRequest
 from tests.test_lp_arcs import (
-    _FIXTURE_CONFIG,
-    _acked,
+    _DRIVE_CONFIG,
     _arc_sets,
     _batch,
     _books,
@@ -57,8 +48,6 @@ from tests.test_lp_arcs import (
     _saturate_known_paths,
 )
 from tests.schedule_reference import preview_cost
-
-FIXTURE = Path(__file__).parent / "data" / "pr25_wal"
 
 #: Tier-1 runs a handful of examples; CI's ``tests`` job goes deeper.
 PROPERTY_EXAMPLES = int(os.environ.get("LP_ARCS_EXAMPLES", "10"))
@@ -259,68 +248,11 @@ def test_a_model_past_the_interior_point_switch_keeps_presolve(pressure_stream, 
     assert columns > IPM_COLUMNS and options == ON
 
 
-# -- durability across the upgrade ---------------------------------------------
-
-
-def _resume_fixture(tmp_path):
-    shutil.copytree(FIXTURE / "ckpt", tmp_path / "ckpt")
-    broker = TransferBroker(
-        ServiceConfig(checkpoint_dir=str(tmp_path / "ckpt"), **_FIXTURE_CONFIG)
-    )
-    broker.store.close()
-    return broker
-
-
-def _skip_on_another_solver_build(books):
-    if books["scipy"] != scipy.__version__:
-        pytest.skip(f"cells were recorded against scipy {books['scipy']}")
-
-
-def test_pr25_wal_tail_recovers_to_the_cells_it_acked(tmp_path):
-    """Its ``lp`` records name pruned arcs and no objective: replay prunes
-    as they did and solves without the tie-break, presolve on."""
-    books = json.loads((FIXTURE / "books.json").read_text())
-    lp = [
-        record
-        for log in sorted((FIXTURE / "ckpt").glob("wal-*.log"))
-        for record in scan_wal(log).records
-        if record["type"] == "commit" and record.get("lane") == "lp"
-    ]
-    assert lp and all(r["lp_arcs"] == "paths" and "lp_objective" not in r for r in lp)
-
-    resumed = _resume_fixture(tmp_path)
-    assert resumed.resumed and resumed.verifier_report["ok"]
-    assert resumed.recovery_info["replayed_records"] > 0
-    recovered = _books(resumed)
-    assert recovered["next_slot"] == books["next_slot"]
-    assert set(recovered["decisions"]) == set(books["decisions"])
-    assert resumed.decisions == _acked(FIXTURE / "ckpt")  # wall_ts, cost_delta, ...
-    # The resume checkpointed, so the plan-less records are read once.
-    again = TransferBroker(resumed.config)
-    again.store.close()
-    assert again.recovery_info["replayed_records"] == 0
-    assert _books(again) == recovered and again.decisions == resumed.decisions
-    _skip_on_another_solver_build(books)
-    assert recovered == {key: books[key] for key in recovered}
-
-
-def test_pr25_tail_replayed_with_the_tie_break_would_diverge(tmp_path, monkeypatch):
-    """The field is load-bearing: the same tail replayed as if its records
-    said ``lp_objective: "hops"`` lands on different cells."""
-    books = json.loads((FIXTURE / "books.json").read_text())
-    _skip_on_another_solver_build(books)
-    from repro.service import legacy
-
-    reader = legacy.legacy_plan
-    monkeypatch.setattr(
-        legacy, "legacy_plan",
-        lambda scheduler, record: reader(scheduler, dict(record, lp_objective="hops")),
-    )
-    assert _books(_resume_fixture(tmp_path))["cells"] != books["cells"]
+# -- durability across a crash ------------------------------------------------
 
 
 def test_new_lp_records_name_their_objective_and_replay_exactly(tmp_path):
-    config = ServiceConfig(checkpoint_dir=str(tmp_path / "ckpt"), **_FIXTURE_CONFIG)
+    config = ServiceConfig(checkpoint_dir=str(tmp_path / "ckpt"), **_DRIVE_CONFIG)
     broker = TransferBroker(config)
     _drive(broker)
     broker.store.close()  # the "crash": no drain, no final snapshot
@@ -340,17 +272,3 @@ def test_new_lp_records_name_their_objective_and_replay_exactly(tmp_path):
     resumed.store.close()
     assert resumed.resumed and resumed.verifier_report["ok"]
     assert _books(resumed) == expected
-
-
-if __name__ == "__main__":
-    shutil.rmtree(FIXTURE, ignore_errors=True)
-    FIXTURE.mkdir(parents=True)
-    recorder = TransferBroker(
-        ServiceConfig(checkpoint_dir=str(FIXTURE / "ckpt"), **_FIXTURE_CONFIG)
-    )
-    _drive(recorder)
-    recorder.store.close()
-    (FIXTURE / "books.json").write_text(json.dumps(
-        dict(_books(recorder), scipy=scipy.__version__), indent=1, sort_keys=True
-    ) + "\n")
-    print(f"recorded {sorted(p.name for p in (FIXTURE / 'ckpt').iterdir())}")

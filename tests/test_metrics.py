@@ -80,24 +80,6 @@ def test_histogram_empty_queries():
     assert hist.percentiles() == {"count": 0}
 
 
-def test_histogram_merge_equals_union():
-    left, right, union = Histogram(), Histogram(), Histogram()
-    for i, value in enumerate(0.001 * (2 ** i) for i in range(20)):
-        (left if i % 2 else right).observe(value)
-        union.observe(value)
-    left.merge(right)
-    assert left.count == union.count
-    assert left.sum == pytest.approx(union.sum)
-    assert left.counts == union.counts
-    for q in (0.5, 0.9, 0.99):
-        assert left.quantile(q) == pytest.approx(union.quantile(q))
-
-
-def test_histogram_merge_rejects_mismatched_bounds():
-    with pytest.raises(ObservabilityError, match="different bucket bounds"):
-        Histogram([0.1, 1.0]).merge(Histogram([0.2, 2.0]))
-
-
 def test_default_bounds_cover_latency_range():
     # 4 per decade from 10 µs, rounded up past 200 s: 31 bounds, the last
     # 10**2.5 ≈ 316.2 s.  The metrics op's quantiles and the Prometheus

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import SchedulingError
 from repro.core.schedule import (
     SEMANTICS_FLUID,
-    SEMANTICS_STORE_AND_FORWARD,
     ScheduleEntry,
     TransferSchedule,
 )
@@ -91,28 +90,6 @@ def test_aggregations():
     assert schedule.total_transit_volume() == 8.0
     assert schedule.total_storage_volume() == 9.0
     assert len(schedule.entries_for_request(rid)) == 2
-
-
-def test_merge_concatenates_entries_and_storage():
-    a = TransferSchedule([move(1, 0, 1, 1, 1.0)], stored=[(1, 1.0)])
-    b = TransferSchedule([move(2, 0, 1, 0, 1.0)], stored=[(2, 0.5)])
-    merged = a.merge(b)
-    assert merged.entries == a.entries + b.entries
-    assert merged.stored == [(1, 1.0), (2, 0.5)]
-
-
-def test_merge_same_semantics():
-    a = TransferSchedule([move(1, 0, 1, 0, 1.0)])
-    b = TransferSchedule([move(2, 0, 1, 0, 1.0)])
-    merged = a.merge(b)
-    assert len(merged) == 2
-
-
-def test_merge_mixed_semantics_rejected():
-    a = TransferSchedule([], semantics=SEMANTICS_STORE_AND_FORWARD)
-    b = TransferSchedule([], semantics=SEMANTICS_FLUID)
-    with pytest.raises(SchedulingError):
-        a.merge(b)
 
 
 def test_delivered_volume_and_completion():
