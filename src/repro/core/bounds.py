@@ -56,12 +56,12 @@ class FileRoutes:
     def __init__(self, topology: Topology, model: PostcardModel):
         problem = model.model
         _, src, _, slot, transit = model.flow_columns
-        entries = problem.a_eq.tocoo()
-        out = entries.data > 0
+        row, col, data = problem.a_eq.coo()
+        out = data > 0
         tail = np.empty(len(src), dtype=np.int64)
         head = np.empty(len(src), dtype=np.int64)
-        tail[entries.col[out]] = entries.row[out]
-        head[entries.col[~out]] = entries.row[~out]
+        tail[col[out]] = row[out]
+        head[col[~out]] = row[~out]
         rank = {node: at for at, node in enumerate(topology.node_ids())}
         tail_rank = [rank[node] for node in src.tolist()]
         order = np.lexsort((np.arange(len(src)), ~transit, tail_rank, slot))
@@ -112,11 +112,12 @@ def dual_lower_bound(
 
     model = build_postcard_model(state, requests)
     problem, routes = model.model, FileRoutes(state.topology, model)
-    a_ub, b_ub, c = problem.a_ub, problem.b_ub, problem.c
-    a_ub_t = a_ub.T.tocsr()
+    b_ub, c = problem.b_ub, problem.c
+    row, col, data = problem.a_ub.coo()  # the matvecs below sum entries in this order
     num_flows = len(model.flow_columns[0])
     floor = problem.bounds[:, 0]  # flows at 0, each X_ij at X_ij(t-1)
-    charge = a_ub[:, num_flows:].tocoo()  # the X_ij columns' charge rows
+    charged = col >= num_flows  # the X_ij columns' charge (and cost) rows
+    charge_row, charge_col = row[charged], col[charged] - num_flows
     prices = c[num_flows:]
     price_scale = float(np.mean([link.price for link in state.topology.links]))
 
@@ -124,7 +125,7 @@ def dual_lower_bound(
     best = -float("inf")
     trajectory: List[float] = []
     for k in range(1, iterations + 1):
-        reduced = c + a_ub_t @ mu
+        reduced = c + np.bincount(col, weights=data * mu[row], minlength=len(c))
         x = floor.copy()
         _, x[:num_flows] = routes.cheapest(reduced[:num_flows])
         dual_value = problem.c0 + float(reduced @ x) - float(mu @ b_ub)
@@ -134,16 +135,16 @@ def dual_lower_bound(
         # Each row's violation is the subgradient; norm-normalized
         # diminishing steps (gamma_k = c / (||g|| sqrt(k))), since raw
         # loads can be orders of magnitude above the price scale.
-        g = a_ub @ x - b_ub
+        g = np.bincount(row, weights=data * x[col], minlength=len(b_ub)) - b_ub
         norm = max(float(np.sqrt((g ** 2).sum())), 1e-12)
         step = step_scale * price_scale / (norm * np.sqrt(k))
         mu = np.maximum(0.0, mu + step * g)
         # Project: scale an X_ij column's charge rows down to its price.
-        spent = np.bincount(charge.col, weights=mu[charge.row], minlength=len(prices))
+        spent = np.bincount(charge_col, weights=mu[charge_row], minlength=len(prices))
         over = spent > prices
         if np.any(over):
             scale = np.ones_like(spent)
             scale[over] = prices[over] / spent[over]
-            mu[charge.row] *= scale[charge.col]
+            mu[charge_row] *= scale[charge_col]
 
     return DualBoundResult(lower_bound=best, trajectory=trajectory, iterations=iterations)

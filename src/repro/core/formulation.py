@@ -42,7 +42,7 @@ from repro.errors import InfeasibleError, SchedulingError
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
 from repro.charging.costfunc import LinearCost, PiecewiseLinearCost
-from repro.lp import CompiledProblem, Solution, solve_lp
+from repro.lp import CompiledProblem, Solution, row_matrix, solve_lp
 from repro.obs import registry as obs
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
@@ -206,26 +206,24 @@ class PostcardModel:
         ``max sum(weights[k] * y_k)``.  The ``y`` columns follow every
         other column, in request order; the rows are unchanged.
         """
-        from scipy import sparse
-
         problem = self.model
         num_columns, count = problem.num_variables, len(self.requests)
         ends = np.flatnonzero(problem.b_eq)  # the files' source and sink rows
         files = self.balance_nodes[0][ends]
-        supply = sparse.csr_matrix(
-            (-np.sign(problem.b_eq[ends]) * np.asarray(per_unit, float)[files],
-             (ends, files)),
-            shape=(problem.num_equalities, count),
-        )
+        rows, cols, values = problem.a_eq.coo()
         b_eq = problem.b_eq.copy()
         b_eq[ends] = 0.0
         return replace(
             problem,
             c=np.concatenate([np.zeros(num_columns), -np.asarray(weights, float)]),
             c0=0.0,
-            a_ub=sparse.hstack([problem.a_ub, sparse.csr_matrix(
-                (problem.num_inequalities, count))], format="csr"),
-            a_eq=sparse.hstack([problem.a_eq, supply], format="csr"),
+            a_ub=replace(problem.a_ub, shape=(problem.num_inequalities, num_columns + count)),
+            a_eq=row_matrix(
+                np.append(rows, ends), np.append(cols, num_columns + files),
+                np.append(values, -np.sign(problem.b_eq[ends])
+                          * np.asarray(per_unit, float)[files]),
+                (problem.num_equalities, num_columns + count),
+            ),
             b_eq=b_eq,
             bounds=np.vstack([problem.bounds, np.column_stack((np.zeros(count), upper))]),
             maximize=True,
@@ -561,8 +559,6 @@ def _assemble(
     num_rows += len(charge_b)
 
     # -- objective, bounds ---------------------------------------------------
-    from scipy import sparse  # on the first solve, not at import (docs/PERFORMANCE.md)
-
     num_columns = num_flows + len(lower)
     c = np.zeros(num_columns)
     c[num_flows:] = objective
@@ -575,15 +571,11 @@ def _assemble(
     problem = CompiledProblem(
         c=c,
         c0=fixed_cost,
-        a_ub=sparse.csr_matrix(
-            (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(num_rows, num_columns),
-        ),
+        a_ub=row_matrix(np.concatenate(rows), np.concatenate(cols),
+                        np.concatenate(values), (num_rows, num_columns)),
         b_ub=np.concatenate(b_ub),
-        a_eq=sparse.csr_matrix(
-            (np.tile((1.0, -1.0), num_flows), (node_row, np.repeat(flows, 2))),
-            shape=(len(nodes), num_columns),
-        ),
+        a_eq=row_matrix(node_row, np.repeat(flows, 2), np.tile((1.0, -1.0), num_flows),
+                        (len(nodes), num_columns)),
         b_eq=b_eq,
         bounds=bounds,
         maximize=False,

@@ -26,7 +26,7 @@ from repro.errors import InfeasibleError, SchedulingError
 from repro.core.formulation import build_postcard_model
 from repro.core.schedule import TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import solve_lp
+from repro.lp import row_matrix, solve_lp
 from repro.traffic.spec import TransferRequest
 
 
@@ -56,18 +56,18 @@ def _fractional_relaxation(
     budget_per_slot: float,
 ) -> Tuple[float, Dict[int, float]]:
     """Solve the y_k in [0,1] relaxation; returns (objective, fractions)."""
-    from scipy import sparse
-
     built = build_postcard_model(state, requests)
     bill = built.model
     count = len(requests)
     relaxed = built.supply_columns(
         [r.size_gb for r in requests], np.ones(count), np.ones(count)
     )
+    (rows, cols, values), m = relaxed.a_ub.coo(), relaxed.num_inequalities
+    billed = np.flatnonzero(bill.c)  # the bill row: sum(a_ij * X_ij) <= budget
     relaxed = replace(
         relaxed,
-        a_ub=sparse.vstack([relaxed.a_ub, np.append(bill.c, np.zeros(count))],
-                           format="csr"),
+        a_ub=row_matrix(np.append(rows, np.full(len(billed), m)), np.append(cols, billed),
+                        np.append(values, bill.c[billed]), (m + 1, relaxed.num_variables)),
         b_ub=np.append(relaxed.b_ub, budget_per_slot - bill.c0),
     )
     solution = solve_lp(relaxed)

@@ -32,7 +32,7 @@ import numpy as np
 from repro.core.formulation import build_postcard_model
 from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.state import NetworkState
-from repro.lp import Solution, solve_lp
+from repro.lp import Solution, row_matrix, solve_lp
 from repro.traffic.spec import expand_multicast
 from repro.units import VOLUME_ATOL
 
@@ -60,8 +60,6 @@ def solve_multicast(
     release_slot: int = 0,
 ) -> MulticastResult:
     """Optimize one replication job with shared upstream traffic."""
-    from scipy import sparse
-
     requests = expand_multicast(
         source, list(destinations), size_gb, deadline_slots, release_slot
     )
@@ -79,30 +77,24 @@ def solve_multicast(
     # A row over a cell's movers (its capacity and charge rows) loads the
     # cell's occupancy once instead of every destination's flow, with the
     # movers' coefficient; each mover gets a share row f - u <= 0.
-    a_ub = problem.a_ub.tocoo()
-    on_move = occupancy[a_ub.col] >= 0
+    row, col, data = problem.a_ub.coo()
+    on_move = occupancy[col] >= 0
     loads, first = np.unique(
-        np.stack((a_ub.row[on_move], occupancy[a_ub.col[on_move]])),
-        axis=1, return_index=True,
+        np.stack((row[on_move], occupancy[col[on_move]])), axis=1, return_index=True,
     )
     share = problem.num_inequalities + np.arange(len(movers))
-    rows = (a_ub.row[~on_move], loads[0], share, share)
-    cols = (a_ub.col[~on_move], loads[1], movers, occupancy[movers])
-    values = (a_ub.data[~on_move], a_ub.data[on_move][first],
+    rows = (row[~on_move], loads[0], share, share)
+    cols = (col[~on_move], loads[1], movers, occupancy[movers])
+    values = (data[~on_move], data[on_move][first],
               np.ones(len(movers)), -np.ones(len(movers)))
-    a_ub = sparse.csr_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(share.size + problem.num_inequalities, num_columns + len(cells)),
-    )
+    width = num_columns + len(cells)
     solution = solve_lp(replace(
         problem,
         c=np.append(problem.c, np.zeros(len(cells))),
-        a_ub=a_ub,
+        a_ub=row_matrix(np.concatenate(rows), np.concatenate(cols), np.concatenate(values),
+                        (share.size + problem.num_inequalities, width)),
         b_ub=np.append(problem.b_ub, np.zeros(len(movers))),
-        a_eq=sparse.hstack(
-            [problem.a_eq, sparse.csr_matrix((problem.num_equalities, len(cells)))],
-            format="csr",
-        ),
+        a_eq=replace(problem.a_eq, shape=(problem.num_equalities, width)),
         bounds=np.vstack([problem.bounds, np.tile((0.0, np.inf), (len(cells), 1))]),
     ))
 

@@ -1,9 +1,9 @@
 """The LP layer: one representation, one solver.
 
 A problem is a :class:`CompiledProblem`, the sparse standard-form arrays
-HiGHS reads.  The Postcard LP (:mod:`repro.core.formulation`) writes
-them itself; every other formulation states its columns and rows on an
-:class:`LPBuilder`, which appends them to those arrays.
+HiGHS reads (each matrix a :class:`RowMatrix`, built by :func:`row_matrix`).
+The Postcard LP (:mod:`repro.core.formulation`) writes them itself; every
+other formulation states its columns and rows on an :class:`LPBuilder`.
 
 The solver is HiGHS, through the binding scipy vendors, fed the compiled
 arrays in one call (:class:`repro.lp.backends.highs.HighsBackend`).  The test
@@ -28,7 +28,7 @@ Example
 
 from repro.lp.result import Solution, SolveStatus
 from repro.lp.compile import (
-    EQ, GE, LE, CompiledProblem, LPBuilder, compile_model, solve_lp,
+    EQ, GE, LE, CompiledProblem, LPBuilder, RowMatrix, compile_model, row_matrix, solve_lp,
 )
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
     "Solution",
     "SolveStatus",
     "CompiledProblem",
+    "RowMatrix",
+    "row_matrix",
     "compile_model",
     "solve_lp",
 ]

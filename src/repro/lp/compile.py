@@ -1,7 +1,7 @@
 """The LP in sparse standard form, and the builder that writes it.
 
 The compiled form is what the HiGHS backend hands HiGHS, ``a_ub`` rows
-stacked over ``a_eq`` rows (``repro.lp.backends.highs``):
+stacked over ``a_eq`` rows, each a :class:`RowMatrix` of numpy arrays:
 
     minimize    c @ x + c0
     subject to  A_ub @ x <= b_ub
@@ -23,7 +23,7 @@ is pinned to, byte for byte (``tests/test_lp_builder.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,12 +31,48 @@ from repro.errors import InfeasibleError, ModelError, SolverError, UnboundedErro
 from repro.lp.result import Solution, SolveStatus
 from repro.obs import registry as obs
 
-if TYPE_CHECKING:  # scipy.sparse loads with the first matrix (docs/PERFORMANCE.md)
-    from scipy import sparse
-
 #: Row senses: ``row(cols, vals, LE, rhs)`` states ``vals . x[cols] <= rhs``.
 LE, GE, EQ = "<=", ">=", "=="
 IPM_COLUMNS = 20000  #: above this many columns the backend asks for interior point
+
+
+@dataclass(frozen=True)
+class RowMatrix:
+    """A sparse matrix by rows (CSR) with ``nnz`` entries: row ``i``'s columns,
+    ascending, and values are ``indices`` and ``data`` at ``indptr[i]:indptr[i + 1]``."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: Tuple[int, int]
+    nnz: int
+
+    def coo(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)``, one entry each, in row-major order."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return rows, self.indices, self.data
+
+
+def row_matrix(rows, cols, values, shape: Tuple[int, int]) -> RowMatrix:
+    """What ``scipy.sparse.csr_matrix((values, (rows, cols)), shape)`` holds:
+    duplicates summed in input order, zeros kept, ``shape`` in Python ints."""
+    m, n = int(shape[0]), int(shape[1])
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    narrow = np.uint16 if max(m, n) <= 1 << 16 else np.int64  # radix-sorted by numpy
+    order = np.argsort(cols.astype(narrow), kind="stable")
+    order = order[np.argsort(rows[order].astype(narrow), kind="stable")]
+    rows, cols, values = rows[order], cols[order], np.asarray(values, dtype=float)[order]
+    key = rows * n + cols
+    if (key[1:] == key[:-1]).any():  # a cell's duplicates follow it: sum them in order
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        summed, runs = values[first], np.diff(first, append=len(key))
+        for k in range(1, runs.max()):
+            more = runs > k
+            summed[more] += values[first[more] + k]
+        rows, cols, values = rows[first], cols[first], summed
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=m), out=indptr[1:])
+    return RowMatrix(indptr, cols.astype(np.int32), values, (m, n), len(values))
 
 
 @dataclass
@@ -45,9 +81,9 @@ class CompiledProblem:
 
     c: np.ndarray
     c0: float
-    a_ub: sparse.csr_matrix
+    a_ub: RowMatrix
     b_ub: np.ndarray
-    a_eq: sparse.csr_matrix
+    a_eq: RowMatrix
     b_eq: np.ndarray
     #: Per-variable (lb, ub) as an ``(n, 2)`` array (the backend also
     #: reads a list of tuples, ``None`` meaning unbounded).
@@ -257,41 +293,17 @@ def _coo_from_buffers(
     flips: Optional[List[float]],
     num_rows: int,
     num_cols: int,
-) -> sparse.csr_matrix:
-    """CSR matrix from per-constraint flattened coefficient buffers.
+) -> RowMatrix:
+    """The matrix of per-constraint flattened coefficient buffers.
 
     ``counts[i]`` entries of ``cols``/``vals`` belong to row ``i``;
     ``flips`` optionally scales each row's entries (the GE negation).
     Explicit zeros are dropped (a flipped zero is still zero).
     """
-    from scipy import sparse
-
-    counts_arr = np.asarray(counts, dtype=np.intp)
-    cols_arr = np.asarray(cols, dtype=np.intp)
+    rows = np.repeat(np.arange(num_rows), np.asarray(counts, dtype=np.intp))
     data = np.asarray(vals, dtype=float)
     if flips is not None and len(flips):
-        data = data * np.repeat(np.asarray(flips, dtype=float), counts_arr)
+        data = data * np.asarray(flips, dtype=float)[rows]
     keep = data != 0.0
-    if keep.all():
-        # The buffers are already row-contiguous, so the CSR index
-        # pointer is just the running total of per-row counts — no COO
-        # row expansion, no lexsort.  ``sum_duplicates()`` canonicalizes
-        # (sorted indices, merged duplicates), yielding the exact matrix
-        # the COO round-trip would.
-        indptr = np.empty(num_rows + 1, dtype=np.intp)
-        indptr[0] = 0
-        np.cumsum(counts_arr, out=indptr[1:])
-        matrix = sparse.csr_matrix(
-            (data, cols_arr, indptr), shape=(num_rows, num_cols), dtype=float
-        )
-        matrix.sum_duplicates()
-        return matrix
-    # Explicit zeros present: filtering invalidates the per-row counts,
-    # so fall back to the COO round-trip.
-    rows = np.repeat(np.arange(num_rows, dtype=np.intp), counts_arr)
-    rows = rows[keep]
-    cols_arr = cols_arr[keep]
-    data = data[keep]
-    return sparse.csr_matrix(
-        (data, (rows, cols_arr)), shape=(num_rows, num_cols), dtype=float
-    )
+    return row_matrix(rows[keep], np.asarray(cols, dtype=np.intp)[keep], data[keep],
+                      (num_rows, num_cols))

@@ -10,6 +10,8 @@
   to its capacity :class:`~tests.lp_model.Constraint`.
 * :func:`compile_legacy` is the per-constraint, per-coefficient lowering
   of a :class:`~tests.lp_model.Model` to a :class:`~repro.lp.CompiledProblem`.
+* :func:`as_scipy` reads a compiled matrix as the ``scipy.sparse`` CSR
+  matrix the oracles (``linprog``, dense views, matvecs) take.
 
 ``tests/test_compile_equivalence.py`` pins ``build_postcard_model`` and
 ``compile_model`` to these, bit for bit.
@@ -285,6 +287,13 @@ def _link_cost_variable(model: Model, key, x: Variable, cost_fn) -> Variable:
         f"unsupported cost function type {type(cost_fn).__name__} for the "
         "LP objective (use LinearCost or a convex PiecewiseLinearCost)"
     )
+
+
+def as_scipy(matrix) -> sparse.csr_matrix:
+    """A copy of a :class:`~repro.lp.RowMatrix` (or a scipy CSR matrix) as
+    scipy's CSR matrix."""
+    return sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                             shape=matrix.shape, copy=True)
 
 
 def compile_legacy(model: Model) -> CompiledProblem:

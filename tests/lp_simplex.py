@@ -38,6 +38,7 @@ from repro.lp.compile import CompiledProblem, compile_model
 from repro.lp.result import Solution, SolveStatus
 from repro.obs import registry as obs
 from tests.lp_model import Model, solve_lp
+from tests.lp_reference import as_scipy
 
 _TOL = 1e-9
 
@@ -116,8 +117,8 @@ def _canonicalize(problem: CompiledProblem) -> _Canonical:
                 extra_bound_rows.append((num_cols, hi - lo))
             num_cols += 1
 
-    a_ub = problem.a_ub.toarray() if problem.num_inequalities else np.zeros((0, n))
-    a_eq = problem.a_eq.toarray() if problem.num_equalities else np.zeros((0, n))
+    a_ub = as_scipy(problem.a_ub).toarray() if problem.num_inequalities else np.zeros((0, n))
+    a_eq = as_scipy(problem.a_eq).toarray() if problem.num_equalities else np.zeros((0, n))
     b_ub = problem.b_ub.copy()
     b_eq = problem.b_eq.copy()
 

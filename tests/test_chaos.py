@@ -258,9 +258,9 @@ def test_watchdog_drill_degrades_and_rearms(tmp_path):
     batches = drill_batches()
     batches += [[dict(f, id="e" + f["id"]) for f in batch] for batch in batches]
     chaos.MONKEY.arm("lp.escalate", action="hang", at=1, param=0.5)
-    # The first escalation imports the solver (scipy.sparse and HiGHS's
-    # extension) before its watchdog starts: one-time start-up, not the
-    # slot's wait, so it is paid here, off the clock.
+    # The first escalation imports the solver (the HiGHS backend and
+    # HiGHS's extension) before its watchdog starts: one-time start-up,
+    # not the slot's wait, so it is paid here, off the clock.
     load_solver()
     started = time.perf_counter()
     drive(broker, batches[0])

@@ -44,7 +44,7 @@ from repro.core import build_postcard_model
 from repro.core.state import NetworkState
 from repro.errors import InfeasibleError
 from repro.heuristic.paths import CandidatePathIndex
-from repro.lp.compile import CompiledProblem
+from repro.lp.compile import CompiledProblem, row_matrix
 from repro.net.generators import complete_topology
 from repro.net.schedule import LinkSchedule
 from repro.timeexp.cache import GraphCache
@@ -52,7 +52,7 @@ from repro.timeexp.graph import ArcKind, TimeExpandedGraph
 from repro.traffic import PaperWorkload
 from repro.traffic.spec import TransferRequest
 from tests.lp_model import Model, compile_model
-from tests.lp_reference import build_reference, compile_legacy
+from tests.lp_reference import as_scipy, build_reference, compile_legacy
 from tests.schedule_reference import storage_slot_volumes
 
 #: Tier-1 runs a handful of examples; CI's ``tests`` job goes deeper.
@@ -74,7 +74,7 @@ def assert_compiled_identical(
     assert a.row_map == (b.row_map if row_map else [])
     for m1, m2 in ((a.a_ub, b.a_ub), (a.a_eq, b.a_eq)):
         assert m1.shape == m2.shape
-        c1, c2 = m1.copy(), m2.copy()
+        c1, c2 = as_scipy(m1), as_scipy(m2)
         for m in (c1, c2):
             m.sum_duplicates()
             m.sort_indices()
@@ -157,10 +157,8 @@ def test_vectorized_compile_matches_legacy_postcard():
 def test_row_map_default_is_per_instance():
     """Regression: the row_map default must be a fresh list per
     problem, not a shared mutable class-level default."""
-    from scipy import sparse
-
     empty = np.zeros(0)
-    mat = sparse.csr_matrix((0, 0))
+    mat = row_matrix((), (), (), (0, 0))
     a = CompiledProblem(empty, 0.0, mat, empty, mat, empty, [], False)
     b = CompiledProblem(empty, 0.0, mat, empty, mat, empty, [], False)
     a.row_map.append(("ub", 0, 1.0))

@@ -47,6 +47,7 @@ from repro.sim import FaultModel, Simulation
 from repro.sim.recovery import RecoveryManager
 from repro.traffic import PaperWorkload, TraceWorkload, TransferRequest
 
+from tests.lp_reference import as_scipy
 from tests.test_fastlane_pins import _flavour
 
 PINS = Path(__file__).parent / "data" / "flow_lp_pins.json"
@@ -84,7 +85,7 @@ def _arrays_digest(problem) -> str:
     h = hashlib.sha256()
     for array in (
         problem.c, [problem.c0], problem.bounds, problem.b_ub, problem.b_eq,
-        problem.a_ub.toarray(), problem.a_eq.toarray(),
+        as_scipy(problem.a_ub).toarray(), as_scipy(problem.a_eq).toarray(),
     ):
         array = np.ascontiguousarray(np.asarray(array, dtype=np.float64) + 0.0)
         h.update(repr(array.shape).encode())

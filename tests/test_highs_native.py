@@ -26,6 +26,7 @@ from repro.lp.backends.highs import HighsBackend
 from repro.service import ServiceConfig
 from repro.traffic import TransferRequest
 from tests.lp_model import Model, compile_model
+from tests.lp_reference import as_scipy
 
 #: Tier-1 runs a handful of examples; CI's ``tests`` job goes deeper.
 PROPERTY_EXAMPLES = int(os.environ.get("LP_ARCS_EXAMPLES", "10"))
@@ -41,9 +42,9 @@ def assert_native_equals_linprog(model, options=None, linprog_options=None, meth
     solution = HighsBackend().solve(problem, **(options or {}))
     result = linprog(
         problem.c,
-        A_ub=problem.a_ub if problem.num_inequalities else None,
+        A_ub=as_scipy(problem.a_ub) if problem.num_inequalities else None,
         b_ub=problem.b_ub if problem.num_inequalities else None,
-        A_eq=problem.a_eq if problem.num_equalities else None,
+        A_eq=as_scipy(problem.a_eq) if problem.num_equalities else None,
         b_eq=problem.b_eq if problem.num_equalities else None,
         bounds=problem.bounds,
         method=method,
@@ -194,8 +195,8 @@ def test_non_finite_input_raises_as_linprog_does(field, bad):
     with pytest.raises(ValueError, match=field):
         HighsBackend().solve(problem)
     with pytest.raises(ValueError):
-        linprog(problem.c, A_ub=problem.a_ub, b_ub=problem.b_ub,
-                A_eq=problem.a_eq, b_eq=problem.b_eq, bounds=problem.bounds)
+        linprog(problem.c, A_ub=as_scipy(problem.a_ub), b_ub=problem.b_ub,
+                A_eq=as_scipy(problem.a_eq), b_eq=problem.b_eq, bounds=problem.bounds)
 
 
 def test_legacy_none_bounds_read_as_infinite():
@@ -212,7 +213,7 @@ def test_the_post_solve_check_refuses_an_answer_that_breaks_a_row():
     bound or a row by more than the tolerance is an error."""
     problem = compile_model(_small_model())
     x = HighsBackend().solve(problem).x
-    rows = np.concatenate((problem.a_ub @ x, problem.a_eq @ x))
+    rows = np.concatenate((as_scipy(problem.a_ub) @ x, as_scipy(problem.a_eq) @ x))
     assert native._breaks(problem, x, 0.0, rows) == ""
     m_ub, tol = problem.num_inequalities, native._CHECK_TOL
     for row, at in ((0, problem.b_ub[0]), (m_ub, problem.b_eq[0])):  # ub row, eq row
