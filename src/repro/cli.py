@@ -484,7 +484,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
-    import json as _json
+
+    import orjson
 
     from repro.service import run_loadgen
 
@@ -511,7 +512,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     if args.json:
         from pathlib import Path
 
-        Path(args.json).write_text(_json.dumps(summary, indent=2) + "\n")
+        Path(args.json).write_bytes(
+            orjson.dumps(summary, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE))
     if summary["mode"] == "closed":
         print(
             f"closed loop: {summary['submitted']}/{len(requests)} requests "
@@ -577,19 +579,19 @@ def _looks_like_obs_events(path: str) -> bool:
     Unreadable or malformed files fall through to the benchmark loader,
     whose errors name the offending line.
     """
-    import json
+    import orjson
 
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             for line in fh:
                 if not line.strip():
                     continue
-                record = json.loads(line)
+                record = orjson.loads(line)
                 return (
                     isinstance(record, dict)
                     and record.get("type") in ("span", "counter", "gauge")
                 )
-    except (OSError, json.JSONDecodeError):
+    except (OSError, orjson.JSONDecodeError):
         pass
     return False
 

@@ -13,12 +13,13 @@ the network it was taken from, so restore requires the same topology
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
+
+import orjson
 
 from repro.errors import SchedulingError
 from repro.core.state import NetworkState
@@ -32,7 +33,7 @@ _VERSION = 1
 #: log lives in a journal beside the snapshot (``meta["decisions_mark"]``).
 #: Older versions are refused, not read (docs/SERVICE.md, "Recovery").
 _SNAPSHOT_VERSION = 3
-_CHECKSUM_KEY = ',"checksum":'
+_CHECKSUM_KEY = b',"checksum":'
 
 
 def fsync_directory(directory: PathLike) -> None:
@@ -46,11 +47,11 @@ def fsync_directory(directory: PathLike) -> None:
 
 def atomic_write(
     path: PathLike,
-    text: str,
+    data: bytes,
     fsync: bool = True,
     crashpoint: Optional[Callable[[str], None]] = None,
 ) -> int:
-    """Write ``text`` to ``path`` with the full durability dance.
+    """Write ``data`` to ``path`` with the full durability dance.
 
     tmp file -> flush -> fsync(tmp) -> rename -> fsync(directory).
     A bare tmp-and-rename only survives *process* death; the two fsyncs
@@ -63,7 +64,6 @@ def atomic_write(
     """
     target = Path(path)
     tmp = target.with_name(target.name + ".tmp")
-    data = text.encode("utf-8")
     hit = crashpoint or (lambda stage: None)
     hit("checkpoint.pre_write")
     with open(tmp, "wb") as fh:
@@ -205,7 +205,7 @@ def snapshot_to_json(
     pending: Optional[List[Dict[str, Any]]] = None,
     next_slot: int = 0,
     meta: Optional[Dict[str, Any]] = None,
-) -> str:
+) -> bytes:
     """Serialize a daemon snapshot (state + pending queue + clock).
 
     ``pending`` entries must be JSON-serializable dicts; they round-trip
@@ -223,12 +223,11 @@ def snapshot_to_json(
         "request_id_watermark": peek_next_request_id(),
         "meta": dict(meta or {}),
     }
-    # One pass of the C encoder: ``indent`` would force the pure-Python one.
-    body = json.dumps(payload, separators=(",", ":"))
-    return f"{body[:-1]}{_CHECKSUM_KEY}{zlib.crc32(body.encode('utf-8'))}}}"
+    body = orjson.dumps(payload)
+    return b"%s%s%d}" % (body[:-1], _CHECKSUM_KEY, zlib.crc32(body))
 
 
-def snapshot_from_json(text: str, topology: Topology) -> ServiceSnapshot:
+def snapshot_from_json(data: bytes, topology: Topology) -> ServiceSnapshot:
     """Rebuild a :class:`ServiceSnapshot` against ``topology``.
 
     Restores the embedded NetworkState (with the same shape checks as
@@ -239,8 +238,8 @@ def snapshot_from_json(text: str, topology: Topology) -> ServiceSnapshot:
     from repro.traffic.spec import ensure_request_ids_above
 
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
         raise SchedulingError(f"snapshot is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("kind") != "postcard-snapshot":
         raise SchedulingError("not a postcard service snapshot")
@@ -251,7 +250,7 @@ def snapshot_from_json(text: str, topology: Topology) -> ServiceSnapshot:
             f"(this build reads version {_SNAPSHOT_VERSION} only)"
         )
     recorded = payload.get("checksum")
-    expected = zlib.crc32((text.rpartition(_CHECKSUM_KEY)[0] + "}").encode("utf-8"))
+    expected = zlib.crc32(data.rpartition(_CHECKSUM_KEY)[0] + b"}")
     if recorded != expected:
         raise SchedulingError(
             f"snapshot checksum mismatch (recorded {recorded!r}, "
@@ -296,4 +295,4 @@ def save_snapshot(
 
 def load_snapshot(path: PathLike, topology: Topology) -> ServiceSnapshot:
     """Read a daemon snapshot back against the same topology."""
-    return snapshot_from_json(Path(path).read_text(), topology)
+    return snapshot_from_json(Path(path).read_bytes(), topology)

@@ -36,11 +36,12 @@ adjacent windows on one link are merged on insertion, so
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+
+import orjson
 
 from repro.errors import TopologyError
 from repro.net.topology import LinkKey
@@ -287,13 +288,14 @@ class LinkSchedule:
         return schedule
 
     def to_file(self, path: PathLike) -> None:
-        Path(path).write_text(json.dumps(self.to_payload(), indent=1) + "\n")
+        Path(path).write_bytes(orjson.dumps(
+            self.to_payload(), option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE))
 
     @classmethod
     def from_file(cls, path: PathLike) -> "LinkSchedule":
         try:
-            payload = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            payload = orjson.loads(Path(path).read_bytes())
+        except (OSError, orjson.JSONDecodeError) as exc:
             raise TopologyError(f"cannot load link schedule {path}: {exc}") from exc
         return cls.from_payload(payload)
 

@@ -16,10 +16,11 @@ per-slot events that list a batch's requests.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
+
+import orjson
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsSnapshot
@@ -60,12 +61,11 @@ class JsonlSink:
 
     def __init__(self, path: PathLike):
         self.path = Path(path)
-        self._fh = open(self.path, "w")
+        self._fh = open(self.path, "wb")
         self.num_events = 0
 
     def emit(self, event: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(event, default=str))
-        self._fh.write("\n")
+        self._fh.write(orjson.dumps(event, default=str, option=orjson.OPT_APPEND_NEWLINE))
         self.num_events += 1
 
     def close(self) -> None:
@@ -90,15 +90,15 @@ def load_events(path: PathLike) -> List[dict]:
     """
     events: List[dict] = []
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ObservabilityError(f"cannot read event file {path}: {exc}") from exc
-    for line_number, line in enumerate(text.splitlines(), 1):
+    for line_number, line in enumerate(data.splitlines(), 1):
         if not line.strip():
             continue
         try:
-            event = json.loads(line)
-        except json.JSONDecodeError as exc:
+            event = orjson.loads(line)
+        except orjson.JSONDecodeError as exc:
             raise ObservabilityError(
                 f"{path}:{line_number}: not valid JSON: {exc}"
             ) from exc

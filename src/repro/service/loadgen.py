@@ -18,10 +18,11 @@ admission-latency definition (docs/SERVICE.md):
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
+
+import orjson
 
 from repro.errors import ServiceError
 from repro.obs.slo import percentile
@@ -115,7 +116,7 @@ class Connection:
                 line = await self.reader.readline()
                 if not line:
                     break
-                message = json.loads(line)
+                message = orjson.loads(line)
                 client_id = message.get("id")
                 waiter = self.waiters.pop(str(client_id), None) if client_id else None
                 if waiter is None and self.control:

@@ -27,8 +27,10 @@ scheduling the transfer twice.
 
 from __future__ import annotations
 
-import json
+import math
 from typing import Any, Dict
+
+import orjson
 
 from repro.errors import ProtocolError
 from repro.units import VOLUME_ATOL
@@ -55,7 +57,7 @@ MAX_LINE_BYTES = 64 * 1024
 
 def encode(message: Dict[str, Any]) -> bytes:
     """One protocol message as a newline-terminated JSON line."""
-    return (json.dumps(message, separators=(",", ":")) + "\n").encode()
+    return orjson.dumps(message, option=orjson.OPT_APPEND_NEWLINE)
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
@@ -68,8 +70,8 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError(f"message exceeds {MAX_LINE_BYTES} bytes")
     try:
-        message = json.loads(line.decode("utf-8", errors="strict"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        message = orjson.loads(line)
+    except orjson.JSONDecodeError as exc:
         raise ProtocolError(f"message is not valid JSON: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError("message must be a JSON object")
@@ -80,15 +82,16 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     return message
 
 
-def validate_submit(message: Dict[str, Any], max_deadline: int) -> Dict[str, Any]:
+def validate_submit(message: Dict[str, Any], max_deadline: int,
+                    datacenters: int) -> Dict[str, Any]:
     """Normalize a ``submit`` message's transfer fields.
 
     Returns ``{"id", "source", "destination", "size_gb",
     "deadline_slots"}`` with coerced types; raises
     :class:`ProtocolError` on missing/invalid fields.  Validation here
-    mirrors :class:`~repro.traffic.spec.TransferRequest`'s own invariants
-    so a bad submit is refused at the wire instead of exploding inside
-    the slot loop.
+    mirrors :class:`~repro.traffic.spec.TransferRequest`'s own invariants,
+    plus datacenters ``0 .. datacenters - 1`` and a finite size, so a bad
+    submit is refused at the wire instead of failing its whole slot.
     """
     client_id = message.get("id")
     if not isinstance(client_id, str) or not client_id:
@@ -104,9 +107,13 @@ def validate_submit(message: Dict[str, Any], max_deadline: int) -> Dict[str, Any
         raise ProtocolError(f"submit field is malformed: {exc}") from exc
     if source == destination:
         raise ProtocolError(f"source equals destination ({source})")
-    if size_gb <= VOLUME_ATOL:  # schedules drop volumes this small
+    if not (0 <= source < datacenters and 0 <= destination < datacenters):
         raise ProtocolError(
-            f"size_gb must exceed the volume tolerance {VOLUME_ATOL} GB, got {size_gb}"
+            f"datacenters are 0..{datacenters - 1}, got {source} -> {destination}")
+    if not VOLUME_ATOL < size_gb < math.inf:  # schedules drop volumes this small
+        raise ProtocolError(
+            f"size_gb must be finite and exceed the volume tolerance {VOLUME_ATOL} GB, "
+            f"got {size_gb}"
         )
     if deadline < 1:
         raise ProtocolError(f"deadline_slots must be >= 1, got {deadline}")

@@ -455,7 +455,8 @@ class ServiceDaemon(LineServer):
 
     async def _op_submit(self, message, outbox: Optional[_Outbox]) -> Answer:
         try:
-            fields = protocol.validate_submit(message, self.config.max_deadline)
+            fields = protocol.validate_submit(
+                message, self.config.max_deadline, self.config.datacenters)
         except ProtocolError as exc:
             return protocol.error_response(
                 "submit", "invalid", str(exc), id=message.get("id")

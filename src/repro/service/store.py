@@ -286,10 +286,7 @@ class SnapshotStore:
                 snapshot = load_snapshot(self.snapshot_path(gen), topology)
                 base = gen
                 break
-            except (SchedulingError, OSError, ValueError) as exc:
-                # ValueError covers UnicodeDecodeError: a byte-level
-                # corruption can break the UTF-8 decode before the
-                # checksum ever gets a look.
+            except (SchedulingError, OSError) as exc:
                 if gen == 0:
                     raise  # the genesis log does not start from empty books
                 info["fallbacks"] += 1

@@ -41,13 +41,14 @@ journal (``decisions.log``) uses the same framing; its frames are plain
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+
+import orjson
 
 from repro.core.interfaces import SlotPlan
 from repro.core.schedule import SEMANTICS_STORE_AND_FORWARD, ScheduleEntry, TransferSchedule
@@ -133,7 +134,7 @@ def recorded_plan(record: Dict[str, Any], requests: List[TransferRequest],
 
 def encode_record(record: Dict[str, Any]) -> bytes:
     """One record as its on-disk frame (header + compact JSON payload)."""
-    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+    payload = orjson.dumps(record)
     if len(payload) > MAX_RECORD_BYTES:
         raise WalError(
             f"WAL record of {len(payload)} bytes exceeds the "
@@ -194,8 +195,8 @@ def scan_wal(path: PathLike, limit: Optional[int] = None) -> WalScan:
             scan.torn_reason = "checksum mismatch"
             break
         try:
-            record = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            record = orjson.loads(payload)
+        except orjson.JSONDecodeError:
             scan.torn_reason = "payload is not valid JSON"
             break
         scan.records.append(record)

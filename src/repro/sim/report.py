@@ -9,9 +9,10 @@ command: ``python -m repro report benchmarks/results/paper.jsonl``.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, List, Union
+
+import orjson
 
 from repro.errors import SimulationError
 
@@ -21,13 +22,13 @@ PathLike = Union[str, Path]
 def load_records(path: PathLike) -> List[dict]:
     """Parse one results .jsonl file; skips blank lines, rejects junk."""
     records = []
-    text = Path(path).read_text()
-    for line_number, line in enumerate(text.splitlines(), 1):
+    data = Path(path).read_bytes()
+    for line_number, line in enumerate(data.splitlines(), 1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = orjson.loads(line)
+        except orjson.JSONDecodeError as exc:
             raise SimulationError(
                 f"{path}:{line_number}: not valid JSON: {exc}"
             ) from exc

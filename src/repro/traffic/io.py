@@ -7,9 +7,10 @@ to disk (``repro trace generate``), shared, and replayed with
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import List, Union
+
+import orjson
 
 from repro.errors import WorkloadError
 from repro.traffic.spec import TransferRequest
@@ -19,7 +20,7 @@ PathLike = Union[str, Path]
 _TRACE_VERSION = 1
 
 
-def requests_to_json(requests: List[TransferRequest]) -> str:
+def requests_to_json(requests: List[TransferRequest]) -> bytes:
     """Encode requests as a versioned JSON document."""
     payload = {
         "version": _TRACE_VERSION,
@@ -36,15 +37,15 @@ def requests_to_json(requests: List[TransferRequest]) -> str:
             for r in requests
         ],
     }
-    return json.dumps(payload, indent=2)
+    return orjson.dumps(payload, option=orjson.OPT_INDENT_2)
 
 
-def requests_from_json(text: str) -> List[TransferRequest]:
+def requests_from_json(text: Union[str, bytes]) -> List[TransferRequest]:
     """Decode requests; fresh request ids are assigned (ids in the file
     are informational — uniqueness is owned by this process)."""
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
         raise WorkloadError(f"trace is not valid JSON: {exc}") from exc
     if payload.get("kind") != "postcard-trace":
         raise WorkloadError("not a postcard trace document")
@@ -71,9 +72,9 @@ def requests_from_json(text: str) -> List[TransferRequest]:
 
 def save_requests(requests: List[TransferRequest], path: PathLike) -> None:
     """Write a request trace to ``path`` as JSON."""
-    Path(path).write_text(requests_to_json(requests))
+    Path(path).write_bytes(requests_to_json(requests))
 
 
 def load_requests(path: PathLike) -> List[TransferRequest]:
     """Read a request trace from ``path`` (fresh ids are assigned)."""
-    return requests_from_json(Path(path).read_text())
+    return requests_from_json(Path(path).read_bytes())

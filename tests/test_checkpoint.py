@@ -233,11 +233,11 @@ def test_snapshot_rejects_garbage(line3):
     from repro.core.checkpoint import snapshot_from_json
 
     with pytest.raises(SchedulingError, match="JSON"):
-        snapshot_from_json("{oops", line3)
+        snapshot_from_json(b"{oops", line3)
     with pytest.raises(SchedulingError, match="service snapshot"):
-        snapshot_from_json('{"kind": "postcard-state"}', line3)
+        snapshot_from_json(b'{"kind": "postcard-state"}', line3)
     with pytest.raises(SchedulingError, match="version"):
-        snapshot_from_json('{"kind": "postcard-snapshot", "version": 9}', line3)
+        snapshot_from_json(b'{"kind": "postcard-snapshot", "version": 9}', line3)
 
 
 def test_rejections_survive_with_fresh_ids():
@@ -263,29 +263,29 @@ def test_snapshot_header_carries_version_and_checksum():
     payload = json.loads(text)
     assert payload["version"] == 3
     assert list(payload)[-1] == "checksum"
-    body, _, recorded = text.rpartition(',"checksum":')
+    body, _, recorded = text.rpartition(b',"checksum":')
     assert int(recorded[:-1]) == payload["checksum"]
-    assert payload["checksum"] == zlib.crc32((body + "}").encode())
-    assert "\n" not in text and ": " not in text  # one pass, no indent
+    assert payload["checksum"] == zlib.crc32(body + b"}")
+    assert b"\n" not in text and b": " not in text  # one pass, no indent
 
 
 def test_snapshot_is_encoded_in_one_pass(monkeypatch):
     """No second (canonical) dump for the checksum, and a resume parses
     the state once instead of serialising it in order to parse it."""
-    import json
+    import orjson
 
     from repro.core import checkpoint
 
     topo, state = warmed_state()
-    real_dumps, calls = json.dumps, []
+    real_dumps, calls = orjson.dumps, []
 
     def counting_dumps(*args, **kwargs):
         calls.append(kwargs)
         return real_dumps(*args, **kwargs)
 
-    monkeypatch.setattr(checkpoint.json, "dumps", counting_dumps)
+    monkeypatch.setattr(checkpoint.orjson, "dumps", counting_dumps)
     text = checkpoint.snapshot_to_json(state, [], 5, {"counts": {"slots": 5}})
-    assert calls == [{"separators": (",", ":")}]
+    assert calls == [{}]
     del calls[:]
     restored = checkpoint.snapshot_from_json(text, topo)
     assert calls == []
@@ -301,11 +301,11 @@ def test_snapshot_checksum_mismatch_rejected(line3):
     payload = json.loads(text)
     payload["next_slot"] = 41  # tamper without re-checksumming
     with pytest.raises(SchedulingError, match="checksum mismatch"):
-        snapshot_from_json(json.dumps(payload), line3)
+        snapshot_from_json(json.dumps(payload).encode(), line3)
     # The same edit made in place, every other byte as the writer left it.
-    assert '"next_slot":0,' in text
+    assert b'"next_slot":0,' in text
     with pytest.raises(SchedulingError, match="checksum mismatch"):
-        snapshot_from_json(text.replace('"next_slot":0,', '"next_slot":7,'), line3)
+        snapshot_from_json(text.replace(b'"next_slot":0,', b'"next_slot":7,'), line3)
     snapshot_from_json(text, line3)  # untouched, it loads
 
 
@@ -322,7 +322,7 @@ def test_a_snapshot_below_version_3_is_refused(line3, version):
     if version == 1:
         del payload["checksum"]
     with pytest.raises(SchedulingError, match="reads version 3 only"):
-        snapshot_from_json(json.dumps(payload), line3)
+        snapshot_from_json(json.dumps(payload).encode(), line3)
 
 
 def test_atomic_write_durability_hooks(tmp_path):
@@ -331,7 +331,7 @@ def test_atomic_write_durability_hooks(tmp_path):
 
     stages = []
     target = tmp_path / "out.json"
-    n = atomic_write(target, '{"x": 1}', crashpoint=stages.append)
+    n = atomic_write(target, b'{"x": 1}', crashpoint=stages.append)
     assert stages == [
         "checkpoint.pre_write", "checkpoint.pre_fsync",
         "checkpoint.pre_rename", "checkpoint.post_rename",

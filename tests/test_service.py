@@ -127,7 +127,7 @@ def test_validate_submit_normalizes():
     fields = protocol.validate_submit(
         {"op": "submit", "id": "a", "source": "0", "destination": 2,
          "size_gb": "5.5", "deadline_slots": 3.0},
-        max_deadline=8,
+        max_deadline=8, datacenters=4,
     )
     assert fields == {"id": "a", "source": 0, "destination": 2,
                       "size_gb": 5.5, "deadline_slots": 3}
@@ -143,6 +143,14 @@ def test_validate_submit_normalizes():
         ({"deadline_slots": 0}, "deadline_slots"),
         ({"deadline_slots": 99}, "deadline_slots"),
         ({"size_gb": 1e-6}, "volume tolerance 1e-06 GB"),
+        # A wire float that is not finite, or a datacenter outside the
+        # network, would fail the whole slot it was batched into.
+        ({"size_gb": "nan"}, "finite"),
+        ({"size_gb": "-inf"}, "finite"),
+        ({"size_gb": "inf"}, "finite"),
+        ({"source": 4}, "datacenters are 0..3, got 4 -> 1"),
+        ({"destination": -1}, "datacenters are 0..3"),
+        ({"source": 2**64}, "datacenters are 0..3"),
     ],
 )
 def test_validate_submit_rejects(patch, match):
@@ -150,7 +158,7 @@ def test_validate_submit_rejects(patch, match):
                "size_gb": 5.0, "deadline_slots": 3}
     message.update(patch)
     with pytest.raises(ProtocolError, match=match):
-        protocol.validate_submit(message, max_deadline=8)
+        protocol.validate_submit(message, max_deadline=8, datacenters=4)
 
 
 def test_a_file_within_the_volume_tolerance_is_refused_before_the_broker():
@@ -160,9 +168,9 @@ def test_a_file_within_the_volume_tolerance_is_refused_before_the_broker():
     tiny = {"op": "submit", "id": "tiny", "source": 0, "destination": 1,
             "size_gb": 1e-10, "deadline_slots": 3}
     with pytest.raises(ProtocolError, match="volume tolerance"):
-        broker.submit(protocol.validate_submit(tiny, max_deadline=8))
+        broker.submit(protocol.validate_submit(tiny, max_deadline=8, datacenters=4))
     big = dict(tiny, id="big", source=1, destination=2, size_gb=5.0)
-    broker.submit(protocol.validate_submit(big, max_deadline=8))
+    broker.submit(protocol.validate_submit(big, max_deadline=8, datacenters=4))
     [(_, record)] = broker.process_slot()
     assert record["decision"] == "admitted"
 

@@ -196,20 +196,39 @@ def test_invalid_messages_get_error_responses(tmp_path):
                 b'{"op": "resume"}\n',
                 b'{"op": "submit", "id": "x", "source": 0, '
                 b'"destination": 0, "size_gb": 1, "deadline_slots": 2}\n',
+                *(
+                    b'{"op": "submit", "id": "%s", "source": %s, "destination": 1, '
+                    b'"size_gb": %s, "deadline_slots": 2}\n' % case
+                    for case in (
+                        (b"nan", b"0", b"NaN"),
+                        (b"inf", b"0", b"Infinity"),
+                        (b"utf8-\xff", b"0", b"1"),
+                        (b"lone-\\ud800", b"0", b"1"),
+                        (b"wide", b"123456789012345678901234567890", b"1"),
+                    )
+                ),
+                b'{"op": "ping"}\n',
             ):
                 writer.write(raw)
                 await writer.drain()
-                out.append(json.loads(await reader.readline()))
+                # A line queued instead of refused would wait for a tick.
+                out.append(json.loads(await asyncio.wait_for(reader.readline(), 10)))
             return out
         finally:
             writer.close()
             await daemon.stop()
 
-    bad_json, bad_op, resume, bad_submit = asyncio.run(scenario())
+    bad_json, bad_op, resume, bad_submit, *bad_values, ping = asyncio.run(scenario())
     assert bad_json["error"] == "invalid"
     assert bad_op["error"] == "invalid"
     assert resume["error"] == "invalid" and "unknown op" in resume["message"]
     assert bad_submit["error"] == "invalid" and bad_submit["id"] == "x"
+    # Refused at the wire, on the same connection, and never queued: a
+    # non-finite size or a datacenter outside the network fails a slot.
+    assert [r["error"] for r in bad_values] == ["invalid"] * 5
+    assert "not valid JSON" in bad_values[0]["message"]
+    assert bad_values[-1]["id"] == "wide" and "datacenters are" in bad_values[-1]["message"]
+    assert ping["ok"]
 
 
 # -- the crash drill -------------------------------------------------------

@@ -520,9 +520,10 @@ def test_one_op_stream_writes_the_same_log_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("scheduler", ["q-aware", "direct", "flow-based"])
-def test_every_plan_shape_replays_without_planning(tmp_path, scheduler):
+def test_every_plan_shape_replays_without_planning(tmp_path, scheduler, encoded):
     """A q-aware solve's burst grants and a fluid schedule ride the plan
-    too: recovery commits them and plans nothing."""
+    too: recovery commits them and plans nothing.  Their commits encode
+    as the standard library would (:func:`assert_stdlib_parity`)."""
     from unittest import mock
 
     broker = TransferBroker(wal_config(tmp_path, scheduler=scheduler, checkpoint_every=100))
@@ -537,6 +538,7 @@ def test_every_plan_shape_replays_without_planning(tmp_path, scheduler):
         assert any("grants" in plan for plan in plans)  # written when a solve amnestied
     else:
         assert all(plan["semantics"] == "fluid" for plan in plans)
+    assert_stdlib_parity(encoded)
     planning = mock.Mock(side_effect=AssertionError("recovery planned a slot"))
     with mock.patch.object(type(broker.scheduler), "plan_slot", planning):
         twin = recovered_twin(broker, tmp_path)
@@ -1071,3 +1073,157 @@ def test_an_idle_plan_less_commit_replays_without_planning(tmp_path):
         twin = recovered_twin(broker, tmp_path)
     assert (hybrid.call_count, fast.call_count, lp.call_count) == (0, 0, 0)
     assert books(twin) == books(broker) and twin.next_slot == 4
+
+
+# -- one JSON codec ------------------------------------------------------------
+
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """Every object the test hands ``orjson.dumps``, with the bytes it wrote."""
+    import orjson
+
+    real, seen = orjson.dumps, []
+
+    def dumps(obj, *args, **kwargs):
+        seen.append((obj, real(obj, *args, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(orjson, "dumps", dumps)
+    return seen
+
+
+def assert_stdlib_parity(seen):
+    """orjson's bytes parse to what the standard library's would, and no
+    non-finite float reached the encoder: ``allow_nan=False`` raises
+    where orjson would have written ``null``."""
+    import orjson
+
+    for obj, out in seen:
+        assert orjson.loads(out) == json.loads(json.dumps(obj, allow_nan=False))
+
+
+def test_every_message_the_daemon_writes_matches_the_stdlib(tmp_path, encoded):
+    """Each reply shape, WAL record kind, journal frame and snapshot of a
+    durable daemon; a non-ASCII client id rides submit, the WAL, the
+    journal and recovery to ``status``."""
+    from repro.service import protocol
+
+    config = wal_config(tmp_path, max_queue=2, checkpoint_every=3)
+    uid = "café-東京"
+
+    def submit(cid, **fields):
+        return {"op": "submit", "id": cid, "source": 0, "destination": 2,
+                "size_gb": 4.0, "deadline_slots": 3, **fields}
+
+    async def scenario():
+        daemon = ServiceDaemon(config)
+        daemon.open()
+        broker = daemon.broker
+        wire = protocol.decode_line(protocol.encode(submit(uid)))
+        admitted = await daemon.handle(wire)
+        rejected = await daemon.handle(submit("big", size_gb=10 * config.capacity,
+                                              deadline_slots=1))
+        replies = [
+            await daemon.call(submit("full")),
+            await daemon.call(submit(uid)),
+            await daemon.call(submit("bad", destination=0)),
+            await daemon.call({"op": "status", "id": uid}),
+            await daemon.call({"op": "tick"}),
+            await admitted, await rejected,
+            await daemon.call(submit(uid)),
+            await daemon.call({"op": "status", "id": uid}),
+        ]
+        healthy = broker.scheduler.on_slot
+        broker.scheduler.on_slot = lambda slot, requests: 1 / 0
+        doomed = await daemon.handle(submit("doomed"))
+        replies += [await daemon.call({"op": "tick"}), await doomed]
+        broker.scheduler.on_slot = healthy
+        await daemon.handle(submit("late"))
+        for op in ("tick", "stats", "metrics", "ping", "drain"):
+            replies.append(await daemon.call({"op": op}))
+        await daemon.stop()
+        return broker, replies
+
+    broker, replies = asyncio.run(scenario())
+    assert [r.get("error") or (r["decision"] if r["op"] == "submit" else r["op"])
+            for r in replies] == [
+        "backpressure", "refused", "invalid", "status", "tick", "admitted", "rejected",
+        "admitted", "status", "tick", "internal", "tick", "stats", "metrics", "ping",
+        "drain",
+    ]
+    assert replies[0]["retry_after_s"] > 0 and replies[7]["cached"]
+    for reply in replies:  # as the shell writes each to its connection
+        protocol.encode(reply)
+    written = [obj for obj, _ in encoded]
+    commits = [r for r in written if r.get("type") == "commit"]
+    assert any(r.get("type") == "admit" for r in written)
+    assert {"failed", "fast", "lp"} <= {r["lane"] for r in commits}
+    assert any("plan" in r for r in commits)
+    assert any(uid in r for r in written)  # a journal frame
+    assert any(r.get("kind") == "postcard-snapshot" for r in written)
+    assert_stdlib_parity(encoded)
+
+    assert uid.encode() in broker.store.wal_path(0).read_bytes()
+    assert uid.encode() in broker.store.journal_path.read_bytes()
+    twin = recovered_twin(broker, tmp_path)
+    assert books(twin) == books(broker)
+    assert {"ok": True, "op": "status", "id": uid, **twin.status(uid)} == replies[8]
+    assert replies[8]["decision"]["decision"] == "admitted"
+
+
+def _stdlib_frames(path):
+    """Re-encode every frame of a log as the standard library did; returns
+    each old frame boundary's new offset."""
+    data, offsets, old, out = path.read_bytes(), {0: 0}, 0, b""
+    while old < len(data):
+        length, _ = RECORD_HEADER.unpack_from(data, old)
+        start = old + RECORD_HEADER.size
+        record = json.loads(data[start:start + length])
+        payload = json.dumps(record, separators=(",", ":")).encode()
+        out += RECORD_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        old = start + length
+        offsets[old] = len(out)
+    path.write_bytes(out)
+    return offsets
+
+
+def test_a_directory_the_stdlib_codec_wrote_still_recovers(tmp_path):
+    """Frames and snapshots encoded as ``json`` wrote them (``1e-05``,
+    ``\\u00e9``) recover to the books of a broker that never restarted."""
+    broker = TransferBroker(wal_config(tmp_path, checkpoint_every=100))
+
+    def submit(n):
+        broker.submit({"id": f"é{n}", "source": n % 4, "destination": (n + 1) % 4,
+                       "size_gb": 1e-05 if n % 2 else 2.5, "deadline_slots": 3})
+
+    for n in range(4):
+        submit(n)
+        broker.process_slot()
+    submit(4)
+    broker.checkpoint()  # the snapshot holds a 1e-05 cell and a queued id
+    submit(5)
+    broker.process_slot()
+    broker.store.close()
+    store = broker.store
+    for gen in store.wal_generations():
+        _stdlib_frames(store.wal_path(gen))
+    marks = _stdlib_frames(store.journal_path)
+    for gen in store.snapshot_generations():
+        path = store.snapshot_path(gen)
+        payload = json.loads(path.read_bytes())
+        del payload["checksum"]
+        meta = payload["meta"]
+        meta["decisions_mark"] = marks[meta["decisions_mark"]]
+        body = json.dumps(payload, separators=(",", ":"))
+        path.write_text(f'{body[:-1]},"checksum":{zlib.crc32(body.encode())}}}')
+    for path in (store.snapshot_path(store.generation), store.wal_path(store.generation),
+                 store.journal_path):
+        data = path.read_bytes()
+        assert b"\\u00e9" in data and b"e-05" in data and "é".encode() not in data
+
+    twin = recovered_twin(broker, tmp_path)
+    info = twin.recovery_info  # from the newest snapshot, no fallback
+    assert (info["fallbacks"], info["base_generation"]) == (0, store.generation)
+    assert books(twin) == books(broker)
+    assert twin.decisions == broker.decisions and twin.next_slot == broker.next_slot == 5
