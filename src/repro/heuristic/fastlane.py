@@ -13,10 +13,11 @@ free capacity exists.
 
 Per request the work is O(candidate paths x window length): one
 top-down sweep per hop and pass over at most ``T_k`` cells of the
-:class:`UtilizationTracker`'s window rows, read as plain lists.  Once a
-candidate costs nothing, those with as many hops or more are skipped
-(they can only tie); only the winner becomes schedule entries, one per
-hop and slot that sends, and the GB-slots it waits.  Admitted
+:class:`UtilizationTracker`'s window rows, read as plain lists.  Most
+hops stop at the sweep's first placement, which takes the whole file.
+Once a candidate costs nothing, those with as many hops or more are
+skipped (they can only tie); only the winner becomes schedule entries,
+one per hop and slot that sends, and the GB-slots it waits.  Admitted
 requests meet their deadline by construction (per-hop precedence
 windows inside ``[release, release + T_k - 1]``), and the slot's one
 commit re-validates everything before recording.  The price is cost:
@@ -158,14 +159,14 @@ class CandidatePathScheduler(Scheduler):
             schedule=getattr(self._state, "link_schedule", None),
             window=(request.release_slot, request.last_slot + 1),
         )
-        rows_of, last = self._tracker.rows, request.last_slot
+        rows_of, last = self._tracker.path_rows, request.last_slot
         best, free_hops = None, None
         for path in candidates:
             # Exact cut: once a plan is free, a candidate with as many hops
             # or more can only tie it, and no _beats lets a tie win.
             if free_hops is not None and len(path) >= free_hops:
                 continue
-            hop_rows = [rows_of(a, b, last) for a, b in zip(path, path[1:])]
+            hop_rows = rows_of(path, last)
             sends = self._sends(hop_rows, request)
             # A plan that sends nothing delivers nothing: inadmissible.
             if sends is None or not any(sends[-1]):
@@ -267,11 +268,23 @@ class FastLaneScheduler(CandidatePathScheduler):
         latest admissible slots — paid headroom first when
         ``headroom_first`` — so early slots stay free for future arrivals.
         """
-        hops, span = len(hop_rows), request.deadline_slots
+        hops, span, size = len(hop_rows), request.deadline_slots, request.size_gb
         passes = _PASSES[self._reserving, headroom_first]
-        dues = [(span - 1, request.size_gb)]
         sends = [None] * hops
-        for h in range(hops - 1, -1, -1):
+        h, due = hops - 1, span - 1
+        # Whole-file hops, last first (the ALAP diagonal when the first
+        # pass has room there): the hop before owes the file one offset
+        # earlier.  From the first hop it does not fit, every hop sweeps.
+        if size > max(VOLUME_ATOL, 1e-9 * size):
+            while h >= 0:
+                i = _whole_cell(hop_rows[h], h, due, size, passes)
+                if i is None:
+                    break
+                sent = sends[h] = [0.0] * span
+                sent[i] = size
+                h, due = h - 1, i - 1
+        dues = [(due, size)]
+        for h in range(h, -1, -1):
             hi = span - hops + h
             sent = _alap_hop(hop_rows[h], h, hi, dues, span, passes)
             if sent is None:
@@ -300,8 +313,10 @@ def _alap_hop(
     lateness budget the earlier placement already spent.  Cutoffs at
     offsets no pass filled cannot bind (their allowance only grows
     downward), so only filled ones are rechecked.  A cell's room is
-    :meth:`LinkRows.room`, inlined.  Returns the ``width`` per-offset
-    sends, or ``None`` if the window cannot carry the dues.
+    :meth:`LinkRows.room`, inlined; a single due whose first placement
+    takes it whole (:func:`_whole_cell`) never builds the allowances.
+    Returns the ``width`` per-offset sends, or ``None`` if the window
+    cannot carry the dues.
     """
     if lo > hi:
         return None
@@ -312,6 +327,11 @@ def _alap_hop(
     sent = [0.0] * width
     if total <= tol:
         return sent
+    if len(dues) == 1:
+        i = _whole_cell(rows, lo, dues[0][0], total, passes)
+        if i is not None:
+            sent[i] = total
+            return sent
     # late[i]: what may leave at offset i or later: total - dues below i, top-down.
     late = [total] * width
     top = hi
@@ -361,6 +381,34 @@ def _alap_hop(
     return None
 
 
+def _whole_cell(
+    rows: LinkRows, lo: int, due: int, size: float,
+    passes: Sequence[Tuple[bool, bool]],
+) -> Optional[int]:
+    """Where :func:`_alap_hop` puts a single due of ``size`` GB (above the
+    tolerance) whole; ``None`` if its first placement takes less, or it
+    places nothing.  Nothing may park above ``due`` and, until the sweep
+    places, every pass reads the rows as they are: its first placement is
+    ``min(room, size)`` at the first cell, pass by pass from ``due`` down,
+    whose room (computed as the sweep does) exceeds the tolerance."""
+    residual, committed, pending = rows.residual, rows.committed, rows.pending
+    charged, reservation = rows.charged, rows.reserved
+    for free, reserved in passes:
+        for i in range(due, lo - 1, -1):
+            waiting = pending[i]
+            room = residual[i] - waiting
+            if free:
+                paid = charged - (committed[i] + waiting)
+                if paid < room:
+                    room = paid
+            if room > 0.0:
+                if reserved:
+                    room -= reservation[i]
+                if room > VOLUME_ATOL:
+                    return i if room >= size else None
+    return None
+
+
 def _bill_increase(hop_rows: Sequence[LinkRows], sends: List[List[float]]) -> float:
     """Bill increase if ``sends`` joined the committed + pending load."""
     cost = 0.0
@@ -386,6 +434,19 @@ def _emit(
     rid, release = request.request_id, request.release_slot
     entries: List[ScheduleEntry] = []
     stored = 0.0
+    # Every hop sends in one cell: what arrived waits whole until it
+    # leaves, added once per slot as the walk below adds it.
+    if all(sent.count(0.0) == len(sent) - 1 for sent in sends):
+        arrived_at, arrived = 0, request.size_gb
+        for h, sent in enumerate(sends):
+            volume = max(sent)
+            i = sent.index(volume)
+            entries.append(ScheduleEntry(rid, path[h], path[h + 1], release + i, volume))
+            if arrived > VOLUME_ATOL:
+                for _ in range(arrived_at, i):
+                    stored += arrived
+            arrived_at, arrived = i + 1, volume
+        return entries, stored
     arrivals = [request.size_gb] + [0.0] * request.deadline_slots
     for h, sent in enumerate(sends):
         moving = [i for i, volume in enumerate(sent) if volume > 0.0]

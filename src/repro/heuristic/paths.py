@@ -221,6 +221,9 @@ class CandidatePathIndex:
         #: ``_path_bits``: (src, dst) -> per tabled path, its links' bits.
         self._table, self._arcs, self._link_bit, self._path_bits = tables
         self._view: Optional[_SlotView] = None
+        #: (src, dst, max_hops) -> what ``candidates`` returned without a
+        #: schedule: the table is fixed, so the answer is too.
+        self._answers: Dict[Tuple[int, int, int], List[List[int]]] = {}
 
     def _tabulate(self, links) -> tuple:
         nodes = self.topology.node_ids()
@@ -261,9 +264,14 @@ class CandidatePathIndex:
         window-specific search backfills a decimated list.  The lists
         are shared with the index: read them, never mutate them.
         """
-        base = self._table[src, dst]
         if schedule is None or window is None or not len(schedule):
-            return [p for p in base if len(p) - 1 <= max_hops][: self.max_paths]
+            key = (src, dst, max_hops)
+            if key not in self._answers:
+                self._answers[key] = [p for p in self._table[src, dst]
+                                      if len(p) - 1 <= max_hops][: self.max_paths]
+            return self._answers[key]
+
+        base = self._table[src, dst]
 
         first, last = window
         view = self._view

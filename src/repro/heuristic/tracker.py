@@ -11,15 +11,16 @@ The first time a batch touches a link, :class:`UtilizationTracker`
 composes that link's :class:`LinkRows` — plain lists over the slots from
 the batch's release slot on — by asking the state once per cell, so the
 fault gate, the link-schedule gate and ``capacity - committed`` are
-evaluated once per cell per slot however many requests sweep it.  The
-planner reads the rows; the scalar queries answer from the live state.
-Rows are scratch: valid from :meth:`reset` until the state next changes.
+evaluated once per cell per slot however many requests sweep it; a
+path's list of hop rows is likewise built once per batch and handed out
+to every file that tries the path.  Rows are scratch: valid from
+:meth:`reset` until the state next changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
 from repro.core.state import NetworkState
@@ -49,7 +50,7 @@ class LinkRows:
 
         ``free`` caps the residual at the paid headroom (charged peak
         minus committed and pending); ``reserved`` then subtracts the
-        forecast reservation: the tracker's four scalar answers.
+        forecast reservation.  The ALAP sweep inlines it.
         """
         pending = self.pending[i]
         room = self.residual[i] - pending
@@ -73,7 +74,7 @@ class LinkRows:
 
 
 class UtilizationTracker:
-    """Window rows + residual/headroom/utilization queries for one batch.
+    """Window rows, per link and per path, for one batch.
 
     ``state`` is the scheduler's :class:`~repro.core.state.NetworkState`:
     committed volumes, charged peaks and (fault- and window-aware)
@@ -84,6 +85,8 @@ class UtilizationTracker:
         self._state = state
         self._base = 0
         self._rows: Dict[Tuple[int, int], LinkRows] = {}
+        #: (*path, slot) -> the path's hop rows (:meth:`path_rows`).
+        self._paths: Dict[tuple, List[LinkRows]] = {}
         #: Optional ``(src, dst, slot) -> GB`` callback reserving
         #: forecast-predicted background load on future cells
         #: (:meth:`FastLaneScheduler.attach_forecast`); ``None``: reactive.
@@ -93,6 +96,7 @@ class UtilizationTracker:
         """Drop every row; the next batch's window starts at ``slot``."""
         self._base = slot
         self._rows.clear()
+        self._paths.clear()
 
     def rows(self, src: int, dst: int, slot: int) -> LinkRows:
         """The link's rows, composed through ``slot`` inclusive."""
@@ -126,24 +130,14 @@ class UtilizationTracker:
                 rows.reserved.append(reservation(src, dst, n))
         return rows
 
-    def add(self, src: int, dst: int, slot: int, volume: float) -> None:
-        """Record a tentative placement of ``volume`` GB on a cell."""
-        if volume > 0.0:
-            self.rows(src, dst, slot).pending[slot - self._base] += volume
-
-    def pending(self, src: int, dst: int, slot: int) -> float:
-        """Tentative (uncommitted) volume currently planned on a cell."""
-        rows = self._rows.get((src, dst))
-        i = slot - self._base
-        if rows is None or not 0 <= i < len(rows.pending):
-            return 0.0
-        return rows.pending[i]
-
-    # -- scalar queries: one cell, read from the live state -------------------
+    # -- scalar queries: one cell, read from the live state.  The planner
+    # reads the rows; these stay because the spine's tracer counts them.
 
     def _cell(self, src: int, dst: int, slot: int) -> LinkRows:
         cell = self._compose(src, dst, (slot,))
-        cell.pending[0] = self.pending(src, dst, slot)
+        rows, i = self._rows.get((src, dst)), slot - self._base
+        if rows is not None and 0 <= i < len(rows.pending):
+            cell.pending[0] = rows.pending[i]
         return cell
 
     def residual(self, src: int, dst: int, slot: int) -> float:
@@ -167,9 +161,21 @@ class UtilizationTracker:
         cell = self._cell(src, dst, slot)
         return cell.room(0, True, cell.reserved is not None)
 
-    def utilization(self, src: int, dst: int, slot: int) -> float:
-        """(committed + pending) / raw link capacity for one cell."""
-        return self._cell(src, dst, slot).utilization(0)
+    def path_rows(self, path: Sequence[int], slot: int) -> List[LinkRows]:
+        """A path's hop rows, composed through ``slot`` inclusive.
+
+        The list is built on the path's first ask in a batch and handed
+        out again until :meth:`reset`; its rows are :meth:`rows`' own
+        objects.  Read it, never mutate it.
+        """
+        key = (*path, slot)  # the nodes, then the slot: one tuple per ask
+        hop_rows = self._paths.get(key)
+        if hop_rows is None:
+            rows = self.rows
+            hop_rows = self._paths[key] = [
+                rows(a, b, slot) for a, b in zip(path, path[1:])
+            ]
+        return hop_rows
 
     def peak_utilization(self) -> float:
         """Highest utilization over the cells this batch touches.

@@ -536,13 +536,14 @@ class TransferBroker:
         """The books a batch is decided against: the charged cost per slot,
         and per request the paid watermark headroom on its direct link —
         how much it could have sent at the release slot without raising
-        the bill."""
-        return self.state.current_cost_per_slot(), {
-            request.request_id: self._admission_headroom(
-                request.source, request.destination, slot
-            )
-            for request in requests
-        }
+        the bill, asked once per (source, destination) pair."""
+        cost, pairs, headroom = self.state.current_cost_per_slot(), {}, {}
+        for request in requests:
+            pair = request.source, request.destination
+            if pair not in pairs:
+                pairs[pair] = self._admission_headroom(*pair, slot)
+            headroom[request.request_id] = pairs[pair]
+        return cost, headroom
 
     def _admission_headroom(self, source: int, destination: int, slot: int) -> float:
         """Paid watermark headroom toward ``destination`` at ``slot``.

@@ -15,11 +15,7 @@ from repro.core.schedule import ScheduleEntry, TransferSchedule
 from repro.core.scheduler import PostcardScheduler
 from repro.core.state import NetworkState
 from repro.heuristic import fastlane
-from repro.heuristic import (
-    CandidatePathIndex,
-    FastLaneScheduler,
-    UtilizationTracker,
-)
+from repro.heuristic import CandidatePathIndex, FastLaneScheduler
 from repro.net.generators import complete_topology
 from repro.net.topology import Datacenter, Link, Topology
 from repro.registry import make_scheduler, scheduler_names
@@ -27,6 +23,7 @@ from repro.sim.engine import Simulation
 from repro.traffic.spec import TransferRequest
 from repro.traffic.workload import PaperWorkload
 from tests.schedule_reference import storage_slot_volumes
+from tests.tracker_reference import ScalarTracker
 
 
 def two_node_topology(capacity=10.0, price=1.0):
@@ -45,7 +42,7 @@ def two_node_topology(capacity=10.0, price=1.0):
 def test_tracker_layers_pending_over_state():
     topo = two_node_topology(capacity=10.0)
     state = NetworkState(topo, horizon=10)
-    tracker = UtilizationTracker(state)
+    tracker = ScalarTracker(state)
     assert tracker.residual(0, 1, 0) == 10.0
     assert tracker.utilization(0, 1, 0) == 0.0
 
@@ -63,7 +60,7 @@ def test_tracker_layers_pending_over_state():
 def test_tracker_headroom_tracks_paid_peak():
     topo = two_node_topology(capacity=10.0)
     state = NetworkState(topo, horizon=10)
-    tracker = UtilizationTracker(state)
+    tracker = ScalarTracker(state)
     # Nothing paid yet: no free headroom anywhere.
     assert tracker.headroom(0, 1, 3) == 0.0
 

@@ -173,10 +173,10 @@ def tables(draw):
 def test_window_rows_answer_like_the_scalar_chain(table, with_forecast):
     """After any adds, every cell of the table reads what the old
     tracker -> state -> ledger chain computed for it, bit for bit."""
-    from repro.heuristic import UtilizationTracker
+    from tests.tracker_reference import ScalarTracker
 
     state, links, base, width, reserved, adds = table
-    tracker = UtilizationTracker(state)
+    tracker = ScalarTracker(state)
     if with_forecast:
         tracker.reservation = lambda s, d, n: reserved.get((s, d, n), 0.0)
     tracker.reset(base)

@@ -306,6 +306,36 @@ def test_a_replanner_broker_admits_what_its_plan_accepts():
     assert max(broker.state.completions.values()) <= record["deadline_slot"]
 
 
+def test_one_probe_per_pair_answers_what_each_request_would_ask(monkeypatch):
+    """The batch's headroom probe asks once per (source, destination)
+    pair, and every decision carries what asking for that request alone
+    returns, a pair without a direct link (best outgoing link) included."""
+    from repro.net.topology import Topology
+
+    full = ServiceConfig(datacenters=4, capacity=50.0, seed=3).topology()
+    sparse = Topology(full.datacenters, [link for link in full.links if link.key != (0, 1)])
+    monkeypatch.setattr(ServiceConfig, "topology", lambda self: sparse)
+    broker = make_broker()
+    # Slot 0 pays peaks on two of datacenter 0's outgoing links.
+    broker.submit(submit_fields(0, destination=2, size_gb=20.0, deadline_slots=1))
+    broker.submit(submit_fields(1, destination=3, size_gb=10.0, deadline_slots=1))
+    broker.process_slot()
+
+    pairs = [(0, 1), (0, 2), (0, 1), (2, 3), (0, 2), (0, 1), (3, 0), (2, 3)]
+    slot, expected = broker.next_slot, {}
+    for i, (src, dst) in enumerate(pairs, start=2):
+        broker.submit(submit_fields(i, source=src, destination=dst, size_gb=1.0 + i))
+        expected[f"c{i}"] = broker._admission_headroom(src, dst, slot)
+    assert expected["c2"] > 0.0  # the relay fallback found paid headroom
+    asked = []
+    probe = broker._admission_headroom
+    monkeypatch.setattr(broker, "_admission_headroom",
+                        lambda *args: asked.append(args) or probe(*args))
+    resolutions = broker.process_slot()
+    assert sorted(asked) == sorted((*pair, slot) for pair in set(pairs))
+    assert {p.client_id: r["headroom_gb"] for p, r in resolutions} == expected
+
+
 def test_broker_empty_slot_advances_clock():
     broker = make_broker()
     assert broker.process_slot() == []
