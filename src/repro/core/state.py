@@ -85,6 +85,29 @@ class NetworkState:
             return 0.0
         return self.ledger.residual_capacity(src, dst, slot)
 
+    def link_rows(
+        self, src: int, dst: int, start: int, end: int
+    ) -> Tuple[List[float], List[float]]:
+        """:meth:`residual_capacity` and :meth:`committed_volume` of one
+        link over the slots ``[start, end)``, as two lists: the link's
+        volume map is read once per cell, its capacity once and the
+        schedule's availability once (:meth:`LinkSchedule.up_mask`)."""
+        volumes = self.ledger.usage(src, dst).volumes
+        committed = [volumes.get(n, 0.0) for n in range(start, end)]
+        capacity = self.topology.link(src, dst).capacity
+        faults, schedule = self.fault_model, self.link_schedule
+        up = -1 if schedule is None else schedule.up_mask(src, dst, start, end)
+        residual = []
+        for i, volume in enumerate(committed):
+            if not up >> i & 1 or faults is not None and faults.is_visible_down(
+                src, dst, start + i
+            ):
+                residual.append(0.0)
+            else:
+                left = capacity - volume
+                residual.append(left if left > 0.0 else 0.0)
+        return residual, committed
+
     def paid_headroom(self, src: int, dst: int, slot: int) -> float:
         """Volume (src, dst) can carry at slot n *free of extra charge*:
         up to the already-paid peak, bounded by residual capacity."""

@@ -186,12 +186,15 @@ class ForecastProvider:
             if predictor.ready:
                 self._pending_pair[key] = predictor.forecast(1)
 
-    def reservation(self, src: int, dst: int, slot: int) -> float:
+    def reservation(
+        self, src: int, dst: int, slot: int, committed: Optional[float] = None
+    ) -> float:
         """Damped GB of predicted-but-uncommitted load on a future cell.
 
         Zero for the current slot and the past, for cold links, and
         whenever the guard has damped trust to zero.  Otherwise the
-        predicted carried volume minus what is already committed there,
+        predicted carried volume minus what is already committed there
+        (``committed``, when the caller has read it; else the state's),
         clamped by the guard's bounded shift fraction, scaled by trust.
         """
         if slot <= self._now or self._trust <= 0.0 or not self.active:
@@ -202,11 +205,26 @@ class ForecastProvider:
         raw = per_link.get(slot, 0.0)
         if raw <= 0.0:
             return 0.0
-        remaining = raw - self._state.committed_volume(src, dst, slot)
+        if committed is None:
+            committed = self._state.committed_volume(src, dst, slot)
+        remaining = raw - committed
         if remaining <= 0.0:
             return 0.0
         bounded = self.guard.bound(remaining, self._capacity[(src, dst)])
         return self._trust * bounded
+
+    def reservation_row(
+        self, src: int, dst: int, start: int, committed: List[float]
+    ) -> List[float]:
+        """:meth:`reservation` of the cells ``start, start + 1, ...`` whose
+        committed volumes the caller's row read holds in ``committed``.
+        Each cell goes through :meth:`reservation`, the formula the LP's
+        charge rows use; a cold link or an inactive slot asks none."""
+        if not self._raw.get((src, dst)) or self._trust <= 0.0 or not self.active:
+            return [0.0] * len(committed)
+        reservation = self.reservation
+        return [reservation(src, dst, start + i, volume)
+                for i, volume in enumerate(committed)]
 
     #: LP charge rows add the same damped quantity the fast lane
     #: subtracts from headroom — one number, two lanes.

@@ -107,7 +107,7 @@ class CandidatePathScheduler(Scheduler):
         rows the ones before it left (:meth:`_hold`); nothing is committed.
         The plan lands file by file, in that order.  The rows are dropped
         once planned: nothing after the plan reads them."""
-        self._tracker.reset(slot)
+        self._tracker.reset(slot, max((r.last_slot for r in requests), default=slot))
         plan = SlotPlan(per_file=True)
         entries: List[ScheduleEntry] = []
         stored: List[Tuple[int, float]] = []
@@ -218,7 +218,7 @@ class FastLaneScheduler(CandidatePathScheduler):
         """
         self.forecast = provider
         self._tracker.reservation = (
-            provider.reservation if provider is not None else None
+            provider.reservation_row if provider is not None else None
         )
         if provider is not None and not provider.bound:
             provider.bind(self._state)

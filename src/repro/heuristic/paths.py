@@ -15,10 +15,18 @@ the schedule plus the request's slot window, drops paths with a
 fully-dark hop, prefers paths lit throughout the window, and — when the
 table's list runs short — searches the subgraph of links with an
 up-slot.  A per-slot :class:`_SlotView` reads each scheduled link's
-availability bit mask for a window, relative to the release slot, and
-keeps the answers already given in that slot.  The view is keyed by the
-schedule object, its **epoch** and the release slot, so a reopened link
-is seen by the next query after the mutation.
+availability bit mask for a window, relative to the release slot, into
+the window's **shade**: the bits of the links dark throughout it and of
+those dark somewhere in it.  The view is keyed by the schedule object,
+its **epoch** and the release slot, so a reopened link is seen by the
+next query after the mutation.  An answer is a function of the pair, the
+hop bound and the shade alone, so the index keeps it under that key:
+release slots, and schedule epochs, that cast the same shade share it.
+
+A hop bound below every tabled path's length would leave a file with no
+candidate however idle its direct link; an answer the table leaves empty
+therefore takes the cheapest path within the bound
+(:func:`cheapest_within`), over the lit links when windowed.
 """
 
 from __future__ import annotations
@@ -38,6 +46,10 @@ from repro.net.topology import Topology
 #: repeats work.
 _TABLES: Dict[tuple, tuple] = {}
 _TABLES_KEPT = 32
+
+#: Window answers (and their widened arc sets) an index keeps before it
+#: starts over: a periodic schedule casts a few thousand shades at most.
+_ANSWERS_KEPT = 8192
 
 
 #: node -> {neighbour: price}, neighbours in ``topology.links`` order.
@@ -103,6 +115,31 @@ def cheapest_paths(succ: Adjacency, pred: Adjacency, source: int, target: int,
     return found
 
 
+def cheapest_within(succ: Adjacency, source: int, target: int,
+                    max_hops: int) -> Optional[List[int]]:
+    """The cheapest ``source -> target`` path of at most ``max_hops``
+    hops, or ``None``.
+
+    Bellman–Ford layered by hop count: after layer ``k`` each node holds
+    its best walk of at most ``k`` hops from ``source``, by price summed
+    left to right, then fewer hops, then the smaller node list.  Prices
+    are non-negative, so a walk through a cycle never beats the walk that
+    skips it: the winner is a simple path.
+    """
+    best = {source: (0.0, 1, [source])}
+    for _ in range(max_hops):
+        layer = dict(best)
+        for node, (price, nodes, path) in best.items():
+            for nxt, step in succ[node].items():
+                offer = (price + step, nodes + 1, path + [nxt])
+                held = layer.get(nxt)
+                if held is None or offer < held:
+                    layer[nxt] = offer
+        best = layer
+    found = best.get(target)
+    return None if found is None else found[2]
+
+
 def _bidirectional_dijkstra(succ, pred, source, target, ignore_nodes, ignore_edges):
     """``(price, path)`` of a cheapest path avoiding ``ignore_nodes`` and
     ``ignore_edges``, or ``None`` — NetworkX's search, step for step."""
@@ -146,21 +183,15 @@ def _bits(link_bit: Dict[Tuple[int, int], int], path: List[int]) -> int:
 
 class _SlotView:
     """What the queries of one slot share, for one schedule state: per
-    window length, the link bits the windows darken, and the answers
-    already given."""
+    window length, the link bits the windows darken."""
 
-    __slots__ = ("schedule", "epoch", "origin", "link_bit", "shades",
-                 "answers", "arc_sets")
+    __slots__ = ("schedule", "epoch", "origin", "link_bit", "shades")
 
     def __init__(self, schedule: LinkSchedule, origin: int, link_bit: Dict):
         self.schedule, self.epoch, self.origin = schedule, schedule.epoch, origin
         self.link_bit = link_bit
         #: window length -> link bits (dark throughout, dark somewhere).
         self.shades: Dict[int, Tuple[int, int]] = {}
-        #: (src, dst, max_hops, last) -> what ``candidates`` returned.
-        self.answers: Dict[Tuple[int, int, int, int], List[List[int]]] = {}
-        #: (src, dst, window-only paths) -> the pair's widened ArcSet.
-        self.arc_sets: Dict[tuple, ArcSet] = {}
 
     def holds(self, schedule: LinkSchedule, origin: int) -> bool:
         return (self.schedule is schedule and self.epoch == schedule.epoch
@@ -224,6 +255,11 @@ class CandidatePathIndex:
         #: (src, dst, max_hops) -> what ``candidates`` returned without a
         #: schedule: the table is fixed, so the answer is too.
         self._answers: Dict[Tuple[int, int, int], List[List[int]]] = {}
+        #: (src, dst, max_hops, dark, dim) -> what ``candidates`` returned
+        #: for a window of that shade (see the module docstring).
+        self._window_answers: Dict[Tuple[int, int, int, int, int], List[List[int]]] = {}
+        #: (src, dst, paths beyond the table) -> the pair's widened ArcSet.
+        self._arc_sets: Dict[tuple, ArcSet] = {}
 
     def _tabulate(self, links) -> tuple:
         nodes = self.topology.node_ids()
@@ -257,81 +293,106 @@ class CandidatePathIndex:
         """Up to ``max_paths`` cheapest paths with at most ``max_hops`` hops.
 
         Returns node-id lists (``[src, ..., dst]``), cheapest first; an
-        unreachable pair returns an empty list.  With ``schedule`` and
-        ``window`` (half-open ``(first, last)`` slots) paths with a hop
-        that has no up-slot in the window are dropped, fully-lit
-        survivors rank before ones that must thread dark gaps, and a
-        window-specific search backfills a decimated list.  The lists
-        are shared with the index: read them, never mutate them.
+        empty list only when no path within ``max_hops`` exists.  With
+        ``schedule`` and ``window`` (half-open ``(first, last)`` slots)
+        paths with a hop that has no up-slot in the window are dropped,
+        fully-lit survivors rank before ones that must thread dark gaps,
+        and a window-specific search backfills a decimated list.  The
+        lists are shared with the index: read them, never mutate them.
         """
         if schedule is None or window is None or not len(schedule):
             key = (src, dst, max_hops)
-            if key not in self._answers:
-                self._answers[key] = [p for p in self._table[src, dst]
-                                      if len(p) - 1 <= max_hops][: self.max_paths]
-            return self._answers[key]
-
-        base = self._table[src, dst]
+            answer = self._answers.get(key)
+            if answer is None:
+                answer = self._answers[key] = [
+                    p for p in self._table[src, dst] if len(p) - 1 <= max_hops
+                ][: self.max_paths] or self._within(src, dst, max_hops, 0)
+            return answer
 
         first, last = window
         view = self._view
         if view is None or not view.holds(schedule, first):
             view = self._view = _SlotView(schedule, first, self._link_bit)
-        key = (src, dst, max_hops, last)
-        answer = view.answers.get(key)
+        dark, dim = view.shade(last)
+        key = (src, dst, max_hops, dark, dim)
+        answer = self._window_answers.get(key)
         if answer is None:
-            dark, dim = view.shade(last)
-            usable = [
-                (path, bits) for path, bits in zip(base, self._path_bits[src, dst])
-                if len(path) - 1 <= max_hops and not bits & dark
-            ]
-            if len(usable) < self.max_paths:
-                known = [path for path, _ in usable]
-                usable += [
-                    (path, _bits(self._link_bit, path))
-                    for path in self._window_paths(src, dst, dark)
-                    if len(path) - 1 <= max_hops and path not in known
-                ]
-            # Fully-lit paths first; among equals the cheapest-first order
-            # of the underlying searches is preserved (sort is stable).
-            dims = [bin(bits & dim).count("1") for _, bits in usable]
-            order = sorted(range(len(usable)), key=dims.__getitem__)
-            answer = view.answers[key] = [usable[i][0] for i in order[: self.max_paths]]
+            if len(self._window_answers) >= _ANSWERS_KEPT:
+                self._window_answers.clear()
+            answer = self._window_answers[key] = self._window_answer(*key)
         return answer
 
     def arc_set(self, request, schedule: Optional[LinkSchedule] = None):
         """The LP view of everything the index holds for ``request``:
         the arcs of all its tabled paths plus whatever :meth:`candidates`
-        adds for its window — a superset of what admission can pick, so
-        a model pruned to it always contains the fast lane's plan.
-        ``None`` (prune nothing) when the static search ran dry: the
-        table then holds every simple path, and a set could only move
+        adds for its hop bound and window — a superset of what admission
+        can pick, so a model pruned to it always contains the fast lane's
+        plan.  ``None`` (prune nothing) when the static search ran dry:
+        the table then holds every simple path, and a set could only move
         the LP between equal-cost optima."""
         src, dst = request.source, request.destination
         arcs = self._arcs[src, dst]
-        if arcs is None or schedule is None or not len(schedule):
-            return arcs
+        if arcs is None:
+            return None
         base = self._table[src, dst]
         window = (request.release_slot, request.last_slot + 1)
         usable = self.candidates(src, dst, request.deadline_slots, schedule, window)
         extra = tuple(tuple(path) for path in usable if path not in base)
         if not extra:
             return arcs
-        widened = self._view.arc_sets
         key = (src, dst, extra)
-        if key not in widened:
-            widened[key] = ArcSet.from_paths(self.topology, src, dst, [*base, *extra])
-        return widened[key]
+        widened = self._arc_sets.get(key)
+        if widened is None:
+            if len(self._arc_sets) >= _ANSWERS_KEPT:
+                self._arc_sets.clear()
+            widened = self._arc_sets[key] = ArcSet.from_paths(
+                self.topology, src, dst, [*base, *extra]
+            )
+        return widened
 
     # -- internals -------------------------------------------------------
+
+    def _window_answer(
+        self, src: int, dst: int, max_hops: int, dark: int, dim: int
+    ) -> List[List[int]]:
+        """What :meth:`candidates` answers for a window that darkens the
+        links of ``dark`` throughout and those of ``dim`` somewhere."""
+        usable = [
+            (path, bits) for path, bits in zip(self._table[src, dst],
+                                               self._path_bits[src, dst])
+            if len(path) - 1 <= max_hops and not bits & dark
+        ]
+        if len(usable) < self.max_paths:
+            known = [path for path, _ in usable]
+            usable += [
+                (path, _bits(self._link_bit, path))
+                for path in self._window_paths(src, dst, dark)
+                if len(path) - 1 <= max_hops and path not in known
+            ]
+        if not usable:
+            return self._within(src, dst, max_hops, dark)
+        # Fully-lit paths first; among equals the cheapest-first order
+        # of the underlying searches is preserved (sort is stable).
+        dims = [bin(bits & dim).count("1") for _, bits in usable]
+        order = sorted(range(len(usable)), key=dims.__getitem__)
+        return [usable[i][0] for i in order[: self.max_paths]]
+
+    def _lit(self, dark: int) -> Tuple[Adjacency, Adjacency]:
+        """Successor and predecessor maps of the links outside ``dark``."""
+        lit = [(link.src, link.dst, link.price) for link in self.topology.links
+               if not self._link_bit[link.key] & dark]
+        return adjacency(self.topology.node_ids(), lit)
 
     def _window_paths(self, src: int, dst: int, dark: int) -> List[List[int]]:
         """Cheapest paths over the links with an up-slot in the window
         (``dark``: the bits of the links without one)."""
-        lit = [(link.src, link.dst, link.price) for link in self.topology.links
-               if not self._link_bit[link.key] & dark]
-        succ, pred = adjacency(self.topology.node_ids(), lit)
-        return cheapest_paths(succ, pred, src, dst, 2 * self.max_paths)
+        return cheapest_paths(*self._lit(dark), src, dst, 2 * self.max_paths)
+
+    def _within(self, src: int, dst: int, max_hops: int, dark: int) -> List[List[int]]:
+        """The cheapest path of at most ``max_hops`` hops over the links
+        outside ``dark``, as a one-path answer; ``[]`` when there is none."""
+        path = cheapest_within(self._lit(dark)[0], src, dst, max_hops)
+        return [] if path is None else [path]
 
     def __len__(self) -> int:
         """Number of (src, dst) pairs in the table."""

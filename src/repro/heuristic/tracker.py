@@ -8,19 +8,21 @@ already-paid charged volume ``X_ij(t-1)``), and how utilized the cell
 would be if the batch's tentative placements landed.
 
 The first time a batch touches a link, :class:`UtilizationTracker`
-composes that link's :class:`LinkRows` — plain lists over the slots from
-the batch's release slot on — by asking the state once per cell, so the
-fault gate, the link-schedule gate and ``capacity - committed`` are
-evaluated once per cell per slot however many requests sweep it; a
-path's list of hop rows is likewise built once per batch and handed out
-to every file that tries the path.  Rows are scratch: valid from
-:meth:`reset` until the state next changes.
+composes that link's :class:`LinkRows` — plain lists over the batch's
+window, from its release slot through its latest deadline slot — in one
+row read (:meth:`NetworkState.link_rows`, and the forecast's reservation
+row over the same committed volumes), so the fault gate, the
+link-schedule gate and ``capacity - committed`` are evaluated once per
+cell per slot however many requests sweep it; a path's list of hop rows
+is likewise built once per batch and handed out to every file that tries
+the path.  Rows are scratch: valid from :meth:`reset` until the state
+next changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
 from repro.core.state import NetworkState
@@ -83,58 +85,72 @@ class UtilizationTracker:
 
     def __init__(self, state: NetworkState):
         self._state = state
-        self._base = 0
+        #: Rows cover slots ``[_base, _end)``: the batch's window.
+        self._base, self._end = 0, 1
         self._rows: Dict[Tuple[int, int], LinkRows] = {}
-        #: (*path, slot) -> the path's hop rows (:meth:`path_rows`).
+        #: path nodes -> the path's hop rows (:meth:`path_rows`).
         self._paths: Dict[tuple, List[LinkRows]] = {}
-        #: Optional ``(src, dst, slot) -> GB`` callback reserving
-        #: forecast-predicted background load on future cells
-        #: (:meth:`FastLaneScheduler.attach_forecast`); ``None``: reactive.
+        #: Optional ``(src, dst, start, committed) -> GB per cell``
+        #: callback: the forecast-predicted background load reserved on
+        #: the cells ``start, start + 1, ...`` whose committed volumes are
+        #: ``committed`` (:meth:`ForecastProvider.reservation_row`, wired
+        #: by :meth:`FastLaneScheduler.attach_forecast`); ``None``: reactive.
         self.reservation = None
 
-    def reset(self, slot: int = 0) -> None:
-        """Drop every row; the next batch's window starts at ``slot``."""
+    def reset(self, slot: int = 0, last: Optional[int] = None) -> None:
+        """Drop every row; the next batch's window runs from ``slot``
+        through ``last`` (its latest deadline slot; default ``slot``)."""
         self._base = slot
+        self._end = (slot if last is None else max(slot, last)) + 1
         self._rows.clear()
         self._paths.clear()
 
     def rows(self, src: int, dst: int, slot: int) -> LinkRows:
-        """The link's rows, composed through ``slot`` inclusive."""
+        """The link's rows, composed through the window's end, and through
+        ``slot`` inclusive if that lies beyond it."""
+        if slot < self._base:
+            raise SchedulingError(f"slot {slot} precedes the window start {self._base}")
+        if slot >= self._end:
+            self._widen(slot)
         rows = self._rows.get((src, dst))
         if rows is None:
-            rows = self._rows[(src, dst)] = self._compose(src, dst, ())
-        have = self._base + len(rows.pending)
-        if slot >= have:
-            self._compose(src, dst, range(have, slot + 1), rows)
-        elif slot < self._base:
-            raise SchedulingError(f"slot {slot} precedes the window start {self._base}")
+            rows = self._rows[(src, dst)] = self._compose(src, dst, self._base, self._end)
+        elif self._base + len(rows.pending) < self._end:
+            self._compose(src, dst, self._base + len(rows.pending), self._end, rows)
         return rows
 
+    def _widen(self, slot: int) -> None:
+        """Move the window's end past ``slot``; the path lists built so
+        far hold rows that stop short of it."""
+        self._end = slot + 1
+        self._paths.clear()
+
     def _compose(
-        self, src: int, dst: int, slots: Iterable[int],
+        self, src: int, dst: int, start: int, end: int,
         rows: Optional[LinkRows] = None,
     ) -> LinkRows:
-        """Append the state's answers for ``slots``: one ask per cell."""
+        """The state's cells ``[start, end)`` of a link, in one row read,
+        appended to ``rows`` (new rows when ``None``)."""
         state, reservation = self._state, self.reservation
+        residual, committed = state.link_rows(src, dst, start, end)
+        reserved = None if reservation is None else reservation(src, dst, start, committed)
+        pending = [0.0] * (end - start)
         if rows is None:
             link = state.topology.link(src, dst)
-            rows = LinkRows(
-                link.capacity, link.price, state.charged_volume(src, dst),
-                reserved=None if reservation is None else [],
-            )
-        for n in slots:
-            rows.residual.append(state.residual_capacity(src, dst, n))
-            rows.committed.append(state.committed_volume(src, dst, n))
-            rows.pending.append(0.0)
-            if reservation is not None:
-                rows.reserved.append(reservation(src, dst, n))
+            return LinkRows(link.capacity, link.price, state.charged_volume(src, dst),
+                            reserved, residual, committed, pending)
+        rows.residual += residual
+        rows.committed += committed
+        rows.pending += pending
+        if reserved is not None:
+            rows.reserved += reserved
         return rows
 
     # -- scalar queries: one cell, read from the live state.  The planner
     # reads the rows; these stay because the spine's tracer counts them.
 
     def _cell(self, src: int, dst: int, slot: int) -> LinkRows:
-        cell = self._compose(src, dst, (slot,))
+        cell = self._compose(src, dst, slot, slot + 1)
         rows, i = self._rows.get((src, dst)), slot - self._base
         if rows is not None and 0 <= i < len(rows.pending):
             cell.pending[0] = rows.pending[i]
@@ -168,7 +184,9 @@ class UtilizationTracker:
         out again until :meth:`reset`; its rows are :meth:`rows`' own
         objects.  Read it, never mutate it.
         """
-        key = (*path, slot)  # the nodes, then the slot: one tuple per ask
+        if slot >= self._end:
+            self._widen(slot)
+        key = tuple(path)
         hop_rows = self._paths.get(key)
         if hop_rows is None:
             rows = self.rows

@@ -118,7 +118,7 @@ class CandidatePathIndex:
         base = self._base_paths(src, dst)
         if schedule is None or window is None or not len(schedule):
             usable = [p for p in base if len(p) - 1 <= max_hops]
-            return usable[: self.max_paths]
+            return usable[: self.max_paths] or self._within(self._graph, src, dst, max_hops)
 
         first, last = window
         usable = [
@@ -134,6 +134,8 @@ class CandidatePathIndex:
             for path in self._window_paths(src, dst, schedule, first, last):
                 if len(path) - 1 <= max_hops and path not in usable:
                     usable.append(path)
+        if not usable:
+            return self._within(self._live(schedule, first, last), src, dst, max_hops)
         # Fully-lit paths first; among equals the cheapest-first order
         # of the underlying searches is preserved (sort is stable).
         usable.sort(
@@ -154,13 +156,12 @@ class CandidatePathIndex:
         search ran dry: the cache then holds every simple path, and a
         set could only move the LP between equal-cost optima."""
         src, dst = request.source, request.destination
-        base, extra = self._base_paths(src, dst), ()
+        base = self._base_paths(src, dst)
         if len(base) < 2 * self.max_paths:
             return None
-        if schedule is not None and len(schedule):
-            window = (request.release_slot, request.last_slot + 1)
-            usable = self.candidates(src, dst, request.deadline_slots, schedule, window)
-            extra = tuple(tuple(path) for path in usable if path not in base)
+        window = (request.release_slot, request.last_slot + 1)
+        usable = self.candidates(src, dst, request.deadline_slots, schedule, window)
+        extra = tuple(tuple(path) for path in usable if path not in base)
         key = (src, dst, extra)
         if key not in self._arc_sets:
             if len(self._arc_sets) >= _WINDOW_CACHE_LIMIT:
@@ -209,17 +210,33 @@ class CandidatePathIndex:
         if paths is None:
             if len(self._window_cache) >= _WINDOW_CACHE_LIMIT:
                 self._window_cache.clear()
-            live = self._graph.edge_subgraph(
-                (a, b)
-                for a, b in self._graph.edges
-                if schedule.up_in_range(a, b, first, last)
-            )
             try:
-                paths = self._cheapest(live, src, dst)
+                paths = self._cheapest(self._live(schedule, first, last), src, dst)
             except nx.NodeNotFound:  # an endpoint has no lit link at all
                 paths = []
             self._window_cache[key] = paths
         return paths
+
+    def _live(self, schedule: LinkSchedule, first: int, last: int) -> nx.DiGraph:
+        """The links with an up-slot in the window."""
+        return self._graph.edge_subgraph(
+            (a, b) for a, b in self._graph.edges
+            if schedule.up_in_range(a, b, first, last)
+        )
+
+    @staticmethod
+    def _within(graph, src: int, dst: int, max_hops: int) -> List[List[int]]:
+        """Every simple path of at most ``max_hops`` hops, the cheapest
+        kept (price summed left to right, then fewer hops, then the
+        smaller node list), as a one-path answer; ``[]`` if none."""
+        if src not in graph or dst not in graph:
+            return []
+        ranked = [
+            (sum(graph.edges[a, b]["price"] for a, b in zip(path, path[1:])),
+             len(path), path)
+            for path in nx.all_simple_paths(graph, src, dst, cutoff=max_hops)
+        ]
+        return [min(ranked)[2]] if ranked else []
 
     def __len__(self) -> int:
         """Number of (src, dst) pairs already indexed."""

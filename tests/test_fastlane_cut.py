@@ -107,9 +107,9 @@ def _scheduler(kind, nodes, links, committed, paid, reservations, release):
     for key, volume in paid.items():
         state._charged[key] = max(volume, state.ledger.usage(*key).peak())
     if reservations is not None:
-        scheduler.tracker.reservation = (
-            lambda src, dst, slot: reservations.get((src, dst, slot), 0.0)
-        )
+        scheduler.tracker.reservation = lambda src, dst, start, committed: [
+            reservations.get((src, dst, start + i), 0.0) for i in range(len(committed))
+        ]
         scheduler._reserving = kind == "fast"
     scheduler.tracker.reset(release)
     return scheduler

@@ -11,6 +11,10 @@ hash of every ledger cell and charged peak — bit for bit, because the
 first-strictly-cheaper tie rule turns a one-ulp cost drift into a
 different path.  ``raise_mid_batch`` alone was re-recorded when a slot
 began to commit once: its raising batch now leaves no cell behind.
+``static_10dc_20slots`` and ``static_8dc_seed5`` to ``seed7`` were
+re-recorded when a file whose deadline allows fewer hops than every
+tabled path began to get the cheapest path within its hop bound: each
+decision that moved is such a file, refused before and admitted now.
 """
 
 from __future__ import annotations

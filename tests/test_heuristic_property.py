@@ -178,7 +178,9 @@ def test_window_rows_answer_like_the_scalar_chain(table, with_forecast):
     state, links, base, width, reserved, adds = table
     tracker = ScalarTracker(state)
     if with_forecast:
-        tracker.reservation = lambda s, d, n: reserved.get((s, d, n), 0.0)
+        tracker.reservation = lambda s, d, start, committed: [
+            reserved.get((s, d, start + i), 0.0) for i in range(len(committed))
+        ]
     tracker.reset(base)
     pending = {}
     for ((src, dst), offset), volume in adds:

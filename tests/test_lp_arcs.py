@@ -124,11 +124,21 @@ def test_pruned_fast_assembly_matches_the_reference_assembler():
     topology = complete_topology(6, capacity=30.0, seed=5)
     lane = PostcardScheduler(topology, 60)
     index = CandidatePathIndex(topology, max_paths=2)
+    graph = to_networkx(topology)
     rng = np.random.default_rng(5)
     compared = 0
     for slot in range(4):
         requests = _batch(rng, 6, slot, 8, (4.0, 25.0), (1, 5))
         sets = [None] + _arc_sets(index, requests[1:])
+        if slot == 0:
+            # The index gives every file a path within its deadline; one
+            # longer path strands the file at its source.
+            n, tight = next((n, r) for n, r in enumerate(requests)
+                            if n and r.deadline_slots < 5)
+            sets[n] = ArcSet.from_paths(topology, tight.source, tight.destination, [next(
+                path for path in nx.all_simple_paths(graph, tight.source, tight.destination)
+                if len(path) - 1 > tight.deadline_slots
+            )])
         built = assert_fast_matches_reference(lane.state, requests, arc_sets=sets)
         compared += built is not None
         lane.commit_plan(lane.plan_slot(slot, requests, sets))

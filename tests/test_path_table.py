@@ -191,3 +191,39 @@ def test_a_slot_is_planned_without_any_graph_search(monkeypatch):
     for slot in (4, 5):
         scheduler.on_slot(slot, batch(slot, 40, (10.0, 60.0), (2, 6)))
     assert scheduler.escalations >= 1 and not scheduler.lp_widened
+
+
+def test_a_second_period_of_release_slots_reuses_every_window_answer(monkeypatch):
+    """On a periodic link schedule a release slot casts the shades of the
+    slot one period earlier, so the second period's queries — every
+    pair, every deadline — find every answer kept: no path search runs
+    and no answer is built."""
+    topology = ServiceConfig(datacenters=10, capacity=100.0).topology()
+    period, up = 8, 6
+    schedule = LinkSchedule()
+    rng = np.random.default_rng(3)
+    keys = sorted(link.key for link in topology.links)
+    for n in rng.choice(len(keys), size=len(keys) // 3, replace=False):
+        phase = int(rng.integers(0, period))
+        for start in range(phase, 4 * period, period):
+            schedule.add_window(AvailabilityWindow(*keys[n], start, start + up))
+    index = CandidatePathIndex(topology)
+    built = []
+    answer = CandidatePathIndex._window_answer
+    monkeypatch.setattr(CandidatePathIndex, "_window_answer",
+                        lambda self, *key: built.append(key) or answer(self, *key))
+
+    def ask(first_slot):
+        for first in range(first_slot, first_slot + period):
+            for src, dst in itertools.permutations(topology.node_ids(), 2):
+                for deadline in range(1, 9):
+                    index.candidates(src, dst, deadline, schedule, (first, first + deadline))
+
+    ask(period)
+    assert built, "the first period builds the answers"
+    searched = []
+    for name in ("cheapest_paths", "cheapest_within"):
+        monkeypatch.setattr(paths, name, lambda *args, name=name: searched.append(name))
+    built.clear()
+    ask(2 * period)
+    assert built == [] and searched == []
