@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.heuristic.fastlane import CandidatePathScheduler
+from repro.heuristic.fastlane import CandidatePathScheduler, Sends
 from repro.heuristic.tracker import LinkRows
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
@@ -46,25 +46,24 @@ class GreedyStoreAndForwardScheduler(CandidatePathScheduler):
         the next file rides free under the peak this one just paid:
         committed volume up, residual down, the charged peak raised."""
         for rows, sent in zip(hop_rows, sends):
-            for i, volume in enumerate(sent):
-                if volume > 0.0:
-                    rows.committed[i] += volume
-                    rows.residual[i] = max(0.0, rows.capacity - rows.committed[i])
-                    rows.charged = max(rows.charged, rows.committed[i])
+            for i, volume in sent:
+                rows.committed[i] += volume
+                rows.residual[i] = max(0.0, rows.capacity - rows.committed[i])
+                rows.charged = max(rows.charged, rows.committed[i])
 
     def _sends(self, hop_rows, request):
         """Hop ``h`` (0-based, of ``L``) may use offsets ``[h, T - (L - h)]``
         and is filled from what the previous hop delivers: volume sent
         at offset ``i`` is available downstream from ``i + 1``."""
         hops, span = len(hop_rows), request.deadline_slots
-        arrivals = [request.size_gb] + [0.0] * (span - 1)
-        sends: List[List[float]] = []
+        arrivals: Sends = [(0, request.size_gb)]
+        sends: List[Sends] = []
         for h, rows in enumerate(hop_rows):
             sent = _forward_hop(rows, h, span - hops + h, arrivals, request.size_gb)
             if sent is None:
                 return None
             sends.append(sent)
-            arrivals = [0.0] + sent[:-1]
+            arrivals = [(i + 1, volume) for i, volume in sent]
         return sends
 
     def _beats(self, cost, path, best):
@@ -73,18 +72,24 @@ class GreedyStoreAndForwardScheduler(CandidatePathScheduler):
 
 
 def _forward_hop(
-    rows: LinkRows, lo: int, hi: int, arrivals: List[float], size: float
-) -> Optional[List[float]]:
+    rows: LinkRows, lo: int, hi: int, arrivals: Sends, size: float
+) -> Optional[Sends]:
     """Send ``size`` GB of ``arrivals`` over offsets ``[lo, hi]``, earliest first.
 
-    Three chronological passes: fill already-paid headroom, spread the
-    remainder evenly over the window, then mop up wherever it fits.
-    Every placement is capped by the cell's room and by what has arrived
-    and is not already promised to a later offset.  Returns the
-    per-offset sends, or ``None`` if the window cannot carry the file.
+    ``arrivals`` are :data:`~repro.heuristic.fastlane.Sends` pairs: GB
+    reaching the hop's tail at each offset (only those inside the window
+    count).  Three chronological passes: fill already-paid headroom,
+    spread the remainder evenly over the window, then mop up wherever it
+    fits.  Every placement is capped by the cell's room and by what has
+    arrived and is not already promised to a later offset.  Returns the
+    hop's sends as pairs, or ``None`` if the window cannot carry the file.
     """
     window = range(lo, hi + 1)
-    sent = [0.0] * len(arrivals)
+    arrived_at = [0.0] * (hi + 1)
+    for i, volume in arrivals:
+        if lo <= i <= hi:
+            arrived_at[i] = volume
+    sent = [0.0] * (hi + 1)
     remaining = size
 
     def addable(at: int) -> float:
@@ -93,7 +98,7 @@ def _forward_hop(
         arrived = left = 0.0
         tightest = float("inf")
         for i in window:
-            arrived += arrivals[i]
+            arrived += arrived_at[i]
             left += sent[i]
             if i >= at:
                 tightest = min(tightest, arrived - left)
@@ -109,4 +114,6 @@ def _forward_hop(
             if volume > VOLUME_ATOL:
                 sent[i] += volume
                 remaining -= volume
-    return sent if remaining <= max(VOLUME_ATOL, 1e-9 * size) else None
+    if remaining > max(VOLUME_ATOL, 1e-9 * size):
+        return None
+    return [(i, sent[i]) for i in window if sent[i] > 0.0]

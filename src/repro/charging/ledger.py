@@ -27,14 +27,16 @@ class LinkUsage:
     def __init__(self):
         self.volumes: Dict[int, float] = {}
 
-    def add(self, slot: int, volume: float) -> None:
+    def add(self, slot: int, volume: float) -> float:
+        """Add ``volume`` GB at ``slot``; returns the slot's new volume."""
         if slot < 0:
             raise ChargingError(f"slot must be non-negative, got {slot}")
         if volume < 0:
             raise ChargingError(f"volume must be non-negative, got {volume}")
-        if volume == 0.0:
-            return
-        self.volumes[slot] = self.volumes.get(slot, 0.0) + volume
+        level = self.volumes.get(slot, 0.0) + volume
+        if volume != 0.0:
+            self.volumes[slot] = level
+        return level
 
     def volume_at(self, slot: int) -> float:
         return self.volumes.get(slot, 0.0)
@@ -92,8 +94,9 @@ class TrafficLedger:
 
     # -- recording ------------------------------------------------------
 
-    def record(self, src: int, dst: int, slot: int, volume: float) -> None:
-        """Commit ``volume`` GB on link (src, dst) during ``slot``.
+    def record(self, src: int, dst: int, slot: int, volume: float) -> float:
+        """Commit ``volume`` GB on link (src, dst) during ``slot``; returns
+        the link-slot's new volume.
 
         ``slot`` may exceed the horizon only transiently (transfers that
         straddle the period boundary); such traffic is not billed in
@@ -101,7 +104,7 @@ class TrafficLedger:
         """
         if not self.topology.has_link(src, dst):
             raise ChargingError(f"no link ({src},{dst}) in topology")
-        self._usage[(src, dst)].add(slot, volume)
+        return self._usage[(src, dst)].add(slot, volume)
 
     def void(self, src: int, dst: int, slot: int, volume: float) -> None:
         """Refund ``volume`` GB previously recorded on (src, dst, slot).

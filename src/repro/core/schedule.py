@@ -109,32 +109,19 @@ class TransferSchedule:
 
     # -- per-file accounting ------------------------------------------------
 
-    def group_by_request(self) -> Dict[int, List[ScheduleEntry]]:
-        """Entries per file, each list in schedule order (one pass)."""
-        groups: Dict[int, List[ScheduleEntry]] = defaultdict(list)
-        for e in self.entries:
-            groups[e.request_id].append(e)
-        return groups
-
     def delivered_volume(
         self, request: TransferRequest,
         entries: Optional[List[ScheduleEntry]] = None,
     ) -> float:
         """GB of ``request`` that reach its destination (net inflow).
 
-        ``entries`` is the file's own group (:meth:`group_by_request`)
-        when the caller already holds it; by default the schedule is
+        ``entries`` is the file's own entries, in schedule order, when
+        the caller already holds them; by default the schedule is
         scanned for it.  Inflow and outflow are summed in one pass.
         """
         if entries is None:
             entries = self.entries_for_request(request.request_id)
-        destination, inflow, outflow = request.destination, 0.0, 0.0
-        for _, src, dst, _, volume in entries:
-            if dst == destination:
-                inflow += volume
-            if src == destination:
-                outflow += volume
-        return inflow - outflow
+        return _walk_file(request, entries)[0]
 
     def completion_slot(
         self, request: TransferRequest,
@@ -149,18 +136,7 @@ class TransferSchedule:
         """
         if entries is None:
             entries = self.entries_for_request(request.request_id)
-        arrivals: Dict[int, float] = defaultdict(float)
-        for e in entries:
-            if e.dst == request.destination:
-                arrivals[e.slot] += e.volume
-            if e.src == request.destination:
-                arrivals[e.slot] -= e.volume
-        cumulative = 0.0
-        for slot in sorted(arrivals):
-            cumulative += arrivals[slot]
-            if cumulative >= request.size_gb - max(VOLUME_ATOL, 1e-9 * request.size_gb):
-                return slot
-        return None
+        return _walk_file(request, entries)[1]
 
     # -- auditing -----------------------------------------------------------
 
@@ -171,7 +147,7 @@ class TransferSchedule:
         atol: float = 1e-5,
         require_full_delivery: bool = True,
         deadline_slack: int = 0,
-    ) -> Dict[int, List[ScheduleEntry]]:
+    ) -> "ScheduleAudit":
         """Raise :class:`SchedulingError` unless this schedule is feasible.
 
         Checks, per file: delivery (full by default; partial schedules
@@ -182,45 +158,92 @@ class TransferSchedule:
         conservation at every datacenter the file passes.  Checks, per
         link and slot: aggregate volume within ``capacity_fn(src, dst,
         slot)`` when provided, up to the ledger's own tolerance
-        (:func:`repro.invariants.cell_tolerance`).  Returns every
-        request's entries, in schedule order (:meth:`group_by_request`).
+        (:func:`repro.invariants.cell_tolerance`).
+
+        The schedule is read once, and each file's entries once more:
+        window, delivery, conservation and completion slot in one walk.
+        Returns a :class:`ScheduleAudit`: every request's entries, in
+        schedule order, and what the walk found.
         """
-        by_request = {r.request_id: r for r in requests}
-        groups: Dict[int, List[ScheduleEntry]] = {rid: [] for rid in by_request}
-        for e in self.entries:
-            req = by_request.get(e.request_id)
-            if req is None:
-                raise SchedulingError(
-                    f"schedule references unknown file {e.request_id}"
-                )
-            if not req.release_slot <= e.slot <= req.last_slot + deadline_slack:
-                raise SchedulingError(
-                    f"file {e.request_id} moves at slot {e.slot}, outside its "
-                    f"window [{req.release_slot}, {req.last_slot + deadline_slack}]"
-                )
-            groups[e.request_id].append(e)
+        return self._audit(
+            requests, atol, require_full_delivery, deadline_slack,
+            capacity_fn, checked=True,
+        )
 
+    def _audit(
+        self, requests, atol=1e-5, require_full_delivery=True, deadline_slack=0,
+        capacity_fn=None, checked=False,
+    ) -> "ScheduleAudit":
+        """:meth:`validate`'s walk; ``checked=False`` raises nothing and
+        only gathers (an unknown file's entries then join the cell sums
+        alone, and no capacity is read)."""
+        audit, files = ScheduleAudit(), {}
         for req in requests:
-            entries = groups[req.request_id]
-            delivered = self.delivered_volume(req, entries)
-            tol = max(atol, atol * req.size_gb)
-            if require_full_delivery and abs(delivered - req.size_gb) > tol:
-                raise SchedulingError(
-                    f"file {req.request_id} delivers {delivered:.6f} GB "
-                    f"of {req.size_gb:.6f} GB"
-                )
-            if delivered > req.size_gb + tol:
-                raise SchedulingError(
-                    f"file {req.request_id} over-delivers: {delivered:.6f} GB "
-                    f"of {req.size_gb:.6f} GB"
-                )
-            if self.semantics == SEMANTICS_STORE_AND_FORWARD:
-                self._check_conservation(req, entries, tol, delivered)
-            else:
-                self._check_conservation_fluid(req, entries, atol)
+            first = req.release_slot
+            last = first + req.deadline_slots - 1 + deadline_slack  # last_slot + slack
+            group = audit[req.request_id] = []
+            files[req.request_id] = group, first, last
+        cells = audit.cells
+        for entry in self.entries:
+            rid, src, dst, slot, volume = entry
+            file = files.get(rid)
+            if file is not None:
+                group, first, last = file
+                if checked and not first <= slot <= last:
+                    raise SchedulingError(
+                        f"file {rid} moves at slot {slot}, outside its "
+                        f"window [{first}, {last}]"
+                    )
+                group.append(entry)
+            elif checked:
+                raise SchedulingError(f"schedule references unknown file {rid}")
+            key = src, dst, slot
+            cells[key] = cells.get(key, 0.0) + volume
 
-        if capacity_fn is not None:
-            for (src, dst, slot), volume in self.link_slot_volumes().items():
+        completions = audit.completions
+        store_and_forward = self.semantics == SEMANTICS_STORE_AND_FORWARD
+        for req in requests:
+            rid, destination, size = req.request_id, req.destination, req.size_gb
+            entries = audit[rid]
+            # A chain: every entry leaves where the one before it landed, in
+            # a later slot, with the same volume, from the source on, and
+            # only the last reaches the destination.  It balances every
+            # datacenter it passes to the bit (the conservation walk would
+            # pass it) and delivers that volume in its last slot.
+            at, since, hops = req.source, req.release_slot - 1, 0
+            delivered = entries[0][4] if entries else 0.0
+            for _, src, dst, slot, volume in entries:
+                if src != at or src == destination or slot <= since or volume != delivered:
+                    break
+                at, since, hops = dst, slot, hops + 1
+            chain = at == destination and hops == len(entries)
+            if chain:
+                slack = 1e-9 * size  # max(VOLUME_ATOL, 1e-9 * size)
+                if slack < VOLUME_ATOL:
+                    slack = VOLUME_ATOL
+                completions[rid] = since if delivered >= size - slack else None
+            else:
+                delivered, completions[rid] = _walk_file(req, entries)
+            if not checked:
+                continue
+            tol = atol * size  # max(atol, atol * size)
+            if tol < atol:
+                tol = atol
+            if require_full_delivery and abs(delivered - size) > tol:
+                raise SchedulingError(
+                    f"file {rid} delivers {delivered:.6f} GB of {size:.6f} GB"
+                )
+            if delivered > size + tol:
+                raise SchedulingError(
+                    f"file {rid} over-delivers: {delivered:.6f} GB of {size:.6f} GB"
+                )
+            if not store_and_forward:
+                self._check_conservation_fluid(req, entries, atol)
+            elif not chain:
+                self._check_conservation(req, entries, tol, delivered)
+
+        if checked and capacity_fn is not None:
+            for (src, dst, slot), volume in cells.items():
                 cap = capacity_fn(src, dst, slot)
                 if volume > cap and volume > cap + min(
                     max(atol, atol * cap), cell_tolerance(cap)
@@ -229,7 +252,7 @@ class TransferSchedule:
                         f"link ({src},{dst}) carries {volume:.6f} GB at slot "
                         f"{slot}, over capacity {cap:.6f}"
                     )
-        return groups
+        return audit
 
     @staticmethod
     def _check_conservation(
@@ -309,3 +332,45 @@ class TransferSchedule:
             f"entries={len(self.entries)}, "
             f"transit_gb={self.total_transit_volume():.3f})"
         )
+
+
+class ScheduleAudit(dict):
+    """What :meth:`TransferSchedule.validate` found in its walk.
+
+    As a dict: request id -> the file's entries in schedule order.
+    ``completions``: request id -> :meth:`TransferSchedule.completion_slot`.
+    ``cells``: the schedule's GB per ``(src, dst, slot)``, added up in
+    entry order (:meth:`TransferSchedule.link_slot_volumes`): what a
+    batch lands.
+    """
+
+    __slots__ = ("completions", "cells")
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.completions: Dict[int, Optional[int]] = {}
+        self.cells: Dict[LinkSlot, float] = {}
+
+
+def _walk_file(
+    request: TransferRequest, entries: List[ScheduleEntry]
+) -> Tuple[float, Optional[int]]:
+    """What a file delivers (its destination's net inflow) and its
+    completion slot, in one walk of its entries: the first slot by whose
+    end that inflow reaches the file's size, within the volume tolerance,
+    or ``None`` if it never does."""
+    destination, inflow, outflow = request.destination, 0.0, 0.0
+    arrivals: Dict[int, float] = defaultdict(float)
+    for _, src, dst, slot, volume in entries:
+        if dst == destination:
+            inflow += volume
+            arrivals[slot] += volume
+        if src == destination:
+            outflow += volume
+            arrivals[slot] -= volume
+    size, cumulative = request.size_gb, 0.0
+    for slot in sorted(arrivals):
+        cumulative += arrivals[slot]
+        if cumulative >= size - max(VOLUME_ATOL, 1e-9 * size):
+            return inflow - outflow, slot
+    return inflow - outflow, None

@@ -134,7 +134,9 @@ class NetworkState:
 
         With ``validate=True`` (default) the schedule is audited against
         per-slot residual capacities *before* anything is recorded, so a
-        failed commit leaves the state untouched.
+        failed commit leaves the state untouched.  The audit's walk also
+        hands back each file's entries, its completion slot and the
+        batch's cell sums.
 
         By default the ledger receives one summed write per link-slot,
         which is how a jointly solved batch lands.  ``per_file=True``
@@ -146,29 +148,26 @@ class NetworkState:
         way: summed per file, or in one pass.
         """
         if validate:
-            groups = schedule.validate(requests, capacity_fn=self.residual_capacity)
+            audit = schedule.validate(requests, capacity_fn=self.residual_capacity)
         else:
-            groups = schedule.group_by_request()
-        completions = {}
+            audit = schedule._audit(requests)
+        completions = audit.completions
         for request in requests:
-            completion = schedule.completion_slot(
-                request, groups.get(request.request_id, ())
-            )
-            if completion is None:
+            if completions[request.request_id] is None:
                 raise SchedulingError(
                     f"commit: file {request.request_id} is not delivered "
                     "by the schedule"
                 )
-            completions[request.request_id] = completion
 
+        # One file's sums at a time: a slot of 500 files holds one dict.
         if per_file:
-            batches = [groups.get(request.request_id, ()) for request in requests]
+            cells = (
+                cell for request in requests
+                for cell in _summed(audit[request.request_id]).items()
+            )
         else:
-            batches = [schedule.entries]
-        # One batch's sums at a time: a slot of 500 files holds one dict.
-        recorded_gb = self.record_traffic(
-            cell for entries in batches for cell in _summed(entries).items()
-        )
+            cells = audit.cells.items()
+        recorded_gb = self.record_traffic(cells)
         if per_file:
             waits: Dict[int, float] = defaultdict(float)
             for rid, gb in schedule.stored:
@@ -195,20 +194,16 @@ class NetworkState:
         and raise each touched link's charged volume ``X_ij`` to the cell's
         new level: the one write path into the books (:meth:`commit` calls
         it after its audit; replanning and recovery execute through it).
-        Returns the GB recorded."""
+        Volumes only grow here, so raising the peak as each cell is written
+        ends where raising it to each cell's final level would.  Returns
+        the GB recorded."""
+        record, charged = self.ledger.record, self._charged
         recorded_gb = 0.0
-        touched = set()
-        for cell, volume in cells:
-            src, dst, slot = cell
-            self.ledger.record(src, dst, slot, volume)
+        for (src, dst, slot), volume in cells:
+            level = record(src, dst, slot, volume)
             recorded_gb += volume
-            touched.add(cell)
-        # Volumes only grow here, so each touched cell's final level is
-        # its highest.
-        for src, dst, slot in touched:
-            level = self.ledger.volume(src, dst, slot)
-            if level > self._charged[(src, dst)]:
-                self._charged[(src, dst)] = level
+            if level > charged[(src, dst)]:
+                charged[(src, dst)] = level
         return recorded_gb
 
     def void_traffic(self, src: int, dst: int, slot: int, volume: float) -> None:

@@ -44,6 +44,9 @@ class ForecastScoreboard:
         self.name = name
         self._pairs: Dict[Hashable, Deque[Tuple[float, float]]] = {}
         self.observations = 0
+        #: The pooled :meth:`_sums`, kept until the next :meth:`observe`
+        #: (the one writer): a slot reads them four times.
+        self._pooled: Optional[Tuple[float, float, float]] = None
 
     def observe(self, key: Hashable, predicted: float, actual: float) -> None:
         """Fold one (predicted, actual) sample for ``key`` in."""
@@ -52,6 +55,7 @@ class ForecastScoreboard:
             ring = self._pairs[key] = deque(maxlen=self.window)
         ring.append((float(predicted), float(actual)))
         self.observations += 1
+        self._pooled = None
         reg = obs.get_registry()
         if reg.enabled:
             reg.counter(f"{self.name}.scored")
@@ -62,9 +66,12 @@ class ForecastScoreboard:
     # -- queries ---------------------------------------------------------
 
     def _sums(self, key: Optional[Hashable]) -> Tuple[float, float, float]:
-        """(sum |err|, sum signed err, sum actual) over the window."""
+        """(sum |err|, sum signed err, sum actual) over the window; the
+        pooled sums (``key=None``) are scanned once per :meth:`observe`."""
         if key is not None:
             rings = [self._pairs[key]] if key in self._pairs else []
+        elif self._pooled is not None:
+            return self._pooled
         else:
             rings = list(self._pairs.values())
         abs_err = signed = actual_sum = 0.0
@@ -73,6 +80,8 @@ class ForecastScoreboard:
                 abs_err += abs(predicted - actual)
                 signed += predicted - actual
                 actual_sum += actual
+        if key is None:
+            self._pooled = abs_err, signed, actual_sum
         return abs_err, signed, actual_sum
 
     def mape(self, key: Optional[Hashable] = None) -> float:

@@ -13,17 +13,18 @@ free capacity exists.
 
 Per request the work is O(candidate paths x window length): one
 top-down sweep per hop and pass over at most ``T_k`` cells of the
-:class:`UtilizationTracker`'s window rows, read as plain lists.  Most
-hops stop at the sweep's first placement, which takes the whole file.
-Once a candidate costs nothing, those with as many hops or more are
-skipped (they can only tie); only the winner becomes schedule entries,
-one per hop and slot that sends, and the GB-slots it waits.  Admitted
-requests meet their deadline by construction (per-hop precedence
-windows inside ``[release, release + T_k - 1]``), and the slot's one
-commit re-validates everything before recording.  The price is cost:
-files are planned one at a time against marginal bill increase; the
-:class:`~repro.heuristic.hybrid.HybridScheduler` escalates pressured
-slots to the LP to recover most of the gap.
+:class:`UtilizationTracker`'s window rows, read as plain lists.  A plan
+lists per hop only the cells it sends in (:data:`Sends`); most hops
+send the whole file in the sweep's first cell, and those are placed
+without a sweep.  Once a candidate costs nothing, those with as many
+hops or more are skipped (they can only tie); only the winner becomes
+schedule entries, one per hop and slot that sends, and the GB-slots it
+waits.  Admitted requests meet their deadline by construction (per-hop
+precedence windows inside ``[release, release + T_k - 1]``), and the
+slot's one commit re-validates everything before recording.  The price
+is cost: files are planned one at a time against marginal bill
+increase; the :class:`~repro.heuristic.hybrid.HybridScheduler`
+escalates pressured slots to the LP to recover most of the gap.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ _PASSES = {
     (True, False): ((False, True), (False, False)),
     (True, True): ((True, True), (True, False), (False, True), (False, False)),
 }
+
+#: One hop of a plan: ``(i, GB)`` pairs by rising window offset ``i``
+#: (slot ``release + i``), one per cell the hop sends in, every GB > 0.
+#: Most hops send the whole file in one cell: a one-pair list.
+Sends = List[Tuple[int, float]]
 
 
 class CandidatePathScheduler(Scheduler):
@@ -132,10 +138,10 @@ class CandidatePathScheduler(Scheduler):
 
     def _sends(
         self, hop_rows: Sequence[LinkRows], request: TransferRequest
-    ) -> Optional[List[List[float]]]:
-        """Per hop, the GB leaving its tail at each window offset ``i``
-        (slot ``release + i``) under this scheduler's placement rule;
-        ``None`` when the path cannot carry the file by its deadline."""
+    ) -> Optional[List[Sends]]:
+        """Per hop, the :data:`Sends` pairs under this scheduler's
+        placement rule; ``None`` when the path cannot carry the file by
+        its deadline."""
         raise NotImplementedError
 
     def _beats(self, cost: float, path: List[int], best: tuple) -> bool:
@@ -154,12 +160,13 @@ class CandidatePathScheduler(Scheduler):
         """
         # Window-aware candidates: never spend sweeps on a path with a
         # hop that stays dark for the whole request window.
+        last = request.last_slot
         candidates = self._paths.candidates(
             request.source, request.destination, request.deadline_slots,
             schedule=getattr(self._state, "link_schedule", None),
-            window=(request.release_slot, request.last_slot + 1),
+            window=(request.release_slot, last + 1),
         )
-        rows_of, last = self._tracker.path_rows, request.last_slot
+        rows_of = self._tracker.path_rows
         best, free_hops = None, None
         for path in candidates:
             # Exact cut: once a plan is free, a candidate with as many hops
@@ -169,7 +176,7 @@ class CandidatePathScheduler(Scheduler):
             hop_rows = rows_of(path, last)
             sends = self._sends(hop_rows, request)
             # A plan that sends nothing delivers nothing: inadmissible.
-            if sends is None or not any(sends[-1]):
+            if sends is None or not sends[-1]:
                 continue
             cost = _bill_increase(hop_rows, sends)
             if best is None or self._beats(cost, path, best):
@@ -182,13 +189,13 @@ class CandidatePathScheduler(Scheduler):
         self._hold(hop_rows, sends)
         return _emit(request, path, sends)
 
-    def _hold(self, hop_rows: Sequence[LinkRows], sends: List[List[float]]) -> None:
+    def _hold(self, hop_rows: Sequence[LinkRows], sends: List[Sends]) -> None:
         """Count a winning plan against the rest of the batch: as the
         rows' pending load, which every later file of the slot sees."""
         for rows, sent in zip(hop_rows, sends):
-            for i, volume in enumerate(sent):
-                if volume > 0.0:
-                    rows.pending[i] += volume
+            pending = rows.pending
+            for i, volume in sent:
+                pending[i] += volume
 
 
 class FastLaneScheduler(CandidatePathScheduler):
@@ -203,11 +210,13 @@ class FastLaneScheduler(CandidatePathScheduler):
 
     def adopt_state(self, state: NetworkState) -> None:
         """An attached forecast provider is re-wired onto the rebuilt
-        tracker and keeps its predictor state (the traffic process did
-        not change, only the ledger object did)."""
+        tracker and re-bound to ``state``, so it trains on and reserves
+        against the restored ledger; it keeps its predictor state (the
+        traffic process did not change, only the ledger object did)."""
         super().adopt_state(state)
         if self.forecast is not None:
             self.attach_forecast(self.forecast)
+            self.forecast.bind(state)
 
     def attach_forecast(self, provider) -> None:
         """Wire a forecast provider into the ALAP placement passes.
@@ -256,49 +265,49 @@ class FastLaneScheduler(CandidatePathScheduler):
     def _place(
         self, hop_rows: Sequence[LinkRows], request: TransferRequest,
         headroom_first: bool,
-    ) -> Optional[List[List[float]]]:
+    ) -> Optional[List[Sends]]:
         """ALAP placement along one path, planned backward from the deadline.
 
-        Returns per hop the GB leaving its tail at each window offset
-        ``i`` (slot ``release + i``).  Hop ``h`` (0-based, of ``L``) may
-        use offsets ``[h, T - (L - h)]``.  Hops are planned in reverse:
-        the last owes the whole file by the deadline; each earlier one
-        owes, by offset ``i - 1``, what the next sends at ``i``
-        (store-and-forward precedence).  Within a hop the dues go to the
-        latest admissible slots — paid headroom first when
-        ``headroom_first`` — so early slots stay free for future arrivals.
+        Returns per hop the :data:`Sends` pairs.  Hop ``h`` (0-based, of
+        ``L``) may use offsets ``[h, T - (L - h)]``.  Hops are planned in
+        reverse: the last owes the whole file by the deadline; each
+        earlier one owes, by offset ``i - 1``, what the next sends at
+        ``i`` (store-and-forward precedence).  Within a hop the dues go
+        to the latest admissible slots — paid headroom first when
+        ``headroom_first`` — so early slots stay free for future
+        arrivals.  A single due the sweep would land in one cell
+        (:func:`_whole_cell`) becomes that cell's pair without a sweep.
         """
-        hops, span, size = len(hop_rows), request.deadline_slots, request.size_gb
+        hops, span = len(hop_rows), request.deadline_slots
         passes = _PASSES[self._reserving, headroom_first]
-        sends = [None] * hops
-        h, due = hops - 1, span - 1
-        # Whole-file hops, last first (the ALAP diagonal when the first
-        # pass has room there): the hop before owes the file one offset
-        # earlier.  From the first hop it does not fit, every hop sweeps.
-        if size > max(VOLUME_ATOL, 1e-9 * size):
-            while h >= 0:
-                i = _whole_cell(hop_rows[h], h, due, size, passes)
-                if i is None:
-                    break
-                sent = sends[h] = [0.0] * span
-                sent[i] = size
-                h, due = h - 1, i - 1
-        dues = [(due, size)]
-        for h in range(h, -1, -1):
-            hi = span - hops + h
-            sent = _alap_hop(hop_rows[h], h, hi, dues, span, passes)
+        sends: List[Sends] = [None] * hops
+        due, volume = span - 1, request.size_gb  # the one due, while there is one
+        for h in range(hops - 1, -1, -1):
+            if due is not None:
+                cell = _whole_cell(hop_rows[h], h, due, volume, passes)
+                if cell is not None:
+                    sends[h] = [cell]
+                    due, volume = cell
+                    due -= 1
+                    continue
+                dues = [(due, volume)]
+            sent = _alap_hop(hop_rows[h], h, span - hops + h, dues, passes)
             if sent is None:
                 return None
             sends[h] = sent
             # What leaves hop h at offset i is owed by hop h - 1 at i - 1.
-            dues = [(i - 1, sent[i]) for i in range(hi, h - 1, -1) if sent[i] > 0.0]
+            if len(sent) == 1:
+                due, volume = sent[0]
+                due -= 1
+            else:
+                due, dues = None, [(i - 1, volume) for i, volume in reversed(sent)]
         return sends
 
 
 def _alap_hop(
     rows: LinkRows, lo: int, hi: int, dues: List[Tuple[int, float]],
-    width: int, passes: Sequence[Tuple[bool, bool]],
-) -> Optional[List[float]]:
+    passes: Sequence[Tuple[bool, bool]],
+) -> Optional[Sends]:
     """Pack one hop's dues into offsets ``[lo, hi]``, latest slots first.
 
     ``dues`` lists ``(i, GB)`` by falling ``i``: GB that must have left
@@ -313,10 +322,9 @@ def _alap_hop(
     lateness budget the earlier placement already spent.  Cutoffs at
     offsets no pass filled cannot bind (their allowance only grows
     downward), so only filled ones are rechecked.  A cell's room is
-    :meth:`LinkRows.room`, inlined; a single due whose first placement
-    takes it whole (:func:`_whole_cell`) never builds the allowances.
-    Returns the ``width`` per-offset sends, or ``None`` if the window
-    cannot carry the dues.
+    :meth:`LinkRows.room`, inlined.  Returns the hop's :data:`Sends`
+    (none when the dues are within the tolerance), or ``None`` if the
+    window cannot carry the dues.
     """
     if lo > hi:
         return None
@@ -324,16 +332,11 @@ def _alap_hop(
     for _, volume in dues:
         total += volume
     tol = max(VOLUME_ATOL, 1e-9 * total)
-    sent = [0.0] * width
     if total <= tol:
-        return sent
-    if len(dues) == 1:
-        i = _whole_cell(rows, lo, dues[0][0], total, passes)
-        if i is not None:
-            sent[i] = total
-            return sent
+        return []
+    sent = [0.0] * (hi + 1)
     # late[i]: what may leave at offset i or later: total - dues below i, top-down.
-    late = [total] * width
+    late = [total] * (hi + 1)
     top = hi
     for k, (j, _) in enumerate(dues):
         through = 0.0
@@ -374,7 +377,7 @@ def _alap_hop(
                         sent[i] = here + take
                         remaining -= take
                         if remaining <= tol:
-                            return sent
+                            return [(m, sent[m]) for m in range(lo, hi + 1) if sent[m] > 0.0]
                         placed = above + sent[i]
             above = placed
         filled = [m for m in range(hi, lo - 1, -1) if sent[m] > 0.0]
@@ -384,13 +387,20 @@ def _alap_hop(
 def _whole_cell(
     rows: LinkRows, lo: int, due: int, size: float,
     passes: Sequence[Tuple[bool, bool]],
-) -> Optional[int]:
-    """Where :func:`_alap_hop` puts a single due of ``size`` GB (above the
-    tolerance) whole; ``None`` if its first placement takes less, or it
-    places nothing.  Nothing may park above ``due`` and, until the sweep
-    places, every pass reads the rows as they are: its first placement is
-    ``min(room, size)`` at the first cell, pass by pass from ``due`` down,
-    whose room (computed as the sweep does) exceeds the tolerance."""
+) -> Optional[Tuple[int, float]]:
+    """The one cell where :func:`_alap_hop` lands a single due of ``size``
+    GB, as its ``(offset, GB)`` pair; ``None`` if the sweep fills a second
+    cell, places nothing, or leaves the due unpaid.
+
+    The sweep's first placement is ``min(room, size)`` at the first cell,
+    pass by pass from ``due`` down, whose room (computed as the sweep
+    does) exceeds the tolerance: nothing may park above ``due``, and until
+    the sweep places every pass reads the rows as they are.  Most hops
+    stop there, with the whole due; a smaller first take goes on in
+    :func:`_split_cell`.
+    """
+    if size <= VOLUME_ATOL:
+        return None
     residual, committed, pending = rows.residual, rows.committed, rows.pending
     charged, reservation = rows.charged, rows.reserved
     for free, reserved in passes:
@@ -405,61 +415,112 @@ def _whole_cell(
                 if reserved:
                     room -= reservation[i]
                 if room > VOLUME_ATOL:
-                    return i if room >= size else None
+                    if room >= size:
+                        return i, size
+                    rest = passes[passes.index((free, reserved)):]
+                    return _split_cell(rows, lo, due, size, rest, i, room)
     return None
 
 
-def _bill_increase(hop_rows: Sequence[LinkRows], sends: List[List[float]]) -> float:
+def _split_cell(
+    rows: LinkRows, lo: int, due: int, size: float,
+    passes: Sequence[Tuple[bool, bool]], at: int, sent: float,
+) -> Optional[Tuple[int, float]]:
+    """:func:`_whole_cell` after a first take of ``sent`` < ``size`` GB at
+    offset ``at`` by ``passes[0]``: the sweep's later takes, which must all
+    top up ``at`` — a paid-headroom pass leaving the rest to the plain
+    pass there is the common case.  Each take is the sweep's own
+    ``min(cap, allowed, remaining)``, with ``allowed = size - sent`` at
+    every cell (the cutoff at ``at`` binds above it), and the cell's
+    volume is summed as the sweep sums it, ``here + take``."""
+    tol = max(VOLUME_ATOL, 1e-9 * size)
+    remaining = size - sent
+    if remaining <= tol:
+        return at, sent
+    room = rows.room
+    top = at - 1  # the placing pass goes on below ``at``
+    for free, reserved in passes:
+        for i in range(top, lo - 1, -1):
+            cap = room(i, free, reserved)
+            if i != at:
+                if cap > VOLUME_ATOL and min(cap, size - sent, remaining) > VOLUME_ATOL:
+                    return None
+                continue
+            cap -= sent
+            if cap > VOLUME_ATOL:
+                take = min(cap, size - sent, remaining)
+                if take > VOLUME_ATOL:
+                    sent += take
+                    remaining -= take
+                    if remaining <= tol:
+                        return at, sent
+        top = due
+    return None
+
+
+def _bill_increase(hop_rows: Sequence[LinkRows], sends: List[Sends]) -> float:
     """Bill increase if ``sends`` joined the committed + pending load."""
     cost = 0.0
     for rows, sent in zip(hop_rows, sends):
         committed, pending, charged = rows.committed, rows.pending, rows.charged
         over = 0.0
-        for i, volume in enumerate(sent):
-            if volume > 0.0:
-                lift = volume + committed[i] + pending[i] - charged
-                if lift > over:
-                    over = lift
+        for i, volume in sent:
+            lift = volume + committed[i] + pending[i] - charged
+            if lift > over:
+                over = lift
         if over > 0.0:
             cost += rows.price * over
     return cost
 
 
 def _emit(
-    request: TransferRequest, path: List[int], sends: List[List[float]]
+    request: TransferRequest, path: List[int], sends: List[Sends]
 ) -> Tuple[List[ScheduleEntry], float]:
     """One transit entry per hop and slot that sends, and the GB-slots the
     file waits: what sits at a hop's tail before it departs, summed over
-    the waiting slots in hop, then slot order."""
+    the waiting slots in hop, then slot order.
+
+    A hop's tail receives what the hop before sent, one offset later (the
+    source holds the file from offset 0).  The walk visits only the
+    offsets where something arrives or leaves; between two of them the
+    buffer holds still and is added once per slot."""
     rid, release = request.request_id, request.release_slot
     entries: List[ScheduleEntry] = []
     stored = 0.0
-    # Every hop sends in one cell: what arrived waits whole until it
-    # leaves, added once per slot as the walk below adds it.
-    if all(sent.count(0.0) == len(sent) - 1 for sent in sends):
-        arrived_at, arrived = 0, request.size_gb
-        for h, sent in enumerate(sends):
-            volume = max(sent)
-            i = sent.index(volume)
-            entries.append(ScheduleEntry(rid, path[h], path[h + 1], release + i, volume))
-            if arrived > VOLUME_ATOL:
-                for _ in range(arrived_at, i):
-                    stored += arrived
-            arrived_at, arrived = i + 1, volume
-        return entries, stored
-    arrivals = [request.size_gb] + [0.0] * request.deadline_slots
+    # What reaches the hop's tail: one cell (at, arrived) while ``arrivals``
+    # is None, else the pairs.
+    at, arrived, arrivals = 0, request.size_gb, None
     for h, sent in enumerate(sends):
-        moving = [i for i, volume in enumerate(sent) if volume > 0.0]
-        if moving:
-            src, dst, last_action = path[h], path[h + 1], moving[-1]
-            start = next((i for i in range(moving[0]) if arrivals[i] > 0.0), moving[0])
+        src, dst = path[h], path[h + 1]
+        if arrivals is None and len(sent) == 1:
+            # One cell in, one cell out: what arrived waits whole until it leaves.
+            i, volume = sent[0]
+            entries.append(ScheduleEntry(rid, src, dst, release + i, volume))
+            if arrived > VOLUME_ATOL:
+                for _ in range(at, i):
+                    stored += arrived
+            at, arrived = i + 1, volume
+            continue
+        if arrivals is None:
+            arrivals = [(at, arrived)]
+        if sent:
+            last = sent[-1][0]
+            events = sorted(
+                [(i, 0, volume) for i, volume in arrivals if i <= last]
+                + [(i, 1, volume) for i, volume in sent]
+            )
             buffered = 0.0
-            for i in range(start, last_action + 1):
-                buffered += arrivals[i]
-                if sent[i] > 0.0:
-                    entries.append(ScheduleEntry(rid, src, dst, release + i, sent[i]))
-                    buffered -= sent[i]
-                if buffered > VOLUME_ATOL and i < last_action:
-                    stored += buffered
-        arrivals = [0.0] + sent
+            for k, (i, leaves, volume) in enumerate(events, 1):
+                if leaves:
+                    entries.append(ScheduleEntry(rid, src, dst, release + i, volume))
+                    buffered -= volume
+                else:
+                    buffered += volume
+                if buffered > VOLUME_ATOL and k < len(events):
+                    for _ in range(i, events[k][0]):
+                        stored += buffered
+        if len(sent) == 1:
+            at, arrived, arrivals = sent[0][0] + 1, sent[0][1], None
+        else:
+            arrivals = [(i + 1, volume) for i, volume in sent]
     return entries, stored

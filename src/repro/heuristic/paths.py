@@ -183,15 +183,18 @@ def _bits(link_bit: Dict[Tuple[int, int], int], path: List[int]) -> int:
 
 class _SlotView:
     """What the queries of one slot share, for one schedule state: per
-    window length, the link bits the windows darken."""
+    window length, the link bits the windows darken, and the answers
+    already given."""
 
-    __slots__ = ("schedule", "epoch", "origin", "link_bit", "shades")
+    __slots__ = ("schedule", "epoch", "origin", "link_bit", "shades", "answers")
 
     def __init__(self, schedule: LinkSchedule, origin: int, link_bit: Dict):
         self.schedule, self.epoch, self.origin = schedule, schedule.epoch, origin
         self.link_bit = link_bit
         #: window length -> link bits (dark throughout, dark somewhere).
         self.shades: Dict[int, Tuple[int, int]] = {}
+        #: (src, dst, max_hops, window end) -> what ``candidates`` answered.
+        self.answers: Dict[Tuple[int, int, int, int], List[List[int]]] = {}
 
     def holds(self, schedule: LinkSchedule, origin: int) -> bool:
         return (self.schedule is schedule and self.epoch == schedule.epoch
@@ -313,13 +316,17 @@ class CandidatePathIndex:
         view = self._view
         if view is None or not view.holds(schedule, first):
             view = self._view = _SlotView(schedule, first, self._link_bit)
-        dark, dim = view.shade(last)
-        key = (src, dst, max_hops, dark, dim)
-        answer = self._window_answers.get(key)
+        asked = (src, dst, max_hops, last)
+        answer = view.answers.get(asked)
         if answer is None:
-            if len(self._window_answers) >= _ANSWERS_KEPT:
-                self._window_answers.clear()
-            answer = self._window_answers[key] = self._window_answer(*key)
+            dark, dim = view.shade(last)
+            key = (src, dst, max_hops, dark, dim)
+            answer = self._window_answers.get(key)
+            if answer is None:
+                if len(self._window_answers) >= _ANSWERS_KEPT:
+                    self._window_answers.clear()
+                answer = self._window_answers[key] = self._window_answer(*key)
+            view.answers[asked] = answer
         return answer
 
     def arc_set(self, request, schedule: Optional[LinkSchedule] = None):

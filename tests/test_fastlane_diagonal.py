@@ -1,20 +1,20 @@
-"""The fast lane's whole-file and single-cell shortcuts against the sweep.
+"""The fast lane's one-cell hops and sparse plans against the dense sweep.
 
-``FastLaneScheduler._place`` first tries, hop by hop from the last, the
-sweep's first placement (``_whole_cell``) and keeps it when it takes the
-whole file — the ALAP diagonal, hop ``h`` of ``L`` at offset
-``span - L + h``, when the first pass has room there — and ``_alap_hop``
-lets a single due take the same step before it builds its lateness
-table.  :func:`sweep_place` below is the placement as it was before
-them (every hop swept, no shortcut); on random rows (committed, pending,
+``FastLaneScheduler._place`` gives every single due to ``_whole_cell``
+first, which lands it in the one cell the sweep would — the whole due at
+the sweep's first placement (the ALAP diagonal, hop ``h`` of ``L`` at
+offset ``span - L + h``, when the first pass has room there), or a paid
+part topped up there by the plain pass — and sweeps only the rest.
+:func:`sweep_place` below is the placement as it was before them (every
+hop swept, no shortcut, dense rows); on random rows (committed, pending,
 paid peaks, gated zeros, reservation rows) and random files (1–4 hops,
 spans up to the horizon, sizes at the volume tolerance, rooms equal to
-the size) both must return the same sends bit for bit, for both
+the size or paid in part) both must place the same volumes bit for bit,
+read through ``tests/plan_reference.py``'s converter, for both
 ``headroom_first`` values, reserving on and off.  :func:`walk_emit` is
-``_emit``'s buffer walk alone; the emitted entries and GB-slots of
-waiting must match it bit for bit too.
+``_emit``'s buffer walk over dense rows; the emitted entries and
+GB-slots of waiting must match it bit for bit too.
 """
-
 from __future__ import annotations
 
 import math
@@ -30,6 +30,7 @@ from repro.heuristic.tracker import LinkRows
 from repro.net.topology import Datacenter, Link, Topology
 from repro.traffic.spec import TransferRequest
 from repro.units import VOLUME_ATOL
+from tests.plan_reference import dense
 
 #: Tier-1 runs a handful of examples; CI's ``tests`` job goes deeper.
 PROPERTY_EXAMPLES = int(os.environ.get("LP_ARCS_EXAMPLES", "10"))
@@ -171,8 +172,11 @@ def _cases(draw):
             # The room on the diagonal is the size (to the bit on the grid).
             held = reserved[diagonal] if reserving else 0.0
             residual[diagonal] = pending[diagonal] + size + held
-            if draw(st.booleans()):
+            paid = draw(st.sampled_from(["none", "whole", "part"]))
+            if paid == "whole":
                 charged = committed[diagonal] + pending[diagonal] + size + held
+            elif paid == "part":  # the paid pass takes part, the plain pass the rest
+                charged = committed[diagonal] + pending[diagonal] + draw(_GRID) + held
         hop_rows.append(LinkRows(
             capacity=30.0, price=1.0, charged=charged, reserved=reserved,
             residual=residual, committed=committed, pending=pending,
@@ -197,7 +201,7 @@ def test_the_diagonal_places_what_the_sweep_places(case, headroom_first):
     reserving, hop_rows, request = case
     scheduler = _scheduler()
     scheduler._reserving = reserving
-    placed = scheduler._place(hop_rows, request, headroom_first)
+    placed = dense(scheduler._place(hop_rows, request, headroom_first), request.deadline_slots)
     assert _bits(placed) == _bits(sweep_place(reserving, hop_rows, request, headroom_first))
 
 
@@ -205,12 +209,14 @@ def test_the_diagonal_places_what_the_sweep_places(case, headroom_first):
 @given(case=_cases(), headroom_first=st.booleans())
 def test_single_cell_emit_is_the_buffer_walk(case, headroom_first):
     reserving, hop_rows, request = case
-    sends = sweep_place(reserving, hop_rows, request, headroom_first)
-    if sends is None or not any(sends[-1]):
+    scheduler = _scheduler()
+    scheduler._reserving = reserving
+    sends = scheduler._place(hop_rows, request, headroom_first)
+    if sends is None or not sends[-1]:
         return
     path = list(range(len(sends) + 1))
     entries, stored = fastlane._emit(request, path, sends)
-    expected, expected_stored = walk_emit(request, path, sends)
+    expected, expected_stored = walk_emit(request, path, dense(sends, request.deadline_slots))
     assert [(*entry[:4], entry[4].hex()) for entry in entries] == [
         (*entry[:4], entry[4].hex()) for entry in expected
     ]

@@ -8,7 +8,9 @@ damped by the stability guard instead of oscillating the schedule.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.state import NetworkState
 from repro.errors import SchedulingError
 from repro.forecast import (
     DoubleSeasonal,
@@ -16,7 +18,8 @@ from repro.forecast import (
     ForecastProvider,
     StabilityGuard,
 )
-from repro.heuristic import HybridScheduler
+from repro.forecast.score import ForecastScoreboard
+from repro.heuristic import FastLaneScheduler, HybridScheduler
 from repro.net.generators import complete_topology
 from repro.net.topology import Datacenter, Link, Topology
 from repro.registry import make_scheduler
@@ -183,6 +186,31 @@ class TestForecastProvider:
         assert provider.predicted_volume(0, 1, slot) == provider.reservation(0, 1, slot)
         assert provider.reservation(0, 1, slot) == pytest.approx(30.0)
 
+    def test_a_fast_lane_rebinds_its_provider_to_an_adopted_state(self):
+        # A standalone fast lane used to re-attach its provider only if
+        # unbound, so after a checkpoint adoption it kept training on, and
+        # reserving against, the ledger it was built with.
+        provider = ForecastProvider(
+            ForecastConfig(period=PERIOD, horizon=4),
+            predictor_factory=lambda: FlatPredictor(60.0),
+        )
+        topology = two_node_topology(capacity=250.0)
+        scheduler = FastLaneScheduler(topology, horizon=20)
+        scheduler.attach_forecast(provider)
+        restored = NetworkState(topology, horizon=20)
+        restored.ledger.record(0, 1, PERIOD, 40.0)
+        restored.ledger.record(0, 1, PERIOD + 1, 40.0)
+        scheduler.adopt_state(restored)
+        self.warm_up(provider)
+        # 60 GB predicted, 40 already on the restored books: 20 reserved.
+        assert provider.reservation(0, 1, PERIOD + 1) == pytest.approx(20.0)
+        # The slot is scored against the restored ledger's 40 GB.
+        provider.observe_slot(PERIOD, [])
+        board = ForecastScoreboard()
+        for predicted, actual in ([(60.0, 0.0)] * PERIOD) + [(60.0, 40.0)]:
+            board.observe((0, 1), predicted, actual)
+        assert provider.link_score.mape((0, 1)) == board.mape()
+
     def test_stats_shape(self):
         provider, _ = self.make_provider()
         stats = provider.stats()
@@ -191,6 +219,37 @@ class TestForecastProvider:
                     "slots_observed", "links", "pairs", "arrival_mape"):
             assert key in stats
         assert stats["predictor"] == "hw"
+
+
+# -- the scoreboard ------------------------------------------------------------
+
+_SCORES = st.lists(
+    st.one_of(
+        st.tuples(st.just("observe"), st.sampled_from(["a", "b", "c"]),
+                  st.floats(0.0, 50.0), st.floats(0.0, 50.0)),
+        st.tuples(st.sampled_from(["mape", "bias"]),
+                  st.sampled_from([None, "a", "b"])),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=_SCORES, window=st.integers(1, 5))
+def test_every_scoreboard_read_is_a_fresh_scan(steps, window):
+    # Pooled sums are kept between observations; each read, cached or
+    # not, must equal what a board holding the same samples reads fresh.
+    board, samples = ForecastScoreboard(window), []
+    for step in steps:
+        if step[0] == "observe":
+            board.observe(*step[1:])
+            samples.append(step[1:])
+            continue
+        read, key = step
+        fresh = ForecastScoreboard(window)
+        for sample in samples:
+            fresh.observe(*sample)
+        assert getattr(board, read)(key) == getattr(fresh, read)(key)
 
 
 # -- end-to-end integration ------------------------------------------------

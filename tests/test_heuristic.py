@@ -22,6 +22,7 @@ from repro.registry import make_scheduler, scheduler_names
 from repro.sim.engine import Simulation
 from repro.traffic.spec import TransferRequest
 from repro.traffic.workload import PaperWorkload
+from tests.plan_reference import dense
 from tests.schedule_reference import storage_slot_volumes
 from tests.tracker_reference import ScalarTracker
 
@@ -279,7 +280,7 @@ def test_two_pass_placement_respects_every_due_cutoff():
     relay.residual[2], relay.residual[3] = 0.33, 5.27
     sends = scheduler._place([first, relay], request, headroom_first=True)
     assert sends is not None
-    assert sends[0] == pytest.approx([3.88, 2.6, 3.0, 0.0])
+    assert dense(sends, request.deadline_slots)[0] == pytest.approx([3.88, 2.6, 3.0, 0.0])
     entries, _ = fastlane._emit(request, [0, 1, 2], sends)
     schedule = TransferSchedule(entries)
     schedule.validate([request])  # raised SchedulingError before the fix

@@ -92,6 +92,22 @@ def test_a_window_answer_is_empty_only_when_no_lit_path_fits(data, nodes, seed, 
             for path in answer:
                 assert len(path) - 1 <= max_hops
                 assert not set(zip(path, path[1:])) & dark
+    # Windows that light some of those links part of the time, asked in a
+    # random order and again: the slot's memo answers a repeated question
+    # as the window's shade does.
+    for src, dst in sorted(dark)[: len(dark) // 2]:
+        start = data.draw(st.integers(0, 6))
+        schedule.set_windows(src, dst, [(start, start + data.draw(st.integers(1, 4)))])
+    first = data.draw(st.integers(0, 3))
+    asked = data.draw(st.lists(
+        st.tuples(st.sampled_from(list(itertools.permutations(range(nodes), 2))),
+                  st.sampled_from(HOP_BOUNDS), st.integers(first, first + 8)),
+        min_size=1, max_size=30,
+    ))
+    for (src, dst), max_hops, last in asked + asked:
+        answer = index.candidates(src, dst, max_hops, schedule, (first, last))
+        shaded = index._window_answer(src, dst, max_hops, *index._view.shade(last))
+        assert answer == shaded, (src, dst, max_hops, first, last)
 
 
 @settings(max_examples=10 * PROPERTY_EXAMPLES, deadline=None)

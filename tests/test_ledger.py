@@ -31,6 +31,15 @@ def test_record_and_query(ledger):
     assert ledger.peak_volume(0, 1) == 6.0
 
 
+def test_record_returns_the_cells_new_level(ledger):
+    # NetworkState.record_traffic raises X_ij from what record returns.
+    assert ledger.record(0, 1, 3, 0.1) == 0.1
+    assert ledger.record(0, 1, 3, 0.2) == 0.1 + 0.2 == ledger.volume(0, 1, 3)
+    assert ledger.record(0, 1, 3, 0.0) == 0.1 + 0.2
+    assert ledger.record(0, 1, 5, 0.0) == 0.0
+    assert 5 not in ledger.usage(0, 1).volumes
+
+
 def test_record_unknown_link(ledger):
     with pytest.raises(ChargingError):
         ledger.record(0, 2, 0, 1.0)

@@ -11,7 +11,7 @@ from repro.core.schedule import (
     TransferSchedule,
 )
 from repro.traffic import TransferRequest
-from tests.schedule_reference import storage_slot_volumes
+from tests.schedule_reference import group_by_request, storage_slot_volumes
 
 
 def move(rid, src, dst, slot, vol):
@@ -56,7 +56,7 @@ def test_validate_returns_the_per_file_groups():
         move(r1.request_id, 1, 2, 1, 3.0),
     ])
     groups = schedule.validate([r1, r2])
-    assert groups == schedule.group_by_request()
+    assert groups == group_by_request(schedule)
 
 
 def test_semantics_validation():
